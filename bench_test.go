@@ -698,3 +698,19 @@ func BenchmarkScaling_DBR(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDefaultConfig tracks instance generation, which the gateway pays
+// per generated game on the handler goroutine; NormalizeRho's Gauss–Seidel
+// passes dominate it from N≈16 up.
+func BenchmarkDefaultConfig(b *testing.B) {
+	for _, n := range []int{8, 32} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := game.DefaultConfig(game.GenOptions{Seed: 7, N: n, NoOrgName: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

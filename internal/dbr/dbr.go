@@ -203,7 +203,9 @@ func Solve(cfg *game.Config, start game.Profile, opts Options) (*Result, error) 
 
 // SolveCtx is Solve under a caller context: the solve's span joins the
 // trace carried by ctx (the chaos harness threads its run trace through
-// here), with no effect on the computed result.
+// here), and a cancelled ctx stops the solve before the next organization's
+// scan with an error wrapping ctx.Err(). An uncancelled ctx has no effect
+// on the computed result.
 func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Options) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("dbr: %w", err)
@@ -245,6 +247,10 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 		sweepSpan := root.StartChild("dbr.sweep")
 		changed := false
 		for i := range cfg.Orgs {
+			if err := ctx.Err(); err != nil {
+				sweepSpan.End()
+				return nil, fmt.Errorf("dbr: %w", err)
+			}
 			var cur, val float64
 			var next game.Strategy
 			var ok bool

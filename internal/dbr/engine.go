@@ -15,7 +15,8 @@ import (
 // exactness contract plus the identical golden-section driver guarantee it.
 //
 // An Engine is single-goroutine for mutation; the parallel candidate scan
-// only reads the bound evaluator, which is race-free.
+// only queries the organization BestResponse focused the evaluator on, which
+// is read-only and race-free.
 type Engine struct {
 	cfg   *game.Config
 	ev    *game.DeltaEvaluator
@@ -104,8 +105,11 @@ func (e *Engine) BestResponse(i int, dTol float64, workers int) (game.Strategy, 
 	mScans.Inc()
 	mCandidates.Add(int64(len(levels)))
 	workers = parallel.Resolve(workers)
+	// Every probe of this scan asks about organization i against the same
+	// π₋ᵢ; focus once, here, before any goroutine queries the evaluator.
+	e.ev.Focus(i)
 	if workers > 1 && len(levels) > 1 {
-		// Candidates only read the bound evaluator; each writes a disjoint
+		// Candidates only read the focused evaluator; each writes a disjoint
 		// slot of the pooled candidate buffer.
 		cands := e.cands[:len(levels)]
 		parallel.ForLabeled("dbr.scan", workers, len(levels), func(k int) {

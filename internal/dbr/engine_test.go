@@ -66,26 +66,33 @@ func TestSolveIncrementalEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Solve(off): %v", err)
 		}
-		if on.Rounds != off.Rounds || on.Converged != off.Converged {
-			t.Fatalf("control flow diverged: on=(%d,%v) off=(%d,%v)", on.Rounds, on.Converged, off.Rounds, off.Converged)
+		sameResult(t, "incremental on", on, off)
+	}
+}
+
+// sameResult fails the test unless got and want agree on control flow and,
+// bit for bit, on the profile and both convergence traces.
+func sameResult(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if got.Rounds != want.Rounds || got.Converged != want.Converged {
+		t.Fatalf("%s: control flow diverged: (%d,%v) vs (%d,%v)", label, got.Rounds, got.Converged, want.Rounds, want.Converged)
+	}
+	for i := range want.Profile {
+		if got.Profile[i] != want.Profile[i] {
+			t.Fatalf("%s: profile[%d] diverged: %+v vs %+v", label, i, got.Profile[i], want.Profile[i])
 		}
-		for i := range on.Profile {
-			if on.Profile[i] != off.Profile[i] {
-				t.Fatalf("profile[%d] diverged: on=%+v off=%+v", i, on.Profile[i], off.Profile[i])
-			}
+	}
+	if len(got.PotentialTrace) != len(want.PotentialTrace) {
+		t.Fatalf("%s: potential trace length diverged: %d vs %d", label, len(got.PotentialTrace), len(want.PotentialTrace))
+	}
+	for k := range want.PotentialTrace {
+		if math.Float64bits(got.PotentialTrace[k]) != math.Float64bits(want.PotentialTrace[k]) {
+			t.Fatalf("%s: potential trace[%d] diverged: %x vs %x", label, k,
+				math.Float64bits(got.PotentialTrace[k]), math.Float64bits(want.PotentialTrace[k]))
 		}
-		if len(on.PotentialTrace) != len(off.PotentialTrace) {
-			t.Fatalf("potential trace length diverged: %d vs %d", len(on.PotentialTrace), len(off.PotentialTrace))
-		}
-		for tIdx := range on.PotentialTrace {
-			if math.Float64bits(on.PotentialTrace[tIdx]) != math.Float64bits(off.PotentialTrace[tIdx]) {
-				t.Fatalf("potential trace[%d] diverged: %x vs %x", tIdx,
-					math.Float64bits(on.PotentialTrace[tIdx]), math.Float64bits(off.PotentialTrace[tIdx]))
-			}
-			for i := range on.PayoffTrace[tIdx] {
-				if math.Float64bits(on.PayoffTrace[tIdx][i]) != math.Float64bits(off.PayoffTrace[tIdx][i]) {
-					t.Fatalf("payoff trace[%d][%d] diverged", tIdx, i)
-				}
+		for i := range want.PayoffTrace[k] {
+			if math.Float64bits(got.PayoffTrace[k][i]) != math.Float64bits(want.PayoffTrace[k][i]) {
+				t.Fatalf("%s: payoff trace[%d][%d] diverged", label, k, i)
 			}
 		}
 	}

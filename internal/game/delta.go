@@ -6,36 +6,42 @@ import "tradefl/internal/accuracy"
 // is replaced by x, everyone else unchanged?" in O(N) instead of the O(N²)
 // a fresh Config.Payoff costs. It is the core of the incremental evaluation
 // engine: best-response scans ask exactly this question hundreds of times
-// per sweep against a profile that changes one coordinate at a time.
+// per sweep — ~3 CPU levels × ~38 golden-section probes about the same
+// organization i against the same π₋ᵢ — so the evaluator focuses on one
+// organization at a time and keeps everything that does not depend on the
+// probed strategy out of the query.
 //
 // # Exactness contract
 //
 // Every result is byte-identical to Config.Payoff on the substituted
-// profile — not merely close. The evaluator achieves this by replicating
-// the naive evaluator's floating-point expression trees exactly and caching
-// only operands, never reassociating:
+// profile — not merely close. A value is cached only if it is the value of
+// the identical expression the naive path evaluates, with the same operands
+// in the same association order; nothing is reassociated:
 //
-//   - cached static factors (scale_i, dmgCoef_i, contribution-index
-//     operands) are each computed by the same expression the naive path
-//     evaluates, so their bits agree;
-//   - Ω is re-folded left-to-right over the full profile on every query
-//     (O(N)); an O(1) "subtract old, add new" update would change the
-//     partial-sum sequence and leak one-ulp drift. This is why the query
-//     cost is O(N), not O(1) — O(N) is the floor for bit-exact results;
+//   - static per-organization operands (scale_i, dmgCoef_i, the
+//     contribution-index operands, E_comm_i) are each computed by the naive
+//     path's own expression, so their bits agree;
+//   - terms[j] = d_j·scale_j are the addends Config.Omega folds. Focus(i)
+//     folds terms[0:i] left to right from zero — Omega's own first i partial
+//     sums — and a query continues that fold with d·scale_i and terms[i+1:]
+//     in index order, so Ω passes through exactly Omega's partial sums. An
+//     O(1) "subtract old, add new" update would not; O(N−i) is the floor;
+//   - g[j] = γ·ρ_ij is the left operand of Transfer's γ·ρ_ij·(x_i − x_j),
+//     which Go evaluates as (γ·ρ_ij)·(x_i − x_j);
 //   - P(Ω) is evaluated once and reused for both the revenue and the
 //     damage gain, exactly as the naive path computes the same value twice;
 //   - the redistribution fold visits every j in index order, including the
 //     j = i zero term the naive Transfer contributes.
 //
 // The fuzz and equivalence tests assert bit-equality against Config.Payoff
-// across random configs, profiles and single-coordinate mutations, and
-// SetSelfCheck enables a runtime fallback path that cross-checks every
-// query against the naive evaluator and returns the naive bits on any
-// mismatch (it never fires; it exists as a deployment safety net).
+// across random configs, profiles, focus changes and single-coordinate
+// mutations; verify.CheckEvaluator is the runtime auditor.
 //
-// A DeltaEvaluator is not safe for concurrent mutation (Bind/Update), but
-// concurrent PayoffWith queries against a bound evaluator are read-only and
-// race-free — the parallel best-response scan relies on this.
+// A DeltaEvaluator is not safe for concurrent mutation, and a query about an
+// organization other than the focused one moves the focus, which is a
+// mutation. After Focus(i), concurrent PayoffWith(i, ·) queries are
+// read-only and race-free until the next Bind/Update/Reset — the parallel
+// best-response scan relies on this.
 type DeltaEvaluator struct {
 	cfg *Config
 	acc accuracy.Model
@@ -46,18 +52,21 @@ type DeltaEvaluator struct {
 	bits    []float64 // DataBits
 	prof    []float64 // Profitability
 	dmgCoef []float64 // (1−α)·Σ_j ρ_ij·p_j — the damage factor of Eq. (7)
+	commE   []float64 // Comm.CommEnergy()
 
 	gamma, lambda, energyWeight float64
 	alpha, oneMinusAlpha, boost float64
 	personal                    bool
 
 	// Profile-bound caches (valid until the next Bind/Update).
-	p  Profile   // private copy of the bound profile
-	xs []float64 // ContributionIndex(j, p[j]) for every j
+	p     Profile   // private copy of the bound profile
+	xs    []float64 // ContributionIndex(j, p[j]) for every j
+	terms []float64 // p[j].D·scale[j], the addends of Ω
 
-	selfCheck  bool
-	work       Profile // scratch for the self-check fallback
-	mismatches int64
+	// Focus caches (valid while focus ≥ 0; dropped by Bind/Update/Reset).
+	focus  int       // focused organization, −1 when none
+	prefix float64   // Σ_{j<focus} terms[j], folded left to right from zero
+	g      []float64 // γ·ρ_ij for i = focus
 }
 
 // NewDeltaEvaluator builds an evaluator for cfg. The config must remain
@@ -81,18 +90,23 @@ func (ev *DeltaEvaluator) Reset(cfg *Config) {
 		ev.bits = make([]float64, n)
 		ev.prof = make([]float64, n)
 		ev.dmgCoef = make([]float64, n)
+		ev.commE = make([]float64, n)
 		ev.xs = make([]float64, n)
+		ev.terms = make([]float64, n)
+		ev.g = make([]float64, n)
 		ev.p = make(Profile, n)
-		ev.work = make(Profile, n)
 	}
 	ev.scale = ev.scale[:n]
 	ev.q = ev.q[:n]
 	ev.bits = ev.bits[:n]
 	ev.prof = ev.prof[:n]
 	ev.dmgCoef = ev.dmgCoef[:n]
+	ev.commE = ev.commE[:n]
 	ev.xs = ev.xs[:n]
+	ev.terms = ev.terms[:n]
+	ev.g = ev.g[:n]
 	ev.p = ev.p[:n]
-	ev.work = ev.work[:n]
+	ev.focus = -1
 	ev.gamma = cfg.Gamma
 	ev.lambda = cfg.Lambda
 	ev.energyWeight = cfg.EnergyWeight
@@ -105,6 +119,7 @@ func (ev *DeltaEvaluator) Reset(cfg *Config) {
 		ev.q[i] = cfg.Orgs[i].quality()
 		ev.bits[i] = cfg.Orgs[i].DataBits
 		ev.prof[i] = cfg.Orgs[i].Profitability
+		ev.commE[i] = cfg.Orgs[i].Comm.CommEnergy()
 		// Same fold Config.Damage performs, then the same (1−α)·sum product.
 		var sum float64
 		for j := range cfg.Orgs {
@@ -117,32 +132,26 @@ func (ev *DeltaEvaluator) Reset(cfg *Config) {
 // Config returns the bound game configuration.
 func (ev *DeltaEvaluator) Config() *Config { return ev.cfg }
 
-// SetSelfCheck toggles the exact-equality fallback path: every query is
-// cross-checked against the naive Config.Payoff, the naive bits win on any
-// disagreement, and Mismatches counts the disagreements (always zero unless
-// the replication invariant is broken). Costs O(N²) per query; meant for
-// tests and belt-and-braces deployments, not hot paths.
-func (ev *DeltaEvaluator) SetSelfCheck(on bool) { ev.selfCheck = on }
-
-// Mismatches reports how many self-checked queries disagreed with the
-// naive evaluator since Reset. A nonzero value is a bug.
-func (ev *DeltaEvaluator) Mismatches() int64 { return ev.mismatches }
-
 // Bind points the evaluator at profile p (copied; the caller's slice is not
-// retained) and refreshes the per-organization aggregate caches in O(N).
+// retained), refreshes the per-organization aggregate caches in O(N) and
+// drops the focus.
 func (ev *DeltaEvaluator) Bind(p Profile) {
 	copy(ev.p, p)
 	for j := range ev.p {
 		ev.xs[j] = ev.contribution(j, ev.p[j])
+		ev.terms[j] = ev.p[j].D * ev.scale[j]
 	}
+	ev.focus = -1
 }
 
 // Update replaces the bound strategy of organization i in O(1), keeping the
-// aggregate caches consistent. Use it after a best-response move instead of
-// re-binding the whole profile.
+// aggregate caches consistent, and drops the focus. Use it after a
+// best-response move instead of re-binding the whole profile.
 func (ev *DeltaEvaluator) Update(i int, s Strategy) {
 	ev.p[i] = s
 	ev.xs[i] = ev.contribution(i, s)
+	ev.terms[i] = s.D * ev.scale[i]
+	ev.focus = -1
 }
 
 // Bound returns the evaluator's private copy of the bound profile (read
@@ -155,6 +164,26 @@ func (ev *DeltaEvaluator) contribution(i int, s Strategy) float64 {
 	return ev.q[i]*s.D*ev.bits[i] + ev.lambda*s.F
 }
 
+// Focus caches, in O(N), everything a payoff query about organization i
+// needs that does not depend on i's own strategy. It is a no-op when i is
+// already focused. Callers that fan PayoffWith(i, ·) out over goroutines
+// must call it first, on one goroutine.
+func (ev *DeltaEvaluator) Focus(i int) {
+	if ev.focus == i {
+		return
+	}
+	var prefix float64
+	for _, t := range ev.terms[:i] {
+		prefix += t
+	}
+	ev.prefix = prefix
+	row := ev.cfg.Rho[i]
+	for j := range ev.g {
+		ev.g[j] = ev.gamma * row[j]
+	}
+	ev.focus = i
+}
+
 // Payoff returns organization i's payoff at the bound profile,
 // byte-identical to Config.Payoff(i, bound profile).
 func (ev *DeltaEvaluator) Payoff(i int) float64 {
@@ -163,30 +192,19 @@ func (ev *DeltaEvaluator) Payoff(i int) float64 {
 
 // PayoffWith returns organization i's payoff when its bound strategy is
 // replaced by s (other organizations unchanged), byte-identical to
-// Config.Payoff(i, p') where p' is the substituted profile. O(N).
+// Config.Payoff(i, p') where p' is the substituted profile. It moves the
+// focus to i when some other organization (or none) is focused; against a
+// focused i it is read-only and costs O(N) branch-free flops.
 func (ev *DeltaEvaluator) PayoffWith(i int, s Strategy) float64 {
-	val := ev.payoffWith(i, s)
-	if ev.selfCheck {
-		copy(ev.work, ev.p)
-		ev.work[i] = s
-		if naive := ev.cfg.Payoff(i, ev.work); naive != val {
-			ev.mismatches++
-			return naive
-		}
+	if ev.focus != i {
+		ev.Focus(i)
 	}
-	return val
-}
+	own := s.D * ev.scale[i]
 
-func (ev *DeltaEvaluator) payoffWith(i int, s Strategy) float64 {
-	// Ω: the same left-to-right index-order fold Config.Omega performs,
-	// with organization i's term substituted in place.
-	var omega float64
-	for j := range ev.p {
-		d := ev.p[j].D
-		if j == i {
-			d = s.D
-		}
-		omega += d * ev.scale[j]
+	// Ω: Config.Omega's left-to-right fold, resumed at index i.
+	omega := ev.prefix + own
+	for _, t := range ev.terms[i+1:] {
+		omega += t
 	}
 	perf := ev.acc.Value(omega)
 
@@ -202,23 +220,29 @@ func (ev *DeltaEvaluator) payoffWith(i int, s Strategy) float64 {
 	}
 
 	// Damage: dmgCoef_i·[P(Ω) − P(Ω − d_i·scale_i)].
-	gain := perf - ev.acc.Value(omega-s.D*ev.scale[i])
+	gain := perf - ev.acc.Value(omega-own)
 	damage := ev.dmgCoef[i] * gain
 
-	// Redistribution: index-order fold over all j, including the j = i zero
-	// term the naive Transfer contributes.
+	// Redistribution: index-order fold over all j, split at i around the
+	// zero term the naive Transfer contributes there.
 	xi := ev.contribution(i, s)
 	var redist float64
-	for j := range ev.p {
-		if j == i {
-			redist += 0
-			continue
-		}
-		redist += ev.gamma * ev.cfg.Rho[i][j] * (xi - ev.xs[j])
+	g, xs := ev.g, ev.xs
+	for j := 0; j < i; j++ {
+		redist += g[j] * (xi - xs[j])
+	}
+	redist += 0
+	for j := i + 1; j < len(xs); j++ {
+		redist += g[j] * (xi - xs[j])
 	}
 
+	// Energy: Comm.TotalEnergy's κ·f·f·η·d·s + E_comm, read in place
+	// rather than through a by-value copy of the comm profile.
+	cp := &ev.cfg.Orgs[i].Comm
+	energy := cp.Kappa*s.F*s.F*cp.CyclesPerBit*s.D*ev.bits[i] + ev.commE[i]
+
 	return revenue -
-		ev.energyWeight*ev.cfg.Energy(i, s) -
+		ev.energyWeight*energy -
 		damage +
 		redist
 }

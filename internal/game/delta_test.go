@@ -1,7 +1,9 @@
 package game
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"tradefl/internal/randx"
@@ -46,35 +48,86 @@ func randomStrategy(cfg *Config, i int, src *randx.Source) (Strategy, bool) {
 	return Strategy{D: src.Uniform(lo, hi), F: f}, true
 }
 
+// naiveWith is the oracle: Config.Payoff on cur with cur[i] replaced by s.
+func naiveWith(cfg *Config, cur Profile, i int, s Strategy) float64 {
+	work := cur.Clone()
+	work[i] = s
+	return cfg.Payoff(i, work)
+}
+
+// sameBits fails the test unless got and want are the same IEEE bits.
+func sameBits(t *testing.T, cfg *Config, what string, got, want float64) {
+	t.Helper()
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s = %x, naive %x (n=%d α=%v)",
+			what, math.Float64bits(got), math.Float64bits(want), cfg.N(), cfg.Personal.Alpha)
+	}
+}
+
+// allPayoffsMatch checks every organization's bound payoff against cur.
+func allPayoffsMatch(t *testing.T, cfg *Config, ev *DeltaEvaluator, cur Profile, when string) {
+	t.Helper()
+	for j := 0; j < cfg.N(); j++ {
+		sameBits(t, cfg, fmt.Sprintf("%s: Payoff(%d)", when, j), ev.Payoff(j), cfg.Payoff(j, cur))
+	}
+}
+
 // TestDeltaEvaluatorMatchesNaive is the core exactness contract: every
 // PayoffWith result is bit-for-bit equal to Config.Payoff on the substituted
-// profile, across configs, profiles and single-coordinate mutations.
+// profile, across configs (personalization off and on), profiles,
+// single-coordinate mutations and every way the focus can move: an explicit
+// Focus(i) followed by queries about i and about k ≠ i, the edge
+// organizations 0 and N−1, and Update(i) / Update(k) / Bind after a focus.
 func TestDeltaEvaluatorMatchesNaive(t *testing.T) {
 	for _, cfg := range deltaTestConfigs(t) {
 		src := randx.New(42)
 		ev := NewDeltaEvaluator(cfg)
+		n := cfg.N()
 		for trial := 0; trial < 20; trial++ {
 			p := randomProfile(cfg, src)
 			ev.Bind(p)
-			work := p.Clone()
-			for i := 0; i < cfg.N(); i++ {
-				if got, want := ev.Payoff(i), cfg.Payoff(i, p); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("Payoff(%d) = %x, naive %x (n=%d α=%v)",
-						i, math.Float64bits(got), math.Float64bits(want), cfg.N(), cfg.Personal.Alpha)
-				}
+			for i := 0; i < n; i++ {
+				sameBits(t, cfg, fmt.Sprintf("Payoff(%d)", i), ev.Payoff(i), cfg.Payoff(i, p))
 				for dev := 0; dev < 5; dev++ {
 					s, ok := randomStrategy(cfg, i, src)
 					if !ok {
 						continue
 					}
-					work[i] = s
-					got, want := ev.PayoffWith(i, s), cfg.Payoff(i, work)
-					work[i] = p[i]
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("PayoffWith(%d, %+v) = %x, naive %x (n=%d α=%v)",
-							i, s, math.Float64bits(got), math.Float64bits(want), cfg.N(), cfg.Personal.Alpha)
-					}
+					sameBits(t, cfg, fmt.Sprintf("PayoffWith(%d, %+v)", i, s), ev.PayoffWith(i, s), naiveWith(cfg, p, i, s))
 				}
+			}
+
+			// Focus moves. i cycles through the edges and a random interior
+			// organization; k is any other organization.
+			cur := p.Clone()
+			for _, i := range []int{0, n - 1, src.Intn(n)} {
+				k := (i + 1 + src.Intn(n-1)) % n
+				si, okI := randomStrategy(cfg, i, src)
+				sk, okK := randomStrategy(cfg, k, src)
+				if !okI || !okK {
+					continue
+				}
+				ev.Focus(i)
+				sameBits(t, cfg, fmt.Sprintf("focus %d: PayoffWith(%d)", i, i), ev.PayoffWith(i, si), naiveWith(cfg, cur, i, si))
+				sameBits(t, cfg, fmt.Sprintf("focus %d: PayoffWith(%d)", i, k), ev.PayoffWith(k, sk), naiveWith(cfg, cur, k, sk))
+				sameBits(t, cfg, fmt.Sprintf("refocus %d: PayoffWith(%d)", i, i), ev.PayoffWith(i, si), naiveWith(cfg, cur, i, si))
+
+				ev.Focus(i)
+				ev.Update(k, sk)
+				cur[k] = sk
+				sameBits(t, cfg, fmt.Sprintf("focus %d, Update(%d): PayoffWith(%d)", i, k, i), ev.PayoffWith(i, si), naiveWith(cfg, cur, i, si))
+				allPayoffsMatch(t, cfg, ev, cur, fmt.Sprintf("focus %d, Update(%d)", i, k))
+
+				ev.Focus(i)
+				ev.Update(i, si)
+				cur[i] = si
+				allPayoffsMatch(t, cfg, ev, cur, fmt.Sprintf("focus %d, Update(%d)", i, i))
+
+				ev.Focus(i)
+				ev.Bind(p)
+				copy(cur, p)
+				sameBits(t, cfg, fmt.Sprintf("focus %d, Bind: PayoffWith(%d)", i, i), ev.PayoffWith(i, si), naiveWith(cfg, cur, i, si))
+				allPayoffsMatch(t, cfg, ev, cur, fmt.Sprintf("focus %d, Bind", i))
 			}
 		}
 	}
@@ -117,36 +170,74 @@ func TestDeltaEvaluatorUpdate(t *testing.T) {
 	}
 }
 
-// TestDeltaEvaluatorSelfCheck exercises the runtime fallback: with the
-// cross-check enabled results are unchanged and no mismatch is recorded.
-func TestDeltaEvaluatorSelfCheck(t *testing.T) {
+// TestDeltaEvaluatorAgainstPayoff is the oracle the evaluator used to carry
+// as a runtime self-check, kept where oracles belong: every query on the
+// default instance is compared bit-for-bit against Config.Payoff.
+func TestDeltaEvaluatorAgainstPayoff(t *testing.T) {
 	cfg := testConfig(t, 5)
 	src := randx.New(5)
 	p := randomProfile(cfg, src)
 
-	plain := NewDeltaEvaluator(cfg)
-	plain.Bind(p)
-	checked := NewDeltaEvaluator(cfg)
-	checked.SetSelfCheck(true)
-	checked.Bind(p)
-
+	ev := NewDeltaEvaluator(cfg)
+	ev.Bind(p)
 	for i := 0; i < cfg.N(); i++ {
 		for dev := 0; dev < 10; dev++ {
 			s, ok := randomStrategy(cfg, i, src)
 			if !ok {
 				continue
 			}
-			a, b := plain.PayoffWith(i, s), checked.PayoffWith(i, s)
-			if math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("self-check changed the result: %x vs %x", math.Float64bits(a), math.Float64bits(b))
-			}
+			sameBits(t, cfg, fmt.Sprintf("PayoffWith(%d, %+v)", i, s), ev.PayoffWith(i, s), naiveWith(cfg, p, i, s))
 		}
 	}
-	if n := checked.Mismatches(); n != 0 {
-		t.Fatalf("self-check recorded %d mismatches, want 0", n)
-	}
-	if checked.Config() != cfg {
+	if ev.Config() != cfg {
 		t.Fatalf("Config() does not return the bound config")
+	}
+}
+
+// TestDeltaEvaluatorFocusedConcurrentQueries pins the concurrency contract
+// the parallel best-response scan relies on: after Focus(i), PayoffWith(i, ·)
+// from two goroutines is read-only. Meaningful under -race; the results are
+// also checked against the oracle.
+func TestDeltaEvaluatorFocusedConcurrentQueries(t *testing.T) {
+	for _, cfg := range deltaTestConfigs(t) {
+		src := randx.New(23)
+		p := randomProfile(cfg, src)
+		ev := NewDeltaEvaluator(cfg)
+		ev.Bind(p)
+		for _, i := range []int{0, cfg.N() / 2, cfg.N() - 1} {
+			const workers, each = 2, 16
+			var devs [workers][each]Strategy
+			for w := range devs {
+				for k := range devs[w] {
+					s, ok := randomStrategy(cfg, i, src)
+					if !ok {
+						s = p[i]
+					}
+					devs[w][k] = s
+				}
+			}
+			ev.Focus(i)
+			var got [workers][each]float64
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for k, s := range devs[w] {
+						got[w][k] = ev.PayoffWith(i, s)
+					}
+				}(w)
+			}
+			wg.Wait()
+			for w := range devs {
+				for k, s := range devs[w] {
+					sameBits(t, cfg, fmt.Sprintf("worker %d: PayoffWith(%d, %+v)", w, i, s), got[w][k], naiveWith(cfg, p, i, s))
+				}
+			}
+			// A committed move drops the focus before the next fan-out.
+			ev.Update(i, devs[0][0])
+			p[i] = devs[0][0]
+		}
 	}
 }
 
@@ -213,9 +304,10 @@ func TestCheckNashIncrementalEquivalence(t *testing.T) {
 }
 
 // FuzzDeltaEvaluator fuzzes the exactness contract: for a random instance,
-// profile and single-coordinate mutation, the incremental payoff must match
-// the naive evaluator bit-for-bit. The committed seed corpus in
-// testdata/fuzz covers both model variants and the extreme grid points.
+// profile, focus sequence and single-coordinate mutations, the incremental
+// payoff must match the naive evaluator bit-for-bit. The committed seed
+// corpus in testdata/fuzz covers both model variants, the extreme grid
+// points and a focus on the first and on the last organization.
 func FuzzDeltaEvaluator(f *testing.F) {
 	f.Add(int64(1), int64(0), 0.0)
 	f.Add(int64(7), int64(3), 0.5)
@@ -251,22 +343,32 @@ func FuzzDeltaEvaluator(f *testing.F) {
 
 		ev := NewDeltaEvaluator(cfg)
 		ev.Bind(p)
-		work := p.Clone()
-		work[i] = s
-		got, want := ev.PayoffWith(i, s), cfg.Payoff(i, work)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("PayoffWith(%d, %+v) = %x, naive %x (seed=%d n=%d)",
-				i, s, math.Float64bits(got), math.Float64bits(want), seed, n)
+		ev.Focus(i)
+		sameBits(t, cfg, fmt.Sprintf("seed=%d focused PayoffWith(%d, %+v)", seed, i, s), ev.PayoffWith(i, s), naiveWith(cfg, p, i, s))
+
+		// A query about another organization moves the focus; coming back
+		// must rebuild it.
+		k := (i + 1 + int((uint64(pick)>>16)%uint64(n-1))) % n
+		sk, ok := randomStrategy(cfg, k, src)
+		if !ok {
+			sk = p[k]
 		}
-		// After committing the move, every organization's payoff must match
-		// the naive evaluation of the mutated profile.
+		sameBits(t, cfg, fmt.Sprintf("seed=%d focus %d: PayoffWith(%d, %+v)", seed, i, k, sk), ev.PayoffWith(k, sk), naiveWith(cfg, p, k, sk))
+		sameBits(t, cfg, fmt.Sprintf("seed=%d refocused PayoffWith(%d, %+v)", seed, i, s), ev.PayoffWith(i, s), naiveWith(cfg, p, i, s))
+
+		// Committing moves after a focus — someone else's, then the focused
+		// organization's own — must leave every payoff equal to the naive
+		// evaluation of the mutated profile, and so must a re-Bind.
+		cur := p.Clone()
+		ev.Focus(i)
+		ev.Update(k, sk)
+		cur[k] = sk
+		sameBits(t, cfg, fmt.Sprintf("seed=%d Update(%d): PayoffWith(%d, %+v)", seed, k, i, s), ev.PayoffWith(i, s), naiveWith(cfg, cur, i, s))
 		ev.Update(i, s)
-		for j := 0; j < cfg.N(); j++ {
-			got, want := ev.Payoff(j), cfg.Payoff(j, work)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("after Update: Payoff(%d) = %x, naive %x (seed=%d n=%d)",
-					j, math.Float64bits(got), math.Float64bits(want), seed, n)
-			}
-		}
+		cur[i] = s
+		allPayoffsMatch(t, cfg, ev, cur, fmt.Sprintf("seed=%d after Update(%d), Update(%d)", seed, k, i))
+		ev.Focus(i)
+		ev.Bind(p)
+		allPayoffsMatch(t, cfg, ev, p, fmt.Sprintf("seed=%d after Bind", seed))
 	})
 }

@@ -206,24 +206,50 @@ func (c *Config) EffectiveWeight(i int) float64 {
 // the smallest factor applied (1 when no capping was needed).
 func (c *Config) NormalizeRho(margin float64) float64 {
 	n := c.N()
-	factors := make([]float64, n)
+	// One allocation: factors and a dense copy of the profitabilities, so
+	// the N² inner loop below strides over float64s instead of Organizations.
+	buf := make([]float64, 2*n)
+	factors, prof := buf[:n], buf[n:]
+	// stale[i] marks a row whose sum may differ from its last evaluation.
+	// A row's sum is a function of min(c_i, c_j) alone, so a row that was
+	// within its limit and whose minima have not moved since would evaluate
+	// to the same bits and leave c_i alone again; skipping it changes
+	// nothing but the work. Late passes touch one to three rows.
+	stale := make([]bool, n)
 	for i := range factors {
 		factors[i] = 1
+		prof[i] = c.Orgs[i].Profitability
+		stale[i] = true
 	}
-	rowSum := func(i int) float64 {
-		var sum float64
-		for j := range c.Orgs {
-			sum += c.Rho[i][j] * math.Min(factors[i], factors[j]) * c.Orgs[j].Profitability
-		}
-		return sum
-	}
+	// Gauss–Seidel on the factors; the builtin min is math.Min's result
+	// without the call and, on amd64, without a data-dependent branch.
 	for iter := 0; iter < 200; iter++ {
 		changed := false
-		for i := range c.Orgs {
-			limit := (1 - margin) * c.Orgs[i].Profitability
-			if sum := rowSum(i); sum > limit+TolRelative*limit {
-				factors[i] *= limit / sum
+		for i := 0; i < n; i++ {
+			if !stale[i] {
+				continue
+			}
+			stale[i] = false
+			row := c.Rho[i][:n]
+			fi := factors[i]
+			var sum float64
+			for j, r := range row {
+				sum += r * min(fi, factors[j]) * prof[j]
+			}
+			limit := (1 - margin) * prof[i]
+			if sum > limit+TolRelative*limit {
+				fi *= limit / sum
+				factors[i] = fi
 				changed = true
+				// Factors only shrink, so the new c_i moves min(c_i, c_j) in
+				// row j exactly when it undercuts c_j; row i's own minima
+				// all moved.
+				stale[i] = true
+				for j, fj := range factors {
+					if fi < fj {
+						stale[j] = true
+					}
+				}
 			}
 		}
 		if !changed {
@@ -240,8 +266,10 @@ func (c *Config) NormalizeRho(margin float64) float64 {
 		return 1
 	}
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			c.Rho[i][j] *= math.Min(factors[i], factors[j])
+		row := c.Rho[i][:n]
+		fi := factors[i]
+		for j := range row {
+			row[j] *= min(fi, factors[j])
 		}
 	}
 	return minFactor

@@ -31,6 +31,21 @@ go test -race -run 'Delta|Engine|Incremental|ZeroAlloc|PrimalMemo|CutDomination'
   ./internal/game/ ./internal/dbr/ ./internal/gbd/
 BENCH_TIME=1x BENCH_COUNT=1 scripts/bench.sh >/dev/null
 
+echo "==> reproduction-drift gate (game-only figures regenerate byte-identically)"
+# fig4..fig12 are pure functions of the seeded game instances and the two
+# solvers (no FL training), so any change to generation, payoff evaluation
+# or solver arithmetic shows up as a changed byte in a few seconds. A diff
+# here is either a bug or a deliberate change of the reproduction: review
+# it, regenerate results/ and update EXPERIMENTS.md in the same commit.
+DRIFT_DIR="$(mktemp -d)"
+go build -o "$DRIFT_DIR/tradefl-sim" ./cmd/tradefl-sim
+for fig in fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12; do
+  "$DRIFT_DIR/tradefl-sim" -fig "$fig" -summary none -log-level error -out "$DRIFT_DIR" >/dev/null
+  cmp "$DRIFT_DIR/$fig.csv" "results/$fig.csv" \
+    || { echo "drift gate: $fig.csv no longer matches results/$fig.csv"; exit 1; }
+done
+rm -rf "$DRIFT_DIR"
+
 echo "==> fleet fast gate (batch determinism + planner under -race)"
 # The batched engine's contract is byte-identity with one-at-a-time solves
 # under any interleaving, so its suite runs under -race early; -short skips
