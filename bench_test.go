@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"tradefl/internal/accuracy"
 	"tradefl/internal/baselines"
@@ -670,6 +671,47 @@ func BenchmarkFleetSolve(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(instances*b.N)/b.Elapsed().Seconds(), "solves/sec")
+		})
+	}
+}
+
+// BenchmarkGBDSolve tracks one default CGBD solve (pruned master, one
+// worker) at the sizes the gateway's planner routes to it, cycling 16
+// instances per size. ns/op and allocs/op are the steady state, where
+// every solve finds a grown solver workspace in gbd's pool. fresh-ns/op is
+// what a new process (or one whose pool the collector just emptied) pays:
+// the mean over the same 16 instances, each solved right after two
+// collections, which is what it takes to empty a sync.Pool.
+func BenchmarkGBDSolve(b *testing.B) {
+	for _, n := range []int{6, 8, 10} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			cfgs := make([]*game.Config, 16)
+			for i := range cfgs {
+				cfg, err := game.DefaultConfig(game.GenOptions{Seed: int64(i + 1), N: n, NoOrgName: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfgs[i] = cfg
+			}
+			opts := gbd.Options{Workers: 1}
+			var fresh time.Duration
+			for _, cfg := range cfgs {
+				runtime.GC()
+				runtime.GC()
+				start := time.Now()
+				if _, err := gbd.Solve(cfg, opts); err != nil {
+					b.Fatal(err)
+				}
+				fresh += time.Since(start)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := gbd.Solve(cfgs[i%len(cfgs)], opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(fresh.Nanoseconds())/float64(len(cfgs)), "fresh-ns/op")
 		})
 	}
 }

@@ -25,9 +25,9 @@ type BatchResult struct {
 // RunBatch solves every game instance through a fleet engine and derives
 // the per-instance mechanism quantities. Results are in input order;
 // per-instance failures are recorded in BatchResult.Fleet.Err without
-// aborting the batch. For warm-state reuse across repeated batches (e.g.
-// campaign epochs), hold a fleet.Engine and call Solve on it directly —
-// RunBatch builds a fresh engine per call.
+// aborting the batch. To have unchanged instances answered from the result
+// memo across repeated batches (e.g. campaign epochs), hold a fleet.Engine
+// and call Solve on it directly — RunBatch builds a fresh engine per call.
 func RunBatch(ctx context.Context, cfgs []*game.Config, opts fleet.Options) []BatchResult {
 	eng := fleet.New(opts)
 	fres := eng.Solve(ctx, cfgs)

@@ -37,13 +37,14 @@ type Options struct {
 	DBR dbr.Options
 	// Profile is the calibrated cost profile (nil = built-in defaults).
 	Profile *CostProfile
-	// WarmCap bounds the retained warm entries, one per distinct config
-	// pointer (0 = 4096; negative disables warm state entirely).
+	// WarmCap bounds the result memo, one entry per distinct config pointer
+	// (0 = 4096; negative disables it — for callers that never present a
+	// config pointer twice, such as the gateway).
 	WarmCap int
 }
 
 // Result is the outcome of one instance solve. Profiles and solver results
-// may be shared with the engine's warm cache across repeated solves of an
+// may be shared with the engine's result memo across repeated solves of an
 // unchanged instance — treat them as read-only.
 type Result struct {
 	// Plan is the concrete plan the instance was solved with.
@@ -66,10 +67,9 @@ type Result struct {
 	Err error
 }
 
-// warmEntry is the per-config warm state: the last result (memo) and the
-// CGBD solver scratch. Guarded by Engine.mu; the gbd scratch is checked
-// out (slot set to nil) while a solve uses it, so concurrent solves of the
-// same pointer fall back to fresh scratch instead of racing.
+// warmEntry is the per-config result memo: the last successful result and
+// what it was computed from. Guarded by Engine.mu. Solver scratch is not
+// the engine's business — gbd and dbr pool their own, whatever the config.
 type warmEntry struct {
 	sig  uint64
 	acc  accuracy.Model
@@ -79,12 +79,10 @@ type warmEntry struct {
 	potential float64
 	gbdRes    *gbd.Result
 	dbrRes    *dbr.Result
-
-	gbd *gbd.Warm
 }
 
 // Engine schedules instance solves over a shared worker pool, consulting
-// the planner per instance and retaining warm solver state per config
+// the planner per instance and memoizing the last result per config
 // pointer across batches and campaign epochs.
 type Engine struct {
 	opts    Options
@@ -239,21 +237,14 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Resu
 	defer func() { mSolveSec.Observe(time.Since(start).Seconds()) }()
 
 	sig := cfg.Signature()
-	st := StatsOf(cfg, e.opts.GBD.Epsilon)
-
 	// Plan first: the choice depends only on (stats, profile), so the memo
 	// lookup below can key on the plan without the plan depending on the
 	// memo — the loop that would break batch/one-at-a-time equivalence.
-	planOnly := e.planner.Decide(st, spare)
-
-	ent, w, memo := e.checkout(cfg, sig, planOnly.Plan)
-	if memo != nil {
-		memo.Decision.PredictedNs = planOnly.PredictedNs
-		return *memo
+	dec := e.planner.Decide(StatsOf(cfg, e.opts.GBD.Epsilon), spare)
+	if memo, ok := e.recall(cfg, sig, dec); ok {
+		return memo
 	}
 	mWarmMisses.Inc()
-	st.WarmScratch = w != nil && w.Fits(cfg)
-	dec := e.planner.Decide(st, spare)
 	planCounter(dec.Plan).Inc()
 
 	r := Result{Plan: dec.Plan, Decision: dec}
@@ -261,9 +252,6 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Resu
 	case PlanDBR:
 		dopts := e.opts.DBR
 		dopts.Workers = dec.Workers
-		if dopts.Incremental == game.ToggleDefault {
-			dopts.Incremental = dec.Incremental
-		}
 		dres, err := dbr.SolveCtx(ctx, cfg, nil, dopts)
 		if err != nil {
 			r.Err = err
@@ -271,9 +259,7 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Resu
 		}
 		r.DBR, r.Profile, r.Potential = dres, dres.Profile, cfg.Potential(dres.Profile)
 	default:
-		gopts := e.gbdOpts(dec)
-		gres, w2, err := gbd.SolveWarmCtx(ctx, cfg, gopts, w)
-		w = w2
+		gres, err := gbd.SolveCtx(ctx, cfg, e.gbdOpts(dec))
 		if err != nil {
 			r.Err = err
 			break
@@ -282,8 +268,9 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Resu
 	}
 	if r.Err != nil {
 		mErrors.Inc()
+		return r
 	}
-	e.checkin(cfg, ent, sig, w, &r)
+	e.remember(cfg, sig, &r)
 	return r
 }
 
@@ -296,18 +283,38 @@ func (e *Engine) gbdOpts(dec Decision) gbd.Options {
 	} else {
 		gopts.Master = gbd.MasterPruned
 	}
-	if gopts.Incremental == game.ToggleDefault {
-		gopts.Incremental = dec.Incremental
-	}
 	return gopts
 }
 
-// checkout finds (or creates) the warm entry of cfg and either returns the
-// memoized result for (sig, plan) — the warm hit — or transfers ownership
-// of the entry's CGBD scratch to the caller.
-func (e *Engine) checkout(cfg *game.Config, sig uint64, plan Plan) (*warmEntry, *gbd.Warm, *Result) {
+// recall returns the memoized result of cfg when it was computed from the
+// same values (sig, accuracy model) under the same plan — the warm hit.
+func (e *Engine) recall(cfg *game.Config, sig uint64, dec Decision) (Result, bool) {
 	if e.opts.WarmCap < 0 {
-		return nil, nil, nil
+		return Result{}, false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ent := e.warm[cfg]
+	if ent == nil || ent.sig != sig || ent.plan != dec.Plan || !game.SameModel(ent.acc, cfg.Accuracy) {
+		return Result{}, false
+	}
+	mWarmHits.Inc()
+	return Result{
+		Plan:      dec.Plan,
+		Decision:  Decision{Plan: dec.Plan, Workers: 1, PredictedNs: dec.PredictedNs},
+		Warm:      true,
+		Profile:   ent.profile,
+		Potential: ent.potential,
+		GBD:       ent.gbdRes,
+		DBR:       ent.dbrRes,
+	}, true
+}
+
+// remember installs a successful result as cfg's memo, evicting the oldest
+// entry (FIFO) past WarmCap.
+func (e *Engine) remember(cfg *game.Config, sig uint64, r *Result) {
+	if e.opts.WarmCap < 0 {
+		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -317,46 +324,9 @@ func (e *Engine) checkout(cfg *game.Config, sig uint64, plan Plan) (*warmEntry, 
 		e.warm[cfg] = ent
 		e.order = append(e.order, cfg)
 		if len(e.order) > e.opts.WarmCap {
-			evict := e.order[0]
+			delete(e.warm, e.order[0])
 			e.order = e.order[1:]
-			delete(e.warm, evict)
 		}
-	}
-	if ent.profile != nil && ent.sig == sig && ent.plan == plan && game.SameModel(ent.acc, cfg.Accuracy) {
-		mWarmHits.Inc()
-		res := &Result{
-			Plan:      plan,
-			Decision:  Decision{Plan: plan, Workers: 1, Incremental: game.ToggleDefault},
-			Warm:      true,
-			Profile:   ent.profile,
-			Potential: ent.potential,
-			GBD:       ent.gbdRes,
-			DBR:       ent.dbrRes,
-		}
-		return ent, nil, res
-	}
-	w := ent.gbd
-	ent.gbd = nil
-	return ent, w, nil
-}
-
-// checkin returns the CGBD scratch to the entry and, on success, installs
-// the result memo. The entry may have been evicted mid-solve, in which
-// case the state is simply dropped.
-func (e *Engine) checkin(cfg *game.Config, ent *warmEntry, sig uint64, w *gbd.Warm, r *Result) {
-	if ent == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.warm[cfg] != ent {
-		return
-	}
-	if ent.gbd == nil {
-		ent.gbd = w
-	}
-	if r.Err != nil || r.Profile == nil {
-		return
 	}
 	ent.sig, ent.acc, ent.plan = sig, cfg.Accuracy, r.Plan
 	ent.profile, ent.potential = r.Profile, r.Potential

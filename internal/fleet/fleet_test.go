@@ -149,13 +149,13 @@ func TestWarmResultReuse(t *testing.T) {
 	}
 	cold := New(Options{Workers: 1}).SolveOne(cfg)
 	if !reflect.DeepEqual(third.Profile, cold.Profile) {
-		t.Fatal("post-drift warm-scratch solve differs from cold solve")
+		t.Fatal("post-drift solve differs from cold solve")
 	}
 }
 
 // TestBatchDuplicatePointers: the same instance appearing many times in
 // one concurrent batch must produce identical results at every position
-// (warm ownership transfer, no races — run under -race in CI).
+// (one memo entry, pooled solver scratch never shared — run under -race in CI).
 func TestBatchDuplicatePointers(t *testing.T) {
 	cfg := fleetConfig(t, 11, 6)
 	cfgs := make([]*game.Config, 16)

@@ -45,19 +45,15 @@ func TestDecideSerialTinyInstances(t *testing.T) {
 }
 
 // TestDecideDeterministicPlan: the chosen plan is a pure function of the
-// instance statistics — spare workers and warm-state availability may only
-// move the byte-identical knobs.
+// instance statistics — spare workers may only move the byte-identical
+// worker count.
 func TestDecideDeterministicPlan(t *testing.T) {
 	var pl Planner
 	base := Stats{N: 8, MaxLevels: 3, MeanLevels: 3, Grid: 6561, Epsilon: 1e-6}
 	ref := pl.Decide(base, 0)
 	for _, spare := range []int{0, 1, 4, 16} {
-		for _, warm := range []bool{false, true} {
-			st := base
-			st.WarmScratch = warm
-			if dec := pl.Decide(st, spare); dec.Plan != ref.Plan {
-				t.Fatalf("plan flipped to %s under spare=%d warm=%v", dec.Plan, spare, warm)
-			}
+		if dec := pl.Decide(base, spare); dec.Plan != ref.Plan {
+			t.Fatalf("plan flipped to %s under spare=%d", dec.Plan, spare)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package game
 
 import (
 	"fmt"
+	"sync"
 
 	"tradefl/internal/accuracy"
 	"tradefl/internal/comm"
@@ -110,6 +111,10 @@ func (o GenOptions) withDefaults() GenOptions {
 	return o
 }
 
+// sources recycles generator states across DefaultConfig calls; each call
+// re-seeds the one it draws, so the instance depends on the seed alone.
+var sources = sync.Pool{New: func() any { return randx.New(1) }}
+
 // DefaultConfig draws a game instance from the Table II parameter ranges:
 // p_i ~ U[500, 2500], s_i ~ U[15, 25]·10⁹ bits, |S_i| ~ U[1000, 2000]
 // samples, F_i a grid over 3-5 GHz, κ = 10⁻²⁷, and ρ ~ N(μ, (μ/5)²)
@@ -117,7 +122,9 @@ func (o GenOptions) withDefaults() GenOptions {
 // footnote-7 sqrt-loss bound over Ω in samples.
 func DefaultConfig(opts GenOptions) (*Config, error) {
 	opts = opts.withDefaults()
-	src := randx.New(opts.Seed)
+	src := sources.Get().(*randx.Source)
+	defer sources.Put(src)
+	src.Seed(opts.Seed)
 	orgs := make([]Organization, opts.N)
 	for i := range orgs {
 		name := ""

@@ -8,8 +8,8 @@ import (
 )
 
 // This file implements the value signature used to key warm solver state
-// (gbd.SolveWarm, the fleet engine's per-instance caches, the pooled DBR
-// engines). A signature is an FNV-1a hash over every numeric field of the
+// (the fleet engine's per-instance result memo, the pooled DBR engines). A
+// signature is an FNV-1a hash over every numeric field of the
 // config, so warm state keyed on (pointer, signature) survives repeated
 // solves of an unchanged instance but is invalidated the moment any field
 // is mutated in place — the access pattern of campaign.drift, which mutates

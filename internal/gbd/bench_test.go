@@ -25,7 +25,11 @@ func BenchmarkPrimal(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := newSolver(cfg, Options{Incremental: mode.inc}.withDefaults())
+			s := &solver{}
+			if mode.inc.Enabled() {
+				s = solvers.New().(*solver)
+			}
+			s.rebind(cfg, Options{Incremental: mode.inc}.withDefaults())
 			n := cfg.N()
 			f := make([]float64, n)
 			fIdx := make([]int, n)

@@ -1,6 +1,9 @@
 package gbd
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file holds the incremental-evaluation state of the CGBD solver
 // (Options.Incremental, on by default): per-(organization, CPU-level)
@@ -14,13 +17,15 @@ import "math"
 // f-grid index vector. The d/u slices are shared with the optimality cuts
 // generated from them and are never mutated after insertion.
 type primalResult struct {
+	fIdx     []int
 	d, u     []float64
 	feasible bool
 }
 
 // primalMemoCap bounds the memo; far above any real run (MaxIter defaults
 // to 50, so at most 50 distinct f vectors occur), it exists so adversarial
-// option settings cannot grow the map without bound. Eviction is FIFO.
+// option settings cannot grow it — or its linear lookup — without bound.
+// Eviction is FIFO.
 const primalMemoCap = 512
 
 // dominationMargin is the strictness margin of dominated-cut eviction: cut
@@ -33,41 +38,31 @@ const primalMemoCap = 512
 const dominationMargin = 1e-6
 
 // initIncremental precomputes the per-(org, level) constants every primal
-// solve and cut tabulation reuses, and seeds the persistent structures.
+// solve and cut tabulation reuses, and empties the persistent structures.
 // Each cached value is computed once by exactly the expression the naive
 // path evaluates per call (linearCostPerOmega, fOnlyTerm, FeasibleD,
-// MaxDataFraction), so cached and fresh bits agree.
-//
-// It is reuse-friendly: when the solver already holds shape-matched
-// allocations (a warm rebind, see warm.go), every slice and map is recycled
-// and only the values are recomputed — the numeric state is re-derived from
-// the config in full, so a rebound solver's output stays byte-identical to
-// a fresh one's.
+// MaxDataFraction), so cached and fresh bits agree. Storage comes from the
+// freshly reset solve arena, so any shape costs the same: no allocation
+// once the arena has grown to it.
 func (s *solver) initIncremental() {
 	cfg := s.cfg
 	n := cfg.N()
-	if len(s.levels) != n {
-		s.levels = make([][]float64, n)
-		s.lvlCost = make([][]float64, n)
-		s.lvlLoY = make([][]float64, n)
-		s.lvlHiY = make([][]float64, n)
-		s.lvlFOnly = make([][]float64, n)
-		s.lvlCapD = make([][]float64, n)
+	a := s.solve
+	s.levels = a.rows(n)
+	s.lvlCost, s.lvlLoY, s.lvlHiY = a.rows(n), a.rows(n), a.rows(n)
+	s.lvlFOnly, s.lvlCapD = a.rows(n), a.rows(n)
+	if cap(s.lvlOK) < n {
 		s.lvlOK = make([][]bool, n)
 	}
+	s.lvlOK = s.lvlOK[:n]
 	for i := 0; i < n; i++ {
 		o := cfg.Orgs[i]
 		levels := o.CPULevels
 		m := len(levels)
 		s.levels[i] = levels
-		if len(s.lvlCost[i]) != m {
-			s.lvlCost[i] = make([]float64, m)
-			s.lvlLoY[i] = make([]float64, m)
-			s.lvlHiY[i] = make([]float64, m)
-			s.lvlFOnly[i] = make([]float64, m)
-			s.lvlCapD[i] = make([]float64, m)
-			s.lvlOK[i] = make([]bool, m)
-		}
+		s.lvlCost[i], s.lvlLoY[i], s.lvlHiY[i] = a.floats(m), a.floats(m), a.floats(m)
+		s.lvlFOnly[i], s.lvlCapD[i] = a.floats(m), a.floats(m)
+		s.lvlOK[i] = a.bools(m)
 		for k, fi := range levels {
 			dlo, dhi, ok := cfg.FeasibleD(i, fi)
 			s.lvlOK[i][k] = ok
@@ -78,27 +73,13 @@ func (s *solver) initIncremental() {
 			s.lvlCapD[i][k] = o.Comm.MaxDataFraction(o.DataBits, fi, cfg.Deadline)
 		}
 	}
-	if s.tables == nil {
-		s.tables = &cutTables{}
-	}
 	t := s.tables
 	t.levels = s.levels
 	t.opt, t.optMax, t.optConst = t.opt[:0], t.optMax[:0], t.optConst[:0]
 	t.feas, t.feasMin = t.feas[:0], t.feasMin[:0]
-	if s.memo == nil {
-		s.memo = make(map[string]primalResult)
-	} else {
-		clear(s.memo)
-	}
-	s.memoKeys = s.memoKeys[:0]
-	if len(s.wfY) != n {
-		s.wfY = make([]float64, n)
-		s.wfOrder = make([]int, n)
-		s.wfW = make([]float64, n)
-		s.wfLo = make([]float64, n)
-		s.wfHi = make([]float64, n)
-	}
-	s.lb = math.Inf(-1)
+	s.memo = s.memo[:0]
+	s.wfY, s.wfW, s.wfLo, s.wfHi = a.floats(n), a.floats(n), a.floats(n), a.floats(n)
+	s.wfOrder = a.ints(n)
 }
 
 // optCutTermCached is optCutTerm with the two self-contained f_i-only
@@ -147,10 +128,10 @@ func (s *solver) addOptCut(c optimalityCut) {
 		return
 	}
 	n := s.cfg.N()
-	terms := make([][]float64, n)
-	maxs := make([]float64, n)
+	terms := s.solve.rows(n)
+	maxs := s.solve.floats(n)
 	for i := 0; i < n; i++ {
-		row := make([]float64, len(s.levels[i]))
+		row := s.solve.floats(len(s.levels[i]))
 		best := math.Inf(-1)
 		for k := range s.levels[i] {
 			row[k] = s.optCutTermCached(c, i, k)
@@ -197,10 +178,10 @@ func (s *solver) addFeasCut(c feasibilityCut) {
 		return
 	}
 	n := s.cfg.N()
-	terms := make([][]float64, n)
-	mins := make([]float64, n)
+	terms := s.solve.rows(n)
+	mins := s.solve.floats(n)
 	for i := 0; i < n; i++ {
-		row := make([]float64, len(s.levels[i]))
+		row := s.solve.floats(len(s.levels[i]))
 		best := math.Inf(1)
 		for k, fi := range s.levels[i] {
 			row[k] = s.feasCutTerm(c, i, fi)
@@ -275,25 +256,24 @@ func (s *solver) masterWarmSeed(t *cutTables) float64 {
 
 // solvePrimalMemo serves the primal from the f-vector memo, solving and
 // inserting on miss. Hits occur when the master revisits an f — typically
-// near convergence and on warm re-solves — and cost O(N) key bytes.
+// near convergence. The memo is a list searched linearly: a run holds one
+// entry per master iteration, a handful, so comparing N indices per entry
+// beats hashing them and needs no key allocation.
 func (s *solver) solvePrimalMemo(f []float64, fIdx []int) ([]float64, []float64, bool) {
-	s.keyBuf = s.keyBuf[:0]
-	for _, k := range fIdx {
-		s.keyBuf = append(s.keyBuf, byte(k), byte(k>>8))
-	}
-	if r, ok := s.memo[string(s.keyBuf)]; ok {
-		mPrimalHits.Inc()
-		return r.d, r.u, r.feasible
+	for _, r := range s.memo {
+		if slices.Equal(r.fIdx, fIdx) {
+			mPrimalHits.Inc()
+			return r.d, r.u, r.feasible
+		}
 	}
 	mPrimalMisses.Inc()
 	d, u, feasible := s.solvePrimalFresh(f, fIdx)
-	if len(s.memoKeys) >= primalMemoCap {
-		delete(s.memo, s.memoKeys[0])
-		s.memoKeys = s.memoKeys[1:]
+	if len(s.memo) >= primalMemoCap {
+		s.memo = s.memo[:copy(s.memo, s.memo[1:])]
 		mPrimalEvicts.Inc()
 	}
-	key := string(s.keyBuf)
-	s.memo[key] = primalResult{d: d, u: u, feasible: feasible}
-	s.memoKeys = append(s.memoKeys, key)
+	key := s.solve.ints(len(fIdx))
+	copy(key, fIdx)
+	s.memo = append(s.memo, primalResult{fIdx: key, d: d, u: u, feasible: feasible})
 	return d, u, feasible
 }

@@ -32,7 +32,6 @@ import (
 	"tradefl/internal/game"
 	"tradefl/internal/obs"
 	"tradefl/internal/optimize"
-	"tradefl/internal/parallel"
 )
 
 // MasterSolver selects the algorithm used for the master problem (23).
@@ -123,7 +122,11 @@ type feasibilityCut struct {
 	lambda []float64
 }
 
-// solver carries per-run precomputation.
+// solver carries the state of one run of Algorithm 1. With the incremental
+// engine on it is a pooled, reusable workspace (workspace.go): everything
+// below that is sized by the instance is carved from one of its two arenas
+// or kept as capacity across solves. The zero solver is the naive path's:
+// nil arenas allocate from the heap and nothing is reused.
 type solver struct {
 	cfg  *game.Config
 	opts Options
@@ -131,23 +134,30 @@ type solver struct {
 	workers int
 	// inc selects the incremental evaluation engine (cache.go).
 	inc bool
+	// solve lives from one rebind to the next: per-level caches, cut rows
+	// and maxima, primal d/u (shared by memo and cuts), water-fill scratch,
+	// the current f vector. master lives for one master call: bound
+	// suffixes, the flat incTables, the serial search's partial sums.
+	solve, master *arena
 	// rhoBar[i] = ρ̄_i, zs[i] = z_i, scale[i] = Ω unit per d_i.
 	rhoBar, zs, scale []float64
 	optCuts           []optimalityCut
 	feasCuts          []feasibilityCut
+	// lbs/ubs/incumbents accumulate the run's traces and trial/best hold the
+	// profile under evaluation and the incumbent; the Result gets copies.
+	lbs, ubs, incumbents []float64
+	trial, best          game.Profile
 
 	// Incremental-engine state, populated by initIncremental (inc only).
 	// levels aliases the per-org CPU grids; lvl* cache per-(org, level)
-	// constants; tables are the persistent master cut tables; memo/memoKeys/
-	// keyBuf implement the f-vector primal memo; lb mirrors the incumbent
-	// lower bound for master seeding; wf* are water-fill scratch.
+	// constants; tables are the persistent master cut tables; memo is the
+	// f-vector primal memo; lb mirrors the incumbent lower bound for master
+	// seeding; wf* are water-fill scratch.
 	levels                                     [][]float64
 	lvlCost, lvlLoY, lvlHiY, lvlFOnly, lvlCapD [][]float64
 	lvlOK                                      [][]bool
 	tables                                     *cutTables
-	memo                                       map[string]primalResult
-	memoKeys                                   []string
-	keyBuf                                     []byte
+	memo                                       []primalResult
 	lb                                         float64
 	wfY, wfW, wfLo, wfHi                       []float64
 	wfOrder                                    []int
@@ -155,31 +165,11 @@ type solver struct {
 	// master search warm-starts its incumbent from this point's φ under the
 	// current cut set (masterWarmSeed).
 	prevIdx []int
-}
-
-// newSolver builds the per-run solver state: shared precomputation plus the
-// incremental caches when the incremental engine is enabled.
-func newSolver(cfg *game.Config, opts Options) *solver {
-	n := cfg.N()
-	s := &solver{
-		cfg:     cfg,
-		opts:    opts,
-		workers: parallel.Resolve(opts.Workers),
-		inc:     opts.Incremental.Enabled(),
-		rhoBar:  make([]float64, n),
-		zs:      make([]float64, n),
-		scale:   make([]float64, n),
-		lb:      math.Inf(-1),
-	}
-	for i := 0; i < n; i++ {
-		s.rhoBar[i] = cfg.RhoRowSum(i)
-		s.zs[i] = cfg.Weight(i)
-		s.scale[i] = cfg.OmegaScale(i)
-	}
-	if s.inc {
-		s.initIncremental()
-	}
-	return s
+	// suf, it and is are the serial incremental master's per-call state,
+	// rebuilt in place from the master arena on every call.
+	suf boundSuffixes
+	it  incTables
+	is  incSearch
 }
 
 // ErrInfeasible is returned when no CPU grid point admits a feasible d.
@@ -207,19 +197,29 @@ func Solve(cfg *game.Config, opts Options) (*Result, error) {
 
 // SolveCtx is Solve under a caller context: the solve's span joins the
 // trace carried by ctx (a fleet batch threads its batch trace through
-// here), with no effect on the computed result.
+// here), and a cancelled ctx stops the solve before its next master
+// iteration with an error wrapping ctx's. A context that stays live has no
+// effect on the computed result.
 func SolveCtx(ctx context.Context, cfg *game.Config, opts Options) (*Result, error) {
 	if err := validateFor(cfg); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	return run(ctx, cfg, opts, newSolver(cfg, opts))
+	// The naive path is the oracle: a zero solver, heap-allocated, nothing
+	// reused. The incremental engine draws a recycled one.
+	s := &solver{}
+	if opts.Incremental.Enabled() {
+		s = solvers.Get().(*solver)
+		defer s.release()
+	}
+	s.rebind(cfg, opts)
+	return s.run(ctx)
 }
 
-// run executes Algorithm 1 on a prepared solver (fresh from newSolver or a
-// shape-matched rebind, see warm.go). cfg and opts are already validated
-// and normalized.
-func run(ctx context.Context, cfg *game.Config, opts Options, s *solver) (*Result, error) {
+// run executes Algorithm 1 on a solver bound (rebind) to a validated
+// config and normalized options.
+func (s *solver) run(ctx context.Context) (*Result, error) {
+	cfg, opts := s.cfg, s.opts
 	mRuns.Inc()
 	solveStart := time.Now()
 	_, root := obs.Span(ctx, "gbd.solve")
@@ -229,8 +229,8 @@ func run(ctx context.Context, cfg *game.Config, opts Options, s *solver) (*Resul
 
 	// Initial f^(0): the fastest level of every organization, which is
 	// feasible whenever any grid point is.
-	f := make([]float64, n)
-	fIdx := make([]int, n)
+	f := s.solve.floats(n)
+	fIdx := s.solve.ints(n)
 	for i, o := range cfg.Orgs {
 		fIdx[i] = len(o.CPULevels) - 1
 		f[i] = o.CPULevels[fIdx[i]]
@@ -239,8 +239,11 @@ func run(ctx context.Context, cfg *game.Config, opts Options, s *solver) (*Resul
 	res := &Result{}
 	lb := math.Inf(-1)
 	ub := math.Inf(1)
-	var best game.Profile
+	found := false
 	for k := 0; k < opts.MaxIter; k++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("gbd: %w", err)
+		}
 		res.Iterations = k + 1
 		mIterations.Inc()
 		iterSpan := root.StartChild("gbd.iter")
@@ -250,16 +253,19 @@ func run(ctx context.Context, cfg *game.Config, opts Options, s *solver) (*Resul
 		primalSpan.End()
 		mPrimalSec.ObserveSince(primalStart)
 		if feasible {
-			p := toProfile(d, f)
-			val := cfg.Potential(p)
+			for i := range s.trial {
+				s.trial[i] = game.Strategy{D: d[i], F: f[i]}
+			}
+			val := cfg.Potential(s.trial)
 			if val > lb {
 				lb = val
-				best = p
+				s.trial, s.best = s.best, s.trial
+				found = true
 			}
 			s.lb = lb
 			// The trace reports the incumbent (best-so-far) potential, the
 			// quantity Fig. 4 plots for the centralized algorithm.
-			res.PotentialTrace = append(res.PotentialTrace, lb)
+			s.incumbents = append(s.incumbents, lb)
 			var omegaHat float64
 			for i, di := range d {
 				omegaHat += di * s.scale[i]
@@ -280,13 +286,13 @@ func run(ctx context.Context, cfg *game.Config, opts Options, s *solver) (*Resul
 			mFeasSec.ObserveSince(feasStart)
 			s.addFeasCut(feasibilityCut{d: d, lambda: lambda})
 			mFeasCuts.Inc()
-			if len(res.PotentialTrace) > 0 {
-				res.PotentialTrace = append(res.PotentialTrace, res.PotentialTrace[len(res.PotentialTrace)-1])
+			if len(s.incumbents) > 0 {
+				s.incumbents = append(s.incumbents, s.incumbents[len(s.incumbents)-1])
 			} else {
-				res.PotentialTrace = append(res.PotentialTrace, math.Inf(-1))
+				s.incumbents = append(s.incumbents, math.Inf(-1))
 			}
 		}
-		res.LowerBounds = append(res.LowerBounds, lb)
+		s.lbs = append(s.lbs, lb)
 
 		masterStart := time.Now()
 		masterSpan := iterSpan.StartChild("gbd.master")
@@ -295,19 +301,19 @@ func run(ctx context.Context, cfg *game.Config, opts Options, s *solver) (*Resul
 		mMasterSec.ObserveSince(masterStart)
 		if !ok {
 			iterSpan.End()
-			if best == nil {
+			if !found {
 				return nil, ErrInfeasible
 			}
 			// Every f is cut off: the incumbent is optimal.
 			ub = lb
-			res.UpperBounds = append(res.UpperBounds, ub)
+			s.ubs = append(s.ubs, ub)
 			res.Converged = true
 			break
 		}
 		if phi < ub {
 			ub = phi
 		}
-		res.UpperBounds = append(res.UpperBounds, ub)
+		s.ubs = append(s.ubs, ub)
 		iterSpan.End()
 		if ub-lb <= opts.Epsilon {
 			res.Converged = true
@@ -315,10 +321,17 @@ func run(ctx context.Context, cfg *game.Config, opts Options, s *solver) (*Resul
 		}
 		f, fIdx = fNext, fIdxNext
 	}
-	if best == nil {
+	if !found {
 		return nil, ErrInfeasible
 	}
-	res.Profile = best
+	// The Result owns its memory: one exact-size backing array for the three
+	// traces (capacity-clipped, so appending to one cannot reach the next)
+	// and a copy of the incumbent profile.
+	traces := make([]float64, 0, len(s.lbs)+len(s.ubs)+len(s.incumbents))
+	traces = append(append(append(traces, s.lbs...), s.ubs...), s.incumbents...)
+	a, b := len(s.lbs), len(s.lbs)+len(s.ubs)
+	res.LowerBounds, res.UpperBounds, res.PotentialTrace = traces[:a:a], traces[a:b:b], traces[b:]
+	res.Profile = append(game.Profile(nil), s.best...)
 	res.Potential = lb
 	s.publish(res, ub-lb, root)
 	audit(cfg, res, opts)
@@ -384,15 +397,6 @@ func (s *solver) publish(res *Result, gap float64, root *obs.ActiveSpan) {
 	}
 }
 
-// toProfile assembles a strategy profile from d and f vectors.
-func toProfile(d, f []float64) game.Profile {
-	p := make(game.Profile, len(d))
-	for i := range p {
-		p[i] = game.Strategy{D: d[i], F: f[i]}
-	}
-	return p
-}
-
 // linearCostPerOmega returns w_i: the linear coefficient of the potential
 // in y_i = scale_i·d_i at frequency fi, negated so the water-fill objective
 // φ(Σy) − Σ w·y equals U up to f-only constants:
@@ -419,7 +423,8 @@ func (s *solver) fOnlyTerm(i int, fi float64) float64 {
 // infeasible primal it returns d = DMin everywhere (the feasibility-check
 // minimizer) and u = nil. fIdx gives f's grid indices; with the incremental
 // engine on it routes through the f-vector memo (pass nil to force a fresh
-// solve). Memoized slices are shared — callers must not mutate the result.
+// solve). Memoized slices are shared — callers must not mutate the result —
+// and, like every d, u and λ the solver hands out, live in the solve arena.
 func (s *solver) solvePrimal(f []float64, fIdx []int) (d, u []float64, feasible bool) {
 	if s.inc && fIdx != nil {
 		return s.solvePrimalMemo(f, fIdx)
@@ -435,7 +440,7 @@ func (s *solver) solvePrimalFresh(f []float64, fIdx []int) (d, u []float64, feas
 	cfg := s.cfg
 	n := cfg.N()
 	cached := s.inc && fIdx != nil
-	d = make([]float64, n)
+	d = s.solve.floats(n)
 	var lo, hi, w []float64
 	if cached {
 		lo, hi, w = s.wfLo, s.wfHi, s.wfW
@@ -494,7 +499,7 @@ func (s *solver) solvePrimalFresh(f []float64, fIdx []int) (d, u []float64, feas
 	for _, v := range y {
 		omega += v
 	}
-	u = make([]float64, n)
+	u = s.solve.floats(n)
 	for i := 0; i < n; i++ {
 		d[i] = y[i] / s.scale[i]
 		// KKT multiplier of the deadline constraint: positive only when the
@@ -531,7 +536,7 @@ func (s *solver) solvePrimalFresh(f []float64, fIdx []int) (d, u []float64, feas
 func (s *solver) solveFeasibility(f []float64) (lambda []float64) {
 	cfg := s.cfg
 	n := cfg.N()
-	lambda = make([]float64, n)
+	lambda = s.solve.floats(n)
 	var count float64
 	for i := 0; i < n; i++ {
 		o := cfg.Orgs[i]
@@ -598,6 +603,7 @@ func (s *solver) feasCutTerm(c feasibilityCut, i int, fi float64) float64 {
 // current lower bound (in which case Algorithm 1 converges on the incumbent
 // exactly as it would have with the naive master).
 func (s *solver) solveMaster() (fIdx []int, f []float64, phi float64, ok bool) {
+	s.master.reset()
 	switch s.opts.Master {
 	case MasterTraversal:
 		return s.masterTraversal()

@@ -2,7 +2,7 @@ package gbd
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"tradefl/internal/parallel"
 )
@@ -211,7 +211,7 @@ func (s *solver) masterTraversalIncremental(t *cutTables) ([]int, []float64, flo
 	seed := s.masterWarmSeed(t)
 	roots := len(t.levels[0])
 	if s.workers <= 1 || n < 2 || roots < 2 {
-		ps := newPrunedSearch(t, nil, n, nil)
+		ps := newPrunedSearch(t, nil, n, nil, s.master)
 		ps.bestPhi = seed
 		ps.dfsExhaustive(0)
 		if ps.bestIdx == nil {
@@ -223,7 +223,7 @@ func (s *solver) masterTraversalIncremental(t *cutTables) ([]int, []float64, flo
 	var shared parallel.MaxFloat64
 	shared.Update(seed)
 	results := parallel.MapLabeled("gbd.traversal", s.workers, roots, func(root int) branchBest {
-		ps := newPrunedSearch(t, nil, n, &shared)
+		ps := newPrunedSearch(t, nil, n, &shared, nil)
 		ps.bestPhi = seed
 		ps.assign(0, root)
 		ps.dfsExhaustive(1)
@@ -271,7 +271,7 @@ func (s *solver) gridPhi(t *cutTables, idx []int) float64 {
 }
 
 func (s *solver) gridF(t *cutTables, idx []int) []float64 {
-	f := make([]float64, len(idx))
+	f := s.solve.floats(len(idx))
 	for i, k := range idx {
 		f[i] = t.levels[i][k]
 	}
@@ -285,26 +285,23 @@ type boundSuffixes struct {
 	opt, feas [][]float64
 }
 
-func newBoundSuffixes(t *cutTables, n int) *boundSuffixes {
-	b := &boundSuffixes{
-		opt:  make([][]float64, len(t.opt)),
-		feas: make([][]float64, len(t.feas)),
-	}
+// build fills b for the current tables, taking its rows from a (nil = heap).
+func (b *boundSuffixes) build(t *cutTables, n int, a *arena) {
+	b.opt, b.feas = a.rows(len(t.opt)), a.rows(len(t.feas))
 	for v := range t.opt {
-		suf := make([]float64, n+1)
+		suf := a.floats(n + 1)
 		for i := n - 1; i >= 0; i-- {
 			suf[i] = suf[i+1] + t.optMax[v][i]
 		}
 		b.opt[v] = suf
 	}
 	for w := range t.feas {
-		suf := make([]float64, n+1)
+		suf := a.floats(n + 1)
 		for i := n - 1; i >= 0; i-- {
 			suf[i] = suf[i+1] + t.feasMin[w][i]
 		}
 		b.feas[w] = suf
 	}
-	return b
 }
 
 // prunedSearch is the reusable depth-first search state of masterPruned.
@@ -332,24 +329,22 @@ type prunedSearch struct {
 	bestIdx   []int
 }
 
-func newPrunedSearch(t *cutTables, suf *boundSuffixes, n int, shared *parallel.MaxFloat64) *prunedSearch {
+func newPrunedSearch(t *cutTables, suf *boundSuffixes, n int, shared *parallel.MaxFloat64, a *arena) *prunedSearch {
 	ps := &prunedSearch{
 		t:       t,
 		suf:     suf,
 		n:       n,
 		shared:  shared,
-		idx:     make([]int, n),
-		opt:     make([][]float64, n+1),
-		feas:    make([][]float64, n+1),
+		idx:     a.ints(n),
+		opt:     a.rows(n + 1),
+		feas:    a.rows(n + 1),
 		bestPhi: math.Inf(-1),
 	}
 	for d := 0; d <= n; d++ {
-		ps.opt[d] = make([]float64, len(t.opt))
-		ps.feas[d] = make([]float64, len(t.feas))
+		ps.opt[d] = a.floats(len(t.opt))
+		ps.feas[d] = a.floats(len(t.feas))
 	}
-	for v := range t.opt {
-		ps.opt[0][v] = t.optConst[v]
-	}
+	copy(ps.opt[0], t.optConst)
 	return ps
 }
 
@@ -434,28 +429,30 @@ type incTables struct {
 	konst        []float64 // konst[v]: reordered optConst
 }
 
-func newIncTables(t *cutTables, suf *boundSuffixes, n int) *incTables {
+// build lays the current cut tables out in it, taking every slice from a.
+func (it *incTables) build(t *cutTables, suf *boundSuffixes, n int, a *arena) {
 	c, fc := len(t.opt), len(t.feas)
-	it := &incTables{
-		c: c, fc: fc,
-		width:  make([]int, n),
-		terms:  make([][]float64, n),
-		osuf:   make([][]float64, n+1),
-		fterms: make([][]float64, n),
-		fsuf:   make([][]float64, n+1),
-		konst:  make([]float64, c),
-	}
-	ord := make([]int, c)
+	it.c, it.fc = c, fc
+	it.width = a.ints(n)
+	it.terms, it.osuf = a.rows(n), a.rows(n+1)
+	it.fterms, it.fsuf = a.rows(n), a.rows(n+1)
+	it.konst = a.floats(c)
+	// Tightest root bound first, ties by cut index: a total order, so the
+	// permutation does not depend on the sorting algorithm.
+	bound := a.floats(c)
+	ord := a.ints(c)
 	for v := range ord {
 		ord[v] = v
+		bound[v] = t.optConst[v] + suf.opt[v][0]
 	}
-	sort.Slice(ord, func(a, b int) bool {
-		ba := t.optConst[ord[a]] + suf.opt[ord[a]][0]
-		bb := t.optConst[ord[b]] + suf.opt[ord[b]][0]
-		if ba != bb {
-			return ba < bb
+	slices.SortFunc(ord, func(x, y int) int {
+		switch {
+		case bound[x] < bound[y]:
+			return -1
+		case bound[x] > bound[y]:
+			return 1
 		}
-		return ord[a] < ord[b]
+		return x - y
 	})
 	for p, v := range ord {
 		it.konst[p] = t.optConst[v]
@@ -463,14 +460,14 @@ func newIncTables(t *cutTables, suf *boundSuffixes, n int) *incTables {
 	for d := 0; d < n; d++ {
 		m := len(t.levels[d])
 		it.width[d] = m
-		row := make([]float64, m*c)
+		row := a.floats(m * c)
 		for k := 0; k < m; k++ {
 			for p, v := range ord {
 				row[k*c+p] = t.opt[v][d][k]
 			}
 		}
 		it.terms[d] = row
-		frow := make([]float64, m*fc)
+		frow := a.floats(m * fc)
 		for k := 0; k < m; k++ {
 			for w := 0; w < fc; w++ {
 				frow[k*fc+w] = t.feas[w][d][k]
@@ -479,18 +476,17 @@ func newIncTables(t *cutTables, suf *boundSuffixes, n int) *incTables {
 		it.fterms[d] = frow
 	}
 	for d := 0; d <= n; d++ {
-		os := make([]float64, c)
+		os := a.floats(c)
 		for p, v := range ord {
 			os[p] = suf.opt[v][d]
 		}
 		it.osuf[d] = os
-		fs := make([]float64, fc)
+		fs := a.floats(fc)
 		for w := 0; w < fc; w++ {
 			fs[w] = suf.feas[w][d]
 		}
 		it.fsuf[d] = fs
 	}
-	return it
 }
 
 // incSearch is the incremental engine's fused depth-first search over the
@@ -516,22 +512,24 @@ type incSearch struct {
 	bestIdx   []int
 }
 
-func newIncSearch(it *incTables, n int, shared *parallel.MaxFloat64) *incSearch {
-	is := &incSearch{
+// init readies is for one search over it, taking its partial-sum rows from
+// a (nil = heap, the per-shard searches). bestIdx starts empty; the first
+// improving leaf fills it, so a search that found nothing leaves it empty.
+func (is *incSearch) init(it *incTables, n int, shared *parallel.MaxFloat64, a *arena) {
+	*is = incSearch{
 		t:       it,
 		n:       n,
 		shared:  shared,
-		idx:     make([]int, n),
-		opt:     make([][]float64, n+1),
-		feas:    make([][]float64, n+1),
+		idx:     a.ints(n),
+		opt:     a.rows(n + 1),
+		feas:    a.rows(n + 1),
 		bestPhi: math.Inf(-1),
 	}
 	for d := 0; d <= n; d++ {
-		is.opt[d] = make([]float64, it.c)
-		is.feas[d] = make([]float64, it.fc)
+		is.opt[d] = a.floats(it.c)
+		is.feas[d] = a.floats(it.fc)
 	}
 	copy(is.opt[0], it.konst)
-	return is
 }
 
 // run performs the entry checks dfs applies at a search root (feasibility
@@ -1045,13 +1043,14 @@ func (ps *prunedSearch) dfsExhaustive(depth int) {
 func (s *solver) masterPruned() ([]int, []float64, float64, bool) {
 	t := s.ensureTables()
 	n := s.cfg.N()
-	suf := newBoundSuffixes(t, n)
 	if s.inc {
-		return s.masterPrunedIncremental(t, suf, n)
+		return s.masterPrunedIncremental(t, n)
 	}
+	suf := new(boundSuffixes)
+	suf.build(t, n, nil)
 	roots := len(t.levels[0])
 	if s.workers <= 1 || n < 2 || roots < 2 {
-		ps := newPrunedSearch(t, suf, n, nil)
+		ps := newPrunedSearch(t, suf, n, nil, nil)
 		ps.dfs(0)
 		if ps.bestIdx == nil {
 			return nil, nil, 0, false
@@ -1060,7 +1059,7 @@ func (s *solver) masterPruned() ([]int, []float64, float64, bool) {
 	}
 	var shared parallel.MaxFloat64
 	results := parallel.MapLabeled("gbd.pruned", s.workers, roots, func(root int) branchBest {
-		ps := newPrunedSearch(t, suf, n, &shared)
+		ps := newPrunedSearch(t, suf, n, &shared, nil)
 		ps.assign(0, root)
 		ps.dfs(1)
 		return branchBest{phi: ps.bestPhi, idx: ps.bestIdx, ok: ps.bestIdx != nil}
@@ -1073,17 +1072,24 @@ func (s *solver) masterPruned() ([]int, []float64, float64, bool) {
 }
 
 // masterPrunedIncremental is masterPruned's incremental-engine path: the
-// incSearch fused branch-and-bound over flat tables, warm-seeded and
-// backed by the cross-iteration prefix-bound cache.
-func (s *solver) masterPrunedIncremental(t *cutTables, suf *boundSuffixes, n int) ([]int, []float64, float64, bool) {
-	it := newIncTables(t, suf, n)
+// incSearch fused branch-and-bound over flat tables, warm-seeded. Suffixes
+// and tables are rebuilt in the master arena; the serial search takes its
+// partial sums from it too and writes its argmax into solve-arena memory,
+// because the argmax (the next f, and prevIdx) outlives the master call.
+// Shards read the tables and keep their private search state on the heap.
+func (s *solver) masterPrunedIncremental(t *cutTables, n int) ([]int, []float64, float64, bool) {
+	s.suf.build(t, n, s.master)
+	it := &s.it
+	it.build(t, &s.suf, n, s.master)
 	seed := s.masterWarmSeed(t)
 	roots := len(t.levels[0])
 	if s.workers <= 1 || n < 2 || roots < 2 {
-		is := newIncSearch(it, n, nil)
+		is := &s.is
+		is.init(it, n, nil, s.master)
+		is.bestIdx = s.solve.ints(n)[:0]
 		is.bestPhi = seed
 		is.run(0)
-		if is.bestIdx == nil {
+		if len(is.bestIdx) == 0 {
 			return nil, nil, 0, false
 		}
 		s.prevIdx = is.bestIdx
@@ -1092,10 +1098,11 @@ func (s *solver) masterPrunedIncremental(t *cutTables, suf *boundSuffixes, n int
 	var shared parallel.MaxFloat64
 	shared.Update(seed)
 	results := parallel.MapLabeled("gbd.pruned", s.workers, roots, func(root int) branchBest {
-		is := newIncSearch(it, n, &shared)
+		is := new(incSearch)
+		is.init(it, n, &shared, nil)
 		is.bestPhi = seed
 		is.enterShard(root)
-		return branchBest{phi: is.bestPhi, idx: is.bestIdx, ok: is.bestIdx != nil}
+		return branchBest{phi: is.bestPhi, idx: is.bestIdx, ok: len(is.bestIdx) > 0}
 	})
 	bestIdx, bestPhi, ok := reduceBranches(results)
 	if !ok {

@@ -41,6 +41,4 @@ var (
 	mCutsEvicted  = obs.NewCounter("tradefl_cache_cuts_evicted_total", "optimality cuts dropped as strictly dominated by another cut")
 	mMasterSeeded = obs.NewCounter("tradefl_cache_master_seeds_total", "master searches seeded with the incumbent lower bound")
 	mMasterWarm   = obs.NewCounter("tradefl_cache_master_warm_starts_total", "master searches warm-started from the previous argmax grid point")
-	mWarmResults  = obs.NewCounter("tradefl_cache_gbd_warm_results_total", "CGBD solves served verbatim from a warm result (unchanged instance)")
-	mWarmScratch  = obs.NewCounter("tradefl_cache_gbd_warm_scratch_total", "CGBD solves that rebound a shape-matched warm solver's allocations")
 )

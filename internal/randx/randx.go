@@ -24,6 +24,10 @@ func New(seed int64) *Source {
 	return &Source{rng: rand.New(rand.NewSource(seed))}
 }
 
+// Seed restarts the stream: after Seed(seed) the source draws exactly what
+// New(seed) would, without allocating a new generator state (4.9 KB).
+func (s *Source) Seed(seed int64) { s.rng.Seed(seed) }
+
 // Float64 returns a uniform draw in [0, 1).
 func (s *Source) Float64() float64 { return s.rng.Float64() }
 

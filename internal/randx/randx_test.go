@@ -176,3 +176,22 @@ func TestPerm(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// TestSeedRestartsStream: a re-seeded source replays New(seed)'s stream
+// from the start, whatever was drawn — and buffered — before.
+func TestSeedRestartsStream(t *testing.T) {
+	s := New(3)
+	s.Normal(0, 1)
+	s.UniformInt(0, 9)
+	s.Perm(5)
+	s.Seed(42)
+	fresh := New(42)
+	for i := 0; i < 100; i++ {
+		if a, b := s.Normal(1, 2), fresh.Normal(1, 2); a != b {
+			t.Fatalf("draw %d: re-seeded %v, fresh %v", i, a, b)
+		}
+		if a, b := s.UniformInt(0, 1000), fresh.UniformInt(0, 1000); a != b {
+			t.Fatalf("draw %d: re-seeded %v, fresh %v", i, a, b)
+		}
+	}
+}

@@ -102,19 +102,19 @@ func (s *Server) admitJob(job *Job) *admitError {
 			retryAfter: 1,
 		}
 	}
-	need := float64(len(job.cfgs))
+	need := float64(job.instances)
 	if need > s.opts.TenantBurst {
 		mRejectRate.Inc()
 		return &admitError{
 			status: http.StatusTooManyRequests,
-			reason: fmt.Sprintf("job of %d instances exceeds the tenant burst capacity %.0f", len(job.cfgs), s.opts.TenantBurst),
+			reason: fmt.Sprintf("job of %d instances exceeds the tenant burst capacity %.0f", job.instances, s.opts.TenantBurst),
 		}
 	}
 	if t.tokens < need {
 		mRejectRate.Inc()
 		return &admitError{
 			status:     http.StatusTooManyRequests,
-			reason:     fmt.Sprintf("tenant %q instance-token bucket exhausted (%.1f of %d needed)", job.Tenant, t.tokens, len(job.cfgs)),
+			reason:     fmt.Sprintf("tenant %q instance-token bucket exhausted (%.1f of %d needed)", job.Tenant, t.tokens, job.instances),
 			retryAfter: retryAfterSeconds(need-t.tokens, s.opts.TenantRate),
 		}
 	}

@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -98,20 +98,25 @@ func (s *Server) handleStreamJob(w http.ResponseWriter, r *http.Request) {
 
 	mStreamClients.Add(1)
 	defer mStreamClients.Add(-1)
+	var head []byte // one event's "id/event/data:" lines, reused
 	for {
 		events, wake, terminal := job.since(cursor)
-		for _, ev := range events {
-			data, err := json.Marshal(ev.Data)
-			if err != nil {
-				data = []byte(fmt.Sprintf("%q", err.Error()))
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", cursor, ev.Type, data); err != nil {
-				return
-			}
-			cursor++
-			mStreamEvents.Inc()
-		}
 		if len(events) > 0 {
+			// Payloads were encoded at publish time and go out as they are.
+			// The response writer buffers, and a write error sticks to it, so
+			// the batch is written through and the error read at Flush.
+			for _, ev := range events {
+				head = append(head[:0], "id: "...)
+				head = strconv.AppendInt(head, int64(cursor), 10)
+				head = append(head, "\nevent: "...)
+				head = append(head, ev.Type...)
+				head = append(head, "\ndata: "...)
+				_, _ = w.Write(head)
+				_, _ = w.Write(ev.Data)
+				_, _ = io.WriteString(w, "\n\n")
+				cursor++
+			}
+			mStreamEvents.Add(int64(len(events)))
 			if err := rc.Flush(); err != nil {
 				return
 			}

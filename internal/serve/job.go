@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -31,10 +32,22 @@ func (s JobState) terminal() bool {
 
 // Event is one progress record of a job, both retained for replay and
 // pushed to live SSE streams. Type names the SSE event; Data is its JSON
-// payload.
+// payload, encoded once when the event is published: a live stream, a
+// Last-Event-ID replay and a retained job all hold the same bytes.
 type Event struct {
 	Type string
-	Data any
+	Data json.RawMessage
+}
+
+// encode renders an event payload. A value JSON cannot carry — in practice
+// the −Inf lower bound of a CGBD iteration that has no incumbent yet —
+// becomes the quoted error text, which is what streams have always sent.
+func encode(v any) json.RawMessage {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return json.RawMessage(fmt.Sprintf("%q", err.Error()))
+	}
+	return data
 }
 
 // InstanceResult is the gateway-level outcome of one solved instance —
@@ -75,15 +88,16 @@ func newInstanceResult(idx int, cfg *game.Config, r fleet.Result) InstanceResult
 	return out
 }
 
-// Job is one admitted solve request: its instances, lifecycle state,
-// accumulated results, and the append-only event log progress streams
-// replay and follow.
+// Job is one admitted solve request: its instances, lifecycle state, and
+// the append-only event log progress streams replay and follow. Results
+// are kept only in encoded form — each instance's payload is rendered once
+// and shared by its instance event, the terminal result event and the
+// status document.
 type Job struct {
 	ID      string
 	Tenant  string
 	Created time.Time
 
-	cfgs []*game.Config
 	plan fleet.Plan
 	// remoteTC is the submitter's trace context (X-Trace-Id/X-Span-Id
 	// headers), continued by the job span so one trace covers client →
@@ -92,44 +106,50 @@ type Job struct {
 
 	cancel context.CancelFunc
 
-	mu       sync.Mutex
-	state    JobState
-	err      string
-	traceID  string
-	started  time.Time
-	finished time.Time
-	results  []InstanceResult
-	events   []Event
-	changed  chan struct{} // closed+replaced on every publish/state change
+	mu sync.Mutex
+	// cfgs are the instances to solve, dropped once the job is terminal;
+	// instances keeps their count.
+	cfgs      []*game.Config
+	instances int
+	state     JobState
+	err       string
+	traceID   string
+	started   time.Time
+	finished  time.Time
+	results   []json.RawMessage
+	events    []Event
+	changed   chan struct{} // closed+replaced on every publish/state change
 }
 
 func newJob(id, tenant string, cfgs []*game.Config, plan fleet.Plan) *Job {
 	j := &Job{
-		ID:      id,
-		Tenant:  tenant,
-		Created: time.Now(),
-		cfgs:    cfgs,
-		plan:    plan,
-		state:   StateQueued,
-		changed: make(chan struct{}),
+		ID:        id,
+		Tenant:    tenant,
+		Created:   time.Now(),
+		cfgs:      cfgs,
+		instances: len(cfgs),
+		plan:      plan,
+		state:     StateQueued,
+		changed:   make(chan struct{}),
 	}
 	j.events = append(j.events, j.stateEventLocked())
 	return j
 }
 
-// JobStatus is the JSON shape of GET /v1/jobs/{id}.
+// JobStatus is the JSON shape of GET /v1/jobs/{id}. Results holds the
+// per-instance payloads (InstanceResult documents) as already encoded.
 type JobStatus struct {
-	ID        string           `json:"id"`
-	Tenant    string           `json:"tenant"`
-	State     JobState         `json:"state"`
-	Instances int              `json:"instances"`
-	Solved    int              `json:"solved"`
-	TraceID   string           `json:"traceId,omitempty"`
-	Error     string           `json:"error,omitempty"`
-	CreatedAt time.Time        `json:"createdAt"`
-	StartedAt *time.Time       `json:"startedAt,omitempty"`
-	DoneAt    *time.Time       `json:"doneAt,omitempty"`
-	Results   []InstanceResult `json:"results,omitempty"`
+	ID        string            `json:"id"`
+	Tenant    string            `json:"tenant"`
+	State     JobState          `json:"state"`
+	Instances int               `json:"instances"`
+	Solved    int               `json:"solved"`
+	TraceID   string            `json:"traceId,omitempty"`
+	Error     string            `json:"error,omitempty"`
+	CreatedAt time.Time         `json:"createdAt"`
+	StartedAt *time.Time        `json:"startedAt,omitempty"`
+	DoneAt    *time.Time        `json:"doneAt,omitempty"`
+	Results   []json.RawMessage `json:"results,omitempty"`
 }
 
 // Status snapshots the job. Results are included only once the job is
@@ -141,7 +161,7 @@ func (j *Job) Status() JobStatus {
 		ID:        j.ID,
 		Tenant:    j.Tenant,
 		State:     j.state,
-		Instances: len(j.cfgs),
+		Instances: j.instances,
 		Solved:    len(j.results),
 		TraceID:   j.traceID,
 		Error:     j.err,
@@ -168,30 +188,47 @@ func (j *Job) State() JobState {
 	return j.state
 }
 
+// The event payloads. Field order is the alphabetical key order
+// encoding/json gives a map, which is what these events were first built
+// from, so the bytes on the wire did not change with the types.
+type (
+	stateEvent struct {
+		Error     string   `json:"error,omitempty"`
+		ID        string   `json:"id"`
+		Instances int      `json:"instances"`
+		State     JobState `json:"state"`
+		TraceID   string   `json:"traceId,omitempty"`
+	}
+	resultEvent struct {
+		ID      string            `json:"id"`
+		Results []json.RawMessage `json:"results"`
+		State   JobState          `json:"state"`
+	}
+	gbdProgress struct {
+		Gap        float64 `json:"gap"`
+		Instance   int     `json:"instance"`
+		Iteration  int     `json:"iteration"`
+		LowerBound float64 `json:"lowerBound"`
+		UpperBound float64 `json:"upperBound"`
+	}
+	dbrProgress struct {
+		Instance  int     `json:"instance"`
+		Iteration int     `json:"iteration"`
+		Potential float64 `json:"potential"`
+	}
+)
+
 // stateEventLocked renders the current state as an event. Callers hold mu.
 func (j *Job) stateEventLocked() Event {
-	data := map[string]any{"id": j.ID, "state": j.state, "instances": len(j.cfgs)}
-	if j.err != "" {
-		data["error"] = j.err
-	}
-	if j.traceID != "" {
-		data["traceId"] = j.traceID
-	}
-	return Event{Type: "state", Data: data}
+	return Event{Type: "state", Data: encode(stateEvent{
+		Error: j.err, ID: j.ID, Instances: j.instances, State: j.state, TraceID: j.traceID,
+	})}
 }
 
 // notifyLocked wakes every waiter. Callers hold mu.
 func (j *Job) notifyLocked() {
 	close(j.changed)
 	j.changed = make(chan struct{})
-}
-
-// publish appends an event to the log and wakes streams.
-func (j *Job) publish(ev Event) {
-	j.mu.Lock()
-	j.events = append(j.events, ev)
-	j.notifyLocked()
-	j.mu.Unlock()
 }
 
 // setRunning transitions queued → running (no-op when already cancelled)
@@ -212,31 +249,39 @@ func (j *Job) setRunning(traceID string) bool {
 
 // finish moves the job to its terminal state and appends the final state
 // event (plus a result event carrying every instance when it completed).
+// A terminal job keeps its encoded log and lets go of its instances.
 func (j *Job) finish(state JobState, errMsg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.finishLocked(state, errMsg)
+}
+
+// finishLocked is finish for callers that hold mu.
+func (j *Job) finishLocked(state JobState, errMsg string) {
 	if j.state.terminal() {
 		return
 	}
 	j.state = state
 	j.err = errMsg
 	j.finished = time.Now()
+	j.cfgs = nil
 	if state == StateDone || state == StateFailed {
-		j.events = append(j.events, Event{Type: "result", Data: map[string]any{
-			"id":      j.ID,
-			"state":   state,
-			"results": j.results,
-		}})
+		j.events = append(j.events, Event{Type: "result", Data: encode(resultEvent{
+			ID: j.ID, Results: j.results, State: state,
+		})})
 	}
 	j.events = append(j.events, j.stateEventLocked())
 	j.notifyLocked()
 }
 
-// addResult records one solved instance and publishes its instance event.
-func (j *Job) addResult(res InstanceResult) {
+// addResult records one solved instance: its progress events, then its
+// instance event, whose payload is also the instance's entry in the result
+// event and the status document.
+func (j *Job) addResult(progress []Event, res InstanceResult) {
+	data := encode(res)
 	j.mu.Lock()
-	j.results = append(j.results, res)
-	j.events = append(j.events, Event{Type: "instance", Data: res})
+	j.results = append(j.results, data)
+	j.events = append(append(j.events, progress...), Event{Type: "instance", Data: data})
 	j.notifyLocked()
 	j.mu.Unlock()
 }
@@ -256,19 +301,22 @@ func (j *Job) since(cursor int) ([]Event, <-chan struct{}, bool) {
 
 // Cancel cancels the job: a queued job terminates immediately, a running
 // one has its solve context cancelled (the runner records the terminal
-// state). Returns false when the job was already terminal.
+// state). Returns false when the job was already terminal. The queued case
+// is decided and carried out under one lock hold, so a runner that picks
+// the job up at the same moment either sees it cancelled or owns it.
 func (j *Job) Cancel() bool {
 	j.mu.Lock()
-	state := j.state
-	cancel := j.cancel
-	j.mu.Unlock()
-	if state.terminal() {
+	if j.state.terminal() {
+		j.mu.Unlock()
 		return false
 	}
-	if state == StateQueued {
-		j.finish(StateCancelled, "cancelled before start")
+	if j.state == StateQueued {
+		j.finishLocked(StateCancelled, "cancelled before start")
+		j.mu.Unlock()
 		return true
 	}
+	cancel := j.cancel
+	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
@@ -282,30 +330,19 @@ func (j *Job) Cancel() bool {
 func progressEvents(idx int, r fleet.Result) []Event {
 	switch {
 	case r.GBD != nil:
-		n := len(r.GBD.UpperBounds)
-		if len(r.GBD.LowerBounds) < n {
-			n = len(r.GBD.LowerBounds)
-		}
-		evs := make([]Event, 0, n)
-		for k := 0; k < n; k++ {
+		n := min(len(r.GBD.UpperBounds), len(r.GBD.LowerBounds))
+		evs := make([]Event, n)
+		for k := range evs {
 			lb, ub := r.GBD.LowerBounds[k], r.GBD.UpperBounds[k]
-			evs = append(evs, Event{Type: "progress", Data: map[string]any{
-				"instance":   idx,
-				"iteration":  k,
-				"lowerBound": lb,
-				"upperBound": ub,
-				"gap":        ub - lb,
-			}})
+			evs[k] = Event{Type: "progress", Data: encode(gbdProgress{
+				Gap: ub - lb, Instance: idx, Iteration: k, LowerBound: lb, UpperBound: ub,
+			})}
 		}
 		return evs
 	case r.DBR != nil:
-		evs := make([]Event, 0, len(r.DBR.PotentialTrace))
+		evs := make([]Event, len(r.DBR.PotentialTrace))
 		for k, u := range r.DBR.PotentialTrace {
-			evs = append(evs, Event{Type: "progress", Data: map[string]any{
-				"instance":  idx,
-				"iteration": k,
-				"potential": u,
-			}})
+			evs[k] = Event{Type: "progress", Data: encode(dbrProgress{Instance: idx, Iteration: k, Potential: u})}
 		}
 		return evs
 	default:

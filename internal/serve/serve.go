@@ -184,7 +184,9 @@ func New(addr string, opts Options) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // engine returns the shared fleet engine for a forced plan, building it on
-// first use from the gateway's fleet options.
+// first use from the gateway's fleet options. Every request parses to
+// fresh config pointers, which is what the engine's result memo keys on,
+// so the memo could never hit here and is switched off.
 func (s *Server) engine(plan fleet.Plan) *fleet.Engine {
 	s.engMu.Lock()
 	defer s.engMu.Unlock()
@@ -192,6 +194,7 @@ func (s *Server) engine(plan fleet.Plan) *fleet.Engine {
 	if eng == nil {
 		fo := s.opts.Fleet
 		fo.Plan = plan
+		fo.WarmCap = -1
 		eng = fleet.New(fo)
 		s.engines[plan] = eng
 	}
@@ -232,6 +235,7 @@ func (s *Server) runJob(job *Job) {
 	job.mu.Lock()
 	job.cancel = cancel
 	remote := job.remoteTC
+	cfgs := job.cfgs // nil once the job was cancelled while queued
 	job.mu.Unlock()
 
 	// The job span joins the submitter's trace when the request carried
@@ -255,26 +259,19 @@ func (s *Server) runJob(job *Job) {
 		mJobsCancelled.Inc()
 		return
 	}
-	log.Debug("job running", "id", job.ID, "tenant", job.Tenant, "instances", len(job.cfgs))
+	log.Debug("job running", "id", job.ID, "tenant", job.Tenant, "instances", len(cfgs))
 
 	failed := false
-	for lo := 0; lo < len(job.cfgs); lo += s.opts.StreamChunk {
-		hi := lo + s.opts.StreamChunk
-		if hi > len(job.cfgs) {
-			hi = len(job.cfgs)
-		}
-		chunk := job.cfgs[lo:hi]
+	for lo := 0; lo < len(cfgs); lo += s.opts.StreamChunk {
+		chunk := cfgs[lo:min(lo+s.opts.StreamChunk, len(cfgs))]
 		results := s.engine(job.plan).Solve(ctx, chunk)
 		for i, r := range results {
 			idx := lo + i
-			for _, ev := range progressEvents(idx, r) {
-				job.publish(ev)
-			}
-			res := newInstanceResult(idx, job.cfgs[idx], r)
+			res := newInstanceResult(idx, cfgs[idx], r)
 			if res.Error != "" {
 				failed = true
 			}
-			job.addResult(res)
+			job.addResult(progressEvents(idx, r), res)
 		}
 		mInstances.Add(int64(len(chunk)))
 		if ctx.Err() != nil {

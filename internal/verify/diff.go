@@ -73,7 +73,10 @@ type DiffReport struct {
 //   - DBR vs CGBD: the best-response equilibrium's potential cannot exceed
 //     the CGBD global optimum beyond ε plus Slack;
 //   - incremental vs direct: both solvers must return byte-identical
-//     results with the incremental engine forced on and forced off;
+//     results with the incremental engine forced on and forced off — for
+//     CGBD that is a recycled solver workspace (gbd's pool hands the same
+//     one to consecutive games of different sizes) against the naive
+//     path's fresh heap memory;
 //   - every profile passes the transfer, Nash, evaluator and solver-trace
 //     audits, including a personalized (α > 0) DBR variant per instance.
 //

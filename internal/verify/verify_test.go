@@ -159,3 +159,22 @@ func TestDifferentialClean(t *testing.T) {
 		t.Fatalf("unexpected report: %+v", rep)
 	}
 }
+
+// TestDifferentialAcrossShapes runs the harness over instances whose size
+// cycles 2 → 3 → 4 on 3-level grids. Every incremental-engine solve in it
+// draws its solver from gbd's pool, so consecutive games hand the same
+// recycled workspace a different shape — and each result is still checked
+// against the exhaustive reference and, bit for bit, against the naive
+// engine, which shares none of that memory.
+func TestDifferentialAcrossShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential harness runs full solver cross-checks")
+	}
+	rep, err := Differential(DiffOptions{Games: 6, Seed: 21, MaxOrgs: 4, CPUSteps: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ViolationCount != 0 {
+		t.Fatalf("differential harness found %d violations across shape changes:\n%+v", rep.ViolationCount, rep.Violations)
+	}
+}

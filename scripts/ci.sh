@@ -46,12 +46,18 @@ for fig in fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12; do
 done
 rm -rf "$DRIFT_DIR"
 
-echo "==> fleet fast gate (batch determinism + planner under -race)"
-# The batched engine's contract is byte-identity with one-at-a-time solves
-# under any interleaving, so its suite runs under -race early; -short skips
-# only the wall-clock regret test, which needs a quiet machine and runs in
-# the full race suite below.
-go test -race -short ./internal/fleet/
+echo "==> solver-workspace fast gate (allocation pin, then gbd/fleet/serve under -race)"
+# CGBD solves draw recycled solvers from a pool inside gbd; the fleet engine
+# and the gateway sit on top of it. The allocation pin (a warmed N=8 solve
+# stays under half of what it allocated before the arenas) cannot run under
+# the race detector, which makes sync.Pool drop entries at random, so it
+# runs first on its own. Then the three packages under -race: workspace
+# reuse across shapes, results that outlive their workspace, concurrent
+# solves, the batched engine's byte-identity with one-at-a-time solves and
+# the gateway's cancel-while-queued path. -short skips only the wall-clock
+# regret test, which needs a quiet machine and runs in the full suite below.
+go test -count=1 -run 'SteadyStateAllocs|ArenaGrowth' ./internal/gbd/
+go test -race -short ./internal/gbd/ ./internal/fleet/ ./internal/serve/
 
 echo "==> verify gate (invariant auditor under -race + mutation self-tests)"
 # The mutation suite injects one seeded violation per invariant family and
