@@ -47,6 +47,7 @@ func (bc *Blockchain) SubmitTxBatch(txs []Transaction) ([]SubmitResult, error) {
 	hashes := make([]string, n)
 	frames := make([][]byte, n)
 	verrs := make([]error, n)
+	mSigAdmit.Add(int64(n))
 	parallel.ForLabeled("chain.batchVerify", parallel.Resolve(bc.opts.Workers), n, func(i int) {
 		if err := txs[i].Verify(); err != nil {
 			verrs[i] = err

@@ -53,6 +53,13 @@ type Block struct {
 	// history.
 	Term uint64 `json:"term,omitempty"`
 	Seal []byte `json:"seal"` // signature over the header hash
+
+	// admitted is the audit witness: the tx hashes admission computed right
+	// after Transaction.Verify succeeded (the pool's poolHashes, handed over
+	// by sealLocked). It is process-local evidence, never serialized — a
+	// block that crossed a file or a wire carries none and is audited in
+	// full (DESIGN.md §15).
+	admitted []string
 }
 
 // headerPayload is what the authority signs.
@@ -263,6 +270,7 @@ func (bc *Blockchain) seal(b *Block) error {
 // poolMu), so submissions for block H+1 land while block H executes and
 // fsyncs; Options.SerialAdmission restores the pre-pipeline serialization.
 func (bc *Blockchain) SubmitTx(tx Transaction) error {
+	mSigAdmit.Inc()
 	if err := tx.Verify(); err != nil {
 		return err
 	}
@@ -492,6 +500,7 @@ func (bc *Blockchain) sealLocked(take int) (*Block, *walTicket, error) {
 		Receipts:  receipts,
 		Sealer:    bc.authority.PublicKey(),
 		Term:      bc.Term(),
+		admitted:  hashes,
 	}
 	if err := bc.seal(b); err != nil {
 		return nil, nil, err
@@ -647,10 +656,19 @@ func (bc *Blockchain) ContractView(fn func(*Contract) error) error {
 // VerifyChain re-validates every link, seal, and transaction signature.
 // It is the traceability guarantee of Sec. III-F: any retroactive tampering
 // with recorded results breaks a hash or a signature.
+//
+// A transaction whose recomputed hash equals the block's admission witness
+// is byte-identical to what SubmitTx verified, so its ed25519 check is not
+// repeated; a missing, short or differing witness gets the full check. The
+// audit walks a snapshot of the block slice (sealed blocks are immutable),
+// holding mu only to take it.
 func (bc *Blockchain) VerifyChain() error {
 	bc.mu.RLock()
-	defer bc.mu.RUnlock()
-	for i, b := range bc.blocks {
+	blocks := bc.blocks[:len(bc.blocks):len(bc.blocks)]
+	bc.mu.RUnlock()
+	var prev *Block
+	var prevHash string
+	for _, b := range blocks {
 		h, err := b.HeaderHash()
 		if err != nil {
 			return err
@@ -658,30 +676,32 @@ func (bc *Blockchain) VerifyChain() error {
 		if !Verify(b.Sealer, []byte(h), b.Seal) {
 			return fmt.Errorf("%w at height %d", ErrBadSeal, b.Height)
 		}
-		if i > 0 {
-			prev, err := bc.blocks[i-1].HeaderHash()
-			if err != nil {
-				return err
-			}
-			if b.PrevHash != prev {
+		if prev != nil {
+			if b.PrevHash != prevHash {
 				return fmt.Errorf("%w at height %d", ErrBrokenLink, b.Height)
 			}
-			if b.Term < bc.blocks[i-1].Term {
-				return fmt.Errorf("%w: height %d term %d after term %d", ErrStaleTerm, b.Height, b.Term, bc.blocks[i-1].Term)
-			}
-		}
-		for k := range b.Txs {
-			if err := b.Txs[k].Verify(); err != nil {
-				return fmt.Errorf("block %d tx %d: %w", b.Height, k, err)
+			if b.Term < prev.Term {
+				return fmt.Errorf("%w: height %d term %d after term %d", ErrStaleTerm, b.Height, b.Term, prev.Term)
 			}
 		}
 		hashes, err := txHashes(b.Txs)
 		if err != nil {
 			return err
 		}
+		witnessed := len(b.admitted) == len(hashes)
+		for k := range b.Txs {
+			if witnessed && b.admitted[k] == hashes[k] {
+				continue
+			}
+			mSigAudit.Inc()
+			if err := b.Txs[k].Verify(); err != nil {
+				return fmt.Errorf("block %d tx %d: %w", b.Height, k, err)
+			}
+		}
 		if got := MerkleRoot(hashes); got != b.TxRoot {
 			return fmt.Errorf("chain: block %d tx root mismatch", b.Height)
 		}
+		prev, prevHash = b, h
 	}
 	return nil
 }
@@ -815,16 +835,4 @@ func (bc *Blockchain) CloseDurable() error {
 		return nil
 	}
 	return bc.wal.Close()
-}
-
-// TamperBlockForTest mutates a past block's transaction value; only used by
-// tests to demonstrate that VerifyChain catches tampering.
-func (bc *Blockchain) TamperBlockForTest(height uint64, txIdx int) error {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if height >= uint64(len(bc.blocks)) || txIdx >= len(bc.blocks[height].Txs) {
-		return errors.New("chain: tamper target out of range")
-	}
-	bc.blocks[height].Txs[txIdx].Value += 1
-	return nil
 }

@@ -71,6 +71,77 @@ func buildSettlePlan(b testing.TB, n int) *settlePlan {
 	return p
 }
 
+// stages splits the plan into the four blocks of the Fig. 3 lifecycle:
+// deposits, contributions, payoffCalculate, transfers + records.
+func (p *settlePlan) stages() [][]Transaction {
+	n := (len(p.txs) - 1) / 4
+	return [][]Transaction{p.txs[:n], p.txs[n : 2*n], p.txs[2*n : 2*n+1], p.txs[2*n+1:]}
+}
+
+// settleStaged settles the plan on bc the way settle_rpc does: one batch
+// and one sealed block per stage, every receipt OK.
+func settleStaged(tb testing.TB, bc *Blockchain, p *settlePlan) {
+	tb.Helper()
+	for s, txs := range p.stages() {
+		results, err := bc.SubmitTxBatch(txs)
+		if err != nil {
+			tb.Fatalf("stage %d submit: %v", s, err)
+		}
+		for i, r := range results {
+			if !r.OK || r.Known {
+				tb.Fatalf("stage %d tx %d rejected: %+v", s, i, r)
+			}
+		}
+		blk, err := bc.SealBlock()
+		if err != nil {
+			tb.Fatalf("stage %d seal: %v", s, err)
+		}
+		for _, r := range blk.Receipts {
+			if !r.OK {
+				tb.Fatalf("stage %d receipt failed: %+v", s, r)
+			}
+		}
+	}
+}
+
+// BenchmarkVerifyChain audits the settle_rpc chain shape (129 txs in 4
+// blocks, N=32). witness is the chain as its own process admitted it: the
+// audit hashes and checks seals, links and Merkle roots, and repeats no
+// ed25519 transaction check. dropped strips the witness, which is what a
+// block that crossed a file or a wire looks like: every signature is
+// verified again.
+func BenchmarkVerifyChain(b *testing.B) {
+	plan := buildSettlePlan(b, 32)
+	for _, dropped := range []bool{false, true} {
+		name := "witness"
+		if dropped {
+			name = "dropped"
+		}
+		b.Run(name, func(b *testing.B) {
+			bc, err := NewBlockchain(plan.authority, plan.params, plan.alloc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			settleStaged(b, bc, plan)
+			if dropped {
+				for h := uint64(1); h <= bc.Height(); h++ {
+					bc.setWitness(h, func([]string) []string { return nil })
+				}
+			}
+			_, before := sigVerifications()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := bc.VerifyChain(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			_, after := sigVerifications()
+			b.ReportMetric(float64(after-before)/float64(b.N), "sigverify/op")
+		})
+	}
+}
+
 // BenchmarkChainSettle is the sharded-settlement headline: one op settles a
 // 32-member game in a single sealed block on a WAL-backed chain (129 txs).
 // The serial variant is the pre-sharding configuration — the reference

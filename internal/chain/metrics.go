@@ -32,6 +32,17 @@ var (
 	mBatchTxs     = obs.NewCounter("tradefl_chain_batch_txs_total", "transactions submitted through SubmitTxBatch")
 )
 
+// Where transaction signatures are checked: once at admission, and again by
+// VerifyChain only for a transaction its block's admission witness does not
+// cover. A nonzero audit series on a chain this process admitted means
+// something forced the slow path.
+const sigVerifyHelp = "Transaction.Verify calls (one ed25519 verification each), by call site"
+
+var (
+	mSigAdmit = obs.NewLabeledCounter("tradefl_chain_sig_verifications_total", sigVerifyHelp, obs.LabelPair{Key: "site", Value: "admit"})
+	mSigAudit = obs.NewLabeledCounter("tradefl_chain_sig_verifications_total", sigVerifyHelp, obs.LabelPair{Key: "site", Value: "audit"})
+)
+
 // Durability telemetry: write-ahead log traffic and group-commit shape,
 // snapshot/checkpoint activity, recovery work, and the fencing-term state
 // of validator failover.

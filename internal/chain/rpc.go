@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -157,24 +158,34 @@ func writeRPC(w http.ResponseWriter, id int64, result any, rerr *rpcError) {
 // rejections (413 request-too-large) keep the JSON-RPC error body while
 // still speaking honest HTTP to proxies and load balancers.
 func writeRPCStatus(w http.ResponseWriter, status int, id int64, result any, rerr *rpcError) {
-	resp := rpcResponse{JSONRPC: "2.0", ID: id, Error: rerr}
+	var body []byte
 	if rerr == nil {
 		raw, err := json.Marshal(result)
 		if err != nil {
-			resp.Error = &rpcError{Code: -32603, Message: err.Error()}
+			rerr = &rpcError{Code: -32603, Message: err.Error()}
 		} else {
-			resp.Result = raw
+			// raw is already compact, escaped JSON; passing it through the
+			// encoder as a RawMessage would validate and compact a whole
+			// block a second time. The envelope is written around it.
+			body = make([]byte, 0, len(raw)+48)
+			body = append(body, `{"jsonrpc":"2.0","id":`...)
+			body = strconv.AppendInt(body, id, 10)
+			body = append(body, `,"result":`...)
+			body = append(body, raw...)
+			body = append(body, '}')
 		}
+	}
+	if rerr != nil {
+		body, _ = json.Marshal(rpcResponse{JSONRPC: "2.0", ID: id, Error: rerr}) // ints and strings: cannot fail
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if status != http.StatusOK {
 		w.WriteHeader(status)
 	}
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
+	if _, err := w.Write(append(body, '\n')); err != nil {
 		// The connection is gone; log it so dropped responses are visible
 		// server-side, then move on.
 		rpcLog.Debug("response write failed", "id", id, "err", err)
-		return
 	}
 }
 

@@ -1,6 +1,11 @@
 package chain
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -23,6 +28,11 @@ func rpcFixture(t *testing.T) (*fixture, *Client) {
 		}
 	}()
 	t.Cleanup(func() {
+		// A connection the client's pool dialled but never used sits in
+		// StateNew on the server, which Shutdown waits out for 5s — exactly
+		// Close's deadline. Dropping the client's idle connections first
+		// ends them (TestClientConcurrentCalls failed ~1 run in 15 on this).
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		if err := srv.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
@@ -287,5 +297,72 @@ func TestRPCReceiptByHash(t *testing.T) {
 	}
 	if rcpt2.OK || rcpt2.Error == "" {
 		t.Errorf("failed tx receipt = %+v", rcpt2)
+	}
+}
+
+// encoderWriteRPC is the reply encoder writeRPCStatus replaced, kept as the
+// oracle: marshal the result, wrap it in a RawMessage, and let
+// json.Encoder encode (re-validate, re-compact) the envelope.
+func encoderWriteRPC(w http.ResponseWriter, status int, id int64, result any, rerr *rpcError) {
+	resp := rpcResponse{JSONRPC: "2.0", ID: id, Error: rerr}
+	if rerr == nil {
+		raw, err := json.Marshal(result)
+		if err != nil {
+			resp.Error = &rpcError{Code: -32603, Message: err.Error()}
+		} else {
+			resp.Result = raw
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if status != http.StatusOK {
+		w.WriteHeader(status)
+	}
+	_ = json.NewEncoder(w).Encode(resp) // a ResponseRecorder write cannot fail
+}
+
+// TestRPCReplyBytesMatchEncoder: writing the envelope around the marshalled
+// result by hand must not change one byte any client sees.
+func TestRPCReplyBytesMatchEncoder(t *testing.T) {
+	bc, _ := settledChain(t, 4)
+	block, err := bc.BlockAt(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		status int
+		id     int64
+		result any
+		rerr   *rpcError
+	}{
+		{"block", http.StatusOK, 7, block, nil},
+		{"bool", http.StatusOK, 1, true, nil},
+		{"nil result", http.StatusOK, 0, nil, nil},
+		{"negative id", http.StatusOK, -9, bc.Height(), nil},
+		{"escaped string", http.StatusOK, 2, "<a href=\"x\">& </a>", nil},
+		{"submit results", http.StatusOK, 3, []SubmitResult{{TxHash: "ab", OK: true}, {Error: "chain: bad nonce"}}, nil},
+		{"rpc error", http.StatusOK, 4, nil, &rpcError{Code: -32000, Message: "chain: bad nonce: got 3, want <4>"}},
+		{"error wins over result", http.StatusOK, 5, block, &rpcError{Code: -32700, Message: "parse error"}},
+		{"413", http.StatusRequestEntityTooLarge, 0, nil, &rpcError{Code: CodeRequestTooLarge, Message: "request too large"}},
+		{"unmarshalable result", http.StatusOK, 6, math.NaN(), nil},
+		{"unmarshalable type", http.StatusOK, 8, make(chan int), nil},
+	} {
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		writeRPCStatus(got, tc.status, tc.id, tc.result, tc.rerr)
+		encoderWriteRPC(want, tc.status, tc.id, tc.result, tc.rerr)
+		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+			t.Errorf("%s: status/content-type %d %q, want %d %q", tc.name,
+				got.Code, got.Header().Get("Content-Type"), want.Code, want.Header().Get("Content-Type"))
+		}
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%s: body\n got %s\nwant %s", tc.name, got.Body.Bytes(), want.Body.Bytes())
+		}
+	}
+	// The -32603 path is the one case where the body is built from an error
+	// the marshaller produced; pin its shape, not just its agreement.
+	rec := httptest.NewRecorder()
+	writeRPCStatus(rec, http.StatusOK, 6, math.NaN(), nil)
+	if want := `{"jsonrpc":"2.0","id":6,"error":{"code":-32603,"message":"json: unsupported value: NaN"}}` + "\n"; rec.Body.String() != want {
+		t.Errorf("unmarshalable result body %q, want %q", rec.Body.String(), want)
 	}
 }

@@ -181,7 +181,7 @@ func (m *Mechanism) Run(ctx context.Context, opts Options) (*Result, error) {
 		res.Training = training
 	}
 	if opts.Settle {
-		settlement, err := m.settle(profile, opts)
+		_, settlement, err := m.settleChain(profile, opts)
 		if err != nil {
 			return nil, fmt.Errorf("tradefl: settlement: %w", err)
 		}
@@ -270,13 +270,17 @@ func (m *Mechanism) train(profile game.Profile, opts Options) (*fl.Result, error
 	})
 }
 
-// settle runs the full Fig. 3 lifecycle on a fresh private chain and
-// cross-checks the executed transfers against the game's R_i.
-func (m *Mechanism) settle(profile game.Profile, opts Options) (*SettlementReport, error) {
+// settleChain runs the full Fig. 3 lifecycle on a fresh private chain and
+// cross-checks the executed transfers against the game's R_i; it returns
+// the chain it settled on beside the report. Each lifecycle stage is signed
+// into one slice and admitted with one SubmitTxBatch call — signatures
+// verified on the worker pool, one lock hold — then sealed into its own
+// block.
+func (m *Mechanism) settleChain(profile game.Profile, opts Options) (*chain.Blockchain, *SettlementReport, error) {
 	src := randx.New(opts.Seed)
 	authority, err := chain.NewAccount(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := m.cfg.N()
 	accounts := make([]*chain.Account, n)
@@ -287,7 +291,7 @@ func (m *Mechanism) settle(profile game.Profile, opts Options) (*SettlementRepor
 	for i, o := range m.cfg.Orgs {
 		accounts[i], err = chain.NewAccount(src)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		members[i] = accounts[i].Address()
 		bits[i] = m.cfg.DataCredit(i) // quality-weighted: matches the game's x_i
@@ -309,54 +313,65 @@ func (m *Mechanism) settle(profile game.Profile, opts Options) (*SettlementRepor
 	}
 	bc, err := chain.NewBlockchain(authority, params, alloc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	nonces := make([]uint64, n)
-	send := func(i int, fn chain.Function, args any, value chain.Wei) error {
+	stage := make([]chain.Transaction, 0, 2*n)
+	sign := func(i int, fn chain.Function, args any, value chain.Wei) error {
 		tx, err := chain.NewTransaction(accounts[i], nonces[i], fn, args, value)
 		if err != nil {
 			return err
 		}
-		if err := bc.SubmitTx(*tx); err != nil {
-			return err
-		}
 		nonces[i]++
+		stage = append(stage, *tx)
 		return nil
 	}
-	sealOK := func(stage string) error {
+	// submitSeal admits the signed stage as one batch and seals it; the
+	// chain keeps its own copies, so the slice is reused for the next stage.
+	submitSeal := func(name string) error {
+		results, err := bc.SubmitTxBatch(stage)
+		if err != nil {
+			return err
+		}
+		for _, r := range results {
+			if !r.OK {
+				return fmt.Errorf("%s: %s", name, r.Error)
+			}
+		}
+		stage = stage[:0]
 		b, err := bc.SealBlock()
 		if err != nil {
 			return err
 		}
 		for _, r := range b.Receipts {
 			if !r.OK {
-				return fmt.Errorf("%s: %s", stage, r.Error)
+				return fmt.Errorf("%s: %s", name, r.Error)
 			}
 		}
 		return nil
 	}
 	for i := range accounts {
-		if err := send(i, chain.FnDepositSubmit, nil, deposits[i]); err != nil {
-			return nil, err
+		if err := sign(i, chain.FnDepositSubmit, nil, deposits[i]); err != nil {
+			return nil, nil, err
 		}
 	}
-	if err := sealOK("deposit"); err != nil {
-		return nil, err
+	if err := submitSeal("deposit"); err != nil {
+		return nil, nil, err
 	}
 	for i := range accounts {
 		contrib := chain.Contribution{D: profile[i].D, F: profile[i].F}
-		if err := send(i, chain.FnContributionSubmit, contrib, 0); err != nil {
-			return nil, err
+		if err := sign(i, chain.FnContributionSubmit, contrib, 0); err != nil {
+			return nil, nil, err
 		}
 	}
-	if err := sealOK("contribution"); err != nil {
-		return nil, err
+	if err := submitSeal("contribution"); err != nil {
+		return nil, nil, err
 	}
-	if err := send(0, chain.FnPayoffCalculate, nil, 0); err != nil {
-		return nil, err
+	if err := sign(0, chain.FnPayoffCalculate, nil, 0); err != nil {
+		return nil, nil, err
 	}
-	if err := sealOK("calculate"); err != nil {
-		return nil, err
+	if err := submitSeal("calculate"); err != nil {
+		return nil, nil, err
 	}
 	var payoffs []chain.Wei
 	if err := bc.ContractView(func(c *chain.Contract) error {
@@ -364,28 +379,28 @@ func (m *Mechanism) settle(profile game.Profile, opts Options) (*SettlementRepor
 		payoffs = p
 		return err
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Cross-check contract math against the game's R_i.
 	for i := range accounts {
 		want := m.cfg.Redistribution(i, profile)
 		if got := chain.FromWei(payoffs[i]); math.Abs(got-want) > 1e-3*math.Max(1, math.Abs(want)) {
-			return nil, fmt.Errorf("on-chain payoff[%d] = %v, game R_i = %v", i, got, want)
+			return nil, nil, fmt.Errorf("on-chain payoff[%d] = %v, game R_i = %v", i, got, want)
 		}
 	}
 	for i := range accounts {
-		if err := send(i, chain.FnPayoffTransfer, nil, 0); err != nil {
-			return nil, err
+		if err := sign(i, chain.FnPayoffTransfer, nil, 0); err != nil {
+			return nil, nil, err
 		}
-		if err := send(i, chain.FnProfileRecord, nil, 0); err != nil {
-			return nil, err
+		if err := sign(i, chain.FnProfileRecord, nil, 0); err != nil {
+			return nil, nil, err
 		}
 	}
-	if err := sealOK("settle"); err != nil {
-		return nil, err
+	if err := submitSeal("settle"); err != nil {
+		return nil, nil, err
 	}
 	if err := bc.VerifyChain(); err != nil {
-		return nil, fmt.Errorf("chain verification: %w", err)
+		return nil, nil, fmt.Errorf("chain verification: %w", err)
 	}
 	report := &SettlementReport{
 		Transfers:   make([]float64, n),
@@ -399,9 +414,9 @@ func (m *Mechanism) settle(profile game.Profile, opts Options) (*SettlementRepor
 		report.Records = len(c.SortedRecords())
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return report, nil
+	return bc, report, nil
 }
 
 // CompareSchemes runs every scheme of Sec. VI on the config and returns

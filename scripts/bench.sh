@@ -16,8 +16,8 @@ cd "$(dirname "$0")/.."
 
 BENCH_TIME="${BENCH_TIME:-300ms}"
 BENCH_COUNT="${BENCH_COUNT:-3}"
-BENCH_REGEX='^(BenchmarkAblation_MasterSolvers|BenchmarkBestResponse|BenchmarkTensorMatMul|BenchmarkPotential|BenchmarkFleetSolve|BenchmarkScaling_DBR|BenchmarkDefaultConfig|BenchmarkGBDSolve)$'
-CHAIN_BENCH_REGEX='^(BenchmarkChainSettle|BenchmarkChainSubmitTx)$'
+BENCH_REGEX='^(BenchmarkAblation_MasterSolvers|BenchmarkBestResponse|BenchmarkTensorMatMul|BenchmarkPotential|BenchmarkFleetSolve|BenchmarkScaling_DBR|BenchmarkDefaultConfig|BenchmarkGBDSolve|BenchmarkSettlement)$'
+CHAIN_BENCH_REGEX='^(BenchmarkChainSettle|BenchmarkChainSubmitTx|BenchmarkVerifyChain)$'
 
 mkdir -p benchmarks
 echo "running tracked benchmarks (benchtime=$BENCH_TIME count=$BENCH_COUNT)..." >&2

@@ -221,7 +221,12 @@ echo "==> chain settlement throughput gate"
 # Sharded batched settlement vs the retained pre-sharding configuration,
 # within one profile (BenchmarkChainSettle). The ratio cancels machine-load
 # noise and the measured margin is wide (>2x the floor on this hardware),
-# so the strict 3x contract is the default here.
+# so the strict 3x contract is the default here. The audit half of a
+# settlement skips the ed25519 check of every transaction its admission
+# witness covers; the witness suite plays the adversaries (a re-sealing
+# authority, a damaged witness, every replay path) under -race first, so a
+# fast audit that stopped being a sound one fails here and not in a profile.
+go test -race -count=1 -run 'Witness|Tamper' ./internal/chain/
 go run ./scripts/benchcmp chain-gate \
   -min-speedup "${CHAIN_MIN_SPEEDUP:-3}" \
   -min-tx-per-sec "${CHAIN_MIN_TX_PER_SEC:-1000}" \
