@@ -236,7 +236,10 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Resu
 	start := time.Now()
 	defer func() { mSolveSec.Observe(time.Since(start).Seconds()) }()
 
-	sig := cfg.Signature()
+	var sig uint64
+	if e.opts.WarmCap >= 0 { // the memo's key; hashing every org and ρ entry buys nothing when it is off
+		sig = cfg.Signature()
+	}
 	// Plan first: the choice depends only on (stats, profile), so the memo
 	// lookup below can key on the plan without the plan depending on the
 	// memo — the loop that would break batch/one-at-a-time equivalence.

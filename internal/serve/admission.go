@@ -37,11 +37,32 @@ func (t *tenantState) refillLocked(now time.Time, rate, burst float64) {
 	t.last = now
 }
 
+// idleLocked reports whether the tenant is indistinguishable from one the
+// gateway has never seen: no job queued or running, and a bucket that is
+// full once refilled to now. Callers hold Server.mu.
+func (t *tenantState) idleLocked(now time.Time, rate, burst float64) bool {
+	return t.active == 0 && t.tokens+rate*now.Sub(t.last).Seconds() >= burst
+}
+
+// minTenantSweep is the table size below which idle tenants are not swept.
+const minTenantSweep = 64
+
 // tenantLocked returns (creating if needed) the tenant's state with its
-// bucket refilled. Callers hold Server.mu.
+// bucket refilled. The table is keyed by a client-chosen header, so it is
+// swept of idle tenants whenever it has doubled since the last sweep:
+// amortized constant work per new tenant, and a table no larger than twice
+// the tenants that hold a job or owe tokens. Callers hold Server.mu.
 func (s *Server) tenantLocked(name string, now time.Time) *tenantState {
 	t := s.tenants[name]
 	if t == nil {
+		if len(s.tenants) >= s.tenantSweepAt {
+			for k, old := range s.tenants {
+				if old.idleLocked(now, s.opts.TenantRate, s.opts.TenantBurst) {
+					delete(s.tenants, k)
+				}
+			}
+			s.tenantSweepAt = max(minTenantSweep, 2*len(s.tenants))
+		}
 		t = &tenantState{}
 		s.tenants[name] = t
 		mTenants.Set(float64(len(s.tenants)))

@@ -297,3 +297,159 @@ func TestCancelQueuedJobRacesRunner(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendInstanceResultMatchesMarshal: the append encoder writes
+// json.Marshal's bytes — across encoding/json's float-format switches, the
+// omitempty rules and string escaping — and fails with its error text on
+// the values JSON cannot carry.
+func TestAppendInstanceResultMatchesMarshal(t *testing.T) {
+	floats := []float64{
+		0, math.Copysign(0, -1), 1e-7, -1e-7, 1e-6, 999999e-12, 123.456, -123.456, 1, 3e9,
+		1e20, 1e21, -1e21, 123456789012345678901234, 5e-324, 2.2250738585072014e-308,
+		math.MaxFloat64, -math.MaxFloat64, 1.0 / 3, 0.1 + 0.2, 1e-10, 1.5e-10, 100000000000000000000,
+	}
+	var cases []InstanceResult
+	for i, f := range floats {
+		g := floats[(i+7)%len(floats)]
+		cases = append(cases, InstanceResult{
+			Index: i, Plan: "pruned", Potential: f, SocialWelfare: g, Iterations: i, Converged: i%2 == 0,
+			Profile: game.Profile{{D: f, F: g}, {D: g, F: f}}, Payoffs: []float64{f, g, -f},
+		})
+	}
+	cases = append(cases,
+		InstanceResult{},
+		InstanceResult{Index: -3, Plan: "dbr", Profile: game.Profile{}, Payoffs: []float64{}},
+		InstanceResult{Plan: "auto", Profile: game.Profile{{D: 1, F: 2}}},
+		InstanceResult{Plan: "auto", Payoffs: []float64{7}},
+		InstanceResult{Plan: "traversal", Error: "gbd: problem infeasible for every f in the grid"},
+		InstanceResult{Plan: "dbr", Error: `dbr: <cancelled> & "gone"`},
+		InstanceResult{Plan: `a\b`, Error: "tab\there, newline\n, bell\a, del\x7f"},
+		InstanceResult{Plan: "π", Error: "organisation « Zürich »   \xff gone"},
+	)
+	for _, res := range cases {
+		want, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendInstanceResult([]byte("x"), &res)
+		if err != nil {
+			t.Fatalf("%+v: %v", res, err)
+		}
+		if string(got) != "x"+string(want) {
+			t.Errorf("appendInstanceResult:\n got  %s\n want x%s", got, want)
+		}
+	}
+
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, res := range []InstanceResult{
+			{Plan: "dbr", Potential: f},
+			{Plan: "dbr", SocialWelfare: f},
+			{Plan: "dbr", Payoffs: []float64{1, f}},
+			{Plan: "dbr", Profile: game.Profile{{D: 1, F: f}}},
+			{Plan: "dbr", Profile: game.Profile{{D: f, F: 1}}, Potential: -f},
+		} {
+			_, wantErr := json.Marshal(res)
+			got, err := appendInstanceResult([]byte("x"), &res)
+			if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("%+v: error %v, json.Marshal's %v", res, err, wantErr)
+			}
+			if string(got) != "x" {
+				t.Errorf("%+v: failed encode left %q in the buffer", res, got)
+			}
+		}
+	}
+}
+
+// TestSyncReplyBytes pins the POST /v1/solve body: the compact document
+// encoding/json writes for {"results":[…]}, newline included, through the
+// real handler — and each result in it is the payload of the same
+// instance's SSE event.
+func TestSyncReplyBytes(t *testing.T) {
+	s := startGateway(t, Options{})
+	spec := `{"generate":{"count":3,"n":5,"seed":19}}`
+	resp, err := http.Post("http://"+s.Addr()+"/v1/solve", "application/json", bytes.NewReader([]byte(spec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("status %d, content type %q: %s", resp.StatusCode, resp.Header.Get("Content-Type"), got)
+	}
+
+	cfgs, plan, err := ParseJobSpec([]byte(spec), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := s.syncSolve(context.Background(), cfgs, plan)
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(map[string]any{"results": results}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("sync reply:\n got  %s\n want %s", got, want.Bytes())
+	}
+
+	job := newJob("job-0badcafe-8", "acme", cfgs, plan)
+	for i, res := range results {
+		job.addResult(nil, res)
+		if payload := job.events[len(job.events)-1].Data; !bytes.Contains(got, payload) {
+			t.Errorf("instance %d: event payload is not in the sync reply:\n%s", i, payload)
+		}
+	}
+}
+
+// TestUnencodableReplyIs500: a solved game whose payoffs overflow to +Inf
+// has no JSON form. The reply used to be a committed 200 with an empty
+// body; it must be a 500 carrying the error envelope and the request id,
+// and count as an error.
+func TestUnencodableReplyIs500(t *testing.T) {
+	s := startGateway(t, Options{})
+	cfg, err := game.DefaultConfig(game.GenOptions{N: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cfg.Orgs {
+		cfg.Orgs[i].Profitability = 1e308 // valid, and large enough to overflow a payoff
+	}
+	spec, err := json.Marshal(JobSpec{Games: []GameSpec{{Config: *cfg}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errorsBefore := mErrors.Value()
+	resp, err := http.Post("http://"+s.Addr()+"/v1/solve", "application/json", bytes.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body errorBody
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatalf("status %d with body %q: %v", resp.StatusCode, raw, err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500 (body %s)", resp.StatusCode, raw)
+	}
+	reqID := resp.Header.Get("X-Request-Id")
+	if reqID == "" || !bytes.Contains([]byte(body.Error), []byte(reqID)) || !bytes.Contains([]byte(body.Error), []byte("unsupported value")) {
+		t.Errorf("error %q does not name request %q and the cause", body.Error, reqID)
+	}
+	if got := mErrors.Value() - errorsBefore; got != 1 {
+		t.Errorf("tradefl_serve_errors_total moved by %d, want 1", got)
+	}
+
+	// writeJSON itself, for every other route: same envelope, nothing
+	// committed before the failure.
+	rec := httptest.NewRecorder()
+	rec.Header().Set("X-Request-Id", "req-test-1")
+	writeJSON(rec, http.StatusOK, map[string]any{"potential": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError || !bytes.Contains(rec.Body.Bytes(), []byte(`"error": "internal error (request req-test-1)`)) {
+		t.Errorf("writeJSON of +Inf: status %d, body %s", rec.Code, rec.Body)
+	}
+}

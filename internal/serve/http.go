@@ -175,7 +175,12 @@ func (s *Server) handleSyncSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := s.syncSolve(r.Context(), cfgs, plan)
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	reply, err := encodeSyncReply(results)
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, http.StatusOK, reply)
 }
 
 // handleHealthz reports liveness and drain state (503 while draining, so

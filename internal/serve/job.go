@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -45,9 +46,14 @@ type Event struct {
 func encode(v any) json.RawMessage {
 	data, err := json.Marshal(v)
 	if err != nil {
-		return json.RawMessage(fmt.Sprintf("%q", err.Error()))
+		return encodeError(err)
 	}
 	return data
+}
+
+// encodeError is the payload of an event whose value did not encode.
+func encodeError(err error) json.RawMessage {
+	return json.RawMessage(fmt.Sprintf("%q", err.Error()))
 }
 
 // InstanceResult is the gateway-level outcome of one solved instance —
@@ -278,7 +284,15 @@ func (j *Job) finishLocked(state JobState, errMsg string) {
 // instance event, whose payload is also the instance's entry in the result
 // event and the status document.
 func (j *Job) addResult(progress []Event, res InstanceResult) {
-	data := encode(res)
+	// Encoded on the stack (a larger result spills to the heap) and kept at
+	// its exact size: a retained job holds these bytes for a long time.
+	var buf [4096]byte
+	var data json.RawMessage
+	if enc, err := appendInstanceResult(buf[:0], &res); err != nil {
+		data = encodeError(err)
+	} else {
+		data = bytes.Clone(enc)
+	}
 	j.mu.Lock()
 	j.results = append(j.results, data)
 	j.events = append(append(j.events, progress...), Event{Type: "instance", Data: data})

@@ -25,7 +25,7 @@ var (
 	mJobsCancelled = obs.NewCounter("tradefl_serve_jobs_cancelled_total", "jobs cancelled before or during their run")
 	mJobsActive    = obs.NewGauge("tradefl_serve_jobs_active", "jobs currently queued or running")
 	mQueueDepth    = obs.NewGauge("tradefl_serve_queue_depth", "jobs waiting in the bounded queue")
-	mTenants       = obs.NewGauge("tradefl_serve_tenants", "tenants the gateway has seen since start")
+	mTenants       = obs.NewGauge("tradefl_serve_tenants", "tenants in the admission table (idle ones are swept out as it grows)")
 	mInstances     = obs.NewCounter("tradefl_serve_instances_total", "game instances solved through the gateway (async jobs + sync solves)")
 	mJobSec        = obs.NewHistogram("tradefl_serve_job_seconds", "wall time of one job from admission to completion", obs.TimeBuckets)
 	mSyncSolves    = obs.NewCounter("tradefl_serve_sync_solves_total", "synchronous /v1/solve requests served")

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -85,12 +86,34 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// writeJSON answers status with v as an indented JSON document. The body
+// is encoded before the status is committed, so a value JSON cannot carry
+// is a 500 rather than the intended status over an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody answers status with an already encoded JSON document.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body) // a failed write is the client's connection going away
+}
+
+// writeEncodeError answers a request whose reply did not encode (in
+// practice a non-finite float in a solved result) with a 500 naming the
+// request; like every status past 400, edge counts it as an error.
+func writeEncodeError(w http.ResponseWriter, err error) {
+	reqID := w.Header().Get("X-Request-Id")
+	log.Error("encode response", "request", reqID, "err", err)
+	writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error (request %s): %v", reqID, err))
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

@@ -145,7 +145,10 @@ type Server struct {
 	jobs        map[string]*Job
 	order       []string // retention FIFO over terminal jobs
 	tenants     map[string]*tenantState
-	nextJob     uint64
+	// tenantSweepAt is the tenant-table size that triggers the next sweep
+	// of idle entries (tenantLocked).
+	tenantSweepAt int
+	nextJob       uint64
 
 	idBase  uint64
 	runners sync.WaitGroup

@@ -129,11 +129,14 @@ func TestGatewayBadSpecRejected(t *testing.T) {
 	s := startGateway(t, Options{})
 	base := "http://" + s.Addr()
 	for _, body := range []string{
-		`{`,                              // malformed JSON
-		`{}`,                             // neither games nor generate
-		`{"generate":{"count":0}}`,       // empty generation
-		`{"generate":{"count":2000}}`,    // over MaxInstances
+		`{`,                                 // malformed JSON
+		`{}`,                                // neither games nor generate
+		`{"generate":{"count":0}}`,          // empty generation
+		`{"generate":{"count":2000}}`,       // over MaxInstances
 		`{"generate":{"count":1,"n":9999}}`, // over MaxOrgs
+		`{"generate":{"count":1,"n":-1}}`,   // would panic sizing the instance
+		`{"generate":{"count":1,"n":4,"cpuSteps":2000000000}}`, // would allocate 16 GB per organization
+		`{"generate":{"count":1,"n":4,"cpuSteps":-1}}`,
 		`{"generate":{"count":1},"plan":"warp"}`,
 		`{"games":[{"orgs":[]}]}`, // fails game.Config.Validate
 	} {

@@ -73,6 +73,13 @@ type Limits struct {
 	MaxInstances int
 }
 
+// maxGenCPUSteps caps a generated instance's CPU grid. Six integers in a
+// generate spec size everything the server then allocates: without the cap
+// one small body asks for a grid of 2⁶³ levels per organization. (The
+// paper's grids have 3 to 10 levels; explicit games are bounded by the
+// request body instead.)
+const maxGenCPUSteps = 64
+
 // model builds the accuracy.Model the spec names.
 func (a AccuracySpec) model() (accuracy.Model, error) {
 	unit := a.OmegaUnit
@@ -116,10 +123,17 @@ func (a AccuracySpec) model() (accuracy.Model, error) {
 // gateway's limits, returning the ready-to-solve configs and the forced
 // plan. Every config passes game.Config.Validate, so a malformed instance
 // is a 400 at the edge rather than a solver error mid-job.
+//
+// A body in canonical form (decode.go) is decoded in one pass; any other
+// body, valid or not, goes through encoding/json, which therefore defines
+// what is accepted, what it decodes to and every parse error.
 func ParseJobSpec(raw []byte, lim Limits) ([]*game.Config, fleet.Plan, error) {
 	var spec JobSpec
-	if err := json.Unmarshal(raw, &spec); err != nil {
-		return nil, 0, fmt.Errorf("parse job spec: %w", err)
+	if !decodeCanonical(raw, &spec) {
+		spec = JobSpec{}
+		if err := json.Unmarshal(raw, &spec); err != nil {
+			return nil, 0, fmt.Errorf("parse job spec: %w", err)
+		}
 	}
 	plan, err := fleet.ParsePlan(orDefault(spec.Plan, "auto"))
 	if err != nil {
@@ -181,6 +195,12 @@ func (g *GenSpec) configs(lim Limits) ([]*game.Config, error) {
 	}
 	if lim.MaxOrgs > 0 && g.N > lim.MaxOrgs {
 		return nil, fmt.Errorf("generate: %d organizations exceed the limit %d", g.N, lim.MaxOrgs)
+	}
+	if g.N < 0 {
+		return nil, fmt.Errorf("generate: n must not be negative")
+	}
+	if g.CPUSteps < 0 || g.CPUSteps > maxGenCPUSteps {
+		return nil, fmt.Errorf("generate: cpuSteps %d outside [0, %d]", g.CPUSteps, maxGenCPUSteps)
 	}
 	seed := g.Seed
 	if seed == 0 {

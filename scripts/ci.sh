@@ -169,8 +169,11 @@ echo "==> serve gate (gateway suite under -race + live HTTP smoke)"
 # and require every streamed instance result to match a local
 # core.RunBatch over the same seeded corpus, field for field. The drain
 # check sends SIGTERM and requires a clean exit (graceful drain).
+# Between the two, the spec decoder's differential fuzz: ParseJobSpec must
+# answer arbitrary bytes exactly as its encoding/json-only oracle does.
 go vet ./internal/serve/ ./cmd/tradefl-server/ ./scripts/servegate/
 go test -race -count=1 ./internal/serve/
+go test -run '^$' -fuzz '^FuzzParseJobSpec$' -fuzztime 20s ./internal/serve/
 SERVE_DIR="$(mktemp -d)"
 SERVE_BIN="$SERVE_DIR/tradefl-server"
 go build -o "$SERVE_BIN" ./cmd/tradefl-server
