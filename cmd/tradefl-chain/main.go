@@ -77,8 +77,6 @@ func run(args []string) (err error) {
 		repl     = fs.String("replicate", "", "with -wal-dir: stream every durable WAL record to the standby listening at this address")
 		standby  = fs.String("standby", "", "run as a standby validator: tail the primary's WAL stream on this listen address and take over sealing when it goes silent")
 		failover = fs.Duration("failover-timeout", 2*time.Second, "with -standby: promote after the replication stream has been silent this long")
-		shards   = fs.Int("shards", chain.DefaultShards, "account-state shards K (execution parallelism; state roots are identical for any K)")
-		pipeline = fs.Bool("pipeline", true, "overlap admission/execution/group-commit in the seal pipeline (false = serial pre-pipelining mode)")
 		chaos    = fs.String("chaos", "", "inject server-side RPC faults, e.g. \"seed=7,rpcfail=0.1,rpcdelayp=0.2\"")
 		incr     = fs.String("incremental", "on", "incremental evaluation engine: on|off (A/B; outputs are byte-identical)")
 		verifyOn = fs.Bool("verify", false, "audit settlement invariants at runtime (tradefl_verify_* metrics; nonzero exit on violation)")
@@ -146,20 +144,13 @@ func run(args []string) (err error) {
 	if *standby != "" && *repl != "" {
 		return fmt.Errorf("-standby and -replicate are mutually exclusive")
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1")
-	}
-	// Sharding and pipelining only change execution scheduling: blocks,
-	// receipts and state roots are byte-identical for any K, so a durable
-	// directory can be reopened under different knobs.
-	copts := chain.Options{Shards: *shards, SerialAdmission: !*pipeline}
 
 	var bc *chain.Blockchain
 	switch {
 	case *recoverH > 0:
 		// Point-in-time view: rebuilt from snapshot + log up to the
 		// requested height, replay-verified, detached from the WAL.
-		bc, err = chain.RecoverAtOpts(*walDir, authority, *recoverH, copts)
+		bc, err = chain.RecoverAt(*walDir, authority, *recoverH)
 		if err != nil {
 			return fmt.Errorf("point-in-time recovery: %w", err)
 		}
@@ -168,7 +159,7 @@ func run(args []string) (err error) {
 	case *walDir != "":
 		// OpenDurable initializes a fresh durable chain or recovers an
 		// existing one to its last acknowledged state.
-		bc, err = chain.OpenDurableOpts(*walDir, authority, params, alloc, copts)
+		bc, err = chain.OpenDurable(*walDir, authority, params, alloc)
 		if err != nil {
 			return err
 		}
@@ -183,7 +174,7 @@ func run(args []string) (err error) {
 		}
 	}
 	if bc == nil {
-		bc, err = chain.NewBlockchainOpts(authority, params, alloc, copts)
+		bc, err = chain.NewBlockchain(authority, params, alloc)
 		if err != nil {
 			return err
 		}

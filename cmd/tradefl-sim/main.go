@@ -52,7 +52,7 @@ func run(args []string) (err error) {
 		fig      = fs.String("fig", "", "experiment id to run (see -list)")
 		all      = fs.Bool("all", false, "run every experiment")
 		list     = fs.Bool("list", false, "list experiment ids")
-		chaosRun = fs.String("chaos", "", "run a seeded chaos soak instead of an experiment, e.g. \"seed=7,drop=0.15,rpclost=0.05\" (keys: seed drop dup delayp delaymin delaymax partition crash rpcfail rpclost rpcdelayp orgs game token suspect seal settle crashcycles crashmin crashmax snapevery waldir shards pipeline batch)")
+		chaosRun = fs.String("chaos", "", "run a seeded chaos soak instead of an experiment, e.g. \"seed=7,drop=0.15,rpclost=0.05\" (keys: seed drop dup delayp delaymin delaymax partition crash rpcfail rpclost rpcdelayp orgs game token suspect seal settle crashcycles crashmin crashmax snapevery waldir batch)")
 		walDir   = fs.String("wal-dir", "", "with -chaos crashcycles: keep the soak's WAL/snapshot directory here instead of a temp dir (left behind for inspection)")
 		seed     = fs.Int64("seed", 7, "random seed of the reference instance")
 		quick    = fs.Bool("quick", false, "coarse sweeps and short FL runs")

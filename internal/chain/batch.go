@@ -48,7 +48,7 @@ func (bc *Blockchain) SubmitTxBatch(txs []Transaction) ([]SubmitResult, error) {
 	frames := make([][]byte, n)
 	verrs := make([]error, n)
 	mSigAdmit.Add(int64(n))
-	parallel.ForLabeled("chain.batchVerify", parallel.Resolve(bc.opts.Workers), n, func(i int) {
+	parallel.ForLabeled("chain.batchVerify", parallel.Default(), n, func(i int) {
 		if err := txs[i].Verify(); err != nil {
 			verrs[i] = err
 			return
@@ -68,16 +68,10 @@ func (bc *Blockchain) SubmitTxBatch(txs []Transaction) ([]SubmitResult, error) {
 			frames[i] = f
 		}
 	})
-	if bc.opts.SerialAdmission {
-		bc.sealSeq.Lock()
-	}
 	bc.poolMu.Lock()
 	if bc.wal != nil {
 		if err := bc.wal.Err(); err != nil {
 			bc.poolMu.Unlock()
-			if bc.opts.SerialAdmission {
-				bc.sealSeq.Unlock()
-			}
 			return nil, fmt.Errorf("chain: wal unavailable: %w", err)
 		}
 	}
@@ -101,9 +95,6 @@ func (bc *Blockchain) SubmitTxBatch(txs []Transaction) ([]SubmitResult, error) {
 		tickets[i] = ticket
 	}
 	bc.poolMu.Unlock()
-	if bc.opts.SerialAdmission {
-		bc.sealSeq.Unlock()
-	}
 	admitted := 0
 	for i, ticket := range tickets {
 		if ticket == nil {

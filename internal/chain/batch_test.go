@@ -12,7 +12,7 @@ import (
 // Rejections are per-result, never a call error, and only the accepted txs
 // seal.
 func TestSubmitTxBatchMixed(t *testing.T) {
-	f := newFixtureOpts(t, 3, Options{Shards: 4})
+	f := newFixture(t, 3)
 	a0, a1 := f.accounts[0], f.accounts[1]
 	mk := func(acct *Account, nonce uint64, value Wei) Transaction {
 		tx, err := NewTransaction(acct, nonce, FnDepositSubmit, nil, value)
@@ -74,7 +74,7 @@ func TestSubmitTxBatchMixed(t *testing.T) {
 func TestSubmitTxBatchDurable(t *testing.T) {
 	authority, accounts, params, alloc := fixtureParts(t, 3)
 	dir := t.TempDir()
-	bc, err := OpenDurableOpts(dir, authority, params, alloc, Options{Shards: 4})
+	bc, err := OpenDurable(dir, authority, params, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSubmitTxBatchDurable(t *testing.T) {
 		}
 	}
 	// No clean close: recovery must rebuild the mempool from the WAL alone.
-	rec, err := RecoverOpts(dir, authority, Options{Shards: 2})
+	rec, err := Recover(dir, authority)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSubmitTxBatchDurable(t *testing.T) {
 
 // TestSubmitTxBatchRPC round-trips a batch through the JSON-RPC server.
 func TestSubmitTxBatchRPC(t *testing.T) {
-	f := newFixtureOpts(t, 3, Options{Shards: 4})
+	f := newFixture(t, 3)
 	srv, err := NewServer(f.bc, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestSubmitTxBatchRPC(t *testing.T) {
 // micro-batcher: they must coalesce into fewer SubmitTxBatch calls while
 // every caller still gets its own verdict.
 func TestBatchSubmitterCoalesce(t *testing.T) {
-	f := newFixtureOpts(t, 6, Options{Shards: 4})
+	f := newFixture(t, 6)
 	counting := &countingBatcher{dst: f.bc}
 	bs := NewBatchSubmitter(counting, BatchOptions{MaxBatch: 6, Linger: 50 * time.Millisecond})
 
@@ -235,8 +235,8 @@ func (c *countingBatcher) SubmitTxBatch(txs []Transaction) ([]SubmitResult, erro
 // batched: the sealed blocks must be byte-identical — batching is purely a
 // submission-cost optimization.
 func TestBatchPerTxEquivalence(t *testing.T) {
-	perTx := newFixtureOpts(t, 6, Options{Shards: 8})
-	batched := newFixtureOpts(t, 6, Options{Shards: 8})
+	perTx := newFixture(t, 6)
+	batched := newFixture(t, 6)
 	var txs []Transaction
 	for i, acct := range perTx.accounts {
 		tx, err := NewTransaction(acct, 0, FnDepositSubmit, nil, MinDeposit(perTx.params, i, 5e9))

@@ -88,42 +88,6 @@ func (b *Block) HeaderHash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// state is the flat ledger view: balances, nonces and the contract. The
-// live ledger is sharded (shard.go); this shape remains the serialization
-// unit (roots, snapshots) and the reference executor's working state.
-type state struct {
-	Balances map[Address]Wei    `json:"balances"`
-	Nonces   map[Address]uint64 `json:"nonces"`
-	Contract *Contract          `json:"contract"`
-}
-
-func (s *state) clone() (*state, error) {
-	raw, err := json.Marshal(s)
-	if err != nil {
-		return nil, err
-	}
-	var out state
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, err
-	}
-	if out.Balances == nil {
-		out.Balances = map[Address]Wei{}
-	}
-	if out.Nonces == nil {
-		out.Nonces = map[Address]uint64{}
-	}
-	return &out, nil
-}
-
-func (s *state) root() (string, error) {
-	raw, err := json.Marshal(s)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:]), nil
-}
-
 // rcptWindow is one sealed block's worth of dedup-index entries, queued for
 // FIFO eviction once the block falls out of the dedup horizon.
 type rcptWindow struct {
@@ -136,15 +100,18 @@ type rcptWindow struct {
 //
 // Locking (acquire strictly in this order, any prefix/suffix skipping ok):
 //
-//	sealSeq → poolMu → execMu → mu → ledgerShard.mu
+//	sealSeq → poolMu → execMu → mu
 //
 // sealSeq serializes the seal path (SealBlock, ApplySealedBlock, Promote,
-// Checkpoint) without blocking admission or reads: a pipelined seal holds it
-// across admission-handoff → execute → WAL-enqueue → install, but releases
-// it before the fsync wait, so block H+1 executes while block H commits.
-// poolMu guards the mempool and dedup indexes; execMu guards block
-// execution and the contract (readers use ContractView); mu guards the
-// sealed chain and the fencing term; each ledger shard has its own lock.
+// Checkpoint) without blocking admission or reads: a seal holds it across
+// admission-handoff → execute → WAL-enqueue → install, but releases it
+// before the fsync wait, so block H+1 executes while block H commits.
+// poolMu guards the mempool and dedup indexes; execMu guards the ledger
+// (accounts and contract): block execution — the only writer, and always
+// under sealSeq — holds it exclusively, Balance, Nonce, ContractView and
+// admission's nonce lookup hold it shared, and the sealSeq holder itself
+// reads the ledger without it; mu guards the sealed chain and the fencing
+// term.
 type Blockchain struct {
 	sealSeq sync.Mutex
 
@@ -166,9 +133,10 @@ type Blockchain struct {
 	rcptFIFO     []rcptWindow
 	evictedBelow uint64
 
-	// execMu guards block execution and the contract: exclusive while a
-	// block executes and merges, shared for ContractView readers.
+	// execMu guards led: exclusive while a block executes, shared for
+	// readers.
 	execMu sync.RWMutex
+	led    *ledger
 
 	// mu guards the sealed chain and the fencing term.
 	mu     sync.RWMutex
@@ -176,7 +144,6 @@ type Blockchain struct {
 	term   uint64
 
 	authority *Account
-	led       *ledger
 	opts      Options
 
 	// genesisWei is the total wei minted at genesis — the conserved sum the
@@ -202,31 +169,27 @@ type GenesisAlloc map[Address]Wei
 // NewBlockchain creates a chain with the deployed contract and the genesis
 // allocation, sealed by authority, using default Options.
 func NewBlockchain(authority *Account, params ContractParams, alloc GenesisAlloc) (*Blockchain, error) {
-	return NewBlockchainOpts(authority, params, alloc, Options{})
+	return newBlockchain(authority, params, alloc, Options{})
 }
 
-// NewBlockchainOpts is NewBlockchain with explicit sharding/pipelining
-// options. Every option is execution-strategy only: the sealed chain is
-// byte-identical for any setting.
-func NewBlockchainOpts(authority *Account, params ContractParams, alloc GenesisAlloc, opts Options) (*Blockchain, error) {
+func newBlockchain(authority *Account, params ContractParams, alloc GenesisAlloc, opts Options) (*Blockchain, error) {
 	contract, err := NewContract(params)
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	led := newLedger(opts.Shards, contract)
+	led := newLedger(contract)
 	var genesisWei Wei
 	for addr, amt := range alloc {
 		if amt < 0 {
 			return nil, fmt.Errorf("chain: negative genesis allocation for %s", addr)
 		}
-		led.shard(addr).bal[addr] = amt
+		led.Balances[addr] = amt
 		genesisWei += amt
 	}
 	bc := &Blockchain{
 		authority:  authority,
 		led:        led,
-		opts:       opts,
+		opts:       opts.withDefaults(),
 		genesisWei: genesisWei,
 		poolHash:   map[string]struct{}{},
 		sealing:    map[string]struct{}{},
@@ -266,9 +229,8 @@ func (bc *Blockchain) seal(b *Block) error {
 // mempool is rebuilt from the log on recovery, the dedup above survives
 // restarts too — a client retrying across a crash cannot double-apply.
 //
-// Admission runs concurrently with the seal pipeline (it only takes
-// poolMu), so submissions for block H+1 land while block H executes and
-// fsyncs; Options.SerialAdmission restores the pre-pipeline serialization.
+// Admission runs concurrently with the seal path (it never takes sealSeq),
+// so submissions for block H+1 land while block H executes and fsyncs.
 func (bc *Blockchain) SubmitTx(tx Transaction) error {
 	mSigAdmit.Inc()
 	if err := tx.Verify(); err != nil {
@@ -286,15 +248,9 @@ func (bc *Blockchain) SubmitTx(tx Transaction) error {
 			return err
 		}
 	}
-	if bc.opts.SerialAdmission {
-		bc.sealSeq.Lock()
-	}
 	bc.poolMu.Lock()
 	ticket, err := bc.admitTxLocked(tx, hash, frames)
 	bc.poolMu.Unlock()
-	if bc.opts.SerialAdmission {
-		bc.sealSeq.Unlock()
-	}
 	if err != nil {
 		return err
 	}
@@ -332,7 +288,7 @@ func (bc *Blockchain) admitTxLocked(tx Transaction, hash string, frames []byte) 
 	// Nonce must follow the pending sequence (state nonce + queued txs).
 	expected, queued := bc.nextNonce[tx.From]
 	if !queued {
-		expected = bc.led.nonce(tx.From)
+		expected = bc.Nonce(tx.From)
 	}
 	if tx.Nonce != expected {
 		if tx.Nonce < expected {
@@ -412,7 +368,7 @@ func (bc *Blockchain) SealBlock() (*Block, error) {
 // ticket is waited outside all locks.
 //
 //	stage 1  admission handoff   (poolMu)   txs move pool → sealing
-//	stage 2  execute + state root (execMu)  sharded parallel execution
+//	stage 2  execute + state root (execMu)  pool order, exact rollback
 //	stage 3  WAL enqueue + install (poolMu→mu)
 //
 // Durability contract: the block record is enqueued before install, in
@@ -448,35 +404,32 @@ func (bc *Blockchain) sealLocked(take int) (*Block, *walTicket, error) {
 	}
 	bc.poolMu.Unlock()
 
-	// Stage 2: execute against the sharded ledger and derive the root.
-	bc.execMu.Lock()
+	// Stage 2: execute against the ledger and derive the root. Only the
+	// execution writes, so only it excludes readers; sealSeq keeps every
+	// other writer out while this goroutine reads the ledger unlocked.
 	armed := ledgerAuditArmed()
-	var preNon []int64
+	var preNon int64
 	if armed {
-		preNon = bc.led.shardNonces()
+		preNon = bc.led.nonceSum()
 	}
 	height := bc.nextHeight()
-	receipts := bc.executeBlock(txs, hashes, height)
-	root, err := bc.led.root()
-	var ev *LedgerAuditEvent
-	if err == nil && armed {
-		postNon := bc.led.shardNonces()
-		delta := make([]int64, len(postNon))
-		for i := range postNon {
-			delta[i] = postNon[i] - preNon[i]
-		}
-		ev = &LedgerAuditEvent{
-			Height:          height,
-			GenesisWei:      bc.genesisWei,
-			ShardWei:        bc.led.shardWei(),
-			EscrowWei:       bc.led.escrowWei(),
-			ShardNonceDelta: delta,
-			TxCount:         len(txs),
-		}
-	}
+	bc.execMu.Lock()
+	receipts := bc.led.executeBlock(txs, hashes, height)
 	bc.execMu.Unlock()
+	root, err := bc.led.root()
 	if err != nil {
 		return nil, nil, err
+	}
+	var ev *LedgerAuditEvent
+	if armed {
+		ev = &LedgerAuditEvent{
+			Height:     height,
+			GenesisWei: bc.genesisWei,
+			AccountWei: bc.led.accountWei(),
+			EscrowWei:  bc.led.escrowWei(),
+			NonceDelta: bc.led.nonceSum() - preNon,
+			TxCount:    len(txs),
+		}
 	}
 	for i := range receipts {
 		if receipts[i].OK {
@@ -574,7 +527,7 @@ func (bc *Blockchain) pruneDedupLocked(height uint64, hashes []string) {
 func (bc *Blockchain) pruneNonceLocked(txs []Transaction) {
 	for i := range txs {
 		from := txs[i].From
-		if want, ok := bc.nextNonce[from]; ok && want == bc.led.nonce(from) {
+		if want, ok := bc.nextNonce[from]; ok && want == bc.Nonce(from) {
 			delete(bc.nextNonce, from)
 		}
 	}
@@ -592,15 +545,19 @@ func (bc *Blockchain) lastHeaderHash() (string, error) {
 	return bc.blocks[len(bc.blocks)-1].HeaderHash()
 }
 
-// Balance returns the on-ledger balance of addr. Shard-local: it never
-// contends with the seal hot path or with reads of other shards.
+// Balance returns the on-ledger balance of addr. Like every ledger read it
+// waits only for a block that is mid-execution, never for the seal path.
 func (bc *Blockchain) Balance(addr Address) Wei {
-	return bc.led.balance(addr)
+	bc.execMu.RLock()
+	defer bc.execMu.RUnlock()
+	return bc.led.Balances[addr]
 }
 
-// Nonce returns the next expected state nonce for addr (shard-local).
+// Nonce returns the next expected state nonce for addr.
 func (bc *Blockchain) Nonce(addr Address) uint64 {
-	return bc.led.nonce(addr)
+	bc.execMu.RLock()
+	defer bc.execMu.RUnlock()
+	return bc.led.Nonces[addr]
 }
 
 // Height returns the latest block height.
@@ -650,7 +607,7 @@ func (bc *Blockchain) receiptLocked(txHash string) *Receipt {
 func (bc *Blockchain) ContractView(fn func(*Contract) error) error {
 	bc.execMu.RLock()
 	defer bc.execMu.RUnlock()
-	return fn(bc.led.contract)
+	return fn(bc.led.Contract)
 }
 
 // VerifyChain re-validates every link, seal, and transaction signature.

@@ -10,7 +10,7 @@ import (
 // deposit + contribution per member, one payoffCalculate, then a
 // payoffTransfer and profileRecord per member — 4N+1 transactions. The
 // plan is chain-independent (it depends only on the genesis), so one plan
-// serves every benchmark iteration and every executor variant.
+// serves every benchmark iteration.
 type settlePlan struct {
 	authority *Account
 	params    ContractParams
@@ -142,76 +142,53 @@ func BenchmarkVerifyChain(b *testing.B) {
 	}
 }
 
-// BenchmarkChainSettle is the sharded-settlement headline: one op settles a
-// 32-member game in a single sealed block on a WAL-backed chain (129 txs).
-// The serial variant is the pre-sharding configuration — the reference
-// executor (full-state clone per tx), K=1, per-tx submission, no pipeline —
-// and scripts/benchcmp's chain-gate holds shards=8 to >= 3x its throughput.
-// Every variant must produce the identical state root.
+// BenchmarkChainSettle is the settlement headline: one op settles a
+// 32-member game in a single sealed block on a WAL-backed chain (129 txs,
+// one SubmitTxBatch). scripts/benchcmp's chain-gate holds it to an absolute
+// settled-tx throughput floor. The first op's block is checked against the
+// reference executor.
 func BenchmarkChainSettle(b *testing.B) {
 	const members = 32
 	plan := buildSettlePlan(b, members)
-	var root string
-	for _, tc := range []struct {
-		name  string
-		opts  Options
-		batch bool
-	}{
-		{"serial", Options{Shards: 1, SerialAdmission: true, refExec: true}, false},
-		{"shards=1", Options{Shards: 1}, true},
-		{"shards=8", Options{Shards: 8}, true},
-		{"shards=8-nopipe", Options{Shards: 8, SerialAdmission: true}, true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				bc, err := OpenDurableOpts(b.TempDir(), plan.authority, plan.params, plan.alloc, tc.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if tc.batch {
-					results, err := bc.SubmitTxBatch(plan.txs)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == 0 {
-						for j, r := range results {
-							if !r.OK {
-								b.Fatalf("tx %d rejected: %+v", j, r)
-							}
-						}
-					}
-				} else {
-					for j := range plan.txs {
-						if err := bc.SubmitTx(plan.txs[j]); err != nil {
-							b.Fatalf("tx %d: %v", j, err)
-						}
-					}
-				}
-				blk, err := bc.SealBlock()
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if i == 0 {
-					for _, r := range blk.Receipts {
-						if !r.OK {
-							b.Fatalf("receipt failed: %+v", r)
-						}
-					}
-					// Equivalence guard: every variant seals the same root.
-					if root == "" {
-						root = blk.StateRoot
-					} else if blk.StateRoot != root {
-						b.Fatalf("%s state root %s diverges from serial %s", tc.name, blk.StateRoot, root)
-					}
-				}
-				if err := bc.CloseDurable(); err != nil {
-					b.Fatal(err)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bc, err := OpenDurable(b.TempDir(), plan.authority, plan.params, plan.alloc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		results, err := bc.SubmitTxBatch(plan.txs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		blk, err := bc.SealBlock()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if i == 0 {
+			for j, r := range results {
+				if !r.OK {
+					b.Fatalf("tx %d rejected: %+v", j, r)
 				}
 			}
-			b.ReportMetric(float64(len(plan.txs)*b.N)/b.Elapsed().Seconds(), "tx/s")
-		})
+			for _, r := range blk.Receipts {
+				if !r.OK {
+					b.Fatalf("receipt failed: %+v", r)
+				}
+			}
+			genesis, err := bc.BlockAt(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ref := referenceSeal(b, genesis, plan.params, plan.alloc, []*Block{blk})[0]
+			if blk.StateRoot != ref.StateRoot {
+				b.Fatalf("state root %s diverges from the reference executor's %s", blk.StateRoot, ref.StateRoot)
+			}
+		}
+		if err := bc.CloseDurable(); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(len(plan.txs)*b.N)/b.Elapsed().Seconds(), "tx/s")
 }

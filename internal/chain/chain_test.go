@@ -14,48 +14,22 @@ type fixture struct {
 	authority *Account
 	accounts  []*Account
 	params    ContractParams
+	alloc     GenesisAlloc
 }
 
 func newFixture(t *testing.T, n int) *fixture {
 	t.Helper()
-	src := randx.New(42)
-	authority, err := NewAccount(src)
+	return newFixtureOpts(t, n, Options{})
+}
+
+func newFixtureOpts(t *testing.T, n int, opts Options) *fixture {
+	t.Helper()
+	authority, accounts, params, alloc := fixtureParts(t, n)
+	bc, err := newBlockchain(authority, params, alloc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	accounts := make([]*Account, n)
-	members := make([]Address, n)
-	bits := make([]float64, n)
-	rho := make([][]float64, n)
-	alloc := GenesisAlloc{}
-	for i := range accounts {
-		accounts[i], err = NewAccount(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		members[i] = accounts[i].Address()
-		bits[i] = 2e10
-		alloc[members[i]] = 1_000_000_000 // 1000 tokens
-		rho[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			rho[i][j] = 0.1
-			rho[j][i] = 0.1
-		}
-	}
-	params := ContractParams{
-		Members:  members,
-		Rho:      rho,
-		DataBits: bits,
-		Gamma:    2e-8,
-		Lambda:   0.1,
-	}
-	bc, err := NewBlockchain(authority, params, alloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &fixture{bc: bc, authority: authority, accounts: accounts, params: params}
+	return &fixture{bc: bc, authority: authority, accounts: accounts, params: params, alloc: alloc}
 }
 
 // sendOK submits a tx, seals, and asserts the receipt succeeded.

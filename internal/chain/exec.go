@@ -1,167 +1,30 @@
 package chain
 
-import (
-	"fmt"
+import "fmt"
 
-	"tradefl/internal/parallel"
-)
-
-// Block execution over the sharded ledger.
-//
-// Transactions are classified by the state they can touch: depositSubmit,
-// contributionSubmit, contributionCommit and transfer reach only their
-// sender's (and, for transfer, recipient's) account plus the sender's own
-// contract record, so their footprint is a known shard set; everything else
-// (payoffCalculate, payoffTransfer, profileRecord, contributionReveal,
-// unknown functions) reads or writes cross-member contract state and runs
-// world-stopped. Within a run of shard-scoped transactions, groups whose
-// shard sets are disjoint (connected components under union-find) execute
-// concurrently; inside a group, pool order is preserved. The schedule is a
-// pure function of the pool, so receipts, state roots and block hashes are
-// byte-identical to serial execution for any shard/worker count.
-
-// execGroup is one connected component of a wave: transaction indexes in
-// pool order plus the union of their shard footprints.
-type execGroup struct {
-	txs    []int
-	shards []int
-}
-
-// txDomain returns the shard footprint of tx, or global=true for
-// transactions that must run world-stopped. An undecodable transfer is
-// sender-only: it fails before touching the recipient.
-func (bc *Blockchain) txDomain(tx *Transaction) (shards []int, global bool) {
-	k := len(bc.led.shards)
-	switch tx.Fn {
-	case FnDepositSubmit, FnContributionSubmit, FnContributionCommit:
-		return []int{shardOf(tx.From, k)}, false
-	case FnTransfer:
-		if to, err := transferDest(tx); err == nil {
-			return []int{shardOf(tx.From, k), shardOf(to, k)}, false
-		}
-		return []int{shardOf(tx.From, k)}, false
-	default:
-		return nil, true
-	}
-}
-
-// executeBlock applies txs in pool order against the ledger and returns
-// their receipts. Caller holds execMu exclusively; shard locks are taken
-// per group so concurrent Balance/Nonce readers never observe a torn write.
-func (bc *Blockchain) executeBlock(txs []Transaction, hashes []string, height uint64) []Receipt {
-	if bc.opts.refExec {
-		return bc.legacyExecuteBlock(txs, height)
-	}
+// executeBlock applies txs to the ledger in pool order and returns their
+// receipts. Caller holds execMu exclusively.
+func (led *ledger) executeBlock(txs []Transaction, hashes []string, height uint64) []Receipt {
 	receipts := make([]Receipt, len(txs))
-	doms := make([][]int, len(txs))
 	for i := range txs {
-		doms[i], _ = bc.txDomain(&txs[i])
-	}
-	i := 0
-	for i < len(txs) {
-		if doms[i] == nil {
-			mExecGlobals.Inc()
-			receipts[i] = bc.execGlobal(&txs[i], hashes[i], height)
-			i++
-			continue
-		}
-		j := i
-		for j < len(txs) && doms[j] != nil {
-			j++
-		}
-		bc.execWave(txs[i:j], hashes[i:j], doms[i:j], receipts[i:j], height)
-		i = j
+		receipts[i] = led.applyTx(&txs[i], hashes[i], height)
 	}
 	return receipts
 }
 
-// execWave schedules one run of shard-scoped transactions: union-find over
-// touched shards yields disjoint groups (ordered by first transaction), each
-// group locks its shard set ascending and executes its transactions in pool
-// order, concurrently with the other groups.
-func (bc *Blockchain) execWave(txs []Transaction, hashes []string, doms [][]int, receipts []Receipt, height uint64) {
-	k := len(bc.led.shards)
-	parent := make([]int, k)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, dom := range doms {
-		r := find(dom[0])
-		for _, s := range dom[1:] {
-			parent[find(s)] = r
-		}
-	}
-	groupOf := make(map[int]int)
-	var groups []*execGroup
-	for t, dom := range doms {
-		r := find(dom[0])
-		gi, ok := groupOf[r]
-		if !ok {
-			gi = len(groups)
-			groupOf[r] = gi
-			groups = append(groups, &execGroup{})
-		}
-		groups[gi].txs = append(groups[gi].txs, t)
-		groups[gi].shards = append(groups[gi].shards, dom...)
-	}
-	mExecWaves.Inc()
-	mExecGroups.Add(int64(len(groups)))
-	base := bc.led.contract
-	overlays := make([]map[Address]memberState, len(groups))
-	parallel.ForLabeled("chain.exec", parallel.Resolve(bc.opts.Workers), len(groups), func(g int) {
-		grp := groups[g]
-		overlay := map[Address]memberState{}
-		overlays[g] = overlay
-		// The view shares the immutable params and snapshot-reads the block
-		// flags; member records resolve through the overlay (copy-on-read
-		// from base), so concurrent groups never write the base map.
-		view := &Contract{
-			Params:     base.Params,
-			MemberData: overlay,
-			Calculated: base.Calculated,
-			Settled:    base.Settled,
-			Records:    base.Records,
-		}
-		ids := sortedShardSet(grp.shards)
-		for _, id := range ids {
-			bc.led.shards[id].mu.Lock()
-		}
-		for _, t := range grp.txs {
-			receipts[t] = bc.execLocal(&txs[t], hashes[t], height, view, overlay)
-		}
-		for i := len(ids) - 1; i >= 0; i-- {
-			bc.led.shards[ids[i]].mu.Unlock()
-		}
-	})
-	// Merge the group overlays serially. Groups are disjoint by shard, and a
-	// member's record lives on its address's shard, so the writes are
-	// disjoint; group order keeps the merge deterministic anyway.
-	for _, overlay := range overlays {
-		for a, ms := range overlay {
-			base.MemberData[a] = ms
-		}
-	}
-}
-
-// execLocal applies one shard-scoped transaction. Caller holds the group's
-// shard locks. Failure restores the exact pre-transaction account shape
-// (value and key presence) and then consumes the nonce, matching the
-// reference executor's snapshot-rollback semantics bit for bit.
-func (bc *Blockchain) execLocal(tx *Transaction, hash string, height uint64, view *Contract, overlay map[Address]memberState) Receipt {
+// applyTx executes one transaction. A failure restores the exact
+// pre-transaction state — the sender's account shape (value and key
+// presence) and, for a contract call, the contract — and then consumes the
+// nonce: a pool-admitted transaction always advances its sender. No other
+// account needs a snapshot: a transfer credits its recipient only after its
+// last failure point, and contract calls move value only through the
+// caller's refund.
+func (led *ledger) applyTx(tx *Transaction, hash string, height uint64) Receipt {
 	rcpt := Receipt{TxHash: hash, Height: height}
-	sh := bc.led.shard(tx.From)
-	snap := snapAcct(sh, tx.From)
+	snap := led.snapAcct(tx.From)
 	fail := func(err error) Receipt {
-		snap.restore(sh, tx.From)
-		sh.non[tx.From] = snap.non + 1 // failed txs still consume the nonce
+		led.restoreAcct(tx.From, snap)
+		led.Nonces[tx.From] = snap.non + 1
 		rcpt.Error = err.Error()
 		return rcpt
 	}
@@ -171,147 +34,26 @@ func (bc *Blockchain) execLocal(tx *Transaction, hash string, height uint64, vie
 	if snap.bal < tx.Value {
 		return fail(fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientBalance, tx.From, snap.bal, tx.Value))
 	}
-	sh.non[tx.From] = snap.non + 1
-	sh.bal[tx.From] = snap.bal - tx.Value
+	led.Nonces[tx.From] = snap.non + 1
+	led.Balances[tx.From] = snap.bal - tx.Value
 	if tx.Fn == FnTransfer {
 		to, err := transferDest(tx)
 		if err != nil {
 			return fail(err)
 		}
-		// Two-phase cross-shard move: the sender's shard was debited above,
-		// the recipient's shard (also held by this group) is credited here.
-		dst := bc.led.shard(to)
-		dst.bal[to] += tx.Value
+		led.Balances[to] += tx.Value
 		rcpt.OK = true
 		return rcpt
 	}
-	prevMS, hadMS := overlay[tx.From]
-	if !hadMS {
-		if baseMS, ok := bc.led.contract.MemberData[tx.From]; ok {
-			overlay[tx.From] = baseMS
-			prevMS, hadMS = baseMS, true
-		}
-	}
-	refund, err := view.Apply(tx.From, tx.Fn, tx.Args, tx.Value, height)
+	before := led.snapContract()
+	refund, err := led.Contract.Apply(tx.From, tx.Fn, tx.Args, tx.Value, height)
 	if err != nil {
-		if hadMS {
-			overlay[tx.From] = prevMS
-		} else {
-			delete(overlay, tx.From)
-		}
+		led.restoreContract(before)
 		return fail(err)
 	}
 	if refund != 0 {
-		sh.bal[tx.From] += refund
+		led.Balances[tx.From] += refund
 	}
 	rcpt.OK = true
 	return rcpt
-}
-
-// execGlobal applies one world-stopped transaction directly against the
-// base contract, with a contract clone plus the sender's account snapshot
-// as the rollback set (no other account is reachable: contract calls only
-// move value through the caller's refund).
-func (bc *Blockchain) execGlobal(tx *Transaction, hash string, height uint64) Receipt {
-	rcpt := Receipt{TxHash: hash, Height: height}
-	snapC, err := cloneContract(bc.led.contract)
-	if err != nil {
-		// Matches the reference executor's clone-error path: an error
-		// receipt with no state change and no nonce consumed.
-		rcpt.Error = err.Error()
-		return rcpt
-	}
-	sh := bc.led.shard(tx.From)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	snap := snapAcct(sh, tx.From)
-	fail := func(err error) Receipt {
-		bc.led.contract = snapC
-		snap.restore(sh, tx.From)
-		sh.non[tx.From] = snap.non + 1
-		rcpt.Error = err.Error()
-		return rcpt
-	}
-	if tx.Nonce != snap.non {
-		return fail(fmt.Errorf("%w: got %d, want %d", ErrBadNonce, tx.Nonce, snap.non))
-	}
-	if snap.bal < tx.Value {
-		return fail(fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientBalance, tx.From, snap.bal, tx.Value))
-	}
-	sh.non[tx.From] = snap.non + 1
-	sh.bal[tx.From] = snap.bal - tx.Value
-	refund, err := bc.led.contract.Apply(tx.From, tx.Fn, tx.Args, tx.Value, height)
-	if err != nil {
-		return fail(err)
-	}
-	if refund != 0 {
-		sh.bal[tx.From] += refund
-	}
-	rcpt.OK = true
-	return rcpt
-}
-
-// legacyExecuteBlock is the retained pre-sharding executor: the flat state,
-// a full JSON clone per transaction, snapshot restore on failure. It is the
-// oracle the equivalence tests compare against and the serial baseline of
-// BenchmarkChainSettle.
-func (bc *Blockchain) legacyExecuteBlock(txs []Transaction, height uint64) []Receipt {
-	st := bc.led.mergedState()
-	receipts := make([]Receipt, len(txs))
-	for i := range txs {
-		receipts[i] = legacyApplyTx(&st, txs[i], height)
-	}
-	bc.led.replaceFrom(st)
-	return receipts
-}
-
-// legacyApplyTx executes one transaction against the flat state, rolling
-// back to a pre-transaction clone on failure. The nonce always advances for
-// a pool-accepted tx.
-func legacyApplyTx(stp **state, tx Transaction, height uint64) Receipt {
-	hash, err := tx.Hash()
-	if err != nil {
-		return Receipt{Height: height, OK: false, Error: err.Error()}
-	}
-	rcpt := Receipt{TxHash: hash, Height: height}
-	snapshot, err := (*stp).clone()
-	if err != nil {
-		rcpt.Error = err.Error()
-		return rcpt
-	}
-	if err := legacyExecute(*stp, tx, height); err != nil {
-		*stp = snapshot
-		(*stp).Nonces[tx.From]++ // failed txs still consume the nonce
-		rcpt.Error = err.Error()
-		return rcpt
-	}
-	rcpt.OK = true
-	return rcpt
-}
-
-func legacyExecute(st *state, tx Transaction, height uint64) error {
-	if st.Nonces[tx.From] != tx.Nonce {
-		return fmt.Errorf("%w: got %d, want %d", ErrBadNonce, tx.Nonce, st.Nonces[tx.From])
-	}
-	if st.Balances[tx.From] < tx.Value {
-		return fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientBalance, tx.From, st.Balances[tx.From], tx.Value)
-	}
-	st.Nonces[tx.From]++
-	st.Balances[tx.From] -= tx.Value
-	if tx.Fn == FnTransfer {
-		to, err := transferDest(&tx)
-		if err != nil {
-			return err
-		}
-		st.Balances[to] += tx.Value
-		return nil
-	}
-	refund, err := st.Contract.Apply(tx.From, tx.Fn, tx.Args, tx.Value, height)
-	if err != nil {
-		return err
-	}
-	if refund != 0 {
-		st.Balances[tx.From] += refund
-	}
-	return nil
 }

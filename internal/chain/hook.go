@@ -20,21 +20,21 @@ var settlementAudit atomic.Value
 func SetSettlementAudit(fn SettlementAudit) { settlementAudit.Store(fn) }
 
 // LedgerAuditEvent is the per-sealed-height conservation snapshot handed to
-// the ledger audit hook: the wei held by every shard, the wei escrowed in
+// the ledger audit hook: the wei held by all accounts, the wei escrowed in
 // the contract (deposits + calculated payoffs), the genesis total they must
-// sum to, and the per-shard nonce movement of the block (each must be
-// nonnegative, and together they must equal the block's tx count — every
-// pool-admitted tx, success or failure, consumes exactly one nonce).
+// sum to, and the block's movement of the summed account nonces (it must
+// equal the block's tx count — every pool-admitted tx, success or failure,
+// consumes exactly one nonce).
 type LedgerAuditEvent struct {
-	Height          uint64
-	GenesisWei      Wei
-	ShardWei        []Wei
-	EscrowWei       Wei
-	ShardNonceDelta []int64
-	TxCount         int
+	Height     uint64
+	GenesisWei Wei
+	AccountWei Wei
+	EscrowWei  Wei
+	NonceDelta int64
+	TxCount    int
 }
 
-// LedgerAudit observes the sharded ledger after every sealed block.
+// LedgerAudit observes the ledger after every sealed block.
 type LedgerAudit func(ev *LedgerAuditEvent)
 
 var ledgerAudit atomic.Value
@@ -45,7 +45,7 @@ var ledgerAudit atomic.Value
 func SetLedgerAudit(fn LedgerAudit) { ledgerAudit.Store(fn) }
 
 // ledgerAuditArmed reports whether a hook is installed, so the seal path
-// only pays for the shard sums when someone is watching.
+// only pays for the ledger sums when someone is watching.
 func ledgerAuditArmed() bool {
 	fn, _ := ledgerAudit.Load().(LedgerAudit)
 	return fn != nil

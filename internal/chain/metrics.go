@@ -21,12 +21,8 @@ var (
 	mTxDeduped   = obs.NewCounter("tradefl_chain_tx_deduped_total", "resubmissions rejected because the transaction was already pending or sealed")
 )
 
-// Sharded-execution telemetry: how blocks decompose into parallel work and
-// how the bounded dedup index and batched submission behave.
+// How the bounded dedup index and batched submission behave.
 var (
-	mExecWaves    = obs.NewCounter("tradefl_chain_exec_waves_total", "runs of shard-scoped transactions scheduled for parallel execution")
-	mExecGroups   = obs.NewCounter("tradefl_chain_exec_groups_total", "disjoint shard groups executed (concurrency grain of a wave)")
-	mExecGlobals  = obs.NewCounter("tradefl_chain_exec_global_total", "world-stopped transactions (cross-member contract calls) executed serially")
 	mDedupEvicted = obs.NewCounter("tradefl_chain_dedup_evicted_total", "sealed tx hashes evicted from the O(1) dedup index by the FIFO horizon")
 	mBatchSubmits = obs.NewCounter("tradefl_chain_batch_submits_total", "SubmitTxBatch calls admitted (one WAL group commit each)")
 	mBatchTxs     = obs.NewCounter("tradefl_chain_batch_txs_total", "transactions submitted through SubmitTxBatch")

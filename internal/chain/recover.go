@@ -80,10 +80,9 @@ func OpenDurable(dir string, authority *Account, params ContractParams, alloc Ge
 	return OpenDurableOpts(dir, authority, params, alloc, Options{})
 }
 
-// OpenDurableOpts is OpenDurable with explicit sharding/pipelining options.
-// Options are an execution strategy of the running process, not part of the
-// durable state: any option set can open (and exactly reproduce) a
-// directory written under any other.
+// OpenDurableOpts is OpenDurable with explicit Options. They belong to the
+// running process, not to the durable state: any option set can open (and
+// exactly reproduce) a directory written under any other.
 func OpenDurableOpts(dir string, authority *Account, params ContractParams, alloc GenesisAlloc, opts Options) (*Blockchain, error) {
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("chain: wal dir: %w", err)
@@ -99,13 +98,13 @@ func OpenDurableOpts(dir string, authority *Account, params ContractParams, allo
 	if len(snaps) == 0 && len(segs) == 0 {
 		return initDurable(dir, authority, params, alloc, opts)
 	}
-	return RecoverOpts(dir, authority, opts)
+	return recoverDir(dir, authority, 0, true, opts)
 }
 
 // initDurable bootstraps a fresh durable chain: genesis, segment 1, and a
 // base snapshot so recovery always has a self-contained starting point.
 func initDurable(dir string, authority *Account, params ContractParams, alloc GenesisAlloc, opts Options) (*Blockchain, error) {
-	bc, err := NewBlockchainOpts(authority, params, alloc, opts)
+	bc, err := newBlockchain(authority, params, alloc, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -136,24 +135,12 @@ func Recover(dir string, authority *Account) (*Blockchain, error) {
 	return recoverDir(dir, authority, 0, true, Options{})
 }
 
-// RecoverOpts is Recover with explicit sharding/pipelining options for the
-// recovered chain. The durable history replays identically under any
-// option set (the headers are compared byte for byte either way).
-func RecoverOpts(dir string, authority *Account, opts Options) (*Blockchain, error) {
-	return recoverDir(dir, authority, 0, true, opts)
-}
-
 // RecoverAt is point-in-time recovery: it rebuilds the chain exactly as
 // of sealed block `height` (later records are ignored) and returns it
 // detached from the WAL — a read-only forensic view; sealing on it would
 // fork the durable history.
 func RecoverAt(dir string, authority *Account, height uint64) (*Blockchain, error) {
 	return recoverDir(dir, authority, height, false, Options{})
-}
-
-// RecoverAtOpts is RecoverAt with explicit sharding/pipelining options.
-func RecoverAtOpts(dir string, authority *Account, height uint64, opts Options) (*Blockchain, error) {
-	return recoverDir(dir, authority, height, false, opts)
 }
 
 // recoverDir is the shared recovery core. attach=true recovers to the
@@ -205,7 +192,7 @@ func recoverFromSnapshot(dir string, authority *Account, snapSeq, stopHeight uin
 	if len(doc.Blocks) == 0 {
 		return nil, fmt.Errorf("%w: snapshot has no blocks", ErrReplayMismatch)
 	}
-	bc, err := NewBlockchainOpts(authority, doc.Params, doc.Alloc, opts)
+	bc, err := newBlockchain(authority, doc.Params, doc.Alloc, opts)
 	if err != nil {
 		return nil, err
 	}

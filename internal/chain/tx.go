@@ -40,9 +40,7 @@ const (
 )
 
 // FnTransfer is a chain-native value transfer: it moves the attached Value
-// from the sender to TransferArgs.To without touching the contract. It is
-// the cross-shard workload of the sharded executor — debit and credit land
-// on the two accounts' home shards in a deterministic two-phase order.
+// from the sender to TransferArgs.To without touching the contract.
 const FnTransfer Function = "transfer"
 
 // TransferArgs is the argument of FnTransfer.
@@ -50,9 +48,7 @@ type TransferArgs struct {
 	To Address `json:"to"`
 }
 
-// transferDest decodes and validates a transfer's destination. Both
-// executors (sharded and reference) route through it, so a malformed
-// transfer fails with the identical receipt either way.
+// transferDest decodes and validates a transfer's destination.
 func transferDest(tx *Transaction) (Address, error) {
 	var a TransferArgs
 	if err := json.Unmarshal(tx.Args, &a); err != nil {

@@ -10,17 +10,12 @@ import (
 // benchChain builds a W-member chain, in-memory or WAL-backed, plus one
 // pre-signed tx sequence per member so the timed region measures SubmitTx
 // alone (verification + admission + durability), not signing.
-func benchChain(b testing.TB, withWAL bool, workers, perWorker int, opts Options) (*Blockchain, [][]Transaction) {
+func benchChain(b testing.TB, withWAL bool, workers, perWorker int) (*Blockchain, [][]Transaction) {
+	b.Helper()
 	dir := ""
 	if withWAL {
 		dir = b.TempDir()
 	}
-	return benchChainAt(b, dir, workers, perWorker, opts)
-}
-
-// benchChainAt is benchChain with an explicit WAL directory ("" = no WAL).
-func benchChainAt(b testing.TB, dir string, workers, perWorker int, opts Options) (*Blockchain, [][]Transaction) {
-	b.Helper()
 	src := randx.New(7)
 	authority, err := NewAccount(src)
 	if err != nil {
@@ -48,9 +43,9 @@ func benchChainAt(b testing.TB, dir string, workers, perWorker int, opts Options
 	params := ContractParams{Members: members, Rho: rho, DataBits: bits, Gamma: 2e-8, Lambda: 0.1}
 	var bc *Blockchain
 	if dir != "" {
-		bc, err = OpenDurableOpts(dir, authority, params, alloc, opts)
+		bc, err = OpenDurable(dir, authority, params, alloc)
 	} else {
-		bc, err = NewBlockchainOpts(authority, params, alloc, opts)
+		bc, err = NewBlockchain(authority, params, alloc)
 	}
 	if err != nil {
 		b.Fatal(err)
@@ -73,24 +68,21 @@ func benchChainAt(b testing.TB, dir string, workers, perWorker int, opts Options
 // WAL-backed one under concurrent load, where group commit amortizes each
 // fsync over every tx waiting in the queue. scripts/benchcmp's wal-gate
 // holds the wal/mem ratio to the durability budget. The wal-batch variant
-// routes the same load through a shared BatchSubmitter (SubmitTxBatch),
-// and wal-nopipe pins the pre-pipelining serial-admission mode.
+// routes the same load through a shared BatchSubmitter (SubmitTxBatch).
 func BenchmarkChainSubmitTx(b *testing.B) {
 	const workers = 256
 	for _, tc := range []struct {
 		name    string
 		withWAL bool
-		opts    Options
 		batch   bool
 	}{
 		{name: "mem"},
 		{name: "wal", withWAL: true},
 		{name: "wal-batch", withWAL: true, batch: true},
-		{name: "wal-nopipe", withWAL: true, opts: Options{SerialAdmission: true}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			perWorker := (b.N + workers - 1) / workers
-			bc, txs := benchChain(b, tc.withWAL, workers, perWorker, tc.opts)
+			bc, txs := benchChain(b, tc.withWAL, workers, perWorker)
 			var bs *BatchSubmitter
 			if tc.batch {
 				bs = NewBatchSubmitter(bc, BatchOptions{})

@@ -185,7 +185,7 @@ func TestWitnessReplayPaths(t *testing.T) {
 	if err := primary.CloseDurable(); err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := RecoverOpts(dir, plan.authority, Options{Shards: 4})
+	recovered, err := Recover(dir, plan.authority)
 	if err != nil {
 		t.Fatal(err)
 	}

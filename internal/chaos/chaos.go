@@ -70,24 +70,10 @@ type Options struct {
 	// WALDir is the durable chain's directory (default: a fresh temp dir,
 	// removed after the soak).
 	WALDir string
-	// Shards fixes the chain's account-shard count K. 0 means: the chain
-	// default for the fault-free soak, and a seeded per-cycle rotation of K
-	// in the crash soak — every recovery then reopens the same durable
-	// directory under a different shard count and must still reproduce the
-	// acknowledged height/state-root/mempool exactly.
-	Shards int
-	// NoPipeline disables the chain's seal pipeline (serial admission), the
-	// pre-pipelining execution mode.
-	NoPipeline bool
 	// Batch routes member submissions through a shared BatchSubmitter, so
 	// the soak exercises SubmitTxBatch (one round-trip, one WAL group
 	// commit per flush) instead of per-tx SubmitTx.
 	Batch bool
-}
-
-// chainOpts maps the soak's chain knobs onto chain.Options.
-func (o Options) chainOpts(shards int) chain.Options {
-	return chain.Options{Shards: shards, SerialAdmission: o.NoPipeline}
 }
 
 func (o Options) withDefaults() Options {
@@ -372,7 +358,7 @@ func runSettlement(ctx context.Context, cfg *game.Config, opts Options, inj *fau
 		return err
 	}
 	accounts, members := gen.accounts, gen.members
-	bc, err := chain.NewBlockchainOpts(gen.authority, gen.params, gen.alloc, opts.chainOpts(opts.Shards))
+	bc, err := chain.NewBlockchain(gen.authority, gen.params, gen.alloc)
 	if err != nil {
 		return err
 	}
@@ -603,11 +589,8 @@ func isAlready(err error) bool {
 //	snapevery=N    checkpoint after every Nth recovery (default 2, -1 off)
 //	waldir=PATH    chain WAL directory (default: fresh temp dir)
 //
-// Sharded-settlement keys:
+// Submission key:
 //
-//	shards=K       account shard count (0 = chain default; in the crash
-//	               soak 0 rotates K per recovery on the plan seed)
-//	pipeline=0/1   seal pipeline on/off (default 1; 0 = serial admission)
 //	batch=0/1      route submissions through a shared SubmitTxBatch
 //	               micro-batcher (default 0)
 func ParseSpec(spec string) (Options, error) {
@@ -694,18 +677,6 @@ func ParseSpec(spec string) (Options, error) {
 			opts.SnapshotEvery = n
 		case "waldir":
 			opts.WALDir = val
-		case "shards":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return opts, fmt.Errorf("chaos: shards = %q (need an integer ≥ 0)", val)
-			}
-			opts.Shards = n
-		case "pipeline":
-			on, err := strconv.ParseBool(val)
-			if err != nil {
-				return opts, fmt.Errorf("chaos: pipeline = %q: %v", val, err)
-			}
-			opts.NoPipeline = !on
 		case "batch":
 			on, err := strconv.ParseBool(val)
 			if err != nil {

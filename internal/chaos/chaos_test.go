@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 )
@@ -69,16 +70,22 @@ func TestParseSpec(t *testing.T) {
 		opts.SuspectAfter != 4 || opts.SealInterval != 10*time.Millisecond || opts.SettleTimeout != 90*time.Second {
 		t.Errorf("harness keys not applied: %+v", opts)
 	}
-	sh, err := ParseSpec("shards=4,pipeline=0,batch=1")
+	bt, err := ParseSpec("batch=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.Shards != 4 || !sh.NoPipeline || !sh.Batch {
-		t.Errorf("sharded-settlement keys not applied: %+v", sh)
+	if !bt.Batch {
+		t.Errorf("batch key not applied: %+v", bt)
 	}
-	for _, bad := range []string{"orgs=1", "bogus=1", "drop=2", "token=xyz", "seed", "shards=-1", "pipeline=x", "batch=x"} {
+	for _, bad := range []string{"orgs=1", "bogus=1", "drop=2", "token=xyz", "seed", "batch=x"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
+		}
+	}
+	// The shard-count and seal-pipeline keys went with the knobs they set.
+	for _, removed := range []string{"shards=4", "shards=0", "pipeline=0", "pipeline=1"} {
+		if _, err := ParseSpec(removed); err == nil || !strings.Contains(err.Error(), "unknown key") {
+			t.Errorf("ParseSpec(%q) = %v, want an unknown-key error", removed, err)
 		}
 	}
 	if _, err := ParseSpec(""); err != nil {

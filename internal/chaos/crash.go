@@ -171,18 +171,7 @@ func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj
 		}
 		defer os.RemoveAll(dir)
 	}
-	// Shard-count schedule: a fixed K when requested, otherwise a seeded
-	// rotation — every recovery reopens the same durable directory under a
-	// different K, proving the sharded layout is pure execution strategy
-	// (the acknowledged height/root/mempool must reproduce under any K).
-	rot := randx.New(opts.Plan.Seed ^ 0x73686172) // "shar"
-	nextShards := func() int {
-		if opts.Shards > 0 {
-			return opts.Shards
-		}
-		return 1 + rot.Intn(8)
-	}
-	bc, err := chain.OpenDurableOpts(dir, gen.authority, gen.params, gen.alloc, opts.chainOpts(nextShards()))
+	bc, err := chain.OpenDurable(dir, gen.authority, gen.params, gen.alloc)
 	if err != nil {
 		return err
 	}
@@ -242,7 +231,7 @@ func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj
 		// The observer has quiesced (Abort joins the syncer), so this is
 		// exactly what the chain acknowledged before it died.
 		wantHeight, wantRoot, wantPending := tracker.snapshot()
-		rec, err := chain.RecoverOpts(dir, gen.authority, opts.chainOpts(nextShards()))
+		rec, err := chain.Recover(dir, gen.authority)
 		if err != nil {
 			return fmt.Errorf("recover after crash %d: %w", rep.Crashes+1, err)
 		}

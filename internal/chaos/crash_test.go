@@ -38,16 +38,15 @@ func TestCrashRestartSoak(t *testing.T) {
 	}
 }
 
-// TestCrashSoakShardedBatched is the sharded/pipelined durability run:
-// batched submission through SubmitTxBatch, pipelined sealing, and the
-// default shards=0 per-cycle K rotation, so each recovery reopens the same
-// WAL under a different shard count. The acceptance bar is unchanged —
-// exact durable-prefix reproduction and wei-exact settlement.
-func TestCrashSoakShardedBatched(t *testing.T) {
+// TestCrashSoakBatched is the batched durability run: submission through
+// SubmitTxBatch while the validator is killed and recovered mid-settlement.
+// The acceptance bar is unchanged — exact durable-prefix reproduction and
+// wei-exact settlement.
+func TestCrashSoakBatched(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
 	}
-	opts, err := ParseSpec("seed=13,crashcycles=3,crashmin=25ms,crashmax=70ms,orgs=3,game=5,batch=1,shards=0,pipeline=1")
+	opts, err := ParseSpec("seed=13,crashcycles=3,crashmin=25ms,crashmax=70ms,orgs=3,game=5,batch=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func TestCrashSoakShardedBatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.RecoveredExact {
-		t.Error("sharded recovery did not reproduce the durable prefix")
+		t.Error("a recovery did not reproduce the durable prefix")
 	}
 }
 

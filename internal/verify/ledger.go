@@ -6,16 +6,16 @@ import (
 	"tradefl/internal/chain"
 )
 
-// CheckLedger audits one sharded-ledger conservation snapshot (emitted by
-// the chain after every sealed block when the hook is armed):
+// CheckLedger audits one ledger conservation snapshot (emitted by the chain
+// after every sealed block when the hook is armed):
 //
-//   - shard-conservation: the wei held across all account shards plus the
-//     wei escrowed in the contract (posted deposits and calculated payoffs)
-//     must equal the genesis mint exactly. A cross-shard transfer whose
-//     debit and credit disagree — the failure mode sharding introduces —
-//     breaks this by the leaked amount.
-//   - shard-nonce-regression: no shard's nonce sum may move backwards
-//     within a block, and the total movement must equal the block's tx
+//   - ledger-conservation: the wei held by all accounts plus the wei
+//     escrowed in the contract (posted deposits and calculated payoffs)
+//     must equal the genesis mint exactly. A transfer whose debit and
+//     credit disagree, or a rollback that restores too little, breaks this
+//     by the leaked amount.
+//   - ledger-nonce-regression: the summed account nonces may not move
+//     backwards within a block, and must move by exactly the block's tx
 //     count (every pool-admitted transaction, success or failure, consumes
 //     exactly one nonce).
 //
@@ -23,36 +23,28 @@ import (
 func (a *Auditor) CheckLedger(ev *chain.LedgerAuditEvent, source string) bool {
 	a.begin()
 	ok := true
-	var held chain.Wei
-	for _, w := range ev.ShardWei {
-		held += w
-	}
-	if total := held + ev.EscrowWei; total != ev.GenesisWei {
+	if total := ev.AccountWei + ev.EscrowWei; total != ev.GenesisWei {
 		a.violate(mLedgerViol, Violation{
-			Check: "shard-conservation", Source: source,
-			Detail: fmt.Sprintf("height %d: %d wei across %d shards + %d escrowed = %d, genesis minted %d (off by %d)",
-				ev.Height, held, len(ev.ShardWei), ev.EscrowWei, total, ev.GenesisWei, total-ev.GenesisWei),
+			Check: "ledger-conservation", Source: source,
+			Detail: fmt.Sprintf("height %d: %d wei in accounts + %d escrowed = %d, genesis minted %d (off by %d)",
+				ev.Height, ev.AccountWei, ev.EscrowWei, total, ev.GenesisWei, total-ev.GenesisWei),
 			Delta: float64(total - ev.GenesisWei),
 		})
 		ok = false
 	}
-	var moved int64
-	for i, d := range ev.ShardNonceDelta {
-		if d < 0 {
-			a.violate(mLedgerViol, Violation{
-				Check: "shard-nonce-regression", Source: source,
-				Detail: fmt.Sprintf("height %d: shard %d nonce sum moved by %d within one block", ev.Height, i, d),
-				Delta:  float64(d),
-			})
-			ok = false
-		}
-		moved += d
-	}
-	if moved != int64(ev.TxCount) {
+	if ev.NonceDelta < 0 {
 		a.violate(mLedgerViol, Violation{
-			Check: "shard-nonce-regression", Source: source,
-			Detail: fmt.Sprintf("height %d: %d nonces consumed by %d transactions", ev.Height, moved, ev.TxCount),
-			Delta:  float64(moved - int64(ev.TxCount)),
+			Check: "ledger-nonce-regression", Source: source,
+			Detail: fmt.Sprintf("height %d: nonce sum moved by %d within one block", ev.Height, ev.NonceDelta),
+			Delta:  float64(ev.NonceDelta),
+		})
+		ok = false
+	}
+	if ev.NonceDelta != int64(ev.TxCount) {
+		a.violate(mLedgerViol, Violation{
+			Check: "ledger-nonce-regression", Source: source,
+			Detail: fmt.Sprintf("height %d: %d nonces consumed by %d transactions", ev.Height, ev.NonceDelta, ev.TxCount),
+			Delta:  float64(ev.NonceDelta - int64(ev.TxCount)),
 		})
 		ok = false
 	}

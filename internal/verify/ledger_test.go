@@ -7,58 +7,59 @@ import (
 	"tradefl/internal/randx"
 )
 
-// cleanLedgerEvent is a consistent conservation snapshot: 900 wei across
-// three shards, 100 escrowed, 1000 minted, and 5 txs moving 5 nonces.
+// cleanLedgerEvent is a consistent conservation snapshot: 900 wei in
+// accounts, 100 escrowed, 1000 minted, and 5 txs moving 5 nonces.
 func cleanLedgerEvent() *chain.LedgerAuditEvent {
 	return &chain.LedgerAuditEvent{
-		Height:          7,
-		GenesisWei:      1000,
-		ShardWei:        []chain.Wei{500, 150, 250},
-		EscrowWei:       100,
-		ShardNonceDelta: []int64{2, 0, 3},
-		TxCount:         5,
+		Height:     7,
+		GenesisWei: 1000,
+		AccountWei: 900,
+		EscrowWei:  100,
+		NonceDelta: 5,
+		TxCount:    5,
 	}
 }
+
+// The three mutation self-tests below keep their sharded-era names; each
+// plants the fault on the single-ledger event.
 
 func TestMutationShardWeiLeak(t *testing.T) {
 	a := New(Options{})
 	if !a.CheckLedger(cleanLedgerEvent(), "mut-clean") {
 		t.Fatalf("clean ledger flagged:\n%s", a.Summary())
 	}
-	// One wei vanishes from shard 1: a cross-shard transfer whose credit
-	// side was lost.
+	// One wei vanishes from the accounts: a transfer whose credit side was
+	// lost.
 	ev := cleanLedgerEvent()
-	ev.ShardWei[1]--
+	ev.AccountWei--
 	if a.CheckLedger(ev, "mut") {
-		t.Fatal("cross-shard wei leak not detected")
+		t.Fatal("account wei leak not detected")
 	}
-	assertFired(t, a, "shard-conservation")
+	assertFired(t, a, "ledger-conservation")
 }
 
 func TestMutationShardEscrowLeak(t *testing.T) {
 	a := New(Options{})
-	// The contract escrow disagrees with the shard sums: a deposit debited
+	// The contract escrow disagrees with the account sum: a deposit debited
 	// from its account but never recorded (or vice versa).
 	ev := cleanLedgerEvent()
 	ev.EscrowWei += 3
 	if a.CheckLedger(ev, "mut") {
 		t.Fatal("escrow imbalance not detected")
 	}
-	assertFired(t, a, "shard-conservation")
+	assertFired(t, a, "ledger-conservation")
 }
 
 func TestMutationShardNonceRegression(t *testing.T) {
 	a := New(Options{})
-	// Shard 1's nonce sum moves backwards — a rolled-back failure path that
-	// restored too much. The compensating +1 on shard 0 keeps the total
-	// correct, so only the per-shard check can see it.
+	// The nonce sum moves backwards — a rolled-back failure path that
+	// restored too much.
 	ev := cleanLedgerEvent()
-	ev.ShardNonceDelta[1] = -1
-	ev.ShardNonceDelta[0]++
+	ev.NonceDelta = -1
 	if a.CheckLedger(ev, "mut") {
-		t.Fatal("shard nonce regression not detected")
+		t.Fatal("nonce regression not detected")
 	}
-	assertFired(t, a, "shard-nonce-regression")
+	assertFired(t, a, "ledger-nonce-regression")
 
 	// And the total check: nonces consumed ≠ txs admitted.
 	b := New(Options{})
@@ -67,12 +68,12 @@ func TestMutationShardNonceRegression(t *testing.T) {
 	if b.CheckLedger(ev2, "mut") {
 		t.Fatal("nonce/tx-count mismatch not detected")
 	}
-	assertFired(t, b, "shard-nonce-regression")
+	assertFired(t, b, "ledger-nonce-regression")
 }
 
-// TestLedgerAuditShardedSettlement arms the live hook on a sharded chain
-// and drives a full settlement: every sealed height must pass the
-// conservation audit, including the cross-shard transfers.
+// TestLedgerAuditShardedSettlement arms the live hook on a chain and drives
+// a full settlement: every sealed height must pass the conservation audit,
+// including a value transfer sealed beside contract calls.
 func TestLedgerAuditShardedSettlement(t *testing.T) {
 	a := New(Options{})
 	chain.SetLedgerAudit(func(ev *chain.LedgerAuditEvent) { a.CheckLedger(ev, "test") })
@@ -104,7 +105,7 @@ func TestLedgerAuditShardedSettlement(t *testing.T) {
 		}
 	}
 	params := chain.ContractParams{Members: members, Rho: rho, DataBits: bits, Gamma: 2e-8, Lambda: 0.1}
-	bc, err := chain.NewBlockchainOpts(authority, params, alloc, chain.Options{Shards: 5})
+	bc, err := chain.NewBlockchain(authority, params, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestLedgerAuditShardedSettlement(t *testing.T) {
 		send(acct, chain.FnDepositSubmit, nil, chain.MinDeposit(params, i, 5e9))
 		send(acct, chain.FnContributionSubmit, chain.Contribution{D: 0.25 * float64(i+1), F: 3e9}, 0)
 	}
-	// Cross-shard value transfer inside the same block as contract calls.
+	// Value transfer inside the same block as contract calls.
 	send(accounts[0], chain.FnTransfer, chain.TransferArgs{To: members[1]}, 12345)
 	if _, err := bc.SealBlock(); err != nil {
 		t.Fatal(err)
@@ -139,6 +140,6 @@ func TestLedgerAuditShardedSettlement(t *testing.T) {
 		t.Fatalf("ledger audit ran %d checks, want one per sealed block", a.Checks())
 	}
 	if a.Count() != 0 {
-		t.Fatalf("clean sharded settlement flagged:\n%s", a.Summary())
+		t.Fatalf("clean settlement flagged:\n%s", a.Summary())
 	}
 }

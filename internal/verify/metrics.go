@@ -15,7 +15,7 @@ var (
 	mBoundViol      = obs.NewCounter("tradefl_verify_bound_violations_total", "CGBD bound-sandwich violations (LB/UB monotonicity, inversion, gap)")
 	mNashViol       = obs.NewCounter("tradefl_verify_nash_violations_total", "no-profitable-deviation audit failures")
 	mSettlementViol = obs.NewCounter("tradefl_verify_settlement_violations_total", "on-chain settlement cross-check failures (wei budget, payoff mismatch)")
-	mLedgerViol     = obs.NewCounter("tradefl_verify_ledger_violations_total", "sharded-ledger conservation failures (cross-shard wei leak, nonce regression)")
+	mLedgerViol     = obs.NewCounter("tradefl_verify_ledger_violations_total", "ledger conservation failures (wei leak, nonce regression)")
 	mEvaluatorViol  = obs.NewCounter("tradefl_verify_evaluator_violations_total", "incremental-vs-direct evaluator equivalence failures")
 
 	mWorstDelta = obs.NewGauge("tradefl_verify_worst_delta", "magnitude of the worst invariant breach observed so far (0 when clean)")

@@ -6,7 +6,7 @@
 //	benchcmp parse bench.txt > BENCH_latest.json
 //	benchcmp compare [-max-regression 5] BENCH_baseline.json BENCH_latest.json
 //	benchcmp fleet-gate [-min-speedup 3 -max-regret 10 -min-solves-per-sec 1000] BENCH_latest.json
-//	benchcmp chain-gate [-min-speedup 3 -min-tx-per-sec 1000 -txs-per-op 129] BENCH_latest.json
+//	benchcmp chain-gate [-min-tx-per-sec 1000 -txs-per-op 129] BENCH_latest.json
 //
 // parse keeps the minimum ns/op across repeated runs of the same
 // benchmark (-count > 1), which is the least noise-sensitive statistic on
@@ -23,11 +23,10 @@
 // Ratios within a single profile cancel most machine-load noise, so this
 // gate is meaningful even on hardware where absolute ns/op are not.
 //
-// chain-gate is the same idea for BenchmarkChainSettle: sharded batched
-// settlement (shards=8) must beat the retained pre-sharding configuration
-// (serial: reference executor, per-tx submission, no pipeline) by
-// min-speedup and sustain min-tx-per-sec of settled transaction
-// throughput (txs-per-op transactions per benchmark op).
+// chain-gate holds BenchmarkChainSettle to an absolute floor: it must
+// sustain min-tx-per-sec of settled transaction throughput (txs-per-op
+// transactions per benchmark op). There is no ratio here — the chain has one
+// settlement path, so there is nothing honest to divide by.
 package main
 
 import (
@@ -85,16 +84,15 @@ func run(args []string) error {
 		return fleetGate(fs.Arg(0), *minSpeedup, *maxRegret, *minRate, *instances)
 	case "chain-gate":
 		fs := flag.NewFlagSet("chain-gate", flag.ContinueOnError)
-		minSpeedup := fs.Float64("min-speedup", 3, "minimum shards=8 settlement speedup over the serial baseline")
-		minRate := fs.Float64("min-tx-per-sec", 1000, "minimum sustained shards=8 settled-tx throughput")
+		minRate := fs.Float64("min-tx-per-sec", 1000, "minimum sustained settled-tx throughput")
 		txsPerOp := fs.Float64("txs-per-op", 129, "transactions settled per BenchmarkChainSettle op (for the throughput floor)")
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
 		}
 		if fs.NArg() != 1 {
-			return fmt.Errorf("usage: benchcmp chain-gate [-min-speedup x -min-tx-per-sec r -txs-per-op n] <latest.json>")
+			return fmt.Errorf("usage: benchcmp chain-gate [-min-tx-per-sec r -txs-per-op n] <latest.json>")
 		}
-		return chainGate(fs.Arg(0), *minSpeedup, *minRate, *txsPerOp)
+		return chainGate(fs.Arg(0), *minRate, *txsPerOp)
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
@@ -262,34 +260,22 @@ func fleetGate(path string, minSpeedup, maxRegretPct, minRate, instances float64
 	return nil
 }
 
-// chainGate enforces the BenchmarkChainSettle throughput contract on a
-// single parsed profile: sharded batched settlement vs the retained serial
-// configuration, plus an absolute settled-tx throughput floor. Both checks
-// are evaluated before failing.
-func chainGate(path string, minSpeedup, minRate, txsPerOp float64) error {
+// chainGate enforces the BenchmarkChainSettle settled-tx throughput floor
+// on a single parsed profile.
+func chainGate(path string, minRate, txsPerOp float64) error {
 	prof, err := load(path)
 	if err != nil {
 		return err
 	}
-	const prefix = "BenchmarkChainSettle/"
-	serial, okSerial := prof[prefix+"serial"]
-	sharded, okSharded := prof[prefix+"shards=8"]
-	if !okSerial || !okSharded {
-		return fmt.Errorf("%s: missing %sserial or %sshards=8 (rerun scripts/bench.sh)", path, prefix, prefix)
+	const row = "BenchmarkChainSettle"
+	ns, ok := prof[row]
+	if !ok {
+		return fmt.Errorf("%s: missing %s (rerun scripts/bench.sh)", path, row)
 	}
-	var fails []string
-	speedup := serial / sharded
-	fmt.Printf("chain-gate: speedup   %.2fx over serial settlement (floor %.2fx)\n", speedup, minSpeedup)
-	if speedup < minSpeedup {
-		fails = append(fails, fmt.Sprintf("speedup %.2fx < %.2fx", speedup, minSpeedup))
-	}
-	rate := txsPerOp / (sharded * 1e-9)
-	fmt.Printf("chain-gate: throughput %.0f tx/sec at shards=8 (floor %.0f)\n", rate, minRate)
+	rate := txsPerOp / (ns * 1e-9)
+	fmt.Printf("chain-gate: throughput %.0f tx/sec (floor %.0f)\n", rate, minRate)
 	if rate < minRate {
-		fails = append(fails, fmt.Sprintf("throughput %.0f tx/sec < %.0f", rate, minRate))
-	}
-	if len(fails) > 0 {
-		return fmt.Errorf("chain gate failed: %v", fails)
+		return fmt.Errorf("chain gate failed: throughput %.0f tx/sec < %.0f", rate, minRate)
 	}
 	fmt.Println("chain-gate: OK")
 	return nil

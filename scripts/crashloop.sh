@@ -16,17 +16,15 @@
 #   CHAOS_SEEDS="7 42 1337" scripts/crashloop.sh   sweep several seeds
 #
 # Extra spec keys over chaos.sh: crashcycles crashmin crashmax snapevery
-# waldir shards pipeline batch
+# waldir batch
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # crashmin/crashmax are tuned so kills land inside the settlement window
 # on a fast box; snapevery=2 exercises the incremental checkpoint + GC
 # path mid-soak, and rpcfail keeps ordinary transport faults overlapping
-# the outage windows. shards=0 rotates the shard count K per recovery on a
-# seeded schedule: every incarnation reopens the same WAL under a different
-# K and must still reproduce the acknowledged prefix exactly.
-DEFAULT_SPEC="crashcycles=3,crashmin=25ms,crashmax=70ms,snapevery=2,rpcfail=0.05,orgs=3,game=5,shards=0,batch=1"
+# the outage windows. batch=1 submits through SubmitTxBatch.
+DEFAULT_SPEC="crashcycles=3,crashmin=25ms,crashmax=70ms,snapevery=2,rpcfail=0.05,orgs=3,game=5,batch=1"
 
 BIN="$(mktemp -d)/tradefl-sim"
 go build -race -o "$BIN" ./cmd/tradefl-sim
