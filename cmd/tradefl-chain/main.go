@@ -78,15 +78,11 @@ func run(args []string) (err error) {
 		standby  = fs.String("standby", "", "run as a standby validator: tail the primary's WAL stream on this listen address and take over sealing when it goes silent")
 		failover = fs.Duration("failover-timeout", 2*time.Second, "with -standby: promote after the replication stream has been silent this long")
 		chaos    = fs.String("chaos", "", "inject server-side RPC faults, e.g. \"seed=7,rpcfail=0.1,rpcdelayp=0.2\"")
-		incr     = fs.String("incremental", "on", "incremental evaluation engine: on|off (A/B; outputs are byte-identical)")
 		verifyOn = fs.Bool("verify", false, "audit settlement invariants at runtime (tradefl_verify_* metrics; nonzero exit on violation)")
 
 		obsFlags = obs.RegisterFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := game.ApplyIncrementalFlag(*incr); err != nil {
 		return err
 	}
 	if *verifyOn {

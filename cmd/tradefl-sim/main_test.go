@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -53,5 +54,14 @@ func TestRunPlotMode(t *testing.T) {
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Error("bad flag accepted")
+	}
+}
+
+// TestIncrementalFlagIsGone: the solvers have one evaluation path, so the
+// flag that used to select it is an unknown flag.
+func TestIncrementalFlagIsGone(t *testing.T) {
+	err := run([]string{"-incremental", "on"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -incremental") {
+		t.Fatalf("run -incremental on: err = %v, want an unknown-flag error", err)
 	}
 }

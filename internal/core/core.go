@@ -62,13 +62,6 @@ type Options struct {
 	// DBR.Workers and GBD.Workers unless those are set explicitly; solver
 	// outputs are byte-identical for every worker count.
 	Workers int
-	// Incremental selects the solvers' evaluation engine: cached O(N)
-	// payoff deltas, primal memoization, and persistent cut tables (on) or
-	// the naive recompute-everything reference paths (off). Outputs are
-	// byte-identical either way. It fills DBR.Incremental and
-	// GBD.Incremental unless those are set explicitly; the zero value
-	// follows the process default (-incremental flag), which is on.
-	Incremental game.Toggle
 	// DBR passes through Algorithm 2 options.
 	DBR dbr.Options
 	// GBD passes through Algorithm 1 options.
@@ -100,14 +93,6 @@ func (o Options) withDefaults() Options {
 		}
 		if o.GBD.Workers == 0 {
 			o.GBD.Workers = o.Workers
-		}
-	}
-	if o.Incremental != game.ToggleDefault {
-		if o.DBR.Incremental == game.ToggleDefault {
-			o.DBR.Incremental = o.Incremental
-		}
-		if o.GBD.Incremental == game.ToggleDefault {
-			o.GBD.Incremental = o.Incremental
 		}
 	}
 	return o

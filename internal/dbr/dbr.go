@@ -22,8 +22,6 @@ import (
 
 	"tradefl/internal/game"
 	"tradefl/internal/obs"
-	"tradefl/internal/optimize"
-	"tradefl/internal/parallel"
 )
 
 // Options configures the local solver and the distributed protocol nodes.
@@ -56,11 +54,6 @@ type Options struct {
 	// the process default (GOMAXPROCS); 1 runs the exact serial code path.
 	// Results are byte-identical for every worker count.
 	Workers int
-	// Incremental selects the evaluation engine: the O(N)-per-query
-	// DeltaEvaluator engine (on) or the naive O(N²) reference path (off).
-	// Results are byte-identical either way; the zero value follows the
-	// process default (-incremental flag), which is on.
-	Incremental game.Toggle
 }
 
 func (o Options) withDefaults() Options {
@@ -114,69 +107,16 @@ type candidate struct {
 
 // BestResponseWorkers is BestResponse with the per-CPU-level candidate
 // solves fanned out over at most workers goroutines (0 = process default).
-// Each candidate owns a private scratch profile; candidates reduce in CPU-
-// level order with the serial strictly-greater tie-break, so the returned
-// strategy is byte-identical to BestResponse for every worker count.
-//
-// When the incremental engine is enabled (the process default, see
-// game.SetIncrementalDefault) the scan runs on a pooled Engine with O(N)
-// payoff queries; otherwise it runs the naive O(N²) reference path. The
-// two are byte-identical.
+// The scan runs on a pooled Engine with O(N) payoff queries; candidates
+// reduce in CPU-level order with the serial strictly-greater tie-break, so
+// the returned strategy is byte-identical to BestResponse for every worker
+// count.
 func BestResponseWorkers(cfg *game.Config, p game.Profile, i int, dTol float64, workers int) (game.Strategy, float64, bool) {
-	return bestResponse(cfg, p, i, dTol, workers, game.IncrementalDefault())
-}
-
-// bestResponse routes a single scan to the incremental engine or the naive
-// reference path.
-func bestResponse(cfg *game.Config, p game.Profile, i int, dTol float64, workers int, inc bool) (game.Strategy, float64, bool) {
-	if inc {
-		e := acquireEngine(cfg)
-		e.Bind(p)
-		s, val, ok := e.BestResponse(i, dTol, workers)
-		releaseEngine(e)
-		return s, val, ok
-	}
-	return BestResponseNaive(cfg, p, i, dTol, workers)
-}
-
-// BestResponseNaive is the reference best-response scan: every payoff is
-// evaluated from scratch by Config.Payoff in O(N²). It is the
-// -incremental=off path and the oracle the equivalence tests compare the
-// incremental engine against.
-func BestResponseNaive(cfg *game.Config, p game.Profile, i int, dTol float64, workers int) (game.Strategy, float64, bool) {
-	if dTol <= 0 {
-		dTol = 1e-7
-	}
-	levels := cfg.Orgs[i].CPULevels
-	mScans.Inc()
-	mCandidates.Add(int64(len(levels)))
-	workers = parallel.Resolve(workers)
-	if workers > 1 && len(levels) > 1 {
-		return reduceCandidates(parallel.MapLabeled("dbr.scan", workers, len(levels), func(k int) candidate {
-			return solveCandidate(cfg, p.Clone(), i, levels[k], dTol)
-		}))
-	}
-	work := p.Clone()
-	cands := make([]candidate, len(levels))
-	for k, f := range levels {
-		cands[k] = solveCandidate(cfg, work, i, f, dTol)
-	}
-	work[i] = p[i]
-	return reduceCandidates(cands)
-}
-
-// solveCandidate maximizes organization i's payoff over the feasible data
-// interval at the fixed CPU level f, mutating work[i] as scratch.
-func solveCandidate(cfg *game.Config, work game.Profile, i int, f, dTol float64) candidate {
-	lo, hi, feasible := cfg.FeasibleD(i, f)
-	if !feasible {
-		return candidate{}
-	}
-	d, val, _ := optimize.GoldenSection(func(d float64) float64 {
-		work[i] = game.Strategy{D: d, F: f}
-		return cfg.Payoff(i, work)
-	}, lo, hi, dTol)
-	return candidate{s: game.Strategy{D: d, F: f}, val: val, feasible: true}
+	e := acquireEngine(cfg)
+	e.Bind(p)
+	s, val, ok := e.BestResponse(i, dTol, workers)
+	releaseEngine(e)
+	return s, val, ok
 }
 
 // reduceCandidates folds candidates in CPU-level order with the serial
@@ -227,17 +167,12 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 	defer mSolveSec.ObserveSince(solveStart)
 	defer root.End()
 
-	// Incremental path: one pooled engine is bound to the profile once and
-	// kept consistent with O(1) updates after each move, so every payoff
-	// query inside the sweep costs O(N). The naive path recomputes each
-	// payoff in O(N²); both produce byte-identical profiles and traces.
-	inc := opts.Incremental.Enabled()
-	var eng *Engine
-	if inc {
-		eng = acquireEngine(cfg)
-		defer releaseEngine(eng)
-		eng.Bind(p)
-	}
+	// One pooled engine is bound to the profile once and kept consistent
+	// with O(1) updates after each move, so every payoff query inside the
+	// sweep costs O(N).
+	eng := acquireEngine(cfg)
+	defer releaseEngine(eng)
+	eng.Bind(p)
 
 	res := &Result{}
 	for t := 0; t < opts.MaxRounds; t++ {
@@ -251,24 +186,14 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 				sweepSpan.End()
 				return nil, fmt.Errorf("dbr: %w", err)
 			}
-			var cur, val float64
-			var next game.Strategy
-			var ok bool
-			if inc {
-				cur = eng.Payoff(i)
-				next, val, ok = eng.BestResponse(i, opts.DTol, opts.Workers)
-			} else {
-				cur = cfg.Payoff(i, p)
-				next, val, ok = BestResponseNaive(cfg, p, i, opts.DTol, opts.Workers)
-			}
+			cur := eng.Payoff(i)
+			next, val, ok := eng.BestResponse(i, opts.DTol, opts.Workers)
 			if !ok {
 				continue
 			}
 			if val > cur+opts.Tol {
 				p[i] = next
-				if inc {
-					eng.Update(i, next)
-				}
+				eng.Update(i, next)
 				changed = true
 				mMoves.Inc()
 			}

@@ -32,17 +32,18 @@ func engineGames(t *testing.T) []*game.Config {
 	return cfgs
 }
 
-// TestEngineBestResponseMatchesNaive compares the incremental engine scan
-// against the naive oracle on identical profiles: strategy, value and the
-// feasibility flag must agree bit-for-bit at every worker count.
+// TestEngineBestResponseMatchesNaive compares the engine scan against the
+// from-scratch reference (reference_test.go) on identical profiles:
+// strategy, value and the feasibility flag must agree bit-for-bit at every
+// worker count.
 func TestEngineBestResponseMatchesNaive(t *testing.T) {
 	for _, cfg := range engineGames(t) {
 		p := cfg.MinimalProfile()
 		eng := NewEngine(cfg)
 		eng.Bind(p)
-		for _, workers := range []int{1, 2, 4} {
-			for i := 0; i < cfg.N(); i++ {
-				ns, nv, nok := BestResponseNaive(cfg, p, i, 1e-7, workers)
+		for i := 0; i < cfg.N(); i++ {
+			ns, nv, nok := bestResponseNaive(cfg, p, i, 1e-7)
+			for _, workers := range []int{1, 2, 4} {
 				es, ev, eok := eng.BestResponse(i, 1e-7, workers)
 				if nok != eok || ns != es || math.Float64bits(nv) != math.Float64bits(ev) {
 					t.Fatalf("org %d workers %d: engine (%+v, %x, %v) != naive (%+v, %x, %v)",
@@ -53,20 +54,16 @@ func TestEngineBestResponseMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestSolveIncrementalEquivalence is the end-to-end A/B: Solve with the
-// engine on and off must return bitwise-identical profiles, payoff traces
-// and potential traces — the -incremental flag changes speed, not results.
+// TestSolveIncrementalEquivalence is the end-to-end check of the engine:
+// Solve must return the profile, payoff traces and potential traces of
+// Algorithm 2 run on the from-scratch reference scan, bit for bit.
 func TestSolveIncrementalEquivalence(t *testing.T) {
 	for _, cfg := range engineGames(t) {
-		on, err := Solve(cfg, nil, Options{Incremental: game.ToggleOn})
+		got, err := Solve(cfg, nil, Options{})
 		if err != nil {
-			t.Fatalf("Solve(on): %v", err)
+			t.Fatalf("Solve: %v", err)
 		}
-		off, err := Solve(cfg, nil, Options{Incremental: game.ToggleOff})
-		if err != nil {
-			t.Fatalf("Solve(off): %v", err)
-		}
-		sameResult(t, "incremental on", on, off)
+		sameResult(t, "engine vs reference", got, solveNaive(cfg, Options{}))
 	}
 }
 
@@ -98,24 +95,6 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestBestResponseWorkersHonorsProcessDefault checks the pooled entry point
-// follows game.SetIncrementalDefault and stays byte-identical across modes.
-func TestBestResponseWorkersHonorsProcessDefault(t *testing.T) {
-	defer game.SetIncrementalDefault(true)
-	cfg := defaultGame(t, 3)
-	p := cfg.MinimalProfile()
-	for i := 0; i < cfg.N(); i++ {
-		game.SetIncrementalDefault(true)
-		sOn, vOn, okOn := BestResponseWorkers(cfg, p, i, 1e-7, 1)
-		game.SetIncrementalDefault(false)
-		sOff, vOff, okOff := BestResponseWorkers(cfg, p, i, 1e-7, 1)
-		if sOn != sOff || math.Float64bits(vOn) != math.Float64bits(vOff) || okOn != okOff {
-			t.Fatalf("org %d: default-on (%+v, %x) != default-off (%+v, %x)",
-				i, sOn, math.Float64bits(vOn), sOff, math.Float64bits(vOff))
-		}
-	}
-}
-
 var engineSink float64
 
 // TestBestResponseZeroAlloc pins the tentpole's allocation contract: a
@@ -142,16 +121,16 @@ func TestBestResponseZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkBestResponseAllocs pits the engine's serial scan against the
-// naive reference at the default instance size; with -benchmem the on case
-// documents the zero-alloc steady state the tentpole requires.
+// BenchmarkBestResponseAllocs measures the engine's serial scan at the
+// default instance size (with -benchmem it documents the zero-alloc steady
+// state) beside the from-scratch reference scan it replaced.
 func BenchmarkBestResponseAllocs(b *testing.B) {
 	cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, NoOrgName: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := cfg.MinimalProfile()
-	b.Run("incremental=on", func(b *testing.B) {
+	b.Run("engine", func(b *testing.B) {
 		b.ReportAllocs()
 		eng := NewEngine(cfg)
 		eng.Bind(p)
@@ -162,10 +141,10 @@ func BenchmarkBestResponseAllocs(b *testing.B) {
 			}
 		}
 	})
-	b.Run("incremental=off", func(b *testing.B) {
+	b.Run("reference=from-scratch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, ok := BestResponseNaive(cfg, p, i%cfg.N(), 1e-7, 1); !ok {
+			if _, _, ok := bestResponseNaive(cfg, p, i%cfg.N(), 1e-7); !ok {
 				b.Fatal("no feasible response")
 			}
 		}

@@ -11,14 +11,14 @@ import (
 // place between solves, so an engine that comes back from the pool for the
 // same config pointer must not trust its cached static state. Before the
 // fix, the pointer-equality fast path skipped the DeltaEvaluator rebuild
-// and the second incremental solve returned a wrong equilibrium.
+// and the second solve returned a wrong equilibrium.
 func TestEngineSurvivesInPlaceMutation(t *testing.T) {
 	cfg, err := game.DefaultConfig(game.GenOptions{Seed: 11, N: 6, NoOrgName: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First incremental solve binds a pooled engine to cfg.
-	if _, err := Solve(cfg, nil, Options{Incremental: game.ToggleOn}); err != nil {
+	// The first solve binds a pooled engine to cfg.
+	if _, err := Solve(cfg, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Mutate the config in place exactly like campaign.drift.
@@ -29,20 +29,17 @@ func TestEngineSurvivesInPlaceMutation(t *testing.T) {
 	}
 	cfg.NormalizeRho(game.DefaultZMargin)
 
-	inc, err := Solve(cfg, nil, Options{Incremental: game.ToggleOn})
+	inc, err := Solve(cfg, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := Solve(cfg, nil, Options{Incremental: game.ToggleOff})
-	if err != nil {
-		t.Fatal(err)
-	}
+	naive := solveNaive(cfg, Options{})
 	if len(inc.Profile) != len(naive.Profile) {
 		t.Fatalf("profile lengths differ: %d vs %d", len(inc.Profile), len(naive.Profile))
 	}
 	for i := range inc.Profile {
 		if inc.Profile[i] != naive.Profile[i] {
-			t.Fatalf("org %d: incremental %+v != naive %+v after in-place mutation",
+			t.Fatalf("org %d: engine %+v != reference %+v after in-place mutation",
 				i, inc.Profile[i], naive.Profile[i])
 		}
 	}

@@ -16,8 +16,7 @@ type CalibrateOptions struct {
 	// Seeds are the instance seeds per size (default 1, 2).
 	Seeds []int64
 	// Ns are the organization counts of the calibration corpus (default
-	// 4, 6, 8 — small enough that even the exhaustive traversal master
-	// stays in the microsecond range).
+	// 4, 6, 8, 10, 12).
 	Ns []int
 	// CPUSteps is the per-organization grid width (default 3).
 	CPUSteps int
@@ -28,8 +27,7 @@ func (o CalibrateOptions) withDefaults() CalibrateOptions {
 		o.Seeds = []int64{1, 2}
 	}
 	if len(o.Ns) == 0 {
-		// Spans the pruned/DBR crossover region; the traversal fit only
-		// uses the instances below calTraversalGrid.
+		// Spans the pruned/DBR crossover region.
 		o.Ns = []int{4, 6, 8, 10, 12}
 	}
 	if o.CPUSteps == 0 {
@@ -37,12 +35,6 @@ func (o CalibrateOptions) withDefaults() CalibrateOptions {
 	}
 	return o
 }
-
-// calTraversalGrid caps the grid size of instances used to fit the
-// traversal coefficient: beyond it one exhaustive solve costs
-// milliseconds, turning the micro-benchmark macro for a plan the planner
-// excludes on large grids anyway.
-const calTraversalGrid = 1e4
 
 // unitClamp bounds how far calibration may move a coefficient from the
 // built-in default, so one noisy measurement (GC pause, CPU throttle)
@@ -83,7 +75,7 @@ func Calibrate(opts CalibrateOptions) (*CostProfile, error) {
 	// unit = Σ f·t / Σ f². Large instances carry more weight, which is
 	// exactly where a wrong crossover costs real wall time; a geometric
 	// mean would let the microsecond-scale instances drown them out.
-	fit := func(plan Plan) (float64, error) {
+	fit := func(plan Plan, base float64) (float64, error) {
 		num, den := 0.0, 0.0
 		for _, cfg := range corpus {
 			st := StatsOf(cfg, 0)
@@ -91,14 +83,11 @@ func Calibrate(opts CalibrateOptions) (*CostProfile, error) {
 			if factor <= 0 {
 				continue
 			}
-			if plan == PlanTraversal && st.Grid > calTraversalGrid {
-				continue
-			}
 			ns, err := measure(plan, cfg)
 			if err != nil {
 				return 0, err
 			}
-			if t := ns - baseOf(prof, plan); t > 0 {
+			if t := ns - base; t > 0 {
 				num += factor * t
 				den += factor * factor
 			}
@@ -109,14 +98,22 @@ func Calibrate(opts CalibrateOptions) (*CostProfile, error) {
 		return num / den, nil
 	}
 
-	for _, plan := range []Plan{PlanDBR, PlanPruned, PlanTraversal} {
-		unit, err := fit(plan)
+	// prof still holds the defaults: each unit is read as the clamp centre
+	// and then overwritten with its fit.
+	for _, m := range []struct {
+		plan Plan
+		base float64
+		unit *float64
+	}{
+		{PlanDBR, prof.DBRBase, &prof.DBRUnit},
+		{PlanPruned, prof.PrunedBase, &prof.PrunedUnit},
+	} {
+		unit, err := fit(m.plan, m.base)
 		if err != nil {
 			return nil, err
 		}
-		def := unitOf(DefaultProfile(), plan)
-		unit = math.Min(def*unitClamp, math.Max(def/unitClamp, unit))
-		setUnit(prof, plan, unit)
+		def := *m.unit
+		*m.unit = math.Min(def*unitClamp, math.Max(def/unitClamp, unit))
 	}
 	prof.CalibratedNs = float64(time.Since(start).Nanoseconds())
 	mCalibrateNs.Set(prof.CalibratedNs)
@@ -134,64 +131,21 @@ func unitFactor(p Plan, st Stats) float64 {
 		return math.Pow(float64(st.N), 1.5) * st.MeanLevels
 	case PlanPruned:
 		return math.Pow(st.Grid, 0.4) * epsFactor(st.Epsilon)
-	case PlanTraversal:
-		if st.Grid > maxTraversalGrid {
-			return 0
-		}
-		return st.Grid * epsFactor(st.Epsilon)
 	}
 	return 0
 }
 
-func baseOf(c *CostProfile, p Plan) float64 {
-	switch p {
-	case PlanDBR:
-		return c.DBRBase
-	case PlanPruned:
-		return c.PrunedBase
-	default:
-		return c.TraversalBase
-	}
-}
-
-func unitOf(c *CostProfile, p Plan) float64 {
-	switch p {
-	case PlanDBR:
-		return c.DBRUnit
-	case PlanPruned:
-		return c.PrunedUnit
-	default:
-		return c.TraversalUnit
-	}
-}
-
-func setUnit(c *CostProfile, p Plan, v float64) {
-	switch p {
-	case PlanDBR:
-		c.DBRUnit = v
-	case PlanPruned:
-		c.PrunedUnit = v
-	default:
-		c.TraversalUnit = v
-	}
-}
-
-// measure solves cfg twice with the given plan (serial, incremental
-// default) and returns the second solve's wall time in nanoseconds, read
-// from the obs solve-time histogram delta.
+// measure solves cfg twice with the given plan (serial) and returns the
+// second solve's wall time in nanoseconds, read from the obs solve-time
+// histogram delta.
 func measure(plan Plan, cfg *game.Config) (float64, error) {
 	solve := func() error {
-		switch plan {
-		case PlanDBR:
+		if plan == PlanDBR {
 			_, err := dbr.Solve(cfg, nil, dbr.Options{Workers: 1})
 			return err
-		case PlanTraversal:
-			_, err := gbd.Solve(cfg, gbd.Options{Master: gbd.MasterTraversal, Workers: 1})
-			return err
-		default:
-			_, err := gbd.Solve(cfg, gbd.Options{Master: gbd.MasterPruned, Workers: 1})
-			return err
 		}
+		_, err := gbd.Solve(cfg, gbd.Options{Master: gbd.MasterPruned, Workers: 1})
+		return err
 	}
 	hist := "tradefl_gbd_solve_seconds"
 	if plan == PlanDBR {

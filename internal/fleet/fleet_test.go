@@ -112,6 +112,63 @@ func TestFixedPlansMatchDirect(t *testing.T) {
 	}
 }
 
+// TestAutoSolvesPersonalizedGames: plan=auto must solve a small game with
+// the personalization extension — routed to DBR, equal to dbr.Solve —
+// where the size rule alone would hand it to CGBD, which rejects it.
+// Forced CGBD plans keep returning the solver's error.
+func TestAutoSolvesPersonalizedGames(t *testing.T) {
+	cfg, err := game.DefaultConfig(game.GenOptions{N: 6, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Personal = game.Personalization{Alpha: 0.3, LocalBoost: 1.5}
+	r := New(Options{}).SolveOne(cfg)
+	if r.Err != nil {
+		t.Fatalf("plan=auto (resolved to %s): %v", r.Plan, r.Err)
+	}
+	want, err := dbr.Solve(cfg, nil, dbr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Plan != PlanDBR || !reflect.DeepEqual(r.Profile, want.Profile) {
+		t.Fatalf("plan=auto solved with %s, profile %+v; want dbr.Solve's %+v", r.Plan, r.Profile, want.Profile)
+	}
+	for _, plan := range []Plan{PlanPruned, PlanTraversal} {
+		if r := New(Options{Plan: plan}).SolveOne(cfg); r.Err == nil || r.Plan != plan {
+			t.Errorf("forced %s on a personalized game: plan %s, err %v; want the solver's rejection", plan, r.Plan, r.Err)
+		}
+	}
+}
+
+// TestAutoEqualsBothMasters: auto no longer resolves to the traversal
+// master on tiny grids. That changes no output: on N ∈ {2,3,4}, where the
+// traversal form used to win, auto, forced pruned and forced traversal
+// return the same profile and potential.
+func TestAutoEqualsBothMasters(t *testing.T) {
+	for _, n := range []int{2, 3, 4} {
+		for seed := int64(1); seed <= 4; seed++ {
+			cfg := fleetConfig(t, seed, n)
+			auto := New(Options{}).SolveOne(cfg)
+			if auto.Err != nil {
+				t.Fatalf("N=%d seed=%d auto: %v", n, seed, auto.Err)
+			}
+			if auto.Plan != PlanPruned {
+				t.Fatalf("N=%d seed=%d: auto resolved to %s, want pruned", n, seed, auto.Plan)
+			}
+			for _, plan := range []Plan{PlanPruned, PlanTraversal} {
+				forced := New(Options{Plan: plan}).SolveOne(cfg)
+				if forced.Err != nil {
+					t.Fatalf("N=%d seed=%d %s: %v", n, seed, plan, forced.Err)
+				}
+				if !reflect.DeepEqual(forced.Profile, auto.Profile) || forced.Potential != auto.Potential {
+					t.Errorf("N=%d seed=%d: forced %s (%+v, %v) differs from auto (%+v, %v)",
+						n, seed, plan, forced.Profile, forced.Potential, auto.Profile, auto.Potential)
+				}
+			}
+		}
+	}
+}
+
 // TestWarmResultReuse: re-solving an unchanged instance through the same
 // engine is served from the warm result cache, byte-identically.
 func TestWarmResultReuse(t *testing.T) {

@@ -28,13 +28,17 @@ type Plan int
 // Plans. PlanAuto is resolved per instance by the cost model; the others
 // force a fixed strategy.
 const (
-	// PlanAuto lets the planner pick the cheapest predicted plan.
+	// PlanAuto lets the planner pick the cheaper predicted plan of
+	// PlanPruned and PlanDBR.
 	PlanAuto Plan = iota
 	// PlanDBR solves with distributed best response (Algorithm 2).
 	PlanDBR
 	// PlanPruned solves with CGBD and the pruned depth-first master.
 	PlanPruned
-	// PlanTraversal solves with CGBD and the exhaustive traversal master.
+	// PlanTraversal solves with CGBD and the exhaustive traversal master,
+	// the paper's method. It returns the grid point PlanPruned returns at
+	// Θ(m^N) cost, so it is a forced plan only — experiments and the
+	// benchmark name it — and PlanAuto never resolves to it.
 	PlanTraversal
 )
 
@@ -79,10 +83,13 @@ type Stats struct {
 	// MeanLevels is the mean CPU-grid width.
 	MeanLevels float64
 	// Grid is the full f-grid cardinality Π m_i (float; +Inf for grids
-	// beyond float range, which only strengthens the traversal exclusion).
+	// beyond float range).
 	Grid float64
 	// Epsilon is the CGBD convergence tolerance the solve would use.
 	Epsilon float64
+	// Personalized reports the personalization extension (α > 0), which
+	// CGBD rejects: only DBR solves such a game.
+	Personalized bool
 }
 
 // StatsOf derives the planner features of one instance. epsilon is the
@@ -91,7 +98,7 @@ func StatsOf(cfg *game.Config, epsilon float64) Stats {
 	if epsilon == 0 {
 		epsilon = 1e-6
 	}
-	st := Stats{N: cfg.N(), Grid: 1, Epsilon: epsilon}
+	st := Stats{N: cfg.N(), Grid: 1, Epsilon: epsilon, Personalized: cfg.Personal.Alpha > 0}
 	total := 0
 	for i := range cfg.Orgs {
 		m := len(cfg.Orgs[i].CPULevels)
@@ -112,30 +119,28 @@ func StatsOf(cfg *game.Config, epsilon float64) Stats {
 // the measured solver scalings, DESIGN.md §12); calibration refits only
 // the scale constants to the host:
 //
-//	cost(dbr)       = DBRBase       + DBRUnit·N^1.5·m̄
-//	cost(pruned)    = PrunedBase    + PrunedUnit·G^0.4·ε-factor
-//	cost(traversal) = TraversalBase + TraversalUnit·G·ε-factor
+//	cost(dbr)    = DBRBase    + DBRUnit·N^1.5·m̄
+//	cost(pruned) = PrunedBase + PrunedUnit·G^0.4·ε-factor
 //
 // where m̄ is the mean grid width, G = Π m_i the full grid cardinality, and
 // the ε-factor mildly scales CGBD cost with the tolerance (tighter ε, more
-// iterations).
+// iterations). A personalized game costs +Inf under CGBD, which rejects it.
 type CostProfile struct {
 	// Version guards against stale persisted profiles.
 	Version int `json:"version"`
 	// CalibratedNs records the calibration wall budget (0 for built-ins).
 	CalibratedNs float64 `json:"calibratedNs,omitempty"`
 
-	DBRBase       float64 `json:"dbrBaseNs"`
-	DBRUnit       float64 `json:"dbrUnitNs"`
-	PrunedBase    float64 `json:"prunedBaseNs"`
-	PrunedUnit    float64 `json:"prunedUnitNs"`
-	TraversalBase float64 `json:"traversalBaseNs"`
-	TraversalUnit float64 `json:"traversalUnitNs"`
+	DBRBase    float64 `json:"dbrBaseNs"`
+	DBRUnit    float64 `json:"dbrUnitNs"`
+	PrunedBase float64 `json:"prunedBaseNs"`
+	PrunedUnit float64 `json:"prunedUnitNs"`
 }
 
 // profileVersion is bumped whenever the cost-model forms change, so a
 // persisted profile calibrated against old forms is rejected on load.
-const profileVersion = 1
+// Version 1 carried a traversal form.
+const profileVersion = 2
 
 // DefaultProfile returns the built-in cost profile: coefficients fitted on
 // the reference host's measured solver timings. It is the safe fallback
@@ -143,20 +148,13 @@ const profileVersion = 1
 // only the crossover points are approximate.
 func DefaultProfile() *CostProfile {
 	return &CostProfile{
-		Version:       profileVersion,
-		DBRBase:       10_000,
-		DBRUnit:       1_500,
-		PrunedBase:    10_000,
-		PrunedUnit:    1_300,
-		TraversalBase: 8_000,
-		TraversalUnit: 120,
+		Version:    profileVersion,
+		DBRBase:    10_000,
+		DBRUnit:    1_500,
+		PrunedBase: 10_000,
+		PrunedUnit: 1_300,
 	}
 }
-
-// maxTraversalGrid caps the grid size the planner will ever predict a
-// finite traversal cost for; beyond it the exhaustive master is excluded
-// outright regardless of calibration.
-const maxTraversalGrid = 1e8
 
 // epsFactor scales CGBD cost with the convergence tolerance: tighter ε
 // takes more iterations. Mild and clamped so a miscalibrated ε cannot
@@ -171,21 +169,18 @@ func epsFactor(epsilon float64) float64 {
 
 // Predict returns the modeled solve cost of plan p on an instance with
 // statistics st, in nanoseconds. PlanAuto predicts the minimum over the
-// concrete plans.
+// plans it chooses from; PlanTraversal has no cost form and predicts +Inf.
 func (c *CostProfile) Predict(p Plan, st Stats) float64 {
 	switch p {
 	case PlanDBR:
 		return c.DBRBase + c.DBRUnit*math.Pow(float64(st.N), 1.5)*st.MeanLevels
 	case PlanPruned:
-		return c.PrunedBase + c.PrunedUnit*math.Pow(st.Grid, 0.4)*epsFactor(st.Epsilon)
-	case PlanTraversal:
-		if st.Grid > maxTraversalGrid {
+		if st.Personalized {
 			return math.Inf(1)
 		}
-		return c.TraversalBase + c.TraversalUnit*st.Grid*epsFactor(st.Epsilon)
+		return c.PrunedBase + c.PrunedUnit*math.Pow(st.Grid, 0.4)*epsFactor(st.Epsilon)
 	case PlanAuto:
-		return math.Min(c.Predict(PlanPruned, st),
-			math.Min(c.Predict(PlanTraversal, st), c.Predict(PlanDBR, st)))
+		return math.Min(c.Predict(PlanPruned, st), c.Predict(PlanDBR, st))
 	}
 	return math.Inf(1)
 }
@@ -196,18 +191,16 @@ func (c *CostProfile) valid() error {
 		return fmt.Errorf("fleet: cost profile version %d, want %d (recalibrate)", c.Version, profileVersion)
 	}
 	for name, v := range map[string]float64{
-		"dbrUnitNs":       c.DBRUnit,
-		"prunedUnitNs":    c.PrunedUnit,
-		"traversalUnitNs": c.TraversalUnit,
+		"dbrUnitNs":    c.DBRUnit,
+		"prunedUnitNs": c.PrunedUnit,
 	} {
 		if !(v > 0) || math.IsInf(v, 0) {
 			return fmt.Errorf("fleet: cost profile %s = %v, want a positive finite coefficient", name, v)
 		}
 	}
 	for name, v := range map[string]float64{
-		"dbrBaseNs":       c.DBRBase,
-		"prunedBaseNs":    c.PrunedBase,
-		"traversalBaseNs": c.TraversalBase,
+		"dbrBaseNs":    c.DBRBase,
+		"prunedBaseNs": c.PrunedBase,
 	} {
 		if v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
 			return fmt.Errorf("fleet: cost profile %s = %v, want a non-negative finite base", name, v)
@@ -245,9 +238,7 @@ func LoadProfile(path string) (*CostProfile, error) {
 // Decision is the planner's verdict for one instance. Plan selects the
 // solver; Workers tunes within-instance sharding, a byte-identical knob —
 // output bytes never depend on it, which is what makes the load-aware
-// choice safe. The evaluation engine is not the planner's to choose: every
-// instance follows the engine's options and, past them, the process default
-// (-incremental).
+// choice safe.
 type Decision struct {
 	Plan Plan
 	// Workers is the within-instance worker count for the master-problem
@@ -273,9 +264,9 @@ func (pl *Planner) profile() *CostProfile {
 	return pl.Prof
 }
 
-// planOrder fixes the deterministic tie-break: earlier wins on equal
-// predicted cost.
-var planOrder = [...]Plan{PlanPruned, PlanTraversal, PlanDBR}
+// planOrder lists the plans PlanAuto chooses from and fixes the
+// deterministic tie-break: earlier wins on equal predicted cost.
+var planOrder = [...]Plan{PlanPruned, PlanDBR}
 
 // Decide resolves the plan and worker count for one instance. spare is the
 // number of idle pool workers the instance may additionally occupy for

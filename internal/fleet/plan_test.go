@@ -3,10 +3,13 @@ package fleet
 import (
 	"context"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"tradefl/internal/game"
 )
 
 // TestParsePlanRoundTrip: every plan parses back from its String form.
@@ -59,25 +62,63 @@ func TestDecideDeterministicPlan(t *testing.T) {
 }
 
 // TestDecideDefaultProfileFallback: with no calibration profile at all the
-// planner still routes the measured solver crossovers sensibly — tiny
-// grids to a CGBD master, big-N instances to DBR, and never traversal on
-// an intractable grid.
+// planner still routes the measured solver crossover sensibly — small
+// grids to the pruned CGBD master, big-N instances to DBR — and auto never
+// resolves to the traversal master, whatever the grid.
 func TestDecideDefaultProfileFallback(t *testing.T) {
 	var pl Planner // nil profile → DefaultProfile
 	small := pl.Decide(Stats{N: 4, MaxLevels: 3, MeanLevels: 3, Grid: 81, Epsilon: 1e-6}, 0)
-	if small.Plan == PlanDBR {
-		t.Errorf("N=4 m=3 routed to %s; a CGBD master is an order of magnitude cheaper there", small.Plan)
+	if small.Plan != PlanPruned {
+		t.Errorf("N=4 m=3 routed to %s; the pruned master is an order of magnitude cheaper there", small.Plan)
 	}
 	big := pl.Decide(Stats{N: 16, MaxLevels: 3, MeanLevels: 3, Grid: math.Pow(3, 16), Epsilon: 1e-6}, 0)
 	if big.Plan != PlanDBR {
-		t.Errorf("N=16 m=3 routed to %s, want dbr (grid 3^16 is intractable for traversal, slow for pruned)", big.Plan)
+		t.Errorf("N=16 m=3 routed to %s, want dbr (a 3^16 grid is slow for pruned)", big.Plan)
 	}
-	huge := pl.Decide(Stats{N: 40, MaxLevels: 10, MeanLevels: 10, Grid: math.Pow(10, 40), Epsilon: 1e-6}, 0)
-	if huge.Plan == PlanTraversal {
-		t.Error("traversal chosen on a 10^40 grid")
+	for _, st := range []Stats{
+		{N: 2, MaxLevels: 3, MeanLevels: 3, Grid: 9, Epsilon: 1e-6},
+		{N: 3, MaxLevels: 3, MeanLevels: 3, Grid: 27, Epsilon: 1e-6},
+		{N: 40, MaxLevels: 10, MeanLevels: 10, Grid: math.Pow(10, 40), Epsilon: 1e-6},
+	} {
+		if dec := pl.Decide(st, 0); dec.Plan == PlanTraversal {
+			t.Errorf("auto resolved to traversal on a %g-point grid", st.Grid)
+		}
 	}
-	if !math.IsInf(DefaultProfile().Predict(PlanTraversal, Stats{Grid: 1e12}), 1) {
-		t.Error("traversal prediction finite beyond the hard grid cap")
+}
+
+// TestDecisionTable pins the premise BENCHMARK.json states for its two job
+// workloads: on generated m=3 games auto sends N ∈ {4,5,6,8,10} to the
+// pruned CGBD master and N ∈ {24,32,40} to DBR.
+func TestDecisionTable(t *testing.T) {
+	var pl Planner
+	for n, want := range map[int]Plan{
+		4: PlanPruned, 5: PlanPruned, 6: PlanPruned, 8: PlanPruned, 10: PlanPruned,
+		24: PlanDBR, 32: PlanDBR, 40: PlanDBR,
+	} {
+		if dec := pl.Decide(StatsOf(fleetConfig(t, 1, n), 0), 0); dec.Plan != want {
+			t.Errorf("N=%d: auto picked %s, want %s", n, dec.Plan, want)
+		}
+	}
+}
+
+// TestDecidePersonalizedGoesToDBR: CGBD rejects the personalization
+// extension, so auto must route an α > 0 game to DBR at any size; a forced
+// CGBD plan stays forced.
+func TestDecidePersonalizedGoesToDBR(t *testing.T) {
+	var pl Planner
+	for _, n := range []int{2, 6, 11} {
+		cfg := fleetConfig(t, 1, n)
+		if dec := pl.Decide(StatsOf(cfg, 0), 0); dec.Plan != PlanPruned {
+			t.Fatalf("N=%d base game: auto picked %s, want pruned", n, dec.Plan)
+		}
+		cfg.Personal = game.Personalization{Alpha: 0.3, LocalBoost: 1.5}
+		if dec := pl.Decide(StatsOf(cfg, 0), 0); dec.Plan != PlanDBR {
+			t.Errorf("N=%d personalized game: auto picked %s, want dbr", n, dec.Plan)
+		}
+		forced := Planner{Forced: PlanPruned}
+		if dec := forced.Decide(StatsOf(cfg, 0), 0); dec.Plan != PlanPruned {
+			t.Errorf("N=%d personalized game: forced pruned resolved to %s", n, dec.Plan)
+		}
 	}
 }
 
@@ -109,6 +150,17 @@ func TestProfileSaveLoad(t *testing.T) {
 		t.Errorf("stale profile version accepted: %v", err)
 	}
 
+	// A profile persisted with the version-1 forms (which had a traversal
+	// term) must be refused, not read with the term dropped.
+	v1Path := filepath.Join(dir, "v1.json")
+	v1 := `{"version":1,"dbrBaseNs":10000,"dbrUnitNs":1500,"prunedBaseNs":10000,"prunedUnitNs":1300,"traversalBaseNs":8000,"traversalUnitNs":120}`
+	if err := os.WriteFile(v1Path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadProfile(v1Path); err == nil || !strings.Contains(err.Error(), "recalibrate") {
+		t.Errorf("version-1 profile: err = %v, want the recalibrate error", err)
+	}
+
 	broken := DefaultProfile()
 	broken.PrunedUnit = 0
 	brokenPath := filepath.Join(dir, "broken.json")
@@ -125,9 +177,12 @@ func TestProfileSaveLoad(t *testing.T) {
 }
 
 // TestCalibrate: the self-calibration micro-bench produces a valid profile
-// with every coefficient inside the clamp band around the defaults.
+// with every coefficient inside the clamp band around the defaults. The
+// corpus must hold solves well above the 10 µs base terms: a warm pruned
+// solve at N ≤ 6 takes about that long, and a corpus of only such solves
+// leaves the fit no sample (the test failed two runs in five that way).
 func TestCalibrate(t *testing.T) {
-	prof, err := Calibrate(CalibrateOptions{Seeds: []int64{1}, Ns: []int{4, 6}})
+	prof, err := Calibrate(CalibrateOptions{Seeds: []int64{1}, Ns: []int{8, 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +193,6 @@ func TestCalibrate(t *testing.T) {
 	for _, pair := range [][2]float64{
 		{prof.DBRUnit, def.DBRUnit},
 		{prof.PrunedUnit, def.PrunedUnit},
-		{prof.TraversalUnit, def.TraversalUnit},
 	} {
 		if pair[0] > pair[1]*unitClamp || pair[0] < pair[1]/unitClamp {
 			t.Errorf("calibrated unit %v outside the clamp band around %v", pair[0], pair[1])
@@ -178,7 +232,7 @@ func TestPlannerRegret(t *testing.T) {
 	}
 	auto := run(PlanAuto)
 	fixedBest := time.Duration(math.MaxInt64)
-	for _, plan := range []Plan{PlanDBR, PlanPruned} { // traversal diverges on N=10
+	for _, plan := range []Plan{PlanDBR, PlanPruned} {
 		if dt := run(plan); dt < fixedBest {
 			fixedBest = dt
 		}

@@ -32,35 +32,19 @@ func (r NashReport) String() string {
 // fractions across the feasible interval and measures the best payoff
 // improvement over C_i(π). Definition 6 of the paper.
 //
-// When the incremental engine is on (the process default) the unilateral
-// deviations are evaluated through a DeltaEvaluator bound once to p; the
-// evaluator is byte-identical to Config.Payoff, so the report is the same
-// either way — only the constant factor per deviation changes.
+// The unilateral deviations are evaluated through a DeltaEvaluator bound
+// once to p; the evaluator is byte-identical to Config.Payoff, so the
+// report equals a from-scratch scan's at O(N) per deviation instead of
+// O(N²).
 func (c *Config) CheckNash(p Profile, gridRes int, tol float64) NashReport {
 	if gridRes < 2 {
 		gridRes = 2
 	}
 	report := NashReport{IsNash: true, Deviator: -1, Tolerance: tol}
-	var payoffAt func(i int) float64
-	var payoffWith func(i int, s Strategy) float64
-	if IncrementalDefault() {
-		ev := NewDeltaEvaluator(c)
-		ev.Bind(p)
-		payoffAt = ev.Payoff
-		payoffWith = ev.PayoffWith
-	} else {
-		work := p.Clone()
-		payoffAt = func(i int) float64 { return c.Payoff(i, p) }
-		payoffWith = func(i int, s Strategy) float64 {
-			orig := work[i]
-			work[i] = s
-			v := c.Payoff(i, work)
-			work[i] = orig
-			return v
-		}
-	}
+	ev := NewDeltaEvaluator(c)
+	ev.Bind(p)
 	for i := range c.Orgs {
-		base := payoffAt(i)
+		base := ev.Payoff(i)
 		for _, f := range c.Orgs[i].CPULevels {
 			lo, hi, ok := c.FeasibleD(i, f)
 			if !ok {
@@ -68,7 +52,7 @@ func (c *Config) CheckNash(p Profile, gridRes int, tol float64) NashReport {
 			}
 			for k := 0; k < gridRes; k++ {
 				d := lo + (hi-lo)*float64(k)/float64(gridRes-1)
-				regret := payoffWith(i, Strategy{D: d, F: f}) - base
+				regret := ev.PayoffWith(i, Strategy{D: d, F: f}) - base
 				if regret > report.MaxRegret {
 					report.MaxRegret = regret
 					report.Deviator = i

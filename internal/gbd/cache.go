@@ -5,13 +5,14 @@ import (
 	"slices"
 )
 
-// This file holds the incremental-evaluation state of the CGBD solver
-// (Options.Incremental, on by default): per-(organization, CPU-level)
-// constant caches, the persistent incrementally-grown master cut tables
-// with dominated-cut eviction, and the f-vector-keyed primal memo. Every
-// cached quantity is produced by the same floating-point expression the
-// naive path evaluates, so solver output is byte-identical either way —
-// the equivalence tests assert it field by field.
+// This file holds the cached evaluation state of the CGBD solver:
+// per-(organization, CPU-level) constant caches, the persistent
+// incrementally-grown master cut tables with dominated-cut eviction, and
+// the incumbent seeds of the master search. Every cached quantity is
+// produced by the floating-point expression a from-scratch evaluation
+// would use, and eviction and seeding only drop what cannot change the
+// answer, so solver output is byte-identical to recomputing everything on
+// every call (DESIGN.md §10; pinned by the goldens in golden_test.go).
 
 // primalResult memoizes one solved primal subproblem (19), keyed by the
 // f-grid index vector. The d/u slices are shared with the optimality cuts
@@ -34,17 +35,15 @@ const primalMemoCap = 512
 // the bound itself (≈ N·ulp of the term scale, orders of magnitude below
 // 1e-6 at the potential's O(1e3) scale), so eviction never removes a cut
 // that could tie the min at any grid point — which is what keeps the
-// master's φ values bit-identical to the keep-everything naive path.
+// master's φ values bit-identical to keeping every cut.
 const dominationMargin = 1e-6
 
-// initIncremental precomputes the per-(org, level) constants every primal
-// solve and cut tabulation reuses, and empties the persistent structures.
-// Each cached value is computed once by exactly the expression the naive
-// path evaluates per call (linearCostPerOmega, fOnlyTerm, FeasibleD,
-// MaxDataFraction), so cached and fresh bits agree. Storage comes from the
-// freshly reset solve arena, so any shape costs the same: no allocation
-// once the arena has grown to it.
-func (s *solver) initIncremental() {
+// initCaches precomputes the per-(org, level) constants every primal solve
+// and cut tabulation reuses (linearCostPerOmega, fOnlyTerm, FeasibleD,
+// MaxDataFraction), and empties the persistent structures. Storage comes
+// from the freshly reset solve arena, so any shape costs the same: no
+// allocation once the arena has grown to it.
+func (s *solver) initCaches() {
 	cfg := s.cfg
 	n := cfg.N()
 	a := s.solve
@@ -82,23 +81,6 @@ func (s *solver) initIncremental() {
 	s.wfOrder = a.ints(n)
 }
 
-// optCutTermCached is optCutTerm with the two self-contained f_i-only
-// subexpressions (linearCostPerOmega, fOnlyTerm) read from the level
-// caches; the remaining arithmetic is verbatim, so the result is
-// bit-identical to the naive evaluation.
-func (s *solver) optCutTermCached(c optimalityCut, i, k int) float64 {
-	fi := s.levels[i][k]
-	o := s.cfg.Orgs[i]
-	coef := (c.pSlope-s.lvlCost[i][k])*s.scale[i] -
-		c.u[i]*o.Comm.CyclesPerBit*o.DataBits/fi
-	inner := coef * s.cfg.DMin
-	if v := coef * 1; v > inner {
-		inner = v
-	}
-	base := o.Comm.DownloadTime + o.Comm.UploadTime - s.cfg.Deadline
-	return inner + s.lvlFOnly[i][k] - c.u[i]*base
-}
-
 // cutDominates reports whether cut A sits strictly below cut B across the
 // whole f grid: max_f [A(f) − B(f)] ≤ Σ_i max_k (A_ik − B_ik) + cA − cB,
 // and A dominates when that separable bound is ≤ −dominationMargin. A
@@ -118,15 +100,10 @@ func cutDominates(aTerms [][]float64, aConst float64, bTerms [][]float64, bConst
 	return bound <= -dominationMargin
 }
 
-// addOptCut stores a freshly generated optimality cut. The naive path
-// appends and lets buildTables re-tabulate everything each master call;
-// the incremental path tabulates just this cut into the persistent tables
-// and evicts strictly dominated cuts (either direction).
+// addOptCut tabulates a freshly generated optimality cut into the
+// persistent master tables and evicts strictly dominated cuts (either
+// direction).
 func (s *solver) addOptCut(c optimalityCut) {
-	if !s.inc {
-		s.optCuts = append(s.optCuts, c)
-		return
-	}
 	n := s.cfg.N()
 	terms := s.solve.rows(n)
 	maxs := s.solve.floats(n)
@@ -134,7 +111,7 @@ func (s *solver) addOptCut(c optimalityCut) {
 		row := s.solve.floats(len(s.levels[i]))
 		best := math.Inf(-1)
 		for k := range s.levels[i] {
-			row[k] = s.optCutTermCached(c, i, k)
+			row[k] = s.optCutTerm(c, i, k)
 			if row[k] > best {
 				best = row[k]
 			}
@@ -160,23 +137,16 @@ func (s *solver) addOptCut(c optimalityCut) {
 			continue
 		}
 		t.opt[w], t.optMax[w], t.optConst[w] = t.opt[v], t.optMax[v], t.optConst[v]
-		s.optCuts[w] = s.optCuts[v]
 		w++
 	}
 	t.opt = append(t.opt[:w], terms)
 	t.optMax = append(t.optMax[:w], maxs)
 	t.optConst = append(t.optConst[:w], konst)
-	s.optCuts = append(s.optCuts[:w], c)
 	mCutTabIncr.Inc()
 }
 
-// addFeasCut stores a feasibility cut, tabulating it incrementally when
-// the incremental engine is on.
+// addFeasCut tabulates a feasibility cut into the persistent master tables.
 func (s *solver) addFeasCut(c feasibilityCut) {
-	s.feasCuts = append(s.feasCuts, c)
-	if !s.inc {
-		return
-	}
 	n := s.cfg.N()
 	terms := s.solve.rows(n)
 	mins := s.solve.floats(n)
@@ -198,27 +168,16 @@ func (s *solver) addFeasCut(c feasibilityCut) {
 	mCutTabIncr.Inc()
 }
 
-// ensureTables returns the master cut tables: the persistent incremental
-// tables (already current — cuts tabulate at add time) or a full rebuild
-// on the naive path.
-func (s *solver) ensureTables() *cutTables {
-	if s.inc {
-		return s.tables
-	}
-	mCutTabFull.Inc()
-	return s.buildTables()
-}
-
 // masterSeed returns the incumbent-derived φ seed of the master search: a
 // hair below the lower bound, so grid points that cannot beat the
 // incumbent are pruned immediately. Exactness: a suppressed point has
-// φ < LB, so the naive master would return ub = φ < lb and Algorithm 1
+// φ < LB, so an unseeded master would return ub = φ < lb and Algorithm 1
 // would declare convergence on the incumbent — exactly what the seeded
 // master's "nothing found" path does; Profile, Potential, iteration count
 // and the LowerBounds trace are identical, only the final UpperBounds
 // entry may read lb instead of the (converged-anyway) φ.
 func (s *solver) masterSeed() float64 {
-	if !s.inc || math.IsInf(s.lb, -1) {
+	if math.IsInf(s.lb, -1) {
 		return math.Inf(-1)
 	}
 	mMasterSeeded.Inc()
@@ -240,7 +199,7 @@ func (s *solver) masterSeed() float64 {
 // masterSeed's final-UB-entry caveat.
 func (s *solver) masterWarmSeed(t *cutTables) float64 {
 	seed := s.masterSeed()
-	if !s.inc || len(s.prevIdx) != s.cfg.N() || !s.gridFeasible(t, s.prevIdx) {
+	if len(s.prevIdx) != s.cfg.N() || !s.gridFeasible(t, s.prevIdx) {
 		return seed
 	}
 	y := s.gridPhi(t, s.prevIdx)
@@ -254,12 +213,18 @@ func (s *solver) masterWarmSeed(t *cutTables) float64 {
 	return seed
 }
 
-// solvePrimalMemo serves the primal from the f-vector memo, solving and
-// inserting on miss. Hits occur when the master revisits an f — typically
+// solvePrimal maximizes U(·, f) over the box of feasible d, f given by its
+// grid indices fIdx too. It returns the maximizer, the deadline-constraint
+// Lagrange multipliers u (zero where the deadline does not bind), and
+// whether the primal was feasible. On an infeasible primal it returns
+// d = DMin everywhere (the feasibility-check minimizer) and u = nil.
+// Results are memoized per f vector: the slices are shared — callers must
+// not mutate them — and, like every d, u and λ the solver hands out, live
+// in the solve arena. Hits occur when the master revisits an f, typically
 // near convergence. The memo is a list searched linearly: a run holds one
 // entry per master iteration, a handful, so comparing N indices per entry
 // beats hashing them and needs no key allocation.
-func (s *solver) solvePrimalMemo(f []float64, fIdx []int) ([]float64, []float64, bool) {
+func (s *solver) solvePrimal(f []float64, fIdx []int) (d, u []float64, feasible bool) {
 	for _, r := range s.memo {
 		if slices.Equal(r.fIdx, fIdx) {
 			mPrimalHits.Inc()
@@ -267,7 +232,7 @@ func (s *solver) solvePrimalMemo(f []float64, fIdx []int) ([]float64, []float64,
 		}
 	}
 	mPrimalMisses.Inc()
-	d, u, feasible := s.solvePrimalFresh(f, fIdx)
+	d, u, feasible = s.solvePrimalFresh(f, fIdx)
 	if len(s.memo) >= primalMemoCap {
 		s.memo = s.memo[:copy(s.memo, s.memo[1:])]
 		mPrimalEvicts.Inc()

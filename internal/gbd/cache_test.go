@@ -8,8 +8,8 @@ import (
 )
 
 // gbdGames yields CGBD instances across sizes, grid densities and
-// competition intensities for the incremental-engine equivalence suite
-// (CGBD rejects the personalization extension, so only the base model).
+// competition intensities (CGBD rejects the personalization extension, so
+// only the base model).
 func gbdGames(t *testing.T) []*game.Config {
 	t.Helper()
 	var cfgs []*game.Config
@@ -27,12 +27,12 @@ func gbdGames(t *testing.T) []*game.Config {
 	return cfgs
 }
 
-// assertEquivalent checks the on/off results agree on everything the
-// exactness contract covers. The incumbent-seeded master may suppress the
-// final iteration's maximum when no grid point beats the incumbent, so the
-// LAST UpperBounds entry is allowed to differ (both runs have already
-// converged on the same incumbent at that point); every other trace entry
-// and the solution itself must be bitwise identical.
+// assertEquivalent checks two results agree on everything the exactness
+// contract covers. The incumbent-seeded master may suppress the final
+// iteration's maximum when no grid point beats the incumbent, so the LAST
+// UpperBounds entry is allowed to differ (both runs have already converged
+// on the same incumbent at that point); every other trace entry and the
+// solution itself must be bitwise identical.
 func assertEquivalent(t *testing.T, on, off *Result, label string) {
 	t.Helper()
 	if on.Iterations != off.Iterations || on.Converged != off.Converged {
@@ -73,64 +73,21 @@ func assertEquivalent(t *testing.T, on, off *Result, label string) {
 	}
 }
 
-// TestSolveIncrementalEquivalence is the CGBD A/B: with the engine on
-// (memoized primals, cached cut tables, seeded masters) and off, both
-// master solvers must deliver bitwise-identical solutions and traces.
-func TestSolveIncrementalEquivalence(t *testing.T) {
-	for _, cfg := range gbdGames(t) {
-		for _, master := range []MasterSolver{MasterTraversal, MasterPruned} {
-			on, err := Solve(cfg, Options{Master: master, Incremental: game.ToggleOn})
-			if err != nil {
-				t.Fatalf("Solve(on, master=%v): %v", master, err)
-			}
-			off, err := Solve(cfg, Options{Master: master, Incremental: game.ToggleOff})
-			if err != nil {
-				t.Fatalf("Solve(off, master=%v): %v", master, err)
-			}
-			label := "traversal"
-			if master == MasterPruned {
-				label = "pruned"
-			}
-			assertEquivalent(t, on, off, label)
-		}
-	}
-}
-
-// TestSolveIncrementalEquivalenceParallel repeats the A/B with a parallel
-// master search: sharded seeded searches must still match the naive serial
-// reference bit-for-bit.
-func TestSolveIncrementalEquivalenceParallel(t *testing.T) {
-	cfg := defaultGame(t, 7)
-	for _, master := range []MasterSolver{MasterTraversal, MasterPruned} {
-		off, err := Solve(cfg, Options{Master: master, Incremental: game.ToggleOff, Workers: 1})
-		if err != nil {
-			t.Fatalf("Solve(off): %v", err)
-		}
-		for _, workers := range []int{2, 4} {
-			on, err := Solve(cfg, Options{Master: master, Incremental: game.ToggleOn, Workers: workers})
-			if err != nil {
-				t.Fatalf("Solve(on, workers=%d): %v", workers, err)
-			}
-			assertEquivalent(t, on, off, "parallel")
-		}
-	}
-}
-
 // TestPrimalMemoHits verifies the f-vector memo actually fires: solving an
 // instance whose master revisits f-vectors must record cache hits, and a
 // repeated solve must never change the answer.
 func TestPrimalMemoHits(t *testing.T) {
 	cfg := defaultGame(t, 7)
 	before := mPrimalHits.Value() + mPrimalMisses.Value()
-	first, err := Solve(cfg, Options{Incremental: game.ToggleOn})
+	first, err := Solve(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := mPrimalHits.Value() + mPrimalMisses.Value()
 	if after == before {
-		t.Fatal("incremental solve recorded no primal cache traffic")
+		t.Fatal("solve recorded no primal cache traffic")
 	}
-	second, err := Solve(cfg, Options{Incremental: game.ToggleOn})
+	second, err := Solve(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

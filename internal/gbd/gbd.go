@@ -59,13 +59,6 @@ type Options struct {
 	// process default (GOMAXPROCS); 1 runs the exact serial code path.
 	// Results are byte-identical for every worker count.
 	Workers int
-	// Incremental selects the evaluation engine (see cache.go): per-level
-	// constant caches, f-vector primal memoization, persistent incrementally-
-	// grown cut tables with dominated-cut eviction, and incumbent-seeded
-	// master searches (on) versus the naive recompute-everything reference
-	// path (off). The solution is byte-identical either way; the zero value
-	// follows the process default (-incremental flag), which is on.
-	Incremental game.Toggle
 }
 
 func (o Options) withDefaults() Options {
@@ -109,7 +102,6 @@ type Result struct {
 // GBD's finite ε-convergence to the global optimum is restored
 // (DESIGN.md §2 records this as a clarification of the paper).
 type optimalityCut struct {
-	d []float64 // data fractions d_v
 	u []float64 // deadline multipliers u_v
 	// omegaHat = Ω(d_v); pHat = P(Ω̂); pSlope = P'(Ω̂).
 	omegaHat, pHat, pSlope float64
@@ -122,18 +114,15 @@ type feasibilityCut struct {
 	lambda []float64
 }
 
-// solver carries the state of one run of Algorithm 1. With the incremental
-// engine on it is a pooled, reusable workspace (workspace.go): everything
-// below that is sized by the instance is carved from one of its two arenas
-// or kept as capacity across solves. The zero solver is the naive path's:
-// nil arenas allocate from the heap and nothing is reused.
+// solver carries the state of one run of Algorithm 1. It is a pooled,
+// reusable workspace (workspace.go): everything below that is sized by the
+// instance is carved from one of its two arenas or kept as capacity across
+// solves.
 type solver struct {
 	cfg  *game.Config
 	opts Options
 	// workers is the resolved master-search worker count (≥ 1).
 	workers int
-	// inc selects the incremental evaluation engine (cache.go).
-	inc bool
 	// solve lives from one rebind to the next: per-level caches, cut rows
 	// and maxima, primal d/u (shared by memo and cuts), water-fill scratch,
 	// the current f vector. master lives for one master call: bound
@@ -141,18 +130,16 @@ type solver struct {
 	solve, master *arena
 	// rhoBar[i] = ρ̄_i, zs[i] = z_i, scale[i] = Ω unit per d_i.
 	rhoBar, zs, scale []float64
-	optCuts           []optimalityCut
-	feasCuts          []feasibilityCut
 	// lbs/ubs/incumbents accumulate the run's traces and trial/best hold the
 	// profile under evaluation and the incumbent; the Result gets copies.
 	lbs, ubs, incumbents []float64
 	trial, best          game.Profile
 
-	// Incremental-engine state, populated by initIncremental (inc only).
-	// levels aliases the per-org CPU grids; lvl* cache per-(org, level)
-	// constants; tables are the persistent master cut tables; memo is the
-	// f-vector primal memo; lb mirrors the incumbent lower bound for master
-	// seeding; wf* are water-fill scratch.
+	// Cached evaluation state, populated by initCaches. levels aliases the
+	// per-org CPU grids; lvl* cache per-(org, level) constants; tables are
+	// the persistent master cut tables; memo is the f-vector primal memo; lb
+	// mirrors the incumbent lower bound for master seeding; wf* are
+	// water-fill scratch.
 	levels                                     [][]float64
 	lvlCost, lvlLoY, lvlHiY, lvlFOnly, lvlCapD [][]float64
 	lvlOK                                      [][]bool
@@ -165,7 +152,7 @@ type solver struct {
 	// master search warm-starts its incumbent from this point's φ under the
 	// current cut set (masterWarmSeed).
 	prevIdx []int
-	// suf, it and is are the serial incremental master's per-call state,
+	// suf, it and is are the serial pruned master's per-call state,
 	// rebuilt in place from the master arena on every call.
 	suf boundSuffixes
 	it  incTables
@@ -205,13 +192,8 @@ func SolveCtx(ctx context.Context, cfg *game.Config, opts Options) (*Result, err
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	// The naive path is the oracle: a zero solver, heap-allocated, nothing
-	// reused. The incremental engine draws a recycled one.
-	s := &solver{}
-	if opts.Incremental.Enabled() {
-		s = solvers.Get().(*solver)
-		defer s.release()
-	}
+	s := solvers.Get().(*solver)
+	defer s.release()
 	s.rebind(cfg, opts)
 	return s.run(ctx)
 }
@@ -271,7 +253,6 @@ func (s *solver) run(ctx context.Context) (*Result, error) {
 				omegaHat += di * s.scale[i]
 			}
 			s.addOptCut(optimalityCut{
-				d:        d,
 				u:        u,
 				omegaHat: omegaHat,
 				pHat:     cfg.Accuracy.Value(omegaHat),
@@ -417,62 +398,24 @@ func (s *solver) fOnlyTerm(i int, fi float64) float64 {
 	return s.cfg.Gamma * s.rhoBar[i] * s.cfg.Lambda * fi / s.zs[i]
 }
 
-// solvePrimal maximizes U(·, f) over the box of feasible d. It returns the
-// maximizer, the deadline-constraint Lagrange multipliers u (zero where the
-// deadline does not bind), and whether the primal was feasible. On an
-// infeasible primal it returns d = DMin everywhere (the feasibility-check
-// minimizer) and u = nil. fIdx gives f's grid indices; with the incremental
-// engine on it routes through the f-vector memo (pass nil to force a fresh
-// solve). Memoized slices are shared — callers must not mutate the result —
-// and, like every d, u and λ the solver hands out, live in the solve arena.
-func (s *solver) solvePrimal(f []float64, fIdx []int) (d, u []float64, feasible bool) {
-	if s.inc && fIdx != nil {
-		return s.solvePrimalMemo(f, fIdx)
-	}
-	return s.solvePrimalFresh(f, fIdx)
-}
-
-// solvePrimalFresh solves the primal from scratch. It reads the per-level
-// constant caches and reuses water-fill scratch when the incremental engine
-// is on (fIdx non-nil); every cached value is bit-identical to the fresh
-// expression, so both modes return identical bytes.
+// solvePrimalFresh solves the primal by water-filling, reading the box
+// bounds and linear costs of every f_i from the per-level caches.
 func (s *solver) solvePrimalFresh(f []float64, fIdx []int) (d, u []float64, feasible bool) {
 	cfg := s.cfg
 	n := cfg.N()
-	cached := s.inc && fIdx != nil
 	d = s.solve.floats(n)
-	var lo, hi, w []float64
-	if cached {
-		lo, hi, w = s.wfLo, s.wfHi, s.wfW
-	} else {
-		lo = make([]float64, n)
-		hi = make([]float64, n)
-		w = make([]float64, n)
-	}
+	lo, hi, w := s.wfLo, s.wfHi, s.wfW
 	for i := 0; i < n; i++ {
-		if cached {
-			k := fIdx[i]
-			if !s.lvlOK[i][k] {
-				for j := range d {
-					d[j] = cfg.DMin
-				}
-				return d, nil, false
-			}
-			lo[i] = s.lvlLoY[i][k]
-			hi[i] = s.lvlHiY[i][k]
-			w[i] = s.lvlCost[i][k]
-			continue
-		}
-		dlo, dhi, ok := cfg.FeasibleD(i, f[i])
-		if !ok {
+		k := fIdx[i]
+		if !s.lvlOK[i][k] {
 			for j := range d {
 				d[j] = cfg.DMin
 			}
 			return d, nil, false
 		}
-		lo[i] = dlo * s.scale[i]
-		hi[i] = dhi * s.scale[i]
-		w[i] = s.linearCostPerOmega(i, f[i])
+		lo[i] = s.lvlLoY[i][k]
+		hi[i] = s.lvlHiY[i][k]
+		w[i] = s.lvlCost[i][k]
 	}
 	prob := &optimize.WaterFillProblem{
 		Phi:      cfg.Accuracy.Value,
@@ -481,13 +424,7 @@ func (s *solver) solvePrimalFresh(f []float64, fIdx []int) (d, u []float64, feas
 		Lo:       lo,
 		Hi:       hi,
 	}
-	var y []float64
-	var err error
-	if cached {
-		y, _, err = prob.SolveInto(s.wfY, s.wfOrder)
-	} else {
-		y, _, err = prob.Solve()
-	}
+	y, _, err := prob.SolveInto(s.wfY, s.wfOrder)
 	if err != nil {
 		// Bounds were validated above; treat a solver error as infeasible.
 		for j := range d {
@@ -507,12 +444,7 @@ func (s *solver) solvePrimalFresh(f []float64, fIdx []int) (d, u []float64, feas
 		// gradient. dU/dd_i = [P'(Ω)·scale_i − w_i·scale_i];
 		// dG_i/dd_i = η_i·s_i/f_i.
 		o := cfg.Orgs[i]
-		var capD float64
-		if cached {
-			capD = s.lvlCapD[i][fIdx[i]]
-		} else {
-			capD = o.Comm.MaxDataFraction(o.DataBits, f[i], cfg.Deadline)
-		}
+		capD := s.lvlCapD[i][fIdx[i]]
 		atCap := capD < 1 && math.Abs(d[i]-capD) <= 1e-9*math.Max(1, capD)
 		if !atCap {
 			continue
@@ -559,8 +491,8 @@ func (s *solver) deadlineG(i int, d, fi float64) float64 {
 	return -o.Comm.DeadlineSlack(d, o.DataBits, fi, s.cfg.Deadline)
 }
 
-// optCutTerm is the f_i-dependent contribution of organization i to a
-// linearized optimality cut:
+// optCutTerm is the contribution of organization i at CPU level k
+// (f_i = levels[i][k]) to a linearized optimality cut:
 //
 //	max_{d∈[DMin,1]} [(P'(Ω̂) − w_i(f_i))·scale_i − u_i·slope_i(f_i)]·d
 //	  + γ·ρ̄_i·λ·f_i/z_i − u_i·(T1 + T3 − τ) ,
@@ -568,17 +500,20 @@ func (s *solver) deadlineG(i int, d, fi float64) float64 {
 // where slope_i(f) = η_i·s_i/f is dG_i/dd_i and the Lagrangian of the
 // maximization primal is L = U − u·G (weak duality: −u·G ≥ 0 on the
 // feasible set). The inner maximum of the linear term sits at one of the
-// box endpoints.
-func (s *solver) optCutTerm(c optimalityCut, i int, fi float64) float64 {
+// box endpoints. The two f_i-only subexpressions, w_i(f_i)
+// (linearCostPerOmega) and γ·ρ̄_i·λ·f_i/z_i (fOnlyTerm), come from the
+// level caches.
+func (s *solver) optCutTerm(c optimalityCut, i, k int) float64 {
+	fi := s.levels[i][k]
 	o := s.cfg.Orgs[i]
-	coef := (c.pSlope-s.linearCostPerOmega(i, fi))*s.scale[i] -
+	coef := (c.pSlope-s.lvlCost[i][k])*s.scale[i] -
 		c.u[i]*o.Comm.CyclesPerBit*o.DataBits/fi
 	inner := coef * s.cfg.DMin
 	if v := coef * 1; v > inner {
 		inner = v
 	}
 	base := o.Comm.DownloadTime + o.Comm.UploadTime - s.cfg.Deadline
-	return inner + s.fOnlyTerm(i, fi) - c.u[i]*base
+	return inner + s.lvlFOnly[i][k] - c.u[i]*base
 }
 
 // optCutConst is the f-independent part of a linearized optimality cut:
@@ -598,10 +533,10 @@ func (s *solver) feasCutTerm(c feasibilityCut, i int, fi float64) float64 {
 // solveMaster maximizes φ over the discrete f grid subject to
 // φ ≤ L*(d_v, f, u_v) for all optimality cuts and L_*(d_w, f, λ_w) ≤ 0 for
 // all feasibility cuts. It returns the maximizer's grid indices and f
-// values. ok is false when every grid point is excluded — or, with the
-// incremental engine's incumbent seed, when no grid point can beat the
-// current lower bound (in which case Algorithm 1 converges on the incumbent
-// exactly as it would have with the naive master).
+// values. ok is false when every grid point is excluded — or, because the
+// search starts from an incumbent seed (masterSeed), when no grid point can
+// beat the current lower bound, in which case Algorithm 1 converges on the
+// incumbent exactly as an unseeded master would have made it.
 func (s *solver) solveMaster() (fIdx []int, f []float64, phi float64, ok bool) {
 	s.master.reset()
 	switch s.opts.Master {

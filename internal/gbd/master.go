@@ -7,8 +7,9 @@ import (
 	"tradefl/internal/parallel"
 )
 
-// cutTables precomputes, for every cut, the per-organization per-CPU-level
-// term values, so grid enumeration touches no float math beyond additions.
+// cutTables holds, for every cut, the per-organization per-CPU-level term
+// values, so grid enumeration touches no float math beyond additions. Cuts
+// are tabulated once, when they are added (cache.go).
 type cutTables struct {
 	levels [][]float64 // levels[i] = CPU grid of organization i
 	// opt[v][i][k]: term of optimality cut v for org i at level k.
@@ -21,63 +22,6 @@ type cutTables struct {
 	optMax [][]float64
 	// feasMin[w][i]: min over k of feas[w][i][k].
 	feasMin [][]float64
-}
-
-// buildTables tabulates every cut. Cuts are independent of each other, so
-// the per-cut work fans out across the solver's workers; each slot is
-// written by exactly one goroutine and the content does not depend on the
-// worker count.
-func (s *solver) buildTables() *cutTables {
-	n := s.cfg.N()
-	t := &cutTables{levels: make([][]float64, n)}
-	for i := 0; i < n; i++ {
-		t.levels[i] = s.cfg.Orgs[i].CPULevels
-	}
-	t.opt = make([][][]float64, len(s.optCuts))
-	t.optMax = make([][]float64, len(s.optCuts))
-	t.optConst = make([]float64, len(s.optCuts))
-	parallel.For(s.workers, len(s.optCuts), func(v int) {
-		c := s.optCuts[v]
-		terms := make([][]float64, n)
-		maxs := make([]float64, n)
-		for i := 0; i < n; i++ {
-			row := make([]float64, len(t.levels[i]))
-			best := math.Inf(-1)
-			for k, fi := range t.levels[i] {
-				row[k] = s.optCutTerm(c, i, fi)
-				if row[k] > best {
-					best = row[k]
-				}
-			}
-			terms[i] = row
-			maxs[i] = best
-		}
-		t.opt[v] = terms
-		t.optMax[v] = maxs
-		t.optConst[v] = s.optCutConst(c)
-	})
-	t.feas = make([][][]float64, len(s.feasCuts))
-	t.feasMin = make([][]float64, len(s.feasCuts))
-	parallel.For(s.workers, len(s.feasCuts), func(w int) {
-		c := s.feasCuts[w]
-		terms := make([][]float64, n)
-		mins := make([]float64, n)
-		for i := 0; i < n; i++ {
-			row := make([]float64, len(t.levels[i]))
-			best := math.Inf(1)
-			for k, fi := range t.levels[i] {
-				row[k] = s.feasCutTerm(c, i, fi)
-				if row[k] < best {
-					best = row[k]
-				}
-			}
-			terms[i] = row
-			mins[i] = best
-		}
-		t.feas[w] = terms
-		t.feasMin[w] = mins
-	})
-	return t
 }
 
 // branchBest is the result of searching one shard of the f grid: the
@@ -107,111 +51,23 @@ func reduceBranches(results []branchBest) ([]int, float64, bool) {
 }
 
 // masterTraversal enumerates the full f grid — the paper's traversal
-// method, Θ(m^N) grid points. With more than one worker the grid is
-// sharded over the first organization's CPU levels; each shard enumerates
-// its sub-grid in serial order, and the shard results reduce in index
-// order, so the chosen grid point is byte-identical to the serial scan.
-//
-// With the incremental engine on, the scan runs as a prefix-chain
-// depth-first enumeration instead (masterTraversalIncremental): per-depth
-// partial sums make each grid point cost O(cuts) additions rather than
-// O(N·cuts), and the incumbent seed suppresses only points the algorithm
-// would converge past anyway.
+// method, Θ(m^N) grid points — as a depth-first enumeration whose per-depth
+// partial sums (traversalSearch.assign) build each cut sum as parent + term
+// in organization order, the left-to-right fold gridPhi performs, so each
+// grid point costs O(cuts) additions rather than O(N·cuts). No bound
+// pruning is applied beyond the incumbent seed, which suppresses only
+// points the algorithm would converge past anyway. With more than one
+// worker the tree is sharded at the root over the first organization's CPU
+// levels: each shard enumerates its sub-grid in serial order and the shard
+// results reduce in index order, so the chosen grid point (the first
+// maximizer in enumeration order) is byte-identical for every worker count.
 func (s *solver) masterTraversal() ([]int, []float64, float64, bool) {
-	t := s.ensureTables()
-	if s.inc {
-		return s.masterTraversalIncremental(t)
-	}
-	n := s.cfg.N()
-	roots := len(t.levels[0])
-	if s.workers <= 1 || n < 2 || roots < 2 {
-		return s.masterTraversalSerial(t)
-	}
-	results := parallel.MapLabeled("gbd.traversal", s.workers, roots, func(root int) branchBest {
-		idx := make([]int, n)
-		idx[0] = root
-		best := branchBest{phi: math.Inf(-1)}
-		for {
-			if s.gridFeasible(t, idx) {
-				phi := s.gridPhi(t, idx)
-				if phi > best.phi {
-					best.phi = phi
-					best.idx = append(best.idx[:0], idx...)
-					best.ok = true
-				}
-			}
-			// Advance the mixed-radix counter over organizations 1..n-1.
-			i := n - 1
-			for i >= 1 {
-				idx[i]++
-				if idx[i] < len(t.levels[i]) {
-					break
-				}
-				idx[i] = 0
-				i--
-			}
-			if i < 1 {
-				break
-			}
-		}
-		return best
-	})
-	bestIdx, bestPhi, ok := reduceBranches(results)
-	if !ok {
-		return nil, nil, 0, false
-	}
-	return bestIdx, s.gridF(t, bestIdx), bestPhi, true
-}
-
-// masterTraversalSerial is the single-core full-grid scan.
-func (s *solver) masterTraversalSerial(t *cutTables) ([]int, []float64, float64, bool) {
-	n := s.cfg.N()
-	idx := make([]int, n)
-	bestPhi := math.Inf(-1)
-	var bestIdx []int
-	for {
-		if s.gridFeasible(t, idx) {
-			phi := s.gridPhi(t, idx)
-			if phi > bestPhi {
-				bestPhi = phi
-				bestIdx = append(bestIdx[:0], idx...)
-			}
-		}
-		// Advance the mixed-radix counter.
-		i := n - 1
-		for i >= 0 {
-			idx[i]++
-			if idx[i] < len(t.levels[i]) {
-				break
-			}
-			idx[i] = 0
-			i--
-		}
-		if i < 0 {
-			break
-		}
-	}
-	if bestIdx == nil {
-		return nil, nil, 0, false
-	}
-	return bestIdx, s.gridF(t, bestIdx), bestPhi, true
-}
-
-// masterTraversalIncremental is the incremental engine's full-grid scan: a
-// depth-first enumeration whose per-depth partial sums (prunedSearch.assign)
-// rebuild each cut sum as parent + term in organization order — the exact
-// left-to-right fold gridPhi performs — so every φ is bit-identical to the
-// mixed-radix scan while the shared prefix work drops the per-point cost
-// from O(N·cuts) to O(cuts). No bound pruning is applied beyond the
-// incumbent seed; enumeration order (and hence the first-maximizer
-// tie-break) matches the serial scan, and with more than one worker the
-// tree is sharded at the root exactly like masterPruned.
-func (s *solver) masterTraversalIncremental(t *cutTables) ([]int, []float64, float64, bool) {
+	t := s.tables
 	n := s.cfg.N()
 	seed := s.masterWarmSeed(t)
 	roots := len(t.levels[0])
 	if s.workers <= 1 || n < 2 || roots < 2 {
-		ps := newPrunedSearch(t, nil, n, nil, s.master)
+		ps := newTraversalSearch(t, n, nil, s.master)
 		ps.bestPhi = seed
 		ps.dfsExhaustive(0)
 		if ps.bestIdx == nil {
@@ -223,7 +79,7 @@ func (s *solver) masterTraversalIncremental(t *cutTables) ([]int, []float64, flo
 	var shared parallel.MaxFloat64
 	shared.Update(seed)
 	results := parallel.MapLabeled("gbd.traversal", s.workers, roots, func(root int) branchBest {
-		ps := newPrunedSearch(t, nil, n, &shared, nil)
+		ps := newTraversalSearch(t, n, &shared, nil)
 		ps.bestPhi = seed
 		ps.assign(0, root)
 		ps.dfsExhaustive(1)
@@ -304,7 +160,7 @@ func (b *boundSuffixes) build(t *cutTables, n int, a *arena) {
 	}
 }
 
-// prunedSearch is the reusable depth-first search state of masterPruned.
+// traversalSearch is the depth-first enumeration state of masterTraversal.
 // Each worker owns one instance; only the shared incumbent bound crosses
 // goroutines.
 //
@@ -313,12 +169,10 @@ func (b *boundSuffixes) build(t *cutTables, n int, a *arena) {
 // never by subtracting on backtrack — so the value at a node is a pure
 // function of the path to it. This keeps shard arithmetic byte-identical
 // to the serial search (an add/subtract scheme would leak floating-point
-// residue from sibling branches into later sums) and removes the drift
-// the subtraction itself introduced.
-type prunedSearch struct {
-	t   *cutTables
-	suf *boundSuffixes
-	n   int
+// residue from sibling branches into later sums).
+type traversalSearch struct {
+	t *cutTables
+	n int
 	// shared is the cross-shard incumbent φ bound; nil in the serial path.
 	shared *parallel.MaxFloat64
 
@@ -329,10 +183,9 @@ type prunedSearch struct {
 	bestIdx   []int
 }
 
-func newPrunedSearch(t *cutTables, suf *boundSuffixes, n int, shared *parallel.MaxFloat64, a *arena) *prunedSearch {
-	ps := &prunedSearch{
+func newTraversalSearch(t *cutTables, n int, shared *parallel.MaxFloat64, a *arena) *traversalSearch {
+	ps := &traversalSearch{
 		t:       t,
-		suf:     suf,
 		n:       n,
 		shared:  shared,
 		idx:     a.ints(n),
@@ -350,7 +203,7 @@ func newPrunedSearch(t *cutTables, suf *boundSuffixes, n int, shared *parallel.M
 
 // assign sets organization depth to level k, deriving the next depth's
 // partial sums from the current ones.
-func (ps *prunedSearch) assign(depth, k int) {
+func (ps *traversalSearch) assign(depth, k int) {
 	ps.idx[depth] = k
 	for v, cur := range ps.opt[depth] {
 		ps.opt[depth+1][v] = cur + ps.t.opt[v][depth][k]
@@ -360,56 +213,7 @@ func (ps *prunedSearch) assign(depth, k int) {
 	}
 }
 
-// dfs explores the subtree rooted at depth. Pruning is two-fold:
-// feasibility cuts that cannot return below zero kill the subtree, and the
-// optimistic completion of min-over-cuts prunes against the incumbent —
-// the local one with ≤ (matching the serial first-maximizer tie-break
-// within a shard) and the shared cross-shard bound with strict <, so a
-// shard never discards a point that ties the global optimum and the
-// shard-order reduction reproduces the serial tie-break exactly.
-func (ps *prunedSearch) dfs(depth int) {
-	for w, cur := range ps.feas[depth] {
-		if cur+ps.suf.feas[w][depth] > 1e-12 {
-			return
-		}
-	}
-	if len(ps.t.opt) > 0 {
-		bound := math.Inf(1)
-		for v, cur := range ps.opt[depth] {
-			if b := cur + ps.suf.opt[v][depth]; b < bound {
-				bound = b
-			}
-		}
-		if bound <= ps.bestPhi {
-			return
-		}
-		if ps.shared != nil && bound < ps.shared.Load() {
-			return
-		}
-	}
-	if depth == ps.n {
-		phi := math.Inf(1)
-		for _, cur := range ps.opt[depth] {
-			if cur < phi {
-				phi = cur
-			}
-		}
-		if phi > ps.bestPhi {
-			ps.bestPhi = phi
-			ps.bestIdx = append(ps.bestIdx[:0], ps.idx...)
-			if ps.shared != nil {
-				ps.shared.Update(phi)
-			}
-		}
-		return
-	}
-	for k := range ps.t.levels[depth] {
-		ps.assign(depth, k)
-		ps.dfs(depth + 1)
-	}
-}
-
-// incTables is the incremental engine's layout of the master cut tables:
+// incTables is the pruned search's layout of the master cut tables:
 // depth-major and cut-contiguous. terms[d][k*c+v] holds the depth-d term of
 // (reordered) optimality cut v at level k, so evaluating every cut at one
 // (depth, level) is a single sequential scan instead of c pointer chases
@@ -489,18 +293,20 @@ func (it *incTables) build(t *cutTables, suf *boundSuffixes, n int, a *arena) {
 	}
 }
 
-// incSearch is the incremental engine's fused depth-first search over the
-// flat incTables layout. Per child it computes the next partial sums AND
-// the optimistic bound in one sequential pass — the exact operations dfs
-// performs split across assign and the child's entry checks (each child
-// sum is parent + term, each bound is that sum + the suffix maximum, in
-// the same order on the same operands), so every prune decision, φ value,
-// and the first-maximizer tie-break are byte-identical to dfs. Pruned
-// children never recurse, which removes the call and re-load overhead dfs
-// pays at every bound-pruned node. The bound loop exits as soon as the
-// running min drops to the incumbent: the running min only decreases, so
-// the prune decision equals the full-min decision, and the partial min is
-// still a valid (weaker) upper bound for the prefix-bound cache.
+// incSearch is the fused depth-first branch-and-bound of masterPruned over
+// the flat incTables layout. Partial sums are kept per depth, each child's
+// computed fresh as parent + term (see traversalSearch), and per child the
+// next partial sums AND the optimistic bound — that sum + the suffix
+// maximum — come out of one sequential pass. Pruning is two-fold:
+// feasibility cuts that cannot return below zero kill the subtree, and the
+// optimistic completion of min-over-cuts prunes against the incumbent —
+// the local one with ≤ (the serial first-maximizer tie-break within a
+// shard) and the shared cross-shard bound with strict <, so a shard never
+// discards a point that ties the global optimum and the shard-order
+// reduction reproduces the serial tie-break exactly. Pruned children never
+// recurse. The bound loop exits as soon as the running min drops to the
+// incumbent: the running min only decreases, so the prune decision equals
+// the full-min decision.
 type incSearch struct {
 	t      *incTables
 	n      int
@@ -532,9 +338,9 @@ func (is *incSearch) init(it *incTables, n int, shared *parallel.MaxFloat64, a *
 	copy(is.opt[0], it.konst)
 }
 
-// run performs the entry checks dfs applies at a search root (feasibility
-// suffix, optimistic bound vs the local and shared incumbents) and then
-// explores the subtree. Interior nodes skip run: their checks already
+// run performs the entry checks of a search root (feasibility suffix,
+// optimistic bound vs the local and shared incumbents) and then explores
+// the subtree. Interior nodes skip run: their checks already
 // happened in the parent's fused child loop.
 func (is *incSearch) run(depth int) {
 	for w := 0; w < is.t.fc; w++ {
@@ -559,8 +365,8 @@ func (is *incSearch) run(depth int) {
 	is.descend(depth)
 }
 
-// enterShard assigns organization 0 to the shard's root level — the same
-// parent + term sums assign computes — and searches the shard subtree.
+// enterShard assigns organization 0 to the shard's root level (parent +
+// term sums, as everywhere) and searches the shard subtree.
 func (is *incSearch) enterShard(root int) {
 	is.idx[0] = root
 	c, fc := is.t.c, is.t.fc
@@ -575,7 +381,7 @@ func (is *incSearch) enterShard(root int) {
 
 // descend dispatches subtree exploration to the register-specialized
 // kernel for the current optimality-cut count when one exists (no
-// feasibility cuts, 2–6 cuts — the common mid-solve shapes), else to the
+// feasibility cuts, 2–5 cuts — the common mid-solve shapes), else to the
 // generic fused loop. The kernels carry the per-cut partial sums in
 // function arguments instead of the per-depth slices, eliminating all
 // partial-sum loads and stores on the hot path; every addition, min fold,
@@ -599,9 +405,6 @@ func (is *incSearch) descend(depth int) {
 			return
 		case 5:
 			is.children5(depth, cur[0], cur[1], cur[2], cur[3], cur[4])
-			return
-		case 6:
-			is.children6(depth, cur[0], cur[1], cur[2], cur[3], cur[4], cur[5])
 			return
 		}
 	}
@@ -826,78 +629,6 @@ func (is *incSearch) children5(depth int, s0, s1, s2, s3, s4 float64) {
 	}
 }
 
-func (is *incSearch) children6(depth int, s0, s1, s2, s3, s4, s5 float64) {
-	terms := is.t.terms[depth]
-	best := is.bestPhi
-	if depth == is.n-1 {
-		ki := 0
-		for k := 0; k+5 < len(terms); k += 6 {
-			phi := s0 + terms[k]
-			if p := s1 + terms[k+1]; p < phi {
-				phi = p
-			}
-			if p := s2 + terms[k+2]; p < phi {
-				phi = p
-			}
-			if p := s3 + terms[k+3]; p < phi {
-				phi = p
-			}
-			if p := s4 + terms[k+4]; p < phi {
-				phi = p
-			}
-			if p := s5 + terms[k+5]; p < phi {
-				phi = p
-			}
-			if phi > best {
-				best = phi
-				is.bestPhi = phi
-				is.idx[depth] = ki
-				is.bestIdx = append(is.bestIdx[:0], is.idx...)
-				if is.shared != nil {
-					is.shared.Update(phi)
-				}
-			}
-			ki++
-		}
-		return
-	}
-	o := is.t.osuf[depth+1]
-	o0, o1, o2, o3, o4, o5 := o[0], o[1], o[2], o[3], o[4], o[5]
-	ki := 0
-	for k := 0; k+5 < len(terms); k += 6 {
-		t0 := s0 + terms[k]
-		t1 := s1 + terms[k+1]
-		t2 := s2 + terms[k+2]
-		t3 := s3 + terms[k+3]
-		t4 := s4 + terms[k+4]
-		t5 := s5 + terms[k+5]
-		bound := t0 + o0
-		if b := t1 + o1; b < bound {
-			bound = b
-		}
-		if b := t2 + o2; b < bound {
-			bound = b
-		}
-		if b := t3 + o3; b < bound {
-			bound = b
-		}
-		if b := t4 + o4; b < bound {
-			bound = b
-		}
-		if b := t5 + o5; b < bound {
-			bound = b
-		}
-		if bound <= best || (is.shared != nil && bound < is.shared.Load()) {
-			ki++
-			continue
-		}
-		is.idx[depth] = ki
-		is.children6(depth+1, t0, t1, t2, t3, t4, t5)
-		best = is.bestPhi
-		ki++
-	}
-}
-
 // children is the fused hot loop: for each level of organization depth it
 // derives the child's partial sums and optimistic bound in one sequential
 // pass over the cut-contiguous tables, pruning without recursing. At the
@@ -991,7 +722,7 @@ func (is *incSearch) children(depth int) {
 // cannot win — local incumbent with ≤ (the running min only decreases) and
 // the shared cross-shard bound with strict <, preserving the serial
 // first-maximizer tie-break.
-func (ps *prunedSearch) dfsExhaustive(depth int) {
+func (ps *traversalSearch) dfsExhaustive(depth int) {
 	if depth == ps.n {
 		for _, cur := range ps.feas[depth] {
 			if cur > 1e-12 {
@@ -1025,59 +756,28 @@ func (ps *prunedSearch) dfsExhaustive(depth int) {
 	}
 }
 
-// masterPruned runs exact depth-first search with bound pruning. With more
-// than one worker the tree is sharded at the root over the first
-// organization's CPU levels: every shard searches its subtree with a
-// private incumbent plus a shared atomic bound (published maxima from all
-// shards) so pruning stays effective across workers, and shard results
-// reduce in root order — the returned grid point is byte-identical to the
-// serial search for every worker count.
-// With the incremental engine on, the same tree is searched by incSearch
-// over the flat incTables layout — identical arithmetic fused into one
-// pass per child (see incSearch) — starting from the incumbent seed
+// masterPruned runs exact depth-first search with bound pruning: incSearch
+// over the flat incTables layout, starting from the incumbent seed
 // (masterWarmSeed): the previous master's argmax re-scored under the
 // current tables when still feasible (exact — the seed sits strictly below
 // an attained φ, see masterWarmSeed), else a hair below the lower bound
 // (masterSeed), so subtrees that cannot beat the incumbent are cut
-// immediately while the returned grid point stays byte-identical.
+// immediately while the returned grid point stays byte-identical to an
+// unseeded search's. With more than one worker the tree is sharded at the
+// root over the first organization's CPU levels: every shard searches its
+// subtree with a private incumbent plus a shared atomic bound (published
+// maxima from all shards) so pruning stays effective across workers, and
+// shard results reduce in root order — the returned grid point is
+// byte-identical to the serial search for every worker count.
+//
+// Suffixes and tables are rebuilt in the master arena; the serial search
+// takes its partial sums from it too and writes its argmax into solve-arena
+// memory, because the argmax (the next f, and prevIdx) outlives the master
+// call. Shards read the tables and keep their private search state on the
+// heap.
 func (s *solver) masterPruned() ([]int, []float64, float64, bool) {
-	t := s.ensureTables()
+	t := s.tables
 	n := s.cfg.N()
-	if s.inc {
-		return s.masterPrunedIncremental(t, n)
-	}
-	suf := new(boundSuffixes)
-	suf.build(t, n, nil)
-	roots := len(t.levels[0])
-	if s.workers <= 1 || n < 2 || roots < 2 {
-		ps := newPrunedSearch(t, suf, n, nil, nil)
-		ps.dfs(0)
-		if ps.bestIdx == nil {
-			return nil, nil, 0, false
-		}
-		return ps.bestIdx, s.gridF(t, ps.bestIdx), ps.bestPhi, true
-	}
-	var shared parallel.MaxFloat64
-	results := parallel.MapLabeled("gbd.pruned", s.workers, roots, func(root int) branchBest {
-		ps := newPrunedSearch(t, suf, n, &shared, nil)
-		ps.assign(0, root)
-		ps.dfs(1)
-		return branchBest{phi: ps.bestPhi, idx: ps.bestIdx, ok: ps.bestIdx != nil}
-	})
-	bestIdx, bestPhi, ok := reduceBranches(results)
-	if !ok {
-		return nil, nil, 0, false
-	}
-	return bestIdx, s.gridF(t, bestIdx), bestPhi, true
-}
-
-// masterPrunedIncremental is masterPruned's incremental-engine path: the
-// incSearch fused branch-and-bound over flat tables, warm-seeded. Suffixes
-// and tables are rebuilt in the master arena; the serial search takes its
-// partial sums from it too and writes its argmax into solve-arena memory,
-// because the argmax (the next f, and prevIdx) outlives the master call.
-// Shards read the tables and keep their private search state on the heap.
-func (s *solver) masterPrunedIncremental(t *cutTables, n int) ([]int, []float64, float64, bool) {
 	s.suf.build(t, n, s.master)
 	it := &s.it
 	it.build(t, &s.suf, n, s.master)

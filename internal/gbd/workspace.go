@@ -9,7 +9,7 @@ import (
 )
 
 // This file holds the solver's scratch ownership: the bump arenas every
-// incremental-engine solve carves its working memory from, the pool the
+// solve carves its working memory from, the pool the
 // solvers themselves recycle through, and rebind, which points a recycled
 // solver at a new instance.
 
@@ -65,9 +65,9 @@ func (b *bump[T]) reset() {
 }
 
 // arena bundles the bump allocators of one lifetime. A nil *arena is the
-// heap: every method falls back to make, which is how the naive
-// (Incremental: off) oracle path and the per-shard searches of the
-// parallel master share the construction code without sharing memory.
+// heap: every method falls back to make, which is how the per-shard
+// searches of the parallel master share the serial search's construction
+// code without sharing its memory.
 //
 // Nothing reachable from a Result may point into an arena: the memory is
 // recycled by the next solve on the same solver.
@@ -116,8 +116,8 @@ func (a *arena) reset() {
 	a.b.reset()
 }
 
-// solvers recycles incremental-engine solvers — arenas, cut-table headers,
-// trace buffers — across solves, whatever their shape and whoever the
+// solvers recycles solvers — arenas, cut-table headers, trace buffers —
+// across solves, whatever their shape and whoever the
 // caller is: a solver is taken for the duration of one solve and no two
 // in-flight solves ever hold the same one.
 var solvers = sync.Pool{New: func() any {
@@ -128,12 +128,11 @@ var solvers = sync.Pool{New: func() any {
 // re-derives every numeric field from the config's current values and
 // empties all cross-solve state. Only capacity survives a rebind, so the
 // solve that follows is byte-identical to one on a solver built from
-// nothing — which is what a zero solver (the naive path) is.
+// nothing.
 func (s *solver) rebind(cfg *game.Config, opts Options) {
 	n := cfg.N()
 	s.cfg, s.opts = cfg, opts
 	s.workers = parallel.Resolve(opts.Workers)
-	s.inc = opts.Incremental.Enabled()
 	s.solve.reset()
 	s.rhoBar, s.zs, s.scale = s.solve.floats(n), s.solve.floats(n), s.solve.floats(n)
 	for i := 0; i < n; i++ {
@@ -141,7 +140,6 @@ func (s *solver) rebind(cfg *game.Config, opts Options) {
 		s.zs[i] = cfg.Weight(i)
 		s.scale[i] = cfg.OmegaScale(i)
 	}
-	s.optCuts, s.feasCuts = s.optCuts[:0], s.feasCuts[:0]
 	s.lbs, s.ubs, s.incumbents = s.lbs[:0], s.ubs[:0], s.incumbents[:0]
 	s.prevIdx = nil
 	s.lb = math.Inf(-1)
@@ -149,9 +147,7 @@ func (s *solver) rebind(cfg *game.Config, opts Options) {
 		s.trial, s.best = make(game.Profile, n), make(game.Profile, n)
 	}
 	s.trial, s.best = s.trial[:n], s.best[:n]
-	if s.inc {
-		s.initIncremental()
-	}
+	s.initCaches()
 }
 
 // release returns a pooled solver once its solve is over (finished, failed

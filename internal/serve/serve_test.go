@@ -492,6 +492,35 @@ func TestGatewaySyncSolveBounds(t *testing.T) {
 	}
 }
 
+// TestGatewaySolvesPersonalizedGame: a small game with the personalization
+// extension and no plan must come back solved (by DBR), not as a failed
+// instance carrying CGBD's rejection.
+func TestGatewaySolvesPersonalizedGame(t *testing.T) {
+	s := startGateway(t, Options{})
+	cfg, err := game.DefaultConfig(game.GenOptions{N: 6, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Personal = game.Personalization{Alpha: 0.3, LocalBoost: 1.5}
+	spec, err := json.Marshal(JobSpec{Games: []GameSpec{{Config: *cfg}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, decoded := postJSON(t, "http://"+s.Addr()+"/v1/solve", "", string(spec))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%v)", resp.StatusCode, decoded)
+	}
+	results, _ := decoded["results"].([]any)
+	if len(results) != 1 {
+		t.Fatalf("results = %v, want 1 entry", decoded["results"])
+	}
+	res, _ := results[0].(map[string]any)
+	profile, _ := res["profile"].([]any)
+	if res["error"] != nil || res["plan"] != "dbr" || len(profile) != 6 {
+		t.Fatalf("personalized game under plan=auto: %v", res)
+	}
+}
+
 func TestGatewayHealthz(t *testing.T) {
 	s := startGateway(t, Options{})
 	resp, err := http.Get("http://" + s.Addr() + "/healthz")

@@ -72,13 +72,9 @@ type DiffReport struct {
 //     value must bracket the CGBD potential within ε plus Slack;
 //   - DBR vs CGBD: the best-response equilibrium's potential cannot exceed
 //     the CGBD global optimum beyond ε plus Slack;
-//   - incremental vs direct: both solvers must return byte-identical
-//     results with the incremental engine forced on and forced off — for
-//     CGBD that is a recycled solver workspace (gbd's pool hands the same
-//     one to consecutive games of different sizes) against the naive
-//     path's fresh heap memory;
-//   - every profile passes the transfer, Nash, evaluator and solver-trace
-//     audits, including a personalized (α > 0) DBR variant per instance.
+//   - every profile passes the transfer, Nash, evaluator (DeltaEvaluator
+//     vs Config.Payoff, bit for bit) and solver-trace audits, including a
+//     personalized (α > 0) DBR variant per instance.
 //
 // Violations land in the auditor; the report folds the counts.
 func Differential(opts DiffOptions) (*DiffReport, error) {
@@ -116,19 +112,11 @@ func Differential(opts DiffOptions) (*DiffReport, error) {
 // diffOne cross-runs one instance through every differential check.
 func diffOne(a *Auditor, cfg *game.Config, seed int64, opts DiffOptions) error {
 	eps := 1e-6 // the gbd default ε, also passed explicitly below
-	gOn, err := gbd.Solve(cfg, gbd.Options{Epsilon: eps, Incremental: game.ToggleOn})
+	gres, err := gbd.Solve(cfg, gbd.Options{Epsilon: eps})
 	if err != nil {
 		return fmt.Errorf("gbd: %w", err)
 	}
-	gOff, err := gbd.Solve(cfg, gbd.Options{Epsilon: eps, Incremental: game.ToggleOff})
-	if err != nil {
-		return fmt.Errorf("gbd (naive): %w", err)
-	}
-	a.CheckGBD(cfg, gOn, eps, "diff.gbd")
-	diffIdentical(a, "gbd", profilesEqual(gOn.Profile, gOff.Profile) &&
-		gOn.Potential == gOff.Potential &&
-		floatsEqual(gOn.LowerBounds, gOff.LowerBounds) &&
-		floatsEqual(gOn.UpperBounds, gOff.UpperBounds))
+	a.CheckGBD(cfg, gres, eps, "diff.gbd")
 
 	// Exhaustive reference: enumerate the full CPU grid, solve each primal
 	// by projected gradient with a numeric gradient, take the best.
@@ -136,39 +124,33 @@ func diffOne(a *Auditor, cfg *game.Config, seed int64, opts DiffOptions) error {
 	if feasible {
 		a.begin()
 		slack := opts.Slack * math.Max(1, math.Abs(exhaustive))
-		if gOn.Potential < exhaustive-eps-slack || gOn.Potential > exhaustive+slack {
+		if gres.Potential < exhaustive-eps-slack || gres.Potential > exhaustive+slack {
 			a.violate(mBoundViol, Violation{
 				Check: "diff-gbd-exhaustive", Source: "diff",
-				Detail: fmt.Sprintf("CGBD potential %.9g outside [%.9g − ε, %.9g + slack] of the exhaustive optimum", gOn.Potential, exhaustive, exhaustive),
-				Delta:  math.Abs(gOn.Potential - exhaustive),
+				Detail: fmt.Sprintf("CGBD potential %.9g outside [%.9g − ε, %.9g + slack] of the exhaustive optimum", gres.Potential, exhaustive, exhaustive),
+				Delta:  math.Abs(gres.Potential - exhaustive),
 			})
 		}
 	}
 
-	dOn, err := dbr.Solve(cfg, nil, dbr.Options{Incremental: game.ToggleOn})
+	dres, err := dbr.Solve(cfg, nil, dbr.Options{})
 	if err != nil {
 		return fmt.Errorf("dbr: %w", err)
 	}
-	dOff, err := dbr.Solve(cfg, nil, dbr.Options{Incremental: game.ToggleOff})
-	if err != nil {
-		return fmt.Errorf("dbr (naive): %w", err)
-	}
-	a.CheckDBR(cfg, dOn, "diff.dbr")
-	diffIdentical(a, "dbr", profilesEqual(dOn.Profile, dOff.Profile) &&
-		floatsEqual(dOn.PotentialTrace, dOff.PotentialTrace))
+	a.CheckDBR(cfg, dres, "diff.dbr")
 
 	// A Nash equilibrium's potential cannot beat the global optimum.
 	a.begin()
-	dbrPotential := cfg.Potential(dOn.Profile)
-	if slack := opts.Slack * math.Max(1, math.Abs(gOn.Potential)); dbrPotential > gOn.Potential+eps+slack {
+	dbrPotential := cfg.Potential(dres.Profile)
+	if slack := opts.Slack * math.Max(1, math.Abs(gres.Potential)); dbrPotential > gres.Potential+eps+slack {
 		a.violate(mBoundViol, Violation{
 			Check: "diff-dbr-gbd", Source: "diff",
-			Detail: fmt.Sprintf("DBR potential %.9g exceeds CGBD optimum %.9g + ε", dbrPotential, gOn.Potential),
-			Delta:  dbrPotential - gOn.Potential,
+			Detail: fmt.Sprintf("DBR potential %.9g exceeds CGBD optimum %.9g + ε", dbrPotential, gres.Potential),
+			Delta:  dbrPotential - gres.Potential,
 		})
 	}
 
-	a.CheckIncremental(cfg, dOn.Profile, 64, seed, "diff")
+	a.CheckIncremental(cfg, dres.Profile, 64, seed, "diff")
 
 	// Personalized variant (α > 0): CGBD declines these, so audit the DBR
 	// equilibrium and the transfer identities only.
@@ -184,17 +166,6 @@ func diffOne(a *Auditor, cfg *game.Config, seed int64, opts DiffOptions) error {
 	a.CheckDBR(pcfg, pres, "diff.dbr.personal")
 	a.CheckIncremental(pcfg, pres.Profile, 64, seed+1, "diff.personal")
 	return nil
-}
-
-// diffIdentical records an incremental-vs-direct equivalence result.
-func diffIdentical(a *Auditor, solver string, identical bool) {
-	a.begin()
-	if !identical {
-		a.violate(mEvaluatorViol, Violation{
-			Check: "diff-incremental", Source: "diff",
-			Detail: fmt.Sprintf("%s solve differs between incremental on and off (must be byte-identical)", solver),
-		})
-	}
 }
 
 // exhaustiveBest maximizes the potential over the full discrete CPU grid,
@@ -272,30 +243,4 @@ func float64Grad(value func([]float64) float64, d, lo, hi, g []float64) {
 		probe[i] = d[i]
 		g[i] = (fu - fd) / (up - down)
 	}
-}
-
-// profilesEqual reports bit-exact equality of two profiles.
-func profilesEqual(a, b game.Profile) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// floatsEqual reports bit-exact equality of two float slices.
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

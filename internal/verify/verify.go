@@ -19,7 +19,7 @@
 //     any invariant broke.
 //   - Differential (diff.go) fuzzes random game instances and cross-runs
 //     CGBD against an independent exhaustive solver, DBR against CGBD, and
-//     the incremental engine against the naive path.
+//     the DeltaEvaluator against Config.Payoff.
 //
 // The mutation self-tests prove the auditor is live: for every invariant
 // family they inject a violation (a potential drop, an asymmetric ρ, a

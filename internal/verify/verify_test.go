@@ -161,11 +161,10 @@ func TestDifferentialClean(t *testing.T) {
 }
 
 // TestDifferentialAcrossShapes runs the harness over instances whose size
-// cycles 2 → 3 → 4 on 3-level grids. Every incremental-engine solve in it
-// draws its solver from gbd's pool, so consecutive games hand the same
-// recycled workspace a different shape — and each result is still checked
-// against the exhaustive reference and, bit for bit, against the naive
-// engine, which shares none of that memory.
+// cycles 2 → 3 → 4 on 3-level grids. Every CGBD solve in it draws its
+// solver from gbd's pool, so consecutive games hand the same recycled
+// workspace a different shape — and each result is still checked against
+// the exhaustive reference, which shares none of that memory.
 func TestDifferentialAcrossShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential harness runs full solver cross-checks")

@@ -21,14 +21,20 @@ go build ./...
 echo "==> go test -race ./internal/obs (telemetry fast gate)"
 go test -race ./internal/obs/
 
-echo "==> incremental-engine fast gate (byte-identical A/B under -race + 1-iteration bench smoke)"
-# The equivalence suite is the exactness contract of the -incremental
-# engine: DeltaEvaluator vs naive payoffs (plus fuzz seed corpus), DBR and
-# CGBD solves on vs off. It runs first so a broken cache fails in seconds,
-# then a single-iteration bench pass proves the tracked harness end to end
-# without timing anything.
-go test -race -run 'Delta|Engine|Incremental|ZeroAlloc|PrimalMemo|CutDomination' \
-  ./internal/game/ ./internal/dbr/ ./internal/gbd/
+echo "==> engine-equivalence fast gate (evaluator and solvers vs from-scratch references under -race + 1-iteration bench smoke)"
+# The exactness contract of the one evaluation path: DeltaEvaluator vs
+# Config.Payoff (plus fuzz seed corpus), the DBR engine and Solve vs the
+# from-scratch reference scan in dbr/reference_test.go, DBR and CGBD solves
+# vs the goldens recorded while the recompute-everything twins still ran
+# beside them. It runs first so a broken cache fails in seconds, then a
+# single-iteration bench pass proves the tracked harness end to end without
+# timing anything. The pattern selects by name, so a rename can silently
+# empty it: the guard fails the gate if it matches nothing in a package.
+ENGINE_TESTS='Delta|Engine|Incremental|Golden|ZeroAlloc|PrimalMemo|CutDomination'
+for pkg in ./internal/game/ ./internal/dbr/ ./internal/gbd/; do
+  go test -list "$ENGINE_TESTS" "$pkg" | grep -q '^Test' || { echo "engine-equivalence gate: pattern selects no test in $pkg" >&2; exit 1; }
+done
+go test -race -run "$ENGINE_TESTS" ./internal/game/ ./internal/dbr/ ./internal/gbd/
 BENCH_TIME=1x BENCH_COUNT=1 scripts/bench.sh >/dev/null
 
 echo "==> reproduction-drift gate (game-only figures regenerate byte-identically)"
