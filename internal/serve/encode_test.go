@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"tradefl/internal/dbr"
 	"tradefl/internal/fleet"
 	"tradefl/internal/game"
 	"tradefl/internal/gbd"
@@ -23,8 +24,9 @@ import (
 // The event log used to hold values — map[string]any for state, progress
 // and result events, the typed InstanceResult for instance events — that
 // every stream marshalled again on every delivery, and the status document
-// carried []InstanceResult. The legacy* functions below are that form,
-// kept here as the reference the encoded-once log is compared against.
+// was encoding/json's indenting encoder over a struct. The legacy* functions
+// and the struct forms below are those encodings, kept here as the
+// references the append-built log and status document are compared against.
 
 // legacyPayload is what a stream put after "data: " for a logged value.
 func legacyPayload(v any) []byte {
@@ -79,6 +81,73 @@ type legacyJobStatus struct {
 	Results   []InstanceResult `json:"results,omitempty"`
 }
 
+// The typed forms of the result and progress events, as production
+// marshalled them until the append encoder took over (keys alphabetical,
+// like the maps before them).
+type (
+	resultEvent struct {
+		ID      string            `json:"id"`
+		Results []json.RawMessage `json:"results"`
+		State   JobState          `json:"state"`
+	}
+	gbdProgress struct {
+		Gap        float64 `json:"gap"`
+		Instance   int     `json:"instance"`
+		Iteration  int     `json:"iteration"`
+		LowerBound float64 `json:"lowerBound"`
+		UpperBound float64 `json:"upperBound"`
+	}
+	dbrProgress struct {
+		Instance  int     `json:"instance"`
+		Iteration int     `json:"iteration"`
+		Potential float64 `json:"potential"`
+	}
+)
+
+// indented is writeJSON's body for v: the document the gateway served for a
+// JobStatus before encodeJobStatus.
+func indented(t testing.TB, v any) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, v)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("writeJSON(%T): status %d: %s", v, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// checkStatusDocument requires the job's status document to be, byte for
+// byte, encoding/json's rendering of the JobStatus snapshot (RawMessage
+// results re-compacted and re-indented: the parent's path) and of the
+// all-typed legacy form.
+func checkStatusDocument(t *testing.T, job *Job, typed []InstanceResult) {
+	t.Helper()
+	st := job.Status()
+	got, err := encodeJobStatus(&st)
+	if err != nil {
+		t.Fatalf("encodeJobStatus: %v", err)
+	}
+	ref := legacyJobStatus{
+		ID: st.ID, Tenant: st.Tenant, State: st.State, Instances: st.Instances, Solved: st.Solved,
+		TraceID: st.TraceID, Error: st.Error, CreatedAt: st.CreatedAt, StartedAt: st.StartedAt,
+		DoneAt: st.DoneAt,
+	}
+	if st.State.terminal() {
+		ref.Results = typed
+	}
+	for _, v := range []any{st, ref} {
+		if want := indented(t, v); !bytes.Equal(got, want) {
+			t.Errorf("%s status document differs from writeJSON(%T):\n got  %s\n want %s", st.State, v, got, want)
+		}
+	}
+	if st.Solved != len(typed) || (len(st.Results) > 0) != (st.State.terminal() && len(typed) > 0) {
+		t.Errorf("%s status: solved %d, %d results, want %d solved", st.State, st.Solved, len(st.Results), len(typed))
+	}
+	if bytes.Contains(got, []byte(`"results"`)) != (len(st.Results) > 0) {
+		t.Errorf("%s status with %d results: results key presence is wrong:\n%s", st.State, len(st.Results), got)
+	}
+}
+
 // encodeFixtures solves one CGBD and one DBR instance and adds the shapes
 // real solves do not produce on demand: a bound series that starts at −Inf
 // and a failed instance whose message needs JSON's HTML escaping.
@@ -114,10 +183,12 @@ func encodeFixtures(t *testing.T) ([]*game.Config, []fleet.Result) {
 }
 
 // TestEventLogMatchesLegacyEncoding drives jobs through their lifecycle
-// and requires every logged payload, and the status document, to be the
-// bytes the value-holding log produced.
+// and requires every logged payload, and the status document at every stage
+// (queued, running, after each result, terminal), to be the bytes the
+// encoding/json forms produce.
 func TestEventLogMatchesLegacyEncoding(t *testing.T) {
-	cfgs, results := encodeFixtures(t)
+	fixtureCfgs, results := encodeFixtures(t)
+	const hostile = `solver <died> & "quit" \ at 50% — größer ☃ ` + "\xff\u2028"
 	for _, tc := range []struct {
 		name    string
 		n       int // instances solved before the job ends
@@ -126,31 +197,46 @@ func TestEventLogMatchesLegacyEncoding(t *testing.T) {
 		traceID string
 	}{
 		{"done", 4, StateDone, "", "4bf92f3577b34da6"},
+		{"done-one-result", 1, StateDone, "", ""},
+		{"done-64-results", 64, StateDone, "", "4bf92f3577b34da6"},
 		{"failed", 4, StateFailed, "one or more instances failed", ""},
+		{"failed-hostile-error", 3, StateFailed, hostile, `<trace>&"`},
 		{"failed-before-any-result", 0, StateFailed, "job timeout after 5m0s", "4bf92f3577b34da6"},
 		{"cancelled-midway", 2, StateCancelled, "cancelled", ""},
+		{"cancelled-before-any-result", 0, StateCancelled, hostile, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			job := newJob("job-0badcafe-7", "acme", cfgs, fleet.PlanAuto)
+			cfgs := make([]*game.Config, max(tc.n, len(fixtureCfgs)))
+			for i := range cfgs {
+				cfgs[i] = fixtureCfgs[i%len(fixtureCfgs)]
+			}
+			job := newJob("job-0badcafe-7", "acme <&> co", cfgs, fleet.PlanAuto)
 			type logged struct {
 				typ  string
 				data any
 			}
 			want := []logged{{"state", legacyState(job.ID, StateQueued, len(cfgs), "", "")}}
+			checkStatusDocument(t, job, nil)
 			if !job.setRunning(tc.traceID) {
 				t.Fatal("setRunning refused a queued job")
 			}
 			want = append(want, logged{"state", legacyState(job.ID, StateRunning, len(cfgs), "", tc.traceID)})
+			checkStatusDocument(t, job, nil)
 			var typed []InstanceResult
+			wantQuoted := 0
 			for idx := 0; idx < tc.n; idx++ {
-				r := results[idx]
+				r := results[idx%len(results)]
 				for _, p := range legacyProgress(idx, r) {
 					want = append(want, logged{"progress", p})
+				}
+				if idx%len(results) == 2 {
+					wantQuoted++ // the −Inf lower bound
 				}
 				res := newInstanceResult(idx, cfgs[idx], r)
 				typed = append(typed, res)
 				want = append(want, logged{"instance", res})
 				job.addResult(progressEvents(idx, r), res)
+				checkStatusDocument(t, job, typed)
 			}
 			job.finish(tc.state, tc.errMsg)
 			if tc.state != StateCancelled {
@@ -172,32 +258,48 @@ func TestEventLogMatchesLegacyEncoding(t *testing.T) {
 					quoted++
 				}
 			}
-			if tc.n > 2 && quoted != 1 {
-				t.Errorf("%d quoted-error payloads, want exactly 1 (the −Inf lower bound)", quoted)
+			if quoted != wantQuoted {
+				t.Errorf("%d quoted-error payloads, want %d (the −Inf lower bounds)", quoted, wantQuoted)
 			}
-			if tc.n == 0 && !bytes.Contains(got[len(got)-2].Data, []byte(`"results":null`)) {
+			if tc.n == 0 && tc.state == StateFailed && !bytes.Contains(got[len(got)-2].Data, []byte(`"results":null`)) {
 				t.Errorf("result event of a job without results: %s", got[len(got)-2].Data)
 			}
 
-			st := job.Status()
-			ref := legacyJobStatus{
-				ID: st.ID, Tenant: st.Tenant, State: st.State, Instances: st.Instances, Solved: st.Solved,
-				TraceID: st.TraceID, Error: st.Error, CreatedAt: st.CreatedAt, StartedAt: st.StartedAt,
-				DoneAt: st.DoneAt, Results: typed,
-			}
-			if st.Instances != len(cfgs) || st.Solved != tc.n {
+			checkStatusDocument(t, job, typed)
+			if st := job.Status(); st.Instances != len(cfgs) || st.Solved != tc.n {
 				t.Errorf("status counts %d/%d, want %d/%d", st.Solved, st.Instances, tc.n, len(cfgs))
-			}
-			gotBody, wantBody := httptest.NewRecorder(), httptest.NewRecorder()
-			writeJSON(gotBody, http.StatusOK, st)
-			writeJSON(wantBody, http.StatusOK, ref)
-			if !bytes.Equal(gotBody.Body.Bytes(), wantBody.Body.Bytes()) {
-				t.Errorf("status document:\n got  %s\n want %s", gotBody.Body, wantBody.Body)
 			}
 			if job.cfgs != nil {
 				t.Error("terminal job still holds its instances")
 			}
 		})
+	}
+}
+
+// TestProgressEventsMatchStructForms: the progress and result payloads
+// against the struct forms production last marshalled, over the bound
+// values a solve can report — including every non-finite combination, where
+// the payload is json.Marshal's quoted error for the first offending field.
+func TestProgressEventsMatchStructForms(t *testing.T) {
+	vals := []float64{0, 0.25, -1.5, 1e-7, 1e21, 123456.789e3, math.Inf(-1), math.Inf(1), math.NaN(), -math.MaxFloat64, math.MaxFloat64}
+	for i, lb := range vals {
+		for j, ub := range vals {
+			want := legacyPayload(gbdProgress{Gap: ub - lb, Instance: i, Iteration: j, LowerBound: lb, UpperBound: ub})
+			if got := appendGBDProgress([]byte("x"), i, j, lb, ub); string(got) != "x"+string(want) {
+				t.Errorf("gbd progress lb=%v ub=%v:\n got  %s\n want x%s", lb, ub, got, want)
+			}
+		}
+		want := legacyPayload(dbrProgress{Instance: -i, Iteration: i, Potential: lb})
+		if got := appendDBRProgress([]byte("x"), -i, i, lb); string(got) != "x"+string(want) {
+			t.Errorf("dbr progress potential=%v:\n got  %s\n want x%s", lb, got, want)
+		}
+	}
+	one := json.RawMessage(`{"index":0,"plan":"dbr","error":"\u003cgone\u003e"}`)
+	for _, results := range [][]json.RawMessage{nil, {}, {one}, {one, json.RawMessage(`"json: unsupported value: NaN"`), one}} {
+		want := legacyPayload(resultEvent{ID: "job-<1>", Results: results, State: StateFailed})
+		if got := encodeResultEvent("job-<1>", results, StateFailed); !bytes.Equal(got, want) {
+			t.Errorf("result event of %d results:\n got  %s\n want %s", len(results), got, want)
+		}
 	}
 }
 
@@ -255,6 +357,24 @@ func TestStreamReplayServesLiveBytes(t *testing.T) {
 		if got := readStream(t, base, id, last); !bytes.Equal(got, live[offsets[last+1]:]) {
 			t.Errorf("resume after event %d differs from the live stream's tail:\n%s", last, got)
 		}
+	}
+
+	// The finished job's status, through the real handler: the indented
+	// document encoding/json writes for the snapshot.
+	httpResp, err := http.Get(base + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	status, err := io.ReadAll(httpResp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := indented(t, s.lookupJob(id).Status()); httpResp.StatusCode != http.StatusOK || !bytes.Equal(status, want) {
+		t.Errorf("GET status %d:\n got  %s\n want %s", httpResp.StatusCode, status, want)
+	}
+	if !bytes.Contains(status, []byte(`"state": "done"`)) || bytes.Count(status, []byte(`"index": `)) != 3 {
+		t.Errorf("status document lacks the done state or its 3 results:\n%s", status)
 	}
 }
 
@@ -452,4 +572,127 @@ func TestUnencodableReplyIs500(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError || !bytes.Contains(rec.Body.Bytes(), []byte(`"error": "internal error (request req-test-1)`)) {
 		t.Errorf("writeJSON of +Inf: status %d, body %s", rec.Code, rec.Body)
 	}
+}
+
+// FuzzJobDocuments drives a job through its lifecycle with fuzzed names,
+// messages, timestamps, bounds and results, and compares every event
+// payload and every status document with the encoding/json forms.
+func FuzzJobDocuments(f *testing.F) {
+	f.Add("job-0badcafe-7", "acme", "", "4bf92f3577b34da6", uint8(2), uint8(3), 0.25, 1.5, -3.75, int64(1_790_000_000_123_456_789))
+	f.Add("<id>", "t&t", `bad "thing" \`+"\xff", "", uint8(1), uint8(0), math.Inf(-1), 2.0, math.NaN(), int64(0))
+	f.Add("j", "é\u2028", "cancelled", "", uint8(0), uint8(64), 1e-7, 1e21, 1e300, int64(-1))
+	f.Fuzz(func(t *testing.T, id, tenant, errMsg, traceID string, stateSel, n uint8, lb, ub, x float64, createdNs int64) {
+		state := []JobState{StateCancelled, StateFailed, StateDone}[stateSel%3]
+		job := newJob(id, tenant, make([]*game.Config, int(n%80)), fleet.PlanAuto)
+		// MarshalJSON refuses years outside [0, 9999]; a job's clock readings
+		// are nowhere near either end.
+		zones := []*time.Location{time.UTC, time.Local, time.FixedZone("", -(3*3600 + 30*60))}
+		job.Created = time.Unix(0, createdNs).In(zones[int(n)%len(zones)])
+		want := [][]byte{legacyPayload(legacyState(id, StateQueued, job.instances, "", ""))}
+		check := func() {
+			st := job.Status()
+			got, err := encodeJobStatus(&st)
+			if err != nil {
+				t.Fatalf("encodeJobStatus: %v", err)
+			}
+			if ref := indented(t, st); !bytes.Equal(got, ref) {
+				t.Fatalf("%s status document:\n got  %s\n want %s", st.State, got, ref)
+			}
+		}
+		check()
+		job.setRunning(traceID)
+		want = append(want, legacyPayload(legacyState(id, StateRunning, job.instances, "", traceID)))
+		var raw []json.RawMessage
+		for idx := 0; idx < int(n%80); idx++ {
+			var r fleet.Result
+			res := InstanceResult{Index: idx, Plan: "dbr", Potential: x, Payoffs: []float64{lb, ub}, SocialWelfare: ub, Error: errMsg}
+			switch idx % 3 {
+			case 0:
+				r.GBD = &gbd.Result{LowerBounds: []float64{lb, x, ub}, UpperBounds: []float64{ub, ub}}
+				want = append(want,
+					legacyPayload(gbdProgress{Gap: ub - lb, Instance: idx, Iteration: 0, LowerBound: lb, UpperBound: ub}),
+					legacyPayload(gbdProgress{Gap: ub - x, Instance: idx, Iteration: 1, LowerBound: x, UpperBound: ub}))
+				res.Plan, res.Profile = "pruned", game.Profile{{D: ub, F: 3e9}}
+			case 1:
+				r.DBR = &dbr.Result{PotentialTrace: []float64{lb, x}}
+				want = append(want,
+					legacyPayload(dbrProgress{Instance: idx, Iteration: 0, Potential: lb}),
+					legacyPayload(dbrProgress{Instance: idx, Iteration: 1, Potential: x}))
+			default:
+				res = InstanceResult{Index: idx, Plan: tenant, Error: errMsg}
+			}
+			job.addResult(progressEvents(idx, r), res)
+			payload := legacyPayload(res)
+			raw = append(raw, payload)
+			want = append(want, payload)
+			if idx < 3 {
+				check()
+			}
+		}
+		job.finish(state, errMsg)
+		if state != StateCancelled {
+			want = append(want, legacyPayload(resultEvent{ID: id, Results: raw, State: state}))
+		}
+		want = append(want, legacyPayload(legacyState(id, state, job.instances, errMsg, traceID)))
+		check()
+		got, _, _ := job.since(0)
+		if len(got) != len(want) {
+			t.Fatalf("log has %d events, want %d", len(got), len(want))
+		}
+		for i, ev := range got {
+			if !bytes.Equal(ev.Data, want[i]) {
+				t.Fatalf("event %d (%s):\n got  %s\n want %s", i, ev.Type, ev.Data, want[i])
+			}
+		}
+	})
+}
+
+var sinkBytes []byte
+
+// BenchmarkJobDocuments is what a finished 64-instance job costs in
+// documents: its terminal result event and one GET of its status. The
+// encoding/json rows are the forms production used before the append
+// encoder.
+func BenchmarkJobDocuments(b *testing.B) {
+	cfg, err := game.DefaultConfig(game.GenOptions{N: 8, Seed: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := fleet.New(fleet.Options{Plan: fleet.PlanPruned}).Solve(context.Background(), []*game.Config{cfg})[0]
+	if r.Err != nil {
+		b.Fatal(r.Err)
+	}
+	job := newJob("job-0badcafe-7", "acme", make([]*game.Config, 64), fleet.PlanAuto)
+	job.setRunning("4bf92f3577b34da6")
+	for idx := 0; idx < 64; idx++ {
+		job.addResult(nil, newInstanceResult(idx, cfg, r))
+	}
+	job.finish(StateDone, "")
+	st := job.Status()
+	b.Run("status/append", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if sinkBytes, err = encodeJobStatus(&st); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("status/encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkBytes = indented(b, st)
+		}
+	})
+	b.Run("result-event/append", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkBytes = encodeResultEvent(job.ID, st.Results, StateDone)
+		}
+	})
+	b.Run("result-event/encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkBytes = legacyPayload(resultEvent{ID: job.ID, Results: st.Results, State: StateDone})
+		}
+	})
 }

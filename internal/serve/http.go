@@ -40,7 +40,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	log.Debug("job admitted", "id", job.ID, "tenant", job.Tenant, "instances", len(cfgs))
-	writeJSON(w, http.StatusAccepted, job.Status())
+	writeJobStatus(w, http.StatusAccepted, job)
 }
 
 // handleGetJob answers the job's current status; terminal jobs include
@@ -51,7 +51,18 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, job.Status())
+	writeJobStatus(w, http.StatusOK, job)
+}
+
+// writeJobStatus answers status with the job's status document.
+func writeJobStatus(w http.ResponseWriter, status int, job *Job) {
+	st := job.Status()
+	body, err := encodeJobStatus(&st)
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, status, body)
 }
 
 // handleCancelJob cancels a queued or running job.
@@ -65,7 +76,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Sprintf("job %s is already %s", job.ID, job.State()))
 		return
 	}
-	writeJSON(w, http.StatusOK, job.Status())
+	writeJobStatus(w, http.StatusOK, job)
 }
 
 // handleStreamJob follows a job as Server-Sent Events: it replays the

@@ -40,22 +40,6 @@ type Event struct {
 	Data json.RawMessage
 }
 
-// encode renders an event payload. A value JSON cannot carry — in practice
-// the −Inf lower bound of a CGBD iteration that has no incumbent yet —
-// becomes the quoted error text, which is what streams have always sent.
-func encode(v any) json.RawMessage {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return encodeError(err)
-	}
-	return data
-}
-
-// encodeError is the payload of an event whose value did not encode.
-func encodeError(err error) json.RawMessage {
-	return json.RawMessage(fmt.Sprintf("%q", err.Error()))
-}
-
 // InstanceResult is the gateway-level outcome of one solved instance —
 // the same quantities core.RunBatch derives (payoffs, social welfare), so
 // a streamed result is directly comparable to a batch run.
@@ -144,6 +128,8 @@ func newJob(id, tenant string, cfgs []*game.Config, plan fleet.Plan) *Job {
 
 // JobStatus is the JSON shape of GET /v1/jobs/{id}. Results holds the
 // per-instance payloads (InstanceResult documents) as already encoded.
+// encodeJobStatus writes the document; the json tags state the shape, and
+// the tests marshal them as its reference.
 type JobStatus struct {
 	ID        string            `json:"id"`
 	Tenant    string            `json:"tenant"`
@@ -194,41 +180,9 @@ func (j *Job) State() JobState {
 	return j.state
 }
 
-// The event payloads. Field order is the alphabetical key order
-// encoding/json gives a map, which is what these events were first built
-// from, so the bytes on the wire did not change with the types.
-type (
-	stateEvent struct {
-		Error     string   `json:"error,omitempty"`
-		ID        string   `json:"id"`
-		Instances int      `json:"instances"`
-		State     JobState `json:"state"`
-		TraceID   string   `json:"traceId,omitempty"`
-	}
-	resultEvent struct {
-		ID      string            `json:"id"`
-		Results []json.RawMessage `json:"results"`
-		State   JobState          `json:"state"`
-	}
-	gbdProgress struct {
-		Gap        float64 `json:"gap"`
-		Instance   int     `json:"instance"`
-		Iteration  int     `json:"iteration"`
-		LowerBound float64 `json:"lowerBound"`
-		UpperBound float64 `json:"upperBound"`
-	}
-	dbrProgress struct {
-		Instance  int     `json:"instance"`
-		Iteration int     `json:"iteration"`
-		Potential float64 `json:"potential"`
-	}
-)
-
 // stateEventLocked renders the current state as an event. Callers hold mu.
 func (j *Job) stateEventLocked() Event {
-	return Event{Type: "state", Data: encode(stateEvent{
-		Error: j.err, ID: j.ID, Instances: j.instances, State: j.state, TraceID: j.traceID,
-	})}
+	return Event{Type: "state", Data: encodeStateEvent(j.ID, j.instances, j.state, j.err, j.traceID)}
 }
 
 // notifyLocked wakes every waiter. Callers hold mu.
@@ -272,9 +226,7 @@ func (j *Job) finishLocked(state JobState, errMsg string) {
 	j.finished = time.Now()
 	j.cfgs = nil
 	if state == StateDone || state == StateFailed {
-		j.events = append(j.events, Event{Type: "result", Data: encode(resultEvent{
-			ID: j.ID, Results: j.results, State: state,
-		})})
+		j.events = append(j.events, Event{Type: "result", Data: encodeResultEvent(j.ID, j.results, state)})
 	}
 	j.events = append(j.events, j.stateEventLocked())
 	j.notifyLocked()
@@ -289,7 +241,7 @@ func (j *Job) addResult(progress []Event, res InstanceResult) {
 	var buf [4096]byte
 	var data json.RawMessage
 	if enc, err := appendInstanceResult(buf[:0], &res); err != nil {
-		data = encodeError(err)
+		data = appendEncodeError(nil, err)
 	} else {
 		data = bytes.Clone(enc)
 	}
@@ -342,26 +294,39 @@ func (j *Job) Cancel() bool {
 // sandwich of Algorithm 1) or potential per DBR sweep — the same series
 // the obs telemetry sink records for -telemetry-out.
 func progressEvents(idx int, r fleet.Result) []Event {
+	n := 0
 	switch {
 	case r.GBD != nil:
-		n := min(len(r.GBD.UpperBounds), len(r.GBD.LowerBounds))
-		evs := make([]Event, n)
-		for k := range evs {
-			lb, ub := r.GBD.LowerBounds[k], r.GBD.UpperBounds[k]
-			evs[k] = Event{Type: "progress", Data: encode(gbdProgress{
-				Gap: ub - lb, Instance: idx, Iteration: k, LowerBound: lb, UpperBound: ub,
-			})}
-		}
-		return evs
+		n = min(len(r.GBD.UpperBounds), len(r.GBD.LowerBounds))
 	case r.DBR != nil:
-		evs := make([]Event, len(r.DBR.PotentialTrace))
-		for k, u := range r.DBR.PotentialTrace {
-			evs[k] = Event{Type: "progress", Data: encode(dbrProgress{Instance: idx, Iteration: k, Potential: u})}
-		}
-		return evs
-	default:
+		n = len(r.DBR.PotentialTrace)
+	}
+	if n == 0 {
 		return nil
 	}
+	// The series is encoded back to back on the stack (a long one spills to
+	// the heap) and retained as one exact-size block the events slice up.
+	var (
+		scratch [2048]byte
+		marks   [32]int
+	)
+	buf, ends := scratch[:0], marks[:0]
+	for k := 0; k < n; k++ {
+		if r.GBD != nil {
+			buf = appendGBDProgress(buf, idx, k, r.GBD.LowerBounds[k], r.GBD.UpperBounds[k])
+		} else {
+			buf = appendDBRProgress(buf, idx, k, r.DBR.PotentialTrace[k])
+		}
+		ends = append(ends, len(buf))
+	}
+	block := bytes.Clone(buf)
+	evs := make([]Event, n)
+	start := 0
+	for k, end := range ends {
+		evs[k] = Event{Type: "progress", Data: block[start:end:end]}
+		start = end
+	}
+	return evs
 }
 
 // jobID renders sequential job IDs with a per-process base so IDs from a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -137,12 +138,34 @@ func TestGatewayBadSpecRejected(t *testing.T) {
 		`{"generate":{"count":1,"n":-1}}`,   // would panic sizing the instance
 		`{"generate":{"count":1,"n":4,"cpuSteps":2000000000}}`, // would allocate 16 GB per organization
 		`{"generate":{"count":1,"n":4,"cpuSteps":-1}}`,
+		`{"generate":{"count":1,"n":4,"mu":-1}}`,    // σ = μ/5 < 0: was admitted and generated ρ ≡ 0
+		`{"generate":{"count":1,"n":4,"mu":-1e-9}}`, // canonical form and fallback alike
+		`{ "generate": {"count":1,"n":4,"mu":1.5} }`,
 		`{"generate":{"count":1},"plan":"warp"}`,
 		`{"games":[{"orgs":[]}]}`, // fails game.Config.Validate
 	} {
 		resp, decoded := postJSON(t, base+"/v1/jobs", "", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("spec %s: status %d, want 400 (%v)", body, resp.StatusCode, decoded)
+		}
+	}
+}
+
+// TestGenerateMuRange: the ends of the paper's ρ range are admitted, and a
+// GenSpec that did not come through JSON cannot smuggle in a non-finite μ
+// or γ.
+func TestGenerateMuRange(t *testing.T) {
+	for _, body := range []string{`{"generate":{"count":1,"n":4,"mu":1}}`, `{"generate":{"count":1,"n":4,"mu":0}}`, `{"generate":{"count":1,"n":4,"mu":0.05,"gamma":1e-8}}`} {
+		if _, _, err := ParseJobSpec([]byte(body), Limits{}); err != nil {
+			t.Errorf("spec %s rejected: %v", body, err)
+		}
+	}
+	for _, g := range []GenSpec{
+		{Count: 1, N: 4, Mu: math.NaN()}, {Count: 1, N: 4, Mu: math.Inf(1)},
+		{Count: 1, N: 4, Gamma: math.NaN()}, {Count: 1, N: 4, Gamma: math.Inf(-1)},
+	} {
+		if _, err := g.configs(Limits{}); err == nil {
+			t.Errorf("generate %+v admitted", g)
 		}
 	}
 }

@@ -202,6 +202,14 @@ func (g *GenSpec) configs(lim Limits) ([]*game.Config, error) {
 	if g.CPUSteps < 0 || g.CPUSteps > maxGenCPUSteps {
 		return nil, fmt.Errorf("generate: cpuSteps %d outside [0, %d]", g.CPUSteps, maxGenCPUSteps)
 	}
+	// ρ_ij ~ N(μ, (μ/5)²) clipped to [0, 1]: a negative μ makes σ negative
+	// and every draw clip to 0, a silent ρ ≡ 0 game nobody asked for.
+	if !(g.Mu >= 0 && g.Mu <= 1) {
+		return nil, fmt.Errorf("generate: mu %v outside [0, 1]", g.Mu)
+	}
+	if !finite(g.Gamma) {
+		return nil, fmt.Errorf("generate: gamma %v is not finite", g.Gamma)
+	}
 	seed := g.Seed
 	if seed == 0 {
 		seed = 1

@@ -180,6 +180,12 @@ echo "==> serve gate (gateway suite under -race + live HTTP smoke)"
 go vet ./internal/serve/ ./cmd/tradefl-server/ ./scripts/servegate/
 go test -race -count=1 ./internal/serve/
 go test -run '^$' -fuzz '^FuzzParseJobSpec$' -fuzztime 20s ./internal/serve/
+# Job events and the status document are append-built; their oracle is
+# encoding/json over the struct forms in encode_test.go.
+go test -run '^$' -fuzz '^FuzzJobDocuments$' -fuzztime 15s ./internal/serve/
+# randx's lazily seeded source must stay stream-identical to math/rand:
+# every seeded figure, golden hash and account key rests on it.
+go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 15s ./internal/randx/
 SERVE_DIR="$(mktemp -d)"
 SERVE_BIN="$SERVE_DIR/tradefl-server"
 go build -o "$SERVE_BIN" ./cmd/tradefl-server
