@@ -287,22 +287,21 @@ func BenchmarkPayoffs(b *testing.B) {
 }
 
 func BenchmarkBestResponse(b *testing.B) {
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, NoOrgName: true})
-			if err != nil {
-				b.Fatal(err)
+	// The pooled entry point at the default N=10: engine reset, bind, scan.
+	b.Run("pooled", func(b *testing.B) {
+		b.ReportAllocs()
+		cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, NoOrgName: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := cfg.MinimalProfile()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, ok := dbr.BestResponse(cfg, p, i%cfg.N(), 1e-7); !ok {
+				b.Fatal("no feasible response")
 			}
-			p := cfg.MinimalProfile()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, ok := dbr.BestResponseWorkers(cfg, p, i%cfg.N(), 1e-7, workers); !ok {
-					b.Fatal("no feasible response")
-				}
-			}
-		})
-	}
+		}
+	})
 	// N=16 on a bound engine: the steady state of a DBR sweep.
 	b.Run("N=16", func(b *testing.B) {
 		b.ReportAllocs()
@@ -315,7 +314,7 @@ func BenchmarkBestResponse(b *testing.B) {
 		eng.Bind(p)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, ok := eng.BestResponse(i%cfg.N(), 1e-7, 1); !ok {
+			if _, _, ok := eng.BestResponse(i%cfg.N(), 1e-7); !ok {
 				b.Fatal("no feasible response")
 			}
 		}

@@ -28,7 +28,6 @@ import (
 	"tradefl/internal/dbr"
 	"tradefl/internal/game"
 	"tradefl/internal/obs"
-	"tradefl/internal/parallel"
 	"tradefl/internal/transport"
 	"tradefl/internal/verify"
 )
@@ -60,7 +59,6 @@ func run(args []string) (err error) {
 		suspect  = fs.Int("suspect-after", 0, "token resends to the same silent peer before skipping it as crashed (0 = default 2, negative = skip immediately)")
 		retries  = fs.Int("send-retries", transport.DefaultSendAttempts, "TCP send attempts before a peer counts as unreachable")
 		backoff  = fs.Duration("send-backoff", transport.DefaultSendBackoff, "base backoff between TCP send attempts")
-		workers  = fs.Int("workers", 0, "best-response worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 		verifyOn = fs.Bool("verify", false, "audit solver and settlement invariants at runtime (tradefl_verify_* metrics; nonzero exit on violation)")
 		obsFlags = obs.RegisterFlags(fs)
 	)
@@ -80,7 +78,6 @@ func run(args []string) (err error) {
 			err = ferr
 		}
 	}()
-	parallel.SetDefault(*workers)
 	if *verifyOn {
 		verify.Enable(verify.Options{})
 	}

@@ -30,7 +30,6 @@ import (
 	"tradefl/internal/dbr"
 	"tradefl/internal/game"
 	"tradefl/internal/obs"
-	"tradefl/internal/parallel"
 	"tradefl/internal/randx"
 	"tradefl/internal/verify"
 )
@@ -60,7 +59,6 @@ func run(args []string) (err error) {
 		commit   = fs.Bool("commit", false, "use commit-reveal contribution reporting (all members must)")
 		poll     = fs.Duration("poll", 500*time.Millisecond, "status poll interval")
 		timeout  = fs.Duration("timeout", 2*time.Minute, "settlement deadline")
-		workers  = fs.Int("workers", 0, "best-response worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 		verifyOn = fs.Bool("verify", false, "audit solver and settlement invariants at runtime (tradefl_verify_* metrics; nonzero exit on violation)")
 
 		rpcTimeout = fs.Duration("rpc-timeout", 10*time.Second, "per-RPC-attempt deadline")
@@ -84,7 +82,6 @@ func run(args []string) (err error) {
 			err = ferr
 		}
 	}()
-	parallel.SetDefault(*workers)
 	if *verifyOn {
 		verify.Enable(verify.Options{})
 	}

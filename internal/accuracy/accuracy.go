@@ -40,6 +40,32 @@ type Model interface {
 	Name() string
 }
 
+// Certified is what every model of this package offers beyond Model, and
+// what a caller needs before it may trust the sign of a difference of
+// Values (the DBR endpoint certificate, DESIGN.md §10). Each implementation
+// states where its constant comes from, writing u for 2⁻⁵³.
+type Certified interface {
+	// ConcaveFrom returns the smallest Ω from which Value really is
+	// nondecreasing and concave: the guards at Ω ≈ 0 (SqrtLoss.OmegaFloor,
+	// Empirical's flat extrapolation below its first point) put a convex
+	// kink there. +Inf means nowhere (parameters outside the model's range).
+	ConcaveFrom() float64
+	// RoundingScale returns S(ω) ≥ |P(ω)|, for ω ≥ ConcaveFrom, with
+	// |Value(ω′) − P(ω)| ≤ 8u·S(ω) for every float ω′ within 4u·ω of ω,
+	// where P is an exactly concave nondecreasing function (the model's
+	// formula in real arithmetic). Over an interval S is largest at one of
+	// the ends.
+	RoundingScale(omega float64) float64
+}
+
+var (
+	_ Certified = (*SqrtLoss)(nil)
+	_ Certified = (*PowerLaw)(nil)
+	_ Certified = (*LogSaturation)(nil)
+	_ Certified = (*Empirical)(nil)
+	_ Certified = (*Scaled)(nil)
+)
+
 // SqrtLoss is the accuracy-loss bound the paper adopts for simulations
 // (footnote 7): A(Ω) = 1/√(Ω·G) + 1/G, where G is the number of training
 // epochs. The accuracy gain is P(Ω) = A0 − A(Ω), where A0 is the accuracy
@@ -89,6 +115,16 @@ func (m *SqrtLoss) Derivative(omega float64) float64 {
 // Name implements Model.
 func (m *SqrtLoss) Name() string { return "sqrt-loss" }
 
+// ConcaveFrom is the floor: Value is constant below it and rises above.
+func (m *SqrtLoss) ConcaveFrom() float64 { return m.OmegaFloor }
+
+// RoundingScale is |A0| + A(ω), not |P|: A0 − A(ω) cancels near P = 0.
+// ω·G, the root, two quotients and the sum put 3.5u on A, the difference
+// u on P, and a 4u shift of ω moves A by 2u·A: under 6.5u·(|A0| + A).
+func (m *SqrtLoss) RoundingScale(omega float64) float64 {
+	return math.Abs(m.A0) + m.Loss(omega)
+}
+
 // PowerLaw is P(Ω) = A·Ω^B with 0 < B < 1; a standard learning-curve form.
 type PowerLaw struct {
 	A, B float64
@@ -126,6 +162,22 @@ func (m *PowerLaw) Derivative(omega float64) float64 {
 // Name implements Model.
 func (m *PowerLaw) Name() string { return "power-law" }
 
+// ConcaveFrom is 0 for the parameters NewPowerLaw accepts.
+func (m *PowerLaw) ConcaveFrom() float64 {
+	if m.A > 0 && m.B > 0 && m.B < 1 {
+		return 0
+	}
+	return math.Inf(1)
+}
+
+// RoundingScale is max(P(ω), A)·(1 + |ln ω|): math.Pow forms exp(y·ln ω)
+// with |y| ≤ ½, so the u that Log and the product put on the exponent
+// reach P as |ln ω|·u, beside 3u from Exp, the integer power and A, and 4u
+// from a shifted ω: (7 + |ln ω|)·u·P in all. It falls, then rises, in ω.
+func (m *PowerLaw) RoundingScale(omega float64) float64 {
+	return m.Value(math.Max(omega, 1)) * (1 + math.Abs(math.Log(omega)))
+}
+
 // LogSaturation is P(Ω) = A·log(1 + Ω/C): increasing, concave, saturating.
 type LogSaturation struct {
 	A, C float64
@@ -161,6 +213,18 @@ func (m *LogSaturation) Derivative(omega float64) float64 {
 // Name implements Model.
 func (m *LogSaturation) Name() string { return "log-saturation" }
 
+// ConcaveFrom is 0 for the parameters NewLogSaturation accepts.
+func (m *LogSaturation) ConcaveFrom() float64 {
+	if m.A > 0 && m.C > 0 {
+		return 0
+	}
+	return math.Inf(1)
+}
+
+// RoundingScale is P itself: the quotient, Log1p and the product are 3u,
+// and x/(1+x) ≤ log(1+x) keeps a 4u shift of ω within 4u·P.
+func (m *LogSaturation) RoundingScale(omega float64) float64 { return m.Value(omega) }
+
 // Point is a measured (Ω, P) sample used to fit an Empirical model.
 type Point struct {
 	Omega float64 `json:"omega"`
@@ -174,6 +238,8 @@ type Point struct {
 type Empirical struct {
 	pts  []Point
 	name string
+	// span is (len(pts)+1)·max|P| over the fitted points (RoundingScale).
+	span float64
 }
 
 var _ Model = (*Empirical)(nil)
@@ -217,7 +283,11 @@ func FitEmpirical(name string, samples []Point) (*Empirical, error) {
 	}
 	// Enforce concavity: pool adjacent violators on chord slopes.
 	dedup = concavify(dedup)
-	return &Empirical{pts: dedup, name: name}, nil
+	var maxAbs float64
+	for _, p := range dedup {
+		maxAbs = math.Max(maxAbs, math.Abs(p.P))
+	}
+	return &Empirical{pts: dedup, name: name, span: float64(len(dedup)+1) * maxAbs}, nil
 }
 
 // concavify performs a single-pass pool-adjacent-violators style smoothing
@@ -270,6 +340,18 @@ func (m *Empirical) Derivative(omega float64) float64 {
 
 // Name implements Model.
 func (m *Empirical) Name() string { return m.name }
+
+// ConcaveFrom is the first fitted point: below it Value is flat.
+func (m *Empirical) ConcaveFrom() float64 { return m.pts[0].Omega }
+
+// RoundingScale is (K+1)·max|P_k| + P′(ω)·ω for K fitted points.
+// Interpolating costs 6u·(|P_a| + |P_b|) on a segment and 6u·P′·ω beyond
+// the last point, a 4u shift of ω moves the value by 4u·P′·ω, and the sums
+// concavify rounds leave the exact chords nonincreasing only up to
+// u·max|P| a point — so the interpolant is that close to a concave one.
+func (m *Empirical) RoundingScale(omega float64) float64 {
+	return m.span + m.Derivative(omega)*omega
+}
 
 // Points returns a copy of the fitted points.
 func (m *Empirical) Points() []Point {

@@ -1,6 +1,9 @@
 package accuracy
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Scaled adapts a Model to a different Ω unit: it evaluates the inner model
 // at Ω/Unit and chain-rules the derivative. Use it when the game measures Ω
@@ -35,3 +38,21 @@ func (m *Scaled) Derivative(omega float64) float64 {
 
 // Name implements Model.
 func (m *Scaled) Name() string { return m.Inner.Name() + "/scaled" }
+
+// ConcaveFrom rescales the inner model's bound, a hair up so the rounded
+// quotient Value forms cannot land under it; +Inf for a foreign inner model.
+func (m *Scaled) ConcaveFrom() float64 {
+	if c, ok := m.Inner.(Certified); ok {
+		return c.ConcaveFrom() * m.Unit * (1 + 0x1p-50)
+	}
+	return math.Inf(1)
+}
+
+// RoundingScale is the inner model's: the quotient's one rounding is
+// inside the 4u shift every RoundingScale allows for.
+func (m *Scaled) RoundingScale(omega float64) float64 {
+	if c, ok := m.Inner.(Certified); ok {
+		return c.RoundingScale(omega / m.Unit)
+	}
+	return math.Inf(1)
+}

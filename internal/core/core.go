@@ -56,11 +56,10 @@ type Options struct {
 	Rounds, LocalEpochs int
 	// Seed drives chain account generation and FL data (default 1).
 	Seed int64
-	// Workers bounds the solver worker pools (master-problem search shards
-	// and best-response candidate scans). 0 uses the process default
-	// (GOMAXPROCS); 1 forces the exact serial code paths. It fills
-	// DBR.Workers and GBD.Workers unless those are set explicitly; solver
-	// outputs are byte-identical for every worker count.
+	// Workers bounds the CGBD master-problem search shards. 0 uses the
+	// process default (GOMAXPROCS); 1 forces the exact serial code path. It
+	// fills GBD.Workers unless that is set explicitly; solver outputs are
+	// byte-identical for every worker count. DBR scans on one goroutine.
 	Workers int
 	// DBR passes through Algorithm 2 options.
 	DBR dbr.Options
@@ -87,13 +86,8 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Workers != 0 {
-		if o.DBR.Workers == 0 {
-			o.DBR.Workers = o.Workers
-		}
-		if o.GBD.Workers == 0 {
-			o.GBD.Workers = o.Workers
-		}
+	if o.Workers != 0 && o.GBD.Workers == 0 {
+		o.GBD.Workers = o.Workers
 	}
 	return o
 }

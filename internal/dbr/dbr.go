@@ -47,12 +47,10 @@ type Options struct {
 	// at a non-equilibrium profile under message loss. Negative skips
 	// immediately on the first timeout (the pre-hardening behavior).
 	SuspectAfter int
-	// Workers bounds the goroutines that evaluate one organization's
-	// best-response candidates (its CPU levels) concurrently. Candidates
-	// within one scan are independent — organizations still update
-	// sequentially, preserving the game semantics of Algorithm 2. 0 uses
-	// the process default (GOMAXPROCS); 1 runs the exact serial code path.
-	// Results are byte-identical for every worker count.
+	// Workers is accepted and ignored: a scan runs on the calling
+	// goroutine (the within-scan fan-out it once sized was slower than the
+	// serial scan at every tracked N). bench/traced.go still names the
+	// field; it goes with the next change allowed to edit bench/.
 	Workers int
 }
 
@@ -91,11 +89,16 @@ type Result struct {
 
 // BestResponse computes organization i's best response to π_-i
 // (Definition 9, problem (24)): for every CPU level it maximizes the
-// payoff over the feasible data interval (concave in d_i, solved by
-// golden-section search) and returns the best (strategy, payoff) pair.
+// payoff over the feasible data interval (concave in d_i: golden-section
+// search, or its answer from the endpoint certificate) on a pooled Engine
+// and returns the best (strategy, payoff) pair.
 // ok is false when no CPU level admits a feasible d.
 func BestResponse(cfg *game.Config, p game.Profile, i int, dTol float64) (game.Strategy, float64, bool) {
-	return BestResponseWorkers(cfg, p, i, dTol, 1)
+	e := acquireEngine(cfg)
+	e.Bind(p)
+	s, val, ok := e.BestResponse(i, dTol)
+	releaseEngine(e)
+	return s, val, ok
 }
 
 // candidate is the outcome of maximizing the payoff at one CPU level.
@@ -103,20 +106,6 @@ type candidate struct {
 	s        game.Strategy
 	val      float64
 	feasible bool
-}
-
-// BestResponseWorkers is BestResponse with the per-CPU-level candidate
-// solves fanned out over at most workers goroutines (0 = process default).
-// The scan runs on a pooled Engine with O(N) payoff queries; candidates
-// reduce in CPU-level order with the serial strictly-greater tie-break, so
-// the returned strategy is byte-identical to BestResponse for every worker
-// count.
-func BestResponseWorkers(cfg *game.Config, p game.Profile, i int, dTol float64, workers int) (game.Strategy, float64, bool) {
-	e := acquireEngine(cfg)
-	e.Bind(p)
-	s, val, ok := e.BestResponse(i, dTol, workers)
-	releaseEngine(e)
-	return s, val, ok
 }
 
 // reduceCandidates folds candidates in CPU-level order with the serial
@@ -187,7 +176,7 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 				return nil, fmt.Errorf("dbr: %w", err)
 			}
 			cur := eng.Payoff(i)
-			next, val, ok := eng.BestResponse(i, opts.DTol, opts.Workers)
+			next, val, ok := eng.BestResponse(i, opts.DTol)
 			if !ok {
 				continue
 			}

@@ -5,34 +5,31 @@ import (
 
 	"tradefl/internal/game"
 	"tradefl/internal/optimize"
-	"tradefl/internal/parallel"
 )
 
 // Engine is the incremental best-response engine: a DeltaEvaluator plus
 // pooled scratch so a steady-state best-response scan performs zero heap
 // allocations (asserted by TestBestResponseZeroAlloc). Results are
 // byte-identical to a scan that evaluates every payoff from scratch with
-// Config.Payoff — the evaluator's exactness contract plus the identical
-// golden-section driver guarantee it (TestEngineBestResponseMatchesNaive).
-//
-// An Engine is single-goroutine for mutation; the parallel candidate scan
-// only queries the organization BestResponse focused the evaluator on, which
-// is read-only and race-free.
+// Config.Payoff and searches every candidate — the evaluator's exactness
+// contract, the identical golden-section driver and the endpoint
+// certificate's proof guarantee it (TestEngineBestResponseMatchesNaive,
+// TestCertificateEquivalence). An Engine is single-goroutine.
 type Engine struct {
 	cfg   *game.Config
 	ev    *game.DeltaEvaluator
 	cands []candidate
 
 	// eval is the golden-section objective, created once at engine
-	// construction so the serial scan allocates no closure per candidate;
-	// the candidate under evaluation is passed through evalOrg/evalF.
+	// construction so the scan allocates no closure per candidate; the
+	// candidate under evaluation is passed through evalOrg/evalF.
 	eval    func(d float64) float64
 	evalOrg int
 	evalF   float64
 }
 
 // NewEngine builds an engine for cfg. Prefer the package-level pooled
-// entry points (BestResponseWorkers, Solve) unless you are managing engine
+// entry points (BestResponse, Solve) unless you are managing engine
 // lifetime yourself.
 func NewEngine(cfg *game.Config) *Engine {
 	e := &Engine{}
@@ -96,57 +93,71 @@ func (e *Engine) Update(i int, s game.Strategy) { e.ev.Update(i, s) }
 func (e *Engine) Payoff(i int) float64 { return e.ev.Payoff(i) }
 
 // BestResponse computes organization i's best response against the bound
-// profile, byte-identical to a from-scratch Config.Payoff scan of it. The
-// serial path (workers ≤ 1) is allocation-free.
-func (e *Engine) BestResponse(i int, dTol float64, workers int) (game.Strategy, float64, bool) {
+// profile, byte-identical to a from-scratch Config.Payoff scan of it, and
+// allocation-free.
+func (e *Engine) BestResponse(i int, dTol float64) (game.Strategy, float64, bool) {
 	if dTol <= 0 {
 		dTol = 1e-7
 	}
 	levels := e.cfg.Orgs[i].CPULevels
 	mScans.Inc()
 	mCandidates.Add(int64(len(levels)))
-	workers = parallel.Resolve(workers)
 	// Every probe of this scan asks about organization i against the same
-	// π₋ᵢ; focus once, here, before any goroutine queries the evaluator.
+	// π₋ᵢ; focus once.
 	e.ev.Focus(i)
-	if workers > 1 && len(levels) > 1 {
-		// Candidates only read the focused evaluator; each writes a disjoint
-		// slot of the pooled candidate buffer.
-		cands := e.cands[:len(levels)]
-		parallel.ForLabeled("dbr.scan", workers, len(levels), func(k int) {
-			cands[k] = e.solveCandidate(i, levels[k], dTol)
-		})
-		return reduceCandidates(cands)
-	}
 	cands := e.cands[:0]
+	var certified int64
 	for _, f := range levels {
-		cands = append(cands, e.solveCandidateSerial(i, f, dTol))
+		c, cert := e.solveCandidate(i, f, dTol)
+		cands = append(cands, c)
+		if cert {
+			certified++
+		}
 	}
+	mCertified.Add(certified)
 	return reduceCandidates(cands)
 }
 
-// solveCandidateSerial maximizes the payoff at a fixed CPU level through
-// the engine's pre-built closure — no per-candidate allocation.
-func (e *Engine) solveCandidateSerial(i int, f, dTol float64) candidate {
+// minCertTol is the smallest search tolerance the endpoint certificate
+// answers for. The bracket of GoldenSection lives in (0, 1], where one
+// operation rounds by at most 2⁻⁵³; a probe is off its ideal place by at
+// most 4 roundings and an inherited one by 4 more a step, so over the 4096
+// steps the search allows itself the last bracket is wider than
+// 0.618·tol − 2¹⁴·2⁻⁵³ and its midpoint further than tol/4 from both ends
+// once 0.059·tol > 2¹³·2⁻⁵³, which 2⁻³⁵ already satisfies.
+const minCertTol = 0x1p-32
+
+// solveCandidate maximizes the payoff at a fixed CPU level: what
+// optimize.GoldenSection returns over the feasible interval, and whether
+// the endpoint certificate stood in for the search (DESIGN.md §10).
+//
+// The search returns the midpoint m of its last bracket unless lo or hi
+// evaluates strictly higher, and m is at least 0.309·tol inside both ends.
+// The payoff PayoffWith computes is within E of a concave C (ErrBound), so
+// F(hi) − F(hi−h) > 4E with h = tol/4 gives C(hi) − C(hi−h) > 2E, hence
+// C(x) < C(hi) − 2E and F(x) < F(hi) for every x ≤ hi−h: lo and m lose the
+// search's closing comparisons to hi whatever path the bracket took. The
+// same at lo. Everything else — no bound, a thin margin (an interior
+// maximizer, a flat payoff), NaN, an interval the search would not split, a
+// tolerance under minCertTol — is searched.
+func (e *Engine) solveCandidate(i int, f, dTol float64) (candidate, bool) {
 	lo, hi, feasible := e.cfg.FeasibleD(i, f)
 	if !feasible {
-		return candidate{}
+		return candidate{}, false
 	}
 	e.evalOrg, e.evalF = i, f
-	d, val, _ := optimize.GoldenSection(e.eval, lo, hi, dTol)
-	return candidate{s: game.Strategy{D: d, F: f}, val: val, feasible: true}
-}
-
-// solveCandidate is the concurrency-safe variant used by the parallel
-// scan: the objective closure is per-call, so concurrent candidates do not
-// share the engine's evalOrg/evalF scratch.
-func (e *Engine) solveCandidate(i int, f, dTol float64) candidate {
-	lo, hi, feasible := e.cfg.FeasibleD(i, f)
-	if !feasible {
-		return candidate{}
+	if dTol >= minCertTol && hi-lo > dTol {
+		// lo is D_min, the low end ErrBound answers for.
+		if bound, ok := e.ev.ErrBound(i, game.Strategy{D: hi, F: f}); ok {
+			h, margin := dTol/4, 4*bound
+			if v := e.eval(hi); v-e.eval(hi-h) > margin {
+				return candidate{s: game.Strategy{D: hi, F: f}, val: v, feasible: true}, true
+			}
+			if v := e.eval(lo); v-e.eval(lo+h) > margin {
+				return candidate{s: game.Strategy{D: lo, F: f}, val: v, feasible: true}, true
+			}
+		}
 	}
-	d, val, _ := optimize.GoldenSection(func(d float64) float64 {
-		return e.ev.PayoffWith(i, game.Strategy{D: d, F: f})
-	}, lo, hi, dTol)
-	return candidate{s: game.Strategy{D: d, F: f}, val: val, feasible: true}
+	d, val, _ := optimize.GoldenSection(e.eval, lo, hi, dTol)
+	return candidate{s: game.Strategy{D: d, F: f}, val: val, feasible: true}, false
 }

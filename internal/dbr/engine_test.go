@@ -34,8 +34,7 @@ func engineGames(t *testing.T) []*game.Config {
 
 // TestEngineBestResponseMatchesNaive compares the engine scan against the
 // from-scratch reference (reference_test.go) on identical profiles:
-// strategy, value and the feasibility flag must agree bit-for-bit at every
-// worker count.
+// strategy, value and the feasibility flag must agree bit-for-bit.
 func TestEngineBestResponseMatchesNaive(t *testing.T) {
 	for _, cfg := range engineGames(t) {
 		p := cfg.MinimalProfile()
@@ -43,12 +42,10 @@ func TestEngineBestResponseMatchesNaive(t *testing.T) {
 		eng.Bind(p)
 		for i := 0; i < cfg.N(); i++ {
 			ns, nv, nok := bestResponseNaive(cfg, p, i, 1e-7)
-			for _, workers := range []int{1, 2, 4} {
-				es, ev, eok := eng.BestResponse(i, 1e-7, workers)
-				if nok != eok || ns != es || math.Float64bits(nv) != math.Float64bits(ev) {
-					t.Fatalf("org %d workers %d: engine (%+v, %x, %v) != naive (%+v, %x, %v)",
-						i, workers, es, math.Float64bits(ev), eok, ns, math.Float64bits(nv), nok)
-				}
+			es, ev, eok := eng.BestResponse(i, 1e-7)
+			if nok != eok || ns != es || math.Float64bits(nv) != math.Float64bits(ev) {
+				t.Fatalf("org %d: engine (%+v, %x, %v) != naive (%+v, %x, %v)",
+					i, es, math.Float64bits(ev), eok, ns, math.Float64bits(nv), nok)
 			}
 		}
 	}
@@ -97,8 +94,8 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 
 var engineSink float64
 
-// TestBestResponseZeroAlloc pins the tentpole's allocation contract: a
-// steady-state serial best-response scan on a bound engine performs zero
+// TestBestResponseZeroAlloc pins the engine's allocation contract: a
+// steady-state best-response scan on a bound engine performs zero
 // heap allocations. It uses an explicit engine (not the pool) so a
 // concurrent GC cannot empty the pool mid-measurement and flake the count.
 func TestBestResponseZeroAlloc(t *testing.T) {
@@ -107,12 +104,12 @@ func TestBestResponseZeroAlloc(t *testing.T) {
 	eng := NewEngine(cfg)
 	eng.Bind(p)
 	// Warm once: the first scan may grow the golden-section bracket scratch.
-	if _, _, ok := eng.BestResponse(0, 1e-7, 1); !ok {
+	if _, _, ok := eng.BestResponse(0, 1e-7); !ok {
 		t.Fatal("no feasible best response for org 0")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < cfg.N(); i++ {
-			_, v, _ := eng.BestResponse(i, 1e-7, 1)
+			_, v, _ := eng.BestResponse(i, 1e-7)
 			engineSink = v
 		}
 	})
@@ -136,7 +133,7 @@ func BenchmarkBestResponseAllocs(b *testing.B) {
 		eng.Bind(p)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, ok := eng.BestResponse(i%cfg.N(), 1e-7, 1); !ok {
+			if _, _, ok := eng.BestResponse(i%cfg.N(), 1e-7); !ok {
 				b.Fatal("no feasible response")
 			}
 		}

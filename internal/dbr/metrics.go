@@ -11,6 +11,7 @@ var (
 	mMoves      = obs.NewCounter("tradefl_dbr_moves_total", "strategy updates applied (payoff improved beyond Tol)")
 	mScans      = obs.NewCounter("tradefl_dbr_best_responses_total", "best-response scans computed")
 	mCandidates = obs.NewCounter("tradefl_dbr_candidates_total", "per-CPU-level best-response candidates solved")
+	mCertified  = obs.NewCounter("tradefl_dbr_certified_candidates_total", "candidates answered by the endpoint certificate instead of a golden-section search")
 	mConverged  = obs.NewCounter("tradefl_dbr_converged_total", "DBR runs that reached a fixed point before MaxRounds")
 	mPotential  = obs.NewGauge("tradefl_dbr_potential", "potential U at the profile of the last DBR run")
 	mWelfare    = obs.NewGauge("tradefl_dbr_social_welfare", "social welfare at the profile of the last DBR run")

@@ -141,7 +141,7 @@ func unitFactor(p Plan, st Stats) float64 {
 func measure(plan Plan, cfg *game.Config) (float64, error) {
 	solve := func() error {
 		if plan == PlanDBR {
-			_, err := dbr.Solve(cfg, nil, dbr.Options{Workers: 1})
+			_, err := dbr.Solve(cfg, nil, dbr.Options{})
 			return err
 		}
 		_, err := gbd.Solve(cfg, gbd.Options{Master: gbd.MasterPruned, Workers: 1})

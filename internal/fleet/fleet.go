@@ -32,8 +32,7 @@ type Options struct {
 	// per instance by the planner; Epsilon and MaxIter apply to every CGBD
 	// solve and key the warm result cache.
 	GBD gbd.Options
-	// DBR carries the base Algorithm 2 options (Workers overridden per
-	// instance by the planner).
+	// DBR carries the base Algorithm 2 options.
 	DBR dbr.Options
 	// Profile is the calibrated cost profile (nil = built-in defaults).
 	Profile *CostProfile
@@ -253,9 +252,7 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Resu
 	r := Result{Plan: dec.Plan, Decision: dec}
 	switch dec.Plan {
 	case PlanDBR:
-		dopts := e.opts.DBR
-		dopts.Workers = dec.Workers
-		dres, err := dbr.SolveCtx(ctx, cfg, nil, dopts)
+		dres, err := dbr.SolveCtx(ctx, cfg, nil, e.opts.DBR)
 		if err != nil {
 			r.Err = err
 			break

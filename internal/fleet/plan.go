@@ -241,8 +241,8 @@ func LoadProfile(path string) (*CostProfile, error) {
 // choice safe.
 type Decision struct {
 	Plan Plan
-	// Workers is the within-instance worker count for the master-problem
-	// shards / best-response candidate scans (1 = exact serial path).
+	// Workers is the within-instance worker count for the CGBD
+	// master-problem shards (1 = exact serial path); DBR ignores it.
 	Workers int
 	// PredictedNs is the modeled cost of the chosen plan.
 	PredictedNs float64

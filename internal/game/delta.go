@@ -40,8 +40,8 @@ import "tradefl/internal/accuracy"
 // A DeltaEvaluator is not safe for concurrent mutation, and a query about an
 // organization other than the focused one moves the focus, which is a
 // mutation. After Focus(i), concurrent PayoffWith(i, ·) queries are
-// read-only and race-free until the next Bind/Update/Reset — the parallel
-// best-response scan relies on this.
+// read-only and race-free until the next Bind/Update/Reset; ErrBound is a
+// mutation (it fills a per-focus cache).
 type DeltaEvaluator struct {
 	cfg *Config
 	acc accuracy.Model
@@ -67,6 +67,14 @@ type DeltaEvaluator struct {
 	focus  int       // focused organization, −1 when none
 	prefix float64   // Σ_{j<focus} terms[j], folded left to right from zero
 	g      []float64 // γ·ρ_ij for i = focus
+
+	// Error-bound caches (errbound.go): the model's certificate methods,
+	// nil when it has none, and the half of ErrBound that depends on the
+	// focus alone, built by the first ErrBound after a Focus.
+	shape    accuracy.Certified
+	bounded  bool
+	boundMag float64 // magnitudes that do not depend on the strategy asked about; NaN = no bound
+	boundG   float64 // Σ_{j≠focus} g[j]
 }
 
 // NewDeltaEvaluator builds an evaluator for cfg. The config must remain
@@ -84,6 +92,7 @@ func (ev *DeltaEvaluator) Reset(cfg *Config) {
 	n := cfg.N()
 	ev.cfg = cfg
 	ev.acc = cfg.Accuracy
+	ev.shape, _ = cfg.Accuracy.(accuracy.Certified)
 	if cap(ev.scale) < n {
 		ev.scale = make([]float64, n)
 		ev.q = make([]float64, n)
@@ -164,6 +173,14 @@ func (ev *DeltaEvaluator) contribution(i int, s Strategy) float64 {
 	return ev.q[i]*s.D*ev.bits[i] + ev.lambda*s.F
 }
 
+// energy replicates Config.Energy bit-for-bit: Comm.TotalEnergy's
+// κ·f·f·η·d·s + E_comm, read in place rather than through a by-value copy
+// of the comm profile.
+func (ev *DeltaEvaluator) energy(i int, s Strategy) float64 {
+	cp := &ev.cfg.Orgs[i].Comm
+	return cp.Kappa*s.F*s.F*cp.CyclesPerBit*s.D*ev.bits[i] + ev.commE[i]
+}
+
 // Focus caches, in O(N), everything a payoff query about organization i
 // needs that does not depend on i's own strategy. It is a no-op when i is
 // already focused. Callers that fan PayoffWith(i, ·) out over goroutines
@@ -182,6 +199,7 @@ func (ev *DeltaEvaluator) Focus(i int) {
 		ev.g[j] = ev.gamma * row[j]
 	}
 	ev.focus = i
+	ev.bounded = false
 }
 
 // Payoff returns organization i's payoff at the bound profile,
@@ -236,13 +254,8 @@ func (ev *DeltaEvaluator) PayoffWith(i int, s Strategy) float64 {
 		redist += g[j] * (xi - xs[j])
 	}
 
-	// Energy: Comm.TotalEnergy's κ·f·f·η·d·s + E_comm, read in place
-	// rather than through a by-value copy of the comm profile.
-	cp := &ev.cfg.Orgs[i].Comm
-	energy := cp.Kappa*s.F*s.F*cp.CyclesPerBit*s.D*ev.bits[i] + ev.commE[i]
-
 	return revenue -
-		ev.energyWeight*energy -
+		ev.energyWeight*ev.energy(i, s) -
 		damage +
 		redist
 }

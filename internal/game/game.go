@@ -101,10 +101,23 @@ type Config struct {
 // N returns the number of organizations.
 func (c *Config) N() int { return len(c.Orgs) }
 
+// MaxMagnitude bounds every scalar of a config, and 1/MaxMagnitude every
+// potential weight (1−α)·z_i from below. A payoff or potential addend is a
+// product of at most six scalars over at most one weight, so everything the
+// solvers compute from an accepted config is finite (and far enough inside
+// the float range for DeltaEvaluator.ErrBound's rounding model to hold).
+// Real instances sit many orders below it: s_i ~ 10¹⁰ bits, f ~ 10⁹ Hz.
+const MaxMagnitude = 1e15
+
+// within reports lo ≤ v ≤ MaxMagnitude; false for NaN.
+func within(lo, v float64) bool { return v >= lo && v <= MaxMagnitude }
+
 // Validate checks structural invariants: matching dimensions, symmetric ρ
 // with zero diagonal and entries in [0,1], positive weights z_i, sorted CPU
-// levels, and valid communication profiles. It does not mutate the config;
-// use NormalizeRho to repair z_i ≤ 0.
+// levels, valid communication profiles, and every magnitude finite and
+// within MaxMagnitude — including the accuracy model's over the Ω range the
+// game can reach. It does not mutate the config; use NormalizeRho to repair
+// z_i ≤ 0.
 func (c *Config) Validate() error {
 	n := c.N()
 	if n == 0 {
@@ -113,20 +126,25 @@ func (c *Config) Validate() error {
 	if c.Accuracy == nil {
 		return errors.New("game config: nil accuracy model")
 	}
-	if c.DMin <= 0 || c.DMin > 1 {
+	if !(c.DMin > 0 && c.DMin <= 1) {
 		return fmt.Errorf("game config: DMin %v outside (0,1]", c.DMin)
 	}
-	if c.Deadline <= 0 {
+	if !(c.Deadline > 0) {
 		return fmt.Errorf("game config: deadline %v must be positive", c.Deadline)
 	}
-	if c.Gamma < 0 || c.Lambda < 0 || c.EnergyWeight < 0 {
+	if !(c.Gamma >= 0 && c.Lambda >= 0 && c.EnergyWeight >= 0) {
 		return errors.New("game config: gamma, lambda and energy weight must be nonnegative")
 	}
-	if c.Personal.Alpha < 0 || c.Personal.Alpha >= 1 {
+	if !(c.Personal.Alpha >= 0 && c.Personal.Alpha < 1) {
 		return fmt.Errorf("game config: personalization alpha %v outside [0,1)", c.Personal.Alpha)
 	}
-	if c.Personal.LocalBoost < 0 {
+	if !(c.Personal.LocalBoost >= 0) {
 		return fmt.Errorf("game config: personalization local boost %v negative", c.Personal.LocalBoost)
+	}
+	for _, v := range [...]float64{c.Deadline, c.Gamma, c.Lambda, c.EnergyWeight, c.Personal.LocalBoost} {
+		if !within(0, v) {
+			return fmt.Errorf("game config: deadline, gamma, lambda, energy weight or local boost %v exceeds %g", v, MaxMagnitude)
+		}
 	}
 	if len(c.Rho) != n {
 		return fmt.Errorf("game config: rho has %d rows, want %d", len(c.Rho), n)
@@ -142,40 +160,64 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("game config: rho[%d][%d] = %v, diagonal must be zero", i, i, row[i])
 		}
 		for j, v := range row {
-			if v < 0 || v > 1 {
+			if !(v >= 0 && v <= 1) {
 				return fmt.Errorf("game config: rho[%d][%d] = %v outside [0,1]", i, j, v)
 			}
-			if math.Abs(v-c.Rho[j][i]) > TolRhoSymmetry {
+			if !(math.Abs(v-c.Rho[j][i]) <= TolRhoSymmetry) {
 				return fmt.Errorf("game config: rho not symmetric at (%d,%d)", i, j)
 			}
 		}
 	}
+	var omegaTop, scaleTop float64
 	for i, o := range c.Orgs {
-		if o.DataBits <= 0 || o.Samples <= 0 {
+		if !(o.DataBits > 0 && o.Samples > 0) {
 			return fmt.Errorf("game config: org %d has non-positive data size", i)
 		}
-		if o.Profitability <= 0 {
+		if !(o.Profitability > 0) {
 			return fmt.Errorf("game config: org %d has non-positive profitability", i)
 		}
-		if o.Quality < 0 || o.Quality > 1 {
+		if !(o.Quality >= 0 && o.Quality <= 1) {
 			return fmt.Errorf("game config: org %d quality %v outside (0,1] (0 means default 1)", i, o.Quality)
 		}
 		if len(o.CPULevels) == 0 {
 			return fmt.Errorf("game config: org %d has no CPU levels", i)
 		}
 		for k := 1; k < len(o.CPULevels); k++ {
-			if o.CPULevels[k] <= o.CPULevels[k-1] {
+			if !(o.CPULevels[k] > o.CPULevels[k-1]) {
 				return fmt.Errorf("game config: org %d CPU levels not strictly ascending", i)
 			}
 		}
-		if o.CPULevels[0] <= 0 {
+		if !(o.CPULevels[0] > 0) {
 			return fmt.Errorf("game config: org %d has non-positive CPU level", i)
 		}
 		if err := o.Comm.Validate(); err != nil {
 			return fmt.Errorf("game config: org %d: %w", i, err)
 		}
-		if z := c.Weight(i); z <= 0 {
+		for _, v := range [...]float64{
+			o.DataBits, o.Samples, o.Profitability, o.CPULevels[len(o.CPULevels)-1],
+			o.Comm.DownloadTime, o.Comm.UploadTime, o.Comm.CyclesPerBit,
+			o.Comm.DownloadPower, o.Comm.UploadPower, o.Comm.Kappa,
+		} {
+			if !within(0, v) {
+				return fmt.Errorf("game config: org %d has a data size, profitability, CPU level or comm constant %v that exceeds %g", i, v, MaxMagnitude)
+			}
+		}
+		if z := c.Weight(i); !(z > 0) {
 			return fmt.Errorf("game config: weight z_%d = %v ≤ 0; call NormalizeRho (Theorem 1 requires z_i > 0)", i, z)
+		}
+		if w := c.EffectiveWeight(i); !(w >= 1/MaxMagnitude) {
+			return fmt.Errorf("game config: potential weight (1−α)·z_%d = %v under %g", i, w, 1/MaxMagnitude)
+		}
+		omegaTop += c.omegaScale(i)
+		scaleTop = math.Max(scaleTop, c.omegaScale(i))
+	}
+	// P is monotone, so its values at the ends of the reachable Ω range
+	// bound it on all of it: Ω ≤ Σ_i scale_i, and β·scale_i for the
+	// personalized component.
+	omegaTop = math.Max(omegaTop, c.Personal.boost()*scaleTop)
+	for _, omega := range [...]float64{0, omegaTop} {
+		if v := c.Accuracy.Value(omega); !within(-MaxMagnitude, v) {
+			return fmt.Errorf("game config: accuracy model %s gives P(%g) = %v, beyond ±%g", c.Accuracy.Name(), omega, v, MaxMagnitude)
 		}
 	}
 	return nil

@@ -83,6 +83,24 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 		{"no cpu levels", func(c *Config) { c.Orgs[0].CPULevels = nil }, "CPU"},
 		{"unsorted cpu", func(c *Config) { c.Orgs[0].CPULevels = []float64{4e9, 3e9} }, "ascending"},
 		{"bad comm", func(c *Config) { c.Orgs[0].Comm.Kappa = 0 }, "kappa"},
+		// Magnitudes: finite, within MaxMagnitude, NaN nowhere.
+		{"huge gamma", func(c *Config) { c.Gamma = 1e300 }, "exceeds 1e+15"},
+		{"NaN gamma", func(c *Config) { c.Gamma = math.NaN() }, "gamma"},
+		{"NaN dmin", func(c *Config) { c.DMin = math.NaN() }, "DMin"},
+		{"infinite deadline", func(c *Config) { c.Deadline = math.Inf(1) }, "exceeds 1e+15"},
+		{"NaN alpha", func(c *Config) { c.Personal.Alpha = math.NaN() }, "alpha"},
+		{"NaN rho", func(c *Config) { c.Rho[0][1] = math.NaN() }, "outside"},
+		{"huge profitability", func(c *Config) { c.Orgs[0].Profitability = 1e308 }, "exceeds 1e+15"},
+		{"NaN data size", func(c *Config) { c.Orgs[0].Samples = math.NaN() }, "data size"},
+		{"huge cpu level", func(c *Config) { c.Orgs[0].CPULevels = []float64{3e9, 1e300} }, "exceeds 1e+15"},
+		{"infinite comm power", func(c *Config) { c.Orgs[0].Comm.UploadPower = math.Inf(1) }, "exceeds 1e+15"},
+		{"vanishing potential weight", func(c *Config) {
+			for i := range c.Orgs {
+				c.Orgs[i].Profitability *= 1e-19
+			}
+		}, "potential weight"},
+		{"model beyond the bound", func(c *Config) { c.Accuracy = &accuracy.PowerLaw{A: 1e300, B: 0.5} }, "accuracy model power-law"},
+		{"model not finite", func(c *Config) { c.Accuracy = &accuracy.SqrtLoss{G: 5, A0: 1} }, "accuracy model sqrt-loss"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -90,7 +90,7 @@ func Resolve(workers int) int {
 
 // PhaseLabel is the pprof label key worker goroutines are tagged with, so
 // CPU profiles (`go tool pprof -tagfocus`) attribute samples to solver
-// phases (dbr scan, pruned/traversal master kernels, fleet batch).
+// phases (pruned/traversal master kernels, fleet batch).
 const PhaseLabel = "tradefl_phase"
 
 // labeled wraps a worker body in runtime/pprof.Do under PhaseLabel=label;

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -522,43 +523,71 @@ func TestSyncReplyBytes(t *testing.T) {
 	}
 }
 
-// TestUnencodableReplyIs500: a solved game whose payoffs overflow to +Inf
-// has no JSON form. The reply used to be a committed 200 with an empty
-// body; it must be a 500 carrying the error envelope and the request id,
-// and count as an error.
+// TestUnencodableReplyIs500: a result with a non-finite float has no JSON
+// form. game.Config.Validate now bounds every magnitude, so the spec that
+// used to solve to +Inf payoffs (profitability 1e308) is a 400 naming the
+// bound; a reply that fails to encode all the same must still be a 500
+// carrying the error envelope and the request id, and count as an error —
+// never a committed 200 with an empty body.
 func TestUnencodableReplyIs500(t *testing.T) {
-	s := startGateway(t, Options{})
+	s, err := New("127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	// The sync route's own tail, fed a result no accepted spec produces any
+	// more, behind the same edge middleware (the swap precedes Serve).
+	mux := http.NewServeMux()
+	mux.Handle("/", s.http.Handler)
+	mux.Handle("/inf", s.edge(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if _, err := encodeSyncReply([]InstanceResult{{Plan: "dbr", Potential: math.Inf(1)}}); err != nil {
+			writeEncodeError(w, err)
+		}
+	})))
+	s.http.Handler = mux
+	go s.Serve() //nolint:errcheck
+	t.Cleanup(func() { _ = s.Drain(10 * time.Second) })
+
 	cfg, err := game.DefaultConfig(game.GenOptions{N: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range cfg.Orgs {
-		cfg.Orgs[i].Profitability = 1e308 // valid, and large enough to overflow a payoff
+		cfg.Orgs[i].Profitability = 1e308 // large enough to overflow a payoff
 	}
 	spec, err := json.Marshal(JobSpec{Games: []GameSpec{{Config: *cfg}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	post := func(path string, spec []byte) (int, string, string) {
+		t.Helper()
+		resp, err := http.Post("http://"+s.Addr()+path, "application/json", bytes.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body errorBody
+		if err := json.Unmarshal(raw, &body); err != nil {
+			t.Fatalf("status %d with body %q: %v", resp.StatusCode, raw, err)
+		}
+		return resp.StatusCode, body.Error, resp.Header.Get("X-Request-Id")
+	}
+	for _, body := range [][]byte{spec, []byte(`{"generate":{"count":1,"n":4,"gamma":1e300}}`)} {
+		if status, msg, _ := post("/v1/solve", body); status != http.StatusBadRequest || !strings.Contains(msg, "exceeds 1e+15") {
+			t.Errorf("out-of-range spec: status %d, error %q; want 400 naming the bound", status, msg)
+		}
+	}
+
 	errorsBefore := mErrors.Value()
-	resp, err := http.Post("http://"+s.Addr()+"/v1/solve", "application/json", bytes.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
+	status, msg, reqID := post("/inf", nil)
+	if status != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500 (error %s)", status, msg)
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body errorBody
-	if err := json.Unmarshal(raw, &body); err != nil {
-		t.Fatalf("status %d with body %q: %v", resp.StatusCode, raw, err)
-	}
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Errorf("status %d, want 500 (body %s)", resp.StatusCode, raw)
-	}
-	reqID := resp.Header.Get("X-Request-Id")
-	if reqID == "" || !bytes.Contains([]byte(body.Error), []byte(reqID)) || !bytes.Contains([]byte(body.Error), []byte("unsupported value")) {
-		t.Errorf("error %q does not name request %q and the cause", body.Error, reqID)
+	if reqID == "" || !strings.Contains(msg, reqID) || !strings.Contains(msg, "unsupported value") {
+		t.Errorf("error %q does not name request %q and the cause", msg, reqID)
 	}
 	if got := mErrors.Value() - errorsBefore; got != 1 {
 		t.Errorf("tradefl_serve_errors_total moved by %d, want 1", got)

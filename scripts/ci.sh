@@ -30,7 +30,7 @@ echo "==> engine-equivalence fast gate (evaluator and solvers vs from-scratch re
 # single-iteration bench pass proves the tracked harness end to end without
 # timing anything. The pattern selects by name, so a rename can silently
 # empty it: the guard fails the gate if it matches nothing in a package.
-ENGINE_TESTS='Delta|Engine|Incremental|Golden|ZeroAlloc|PrimalMemo|CutDomination'
+ENGINE_TESTS='Delta|Engine|Incremental|Golden|ZeroAlloc|PrimalMemo|CutDomination|Certificate|ErrBound'
 for pkg in ./internal/game/ ./internal/dbr/ ./internal/gbd/; do
   go test -list "$ENGINE_TESTS" "$pkg" | grep -q '^Test' || { echo "engine-equivalence gate: pattern selects no test in $pkg" >&2; exit 1; }
 done
@@ -186,6 +186,9 @@ go test -run '^$' -fuzz '^FuzzJobDocuments$' -fuzztime 15s ./internal/serve/
 # randx's lazily seeded source must stay stream-identical to math/rand:
 # every seeded figure, golden hash and account key rests on it.
 go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 15s ./internal/randx/
+# DBR's endpoint certificate must return the golden-section search's bits
+# for every candidate and solve, whatever game and tolerance it is handed.
+go test -run '^$' -fuzz '^FuzzCertificateEquivalence$' -fuzztime 5s ./internal/dbr/
 SERVE_DIR="$(mktemp -d)"
 SERVE_BIN="$SERVE_DIR/tradefl-server"
 go build -o "$SERVE_BIN" ./cmd/tradefl-server
