@@ -734,3 +734,51 @@ func BenchmarkDefaultConfig(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNormalizeRho times the ρ cap alone on DefaultConfig's own input:
+// the matrix as drawn, before the cap. The cap rewrites its matrix, so each
+// run gets a fresh copy, refilled a batch at a time with the timer stopped.
+func BenchmarkNormalizeRho(b *testing.B) {
+	for _, n := range []int{8, 32} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, N: n, NoOrgName: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// DefaultConfig's draw order: three per organization, then ρ.
+			src := randx.New(7)
+			for i := 0; i < n; i++ {
+				src.Uniform(15e9, 25e9)
+				src.UniformInt(1000, 2000)
+				src.Uniform(500, 2500)
+			}
+			raw := src.CompetitionMatrix(n, game.DefaultMu)
+			const batch = 256
+			work := make([]game.Config, batch)
+			for k := range work {
+				work[k] = *cfg
+				work[k].Rho = make([][]float64, n)
+				for r := range work[k].Rho {
+					work[k].Rho[r] = make([]float64, n)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % batch
+				if k == 0 {
+					b.StopTimer()
+					for _, w := range work {
+						for r := range raw {
+							copy(w.Rho[r], raw[r])
+						}
+					}
+					b.StartTimer()
+				}
+				if f := work[k].NormalizeRho(game.DefaultZMargin); f >= 1 {
+					b.Fatalf("N=%d: factor %v, the benchmark's matrix needs no cap", n, f)
+				}
+			}
+		})
+	}
+}

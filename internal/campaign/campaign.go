@@ -176,7 +176,7 @@ func Run(cfg Config) (*Result, error) {
 		er := EpochResult{
 			Epoch:     epoch,
 			Gamma:     gamma,
-			Welfare:   current.SocialWelfare(solved.Profile),
+			Welfare:   solved.Welfare,
 			Damage:    current.TotalDamage(solved.Profile),
 			Transfers: make([]float64, current.N()),
 		}

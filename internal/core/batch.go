@@ -9,7 +9,8 @@ import (
 
 // BatchResult is the mechanism-level view of one fleet-solved instance:
 // the raw solver outcome plus the payoff vector and social welfare the
-// mechanism reports per run. The per-instance Nash audit is deliberately
+// mechanism reports per run (the fleet result's own, evaluated once by
+// the solve). The per-instance Nash audit is deliberately
 // not recomputed here — at fleet scale the sampled fleet audit
 // (fleet.Engine.Audit, -verify) covers it.
 type BatchResult struct {
@@ -33,12 +34,7 @@ func RunBatch(ctx context.Context, cfgs []*game.Config, opts fleet.Options) []Ba
 	fres := eng.Solve(ctx, cfgs)
 	out := make([]BatchResult, len(fres))
 	for i, fr := range fres {
-		out[i].Fleet = fr
-		if fr.Err != nil || fr.Profile == nil {
-			continue
-		}
-		out[i].Payoffs = cfgs[i].Payoffs(fr.Profile)
-		out[i].SocialWelfare = cfgs[i].SocialWelfare(fr.Profile)
+		out[i] = BatchResult{Fleet: fr, Payoffs: fr.Payoffs, SocialWelfare: fr.Welfare}
 	}
 	return out
 }

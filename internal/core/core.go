@@ -141,15 +141,15 @@ func (m *Mechanism) Config() *game.Config { return m.cfg }
 // Run executes the mechanism end to end.
 func (m *Mechanism) Run(ctx context.Context, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	profile, err := m.solve(ctx, opts)
+	profile, payoffs, potential, err := m.solve(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
 		Profile:       profile,
-		Payoffs:       m.cfg.Payoffs(profile),
-		SocialWelfare: m.cfg.SocialWelfare(profile),
-		Potential:     m.cfg.Potential(profile),
+		Payoffs:       payoffs,
+		SocialWelfare: game.Welfare(payoffs),
+		Potential:     potential,
 		Nash:          m.cfg.CheckNash(profile, 50, 1e-2),
 	}
 	if opts.Train {
@@ -169,28 +169,31 @@ func (m *Mechanism) Run(ctx context.Context, opts Options) (*Result, error) {
 	return res, nil
 }
 
-func (m *Mechanism) solve(ctx context.Context, opts Options) (game.Profile, error) {
+// solve returns the equilibrium profile with its payoffs and potential,
+// taken from the solver where it already evaluated them on that profile.
+func (m *Mechanism) solve(ctx context.Context, opts Options) (p game.Profile, payoffs []float64, potential float64, err error) {
 	switch opts.Solver {
 	case SolverCGBD:
 		r, err := gbd.Solve(m.cfg, opts.GBD)
 		if err != nil {
-			return nil, fmt.Errorf("tradefl: cgbd: %w", err)
+			return nil, nil, 0, fmt.Errorf("tradefl: cgbd: %w", err)
 		}
-		return r.Profile, nil
+		return r.Profile, m.cfg.Payoffs(r.Profile), r.Potential, nil
 	case SolverDistributedDBR:
 		p, err := dbr.SolveDistributed(ctx, m.cfg, opts.DBR)
 		if err != nil {
-			return nil, fmt.Errorf("tradefl: distributed dbr: %w", err)
+			return nil, nil, 0, fmt.Errorf("tradefl: distributed dbr: %w", err)
 		}
-		return p, nil
+		return p, m.cfg.Payoffs(p), m.cfg.Potential(p), nil
 	case SolverDBR:
 		r, err := dbr.Solve(m.cfg, nil, opts.DBR)
 		if err != nil {
-			return nil, fmt.Errorf("tradefl: dbr: %w", err)
+			return nil, nil, 0, fmt.Errorf("tradefl: dbr: %w", err)
 		}
-		return r.Profile, nil
+		payoffs, potential := r.Final()
+		return r.Profile, payoffs, potential, nil
 	default:
-		return nil, fmt.Errorf("tradefl: unknown solver %d", opts.Solver)
+		return nil, nil, 0, fmt.Errorf("tradefl: unknown solver %d", opts.Solver)
 	}
 }
 

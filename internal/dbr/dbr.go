@@ -54,7 +54,19 @@ type Options struct {
 	Workers int
 }
 
-func (o Options) withDefaults() Options {
+// withDefaults fills the zero fields. It rejects what would leave a solve
+// without a last sweep or a comparison without meaning: a negative
+// MaxRounds, and a negative or non-finite Tol or DTol.
+func (o Options) withDefaults() (Options, error) {
+	if o.MaxRounds < 0 {
+		return o, fmt.Errorf("dbr: MaxRounds %d is negative", o.MaxRounds)
+	}
+	if !(o.Tol >= 0 && o.Tol <= math.MaxFloat64) {
+		return o, fmt.Errorf("dbr: Tol %v is negative or not finite", o.Tol)
+	}
+	if !(o.DTol >= 0 && o.DTol <= math.MaxFloat64) {
+		return o, fmt.Errorf("dbr: DTol %v is negative or not finite", o.DTol)
+	}
 	if o.MaxRounds == 0 {
 		o.MaxRounds = 200
 	}
@@ -69,10 +81,11 @@ func (o Options) withDefaults() Options {
 	} else if o.SuspectAfter < 0 {
 		o.SuspectAfter = 0
 	}
-	return o
+	return o, nil
 }
 
 // Result reports the equilibrium and the convergence traces of Algorithm 2.
+// A solve runs at least one sweep, so the traces are never empty.
 type Result struct {
 	// Profile is the converged strategy profile π^NE.
 	Profile game.Profile
@@ -85,6 +98,12 @@ type Result struct {
 	// PayoffTrace records every organization's payoff after every sweep
 	// (Fig. 5): PayoffTrace[t][i] = C_i after sweep t.
 	PayoffTrace [][]float64
+}
+
+// Final returns C_i(Profile) for every organization and U(Profile): the
+// traces' last rows, which the closing sweep evaluated on the final profile.
+func (r *Result) Final() (payoffs []float64, potential float64) {
+	return r.PayoffTrace[len(r.PayoffTrace)-1], r.PotentialTrace[len(r.PotentialTrace)-1]
 }
 
 // BestResponse computes organization i's best response to π_-i
@@ -139,7 +158,10 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("dbr: %w", err)
 	}
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	p := start
 	if p == nil {
 		p = cfg.MinimalProfile()
@@ -200,8 +222,9 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 	if res.Converged {
 		mConverged.Inc()
 	}
-	mPotential.Set(cfg.Potential(p))
-	mWelfare.Set(cfg.SocialWelfare(p))
+	payoffs, potential := res.Final()
+	mPotential.Set(potential)
+	mWelfare.Set(game.Welfare(payoffs))
 	obs.RecordTrajectory("dbr.potential", res.PotentialTrace)
 	audit(cfg, res, opts)
 	return res, nil

@@ -2,6 +2,7 @@ package dbr
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"tradefl/internal/game"
@@ -182,8 +183,50 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.MaxRounds <= 0 || o.Tol <= 0 || o.DTol <= 0 {
-		t.Errorf("withDefaults left zero values: %+v", o)
+	o, err := Options{}.withDefaults()
+	if err != nil || o.MaxRounds <= 0 || o.Tol <= 0 || o.DTol <= 0 {
+		t.Errorf("withDefaults left zero values: %+v (err %v)", o, err)
+	}
+}
+
+// TestOptionsRejected: options under which "the last sweep" or a tolerance
+// comparison means nothing are errors from both entry points, and every
+// solve that succeeds ran a sweep.
+func TestOptionsRejected(t *testing.T) {
+	cfg := defaultGame(t, 1)
+	names := make([]string, cfg.N())
+	for _, tc := range []struct {
+		name string
+		opts Options
+		ok   bool
+	}{
+		{"zero value", Options{}, true},
+		{"one round", Options{MaxRounds: 1}, true},
+		{"tiny tolerances", Options{Tol: 5e-324, DTol: 5e-324, MaxRounds: 2}, true},
+		{"negative rounds", Options{MaxRounds: -1}, false},
+		{"negative Tol", Options{Tol: -1e-9}, false},
+		{"NaN Tol", Options{Tol: math.NaN()}, false},
+		{"infinite Tol", Options{Tol: math.Inf(1)}, false},
+		{"negative DTol", Options{DTol: -1e-7}, false},
+		{"NaN DTol", Options{DTol: math.NaN()}, false},
+		{"infinite DTol", Options{DTol: math.Inf(1)}, false},
+	} {
+		res, err := Solve(cfg, nil, tc.opts)
+		_, nodeErr := NewNode(cfg, 0, nil, names, tc.opts)
+		if (err == nil) != tc.ok || (nodeErr == nil) != tc.ok {
+			t.Errorf("%s: Solve err %v, NewNode err %v, want ok=%v", tc.name, err, nodeErr, tc.ok)
+			continue
+		}
+		if !tc.ok {
+			continue
+		}
+		if res.Rounds < 1 || len(res.PotentialTrace) != res.Rounds || len(res.PayoffTrace) != res.Rounds {
+			t.Errorf("%s: %d rounds, %d potential rows, %d payoff rows", tc.name, res.Rounds, len(res.PotentialTrace), len(res.PayoffTrace))
+			continue
+		}
+		payoffs, potential := res.Final()
+		if !reflect.DeepEqual(payoffs, cfg.Payoffs(res.Profile)) || potential != cfg.Potential(res.Profile) {
+			t.Errorf("%s: Final() is not the evaluation of the final profile", tc.name)
+		}
 	}
 }

@@ -97,7 +97,11 @@ func NewNode(cfg *game.Config, index int, tr transport.Transport, peers []string
 	if len(peers) != cfg.N() {
 		return nil, fmt.Errorf("dbr node: %d peers for %d organizations", len(peers), cfg.N())
 	}
-	return &Node{cfg: cfg, index: index, tr: tr, peers: peers, opts: opts.withDefaults()}, nil
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	return &Node{cfg: cfg, index: index, tr: tr, peers: peers, opts: opts}, nil
 }
 
 // Start injects the initial token; call it on exactly one node (by

@@ -35,7 +35,7 @@ func bestResponseNaive(cfg *game.Config, p game.Profile, i int, dTol float64) (g
 // solveNaive is Algorithm 2 on the reference scan: SolveCtx's sweep loop
 // with no engine, from the paper's initial profile.
 func solveNaive(cfg *game.Config, opts Options) *Result {
-	opts = opts.withDefaults()
+	opts, _ = opts.withDefaults()
 	p := cfg.MinimalProfile()
 	res := &Result{}
 	for t := 0; t < opts.MaxRounds && !res.Converged; t++ {

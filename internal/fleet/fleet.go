@@ -42,8 +42,8 @@ type Options struct {
 	WarmCap int
 }
 
-// Result is the outcome of one instance solve. Profiles and solver results
-// may be shared with the engine's result memo across repeated solves of an
+// Result is the outcome of one instance solve. Profiles, payoffs and solver
+// results may be shared with the engine's result memo across repeated solves of an
 // unchanged instance — treat them as read-only.
 type Result struct {
 	// Plan is the concrete plan the instance was solved with.
@@ -55,8 +55,12 @@ type Result struct {
 	Warm bool
 	// Profile is the equilibrium profile.
 	Profile game.Profile
-	// Potential is U(Profile).
+	// Potential, Payoffs and Welfare are U, every C_i and Σ_i C_i at
+	// Profile, evaluated once by the solve: cfg.Potential, cfg.Payoffs and
+	// cfg.SocialWelfare of Profile to the bit, for every reader downstream.
 	Potential float64
+	Payoffs   []float64
+	Welfare   float64
 	// GBD / DBR carry the underlying solver result (exactly one non-nil on
 	// success).
 	GBD *gbd.Result
@@ -70,14 +74,9 @@ type Result struct {
 // what it was computed from. Guarded by Engine.mu. Solver scratch is not
 // the engine's business — gbd and dbr pool their own, whatever the config.
 type warmEntry struct {
-	sig  uint64
-	acc  accuracy.Model
-	plan Plan
-
-	profile   game.Profile
-	potential float64
-	gbdRes    *gbd.Result
-	dbrRes    *dbr.Result
+	sig uint64
+	acc accuracy.Model
+	res Result
 }
 
 // Engine schedules instance solves over a shared worker pool, consulting
@@ -257,7 +256,8 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Resu
 			r.Err = err
 			break
 		}
-		r.DBR, r.Profile, r.Potential = dres, dres.Profile, cfg.Potential(dres.Profile)
+		r.DBR, r.Profile = dres, dres.Profile
+		r.Payoffs, r.Potential = dres.Final()
 	default:
 		gres, err := gbd.SolveCtx(ctx, cfg, e.gbdOpts(dec))
 		if err != nil {
@@ -265,11 +265,13 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Resu
 			break
 		}
 		r.GBD, r.Profile, r.Potential = gres, gres.Profile, gres.Potential
+		r.Payoffs = cfg.Payoffs(gres.Profile)
 	}
 	if r.Err != nil {
 		mErrors.Inc()
 		return r
 	}
+	r.Welfare = game.Welfare(r.Payoffs)
 	e.remember(cfg, sig, &r)
 	return r
 }
@@ -295,19 +297,14 @@ func (e *Engine) recall(cfg *game.Config, sig uint64, dec Decision) (Result, boo
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ent := e.warm[cfg]
-	if ent == nil || ent.sig != sig || ent.plan != dec.Plan || !game.SameModel(ent.acc, cfg.Accuracy) {
+	if ent == nil || ent.sig != sig || ent.res.Plan != dec.Plan || !game.SameModel(ent.acc, cfg.Accuracy) {
 		return Result{}, false
 	}
 	mWarmHits.Inc()
-	return Result{
-		Plan:      dec.Plan,
-		Decision:  Decision{Plan: dec.Plan, Workers: 1, PredictedNs: dec.PredictedNs},
-		Warm:      true,
-		Profile:   ent.profile,
-		Potential: ent.potential,
-		GBD:       ent.gbdRes,
-		DBR:       ent.dbrRes,
-	}, true
+	r := ent.res
+	r.Decision = Decision{Plan: dec.Plan, Workers: 1, PredictedNs: dec.PredictedNs}
+	r.Warm = true
+	return r, true
 }
 
 // remember installs a successful result as cfg's memo, evicting the oldest
@@ -328,9 +325,7 @@ func (e *Engine) remember(cfg *game.Config, sig uint64, r *Result) {
 			e.order = e.order[1:]
 		}
 	}
-	ent.sig, ent.acc, ent.plan = sig, cfg.Accuracy, r.Plan
-	ent.profile, ent.potential = r.Profile, r.Potential
-	ent.gbdRes, ent.dbrRes = r.GBD, r.DBR
+	ent.sig, ent.acc, ent.res = sig, cfg.Accuracy, *r
 }
 
 // ErrAuditMismatch reports a batch output that differed from its cold

@@ -3,6 +3,8 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -207,6 +209,55 @@ func TestWarmResultReuse(t *testing.T) {
 	cold := New(Options{Workers: 1}).SolveOne(cfg)
 	if !reflect.DeepEqual(third.Profile, cold.Profile) {
 		t.Fatal("post-drift solve differs from cold solve")
+	}
+}
+
+// TestResultCarriesItsEvaluation: whatever the plan, cold or from the warm
+// memo, a result's payoffs, welfare and potential are cfg.Payoffs,
+// cfg.SocialWelfare and cfg.Potential of its profile bit for bit — the
+// solve's one evaluation stands in for every later one — and a failed
+// instance carries none.
+func TestResultCarriesItsEvaluation(t *testing.T) {
+	check := func(what string, cfg *game.Config, r Result) {
+		t.Helper()
+		if r.Err != nil {
+			t.Fatalf("%s: %v", what, r.Err)
+		}
+		if !reflect.DeepEqual(r.Payoffs, cfg.Payoffs(r.Profile)) {
+			t.Errorf("%s: payoffs %v, cfg.Payoffs %v", what, r.Payoffs, cfg.Payoffs(r.Profile))
+		}
+		if want := cfg.SocialWelfare(r.Profile); math.Float64bits(r.Welfare) != math.Float64bits(want) {
+			t.Errorf("%s: welfare %v, cfg.SocialWelfare %v", what, r.Welfare, want)
+		}
+		if want := cfg.Potential(r.Profile); math.Float64bits(r.Potential) != math.Float64bits(want) {
+			t.Errorf("%s: potential %v, cfg.Potential %v", what, r.Potential, want)
+		}
+	}
+	for _, plan := range []Plan{PlanPruned, PlanTraversal, PlanDBR, PlanAuto} {
+		eng := New(Options{Plan: plan, Workers: 2})
+		cfgs := mixedCorpus(t, 1)
+		if plan == PlanDBR || plan == PlanAuto { // a size only DBR answers in test time
+			cfgs = append(cfgs, fleetConfig(t, 9, 24))
+		}
+		cfgs = append(cfgs, &game.Config{})
+		bad := len(cfgs) - 1
+		cold := eng.Solve(context.Background(), cfgs)
+		warm := eng.Solve(context.Background(), cfgs)
+		for i, cfg := range cfgs {
+			if i == bad {
+				for _, r := range []Result{cold[i], warm[i]} {
+					if r.Err == nil || r.Payoffs != nil || r.Welfare != 0 || r.Potential != 0 {
+						t.Errorf("plan %s: failed instance carries an evaluation: %+v", plan, r)
+					}
+				}
+				continue
+			}
+			if cold[i].Warm || !warm[i].Warm {
+				t.Fatalf("plan %s instance %d: warm flags %v then %v, want false then true", plan, i, cold[i].Warm, warm[i].Warm)
+			}
+			check(fmt.Sprintf("plan %s instance %d cold", plan, i), cfg, cold[i])
+			check(fmt.Sprintf("plan %s instance %d warm", plan, i), cfg, warm[i])
+		}
 	}
 }
 

@@ -115,6 +115,22 @@ func (o GenOptions) withDefaults() GenOptions {
 // re-seeds the one it draws, so the instance depends on the seed alone.
 var sources = sync.Pool{New: func() any { return randx.New(1) }}
 
+// orgNames holds DefaultConfig's names for the sizes instances come in.
+var orgNames = func() (names [100]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("org-%02d", i)
+	}
+	return names
+}()
+
+// orgName returns "org-%02d" of i.
+func orgName(i int) string {
+	if i < len(orgNames) {
+		return orgNames[i]
+	}
+	return fmt.Sprintf("org-%02d", i)
+}
+
 // DefaultConfig draws a game instance from the Table II parameter ranges:
 // p_i ~ U[500, 2500], s_i ~ U[15, 25]·10⁹ bits, |S_i| ~ U[1000, 2000]
 // samples, F_i a grid over 3-5 GHz, κ = 10⁻²⁷, and ρ ~ N(μ, (μ/5)²)
@@ -129,7 +145,7 @@ func DefaultConfig(opts GenOptions) (*Config, error) {
 	for i := range orgs {
 		name := ""
 		if !opts.NoOrgName {
-			name = fmt.Sprintf("org-%02d", i)
+			name = orgName(i)
 		}
 		orgs[i] = Organization{
 			Name:          name,

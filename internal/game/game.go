@@ -202,10 +202,11 @@ func (c *Config) Validate() error {
 				return fmt.Errorf("game config: org %d has a data size, profitability, CPU level or comm constant %v that exceeds %g", i, v, MaxMagnitude)
 			}
 		}
-		if z := c.Weight(i); !(z > 0) {
+		z := c.Weight(i)
+		if !(z > 0) {
 			return fmt.Errorf("game config: weight z_%d = %v ≤ 0; call NormalizeRho (Theorem 1 requires z_i > 0)", i, z)
 		}
-		if w := c.EffectiveWeight(i); !(w >= 1/MaxMagnitude) {
+		if w := (1 - c.Personal.Alpha) * z; !(w >= 1/MaxMagnitude) { // EffectiveWeight(i), without its second O(N) Weight
 			return fmt.Errorf("game config: potential weight (1−α)·z_%d = %v under %g", i, w, 1/MaxMagnitude)
 		}
 		omegaTop += c.omegaScale(i)
@@ -249,17 +250,33 @@ func (c *Config) EffectiveWeight(i int) float64 {
 // single global rescale would make every mean-μ matrix collapse to the same
 // effective matrix, erasing the μ-sensitivity of Figs. 10-11. It returns
 // the smallest factor applied (1 when no capping was needed).
+//
+// The loop below skips rows whose sum cannot have grown, which is exact for
+// ρ_ij ≥ 0 and p_j ≥ 0 — everything Validate can accept. A matrix with a
+// negative entry fails Validate whatever the factors are, so what this
+// leaves in it is not relied on.
 func (c *Config) NormalizeRho(margin float64) float64 {
+	minFactor, _ := c.normalizeRho(margin)
+	return minFactor
+}
+
+// normalizeRho is NormalizeRho, also counting the row sums it evaluated
+// (the work the equivalence tests bound).
+func (c *Config) normalizeRho(margin float64) (minFactor float64, rowEvals int) {
 	n := c.N()
 	// One allocation: factors and a dense copy of the profitabilities, so
 	// the N² inner loop below strides over float64s instead of Organizations.
 	buf := make([]float64, 2*n)
 	factors, prof := buf[:n], buf[n:]
-	// stale[i] marks a row whose sum may differ from its last evaluation.
-	// A row's sum is a function of min(c_i, c_j) alone, so a row that was
-	// within its limit and whose minima have not moved since would evaluate
-	// to the same bits and leave c_i alone again; skipping it changes
-	// nothing but the work. Late passes touch one to three rows.
+	// stale[i] marks a row to evaluate: every row once, then row i only
+	// after its own c_i moved — another row's c_j dropping cannot push row i
+	// over its limit. Factors only shrink. With ρ_ij ≥ 0 and p_j ≥ 0 each
+	// addend fl(fl(ρ_ij·min(c_i,c_j))·p_j) is non-decreasing in the minimum,
+	// and a left-to-right sum of non-negative addends, rounded (or fused
+	// with the last product) at each step, is non-decreasing in every
+	// addend. Row i was within limit·(1+TolRelative) when last evaluated,
+	// with the c_i it still has, so summing it again gives no more, in
+	// floating point: the branch is not taken, the sum's bits go unused.
 	stale := make([]bool, n)
 	for i := range factors {
 		factors[i] = 1
@@ -275,6 +292,7 @@ func (c *Config) NormalizeRho(margin float64) float64 {
 				continue
 			}
 			stale[i] = false
+			rowEvals++
 			row := c.Rho[i][:n]
 			fi := factors[i]
 			var sum float64
@@ -283,32 +301,23 @@ func (c *Config) NormalizeRho(margin float64) float64 {
 			}
 			limit := (1 - margin) * prof[i]
 			if sum > limit+TolRelative*limit {
-				fi *= limit / sum
-				factors[i] = fi
-				changed = true
-				// Factors only shrink, so the new c_i moves min(c_i, c_j) in
-				// row j exactly when it undercuts c_j; row i's own minima
-				// all moved.
+				factors[i] = fi * (limit / sum)
 				stale[i] = true
-				for j, fj := range factors {
-					if fi < fj {
-						stale[j] = true
-					}
-				}
+				changed = true
 			}
 		}
 		if !changed {
 			break
 		}
 	}
-	minFactor := 1.0
+	minFactor = 1.0
 	for _, f := range factors {
 		if f < minFactor {
 			minFactor = f
 		}
 	}
 	if minFactor >= 1-TolRelative {
-		return 1
+		return 1, rowEvals
 	}
 	for i := 0; i < n; i++ {
 		row := c.Rho[i][:n]
@@ -317,7 +326,7 @@ func (c *Config) NormalizeRho(margin float64) float64 {
 			row[j] *= min(fi, factors[j])
 		}
 	}
-	return minFactor
+	return minFactor, rowEvals
 }
 
 // RhoRowSum returns ρ̄_i = Σ_j ρ_ij.
@@ -468,9 +477,13 @@ func (c *Config) Payoffs(p Profile) []float64 {
 }
 
 // SocialWelfare returns Σ_i C_i(π).
-func (c *Config) SocialWelfare(p Profile) float64 {
+func (c *Config) SocialWelfare(p Profile) float64 { return Welfare(c.Payoffs(p)) }
+
+// Welfare folds a payoff vector into Σ_i C_i in index order: SocialWelfare
+// for a caller that already holds Payoffs(π), to the bit.
+func Welfare(payoffs []float64) float64 {
 	var sum float64
-	for _, v := range c.Payoffs(p) {
+	for _, v := range payoffs {
 		sum += v
 	}
 	return sum

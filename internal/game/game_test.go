@@ -1,6 +1,7 @@
 package game
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -32,6 +33,19 @@ func randomProfile(cfg *Config, src *randx.Source) Profile {
 		p[i] = Strategy{D: src.Uniform(lo, hi), F: f}
 	}
 	return p
+}
+
+// TestDefaultConfigNames: "org-%02d" on both sides of the name table's end.
+func TestDefaultConfigNames(t *testing.T) {
+	cfg, err := DefaultConfig(GenOptions{N: 102, Mu: 0.001})
+	if err != nil {
+		t.Fatalf("DefaultConfig: %v", err)
+	}
+	for i, o := range cfg.Orgs {
+		if want := fmt.Sprintf("org-%02d", i); o.Name != want {
+			t.Fatalf("org %d named %q, want %q", i, o.Name, want)
+		}
+	}
 }
 
 func TestDefaultConfigMatchesTableII(t *testing.T) {

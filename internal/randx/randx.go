@@ -81,8 +81,9 @@ func Clip(x, lo, hi float64) float64 {
 func (s *Source) CompetitionMatrix(n int, mu float64) [][]float64 {
 	sigma := mu / 5
 	m := make([][]float64, n)
+	slab := make([]float64, n*n)
 	for i := range m {
-		m[i] = make([]float64, n)
+		m[i] = slab[i*n : (i+1)*n : (i+1)*n] // capacity-clipped: an append cannot reach the next row
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {

@@ -233,7 +233,7 @@ func TestEventLogMatchesLegacyEncoding(t *testing.T) {
 				if idx%len(results) == 2 {
 					wantQuoted++ // the −Inf lower bound
 				}
-				res := newInstanceResult(idx, cfgs[idx], r)
+				res := newInstanceResult(idx, r)
 				typed = append(typed, res)
 				want = append(want, logged{"instance", res})
 				job.addResult(progressEvents(idx, r), res)
@@ -694,7 +694,7 @@ func BenchmarkJobDocuments(b *testing.B) {
 	job := newJob("job-0badcafe-7", "acme", make([]*game.Config, 64), fleet.PlanAuto)
 	job.setRunning("4bf92f3577b34da6")
 	for idx := 0; idx < 64; idx++ {
-		job.addResult(nil, newInstanceResult(idx, cfg, r))
+		job.addResult(nil, newInstanceResult(idx, r))
 	}
 	job.finish(StateDone, "")
 	st := job.Status()

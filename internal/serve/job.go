@@ -55,9 +55,9 @@ type InstanceResult struct {
 	Error         string       `json:"error,omitempty"`
 }
 
-// newInstanceResult derives the mechanism quantities from a fleet result,
-// mirroring core.RunBatch (the byte-identity reference of the serve gate).
-func newInstanceResult(idx int, cfg *game.Config, r fleet.Result) InstanceResult {
+// newInstanceResult reads the mechanism quantities off a fleet result,
+// as core.RunBatch does (the byte-identity reference of the serve gate).
+func newInstanceResult(idx int, r fleet.Result) InstanceResult {
 	out := InstanceResult{Index: idx, Plan: r.Plan.String()}
 	if r.Err != nil {
 		out.Error = r.Err.Error()
@@ -65,8 +65,8 @@ func newInstanceResult(idx int, cfg *game.Config, r fleet.Result) InstanceResult
 	}
 	out.Profile = r.Profile
 	out.Potential = r.Potential
-	out.Payoffs = cfg.Payoffs(r.Profile)
-	out.SocialWelfare = cfg.SocialWelfare(r.Profile)
+	out.Payoffs = r.Payoffs
+	out.SocialWelfare = r.Welfare
 	switch {
 	case r.GBD != nil:
 		out.Iterations = r.GBD.Iterations

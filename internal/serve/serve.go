@@ -270,7 +270,7 @@ func (s *Server) runJob(job *Job) {
 		results := s.engine(job.plan).Solve(ctx, chunk)
 		for i, r := range results {
 			idx := lo + i
-			res := newInstanceResult(idx, cfgs[idx], r)
+			res := newInstanceResult(idx, r)
 			if res.Error != "" {
 				failed = true
 			}
@@ -309,7 +309,7 @@ func (s *Server) syncSolve(ctx context.Context, cfgs []*game.Config, plan fleet.
 	results := s.engine(plan).Solve(ctx, cfgs)
 	out := make([]InstanceResult, len(results))
 	for i, r := range results {
-		out[i] = newInstanceResult(i, cfgs[i], r)
+		out[i] = newInstanceResult(i, r)
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -512,6 +513,40 @@ func TestGatewaySyncSolveBounds(t *testing.T) {
 	}
 	if results, _ := decoded["results"].([]any); len(results) != 2 {
 		t.Fatalf("sync results = %v, want 2 entries", decoded["results"])
+	}
+}
+
+// TestGatewayEmitsSolveEvaluation: the payoffs, welfare and potential on
+// the wire are the game's own evaluation of the profile beside them, bit
+// for bit, under either solver — the gateway forwards what the solve
+// computed once.
+func TestGatewayEmitsSolveEvaluation(t *testing.T) {
+	s := startGateway(t, Options{})
+	cfg, err := game.DefaultConfig(game.GenOptions{N: 6, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plan := range []string{"dbr", "pruned"} {
+		spec, err := json.Marshal(JobSpec{Games: []GameSpec{{Config: *cfg}}, Plan: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post("http://"+s.Addr()+"/v1/solve", "application/json", bytes.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply struct{ Results []InstanceResult }
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(reply.Results) != 1 || reply.Results[0].Error != "" {
+			t.Fatalf("plan %s: status %d, decode err %v, reply %+v", plan, resp.StatusCode, err, reply)
+		}
+		r := reply.Results[0]
+		if r.Plan != plan || !reflect.DeepEqual(r.Payoffs, cfg.Payoffs(r.Profile)) ||
+			r.SocialWelfare != cfg.SocialWelfare(r.Profile) || r.Potential != cfg.Potential(r.Profile) {
+			t.Errorf("plan %s: reply %+v is not the evaluation of its profile: payoffs %v welfare %v potential %v",
+				plan, r, cfg.Payoffs(r.Profile), cfg.SocialWelfare(r.Profile), cfg.Potential(r.Profile))
+		}
 	}
 }
 

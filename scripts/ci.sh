@@ -189,6 +189,9 @@ go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 15s ./internal/r
 # DBR's endpoint certificate must return the golden-section search's bits
 # for every candidate and solve, whatever game and tolerance it is handed.
 go test -run '^$' -fuzz '^FuzzCertificateEquivalence$' -fuzztime 5s ./internal/dbr/
+# NormalizeRho's skip rule must leave the ρ bits and the factor of the loop
+# it replaced (the oracle in normalize_test.go), with no more row sums.
+go test -run '^$' -fuzz '^FuzzNormalizeRhoMatchesReference$' -fuzztime 5s ./internal/game/
 SERVE_DIR="$(mktemp -d)"
 SERVE_BIN="$SERVE_DIR/tradefl-server"
 go build -o "$SERVE_BIN" ./cmd/tradefl-server
