@@ -614,11 +614,9 @@ func fleetBenchCorpus(b *testing.B, n int) []*game.Config {
 // BenchmarkFleetSolve measures batch solving of 1024 mixed-N instances:
 // the naive baseline (a sequential loop over the canonical per-instance
 // CGBD solve, the pre-fleet idiom) against the fleet engine under the
-// cost-based auto planner and under each fixed plan. A fresh engine per
-// iteration keeps the warm result cache out of the numbers — the speedup
-// shown is pure planning plus batching, not memoization. The acceptance
-// floor (auto ≥ 3× naive solves/sec, auto within 10% of the best fixed
-// plan) is gated by scripts/benchcmp fleet-gate in ci.sh.
+// cost-based auto planner and under each fixed plan. The acceptance floor
+// (auto ≥ 3× naive solves/sec, auto within 10% of the best fixed plan) is
+// gated by scripts/benchcmp fleet-gate in ci.sh.
 func BenchmarkFleetSolve(b *testing.B) {
 	const instances = 1024
 	b.Run("naive-sequential", func(b *testing.B) {

@@ -35,40 +35,11 @@ func fleetCorpus(n int, seed int64) ([]*game.Config, error) {
 	return cfgs, nil
 }
 
-// fleetProfile resolves the planner cost profile: a path loads the
-// persisted calibration, calibrating and saving first when the file does
-// not exist yet; no path uses the built-in defaults.
-func fleetProfile(path string) (*fleet.CostProfile, error) {
-	if path == "" {
-		return nil, nil // planner falls back to DefaultProfile
-	}
-	prof, err := fleet.LoadProfile(path)
-	if err == nil {
-		return prof, nil
-	}
-	if !os.IsNotExist(err) {
-		return nil, err
-	}
-	prof, err = fleet.Calibrate(fleet.CalibrateOptions{})
-	if err != nil {
-		return nil, err
-	}
-	if err := prof.Save(path); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "tradefl-sim: calibrated planner profile -> %s\n", path)
-	return prof, nil
-}
-
 // runFleet solves a synthetic batch of n instances through the fleet
 // engine and prints the throughput headline. With -verify enabled, a
 // sampled share of the outputs is audited against cold re-solves.
-func runFleet(ctx context.Context, n int, planName, profilePath string, seed int64) error {
+func runFleet(ctx context.Context, n int, planName string, seed int64) error {
 	plan, err := fleet.ParsePlan(planName)
-	if err != nil {
-		return err
-	}
-	prof, err := fleetProfile(profilePath)
 	if err != nil {
 		return err
 	}
@@ -76,13 +47,13 @@ func runFleet(ctx context.Context, n int, planName, profilePath string, seed int
 	if err != nil {
 		return err
 	}
-	eng := fleet.New(fleet.Options{Plan: plan, Profile: prof})
+	eng := fleet.New(fleet.Options{Plan: plan})
 	start := time.Now()
 	results := eng.Solve(ctx, cfgs)
 	wall := time.Since(start)
 
 	counts := map[fleet.Plan]int{}
-	warm, failed := 0, 0
+	failed := 0
 	for i, r := range results {
 		if r.Err != nil {
 			failed++
@@ -90,14 +61,11 @@ func runFleet(ctx context.Context, n int, planName, profilePath string, seed int
 			continue
 		}
 		counts[r.Plan]++
-		if r.Warm {
-			warm++
-		}
 	}
 	fmt.Printf("fleet: %d instances in %.3fs (%.0f solves/sec, plan %s)\n",
 		n, wall.Seconds(), float64(n)/wall.Seconds(), plan)
-	fmt.Printf("fleet: plans dbr=%d pruned=%d traversal=%d, warm hits=%d, errors=%d\n",
-		counts[fleet.PlanDBR], counts[fleet.PlanPruned], counts[fleet.PlanTraversal], warm, failed)
+	fmt.Printf("fleet: plans dbr=%d pruned=%d traversal=%d, errors=%d\n",
+		counts[fleet.PlanDBR], counts[fleet.PlanPruned], counts[fleet.PlanTraversal], failed)
 	if failed > 0 {
 		return fmt.Errorf("fleet: %d of %d instances failed", failed, n)
 	}

@@ -59,7 +59,6 @@ func run(args []string) (err error) {
 		plot     = fs.Bool("plot", false, "render terminal charts instead of CSV")
 		fleetN   = fs.Int("fleet", 0, "solve a synthetic batch of this many game instances through the fleet engine instead of an experiment")
 		planName = fs.String("plan", "auto", "fleet solver plan: auto|pruned|traversal|dbr (auto picks per instance by cost model)")
-		planProf = fs.String("plan-profile", "", "planner cost-profile JSON; loaded if present, else self-calibrated and saved")
 		workers  = fs.Int("workers", 0, "solver/kernel worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 		verifyOn = fs.Bool("verify", false, "audit solver and settlement invariants at runtime (tradefl_verify_* metrics; nonzero exit on violation)")
 		summary  = fs.String("summary", "text", "end-of-run solver summary: text|json|none")
@@ -122,7 +121,7 @@ func run(args []string) (err error) {
 	}
 	if *fleetN > 0 {
 		start := time.Now()
-		if err := runFleet(ctx, *fleetN, *planName, *planProf, *seed); err != nil {
+		if err := runFleet(ctx, *fleetN, *planName, *seed); err != nil {
 			return err
 		}
 		if err := printSummary(*summary, time.Since(start)); err != nil {
@@ -219,7 +218,6 @@ func printSummary(mode string, wall time.Duration) error {
 		PoolFanouts   float64 `json:"poolFanouts"`
 		FleetSolves   float64 `json:"fleetSolves"`
 		FleetRate     float64 `json:"fleetSolvesPerSec"`
-		FleetWarmHits float64 `json:"fleetWarmHits"`
 		FleetPlanDBR  float64 `json:"fleetPlanDBR"`
 		FleetPlanPrn  float64 `json:"fleetPlanPruned"`
 		FleetPlanTrv  float64 `json:"fleetPlanTraversal"`
@@ -240,7 +238,6 @@ func printSummary(mode string, wall time.Duration) error {
 		PoolFanouts:   val("tradefl_pool_fanouts_total"),
 		FleetSolves:   val("tradefl_fleet_instances_total"),
 		FleetRate:     val("tradefl_fleet_solves_per_sec"),
-		FleetWarmHits: val("tradefl_fleet_warm_hits_total"),
 		FleetPlanDBR:  val("tradefl_fleet_plan_dbr_total"),
 		FleetPlanPrn:  val("tradefl_fleet_plan_pruned_total"),
 		FleetPlanTrv:  val("tradefl_fleet_plan_traversal_total"),
@@ -258,8 +255,8 @@ func printSummary(mode string, wall time.Duration) error {
 	fmt.Fprintf(w, "fl:   %.0f rounds, last accuracy %.4f\n", sum.FLRounds, sum.FLAccuracy)
 	fmt.Fprintf(w, "pool: %.0f fan-outs\n", sum.PoolFanouts)
 	if sum.FleetSolves > 0 {
-		fmt.Fprintf(w, "fleet: %.0f solves at %.0f/sec (plans dbr=%.0f pruned=%.0f traversal=%.0f, warm hits=%.0f)\n",
-			sum.FleetSolves, sum.FleetRate, sum.FleetPlanDBR, sum.FleetPlanPrn, sum.FleetPlanTrv, sum.FleetWarmHits)
+		fmt.Fprintf(w, "fleet: %.0f solves at %.0f/sec (plans dbr=%.0f pruned=%.0f traversal=%.0f)\n",
+			sum.FleetSolves, sum.FleetRate, sum.FleetPlanDBR, sum.FleetPlanPrn, sum.FleetPlanTrv)
 	}
 	return nil
 }

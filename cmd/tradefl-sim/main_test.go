@@ -57,11 +57,17 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
-// TestIncrementalFlagIsGone: the solvers have one evaluation path, so the
-// flag that used to select it is an unknown flag.
+// TestIncrementalFlagIsGone: the solvers have one evaluation path and the
+// planner one fixed cost rule, so the flags that used to select a twin or
+// load a calibrated profile are unknown flags.
 func TestIncrementalFlagIsGone(t *testing.T) {
-	err := run([]string{"-incremental", "on"})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -incremental") {
-		t.Fatalf("run -incremental on: err = %v, want an unknown-flag error", err)
+	for _, tc := range []struct{ flag, value string }{
+		{"-incremental", "on"},
+		{"-plan-profile", "cal.json"},
+	} {
+		err := run([]string{tc.flag, tc.value})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+tc.flag) {
+			t.Errorf("run %s %s: err = %v, want an unknown-flag error", tc.flag, tc.value, err)
+		}
 	}
 }

@@ -51,12 +51,11 @@ type Config struct {
 	// Tune passes through TuneGamma options for GammaAdaptive.
 	Tune core.TuneOptions
 	// Plan selects the solver for the per-epoch re-solves, which run
-	// through a single fleet engine so its result memo survives across
-	// epochs (an epoch without drift is not solved again). The zero value
-	// keeps the campaign's historical solver, distributed best response;
-	// cost-based auto planning is not offered here because every epoch
-	// shares one instance shape, so the planner would pick one plan for the
-	// whole campaign anyway — name it explicitly instead.
+	// through a single fleet engine. The zero value keeps the campaign's
+	// historical solver, distributed best response; cost-based auto
+	// planning is not offered here because every epoch shares one instance
+	// shape, so the planner would pick one plan for the whole campaign
+	// anyway — name it explicitly instead.
 	Plan fleet.Plan
 }
 
@@ -142,10 +141,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	src := randx.New(cfg.Seed)
 	current := cloneConfig(cfg.Base)
-	// One fleet engine for the whole campaign: its result memo survives
-	// across epochs, and the per-epoch results stay byte-identical to cold
-	// solves (the engine's determinism contract — asserted by
-	// TestCampaignFleetByteIdentical).
+	// One fleet engine for the whole campaign: the per-epoch results are
+	// byte-identical to direct solves (the engine's determinism contract —
+	// asserted by TestCampaignFleetByteIdentical).
 	eng := fleet.New(fleet.Options{Plan: cfg.Plan})
 	res := &Result{CumulativeTransfers: make([]float64, current.N())}
 	ctx, runSpan := obs.Span(context.Background(), "campaign.run")

@@ -21,10 +21,10 @@ func fleetBase(t *testing.T) *game.Config {
 }
 
 // TestCampaignFleetByteIdentical: the campaign's per-epoch results, solved
-// through the shared fleet engine whose warm state persists across epochs,
-// must be byte-identical to solving every epoch cold with a fresh solver.
-// The reference loop replays the exact drift sequence (same seed, same
-// randx stream) and calls the underlying solver directly.
+// through the shared fleet engine, must be byte-identical to solving every
+// epoch with a direct solver call. The reference loop replays the exact
+// drift sequence (same seed, same randx stream) and calls the underlying
+// solver directly.
 func TestCampaignFleetByteIdentical(t *testing.T) {
 	base := fleetBase(t)
 	camp := Config{Base: base, Epochs: 6, Seed: 9}
@@ -61,9 +61,9 @@ func TestCampaignFleetByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCampaignFleetPlanPruned: a CGBD-routed campaign exercises the warm
-// CGBD scratch rebind across drifting epochs and must also match cold
-// solves bit for bit.
+// TestCampaignFleetPlanPruned: a CGBD-routed campaign rebinds pooled CGBD
+// workspaces across drifting epochs and must also match direct solves bit
+// for bit.
 func TestCampaignFleetPlanPruned(t *testing.T) {
 	base := fleetBase(t)
 	camp := Config{Base: base, Epochs: 4, Seed: 3, Plan: fleet.PlanPruned}
@@ -83,7 +83,7 @@ func TestCampaignFleetPlanPruned(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Epochs[epoch].Welfare != current.SocialWelfare(cold.Profile) {
-			t.Fatalf("epoch %d: warm CGBD campaign welfare %v differs from cold solve %v",
+			t.Fatalf("epoch %d: CGBD campaign welfare %v differs from direct solve %v",
 				epoch, got.Epochs[epoch].Welfare, current.SocialWelfare(cold.Profile))
 		}
 	}

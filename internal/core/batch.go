@@ -14,8 +14,8 @@ import (
 // not recomputed here — at fleet scale the sampled fleet audit
 // (fleet.Engine.Audit, -verify) covers it.
 type BatchResult struct {
-	// Fleet is the underlying fleet result (plan, warm flag, profile,
-	// potential, per-instance error).
+	// Fleet is the underlying fleet result (plan, profile, potential,
+	// per-instance error).
 	Fleet fleet.Result
 	// Payoffs is C_i per organization (nil when the solve failed).
 	Payoffs []float64
@@ -26,9 +26,7 @@ type BatchResult struct {
 // RunBatch solves every game instance through a fleet engine and derives
 // the per-instance mechanism quantities. Results are in input order;
 // per-instance failures are recorded in BatchResult.Fleet.Err without
-// aborting the batch. To have unchanged instances answered from the result
-// memo across repeated batches (e.g. campaign epochs), hold a fleet.Engine
-// and call Solve on it directly — RunBatch builds a fresh engine per call.
+// aborting the batch.
 func RunBatch(ctx context.Context, cfgs []*game.Config, opts fleet.Options) []BatchResult {
 	eng := fleet.New(opts)
 	fres := eng.Solve(ctx, cfgs)

@@ -7,10 +7,8 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync"
 	"time"
 
-	"tradefl/internal/accuracy"
 	"tradefl/internal/dbr"
 	"tradefl/internal/game"
 	"tradefl/internal/gbd"
@@ -30,29 +28,18 @@ type Options struct {
 	Workers int
 	// GBD carries the base CGBD options. Master and Workers are overridden
 	// per instance by the planner; Epsilon and MaxIter apply to every CGBD
-	// solve and key the warm result cache.
+	// solve.
 	GBD gbd.Options
 	// DBR carries the base Algorithm 2 options.
 	DBR dbr.Options
-	// Profile is the calibrated cost profile (nil = built-in defaults).
-	Profile *CostProfile
-	// WarmCap bounds the result memo, one entry per distinct config pointer
-	// (0 = 4096; negative disables it — for callers that never present a
-	// config pointer twice, such as the gateway).
-	WarmCap int
 }
 
-// Result is the outcome of one instance solve. Profiles, payoffs and solver
-// results may be shared with the engine's result memo across repeated solves of an
-// unchanged instance — treat them as read-only.
+// Result is the outcome of one instance solve.
 type Result struct {
 	// Plan is the concrete plan the instance was solved with.
 	Plan Plan
 	// Decision is the full planner verdict.
 	Decision Decision
-	// Warm reports that the result was served from the warm result cache
-	// (byte-identical to re-solving, by the determinism contract).
-	Warm bool
 	// Profile is the equilibrium profile.
 	Profile game.Profile
 	// Potential, Payoffs and Welfare are U, every C_i and Σ_i C_i at
@@ -70,44 +57,19 @@ type Result struct {
 	Err error
 }
 
-// warmEntry is the per-config result memo: the last successful result and
-// what it was computed from. Guarded by Engine.mu. Solver scratch is not
-// the engine's business — gbd and dbr pool their own, whatever the config.
-type warmEntry struct {
-	sig uint64
-	acc accuracy.Model
-	res Result
-}
-
 // Engine schedules instance solves over a shared worker pool, consulting
-// the planner per instance and memoizing the last result per config
-// pointer across batches and campaign epochs.
+// the planner per instance. It holds no state between solves: solver
+// scratch is not the engine's business — gbd and dbr pool their own,
+// whatever the config.
 type Engine struct {
 	opts    Options
 	planner Planner
-
-	mu    sync.Mutex
-	warm  map[*game.Config]*warmEntry
-	order []*game.Config // FIFO eviction order of warm entries
 }
-
-// DefaultWarmCap bounds retained warm entries when Options.WarmCap is 0.
-const DefaultWarmCap = 4096
 
 // New builds a fleet engine.
 func New(opts Options) *Engine {
-	if opts.WarmCap == 0 {
-		opts.WarmCap = DefaultWarmCap
-	}
-	return &Engine{
-		opts:    opts,
-		planner: Planner{Forced: opts.Plan, Prof: opts.Profile},
-		warm:    make(map[*game.Config]*warmEntry),
-	}
+	return &Engine{opts: opts, planner: Planner{Forced: opts.Plan}}
 }
-
-// Planner exposes the engine's planner (for reporting predicted costs).
-func (e *Engine) Planner() *Planner { return &e.planner }
 
 // Solve solves every instance of the batch and returns the per-instance
 // results in input order. Each result is byte-identical to solving that
@@ -187,8 +149,7 @@ type batchTelemetry struct {
 // solver code paths, pooled engines and arena size classes — a mixed batch
 // in input order thrashes them. Results are position-independent (the
 // determinism contract), so solve order is free throughput; the ordering
-// itself is deterministic (stats plus index tie-break, never load or cache
-// state).
+// itself is deterministic (stats plus index tie-break, never load).
 func (e *Engine) schedule(cfgs []*game.Config) []int {
 	order := make([]int, len(cfgs))
 	keys := make([]Stats, len(cfgs))
@@ -214,9 +175,9 @@ func (e *Engine) schedule(cfgs []*game.Config) []int {
 	return order
 }
 
-// SolveOne solves a single instance through the fleet path (planner, warm
-// state, metrics). A lone instance may use the whole pool for
-// within-instance sharding.
+// SolveOne solves a single instance through the fleet path (planner,
+// metrics). A lone instance may use the whole pool for within-instance
+// sharding.
 func (e *Engine) SolveOne(cfg *game.Config) Result {
 	return e.SolveOneCtx(context.Background(), cfg)
 }
@@ -234,18 +195,7 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Resu
 	start := time.Now()
 	defer func() { mSolveSec.Observe(time.Since(start).Seconds()) }()
 
-	var sig uint64
-	if e.opts.WarmCap >= 0 { // the memo's key; hashing every org and ρ entry buys nothing when it is off
-		sig = cfg.Signature()
-	}
-	// Plan first: the choice depends only on (stats, profile), so the memo
-	// lookup below can key on the plan without the plan depending on the
-	// memo — the loop that would break batch/one-at-a-time equivalence.
 	dec := e.planner.Decide(StatsOf(cfg, e.opts.GBD.Epsilon), spare)
-	if memo, ok := e.recall(cfg, sig, dec); ok {
-		return memo
-	}
-	mWarmMisses.Inc()
 	planCounter(dec.Plan).Inc()
 
 	r := Result{Plan: dec.Plan, Decision: dec}
@@ -272,7 +222,6 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Resu
 		return r
 	}
 	r.Welfare = game.Welfare(r.Payoffs)
-	e.remember(cfg, sig, &r)
 	return r
 }
 
@@ -288,56 +237,16 @@ func (e *Engine) gbdOpts(dec Decision) gbd.Options {
 	return gopts
 }
 
-// recall returns the memoized result of cfg when it was computed from the
-// same values (sig, accuracy model) under the same plan — the warm hit.
-func (e *Engine) recall(cfg *game.Config, sig uint64, dec Decision) (Result, bool) {
-	if e.opts.WarmCap < 0 {
-		return Result{}, false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ent := e.warm[cfg]
-	if ent == nil || ent.sig != sig || ent.res.Plan != dec.Plan || !game.SameModel(ent.acc, cfg.Accuracy) {
-		return Result{}, false
-	}
-	mWarmHits.Inc()
-	r := ent.res
-	r.Decision = Decision{Plan: dec.Plan, Workers: 1, PredictedNs: dec.PredictedNs}
-	r.Warm = true
-	return r, true
-}
-
-// remember installs a successful result as cfg's memo, evicting the oldest
-// entry (FIFO) past WarmCap.
-func (e *Engine) remember(cfg *game.Config, sig uint64, r *Result) {
-	if e.opts.WarmCap < 0 {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ent := e.warm[cfg]
-	if ent == nil {
-		ent = &warmEntry{}
-		e.warm[cfg] = ent
-		e.order = append(e.order, cfg)
-		if len(e.order) > e.opts.WarmCap {
-			delete(e.warm, e.order[0])
-			e.order = e.order[1:]
-		}
-	}
-	ent.sig, ent.acc, ent.res = sig, cfg.Accuracy, *r
-}
-
 // ErrAuditMismatch reports a batch output that differed from its cold
 // re-solve — a violated determinism contract.
 var ErrAuditMismatch = errors.New("fleet: audit: batch result differs from cold re-solve")
 
-// Audit re-solves a deterministic sample of the batch cold (fresh solver,
-// no warm state, same plan) and compares profiles bitwise; with the verify
-// subsystem enabled it additionally runs the solver invariant checks on
-// the sampled results. fraction ∈ (0, 1] bounds the sampled share (at
-// least one instance when the batch is non-empty). It returns the number
-// of audited instances and the first mismatch.
+// Audit re-solves a deterministic sample of the batch cold (same plan, one
+// worker) and compares profiles bitwise; with the verify subsystem enabled
+// it additionally runs the solver invariant checks on the sampled results.
+// fraction ∈ (0, 1] bounds the sampled share (at least one instance when
+// the batch holds a solved one). It returns the number of audited instances
+// and the first mismatch.
 func (e *Engine) Audit(cfgs []*game.Config, results []Result, fraction float64, seed int64) (int, error) {
 	if len(cfgs) != len(results) {
 		return 0, fmt.Errorf("fleet: audit: %d configs vs %d results", len(cfgs), len(results))
@@ -348,13 +257,18 @@ func (e *Engine) Audit(cfgs []*game.Config, results []Result, fraction float64, 
 	if fraction > 1 {
 		fraction = 1
 	}
+	eligible := func(i int) bool { return results[i].Err == nil && results[i].Profile != nil }
+	last := len(cfgs) - 1 // the last eligible instance: sampled if none before it was
+	for last >= 0 && !eligible(last) {
+		last--
+	}
 	rng := rand.New(rand.NewSource(seed))
 	audited := 0
 	for i := range cfgs {
-		if results[i].Err != nil || results[i].Profile == nil {
+		if !eligible(i) {
 			continue
 		}
-		if rng.Float64() >= fraction && !(audited == 0 && i == len(cfgs)-1) {
+		if rng.Float64() >= fraction && !(audited == 0 && i == last) {
 			continue
 		}
 		audited++

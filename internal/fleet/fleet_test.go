@@ -171,52 +171,11 @@ func TestAutoEqualsBothMasters(t *testing.T) {
 	}
 }
 
-// TestWarmResultReuse: re-solving an unchanged instance through the same
-// engine is served from the warm result cache, byte-identically.
-func TestWarmResultReuse(t *testing.T) {
-	cfg := fleetConfig(t, 7, 6)
-	eng := New(Options{Workers: 1})
-	first := eng.SolveOne(cfg)
-	if first.Err != nil {
-		t.Fatal(first.Err)
-	}
-	if first.Warm {
-		t.Fatal("first solve cannot be warm")
-	}
-	second := eng.SolveOne(cfg)
-	if second.Err != nil {
-		t.Fatal(second.Err)
-	}
-	if !second.Warm {
-		t.Fatal("unchanged re-solve did not hit the warm result cache")
-	}
-	if !reflect.DeepEqual(first.Profile, second.Profile) {
-		t.Fatal("warm result differs from first solve")
-	}
-	// In-place drift (campaign pattern) must invalidate the memo and still
-	// match a cold solve bit for bit.
-	for i := range cfg.Orgs {
-		cfg.Orgs[i].Profitability *= 1.3
-	}
-	cfg.NormalizeRho(game.DefaultZMargin)
-	third := eng.SolveOne(cfg)
-	if third.Err != nil {
-		t.Fatal(third.Err)
-	}
-	if third.Warm {
-		t.Fatal("drifted instance served from stale warm result")
-	}
-	cold := New(Options{Workers: 1}).SolveOne(cfg)
-	if !reflect.DeepEqual(third.Profile, cold.Profile) {
-		t.Fatal("post-drift solve differs from cold solve")
-	}
-}
-
-// TestResultCarriesItsEvaluation: whatever the plan, cold or from the warm
-// memo, a result's payoffs, welfare and potential are cfg.Payoffs,
-// cfg.SocialWelfare and cfg.Potential of its profile bit for bit — the
-// solve's one evaluation stands in for every later one — and a failed
-// instance carries none.
+// TestResultCarriesItsEvaluation: whatever the plan, on the engine's first
+// pass over a batch or a later one over the same pointers, a result's
+// payoffs, welfare and potential are cfg.Payoffs, cfg.SocialWelfare and
+// cfg.Potential of its profile bit for bit — the solve's one evaluation
+// stands in for every later one — and a failed instance carries none.
 func TestResultCarriesItsEvaluation(t *testing.T) {
 	check := func(what string, cfg *game.Config, r Result) {
 		t.Helper()
@@ -241,29 +200,26 @@ func TestResultCarriesItsEvaluation(t *testing.T) {
 		}
 		cfgs = append(cfgs, &game.Config{})
 		bad := len(cfgs) - 1
-		cold := eng.Solve(context.Background(), cfgs)
-		warm := eng.Solve(context.Background(), cfgs)
+		first := eng.Solve(context.Background(), cfgs)
+		second := eng.Solve(context.Background(), cfgs)
 		for i, cfg := range cfgs {
 			if i == bad {
-				for _, r := range []Result{cold[i], warm[i]} {
+				for _, r := range []Result{first[i], second[i]} {
 					if r.Err == nil || r.Payoffs != nil || r.Welfare != 0 || r.Potential != 0 {
 						t.Errorf("plan %s: failed instance carries an evaluation: %+v", plan, r)
 					}
 				}
 				continue
 			}
-			if cold[i].Warm || !warm[i].Warm {
-				t.Fatalf("plan %s instance %d: warm flags %v then %v, want false then true", plan, i, cold[i].Warm, warm[i].Warm)
-			}
-			check(fmt.Sprintf("plan %s instance %d cold", plan, i), cfg, cold[i])
-			check(fmt.Sprintf("plan %s instance %d warm", plan, i), cfg, warm[i])
+			check(fmt.Sprintf("plan %s instance %d first pass", plan, i), cfg, first[i])
+			check(fmt.Sprintf("plan %s instance %d second pass", plan, i), cfg, second[i])
 		}
 	}
 }
 
 // TestBatchDuplicatePointers: the same instance appearing many times in
 // one concurrent batch must produce identical results at every position
-// (one memo entry, pooled solver scratch never shared — run under -race in CI).
+// (pooled solver scratch never shared — run under -race in CI).
 func TestBatchDuplicatePointers(t *testing.T) {
 	cfg := fleetConfig(t, 11, 6)
 	cfgs := make([]*game.Config, 16)
@@ -337,12 +293,18 @@ func TestAudit(t *testing.T) {
 	}
 }
 
-// TestAuditSampling: small fractions audit at least one instance and stay
-// deterministic in the seed.
+// TestAuditSampling: small fractions audit at least one instance — also
+// when the batch's last instance failed and cannot be the forced sample —
+// and stay deterministic in the seed.
 func TestAuditSampling(t *testing.T) {
 	cfgs := mixedCorpus(t, 1)
 	eng := New(Options{Workers: 1})
 	res := eng.Solve(context.Background(), cfgs)
+	// No draw falls below 1e-9, so the one sample is the forced one.
+	failedLast := append(cfgs[:len(cfgs):len(cfgs)], &game.Config{})
+	if n, err := eng.Audit(failedLast, eng.Solve(context.Background(), failedLast), 1e-9, 7); n != 1 || err != nil {
+		t.Fatalf("failed last instance: audited %d, err %v; want the last solved instance sampled", n, err)
+	}
 	a1, err := eng.Audit(cfgs, res, 0.25, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -359,40 +321,5 @@ func TestAuditSampling(t *testing.T) {
 	}
 	if n, err := eng.Audit(cfgs, res, 0, 7); n != 0 || err != nil {
 		t.Fatalf("fraction 0 must audit nothing, got %d, %v", n, err)
-	}
-}
-
-// TestWarmEviction: the warm map stays bounded by WarmCap.
-func TestWarmEviction(t *testing.T) {
-	eng := New(Options{Workers: 1, WarmCap: 2})
-	for i := 0; i < 5; i++ {
-		r := eng.SolveOne(fleetConfig(t, int64(i+1), 4))
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	eng.mu.Lock()
-	defer eng.mu.Unlock()
-	if len(eng.warm) > 2 || len(eng.order) > 2 {
-		t.Fatalf("warm cache grew past WarmCap: %d entries, %d order", len(eng.warm), len(eng.order))
-	}
-}
-
-// TestWarmDisabled: negative WarmCap keeps the engine stateless.
-func TestWarmDisabled(t *testing.T) {
-	cfg := fleetConfig(t, 3, 4)
-	eng := New(Options{Workers: 1, WarmCap: -1})
-	a, b := eng.SolveOne(cfg), eng.SolveOne(cfg)
-	if a.Err != nil || b.Err != nil {
-		t.Fatal(a.Err, b.Err)
-	}
-	if b.Warm {
-		t.Fatal("warm hit with warm state disabled")
-	}
-	if !reflect.DeepEqual(a.Profile, b.Profile) {
-		t.Fatal("stateless re-solve differs")
-	}
-	if len(eng.warm) != 0 {
-		t.Fatal("warm entries retained with WarmCap < 0")
 	}
 }

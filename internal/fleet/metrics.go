@@ -2,9 +2,9 @@ package fleet
 
 import "tradefl/internal/obs"
 
-// Fleet-engine telemetry (tradefl_fleet_*): batch throughput, planner
-// decisions and warm-state effectiveness. Registered at init so the names
-// are present (at zero) before the first batch.
+// Fleet-engine telemetry (tradefl_fleet_*): batch throughput and planner
+// decisions. Registered at init so the names are present (at zero) before
+// the first batch.
 var (
 	mBatches   = obs.NewCounter("tradefl_fleet_batches_total", "batches submitted to the fleet engine")
 	mInstances = obs.NewCounter("tradefl_fleet_instances_total", "game instances solved by the fleet engine")
@@ -16,14 +16,10 @@ var (
 	mPlanPruned    = obs.NewCounter("tradefl_fleet_plan_pruned_total", "instances the planner routed to the pruned CGBD master")
 	mPlanTraversal = obs.NewCounter("tradefl_fleet_plan_traversal_total", "instances the planner routed to the traversal CGBD master")
 
-	mWarmHits   = obs.NewCounter("tradefl_fleet_warm_hits_total", "instances served verbatim from the warm result cache")
-	mWarmMisses = obs.NewCounter("tradefl_fleet_warm_misses_total", "instances solved fresh (no usable warm result)")
-
 	mSolveSec = obs.NewHistogram("tradefl_fleet_solve_seconds", "wall time of one fleet-scheduled instance solve", obs.TimeBuckets)
 	mBatchSec = obs.NewHistogram("tradefl_fleet_batch_seconds", "wall time of one fleet batch", obs.TimeBuckets)
 
-	mAudits      = obs.NewCounter("tradefl_fleet_audits_total", "batch outputs re-solved cold and compared by the sampled audit")
-	mCalibrateNs = obs.NewGauge("tradefl_fleet_calibration_ns", "wall nanoseconds spent by the last cost-model self-calibration")
+	mAudits = obs.NewCounter("tradefl_fleet_audits_total", "batch outputs re-solved cold and compared by the sampled audit")
 )
 
 // planCounter maps a concrete plan to its decision counter.

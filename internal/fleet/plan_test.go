@@ -3,9 +3,6 @@ package fleet
 import (
 	"context"
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -61,12 +58,12 @@ func TestDecideDeterministicPlan(t *testing.T) {
 	}
 }
 
-// TestDecideDefaultProfileFallback: with no calibration profile at all the
-// planner still routes the measured solver crossover sensibly — small
-// grids to the pruned CGBD master, big-N instances to DBR — and auto never
-// resolves to the traversal master, whatever the grid.
+// TestDecideDefaultProfileFallback: the zero-value planner routes the
+// measured solver crossover sensibly — small grids to the pruned CGBD
+// master, big-N instances to DBR — and auto never resolves to the traversal
+// master, whatever the grid.
 func TestDecideDefaultProfileFallback(t *testing.T) {
-	var pl Planner // nil profile → DefaultProfile
+	var pl Planner
 	small := pl.Decide(Stats{N: 4, MaxLevels: 3, MeanLevels: 3, Grid: 81, Epsilon: 1e-6}, 0)
 	if small.Plan != PlanPruned {
 		t.Errorf("N=4 m=3 routed to %s; the pruned master is an order of magnitude cheaper there", small.Plan)
@@ -122,88 +119,7 @@ func TestDecidePersonalizedGoesToDBR(t *testing.T) {
 	}
 }
 
-// TestProfileSaveLoad: JSON round-trip, version guard, and degenerate
-// coefficient rejection.
-func TestProfileSaveLoad(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "profile.json")
-	prof := DefaultProfile()
-	prof.DBRUnit = 1234.5
-	if err := prof.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadProfile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *prof {
-		t.Fatalf("round-trip mismatch: %+v vs %+v", got, prof)
-	}
-
-	stale := DefaultProfile()
-	stale.Version = profileVersion + 1
-	stalePath := filepath.Join(dir, "stale.json")
-	if err := stale.Save(stalePath); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadProfile(stalePath); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("stale profile version accepted: %v", err)
-	}
-
-	// A profile persisted with the version-1 forms (which had a traversal
-	// term) must be refused, not read with the term dropped.
-	v1Path := filepath.Join(dir, "v1.json")
-	v1 := `{"version":1,"dbrBaseNs":10000,"dbrUnitNs":1500,"prunedBaseNs":10000,"prunedUnitNs":1300,"traversalBaseNs":8000,"traversalUnitNs":120}`
-	if err := os.WriteFile(v1Path, []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadProfile(v1Path); err == nil || !strings.Contains(err.Error(), "recalibrate") {
-		t.Errorf("version-1 profile: err = %v, want the recalibrate error", err)
-	}
-
-	broken := DefaultProfile()
-	broken.PrunedUnit = 0
-	brokenPath := filepath.Join(dir, "broken.json")
-	if err := broken.Save(brokenPath); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadProfile(brokenPath); err == nil {
-		t.Error("zero coefficient accepted")
-	}
-
-	if _, err := LoadProfile(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
-// TestCalibrate: the self-calibration micro-bench produces a valid profile
-// with every coefficient inside the clamp band around the defaults. The
-// corpus must hold solves well above the 10 µs base terms: a warm pruned
-// solve at N ≤ 6 takes about that long, and a corpus of only such solves
-// leaves the fit no sample (the test failed two runs in five that way).
-func TestCalibrate(t *testing.T) {
-	prof, err := Calibrate(CalibrateOptions{Seeds: []int64{1}, Ns: []int{8, 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prof.valid(); err != nil {
-		t.Fatal(err)
-	}
-	def := DefaultProfile()
-	for _, pair := range [][2]float64{
-		{prof.DBRUnit, def.DBRUnit},
-		{prof.PrunedUnit, def.PrunedUnit},
-	} {
-		if pair[0] > pair[1]*unitClamp || pair[0] < pair[1]/unitClamp {
-			t.Errorf("calibrated unit %v outside the clamp band around %v", pair[0], pair[1])
-		}
-	}
-	if prof.CalibratedNs <= 0 {
-		t.Error("calibration wall time not recorded")
-	}
-}
-
-// TestPlannerRegret: on the calibration corpus, auto planning is never
+// TestPlannerRegret: on the mixed corpus, auto planning is never
 // slower than the best fixed plan by more than a bounded factor. The
 // acceptance bound is 1.10 on the reference host; the test allows 1.5×
 // plus an absolute slack so scheduler noise on loaded CI machines cannot

@@ -1,42 +1,15 @@
 package gbd
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // This file holds the cached evaluation state of the CGBD solver:
 // per-(organization, CPU-level) constant caches, the persistent
-// incrementally-grown master cut tables with dominated-cut eviction, and
-// the incumbent seeds of the master search. Every cached quantity is
-// produced by the floating-point expression a from-scratch evaluation
-// would use, and eviction and seeding only drop what cannot change the
-// answer, so solver output is byte-identical to recomputing everything on
-// every call (DESIGN.md §10; pinned by the goldens in golden_test.go).
-
-// primalResult memoizes one solved primal subproblem (19), keyed by the
-// f-grid index vector. The d/u slices are shared with the optimality cuts
-// generated from them and are never mutated after insertion.
-type primalResult struct {
-	fIdx     []int
-	d, u     []float64
-	feasible bool
-}
-
-// primalMemoCap bounds the memo; far above any real run (MaxIter defaults
-// to 50, so at most 50 distinct f vectors occur), it exists so adversarial
-// option settings cannot grow it — or its linear lookup — without bound.
-// Eviction is FIFO.
-const primalMemoCap = 512
-
-// dominationMargin is the strictness margin of dominated-cut eviction: cut
-// B is dropped only when the separable bound proves A(f) ≤ B(f) − margin
-// for every grid point f. The margin absorbs the floating-point error of
-// the bound itself (≈ N·ulp of the term scale, orders of magnitude below
-// 1e-6 at the potential's O(1e3) scale), so eviction never removes a cut
-// that could tie the min at any grid point — which is what keeps the
-// master's φ values bit-identical to keeping every cut.
-const dominationMargin = 1e-6
+// incrementally-grown master cut tables, and the incumbent seeds of the
+// master search. Every cached quantity is produced by the floating-point
+// expression a from-scratch evaluation would use, and seeding only drops
+// what cannot change the answer, so solver output is byte-identical to
+// recomputing everything on every call (DESIGN.md §10; pinned by the
+// goldens in golden_test.go).
 
 // initCaches precomputes the per-(org, level) constants every primal solve
 // and cut tabulation reuses (linearCostPerOmega, fOnlyTerm, FeasibleD,
@@ -76,33 +49,12 @@ func (s *solver) initCaches() {
 	t.levels = s.levels
 	t.opt, t.optMax, t.optConst = t.opt[:0], t.optMax[:0], t.optConst[:0]
 	t.feas, t.feasMin = t.feas[:0], t.feasMin[:0]
-	s.memo = s.memo[:0]
 	s.wfY, s.wfW, s.wfLo, s.wfHi = a.floats(n), a.floats(n), a.floats(n), a.floats(n)
 	s.wfOrder = a.ints(n)
 }
 
-// cutDominates reports whether cut A sits strictly below cut B across the
-// whole f grid: max_f [A(f) − B(f)] ≤ Σ_i max_k (A_ik − B_ik) + cA − cB,
-// and A dominates when that separable bound is ≤ −dominationMargin. A
-// dominated cut never attains the min-over-cuts alone, so dropping it
-// leaves every φ value bit-identical.
-func cutDominates(aTerms [][]float64, aConst float64, bTerms [][]float64, bConst float64) bool {
-	bound := aConst - bConst
-	for i := range aTerms {
-		best := math.Inf(-1)
-		for k := range aTerms[i] {
-			if d := aTerms[i][k] - bTerms[i][k]; d > best {
-				best = d
-			}
-		}
-		bound += best
-	}
-	return bound <= -dominationMargin
-}
-
 // addOptCut tabulates a freshly generated optimality cut into the
-// persistent master tables and evicts strictly dominated cuts (either
-// direction).
+// persistent master tables.
 func (s *solver) addOptCut(c optimalityCut) {
 	n := s.cfg.N()
 	terms := s.solve.rows(n)
@@ -119,29 +71,10 @@ func (s *solver) addOptCut(c optimalityCut) {
 		terms[i] = row
 		maxs[i] = best
 	}
-	konst := s.optCutConst(c)
 	t := s.tables
-	// An existing cut strictly below the new one everywhere already implies
-	// the constraint the new cut would add — skip it.
-	for v := range t.opt {
-		if cutDominates(t.opt[v], t.optConst[v], terms, konst) {
-			mCutsEvicted.Inc()
-			return
-		}
-	}
-	// Drop existing cuts the new cut strictly dominates.
-	w := 0
-	for v := range t.opt {
-		if cutDominates(terms, konst, t.opt[v], t.optConst[v]) {
-			mCutsEvicted.Inc()
-			continue
-		}
-		t.opt[w], t.optMax[w], t.optConst[w] = t.opt[v], t.optMax[v], t.optConst[v]
-		w++
-	}
-	t.opt = append(t.opt[:w], terms)
-	t.optMax = append(t.optMax[:w], maxs)
-	t.optConst = append(t.optConst[:w], konst)
+	t.opt = append(t.opt, terms)
+	t.optMax = append(t.optMax, maxs)
+	t.optConst = append(t.optConst, s.optCutConst(c))
 	mCutTabIncr.Inc()
 }
 
@@ -211,34 +144,4 @@ func (s *solver) masterWarmSeed(t *cutTables) float64 {
 		mMasterWarm.Inc()
 	}
 	return seed
-}
-
-// solvePrimal maximizes U(·, f) over the box of feasible d, f given by its
-// grid indices fIdx too. It returns the maximizer, the deadline-constraint
-// Lagrange multipliers u (zero where the deadline does not bind), and
-// whether the primal was feasible. On an infeasible primal it returns
-// d = DMin everywhere (the feasibility-check minimizer) and u = nil.
-// Results are memoized per f vector: the slices are shared — callers must
-// not mutate them — and, like every d, u and λ the solver hands out, live
-// in the solve arena. Hits occur when the master revisits an f, typically
-// near convergence. The memo is a list searched linearly: a run holds one
-// entry per master iteration, a handful, so comparing N indices per entry
-// beats hashing them and needs no key allocation.
-func (s *solver) solvePrimal(f []float64, fIdx []int) (d, u []float64, feasible bool) {
-	for _, r := range s.memo {
-		if slices.Equal(r.fIdx, fIdx) {
-			mPrimalHits.Inc()
-			return r.d, r.u, r.feasible
-		}
-	}
-	mPrimalMisses.Inc()
-	d, u, feasible = s.solvePrimalFresh(f, fIdx)
-	if len(s.memo) >= primalMemoCap {
-		s.memo = s.memo[:copy(s.memo, s.memo[1:])]
-		mPrimalEvicts.Inc()
-	}
-	key := s.solve.ints(len(fIdx))
-	copy(key, fIdx)
-	s.memo = append(s.memo, primalResult{fIdx: key, d: d, u: u, feasible: feasible})
-	return d, u, feasible
 }

@@ -1,7 +1,9 @@
 package gbd
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"tradefl/internal/game"
@@ -27,91 +29,117 @@ func gbdGames(t *testing.T) []*game.Config {
 	return cfgs
 }
 
-// assertEquivalent checks two results agree on everything the exactness
-// contract covers. The incumbent-seeded master may suppress the final
-// iteration's maximum when no grid point beats the incumbent, so the LAST
-// UpperBounds entry is allowed to differ (both runs have already converged
-// on the same incumbent at that point); every other trace entry and the
-// solution itself must be bitwise identical.
-func assertEquivalent(t *testing.T, on, off *Result, label string) {
+// stepSolve is Algorithm 1's loop — solver.run without spans, metrics and
+// Result assembly — over the solver's own primal, cut tabulation and
+// master, checking at every step the two facts that let the solver keep no
+// primal memo and evict no cut:
+//
+//   - the master never proposes a grid point whose primal was already
+//     solved (a revisited f has φ(f) ≤ its own cut = its primal value ≤ LB,
+//     so UB − LB ≤ ε ends the loop first);
+//   - an optimality cut is tight at the grid point that generated it, so no
+//     other valid cut can sit strictly below it there.
+//
+// It returns the iteration count and the incumbent potential, which the
+// caller holds against solver.run's to show this is the loop that ships.
+func stepSolve(t *testing.T, s *solver, label string) (iterations int, potential float64) {
 	t.Helper()
-	if on.Iterations != off.Iterations || on.Converged != off.Converged {
-		t.Fatalf("%s: control flow diverged: on=(%d,%v) off=(%d,%v)",
-			label, on.Iterations, on.Converged, off.Iterations, off.Converged)
+	cfg := s.cfg
+	n := cfg.N()
+	f, fIdx := make([]float64, n), make([]int, n)
+	for i, o := range cfg.Orgs {
+		fIdx[i] = len(o.CPULevels) - 1
+		f[i] = o.CPULevels[fIdx[i]]
 	}
-	for i := range on.Profile {
-		if on.Profile[i] != off.Profile[i] {
-			t.Fatalf("%s: profile[%d] diverged: on=%+v off=%+v", label, i, on.Profile[i], off.Profile[i])
+	trial := make(game.Profile, n)
+	var visited [][]int
+	lb, ub := math.Inf(-1), math.Inf(1)
+	for k := 0; k < s.opts.MaxIter; k++ {
+		iterations = k + 1
+		for at, seen := range visited {
+			if slices.Equal(seen, fIdx) {
+				t.Fatalf("%s: iteration %d asks for the primal of %v, solved in iteration %d", label, k, fIdx, at)
+			}
 		}
-	}
-	if math.Float64bits(on.Potential) != math.Float64bits(off.Potential) {
-		t.Fatalf("%s: potential diverged: %x vs %x", label,
-			math.Float64bits(on.Potential), math.Float64bits(off.Potential))
-	}
-	if len(on.LowerBounds) != len(off.LowerBounds) || len(on.UpperBounds) != len(off.UpperBounds) {
-		t.Fatalf("%s: trace lengths diverged", label)
-	}
-	for k := range on.LowerBounds {
-		if math.Float64bits(on.LowerBounds[k]) != math.Float64bits(off.LowerBounds[k]) {
-			t.Fatalf("%s: LowerBounds[%d] diverged: %x vs %x", label, k,
-				math.Float64bits(on.LowerBounds[k]), math.Float64bits(off.LowerBounds[k]))
+		visited = append(visited, slices.Clone(fIdx))
+		d, u, feasible := s.solvePrimal(f, fIdx)
+		if feasible {
+			var omegaHat float64
+			for i := range trial {
+				trial[i] = game.Strategy{D: d[i], F: f[i]}
+				omegaHat += d[i] * s.scale[i]
+			}
+			val := cfg.Potential(trial)
+			lb = math.Max(lb, val)
+			s.lb = lb
+			s.addOptCut(optimalityCut{
+				u:        u,
+				omegaHat: omegaHat,
+				pHat:     cfg.Accuracy.Value(omegaHat),
+				pSlope:   cfg.Accuracy.Derivative(omegaHat),
+			})
+			tab := s.tables
+			v := len(tab.opt) - 1
+			own := tab.optConst[v]
+			for i, lvl := range fIdx {
+				own += tab.opt[v][i][lvl]
+			}
+			if math.Abs(own-val) > 1e-9*math.Max(1, math.Abs(val)) {
+				t.Errorf("%s: iteration %d: cut at its own grid point %v = %v, primal value %v", label, k, fIdx, own, val)
+			}
+		} else {
+			s.addFeasCut(feasibilityCut{d: d, lambda: s.solveFeasibility(f)})
 		}
-	}
-	for k := range on.UpperBounds {
-		if k == len(on.UpperBounds)-1 {
-			continue
+		fIdxNext, fNext, phi, ok := s.solveMaster()
+		if !ok {
+			break
 		}
-		if math.Float64bits(on.UpperBounds[k]) != math.Float64bits(off.UpperBounds[k]) {
-			t.Fatalf("%s: UpperBounds[%d] diverged: %x vs %x", label, k,
-				math.Float64bits(on.UpperBounds[k]), math.Float64bits(off.UpperBounds[k]))
+		ub = math.Min(ub, phi)
+		if ub-lb <= s.opts.Epsilon {
+			break
 		}
+		f, fIdx = fNext, fIdxNext
 	}
-	for k := range on.PotentialTrace {
-		if math.Float64bits(on.PotentialTrace[k]) != math.Float64bits(off.PotentialTrace[k]) {
-			t.Fatalf("%s: PotentialTrace[%d] diverged", label, k)
-		}
-	}
+	return iterations, lb
 }
 
-// TestPrimalMemoHits verifies the f-vector memo actually fires: solving an
-// instance whose master revisits f-vectors must record cache hits, and a
-// repeated solve must never change the answer.
-func TestPrimalMemoHits(t *testing.T) {
-	cfg := defaultGame(t, 7)
-	before := mPrimalHits.Value() + mPrimalMisses.Value()
-	first, err := Solve(cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestNoPrimalRevisitTightCuts runs stepSolve over a seeded corpus — with
+// the traversal master too wherever its Θ(m^N) grid is small — and, on a
+// few instances, with a deadline that makes feasibility cuts fire.
+func TestNoPrimalRevisitTightCuts(t *testing.T) {
+	const seeds, traversalGrid = 20, 20_000
+	check := func(cfg *game.Config, master MasterSolver, label string) {
+		opts := Options{Master: master, Workers: 1}.withDefaults()
+		want, err := solveOn(freshSolver(), cfg, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		s := freshSolver()
+		s.rebind(cfg, opts)
+		iters, pot := stepSolve(t, s, label)
+		if iters != want.Iterations || math.Float64bits(pot) != math.Float64bits(want.Potential) {
+			t.Fatalf("%s: stepSolve = (%d iterations, %v), solver.run = (%d, %v)",
+				label, iters, pot, want.Iterations, want.Potential)
+		}
 	}
-	after := mPrimalHits.Value() + mPrimalMisses.Value()
-	if after == before {
-		t.Fatal("solve recorded no primal cache traffic")
-	}
-	second, err := Solve(cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEquivalent(t, first, second, "repeat")
-}
-
-// TestCutDomination exercises the domination predicate directly: a cut that
-// sits below another by at least the margin at every grid point is
-// dominated, identical cuts are not (margin rule), and crossing cuts are
-// incomparable in both directions.
-func TestCutDomination(t *testing.T) {
-	terms := [][]float64{{0, 1}, {2, 3}}
-	if !cutDominates(terms, 1, terms, 2) {
-		t.Fatal("a cut should dominate a shifted-up copy of itself")
-	}
-	if cutDominates(terms, 1, terms, 1) {
-		t.Fatal("a cut must not dominate an identical copy (margin rule)")
-	}
-	if cutDominates(terms, 1-5e-7, terms, 1) {
-		t.Fatal("a gap inside the 1e-6 margin must not count as domination")
-	}
-	crossA := [][]float64{{0, 10}}
-	crossB := [][]float64{{10, 0}}
-	if cutDominates(crossA, 0, crossB, 0) || cutDominates(crossB, 0, crossA, 0) {
-		t.Fatal("crossing cuts must be incomparable")
+	for n := 3; n <= 11; n++ {
+		for steps := 3; steps <= 5; steps++ {
+			for seed := int64(1); seed <= seeds; seed++ {
+				cfg, err := game.DefaultConfig(game.GenOptions{Seed: seed, N: n, CPUSteps: steps, NoOrgName: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("N=%d steps=%d seed=%d", n, steps, seed)
+				check(cfg, MasterPruned, label+" pruned")
+				if math.Pow(float64(steps), float64(n)) <= traversalGrid {
+					check(cfg, MasterTraversal, label+" traversal")
+				}
+				if n <= 6 && seed <= 5 {
+					cfg.DMin = 0.6
+					cfg.Deadline = 0.5 + 0.6*25e9/4.2e9 // slow levels cannot fit DMin
+					check(cfg, MasterPruned, label+" tight deadline")
+				}
+			}
+		}
 	}
 }

@@ -37,12 +37,12 @@ func TestSolveCtxCancellation(t *testing.T) {
 		t.Fatalf("instance converges in %d iterations; the test needs at least 3", want.Iterations)
 	}
 	for _, allowed := range []int{0, 1, 2} {
-		before := mPrimalHits.Value() + mPrimalMisses.Value()
+		before := mPrimalSec.Count()
 		res, err := SolveCtx(&cancelAfter{Context: context.Background(), left: allowed}, cfg, Options{})
 		if !errors.Is(err, context.Canceled) || res != nil {
 			t.Fatalf("allowed=%d: SolveCtx = (%v, %v), want (nil, context.Canceled)", allowed, res, err)
 		}
-		if primals := mPrimalHits.Value() + mPrimalMisses.Value() - before; primals != int64(allowed) {
+		if primals := mPrimalSec.Count() - before; primals != int64(allowed) {
 			t.Errorf("allowed=%d: %d primal solves ran, want exactly %d", allowed, primals, allowed)
 		}
 		// Whichever solver the next solve draws — the cancelled one included

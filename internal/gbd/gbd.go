@@ -124,9 +124,9 @@ type solver struct {
 	// workers is the resolved master-search worker count (≥ 1).
 	workers int
 	// solve lives from one rebind to the next: per-level caches, cut rows
-	// and maxima, primal d/u (shared by memo and cuts), water-fill scratch,
-	// the current f vector. master lives for one master call: bound
-	// suffixes, the flat incTables, the serial search's partial sums.
+	// and maxima, primal d/u, water-fill scratch, the current f vector.
+	// master lives for one master call: bound suffixes, the flat incTables,
+	// the serial search's partial sums.
 	solve, master *arena
 	// rhoBar[i] = ρ̄_i, zs[i] = z_i, scale[i] = Ω unit per d_i.
 	rhoBar, zs, scale []float64
@@ -137,14 +137,12 @@ type solver struct {
 
 	// Cached evaluation state, populated by initCaches. levels aliases the
 	// per-org CPU grids; lvl* cache per-(org, level) constants; tables are
-	// the persistent master cut tables; memo is the f-vector primal memo; lb
-	// mirrors the incumbent lower bound for master seeding; wf* are
-	// water-fill scratch.
+	// the persistent master cut tables; lb mirrors the incumbent lower bound
+	// for master seeding; wf* are water-fill scratch.
 	levels                                     [][]float64
 	lvlCost, lvlLoY, lvlHiY, lvlFOnly, lvlCapD [][]float64
 	lvlOK                                      [][]bool
 	tables                                     *cutTables
-	memo                                       []primalResult
 	lb                                         float64
 	wfY, wfW, wfLo, wfHi                       []float64
 	wfOrder                                    []int
@@ -398,9 +396,15 @@ func (s *solver) fOnlyTerm(i int, fi float64) float64 {
 	return s.cfg.Gamma * s.rhoBar[i] * s.cfg.Lambda * fi / s.zs[i]
 }
 
-// solvePrimalFresh solves the primal by water-filling, reading the box
-// bounds and linear costs of every f_i from the per-level caches.
-func (s *solver) solvePrimalFresh(f []float64, fIdx []int) (d, u []float64, feasible bool) {
+// solvePrimal maximizes U(·, f) over the box of feasible d by water-filling,
+// reading the box bounds and linear costs of every f_i from the per-level
+// caches at the grid indices fIdx. It returns the maximizer, the
+// deadline-constraint Lagrange multipliers u (zero where the deadline does
+// not bind), and whether the primal was feasible. On an infeasible primal
+// it returns d = DMin everywhere (the feasibility-check minimizer) and
+// u = nil. Like every d, u and λ the solver hands out, the slices live in
+// the solve arena.
+func (s *solver) solvePrimal(f []float64, fIdx []int) (d, u []float64, feasible bool) {
 	cfg := s.cfg
 	n := cfg.N()
 	d = s.solve.floats(n)

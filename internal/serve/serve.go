@@ -69,7 +69,7 @@ type Options struct {
 	// ones amortize scheduling. Outputs are byte-identical either way (the
 	// fleet determinism contract).
 	StreamChunk int
-	// Fleet configures the shared engine (plan, workers, cost profile...).
+	// Fleet configures the shared engine (plan, workers, solver options).
 	Fleet fleet.Options
 	// DumpWriter receives flight-recorder dumps on handler panics
 	// (default os.Stderr).
@@ -187,9 +187,7 @@ func New(addr string, opts Options) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // engine returns the shared fleet engine for a forced plan, building it on
-// first use from the gateway's fleet options. Every request parses to
-// fresh config pointers, which is what the engine's result memo keys on,
-// so the memo could never hit here and is switched off.
+// first use from the gateway's fleet options.
 func (s *Server) engine(plan fleet.Plan) *fleet.Engine {
 	s.engMu.Lock()
 	defer s.engMu.Unlock()
@@ -197,7 +195,6 @@ func (s *Server) engine(plan fleet.Plan) *fleet.Engine {
 	if eng == nil {
 		fo := s.opts.Fleet
 		fo.Plan = plan
-		fo.WarmCap = -1
 		eng = fleet.New(fo)
 		s.engines[plan] = eng
 	}

@@ -30,7 +30,7 @@ echo "==> engine-equivalence fast gate (evaluator and solvers vs from-scratch re
 # single-iteration bench pass proves the tracked harness end to end without
 # timing anything. The pattern selects by name, so a rename can silently
 # empty it: the guard fails the gate if it matches nothing in a package.
-ENGINE_TESTS='Delta|Engine|Incremental|Golden|ZeroAlloc|PrimalMemo|CutDomination|Certificate|ErrBound'
+ENGINE_TESTS='Delta|Engine|Incremental|Golden|ZeroAlloc|NoPrimalRevisit|Certificate|ErrBound'
 for pkg in ./internal/game/ ./internal/dbr/ ./internal/gbd/; do
   go test -list "$ENGINE_TESTS" "$pkg" | grep -q '^Test' || { echo "engine-equivalence gate: pattern selects no test in $pkg" >&2; exit 1; }
 done
@@ -54,14 +54,15 @@ rm -rf "$DRIFT_DIR"
 
 echo "==> solver-workspace fast gate (allocation pin, then gbd/fleet/serve under -race)"
 # CGBD solves draw recycled solvers from a pool inside gbd; the fleet engine
-# and the gateway sit on top of it. The allocation pin (a warmed N=8 solve
-# stays under half of what it allocated before the arenas) cannot run under
-# the race detector, which makes sync.Pool drop entries at random, so it
-# runs first on its own. Then the three packages under -race: workspace
-# reuse across shapes, results that outlive their workspace, concurrent
-# solves, the batched engine's byte-identity with one-at-a-time solves and
-# the gateway's cancel-while-queued path. -short skips only the wall-clock
-# regret test, which needs a quiet machine and runs in the full suite below.
+# and the gateway sit on top of it. The allocation pin (an N=8 solve on a
+# grown workspace stays under half of what it allocated before the arenas)
+# cannot run under the race detector, which makes sync.Pool drop entries at
+# random, so it runs first on its own. Then the three packages under -race:
+# workspace reuse across shapes, results that outlive their workspace,
+# concurrent solves, the batched engine's byte-identity with one-at-a-time
+# solves and the gateway's cancel-while-queued path. -short skips only the
+# wall-clock regret test, which needs a quiet machine and runs in the full
+# suite below.
 go test -count=1 -run 'SteadyStateAllocs|ArenaGrowth' ./internal/gbd/
 go test -race -short ./internal/gbd/ ./internal/fleet/ ./internal/serve/
 

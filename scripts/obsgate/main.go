@@ -16,9 +16,7 @@
 // blind to the CPU steal and scheduler churn that swing adjacent wall
 // timings of a parallel batch by 2x on a contended box. The median of
 // per-pair traced/untraced CPU ratios then votes out the residual noise
-// (GC timing, futex spins). Each rep uses a fresh fleet engine:
-// warm-result reuse would let later reps return cached results and
-// measure nothing.
+// (GC timing, futex spins).
 //
 // scripts/ci.sh runs this as the obs tracing-overhead gate.
 package main
