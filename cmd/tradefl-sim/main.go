@@ -58,7 +58,7 @@ func run(args []string) (err error) {
 		out      = fs.String("out", "", "directory for CSV files (default stdout)")
 		plot     = fs.Bool("plot", false, "render terminal charts instead of CSV")
 		fleetN   = fs.Int("fleet", 0, "solve a synthetic batch of this many game instances through the fleet engine instead of an experiment")
-		planName = fs.String("plan", "auto", "fleet solver plan: auto|pruned|traversal|dbr (auto picks per instance by cost model)")
+		planName = fs.String("plan", "auto", "fleet solver plan: auto|pruned|traversal|dbr (auto: N ≤ 6 → pruned, else dbr)")
 		workers  = fs.Int("workers", 0, "solver/kernel worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 		verifyOn = fs.Bool("verify", false, "audit solver and settlement invariants at runtime (tradefl_verify_* metrics; nonzero exit on violation)")
 		summary  = fs.String("summary", "text", "end-of-run solver summary: text|json|none")

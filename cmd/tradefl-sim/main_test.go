@@ -58,7 +58,7 @@ func TestRunBadFlag(t *testing.T) {
 }
 
 // TestIncrementalFlagIsGone: the solvers have one evaluation path and the
-// planner one fixed cost rule, so the flags that used to select a twin or
+// planner one size rule, so the flags that used to select a twin or
 // load a calibrated profile are unknown flags.
 func TestIncrementalFlagIsGone(t *testing.T) {
 	for _, tc := range []struct{ flag, value string }{

@@ -52,10 +52,10 @@ type Config struct {
 	Tune core.TuneOptions
 	// Plan selects the solver for the per-epoch re-solves, which run
 	// through a single fleet engine. The zero value keeps the campaign's
-	// historical solver, distributed best response; cost-based auto
-	// planning is not offered here because every epoch shares one instance
-	// shape, so the planner would pick one plan for the whole campaign
-	// anyway — name it explicitly instead.
+	// historical solver, distributed best response; auto planning is not
+	// offered here because every epoch has the same organization count, so
+	// the planner would pick one plan for the whole campaign anyway — name
+	// it explicitly instead.
 	Plan fleet.Plan
 }
 

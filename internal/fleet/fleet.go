@@ -20,7 +20,7 @@ import (
 // Options configures a fleet Engine.
 type Options struct {
 	// Plan forces one solver for every instance; PlanAuto (the zero value)
-	// lets the cost model pick per instance.
+	// lets the planner pick per instance by size.
 	Plan Plan
 	// Workers bounds the goroutines solving instances concurrently
 	// (0 = process default). Instance results are byte-identical for every
@@ -156,7 +156,7 @@ func (e *Engine) schedule(cfgs []*game.Config) []int {
 	plans := make([]Plan, len(cfgs))
 	for i, cfg := range cfgs {
 		order[i] = i
-		keys[i] = StatsOf(cfg, e.opts.GBD.Epsilon)
+		keys[i] = StatsOf(cfg, 0)
 		plans[i] = e.planner.Decide(keys[i], 0).Plan
 	}
 	sort.SliceStable(order, func(a, b int) bool {
@@ -195,7 +195,7 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Resu
 	start := time.Now()
 	defer func() { mSolveSec.Observe(time.Since(start).Seconds()) }()
 
-	dec := e.planner.Decide(StatsOf(cfg, e.opts.GBD.Epsilon), spare)
+	dec := e.planner.Decide(StatsOf(cfg, 0), spare)
 	planCounter(dec.Plan).Inc()
 
 	r := Result{Plan: dec.Plan, Decision: dec}

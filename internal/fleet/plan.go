@@ -1,7 +1,7 @@
 // Package fleet batches thousands of coopetition-game solves through a
-// shared worker pool, choosing the solver for each instance with a fixed
-// cost rule — the many-instances axis of the ROADMAP (mechanism parameter
-// sweeps, per-epoch re-solves, mechanism-as-a-service gateways).
+// shared worker pool, choosing the solver for each instance by its size —
+// the many-instances axis of the ROADMAP (mechanism parameter sweeps,
+// per-epoch re-solves, mechanism-as-a-service gateways).
 //
 // Determinism contract: per-instance results are byte-identical to solving
 // the same instance alone with the chosen plan. The planner's decision is a
@@ -11,7 +11,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"tradefl/internal/game"
@@ -20,11 +19,10 @@ import (
 // Plan names a solving strategy for one instance.
 type Plan int
 
-// Plans. PlanAuto is resolved per instance by the cost model; the others
+// Plans. PlanAuto is resolved per instance by Planner.Decide; the others
 // force a fixed strategy.
 const (
-	// PlanAuto lets the planner pick the cheaper predicted plan of
-	// PlanPruned and PlanDBR.
+	// PlanAuto lets the planner pick PlanPruned or PlanDBR by instance size.
 	PlanAuto Plan = iota
 	// PlanDBR solves with distributed best response (Algorithm 2).
 	PlanDBR
@@ -68,87 +66,42 @@ func ParsePlan(s string) (Plan, error) {
 }
 
 // Stats are the per-instance features the planner decides from. They are
-// derived from the config alone (plus the solve tolerance), so identical
-// instances always produce identical decisions.
+// derived from the config alone, so identical instances always produce
+// identical decisions.
 type Stats struct {
 	// N is the organization count.
 	N int
 	// MaxLevels is the widest per-organization CPU grid.
 	MaxLevels int
-	// MeanLevels is the mean CPU-grid width.
-	MeanLevels float64
 	// Grid is the full f-grid cardinality Π m_i (float; +Inf for grids
 	// beyond float range).
 	Grid float64
-	// Epsilon is the CGBD convergence tolerance the solve would use.
-	Epsilon float64
 	// Personalized reports the personalization extension (α > 0), which
 	// CGBD rejects: only DBR solves such a game.
 	Personalized bool
 }
 
-// StatsOf derives the planner features of one instance. epsilon is the
-// CGBD tolerance the engine would solve with (0 = the gbd default).
-func StatsOf(cfg *game.Config, epsilon float64) Stats {
-	if epsilon == 0 {
-		epsilon = 1e-6
-	}
-	st := Stats{N: cfg.N(), Grid: 1, Epsilon: epsilon, Personalized: cfg.Personal.Alpha > 0}
-	total := 0
+// StatsOf derives the planner features of one instance. The second argument
+// (once the CGBD tolerance) is read by nothing; bench/traced.go passes it.
+func StatsOf(cfg *game.Config, _ float64) Stats {
+	st := Stats{N: cfg.N(), Grid: 1, Personalized: cfg.Personal.Alpha > 0}
 	for i := range cfg.Orgs {
 		m := len(cfg.Orgs[i].CPULevels)
-		total += m
 		if m > st.MaxLevels {
 			st.MaxLevels = m
 		}
 		st.Grid *= float64(m)
 	}
-	if st.N > 0 {
-		st.MeanLevels = float64(total) / float64(st.N)
-	}
 	return st
 }
 
-// The per-plan cost model, in nanoseconds. The functional forms and their
-// coefficients were fitted offline on the reference host's measured solver
-// scalings (DESIGN.md §12):
-//
-//	cost(dbr)    = dbrBaseNs    + dbrUnitNs·N^1.5·m̄
-//	cost(pruned) = prunedBaseNs + prunedUnitNs·G^0.4·ε-factor
-//
-// where m̄ is the mean grid width, G = Π m_i the full grid cardinality, and
-// the ε-factor mildly scales CGBD cost with the tolerance (tighter ε, more
-// iterations). A personalized game costs +Inf under CGBD, which rejects it.
-// Only the crossover the two forms imply matters — it is approximate on any
-// other host, and every plan returns a correct equilibrium.
-const (
-	dbrBaseNs    = 10_000
-	dbrUnitNs    = 1_500
-	prunedBaseNs = 10_000
-	prunedUnitNs = 1_300
-)
-
-// epsFactor scales CGBD cost with the convergence tolerance: tighter ε
-// takes more iterations. Mild and clamped so an extreme ε cannot dominate
-// the structural terms.
-func epsFactor(epsilon float64) float64 {
-	if epsilon <= 0 {
-		return 1
-	}
-	f := 1 + 0.1*math.Log10(1e-6/epsilon)
-	return math.Min(2, math.Max(0.5, f))
-}
-
-func costDBR(st Stats) float64 {
-	return dbrBaseNs + dbrUnitNs*math.Pow(float64(st.N), 1.5)*st.MeanLevels
-}
-
-func costPruned(st Stats) float64 {
-	if st.Personalized {
-		return math.Inf(1)
-	}
-	return prunedBaseNs + prunedUnitNs*math.Pow(st.Grid, 0.4)*epsFactor(st.Epsilon)
-}
+// prunedMaxN is the largest organization count PlanAuto answers with the
+// pruned CGBD master: the measured crossover (BenchmarkPlanCrossover,
+// DESIGN.md §12). It is a bound on N, not on the grid: m = 2…5 all cross
+// between N = 6 and N = 8. Up to it DBR is also the less predictable
+// solver: a few generated instances in 512 need 70–200 sweeps, above it
+// none needed more than 3.
+const prunedMaxN = 6
 
 // Decision is the planner's verdict for one instance. Plan selects the
 // solver; Workers tunes within-instance sharding, a byte-identical knob —
@@ -161,26 +114,24 @@ type Decision struct {
 	Workers int
 }
 
-// Planner picks a per-instance plan from the cost model.
+// Planner picks a per-instance plan.
 type Planner struct {
-	// Forced bypasses the cost model when not PlanAuto.
+	// Forced bypasses the size rule when not PlanAuto.
 	Forced Plan
 }
 
 // Decide resolves the plan and worker count for one instance: under
-// PlanAuto the cheaper modeled plan of PlanPruned and PlanDBR, PlanPruned on
-// a tie (a NaN or infinite cost never wins). spare is the number of idle pool workers the instance may
-// additionally occupy for within-instance sharding (0 on a saturated pool,
-// which is the norm mid-batch); it influences Workers only, never the plan,
-// so decisions stay deterministic per instance.
+// PlanAuto a personalized game (CGBD rejects it) or one with more than
+// prunedMaxN organizations goes to PlanDBR, every other to PlanPruned.
+// spare is the number of idle pool workers the instance may additionally
+// occupy for within-instance sharding (0 on a saturated pool, which is the
+// norm mid-batch); it influences Workers only, never the plan, so decisions
+// stay deterministic per instance.
 func (pl *Planner) Decide(st Stats, spare int) Decision {
 	dec := Decision{Plan: pl.Forced, Workers: 1}
 	if dec.Plan == PlanAuto {
-		best := math.Inf(1)
-		if c := costPruned(st); c < best {
-			best, dec.Plan = c, PlanPruned
-		}
-		if costDBR(st) < best {
+		dec.Plan = PlanPruned
+		if st.Personalized || st.N > prunedMaxN {
 			dec.Plan = PlanDBR
 		}
 	}

@@ -28,13 +28,13 @@ func TestParsePlanRoundTrip(t *testing.T) {
 func TestDecideSerialTinyInstances(t *testing.T) {
 	var pl Planner
 	for n := 1; n <= 4; n++ {
-		st := Stats{N: n, MaxLevels: 64, MeanLevels: 64, Grid: 1 << 24, Epsilon: 1e-6}
+		st := Stats{N: n, MaxLevels: 64, Grid: 1 << 24}
 		if dec := pl.Decide(st, 8); dec.Workers != 1 {
 			t.Errorf("N=%d: Workers = %d, want the serial path", n, dec.Workers)
 		}
 	}
 	// Large instances with idle workers may shard.
-	st := Stats{N: 12, MaxLevels: 8, MeanLevels: 8, Grid: math.Pow(8, 12), Epsilon: 1e-6}
+	st := Stats{N: 12, MaxLevels: 8, Grid: math.Pow(8, 12)}
 	if dec := pl.Decide(st, 3); dec.Workers != 4 {
 		t.Errorf("large instance with 3 spare workers: Workers = %d, want 4", dec.Workers)
 	}
@@ -49,7 +49,7 @@ func TestDecideSerialTinyInstances(t *testing.T) {
 // worker count.
 func TestDecideDeterministicPlan(t *testing.T) {
 	var pl Planner
-	base := Stats{N: 8, MaxLevels: 3, MeanLevels: 3, Grid: 6561, Epsilon: 1e-6}
+	base := Stats{N: 8, MaxLevels: 3, Grid: 6561}
 	ref := pl.Decide(base, 0)
 	for _, spare := range []int{0, 1, 4, 16} {
 		if dec := pl.Decide(base, spare); dec.Plan != ref.Plan {
@@ -58,42 +58,43 @@ func TestDecideDeterministicPlan(t *testing.T) {
 	}
 }
 
-// TestDecideDefaultProfileFallback: the zero-value planner routes the
-// measured solver crossover sensibly — small grids to the pruned CGBD
-// master, big-N instances to DBR — and auto never resolves to the traversal
-// master, whatever the grid.
+// TestDecideDefaultProfileFallback: whatever the statistics — zero,
+// NaN or infinite grids included — auto resolves to a concrete plan and
+// never to the traversal master.
 func TestDecideDefaultProfileFallback(t *testing.T) {
 	var pl Planner
-	small := pl.Decide(Stats{N: 4, MaxLevels: 3, MeanLevels: 3, Grid: 81, Epsilon: 1e-6}, 0)
-	if small.Plan != PlanPruned {
-		t.Errorf("N=4 m=3 routed to %s; the pruned master is an order of magnitude cheaper there", small.Plan)
-	}
-	big := pl.Decide(Stats{N: 16, MaxLevels: 3, MeanLevels: 3, Grid: math.Pow(3, 16), Epsilon: 1e-6}, 0)
-	if big.Plan != PlanDBR {
-		t.Errorf("N=16 m=3 routed to %s, want dbr (a 3^16 grid is slow for pruned)", big.Plan)
-	}
 	for _, st := range []Stats{
-		{N: 2, MaxLevels: 3, MeanLevels: 3, Grid: 9, Epsilon: 1e-6},
-		{N: 3, MaxLevels: 3, MeanLevels: 3, Grid: 27, Epsilon: 1e-6},
-		{N: 40, MaxLevels: 10, MeanLevels: 10, Grid: math.Pow(10, 40), Epsilon: 1e-6},
+		{},
+		{N: 2, MaxLevels: 3, Grid: 9},
+		{N: 6, MaxLevels: 3, Grid: math.NaN()},
+		{N: 6, MaxLevels: 3, Grid: math.Inf(-1)},
+		{N: 40, MaxLevels: 10, Grid: math.Inf(1)},
+		{N: 40, MaxLevels: 10, Grid: math.NaN(), Personalized: true},
 	} {
-		if dec := pl.Decide(st, 0); dec.Plan == PlanTraversal {
-			t.Errorf("auto resolved to traversal on a %g-point grid", st.Grid)
+		if dec := pl.Decide(st, 0); dec.Plan != PlanPruned && dec.Plan != PlanDBR {
+			t.Errorf("auto resolved to %s on %+v", dec.Plan, st)
 		}
 	}
 }
 
-// TestDecisionTable pins the premise BENCHMARK.json states for its two job
-// workloads: on generated m=3 games auto sends N ∈ {4,5,6,8,10} to the
-// pruned CGBD master and N ∈ {24,32,40} to DBR.
+// TestDecisionTable pins the measured crossover (DESIGN.md §12,
+// BenchmarkPlanCrossover): auto sends N ≤ 6 to the pruned CGBD master and
+// every larger game to DBR, whatever the grid width.
 func TestDecisionTable(t *testing.T) {
 	var pl Planner
-	for n, want := range map[int]Plan{
-		4: PlanPruned, 5: PlanPruned, 6: PlanPruned, 8: PlanPruned, 10: PlanPruned,
-		24: PlanDBR, 32: PlanDBR, 40: PlanDBR,
-	} {
-		if dec := pl.Decide(StatsOf(fleetConfig(t, 1, n), 0), 0); dec.Plan != want {
-			t.Errorf("N=%d: auto picked %s, want %s", n, dec.Plan, want)
+	for _, m := range []int{2, 3, 5} {
+		for n := 2; n <= 40; n++ {
+			cfg, err := game.DefaultConfig(game.GenOptions{Seed: 1, N: n, CPUSteps: m, NoOrgName: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := PlanDBR
+			if n <= 6 {
+				want = PlanPruned
+			}
+			if dec := pl.Decide(StatsOf(cfg, 0), 0); dec.Plan != want {
+				t.Errorf("N=%d m=%d: auto picked %s, want %s", n, m, dec.Plan, want)
+			}
 		}
 	}
 }
@@ -103,28 +104,28 @@ func TestDecisionTable(t *testing.T) {
 // CGBD plan stays forced.
 func TestDecidePersonalizedGoesToDBR(t *testing.T) {
 	var pl Planner
-	for _, n := range []int{2, 6, 11} {
+	for n, base := range map[int]Plan{2: PlanPruned, 6: PlanPruned, 11: PlanDBR} {
 		cfg := fleetConfig(t, 1, n)
-		if dec := pl.Decide(StatsOf(cfg, 0), 0); dec.Plan != PlanPruned {
-			t.Fatalf("N=%d base game: auto picked %s, want pruned", n, dec.Plan)
+		if dec := pl.Decide(StatsOf(cfg, 0), 0); dec.Plan != base {
+			t.Fatalf("N=%d base game: auto picked %s, want %s", n, dec.Plan, base)
 		}
 		cfg.Personal = game.Personalization{Alpha: 0.3, LocalBoost: 1.5}
 		if dec := pl.Decide(StatsOf(cfg, 0), 0); dec.Plan != PlanDBR {
 			t.Errorf("N=%d personalized game: auto picked %s, want dbr", n, dec.Plan)
 		}
-		forced := Planner{Forced: PlanPruned}
-		if dec := forced.Decide(StatsOf(cfg, 0), 0); dec.Plan != PlanPruned {
-			t.Errorf("N=%d personalized game: forced pruned resolved to %s", n, dec.Plan)
+		for _, plan := range []Plan{PlanPruned, PlanTraversal, PlanDBR} {
+			forced := Planner{Forced: plan}
+			if dec := forced.Decide(StatsOf(cfg, 0), 0); dec.Plan != plan {
+				t.Errorf("N=%d personalized game: forced %s resolved to %s", n, plan, dec.Plan)
+			}
 		}
 	}
 }
 
-// TestPlannerRegret: on the mixed corpus, auto planning is never
-// slower than the best fixed plan by more than a bounded factor. The
-// acceptance bound is 1.10 on the reference host; the test allows 1.5×
-// plus an absolute slack so scheduler noise on loaded CI machines cannot
-// flake it — auto picks the per-instance winner, which on this corpus
-// beats every fixed plan outright.
+// TestPlannerRegret: on the mixed corpus, auto planning is never slower
+// than the best fixed plan by more than the 20% the fleet gate allows
+// (DESIGN.md §12), plus an absolute slack so scheduler noise on loaded CI
+// machines cannot flake it.
 func TestPlannerRegret(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock regret measurement")
@@ -154,7 +155,7 @@ func TestPlannerRegret(t *testing.T) {
 		}
 	}
 	const slack = 5 * time.Millisecond
-	if auto > fixedBest+fixedBest/2+slack {
-		t.Errorf("auto %v vs best fixed %v: regret above the 1.5× + %v bound", auto, fixedBest, slack)
+	if auto > fixedBest+fixedBest/5+slack {
+		t.Errorf("auto %v vs best fixed %v: regret above the 1.2× + %v bound", auto, fixedBest, slack)
 	}
 }

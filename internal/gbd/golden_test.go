@@ -106,10 +106,9 @@ func checkGoldens(t *testing.T, workers ...int) {
 	}
 }
 
-// TestSolveIncrementalEquivalence pins the serial solver — memoized
-// primals, cached cut tables with eviction, seeded masters — to the bytes
-// of the recompute-everything solver it replaced (see goldens), for both
-// master solvers.
+// TestSolveIncrementalEquivalence pins the serial solver — cached cut
+// tables, seeded masters — to the bytes of the recompute-everything solver
+// it replaced (see goldens), for both master solvers.
 func TestSolveIncrementalEquivalence(t *testing.T) { checkGoldens(t, 1) }
 
 // TestSolveIncrementalEquivalenceParallel repeats it with a parallel master

@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 
 BENCH_TIME="${BENCH_TIME:-300ms}"
 BENCH_COUNT="${BENCH_COUNT:-3}"
-BENCH_REGEX='^(BenchmarkAblation_MasterSolvers|BenchmarkBestResponse|BenchmarkTensorMatMul|BenchmarkPotential|BenchmarkFleetSolve|BenchmarkScaling_DBR|BenchmarkDefaultConfig|BenchmarkNormalizeRho|BenchmarkGBDSolve|BenchmarkSettlement)$'
+BENCH_REGEX='^(BenchmarkAblation_MasterSolvers|BenchmarkBestResponse|BenchmarkTensorMatMul|BenchmarkPotential|BenchmarkFleetSolve|BenchmarkPlanCrossover|BenchmarkScaling_DBR|BenchmarkDefaultConfig|BenchmarkNormalizeRho|BenchmarkGBDSolve|BenchmarkSettlement)$'
 CHAIN_BENCH_REGEX='^(BenchmarkChainSettle|BenchmarkChainSubmitTx|BenchmarkVerifyChain)$'
 
 mkdir -p benchmarks

@@ -5,7 +5,7 @@
 //
 //	benchcmp parse bench.txt > BENCH_latest.json
 //	benchcmp compare [-max-regression 5] BENCH_baseline.json BENCH_latest.json
-//	benchcmp fleet-gate [-min-speedup 3 -max-regret 10 -min-solves-per-sec 1000] BENCH_latest.json
+//	benchcmp fleet-gate [-min-speedup 3 -max-regret 20 -min-solves-per-sec 1000] BENCH_latest.json
 //	benchcmp chain-gate [-min-tx-per-sec 1000 -txs-per-op 129] BENCH_latest.json
 //
 // parse keeps the minimum ns/op across repeated runs of the same
@@ -72,7 +72,7 @@ func run(args []string) error {
 	case "fleet-gate":
 		fs := flag.NewFlagSet("fleet-gate", flag.ContinueOnError)
 		minSpeedup := fs.Float64("min-speedup", 3, "minimum planned-batch speedup over the naive sequential loop")
-		maxRegret := fs.Float64("max-regret", 10, "maximum tolerated plan=auto slowdown vs the best fixed plan, percent")
+		maxRegret := fs.Float64("max-regret", 20, "maximum tolerated plan=auto slowdown vs the best fixed plan, percent")
 		minRate := fs.Float64("min-solves-per-sec", 1000, "minimum sustained plan=auto solve throughput")
 		instances := fs.Float64("instances", 1024, "batch size of BenchmarkFleetSolve (for the throughput floor)")
 		if err := fs.Parse(args[1:]); err != nil {

@@ -228,14 +228,14 @@ BENCH_MAX_REGRESSION_PCT="${BENCH_MAX_REGRESSION_PCT:-100}" scripts/bench-compar
 
 echo "==> fleet throughput gate"
 # Within-profile ratios (speedup over naive, auto vs best fixed plan), so
-# machine-load noise partially cancels — but single-iteration jitter on a
-# contended box still swings the auto-vs-fixed ratio by tens of percent, so
-# like the regression smoke the defaults only catch gross misrouting (auto
-# picking the wrong solver class). Pin FLEET_MIN_SPEEDUP=3
-# FLEET_MAX_REGRET_PCT=10 for the strict quiet-machine contract.
+# machine-load noise partially cancels. plan=auto and plan=dbr share the code
+# path for four of the corpus's six sizes, so the regret cap is the one
+# number benchcmp defaults to and DESIGN.md §12 states: 20%, which holds on a
+# shared host. The speedup floor stays loose here; FLEET_MIN_SPEEDUP=3 is the
+# quiet-machine contract.
 go run ./scripts/benchcmp fleet-gate \
   -min-speedup "${FLEET_MIN_SPEEDUP:-2}" \
-  -max-regret "${FLEET_MAX_REGRET_PCT:-50}" \
+  -max-regret "${FLEET_MAX_REGRET_PCT:-20}" \
   -min-solves-per-sec "${FLEET_MIN_SOLVES_PER_SEC:-1000}" \
   BENCH_latest.json
 
