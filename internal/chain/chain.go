@@ -3,7 +3,6 @@ package chain
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -62,25 +61,10 @@ type Block struct {
 	admitted []string
 }
 
-// headerPayload is what the authority signs.
-type headerPayload struct {
-	Height    uint64        `json:"height"`
-	PrevHash  string        `json:"prevHash"`
-	StateRoot string        `json:"stateRoot"`
-	TxRoot    string        `json:"txRoot"`
-	Txs       []Transaction `json:"txs"`
-	Receipts  []Receipt     `json:"receipts"`
-	Sealer    []byte        `json:"sealer"`
-	Term      uint64        `json:"term,omitempty"`
-}
-
-// HeaderHash returns the digest the seal covers.
+// HeaderHash returns the digest the seal covers: the hash of the block's
+// JSON document without its seal.
 func (b *Block) HeaderHash() (string, error) {
-	raw, err := json.Marshal(headerPayload{
-		Height: b.Height, PrevHash: b.PrevHash, StateRoot: b.StateRoot,
-		TxRoot: b.TxRoot, Txs: b.Txs, Receipts: b.Receipts, Sealer: b.Sealer,
-		Term: b.Term,
-	})
+	raw, err := appendBlock(make([]byte, 0, b.sizeHint()), b, false)
 	if err != nil {
 		return "", fmt.Errorf("chain: marshal header: %w", err)
 	}
@@ -142,6 +126,12 @@ type Blockchain struct {
 	mu     sync.RWMutex
 	blocks []*Block
 	term   uint64
+
+	// sealed and sealedHash are the block seal() signed last and the header
+	// hash it signed: the next block's PrevHash without re-encoding the
+	// whole tip. Written and read under sealSeq only.
+	sealed     *Block
+	sealedHash string
 
 	authority *Account
 	opts      Options
@@ -216,6 +206,7 @@ func (bc *Blockchain) seal(b *Block) error {
 		return err
 	}
 	b.Seal = bc.authority.Sign([]byte(h))
+	bc.sealed, bc.sealedHash = b, h
 	return nil
 }
 
@@ -539,10 +530,17 @@ func (bc *Blockchain) nextHeight() uint64 {
 	return uint64(len(bc.blocks))
 }
 
+// lastHeaderHash is the tip's header hash. The tip is the block seal()
+// signed last unless that block never got installed (its WAL record failed
+// to encode); then the hash is recomputed.
 func (bc *Blockchain) lastHeaderHash() (string, error) {
 	bc.mu.RLock()
-	defer bc.mu.RUnlock()
-	return bc.blocks[len(bc.blocks)-1].HeaderHash()
+	tip := bc.blocks[len(bc.blocks)-1]
+	bc.mu.RUnlock()
+	if tip == bc.sealed {
+		return bc.sealedHash, nil
+	}
+	return tip.HeaderHash()
 }
 
 // Balance returns the on-ledger balance of addr. Like every ledger read it

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"encoding/json"
 	"testing"
 
 	"tradefl/internal/randx"
@@ -138,6 +139,52 @@ func BenchmarkVerifyChain(b *testing.B) {
 			b.StopTimer()
 			_, after := sigVerifications()
 			b.ReportMetric(float64(after-before)/float64(b.N), "sigverify/op")
+		})
+	}
+}
+
+// BenchmarkChainEncode prices the append encoders against encoding/json on
+// the settle_rpc shapes: one contribution transaction, a sealed block of 32
+// of them, and the settled 32-member ledger (whose ρ is encoded once per
+// ledger, so append pays for the member records only).
+func BenchmarkChainEncode(b *testing.B) {
+	plan := buildSettlePlan(b, 32)
+	bc, err := NewBlockchain(plan.authority, plan.params, plan.alloc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	settleStaged(b, bc, plan)
+	blk, err := bc.BlockAt(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tx := &blk.Txs[0]
+	for _, bench := range []struct {
+		name   string
+		append func([]byte) ([]byte, error)
+		ref    any
+	}{
+		{"tx", func(dst []byte) ([]byte, error) { return appendTx(dst, tx, true) }, tx},
+		{"block32", func(dst []byte) ([]byte, error) { return appendBlock(dst, blk, true) }, blk},
+		{"ledger32", bc.led.appendJSON, bc.led},
+	} {
+		b.Run(bench.name+"/append", func(b *testing.B) {
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				if buf, err = bench.append(buf[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(len(buf)))
+		})
+		b.Run(bench.name+"/json", func(b *testing.B) {
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				if buf, err = json.Marshal(bench.ref); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(len(buf)))
 		})
 	}
 }

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -239,6 +240,62 @@ func TestContributionValidation(t *testing.T) {
 	f.send(t, f.accounts[0], FnContributionSubmit, Contribution{D: 1.5, F: 3e9}, 0, false)
 	f.send(t, f.accounts[0], FnContributionSubmit, Contribution{D: 0.5, F: -1}, 0, false)
 	f.send(t, f.accounts[0], FnContributionSubmit, "not json object", 0, false)
+}
+
+// TestHostileContributionF: a reported F is capped at submission, on both
+// submission paths, and a payoff the wei range cannot hold fails
+// payoffCalculate with a stated error rather than reaching ToWei, whose
+// float→int64 conversion is architecture-defined out of range (amd64 wraps:
+// F = 1e22 used to seal "owes -9.223372036854775e+12 beyond its bond").
+func TestHostileContributionF(t *testing.T) {
+	lastError := func(f *fixture) string {
+		b, err := f.bc.BlockAt(f.bc.Height())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.Receipts[len(b.Receipts)-1].Error
+	}
+	for _, tc := range []struct {
+		f        float64
+		accepted bool
+	}{{1e15, true}, {1e22, false}, {1e300, false}} {
+		f := newFixture(t, 2)
+		for _, a := range f.accounts {
+			f.sendOK(t, a, FnDepositSubmit, nil, 1000)
+		}
+		hostile := Contribution{D: 0.5, F: tc.f}
+		f.send(t, f.accounts[0], FnContributionSubmit, hostile, 0, tc.accepted)
+		if msg := lastError(f); !tc.accepted && !strings.HasPrefix(msg, ErrBadArgs.Error()+": contribution out of range") {
+			t.Errorf("F=%g submitted: receipt error %q, want %v", tc.f, msg, ErrBadArgs)
+		}
+		cr := newFixture(t, 2)
+		for _, a := range cr.accounts {
+			cr.sendOK(t, a, FnDepositSubmit, nil, 1000)
+			cr.sendOK(t, a, FnContributionCommit, CommitArgs{Hash: CommitmentHash(hostile, "s")}, 0)
+		}
+		cr.send(t, cr.accounts[0], FnContributionReveal, RevealArgs{Contribution: hostile, Salt: "s"}, 0, tc.accepted)
+		if msg := lastError(cr); !tc.accepted && !strings.HasPrefix(msg, ErrBadArgs.Error()+": contribution out of range") {
+			t.Errorf("F=%g revealed: receipt error %q, want %v", tc.f, msg, ErrBadArgs)
+		}
+	}
+
+	// An accepted F under a deployed γ large enough to leave the wei range.
+	authority, accounts, params, alloc := fixtureParts(t, 2)
+	params.Gamma = 1e12
+	bc, err := NewBlockchain(authority, params, alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fixture{bc: bc, authority: authority, accounts: accounts, params: params, alloc: alloc}
+	for _, a := range f.accounts {
+		f.sendOK(t, a, FnDepositSubmit, nil, 1000)
+	}
+	f.sendOK(t, f.accounts[0], FnContributionSubmit, Contribution{D: 1, F: 1e15}, 0)
+	f.sendOK(t, f.accounts[1], FnContributionSubmit, Contribution{}, 0)
+	f.send(t, f.accounts[0], FnPayoffCalculate, nil, 0, false)
+	if msg := lastError(f); !strings.Contains(msg, "outside the wei range") || strings.Contains(msg, "e+12 beyond its bond") {
+		t.Errorf("payoffCalculate receipt error %q, want the stated range error", msg)
+	}
 }
 
 func TestInsufficientBondFailsCalculate(t *testing.T) {

@@ -112,7 +112,7 @@ func (c *Contract) contributionReveal(from Address, args json.RawMessage, value 
 	if err := json.Unmarshal(args, &ra); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadArgs, err)
 	}
-	if ra.D < 0 || ra.D > 1 || ra.F < 0 {
+	if !ra.Contribution.inRange() {
 		return fmt.Errorf("%w: contribution out of range", ErrBadArgs)
 	}
 	if CommitmentHash(ra.Contribution, ra.Salt) != ms.Commitment {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -76,6 +77,16 @@ func (p *ContractParams) Validate() error {
 type Contribution struct {
 	D float64 `json:"d"`
 	F float64 `json:"f"`
+}
+
+// maxContributionF caps a reported CPU frequency at game.MaxMagnitude. An
+// uncapped F can push a payoff out of the wei range, where Go's float→int
+// conversion differs between architectures — and receipt texts are hashed.
+const maxContributionF = 1e15
+
+// inRange reports whether the contract accepts c; a NaN fails every test.
+func (c Contribution) inRange() bool {
+	return c.D >= 0 && c.D <= 1 && c.F >= 0 && c.F <= maxContributionF
 }
 
 // memberState is the contract's per-organization record.
@@ -195,7 +206,7 @@ func (c *Contract) contributionSubmit(from Address, args json.RawMessage, value 
 	if err := json.Unmarshal(args, &contrib); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadArgs, err)
 	}
-	if contrib.D < 0 || contrib.D > 1 || contrib.F < 0 {
+	if !contrib.inRange() {
 		return fmt.Errorf("%w: contribution out of range", ErrBadArgs)
 	}
 	ms.Submitted = true
@@ -230,6 +241,10 @@ func (c *Contract) payoffCalculate(from Address, value Wei) error {
 		var r float64
 		for j := 0; j < n; j++ {
 			r += c.Params.Gamma * c.Params.Rho[i][j] * (xs[i] - xs[j])
+		}
+		// The deployed γ, ρ and s are not capped: r can leave ToWei's range.
+		if !(math.Abs(r)*WeiPerToken < 1<<63) {
+			return fmt.Errorf("%w: payoff of %s, %g tokens, is outside the wei range", ErrBadArgs, m, r)
 		}
 		ms := c.MemberData[m]
 		ms.Payoff = ToWei(r)

@@ -3,7 +3,6 @@ package chain
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 )
 
 // DefaultDedupHorizon is how many sealed blocks keep their tx hashes in
@@ -39,6 +38,8 @@ type ledger struct {
 
 	// spare is the member map snapContract copies into; see there.
 	spare map[Address]memberState
+	// paramsJSON is Contract.Params encoded; see appendJSON.
+	paramsJSON []byte
 }
 
 func newLedger(contract *Contract) *ledger {
@@ -53,7 +54,7 @@ func newLedger(contract *Contract) *ledger {
 // root is the state root: the SHA-256 of the ledger's JSON form (maps
 // marshal with sorted keys, so the digest is deterministic).
 func (led *ledger) root() (string, error) {
-	raw, err := json.Marshal(led)
+	raw, err := led.appendJSON(make([]byte, 0, len(led.paramsJSON)+256*(len(led.Balances)+len(led.Contract.Records)+2)))
 	if err != nil {
 		return "", err
 	}

@@ -53,6 +53,7 @@ var (
 	mSnapshotSec = obs.NewHistogram("tradefl_chain_snapshot_seconds", "wall time of one Checkpoint incl. snapshot write and segment GC", obs.TimeBuckets)
 	mRecoverSec  = obs.NewHistogram("tradefl_chain_recover_seconds", "wall time of a full Recover (snapshot replay + WAL replay)", obs.TimeBuckets)
 	mRecoverTxs  = obs.NewCounter("tradefl_chain_recover_wal_records_total", "WAL records replayed during recovery")
+	mRecoverBack = obs.NewCounter("tradefl_chain_recover_snapshot_fallbacks_total", "snapshots a recovery found unusable and passed over for an older one (a defect in the snapshot or its WAL suffix, not resilience)")
 	mTornBytes   = obs.NewCounter("tradefl_chain_wal_torn_bytes_total", "bytes truncated off torn WAL tails during recovery")
 	mTerm        = obs.NewGauge("tradefl_chain_term", "current fencing term of this validator")
 	mStaleSeals  = obs.NewCounter("tradefl_chain_stale_term_rejects_total", "sealed blocks rejected because their fencing term was stale (fenced-off revived primary)")

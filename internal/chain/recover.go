@@ -171,6 +171,7 @@ func recoverDir(dir string, authority *Account, stopHeight uint64, attach bool, 
 				"height", bc.Height(), "pending", bc.PendingCount(), "term", bc.Term())
 			return bc, nil
 		}
+		mRecoverBack.Inc()
 		recoverLog.Warn("snapshot recovery failed", "snapshot", snaps[i], "err", err)
 		obs.FlightRecord("chain", "recover-fallback",
 			fmt.Sprintf("snapshot %d unusable: %v", snaps[i], err))

@@ -302,12 +302,32 @@ func TestRecoverFallsBackToOlderSnapshot(t *testing.T) {
 	if err := os.WriteFile(newest, []byte("{definitely not json"), 0o600); err != nil {
 		t.Fatal(err)
 	}
+	fallbacks := mRecoverBack.Value()
 	bc, err := Recover(f.dir, f.authority)
 	if err != nil {
 		t.Fatalf("recover with corrupt newest snapshot: %v", err)
 	}
 	if got := bc.StateRoot(); got != want {
 		t.Fatalf("fallback recovery root %s, want %s", got, want)
+	}
+	if got := mRecoverBack.Value() - fallbacks; got != 1 {
+		t.Errorf("fallback recovery counted %d snapshot fallbacks, want 1", got)
+	}
+	// A clean recovery of the same directory (the damaged snapshot aside,
+	// which Recover left in place) is not what this counts: remove it.
+	if err := bc.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(newest); err != nil {
+		t.Fatal(err)
+	}
+	fallbacks = mRecoverBack.Value()
+	if bc, err = Recover(f.dir, f.authority); err != nil {
+		t.Fatalf("clean recover: %v", err)
+	}
+	defer bc.CloseDurable()
+	if got := mRecoverBack.Value() - fallbacks; got != 0 {
+		t.Errorf("clean recovery counted %d snapshot fallbacks, want 0", got)
 	}
 }
 

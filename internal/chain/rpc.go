@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"tradefl/internal/httpx"
+	"tradefl/internal/jsonx"
 	"tradefl/internal/obs"
 )
 
@@ -58,6 +60,10 @@ type rpcRequest struct {
 	Method  string            `json:"method"`
 	Trace   *obs.TraceContext `json:"trace,omitempty"`
 	Params  json.RawMessage   `json:"params,omitempty"`
+
+	// txs, when non-nil, is a batch's already-decoded Params, which are
+	// empty then (decodeRequest).
+	txs []Transaction
 }
 
 // rpcError is a JSON-RPC 2.0 error object.
@@ -160,19 +166,9 @@ func writeRPC(w http.ResponseWriter, id int64, result any, rerr *rpcError) {
 func writeRPCStatus(w http.ResponseWriter, status int, id int64, result any, rerr *rpcError) {
 	var body []byte
 	if rerr == nil {
-		raw, err := json.Marshal(result)
-		if err != nil {
+		var err error
+		if body, err = encodeResponse(id, result); err != nil {
 			rerr = &rpcError{Code: -32603, Message: err.Error()}
-		} else {
-			// raw is already compact, escaped JSON; passing it through the
-			// encoder as a RawMessage would validate and compact a whole
-			// block a second time. The envelope is written around it.
-			body = make([]byte, 0, len(raw)+48)
-			body = append(body, `{"jsonrpc":"2.0","id":`...)
-			body = strconv.AppendInt(body, id, 10)
-			body = append(body, `,"result":`...)
-			body = append(body, raw...)
-			body = append(body, '}')
 		}
 	}
 	if rerr != nil {
@@ -187,6 +183,56 @@ func writeRPCStatus(w http.ResponseWriter, status int, id int64, result any, rer
 		// server-side, then move on.
 		rpcLog.Debug("response write failed", "id", id, "err", err)
 	}
+}
+
+// encodeResponse renders a success response around result. A block (the
+// seal and getBlock replies) and a batch's results carry a settlement and
+// are append-built; the small replies go through encoding/json. Either way
+// the envelope is written around the already compact, escaped result.
+func encodeResponse(id int64, result any) ([]byte, error) {
+	blk, _ := result.(*Block)
+	results, isResults := result.([]SubmitResult)
+	size := 64 + 192*len(results)
+	if blk != nil {
+		size += blk.sizeHint()
+	}
+	body := strconv.AppendInt(append(make([]byte, 0, size), `{"jsonrpc":"2.0","id":`...), id, 10)
+	body = append(body, `,"result":`...)
+	var err error
+	switch {
+	case blk != nil:
+		body, err = appendBlock(body, blk, true)
+	case isResults:
+		body, err = appendArray(body, results, appendSubmitResult)
+	default:
+		var raw []byte
+		raw, err = json.Marshal(result)
+		body = append(body, raw...)
+	}
+	return append(body, '}'), err
+}
+
+// encodeRequest renders a request: what json.Marshal writes for an
+// rpcRequest whose Params are json.Marshal(params), with a transaction
+// batch append-built.
+func encodeRequest(id int64, method string, trace *obs.TraceContext, params any) ([]byte, error) {
+	txs, isTxs := params.([]Transaction)
+	dst := strconv.AppendInt(append(make([]byte, 0, 128+len(method)+txSizeHint*len(txs)), `{"jsonrpc":"2.0","id":`...), id, 10)
+	dst = jsonx.AppendString(append(dst, `,"method":`...), method)
+	if trace != nil {
+		dst = jsonx.AppendString(append(dst, `,"trace":{"traceId":`...), trace.TraceID)
+		dst = append(jsonx.AppendString(append(dst, `,"spanId":`...), trace.SpanID), '}')
+	}
+	var err error
+	switch {
+	case isTxs:
+		dst, err = appendArray(append(dst, `,"params":`...), txs, appendSignedTx)
+	case params != nil:
+		var raw []byte
+		raw, err = json.Marshal(params)
+		dst = append(append(dst, `,"params":`...), raw...)
+	}
+	return append(dst, '}'), err
 }
 
 func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
@@ -212,7 +258,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req rpcRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := parseRequest(body, &req); err != nil {
 		mRPCErrors.Inc()
 		rpcLog.Warn("request parse failed", "err", err)
 		writeRPC(w, 0, nil, &rpcError{Code: -32700, Message: "parse error"})
@@ -222,7 +268,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 		sp := obs.SpanRemote("chain.rpc.serve", *req.Trace)
 		defer sp.End()
 	}
-	result, err := s.dispatch(req.Method, req.Params)
+	result, err := s.dispatch(&req)
 	if err != nil {
 		// The client only sees the JSON-RPC error object; record the
 		// failure server-side before it is swallowed into the response.
@@ -241,7 +287,18 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 	writeRPC(w, req.ID, result, nil)
 }
 
-func (s *Server) dispatch(method string, params json.RawMessage) (any, error) {
+// parseRequest decodes a request body: in one pass when it is in canonical
+// form, else by encoding/json.
+func parseRequest(body []byte, req *rpcRequest) error {
+	if decodeRequest(body, req) {
+		return nil
+	}
+	*req = rpcRequest{}
+	return json.Unmarshal(body, req)
+}
+
+func (s *Server) dispatch(req *rpcRequest) (any, error) {
+	method, params := req.Method, req.Params
 	switch method {
 	case MethodSubmitTx:
 		var tx Transaction
@@ -253,9 +310,11 @@ func (s *Server) dispatch(method string, params json.RawMessage) (any, error) {
 		}
 		return true, nil
 	case MethodSubmitTxBatch:
-		var txs []Transaction
-		if err := json.Unmarshal(params, &txs); err != nil {
-			return nil, fmt.Errorf("bad tx batch: %w", err)
+		txs := req.txs
+		if txs == nil {
+			if err := json.Unmarshal(params, &txs); err != nil {
+				return nil, fmt.Errorf("bad tx batch: %w", err)
+			}
 		}
 		return s.bc.SubmitTxBatch(txs)
 	case MethodSealBlock:
@@ -529,18 +588,9 @@ func (c *Client) backoff(attempt int) time.Duration {
 
 // doOnce performs a single request/response cycle.
 func (c *Client) doOnce(ctx context.Context, method string, params, out any) error {
-	var raw json.RawMessage
-	if params != nil {
-		b, err := json.Marshal(params)
-		if err != nil {
-			return fmt.Errorf("chain rpc: marshal params: %w", err)
-		}
-		raw = b
-	}
-	id := c.id.Add(1)
-	reqBody, err := json.Marshal(rpcRequest{JSONRPC: "2.0", ID: id, Method: method, Trace: obs.InjectTrace(ctx), Params: raw})
+	reqBody, err := encodeRequest(c.id.Add(1), method, obs.InjectTrace(ctx), params)
 	if err != nil {
-		return err
+		return fmt.Errorf("chain rpc: marshal params: %w", err)
 	}
 	attemptCtx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
 	defer cancel()
@@ -554,8 +604,23 @@ func (c *Client) doOnce(ctx context.Context, method string, params, out any) err
 		return fmt.Errorf("chain rpc: %w", err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("chain rpc: decode: %w", err)
+	}
+	return decodeReply(body, out)
+}
+
+// decodeReply decodes a response body into out (nil to discard): in one
+// pass when it is the canonical form the node writes for a block or a
+// batch's results, else by encoding/json — first value of the stream, then
+// its result — as every reply used to be.
+func decodeReply(body []byte, out any) error {
+	if decodeResponse(body, out) {
+		return nil
+	}
 	var rpcResp rpcResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rpcResp); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&rpcResp); err != nil {
 		return fmt.Errorf("chain rpc: decode: %w", err)
 	}
 	if rpcResp.Error != nil {

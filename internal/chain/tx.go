@@ -81,22 +81,10 @@ type Transaction struct {
 	Sig []byte `json:"sig"`
 }
 
-// sigPayload is the canonical signed content (everything except Sig).
-type sigPayload struct {
-	From   Address         `json:"from"`
-	Nonce  uint64          `json:"nonce"`
-	Fn     Function        `json:"fn"`
-	Args   json.RawMessage `json:"args,omitempty"`
-	Value  Wei             `json:"value"`
-	PubKey []byte          `json:"pubKey"`
-}
-
-// SigHash returns the digest that is signed.
+// SigHash returns the digest that is signed: the hash of the transaction's
+// JSON document without its signature.
 func (tx *Transaction) SigHash() ([]byte, error) {
-	raw, err := json.Marshal(sigPayload{
-		From: tx.From, Nonce: tx.Nonce, Fn: tx.Fn,
-		Args: tx.Args, Value: tx.Value, PubKey: tx.PubKey,
-	})
+	raw, err := appendTx(make([]byte, 0, tx.sizeHint()), tx, false)
 	if err != nil {
 		return nil, fmt.Errorf("chain: marshal tx: %w", err)
 	}
@@ -106,7 +94,7 @@ func (tx *Transaction) SigHash() ([]byte, error) {
 
 // Hash returns the transaction id: the hash of the full signed payload.
 func (tx *Transaction) Hash() (string, error) {
-	raw, err := json.Marshal(tx)
+	raw, err := appendTx(make([]byte, 0, tx.sizeHint()), tx, true)
 	if err != nil {
 		return "", fmt.Errorf("chain: marshal tx: %w", err)
 	}

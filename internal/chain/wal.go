@@ -221,9 +221,22 @@ func (w *WAL) Err() error {
 	return w.err
 }
 
-// encode renders rec as a single CRC-framed append.
+// encodeWalRec renders rec as a single CRC-framed append.
 func encodeWalRec(rec walRec) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+	var payload []byte
+	var err error
+	switch rec.Kind {
+	case recTx:
+		payload = append(make([]byte, 0, rec.Tx.sizeHint()+24), `{"kind":"tx","tx":`...)
+		payload, err = appendTx(payload, rec.Tx, true)
+		payload = append(payload, '}')
+	case recBlock:
+		payload = append(make([]byte, 0, rec.Block.sizeHint()+32), `{"kind":"block","block":`...)
+		payload, err = appendBlock(payload, rec.Block, true)
+		payload = append(payload, '}')
+	default: // a term record
+		payload, err = json.Marshal(rec)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("chain: marshal wal record: %w", err)
 	}

@@ -3,10 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"math"
 	"strconv"
 	"time"
+
+	"tradefl/internal/jsonx"
 )
 
 // This file is the gateway's one encoder of solve documents: every byte of
@@ -23,12 +23,12 @@ import (
 // and dst comes back unchanged.
 func appendInstanceResult(dst []byte, r *InstanceResult) ([]byte, error) {
 	if f, ok := r.nonFinite(); ok {
-		return dst, unsupportedValue(f)
+		return dst, jsonx.UnsupportedValue(f)
 	}
 	dst = append(dst, `{"index":`...)
 	dst = strconv.AppendInt(dst, int64(r.Index), 10)
 	dst = append(dst, `,"plan":`...)
-	dst = appendJSONString(dst, r.Plan)
+	dst = jsonx.AppendString(dst, r.Plan)
 	if len(r.Profile) > 0 {
 		dst = append(dst, `,"profile":[`...)
 		for i, s := range r.Profile {
@@ -36,27 +36,27 @@ func appendInstanceResult(dst []byte, r *InstanceResult) ([]byte, error) {
 				dst = append(dst, ',')
 			}
 			dst = append(dst, `{"d":`...)
-			dst = appendJSONFloat(dst, s.D)
+			dst = jsonx.AppendFloat(dst, s.D)
 			dst = append(dst, `,"f":`...)
-			dst = appendJSONFloat(dst, s.F)
+			dst = jsonx.AppendFloat(dst, s.F)
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')
 	}
 	dst = append(dst, `,"potential":`...)
-	dst = appendJSONFloat(dst, r.Potential)
+	dst = jsonx.AppendFloat(dst, r.Potential)
 	if len(r.Payoffs) > 0 {
 		dst = append(dst, `,"payoffs":[`...)
 		for i, p := range r.Payoffs {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendJSONFloat(dst, p)
+			dst = jsonx.AppendFloat(dst, p)
 		}
 		dst = append(dst, ']')
 	}
 	dst = append(dst, `,"socialWelfare":`...)
-	dst = appendJSONFloat(dst, r.SocialWelfare)
+	dst = jsonx.AppendFloat(dst, r.SocialWelfare)
 	if r.Iterations != 0 {
 		dst = append(dst, `,"iterations":`...)
 		dst = strconv.AppendInt(dst, int64(r.Iterations), 10)
@@ -65,7 +65,7 @@ func appendInstanceResult(dst []byte, r *InstanceResult) ([]byte, error) {
 	dst = strconv.AppendBool(dst, r.Converged)
 	if r.Error != "" {
 		dst = append(dst, `,"error":`...)
-		dst = appendJSONString(dst, r.Error)
+		dst = jsonx.AppendString(dst, r.Error)
 	}
 	return append(dst, '}'), nil
 }
@@ -80,69 +80,28 @@ func (r *InstanceResult) sizeHint() int {
 // value json.Marshal would stop at.
 func (r *InstanceResult) nonFinite() (float64, bool) {
 	for _, s := range r.Profile {
-		if !finite(s.D) {
+		if !jsonx.Finite(s.D) {
 			return s.D, true
 		}
-		if !finite(s.F) {
+		if !jsonx.Finite(s.F) {
 			return s.F, true
 		}
 	}
-	if !finite(r.Potential) {
+	if !jsonx.Finite(r.Potential) {
 		return r.Potential, true
 	}
 	for _, p := range r.Payoffs {
-		if !finite(p) {
+		if !jsonx.Finite(p) {
 			return p, true
 		}
 	}
-	return r.SocialWelfare, !finite(r.SocialWelfare)
-}
-
-func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-
-// unsupportedValue is json.Marshal's error for a float JSON cannot carry.
-func unsupportedValue(f float64) error {
-	return fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+	return r.SocialWelfare, !jsonx.Finite(r.SocialWelfare)
 }
 
 // appendEncodeError appends the payload of an event whose value did not
 // encode: the quoted error text, which is what streams have always sent.
 func appendEncodeError(dst []byte, err error) []byte {
 	return strconv.AppendQuote(dst, err.Error())
-}
-
-// appendJSONFloat formats a finite f as encoding/json does (the ES6
-// number-to-string rule): shortest round-trip digits, exponent form below
-// 1e-6 and from 1e21, and a one-digit negative exponent written e-7, not
-// e-07.
-func appendJSONFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst
-}
-
-// appendJSONString quotes s. Plan names and most error texts are printable
-// ASCII free of the bytes JSON or encoding/json's HTML-safe mode escape
-// (quote, backslash, <, >, &), and are copied between quotes; any other
-// string takes encoding/json's own escaping.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			quoted, _ := json.Marshal(s) // a string always marshals
-			return append(dst, quoted...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }
 
 // encodeSyncReply renders the POST /v1/solve reply: {"results":[…]} and a
@@ -172,18 +131,18 @@ func encodeStateEvent(id string, instances int, state JobState, errMsg, traceID 
 	dst := append(make([]byte, 0, 96+len(id)+len(errMsg)+len(traceID)), '{')
 	if errMsg != "" {
 		dst = append(dst, `"error":`...)
-		dst = appendJSONString(dst, errMsg)
+		dst = jsonx.AppendString(dst, errMsg)
 		dst = append(dst, ',')
 	}
 	dst = append(dst, `"id":`...)
-	dst = appendJSONString(dst, id)
+	dst = jsonx.AppendString(dst, id)
 	dst = append(dst, `,"instances":`...)
 	dst = strconv.AppendInt(dst, int64(instances), 10)
 	dst = append(dst, `,"state":`...)
-	dst = appendJSONString(dst, string(state))
+	dst = jsonx.AppendString(dst, string(state))
 	if traceID != "" {
 		dst = append(dst, `,"traceId":`...)
-		dst = appendJSONString(dst, traceID)
+		dst = jsonx.AppendString(dst, traceID)
 	}
 	return append(dst, '}')
 }
@@ -197,7 +156,7 @@ func encodeResultEvent(id string, results []json.RawMessage, state JobState) jso
 		size += len(r) + 1
 	}
 	dst := append(make([]byte, 0, size), `{"id":`...)
-	dst = appendJSONString(dst, id)
+	dst = jsonx.AppendString(dst, id)
 	dst = append(dst, `,"results":`...)
 	if results == nil {
 		dst = append(dst, "null"...)
@@ -212,7 +171,7 @@ func encodeResultEvent(id string, results []json.RawMessage, state JobState) jso
 		dst = append(dst, ']')
 	}
 	dst = append(dst, `,"state":`...)
-	dst = appendJSONString(dst, string(state))
+	dst = jsonx.AppendString(dst, string(state))
 	return append(dst, '}')
 }
 
@@ -223,34 +182,34 @@ func encodeResultEvent(id string, results []json.RawMessage, state JobState) jso
 func appendGBDProgress(dst []byte, instance, iteration int, lb, ub float64) []byte {
 	gap := ub - lb
 	for _, f := range [...]float64{gap, lb, ub} {
-		if !finite(f) {
-			return appendEncodeError(dst, unsupportedValue(f))
+		if !jsonx.Finite(f) {
+			return appendEncodeError(dst, jsonx.UnsupportedValue(f))
 		}
 	}
 	dst = append(dst, `{"gap":`...)
-	dst = appendJSONFloat(dst, gap)
+	dst = jsonx.AppendFloat(dst, gap)
 	dst = append(dst, `,"instance":`...)
 	dst = strconv.AppendInt(dst, int64(instance), 10)
 	dst = append(dst, `,"iteration":`...)
 	dst = strconv.AppendInt(dst, int64(iteration), 10)
 	dst = append(dst, `,"lowerBound":`...)
-	dst = appendJSONFloat(dst, lb)
+	dst = jsonx.AppendFloat(dst, lb)
 	dst = append(dst, `,"upperBound":`...)
-	dst = appendJSONFloat(dst, ub)
+	dst = jsonx.AppendFloat(dst, ub)
 	return append(dst, '}')
 }
 
 // appendDBRProgress appends one DBR sweep's progress payload.
 func appendDBRProgress(dst []byte, instance, iteration int, potential float64) []byte {
-	if !finite(potential) {
-		return appendEncodeError(dst, unsupportedValue(potential))
+	if !jsonx.Finite(potential) {
+		return appendEncodeError(dst, jsonx.UnsupportedValue(potential))
 	}
 	dst = append(dst, `{"instance":`...)
 	dst = strconv.AppendInt(dst, int64(instance), 10)
 	dst = append(dst, `,"iteration":`...)
 	dst = strconv.AppendInt(dst, int64(iteration), 10)
 	dst = append(dst, `,"potential":`...)
-	dst = appendJSONFloat(dst, potential)
+	dst = jsonx.AppendFloat(dst, potential)
 	return append(dst, '}')
 }
 
@@ -265,22 +224,22 @@ func encodeJobStatus(st *JobStatus) ([]byte, error) {
 	}
 	dst := make([]byte, 0, size)
 	dst = append(dst, "{\n  \"id\": "...)
-	dst = appendJSONString(dst, st.ID)
+	dst = jsonx.AppendString(dst, st.ID)
 	dst = append(dst, ",\n  \"tenant\": "...)
-	dst = appendJSONString(dst, st.Tenant)
+	dst = jsonx.AppendString(dst, st.Tenant)
 	dst = append(dst, ",\n  \"state\": "...)
-	dst = appendJSONString(dst, string(st.State))
+	dst = jsonx.AppendString(dst, string(st.State))
 	dst = append(dst, ",\n  \"instances\": "...)
 	dst = strconv.AppendInt(dst, int64(st.Instances), 10)
 	dst = append(dst, ",\n  \"solved\": "...)
 	dst = strconv.AppendInt(dst, int64(st.Solved), 10)
 	if st.TraceID != "" {
 		dst = append(dst, ",\n  \"traceId\": "...)
-		dst = appendJSONString(dst, st.TraceID)
+		dst = jsonx.AppendString(dst, st.TraceID)
 	}
 	if st.Error != "" {
 		dst = append(dst, ",\n  \"error\": "...)
-		dst = appendJSONString(dst, st.Error)
+		dst = jsonx.AppendString(dst, st.Error)
 	}
 	dst = append(dst, ",\n  \"createdAt\": "...)
 	dst = appendJSONTime(dst, st.CreatedAt)

@@ -7,6 +7,7 @@ import (
 	"tradefl/internal/accuracy"
 	"tradefl/internal/fleet"
 	"tradefl/internal/game"
+	"tradefl/internal/jsonx"
 )
 
 // JobSpec is the JSON body of a job submission: either a list of explicit
@@ -207,7 +208,7 @@ func (g *GenSpec) configs(lim Limits) ([]*game.Config, error) {
 	if !(g.Mu >= 0 && g.Mu <= 1) {
 		return nil, fmt.Errorf("generate: mu %v outside [0, 1]", g.Mu)
 	}
-	if !finite(g.Gamma) {
+	if !jsonx.Finite(g.Gamma) {
 		return nil, fmt.Errorf("generate: gamma %v is not finite", g.Gamma)
 	}
 	seed := g.Seed

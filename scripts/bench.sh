@@ -23,6 +23,9 @@ mkdir -p benchmarks
 echo "running tracked benchmarks (benchtime=$BENCH_TIME count=$BENCH_COUNT)..." >&2
 go test -run '^$' -bench "$BENCH_REGEX" -benchtime "$BENCH_TIME" -count "$BENCH_COUNT" . | tee benchmarks/latest.txt
 go test -run '^$' -bench "$CHAIN_BENCH_REGEX" -benchtime "$BENCH_TIME" -count "$BENCH_COUNT" ./internal/chain/ | tee -a benchmarks/latest.txt
+# The chain's append encoders on the settle_rpc shapes; the encoding/json
+# reference rows stay out of the profile.
+go test -run '^$' -bench '^BenchmarkChainEncode$/^(tx|block32|ledger32)$/^append$' -benchtime "$BENCH_TIME" -count "$BENCH_COUNT" ./internal/chain/ | tee -a benchmarks/latest.txt
 # The two halves of a generated job that are not its solve: seeding the
 # instance's random stream, and the job's result event + status document.
 # The math/rand and encoding/json reference rows stay out of the profile.

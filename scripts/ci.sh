@@ -181,6 +181,12 @@ echo "==> serve gate (gateway suite under -race + live HTTP smoke)"
 go vet ./internal/serve/ ./cmd/tradefl-server/ ./scripts/servegate/
 go test -race -count=1 ./internal/serve/
 go test -run '^$' -fuzz '^FuzzParseJobSpec$' -fuzztime 20s ./internal/serve/
+# The chain's append encoders and one-pass RPC decoders against the same
+# kind of oracle: every signed, hashed, logged and replied byte, and every
+# decoded request and reply, must be encoding/json's. A short minimize
+# budget: with a dozen arguments the default spends the run minimizing.
+go test -run '^$' -fuzz '^FuzzChainEncodeMatchesJSON$' -fuzztime 10s -fuzzminimizetime 2s ./internal/chain/
+go test -run '^$' -fuzz '^FuzzChainDecodeMatchesJSON$' -fuzztime 10s -fuzzminimizetime 2s ./internal/chain/
 # Job events and the status document are append-built; their oracle is
 # encoding/json over the struct forms in encode_test.go.
 go test -run '^$' -fuzz '^FuzzJobDocuments$' -fuzztime 15s ./internal/serve/
