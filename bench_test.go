@@ -555,19 +555,33 @@ func BenchmarkTensorMatMul(b *testing.B) {
 	}
 }
 
+// sinkFloat keeps a benchmarked pure call from being compiled away.
+var sinkFloat float64
+
 // BenchmarkPotential measures the potential evaluation on the hot path of
 // both solvers.
 func BenchmarkPotential(b *testing.B) {
-	b.ReportAllocs()
 	cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, NoOrgName: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := cfg.MinimalProfile()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = cfg.Potential(p)
-	}
+	b.Run("config", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkFloat = cfg.Potential(p)
+		}
+	})
+	// The bound evaluator, where a DBR solve reads its per-sweep trace.
+	b.Run("engine", func(b *testing.B) {
+		b.ReportAllocs()
+		ev := game.NewDeltaEvaluator(cfg)
+		ev.Bind(p)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkFloat = ev.Potential()
+		}
+	})
 }
 
 // BenchmarkTuneGamma measures the automated γ* search.

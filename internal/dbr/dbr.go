@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"tradefl/internal/game"
@@ -209,8 +210,15 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 				mMoves.Inc()
 			}
 		}
-		res.PotentialTrace = append(res.PotentialTrace, cfg.Potential(p))
-		res.PayoffTrace = append(res.PayoffTrace, cfg.Payoffs(p))
+		if changed || t == 0 {
+			res.PotentialTrace = append(res.PotentialTrace, eng.ev.Potential())
+			res.PayoffTrace = append(res.PayoffTrace, cfg.Payoffs(p))
+		} else {
+			// Nobody moved: the profile is the one the previous sweep left,
+			// and both rows are functions of the profile alone.
+			res.PotentialTrace = append(res.PotentialTrace, res.PotentialTrace[t-1])
+			res.PayoffTrace = append(res.PayoffTrace, slices.Clone(res.PayoffTrace[t-1]))
+		}
 		sweepSpan.End()
 		mSweepSec.ObserveSince(sweepStart)
 		if !changed {

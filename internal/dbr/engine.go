@@ -150,11 +150,12 @@ func (e *Engine) solveCandidate(i int, f, dTol float64) (candidate, bool) {
 		// lo is D_min, the low end ErrBound answers for.
 		if bound, ok := e.ev.ErrBound(i, game.Strategy{D: hi, F: f}); ok {
 			h, margin := dTol/4, 4*bound
-			if v := e.eval(hi); v-e.eval(hi-h) > margin {
-				return candidate{s: game.Strategy{D: hi, F: f}, val: v, feasible: true}, true
+			top, low := game.Strategy{D: hi, F: f}, game.Strategy{D: lo, F: f}
+			if v, in := e.ev.PayoffWithPair(i, top, game.Strategy{D: hi - h, F: f}); v-in > margin {
+				return candidate{s: top, val: v, feasible: true}, true
 			}
-			if v := e.eval(lo); v-e.eval(lo+h) > margin {
-				return candidate{s: game.Strategy{D: lo, F: f}, val: v, feasible: true}, true
+			if v, in := e.ev.PayoffWithPair(i, low, game.Strategy{D: lo + h, F: f}); v-in > margin {
+				return candidate{s: low, val: v, feasible: true}, true
 			}
 		}
 	}

@@ -5,11 +5,12 @@ import "tradefl/internal/accuracy"
 // DeltaEvaluator answers "what is organization i's payoff when its strategy
 // is replaced by x, everyone else unchanged?" in O(N) instead of the O(N²)
 // a fresh Config.Payoff costs. It is the core of the incremental evaluation
-// engine: best-response scans ask exactly this question hundreds of times
-// per sweep — ~3 CPU levels × ~38 golden-section probes about the same
-// organization i against the same π₋ᵢ — so the evaluator focuses on one
-// organization at a time and keeps everything that does not depend on the
-// probed strategy out of the query.
+// engine: a best-response scan asks exactly this question about the same
+// organization i against the same π₋ᵢ for every CPU level — two probes a
+// level when the endpoint certificate answers (PayoffWithPair), ~39 when
+// the level is searched — so the evaluator focuses on one organization at a
+// time and keeps everything that does not depend on the probed strategy out
+// of the query.
 //
 // # Exactness contract
 //
@@ -53,6 +54,8 @@ type DeltaEvaluator struct {
 	prof    []float64 // Profitability
 	dmgCoef []float64 // (1−α)·Σ_j ρ_ij·p_j — the damage factor of Eq. (7)
 	commE   []float64 // Comm.CommEnergy()
+	weight  []float64 // EffectiveWeight(i), the w_i Potential divides by
+	gRowSum []float64 // γ·RhoRowSum(i), Potential's factor of x_i
 
 	gamma, lambda, energyWeight float64
 	alpha, oneMinusAlpha, boost float64
@@ -93,27 +96,16 @@ func (ev *DeltaEvaluator) Reset(cfg *Config) {
 	ev.cfg = cfg
 	ev.acc = cfg.Accuracy
 	ev.shape, _ = cfg.Accuracy.(accuracy.Certified)
-	if cap(ev.scale) < n {
-		ev.scale = make([]float64, n)
-		ev.q = make([]float64, n)
-		ev.bits = make([]float64, n)
-		ev.prof = make([]float64, n)
-		ev.dmgCoef = make([]float64, n)
-		ev.commE = make([]float64, n)
-		ev.xs = make([]float64, n)
-		ev.terms = make([]float64, n)
-		ev.g = make([]float64, n)
+	for _, v := range [...]*[]float64{&ev.scale, &ev.q, &ev.bits, &ev.prof, &ev.dmgCoef,
+		&ev.commE, &ev.weight, &ev.gRowSum, &ev.xs, &ev.terms, &ev.g} {
+		if cap(*v) < n {
+			*v = make([]float64, n)
+		}
+		*v = (*v)[:n]
+	}
+	if cap(ev.p) < n {
 		ev.p = make(Profile, n)
 	}
-	ev.scale = ev.scale[:n]
-	ev.q = ev.q[:n]
-	ev.bits = ev.bits[:n]
-	ev.prof = ev.prof[:n]
-	ev.dmgCoef = ev.dmgCoef[:n]
-	ev.commE = ev.commE[:n]
-	ev.xs = ev.xs[:n]
-	ev.terms = ev.terms[:n]
-	ev.g = ev.g[:n]
 	ev.p = ev.p[:n]
 	ev.focus = -1
 	ev.gamma = cfg.Gamma
@@ -129,12 +121,17 @@ func (ev *DeltaEvaluator) Reset(cfg *Config) {
 		ev.bits[i] = cfg.Orgs[i].DataBits
 		ev.prof[i] = cfg.Orgs[i].Profitability
 		ev.commE[i] = cfg.Orgs[i].Comm.CommEnergy()
-		// Same fold Config.Damage performs, then the same (1−α)·sum product.
-		var sum float64
-		for j := range cfg.Orgs {
-			sum += cfg.Rho[i][j] * cfg.Orgs[j].Profitability
+		// The folds of Config.Damage, Config.Weight and Config.RhoRowSum in
+		// one walk over the row, then the product each is used in.
+		sum, z, rowSum := 0.0, cfg.Orgs[i].Profitability, 0.0
+		for j, rho := range cfg.Rho[i] {
+			sum += rho * cfg.Orgs[j].Profitability
+			z -= rho * cfg.Orgs[j].Profitability
+			rowSum += rho
 		}
 		ev.dmgCoef[i] = (1 - cfg.Personal.Alpha) * sum
+		ev.weight[i] = (1 - cfg.Personal.Alpha) * z
+		ev.gRowSum[i] = cfg.Gamma * rowSum
 	}
 }
 
@@ -177,8 +174,13 @@ func (ev *DeltaEvaluator) contribution(i int, s Strategy) float64 {
 // κ·f·f·η·d·s + E_comm, read in place rather than through a by-value copy
 // of the comm profile.
 func (ev *DeltaEvaluator) energy(i int, s Strategy) float64 {
+	return ev.compute(i, s) + ev.commE[i]
+}
+
+// compute is Comm.ComputeEnergy's κ·f·f·η·d·s, read in place likewise.
+func (ev *DeltaEvaluator) compute(i int, s Strategy) float64 {
 	cp := &ev.cfg.Orgs[i].Comm
-	return cp.Kappa*s.F*s.F*cp.CyclesPerBit*s.D*ev.bits[i] + ev.commE[i]
+	return cp.Kappa * s.F * s.F * cp.CyclesPerBit * s.D * ev.bits[i]
 }
 
 // Focus caches, in O(N), everything a payoff query about organization i
@@ -224,6 +226,61 @@ func (ev *DeltaEvaluator) PayoffWith(i int, s Strategy) float64 {
 	for _, t := range ev.terms[i+1:] {
 		omega += t
 	}
+	rest := ev.beforeRedist(i, s, own, omega)
+
+	// Redistribution: index-order fold over all j, split at i around the
+	// zero term the naive Transfer contributes there.
+	xi := ev.contribution(i, s)
+	var redist float64
+	g, xs := ev.g, ev.xs
+	for j := 0; j < i; j++ {
+		redist += g[j] * (xi - xs[j])
+	}
+	redist += 0
+	for j := i + 1; j < len(xs); j++ {
+		redist += g[j] * (xi - xs[j])
+	}
+	return rest + redist
+}
+
+// PayoffWithPair returns PayoffWith(i, a), PayoffWith(i, b): per value the
+// same folds in PayoffWith's own association order, advanced side by side in
+// one walk over the opponents. A fold is a chain of dependent additions that
+// waits out an add latency per opponent; two independent chains fill that
+// wait. The endpoint certificate asks in pairs (dbr.Engine.solveCandidate).
+func (ev *DeltaEvaluator) PayoffWithPair(i int, a, b Strategy) (float64, float64) {
+	if ev.focus != i {
+		ev.Focus(i)
+	}
+	ownA, ownB := a.D*ev.scale[i], b.D*ev.scale[i]
+	omegaA, omegaB := ev.prefix+ownA, ev.prefix+ownB
+	for _, t := range ev.terms[i+1:] {
+		omegaA += t
+		omegaB += t
+	}
+	restA, restB := ev.beforeRedist(i, a, ownA, omegaA), ev.beforeRedist(i, b, ownB, omegaB)
+	xa, xb := ev.contribution(i, a), ev.contribution(i, b)
+	redistA, redistB := redistPair(0, 0, xa, xb, ev.g[:i], ev.xs[:i])
+	redistA, redistB = redistPair(redistA+0, redistB+0, xa, xb, ev.g[i+1:], ev.xs[i+1:]) // + 0: the j = i term
+	return restA + redistA, restB + redistB
+}
+
+// redistPair continues two redistribution folds over the opponents whose
+// γ·ρ_ij and x_j are g and xs.
+func redistPair(ra, rb, xa, xb float64, g, xs []float64) (float64, float64) {
+	g = g[:len(xs)]
+	for j, x := range xs {
+		da, db := xa-x, xb-x
+		ra += g[j] * da
+		rb += g[j] * db
+	}
+	return ra, rb
+}
+
+// beforeRedist returns Eq. (11) for organization i at strategy s short of
+// its last addend, the redistribution sum, from own = d·scale_i and Ω; the
+// square roots and divisions of P finish under the fold that follows.
+func (ev *DeltaEvaluator) beforeRedist(i int, s Strategy, own, omega float64) float64 {
 	perf := ev.acc.Value(omega)
 
 	// Revenue: p_i·P (base) or p_i·[(1−α)·P + α·P_loc] (personalization),
@@ -241,21 +298,25 @@ func (ev *DeltaEvaluator) PayoffWith(i int, s Strategy) float64 {
 	gain := perf - ev.acc.Value(omega-own)
 	damage := ev.dmgCoef[i] * gain
 
-	// Redistribution: index-order fold over all j, split at i around the
-	// zero term the naive Transfer contributes there.
-	xi := ev.contribution(i, s)
-	var redist float64
-	g, xs := ev.g, ev.xs
-	for j := 0; j < i; j++ {
-		redist += g[j] * (xi - xs[j])
-	}
-	redist += 0
-	for j := i + 1; j < len(xs); j++ {
-		redist += g[j] * (xi - xs[j])
-	}
-
 	return revenue -
 		ev.energyWeight*ev.energy(i, s) -
-		damage +
-		redist
+		damage
+}
+
+// Potential returns U at the bound profile, byte-identical to Config.Potential
+// there: its expression term by term, the static w_i and γ·ρ̄_i read from cache.
+func (ev *DeltaEvaluator) Potential() float64 {
+	var omega float64
+	for _, t := range ev.terms {
+		omega += t
+	}
+	u := ev.acc.Value(omega)
+	for i, s := range ev.p {
+		term := ev.gRowSum[i]*ev.xs[i] - ev.energyWeight*ev.compute(i, s)
+		if ev.personal {
+			term += ev.alpha * ev.prof[i] * ev.acc.Value(ev.boost*s.D*ev.scale[i])
+		}
+		u += term / ev.weight[i]
+	}
+	return u
 }

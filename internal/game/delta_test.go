@@ -64,11 +64,28 @@ func sameBits(t *testing.T, cfg *Config, what string, got, want float64) {
 	}
 }
 
-// allPayoffsMatch checks every organization's bound payoff against cur.
+// allPayoffsMatch checks every organization's bound payoff, and the bound
+// potential, against cur.
 func allPayoffsMatch(t *testing.T, cfg *Config, ev *DeltaEvaluator, cur Profile, when string) {
 	t.Helper()
 	for j := 0; j < cfg.N(); j++ {
 		sameBits(t, cfg, fmt.Sprintf("%s: Payoff(%d)", when, j), ev.Payoff(j), cfg.Payoff(j, cur))
+	}
+	sameBits(t, cfg, when+": Potential()", ev.Potential(), cfg.Potential(cur))
+}
+
+// pairMatches checks the paired probe against the oracle at both seats: a
+// beside b, b beside a, and each beside itself.
+func pairMatches(t *testing.T, cfg *Config, ev *DeltaEvaluator, cur Profile, i int, a, b Strategy, when string) {
+	t.Helper()
+	wantA, wantB := naiveWith(cfg, cur, i, a), naiveWith(cfg, cur, i, b)
+	for _, tc := range []struct {
+		x, y         Strategy
+		wantX, wantY float64
+	}{{a, b, wantA, wantB}, {b, a, wantB, wantA}, {a, a, wantA, wantA}, {b, b, wantB, wantB}} {
+		x, y := ev.PayoffWithPair(i, tc.x, tc.y)
+		sameBits(t, cfg, fmt.Sprintf("%s: first of PayoffWithPair(%d, %+v, %+v)", when, i, tc.x, tc.y), x, tc.wantX)
+		sameBits(t, cfg, fmt.Sprintf("%s: second of PayoffWithPair(%d, %+v, %+v)", when, i, tc.x, tc.y), y, tc.wantY)
 	}
 }
 
@@ -377,6 +394,12 @@ func FuzzDeltaEvaluator(f *testing.F) {
 		sameBits(t, cfg, fmt.Sprintf("seed=%d focus %d: PayoffWith(%d, %+v)", seed, i, k, sk), ev.PayoffWith(k, sk), naiveWith(cfg, p, k, sk))
 		sameBits(t, cfg, fmt.Sprintf("seed=%d refocused PayoffWith(%d, %+v)", seed, i, s), ev.PayoffWith(i, s), naiveWith(cfg, p, i, s))
 
+		// The paired probe: focused, then moving the focus itself, with the
+		// certificate's own shape of pair (an end and its near neighbour).
+		pairMatches(t, cfg, ev, p, i, s, p[i], fmt.Sprintf("seed=%d focused", seed))
+		pairMatches(t, cfg, ev, p, k, sk, p[k], fmt.Sprintf("seed=%d focus %d", seed, i))
+		pairMatches(t, cfg, ev, p, i, Strategy{D: hi, F: fv}, Strategy{D: hi - 0x1p-26, F: fv}, fmt.Sprintf("seed=%d refocused", seed))
+
 		// Committing moves after a focus — someone else's, then the focused
 		// organization's own — must leave every payoff equal to the naive
 		// evaluation of the mutated profile, and so must a re-Bind.
@@ -385,6 +408,7 @@ func FuzzDeltaEvaluator(f *testing.F) {
 		ev.Update(k, sk)
 		cur[k] = sk
 		sameBits(t, cfg, fmt.Sprintf("seed=%d Update(%d): PayoffWith(%d, %+v)", seed, k, i, s), ev.PayoffWith(i, s), naiveWith(cfg, cur, i, s))
+		pairMatches(t, cfg, ev, cur, i, s, Strategy{D: lo, F: fv}, fmt.Sprintf("seed=%d Update(%d)", seed, k))
 		ev.Update(i, s)
 		cur[i] = s
 		allPayoffsMatch(t, cfg, ev, cur, fmt.Sprintf("seed=%d after Update(%d), Update(%d)", seed, k, i))

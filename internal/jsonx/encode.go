@@ -72,3 +72,58 @@ func AppendBytes(dst, b []byte) []byte {
 	dst = base64.StdEncoding.AppendEncode(dst, b)
 	return append(dst, '"')
 }
+
+// AppendIndent appends src laid out as json.Indent(·, src, prefix, "  ")
+// lays it out, for a src that is valid compact JSON — what this package's
+// encoders and json.Compact write. It trusts that: strings and scalars are
+// copied whole and only the six structural bytes outside strings are acted
+// on, so any other input comes out rearranged, not refused.
+func AppendIndent(dst, src []byte, prefix string) []byte {
+	depth := 0
+	for i := 0; i < len(src); {
+		c, j := src[i], i+1
+		switch c {
+		case '{', '[':
+			dst = append(dst, c)
+			if j < len(src) && (src[j] == '}' || src[j] == ']') { // empty: stays closed
+				dst = append(dst, src[j])
+				j++
+				break
+			}
+			depth++
+			dst = appendBreak(dst, prefix, depth)
+		case ',':
+			dst = appendBreak(append(dst, c), prefix, depth)
+		case ':':
+			dst = append(dst, ':', ' ')
+		case '}', ']':
+			depth--
+			dst = append(appendBreak(dst, prefix, depth), c)
+		case '"':
+			for j < len(src) && src[j] != '"' {
+				if src[j] == '\\' {
+					j++
+				}
+				j++
+			}
+			j = min(j+1, len(src))
+			dst = append(dst, src[i:j]...)
+		default: // a number, true, false or null runs to the next , } ]
+			for j < len(src) && src[j] != ',' && src[j] != '}' && src[j] != ']' {
+				j++
+			}
+			dst = append(dst, src[i:j]...)
+		}
+		i = j
+	}
+	return dst
+}
+
+// appendBreak starts a line at the given depth.
+func appendBreak(dst []byte, prefix string, depth int) []byte {
+	dst = append(append(dst, '\n'), prefix...)
+	for ; depth > 0; depth-- {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
+}

@@ -77,3 +77,47 @@ func TestMemberWalksOneOrder(t *testing.T) {
 		t.Errorf("decoded a=%q b=%q", a, b)
 	}
 }
+
+// FuzzAppendIndentMatchesJSON: whatever json.Compact accepts and writes,
+// AppendIndent lays out byte for byte as json.Indent does, under the two
+// prefixes the gateway's documents use (top level, and a result inside the
+// status document's array).
+func FuzzAppendIndentMatchesJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"index":3,"plan":"dbr","profile":[{"d":0.5,"f":4e9},{"d":1,"f":2.5e-7}],"payoffs":[-1.5,0],"converged":true,"error":null}`,
+		`"json: unsupported value: NaN"`, // the form appendEncodeError stores
+		`{"a":"quote \" backslash \\ both \\\" end\\","b\"":"\\"}`,
+		`{"brackets":"{[,:]}","nested":["]",{"}":"{"}]}`,
+		`{}`, `[]`, `[{}]`, `{"a":[]}`, `[[],[{}],{"a":{}}]`,
+		`[[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]]`,
+		`{ "spaced" : [ 1 , 2 ] }`,
+		`[true,false,null,-0,1e-7,"é "]`,
+		`12`, `""`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var compact bytes.Buffer
+		if json.Compact(&compact, in) != nil {
+			t.Skip()
+		}
+		for _, prefix := range []string{"", "    "} {
+			var want bytes.Buffer
+			want.WriteString("kept:")
+			if err := json.Indent(&want, compact.Bytes(), prefix, "  "); err != nil {
+				t.Fatalf("json.Indent(%q): %v", compact.Bytes(), err)
+			}
+			if got := AppendIndent([]byte("kept:"), compact.Bytes(), prefix); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("AppendIndent(%q, prefix %q)\n got %q\nwant %q", compact.Bytes(), prefix, got, want.Bytes())
+			}
+		}
+	})
+}
+
+// TestAppendIndentSurvivesMalformedInput: outside its contract it still
+// terminates inside the slice.
+func TestAppendIndentSurvivesMalformedInput(t *testing.T) {
+	for _, in := range []string{`"open`, `"esc\`, `]]]}`, `{`, `[,`, `{"a":`, ``} {
+		_ = AppendIndent(nil, []byte(in), "  ")
+	}
+}

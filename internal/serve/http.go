@@ -103,7 +103,9 @@ func (s *Server) handleStreamJob(w http.ResponseWriter, r *http.Request) {
 	cursor := 0
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			cursor = n + 1
+			// The last int has no successor (n+1 wraps below zero); it is
+			// past every log anyway, like any id the job has not reached.
+			cursor = max(n, n+1)
 		}
 	}
 

@@ -232,22 +232,27 @@ func (j *Job) finishLocked(state JobState, errMsg string) {
 	j.notifyLocked()
 }
 
-// addResult records one solved instance: its progress events, then its
-// instance event, whose payload is also the instance's entry in the result
-// event and the status document.
-func (j *Job) addResult(progress []Event, res InstanceResult) {
-	// Encoded on the stack (a larger result spills to the heap) and kept at
-	// its exact size: a retained job holds these bytes for a long time.
-	var buf [4096]byte
-	var data json.RawMessage
-	if enc, err := appendInstanceResult(buf[:0], &res); err != nil {
-		data = appendEncodeError(nil, err)
-	} else {
-		data = bytes.Clone(enc)
+// addResults records a solved chunk: per instance its progress events,
+// then its instance event, whose payload is also the instance's entry in
+// the result event and the status document. Everything is encoded first;
+// the chunk is appended under one lock hold and the streams are woken once.
+func (j *Job) addResults(progress [][]Event, results []InstanceResult) {
+	docs := make([]json.RawMessage, len(results))
+	events := make([]Event, 0, 4*len(results)) // a DBR instance: two sweeps and itself
+	for i := range results {
+		// Encoded on the stack (a larger result spills to the heap) and kept
+		// at its exact size: a retained job holds these bytes for a long time.
+		var buf [4096]byte
+		if enc, err := appendInstanceResult(buf[:0], &results[i]); err != nil {
+			docs[i] = appendEncodeError(nil, err)
+		} else {
+			docs[i] = bytes.Clone(enc)
+		}
+		events = append(append(events, progress[i]...), Event{Type: "instance", Data: docs[i]})
 	}
 	j.mu.Lock()
-	j.results = append(j.results, data)
-	j.events = append(append(j.events, progress...), Event{Type: "instance", Data: data})
+	j.results = append(j.results, docs...)
+	j.events = append(j.events, events...)
 	j.notifyLocked()
 	j.mu.Unlock()
 }

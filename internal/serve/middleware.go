@@ -100,9 +100,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	writeBody(w, status, buf.Bytes())
 }
 
-// writeBody answers status with an already encoded JSON document.
+// writeBody answers status with an already encoded JSON document, unchunked.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body) // a failed write is the client's connection going away
 }

@@ -265,14 +265,12 @@ func (s *Server) runJob(job *Job) {
 	for lo := 0; lo < len(cfgs); lo += s.opts.StreamChunk {
 		chunk := cfgs[lo:min(lo+s.opts.StreamChunk, len(cfgs))]
 		results := s.engine(job.plan).Solve(ctx, chunk)
+		solved, progress := make([]InstanceResult, len(results)), make([][]Event, len(results))
 		for i, r := range results {
-			idx := lo + i
-			res := newInstanceResult(idx, r)
-			if res.Error != "" {
-				failed = true
-			}
-			job.addResult(progressEvents(idx, r), res)
+			solved[i], progress[i] = newInstanceResult(lo+i, r), progressEvents(lo+i, r)
+			failed = failed || solved[i].Error != ""
 		}
+		job.addResults(progress, solved)
 		mInstances.Add(int64(len(chunk)))
 		if ctx.Err() != nil {
 			break

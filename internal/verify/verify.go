@@ -365,23 +365,27 @@ func (a *Auditor) CheckSettlement(params chain.ContractParams, contribs []chain.
 
 // CheckEvaluator audits a DeltaEvaluator the caller claims is bound to p:
 // every organization's bound payoff and `deviations` seeded random
-// single-coordinate substitutions must match Config.Payoff bit-for-bit.
-// Returns true when clean. CheckIncremental is the self-contained variant.
+// single-coordinate substitutions must match Config.Payoff bit-for-bit,
+// alone and at either seat of the paired probe (beside the bound strategy,
+// beside itself). True when clean; CheckIncremental binds its own evaluator.
 func (a *Auditor) CheckEvaluator(cfg *game.Config, ev *game.DeltaEvaluator, p game.Profile, deviations int, seed int64, source string) bool {
 	a.begin()
 	ok := true
-	n := cfg.N()
-	for i := 0; i < n; i++ {
-		got := ev.Payoff(i)
-		want := cfg.Payoff(i, p)
+	same := func(got, want float64, i int, s game.Strategy, asked string) {
 		if got != want {
 			a.violate(mEvaluatorViol, Violation{
 				Check: "evaluator-mismatch", Source: source,
-				Detail: fmt.Sprintf("bound payoff of org %d: incremental %.17g, direct %.17g", i, got, want),
+				Detail: fmt.Sprintf("org %d at d=%.17g f=%.17g, %s: incremental %.17g, direct %.17g", i, s.D, s.F, asked, got, want),
 				Delta:  math.Abs(got - want),
 			})
 			ok = false
 		}
+	}
+	n := cfg.N()
+	bound := make([]float64, n)
+	for i := range bound {
+		bound[i] = cfg.Payoff(i, p)
+		same(ev.Payoff(i), bound[i], i, p[i], "bound")
 	}
 	src := randx.New(seed)
 	work := p.Clone()
@@ -394,18 +398,17 @@ func (a *Auditor) CheckEvaluator(cfg *game.Config, ev *game.DeltaEvaluator, p ga
 			continue
 		}
 		s := game.Strategy{D: src.Uniform(lo, hi), F: f}
-		got := ev.PayoffWith(i, s)
-		orig := work[i]
 		work[i] = s
 		want := cfg.Payoff(i, work)
-		work[i] = orig
-		if got != want {
-			a.violate(mEvaluatorViol, Violation{
-				Check: "evaluator-mismatch", Source: source,
-				Detail: fmt.Sprintf("deviation %d of org %d (d=%.17g f=%.17g): incremental %.17g, direct %.17g", k, i, s.D, s.F, got, want),
-				Delta:  math.Abs(got - want),
-			})
-			ok = false
+		work[i] = p[i]
+		same(ev.PayoffWith(i, s), want, i, s, "alone")
+		for _, q := range [...]struct {
+			a, b         game.Strategy
+			wantA, wantB float64
+		}{{s, p[i], want, bound[i]}, {p[i], s, bound[i], want}, {s, s, want, want}} {
+			first, second := ev.PayoffWithPair(i, q.a, q.b)
+			same(first, q.wantA, i, q.a, "first of a pair")
+			same(second, q.wantB, i, q.b, "second of a pair")
 		}
 	}
 	return ok

@@ -190,6 +190,9 @@ go test -run '^$' -fuzz '^FuzzChainDecodeMatchesJSON$' -fuzztime 10s -fuzzminimi
 # Job events and the status document are append-built; their oracle is
 # encoding/json over the struct forms in encode_test.go.
 go test -run '^$' -fuzz '^FuzzJobDocuments$' -fuzztime 15s ./internal/serve/
+# The status document lays its results out with jsonx.AppendIndent, which
+# must write json.Indent's bytes for anything json.Compact writes.
+go test -run '^$' -fuzz '^FuzzAppendIndentMatchesJSON$' -fuzztime 5s ./internal/jsonx/
 # randx's lazily seeded source must stay stream-identical to math/rand:
 # every seeded figure, golden hash and account key rests on it.
 go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 15s ./internal/randx/
