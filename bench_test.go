@@ -138,53 +138,32 @@ func BenchmarkFig15_Accuracy(b *testing.B) {
 // --- Ablation benches (DESIGN.md §5) -----------------------------------
 
 // BenchmarkAblation_MasterSolvers compares the paper's exhaustive traversal
-// against the pruned depth-first master-problem solver, each at Workers=1
-// (exact serial path) and Workers=GOMAXPROCS (sharded search; identical
-// output, see internal/gbd/parallel_test.go).
+// against the pruned depth-first master-problem solver on the default N=10
+// instance and at N=16.
 func BenchmarkAblation_MasterSolvers(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		master gbd.MasterSolver
-	}{
-		{"traversal", gbd.MasterTraversal},
-		{"pruned", gbd.MasterPruned},
-	} {
-		for _, workers := range benchWorkerCounts() {
-			b.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, NoOrgName: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := gbd.Solve(cfg, gbd.Options{Master: tc.master, Workers: workers}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-	// N=16: the exhaustive traversal uses a 2-level grid (2^16 points per
-	// master solve; 3^16 is out of reach), the pruned master the default 3
-	// levels.
 	for _, tc := range []struct {
 		name     string
 		master   gbd.MasterSolver
+		n        int
 		cpuSteps int
 	}{
-		{"traversal", gbd.MasterTraversal, 2},
-		{"pruned", gbd.MasterPruned, 3},
+		{"traversal/N=10", gbd.MasterTraversal, 10, 0},
+		{"pruned/N=10", gbd.MasterPruned, 10, 0},
+		// N=16: the exhaustive traversal uses a 2-level grid (2^16 points
+		// per master solve; 3^16 is out of reach), the pruned master the
+		// default 3 levels.
+		{"traversal/N=16", gbd.MasterTraversal, 16, 2},
+		{"pruned/N=16", gbd.MasterPruned, 16, 3},
 	} {
-		b.Run(tc.name+"/N=16", func(b *testing.B) {
+		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, N: 16, CPUSteps: tc.cpuSteps, NoOrgName: true})
+			cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, N: tc.n, CPUSteps: tc.cpuSteps, NoOrgName: true})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := gbd.Solve(cfg, gbd.Options{Master: tc.master, Workers: 1}); err != nil {
+				if _, err := gbd.Solve(cfg, gbd.Options{Master: tc.master}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -193,8 +172,8 @@ func BenchmarkAblation_MasterSolvers(b *testing.B) {
 }
 
 // benchWorkerCounts returns {1} on a single-core host and {1, GOMAXPROCS}
-// otherwise, so serial and parallel variants are only both timed when
-// they can actually differ.
+// otherwise, so the serial and parallel matmul kernels are only both timed
+// when they can actually differ.
 func benchWorkerCounts() []int {
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		return []int{1, n}
@@ -702,7 +681,7 @@ func BenchmarkPlanCrossover(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("N=%d/pruned", n), func(b *testing.B) {
-			opts := gbd.Options{Master: gbd.MasterPruned, Workers: 1}
+			opts := gbd.Options{Master: gbd.MasterPruned}
 			for i := 0; i < b.N; i++ {
 				if _, err := gbd.Solve(cfgs[i%len(cfgs)], opts); err != nil {
 					b.Fatal(err)
@@ -764,7 +743,7 @@ func BenchmarkGBDSolve(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			cfgs := solverCorpus(b, n)
-			opts := gbd.Options{Workers: 1}
+			opts := gbd.Options{}
 			var fresh time.Duration
 			for _, cfg := range cfgs {
 				runtime.GC()

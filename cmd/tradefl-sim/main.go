@@ -59,7 +59,7 @@ func run(args []string) (err error) {
 		plot     = fs.Bool("plot", false, "render terminal charts instead of CSV")
 		fleetN   = fs.Int("fleet", 0, "solve a synthetic batch of this many game instances through the fleet engine instead of an experiment")
 		planName = fs.String("plan", "auto", "fleet solver plan: auto|pruned|traversal|dbr (auto: N ≤ 6 → pruned, else dbr)")
-		workers  = fs.Int("workers", 0, "solver/kernel worker goroutines (0 = GOMAXPROCS, 1 = serial)")
+		workers  = fs.Int("workers", 0, "worker goroutines of -fleet batches, FL tensor kernels and chain batch verification (0 = GOMAXPROCS, 1 = serial); a single solve is always serial")
 		verifyOn = fs.Bool("verify", false, "audit solver and settlement invariants at runtime (tradefl_verify_* metrics; nonzero exit on violation)")
 		summary  = fs.String("summary", "text", "end-of-run solver summary: text|json|none")
 		diagHold = fs.Duration("diag-hold", 0, "keep the diagnostics server alive this long after the run (requires -diag-addr)")

@@ -56,11 +56,6 @@ type Options struct {
 	Rounds, LocalEpochs int
 	// Seed drives chain account generation and FL data (default 1).
 	Seed int64
-	// Workers bounds the CGBD master-problem search shards. 0 uses the
-	// process default (GOMAXPROCS); 1 forces the exact serial code path. It
-	// fills GBD.Workers unless that is set explicitly; solver outputs are
-	// byte-identical for every worker count. DBR scans on one goroutine.
-	Workers int
 	// DBR passes through Algorithm 2 options.
 	DBR dbr.Options
 	// GBD passes through Algorithm 1 options.
@@ -85,9 +80,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Workers != 0 && o.GBD.Workers == 0 {
-		o.GBD.Workers = o.Workers
 	}
 	return o
 }

@@ -26,9 +26,8 @@ type Options struct {
 	// (0 = process default). Instance results are byte-identical for every
 	// worker count; only throughput changes.
 	Workers int
-	// GBD carries the base CGBD options. Master and Workers are overridden
-	// per instance by the planner; Epsilon and MaxIter apply to every CGBD
-	// solve.
+	// GBD carries the base CGBD options. Master is set per instance by the
+	// plan; Epsilon and MaxIter apply to every CGBD solve.
 	GBD gbd.Options
 	// DBR carries the base Algorithm 2 options.
 	DBR dbr.Options
@@ -38,8 +37,6 @@ type Options struct {
 type Result struct {
 	// Plan is the concrete plan the instance was solved with.
 	Plan Plan
-	// Decision is the full planner verdict.
-	Decision Decision
 	// Profile is the equilibrium profile.
 	Profile game.Profile
 	// Potential, Payoffs and Welfare are U, every C_i and Σ_i C_i at
@@ -83,13 +80,6 @@ func (e *Engine) Solve(ctx context.Context, cfgs []*game.Config) []Result {
 		return res
 	}
 	workers := parallel.Resolve(e.opts.Workers)
-	// Idle pool workers an instance may additionally occupy for
-	// within-instance sharding: none while the batch itself can keep the
-	// pool busy. Influences only byte-identical knobs.
-	spare := workers - n
-	if spare < 0 {
-		spare = 0
-	}
 	mBatches.Inc()
 	mInstances.Add(int64(n))
 	mQueue.Add(float64(n))
@@ -98,7 +88,7 @@ func (e *Engine) Solve(ctx context.Context, cfgs []*game.Config) []Result {
 	order := e.schedule(cfgs)
 	err := parallel.ForCtxLabeled(ctx, "fleet.batch", workers, n, func(i int) error {
 		idx := order[i]
-		res[idx] = e.solveOne(ctx, cfgs[idx], spare)
+		res[idx] = e.solveOne(ctx, cfgs[idx])
 		mQueue.Add(-1)
 		return nil
 	})
@@ -176,8 +166,7 @@ func (e *Engine) schedule(cfgs []*game.Config) []int {
 }
 
 // SolveOne solves a single instance through the fleet path (planner,
-// metrics). A lone instance may use the whole pool for within-instance
-// sharding.
+// metrics) on the calling goroutine.
 func (e *Engine) SolveOne(cfg *game.Config) Result {
 	return e.SolveOneCtx(context.Background(), cfg)
 }
@@ -188,18 +177,18 @@ func (e *Engine) SolveOne(cfg *game.Config) Result {
 func (e *Engine) SolveOneCtx(ctx context.Context, cfg *game.Config) Result {
 	mBatches.Inc()
 	mInstances.Inc()
-	return e.solveOne(ctx, cfg, parallel.Resolve(e.opts.Workers)-1)
+	return e.solveOne(ctx, cfg)
 }
 
-func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Result {
+func (e *Engine) solveOne(ctx context.Context, cfg *game.Config) Result {
 	start := time.Now()
 	defer func() { mSolveSec.Observe(time.Since(start).Seconds()) }()
 
-	dec := e.planner.Decide(StatsOf(cfg, 0), spare)
-	planCounter(dec.Plan).Inc()
+	plan := e.planner.Decide(StatsOf(cfg, 0), 0).Plan
+	planCounter(plan).Inc()
 
-	r := Result{Plan: dec.Plan, Decision: dec}
-	switch dec.Plan {
+	r := Result{Plan: plan}
+	switch plan {
 	case PlanDBR:
 		dres, err := dbr.SolveCtx(ctx, cfg, nil, e.opts.DBR)
 		if err != nil {
@@ -209,7 +198,7 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Resu
 		r.DBR, r.Profile = dres, dres.Profile
 		r.Payoffs, r.Potential = dres.Final()
 	default:
-		gres, err := gbd.SolveCtx(ctx, cfg, e.gbdOpts(dec))
+		gres, err := gbd.SolveCtx(ctx, cfg, e.gbdOpts(plan))
 		if err != nil {
 			r.Err = err
 			break
@@ -225,11 +214,10 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Resu
 	return r
 }
 
-// gbdOpts maps a planner decision onto the engine's base CGBD options.
-func (e *Engine) gbdOpts(dec Decision) gbd.Options {
+// gbdOpts maps a CGBD plan onto the engine's base CGBD options.
+func (e *Engine) gbdOpts(plan Plan) gbd.Options {
 	gopts := e.opts.GBD
-	gopts.Workers = dec.Workers
-	if dec.Plan == PlanTraversal {
+	if plan == PlanTraversal {
 		gopts.Master = gbd.MasterTraversal
 	} else {
 		gopts.Master = gbd.MasterPruned
@@ -241,9 +229,9 @@ func (e *Engine) gbdOpts(dec Decision) gbd.Options {
 // re-solve — a violated determinism contract.
 var ErrAuditMismatch = errors.New("fleet: audit: batch result differs from cold re-solve")
 
-// Audit re-solves a deterministic sample of the batch cold (same plan, one
-// worker) and compares profiles bitwise; with the verify subsystem enabled
-// it additionally runs the solver invariant checks on the sampled results.
+// Audit re-solves a deterministic sample of the batch cold (same plan) and
+// compares profiles bitwise; with the verify subsystem enabled it
+// additionally runs the solver invariant checks on the sampled results.
 // fraction ∈ (0, 1] bounds the sampled share (at least one instance when
 // the batch holds a solved one). It returns the number of audited instances
 // and the first mismatch.
@@ -297,8 +285,7 @@ func (e *Engine) auditOne(cfg *game.Config, r *Result) error {
 		}
 	default:
 		var gres *gbd.Result
-		gopts := e.gbdOpts(Decision{Plan: r.Plan, Workers: 1})
-		gres, err = gbd.Solve(cfg, gopts)
+		gres, err = gbd.Solve(cfg, e.gbdOpts(r.Plan))
 		if err == nil {
 			cold = gres.Profile
 			if a := verify.Global(); a != nil {

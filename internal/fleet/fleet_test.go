@@ -11,6 +11,8 @@ import (
 	"tradefl/internal/dbr"
 	"tradefl/internal/game"
 	"tradefl/internal/gbd"
+	"tradefl/internal/obs"
+	"tradefl/internal/parallel"
 )
 
 func fleetConfig(t testing.TB, seed int64, n int) *game.Config {
@@ -67,7 +69,7 @@ func TestBatchMatchesOneAtATime(t *testing.T) {
 			}
 			direct = dres.Profile
 		default:
-			gres, err := gbd.Solve(cfgs[i], eng.gbdOpts(Decision{Plan: r.Plan, Workers: 1}))
+			gres, err := gbd.Solve(cfgs[i], eng.gbdOpts(r.Plan))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,6 +78,38 @@ func TestBatchMatchesOneAtATime(t *testing.T) {
 		if !reflect.DeepEqual(r.Profile, direct) {
 			t.Fatalf("instance %d (plan %s): batch profile differs from direct solver", i, r.Plan)
 		}
+	}
+}
+
+// TestLoneSolvesDoNotFanOut: a CGBD solve runs on its caller's goroutine.
+// Neither a direct gbd.Solve under a 4-worker process default nor a lone
+// fleet solve of an N = 8, m = 4 game (Π mᵢ = 65,536) on a 4-worker
+// engine may dispatch a pool fan-out.
+func TestLoneSolvesDoNotFanOut(t *testing.T) {
+	defer parallel.SetDefault(0)
+	parallel.SetDefault(4)
+	cfg, err := game.DefaultConfig(game.GenOptions{Seed: 1, N: 8, CPUSteps: 4, NoOrgName: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fanouts := func() float64 {
+		s, ok := obs.Find(obs.Default.Snapshot(), "tradefl_pool_fanouts_total")
+		if !ok {
+			t.Fatal("tradefl_pool_fanouts_total is not registered")
+		}
+		return s.Value
+	}
+	before := fanouts()
+	for _, master := range []gbd.MasterSolver{gbd.MasterPruned, gbd.MasterTraversal} {
+		if _, err := gbd.Solve(cfg, gbd.Options{Master: master}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := New(Options{Workers: 4, Plan: PlanPruned}).SolveOne(cfg); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if d := fanouts() - before; d != 0 {
+		t.Fatalf("%v pool fan-outs during three lone CGBD solves, want 0", d)
 	}
 }
 
@@ -101,7 +135,7 @@ func TestFixedPlansMatchDirect(t *testing.T) {
 				}
 				direct = dres.Profile
 			} else {
-				gres, err := gbd.Solve(cfgs[i], eng.gbdOpts(Decision{Plan: plan, Workers: 1}))
+				gres, err := gbd.Solve(cfgs[i], eng.gbdOpts(plan))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -71,8 +71,6 @@ func ParsePlan(s string) (Plan, error) {
 type Stats struct {
 	// N is the organization count.
 	N int
-	// MaxLevels is the widest per-organization CPU grid.
-	MaxLevels int
 	// Grid is the full f-grid cardinality Π m_i (float; +Inf for grids
 	// beyond float range).
 	Grid float64
@@ -86,11 +84,7 @@ type Stats struct {
 func StatsOf(cfg *game.Config, _ float64) Stats {
 	st := Stats{N: cfg.N(), Grid: 1, Personalized: cfg.Personal.Alpha > 0}
 	for i := range cfg.Orgs {
-		m := len(cfg.Orgs[i].CPULevels)
-		if m > st.MaxLevels {
-			st.MaxLevels = m
-		}
-		st.Grid *= float64(m)
+		st.Grid *= float64(len(cfg.Orgs[i].CPULevels))
 	}
 	return st
 }
@@ -103,15 +97,9 @@ func StatsOf(cfg *game.Config, _ float64) Stats {
 // none needed more than 3.
 const prunedMaxN = 6
 
-// Decision is the planner's verdict for one instance. Plan selects the
-// solver; Workers tunes within-instance sharding, a byte-identical knob —
-// output bytes never depend on it, which is what makes the load-aware
-// choice safe.
+// Decision is the planner's verdict for one instance: the solver.
 type Decision struct {
 	Plan Plan
-	// Workers is the within-instance worker count for the CGBD
-	// master-problem shards (1 = exact serial path); DBR ignores it.
-	Workers int
 }
 
 // Planner picks a per-instance plan.
@@ -120,29 +108,17 @@ type Planner struct {
 	Forced Plan
 }
 
-// Decide resolves the plan and worker count for one instance: under
-// PlanAuto a personalized game (CGBD rejects it) or one with more than
-// prunedMaxN organizations goes to PlanDBR, every other to PlanPruned.
-// spare is the number of idle pool workers the instance may additionally
-// occupy for within-instance sharding (0 on a saturated pool, which is the
-// norm mid-batch); it influences Workers only, never the plan, so decisions
-// stay deterministic per instance.
-func (pl *Planner) Decide(st Stats, spare int) Decision {
-	dec := Decision{Plan: pl.Forced, Workers: 1}
+// Decide resolves the plan for one instance: under PlanAuto a personalized
+// game (CGBD rejects it) or one with more than prunedMaxN organizations
+// goes to PlanDBR, every other to PlanPruned. The second argument (once the
+// idle pool workers a CGBD solve could shard over) is read by nothing;
+// bench/traced.go passes it.
+func (pl *Planner) Decide(st Stats, _ int) Decision {
+	dec := Decision{Plan: pl.Forced}
 	if dec.Plan == PlanAuto {
 		dec.Plan = PlanPruned
 		if st.Personalized || st.N > prunedMaxN {
 			dec.Plan = PlanDBR
-		}
-	}
-	// Within-instance sharding pays only when the instance is large and the
-	// pool has idle workers (tail of a batch, or a huge lone instance).
-	// Tiny instances always take the exact serial path: goroutine fan-out
-	// costs more than the whole solve at N ≤ 4.
-	if st.N > 4 && spare > 0 && st.Grid >= 16384 {
-		dec.Workers = spare + 1
-		if dec.Workers > st.MaxLevels {
-			dec.Workers = st.MaxLevels
 		}
 	}
 	return dec

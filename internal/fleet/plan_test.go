@@ -22,42 +22,6 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecideSerialTinyInstances: instances with N ≤ 4 always take the
-// exact serial path (Workers 1), even with idle pool workers and a large
-// grid — the fan-out overhead exceeds the whole solve.
-func TestDecideSerialTinyInstances(t *testing.T) {
-	var pl Planner
-	for n := 1; n <= 4; n++ {
-		st := Stats{N: n, MaxLevels: 64, Grid: 1 << 24}
-		if dec := pl.Decide(st, 8); dec.Workers != 1 {
-			t.Errorf("N=%d: Workers = %d, want the serial path", n, dec.Workers)
-		}
-	}
-	// Large instances with idle workers may shard.
-	st := Stats{N: 12, MaxLevels: 8, Grid: math.Pow(8, 12)}
-	if dec := pl.Decide(st, 3); dec.Workers != 4 {
-		t.Errorf("large instance with 3 spare workers: Workers = %d, want 4", dec.Workers)
-	}
-	// A saturated pool (no spare workers) never shards.
-	if dec := pl.Decide(st, 0); dec.Workers != 1 {
-		t.Errorf("saturated pool: Workers = %d, want 1", dec.Workers)
-	}
-}
-
-// TestDecideDeterministicPlan: the chosen plan is a pure function of the
-// instance statistics — spare workers may only move the byte-identical
-// worker count.
-func TestDecideDeterministicPlan(t *testing.T) {
-	var pl Planner
-	base := Stats{N: 8, MaxLevels: 3, Grid: 6561}
-	ref := pl.Decide(base, 0)
-	for _, spare := range []int{0, 1, 4, 16} {
-		if dec := pl.Decide(base, spare); dec.Plan != ref.Plan {
-			t.Fatalf("plan flipped to %s under spare=%d", dec.Plan, spare)
-		}
-	}
-}
-
 // TestDecideDefaultProfileFallback: whatever the statistics — zero,
 // NaN or infinite grids included — auto resolves to a concrete plan and
 // never to the traversal master.
@@ -65,11 +29,11 @@ func TestDecideDefaultProfileFallback(t *testing.T) {
 	var pl Planner
 	for _, st := range []Stats{
 		{},
-		{N: 2, MaxLevels: 3, Grid: 9},
-		{N: 6, MaxLevels: 3, Grid: math.NaN()},
-		{N: 6, MaxLevels: 3, Grid: math.Inf(-1)},
-		{N: 40, MaxLevels: 10, Grid: math.Inf(1)},
-		{N: 40, MaxLevels: 10, Grid: math.NaN(), Personalized: true},
+		{N: 2, Grid: 9},
+		{N: 6, Grid: math.NaN()},
+		{N: 6, Grid: math.Inf(-1)},
+		{N: 40, Grid: math.Inf(1)},
+		{N: 40, Grid: math.NaN(), Personalized: true},
 	} {
 		if dec := pl.Decide(st, 0); dec.Plan != PlanPruned && dec.Plan != PlanDBR {
 			t.Errorf("auto resolved to %s on %+v", dec.Plan, st)

@@ -109,7 +109,7 @@ func stepSolve(t *testing.T, s *solver, label string) (iterations int, potential
 func TestNoPrimalRevisitTightCuts(t *testing.T) {
 	const seeds, traversalGrid = 20, 20_000
 	check := func(cfg *game.Config, master MasterSolver, label string) {
-		opts := Options{Master: master, Workers: 1}.withDefaults()
+		opts := Options{Master: master}.withDefaults()
 		want, err := solveOn(freshSolver(), cfg, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)

@@ -54,10 +54,11 @@ type Options struct {
 	MaxIter int
 	// Master selects the master-problem solver (default MasterPruned).
 	Master MasterSolver
-	// Workers bounds the goroutines of the master-problem search (the grid
-	// is sharded over the first organization's CPU levels). 0 uses the
-	// process default (GOMAXPROCS); 1 runs the exact serial code path.
-	// Results are byte-identical for every worker count.
+	// Workers is accepted and ignored: the master search runs on the
+	// calling goroutine (the sharded search it once sized was 3× slower
+	// than serial at the N ≤ 6 plan=auto routes here). bench/traced.go
+	// still names the field; it goes with the next change allowed to edit
+	// bench/.
 	Workers int
 }
 
@@ -121,12 +122,10 @@ type feasibilityCut struct {
 type solver struct {
 	cfg  *game.Config
 	opts Options
-	// workers is the resolved master-search worker count (≥ 1).
-	workers int
 	// solve lives from one rebind to the next: per-level caches, cut rows
 	// and maxima, primal d/u, water-fill scratch, the current f vector.
 	// master lives for one master call: bound suffixes, the flat incTables,
-	// the serial search's partial sums.
+	// the search's partial sums.
 	solve, master *arena
 	// rhoBar[i] = ρ̄_i, zs[i] = z_i, scale[i] = Ω unit per d_i.
 	rhoBar, zs, scale []float64
@@ -150,7 +149,7 @@ type solver struct {
 	// master search warm-starts its incumbent from this point's φ under the
 	// current cut set (masterWarmSeed).
 	prevIdx []int
-	// suf, it and is are the serial pruned master's per-call state,
+	// suf, it and is are the pruned master's per-call state,
 	// rebuilt in place from the master arena on every call.
 	suf boundSuffixes
 	it  incTables

@@ -83,34 +83,23 @@ var goldens = []goldenCase{
 	{gen: game.GenOptions{Seed: 3, N: 8, NoOrgName: true}, widths: []int{2, 5, 3}, sha: "ed3089fb892b42f416d719e7166025640bb23fa767dfcbcf63245ff981756c6c"},
 }
 
-// checkGoldens solves every golden instance with both masters at the given
-// worker counts and compares hashes.
-func checkGoldens(t *testing.T, workers ...int) {
-	t.Helper()
+// TestSolveIncrementalEquivalence pins the solver — cached cut tables,
+// seeded masters — to the bytes of the recompute-everything solver it
+// replaced (see goldens), for both master solvers.
+func TestSolveIncrementalEquivalence(t *testing.T) {
 	for _, tc := range goldens {
 		cfg := tc.config(t)
 		for _, master := range []MasterSolver{MasterPruned, MasterTraversal} {
 			if master == MasterTraversal && cfg.N() > 10 {
 				continue // 3^12 grid points per master call
 			}
-			for _, w := range workers {
-				res, err := Solve(cfg, Options{Master: master, Workers: w})
-				if err != nil {
-					t.Fatalf("%+v master=%d workers=%d: %v", tc.gen, master, w, err)
-				}
-				if got := resultHash(res); got != tc.sha {
-					t.Errorf("%+v master=%d workers=%d: hash %s, want %s", tc.gen, master, w, got, tc.sha)
-				}
+			res, err := Solve(cfg, Options{Master: master})
+			if err != nil {
+				t.Fatalf("%+v master=%d: %v", tc.gen, master, err)
+			}
+			if got := resultHash(res); got != tc.sha {
+				t.Errorf("%+v master=%d: hash %s, want %s", tc.gen, master, got, tc.sha)
 			}
 		}
 	}
 }
-
-// TestSolveIncrementalEquivalence pins the serial solver — cached cut
-// tables, seeded masters — to the bytes of the recompute-everything solver
-// it replaced (see goldens), for both master solvers.
-func TestSolveIncrementalEquivalence(t *testing.T) { checkGoldens(t, 1) }
-
-// TestSolveIncrementalEquivalenceParallel repeats it with a parallel master
-// search: sharded seeded searches must return the same bytes.
-func TestSolveIncrementalEquivalenceParallel(t *testing.T) { checkGoldens(t, 2, 4) }

@@ -3,8 +3,6 @@ package gbd
 import (
 	"math"
 	"slices"
-
-	"tradefl/internal/parallel"
 )
 
 // cutTables holds, for every cut, the per-organization per-CPU-level term
@@ -24,73 +22,24 @@ type cutTables struct {
 	feasMin [][]float64
 }
 
-// branchBest is the result of searching one shard of the f grid: the
-// shard's first (in enumeration order) maximizer and its φ value.
-type branchBest struct {
-	phi float64
-	idx []int
-	ok  bool
-}
-
-// reduceBranches folds shard results in shard order with the same
-// strictly-greater comparison the serial scans use, so the winner is the
-// globally first maximizer in serial enumeration order.
-func reduceBranches(results []branchBest) ([]int, float64, bool) {
-	bestPhi := math.Inf(-1)
-	var bestIdx []int
-	for _, r := range results {
-		if r.ok && r.phi > bestPhi {
-			bestPhi = r.phi
-			bestIdx = r.idx
-		}
-	}
-	if bestIdx == nil {
-		return nil, 0, false
-	}
-	return bestIdx, bestPhi, true
-}
-
 // masterTraversal enumerates the full f grid — the paper's traversal
 // method, Θ(m^N) grid points — as a depth-first enumeration whose per-depth
 // partial sums (traversalSearch.assign) build each cut sum as parent + term
 // in organization order, the left-to-right fold gridPhi performs, so each
 // grid point costs O(cuts) additions rather than O(N·cuts). No bound
 // pruning is applied beyond the incumbent seed, which suppresses only
-// points the algorithm would converge past anyway. With more than one
-// worker the tree is sharded at the root over the first organization's CPU
-// levels: each shard enumerates its sub-grid in serial order and the shard
-// results reduce in index order, so the chosen grid point (the first
-// maximizer in enumeration order) is byte-identical for every worker count.
+// points the algorithm would converge past anyway.
 func (s *solver) masterTraversal() ([]int, []float64, float64, bool) {
 	t := s.tables
 	n := s.cfg.N()
-	seed := s.masterWarmSeed(t)
-	roots := len(t.levels[0])
-	if s.workers <= 1 || n < 2 || roots < 2 {
-		ps := newTraversalSearch(t, n, nil, s.master)
-		ps.bestPhi = seed
-		ps.dfsExhaustive(0)
-		if ps.bestIdx == nil {
-			return nil, nil, 0, false
-		}
-		s.prevIdx = ps.bestIdx
-		return ps.bestIdx, s.gridF(t, ps.bestIdx), ps.bestPhi, true
-	}
-	var shared parallel.MaxFloat64
-	shared.Update(seed)
-	results := parallel.MapLabeled("gbd.traversal", s.workers, roots, func(root int) branchBest {
-		ps := newTraversalSearch(t, n, &shared, nil)
-		ps.bestPhi = seed
-		ps.assign(0, root)
-		ps.dfsExhaustive(1)
-		return branchBest{phi: ps.bestPhi, idx: ps.bestIdx, ok: ps.bestIdx != nil}
-	})
-	bestIdx, bestPhi, ok := reduceBranches(results)
-	if !ok {
+	ps := newTraversalSearch(t, n, s.master)
+	ps.bestPhi = s.masterWarmSeed(t)
+	ps.dfsExhaustive(0)
+	if ps.bestIdx == nil {
 		return nil, nil, 0, false
 	}
-	s.prevIdx = bestIdx
-	return bestIdx, s.gridF(t, bestIdx), bestPhi, true
+	s.prevIdx = ps.bestIdx
+	return ps.bestIdx, s.gridF(t, ps.bestIdx), ps.bestPhi, true
 }
 
 // gridFeasible checks all feasibility cuts at a grid point.
@@ -141,7 +90,7 @@ type boundSuffixes struct {
 	opt, feas [][]float64
 }
 
-// build fills b for the current tables, taking its rows from a (nil = heap).
+// build fills b for the current tables, taking its rows from a.
 func (b *boundSuffixes) build(t *cutTables, n int, a *arena) {
 	b.opt, b.feas = a.rows(len(t.opt)), a.rows(len(t.feas))
 	for v := range t.opt {
@@ -161,20 +110,16 @@ func (b *boundSuffixes) build(t *cutTables, n int, a *arena) {
 }
 
 // traversalSearch is the depth-first enumeration state of masterTraversal.
-// Each worker owns one instance; only the shared incumbent bound crosses
-// goroutines.
 //
 // Partial sums are kept per depth (opt[d][v] is the sum after assigning
 // organizations < d) and each level is computed fresh as parent + term —
 // never by subtracting on backtrack — so the value at a node is a pure
-// function of the path to it. This keeps shard arithmetic byte-identical
-// to the serial search (an add/subtract scheme would leak floating-point
-// residue from sibling branches into later sums).
+// function of the path to it: the left-to-right fold gridPhi performs (an
+// add/subtract scheme would leak floating-point residue from sibling
+// branches into later sums).
 type traversalSearch struct {
 	t *cutTables
 	n int
-	// shared is the cross-shard incumbent φ bound; nil in the serial path.
-	shared *parallel.MaxFloat64
 
 	idx []int
 	// opt[d][v], feas[d][w]: cut partial sums after assigning orgs < d.
@@ -183,11 +128,10 @@ type traversalSearch struct {
 	bestIdx   []int
 }
 
-func newTraversalSearch(t *cutTables, n int, shared *parallel.MaxFloat64, a *arena) *traversalSearch {
+func newTraversalSearch(t *cutTables, n int, a *arena) *traversalSearch {
 	ps := &traversalSearch{
 		t:       t,
 		n:       n,
-		shared:  shared,
 		idx:     a.ints(n),
 		opt:     a.rows(n + 1),
 		feas:    a.rows(n + 1),
@@ -299,18 +243,14 @@ func (it *incTables) build(t *cutTables, suf *boundSuffixes, n int, a *arena) {
 // next partial sums AND the optimistic bound — that sum + the suffix
 // maximum — come out of one sequential pass. Pruning is two-fold:
 // feasibility cuts that cannot return below zero kill the subtree, and the
-// optimistic completion of min-over-cuts prunes against the incumbent —
-// the local one with ≤ (the serial first-maximizer tie-break within a
-// shard) and the shared cross-shard bound with strict <, so a shard never
-// discards a point that ties the global optimum and the shard-order
-// reduction reproduces the serial tie-break exactly. Pruned children never
-// recurse. The bound loop exits as soon as the running min drops to the
-// incumbent: the running min only decreases, so the prune decision equals
-// the full-min decision.
+// optimistic completion of min-over-cuts prunes against the incumbent with
+// ≤, which keeps the first maximizer in enumeration order. Pruned children
+// never recurse. The bound loop exits as soon as the running min drops to
+// the incumbent: the running min only decreases, so the prune decision
+// equals the full-min decision.
 type incSearch struct {
-	t      *incTables
-	n      int
-	shared *parallel.MaxFloat64 // cross-shard incumbent; nil when serial
+	t *incTables
+	n int
 
 	idx       []int
 	opt, feas [][]float64 // partial sums after assigning orgs < d
@@ -319,13 +259,12 @@ type incSearch struct {
 }
 
 // init readies is for one search over it, taking its partial-sum rows from
-// a (nil = heap, the per-shard searches). bestIdx starts empty; the first
-// improving leaf fills it, so a search that found nothing leaves it empty.
-func (is *incSearch) init(it *incTables, n int, shared *parallel.MaxFloat64, a *arena) {
+// a. bestIdx starts empty; the first improving leaf fills it, so a search
+// that found nothing leaves it empty.
+func (is *incSearch) init(it *incTables, n int, a *arena) {
 	*is = incSearch{
 		t:       it,
 		n:       n,
-		shared:  shared,
 		idx:     a.ints(n),
 		opt:     a.rows(n + 1),
 		feas:    a.rows(n + 1),
@@ -338,50 +277,33 @@ func (is *incSearch) init(it *incTables, n int, shared *parallel.MaxFloat64, a *
 	copy(is.opt[0], it.konst)
 }
 
-// run performs the entry checks of a search root (feasibility suffix,
-// optimistic bound vs the local and shared incumbents) and then explores
-// the subtree. Interior nodes skip run: their checks already
-// happened in the parent's fused child loop.
-func (is *incSearch) run(depth int) {
+// run performs the entry checks of the search root (feasibility suffix,
+// optimistic bound vs the incumbent) and then explores the tree. Interior
+// nodes skip run: their checks already happened in the parent's fused
+// child loop.
+func (is *incSearch) run() {
 	for w := 0; w < is.t.fc; w++ {
-		if is.feas[depth][w]+is.t.fsuf[depth][w] > 1e-12 {
+		if is.feas[0][w]+is.t.fsuf[0][w] > 1e-12 {
 			return
 		}
 	}
 	if is.t.c > 0 {
 		bound := math.Inf(1)
 		for v := 0; v < is.t.c; v++ {
-			if b := is.opt[depth][v] + is.t.osuf[depth][v]; b < bound {
+			if b := is.opt[0][v] + is.t.osuf[0][v]; b < bound {
 				bound = b
 			}
 		}
 		if bound <= is.bestPhi {
 			return
 		}
-		if is.shared != nil && bound < is.shared.Load() {
-			return
-		}
 	}
-	is.descend(depth)
-}
-
-// enterShard assigns organization 0 to the shard's root level (parent +
-// term sums, as everywhere) and searches the shard subtree.
-func (is *incSearch) enterShard(root int) {
-	is.idx[0] = root
-	c, fc := is.t.c, is.t.fc
-	for v := 0; v < c; v++ {
-		is.opt[1][v] = is.opt[0][v] + is.t.terms[0][root*c+v]
-	}
-	for w := 0; w < fc; w++ {
-		is.feas[1][w] = is.feas[0][w] + is.t.fterms[0][root*fc+w]
-	}
-	is.run(1)
+	is.descend(0)
 }
 
 // descend dispatches subtree exploration to the register-specialized
 // kernel for the current optimality-cut count when one exists (no
-// feasibility cuts, 2–5 cuts — the common mid-solve shapes), else to the
+// feasibility cuts, 2 or 3 cuts — the common mid-solve shapes), else to the
 // generic fused loop. The kernels carry the per-cut partial sums in
 // function arguments instead of the per-depth slices, eliminating all
 // partial-sum loads and stores on the hot path; every addition, min fold,
@@ -399,12 +321,6 @@ func (is *incSearch) descend(depth int) {
 			return
 		case 3:
 			is.children3(depth, cur[0], cur[1], cur[2])
-			return
-		case 4:
-			is.children4(depth, cur[0], cur[1], cur[2], cur[3])
-			return
-		case 5:
-			is.children5(depth, cur[0], cur[1], cur[2], cur[3], cur[4])
 			return
 		}
 	}
@@ -426,9 +342,6 @@ func (is *incSearch) children2(depth int, s0, s1 float64) {
 				is.bestPhi = phi
 				is.idx[depth] = ki
 				is.bestIdx = append(is.bestIdx[:0], is.idx...)
-				if is.shared != nil {
-					is.shared.Update(phi)
-				}
 			}
 			ki++
 		}
@@ -444,7 +357,7 @@ func (is *incSearch) children2(depth int, s0, s1 float64) {
 		if b := t1 + o1; b < bound {
 			bound = b
 		}
-		if bound <= best || (is.shared != nil && bound < is.shared.Load()) {
+		if bound <= best {
 			ki++
 			continue
 		}
@@ -473,9 +386,6 @@ func (is *incSearch) children3(depth int, s0, s1, s2 float64) {
 				is.bestPhi = phi
 				is.idx[depth] = ki
 				is.bestIdx = append(is.bestIdx[:0], is.idx...)
-				if is.shared != nil {
-					is.shared.Update(phi)
-				}
 			}
 			ki++
 		}
@@ -495,135 +405,12 @@ func (is *incSearch) children3(depth int, s0, s1, s2 float64) {
 		if b := t2 + o2; b < bound {
 			bound = b
 		}
-		if bound <= best || (is.shared != nil && bound < is.shared.Load()) {
+		if bound <= best {
 			ki++
 			continue
 		}
 		is.idx[depth] = ki
 		is.children3(depth+1, t0, t1, t2)
-		best = is.bestPhi
-		ki++
-	}
-}
-
-func (is *incSearch) children4(depth int, s0, s1, s2, s3 float64) {
-	terms := is.t.terms[depth]
-	best := is.bestPhi
-	if depth == is.n-1 {
-		ki := 0
-		for k := 0; k+3 < len(terms); k += 4 {
-			phi := s0 + terms[k]
-			if p := s1 + terms[k+1]; p < phi {
-				phi = p
-			}
-			if p := s2 + terms[k+2]; p < phi {
-				phi = p
-			}
-			if p := s3 + terms[k+3]; p < phi {
-				phi = p
-			}
-			if phi > best {
-				best = phi
-				is.bestPhi = phi
-				is.idx[depth] = ki
-				is.bestIdx = append(is.bestIdx[:0], is.idx...)
-				if is.shared != nil {
-					is.shared.Update(phi)
-				}
-			}
-			ki++
-		}
-		return
-	}
-	o := is.t.osuf[depth+1]
-	o0, o1, o2, o3 := o[0], o[1], o[2], o[3]
-	ki := 0
-	for k := 0; k+3 < len(terms); k += 4 {
-		t0 := s0 + terms[k]
-		t1 := s1 + terms[k+1]
-		t2 := s2 + terms[k+2]
-		t3 := s3 + terms[k+3]
-		bound := t0 + o0
-		if b := t1 + o1; b < bound {
-			bound = b
-		}
-		if b := t2 + o2; b < bound {
-			bound = b
-		}
-		if b := t3 + o3; b < bound {
-			bound = b
-		}
-		if bound <= best || (is.shared != nil && bound < is.shared.Load()) {
-			ki++
-			continue
-		}
-		is.idx[depth] = ki
-		is.children4(depth+1, t0, t1, t2, t3)
-		best = is.bestPhi
-		ki++
-	}
-}
-
-func (is *incSearch) children5(depth int, s0, s1, s2, s3, s4 float64) {
-	terms := is.t.terms[depth]
-	best := is.bestPhi
-	if depth == is.n-1 {
-		ki := 0
-		for k := 0; k+4 < len(terms); k += 5 {
-			phi := s0 + terms[k]
-			if p := s1 + terms[k+1]; p < phi {
-				phi = p
-			}
-			if p := s2 + terms[k+2]; p < phi {
-				phi = p
-			}
-			if p := s3 + terms[k+3]; p < phi {
-				phi = p
-			}
-			if p := s4 + terms[k+4]; p < phi {
-				phi = p
-			}
-			if phi > best {
-				best = phi
-				is.bestPhi = phi
-				is.idx[depth] = ki
-				is.bestIdx = append(is.bestIdx[:0], is.idx...)
-				if is.shared != nil {
-					is.shared.Update(phi)
-				}
-			}
-			ki++
-		}
-		return
-	}
-	o := is.t.osuf[depth+1]
-	o0, o1, o2, o3, o4 := o[0], o[1], o[2], o[3], o[4]
-	ki := 0
-	for k := 0; k+4 < len(terms); k += 5 {
-		t0 := s0 + terms[k]
-		t1 := s1 + terms[k+1]
-		t2 := s2 + terms[k+2]
-		t3 := s3 + terms[k+3]
-		t4 := s4 + terms[k+4]
-		bound := t0 + o0
-		if b := t1 + o1; b < bound {
-			bound = b
-		}
-		if b := t2 + o2; b < bound {
-			bound = b
-		}
-		if b := t3 + o3; b < bound {
-			bound = b
-		}
-		if b := t4 + o4; b < bound {
-			bound = b
-		}
-		if bound <= best || (is.shared != nil && bound < is.shared.Load()) {
-			ki++
-			continue
-		}
-		is.idx[depth] = ki
-		is.children5(depth+1, t0, t1, t2, t3, t4)
 		best = is.bestPhi
 		ki++
 	}
@@ -684,9 +471,6 @@ func (is *incSearch) children(depth int) {
 				is.bestPhi = phi
 				is.idx[depth] = k
 				is.bestIdx = append(is.bestIdx[:0], is.idx...)
-				if is.shared != nil {
-					is.shared.Update(phi)
-				}
 			}
 			continue
 		}
@@ -706,9 +490,6 @@ func (is *incSearch) children(depth int) {
 		if pruned {
 			continue
 		}
-		if c > 0 && is.shared != nil && bound < is.shared.Load() {
-			continue
-		}
 		is.idx[depth] = k
 		is.children(depth + 1)
 		best = is.bestPhi
@@ -718,10 +499,9 @@ func (is *incSearch) children(depth int) {
 // dfsExhaustive visits every grid point (no bound pruning, no suffix
 // tables), evaluating feasibility and φ from the per-depth partial sums at
 // the leaves. The leaf fold mirrors gridPhi's min-over-cuts exactly; the
-// incumbent comparisons exit a leaf early only when its final φ provably
-// cannot win — local incumbent with ≤ (the running min only decreases) and
-// the shared cross-shard bound with strict <, preserving the serial
-// first-maximizer tie-break.
+// incumbent comparison exits a leaf early, with ≤, only when its final φ
+// provably cannot win: the running min only decreases, and a tie never
+// displaces the first maximizer.
 func (ps *traversalSearch) dfsExhaustive(depth int) {
 	if depth == ps.n {
 		for _, cur := range ps.feas[depth] {
@@ -736,17 +516,11 @@ func (ps *traversalSearch) dfsExhaustive(depth int) {
 				if phi <= ps.bestPhi {
 					return
 				}
-				if ps.shared != nil && phi < ps.shared.Load() {
-					return
-				}
 			}
 		}
 		if phi > ps.bestPhi {
 			ps.bestPhi = phi
 			ps.bestIdx = append(ps.bestIdx[:0], ps.idx...)
-			if ps.shared != nil {
-				ps.shared.Update(phi)
-			}
 		}
 		return
 	}
@@ -763,51 +537,25 @@ func (ps *traversalSearch) dfsExhaustive(depth int) {
 // an attained φ, see masterWarmSeed), else a hair below the lower bound
 // (masterSeed), so subtrees that cannot beat the incumbent are cut
 // immediately while the returned grid point stays byte-identical to an
-// unseeded search's. With more than one worker the tree is sharded at the
-// root over the first organization's CPU levels: every shard searches its
-// subtree with a private incumbent plus a shared atomic bound (published
-// maxima from all shards) so pruning stays effective across workers, and
-// shard results reduce in root order — the returned grid point is
-// byte-identical to the serial search for every worker count.
+// unseeded search's.
 //
-// Suffixes and tables are rebuilt in the master arena; the serial search
-// takes its partial sums from it too and writes its argmax into solve-arena
-// memory, because the argmax (the next f, and prevIdx) outlives the master
-// call. Shards read the tables and keep their private search state on the
-// heap.
+// Suffixes, tables and the search's partial sums are rebuilt in the master
+// arena; the argmax goes into solve-arena memory, because it (the next f,
+// and prevIdx) outlives the master call.
 func (s *solver) masterPruned() ([]int, []float64, float64, bool) {
 	t := s.tables
 	n := s.cfg.N()
 	s.suf.build(t, n, s.master)
 	it := &s.it
 	it.build(t, &s.suf, n, s.master)
-	seed := s.masterWarmSeed(t)
-	roots := len(t.levels[0])
-	if s.workers <= 1 || n < 2 || roots < 2 {
-		is := &s.is
-		is.init(it, n, nil, s.master)
-		is.bestIdx = s.solve.ints(n)[:0]
-		is.bestPhi = seed
-		is.run(0)
-		if len(is.bestIdx) == 0 {
-			return nil, nil, 0, false
-		}
-		s.prevIdx = is.bestIdx
-		return is.bestIdx, s.gridF(t, is.bestIdx), is.bestPhi, true
-	}
-	var shared parallel.MaxFloat64
-	shared.Update(seed)
-	results := parallel.MapLabeled("gbd.pruned", s.workers, roots, func(root int) branchBest {
-		is := new(incSearch)
-		is.init(it, n, &shared, nil)
-		is.bestPhi = seed
-		is.enterShard(root)
-		return branchBest{phi: is.bestPhi, idx: is.bestIdx, ok: len(is.bestIdx) > 0}
-	})
-	bestIdx, bestPhi, ok := reduceBranches(results)
-	if !ok {
+	is := &s.is
+	is.init(it, n, s.master)
+	is.bestIdx = s.solve.ints(n)[:0]
+	is.bestPhi = s.masterWarmSeed(t)
+	is.run()
+	if len(is.bestIdx) == 0 {
 		return nil, nil, 0, false
 	}
-	s.prevIdx = bestIdx
-	return bestIdx, s.gridF(t, bestIdx), bestPhi, true
+	s.prevIdx = is.bestIdx
+	return is.bestIdx, s.gridF(t, is.bestIdx), is.bestPhi, true
 }

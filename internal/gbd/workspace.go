@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"tradefl/internal/game"
-	"tradefl/internal/parallel"
 )
 
 // This file holds the solver's scratch ownership: the bump arenas every
@@ -64,10 +63,7 @@ func (b *bump[T]) reset() {
 	b.cur, b.off = 0, 0
 }
 
-// arena bundles the bump allocators of one lifetime. A nil *arena is the
-// heap: every method falls back to make, which is how the per-shard
-// searches of the parallel master share the serial search's construction
-// code without sharing its memory.
+// arena bundles the bump allocators of one lifetime.
 //
 // Nothing reachable from a Result may point into an arena: the memory is
 // recycled by the next solve on the same solver.
@@ -79,37 +75,22 @@ type arena struct {
 }
 
 func (a *arena) floats(n int) []float64 {
-	if a == nil {
-		return make([]float64, n)
-	}
 	return a.f.take(n)
 }
 
 func (a *arena) rows(n int) [][]float64 {
-	if a == nil {
-		return make([][]float64, n)
-	}
 	return a.r.take(n)
 }
 
 func (a *arena) ints(n int) []int {
-	if a == nil {
-		return make([]int, n)
-	}
 	return a.i.take(n)
 }
 
 func (a *arena) bools(n int) []bool {
-	if a == nil {
-		return make([]bool, n)
-	}
 	return a.b.take(n)
 }
 
 func (a *arena) reset() {
-	if a == nil {
-		return
-	}
 	a.f.reset()
 	a.r.reset()
 	a.i.reset()
@@ -132,7 +113,6 @@ var solvers = sync.Pool{New: func() any {
 func (s *solver) rebind(cfg *game.Config, opts Options) {
 	n := cfg.N()
 	s.cfg, s.opts = cfg, opts
-	s.workers = parallel.Resolve(opts.Workers)
 	s.solve.reset()
 	s.rhoBar, s.zs, s.scale = s.solve.floats(n), s.solve.floats(n), s.solve.floats(n)
 	for i := 0; i < n; i++ {

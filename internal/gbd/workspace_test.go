@@ -78,7 +78,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 			if master == MasterTraversal && cfg.N() > 8 {
 				continue // 3^10 grid points per master call
 			}
-			opts := Options{Master: master, Workers: 1}
+			opts := Options{Master: master}
 			got, gotErr := solveOn(reused, cfg, opts)
 			want, wantErr := solveOn(freshSolver(), cfg, opts)
 			if !errors.Is(gotErr, wantErr) {
@@ -175,7 +175,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops entries at random under the race detector")
 	}
 	cfg := shapedConfig(t, 7, 8, nil)
-	opts := Options{Workers: 1}
+	opts := Options{}
 	if _, err := Solve(cfg, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 
 // TestConcurrentSolvesDoNotShareWorkspaces hammers the pool from several
 // goroutines with differently shaped instances. Every result must equal
-// the serial one; under -race, two solves on one workspace would also be
+// the one solved alone; under -race, two solves on one workspace would also be
 // reported as a data race on its arenas.
 func TestConcurrentSolvesDoNotShareWorkspaces(t *testing.T) {
 	var cfgs []*game.Config
@@ -203,7 +203,7 @@ func TestConcurrentSolvesDoNotShareWorkspaces(t *testing.T) {
 	}
 	want := make([]*Result, len(cfgs))
 	for i, cfg := range cfgs {
-		res, err := Solve(cfg, Options{Workers: 1})
+		res, err := Solve(cfg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,13 +216,13 @@ func TestConcurrentSolvesDoNotShareWorkspaces(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 12; round++ {
 				i := (g + round) % len(cfgs)
-				got, err := Solve(cfgs[i], Options{Workers: 1 + g%2})
+				got, err := Solve(cfgs[i], Options{})
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if !reflect.DeepEqual(got, want[i]) {
-					t.Errorf("goroutine %d round %d: concurrent solve of instance %d differs from the serial one", g, round, i)
+					t.Errorf("goroutine %d round %d: concurrent solve of instance %d differs from the one solved alone", g, round, i)
 					return
 				}
 			}

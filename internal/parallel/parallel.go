@@ -1,20 +1,17 @@
 // Package parallel provides the bounded-concurrency primitives TradeFL's
-// solver hot paths are built on: a worker pool sized from GOMAXPROCS,
-// ordered fan-out/fan-in helpers, context-aware variants, and an atomic
-// float64 maximum used as the shared incumbent bound of branch-and-bound
-// searches.
+// fan-outs are built on (fleet batches, fl/tensor matmul, chain batch
+// signature checks): a worker pool sized from GOMAXPROCS and an index
+// fan-out with a context-aware variant.
 //
-// Determinism contract: every helper assigns work by index and returns (or
-// writes) results in index order, so callers that reduce over the results
-// in index order observe exactly the serial iteration order regardless of
-// worker count or scheduling. Workers pull indices from a shared atomic
-// counter (dynamic load balancing), which is safe because result slots are
-// disjoint per index.
+// Determinism contract: every helper assigns work by index, so callers
+// that write results into per-index slots observe the same results
+// regardless of worker count or scheduling. Workers pull indices from a
+// shared atomic counter (dynamic load balancing), which is safe because
+// result slots are disjoint per index.
 package parallel
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"runtime/pprof"
 	"sync"
@@ -28,7 +25,7 @@ import (
 // fine-grained fan-out like a blocked tensor kernel pays four atomic
 // operations total, not one per row.
 var (
-	mFanouts = obs.NewCounter("tradefl_pool_fanouts_total", "parallel fan-outs dispatched (For/ForCtx/Map with >1 worker)")
+	mFanouts = obs.NewCounter("tradefl_pool_fanouts_total", "parallel fan-outs dispatched (For/ForCtxLabeled with >1 worker)")
 	mTasks   = obs.NewCounter("tradefl_pool_tasks_total", "work items processed by parallel fan-outs")
 	mActive  = obs.NewGauge("tradefl_pool_workers_active", "worker goroutines currently inside a fan-out")
 	mQueued  = obs.NewGauge("tradefl_pool_queue_depth", "work items admitted to in-flight fan-outs")
@@ -90,7 +87,7 @@ func Resolve(workers int) int {
 
 // PhaseLabel is the pprof label key worker goroutines are tagged with, so
 // CPU profiles (`go tool pprof -tagfocus`) attribute samples to solver
-// phases (pruned/traversal master kernels, fleet batch).
+// phases (fleet batch, chain batch verification).
 const PhaseLabel = "tradefl_phase"
 
 // labeled wraps a worker body in runtime/pprof.Do under PhaseLabel=label;
@@ -145,17 +142,11 @@ func ForLabeled(label string, workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ForCtx is For with cooperative cancellation: workers stop picking up new
-// indices once ctx is cancelled or any fn returns an error. It returns the
-// error of the lowest index that failed (deterministic), or ctx.Err() when
-// cancelled with no fn error. Indices already started always run to
-// completion.
-func ForCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return ForCtxLabeled(ctx, "", workers, n, fn)
-}
-
-// ForCtxLabeled is ForCtx with worker goroutines carrying the pprof phase
-// label (see ForLabeled).
+// ForCtxLabeled is ForLabeled with cooperative cancellation: workers stop
+// picking up new indices once ctx is cancelled or any fn returns an error.
+// It returns the error of the lowest index that failed (deterministic), or
+// ctx.Err() when cancelled with no fn error. Indices already started always
+// run to completion.
 func ForCtxLabeled(ctx context.Context, label string, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -211,86 +202,4 @@ func ForCtxLabeled(ctx context.Context, label string, workers, n int, fn func(i 
 		return firstE
 	}
 	return ctx.Err()
-}
-
-// Map runs fn(i) for every i in [0, n) under at most workers goroutines
-// and returns the results in index order.
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	return MapInto(nil, workers, n, fn)
-}
-
-// MapLabeled is Map with worker goroutines carrying the pprof phase label.
-func MapLabeled[T any](label string, workers, n int, fn func(i int) T) []T {
-	var dst []T
-	if cap(dst) < n {
-		dst = make([]T, n)
-	}
-	dst = dst[:n]
-	ForLabeled(label, workers, n, func(i int) { dst[i] = fn(i) })
-	return dst
-}
-
-// MapInto is Map writing into caller-provided storage: dst is resized (or
-// freshly allocated when its capacity is short) to n entries and returned.
-// Steady-state callers that reuse dst across fan-outs allocate nothing for
-// the result slice. Slots are disjoint per index, so the determinism
-// contract is unchanged.
-func MapInto[T any](dst []T, workers, n int, fn func(i int) T) []T {
-	if cap(dst) < n {
-		dst = make([]T, n)
-	}
-	dst = dst[:n]
-	For(workers, n, func(i int) { dst[i] = fn(i) })
-	return dst
-}
-
-// MaxFloat64 is an atomic running maximum over float64 values, used as the
-// shared incumbent bound of parallel branch-and-bound searches. The zero
-// value is ready to use and loads as -Inf.
-//
-// Values are stored under a monotone encoding (sign-flipped IEEE bits) so
-// float ordering matches uint64 ordering and the zero bit pattern sorts
-// below every encoded float — the zero value needs no initialization.
-type MaxFloat64 struct {
-	enc atomic.Uint64
-}
-
-// encodeFloat maps a float64 to a uint64 whose unsigned ordering matches
-// the float ordering, with every encoding strictly positive.
-func encodeFloat(v float64) uint64 {
-	b := math.Float64bits(v)
-	if b&(1<<63) != 0 {
-		return ^b // negative: reverse order
-	}
-	return b | 1<<63
-}
-
-// Load returns the current maximum (-Inf before any Update).
-func (m *MaxFloat64) Load() float64 {
-	e := m.enc.Load()
-	if e == 0 {
-		return math.Inf(-1)
-	}
-	if e&(1<<63) != 0 {
-		return math.Float64frombits(e &^ (1 << 63))
-	}
-	return math.Float64frombits(^e)
-}
-
-// Update raises the maximum to v if v is larger. It reports whether v
-// became the new maximum. NaN is ignored.
-func (m *MaxFloat64) Update(v float64) bool {
-	if math.IsNaN(v) {
-		return false
-	}
-	e := encodeFloat(v)
-	for {
-		old := m.enc.Load()
-		if e <= old {
-			return false
-		}
-		if m.enc.CompareAndSwap(old, e) {
-			return true
-		}
-	}
 }

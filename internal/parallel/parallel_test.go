@@ -3,7 +3,6 @@ package parallel
 import (
 	"context"
 	"errors"
-	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -51,25 +50,16 @@ func TestForZeroAndNegativeN(t *testing.T) {
 	}
 }
 
-func TestMapOrdered(t *testing.T) {
-	got := Map(8, 100, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("Map[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
 func TestForCtxFirstError(t *testing.T) {
 	wantErr := errors.New("boom")
-	err := ForCtx(context.Background(), 4, 100, func(i int) error {
+	err := ForCtxLabeled(context.Background(), "", 4, 100, func(i int) error {
 		if i%10 == 3 {
 			return wantErr
 		}
 		return nil
 	})
 	if !errors.Is(err, wantErr) {
-		t.Fatalf("ForCtx error = %v, want %v", err, wantErr)
+		t.Fatalf("ForCtxLabeled error = %v, want %v", err, wantErr)
 	}
 }
 
@@ -77,44 +67,11 @@ func TestForCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	err := ForCtx(ctx, 4, 1000, func(i int) error { ran.Add(1); return nil })
+	err := ForCtxLabeled(ctx, "", 4, 1000, func(i int) error { ran.Add(1); return nil })
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ForCtx error = %v, want context.Canceled", err)
+		t.Fatalf("ForCtxLabeled error = %v, want context.Canceled", err)
 	}
 	if ran.Load() == 1000 {
 		t.Fatal("cancellation did not stop the fan-out early")
-	}
-}
-
-func TestMaxFloat64(t *testing.T) {
-	var m MaxFloat64
-	if got := m.Load(); !math.IsInf(got, -1) {
-		t.Fatalf("zero value loads %v, want -Inf", got)
-	}
-	for _, v := range []float64{-100, -1e308, 3.5, 2, math.Inf(-1), -0.0, 0.0, 7.25} {
-		m.Update(v)
-	}
-	if got := m.Load(); got != 7.25 {
-		t.Fatalf("max = %v, want 7.25", got)
-	}
-	if m.Update(7.25) {
-		t.Fatal("Update(equal) reported a new maximum")
-	}
-	if !m.Update(8) {
-		t.Fatal("Update(8) did not report a new maximum")
-	}
-	if m.Update(math.NaN()) {
-		t.Fatal("Update(NaN) reported a new maximum")
-	}
-	if got := m.Load(); got != 8 {
-		t.Fatalf("max = %v, want 8", got)
-	}
-}
-
-func TestMaxFloat64Concurrent(t *testing.T) {
-	var m MaxFloat64
-	For(8, 10000, func(i int) { m.Update(float64(i)) })
-	if got := m.Load(); got != 9999 {
-		t.Fatalf("concurrent max = %v, want 9999", got)
 	}
 }

@@ -61,7 +61,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("obsgate", flag.ContinueOnError)
 	instances := fs.Int("instances", 128, "batch size per rep")
-	workers := fs.Int("workers", -1, "fleet/solver workers per rep (-1 = serial: CPU time is then deterministic work, not scheduler-dependent spin)")
+	workers := fs.Int("workers", -1, "fleet workers per rep (-1 = serial: CPU time is then deterministic work, not scheduler-dependent spin)")
 	reps := fs.Int("reps", 9, "timed traced/untraced pairs (plus one warmup rep)")
 	planName := fs.String("plan", "auto", "fleet solver plan: auto|pruned|traversal|dbr")
 	maxPct := fs.Float64("max-pct", 3, "maximum tolerated traced-vs-untraced slowdown, percent (median of per-pair ratios)")
