@@ -191,11 +191,9 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 		res.Rounds = t + 1
 		mRounds.Inc()
 		sweepStart := time.Now()
-		sweepSpan := root.StartChild("dbr.sweep")
 		changed := false
 		for i := range cfg.Orgs {
 			if err := ctx.Err(); err != nil {
-				sweepSpan.End()
 				return nil, fmt.Errorf("dbr: %w", err)
 			}
 			cur := eng.Payoff(i)
@@ -219,7 +217,6 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 			res.PotentialTrace = append(res.PotentialTrace, res.PotentialTrace[t-1])
 			res.PayoffTrace = append(res.PayoffTrace, slices.Clone(res.PayoffTrace[t-1]))
 		}
-		sweepSpan.End()
 		mSweepSec.ObserveSince(sweepStart)
 		if !changed {
 			res.Converged = true
@@ -233,7 +230,7 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 	payoffs, potential := res.Final()
 	mPotential.Set(potential)
 	mWelfare.Set(game.Welfare(payoffs))
-	obs.RecordTrajectory("dbr.potential", res.PotentialTrace)
+	obs.RecordTrajectories(obs.Trajectory{Name: "dbr.potential", Values: res.PotentialTrace})
 	audit(cfg, res, opts)
 	return res, nil
 }

@@ -36,6 +36,8 @@ func publishHistory(history []RoundMetrics) {
 		accs[i] = h.Accuracy
 		losses[i] = h.Loss
 	}
-	obs.RecordTrajectory("fl.accuracy", accs)
-	obs.RecordTrajectory("fl.loss", losses)
+	obs.RecordTrajectories(
+		obs.Trajectory{Name: "fl.accuracy", Values: accs},
+		obs.Trajectory{Name: "fl.loss", Values: losses},
+	)
 }

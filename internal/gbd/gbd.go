@@ -225,11 +225,8 @@ func (s *solver) run(ctx context.Context) (*Result, error) {
 		}
 		res.Iterations = k + 1
 		mIterations.Inc()
-		iterSpan := root.StartChild("gbd.iter")
 		primalStart := time.Now()
-		primalSpan := iterSpan.StartChild("gbd.primal")
 		d, u, feasible := s.solvePrimal(f, fIdx)
-		primalSpan.End()
 		mPrimalSec.ObserveSince(primalStart)
 		if feasible {
 			for i := range s.trial {
@@ -258,9 +255,7 @@ func (s *solver) run(ctx context.Context) (*Result, error) {
 			mOptCuts.Inc()
 		} else {
 			feasStart := time.Now()
-			feasSpan := iterSpan.StartChild("gbd.feasibility")
 			lambda := s.solveFeasibility(f)
-			feasSpan.End()
 			mFeasSec.ObserveSince(feasStart)
 			s.addFeasCut(feasibilityCut{d: d, lambda: lambda})
 			mFeasCuts.Inc()
@@ -273,12 +268,9 @@ func (s *solver) run(ctx context.Context) (*Result, error) {
 		s.lbs = append(s.lbs, lb)
 
 		masterStart := time.Now()
-		masterSpan := iterSpan.StartChild("gbd.master")
 		fIdxNext, fNext, phi, ok := s.solveMaster()
-		masterSpan.End()
 		mMasterSec.ObserveSince(masterStart)
 		if !ok {
-			iterSpan.End()
 			if !found {
 				return nil, ErrInfeasible
 			}
@@ -292,7 +284,6 @@ func (s *solver) run(ctx context.Context) (*Result, error) {
 			ub = phi
 		}
 		s.ubs = append(s.ubs, ub)
-		iterSpan.End()
 		if ub-lb <= opts.Epsilon {
 			res.Converged = true
 			break
@@ -346,16 +337,16 @@ func (s *solver) publish(res *Result, gap float64, root *obs.ActiveSpan) {
 	mGapHist.Observe(gap)
 	mItersHist.Observe(float64(res.Iterations))
 	mWelfareHist.Observe(welfare)
-	obs.RecordTrajectory("gbd.lower_bound", res.LowerBounds)
-	obs.RecordTrajectory("gbd.upper_bound", res.UpperBounds)
-	obs.RecordTrajectory("gbd.potential", res.PotentialTrace)
-	gaps := make([]float64, 0, len(res.UpperBounds))
-	for i := range res.UpperBounds {
-		if i < len(res.LowerBounds) {
-			gaps = append(gaps, res.UpperBounds[i]-res.LowerBounds[i])
-		}
+	gaps := make([]float64, len(res.UpperBounds))
+	for i, ub := range res.UpperBounds {
+		gaps[i] = ub - res.LowerBounds[i]
 	}
-	obs.RecordTrajectory("gbd.gap", gaps)
+	obs.RecordTrajectories(
+		obs.Trajectory{Name: "gbd.lower_bound", Values: res.LowerBounds},
+		obs.Trajectory{Name: "gbd.upper_bound", Values: res.UpperBounds},
+		obs.Trajectory{Name: "gbd.potential", Values: res.PotentialTrace},
+		obs.Trajectory{Name: "gbd.gap", Values: gaps},
+	)
 	if obs.TelemetryOpen() {
 		rec := solveTelemetry{
 			Kind:        "gbd.solve",

@@ -16,7 +16,8 @@ import (
 
 // DiagServer is the opt-in HTTP diagnostics endpoint of a TradeFL process:
 // /metrics (Prometheus text; ?format=json for JSON), /healthz, /runz (the
-// last run's span trees and solver trajectories) and /debug/pprof.
+// last run's solver trajectories, plus its span trees while tracing is on)
+// and /debug/pprof.
 type DiagServer struct {
 	srv   *http.Server
 	ln    net.Listener

@@ -92,9 +92,10 @@ func TestDiagMetricsJSON(t *testing.T) {
 }
 
 func TestDiagRunz(t *testing.T) {
+	withTracing(t, 1)
 	_, s := Span(context.Background(), "diag.test.run")
 	s.End()
-	RecordTrajectory("diag.test.series", []float64{1, 2, 3})
+	RecordTrajectories(Trajectory{Name: "diag.test.series", Values: []float64{1, 2, 3}})
 	d := startTestDiag(t)
 	code, body := get(t, "http://"+d.Addr()+"/runz")
 	if code != http.StatusOK {

@@ -35,6 +35,8 @@ func runSolvers(t *testing.T) {
 // of both solvers leaves the documented metric names in the default
 // registry, with the run-scoped ones off zero.
 func TestGoldenMetricNames(t *testing.T) {
+	obs.EnableTracing(true)
+	t.Cleanup(func() { obs.EnableTracing(false); obs.ResetTraces() })
 	runSolvers(t)
 	snap := obs.Default.Snapshot()
 
@@ -90,7 +92,7 @@ func TestGoldenMetricNames(t *testing.T) {
 		}
 	}
 
-	// The solver run also publishes span trees and trajectories.
+	// A traced solver run also publishes span trees.
 	if obs.LastRunSpan("gbd.solve") == nil {
 		t.Error("gbd.solve span not published")
 	}

@@ -106,9 +106,6 @@ func ConfigureLogging(level, format string, w io.Writer) error {
 	return nil
 }
 
-// SetLogLevel adjusts the minimum level without touching the handler.
-func SetLogLevel(l slog.Level) { logLevel.Set(l) }
-
 // Component returns a logger tagged with component=name that always routes
 // through the currently configured handler, so it is safe to capture in a
 // package-level var before flags are parsed.

@@ -1,14 +1,16 @@
 // Package obs is TradeFL's stdlib-only telemetry subsystem: structured
 // logging (log/slog with per-component loggers), a lock-cheap metrics
 // registry (counters, gauges, fixed-bucket histograms with Prometheus-text
-// and JSON exposition), lightweight span tracing recording wall-time trees
-// per solver run, and an opt-in HTTP diagnostics server serving /metrics,
-// /healthz, /runz and net/http/pprof.
+// and JSON exposition), span tracing recording wall-time trees per request,
+// batch and solve while tracing is on, and an opt-in HTTP diagnostics
+// server serving /metrics, /healthz, /runz and net/http/pprof.
 //
 // Hot-path cost model: every metric update is one or two atomic operations
 // on a pre-resolved pointer — no map lookups, no locks, no allocation —
 // so solver inner loops can record without measurably perturbing the
-// benchmarks guarded by scripts/bench-compare.sh.
+// benchmarks guarded by scripts/bench-compare.sh. A span nobody records is
+// a nil pointer: with tracing off, Span allocates nothing and End is a nil
+// check.
 package obs
 
 import (
@@ -280,20 +282,9 @@ func (r *Registry) LabeledCounter(name, help string, labels ...LabelPair) *Count
 	return r.register(name, help, kindCounter, labels...).ctr
 }
 
-// LabeledGauge returns the gauge registered under name with the given
-// constant labels, creating it if absent.
-func (r *Registry) LabeledGauge(name, help string, labels ...LabelPair) *Gauge {
-	return r.register(name, help, kindGauge, labels...).gau
-}
-
 // NewLabeledCounter registers a labeled counter in the Default registry.
 func NewLabeledCounter(name, help string, labels ...LabelPair) *Counter {
 	return Default.LabeledCounter(name, help, labels...)
-}
-
-// NewLabeledGauge registers a labeled gauge in the Default registry.
-func NewLabeledGauge(name, help string, labels ...LabelPair) *Gauge {
-	return Default.LabeledGauge(name, help, labels...)
 }
 
 // BucketCount is one cumulative histogram bucket of a snapshot.

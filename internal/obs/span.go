@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,9 +12,8 @@ import (
 // SpanNode is one completed (or in-flight) span of a wall-time tree.
 // Fields are written by the owning goroutine; Children is guarded by mu so
 // spans may be started from concurrent goroutines under one parent.
-// TraceID/SpanID/ParentSpanID are set only while tracing is enabled
-// (EnableTracing); they are stable hex strings derived as documented in
-// trace.go.
+// TraceID/SpanID/ParentSpanID are stable hex strings derived as documented
+// in trace.go; a fresh root has no ParentSpanID.
 type SpanNode struct {
 	Name          string      `json:"name"`
 	TraceID       string      `json:"traceId,omitempty"`
@@ -36,103 +36,114 @@ func (n *SpanNode) addChild(c *SpanNode) int {
 	return idx
 }
 
-// Duration returns the recorded wall time of the span.
-func (n *SpanNode) Duration() time.Duration { return time.Duration(n.DurationNanos) }
-
-// ActiveSpan is a started span; call End exactly once. A second End is
-// suppressed (and counted on tradefl_trace_double_close_total) rather than
-// corrupting the recorded duration — duplicate delivery in the faults
-// fabric must never double-close a span.
+// ActiveSpan is a recorded, started span; call End exactly once. A span is
+// recorded only when tracing was enabled as its root started, and children
+// follow their root, so a tree is never half-recorded. An unrecorded span
+// is a nil *ActiveSpan, on which End and TraceContext are no-ops. A second
+// End is suppressed (and counted on tradefl_trace_double_close_total)
+// rather than corrupting the recorded duration — duplicate delivery in the
+// faults fabric must never double-close a span.
+//
+// A recorded span is also the context that carries it: it wraps the
+// context it started in and answers the span key itself, so Span needs no
+// context.WithValue allocation.
 type ActiveSpan struct {
-	node     *SpanNode
-	start    time.Time
+	context.Context
+	node     SpanNode
+	start    time.Duration // monotonic offset from epoch
 	root     bool
-	spanBits uint64 // ID bits for child derivation; 0 when tracing is off
+	spanBits uint64 // ID bits for child derivation
 	ended    atomic.Bool
 }
 
-// Node exposes the underlying tree node (valid after End for durations).
-func (s *ActiveSpan) Node() *SpanNode { return s.node }
+// epoch anchors span clocks: a span reads only the monotonic clock, once
+// at each end, and its wall start is epoch's plus its offset.
+var (
+	epoch     = time.Now()
+	epochUnix = epoch.UnixNano()
+)
 
 // spanKey carries the current span through a context.
 type spanKey struct{}
 
+// Value returns s for the span key and defers every other key to the
+// context s started in.
+func (s *ActiveSpan) Value(key any) any {
+	if key == (spanKey{}) {
+		return s
+	}
+	return s.Context.Value(key)
+}
+
+// startSpan allocates a recorded span starting now inside ctx.
+func startSpan(ctx context.Context, name string) *ActiveSpan {
+	at := time.Since(epoch)
+	mSpansStarted.Inc()
+	return &ActiveSpan{
+		Context: ctx,
+		node:    SpanNode{Name: name, StartUnixNano: epochUnix + int64(at)},
+		start:   at,
+	}
+}
+
 // Span starts a span named name. If ctx already carries a span, the new
 // span is attached as its child; otherwise it is a root span, and its
-// completed tree is published to the last-run store on End. The returned
-// context carries the new span for further nesting.
+// completed tree is published to the last-run and trace stores on End. The
+// returned context — the span itself — carries it for further nesting. An
+// unrecorded span (no parent and tracing off) costs no allocation: ctx
+// comes back unchanged with a nil span.
 func Span(ctx context.Context, name string) (context.Context, *ActiveSpan) {
-	now := time.Now()
-	s := &ActiveSpan{
-		node:  &SpanNode{Name: name, StartUnixNano: now.UnixNano()},
-		start: now,
+	parent, _ := ctx.Value(spanKey{}).(*ActiveSpan)
+	if parent == nil && !tracingEnabled.Load() {
+		return ctx, nil
 	}
-	mSpansStarted.Inc()
-	if parent, ok := ctx.Value(spanKey{}).(*ActiveSpan); ok && parent != nil {
-		idx := parent.node.addChild(s.node)
-		if tracingEnabled.Load() && parent.node.TraceID != "" {
-			s.node.TraceID = parent.node.TraceID
-			s.node.ParentSpanID = parent.node.SpanID
-			s.spanBits = childBits(parent.spanBits, name, idx)
-			s.node.SpanID = hex64(s.spanBits)
-		}
+	s := startSpan(ctx, name)
+	if parent != nil {
+		idx := parent.node.addChild(&s.node)
+		s.node.TraceID = parent.node.TraceID
+		s.node.ParentSpanID = parent.node.SpanID
+		s.spanBits = childBits(parent.spanBits, name, idx)
 	} else {
 		s.root = true
-		if tracingEnabled.Load() {
-			traceID, bits := newRootIDs(name)
-			s.node.TraceID, s.spanBits = traceID, bits
-			s.node.SpanID = hex64(bits)
-		}
+		s.node.TraceID, s.spanBits = newRootIDs(name)
 	}
-	return context.WithValue(ctx, spanKey{}, s), s
+	s.node.SpanID = hex64(s.spanBits)
+	return s, s
 }
 
 // ContextWithSpan returns ctx carrying s as the current span — the bridge
 // remote-continuation roots (SpanRemote) use to parent further local
 // spans under themselves, e.g. the gateway joining a submitter's trace
-// before handing the context to the solver.
+// before handing the context to the solver. A nil s returns ctx.
 func ContextWithSpan(ctx context.Context, s *ActiveSpan) context.Context {
+	if s == nil {
+		return ctx
+	}
 	return context.WithValue(ctx, spanKey{}, s)
 }
 
-// StartChild starts a child span without threading a context — the cheap
-// path for call sites that own both ends of the span (solver loops). The
-// child does not publish on End; the root it hangs under does.
-func (s *ActiveSpan) StartChild(name string) *ActiveSpan {
-	now := time.Now()
-	c := &ActiveSpan{
-		node:  &SpanNode{Name: name, StartUnixNano: now.UnixNano()},
-		start: now,
-	}
-	mSpansStarted.Inc()
-	idx := s.node.addChild(c.node)
-	if tracingEnabled.Load() && s.node.TraceID != "" {
-		c.node.TraceID = s.node.TraceID
-		c.node.ParentSpanID = s.node.SpanID
-		c.spanBits = childBits(s.spanBits, name, idx)
-		c.node.SpanID = hex64(c.spanBits)
-	}
-	return c
-}
-
 // End records the span's duration; a root span additionally publishes its
-// tree to the last-run store under its name (and, when tracing is on, to
-// the bounded trace store for /tracez export). End after End is a no-op.
+// tree to the last-run store under its name and to the bounded trace store
+// for /tracez export. End after End, or on a nil span, is a no-op.
 func (s *ActiveSpan) End() {
+	if s == nil {
+		return
+	}
 	if s.ended.Swap(true) {
 		mSpanDoubleClose.Inc()
 		return
 	}
 	mSpansEnded.Inc()
-	s.node.DurationNanos = int64(time.Since(s.start))
+	n := &s.node
+	n.DurationNanos = int64(time.Since(epoch) - s.start)
 	if s.root {
-		defaultRuns.setSpan(s.node)
-		if tracingEnabled.Load() && s.node.TraceID != "" {
-			defaultTraces.add(s.node)
-			traceRootCounter(spanComponent(s.node.Name)).Inc()
-			FlightRecordTrace("trace", "span-root",
-				s.node.Name+" dur="+s.node.Duration().String(), s.node.TraceID)
-		}
+		defaultRuns.mu.Lock()
+		defaultRuns.spans[n.Name] = n
+		defaultRuns.mu.Unlock()
+		defaultTraces.add(n)
+		traceRootCounter(spanComponent(n.Name)).Inc()
+		FlightRecordTrace("trace", "span-root",
+			n.Name+" dur="+time.Duration(n.DurationNanos).String(), n.TraceID)
 	}
 }
 
@@ -150,18 +161,26 @@ var defaultRuns = &runStore{
 	traj:  make(map[string][]float64),
 }
 
-func (r *runStore) setSpan(n *SpanNode) {
-	r.mu.Lock()
-	r.spans[n.Name] = n
-	r.mu.Unlock()
+// Trajectory is one named per-iteration series of a run.
+type Trajectory struct {
+	Name   string
+	Values []float64
 }
 
-// RecordTrajectory publishes a named per-iteration series of the most
-// recent run (the slice is copied).
-func RecordTrajectory(name string, values []float64) {
-	cp := append([]float64(nil), values...)
+// RecordTrajectories publishes the series of the most recent run as one
+// set: a reader of /runz never sees one run's series beside another's. The
+// values are copied (into one backing array, each series capacity-clipped).
+func RecordTrajectories(ts ...Trajectory) {
+	n := 0
+	for _, t := range ts {
+		n += len(t.Values)
+	}
+	buf := make([]float64, 0, n)
 	defaultRuns.mu.Lock()
-	defaultRuns.traj[name] = cp
+	for _, t := range ts {
+		buf = append(buf, t.Values...)
+		defaultRuns.traj[t.Name] = slices.Clip(buf[len(buf)-len(t.Values):])
+	}
 	defaultRuns.mu.Unlock()
 }
 
@@ -202,12 +221,4 @@ func LastRunJSON() ([]byte, error) {
 	}
 	defaultRuns.mu.Unlock()
 	return json.MarshalIndent(payload, "", "  ")
-}
-
-// LastRunSpan returns the most recent completed root span recorded under
-// name, or nil.
-func LastRunSpan(name string) *SpanNode {
-	defaultRuns.mu.Lock()
-	defer defaultRuns.mu.Unlock()
-	return defaultRuns.spans[name]
 }

@@ -18,8 +18,8 @@ import (
 // per span — rendered as lowercase hex. TraceContext is the wire form:
 // protocol layers (transport.Message, the chain RPC envelope) embed it as
 // an optional JSON field, and the receiving process continues the trace
-// with SpanRemote. ID assignment is gated by EnableTracing so the zero
-// state adds nothing beyond one atomic load per span.
+// with SpanRemote. Every recorded span carries IDs; with tracing off no
+// span is recorded, and a Span call is a context lookup and an atomic load.
 //
 // IDs are derived by hashing, not drawn from a shared counter: a root
 // span's trace ID is H(seed, name, per-name occurrence) and a child's span
@@ -38,13 +38,14 @@ type TraceContext struct {
 
 var tracingEnabled atomic.Bool
 
-// EnableTracing turns trace-ID assignment and completed-trace retention on
-// or off. Disabled (the default) keeps span trees for /runz but assigns no
-// IDs and retains no traces, so solver outputs and benchmarks are
-// unaffected.
+// EnableTracing turns span recording on or off for roots started from now
+// on; a tree whose root is already recorded stays recorded to its end.
+// Disabled (the default) records no span trees and retains no traces —
+// /runz then serves trajectories only — and solver outputs are identical
+// either way.
 func EnableTracing(on bool) { tracingEnabled.Store(on) }
 
-// TracingEnabled reports whether trace-ID assignment is active.
+// TracingEnabled reports whether new root spans are recorded.
 func TracingEnabled() bool { return tracingEnabled.Load() }
 
 func init() {
@@ -99,16 +100,21 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// hex64 renders x as 16 lowercase hex digits. Hand-rolled rather than
-// fmt.Sprintf("%016x", x): it runs once per span ID on the solver hot path,
-// and Sprintf costs a format-parse plus an interface allocation per call.
-func hex64(x uint64) string {
+// putHex writes x as 16 lowercase hex digits into b[:16]. Hand-rolled
+// rather than fmt.Sprintf("%016x", x): it runs once per span ID, and
+// Sprintf costs a format-parse plus an interface allocation per call.
+func putHex(b []byte, x uint64) {
 	const digits = "0123456789abcdef"
-	var b [16]byte
 	for i := 15; i >= 0; i-- {
 		b[i] = digits[x&0xf]
 		x >>= 4
 	}
+}
+
+// hex64 renders x as 16 lowercase hex digits.
+func hex64(x uint64) string {
+	var b [16]byte
+	putHex(b[:], x)
 	return string(b[:])
 }
 
@@ -120,8 +126,10 @@ func newRootIDs(name string) (traceID string, spanBits uint64) {
 	ids.occ[name] = n
 	ids.mu.Unlock()
 	t := mix(base ^ fnv64(name) ^ n*golden)
-	traceID = hex64(t) + hex64(mix(t^0x7261646566746c31)) // "radeftl1"
-	return traceID, mix(t ^ 0x726f6f74) // "root"
+	var b [32]byte
+	putHex(b[:16], t)
+	putHex(b[16:], mix(t^0x7261646566746c31)) // "radeftl1"
+	return string(b[:]), mix(t ^ 0x726f6f74)  // "root"
 }
 
 // childBits derives a child span ID from its parent's span ID, its name
@@ -141,9 +149,9 @@ func spanComponent(name string) string {
 
 var (
 	mSpansStarted = NewCounter("tradefl_trace_spans_started_total",
-		"Spans started in this process.")
+		"Recorded spans started in this process.")
 	mSpansEnded = NewCounter("tradefl_trace_spans_ended_total",
-		"Spans ended in this process.")
+		"Recorded spans ended in this process.")
 	mSpanDoubleClose = NewCounter("tradefl_trace_double_close_total",
 		"ActiveSpan.End calls after the span was already ended (suppressed).")
 	mTraceRootsByComp sync.Map // component → *Counter
@@ -167,17 +175,11 @@ func SpanStats() (started, ended, doubleClosed int64) {
 }
 
 // TraceFromContext extracts the propagation payload of the span carried by
-// ctx. It reports false when tracing is disabled or ctx carries no
-// identified span, so callers can skip injection entirely.
+// ctx. It reports false when ctx carries no recorded span, so callers can
+// skip injection entirely.
 func TraceFromContext(ctx context.Context) (TraceContext, bool) {
-	if !tracingEnabled.Load() {
-		return TraceContext{}, false
-	}
-	s, ok := ctx.Value(spanKey{}).(*ActiveSpan)
-	if !ok || s == nil || s.node.TraceID == "" {
-		return TraceContext{}, false
-	}
-	return TraceContext{TraceID: s.node.TraceID, SpanID: s.node.SpanID}, true
+	s, _ := ctx.Value(spanKey{}).(*ActiveSpan)
+	return s.TraceContext()
 }
 
 // InjectTrace is TraceFromContext for wire envelopes: it returns a
@@ -191,10 +193,10 @@ func InjectTrace(ctx context.Context) *TraceContext {
 	return &tc
 }
 
-// TraceContext returns the span's propagation payload (false when the
-// span carries no IDs, i.e. tracing was disabled when it started).
+// TraceContext returns the span's propagation payload (false on a nil,
+// i.e. unrecorded, span).
 func (s *ActiveSpan) TraceContext() (TraceContext, bool) {
-	if s == nil || s.node.TraceID == "" {
+	if s == nil {
 		return TraceContext{}, false
 	}
 	return TraceContext{TraceID: s.node.TraceID, SpanID: s.node.SpanID}, true
@@ -205,27 +207,21 @@ func (s *ActiveSpan) TraceContext() (TraceContext, bool) {
 // ID and records the remote span as its parent. The span publishes to the
 // trace store on End like any root. A malformed context falls back to a
 // fresh root trace — a corrupt frame must never corrupt local tracing.
+// With tracing off it records nothing and returns nil.
 func SpanRemote(name string, tc TraceContext) *ActiveSpan {
-	now := time.Now()
-	s := &ActiveSpan{
-		node:  &SpanNode{Name: name, StartUnixNano: now.UnixNano()},
-		start: now,
-		root:  true,
-	}
-	mSpansStarted.Inc()
 	if !tracingEnabled.Load() {
-		return s
+		return nil
 	}
+	s := startSpan(context.Background(), name)
+	s.root = true
 	parentBits, err := strconv.ParseUint(tc.SpanID, 16, 64)
 	if err != nil || len(tc.TraceID) != 32 {
-		traceID, bits := newRootIDs(name)
-		s.node.TraceID, s.node.SpanID = traceID, hex64(bits)
-		s.spanBits = bits
-		return s
+		s.node.TraceID, s.spanBits = newRootIDs(name)
+	} else {
+		s.node.TraceID = tc.TraceID
+		s.node.ParentSpanID = tc.SpanID
+		s.spanBits = childBits(parentBits, name, 0)
 	}
-	s.node.TraceID = tc.TraceID
-	s.node.ParentSpanID = tc.SpanID
-	s.spanBits = childBits(parentBits, name, 0)
 	s.node.SpanID = hex64(s.spanBits)
 	return s
 }
@@ -283,9 +279,7 @@ func TraceTopology() []string {
 	roots := defaultTraces.snapshot()
 	out := make([]string, 0, len(roots))
 	for _, r := range roots {
-		if r.TraceID != "" {
-			out = append(out, r.Name+" "+r.TraceID)
-		}
+		out = append(out, r.Name+" "+r.TraceID)
 	}
 	sort.Strings(out)
 	return out
@@ -309,13 +303,7 @@ type chromeTrace struct {
 }
 
 func flattenChrome(n *SpanNode, traceID string, tid int, out []chromeEvent) []chromeEvent {
-	args := map[string]string{}
-	if traceID != "" {
-		args["trace"] = traceID
-	}
-	if n.SpanID != "" {
-		args["span"] = n.SpanID
-	}
+	args := map[string]string{"trace": traceID, "span": n.SpanID}
 	if n.ParentSpanID != "" {
 		args["parent"] = n.ParentSpanID
 	}

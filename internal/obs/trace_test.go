@@ -132,6 +132,7 @@ func TestSpanRemoteMalformedContextFallsBack(t *testing.T) {
 }
 
 func TestSpanDoubleCloseGuard(t *testing.T) {
+	withTracing(t, 1)
 	_, sp := Span(context.Background(), "guard.run")
 	_, e0, d0 := SpanStats()
 	sp.End()

@@ -271,9 +271,13 @@ echo "==> obs tracing overhead gate (in-process A/B)"
 # inside one process and compares the median per-pair process-CPU ratio —
 # process-level bench A/B (the naive design) reads 10-60% regressions
 # from machine-load noise alone on shared hardware. -plan dbr / -plan
-# pruned isolate the two solver paths when chasing a failure.
+# pruned isolate the two solver paths when chasing a failure. The
+# untraced side records nothing, so the gate prices the whole recorded
+# path (≈2.5% on a shared 2-vCPU VM). One pair is two ~2 ms batches; 61
+# pairs narrow the median's run-to-run spread from about ±4.5 points at
+# 15 pairs to about ±2.
 go run ./scripts/obsgate -plan "${OBS_AB_PLAN:-auto}" \
-  -reps "${OBS_AB_PAIRS:-15}" -max-pct "${OBS_TRACE_MAX_PCT:-3}"
+  -reps "${OBS_AB_PAIRS:-61}" -max-pct "${OBS_TRACE_MAX_PCT:-3}"
 
 echo "==> durability-gate (WAL/recovery suite, crash-restart soak, group-commit throughput)"
 # The chain's durability contract, in three parts. First the focused
