@@ -18,101 +18,56 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
+	"tradefl/internal/cli"
 	"tradefl/internal/dbr"
 	"tradefl/internal/game"
 	"tradefl/internal/obs"
 	"tradefl/internal/transport"
-	"tradefl/internal/verify"
 )
 
-func main() {
-	// A panic anywhere in the run dumps the flight recorder before dying.
-	defer obs.FlightDumpOnPanic(os.Stderr)
-	err := run(os.Args[1:])
-	if err == nil {
-		// With -verify, any invariant breach turns into a nonzero exit.
-		err = verify.Finish()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tradefl-node:", err)
-		os.Exit(1)
-	}
-}
+const (
+	// protocolTimeout bounds the whole protocol run.
+	protocolTimeout = 2 * time.Minute
+	// tokenTimeout arms the ring's token-timeout crash recovery.
+	tokenTimeout = 10 * time.Second
+)
 
-func run(args []string) (err error) {
+func main() { cli.Main("tradefl-node", run) }
+
+func run(args []string) error { return command().Exec(args) }
+
+// command is tradefl-node's flags and body.
+func command() cli.Command {
 	fs := flag.NewFlagSet("tradefl-node", flag.ContinueOnError)
-	var (
-		local    = fs.Bool("local", false, "run all organizations in one process over loopback TCP")
-		index    = fs.Int("index", -1, "this organization's index (multi-process mode)")
-		listen   = fs.String("listen", "", "TCP listen address (multi-process mode)")
-		peers    = fs.String("peers", "", "comma-separated peer addresses, indexed by organization")
-		seed     = fs.Int64("seed", 7, "seed of the shared game instance")
-		timeout  = fs.Duration("timeout", 2*time.Minute, "protocol deadline")
-		recovery = fs.Duration("recovery", 10*time.Second, "token-timeout crash recovery (0 disables)")
-		suspect  = fs.Int("suspect-after", 0, "token resends to the same silent peer before skipping it as crashed (0 = default 2, negative = skip immediately)")
-		retries  = fs.Int("send-retries", transport.DefaultSendAttempts, "TCP send attempts before a peer counts as unreachable")
-		backoff  = fs.Duration("send-backoff", transport.DefaultSendBackoff, "base backoff between TCP send attempts")
-		verifyOn = fs.Bool("verify", false, "audit solver and settlement invariants at runtime (tradefl_verify_* metrics; nonzero exit on violation)")
-		obsFlags = obs.RegisterFlags(fs)
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	diag, err := obsFlags.Apply()
-	if err != nil {
-		return err
-	}
-	if diag != nil {
-		defer diag.Close()
-	}
-	// Flush -trace-out / -telemetry-out sinks whichever way the run exits.
-	defer func() {
-		if ferr := obsFlags.Finish(); ferr != nil && err == nil {
-			err = ferr
+	local := fs.Bool("local", false, "run all organizations in one process over loopback TCP")
+	index := fs.Int("index", -1, "this organization's index (multi-process mode)")
+	listen := fs.String("listen", "", "TCP listen address (multi-process mode)")
+	peers := fs.String("peers", "", "comma-separated peer addresses, indexed by organization")
+	seed := fs.Int64("seed", 7, "seed of the shared game instance")
+	return cli.Command{Flags: fs, Verify: true, Run: func(ctx context.Context, _ *obs.DiagServer) error {
+		cfg, err := game.DefaultConfig(game.GenOptions{Seed: *seed})
+		if err != nil {
+			return err
 		}
-	}()
-	if *verifyOn {
-		verify.Enable(verify.Options{})
-	}
-	cfg, err := game.DefaultConfig(game.GenOptions{Seed: *seed})
-	if err != nil {
-		return err
-	}
-	// SIGINT/SIGTERM cancels the protocol run; node goroutines unwind, TCP
-	// transports close via their defers, and the deferred sink flush above
-	// still writes -trace-out/-telemetry-out.
-	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	ctx, cancel := context.WithTimeout(sigCtx, *timeout)
-	defer cancel()
-	opts := dbr.Options{TokenTimeout: *recovery, SuspectAfter: *suspect}
-	retry := sendPolicy{attempts: *retries, backoff: *backoff}
-	if *local {
-		return runLocal(ctx, cfg, opts, retry)
-	}
-	return runMember(ctx, cfg, opts, retry, *index, *listen, *peers)
-}
-
-// sendPolicy carries the TCP send retry flags to the node constructors.
-type sendPolicy struct {
-	attempts int
-	backoff  time.Duration
-}
-
-func (p sendPolicy) apply(n *transport.TCPNode) {
-	n.SetSendRetryPolicy(p.attempts, p.backoff)
+		// SIGINT/SIGTERM cancels ctx: node goroutines unwind and the TCP
+		// transports close via their defers.
+		ctx, cancel := context.WithTimeout(ctx, protocolTimeout)
+		defer cancel()
+		opts := dbr.Options{TokenTimeout: tokenTimeout}
+		if *local {
+			return runLocal(ctx, cfg, opts)
+		}
+		return runMember(ctx, cfg, opts, *index, *listen, *peers)
+	}}
 }
 
 // runLocal spawns every organization in-process over loopback TCP and
 // prints the agreed equilibrium.
-func runLocal(ctx context.Context, cfg *game.Config, opts dbr.Options, retry sendPolicy) error {
+func runLocal(ctx context.Context, cfg *game.Config, opts dbr.Options) error {
 	n := cfg.N()
 	names := make([]string, n)
 	tcp := make([]*transport.TCPNode, n)
@@ -122,7 +77,6 @@ func runLocal(ctx context.Context, cfg *game.Config, opts dbr.Options, retry sen
 		if err != nil {
 			return err
 		}
-		retry.apply(node)
 		tcp[i] = node
 		defer tcp[i].Close()
 	}
@@ -163,7 +117,7 @@ func runLocal(ctx context.Context, cfg *game.Config, opts dbr.Options, retry sen
 }
 
 // runMember runs a single organization against remote peers.
-func runMember(ctx context.Context, cfg *game.Config, opts dbr.Options, retry sendPolicy, index int, listen, peerList string) error {
+func runMember(ctx context.Context, cfg *game.Config, opts dbr.Options, index int, listen, peerList string) error {
 	if index < 0 || index >= cfg.N() {
 		return fmt.Errorf("-index %d out of range [0,%d)", index, cfg.N())
 	}
@@ -182,7 +136,6 @@ func runMember(ctx context.Context, cfg *game.Config, opts dbr.Options, retry se
 	if err != nil {
 		return err
 	}
-	retry.apply(tcp)
 	defer tcp.Close()
 	for i, addr := range addrs {
 		tcp.RegisterPeer(names[i], strings.TrimSpace(addr))

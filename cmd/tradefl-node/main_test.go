@@ -1,15 +1,46 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestIncrementalFlagIsGone: the solvers have one evaluation path, so the
-// flag that used to select it is an unknown flag.
+// TestFlagSet pins tradefl-node's flags: its own and the shared
+// observability ones. -h returns flag.ErrHelp, which cli.Main exits 0 on.
+func TestFlagSet(t *testing.T) {
+	c := command()
+	c.Flags.SetOutput(io.Discard)
+	if err := c.Exec([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
+	}
+	var got []string
+	c.Flags.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{
+		"diag-addr", "index", "listen", "local", "log-format", "log-level",
+		"peers", "seed", "telemetry-out", "trace-out", "verify",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flags = %v\nwant    %v", got, want)
+	}
+}
+
+// TestIncrementalFlagIsGone: the switch of the solvers' old second
+// evaluation path, and every setting that had one value in use (now a
+// constant), are unknown flags.
 func TestIncrementalFlagIsGone(t *testing.T) {
-	err := run([]string{"-incremental", "on"})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -incremental") {
-		t.Fatalf("run -incremental on: err = %v, want an unknown-flag error", err)
+	for _, name := range []string{
+		"incremental", "timeout", "recovery", "suspect-after", "send-retries",
+		"send-backoff",
+	} {
+		c := command()
+		c.Flags.SetOutput(io.Discard)
+		err := c.Exec([]string{"-" + name, "1"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {
+			t.Errorf("-%s 1: err = %v, want an unknown-flag error", name, err)
+		}
 	}
 }

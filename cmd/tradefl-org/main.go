@@ -20,121 +20,91 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"tradefl/internal/chain"
+	"tradefl/internal/cli"
 	"tradefl/internal/dbr"
 	"tradefl/internal/game"
 	"tradefl/internal/obs"
 	"tradefl/internal/randx"
-	"tradefl/internal/verify"
 )
 
-func main() {
-	// A panic anywhere in the run dumps the flight recorder before dying.
-	defer obs.FlightDumpOnPanic(os.Stderr)
-	err := run(os.Args[1:])
-	if err == nil {
-		// With -verify, any invariant breach turns into a nonzero exit.
-		err = verify.Finish()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tradefl-org:", err)
-		os.Exit(1)
-	}
+const (
+	// pollInterval paces the contract-status and receipt polls.
+	pollInterval = 500 * time.Millisecond
+	// settleTimeout bounds the whole lifecycle.
+	settleTimeout = 2 * time.Minute
+)
+
+func main() { cli.Main("tradefl-org", run) }
+
+func run(args []string) error { return command().Exec(args) }
+
+// command is tradefl-org's flags and body.
+func command() cli.Command {
+	fs := flag.NewFlagSet("tradefl-org", flag.ContinueOnError)
+	rpc := fs.String("rpc", "127.0.0.1:8545", "chain node RPC address")
+	seed := fs.Int64("seed", 7, "shared seed of the game instance and accounts")
+	index := fs.Int("index", -1, "this organization's index")
+	d := fs.Float64("d", -1, "data fraction to report, with -f (default: solve with DBR)")
+	f := fs.Float64("f", -1, "CPU frequency to report, with -d (default: solve with DBR)")
+	commit := fs.Bool("commit", false, "use commit-reveal contribution reporting (all members must)")
+	return cli.Command{Flags: fs, Verify: true, Run: func(ctx context.Context, _ *obs.DiagServer) error {
+		if (*d < 0) != (*f < 0) {
+			return errors.New("-d and -f report one contribution: give both or neither")
+		}
+		return settle(ctx, *rpc, *seed, *index, game.Strategy{D: *d, F: *f}, *commit)
+	}}
 }
 
-func run(args []string) (err error) {
-	fs := flag.NewFlagSet("tradefl-org", flag.ContinueOnError)
-	var (
-		rpc      = fs.String("rpc", "127.0.0.1:8545", "chain node RPC address")
-		seed     = fs.Int64("seed", 7, "shared seed of the game instance and accounts")
-		index    = fs.Int("index", -1, "this organization's index")
-		dFlag    = fs.Float64("d", -1, "data fraction to report (default: solve with DBR)")
-		fFlag    = fs.Float64("f", -1, "CPU frequency to report (default: solve with DBR)")
-		commit   = fs.Bool("commit", false, "use commit-reveal contribution reporting (all members must)")
-		poll     = fs.Duration("poll", 500*time.Millisecond, "status poll interval")
-		timeout  = fs.Duration("timeout", 2*time.Minute, "settlement deadline")
-		verifyOn = fs.Bool("verify", false, "audit solver and settlement invariants at runtime (tradefl_verify_* metrics; nonzero exit on violation)")
-
-		rpcTimeout = fs.Duration("rpc-timeout", 10*time.Second, "per-RPC-attempt deadline")
-		rpcRetries = fs.Int("rpc-retries", 3, "RPC retries after a transport failure (negative disables)")
-
-		obsFlags = obs.RegisterFlags(fs)
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	diag, err := obsFlags.Apply()
+// settle walks the Fig. 3 lifecycle for organization index, reporting
+// strategy, or the DBR equilibrium's strategy when strategy is negative.
+// SIGINT/SIGTERM (ctx) aborts it between polls; every phase is idempotent
+// (isAlready), so a re-run resumes where this one stopped.
+func settle(ctx context.Context, rpc string, seed int64, index int, strategy game.Strategy, commit bool) error {
+	cfg, err := game.DefaultConfig(game.GenOptions{Seed: seed})
 	if err != nil {
 		return err
 	}
-	if diag != nil {
-		defer diag.Close()
-	}
-	// Flush -trace-out / -telemetry-out sinks whichever way the run exits.
-	defer func() {
-		if ferr := obsFlags.Finish(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-	if *verifyOn {
-		verify.Enable(verify.Options{})
-	}
-	cfg, err := game.DefaultConfig(game.GenOptions{Seed: *seed})
-	if err != nil {
-		return err
-	}
-	if *index < 0 || *index >= cfg.N() {
-		return fmt.Errorf("-index %d out of range [0,%d)", *index, cfg.N())
+	if index < 0 || index >= cfg.N() {
+		return fmt.Errorf("-index %d out of range [0,%d)", index, cfg.N())
 	}
 
 	// Re-derive this organization's account: the chain node draws the
 	// authority first, then one account per member, all from the seed.
-	src := randx.New(*seed)
+	src := randx.New(seed)
 	if _, err := chain.NewAccount(src); err != nil { // authority
 		return err
 	}
 	var acct *chain.Account
-	for i := 0; i <= *index; i++ {
+	for i := 0; i <= index; i++ {
 		if acct, err = chain.NewAccount(src); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("organization %d: address %s\n", *index, acct.Address())
+	fmt.Printf("organization %d: address %s\n", index, acct.Address())
 
 	// Decide the contribution: flags, or the DBR equilibrium (parameters
 	// are common knowledge and the dynamics deterministic, so every
 	// organization computes the same profile).
-	strategy := game.Strategy{D: *dFlag, F: *fFlag}
-	if *dFlag < 0 || *fFlag < 0 {
+	if strategy.D < 0 {
 		res, err := dbr.Solve(cfg, nil, dbr.Options{})
 		if err != nil {
 			return err
 		}
-		strategy = res.Profile[*index]
+		strategy = res.Profile[index]
 		fmt.Printf("solved equilibrium: d=%.4f f=%.2f GHz\n", strategy.D, strategy.F/1e9)
 	}
 
-	client := chain.NewClientOpts(*rpc, chain.ClientOptions{
-		Timeout:    *rpcTimeout,
-		MaxRetries: *rpcRetries,
-	})
-	deadline := time.Now().Add(*timeout)
-	// SIGINT/SIGTERM aborts the lifecycle between polls; every phase is
-	// idempotent (isAlready), so a re-run resumes where this one stopped,
-	// and the deferred sink flush above still writes the obs outputs.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
+	client := chain.NewClient(rpc)
+	deadline := time.Now().Add(settleTimeout)
 	pollWait := func() error {
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("interrupted: %w", ctx.Err())
-		case <-time.After(*poll):
+		case <-time.After(pollInterval):
 			return nil
 		}
 	}
@@ -196,7 +166,7 @@ func run(args []string) (err error) {
 
 	// Phase 1: deposit the bond.
 	var dep chain.Wei
-	if err := client.Call(chain.MethodMinDeposit, map[string]any{"index": *index, "fMax": 5e9}, &dep); err != nil {
+	if err := client.Call(chain.MethodMinDeposit, map[string]any{"index": index, "fMax": 5e9}, &dep); err != nil {
 		return err
 	}
 	if err := send(chain.FnDepositSubmit, nil, dep); err != nil && !isAlready(err) {
@@ -211,7 +181,7 @@ func run(args []string) (err error) {
 		return err
 	}
 	contrib := chain.Contribution{D: strategy.D, F: strategy.F}
-	if *commit {
+	if commit {
 		// Commit-reveal: bind to a salted hash first, reveal once every
 		// member has committed (no last-mover advantage).
 		saltBytes := make([]byte, 16)

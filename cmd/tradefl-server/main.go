@@ -9,8 +9,8 @@
 // Usage:
 //
 //	tradefl-server -listen 127.0.0.1:8080
-//	tradefl-server -listen :8080 -runners 8 -queue 128 -plan auto
-//	tradefl-server -diag-addr 127.0.0.1:9090 -trace        with observability
+//	tradefl-server -listen :8080 -tenant-rate 256
+//	tradefl-server -diag-addr 127.0.0.1:9090 -trace-out trace.json   with observability
 //
 // Endpoints:
 //
@@ -24,99 +24,55 @@
 // Admission control bounds the blast radius of any one tenant (X-Tenant
 // header): a global bounded queue, a per-tenant active-job quota and a
 // per-tenant instance-token bucket, each rejecting with a distinct 429.
+// The gateway runs serve.Options' defaults (4 runners, a 64-job queue,
+// 8 active jobs per tenant, the auto plan); only the token rate is a flag.
 // SIGINT/SIGTERM drains gracefully: new submissions get 503 while queued
-// and running jobs finish (bounded by -drain-timeout).
+// and running jobs finish (bounded by drainTimeout).
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"tradefl/internal/fleet"
+	"tradefl/internal/cli"
 	"tradefl/internal/obs"
 	"tradefl/internal/serve"
 )
 
-func main() {
-	// A panic anywhere in the run dumps the flight recorder before dying.
-	defer obs.FlightDumpOnPanic(os.Stderr)
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "tradefl-server:", err)
-		os.Exit(1)
-	}
-}
+// drainTimeout bounds the graceful drain after SIGINT/SIGTERM.
+const drainTimeout = 30 * time.Second
 
-func run(args []string) (err error) {
+func main() { cli.Main("tradefl-server", run) }
+
+func run(args []string) error { return command().Exec(args) }
+
+// command is tradefl-server's flags and body.
+func command() cli.Command {
 	fs := flag.NewFlagSet("tradefl-server", flag.ContinueOnError)
-	var (
-		listen       = fs.String("listen", "127.0.0.1:8080", "gateway listen address")
-		runners      = fs.Int("runners", 4, "concurrent job executors")
-		queue        = fs.Int("queue", 64, "bounded job queue depth (submissions past it get 429)")
-		tenantActive = fs.Int("tenant-active", 8, "per-tenant active-job quota")
-		tenantRate   = fs.Float64("tenant-rate", 64, "per-tenant admitted instances per second (token bucket)")
-		plan         = fs.String("plan", "auto", "default solver plan: auto|dbr|pruned|traversal (jobs may override)")
-		workers      = fs.Int("workers", 0, "fleet solver workers (0 = GOMAXPROCS)")
-		jobTimeout   = fs.Duration("job-timeout", 5*time.Minute, "wall-time bound of one job's solve")
-		drainTO      = fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGINT/SIGTERM")
-		maxOrgs      = fs.Int("max-orgs", 64, "largest N accepted per instance")
-		maxInst      = fs.Int("max-instances", 1024, "most instances accepted per job")
-
-		obsFlags = obs.RegisterFlags(fs)
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	defaultPlan, err := fleet.ParsePlan(*plan)
-	if err != nil {
-		return err
-	}
-	diag, err := obsFlags.Apply()
-	if err != nil {
-		return err
-	}
-	if diag != nil {
-		// DiagServer.Close drains gracefully (bounded), so in-flight profile
-		// and stream requests on the diag endpoint survive a SIGTERM.
-		defer diag.Close()
-	}
-	defer func() {
-		if ferr := obsFlags.Finish(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-
-	srv, err := serve.New(*listen, serve.Options{
-		Runners:      *runners,
-		QueueDepth:   *queue,
-		TenantActive: *tenantActive,
-		TenantRate:   *tenantRate,
-		JobTimeout:   *jobTimeout,
-		Limits:       serve.Limits{MaxOrgs: *maxOrgs, MaxInstances: *maxInst},
-		Fleet:        fleet.Options{Plan: defaultPlan, Workers: *workers},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println("tradefl-server: gateway on", srv.Addr())
-
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve() }()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-done:
-		return err
-	case <-sig:
-		// Graceful order: reject new submissions, let queued and running
-		// jobs finish (bounded), then stop the listener.
-		fmt.Println("tradefl-server: draining")
-		if err := srv.Drain(*drainTO); err != nil {
+	listen := fs.String("listen", "127.0.0.1:8080", "gateway listen address")
+	tenantRate := fs.Float64("tenant-rate", 64, "per-tenant admitted instances per second (token bucket)")
+	return cli.Command{Flags: fs, Run: func(ctx context.Context, _ *obs.DiagServer) error {
+		srv, err := serve.New(*listen, serve.Options{TenantRate: *tenantRate})
+		if err != nil {
 			return err
 		}
-		return <-done
-	}
+		fmt.Println("tradefl-server: gateway on", srv.Addr())
+
+		done := make(chan error, 1)
+		go func() { done <- srv.Serve() }()
+		select {
+		case err := <-done:
+			return err
+		case <-ctx.Done():
+			// Graceful order: reject new submissions, let queued and running
+			// jobs finish (bounded), then stop the listener.
+			fmt.Println("tradefl-server: draining")
+			if err := srv.Drain(drainTimeout); err != nil {
+				return err
+			}
+			return <-done
+		}
+	}}
 }

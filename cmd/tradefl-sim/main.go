@@ -8,182 +8,144 @@
 //	tradefl-sim -all -out results/
 //	tradefl-sim -fig table2 -diag-addr 127.0.0.1:6060 -diag-hold 30s
 //	tradefl-sim -chaos "seed=7,drop=0.15,dup=0.05,rpcfail=0.1,rpclost=0.05"
+//
+// Fleet batches, FL tensor kernels and chain batch verification use
+// GOMAXPROCS workers; outputs are byte-identical for every worker count.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"tradefl/internal/chaos"
+	"tradefl/internal/cli"
 	"tradefl/internal/experiments"
 	"tradefl/internal/obs"
-	"tradefl/internal/parallel"
-	"tradefl/internal/verify"
 )
 
-func main() {
-	// A panic anywhere in the run dumps the flight recorder before dying:
-	// the ring holds the last ~2k fault/retry/span events, which is the
-	// post-mortem context a stack trace alone lacks.
-	defer obs.FlightDumpOnPanic(os.Stderr)
-	err := run(os.Args[1:])
-	if err == nil {
-		// With -verify, any invariant breach turns into a nonzero exit.
-		err = verify.Finish()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tradefl-sim:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("tradefl-sim", run) }
 
-func run(args []string) (err error) {
+func run(args []string) error { return command().Exec(args) }
+
+// command is tradefl-sim's flags and body.
+func command() cli.Command {
 	fs := flag.NewFlagSet("tradefl-sim", flag.ContinueOnError)
 	var (
 		fig      = fs.String("fig", "", "experiment id to run (see -list)")
 		all      = fs.Bool("all", false, "run every experiment")
 		list     = fs.Bool("list", false, "list experiment ids")
 		chaosRun = fs.String("chaos", "", "run a seeded chaos soak instead of an experiment, e.g. \"seed=7,drop=0.15,rpclost=0.05\" (keys: seed drop dup delayp delaymin delaymax partition crash rpcfail rpclost rpcdelayp orgs game token suspect seal settle crashcycles crashmin crashmax snapevery waldir batch)")
-		walDir   = fs.String("wal-dir", "", "with -chaos crashcycles: keep the soak's WAL/snapshot directory here instead of a temp dir (left behind for inspection)")
 		seed     = fs.Int64("seed", 7, "random seed of the reference instance")
 		quick    = fs.Bool("quick", false, "coarse sweeps and short FL runs")
 		out      = fs.String("out", "", "directory for CSV files (default stdout)")
-		plot     = fs.Bool("plot", false, "render terminal charts instead of CSV")
 		fleetN   = fs.Int("fleet", 0, "solve a synthetic batch of this many game instances through the fleet engine instead of an experiment")
 		planName = fs.String("plan", "auto", "fleet solver plan: auto|pruned|traversal|dbr (auto: N ≤ 6 → pruned, else dbr)")
-		workers  = fs.Int("workers", 0, "worker goroutines of -fleet batches, FL tensor kernels and chain batch verification (0 = GOMAXPROCS, 1 = serial); a single solve is always serial")
-		verifyOn = fs.Bool("verify", false, "audit solver and settlement invariants at runtime (tradefl_verify_* metrics; nonzero exit on violation)")
 		summary  = fs.String("summary", "text", "end-of-run solver summary: text|json|none")
 		diagHold = fs.Duration("diag-hold", 0, "keep the diagnostics server alive this long after the run (requires -diag-addr)")
-		obsFlags = obs.RegisterFlags(fs)
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	switch *summary {
-	case "text", "json", "none":
-	default:
-		return fmt.Errorf("-summary must be text, json or none, got %q", *summary)
-	}
-	diag, err := obsFlags.Apply()
-	if err != nil {
-		return err
-	}
-	if diag != nil {
-		defer diag.Close()
-	}
-	// Flush -trace-out / -telemetry-out sinks whichever way the run exits.
-	defer func() {
-		if ferr := obsFlags.Finish(); ferr != nil && err == nil {
-			err = ferr
+	return cli.Command{Flags: fs, Verify: true, Run: func(ctx context.Context, diag *obs.DiagServer) error {
+		switch *summary {
+		case "text", "json", "none":
+		default:
+			return fmt.Errorf("-summary must be text, json or none, got %q", *summary)
 		}
-	}()
-	parallel.SetDefault(*workers)
-	if *verifyOn {
-		verify.Enable(verify.Options{})
-	}
-	// SIGINT/SIGTERM cancels the run; the deferred sink flush above still
-	// runs, so partial traces/telemetry survive an interrupted soak.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	if *chaosRun != "" {
-		copts, err := chaos.ParseSpec(*chaosRun)
-		if err != nil {
-			return err
+		if *diagHold > 0 && diag == nil {
+			return errors.New("-diag-hold requires -diag-addr")
 		}
-		if *walDir != "" {
-			copts.WALDir = *walDir
-		}
-		rep, err := chaos.Run(ctx, copts)
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep.String())
-		if diag != nil && *diagHold > 0 {
+		// hold keeps the diagnostics server up after a run so it can be
+		// scraped, until -diag-hold elapses or SIGINT/SIGTERM arrives.
+		hold := func() {
+			if *diagHold <= 0 {
+				return
+			}
 			obs.Component("sim").Info("holding diagnostics server", "addr", diag.Addr(), "hold", *diagHold)
-			time.Sleep(*diagHold)
+			select {
+			case <-time.After(*diagHold):
+			case <-ctx.Done():
+			}
 		}
-		if gateErr := rep.Err(); gateErr != nil {
-			// A failed chaos gate dumps the flight recorder: the fault
-			// injections and retries leading to the breach are in the ring.
-			obs.DumpFlight(os.Stderr, "chaos gate failed: "+gateErr.Error())
-			return gateErr
+		if *chaosRun != "" {
+			copts, err := chaos.ParseSpec(*chaosRun)
+			if err != nil {
+				return err
+			}
+			rep, err := chaos.Run(ctx, copts)
+			if err != nil {
+				return err
+			}
+			fmt.Print(rep.String())
+			hold()
+			if gateErr := rep.Err(); gateErr != nil {
+				// A failed chaos gate dumps the flight recorder: the fault
+				// injections and retries leading to the breach are in the ring.
+				obs.DumpFlight(os.Stderr, "chaos gate failed: "+gateErr.Error())
+				return gateErr
+			}
+			return nil
 		}
-		return nil
-	}
-	if *fleetN > 0 {
+		if *fleetN > 0 {
+			start := time.Now()
+			if err := runFleet(ctx, *fleetN, *planName, *seed); err != nil {
+				return err
+			}
+			if err := printSummary(*summary, time.Since(start)); err != nil {
+				return err
+			}
+			hold()
+			return nil
+		}
+		if *list {
+			for _, id := range experiments.IDs() {
+				fmt.Println(id)
+			}
+			return nil
+		}
+		var ids []string
+		switch {
+		case *all:
+			ids = experiments.IDs()
+		case *fig != "":
+			ids = []string{*fig}
+		default:
+			return fmt.Errorf("need -fig <id>, -all or -list")
+		}
 		start := time.Now()
-		if err := runFleet(ctx, *fleetN, *planName, *seed); err != nil {
-			return err
+		opts := experiments.Options{Seed: *seed, Quick: *quick}
+		for _, id := range ids {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("interrupted before %s: %w", id, err)
+			}
+			figure, err := experiments.Run(id, opts)
+			if err != nil {
+				return fmt.Errorf("%s: %w", id, err)
+			}
+			csv := figure.CSV()
+			if *out == "" {
+				fmt.Print(csv)
+				continue
+			}
+			if err := os.MkdirAll(*out, 0o755); err != nil {
+				return err
+			}
+			path := filepath.Join(*out, id+".csv")
+			if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+				return err
+			}
+			fmt.Println("wrote", path)
 		}
 		if err := printSummary(*summary, time.Since(start)); err != nil {
 			return err
 		}
-		if diag != nil && *diagHold > 0 {
-			obs.Component("sim").Info("holding diagnostics server", "addr", diag.Addr(), "hold", *diagHold)
-			time.Sleep(*diagHold)
-		}
+		hold()
 		return nil
-	}
-	if *list {
-		for _, id := range experiments.IDs() {
-			fmt.Println(id)
-		}
-		return nil
-	}
-	var ids []string
-	switch {
-	case *all:
-		ids = experiments.IDs()
-	case *fig != "":
-		ids = []string{*fig}
-	default:
-		return fmt.Errorf("need -fig <id>, -all or -list")
-	}
-	start := time.Now()
-	opts := experiments.Options{Seed: *seed, Quick: *quick}
-	for _, id := range ids {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("interrupted before %s: %w", id, err)
-		}
-		figure, err := experiments.Run(id, opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		if *plot {
-			fmt.Print(figure.Plot(72, 18))
-			continue
-		}
-		csv := figure.CSV()
-		if *out == "" {
-			fmt.Print(csv)
-			continue
-		}
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(*out, id+".csv")
-		if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
-			return err
-		}
-		fmt.Println("wrote", path)
-	}
-	if err := printSummary(*summary, time.Since(start)); err != nil {
-		return err
-	}
-	if diag != nil && *diagHold > 0 {
-		obs.Component("sim").Info("holding diagnostics server", "addr", diag.Addr(), "hold", *diagHold)
-		time.Sleep(*diagHold)
-	}
-	return nil
+	}}
 }
 
 // printSummary condenses the metrics snapshot into the solver headline

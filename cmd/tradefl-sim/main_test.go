@@ -1,8 +1,12 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -45,29 +49,53 @@ func TestRunFigureToFile(t *testing.T) {
 	}
 }
 
-func TestRunPlotMode(t *testing.T) {
-	if err := run([]string{"-fig", "fig5", "-quick", "-plot"}); err != nil {
-		t.Fatalf("run -plot: %v", err)
-	}
-}
-
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Error("bad flag accepted")
 	}
 }
 
-// TestIncrementalFlagIsGone: the solvers have one evaluation path and the
-// planner one size rule, so the flags that used to select a twin or
-// load a calibrated profile are unknown flags.
+// TestFlagSet pins tradefl-sim's flags: its own and the shared
+// observability ones. -h returns flag.ErrHelp, which cli.Main exits 0 on.
+func TestFlagSet(t *testing.T) {
+	c := command()
+	c.Flags.SetOutput(io.Discard)
+	if err := c.Exec([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
+	}
+	var got []string
+	c.Flags.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{
+		"all", "chaos", "diag-addr", "diag-hold", "fig", "fleet", "list",
+		"log-format", "log-level", "out", "plan", "quick", "seed", "summary",
+		"telemetry-out", "trace-out", "verify",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flags = %v\nwant    %v", got, want)
+	}
+}
+
+// TestIncrementalFlagIsGone: the switch of the solvers' old second
+// evaluation path, and every setting that had one value in use (now a
+// constant), are unknown flags.
 func TestIncrementalFlagIsGone(t *testing.T) {
-	for _, tc := range []struct{ flag, value string }{
-		{"-incremental", "on"},
-		{"-plan-profile", "cal.json"},
+	for _, name := range []string{
+		"incremental", "plan-profile", "wal-dir", "plot", "workers",
 	} {
-		err := run([]string{tc.flag, tc.value})
-		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+tc.flag) {
-			t.Errorf("run %s %s: err = %v, want an unknown-flag error", tc.flag, tc.value, err)
+		c := command()
+		c.Flags.SetOutput(io.Discard)
+		err := c.Exec([]string{"-" + name, "1"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {
+			t.Errorf("-%s 1: err = %v, want an unknown-flag error", name, err)
 		}
+	}
+}
+
+// TestDiagHoldNeedsDiagAddr: a hold without a diagnostics server would
+// only stall the run, so it is rejected before the run starts.
+func TestDiagHoldNeedsDiagAddr(t *testing.T) {
+	err := run([]string{"-list", "-diag-hold", "1s"})
+	if err == nil || !strings.Contains(err.Error(), "-diag-hold requires -diag-addr") {
+		t.Fatalf("run -diag-hold without -diag-addr: err = %v", err)
 	}
 }

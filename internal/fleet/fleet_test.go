@@ -12,7 +12,6 @@ import (
 	"tradefl/internal/game"
 	"tradefl/internal/gbd"
 	"tradefl/internal/obs"
-	"tradefl/internal/parallel"
 )
 
 func fleetConfig(t testing.TB, seed int64, n int) *game.Config {
@@ -82,12 +81,9 @@ func TestBatchMatchesOneAtATime(t *testing.T) {
 }
 
 // TestLoneSolvesDoNotFanOut: a CGBD solve runs on its caller's goroutine.
-// Neither a direct gbd.Solve under a 4-worker process default nor a lone
-// fleet solve of an N = 8, m = 4 game (Π mᵢ = 65,536) on a 4-worker
-// engine may dispatch a pool fan-out.
+// Neither a direct gbd.Solve nor a lone fleet solve of an N = 8, m = 4 game
+// (Π mᵢ = 65,536) on a 4-worker engine may dispatch a pool fan-out.
 func TestLoneSolvesDoNotFanOut(t *testing.T) {
-	defer parallel.SetDefault(0)
-	parallel.SetDefault(4)
 	cfg, err := game.DefaultConfig(game.GenOptions{Seed: 1, N: 8, CPUSteps: 4, NoOrgName: true})
 	if err != nil {
 		t.Fatal(err)

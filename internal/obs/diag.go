@@ -3,12 +3,10 @@ package obs
 import (
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"time"
 
 	"tradefl/internal/httpx"
@@ -139,75 +137,4 @@ func (d *DiagServer) handleFlightz(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(raw)
-}
-
-// Flags is the standard telemetry flag set every TradeFL command exposes.
-type Flags struct {
-	Level        *string
-	Format       *string
-	DiagAddr     *string
-	TraceOut     *string
-	TelemetryOut *string
-}
-
-// RegisterFlags adds -log-level, -log-format, -diag-addr, -trace-out and
-// -telemetry-out to fs.
-func RegisterFlags(fs *flag.FlagSet) *Flags {
-	return &Flags{
-		Level:        fs.String("log-level", "info", "minimum log level: debug|info|warn|error"),
-		Format:       fs.String("log-format", "text", "log output format: text|json"),
-		DiagAddr:     fs.String("diag-addr", "", "serve /metrics, /healthz, /runz, /tracez, /flightz and /debug/pprof on this address (empty = disabled)"),
-		TraceOut:     fs.String("trace-out", "", "enable distributed tracing and write completed traces as Chrome-trace JSON to this file at exit"),
-		TelemetryOut: fs.String("telemetry-out", "", "write per-solve/batch/epoch convergence telemetry as JSONL to this file"),
-	}
-}
-
-// Apply installs the logging configuration, enables tracing and the
-// telemetry sink when their output flags were given, and, when -diag-addr
-// was given, starts the diagnostics server (returned non-nil; callers
-// should defer Close). Pair with a deferred Finish to flush the sinks.
-func (f *Flags) Apply() (*DiagServer, error) {
-	if err := ConfigureLogging(*f.Level, *f.Format, nil); err != nil {
-		return nil, err
-	}
-	if *f.TraceOut != "" {
-		EnableTracing(true)
-	}
-	if *f.TelemetryOut != "" {
-		if err := OpenTelemetry(*f.TelemetryOut); err != nil {
-			return nil, err
-		}
-	}
-	if *f.DiagAddr == "" {
-		return nil, nil
-	}
-	d, err := StartDiag(*f.DiagAddr)
-	if err != nil {
-		return nil, err
-	}
-	Component("obs").Info("diagnostics serving", "addr", d.Addr())
-	return d, nil
-}
-
-// Finish flushes the file sinks Apply armed: it writes retained traces to
-// -trace-out and closes the -telemetry-out JSONL sink. Safe to call when
-// neither flag was given.
-func (f *Flags) Finish() error {
-	var firstErr error
-	if *f.TraceOut != "" {
-		out, err := os.Create(*f.TraceOut)
-		if err == nil {
-			err = WriteChromeTrace(out)
-			if cerr := out.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			firstErr = fmt.Errorf("obs: trace out: %w", err)
-		}
-	}
-	if err := CloseTelemetry(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
 }

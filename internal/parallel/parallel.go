@@ -50,27 +50,8 @@ func track(workers, n int) func() {
 	}
 }
 
-// defaultWorkers overrides the process-wide default worker count when
-// positive; 0 means "use GOMAXPROCS". Set from CLI flags (-workers).
-var defaultWorkers atomic.Int64
-
-// SetDefault sets the process-wide default worker count used when a
-// Workers option is left at zero. n ≤ 0 restores the GOMAXPROCS default.
-func SetDefault(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int64(n))
-}
-
-// Default returns the process-wide default worker count: the value set by
-// SetDefault, or runtime.GOMAXPROCS(0).
-func Default() int {
-	if n := defaultWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// Default returns the default worker count, runtime.GOMAXPROCS(0).
+func Default() int { return runtime.GOMAXPROCS(0) }
 
 // Resolve maps a Workers option value to an effective worker count:
 // 0 → Default(), negative → 1.

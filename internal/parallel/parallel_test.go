@@ -18,14 +18,6 @@ func TestResolve(t *testing.T) {
 	if got := Resolve(7); got != 7 {
 		t.Fatalf("Resolve(7) = %d, want 7", got)
 	}
-	SetDefault(5)
-	if got := Resolve(0); got != 5 {
-		t.Fatalf("Resolve(0) after SetDefault(5) = %d, want 5", got)
-	}
-	SetDefault(0)
-	if got := Resolve(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Resolve(0) after reset = %d, want GOMAXPROCS", got)
-	}
 }
 
 func TestForCoversEveryIndexOnce(t *testing.T) {

@@ -17,7 +17,7 @@
 //     every Solve and every on-chain payoffCalculate in the process is
 //     audited. All four cmds expose this as -verify, exiting nonzero when
 //     any invariant broke.
-//   - Differential (diff.go) fuzzes random game instances and cross-runs
+//   - Differential (diff_test.go) fuzzes random game instances and cross-runs
 //     CGBD against an independent exhaustive solver, DBR against CGBD, and
 //     the DeltaEvaluator against Config.Payoff.
 //

@@ -37,19 +37,29 @@ done
 go test -race -run "$ENGINE_TESTS" ./internal/game/ ./internal/dbr/ ./internal/gbd/
 BENCH_TIME=1x BENCH_COUNT=1 scripts/bench.sh >/dev/null
 
-echo "==> reproduction-drift gate (game-only figures regenerate byte-identically)"
-# fig4..fig12 are pure functions of the seeded game instances and the two
-# solvers (no FL training), so any change to generation, payoff evaluation
-# or solver arithmetic shows up as a changed byte in a few seconds. A diff
-# here is either a bug or a deliberate change of the reproduction: review
-# it, regenerate results/ and update EXPERIMENTS.md in the same commit.
+echo "==> reproduction-drift gate (every committed result regenerates byte-identically)"
+# Every file in results/ is a pure function of its seed: fig4..fig12 of the
+# seeded game instances and the two solvers, fig2 and fig13..fig15 of the
+# seeded FL runs as well. So any change to generation, payoff evaluation,
+# solver arithmetic or training shows up as a changed byte. A diff here is
+# either a bug or a deliberate change of the reproduction: review it,
+# regenerate results/ and update EXPERIMENTS.md in the same commit. The
+# whole loop takes about 40 s; the 180 s budget fails a loop that has grown
+# past what a gate run can afford.
 DRIFT_DIR="$(mktemp -d)"
 go build -o "$DRIFT_DIR/tradefl-sim" ./cmd/tradefl-sim
-for fig in fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12; do
+DRIFT_START=$SECONDS
+for fig in fig2 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 \
+  table1 table2 ext-personalization ext-campaign; do
+  fig_start=$SECONDS
   "$DRIFT_DIR/tradefl-sim" -fig "$fig" -summary none -log-level error -out "$DRIFT_DIR" >/dev/null
   cmp "$DRIFT_DIR/$fig.csv" "results/$fig.csv" \
     || { echo "drift gate: $fig.csv no longer matches results/$fig.csv"; exit 1; }
+  echo "drift gate: $fig ok ($((SECONDS - fig_start)) s)"
 done
+drift_secs=$((SECONDS - DRIFT_START))
+[ "$drift_secs" -le 180 ] \
+  || { echo "drift gate: $drift_secs s over the 180 s budget"; exit 1; }
 rm -rf "$DRIFT_DIR"
 
 echo "==> solver-workspace fast gate (allocation pin, then gbd/fleet/serve under -race)"
