@@ -11,9 +11,10 @@
 //	tradefl-chain -wal-dir p/ -replicate 127.0.0.1:9000        primary, streaming to standby
 //	tradefl-chain -wal-dir s/ -standby 127.0.0.1:9000          standby, promotes after 2s of silence
 //
-// The node prints each member's address and funds it at genesis with
-// genesisFund wei; an organization process re-derives its signing account
-// from the same seed (tradefl-org -seed). With -wal-dir every accepted
+// The node deploys chain.NewSettlement of the seed's game, prints each
+// member's address and funds it at genesis with twice its deposit; an
+// organization process derives the same settlement from the same seed
+// (tradefl-org -seed). With -wal-dir every accepted
 // transaction and sealed block is fsynced to a write-ahead log before it is
 // acknowledged, and an existing directory is recovered (snapshot + log
 // replay, replay-verified) instead of starting fresh. SIGINT/SIGTERM shuts
@@ -34,12 +35,8 @@ import (
 	"tradefl/internal/faults"
 	"tradefl/internal/game"
 	"tradefl/internal/obs"
-	"tradefl/internal/randx"
 	"tradefl/internal/transport"
 )
-
-// genesisFund is each member's genesis balance (wei).
-const genesisFund chain.Wei = 1_000_000_000
 
 func main() { cli.Main("tradefl-chain", run) }
 
@@ -51,7 +48,6 @@ func command() cli.Command {
 	var (
 		listen   = fs.String("listen", "127.0.0.1:8545", "RPC listen address")
 		seed     = fs.Int64("seed", 7, "seed of the game instance and accounts")
-		store    = fs.String("store", "", "persist the chain to this file (reloaded if present)")
 		walDir   = fs.String("wal-dir", "", "durable mode: write-ahead log + incremental snapshots in this directory (an existing chain is recovered and replay-verified)")
 		snapInt  = fs.Duration("snapshot-interval", 0, "with -wal-dir: checkpoint cadence — rotate the WAL and write an incremental snapshot every interval (0 disables)")
 		recoverH = fs.Uint64("recover", 0, "with -wal-dir: point-in-time recovery — serve a view of the chain as of this sealed height; writes to the view are NOT durable")
@@ -64,33 +60,9 @@ func command() cli.Command {
 		if err != nil {
 			return err
 		}
-		src := randx.New(*seed)
-		authority, err := chain.NewAccount(src)
+		gen, err := chain.NewSettlement(cfg, *seed)
 		if err != nil {
 			return err
-		}
-		n := cfg.N()
-		members := make([]chain.Address, n)
-		bits := make([]float64, n)
-		alloc := chain.GenesisAlloc{}
-		for i, o := range cfg.Orgs {
-			acct, err := chain.NewAccount(src)
-			if err != nil {
-				return err
-			}
-			members[i] = acct.Address()
-			bits[i] = o.DataBits
-			alloc[members[i]] = genesisFund
-		}
-		params := chain.ContractParams{
-			Members:  members,
-			Rho:      cfg.Rho,
-			DataBits: bits,
-			Gamma:    cfg.Gamma,
-			Lambda:   cfg.Lambda,
-		}
-		if *walDir != "" && *store != "" {
-			return fmt.Errorf("-store and -wal-dir are mutually exclusive")
 		}
 		if (*recoverH > 0 || *repl != "") && *walDir == "" {
 			return fmt.Errorf("-recover and -replicate require -wal-dir")
@@ -104,7 +76,7 @@ func command() cli.Command {
 		case *recoverH > 0:
 			// Point-in-time view: rebuilt from snapshot + log up to the
 			// requested height, replay-verified, detached from the WAL.
-			bc, err = chain.RecoverAt(*walDir, authority, *recoverH)
+			bc, err = chain.RecoverAt(*walDir, gen.Authority, *recoverH)
 			if err != nil {
 				return fmt.Errorf("point-in-time recovery: %w", err)
 			}
@@ -113,43 +85,30 @@ func command() cli.Command {
 		case *walDir != "":
 			// OpenDurable initializes a fresh durable chain or recovers an
 			// existing one to its last acknowledged state.
-			bc, err = chain.OpenDurable(*walDir, authority, params, alloc)
+			bc, err = chain.OpenDurable(*walDir, gen.Authority, gen.Params, gen.Alloc)
 			if err != nil {
 				return err
 			}
 			fmt.Printf("tradefl-chain: durable chain in %s (height %d, term %d)\n", *walDir, bc.Height(), bc.Term())
-		case *store != "":
-			if _, statErr := os.Stat(*store); statErr == nil {
-				bc, err = chain.Load(*store, authority)
-				if err != nil {
-					return fmt.Errorf("reload %s: %w", *store, err)
-				}
-				fmt.Printf("tradefl-chain: reloaded and replay-verified %s (height %d)\n", *store, bc.Height())
-			}
-		}
-		if bc == nil {
-			bc, err = chain.NewBlockchain(authority, params, alloc)
+		default:
+			bc, err = chain.NewBlockchain(gen.Authority, gen.Params, gen.Alloc)
 			if err != nil {
 				return err
 			}
 		}
 		// shutdown is the graceful exit path once RPC has stopped: seal the
 		// pending block so nothing acknowledged is left in the mempool file
-		// forever, flush and close the WAL (durable mode), or write the final
-		// -store snapshot (legacy mode).
+		// forever, then flush and close the WAL (durable mode).
 		shutdown := func() error {
-			if bc.WAL() != nil {
-				if bc.PendingCount() > 0 {
-					if _, serr := bc.SealBlock(); serr != nil {
-						return fmt.Errorf("seal pending block: %w", serr)
-					}
-				}
-				return bc.CloseDurable()
-			}
-			if *store == "" {
+			if bc.WAL() == nil {
 				return nil
 			}
-			return bc.Save(*store, params, alloc)
+			if bc.PendingCount() > 0 {
+				if _, serr := bc.SealBlock(); serr != nil {
+					return fmt.Errorf("seal pending block: %w", serr)
+				}
+			}
+			return bc.CloseDurable()
 		}
 
 		if *standby != "" {
@@ -212,9 +171,9 @@ func command() cli.Command {
 			return err
 		}
 		fmt.Println("tradefl-chain: RPC on", srv.Addr())
-		fmt.Println("authority:", authority.Address())
-		for i, m := range members {
-			fmt.Printf("member %d: %s (funded %d wei)\n", i, m, genesisFund)
+		fmt.Println("authority:", gen.Authority.Address())
+		for i, m := range gen.Params.Members {
+			fmt.Printf("member %d: %s (funded %d wei)\n", i, m, gen.Alloc[m])
 		}
 
 		// Periodic incremental snapshots: rotate the WAL and write a checkpoint

@@ -9,8 +9,8 @@
 //	tradefl-org -rpc 127.0.0.1:8545 -seed 7 -index 3            # solve + settle
 //	tradefl-org -rpc 127.0.0.1:8545 -seed 7 -index 3 -d 0.4 -f 4e9
 //
-// The account is derived from the shared seed exactly as the chain node
-// derives the funded genesis members.
+// The account and the deposit come from chain.NewSettlement of the shared
+// seed, the settlement the chain node deploys.
 package main
 
 import (
@@ -28,7 +28,6 @@ import (
 	"tradefl/internal/dbr"
 	"tradefl/internal/game"
 	"tradefl/internal/obs"
-	"tradefl/internal/randx"
 )
 
 const (
@@ -72,18 +71,12 @@ func settle(ctx context.Context, rpc string, seed int64, index int, strategy gam
 		return fmt.Errorf("-index %d out of range [0,%d)", index, cfg.N())
 	}
 
-	// Re-derive this organization's account: the chain node draws the
-	// authority first, then one account per member, all from the seed.
-	src := randx.New(seed)
-	if _, err := chain.NewAccount(src); err != nil { // authority
+	// The chain node deployed this settlement from the same seed.
+	gen, err := chain.NewSettlement(cfg, seed)
+	if err != nil {
 		return err
 	}
-	var acct *chain.Account
-	for i := 0; i <= index; i++ {
-		if acct, err = chain.NewAccount(src); err != nil {
-			return err
-		}
-	}
+	acct, dep := gen.Accounts[index], gen.Deposits[index]
 	fmt.Printf("organization %d: address %s\n", index, acct.Address())
 
 	// Decide the contribution: flags, or the DBR equilibrium (parameters
@@ -165,10 +158,6 @@ func settle(ctx context.Context, rpc string, seed int64, index int, strategy gam
 	}
 
 	// Phase 1: deposit the bond.
-	var dep chain.Wei
-	if err := client.Call(chain.MethodMinDeposit, map[string]any{"index": index, "fMax": 5e9}, &dep); err != nil {
-		return err
-	}
 	if err := send(chain.FnDepositSubmit, nil, dep); err != nil && !isAlready(err) {
 		return fmt.Errorf("deposit: %w", err)
 	}

@@ -1,12 +1,18 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"io"
+	"net/http"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"tradefl/internal/chain"
+	"tradefl/internal/game"
 )
 
 // TestFlagSet pins tradefl-org's flags: its own and the shared
@@ -52,5 +58,70 @@ func TestContributionNeedsBothFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "give both or neither") {
 			t.Errorf("run %v: err = %v, want the both-or-neither error", args, err)
 		}
+	}
+}
+
+// TestOrgsSettleAgainstNode runs every organization of a seed's game
+// against the node tradefl-chain builds for that seed (chain.NewSettlement
+// over DefaultConfig), concurrently, each solving its own DBR strategy. Every
+// lifecycle must finish, the contract must settle, and the transfers must
+// sum to 0 wei.
+func TestOrgsSettleAgainstNode(t *testing.T) {
+	const seed = 7
+	cfg, err := game.DefaultConfig(game.GenOptions{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := chain.NewSettlement(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := chain.NewBlockchain(gen.Authority, gen.Params, gen.Alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := chain.NewServer(bc, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve() }()
+	defer func() {
+		// A pooled connection the clients dialled but never used would hold
+		// the server's graceful Close for its whole 5 s deadline.
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+		if err := errors.Join(srv.Close(), <-served); err != nil {
+			t.Errorf("server: %v", err)
+		}
+	}()
+
+	errs := make([]error, cfg.N())
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = settle(context.Background(), srv.Addr(), seed, i, game.Strategy{D: -1, F: -1}, false)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("organization %d: %v", i, err)
+		}
+	}
+	var settled bool
+	if err := bc.ContractView(func(c *chain.Contract) error {
+		settled = c.Settled
+		return nil
+	}); err != nil || !settled {
+		t.Errorf("contract settled = %v (err %v), want true", settled, err)
+	}
+	var sum chain.Wei
+	for _, m := range gen.Params.Members {
+		sum += bc.Balance(m) - gen.Alloc[m]
+	}
+	if sum != 0 {
+		t.Errorf("transfers sum to %d wei, want 0", sum)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"tradefl/internal/chain"
 	"tradefl/internal/dbr"
 	"tradefl/internal/game"
-	"tradefl/internal/randx"
 	"tradefl/internal/transport"
 )
 
@@ -85,28 +84,15 @@ func run() error {
 		n, cfg.SocialWelfare(profile))
 
 	// --- Phase 2: settle on the chain over JSON-RPC ----------------------
-	src := randx.New(seed)
-	authority, err := chain.NewAccount(src)
+	gen, err := chain.NewSettlement(cfg, seed)
 	if err != nil {
 		return err
 	}
-	accounts := make([]*chain.Account, n)
-	members := make([]chain.Address, n)
-	bits := make([]float64, n)
-	alloc := chain.GenesisAlloc{}
-	for i, o := range cfg.Orgs {
-		if accounts[i], err = chain.NewAccount(src); err != nil {
-			return err
-		}
-		members[i] = accounts[i].Address()
-		bits[i] = o.DataBits
-		alloc[members[i]] = 1_000_000_000
+	stages, err := gen.Stages(profile)
+	if err != nil {
+		return err
 	}
-	params := chain.ContractParams{
-		Members: members, Rho: cfg.Rho, DataBits: bits,
-		Gamma: cfg.Gamma, Lambda: cfg.Lambda,
-	}
-	bc, err := chain.NewBlockchain(authority, params, alloc)
+	bc, err := chain.NewBlockchain(gen.Authority, gen.Params, gen.Alloc)
 	if err != nil {
 		return err
 	}
@@ -123,46 +109,32 @@ func run() error {
 	client := chain.NewClient(srv.Addr())
 	fmt.Println("phase 2: chain node serving RPC at", srv.Addr())
 
-	send := func(i int, fn chain.Function, args any, value chain.Wei) error {
-		nonce, err := client.Nonce(members[i])
+	// Each Fig. 3 stage is one batch and one sealed block; the payoffs are
+	// read once calculated, before the transfers pay them out.
+	var payoffs []chain.Wei
+	for k, name := range [4]string{"deposit", "contribution", "calculate", "transfer+record"} {
+		results, err := client.SubmitTxBatch(stages[k])
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		tx, err := chain.NewTransaction(accounts[i], nonce, fn, args, value)
+		for _, r := range results {
+			if !r.OK {
+				return fmt.Errorf("%s: %s", name, r.Error)
+			}
+		}
+		blk, err := client.SealBlock()
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		if err := client.SubmitTx(tx); err != nil {
-			return err
+		for _, r := range blk.Receipts {
+			if !r.OK {
+				return fmt.Errorf("%s: %s", name, r.Error)
+			}
 		}
-		_, err = client.SealBlock()
-		return err
-	}
-	for i := range accounts {
-		dep := chain.MinDeposit(params, i, 5e9)
-		if err := send(i, chain.FnDepositSubmit, nil, dep); err != nil {
-			return fmt.Errorf("deposit %d: %w", i, err)
-		}
-	}
-	for i := range accounts {
-		contrib := chain.Contribution{D: profile[i].D, F: profile[i].F}
-		if err := send(i, chain.FnContributionSubmit, contrib, 0); err != nil {
-			return fmt.Errorf("submit %d: %w", i, err)
-		}
-	}
-	if err := send(0, chain.FnPayoffCalculate, nil, 0); err != nil {
-		return fmt.Errorf("calculate: %w", err)
-	}
-	payoffs, err := client.Payoffs()
-	if err != nil {
-		return err
-	}
-	for i := range accounts {
-		if err := send(i, chain.FnPayoffTransfer, nil, 0); err != nil {
-			return fmt.Errorf("transfer %d: %w", i, err)
-		}
-		if err := send(i, chain.FnProfileRecord, nil, 0); err != nil {
-			return fmt.Errorf("record %d: %w", i, err)
+		if name == "calculate" {
+			if payoffs, err = client.Payoffs(); err != nil {
+				return err
+			}
 		}
 	}
 	if err := client.VerifyChain(); err != nil {
@@ -178,7 +150,7 @@ func run() error {
 	}
 
 	fmt.Println("settlement executed on-chain:")
-	for i := range accounts {
+	for i := range payoffs {
 		fmt.Printf("  %s: d=%.3f, transfer %+.3f tokens\n",
 			cfg.Orgs[i].Name, profile[i].D, chain.FromWei(payoffs[i]))
 	}

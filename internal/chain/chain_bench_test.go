@@ -79,11 +79,11 @@ func (p *settlePlan) stages() [][]Transaction {
 	return [][]Transaction{p.txs[:n], p.txs[n : 2*n], p.txs[2*n : 2*n+1], p.txs[2*n+1:]}
 }
 
-// settleStaged settles the plan on bc the way settle_rpc does: one batch
-// and one sealed block per stage, every receipt OK.
-func settleStaged(tb testing.TB, bc *Blockchain, p *settlePlan) {
+// settleStaged settles stages on bc the way settle_rpc does: one batch and
+// one sealed block per stage, every receipt OK.
+func settleStaged(tb testing.TB, bc *Blockchain, stages [][]Transaction) {
 	tb.Helper()
-	for s, txs := range p.stages() {
+	for s, txs := range stages {
 		results, err := bc.SubmitTxBatch(txs)
 		if err != nil {
 			tb.Fatalf("stage %d submit: %v", s, err)
@@ -123,7 +123,7 @@ func BenchmarkVerifyChain(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			settleStaged(b, bc, plan)
+			settleStaged(b, bc, plan.stages())
 			if dropped {
 				for h := uint64(1); h <= bc.Height(); h++ {
 					bc.setWitness(h, func([]string) []string { return nil })
@@ -153,7 +153,7 @@ func BenchmarkChainEncode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	settleStaged(b, bc, plan)
+	settleStaged(b, bc, plan.stages())
 	blk, err := bc.BlockAt(2)
 	if err != nil {
 		b.Fatal(err)

@@ -2,9 +2,6 @@ package chain
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -121,93 +118,5 @@ func TestVerifyChainChecksTxRoot(t *testing.T) {
 	}
 	if err := f.bc.VerifyChain(); err == nil {
 		t.Error("tampering not detected via roots/seal")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	f := newFixture(t, 3)
-	runSettlement(t, f, []Contribution{
-		{D: 0.9, F: 5e9}, {D: 0.5, F: 4e9}, {D: 0.1, F: 3e9},
-	})
-	path := filepath.Join(t.TempDir(), "chain.json")
-	alloc := GenesisAlloc{}
-	for _, a := range f.accounts {
-		alloc[a.Address()] = 1_000_000_000
-	}
-	if err := f.bc.Save(path, f.params, alloc); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path, f.authority)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Height() != f.bc.Height() {
-		t.Errorf("height %d after load, want %d", loaded.Height(), f.bc.Height())
-	}
-	for _, a := range f.accounts {
-		if loaded.Balance(a.Address()) != f.bc.Balance(a.Address()) {
-			t.Errorf("balance mismatch for %s after replay", a.Address())
-		}
-	}
-	// The loaded chain keeps working: it can seal new blocks.
-	tx, err := NewTransaction(f.accounts[0], loaded.Nonce(f.accounts[0].Address()), FnProfileRecord, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.SubmitTx(*tx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loaded.SealBlock(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadRejectsTamperedFile(t *testing.T) {
-	f := newFixture(t, 2)
-	f.sendOK(t, f.accounts[0], FnDepositSubmit, nil, 500)
-	path := filepath.Join(t.TempDir(), "chain.json")
-	alloc := GenesisAlloc{}
-	for _, a := range f.accounts {
-		alloc[a.Address()] = 1_000_000_000
-	}
-	if err := f.bc.Save(path, f.params, alloc); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip the deposit value recorded in the file.
-	tampered := strings.Replace(string(raw), `"value": 500`, `"value": 501`, 1)
-	if tampered == string(raw) {
-		t.Fatal("fixture: value not found in file")
-	}
-	if err := os.WriteFile(path, []byte(tampered), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path, f.authority); err == nil {
-		t.Error("tampered chain file loaded")
-	}
-}
-
-func TestLoadRejectsWrongAuthority(t *testing.T) {
-	f := newFixture(t, 2)
-	f.sendOK(t, f.accounts[0], FnDepositSubmit, nil, 500)
-	path := filepath.Join(t.TempDir(), "chain.json")
-	if err := f.bc.Save(path, f.params, GenesisAlloc{
-		f.accounts[0].Address(): 1_000_000_000,
-		f.accounts[1].Address(): 1_000_000_000,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path, f.accounts[0]); err == nil {
-		t.Error("chain loaded under an impostor authority")
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	f := newFixture(t, 2)
-	if _, err := Load(filepath.Join(t.TempDir(), "absent.json"), f.authority); err == nil {
-		t.Error("missing file loaded")
 	}
 }

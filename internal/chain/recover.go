@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,6 +39,10 @@ var recoverLog = obs.Component("chain.recover")
 
 // ErrNoSnapshot is returned when a recovery directory has no snapshot.
 var ErrNoSnapshot = errors.New("chain: no snapshot in wal dir")
+
+// ErrReplayMismatch is returned when a stored chain does not reproduce
+// under replay.
+var ErrReplayMismatch = errors.New("chain: replay mismatch")
 
 // snapshotDoc is the on-disk snapshot document.
 type snapshotDoc struct {
@@ -440,4 +445,24 @@ func gcSnapshots(dir string) error {
 	older := snaps[len(snaps)-2]
 	_, err = removeSegmentsBelow(dir, older)
 	return err
+}
+
+// sameBlock compares a replayed block with the stored one: header hash and
+// seal (receipt errors included — the failure surface is part of history).
+func sameBlock(replayed, stored *Block) error {
+	rh, err := replayed.HeaderHash()
+	if err != nil {
+		return err
+	}
+	sh, err := stored.HeaderHash()
+	if err != nil {
+		return err
+	}
+	if rh != sh {
+		return fmt.Errorf("header hash %s != stored %s", rh, sh)
+	}
+	if !bytes.Equal(replayed.Seal, stored.Seal) {
+		return errors.New("seal differs (different authority?)")
+	}
+	return nil
 }

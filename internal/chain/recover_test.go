@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"tradefl/internal/durable"
@@ -379,57 +378,29 @@ func TestDedupSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestLoadNeverAcceptsPartialSave truncates an atomic Save document at
-// every prefix: Load must either succeed on the complete file or fail —
-// never produce a chain from partial state.
-func TestLoadNeverAcceptsPartialSave(t *testing.T) {
-	f := newFixture(t, 2)
-	f.sendOK(t, f.accounts[0], FnDepositSubmit, nil, MinDeposit(f.params, 0, 5e9))
-	path := filepath.Join(t.TempDir(), "chain.json")
-	alloc := GenesisAlloc{}
-	for _, a := range f.accounts {
-		alloc[a.Address()] = 1_000_000_000
-	}
-	if err := f.bc.Save(path, f.params, alloc); err != nil {
+// TestRecoverRejectsWrongAuthority: a directory recovers only under the
+// authority that sealed it. Under any other key the replayed genesis seals
+// differently, so every snapshot fails with ErrReplayMismatch and no chain
+// comes back.
+func TestRecoverRejectsWrongAuthority(t *testing.T) {
+	f := newDurableFixture(t, 2)
+	f.submit(t, 0, FnDepositSubmit, nil, 500)
+	if _, err := f.bc.SealBlock(); err != nil {
 		t.Fatal(err)
 	}
-	full, err := os.ReadFile(path)
+	if err := f.bc.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	bc, err := Recover(f.dir, f.accounts[0])
+	if !errors.Is(err, ErrReplayMismatch) || bc != nil {
+		t.Fatalf("Recover under a member's key: chain returned %v, err %v; want none and ErrReplayMismatch", bc != nil, err)
+	}
+	// The directory itself is sound: its own authority recovers it.
+	bc, err = Recover(f.dir, f.authority)
 	if err != nil {
+		t.Fatalf("Recover under the sealing authority: %v", err)
+	}
+	if err := bc.CloseDurable(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path, f.authority); err != nil {
-		t.Fatalf("full file must load: %v", err)
-	}
-	part := filepath.Join(t.TempDir(), "partial.json")
-	for cut := 0; cut < len(full); cut++ {
-		if err := os.WriteFile(part, full[:cut], 0o600); err != nil {
-			t.Fatal(err)
-		}
-		bc, err := Load(part, f.authority)
-		if err == nil {
-			// The only acceptable "success" would be a byte-identical
-			// replay of the full document — impossible for a strict
-			// prefix of valid JSON, so any success here is a bug.
-			t.Fatalf("cut %d: Load accepted a partial save (height %d)", cut, bc.Height())
-		}
-		if !errors.Is(err, ErrReplayMismatch) && !isDecodeErr(err) {
-			t.Fatalf("cut %d: unexpected error class: %v", cut, err)
-		}
-	}
-}
-
-// isDecodeErr reports whether err is a document-level read/parse failure —
-// the expected rejection for a physically truncated file.
-func isDecodeErr(err error) bool {
-	s := err.Error()
-	return containsAny(s, "decode", "unexpected end", "no blocks", "read")
-}
-
-func containsAny(s string, subs ...string) bool {
-	for _, sub := range subs {
-		if strings.Contains(s, sub) {
-			return true
-		}
-	}
-	return false
 }

@@ -43,7 +43,6 @@ const (
 	MethodRecords       = "tradefl_getRecords"
 	MethodVerify        = "tradefl_verifyChain"
 	MethodStatus        = "tradefl_contractStatus"
-	MethodMinDeposit    = "tradefl_minDeposit"
 	MethodTxProof       = "tradefl_getTxProof"
 	MethodGetReceipt    = "tradefl_getReceipt"
 	MethodStateRoot     = "tradefl_stateRoot"
@@ -395,23 +394,6 @@ func (s *Server) dispatch(req *rpcRequest) (any, error) {
 			return nil, err
 		}
 		return s.bc.TxProof(arg.Height, arg.TxIdx)
-	case MethodMinDeposit:
-		var arg struct {
-			Index int     `json:"index"`
-			FMax  float64 `json:"fMax"`
-		}
-		if err := json.Unmarshal(params, &arg); err != nil {
-			return nil, err
-		}
-		var out Wei
-		err := s.bc.ContractView(func(c *Contract) error {
-			if arg.Index < 0 || arg.Index >= len(c.Params.Members) {
-				return fmt.Errorf("index %d out of range", arg.Index)
-			}
-			out = MinDeposit(c.Params, arg.Index, arg.FMax)
-			return nil
-		})
-		return out, err
 	default:
 		return nil, fmt.Errorf("unknown method %q", method)
 	}

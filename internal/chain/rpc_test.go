@@ -170,21 +170,6 @@ func TestRPCUnknownMethod(t *testing.T) {
 	}
 }
 
-func TestRPCMinDeposit(t *testing.T) {
-	_, client := rpcFixture(t)
-	var dep Wei
-	err := client.Call(MethodMinDeposit, map[string]any{"index": 0, "fMax": 5e9}, &dep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep <= 0 {
-		t.Errorf("min deposit = %d, want positive", dep)
-	}
-	if err := client.Call(MethodMinDeposit, map[string]any{"index": 99, "fMax": 5e9}, &dep); err == nil {
-		t.Error("out-of-range index accepted")
-	}
-}
-
 func TestRPCGetBlock(t *testing.T) {
 	f, client := rpcFixture(t)
 	f.sendOK(t, f.accounts[0], FnDepositSubmit, nil, 100)

@@ -25,7 +25,7 @@ func settledChain(t *testing.T, n int) (*Blockchain, *settlePlan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	settleStaged(t, bc, plan)
+	settleStaged(t, bc, plan.stages())
 	return bc, plan
 }
 
@@ -133,8 +133,8 @@ func TestWitnessDamagedFallsBack(t *testing.T) {
 	}
 }
 
-// TestWitnessReplayPaths: recovery, point-in-time views, Load and a
-// standby all rebuild their chain by re-admitting every transaction through
+// TestWitnessReplayPaths: recovery, point-in-time views and a standby all
+// rebuild their chain by re-admitting every transaction through
 // SubmitTx, so the chains they produce carry their own witnesses and audit
 // without a single ed25519 call.
 func TestWitnessReplayPaths(t *testing.T) {
@@ -174,10 +174,6 @@ func TestWitnessReplayPaths(t *testing.T) {
 			}
 		}
 	}
-	saved := filepath.Join(t.TempDir(), "chain.json")
-	if err := primary.Save(saved, plan.params, plan.alloc); err != nil {
-		t.Fatal(err)
-	}
 	view, err := RecoverAt(dir, plan.authority, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -190,17 +186,13 @@ func TestWitnessReplayPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer recovered.CloseDurable()
-	loaded, err := Load(saved, plan.authority)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name   string
 		bc     *Blockchain
 		height uint64
 	}{
 		{"primary", primary, 4}, {"recovered", recovered, 4}, {"pitr", view, 3},
-		{"standby", follower, 4}, {"loaded", loaded, 4},
+		{"standby", follower, 4},
 	} {
 		if got := tc.bc.Height(); got != tc.height {
 			t.Errorf("%s: height %d, want %d", tc.name, got, tc.height)

@@ -353,12 +353,12 @@ func runRing(ctx context.Context, cfg *game.Config, opts Options, inj *faults.In
 // fixed cadence, and fills the settlement fields of rep.
 func runSettlement(ctx context.Context, cfg *game.Config, opts Options, inj *faults.Injector, profile game.Profile, rep *Report) error {
 	n := cfg.N()
-	gen, err := makeSettlementGenesis(cfg, opts)
+	gen, err := chain.NewSettlement(cfg, opts.GameSeed)
 	if err != nil {
 		return err
 	}
-	accounts, members := gen.accounts, gen.members
-	bc, err := chain.NewBlockchain(gen.authority, gen.params, gen.alloc)
+	members := gen.Params.Members
+	bc, err := chain.NewBlockchain(gen.Authority, gen.Params, gen.Alloc)
 	if err != nil {
 		return err
 	}
@@ -431,7 +431,7 @@ func runSettlement(ctx context.Context, cfg *game.Config, opts Options, inj *fau
 				MaxBackoff:  100 * time.Millisecond,
 				Transport:   inj.RoundTripper(fmt.Sprintf("org-%d", i), nil),
 			})
-			errs[i] = settleMember(settleCtx, client, batcher, accounts[i], i, profile[i])
+			errs[i] = settleMember(settleCtx, client, batcher, gen.Accounts[i], gen.Deposits[i], profile[i])
 		}(i)
 	}
 	wg.Wait()
@@ -463,12 +463,12 @@ func runSettlement(ctx context.Context, cfg *game.Config, opts Options, inj *fau
 	return nil
 }
 
-// settleMember walks one organization's deposit → contribution →
-// calculate → transfer → record lifecycle through its (faulty) client,
+// settleMember walks one organization's deposit (of dep) → contribution
+// → calculate → transfer → record lifecycle through its (faulty) client,
 // tolerating every idempotency rejection a retried or racing phase
 // produces. A non-nil batcher replaces per-tx submission with the shared
 // batched path; receipts are still polled through the member's own client.
-func settleMember(ctx context.Context, client *chain.Client, batcher *chain.BatchSubmitter, acct *chain.Account, idx int, strat game.Strategy) error {
+func settleMember(ctx context.Context, client *chain.Client, batcher *chain.BatchSubmitter, acct *chain.Account, dep chain.Wei, strat game.Strategy) error {
 	const poll = 10 * time.Millisecond
 	send := func(fn chain.Function, fnArgs any, value chain.Wei) error {
 		nonce, err := client.Nonce(acct.Address())
@@ -523,10 +523,6 @@ func settleMember(ctx context.Context, client *chain.Client, batcher *chain.Batc
 		}
 	}
 
-	var dep chain.Wei
-	if err := client.CallCtx(ctx, chain.MethodMinDeposit, map[string]any{"index": idx, "fMax": 5e9}, &dep); err != nil {
-		return err
-	}
 	if err := send(chain.FnDepositSubmit, nil, dep); err != nil && !isAlready(err) {
 		return fmt.Errorf("deposit: %w", err)
 	}

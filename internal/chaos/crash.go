@@ -31,46 +31,6 @@ import (
 // submitter saw success, so the comparison is against the strongest
 // honest claim the chain ever made.
 
-// settlementGenesis is the deterministic chain genesis both settlement
-// variants build from the game config: authority, member accounts (in
-// cfg.Orgs order from the GameSeed stream) and contract parameters.
-type settlementGenesis struct {
-	authority *chain.Account
-	accounts  []*chain.Account
-	members   []chain.Address
-	params    chain.ContractParams
-	alloc     chain.GenesisAlloc
-}
-
-func makeSettlementGenesis(cfg *game.Config, opts Options) (*settlementGenesis, error) {
-	n := cfg.N()
-	src := randx.New(opts.GameSeed)
-	authority, err := chain.NewAccount(src)
-	if err != nil {
-		return nil, err
-	}
-	gen := &settlementGenesis{
-		authority: authority,
-		accounts:  make([]*chain.Account, n),
-		members:   make([]chain.Address, n),
-		alloc:     chain.GenesisAlloc{},
-	}
-	bits := make([]float64, n)
-	for i, o := range cfg.Orgs {
-		if gen.accounts[i], err = chain.NewAccount(src); err != nil {
-			return nil, err
-		}
-		gen.members[i] = gen.accounts[i].Address()
-		bits[i] = o.DataBits
-		gen.alloc[gen.members[i]] = 1_000_000_000
-	}
-	gen.params = chain.ContractParams{
-		Members: gen.members, Rho: cfg.Rho, DataBits: bits,
-		Gamma: cfg.Gamma, Lambda: cfg.Lambda,
-	}
-	return gen, nil
-}
-
 // durableTracker mirrors the durable prefix of the chain from the WAL's
 // post-fsync observer. Its snapshot after a WAL abort is the exact state
 // a recovery must reproduce.
@@ -159,7 +119,7 @@ func (b *chainBox) stopServer() {
 // fields of rep.
 func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj *faults.Injector, profile game.Profile, rep *Report) error {
 	n := cfg.N()
-	gen, err := makeSettlementGenesis(cfg, opts)
+	gen, err := chain.NewSettlement(cfg, opts.GameSeed)
 	if err != nil {
 		return err
 	}
@@ -171,7 +131,7 @@ func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj
 		}
 		defer os.RemoveAll(dir)
 	}
-	bc, err := chain.OpenDurable(dir, gen.authority, gen.params, gen.alloc)
+	bc, err := chain.OpenDurable(dir, gen.Authority, gen.Params, gen.Alloc)
 	if err != nil {
 		return err
 	}
@@ -192,7 +152,7 @@ func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj
 	}()
 
 	before := make([]chain.Wei, n)
-	for i, m := range gen.members {
+	for i, m := range gen.Params.Members {
 		before[i] = bc.Balance(m)
 	}
 
@@ -231,7 +191,7 @@ func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj
 		// The observer has quiesced (Abort joins the syncer), so this is
 		// exactly what the chain acknowledged before it died.
 		wantHeight, wantRoot, wantPending := tracker.snapshot()
-		rec, err := chain.Recover(dir, gen.authority)
+		rec, err := chain.Recover(dir, gen.Authority)
 		if err != nil {
 			return fmt.Errorf("recover after crash %d: %w", rep.Crashes+1, err)
 		}
@@ -308,7 +268,7 @@ func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj
 				MaxBackoff:  100 * time.Millisecond,
 				Transport:   inj.RoundTripper(fmt.Sprintf("org-%d", i), nil),
 			})
-			errs[i] = settleMember(settleCtx, client, batcher, gen.accounts[i], i, profile[i])
+			errs[i] = settleMember(settleCtx, client, batcher, gen.Accounts[i], gen.Deposits[i], profile[i])
 		}(i)
 	}
 	wg.Wait()
@@ -342,7 +302,7 @@ func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj
 	}
 
 	var residual chain.Wei
-	for i, m := range gen.members {
+	for i, m := range gen.Params.Members {
 		residual += final.Balance(m) - before[i]
 	}
 	rep.BudgetResidual = residual
@@ -359,7 +319,7 @@ func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj
 	// rebuild from snapshot + log and re-verify, detached from the WAL.
 	rep.PITRVerified = true
 	if h := final.Height() / 2; h >= 1 {
-		view, err := chain.RecoverAt(dir, gen.authority, h)
+		view, err := chain.RecoverAt(dir, gen.Authority, h)
 		rep.PITRVerified = err == nil && view.Height() == h && view.VerifyChain() == nil
 		if !rep.PITRVerified {
 			obs.FlightRecord("chaos", "pitr-mismatch",

@@ -19,7 +19,6 @@ import (
 	"tradefl/internal/fl/model"
 	"tradefl/internal/game"
 	"tradefl/internal/gbd"
-	"tradefl/internal/randx"
 )
 
 // Solver selects the equilibrium algorithm.
@@ -244,140 +243,67 @@ func (m *Mechanism) train(profile game.Profile, opts Options) (*fl.Result, error
 	})
 }
 
-// settleChain runs the full Fig. 3 lifecycle on a fresh private chain and
-// cross-checks the executed transfers against the game's R_i; it returns
-// the chain it settled on beside the report. Each lifecycle stage is signed
-// into one slice and admitted with one SubmitTxBatch call — signatures
+// settleChain runs the full Fig. 3 lifecycle of chain.NewSettlement on a
+// fresh private chain and cross-checks the calculated payoffs against the
+// game's R_i; it returns the chain it settled on beside the report. Each
+// signed stage is admitted with one SubmitTxBatch call — signatures
 // verified on the worker pool, one lock hold — then sealed into its own
 // block.
 func (m *Mechanism) settleChain(profile game.Profile, opts Options) (*chain.Blockchain, *SettlementReport, error) {
-	src := randx.New(opts.Seed)
-	authority, err := chain.NewAccount(src)
+	s, err := chain.NewSettlement(m.cfg, opts.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	n := m.cfg.N()
-	accounts := make([]*chain.Account, n)
-	members := make([]chain.Address, n)
-	bits := make([]float64, n)
-	alloc := chain.GenesisAlloc{}
-	fMax := 0.0
-	for i, o := range m.cfg.Orgs {
-		accounts[i], err = chain.NewAccount(src)
-		if err != nil {
-			return nil, nil, err
-		}
-		members[i] = accounts[i].Address()
-		bits[i] = m.cfg.DataCredit(i) // quality-weighted: matches the game's x_i
-		if top := o.CPULevels[len(o.CPULevels)-1]; top > fMax {
-			fMax = top
-		}
-	}
-	params := chain.ContractParams{
-		Members:  members,
-		Rho:      m.cfg.Rho,
-		DataBits: bits,
-		Gamma:    m.cfg.Gamma,
-		Lambda:   m.cfg.Lambda,
-	}
-	deposits := make([]chain.Wei, n)
-	for i := range accounts {
-		deposits[i] = chain.MinDeposit(params, i, fMax)
-		alloc[members[i]] = deposits[i] * 2
-	}
-	bc, err := chain.NewBlockchain(authority, params, alloc)
+	stages, err := s.Stages(profile)
 	if err != nil {
 		return nil, nil, err
 	}
-	nonces := make([]uint64, n)
-	stage := make([]chain.Transaction, 0, 2*n)
-	sign := func(i int, fn chain.Function, args any, value chain.Wei) error {
-		tx, err := chain.NewTransaction(accounts[i], nonces[i], fn, args, value)
-		if err != nil {
-			return err
-		}
-		nonces[i]++
-		stage = append(stage, *tx)
-		return nil
-	}
-	// submitSeal admits the signed stage as one batch and seals it; the
-	// chain keeps its own copies, so the slice is reused for the next stage.
-	submitSeal := func(name string) error {
-		results, err := bc.SubmitTxBatch(stage)
-		if err != nil {
-			return err
-		}
-		for _, r := range results {
-			if !r.OK {
-				return fmt.Errorf("%s: %s", name, r.Error)
-			}
-		}
-		stage = stage[:0]
-		b, err := bc.SealBlock()
-		if err != nil {
-			return err
-		}
-		for _, r := range b.Receipts {
-			if !r.OK {
-				return fmt.Errorf("%s: %s", name, r.Error)
-			}
-		}
-		return nil
-	}
-	for i := range accounts {
-		if err := sign(i, chain.FnDepositSubmit, nil, deposits[i]); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := submitSeal("deposit"); err != nil {
-		return nil, nil, err
-	}
-	for i := range accounts {
-		contrib := chain.Contribution{D: profile[i].D, F: profile[i].F}
-		if err := sign(i, chain.FnContributionSubmit, contrib, 0); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := submitSeal("contribution"); err != nil {
-		return nil, nil, err
-	}
-	if err := sign(0, chain.FnPayoffCalculate, nil, 0); err != nil {
-		return nil, nil, err
-	}
-	if err := submitSeal("calculate"); err != nil {
+	bc, err := chain.NewBlockchain(s.Authority, s.Params, s.Alloc)
+	if err != nil {
 		return nil, nil, err
 	}
 	var payoffs []chain.Wei
-	if err := bc.ContractView(func(c *chain.Contract) error {
-		p, err := c.Payoffs()
-		payoffs = p
-		return err
-	}); err != nil {
-		return nil, nil, err
-	}
-	// Cross-check contract math against the game's R_i.
-	for i := range accounts {
-		want := m.cfg.Redistribution(i, profile)
-		if got := chain.FromWei(payoffs[i]); math.Abs(got-want) > 1e-3*math.Max(1, math.Abs(want)) {
-			return nil, nil, fmt.Errorf("on-chain payoff[%d] = %v, game R_i = %v", i, got, want)
-		}
-	}
-	for i := range accounts {
-		if err := sign(i, chain.FnPayoffTransfer, nil, 0); err != nil {
+	for k, name := range [4]string{"deposit", "contribution", "calculate", "settle"} {
+		results, err := bc.SubmitTxBatch(stages[k])
+		if err != nil {
 			return nil, nil, err
 		}
-		if err := sign(i, chain.FnProfileRecord, nil, 0); err != nil {
+		for _, r := range results {
+			if !r.OK {
+				return nil, nil, fmt.Errorf("%s: %s", name, r.Error)
+			}
+		}
+		b, err := bc.SealBlock()
+		if err != nil {
 			return nil, nil, err
 		}
-	}
-	if err := submitSeal("settle"); err != nil {
-		return nil, nil, err
+		for _, r := range b.Receipts {
+			if !r.OK {
+				return nil, nil, fmt.Errorf("%s: %s", name, r.Error)
+			}
+		}
+		if name != "calculate" {
+			continue
+		}
+		// Cross-check contract math against the game's R_i before paying out.
+		if err := bc.ContractView(func(c *chain.Contract) (err error) {
+			payoffs, err = c.Payoffs()
+			return err
+		}); err != nil {
+			return nil, nil, err
+		}
+		for i, w := range payoffs {
+			want := m.cfg.Redistribution(i, profile)
+			if got := chain.FromWei(w); math.Abs(got-want) > 1e-3*math.Max(1, math.Abs(want)) {
+				return nil, nil, fmt.Errorf("on-chain payoff[%d] = %v, game R_i = %v", i, got, want)
+			}
+		}
 	}
 	if err := bc.VerifyChain(); err != nil {
 		return nil, nil, fmt.Errorf("chain verification: %w", err)
 	}
 	report := &SettlementReport{
-		Transfers:   make([]float64, n),
+		Transfers:   make([]float64, len(payoffs)),
 		BlockHeight: bc.Height(),
 		Verified:    true,
 	}

@@ -121,6 +121,16 @@ kill "$SIM_PID" 2>/dev/null || true
 wait "$SIM_PID" 2>/dev/null || true
 trap - EXIT
 
+echo "==> deployment smoke (examples/distributed)"
+# The paper's deployment story end to end: six organizations agree on the
+# equilibrium over TCP, then settle it on a chain node over JSON-RPC, one
+# batch and one sealed block per stage of chain.NewSettlement.
+dist_out="$(go run ./examples/distributed)"
+echo "$dist_out" | grep -q 'Settled:true' \
+  || { echo "deployment smoke: the contract did not settle"; exit 1; }
+echo "$dist_out" | grep -q 'chain verified' \
+  || { echo "deployment smoke: the chain did not verify"; exit 1; }
+
 echo "==> chaos smoke (seeded soak under -race)"
 # Fault schedule is a pure function of the seed: a failure here reproduces
 # exactly via `scripts/chaos.sh "<spec>"`. The soak fails the gate if the
