@@ -334,9 +334,9 @@ func BenchmarkSchemes(b *testing.B) {
 	}
 	runs := map[string]func() error{
 		"DBR": func() error { _, err := dbr.Solve(cfg, nil, dbr.Options{}); return err },
-		"WPR": func() error { _, err := baselines.WPR(cfg, dbr.Options{}); return err },
-		"GCA": func() error { _, err := baselines.GCA(cfg, baselines.GCAOptions{}); return err },
-		"FIP": func() error { _, err := baselines.FIP(cfg, baselines.FIPOptions{}); return err },
+		"WPR": func() error { _, err := baselines.WPR(cfg); return err },
+		"GCA": func() error { _, err := baselines.GCA(cfg); return err },
+		"FIP": func() error { _, err := baselines.FIP(cfg); return err },
 		"TOS": func() error { baselines.TOS(cfg); return nil },
 	}
 	for name, run := range runs {
@@ -577,7 +577,7 @@ func BenchmarkTuneGamma(b *testing.B) {
 	var gamma float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := m.TuneGamma(core.TuneOptions{})
+		res, err := m.TuneGamma()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -121,7 +121,7 @@ func command() cli.Command {
 				return terr
 			}
 			defer node.Close()
-			sb := chain.NewStandby(bc, node, chain.StandbyOptions{})
+			sb := chain.NewStandby(bc, node)
 			fmt.Println("tradefl-chain: standby tailing WAL stream on", node.Addr())
 			promoted, serr := sb.Run(ctx)
 			switch {

@@ -25,7 +25,8 @@
 // header): a global bounded queue, a per-tenant active-job quota and a
 // per-tenant instance-token bucket, each rejecting with a distinct 429.
 // The gateway runs serve.Options' defaults (4 runners, a 64-job queue,
-// 8 active jobs per tenant, the auto plan); only the token rate is a flag.
+// 8 active jobs per tenant, the auto plan); only the token rate is a flag,
+// and it must be finite and positive.
 // SIGINT/SIGTERM drains gracefully: new submissions get 503 while queued
 // and running jobs finish (bounded by drainTimeout).
 package main

@@ -44,3 +44,17 @@ func TestIncrementalFlagIsGone(t *testing.T) {
 		}
 	}
 }
+
+// TestTenantRateMustBeFinitePositive: a -tenant-rate that would switch
+// admission off (NaN, +Inf) or reject everything (negative) fails the
+// command, which cli.Main turns into a nonzero exit.
+func TestTenantRateMustBeFinitePositive(t *testing.T) {
+	for _, rate := range []string{"NaN", "+Inf", "-Inf", "-1"} {
+		c := command()
+		c.Flags.SetOutput(io.Discard)
+		err := c.Exec([]string{"-listen", "127.0.0.1:0", "-tenant-rate", rate})
+		if err == nil || !strings.Contains(err.Error(), "tenant rate") {
+			t.Errorf("-tenant-rate %s: err = %v, want a tenant-rate error", rate, err)
+		}
+	}
+}

@@ -38,11 +38,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		gout, err := baselines.GCA(cfg, baselines.GCAOptions{})
+		gout, err := baselines.GCA(cfg)
 		if err != nil {
 			return err
 		}
-		wout, err := baselines.WPR(cfg, dbr.Options{})
+		wout, err := baselines.WPR(cfg)
 		if err != nil {
 			return err
 		}

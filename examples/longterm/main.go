@@ -28,7 +28,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	a, err := repeated.Analyze(cfg, repeated.Options{})
+	a, err := repeated.Analyze(cfg)
 	if err != nil {
 		return err
 	}

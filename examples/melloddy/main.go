@@ -15,7 +15,6 @@ import (
 	"tradefl"
 	"tradefl/internal/baselines"
 	"tradefl/internal/comm"
-	"tradefl/internal/dbr"
 	"tradefl/internal/game"
 )
 
@@ -108,7 +107,7 @@ func run() error {
 		return err
 	}
 	// Without redistribution (plain FL, the WPR baseline).
-	wpr, err := baselines.WPR(cfg, dbr.Options{})
+	wpr, err := baselines.WPR(cfg)
 	if err != nil {
 		return err
 	}

@@ -71,16 +71,13 @@ func (o *Outcome) TotalData() float64 {
 	return sum
 }
 
-// WPROptions configures WPR (it reuses DBR's solver options).
-type WPROptions = dbr.Options
-
 // WPR runs best-response dynamics on the game with payoff redistribution
 // removed (γ = 0). The returned potential trace is evaluated under the
 // *original* config so that Fig. 4 curves are on a common axis.
-func WPR(cfg *game.Config, opts dbr.Options) (*Outcome, error) {
+func WPR(cfg *game.Config) (*Outcome, error) {
 	stripped := *cfg
 	stripped.Gamma = 0
-	res, err := dbr.Solve(&stripped, nil, opts)
+	res, err := dbr.Solve(&stripped, nil, dbr.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("wpr: %w", err)
 	}
@@ -93,35 +90,17 @@ func WPR(cfg *game.Config, opts dbr.Options) (*Outcome, error) {
 	}, nil
 }
 
-// GCAOptions configures the greedy-computation-allocation baseline.
-type GCAOptions struct {
-	// K is the proportionality constant of f = k·d. Zero means "greedy":
-	// per organization, k = 1.5·F^(m), i.e. two thirds of the data budget
-	// already demands the fastest CPU level — over-provisioning
-	// computation in proportion to data as the baseline prescribes.
-	K float64
-	// MaxRounds caps the best-response sweeps (default 200).
-	MaxRounds int
-	// Tol is the improvement threshold (default 1e-9).
-	Tol float64
-	// DGrid is the number of candidate d values scanned per response
-	// (default 200; the payoff is only piecewise-concave in d because f
-	// snaps between CPU levels as d changes).
-	DGrid int
-}
-
-func (o GCAOptions) withDefaults() GCAOptions {
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 200
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-9
-	}
-	if o.DGrid == 0 {
-		o.DGrid = 200
-	}
-	return o
-}
+// The greedy-computation-allocation baseline.
+const (
+	// gcaMaxRounds caps the best-response sweeps.
+	gcaMaxRounds = 200
+	// gcaTol is the improvement threshold.
+	gcaTol = 1e-9
+	// gcaDGrid is the number of candidate d values scanned per response
+	// (the payoff is only piecewise-concave in d because f snaps between
+	// CPU levels as d changes).
+	gcaDGrid = 200
+)
 
 // gcaFreq snaps k·d to the nearest CPU level of organization i.
 func gcaFreq(cfg *game.Config, i int, k, d float64) float64 {
@@ -139,33 +118,31 @@ func gcaFreq(cfg *game.Config, i int, k, d float64) float64 {
 
 // GCA runs best-response dynamics where each organization optimizes d only
 // and commits f = k·d (snapped to its CPU grid), the paper's "greedy
-// computation allocation" baseline.
-func GCA(cfg *game.Config, opts GCAOptions) (*Outcome, error) {
+// computation allocation" baseline. k is greedy: per organization,
+// k = 1.5·F^(m), i.e. two thirds of the data budget already demands the
+// fastest CPU level — over-provisioning computation in proportion to data
+// as the baseline prescribes.
+func GCA(cfg *game.Config) (*Outcome, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("gca: %w", err)
 	}
-	opts = opts.withDefaults()
 	n := cfg.N()
 	p := make(game.Profile, n)
 	ks := make([]float64, n)
 	for i, o := range cfg.Orgs {
-		k := opts.K
-		if k == 0 {
-			k = 1.5 * o.CPULevels[len(o.CPULevels)-1]
-		}
-		ks[i] = k
-		p[i] = game.Strategy{D: cfg.DMin, F: gcaFreq(cfg, i, k, cfg.DMin)}
+		ks[i] = 1.5 * o.CPULevels[len(o.CPULevels)-1]
+		p[i] = game.Strategy{D: cfg.DMin, F: gcaFreq(cfg, i, ks[i], cfg.DMin)}
 	}
 	out := &Outcome{Scheme: SchemeGCA}
-	for t := 0; t < opts.MaxRounds; t++ {
+	for t := 0; t < gcaMaxRounds; t++ {
 		out.Rounds = t + 1
 		changed := false
 		for i := range cfg.Orgs {
 			cur := cfg.Payoff(i, p)
 			bestVal := cur
 			best := p[i]
-			for g := 0; g < opts.DGrid; g++ {
-				d := cfg.DMin + (1-cfg.DMin)*float64(g)/float64(opts.DGrid-1)
+			for g := 0; g < gcaDGrid; g++ {
+				d := cfg.DMin + (1-cfg.DMin)*float64(g)/float64(gcaDGrid-1)
 				f := gcaFreq(cfg, i, ks[i], d)
 				lo, hi, feasible := cfg.FeasibleD(i, f)
 				if !feasible || d < lo || d > hi {
@@ -175,7 +152,7 @@ func GCA(cfg *game.Config, opts GCAOptions) (*Outcome, error) {
 				p[i] = game.Strategy{D: d, F: f}
 				val := cfg.Payoff(i, p)
 				p[i] = cand
-				if val > bestVal+opts.Tol {
+				if val > bestVal+gcaTol {
 					bestVal = val
 					best = game.Strategy{D: d, F: f}
 				}
@@ -195,45 +172,31 @@ func GCA(cfg *game.Config, opts GCAOptions) (*Outcome, error) {
 	return out, nil
 }
 
-// FIPOptions configures the finite-improvement-property baseline.
-type FIPOptions struct {
-	// Step is e, the grid spacing of d̂ ∈ {e, 2e, …, 1} (default 0.1;
-	// the paper requires e ∈ [D_min, 1]).
-	Step float64
-	// MaxMoves caps the number of single-player improvement moves
-	// (default 10000).
-	MaxMoves int
-	// Tol is the improvement threshold (default 1e-9).
-	Tol float64
-}
-
-func (o FIPOptions) withDefaults() FIPOptions {
-	if o.Step == 0 {
-		o.Step = 0.1
-	}
-	if o.MaxMoves == 0 {
-		o.MaxMoves = 10000
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-9
-	}
-	return o
-}
+// The finite-improvement-property baseline.
+const (
+	// fipStep is e, the grid spacing of d̂ ∈ {e, 2e, …, 1}; the paper
+	// requires e ∈ [D_min, 1], so a larger D_min replaces it.
+	fipStep = 0.1
+	// fipMaxMoves caps the number of single-player improvement moves.
+	fipMaxMoves = 10000
+	// fipTol is the improvement threshold.
+	fipTol = 1e-9
+)
 
 // FIP runs single-move better-response dynamics on the discretized strategy
 // space. By the finite improvement property of potential games every move
 // strictly increases the potential, so the dynamics terminate at a grid
 // Nash equilibrium.
-func FIP(cfg *game.Config, opts FIPOptions) (*Outcome, error) {
+func FIP(cfg *game.Config) (*Outcome, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("fip: %w", err)
 	}
-	opts = opts.withDefaults()
-	if opts.Step < cfg.DMin {
-		opts.Step = math.Max(opts.Step, cfg.DMin)
+	step := fipStep
+	if step < cfg.DMin {
+		step = cfg.DMin
 	}
 	var grid []float64
-	for d := opts.Step; d <= 1+1e-12; d += opts.Step {
+	for d := step; d <= 1+1e-12; d += step {
 		grid = append(grid, math.Min(d, 1))
 	}
 	p := cfg.MinimalProfile()
@@ -243,7 +206,7 @@ func FIP(cfg *game.Config, opts FIPOptions) (*Outcome, error) {
 	}
 	out := &Outcome{Scheme: SchemeFIP}
 	out.PotentialTrace = append(out.PotentialTrace, cfg.Potential(p))
-	for move := 0; move < opts.MaxMoves; move++ {
+	for move := 0; move < fipMaxMoves; move++ {
 		improved := false
 		for i := range cfg.Orgs {
 			cur := cfg.Payoff(i, p)
@@ -262,7 +225,7 @@ func FIP(cfg *game.Config, opts FIPOptions) (*Outcome, error) {
 					p[i] = game.Strategy{D: d, F: f}
 					val := cfg.Payoff(i, p)
 					p[i] = cand
-					if val > bestVal+opts.Tol {
+					if val > bestVal+fipTol {
 						bestVal = val
 						best = game.Strategy{D: d, F: f}
 					}

@@ -29,7 +29,7 @@ func TestAllSchemesListed(t *testing.T) {
 
 func TestWPRRemovesRedistributionOnly(t *testing.T) {
 	cfg := defaultGame(t, 7)
-	out, err := WPR(cfg, dbr.Options{})
+	out, err := WPR(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestWPRRemovesRedistributionOnly(t *testing.T) {
 
 func TestGCATiesComputationToData(t *testing.T) {
 	cfg := defaultGame(t, 7)
-	out, err := GCA(cfg, GCAOptions{})
+	out, err := GCA(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestGCATiesComputationToData(t *testing.T) {
 func TestGCAUnderperformsDBROnData(t *testing.T) {
 	// Fig. 12: at γ*, DBR contributes more total data than GCA.
 	cfg := defaultGame(t, 7)
-	gout, err := GCA(cfg, GCAOptions{})
+	gout, err := GCA(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestGCAUnderperformsDBROnData(t *testing.T) {
 
 func TestFIPReachesGridEquilibrium(t *testing.T) {
 	cfg := defaultGame(t, 7)
-	out, err := FIP(cfg, FIPOptions{})
+	out, err := FIP(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFIPPotentialMonotone(t *testing.T) {
 	// Each FIP move strictly improves the mover's payoff, so the potential
 	// trace must be nondecreasing (finite improvement property).
 	cfg := defaultGame(t, 8)
-	out, err := FIP(cfg, FIPOptions{})
+	out, err := FIP(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestFIPPotentialBelowDBR(t *testing.T) {
 	// The grid restriction can only lose potential relative to exact best
 	// response (Fig. 4 ordering).
 	cfg := defaultGame(t, 7)
-	fout, err := FIP(cfg, FIPOptions{})
+	fout, err := FIP(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,15 +193,15 @@ func TestWelfareOrderingAtGammaStar(t *testing.T) {
 		t.Fatal(err)
 	}
 	dbrW := cfg.SocialWelfare(dres.Profile)
-	wout, err := WPR(cfg, dbr.Options{})
+	wout, err := WPR(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gout, err := GCA(cfg, GCAOptions{})
+	gout, err := GCA(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fout, err := FIP(cfg, FIPOptions{})
+	fout, err := FIP(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,13 +223,13 @@ func TestWelfareOrderingAtGammaStar(t *testing.T) {
 func TestBaselinesRejectInvalidConfig(t *testing.T) {
 	cfg := defaultGame(t, 1)
 	cfg.Accuracy = nil
-	if _, err := GCA(cfg, GCAOptions{}); err == nil {
+	if _, err := GCA(cfg); err == nil {
 		t.Error("GCA accepted invalid config")
 	}
-	if _, err := FIP(cfg, FIPOptions{}); err == nil {
+	if _, err := FIP(cfg); err == nil {
 		t.Error("FIP accepted invalid config")
 	}
-	if _, err := WPR(cfg, dbr.Options{}); err == nil {
+	if _, err := WPR(cfg); err == nil {
 		t.Error("WPR accepted invalid config")
 	}
 }

@@ -48,8 +48,6 @@ type Config struct {
 	Policy GammaPolicy
 	// Seed drives the drift (default 1).
 	Seed int64
-	// Tune passes through TuneGamma options for GammaAdaptive.
-	Tune core.TuneOptions
 	// Plan selects the solver for the per-epoch re-solves, which run
 	// through a single fleet engine. The zero value keeps the campaign's
 	// historical solver, distributed best response; auto planning is not
@@ -160,7 +158,7 @@ func Run(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("campaign epoch %d: %w", epoch, err)
 			}
-			tuned, err := mech.TuneGamma(cfg.Tune)
+			tuned, err := mech.TuneGamma()
 			if err != nil {
 				return nil, fmt.Errorf("campaign epoch %d: tune: %w", epoch, err)
 			}

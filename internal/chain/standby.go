@@ -69,38 +69,27 @@ func (r *Replicator) send(rec walRec) {
 	}
 }
 
-// StandbyOptions tunes the follower.
-type StandbyOptions struct {
-	// FailoverAfter promotes the standby when no record arrived for this
-	// long (default 2s). Keep it several sealing intervals wide so an idle
-	// primary is not deposed.
-	FailoverAfter time.Duration
-}
+// failoverAfter promotes the standby when no record arrived for this long.
+// It is several sealing intervals wide so an idle primary is not deposed.
+const failoverAfter = 2 * time.Second
 
 // Standby tails the replication stream into a local chain and promotes
 // itself when the primary goes silent.
 type Standby struct {
-	bc   *Blockchain
-	tr   transport.Transport
-	opts StandbyOptions
+	bc *Blockchain
+	tr transport.Transport
 }
 
 // NewStandby builds a follower around bc (typically a fresh chain with the
 // same genesis params/alloc and authority key as the primary, optionally
 // with its own WAL dir) receiving on tr.
-func NewStandby(bc *Blockchain, tr transport.Transport, opts StandbyOptions) *Standby {
-	if opts.FailoverAfter <= 0 {
-		opts.FailoverAfter = 2 * time.Second
-	}
-	return &Standby{bc: bc, tr: tr, opts: opts}
+func NewStandby(bc *Blockchain, tr transport.Transport) *Standby {
+	return &Standby{bc: bc, tr: tr}
 }
 
-// Chain returns the follower's chain (the one that serves after takeover).
-func (s *Standby) Chain() *Blockchain { return s.bc }
-
 // Run applies replicated records until the stream goes silent for
-// FailoverAfter, then promotes the local chain to the next fencing term
-// and returns true — the caller takes over sealing on s.Chain(). It
+// failoverAfter, then promotes the local chain to the next fencing term
+// and returns true — the caller takes over sealing on that chain. It
 // returns false when ctx is cancelled or the transport closes first.
 //
 // Apply errors are handled by kind: a stale-term block (deposed primary
@@ -108,7 +97,7 @@ func (s *Standby) Chain() *Blockchain { return s.bc }
 // is returned — a standby that cannot prove it matches the primary must
 // not take over.
 func (s *Standby) Run(ctx context.Context) (bool, error) {
-	timer := time.NewTimer(s.opts.FailoverAfter)
+	timer := time.NewTimer(failoverAfter)
 	defer timer.Stop()
 	for {
 		select {
@@ -121,7 +110,7 @@ func (s *Standby) Run(ctx context.Context) (bool, error) {
 			}
 			mFailovers.Inc()
 			standbyLog.Info("primary silent, standby promoted",
-				"silence", s.opts.FailoverAfter, "term", term, "height", s.bc.Height())
+				"silence", failoverAfter, "term", term, "height", s.bc.Height())
 			obs.FlightRecord("chain", "failover",
 				fmt.Sprintf("promoted to term %d at height %d", term, s.bc.Height()))
 			return true, nil
@@ -138,7 +127,7 @@ func (s *Standby) Run(ctx context.Context) (bool, error) {
 			if !timer.Stop() {
 				<-timer.C
 			}
-			timer.Reset(s.opts.FailoverAfter)
+			timer.Reset(failoverAfter)
 		}
 	}
 }

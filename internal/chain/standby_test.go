@@ -97,7 +97,7 @@ func TestStandbyFailoverUnderCrashWindow(t *testing.T) {
 	if _, err := NewReplicator(primary.bc, inj.Wrap(pEnd), "standby"); err != nil {
 		t.Fatal(err)
 	}
-	sb := NewStandby(follower.bc, sEnd, StandbyOptions{FailoverAfter: 400 * time.Millisecond})
+	sb := NewStandby(follower.bc, sEnd)
 	type runResult struct {
 		promoted bool
 		err      error

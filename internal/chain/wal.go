@@ -207,13 +207,6 @@ func (w *WAL) OnDurable(fn func(DurableEvent)) {
 // Dir returns the log directory.
 func (w *WAL) Dir() string { return w.dir }
 
-// Segment returns the current segment sequence number.
-func (w *WAL) Segment() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seq
-}
-
 // Err returns the sticky IO error, if any.
 func (w *WAL) Err() error {
 	w.mu.Lock()

@@ -49,6 +49,7 @@ type Options struct {
 	// SuspectAfter is the ring's same-peer resend budget (default 8: a
 	// spurious crash suspicion then needs SuspectAfter+1 consecutive
 	// losses on one link, vanishingly unlikely at any sane drop rate).
+	// Negative is rejected.
 	SuspectAfter int
 	// SealInterval is the authority's block cadence (default 25ms).
 	SealInterval time.Duration
@@ -265,7 +266,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		// independently of the in-process reference solve above (whose own
 		// hooks already fired inside dbr.Solve).
 		a.CheckTransfers(cfg, profile, "chaos")
-		a.CheckNash(cfg, profile, a.Options().NashSlack, "chaos")
+		a.CheckNash(cfg, profile, verify.NashSlack, "chaos")
 	}
 
 	// Phase 2: settle the equilibrium contributions on-chain through
@@ -631,8 +632,8 @@ func ParseSpec(spec string) (Options, error) {
 			opts.TokenTimeout = d
 		case "suspect":
 			n, err := strconv.Atoi(val)
-			if err != nil {
-				return opts, fmt.Errorf("chaos: suspect = %q: %v", val, err)
+			if err != nil || n < 0 {
+				return opts, fmt.Errorf("chaos: suspect = %q (need an integer ≥ 0)", val)
 			}
 			opts.SuspectAfter = n
 		case "seal":

@@ -77,7 +77,7 @@ func TestParseSpec(t *testing.T) {
 	if !bt.Batch {
 		t.Errorf("batch key not applied: %+v", bt)
 	}
-	for _, bad := range []string{"orgs=1", "bogus=1", "drop=2", "token=xyz", "seed", "batch=x"} {
+	for _, bad := range []string{"orgs=1", "bogus=1", "drop=2", "token=xyz", "seed", "batch=x", "suspect=-1", "suspect=x"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}

@@ -19,7 +19,7 @@ func TestSeededSoakDeterministicUnderVerify(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
 	}
-	a := verify.Enable(verify.Options{})
+	a := verify.Enable()
 	defer verify.Disable()
 
 	run := func() *Report {

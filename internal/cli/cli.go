@@ -60,7 +60,7 @@ func (c Command) Exec(args []string) (err error) {
 		return err
 	}
 	if *verifyOn {
-		verify.Enable(verify.Options{})
+		verify.Enable()
 	}
 	if *traceOut != "" {
 		obs.EnableTracing(true)

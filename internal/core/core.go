@@ -47,18 +47,10 @@ type Options struct {
 	// TrainDataset and TrainArch select the FL workload when Train is set
 	// (defaults "svhn"/"mobilenet").
 	TrainDataset, TrainArch string
-	// Async trains with asynchronous aggregation (footnote 2): each
-	// organization updates at the cadence implied by its own equilibrium
-	// round time T1 + T2(d, f) + T3, and updates merge staleness-weighted.
-	Async bool
 	// Rounds and LocalEpochs configure FL training (defaults 20/2).
 	Rounds, LocalEpochs int
 	// Seed drives chain account generation and FL data (default 1).
 	Seed int64
-	// DBR passes through Algorithm 2 options.
-	DBR dbr.Options
-	// GBD passes through Algorithm 1 options.
-	GBD gbd.Options
 }
 
 func (o Options) withDefaults() Options {
@@ -165,19 +157,19 @@ func (m *Mechanism) Run(ctx context.Context, opts Options) (*Result, error) {
 func (m *Mechanism) solve(ctx context.Context, opts Options) (p game.Profile, payoffs []float64, potential float64, err error) {
 	switch opts.Solver {
 	case SolverCGBD:
-		r, err := gbd.Solve(m.cfg, opts.GBD)
+		r, err := gbd.Solve(m.cfg, gbd.Options{})
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("tradefl: cgbd: %w", err)
 		}
 		return r.Profile, m.cfg.Payoffs(r.Profile), r.Potential, nil
 	case SolverDistributedDBR:
-		p, err := dbr.SolveDistributed(ctx, m.cfg, opts.DBR)
+		p, err := dbr.SolveDistributed(ctx, m.cfg, dbr.Options{})
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("tradefl: distributed dbr: %w", err)
 		}
 		return p, m.cfg.Payoffs(p), m.cfg.Potential(p), nil
 	case SolverDBR:
-		r, err := dbr.Solve(m.cfg, nil, opts.DBR)
+		r, err := dbr.Solve(m.cfg, nil, dbr.Options{})
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("tradefl: dbr: %w", err)
 		}
@@ -217,7 +209,7 @@ func (m *Mechanism) train(profile game.Profile, opts Options) (*fl.Result, error
 	if err != nil {
 		return nil, err
 	}
-	flCfg := fl.Config{
+	return fl.Run(fl.Config{
 		Arch:        arch,
 		Shards:      shards,
 		Fractions:   fractions,
@@ -225,21 +217,6 @@ func (m *Mechanism) train(profile game.Profile, opts Options) (*fl.Result, error
 		LocalEpochs: opts.LocalEpochs,
 		Test:        test,
 		Seed:        opts.Seed,
-	}
-	if !opts.Async {
-		return fl.Run(flCfg)
-	}
-	// Asynchronous mode: each organization's cadence is its equilibrium
-	// round time from the game's own timing model.
-	roundTimes := make([]float64, m.cfg.N())
-	for i, o := range m.cfg.Orgs {
-		roundTimes[i] = o.Comm.RoundTime(profile[i].D, o.DataBits, profile[i].F)
-	}
-	return fl.RunAsync(fl.AsyncConfig{
-		Config:      flCfg,
-		RoundTimes:  roundTimes,
-		Horizon:     m.cfg.Deadline * float64(opts.Rounds),
-		Evaluations: opts.Rounds,
 	})
 }
 
@@ -347,17 +324,17 @@ func (m *Mechanism) CompareSchemes() (map[baselines.Scheme]*baselines.Outcome, e
 		Converged:      dres.Converged,
 		Rounds:         dres.Rounds,
 	}
-	w, err := baselines.WPR(m.cfg, dbr.Options{})
+	w, err := baselines.WPR(m.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("wpr: %w", err)
 	}
 	out[baselines.SchemeWPR] = w
-	g, err := baselines.GCA(m.cfg, baselines.GCAOptions{})
+	g, err := baselines.GCA(m.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("gca: %w", err)
 	}
 	out[baselines.SchemeGCA] = g
-	f, err := baselines.FIP(m.cfg, baselines.FIPOptions{})
+	f, err := baselines.FIP(m.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("fip: %w", err)
 	}

@@ -1,95 +1,23 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"tradefl/internal/dbr"
-	"tradefl/internal/game"
 )
 
-// Default values filled in when a TuneOptions field is left at zero. The
-// zero value means the default, not the constant; to request an actual
-// zero where zero is meaningful (Refine), pass the sentinel instead.
+// The γ search of TuneGamma.
 const (
-	// DefaultTuneLo is the default lower bound of the γ search interval.
-	DefaultTuneLo = 1e-10
-	// DefaultTuneHi is the default upper bound of the γ search interval.
-	DefaultTuneHi = 2e-7
-	// DefaultTuneCoarse is the default number of log-spaced coarse probes.
-	DefaultTuneCoarse = 12
-	// DefaultTuneRefine is the default number of golden-section refinement
-	// steps.
-	DefaultTuneRefine = 20
+	// tuneLo and tuneHi bound the search interval.
+	tuneLo = 1e-10
+	tuneHi = 2e-7
+	// tuneCoarse is the number of log-spaced coarse probes.
+	tuneCoarse = 12
+	// tuneRefine is the number of golden-section refinement steps around
+	// the best coarse probe.
+	tuneRefine = 20
 )
-
-// ZeroTuneRefine requests zero refinement steps — a coarse sweep only,
-// useful for quick scans. The int analogue of optimize's Zero* float
-// sentinels: Refine's zero value means "default", so an explicit zero
-// needs a distinguishable encoding, and every other negative is rejected.
-const ZeroTuneRefine = math.MinInt
-
-// ErrNegativeTuneOption reports a TuneOptions field set to a negative
-// value. Negative Coarse used to pass through withDefaults unvalidated
-// (a negative probe count panics on the probe-slice allocation); negative
-// values are now rejected up front, mirroring optimize.PGOptions.
-var ErrNegativeTuneOption = errors.New("tradefl: tune: negative option value")
-
-// TuneOptions configures TuneGamma.
-type TuneOptions struct {
-	// Lo, Hi bound the γ search interval (0 = DefaultTuneLo/DefaultTuneHi;
-	// negative is rejected; 0 < Lo < Hi is required after defaults).
-	Lo, Hi float64
-	// Coarse is the number of log-spaced probes before refinement (0 =
-	// DefaultTuneCoarse; at least 2 probes are required — the grid spacing
-	// divides by Coarse−1; negative is rejected).
-	Coarse int
-	// Refine is the number of golden-section refinement steps around the
-	// best coarse probe (0 = DefaultTuneRefine; pass ZeroTuneRefine to
-	// skip refinement entirely; other negatives are rejected).
-	Refine int
-	// DBR passes through Algorithm 2 options.
-	DBR dbr.Options
-}
-
-// validate rejects negative fields with ErrNegativeTuneOption and
-// un-runnable probe counts. It runs before defaulting, so explicit invalid
-// values cannot hide behind the zero-means-default convention.
-func (o TuneOptions) validate() error {
-	switch {
-	case o.Lo < 0:
-		return fmt.Errorf("%w: Lo %v", ErrNegativeTuneOption, o.Lo)
-	case o.Hi < 0:
-		return fmt.Errorf("%w: Hi %v", ErrNegativeTuneOption, o.Hi)
-	case o.Coarse < 0:
-		return fmt.Errorf("%w: Coarse %d", ErrNegativeTuneOption, o.Coarse)
-	case o.Coarse == 1:
-		return errors.New("tradefl: tune: Coarse must be at least 2 probes")
-	case o.Refine < 0 && o.Refine != ZeroTuneRefine:
-		return fmt.Errorf("%w: Refine %d", ErrNegativeTuneOption, o.Refine)
-	}
-	return nil
-}
-
-func (o TuneOptions) withDefaults() TuneOptions {
-	if o.Lo == 0 {
-		o.Lo = DefaultTuneLo
-	}
-	if o.Hi == 0 {
-		o.Hi = DefaultTuneHi
-	}
-	if o.Coarse == 0 {
-		o.Coarse = DefaultTuneCoarse
-	}
-	switch o.Refine {
-	case 0:
-		o.Refine = DefaultTuneRefine
-	case ZeroTuneRefine:
-		o.Refine = 0
-	}
-	return o
-}
 
 // TuneResult reports the welfare-maximizing incentive intensity.
 type TuneResult struct {
@@ -113,19 +41,12 @@ type GammaProbe struct {
 // with DBR at log-spaced coarse probes, then refined by golden-section
 // search on log γ around the best probe. The mechanism's config is not
 // mutated.
-func (m *Mechanism) TuneGamma(opts TuneOptions) (*TuneResult, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults()
-	if opts.Lo <= 0 || opts.Hi <= opts.Lo {
-		return nil, errors.New("tradefl: tune: need 0 < Lo < Hi")
-	}
+func (m *Mechanism) TuneGamma() (*TuneResult, error) {
 	res := &TuneResult{}
 	eval := func(gamma float64) (float64, error) {
 		cfg := *m.cfg
 		cfg.Gamma = gamma
-		r, err := dbr.Solve(&cfg, nil, opts.DBR)
+		r, err := dbr.Solve(&cfg, nil, dbr.Options{})
 		if err != nil {
 			return 0, fmt.Errorf("tradefl: tune at γ=%g: %w", gamma, err)
 		}
@@ -135,11 +56,11 @@ func (m *Mechanism) TuneGamma(opts TuneOptions) (*TuneResult, error) {
 	}
 
 	// Coarse log-spaced sweep.
-	logLo, logHi := math.Log(opts.Lo), math.Log(opts.Hi)
+	logLo, logHi := math.Log(tuneLo), math.Log(tuneHi)
 	bestIdx, bestW := 0, math.Inf(-1)
-	coarse := make([]float64, opts.Coarse)
-	for k := 0; k < opts.Coarse; k++ {
-		g := math.Exp(logLo + (logHi-logLo)*float64(k)/float64(opts.Coarse-1))
+	coarse := make([]float64, tuneCoarse)
+	for k := 0; k < tuneCoarse; k++ {
+		g := math.Exp(logLo + (logHi-logLo)*float64(k)/float64(tuneCoarse-1))
 		coarse[k] = g
 		w, err := eval(g)
 		if err != nil {
@@ -149,36 +70,33 @@ func (m *Mechanism) TuneGamma(opts TuneOptions) (*TuneResult, error) {
 			bestW, bestIdx = w, k
 		}
 	}
-	// Golden-section refinement on log γ between the probe's neighbours
-	// (skipped entirely at Refine 0, i.e. ZeroTuneRefine: coarse sweep only).
-	if opts.Refine > 0 {
-		lo := coarse[maxInt(0, bestIdx-1)]
-		hi := coarse[minInt(opts.Coarse-1, bestIdx+1)]
-		a, b := math.Log(lo), math.Log(hi)
-		const invPhi = 0.6180339887498949
-		c := b - invPhi*(b-a)
-		d := a + invPhi*(b-a)
-		fc, err := eval(math.Exp(c))
-		if err != nil {
-			return nil, err
-		}
-		fd, err := eval(math.Exp(d))
-		if err != nil {
-			return nil, err
-		}
-		for step := 0; step < opts.Refine && b-a > 1e-3; step++ {
-			if fc >= fd {
-				b, d, fd = d, c, fc
-				c = b - invPhi*(b-a)
-				if fc, err = eval(math.Exp(c)); err != nil {
-					return nil, err
-				}
-			} else {
-				a, c, fc = c, d, fd
-				d = a + invPhi*(b-a)
-				if fd, err = eval(math.Exp(d)); err != nil {
-					return nil, err
-				}
+	// Golden-section refinement on log γ between the probe's neighbours.
+	lo := coarse[max(0, bestIdx-1)]
+	hi := coarse[min(tuneCoarse-1, bestIdx+1)]
+	a, b := math.Log(lo), math.Log(hi)
+	const invPhi = 0.6180339887498949
+	c := b - invPhi*(b-a)
+	d := a + invPhi*(b-a)
+	fc, err := eval(math.Exp(c))
+	if err != nil {
+		return nil, err
+	}
+	fd, err := eval(math.Exp(d))
+	if err != nil {
+		return nil, err
+	}
+	for step := 0; step < tuneRefine && b-a > 1e-3; step++ {
+		if fc >= fd {
+			b, d, fd = d, c, fc
+			c = b - invPhi*(b-a)
+			if fc, err = eval(math.Exp(c)); err != nil {
+				return nil, err
+			}
+		} else {
+			a, c, fc = c, d, fd
+			d = a + invPhi*(b-a)
+			if fd, err = eval(math.Exp(d)); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -199,30 +117,4 @@ func sortProbes(ps []GammaProbe) {
 			ps[j], ps[j-1] = ps[j-1], ps[j]
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// EquilibriumAt solves the game at an overridden γ without mutating the
-// mechanism's config; a convenience for sweeps.
-func (m *Mechanism) EquilibriumAt(gamma float64, opts dbr.Options) (game.Profile, float64, error) {
-	cfg := *m.cfg
-	cfg.Gamma = gamma
-	r, err := dbr.Solve(&cfg, nil, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	return r.Profile, cfg.SocialWelfare(r.Profile), nil
 }

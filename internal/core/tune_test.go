@@ -1,16 +1,14 @@
 package core
 
 import (
-	"errors"
 	"testing"
 
-	"tradefl/internal/dbr"
 	"tradefl/internal/game"
 )
 
 func TestTuneGammaFindsInteriorPeak(t *testing.T) {
 	m := mechanism(t, 7)
-	res, err := m.TuneGamma(TuneOptions{})
+	res, err := m.TuneGamma()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,6 +25,10 @@ func TestTuneGammaFindsInteriorPeak(t *testing.T) {
 	if res.Gamma < game.DefaultGamma/10 || res.Gamma > game.DefaultGamma*10 {
 		t.Errorf("γ* = %v far from calibrated default %v", res.Gamma, game.DefaultGamma)
 	}
+	// The golden-section refinement ran past the coarse grid.
+	if len(res.Probes) <= tuneCoarse {
+		t.Errorf("%d probes: no refinement beyond the %d coarse ones", len(res.Probes), tuneCoarse)
+	}
 	// Probes sorted by γ.
 	for i := 1; i < len(res.Probes); i++ {
 		if res.Probes[i].Gamma < res.Probes[i-1].Gamma {
@@ -36,92 +38,5 @@ func TestTuneGammaFindsInteriorPeak(t *testing.T) {
 	// The mechanism's config must be unchanged.
 	if m.Config().Gamma != game.DefaultGamma {
 		t.Error("TuneGamma mutated the config")
-	}
-}
-
-func TestTuneGammaValidation(t *testing.T) {
-	m := mechanism(t, 7)
-	if _, err := m.TuneGamma(TuneOptions{Lo: 1e-8, Hi: 1e-9}); err == nil {
-		t.Error("accepted Hi < Lo")
-	}
-	if _, err := m.TuneGamma(TuneOptions{Lo: -1, Hi: 1e-8}); err == nil {
-		t.Error("accepted negative Lo")
-	}
-}
-
-// TestTuneOptionsNegativeRejected: negative Coarse/Refine/Lo/Hi must be
-// rejected with ErrNegativeTuneOption instead of passing through
-// withDefaults unvalidated (negative Coarse used to panic on the probe
-// allocation; negative Refine silently meant "no refinement").
-func TestTuneOptionsNegativeRejected(t *testing.T) {
-	m := mechanism(t, 7)
-	for name, opts := range map[string]TuneOptions{
-		"coarse": {Coarse: -3},
-		"refine": {Refine: -5},
-		"lo":     {Lo: -1e-9},
-		"hi":     {Hi: -2e-7},
-	} {
-		_, err := m.TuneGamma(opts)
-		if !errors.Is(err, ErrNegativeTuneOption) {
-			t.Errorf("%s: got %v, want ErrNegativeTuneOption", name, err)
-		}
-	}
-	// Coarse 1 is non-negative but cannot produce a log-spaced grid
-	// (spacing divides by Coarse−1).
-	if _, err := m.TuneGamma(TuneOptions{Coarse: 1}); err == nil {
-		t.Error("accepted Coarse = 1")
-	}
-}
-
-// TestTuneOptionsZeroSentinel: ZeroTuneRefine requests an actual zero
-// refinement (coarse sweep only), distinguishable from the zero value's
-// "use the default" meaning.
-func TestTuneOptionsZeroSentinel(t *testing.T) {
-	m := mechanism(t, 7)
-	coarseOnly, err := m.TuneGamma(TuneOptions{Coarse: 6, Refine: ZeroTuneRefine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(coarseOnly.Probes); got != 6 {
-		t.Errorf("coarse-only sweep evaluated %d probes, want exactly Coarse = 6", got)
-	}
-	refined, err := m.TuneGamma(TuneOptions{Coarse: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(refined.Probes); got <= 6 {
-		t.Errorf("zero-value Refine must mean the default, got %d probes (no refinement ran)", got)
-	}
-}
-
-// TestTuneOptionsDefaults pins the documented default constants.
-func TestTuneOptionsDefaults(t *testing.T) {
-	o := TuneOptions{}.withDefaults()
-	if o.Lo != DefaultTuneLo || o.Hi != DefaultTuneHi ||
-		o.Coarse != DefaultTuneCoarse || o.Refine != DefaultTuneRefine {
-		t.Errorf("withDefaults = %+v, want the DefaultTune* constants", o)
-	}
-}
-
-func TestEquilibriumAt(t *testing.T) {
-	m := mechanism(t, 7)
-	pLow, wLow, err := m.EquilibriumAt(0, dbr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pHigh, wHigh, err := m.EquilibriumAt(5e-8, dbr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dLow, dHigh float64
-	for i := range pLow {
-		dLow += pLow[i].D
-		dHigh += pHigh[i].D
-	}
-	if dHigh <= dLow {
-		t.Errorf("higher γ should draw more data: %v vs %v", dHigh, dLow)
-	}
-	if wLow <= 0 || wHigh <= 0 {
-		t.Errorf("welfare non-positive: %v, %v", wLow, wHigh)
 	}
 }

@@ -45,8 +45,8 @@ type Options struct {
 	// message was lost in flight, not that the peer died; resending to the
 	// same peer (idempotent via Seq dedup) keeps its strategy live instead
 	// of freezing it — skipping on the first timeout can terminate the ring
-	// at a non-equilibrium profile under message loss. Negative skips
-	// immediately on the first timeout (the pre-hardening behavior).
+	// at a non-equilibrium profile under message loss. Negative is
+	// rejected.
 	SuspectAfter int
 	// Workers is accepted and ignored: a scan runs on the calling
 	// goroutine (the within-scan fan-out it once sized was slower than the
@@ -56,11 +56,15 @@ type Options struct {
 }
 
 // withDefaults fills the zero fields. It rejects what would leave a solve
-// without a last sweep or a comparison without meaning: a negative
-// MaxRounds, and a negative or non-finite Tol or DTol.
+// without a last sweep or a comparison without meaning — a negative
+// MaxRounds, and a negative or non-finite Tol or DTol — and a negative
+// SuspectAfter.
 func (o Options) withDefaults() (Options, error) {
 	if o.MaxRounds < 0 {
 		return o, fmt.Errorf("dbr: MaxRounds %d is negative", o.MaxRounds)
+	}
+	if o.SuspectAfter < 0 {
+		return o, fmt.Errorf("dbr: SuspectAfter %d is negative", o.SuspectAfter)
 	}
 	if !(o.Tol >= 0 && o.Tol <= math.MaxFloat64) {
 		return o, fmt.Errorf("dbr: Tol %v is negative or not finite", o.Tol)
@@ -79,8 +83,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.SuspectAfter == 0 {
 		o.SuspectAfter = 2
-	} else if o.SuspectAfter < 0 {
-		o.SuspectAfter = 0
 	}
 	return o, nil
 }

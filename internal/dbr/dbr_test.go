@@ -210,6 +210,9 @@ func TestOptionsRejected(t *testing.T) {
 		{"negative DTol", Options{DTol: -1e-7}, false},
 		{"NaN DTol", Options{DTol: math.NaN()}, false},
 		{"infinite DTol", Options{DTol: math.Inf(1)}, false},
+		{"one resend", Options{SuspectAfter: 1}, true},
+		{"negative SuspectAfter", Options{SuspectAfter: -1}, false},
+		{"most negative SuspectAfter", Options{SuspectAfter: math.MinInt}, false},
 	} {
 		res, err := Solve(cfg, nil, tc.opts)
 		_, nodeErr := NewNode(cfg, 0, nil, names, tc.opts)

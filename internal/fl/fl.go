@@ -38,9 +38,8 @@ type Config struct {
 	Seed int64
 
 	// RoundTimes optionally gives each organization's simulated local round
-	// duration in arbitrary time units (same convention as
-	// AsyncConfig.RoundTimes). Only consulted when StragglerDeadline > 0;
-	// length must then match Shards.
+	// duration in arbitrary time units. Only consulted when
+	// StragglerDeadline > 0; length must then match Shards.
 	RoundTimes []float64
 	// StragglerDeadline is the synchronous server's per-round cutoff in the
 	// units of RoundTimes: an organization whose (jittered) simulated round
@@ -301,25 +300,4 @@ func zerosLike(params []*tensor.Matrix) []*tensor.Matrix {
 		out[i] = tensor.New(p.Rows, p.Cols)
 	}
 	return out
-}
-
-// AccuracyCurve trains the federated system at each data fraction in
-// fractions (applied to every shard uniformly) and returns the final test
-// accuracies — the empirical data-accuracy function of Fig. 2. The
-// remaining Config fields are used as-is.
-func AccuracyCurve(cfg Config, fractions []float64) ([]float64, error) {
-	out := make([]float64, len(fractions))
-	for k, frac := range fractions {
-		run := cfg
-		run.Fractions = make([]float64, len(cfg.Shards))
-		for i := range run.Fractions {
-			run.Fractions[i] = frac
-		}
-		res, err := Run(run)
-		if err != nil {
-			return nil, fmt.Errorf("fraction %v: %w", frac, err)
-		}
-		out[k] = res.FinalAccuracy
-	}
-	return out, nil
 }

@@ -154,9 +154,14 @@ func TestMoreDataHelps(t *testing.T) {
 	// accuracy at 10% participation (same seed and rounds).
 	cfg := fixture(t, "fmnist", []int{400, 400, 400})
 	cfg.Rounds = 12
-	accs, err := AccuracyCurve(cfg, []float64{0.1, 1.0})
-	if err != nil {
-		t.Fatal(err)
+	var accs [2]float64
+	for k, frac := range []float64{0.1, 1.0} {
+		cfg.Fractions = []float64{frac, frac, frac}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accs[k] = res.FinalAccuracy
 	}
 	if accs[1] <= accs[0] {
 		t.Errorf("full data accuracy %v not above 10%% accuracy %v", accs[1], accs[0])

@@ -3,11 +3,10 @@ package fl
 import "tradefl/internal/obs"
 
 // Telemetry of the federated-learning loop: per-round quality and wall
-// time, shared by the synchronous (Run) and asynchronous (RunAsync)
-// aggregators.
+// time.
 var (
 	mRuns     = obs.NewCounter("tradefl_fl_runs_total", "federated training runs started")
-	mRounds   = obs.NewCounter("tradefl_fl_rounds_total", "federated rounds (or async evaluations) completed")
+	mRounds   = obs.NewCounter("tradefl_fl_rounds_total", "federated rounds completed")
 	mUpdates  = obs.NewCounter("tradefl_fl_local_updates_total", "local organization updates aggregated into the global model")
 	mAccuracy = obs.NewGauge("tradefl_fl_round_accuracy", "global-model test accuracy after the most recent round")
 	mLoss     = obs.NewGauge("tradefl_fl_round_loss", "global-model test loss after the most recent round")
@@ -16,8 +15,8 @@ var (
 
 var flLog = obs.Component("fl")
 
-// Straggler-model telemetry (synchronous aggregator only): late updates,
-// rounds that lost every update, and the most recent arrival ratio.
+// Straggler-model telemetry: late updates, rounds that lost every update,
+// and the most recent arrival ratio.
 var (
 	mStragglers     = obs.NewCounter("tradefl_fl_stragglers_total", "local updates excluded for missing the round deadline")
 	mDegradedRounds = obs.NewCounter("tradefl_fl_degraded_rounds_total", "rounds in which no update met the deadline and the previous global model was kept")

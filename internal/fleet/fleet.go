@@ -26,11 +26,6 @@ type Options struct {
 	// (0 = process default). Instance results are byte-identical for every
 	// worker count; only throughput changes.
 	Workers int
-	// GBD carries the base CGBD options. Master is set per instance by the
-	// plan; Epsilon and MaxIter apply to every CGBD solve.
-	GBD gbd.Options
-	// DBR carries the base Algorithm 2 options.
-	DBR dbr.Options
 }
 
 // Result is the outcome of one instance solve.
@@ -190,7 +185,7 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config) Result {
 	r := Result{Plan: plan}
 	switch plan {
 	case PlanDBR:
-		dres, err := dbr.SolveCtx(ctx, cfg, nil, e.opts.DBR)
+		dres, err := dbr.SolveCtx(ctx, cfg, nil, dbr.Options{})
 		if err != nil {
 			r.Err = err
 			break
@@ -198,7 +193,7 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config) Result {
 		r.DBR, r.Profile = dres, dres.Profile
 		r.Payoffs, r.Potential = dres.Final()
 	default:
-		gres, err := gbd.SolveCtx(ctx, cfg, e.gbdOpts(plan))
+		gres, err := gbd.SolveCtx(ctx, cfg, gbdOpts(plan))
 		if err != nil {
 			r.Err = err
 			break
@@ -214,15 +209,12 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config) Result {
 	return r
 }
 
-// gbdOpts maps a CGBD plan onto the engine's base CGBD options.
-func (e *Engine) gbdOpts(plan Plan) gbd.Options {
-	gopts := e.opts.GBD
+// gbdOpts maps a CGBD plan onto its master solver.
+func gbdOpts(plan Plan) gbd.Options {
 	if plan == PlanTraversal {
-		gopts.Master = gbd.MasterTraversal
-	} else {
-		gopts.Master = gbd.MasterPruned
+		return gbd.Options{Master: gbd.MasterTraversal}
 	}
-	return gopts
+	return gbd.Options{Master: gbd.MasterPruned}
 }
 
 // ErrAuditMismatch reports a batch output that differed from its cold
@@ -276,7 +268,7 @@ func (e *Engine) auditOne(cfg *game.Config, r *Result) error {
 	switch r.Plan {
 	case PlanDBR:
 		var dres *dbr.Result
-		dres, err = dbr.Solve(cfg, nil, e.opts.DBR)
+		dres, err = dbr.Solve(cfg, nil, dbr.Options{})
 		if err == nil {
 			cold = dres.Profile
 			if a := verify.Global(); a != nil {
@@ -285,15 +277,11 @@ func (e *Engine) auditOne(cfg *game.Config, r *Result) error {
 		}
 	default:
 		var gres *gbd.Result
-		gres, err = gbd.Solve(cfg, e.gbdOpts(r.Plan))
+		gres, err = gbd.Solve(cfg, gbdOpts(r.Plan))
 		if err == nil {
 			cold = gres.Profile
 			if a := verify.Global(); a != nil {
-				eps := e.opts.GBD.Epsilon
-				if eps == 0 {
-					eps = 1e-6
-				}
-				a.CheckGBD(cfg, gres, eps, "fleet.audit")
+				a.CheckGBD(cfg, gres, gbd.DefaultEpsilon, "fleet.audit")
 			}
 		}
 	}

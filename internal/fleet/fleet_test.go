@@ -68,7 +68,7 @@ func TestBatchMatchesOneAtATime(t *testing.T) {
 			}
 			direct = dres.Profile
 		default:
-			gres, err := gbd.Solve(cfgs[i], eng.gbdOpts(r.Plan))
+			gres, err := gbd.Solve(cfgs[i], gbdOpts(r.Plan))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestFixedPlansMatchDirect(t *testing.T) {
 				}
 				direct = dres.Profile
 			} else {
-				gres, err := gbd.Solve(cfgs[i], eng.gbdOpts(plan))
+				gres, err := gbd.Solve(cfgs[i], gbdOpts(plan))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -46,9 +46,13 @@ const (
 	MasterPruned
 )
 
+// DefaultEpsilon is the UB−LB convergence tolerance ε of a solve that
+// leaves Options.Epsilon zero.
+const DefaultEpsilon = 1e-6
+
 // Options configures Solve.
 type Options struct {
-	// Epsilon is the UB−LB convergence tolerance ε (default 1e-6).
+	// Epsilon is the UB−LB convergence tolerance ε (default DefaultEpsilon).
 	Epsilon float64
 	// MaxIter is K, the iteration cap (default 50).
 	MaxIter int
@@ -64,7 +68,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Epsilon == 0 {
-		o.Epsilon = 1e-6
+		o.Epsilon = DefaultEpsilon
 	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 50

@@ -95,24 +95,6 @@ func (s *Source) CompetitionMatrix(n int, mu float64) [][]float64 {
 	return m
 }
 
-// GaussianVector fills a length-n vector with N(mean, stddev²) draws.
-func (s *Source) GaussianVector(n int, mean, stddev float64) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = s.Normal(mean, stddev)
-	}
-	return v
-}
-
-// UniformVector fills a length-n vector with Uniform(lo, hi) draws.
-func (s *Source) UniformVector(n int, lo, hi float64) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = s.Uniform(lo, hi)
-	}
-	return v
-}
-
 // LogUniform returns a draw whose logarithm is uniform over
 // [log(lo), log(hi)]; useful for sweeping scale parameters such as γ.
 func (s *Source) LogUniform(lo, hi float64) float64 {

@@ -138,23 +138,6 @@ func TestCompetitionMatrixMean(t *testing.T) {
 	}
 }
 
-func TestVectors(t *testing.T) {
-	s := New(5)
-	u := s.UniformVector(50, 2, 4)
-	if len(u) != 50 {
-		t.Fatalf("UniformVector length %d, want 50", len(u))
-	}
-	for _, v := range u {
-		if v < 2 || v >= 4 {
-			t.Errorf("UniformVector entry %v out of range", v)
-		}
-	}
-	g := s.GaussianVector(50, 0, 1)
-	if len(g) != 50 {
-		t.Fatalf("GaussianVector length %d, want 50", len(g))
-	}
-}
-
 func TestLogUniform(t *testing.T) {
 	s := New(9)
 	for i := 0; i < 1000; i++ {

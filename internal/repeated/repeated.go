@@ -60,37 +60,24 @@ type Analysis struct {
 	}
 }
 
-// Options configures Analyze.
-type Options struct {
-	// DBR passes through Algorithm 2 options for both equilibria.
-	DBR dbr.Options
-	// DeviationGrid is the number of d values scanned per CPU level when
-	// searching the best deviation (default 60).
-	DeviationGrid int
-}
-
-func (o Options) withDefaults() Options {
-	if o.DeviationGrid == 0 {
-		o.DeviationGrid = 60
-	}
-	return o
-}
+// deviationGrid is the number of d values scanned per CPU level when
+// searching the best deviation.
+const deviationGrid = 60
 
 // Analyze computes the repeated-game cooperation thresholds for cfg.
-func Analyze(cfg *game.Config, opts Options) (*Analysis, error) {
+func Analyze(cfg *game.Config) (*Analysis, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("repeated: %w", err)
 	}
-	opts = opts.withDefaults()
 	if cfg.Gamma == 0 {
 		return nil, errors.New("repeated: γ = 0 leaves nothing to enforce")
 	}
 
-	coop, err := dbr.Solve(cfg, nil, opts.DBR)
+	coop, err := dbr.Solve(cfg, nil, dbr.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("repeated: cooperative equilibrium: %w", err)
 	}
-	wpr, err := baselines.WPR(cfg, opts.DBR)
+	wpr, err := baselines.WPR(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("repeated: punishment equilibrium: %w", err)
 	}
@@ -111,7 +98,7 @@ func Analyze(cfg *game.Config, opts Options) (*Analysis, error) {
 	for i := 0; i < n; i++ {
 		// Without the contract the defector also withholds what it owes:
 		// its deviation payoff gains max(0, −R_i(π')) on top.
-		gain, gainEnforced := bestDeviation(cfg, coop.Profile, i, opts.DeviationGrid)
+		gain, gainEnforced := bestDeviation(cfg, coop.Profile, i)
 		a.DefectionGain[i] = gain
 		a.ContractEnforced.DefectionGain[i] = gainEnforced
 
@@ -144,7 +131,7 @@ func criticalDelta(gain, loss float64) float64 {
 // cooperative profile and returns its best one-shot gain in two worlds:
 // without the contract (it additionally withholds any redistribution it
 // would owe) and with it (transfers execute regardless).
-func bestDeviation(cfg *game.Config, coop game.Profile, i, grid int) (gain, gainEnforced float64) {
+func bestDeviation(cfg *game.Config, coop game.Profile, i int) (gain, gainEnforced float64) {
 	base := cfg.Payoff(i, coop)
 	work := coop.Clone()
 	for _, f := range cfg.Orgs[i].CPULevels {
@@ -152,8 +139,8 @@ func bestDeviation(cfg *game.Config, coop game.Profile, i, grid int) (gain, gain
 		if !ok {
 			continue
 		}
-		for k := 0; k < grid; k++ {
-			d := lo + (hi-lo)*float64(k)/float64(grid-1)
+		for k := 0; k < deviationGrid; k++ {
+			d := lo + (hi-lo)*float64(k)/float64(deviationGrid-1)
 			work[i] = game.Strategy{D: d, F: f}
 			payoff := cfg.Payoff(i, work)
 			if g := payoff - base; g > gainEnforced {

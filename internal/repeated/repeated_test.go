@@ -18,7 +18,7 @@ func defaultGame(t *testing.T, seed int64) *game.Config {
 
 func TestAnalyzeBasicShape(t *testing.T) {
 	cfg := defaultGame(t, 7)
-	a, err := Analyze(cfg, Options{})
+	a, err := Analyze(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestAnalyzeBasicShape(t *testing.T) {
 // cooperation needs no patience (δ* = 0).
 func TestContractCollapsesDefectionGain(t *testing.T) {
 	cfg := defaultGame(t, 7)
-	a, err := Analyze(cfg, Options{})
+	a, err := Analyze(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestContractCollapsesDefectionGain(t *testing.T) {
 
 func TestCooperationSustainable(t *testing.T) {
 	cfg := defaultGame(t, 7)
-	a, err := Analyze(cfg, Options{})
+	a, err := Analyze(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCooperationSustainable(t *testing.T) {
 
 func TestPathPayoffDefectionTradeoff(t *testing.T) {
 	cfg := defaultGame(t, 7)
-	a, err := Analyze(cfg, Options{})
+	a, err := Analyze(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestPathPayoffValidation(t *testing.T) {
 	if _, err := PathPayoff(cfg, SimulateOptions{Delta: 0.9}); err == nil {
 		t.Error("missing analysis accepted")
 	}
-	a, err := Analyze(cfg, Options{})
+	a, err := Analyze(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +165,12 @@ func TestPathPayoffValidation(t *testing.T) {
 func TestAnalyzeValidation(t *testing.T) {
 	cfg := defaultGame(t, 7)
 	cfg.Gamma = 0
-	if _, err := Analyze(cfg, Options{}); err == nil {
+	if _, err := Analyze(cfg); err == nil {
 		t.Error("γ = 0 accepted")
 	}
 	cfg = defaultGame(t, 7)
 	cfg.Accuracy = nil
-	if _, err := Analyze(cfg, Options{}); err == nil {
+	if _, err := Analyze(cfg); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

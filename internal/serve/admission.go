@@ -57,7 +57,7 @@ func (s *Server) tenantLocked(name string, now time.Time) *tenantState {
 	if t == nil {
 		if len(s.tenants) >= s.tenantSweepAt {
 			for k, old := range s.tenants {
-				if old.idleLocked(now, s.opts.TenantRate, s.opts.TenantBurst) {
+				if old.idleLocked(now, s.opts.TenantRate, s.burst()) {
 					delete(s.tenants, k)
 				}
 			}
@@ -67,7 +67,7 @@ func (s *Server) tenantLocked(name string, now time.Time) *tenantState {
 		s.tenants[name] = t
 		mTenants.Set(float64(len(s.tenants)))
 	}
-	t.refillLocked(now, s.opts.TenantRate, s.opts.TenantBurst)
+	t.refillLocked(now, s.opts.TenantRate, s.burst())
 	return t
 }
 
@@ -83,11 +83,11 @@ func (s *Server) admitTokens(tenant string, instances int) *admitError {
 	}
 	t := s.tenantLocked(tenant, time.Now())
 	need := float64(instances)
-	if need > s.opts.TenantBurst {
+	if need > s.burst() {
 		mRejectRate.Inc()
 		return &admitError{
 			status: http.StatusTooManyRequests,
-			reason: fmt.Sprintf("request of %d instances exceeds the tenant burst capacity %.0f", instances, s.opts.TenantBurst),
+			reason: fmt.Sprintf("request of %d instances exceeds the tenant burst capacity %.0f", instances, s.burst()),
 		}
 	}
 	if t.tokens < need {
@@ -124,11 +124,11 @@ func (s *Server) admitJob(job *Job) *admitError {
 		}
 	}
 	need := float64(job.instances)
-	if need > s.opts.TenantBurst {
+	if need > s.burst() {
 		mRejectRate.Inc()
 		return &admitError{
 			status: http.StatusTooManyRequests,
-			reason: fmt.Sprintf("job of %d instances exceeds the tenant burst capacity %.0f", job.instances, s.opts.TenantBurst),
+			reason: fmt.Sprintf("job of %d instances exceeds the tenant burst capacity %.0f", job.instances, s.burst()),
 		}
 	}
 	if t.tokens < need {

@@ -7,11 +7,11 @@ import (
 )
 
 // TestTenantTableIsSwept: the tenant table is keyed by a client-chosen
-// header. Ten thousand tenants that each solve once and never return must
+// header. Three thousand tenants that each solve once and never return must
 // not leave ten thousand entries behind, while a tenant that still holds a
 // job or owes tokens keeps its state, tokens intact, across every sweep.
 func TestTenantTableIsSwept(t *testing.T) {
-	s := testServer(t, Options{TenantRate: 64, TenantBurst: 1024})
+	s := testServer(t, Options{TenantRate: 64}) // a bucket of 256
 	now := time.Unix(1_700_000_000, 0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -19,10 +19,10 @@ func TestTenantTableIsSwept(t *testing.T) {
 	busy := s.tenantLocked("busy", now)
 	busy.active = 1 // a queued or running job
 	drained := s.tenantLocked("drained", now)
-	drained.tokens = 0 // a bucket that needs sixteen seconds to refill
+	drained.tokens = 0 // a bucket that needs four seconds to refill
 
 	peak := 0
-	for i := 0; i < 10_000; i++ {
+	for i := 0; i < 3_000; i++ {
 		// One-shot tenants a millisecond apart: each spends a token, which
 		// refills in 1/64 s, so about sixteen are distinguishable from new
 		// at any moment.
@@ -40,7 +40,7 @@ func TestTenantTableIsSwept(t *testing.T) {
 	if s.tenants["busy"] != busy || busy.active != 1 {
 		t.Error("a tenant with an active job was swept")
 	}
-	// Ten seconds on, "drained" is still six seconds short of full: it
+	// Three seconds on, "drained" is still a second short of full: it
 	// survived every sweep, and they left its bucket alone.
 	if s.tenants["drained"] != drained {
 		t.Fatal("a tenant with a part-drained bucket was swept")
@@ -48,8 +48,8 @@ func TestTenantTableIsSwept(t *testing.T) {
 	if drained.tokens != 0 || !drained.last.Equal(time.Unix(1_700_000_000, 0)) {
 		t.Errorf("sweeps changed a surviving tenant's bucket: %.2f tokens, last %v", drained.tokens, drained.last)
 	}
-	if got := s.tenantLocked("drained", now); got != drained || got.tokens != 640 {
-		t.Errorf("refill after the sweeps: %.2f tokens, want 640 (ten seconds at 64/s)", got.tokens)
+	if got := s.tenantLocked("drained", now); got != drained || got.tokens != 192 {
+		t.Errorf("refill after the sweeps: %.2f tokens, want 192 (three seconds at 64/s)", got.tokens)
 	}
 
 	// Once idle and refilled, both are indistinguishable from new tenants

@@ -331,9 +331,10 @@ func readStream(t *testing.T, base, id string, lastEventID int) []byte {
 // replay of the finished job and a Last-Event-ID resume all carry the same
 // bytes, and they are the log's payloads in SSE framing.
 func TestStreamReplayServesLiveBytes(t *testing.T) {
-	s := startGateway(t, Options{StreamChunk: 1})
+	s := startGateway(t, Options{})
 	base := "http://" + s.Addr()
-	resp, created := postJSON(t, base+"/v1/jobs", "", `{"generate":{"count":3,"n":5,"seed":19}}`)
+	// Ten instances span two fleet batches of streamChunk.
+	resp, created := postJSON(t, base+"/v1/jobs", "", `{"generate":{"count":10,"n":5,"seed":19}}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("create: %d (%v)", resp.StatusCode, created)
 	}
@@ -374,8 +375,8 @@ func TestStreamReplayServesLiveBytes(t *testing.T) {
 	if want := indented(t, s.lookupJob(id).Status()); httpResp.StatusCode != http.StatusOK || !bytes.Equal(status, want) {
 		t.Errorf("GET status %d:\n got  %s\n want %s", httpResp.StatusCode, status, want)
 	}
-	if !bytes.Contains(status, []byte(`"state": "done"`)) || bytes.Count(status, []byte(`"index": `)) != 3 {
-		t.Errorf("status document lacks the done state or its 3 results:\n%s", status)
+	if !bytes.Contains(status, []byte(`"state": "done"`)) || bytes.Count(status, []byte(`"index": `)) != 10 {
+		t.Errorf("status document lacks the done state or its 10 results:\n%s", status)
 	}
 }
 

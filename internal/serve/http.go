@@ -171,15 +171,15 @@ func (s *Server) handleSyncSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(cfgs) > s.opts.SyncMaxInstances {
+	if len(cfgs) > syncMaxInstances {
 		writeError(w, http.StatusUnprocessableEntity,
-			fmt.Sprintf("sync solve accepts at most %d instances (got %d); submit an async job via POST /v1/jobs", s.opts.SyncMaxInstances, len(cfgs)))
+			fmt.Sprintf("sync solve accepts at most %d instances (got %d); submit an async job via POST /v1/jobs", syncMaxInstances, len(cfgs)))
 		return
 	}
 	for i, cfg := range cfgs {
-		if cfg.N() > s.opts.SyncMaxN {
+		if cfg.N() > syncMaxN {
 			writeError(w, http.StatusUnprocessableEntity,
-				fmt.Sprintf("sync solve accepts at most N=%d organizations (instance %d has %d); submit an async job via POST /v1/jobs", s.opts.SyncMaxN, i, cfg.N()))
+				fmt.Sprintf("sync solve accepts at most N=%d organizations (instance %d has %d); submit an async job via POST /v1/jobs", syncMaxN, i, cfg.N()))
 			return
 		}
 	}

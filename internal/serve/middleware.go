@@ -54,7 +54,7 @@ func (s *Server) edge(next http.Handler) http.Handler {
 
 		// Every route gets a bounded write deadline on top of the server-wide
 		// hardened timeouts; the stream handler opts back out per request.
-		if err := httpx.SetWriteDeadline(w, s.opts.RouteTimeout); err != nil {
+		if err := httpx.SetWriteDeadline(w, routeTimeout); err != nil {
 			log.Debug("set route deadline", "err", err)
 		}
 
@@ -134,7 +134,7 @@ func writeAdmitError(w http.ResponseWriter, err *admitError) {
 // an explicit 413 (mirroring the chain RPC edge — never silent
 // truncation). It reports whether the caller may proceed.
 func (s *Server) readJSONBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := httpx.ReadBody(r, s.opts.MaxBody)
+	body, err := httpx.ReadBody(r, maxBody)
 	if err != nil {
 		if errors.Is(err, httpx.ErrBodyTooLarge) {
 			mTooLarge.Inc()

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -39,42 +40,43 @@ type Options struct {
 	// TenantActive caps one tenant's queued+running jobs (default 8).
 	TenantActive int
 	// TenantRate refills each tenant's instance-token bucket (instances
-	// per second, default 64): every admitted instance — async or sync —
-	// costs one token, so a tenant's sustained solve throughput is bounded
-	// no matter how it shapes its jobs.
+	// per second, default 64; New rejects a rate that is not finite and
+	// positive): every admitted instance — async or sync — costs one
+	// token, so a tenant's sustained solve throughput is bounded no matter
+	// how it shapes its jobs. The bucket holds burstSeconds of refill.
 	TenantRate float64
-	// TenantBurst is the bucket capacity (default 4×TenantRate).
-	TenantBurst float64
-	// SyncMaxN and SyncMaxInstances bound the synchronous /v1/solve path
-	// (defaults 12 organizations, 8 instances); anything larger must go
-	// through the async queue.
-	SyncMaxN         int
-	SyncMaxInstances int
 	// Limits bounds async job specs (defaults: 64 orgs, 1024 instances).
 	Limits Limits
-	// MaxBody caps request bodies (default 1 MiB), mirroring the chain
-	// RPC edge: over-limit requests get an explicit 413, never a silent
-	// truncation.
-	MaxBody int64
-	// RouteTimeout is the write deadline of request/response routes
-	// (default 30s). Progress streams opt out per request.
-	RouteTimeout time.Duration
 	// JobTimeout bounds one job's solve wall time (default 5m).
 	JobTimeout time.Duration
-	// RetainJobs caps terminal jobs kept for inspection, FIFO-evicted
-	// (default 1024).
-	RetainJobs int
-	// StreamChunk is the number of instances solved per fleet batch inside
-	// a job (default 8): smaller chunks stream progress sooner, larger
-	// ones amortize scheduling. Outputs are byte-identical either way (the
-	// fleet determinism contract).
-	StreamChunk int
-	// Fleet configures the shared engine (plan, workers, solver options).
-	Fleet fleet.Options
 	// DumpWriter receives flight-recorder dumps on handler panics
 	// (default os.Stderr).
 	DumpWriter io.Writer
 }
+
+// The gateway's fixed limits.
+const (
+	// burstSeconds sizes each tenant's token bucket: it holds
+	// burstSeconds × TenantRate instances.
+	burstSeconds = 4
+	// syncMaxN and syncMaxInstances bound the synchronous /v1/solve path;
+	// anything larger must go through the async queue.
+	syncMaxN         = 12
+	syncMaxInstances = 8
+	// maxBody caps request bodies, mirroring the chain RPC edge: over-limit
+	// requests get an explicit 413, never a silent truncation.
+	maxBody = 1 << 20
+	// routeTimeout is the write deadline of request/response routes.
+	// Progress streams opt out per request.
+	routeTimeout = 30 * time.Second
+	// retainJobs caps terminal jobs kept for inspection, FIFO-evicted.
+	retainJobs = 1024
+	// streamChunk is the number of instances solved per fleet batch inside
+	// a job: smaller chunks stream progress sooner, larger ones amortize
+	// scheduling. Outputs are byte-identical either way (the fleet
+	// determinism contract).
+	streamChunk = 8
+)
 
 func (o Options) withDefaults() Options {
 	if o.Runners == 0 {
@@ -89,35 +91,14 @@ func (o Options) withDefaults() Options {
 	if o.TenantRate == 0 {
 		o.TenantRate = 64
 	}
-	if o.TenantBurst == 0 {
-		o.TenantBurst = 4 * o.TenantRate
-	}
-	if o.SyncMaxN == 0 {
-		o.SyncMaxN = 12
-	}
-	if o.SyncMaxInstances == 0 {
-		o.SyncMaxInstances = 8
-	}
 	if o.Limits.MaxOrgs == 0 {
 		o.Limits.MaxOrgs = 64
 	}
 	if o.Limits.MaxInstances == 0 {
 		o.Limits.MaxInstances = 1024
 	}
-	if o.MaxBody == 0 {
-		o.MaxBody = 1 << 20
-	}
-	if o.RouteTimeout == 0 {
-		o.RouteTimeout = 30 * time.Second
-	}
 	if o.JobTimeout == 0 {
 		o.JobTimeout = 5 * time.Minute
-	}
-	if o.RetainJobs == 0 {
-		o.RetainJobs = 1024
-	}
-	if o.StreamChunk == 0 {
-		o.StreamChunk = 8
 	}
 	if o.DumpWriter == nil {
 		o.DumpWriter = os.Stderr
@@ -132,8 +113,8 @@ type Server struct {
 	ln   net.Listener
 
 	// engines caches one fleet engine per forced plan (auto, dbr, pruned,
-	// traversal), all sharing the gateway's fleet options, so jobs that
-	// force different solvers don't rebuild engines per request.
+	// traversal), so jobs that force different solvers don't rebuild
+	// engines per request.
 	engMu   sync.Mutex
 	engines map[fleet.Plan]*fleet.Engine
 
@@ -159,6 +140,10 @@ type Server struct {
 // Call Serve to start handling requests and Drain to stop.
 func New(addr string, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
+	// NaN or +Inf would admit everything and a negative rate nothing.
+	if !(opts.TenantRate > 0 && opts.TenantRate <= math.MaxFloat64) {
+		return nil, fmt.Errorf("serve: tenant rate %v is not a finite positive number", opts.TenantRate)
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("serve: listen %s: %w", addr, err)
@@ -187,19 +172,20 @@ func New(addr string, opts Options) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // engine returns the shared fleet engine for a forced plan, building it on
-// first use from the gateway's fleet options.
+// first use.
 func (s *Server) engine(plan fleet.Plan) *fleet.Engine {
 	s.engMu.Lock()
 	defer s.engMu.Unlock()
 	eng := s.engines[plan]
 	if eng == nil {
-		fo := s.opts.Fleet
-		fo.Plan = plan
-		eng = fleet.New(fo)
+		eng = fleet.New(fleet.Options{Plan: plan})
 		s.engines[plan] = eng
 	}
 	return eng
 }
+
+// burst is each tenant's bucket capacity in instances.
+func (s *Server) burst() float64 { return burstSeconds * s.opts.TenantRate }
 
 // Serve blocks handling requests until Drain.
 func (s *Server) Serve() error {
@@ -262,8 +248,8 @@ func (s *Server) runJob(job *Job) {
 	log.Debug("job running", "id", job.ID, "tenant", job.Tenant, "instances", len(cfgs))
 
 	failed := false
-	for lo := 0; lo < len(cfgs); lo += s.opts.StreamChunk {
-		chunk := cfgs[lo:min(lo+s.opts.StreamChunk, len(cfgs))]
+	for lo := 0; lo < len(cfgs); lo += streamChunk {
+		chunk := cfgs[lo:min(lo+streamChunk, len(cfgs))]
 		results := s.engine(job.plan).Solve(ctx, chunk)
 		solved, progress := make([]InstanceResult, len(results)), make([][]Event, len(results))
 		for i, r := range results {
@@ -322,7 +308,7 @@ func (s *Server) retain(job *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.order = append(s.order, job.ID)
-	for len(s.order) > s.opts.RetainJobs {
+	for len(s.order) > retainJobs {
 		victim := s.order[0]
 		s.order = s.order[1:]
 		if j := s.jobs[victim]; j != nil && j.State().terminal() {

@@ -172,10 +172,10 @@ func TestGenerateMuRange(t *testing.T) {
 }
 
 func TestGatewayBodyTooLarge(t *testing.T) {
-	s := startGateway(t, Options{MaxBody: 512})
+	s := startGateway(t, Options{})
 	base := "http://" + s.Addr()
 	before := mTooLarge.Value()
-	big := `{"pad":"` + strings.Repeat("x", 2048) + `"}`
+	big := `{"pad":"` + strings.Repeat("x", maxBody) + `"}`
 	resp, decoded := postJSON(t, base+"/v1/jobs", "", big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413 (%v)", resp.StatusCode, decoded)
@@ -186,14 +186,15 @@ func TestGatewayBodyTooLarge(t *testing.T) {
 }
 
 func TestGatewayRateQuotaExhaustion(t *testing.T) {
-	// A near-zero refill rate makes the token bucket deterministic: the
-	// first job drains the burst, the second must be rejected regardless of
-	// how fast the first one solves.
-	s := startGateway(t, Options{TenantRate: 0.001, TenantBurst: 4})
+	// A slow refill makes the token bucket deterministic: at 0.25
+	// instances/s the bucket holds one instance, the first job drains it,
+	// and the second must be rejected regardless of how fast the first one
+	// solves (a token takes four seconds to come back).
+	s := startGateway(t, Options{TenantRate: 0.25})
 	base := "http://" + s.Addr()
 
 	before := mRejectRate.Value()
-	resp, decoded := postJSON(t, base+"/v1/jobs", "greedy", `{"generate":{"count":4,"n":4,"seed":1}}`)
+	resp, decoded := postJSON(t, base+"/v1/jobs", "greedy", `{"generate":{"count":1,"n":4,"seed":1}}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first job: status %d, want 202 (%v)", resp.StatusCode, decoded)
 	}
@@ -207,6 +208,11 @@ func TestGatewayRateQuotaExhaustion(t *testing.T) {
 	if got := mRejectRate.Value() - before; got != 1 {
 		t.Errorf("tradefl_serve_rejected_rate_total delta = %d, want 1", got)
 	}
+	// A job larger than the bucket can never be admitted.
+	resp, decoded = postJSON(t, base+"/v1/jobs", "patient", `{"generate":{"count":2,"n":4,"seed":2}}`)
+	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(fmt.Sprint(decoded["error"]), "burst capacity 1") {
+		t.Fatalf("over-burst job: status %d, want 429 naming the burst capacity (%v)", resp.StatusCode, decoded)
+	}
 
 	// Tenant isolation: the greedy tenant's empty bucket must not affect
 	// anyone else.
@@ -219,6 +225,22 @@ func TestGatewayRateQuotaExhaustion(t *testing.T) {
 	resp, decoded = postJSON(t, base+"/v1/solve", "greedy", `{"generate":{"count":1,"n":4,"seed":4}}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("greedy sync solve: status %d, want 429 (%v)", resp.StatusCode, decoded)
+	}
+}
+
+// TestTenantRateMustBeFinitePositive: a rate that is NaN or +Inf would
+// admit everything and a negative one nothing, so New refuses them; zero
+// still means the default.
+func TestTenantRateMustBeFinitePositive(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -math.SmallestNonzeroFloat64} {
+		if s, err := New("127.0.0.1:0", Options{TenantRate: rate}); err == nil {
+			_ = s.Drain(time.Second)
+			t.Errorf("TenantRate %v accepted", rate)
+		}
+	}
+	s := startGateway(t, Options{})
+	if s.opts.TenantRate != 64 || s.burst() != 256 {
+		t.Errorf("default rate %v, burst %v; want 64 and 256", s.opts.TenantRate, s.burst())
 	}
 }
 
@@ -448,10 +470,11 @@ func TestGatewayDrainCompletesInFlightJobs(t *testing.T) {
 }
 
 func TestGatewayStreamDeliversProgressAndResult(t *testing.T) {
-	s := startGateway(t, Options{StreamChunk: 1})
+	s := startGateway(t, Options{})
 	base := "http://" + s.Addr()
 
-	resp, created := postJSON(t, base+"/v1/jobs", "", `{"generate":{"count":2,"n":4,"seed":11}}`)
+	// Ten instances span two fleet batches of streamChunk.
+	resp, created := postJSON(t, base+"/v1/jobs", "", `{"generate":{"count":10,"n":4,"seed":11}}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("create: %d (%v)", resp.StatusCode, created)
 	}
@@ -482,8 +505,8 @@ func TestGatewayStreamDeliversProgressAndResult(t *testing.T) {
 	if counts["progress"] == 0 {
 		t.Errorf("no progress events in stream:\n%s", text)
 	}
-	if counts["instance"] != 2 {
-		t.Errorf("instance events = %d, want 2", counts["instance"])
+	if counts["instance"] != 10 {
+		t.Errorf("instance events = %d, want 10", counts["instance"])
 	}
 	if counts["result"] != 1 {
 		t.Errorf("result events = %d, want 1", counts["result"])
@@ -497,22 +520,24 @@ func TestGatewayStreamDeliversProgressAndResult(t *testing.T) {
 }
 
 func TestGatewaySyncSolveBounds(t *testing.T) {
-	s := startGateway(t, Options{SyncMaxInstances: 2, SyncMaxN: 4})
+	s := startGateway(t, Options{})
 	base := "http://" + s.Addr()
-	resp, decoded := postJSON(t, base+"/v1/solve", "", `{"generate":{"count":3,"n":4,"seed":1}}`)
+	resp, decoded := postJSON(t, base+"/v1/solve", "", `{"generate":{"count":9,"n":4,"seed":1}}`)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("over-instances sync: %d, want 422 (%v)", resp.StatusCode, decoded)
 	}
-	resp, decoded = postJSON(t, base+"/v1/solve", "", `{"generate":{"count":1,"n":6,"seed":1}}`)
+	resp, decoded = postJSON(t, base+"/v1/solve", "", `{"generate":{"count":1,"n":13,"seed":1}}`)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("over-N sync: %d, want 422 (%v)", resp.StatusCode, decoded)
 	}
-	resp, decoded = postJSON(t, base+"/v1/solve", "", `{"generate":{"count":2,"n":4,"seed":1}}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("in-bounds sync: %d, want 200 (%v)", resp.StatusCode, decoded)
+	for _, spec := range []string{`{"generate":{"count":8,"n":4,"seed":1}}`, `{"generate":{"count":1,"n":12,"seed":1}}`} {
+		resp, decoded = postJSON(t, base+"/v1/solve", "", spec)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("in-bounds sync %s: %d, want 200 (%v)", spec, resp.StatusCode, decoded)
+		}
 	}
-	if results, _ := decoded["results"].([]any); len(results) != 2 {
-		t.Fatalf("sync results = %v, want 2 entries", decoded["results"])
+	if results, _ := decoded["results"].([]any); len(results) != 1 {
+		t.Fatalf("sync results = %v, want 1 entry", decoded["results"])
 	}
 }
 

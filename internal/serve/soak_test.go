@@ -25,11 +25,11 @@ func TestGatewaySoak64Tenants(t *testing.T) {
 	}
 	const (
 		tenants      = 64
-		perJob       = 2
+		perJob       = streamChunk + 1 // two fleet batches per job
 		instanceN    = 4
 		instanceSeed = 5000
 	)
-	s := startGateway(t, Options{Runners: 8, QueueDepth: 2 * tenants, StreamChunk: 1})
+	s := startGateway(t, Options{Runners: 8, QueueDepth: 2 * tenants})
 	base := "http://" + s.Addr()
 
 	// The reference: the same corpus solved directly through core.RunBatch

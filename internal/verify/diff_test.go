@@ -26,7 +26,7 @@ type DiffOptions struct {
 	// comparisons, covering the independent solver's own convergence error
 	// (default 1e-6).
 	Slack float64
-	// Auditor receives the violations (default: a fresh New(Options{})).
+	// Auditor receives the violations (default: a fresh New()).
 	Auditor *Auditor
 }
 
@@ -47,7 +47,7 @@ func (o DiffOptions) withDefaults() DiffOptions {
 		o.Slack = 1e-6
 	}
 	if o.Auditor == nil {
-		o.Auditor = New(Options{})
+		o.Auditor = New()
 	}
 	return o
 }

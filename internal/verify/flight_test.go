@@ -13,7 +13,7 @@ import (
 // -verify failure triggers contains the violating event.
 func TestViolationRecordsFlightEvent(t *testing.T) {
 	obs.FlightReset()
-	a := Enable(Options{})
+	a := Enable()
 	defer Disable()
 
 	// Inject a potential-trace regression — the canonical mutation from

@@ -25,10 +25,10 @@ var (
 // is audited from here on. The cmds expose this as the -verify flag.
 // Calling Enable again replaces the auditor (and resets the hook
 // closures); the returned auditor accumulates until Disable.
-func Enable(opts Options) *Auditor {
+func Enable() *Auditor {
 	hookMu.Lock()
 	defer hookMu.Unlock()
-	a := New(opts)
+	a := New()
 	global.Store(a)
 	gbd.SetAuditHook(func(cfg *game.Config, res *gbd.Result, o gbd.Options) {
 		a.CheckGBD(cfg, res, o.Epsilon, "gbd")
@@ -43,8 +43,8 @@ func Enable(opts Options) *Auditor {
 		a.CheckLedger(ev, "chain")
 	})
 	vLog.Info("invariant auditing enabled",
-		"monotoneTol", a.opts.MonotoneTol, "balanceTol", a.opts.BalanceTol,
-		"nashSlack", a.opts.NashSlack, "gridRes", a.opts.GridRes)
+		"monotoneTol", monotoneTol, "balanceTol", balanceTol,
+		"nashSlack", NashSlack, "gridRes", gridRes)
 	return a
 }
 

@@ -24,7 +24,7 @@ func cleanLedgerEvent() *chain.LedgerAuditEvent {
 // plants the fault on the single-ledger event.
 
 func TestMutationShardWeiLeak(t *testing.T) {
-	a := New(Options{})
+	a := New()
 	if !a.CheckLedger(cleanLedgerEvent(), "mut-clean") {
 		t.Fatalf("clean ledger flagged:\n%s", a.Summary())
 	}
@@ -39,7 +39,7 @@ func TestMutationShardWeiLeak(t *testing.T) {
 }
 
 func TestMutationShardEscrowLeak(t *testing.T) {
-	a := New(Options{})
+	a := New()
 	// The contract escrow disagrees with the account sum: a deposit debited
 	// from its account but never recorded (or vice versa).
 	ev := cleanLedgerEvent()
@@ -51,7 +51,7 @@ func TestMutationShardEscrowLeak(t *testing.T) {
 }
 
 func TestMutationShardNonceRegression(t *testing.T) {
-	a := New(Options{})
+	a := New()
 	// The nonce sum moves backwards — a rolled-back failure path that
 	// restored too much.
 	ev := cleanLedgerEvent()
@@ -62,7 +62,7 @@ func TestMutationShardNonceRegression(t *testing.T) {
 	assertFired(t, a, "ledger-nonce-regression")
 
 	// And the total check: nonces consumed ≠ txs admitted.
-	b := New(Options{})
+	b := New()
 	ev2 := cleanLedgerEvent()
 	ev2.TxCount++
 	if b.CheckLedger(ev2, "mut") {
@@ -75,7 +75,7 @@ func TestMutationShardNonceRegression(t *testing.T) {
 // a full settlement: every sealed height must pass the conservation audit,
 // including a value transfer sealed beside contract calls.
 func TestLedgerAuditShardedSettlement(t *testing.T) {
-	a := New(Options{})
+	a := New()
 	chain.SetLedgerAudit(func(ev *chain.LedgerAuditEvent) { a.CheckLedger(ev, "test") })
 	defer chain.SetLedgerAudit(nil)
 

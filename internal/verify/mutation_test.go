@@ -27,7 +27,7 @@ func assertFired(t *testing.T, a *Auditor, id string) {
 }
 
 func TestMutationPotentialDecrease(t *testing.T) {
-	a := New(Options{})
+	a := New()
 	if a.CheckPotentialMonotone("mut", []float64{1, 2, 1.5, 3}) {
 		t.Fatal("potential drop not detected")
 	}
@@ -35,7 +35,7 @@ func TestMutationPotentialDecrease(t *testing.T) {
 }
 
 func TestMutationPotentialNaN(t *testing.T) {
-	a := New(Options{})
+	a := New()
 	nan := 0.0
 	nan /= nan
 	if a.CheckPotentialMonotone("mut", []float64{1, nan, 2}) {
@@ -52,7 +52,7 @@ func TestMutationAsymmetricRho(t *testing.T) {
 	// Bypass Validate: break ρ symmetry in place. The transfer matrix loses
 	// antisymmetry and the budget stops balancing.
 	cfg.Rho[0][1] *= 1.5
-	a := New(Options{})
+	a := New()
 	if a.CheckTransfers(cfg, cfg.MinimalProfile(), "mut") {
 		t.Fatal("asymmetric ρ not detected")
 	}
@@ -72,7 +72,7 @@ func TestMutationBoundInversion(t *testing.T) {
 	// Invert the final bounds: claim a tighter upper bound than the
 	// incumbent lower bound.
 	res.UpperBounds[len(res.UpperBounds)-1] = res.LowerBounds[len(res.LowerBounds)-1] - 1
-	a := New(Options{})
+	a := New()
 	if a.CheckGBD(cfg, res, 1e-6, "mut") {
 		t.Fatal("bound inversion not detected")
 	}
@@ -91,7 +91,7 @@ func TestMutationBoundGap(t *testing.T) {
 	// Claim convergence with a gap far beyond ε.
 	res.Converged = true
 	res.UpperBounds[len(res.UpperBounds)-1] = res.LowerBounds[len(res.LowerBounds)-1] + 1
-	a := New(Options{})
+	a := New()
 	if a.CheckGBD(cfg, res, 1e-6, "mut") {
 		t.Fatal("oversized converged gap not detected")
 	}
@@ -114,7 +114,7 @@ func TestMutationNashDeviation(t *testing.T) {
 	// fraction at the slowest CPU level is far from any equilibrium of the
 	// default instance.
 	res.Profile[0] = game.Strategy{D: cfg.DMin, F: cfg.Orgs[0].CPULevels[0]}
-	a := New(Options{})
+	a := New()
 	if a.CheckDBR(cfg, res, "mut") {
 		t.Fatal("profitable deviation not detected")
 	}
@@ -136,7 +136,7 @@ func TestMutationSettlementImbalance(t *testing.T) {
 	// nowhere — the balance breaks and b's payoff mismatches.
 	payoffs := []chain.Wei{0, -750_000, 750_000}
 	payoffs[0] = -(payoffs[1] + payoffs[2])
-	a := New(Options{})
+	a := New()
 	if !a.CheckSettlement(params, contribs, payoffs, "mut-clean") {
 		t.Fatalf("clean settlement flagged:\n%s", a.Summary())
 	}
@@ -159,7 +159,7 @@ func TestMutationEvaluatorDesync(t *testing.T) {
 	// Desync: the evaluator moves org 0, the claimed profile does not.
 	levels := cfg.Orgs[0].CPULevels
 	ev.Update(0, game.Strategy{D: 0.9, F: levels[len(levels)-1]})
-	a := New(Options{})
+	a := New()
 	if a.CheckEvaluator(cfg, ev, p, 32, 5, "mut") {
 		t.Fatal("desynced evaluator not detected")
 	}
@@ -167,15 +167,15 @@ func TestMutationEvaluatorDesync(t *testing.T) {
 }
 
 func TestMutationViolationCapAndReset(t *testing.T) {
-	a := New(Options{MaxViolations: 2})
-	for k := 0; k < 5; k++ {
+	a := New()
+	for k := 0; k < maxViolations+3; k++ {
 		a.CheckPotentialMonotone("mut", []float64{2, 1})
 	}
-	if got := a.Count(); got != 5 {
-		t.Fatalf("Count = %d, want 5 (counting past the cap)", got)
+	if got := a.Count(); got != maxViolations+3 {
+		t.Fatalf("Count = %d, want %d (counting past the cap)", got, maxViolations+3)
 	}
-	if got := len(a.Violations()); got != 2 {
-		t.Fatalf("retained %d violations, want cap 2", got)
+	if got := len(a.Violations()); got != 256 {
+		t.Fatalf("retained %d violations, want cap 256", got)
 	}
 	a.Reset()
 	if a.Count() != 0 || a.Checks() != 0 || len(a.Violations()) != 0 {

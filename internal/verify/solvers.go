@@ -14,7 +14,7 @@ import (
 //   - LowerBounds nondecreasing (the incumbent only improves) and
 //     UpperBounds nonincreasing (the master bound only tightens);
 //   - bound sandwich LB_k ≤ UB_k at every iteration, and on convergence
-//     UB−LB ≤ ε (both up to MonotoneTol relative slack);
+//     UB−LB ≤ ε (both up to monotoneTol relative slack);
 //   - the incumbent potential trace is monotone;
 //   - Result.Potential equals the final lower bound and reproduces exactly
 //     as Potential(Profile);
@@ -34,7 +34,7 @@ func (a *Auditor) CheckGBD(cfg *game.Config, res *gbd.Result, eps float64, sourc
 		if math.IsInf(v, 0) {
 			return 0
 		}
-		return a.opts.MonotoneTol * math.Max(1, math.Abs(v))
+		return monotoneTol * math.Max(1, math.Abs(v))
 	}
 	for k := 1; k < len(res.LowerBounds); k++ {
 		if res.LowerBounds[k] < res.LowerBounds[k-1]-tol(res.LowerBounds[k-1]) {
@@ -105,7 +105,7 @@ func (a *Auditor) CheckGBD(cfg *game.Config, res *gbd.Result, eps float64, sourc
 				maxW = w
 			}
 		}
-		if !a.CheckNash(cfg, res.Profile, maxW*math.Max(0, gap)+a.opts.NashSlack, source) {
+		if !a.CheckNash(cfg, res.Profile, maxW*math.Max(0, gap)+NashSlack, source) {
 			ok = false
 		}
 	}
@@ -153,7 +153,7 @@ func (a *Auditor) CheckDBR(cfg *game.Config, res *dbr.Result, source string) boo
 		}
 	}
 	if res.Converged {
-		if !a.CheckNash(cfg, res.Profile, a.opts.NashSlack, source) {
+		if !a.CheckNash(cfg, res.Profile, NashSlack, source) {
 			ok = false
 		}
 	}

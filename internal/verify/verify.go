@@ -61,55 +61,33 @@ func (v Violation) String() string {
 	return fmt.Sprintf("[%s] %s: %s (delta %.6g)", v.Source, v.Check, v.Detail, v.Delta)
 }
 
-// Options tunes the auditor's tolerances. The zero value gets defaults
-// matched to the solvers' own guarantees.
-type Options struct {
-	// MonotoneTol bounds how far a potential trace may dip below its
+// The auditor's tolerances, matched to the solvers' own guarantees.
+const (
+	// monotoneTol bounds how far a potential trace may dip below its
 	// running maximum before the monotonicity check fires, and doubles as
-	// the relative slack of the CGBD bound-sandwich checks (default 1e-9,
-	// the DBR move threshold).
-	MonotoneTol float64
-	// BalanceTol is the relative tolerance of the float budget-balance
-	// check: |Σ R_i| ≤ BalanceTol·max(1, Σ|R_i|) (default 1e-9). The wei
-	// settlement check is always exact — zero tolerance.
-	BalanceTol float64
-	// NashSlack is the additive payoff slack of the no-profitable-deviation
-	// grid audit (default 1e-2; payoffs are O(10³) on the Table II instance
-	// and the audit grid probes points the golden-section line search only
-	// approximated).
-	NashSlack float64
-	// GridRes is the per-CPU-level data-fraction resolution of the Nash
-	// audit grid (default 24).
-	GridRes int
-	// MaxViolations caps the retained violation records (default 256);
-	// counters keep counting past the cap.
-	MaxViolations int
-}
+	// the relative slack of the CGBD bound-sandwich checks (the DBR move
+	// threshold).
+	monotoneTol = 1e-9
+	// balanceTol is the relative tolerance of the float budget-balance
+	// check: |Σ R_i| ≤ balanceTol·max(1, Σ|R_i|). The wei settlement check
+	// is always exact — zero tolerance.
+	balanceTol = 1e-9
+	// gridRes is the per-CPU-level data-fraction resolution of the Nash
+	// audit grid.
+	gridRes = 24
+	// maxViolations caps the retained violation records; counters keep
+	// counting past the cap.
+	maxViolations = 256
+)
 
-func (o Options) withDefaults() Options {
-	if o.MonotoneTol == 0 {
-		o.MonotoneTol = 1e-9
-	}
-	if o.BalanceTol == 0 {
-		o.BalanceTol = 1e-9
-	}
-	if o.NashSlack == 0 {
-		o.NashSlack = 1e-2
-	}
-	if o.GridRes == 0 {
-		o.GridRes = 24
-	}
-	if o.MaxViolations == 0 {
-		o.MaxViolations = 256
-	}
-	return o
-}
+// NashSlack is the additive payoff slack of the no-profitable-deviation
+// grid audit: payoffs are O(10³) on the Table II instance and the audit
+// grid probes points the golden-section line search only approximated.
+const NashSlack = 1e-2
 
 // Auditor runs invariant checks and accumulates violation reports. All
 // methods are safe for concurrent use.
 type Auditor struct {
-	opts Options
-
 	checks atomic.Int64
 	count  atomic.Int64
 
@@ -118,13 +96,8 @@ type Auditor struct {
 	worst      float64
 }
 
-// New builds an auditor with the given tolerances.
-func New(opts Options) *Auditor {
-	return &Auditor{opts: opts.withDefaults()}
-}
-
-// Options returns the resolved tolerances.
-func (a *Auditor) Options() Options { return a.opts }
+// New builds an auditor.
+func New() *Auditor { return &Auditor{} }
 
 // Checks returns the number of invariant checks executed.
 func (a *Auditor) Checks() int64 { return a.checks.Load() }
@@ -176,7 +149,7 @@ func (a *Auditor) violate(family *obs.Counter, v Violation) {
 	obs.FlightRecord("verify", "violation", fmt.Sprintf("check=%s source=%s delta=%g detail=%s", v.Check, v.Source, v.Delta, v.Detail))
 	vLog.Warn("invariant violation", "check", v.Check, "source", v.Source, "detail", v.Detail, "delta", v.Delta)
 	a.mu.Lock()
-	if len(a.violations) < a.opts.MaxViolations {
+	if len(a.violations) < maxViolations {
 		a.violations = append(a.violations, v)
 	}
 	if d := math.Abs(v.Delta); d > a.worst {
@@ -187,7 +160,7 @@ func (a *Auditor) violate(family *obs.Counter, v Violation) {
 }
 
 // CheckPotentialMonotone audits that trace is nondecreasing up to
-// MonotoneTol. −Inf entries (CGBD iterations before the first feasible
+// monotoneTol. −Inf entries (CGBD iterations before the first feasible
 // primal) are carried over; NaN is always a violation. Returns true when
 // the trace is clean.
 func (a *Auditor) CheckPotentialMonotone(source string, trace []float64) bool {
@@ -205,7 +178,7 @@ func (a *Auditor) CheckPotentialMonotone(source string, trace []float64) bool {
 			ok = false
 			continue
 		}
-		if drop := prev - v; drop > a.opts.MonotoneTol && drop > worstDrop {
+		if drop := prev - v; drop > monotoneTol && drop > worstDrop {
 			worstDrop = drop
 			worstAt = k
 		}
@@ -227,7 +200,7 @@ func (a *Auditor) CheckPotentialMonotone(source string, trace []float64) bool {
 // CheckTransfers audits the redistribution of Eq. (9) at profile p:
 // pairwise antisymmetry r_ij = −r_ji (bit-exact whenever ρ_ij and ρ_ji are
 // bit-equal, which Validate enforces) and Definition 5 budget balance
-// |Σ R_i| ≤ BalanceTol·max(1, Σ|R_i|). Returns true when clean.
+// |Σ R_i| ≤ balanceTol·max(1, Σ|R_i|). Returns true when clean.
 func (a *Auditor) CheckTransfers(cfg *game.Config, p game.Profile, source string) bool {
 	a.begin()
 	ok := true
@@ -248,7 +221,7 @@ func (a *Auditor) CheckTransfers(cfg *game.Config, p game.Profile, source string
 					})
 					ok = false
 				}
-			} else if diff := math.Abs(rij + rji); diff > a.opts.BalanceTol*math.Max(1, math.Abs(rij)) {
+			} else if diff := math.Abs(rij + rji); diff > balanceTol*math.Max(1, math.Abs(rij)) {
 				a.violate(mTransferViol, Violation{
 					Check: "transfer-antisymmetry", Source: source,
 					Detail: fmt.Sprintf("r_%d%d + r_%d%d = %.6g with asymmetric ρ (%.17g vs %.17g)", i, j, j, i, diff, cfg.Rho[i][j], cfg.Rho[j][i]),
@@ -262,10 +235,10 @@ func (a *Auditor) CheckTransfers(cfg *game.Config, p game.Profile, source string
 	for i := 0; i < n; i++ {
 		scale += math.Abs(cfg.Redistribution(i, p))
 	}
-	if sum := cfg.CheckBudgetBalance(p); math.Abs(sum) > a.opts.BalanceTol*math.Max(1, scale) {
+	if sum := cfg.CheckBudgetBalance(p); math.Abs(sum) > balanceTol*math.Max(1, scale) {
 		a.violate(mTransferViol, Violation{
 			Check: "budget-balance", Source: source,
-			Detail: fmt.Sprintf("Σ R_i = %.6g exceeds tolerance %.3g·max(1, %.6g)", sum, a.opts.BalanceTol, scale),
+			Detail: fmt.Sprintf("Σ R_i = %.6g exceeds tolerance %.3g·max(1, %.6g)", sum, balanceTol, scale),
 			Delta:  math.Abs(sum),
 		})
 		ok = false
@@ -278,7 +251,7 @@ func (a *Auditor) CheckTransfers(cfg *game.Config, p game.Profile, source string
 // passes.
 func (a *Auditor) CheckNash(cfg *game.Config, p game.Profile, tol float64, source string) bool {
 	a.begin()
-	rep := cfg.CheckNash(p, a.opts.GridRes, tol)
+	rep := cfg.CheckNash(p, gridRes, tol)
 	if rep.IsNash {
 		return true
 	}

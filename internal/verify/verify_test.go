@@ -35,7 +35,7 @@ func TestCheckGBDClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := New(Options{})
+	a := New()
 	if !a.CheckGBD(cfg, res, 1e-6, "test") {
 		t.Fatalf("clean CGBD solve flagged:\n%s", a.Summary())
 	}
@@ -48,7 +48,7 @@ func TestCheckDBRClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := New(Options{})
+	a := New()
 	if !a.CheckDBR(cfg, res, "test") {
 		t.Fatalf("clean DBR solve flagged:\n%s", a.Summary())
 	}
@@ -62,7 +62,7 @@ func TestCheckDBRCleanPersonalized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := New(Options{})
+	a := New()
 	if !a.CheckDBR(cfg, res, "test") {
 		t.Fatalf("clean personalized DBR solve flagged:\n%s", a.Summary())
 	}
@@ -71,7 +71,7 @@ func TestCheckDBRCleanPersonalized(t *testing.T) {
 
 func TestCheckIncrementalClean(t *testing.T) {
 	cfg := testConfig(t, 6, 3)
-	a := New(Options{})
+	a := New()
 	if !a.CheckIncremental(cfg, cfg.MinimalProfile(), 128, 42, "test") {
 		t.Fatalf("clean evaluator flagged:\n%s", a.Summary())
 	}
@@ -81,7 +81,7 @@ func TestCheckIncrementalClean(t *testing.T) {
 // TestHooksAuditEverySolve proves Enable wires the auditor into the
 // solvers and the settlement contract, and Disable unwires it.
 func TestHooksAuditEverySolve(t *testing.T) {
-	a := Enable(Options{})
+	a := Enable()
 	defer Disable()
 	cfg := testConfig(t, 4, 7)
 	if _, err := gbd.Solve(cfg, gbd.Options{}); err != nil {
