@@ -21,7 +21,7 @@ func TestFlagSet(t *testing.T) {
 	c.Flags.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
 		"chaos", "diag-addr", "listen", "log-format", "log-level", "recover",
-		"replicate", "seed", "snapshot-interval", "standby", "telemetry-out",
+		"replicate", "seed", "snapshot-interval", "standby",
 		"trace-out", "verify", "wal-dir",
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -21,7 +21,7 @@ func TestFlagSet(t *testing.T) {
 	c.Flags.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
 		"diag-addr", "index", "listen", "local", "log-format", "log-level",
-		"peers", "seed", "telemetry-out", "trace-out", "verify",
+		"peers", "seed", "trace-out", "verify",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags = %v\nwant    %v", got, want)

@@ -27,7 +27,7 @@ func TestFlagSet(t *testing.T) {
 	c.Flags.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
 		"commit", "d", "diag-addr", "f", "index", "log-format", "log-level", "rpc",
-		"seed", "telemetry-out", "trace-out", "verify",
+		"seed", "trace-out", "verify",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags = %v\nwant    %v", got, want)

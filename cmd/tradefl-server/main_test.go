@@ -20,7 +20,7 @@ func TestFlagSet(t *testing.T) {
 	var got []string
 	c.Flags.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
-		"diag-addr", "listen", "log-format", "log-level", "telemetry-out",
+		"diag-addr", "listen", "log-format", "log-level",
 		"tenant-rate", "trace-out",
 	}
 	if !reflect.DeepEqual(got, want) {

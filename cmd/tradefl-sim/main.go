@@ -15,11 +15,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -47,14 +45,12 @@ func command() cli.Command {
 		out      = fs.String("out", "", "directory for CSV files (default stdout)")
 		fleetN   = fs.Int("fleet", 0, "solve a synthetic batch of this many game instances through the fleet engine instead of an experiment")
 		planName = fs.String("plan", "auto", "fleet solver plan: auto|pruned|traversal|dbr (auto: N ≤ 6 → pruned, else dbr)")
-		summary  = fs.String("summary", "text", "end-of-run solver summary: text|json|none")
+		summary  = fs.String("summary", "text", "end-of-run solver summary on stderr: text|none")
 		diagHold = fs.Duration("diag-hold", 0, "keep the diagnostics server alive this long after the run (requires -diag-addr)")
 	)
 	return cli.Command{Flags: fs, Verify: true, Run: func(ctx context.Context, diag *obs.DiagServer) error {
-		switch *summary {
-		case "text", "json", "none":
-		default:
-			return fmt.Errorf("-summary must be text, json or none, got %q", *summary)
+		if *summary != "text" && *summary != "none" {
+			return fmt.Errorf("-summary must be text or none, got %q", *summary)
 		}
 		if *diagHold > 0 && diag == nil {
 			return errors.New("-diag-hold requires -diag-addr")
@@ -95,9 +91,7 @@ func command() cli.Command {
 			if err := runFleet(ctx, *fleetN, *planName, *seed); err != nil {
 				return err
 			}
-			if err := printSummary(*summary, time.Since(start)); err != nil {
-				return err
-			}
+			printSummary(*summary, time.Since(start))
 			hold()
 			return nil
 		}
@@ -140,85 +134,38 @@ func command() cli.Command {
 			}
 			fmt.Println("wrote", path)
 		}
-		if err := printSummary(*summary, time.Since(start)); err != nil {
-			return err
-		}
+		printSummary(*summary, time.Since(start))
 		hold()
 		return nil
 	}}
 }
 
 // printSummary condenses the metrics snapshot into the solver headline
-// numbers of the run. Text goes to stderr (stdout carries the CSV), JSON to
-// stdout for scripted consumers.
-func printSummary(mode string, wall time.Duration) error {
+// numbers of the run, on stderr (stdout carries the CSV).
+func printSummary(mode string, wall time.Duration) {
 	if mode == "none" {
-		return nil
+		return
 	}
 	snap := obs.Default.Snapshot()
 	val := func(name string) float64 {
-		s, ok := obs.Find(snap, name)
-		if !ok {
-			return 0
-		}
+		s, _ := obs.Find(snap, name)
 		return s.Value
 	}
-	sum := struct {
-		WallSeconds   float64 `json:"wallSeconds"`
-		GBDRuns       float64 `json:"gbdRuns"`
-		GBDIterations float64 `json:"gbdIterations"`
-		GBDOptCuts    float64 `json:"gbdOptimalityCuts"`
-		GBDFeasCuts   float64 `json:"gbdFeasibilityCuts"`
-		GBDGap        float64 `json:"gbdBoundGap"`
-		GBDWelfare    float64 `json:"gbdSocialWelfare"`
-		DBRRuns       float64 `json:"dbrRuns"`
-		DBRRounds     float64 `json:"dbrRounds"`
-		DBRMoves      float64 `json:"dbrMoves"`
-		DBRWelfare    float64 `json:"dbrSocialWelfare"`
-		FLRounds      float64 `json:"flRounds"`
-		FLAccuracy    float64 `json:"flRoundAccuracy"`
-		PoolFanouts   float64 `json:"poolFanouts"`
-		FleetSolves   float64 `json:"fleetSolves"`
-		FleetRate     float64 `json:"fleetSolvesPerSec"`
-		FleetPlanDBR  float64 `json:"fleetPlanDBR"`
-		FleetPlanPrn  float64 `json:"fleetPlanPruned"`
-		FleetPlanTrv  float64 `json:"fleetPlanTraversal"`
-	}{
-		WallSeconds:   wall.Seconds(),
-		GBDRuns:       val("tradefl_gbd_runs_total"),
-		GBDIterations: val("tradefl_gbd_iterations_total"),
-		GBDOptCuts:    val("tradefl_gbd_optimality_cuts_total"),
-		GBDFeasCuts:   val("tradefl_gbd_feasibility_cuts_total"),
-		GBDGap:        val("tradefl_gbd_bound_gap"),
-		GBDWelfare:    val("tradefl_gbd_social_welfare"),
-		DBRRuns:       val("tradefl_dbr_runs_total"),
-		DBRRounds:     val("tradefl_dbr_rounds_total"),
-		DBRMoves:      val("tradefl_dbr_moves_total"),
-		DBRWelfare:    val("tradefl_dbr_social_welfare"),
-		FLRounds:      val("tradefl_fl_rounds_total"),
-		FLAccuracy:    val("tradefl_fl_round_accuracy"),
-		PoolFanouts:   val("tradefl_pool_fanouts_total"),
-		FleetSolves:   val("tradefl_fleet_instances_total"),
-		FleetRate:     val("tradefl_fleet_solves_per_sec"),
-		FleetPlanDBR:  val("tradefl_fleet_plan_dbr_total"),
-		FleetPlanPrn:  val("tradefl_fleet_plan_pruned_total"),
-		FleetPlanTrv:  val("tradefl_fleet_plan_traversal_total"),
-	}
-	if mode == "json" {
-		enc := json.NewEncoder(os.Stdout)
-		return enc.Encode(sum)
-	}
-	w := io.Writer(os.Stderr)
-	fmt.Fprintf(w, "--- run summary (%.2fs wall) ---\n", sum.WallSeconds)
+	w := os.Stderr
+	fmt.Fprintf(w, "--- run summary (%.2fs wall) ---\n", wall.Seconds())
 	fmt.Fprintf(w, "gbd:  %.0f runs, %.0f iterations, %.0f+%.0f cuts (opt+feas), gap %.3g, welfare %.2f\n",
-		sum.GBDRuns, sum.GBDIterations, sum.GBDOptCuts, sum.GBDFeasCuts, sum.GBDGap, sum.GBDWelfare)
+		val("tradefl_gbd_runs_total"), val("tradefl_gbd_iterations_total"),
+		val("tradefl_gbd_optimality_cuts_total"), val("tradefl_gbd_feasibility_cuts_total"),
+		val("tradefl_gbd_bound_gap"), val("tradefl_gbd_social_welfare"))
 	fmt.Fprintf(w, "dbr:  %.0f runs, %.0f sweeps, %.0f moves, welfare %.2f\n",
-		sum.DBRRuns, sum.DBRRounds, sum.DBRMoves, sum.DBRWelfare)
-	fmt.Fprintf(w, "fl:   %.0f rounds, last accuracy %.4f\n", sum.FLRounds, sum.FLAccuracy)
-	fmt.Fprintf(w, "pool: %.0f fan-outs\n", sum.PoolFanouts)
-	if sum.FleetSolves > 0 {
+		val("tradefl_dbr_runs_total"), val("tradefl_dbr_rounds_total"),
+		val("tradefl_dbr_moves_total"), val("tradefl_dbr_social_welfare"))
+	fmt.Fprintf(w, "fl:   %.0f rounds, last accuracy %.4f\n",
+		val("tradefl_fl_rounds_total"), val("tradefl_fl_round_accuracy"))
+	fmt.Fprintf(w, "pool: %.0f fan-outs\n", val("tradefl_pool_fanouts_total"))
+	if solves := val("tradefl_fleet_instances_total"); solves > 0 {
 		fmt.Fprintf(w, "fleet: %.0f solves at %.0f/sec (plans dbr=%.0f pruned=%.0f traversal=%.0f)\n",
-			sum.FleetSolves, sum.FleetRate, sum.FleetPlanDBR, sum.FleetPlanPrn, sum.FleetPlanTrv)
+			solves, val("tradefl_fleet_solves_per_sec"), val("tradefl_fleet_plan_dbr_total"),
+			val("tradefl_fleet_plan_pruned_total"), val("tradefl_fleet_plan_traversal_total"))
 	}
-	return nil
 }

@@ -68,7 +68,7 @@ func TestFlagSet(t *testing.T) {
 	want := []string{
 		"all", "chaos", "diag-addr", "diag-hold", "fig", "fleet", "list",
 		"log-format", "log-level", "out", "plan", "quick", "seed", "summary",
-		"telemetry-out", "trace-out", "verify",
+		"trace-out", "verify",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags = %v\nwant    %v", got, want)
@@ -88,6 +88,15 @@ func TestIncrementalFlagIsGone(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {
 			t.Errorf("-%s 1: err = %v, want an unknown-flag error", name, err)
 		}
+	}
+}
+
+// TestSummaryJSONIsRejected: the summary is text on stderr or nothing, so
+// stdout stays CSV; a JSON summary on stdout is a usage error.
+func TestSummaryJSONIsRejected(t *testing.T) {
+	err := run([]string{"-list", "-summary", "json"})
+	if err == nil || !strings.Contains(err.Error(), "-summary must be text or none") {
+		t.Fatalf("run -summary json: err = %v, want a usage error", err)
 	}
 }
 

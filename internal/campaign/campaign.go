@@ -100,19 +100,6 @@ type Result struct {
 	MeanWelfare float64 `json:"meanWelfare"`
 }
 
-// epochTelemetry is the per-epoch convergence record written to the
-// -telemetry-out JSONL sink; TraceID links the epoch to the campaign.run
-// trace as an exemplar.
-type epochTelemetry struct {
-	Kind      string  `json:"kind"`
-	TraceID   string  `json:"trace,omitempty"`
-	Epoch     int     `json:"epoch"`
-	Gamma     float64 `json:"gamma"`
-	Welfare   float64 `json:"welfare"`
-	TotalData float64 `json:"totalData"`
-	Damage    float64 `json:"damage"`
-}
-
 // cloneConfig deep-copies the mutable parts of a game config.
 func cloneConfig(src *game.Config) *game.Config {
 	dst := *src
@@ -184,20 +171,6 @@ func Run(cfg Config) (*Result, error) {
 		welfareSum += er.Welfare
 		res.Epochs = append(res.Epochs, er)
 		epochSpan.End()
-		if obs.TelemetryOpen() {
-			rec := epochTelemetry{
-				Kind:      "campaign.epoch",
-				Epoch:     epoch,
-				Gamma:     gamma,
-				Welfare:   er.Welfare,
-				TotalData: er.TotalData,
-				Damage:    er.Damage,
-			}
-			if tc, ok := runSpan.TraceContext(); ok {
-				rec.TraceID = tc.TraceID
-			}
-			obs.EmitTelemetry(rec)
-		}
 	}
 	res.MeanWelfare = welfareSum / float64(cfg.Epochs)
 	return res, nil

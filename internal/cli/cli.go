@@ -1,11 +1,11 @@
 // Package cli is the one lifecycle every TradeFL command runs under.
 //
 // Command.Exec parses a command's own flags together with the shared
-// observability flags (-log-level, -log-format, -diag-addr, -trace-out,
-// -telemetry-out), turns SIGINT/SIGTERM into a cancelled context before the
-// command's body starts, arms the observability sinks before the body and
-// flushes them after it, and folds the -verify audit into the result. Main
-// turns that result into the process exit status.
+// observability flags (-log-level, -log-format, -diag-addr, -trace-out),
+// turns SIGINT/SIGTERM into a cancelled context before the command's body
+// starts, arms tracing before the body and writes the -trace-out file after
+// it, and folds the -verify audit into the result. Main turns that result
+// into the process exit status.
 package cli
 
 import (
@@ -51,7 +51,6 @@ func (c Command) Exec(args []string) (err error) {
 	format := fs.String("log-format", "text", "log output format: text|json")
 	diagAddr := fs.String("diag-addr", "", "serve /metrics, /healthz, /runz, /tracez, /flightz and /debug/pprof on this address (empty = disabled)")
 	traceOut := fs.String("trace-out", "", "enable distributed tracing and write completed traces as Chrome-trace JSON to this file at exit")
-	telemetryOut := fs.String("telemetry-out", "", "write per-solve/batch/epoch convergence telemetry as JSONL to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -64,18 +63,13 @@ func (c Command) Exec(args []string) (err error) {
 	}
 	if *traceOut != "" {
 		obs.EnableTracing(true)
+		// Write the trace file whichever way the body exits.
+		defer func() {
+			if terr := writeTraces(*traceOut); terr != nil && err == nil {
+				err = terr
+			}
+		}()
 	}
-	if *telemetryOut != "" {
-		if err := obs.OpenTelemetry(*telemetryOut); err != nil {
-			return err
-		}
-	}
-	// Flush the file sinks whichever way the body exits.
-	defer func() {
-		if ferr := flushSinks(*traceOut); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
 	var diag *obs.DiagServer
 	if *diagAddr != "" {
 		if diag, err = obs.StartDiag(*diagAddr); err != nil {
@@ -92,26 +86,19 @@ func (c Command) Exec(args []string) (err error) {
 	return verify.Finish()
 }
 
-// flushSinks writes retained traces to traceOut (when set) and closes the
-// telemetry sink.
-func flushSinks(traceOut string) error {
-	var firstErr error
-	if traceOut != "" {
-		out, err := os.Create(traceOut)
-		if err == nil {
-			err = obs.WriteChromeTrace(out)
-			if cerr := out.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			firstErr = fmt.Errorf("obs: trace out: %w", err)
+// writeTraces writes the retained traces to path as Chrome trace JSON.
+func writeTraces(path string) error {
+	out, err := os.Create(path)
+	if err == nil {
+		err = obs.WriteChromeTrace(out)
+		if cerr := out.Close(); err == nil {
+			err = cerr
 		}
 	}
-	if err := obs.CloseTelemetry(); err != nil && firstErr == nil {
-		firstErr = err
+	if err != nil {
+		return fmt.Errorf("obs: trace out: %w", err)
 	}
-	return firstErr
+	return nil
 }
 
 // Main runs run on the process arguments and exits: 0 on success or -h,

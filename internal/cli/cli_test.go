@@ -19,12 +19,10 @@ import (
 
 // TestSignalCancelsContextAndFlushesSinks: a SIGTERM that arrives while
 // the body runs cancels its ctx instead of killing the process, and the
-// -trace-out and -telemetry-out sinks are written after the body returns.
+// -trace-out file is written after the body returns.
 func TestSignalCancelsContextAndFlushesSinks(t *testing.T) {
 	t.Cleanup(func() { obs.EnableTracing(false) })
-	dir := t.TempDir()
-	traceOut := filepath.Join(dir, "trace.json")
-	telemetryOut := filepath.Join(dir, "telemetry.jsonl")
+	traceOut := filepath.Join(t.TempDir(), "trace.json")
 	err := Command{
 		Flags: flag.NewFlagSet("cli-test", flag.ContinueOnError),
 		Run: func(ctx context.Context, _ *obs.DiagServer) error {
@@ -38,10 +36,9 @@ func TestSignalCancelsContextAndFlushesSinks(t *testing.T) {
 			}
 			_, span := obs.Span(ctx, "cli.test")
 			span.End()
-			obs.EmitTelemetry(map[string]string{"kind": "cli.test"})
 			return nil
 		},
-	}.Exec([]string{"-trace-out", traceOut, "-telemetry-out", telemetryOut, "-log-level", "error"})
+	}.Exec([]string{"-trace-out", traceOut, "-log-level", "error"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +48,6 @@ func TestSignalCancelsContextAndFlushesSinks(t *testing.T) {
 	}
 	if !json.Valid(raw) || !bytes.Contains(raw, []byte("cli.test")) {
 		t.Errorf("trace file lacks the body's span:\n%s", raw)
-	}
-	raw, err = os.ReadFile(telemetryOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(raw); got != `{"kind":"cli.test"}`+"\n" {
-		t.Errorf("telemetry file = %q, want the body's one record", got)
 	}
 }
 

@@ -101,33 +101,7 @@ func (e *Engine) Solve(ctx context.Context, cfgs []*game.Config) []Result {
 	if dt > 0 {
 		mRate.Set(float64(n) / dt)
 	}
-	if obs.TelemetryOpen() {
-		failed := 0
-		for i := range res {
-			if res[i].Err != nil {
-				failed++
-			}
-		}
-		rec := batchTelemetry{Kind: "fleet.batch", Instances: n, Failed: failed, Seconds: dt}
-		if dt > 0 {
-			rec.SolvesPerSec = float64(n) / dt
-		}
-		if tc, ok := batchSpan.TraceContext(); ok {
-			rec.TraceID = tc.TraceID
-		}
-		obs.EmitTelemetry(rec)
-	}
 	return res
-}
-
-// batchTelemetry is the per-batch aggregate emitted to -telemetry-out.
-type batchTelemetry struct {
-	Kind         string  `json:"kind"`
-	TraceID      string  `json:"traceId,omitempty"`
-	Instances    int     `json:"instances"`
-	Failed       int     `json:"failed"`
-	Seconds      float64 `json:"seconds"`
-	SolvesPerSec float64 `json:"solvesPerSec,omitempty"`
 }
 
 // schedule orders the batch by (plan, shape) so consecutive solves share

@@ -306,31 +306,14 @@ func (s *solver) run(ctx context.Context) (*Result, error) {
 	res.LowerBounds, res.UpperBounds, res.PotentialTrace = traces[:a:a], traces[a:b:b], traces[b:]
 	res.Profile = append(game.Profile(nil), s.best...)
 	res.Potential = lb
-	s.publish(res, ub-lb, root)
+	s.publish(res, ub-lb)
 	audit(cfg, res, opts)
 	return res, nil
 }
 
-// solveTelemetry is the per-solve convergence record emitted to the
-// -telemetry-out JSONL sink: the bound-gap/incumbent series per CGBD
-// master iteration, final welfare, and the solve's trace ID as exemplar.
-type solveTelemetry struct {
-	Kind        string    `json:"kind"`
-	TraceID     string    `json:"traceId,omitempty"`
-	Iterations  int       `json:"iterations"`
-	Converged   bool      `json:"converged"`
-	Gap         float64   `json:"gap"`
-	Potential   float64   `json:"potential"`
-	Welfare     float64   `json:"welfare"`
-	LowerBounds []float64 `json:"lowerBounds"`
-	UpperBounds []float64 `json:"upperBounds"`
-	Incumbents  []float64 `json:"incumbents"`
-}
-
 // publish records the run's outcome gauges, distribution histograms and
-// trajectories for the diagnostics endpoints, plus the per-solve telemetry
-// record when a -telemetry-out sink is open.
-func (s *solver) publish(res *Result, gap float64, root *obs.ActiveSpan) {
+// trajectories for the diagnostics endpoints.
+func (s *solver) publish(res *Result, gap float64) {
 	if res.Converged {
 		mConverged.Inc()
 	}
@@ -351,23 +334,6 @@ func (s *solver) publish(res *Result, gap float64, root *obs.ActiveSpan) {
 		obs.Trajectory{Name: "gbd.potential", Values: res.PotentialTrace},
 		obs.Trajectory{Name: "gbd.gap", Values: gaps},
 	)
-	if obs.TelemetryOpen() {
-		rec := solveTelemetry{
-			Kind:        "gbd.solve",
-			Iterations:  res.Iterations,
-			Converged:   res.Converged,
-			Gap:         gap,
-			Potential:   res.Potential,
-			Welfare:     welfare,
-			LowerBounds: res.LowerBounds,
-			UpperBounds: res.UpperBounds,
-			Incumbents:  res.PotentialTrace,
-		}
-		if tc, ok := root.TraceContext(); ok {
-			rec.TraceID = tc.TraceID
-		}
-		obs.EmitTelemetry(rec)
-	}
 }
 
 // linearCostPerOmega returns w_i: the linear coefficient of the potential

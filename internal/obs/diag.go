@@ -13,9 +13,9 @@ import (
 )
 
 // DiagServer is the opt-in HTTP diagnostics endpoint of a TradeFL process:
-// /metrics (Prometheus text; ?format=json for JSON), /healthz, /runz (the
-// last run's solver trajectories, plus its span trees while tracing is on)
-// and /debug/pprof.
+// /metrics (Prometheus text), /healthz, /runz (the last run's solver
+// trajectories), /tracez (retained span trees as Chrome trace JSON while
+// tracing is on), /flightz (the flight ring) and /debug/pprof.
 type DiagServer struct {
 	srv   *http.Server
 	ln    net.Listener
@@ -33,9 +33,9 @@ func StartDiag(addr string) (*DiagServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", d.handleMetrics)
 	mux.HandleFunc("/healthz", d.handleHealthz)
-	mux.HandleFunc("/runz", d.handleRunz)
-	mux.HandleFunc("/tracez", d.handleTracez)
-	mux.HandleFunc("/flightz", d.handleFlightz)
+	mux.HandleFunc("/runz", jsonHandler(LastRunJSON))
+	mux.HandleFunc("/tracez", jsonHandler(ChromeTraceJSON))
+	mux.HandleFunc("/flightz", jsonHandler(func() ([]byte, error) { return FlightDumpJSON("on-demand /flightz") }))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", longLived(pprof.Profile))
@@ -76,14 +76,7 @@ func (d *DiagServer) Close() error {
 	return httpx.Shutdown(d.srv, httpx.DefaultShutdownTimeout)
 }
 
-func (d *DiagServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		if err := Default.WriteJSON(w); err != nil {
-			Component("obs").Debug("metrics json write failed", "err", err)
-		}
-		return
-	}
+func (d *DiagServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := Default.WritePrometheus(w); err != nil {
 		Component("obs").Debug("metrics write failed", "err", err)
@@ -98,43 +91,15 @@ func (d *DiagServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-func (d *DiagServer) handleRunz(w http.ResponseWriter, _ *http.Request) {
-	raw, err := LastRunJSON()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(raw)
-}
-
-// handleTracez serves retained traces: ?fmt=chrome (the default) renders
-// Chrome trace-event JSON for chrome://tracing / Perfetto; ?fmt=topology
-// renders the sorted root-span fingerprint lines.
-func (d *DiagServer) handleTracez(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("fmt") == "topology" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, line := range TraceTopology() {
-			fmt.Fprintln(w, line)
+// jsonHandler serves the JSON document render returns.
+func jsonHandler(render func() ([]byte, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		raw, err := render()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
-		return
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(raw)
 	}
-	raw, err := ChromeTraceJSON()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(raw)
-}
-
-// handleFlightz serves the flight-recorder journal on demand.
-func (d *DiagServer) handleFlightz(w http.ResponseWriter, _ *http.Request) {
-	raw, err := FlightDumpJSON("on-demand /flightz")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(raw)
 }

@@ -66,31 +66,37 @@ func TestDiagMetricsText(t *testing.T) {
 	}
 }
 
-func TestDiagMetricsJSON(t *testing.T) {
-	NewGauge("diag_test_gauge", "t").Set(2.5)
+// TestDiagRoutes pins the diagnostics mux: every route answers, an unknown
+// path is a 404, and the retired alternate formats (the JSON exposition of
+// /metrics, the topology lines of /tracez) get each route's one format.
+func TestDiagRoutes(t *testing.T) {
 	d := startTestDiag(t)
-	code, body := get(t, "http://"+d.Addr()+"/metrics?format=json")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics?format=json status %d", code)
-	}
-	var samples []map[string]any
-	if err := json.Unmarshal([]byte(body), &samples); err != nil {
-		t.Fatalf("metrics JSON: %v", err)
-	}
-	found := false
-	for _, s := range samples {
-		if s["name"] == "diag_test_gauge" {
-			found = true
-			if v, _ := s["value"].(float64); v != 2.5 {
-				t.Errorf("diag_test_gauge = %v, want 2.5", s["value"])
-			}
+	base := "http://" + d.Addr()
+	for _, path := range []string{
+		"/metrics", "/healthz", "/runz", "/tracez", "/flightz",
+		"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol",
+	} {
+		if code, _ := get(t, base+path); code != http.StatusOK {
+			t.Errorf("%s status %d, want 200", path, code)
 		}
 	}
-	if !found {
-		t.Error("diag_test_gauge missing from JSON exposition")
+	if code, _ := get(t, base+"/nope"); code != http.StatusNotFound {
+		t.Errorf("/nope status %d, want 404", code)
+	}
+	for _, q := range []struct{ path, key, value string }{
+		{"/metrics", "format", "json"},
+		{"/tracez", "fmt", "topology"},
+	} {
+		_, plain := get(t, base+q.path)
+		url := base + q.path + "?" + q.key + "=" + q.value
+		if code, body := get(t, url); code != http.StatusOK || body != plain {
+			t.Errorf("%s = %d %q, want the default body %q", url, code, body, plain)
+		}
 	}
 }
 
+// TestDiagRunz: /runz serves trajectories only; the span trees of the same
+// run are served by /tracez.
 func TestDiagRunz(t *testing.T) {
 	withTracing(t, 1)
 	_, s := Span(context.Background(), "diag.test.run")
@@ -101,18 +107,22 @@ func TestDiagRunz(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/runz status %d", code)
 	}
-	var payload struct {
-		Spans        map[string]json.RawMessage `json:"spans"`
-		Trajectories map[string][]float64       `json:"trajectories"`
-	}
+	var payload map[string]json.RawMessage
 	if err := json.Unmarshal([]byte(body), &payload); err != nil {
 		t.Fatalf("runz JSON: %v", err)
 	}
-	if _, ok := payload.Spans["diag.test.run"]; !ok {
-		t.Error("span diag.test.run missing from /runz")
+	if len(payload) != 1 {
+		t.Errorf("/runz keys = %v, want trajectories only", payload)
 	}
-	if got := payload.Trajectories["diag.test.series"]; len(got) != 3 {
+	var traj map[string][]float64
+	if err := json.Unmarshal(payload["trajectories"], &traj); err != nil {
+		t.Fatalf("runz trajectories: %v", err)
+	}
+	if got := traj["diag.test.series"]; len(got) != 3 {
 		t.Errorf("trajectory = %v, want 3 points", got)
+	}
+	if _, body := get(t, "http://"+d.Addr()+"/tracez"); !strings.Contains(body, `"name": "diag.test.run"`) {
+		t.Errorf("span diag.test.run missing from /tracez:\n%s", body)
 	}
 }
 

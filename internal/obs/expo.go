@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -97,54 +96,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// jsonSample mirrors Sample with JSON-safe floats (NaN/±Inf marshal as
-// null, which encoding/json otherwise rejects).
-type jsonSample struct {
-	Name    string       `json:"name"`
-	Kind    string       `json:"kind"`
-	Help    string       `json:"help,omitempty"`
-	Labels  []LabelPair  `json:"labels,omitempty"`
-	Value   *float64     `json:"value,omitempty"`
-	Count   int64        `json:"count,omitempty"`
-	Sum     *float64     `json:"sum,omitempty"`
-	Buckets []jsonBucket `json:"buckets,omitempty"`
-}
-
-type jsonBucket struct {
-	UpperBound *float64 `json:"upperBound"`
-	Count      int64    `json:"count"`
-}
-
 // safeFloat returns a pointer to v, or nil when v is not finite.
 func safeFloat(v float64) *float64 {
 	if math.IsInf(v, 0) || math.IsNaN(v) {
 		return nil
 	}
 	return &v
-}
-
-// toJSONSamples converts a snapshot into its JSON-safe form.
-func toJSONSamples(samples []Sample) []jsonSample {
-	out := make([]jsonSample, 0, len(samples))
-	for _, s := range samples {
-		js := jsonSample{Name: s.Name, Kind: s.Kind, Help: s.Help, Labels: s.Labels, Count: s.Count}
-		switch s.Kind {
-		case "histogram":
-			js.Sum = safeFloat(s.Sum)
-			for _, b := range s.Buckets {
-				js.Buckets = append(js.Buckets, jsonBucket{UpperBound: safeFloat(b.UpperBound), Count: b.Count})
-			}
-		default:
-			js.Value = safeFloat(s.Value)
-		}
-		out = append(out, js)
-	}
-	return out
-}
-
-// WriteJSON writes the snapshot as a JSON array of samples.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(toJSONSamples(r.Snapshot()))
 }

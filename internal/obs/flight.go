@@ -10,13 +10,14 @@ import (
 )
 
 // Flight recorder: a fixed-size, lock-free ring journaling the last N
-// notable events of this process — span roots completing, fault
-// injections, retry/resend decisions, verify-audit checkpoints and
-// violations. It is always on (the recorded events are rare relative to
-// solver work; one write is an atomic counter bump plus one pointer
-// store), and it is dumped as JSON on panic, on a -verify violation, on a
-// chaos-gate failure, and on demand via /flightz — turning "the soak
-// failed" into a readable last-N-events timeline.
+// rare events of this process — fault injections, retry/resend decisions,
+// failovers, verify violations, panics. Completed
+// span trees live in the trace store, not here. It is always on (the
+// recorded events are rare relative to solver work; one write is an atomic
+// counter bump plus one pointer store), and it is dumped as JSON on panic,
+// on a -verify violation, on a chaos-gate failure, and on demand via
+// /flightz — turning "the soak failed" into a readable last-N-events
+// timeline.
 
 // FlightEvent is one journaled event.
 type FlightEvent struct {
@@ -25,7 +26,6 @@ type FlightEvent struct {
 	Component    string `json:"component"`
 	Kind         string `json:"kind"`
 	Detail       string `json:"detail,omitempty"`
-	TraceID      string `json:"traceId,omitempty"`
 }
 
 const flightCap = 2048
@@ -40,7 +40,9 @@ var defaultFlight = &flightRing{slots: make([]atomic.Pointer[FlightEvent], fligh
 var mFlightEvents = NewCounter("tradefl_flight_events_total",
 	"Events journaled into the flight-recorder ring (including overwritten ones).")
 
-func (f *flightRing) record(component, kind, detail, traceID string) {
+// FlightRecord journals an event.
+func FlightRecord(component, kind, detail string) {
+	f := defaultFlight
 	seq := f.cursor.Add(1)
 	ev := &FlightEvent{
 		Seq:          seq,
@@ -48,7 +50,6 @@ func (f *flightRing) record(component, kind, detail, traceID string) {
 		Component:    component,
 		Kind:         kind,
 		Detail:       detail,
-		TraceID:      traceID,
 	}
 	f.slots[(seq-1)%uint64(len(f.slots))].Store(ev)
 	mFlightEvents.Inc()
@@ -64,17 +65,6 @@ func (f *flightRing) snapshot() []FlightEvent {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
-}
-
-// FlightRecord journals an event with no trace association.
-func FlightRecord(component, kind, detail string) {
-	defaultFlight.record(component, kind, detail, "")
-}
-
-// FlightRecordTrace journals an event carrying a trace ID, correlating the
-// timeline entry with an exported trace.
-func FlightRecordTrace(component, kind, detail, traceID string) {
-	defaultFlight.record(component, kind, detail, traceID)
 }
 
 // FlightEvents returns the surviving journal, oldest first.

@@ -63,7 +63,7 @@ func TestFlightRingConcurrentRecordAndSnapshot(t *testing.T) {
 
 func TestFlightDumpJSONCarriesReasonAndEvents(t *testing.T) {
 	FlightReset()
-	FlightRecordTrace("verify", "violation", "check=balance delta=3", "deadbeef")
+	FlightRecord("verify", "violation", "check=balance delta=3")
 	data, err := FlightDumpJSON("unit-test dump")
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestFlightDumpJSONCarriesReasonAndEvents(t *testing.T) {
 		t.Fatalf("dump recorded=%d events=%d, want 1/1", dump.Recorded, len(dump.Events))
 	}
 	ev := dump.Events[0]
-	if ev.Component != "verify" || ev.Kind != "violation" || ev.TraceID != "deadbeef" {
+	if ev.Component != "verify" || ev.Kind != "violation" || ev.Detail != "check=balance delta=3" {
 		t.Errorf("dumped event = %+v", ev)
 	}
 }

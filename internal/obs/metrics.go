@@ -1,9 +1,10 @@
 // Package obs is TradeFL's stdlib-only telemetry subsystem: structured
 // logging (log/slog with per-component loggers), a lock-cheap metrics
 // registry (counters, gauges, fixed-bucket histograms with Prometheus-text
-// and JSON exposition), span tracing recording wall-time trees per request,
-// batch and solve while tracing is on, and an opt-in HTTP diagnostics
-// server serving /metrics, /healthz, /runz and net/http/pprof.
+// exposition), span tracing recording wall-time trees per request, batch
+// and solve while tracing is on, a flight ring of rare events, and an
+// opt-in HTTP diagnostics server serving /metrics, /healthz, /runz,
+// /tracez, /flightz and net/http/pprof.
 //
 // Hot-path cost model: every metric update is one or two atomic operations
 // on a pre-resolved pointer — no map lookups, no locks, no allocation —

@@ -205,16 +205,3 @@ func TestWritePrometheusFormat(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteJSONNonFinite(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("json_nan", "t").Set(math.NaN())
-	r.Gauge("json_inf", "t").Set(math.Inf(1))
-	var sb strings.Builder
-	if err := r.WriteJSON(&sb); err != nil {
-		t.Fatalf("WriteJSON with NaN/Inf gauges: %v", err)
-	}
-	if strings.Contains(sb.String(), "NaN") || strings.Contains(sb.String(), "Inf") {
-		t.Errorf("non-finite values leaked into JSON: %s", sb.String())
-	}
-}

@@ -88,7 +88,7 @@ func startSpan(ctx context.Context, name string) *ActiveSpan {
 
 // Span starts a span named name. If ctx already carries a span, the new
 // span is attached as its child; otherwise it is a root span, and its
-// completed tree is published to the last-run and trace stores on End. The
+// completed tree is published to the trace store on End. The
 // returned context — the span itself — carries it for further nesting. An
 // unrecorded span (no parent and tracing off) costs no allocation: ctx
 // comes back unchanged with a nil span.
@@ -123,8 +123,8 @@ func ContextWithSpan(ctx context.Context, s *ActiveSpan) context.Context {
 }
 
 // End records the span's duration; a root span additionally publishes its
-// tree to the last-run store under its name and to the bounded trace store
-// for /tracez export. End after End, or on a nil span, is a no-op.
+// tree to the bounded trace store for /tracez and -trace-out export. End
+// after End, or on a nil span, is a no-op.
 func (s *ActiveSpan) End() {
 	if s == nil {
 		return
@@ -137,29 +137,19 @@ func (s *ActiveSpan) End() {
 	n := &s.node
 	n.DurationNanos = int64(time.Since(epoch) - s.start)
 	if s.root {
-		defaultRuns.mu.Lock()
-		defaultRuns.spans[n.Name] = n
-		defaultRuns.mu.Unlock()
 		defaultTraces.add(n)
 		traceRootCounter(spanComponent(n.Name)).Inc()
-		FlightRecordTrace("trace", "span-root",
-			n.Name+" dur="+time.Duration(n.DurationNanos).String(), n.TraceID)
 	}
 }
 
-// runStore keeps the most recent completed root span per name plus named
-// numeric trajectories (e.g. a solver's bound gap per iteration) for the
-// /runz endpoint.
+// runStore keeps the most recent run's named numeric trajectories (e.g. a
+// solver's bound gap per iteration) for the /runz endpoint.
 type runStore struct {
-	mu    sync.Mutex
-	spans map[string]*SpanNode
-	traj  map[string][]float64
+	mu   sync.Mutex
+	traj map[string][]float64
 }
 
-var defaultRuns = &runStore{
-	spans: make(map[string]*SpanNode),
-	traj:  make(map[string][]float64),
-}
+var defaultRuns = &runStore{traj: make(map[string][]float64)}
 
 // Trajectory is one named per-iteration series of a run.
 type Trajectory struct {
@@ -186,7 +176,6 @@ func RecordTrajectories(ts ...Trajectory) {
 
 // runzPayload is the /runz document.
 type runzPayload struct {
-	Spans        map[string]*SpanNode    `json:"spans"`
 	Trajectories map[string][]jsonNumber `json:"trajectories"`
 }
 
@@ -201,17 +190,10 @@ func (v jsonNumber) MarshalJSON() ([]byte, error) {
 	return json.Marshal(f)
 }
 
-// LastRunJSON renders the last-run store (span trees + trajectories) as
-// JSON.
+// LastRunJSON renders the last run's trajectories as JSON.
 func LastRunJSON() ([]byte, error) {
 	defaultRuns.mu.Lock()
-	payload := runzPayload{
-		Spans:        make(map[string]*SpanNode, len(defaultRuns.spans)),
-		Trajectories: make(map[string][]jsonNumber, len(defaultRuns.traj)),
-	}
-	for k, v := range defaultRuns.spans {
-		payload.Spans[k] = v
-	}
+	payload := runzPayload{Trajectories: make(map[string][]jsonNumber, len(defaultRuns.traj))}
 	for k, vs := range defaultRuns.traj {
 		row := make([]jsonNumber, len(vs))
 		for i, f := range vs {

@@ -30,9 +30,9 @@ func TestSpanNesting(t *testing.T) {
 	if len(c.Children) != 1 || c.Children[0].Name != "test.grand" {
 		t.Fatalf("child children = %+v, want one test.grand", c.Children)
 	}
-	// Only the root is published to the store.
+	// Only the root is published to the trace store.
 	if LastRunSpan("test.child") != nil {
-		t.Error("non-root span leaked into the last-run store")
+		t.Error("non-root span leaked into the trace store")
 	}
 }
 
@@ -89,9 +89,9 @@ func TestSpanAllocs(t *testing.T) {
 		_ = sctx
 		s.End()
 	})
-	// A recorded root: the span (node embedded, itself the context), its two
-	// IDs, and the flight-recorder entry End journals — leave headroom for
-	// runtime variation but fail if tracing ever grows a hidden cost.
+	// A recorded root: the span (node embedded, itself the context) and its
+	// two IDs — leave headroom for runtime variation but fail if tracing ever
+	// grows a hidden cost.
 	if allocs > 8 {
 		t.Errorf("Span+End allocates %.0f objects per run, budget 8", allocs)
 	}

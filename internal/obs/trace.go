@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,19 +39,13 @@ var tracingEnabled atomic.Bool
 
 // EnableTracing turns span recording on or off for roots started from now
 // on; a tree whose root is already recorded stays recorded to its end.
-// Disabled (the default) records no span trees and retains no traces —
-// /runz then serves trajectories only — and solver outputs are identical
-// either way.
+// Commands turn it on with -trace-out; in-process callers (the bench,
+// tests) call it directly. Disabled (the default) records no span trees and
+// retains no traces, and solver outputs are identical either way.
 func EnableTracing(on bool) { tracingEnabled.Store(on) }
 
 // TracingEnabled reports whether new root spans are recorded.
 func TracingEnabled() bool { return tracingEnabled.Load() }
-
-func init() {
-	if os.Getenv("TRADEFL_TRACE") == "1" {
-		tracingEnabled.Store(true)
-	}
-}
 
 // idGen is the process-wide trace-ID derivation state.
 type idGen struct {

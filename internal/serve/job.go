@@ -297,7 +297,7 @@ func (j *Job) Cancel() bool {
 // progressEvents renders the solver's per-master-iteration convergence
 // series as stream events: bound gap per CGBD iteration (the lb/ub
 // sandwich of Algorithm 1) or potential per DBR sweep — the same series
-// the obs telemetry sink records for -telemetry-out.
+// gbd.Result and dbr.Result carry and /runz serves.
 func progressEvents(idx int, r fleet.Result) []Event {
 	n := 0
 	switch {

@@ -84,7 +84,6 @@ func Differential(opts DiffOptions) (*DiffReport, error) {
 	src := randx.New(opts.Seed)
 	mus := []float64{0.05, 0.1, 0.2}
 	for g := 0; g < opts.Games; g++ {
-		mDiffGames.Inc()
 		n := 2 + g%(opts.MaxOrgs-1)
 		gen := game.GenOptions{
 			Seed:     opts.Seed + int64(g)*1013,

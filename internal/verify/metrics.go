@@ -19,5 +19,4 @@ var (
 	mEvaluatorViol  = obs.NewCounter("tradefl_verify_evaluator_violations_total", "incremental-vs-direct evaluator equivalence failures")
 
 	mWorstDelta = obs.NewGauge("tradefl_verify_worst_delta", "magnitude of the worst invariant breach observed so far (0 when clean)")
-	mDiffGames  = obs.NewCounter("tradefl_verify_diff_games_total", "random game instances cross-run by the differential harness")
 )

@@ -32,7 +32,9 @@ echo "==> engine-equivalence fast gate (evaluator and solvers vs from-scratch re
 # empty it: the guard fails the gate if it matches nothing in a package.
 ENGINE_TESTS='Delta|Engine|Incremental|Golden|ZeroAlloc|NoPrimalRevisit|Certificate|ErrBound'
 for pkg in ./internal/game/ ./internal/dbr/ ./internal/gbd/; do
-  go test -list "$ENGINE_TESTS" "$pkg" | grep -q '^Test' || { echo "engine-equivalence gate: pattern selects no test in $pkg" >&2; exit 1; }
+  # grep -c reads to EOF: grep -q would exit at the first match, and the
+  # "ok" line go test writes after it would fail the pipe (SIGPIPE).
+  go test -list "$ENGINE_TESTS" "$pkg" | grep -c '^Test' >/dev/null || { echo "engine-equivalence gate: pattern selects no test in $pkg" >&2; exit 1; }
 done
 go test -race -run "$ENGINE_TESTS" ./internal/game/ ./internal/dbr/ ./internal/gbd/
 BENCH_TIME=1x BENCH_COUNT=1 scripts/bench.sh >/dev/null
@@ -138,7 +140,7 @@ echo "==> chaos smoke (seeded soak under -race)"
 # leaks a single wei.
 scripts/chaos.sh "seed=${CHAOS_SEED:-7},drop=0.15,dup=0.05,delayp=0.1,delaymax=15ms,rpcfail=0.1,rpclost=0.05,orgs=3,game=5"
 
-echo "==> obs-v2 gate (tracing, flight recorder, telemetry)"
+echo "==> obs-v2 gate (tracing, flight recorder, trajectories)"
 # Race-check the instrumentation fabric itself first: spans, the flight
 # ring and trace propagation are touched from every worker goroutine.
 go test -race ./internal/obs/ ./internal/transport/
@@ -153,22 +155,16 @@ go build -o "$OBS_BIN" ./cmd/tradefl-sim
   -trace-out "$OBS_DIR/chaos-trace.json" >/dev/null
 go run ./scripts/tracecheck -min-components 3 "$OBS_DIR/chaos-trace.json"
 
-# A traced fleet batch must join solver spans to the batch trace and emit
-# per-solve + per-batch convergence telemetry. plan=pruned forces the CGBD
-# path: DBR solves emit no gbd.solve records.
+# A traced fleet batch must join solver spans to the batch trace.
+# plan=pruned forces the CGBD path.
 "$OBS_BIN" -fleet 64 -plan pruned -summary none \
-  -trace-out "$OBS_DIR/fleet-trace.json" \
-  -telemetry-out "$OBS_DIR/fleet-telemetry.jsonl" >/dev/null
+  -trace-out "$OBS_DIR/fleet-trace.json" >/dev/null
 go run ./scripts/tracecheck -min-components 2 "$OBS_DIR/fleet-trace.json"
-grep -q '"kind":"gbd.solve"' "$OBS_DIR/fleet-telemetry.jsonl" \
-  || { echo "obs smoke: no gbd.solve telemetry records"; exit 1; }
-grep -q '"kind":"fleet.batch"' "$OBS_DIR/fleet-telemetry.jsonl" \
-  || { echo "obs smoke: no fleet.batch telemetry record"; exit 1; }
 
-# Live endpoints: /tracez?fmt=chrome and /flightz on a held diag server.
+# Live endpoints on a held, traced diag server: /tracez, /runz and /flightz.
 OBS_ADDR="${OBS_ADDR:-127.0.0.1:6162}"
-TRADEFL_TRACE=1 "$OBS_BIN" -fleet 32 -plan pruned -summary none \
-  -diag-addr "$OBS_ADDR" -diag-hold 60s >/dev/null &
+"$OBS_BIN" -fleet 32 -plan pruned -summary none \
+  -diag-addr "$OBS_ADDR" -diag-hold 60s -trace-out "$OBS_DIR/held.json" >/dev/null &
 OBS_PID=$!
 trap 'kill "$OBS_PID" 2>/dev/null || true' EXIT
 up=0
@@ -180,8 +176,13 @@ for _ in $(seq 1 50); do
   sleep 0.2
 done
 [ "$up" -eq 1 ] || { echo "obs smoke: /healthz never became healthy"; exit 1; }
-curl -fsS "http://$OBS_ADDR/tracez?fmt=chrome" > "$OBS_DIR/tracez.json"
+curl -fsS "http://$OBS_ADDR/tracez" > "$OBS_DIR/tracez.json"
 go run ./scripts/tracecheck -min-components 2 "$OBS_DIR/tracez.json"
+# The CGBD convergence series lives on /runz: the last solve's bound gap
+# must be a non-empty array (indented JSON: an empty one renders "[]").
+curl -fsS "http://$OBS_ADDR/runz" > "$OBS_DIR/runz.json"
+grep -qE '"gbd\.gap": \[$' "$OBS_DIR/runz.json" \
+  || { echo "obs smoke: /runz has no gbd.gap trajectory"; exit 1; }
 curl -fsS "http://$OBS_ADDR/flightz" | grep -q '"reason"' \
   || { echo "obs smoke: /flightz returned no flight dump"; exit 1; }
 kill "$OBS_PID" 2>/dev/null || true
@@ -308,7 +309,7 @@ echo "==> durability-gate (WAL/recovery suite, crash-restart soak, group-commit 
 # contention, prefix replay). The pattern selects by name, so a rename can
 # silently empty it: the guard fails the gate if it matches nothing.
 DURABILITY_TESTS='WAL|Recover|Durable|Snapshot|Checkpoint|PITR|Standby|Replicat|Fencing|Term|ZeroPadding|ZeroExtend|Frame|TornTail|Mempool|Batch|Equivalence|Horizon|Contention|Transfer|Prefix'
-go test -list "$DURABILITY_TESTS" ./internal/chain/ | grep -q '^Test' || { echo "durability-gate: pattern selects no test in ./internal/chain/" >&2; exit 1; }
+go test -list "$DURABILITY_TESTS" ./internal/chain/ | grep -c '^Test' >/dev/null || { echo "durability-gate: pattern selects no test in ./internal/chain/" >&2; exit 1; }
 go test -race -run "$DURABILITY_TESTS" ./internal/chain/ ./internal/durable/
 # One seeded crash-restart soak: kill -9 the validator on a deterministic
 # schedule mid-settlement, recover from snapshot + log each time, and

@@ -7,8 +7,8 @@
 //
 //	obsgate [-instances 256] [-reps 6] [-plan auto] [-max-pct 3]
 //
-// Process-level A/B benchmarking (run the bench binary twice, once with
-// TRADEFL_TRACE=1) is hopeless on shared hardware: run-to-run load swings
+// Process-level A/B benchmarking (run the binary twice, once with
+// -trace-out) is hopeless on shared hardware: run-to-run load swings
 // of ±40% dwarf the real instrumentation cost. obsgate instead alternates
 // traced and untraced solves of the same batch inside one process in ABBA
 // order and gates on PROCESS CPU TIME (getrusage user+sys), not wall
