@@ -141,7 +141,7 @@ func command() cli.Command {
 }
 
 // printSummary condenses the metrics snapshot into the solver headline
-// numbers of the run, on stderr (stdout carries the CSV).
+// counts of the run, on stderr (stdout carries the CSV).
 func printSummary(mode string, wall time.Duration) {
 	if mode == "none" {
 		return
@@ -153,19 +153,17 @@ func printSummary(mode string, wall time.Duration) {
 	}
 	w := os.Stderr
 	fmt.Fprintf(w, "--- run summary (%.2fs wall) ---\n", wall.Seconds())
-	fmt.Fprintf(w, "gbd:  %.0f runs, %.0f iterations, %.0f+%.0f cuts (opt+feas), gap %.3g, welfare %.2f\n",
-		val("tradefl_gbd_runs_total"), val("tradefl_gbd_iterations_total"),
-		val("tradefl_gbd_optimality_cuts_total"), val("tradefl_gbd_feasibility_cuts_total"),
-		val("tradefl_gbd_bound_gap"), val("tradefl_gbd_social_welfare"))
-	fmt.Fprintf(w, "dbr:  %.0f runs, %.0f sweeps, %.0f moves, welfare %.2f\n",
-		val("tradefl_dbr_runs_total"), val("tradefl_dbr_rounds_total"),
-		val("tradefl_dbr_moves_total"), val("tradefl_dbr_social_welfare"))
-	fmt.Fprintf(w, "fl:   %.0f rounds, last accuracy %.4f\n",
-		val("tradefl_fl_rounds_total"), val("tradefl_fl_round_accuracy"))
+	fmt.Fprintf(w, "gbd:  %.0f runs (%.0f converged), %.0f iterations, %.0f+%.0f cuts (opt+feas)\n",
+		val("tradefl_gbd_runs_total"), val("tradefl_gbd_converged_total"), val("tradefl_gbd_iterations_total"),
+		val("tradefl_gbd_optimality_cuts_total"), val("tradefl_gbd_feasibility_cuts_total"))
+	fmt.Fprintf(w, "dbr:  %.0f runs (%.0f converged), %.0f sweeps, %.0f moves\n",
+		val("tradefl_dbr_runs_total"), val("tradefl_dbr_converged_total"),
+		val("tradefl_dbr_rounds_total"), val("tradefl_dbr_moves_total"))
+	fmt.Fprintf(w, "fl:   %.0f rounds\n", val("tradefl_fl_rounds_total"))
 	fmt.Fprintf(w, "pool: %.0f fan-outs\n", val("tradefl_pool_fanouts_total"))
 	if solves := val("tradefl_fleet_instances_total"); solves > 0 {
 		fmt.Fprintf(w, "fleet: %.0f solves at %.0f/sec (plans dbr=%.0f pruned=%.0f traversal=%.0f)\n",
-			solves, val("tradefl_fleet_solves_per_sec"), val("tradefl_fleet_plan_dbr_total"),
+			solves, solves/wall.Seconds(), val("tradefl_fleet_plan_dbr_total"),
 			val("tradefl_fleet_plan_pruned_total"), val("tradefl_fleet_plan_traversal_total"))
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"os"
 
 	"tradefl"
-	"tradefl/internal/repeated"
 )
 
 func main() {
@@ -28,7 +27,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	a, err := repeated.Analyze(cfg)
+	a, err := analyze(cfg)
 	if err != nil {
 		return err
 	}
@@ -47,7 +46,7 @@ func run() error {
 		deltaLabel(a.ContractEnforced.MaxCriticalDelta))
 
 	for _, delta := range []float64{0.3, 0.8, 0.99} {
-		without, with := a.CooperationSustainable(delta)
+		without, with := a.cooperationSustainable(delta)
 		fmt.Printf("at δ=%.2f: cooperation self-enforcing without contract: %-5v  with contract: %v\n",
 			delta, without, with)
 	}
@@ -63,13 +62,13 @@ func run() error {
 	if defector >= 0 {
 		delta := a.CriticalDelta[defector]
 		for _, d := range []float64{delta * 0.7, delta + (1-delta)*0.3} {
-			coop, err := repeated.PathPayoff(cfg, repeated.SimulateOptions{
+			coop, err := pathPayoff(cfg, simulateOptions{
 				Stages: 400, Delta: d, Defector: -1, Analysis: a,
 			})
 			if err != nil {
 				return err
 			}
-			defect, err := repeated.PathPayoff(cfg, repeated.SimulateOptions{
+			defect, err := pathPayoff(cfg, simulateOptions{
 				Stages: 400, Delta: d, Defector: defector, Analysis: a,
 			})
 			if err != nil {

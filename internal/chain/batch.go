@@ -109,8 +109,6 @@ func (bc *Blockchain) SubmitTxBatch(txs []Transaction) ([]SubmitResult, error) {
 		admitted++
 	}
 	mTxSubmitted.Add(int64(admitted))
-	mBatchSubmits.Inc()
-	mBatchTxs.Add(int64(n))
 	return results, nil
 }
 

@@ -265,15 +265,12 @@ func (bc *Blockchain) admitTxLocked(tx Transaction, hash string, frames []byte) 
 		}
 	}
 	if _, dup := bc.poolHash[hash]; dup {
-		mTxDeduped.Inc()
 		return nil, fmt.Errorf("%w: %s pending", ErrTxAlreadyKnown, hash)
 	}
 	if _, dup := bc.sealing[hash]; dup {
-		mTxDeduped.Inc()
 		return nil, fmt.Errorf("%w: %s pending", ErrTxAlreadyKnown, hash)
 	}
 	if rcpt := bc.sealedRcpt[hash]; rcpt != nil {
-		mTxDeduped.Inc()
 		return nil, fmt.Errorf("%w: %s sealed at height %d", ErrTxAlreadyKnown, hash, rcpt.Height)
 	}
 	// Nonce must follow the pending sequence (state nonce + queued txs).
@@ -287,7 +284,6 @@ func (bc *Blockchain) admitTxLocked(tx Transaction, hash string, frames []byte) 
 			// of a tx whose dedup entry fell off the FIFO horizon; the
 			// receipt scan over the evicted blocks keeps idempotency exact.
 			if rcpt := bc.sealedInEvictedLocked(hash); rcpt != nil {
-				mTxDeduped.Inc()
 				return nil, fmt.Errorf("%w: %s sealed at height %d", ErrTxAlreadyKnown, hash, rcpt.Height)
 			}
 		}
@@ -422,14 +418,6 @@ func (bc *Blockchain) sealLocked(take int) (*Block, *walTicket, error) {
 			TxCount:    len(txs),
 		}
 	}
-	for i := range receipts {
-		if receipts[i].OK {
-			mTxMined.Inc()
-		} else {
-			mTxFailed.Inc()
-		}
-	}
-
 	// Stage 3: build, seal, log and install.
 	prev, err := bc.lastHeaderHash()
 	if err != nil {
@@ -508,7 +496,6 @@ func (bc *Blockchain) pruneDedupLocked(height uint64, hashes []string) {
 		if w.height+1 > bc.evictedBelow {
 			bc.evictedBelow = w.height + 1
 		}
-		mDedupEvicted.Add(int64(len(w.hashes)))
 	}
 }
 

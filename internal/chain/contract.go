@@ -303,8 +303,6 @@ func (c *Contract) payoffTransfer(from Address, value Wei) (Wei, error) {
 	ms.Payoff = 0
 	c.MemberData[from] = ms
 	c.markSettledIfDone()
-	mTransfers.Inc()
-	mTransferWei.Add(int64(refund))
 	return refund, nil
 }
 

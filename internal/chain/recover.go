@@ -281,7 +281,6 @@ func replayWALSuffix(dir string, bc *Blockchain, snapSeq, stopHeight uint64, att
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return fmt.Errorf("%w: undecodable record: %v", ErrWALCorrupt, err)
 		}
-		mRecoverTxs.Inc()
 		switch rec.Kind {
 		case recTx:
 			if rec.Tx == nil {
@@ -324,7 +323,6 @@ func replayWALSuffix(dir string, bc *Blockchain, snapSeq, stopHeight uint64, att
 				return nil, err
 			}
 			if removed > 0 {
-				mTornBytes.Add(removed)
 				recoverLog.Warn("truncated torn wal tail", "segment", seq, "bytes", removed)
 				obs.FlightRecord("chain", "wal-torn-tail",
 					fmt.Sprintf("segment %d: %d bytes truncated", seq, removed))
@@ -421,7 +419,6 @@ func (bc *Blockchain) Checkpoint() error {
 	if err := durable.WriteFileAtomic(filepath.Join(dir, snapshotName(newSeq)), raw, 0o600); err != nil {
 		return err
 	}
-	mSnapshots.Inc()
 	obs.FlightRecord("chain", "checkpoint",
 		fmt.Sprintf("snapshot %d (%d blocks, %d pending)", newSeq, len(doc.Blocks), len(doc.Pool)))
 	return gcSnapshots(dir)

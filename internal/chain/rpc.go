@@ -510,8 +510,6 @@ func (c *Client) Call(method string, params, out any) error {
 // CallCtx is Call with caller-controlled cancellation: the context bounds
 // the whole retry loop, while ClientOptions.Timeout bounds each attempt.
 func (c *Client) CallCtx(ctx context.Context, method string, params, out any) error {
-	callStart := time.Now()
-	defer mClientCallSec.ObserveSince(callStart)
 	// Only calls whose context already carries a trace get a client span:
 	// high-rate background polls (status, receipts, nonces) run on untraced
 	// contexts and must not flood the trace store with root spans — the
@@ -549,7 +547,6 @@ func (c *Client) CallCtx(ctx context.Context, method string, params, out any) er
 			return lastErr
 		}
 	}
-	mClientGiveups.Inc()
 	obs.FlightRecord("chain", "rpc-giveup",
 		fmt.Sprintf("%s after %d attempts: %v", method, c.opts.MaxRetries+1, lastErr))
 	rpcLog.Warn("call failed after retries", "method", method, "attempts", c.opts.MaxRetries+1, "err", lastErr)

@@ -108,7 +108,6 @@ func (s *Standby) Run(ctx context.Context) (bool, error) {
 			if err != nil {
 				return false, fmt.Errorf("chain: standby promotion: %w", err)
 			}
-			mFailovers.Inc()
 			standbyLog.Info("primary silent, standby promoted",
 				"silence", failoverAfter, "term", term, "height", s.bc.Height())
 			obs.FlightRecord("chain", "failover",

@@ -527,7 +527,6 @@ func (w *WAL) commitRun(run []walOp, buf []byte) {
 	}
 	w.mu.Unlock()
 	if ioErr == nil {
-		mWALAppends.Add(int64(recs))
 		mWALBytes.Add(int64(len(buf)))
 		if recs > 0 {
 			mWALBatch.Observe(float64(recs))
@@ -596,7 +595,6 @@ func (w *WAL) doRotate(op walOp) {
 				w.syncedOff = 0
 				w.zeroedTo = 0
 				w.mu.Unlock()
-				mWALSegments.Inc()
 			}
 		}
 	}

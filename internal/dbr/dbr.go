@@ -229,9 +229,6 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 	if res.Converged {
 		mConverged.Inc()
 	}
-	payoffs, potential := res.Final()
-	mPotential.Set(potential)
-	mWelfare.Set(game.Welfare(payoffs))
 	obs.RecordTrajectories(obs.Trajectory{Name: "dbr.potential", Values: res.PotentialTrace})
 	audit(cfg, res, opts)
 	return res, nil

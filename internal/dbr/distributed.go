@@ -183,7 +183,6 @@ func (n *Node) Run(ctx context.Context) (game.Profile, error) {
 					return nil, fmt.Errorf("dbr node: bad token: %w", err)
 				}
 				if tok.Seq <= n.lastProcessedSeq {
-					mDupes.Inc()
 					obs.FlightRecord("ring", "dup-token",
 						fmt.Sprintf("%s seq=%d last=%d", n.tr.Name(), tok.Seq, n.lastProcessedSeq))
 					continue // duplicate from a recovery resend
@@ -248,7 +247,6 @@ func (n *Node) resendToken() (bool, game.Profile, error) {
 		}
 		if err := n.tr.Send(n.peers[target], transport.Message{Type: MsgToken, Trace: n.outTrace, Payload: payload}); err == nil {
 			sent.resends++
-			mResends.Inc()
 			obs.FlightRecord("ring", "resend",
 				fmt.Sprintf("%s->%s seq=%d resend=%d", n.tr.Name(), n.peers[target], sent.tok.Seq, sent.resends))
 			dbrLog.Debug("token timeout, resending to same peer",
@@ -258,7 +256,6 @@ func (n *Node) resendToken() (bool, game.Profile, error) {
 		// The resend itself failed: the peer is unreachable, not merely
 		// silent — skip it without burning the remaining retries.
 	}
-	mSkips.Inc()
 	obs.FlightRecord("ring", "skip-peer",
 		fmt.Sprintf("%s suspects %s crashed seq=%d resends=%d", n.tr.Name(), n.peers[target], sent.tok.Seq, sent.resends))
 	dbrLog.Debug("suspecting peer crashed, skipping",
@@ -297,7 +294,6 @@ func (n *Node) forwardToken(tok TokenPayload, fromStep int) (bool, game.Profile,
 		}
 		if err := n.tr.Send(n.peers[target], transport.Message{Type: MsgToken, Trace: n.outTrace, Payload: payload}); err != nil {
 			// Peer unreachable: freeze its strategy and walk on.
-			mSkips.Inc()
 			obs.FlightRecord("ring", "skip-peer",
 				fmt.Sprintf("%s cannot reach %s seq=%d: %v", n.tr.Name(), n.peers[target], hop.Seq, err))
 			tok.Unchanged++

@@ -65,10 +65,8 @@ func (e *Engine) reset(cfg *game.Config) {
 	}
 	e.cfg = cfg
 	if e.ev == nil {
-		mEngineMisses.Inc()
 		e.ev = game.NewDeltaEvaluator(cfg)
 	} else {
-		mEngineHits.Inc()
 		e.ev.Reset(cfg)
 	}
 	maxLevels := 0

@@ -51,7 +51,6 @@ func (f *faultyRoundTripper) RoundTrip(req *http.Request) (*http.Response, error
 	d := f.inj.decideRPC(f.lane)
 	if d.fail {
 		f.inj.count(func(c *Counts) { c.RPCFailures++ })
-		mRPCFailures.Inc()
 		obs.FlightRecord("faults", "rpc-fail", f.lane)
 		fLog.Debug("injected rpc failure", "lane", f.lane, "url", req.URL.String())
 		if req.Body != nil {
@@ -61,7 +60,6 @@ func (f *faultyRoundTripper) RoundTrip(req *http.Request) (*http.Response, error
 	}
 	if d.delay > 0 {
 		f.inj.count(func(c *Counts) { c.RPCDelayed++ })
-		mRPCDelayed.Inc()
 		f.inj.sleep(d.delay)
 	}
 	resp, err := f.base.RoundTrip(req)
@@ -71,7 +69,6 @@ func (f *faultyRoundTripper) RoundTrip(req *http.Request) (*http.Response, error
 	if d.lost {
 		// The server handled the request; the client never learns.
 		f.inj.count(func(c *Counts) { c.RPCLost++ })
-		mRPCLost.Inc()
 		obs.FlightRecord("faults", "rpc-lost", f.lane)
 		fLog.Debug("injected lost rpc response", "lane", f.lane, "url", req.URL.String())
 		_, _ = io.Copy(io.Discard, resp.Body)
@@ -91,13 +88,11 @@ func (inj *Injector) Middleware(lane string, next http.Handler) http.Handler {
 		d := inj.decideRPC(lane)
 		if d.fail {
 			inj.count(func(c *Counts) { c.RPCFailures++ })
-			mRPCFailures.Inc()
 			http.Error(w, "faults: injected server failure", http.StatusServiceUnavailable)
 			return
 		}
 		if d.delay > 0 {
 			inj.count(func(c *Counts) { c.RPCDelayed++ })
-			mRPCDelayed.Inc()
 			inj.sleep(d.delay)
 		}
 		next.ServeHTTP(w, r)

@@ -7,6 +7,8 @@ import (
 	"tradefl/internal/transport"
 )
 
+var fLog = obs.Component("faults")
+
 // faultyTransport injects the plan's message faults between a Transport
 // and the network. The wrapper sits on the send side only: Receive and
 // Close pass straight through, so a wrapped endpoint can always drain its
@@ -37,17 +39,14 @@ func (f *faultyTransport) Send(to string, msg transport.Message) error {
 	// its peers would observe a crashed process.
 	if f.inj.crashed(from) {
 		f.inj.count(func(c *Counts) { c.CrashRejects++ })
-		mCrashRejects.Inc()
 		return fmt.Errorf("%w: endpoint %q is crashed", ErrInjected, from)
 	}
 	if f.inj.crashed(to) {
 		f.inj.count(func(c *Counts) { c.CrashRejects++ })
-		mCrashRejects.Inc()
 		return fmt.Errorf("%w: endpoint %q is crashed", ErrInjected, to)
 	}
 	if f.inj.partitioned(from, to) {
 		f.inj.count(func(c *Counts) { c.Partitioned++ })
-		mPartitioned.Inc()
 		obs.FlightRecord("faults", "partition", from+">"+to)
 		return fmt.Errorf("%w: link %s>%s partitioned", ErrInjected, from, to)
 	}
@@ -55,7 +54,6 @@ func (f *faultyTransport) Send(to string, msg transport.Message) error {
 	if d.drop {
 		// Loss in flight: the sender believes the send succeeded.
 		f.inj.count(func(c *Counts) { c.Dropped++ })
-		mDropped.Inc()
 		obs.FlightRecord("faults", "drop", fmt.Sprintf("%s>%s type=%s", from, to, msg.Type))
 		fLog.Debug("dropped message", "from", from, "to", to, "type", msg.Type)
 		return nil
@@ -65,7 +63,6 @@ func (f *faultyTransport) Send(to string, msg transport.Message) error {
 		// anything sent meanwhile. The sender sees success, as a network
 		// would report.
 		f.inj.count(func(c *Counts) { c.Delayed++ })
-		mDelayed.Inc()
 		obs.FlightRecord("faults", "delay", fmt.Sprintf("%s>%s type=%s delay=%s", from, to, msg.Type, d.delay))
 		f.inj.wg.Add(1)
 		go func() {
@@ -76,7 +73,6 @@ func (f *faultyTransport) Send(to string, msg transport.Message) error {
 			}
 			if d.dup {
 				f.inj.count(func(c *Counts) { c.Duplicated++ })
-				mDuplicated.Inc()
 				_ = f.inner.Send(to, msg)
 			}
 		}()
@@ -87,7 +83,6 @@ func (f *faultyTransport) Send(to string, msg transport.Message) error {
 	}
 	if d.dup {
 		f.inj.count(func(c *Counts) { c.Duplicated++ })
-		mDuplicated.Inc()
 		obs.FlightRecord("faults", "dup", fmt.Sprintf("%s>%s type=%s", from, to, msg.Type))
 		fLog.Debug("duplicated message", "from", from, "to", to, "type", msg.Type)
 		_ = f.inner.Send(to, msg)

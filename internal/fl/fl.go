@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"tradefl/internal/fl/dataset"
 	"tradefl/internal/fl/model"
@@ -179,26 +178,18 @@ func Run(cfg Config) (*Result, error) {
 		return nil, errors.New("fl: no organization contributes any data")
 	}
 
-	mRuns.Inc()
 	ctx, root := obs.Span(context.Background(), "fl.run")
 	defer root.End()
 
 	// Straggler schedule: a jitter stream derived from Seed decides which
 	// updates make each round's deadline, so runs are reproducible.
 	var arrivals *randx.Source
-	contributors := 0
-	for _, sub := range subsets {
-		if sub != nil {
-			contributors++
-		}
-	}
 	if cfg.StragglerDeadline > 0 {
 		arrivals = randx.New(cfg.Seed + 1)
 	}
 
 	res := &Result{TotalSamples: totalSamples}
 	for round := 1; round <= cfg.Rounds; round++ {
-		roundStart := time.Now()
 		_, roundSpan := obs.Span(ctx, "fl.round")
 
 		// Decide which contributors make this round's deadline. Jitter
@@ -218,7 +209,6 @@ func Run(cfg Config) (*Result, error) {
 				}
 				if at > cfg.StragglerDeadline {
 					res.Stragglers++
-					mStragglers.Inc()
 					obs.FlightRecord("fl", "straggler", fmt.Sprintf("round=%d org=%d at=%.3g deadline=%.3g", round, i, at, cfg.StragglerDeadline))
 					flLog.Debug("update missed round deadline", "round", round, "org", i, "at", at, "deadline", cfg.StragglerDeadline)
 					continue
@@ -228,16 +218,11 @@ func Run(cfg Config) (*Result, error) {
 			arrived++
 			roundWeight += weights[i]
 		}
-		if contributors > 0 {
-			mArrivalRatio.Set(float64(arrived) / float64(contributors))
-		}
-
 		if arrived == 0 {
 			// Graceful degradation: every update was late. Carry the
 			// previous global model forward rather than aborting the run —
 			// the next round's arrivals resume training where it stood.
 			res.DegradedRounds++
-			mDegradedRounds.Inc()
 			obs.FlightRecord("fl", "degraded-round", fmt.Sprintf("round=%d: no update met the deadline", round))
 			flLog.Warn("degraded round: no update met the deadline", "round", round)
 		} else {
@@ -259,7 +244,6 @@ func Run(cfg Config) (*Result, error) {
 						return nil, err
 					}
 				}
-				mUpdates.Inc()
 			}
 			if err := global.SetParams(agg); err != nil {
 				roundSpan.End()
@@ -281,10 +265,7 @@ func Run(cfg Config) (*Result, error) {
 			Arrived: arrived, Degraded: arrived == 0,
 		})
 		mRounds.Inc()
-		mAccuracy.Set(acc)
-		mLoss.Set(loss)
 		roundSpan.End()
-		mRoundSec.ObserveSince(roundStart)
 	}
 	last := res.History[len(res.History)-1]
 	res.FinalLoss = last.Loss

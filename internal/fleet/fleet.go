@@ -75,32 +75,22 @@ func (e *Engine) Solve(ctx context.Context, cfgs []*game.Config) []Result {
 		return res
 	}
 	workers := parallel.Resolve(e.opts.Workers)
-	mBatches.Inc()
 	mInstances.Add(int64(n))
-	mQueue.Add(float64(n))
-	start := time.Now()
 	ctx, batchSpan := obs.Span(ctx, "fleet.batch")
 	order := e.schedule(cfgs)
 	err := parallel.ForCtxLabeled(ctx, "fleet.batch", workers, n, func(i int) error {
 		idx := order[i]
 		res[idx] = e.solveOne(ctx, cfgs[idx])
-		mQueue.Add(-1)
 		return nil
 	})
 	if err != nil {
 		for i := range res {
 			if res[i].Plan == PlanAuto && res[i].Err == nil { // never scheduled
 				res[i].Err = err
-				mQueue.Add(-1)
 			}
 		}
 	}
 	batchSpan.End()
-	dt := time.Since(start).Seconds()
-	mBatchSec.Observe(dt)
-	if dt > 0 {
-		mRate.Set(float64(n) / dt)
-	}
 	return res
 }
 
@@ -144,7 +134,6 @@ func (e *Engine) SolveOne(cfg *game.Config) Result {
 // span joins the trace carried by ctx (the campaign loop threads its run
 // trace through here), with no effect on the computed result.
 func (e *Engine) SolveOneCtx(ctx context.Context, cfg *game.Config) Result {
-	mBatches.Inc()
 	mInstances.Inc()
 	return e.solveOne(ctx, cfg)
 }
@@ -226,7 +215,6 @@ func (e *Engine) Audit(cfgs []*game.Config, results []Result, fraction float64, 
 			continue
 		}
 		audited++
-		mAudits.Inc()
 		if err := e.auditOne(cfgs[i], &results[i]); err != nil {
 			return audited, fmt.Errorf("instance %d (plan %s): %w", i, results[i].Plan, err)
 		}

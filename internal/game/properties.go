@@ -61,11 +61,6 @@ func (c *Config) CheckNash(p Profile, gridRes int, tol float64) NashReport {
 		}
 	}
 	report.IsNash = report.MaxRegret <= tol
-	mNashChecks.Inc()
-	mNashRegret.Set(report.MaxRegret)
-	if !report.IsNash {
-		mNashViolations.Inc()
-	}
 	return report
 }
 

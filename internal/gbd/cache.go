@@ -75,7 +75,6 @@ func (s *solver) addOptCut(c optimalityCut) {
 	t.opt = append(t.opt, terms)
 	t.optMax = append(t.optMax, maxs)
 	t.optConst = append(t.optConst, s.optCutConst(c))
-	mCutTabIncr.Inc()
 }
 
 // addFeasCut tabulates a feasibility cut into the persistent master tables.
@@ -98,7 +97,6 @@ func (s *solver) addFeasCut(c feasibilityCut) {
 	t := s.tables
 	t.feas = append(t.feas, terms)
 	t.feasMin = append(t.feasMin, mins)
-	mCutTabIncr.Inc()
 }
 
 // masterSeed returns the incumbent-derived φ seed of the master search: a
@@ -113,7 +111,6 @@ func (s *solver) masterSeed() float64 {
 	if math.IsInf(s.lb, -1) {
 		return math.Inf(-1)
 	}
-	mMasterSeeded.Inc()
 	return s.lb - (math.Abs(s.lb)*1e-9 + 1e-9)
 }
 
@@ -141,7 +138,6 @@ func (s *solver) masterWarmSeed(t *cutTables) float64 {
 	}
 	if warm := y - (math.Abs(y)*1e-9 + 1e-9); warm > seed {
 		seed = warm
-		mMasterWarm.Inc()
 	}
 	return seed
 }

@@ -306,24 +306,19 @@ func (s *solver) run(ctx context.Context) (*Result, error) {
 	res.LowerBounds, res.UpperBounds, res.PotentialTrace = traces[:a:a], traces[a:b:b], traces[b:]
 	res.Profile = append(game.Profile(nil), s.best...)
 	res.Potential = lb
-	s.publish(res, ub-lb)
+	publish(res, ub-lb)
 	audit(cfg, res, opts)
 	return res, nil
 }
 
-// publish records the run's outcome gauges, distribution histograms and
-// trajectories for the diagnostics endpoints.
-func (s *solver) publish(res *Result, gap float64) {
+// publish records the run's convergence distributions and trajectories for
+// the diagnostics endpoints.
+func publish(res *Result, gap float64) {
 	if res.Converged {
 		mConverged.Inc()
 	}
-	welfare := s.cfg.SocialWelfare(res.Profile)
-	mGap.Set(gap)
-	mPotential.Set(res.Potential)
-	mWelfare.Set(welfare)
 	mGapHist.Observe(gap)
 	mItersHist.Observe(float64(res.Iterations))
-	mWelfareHist.Observe(welfare)
 	gaps := make([]float64, len(res.UpperBounds))
 	for i, ub := range res.UpperBounds {
 		gaps[i] = ub - res.LowerBounds[i]

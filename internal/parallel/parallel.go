@@ -22,32 +22,19 @@ import (
 )
 
 // Pool telemetry. Updates happen once per fan-out (never per index), so a
-// fine-grained fan-out like a blocked tensor kernel pays four atomic
+// fine-grained fan-out like a blocked tensor kernel pays two atomic
 // operations total, not one per row.
 var (
 	mFanouts = obs.NewCounter("tradefl_pool_fanouts_total", "parallel fan-outs dispatched (For/ForCtxLabeled with >1 worker)")
-	mTasks   = obs.NewCounter("tradefl_pool_tasks_total", "work items processed by parallel fan-outs")
-	mActive  = obs.NewGauge("tradefl_pool_workers_active", "worker goroutines currently inside a fan-out")
-	mQueued  = obs.NewGauge("tradefl_pool_queue_depth", "work items admitted to in-flight fan-outs")
 	mBusySec = obs.NewGauge("tradefl_pool_worker_busy_seconds_total", "cumulative worker-seconds spent inside fan-outs (utilization = rate / workers)")
-	mFanSec  = obs.NewHistogram("tradefl_pool_fanout_seconds", "wall time of one parallel fan-out", obs.ExpBuckets(1e-6, 4, 12))
 )
 
-// track records one parallel fan-out of n items over `workers` goroutines;
-// the returned func finishes the bookkeeping.
-func track(workers, n int) func() {
+// track records one parallel fan-out over `workers` goroutines; the
+// returned func adds its worker-seconds.
+func track(workers int) func() {
 	mFanouts.Inc()
-	mTasks.Add(int64(n))
-	mActive.Add(float64(workers))
-	mQueued.Add(float64(n))
 	start := time.Now()
-	return func() {
-		dt := time.Since(start).Seconds()
-		mActive.Add(float64(-workers))
-		mQueued.Add(float64(-n))
-		mBusySec.Add(dt * float64(workers))
-		mFanSec.Observe(dt)
-	}
+	return func() { mBusySec.Add(time.Since(start).Seconds() * float64(workers)) }
 }
 
 // Default returns the default worker count, runtime.GOMAXPROCS(0).
@@ -102,7 +89,7 @@ func ForLabeled(label string, workers, n int, fn func(i int)) {
 		}
 		return
 	}
-	defer track(workers, n)()
+	defer track(workers)()
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -146,7 +133,7 @@ func ForCtxLabeled(ctx context.Context, label string, workers, n int, fn func(i 
 		}
 		return nil
 	}
-	defer track(workers, n)()
+	defer track(workers)()
 	var (
 		next    atomic.Int64
 		stopped atomic.Bool

@@ -95,6 +95,11 @@ func (s *Server) handleStreamJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported by connection")
 		return
 	}
+	// The stream lives as long as its job, so its wall time is not request
+	// latency: edge leaves it out of tradefl_serve_request_seconds.
+	if sw, ok := w.(*statusWriter); ok {
+		sw.stream = true
+	}
 	rc := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

@@ -15,10 +15,12 @@ import (
 )
 
 // statusWriter records the status a handler wrote so the edge middleware
-// can count errors without inspecting handler internals.
+// can count errors without inspecting handler internals, and whether the
+// response is an SSE stream.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	stream bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -41,10 +43,11 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 var requestSeq atomic.Uint64
 
-// edge is the outermost middleware: request IDs, request metrics, the
-// per-route write deadline, and panic recovery. A panic becomes a 500
-// with the request ID, increments tradefl_serve_panics_total and dumps
-// the flight recorder — the server itself stays up.
+// edge is the outermost middleware: request IDs, request metrics (the
+// latency histogram skips SSE streams), the per-route write deadline, and
+// panic recovery. A panic becomes a 500 with the request ID, increments
+// tradefl_serve_panics_total and dumps the flight recorder — the server
+// itself stays up.
 func (s *Server) edge(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -72,7 +75,9 @@ func (s *Server) edge(next http.Handler) http.Handler {
 				}
 				return
 			}
-			mRequestSec.ObserveSince(start)
+			if !sw.stream {
+				mRequestSec.ObserveSince(start)
+			}
 			if sw.status >= 400 {
 				mErrors.Inc()
 			}

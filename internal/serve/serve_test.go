@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"reflect"
@@ -516,6 +517,46 @@ func TestGatewayStreamDeliversProgressAndResult(t *testing.T) {
 	}
 	if !strings.Contains(text, `"state":"done"`) {
 		t.Errorf("stream never reported done:\n%s", text)
+	}
+}
+
+// TestRequestSecondsSkipStreams pins what tradefl_serve_request_seconds
+// measures: every gateway request except the SSE stream, whose wall time is
+// the followed job's lifetime, not request latency.
+func TestRequestSecondsSkipStreams(t *testing.T) {
+	s := startGateway(t, Options{})
+	base := "http://" + s.Addr()
+	requests, observed := mRequests.Value(), mRequestSec.Count()
+
+	resp, created := postJSON(t, base+"/v1/jobs", "", `{"generate":{"count":4,"n":4,"seed":5}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("create: %d (%v)", resp.StatusCode, created)
+	}
+	id, _ := created["id"].(string)
+	stream, err := http.Get(base + "/v1/jobs/" + id + "/stream")
+	if err != nil {
+		t.Fatalf("GET stream: %v", err)
+	}
+	if _, err := io.Copy(io.Discard, stream.Body); err != nil {
+		t.Fatalf("read stream: %v", err)
+	}
+	stream.Body.Close()
+	if st := awaitJob(t, base, id); st["state"] != string(StateDone) {
+		t.Fatalf("state = %v, want done", st["state"])
+	}
+	// Drain waits for every handler to return, so each edge observation
+	// has landed before the counts are read.
+	if err := s.Drain(10 * time.Second); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	// create + stream + one status poll (the job is terminal once its
+	// stream ends).
+	if got := mRequests.Value() - requests; got != 3 {
+		t.Fatalf("requests = %d, want 3", got)
+	}
+	if got := mRequestSec.Count() - observed; got != 2 {
+		t.Errorf("request_seconds observations = %d, want 2 (the stream excluded)", got)
 	}
 }
 

@@ -8,10 +8,7 @@ var tLog = obs.Component("transport")
 // runs (internal/faults, internal/chaos) can distinguish injected message
 // loss from the transport's own parser/overflow loss.
 var (
-	mHubDropped   = obs.NewCounter("tradefl_transport_hub_dropped_total", "hub messages dropped because the receiver's inbox was full")
 	mFrameMalform = obs.NewCounter("tradefl_transport_frames_malformed_total", "TCP frames dropped because they failed to parse as JSON")
 	mFrameOverrun = obs.NewCounter("tradefl_transport_frames_overflow_total", "TCP connections aborted because a frame exceeded the scanner buffer")
 	mInboxDropped = obs.NewCounter("tradefl_transport_inbox_dropped_total", "parsed TCP frames dropped because the inbox was full")
-	mSendRetries  = obs.NewCounter("tradefl_transport_send_retries_total", "TCP send attempts retried after a dial or write failure")
-	mSendFailures = obs.NewCounter("tradefl_transport_send_failures_total", "TCP sends that failed after exhausting every retry")
 )

@@ -123,7 +123,6 @@ func (e *hubEndpoint) deliver(msg Message) {
 	select {
 	case e.inbox <- msg:
 	default:
-		mHubDropped.Inc()
 		tLog.Debug("hub inbox full, dropping", "to", e.name, "from", msg.From, "type", msg.Type)
 	}
 }
@@ -300,7 +299,6 @@ func (n *TCPNode) Send(to string, msg Message) error {
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			mSendRetries.Inc()
 			obs.FlightRecord("transport", "send-retry",
 				fmt.Sprintf("%s->%s attempt %d: %v", n.name, to, attempt+1, lastErr))
 			tLog.Debug("retrying send", "node", n.name, "to", to, "attempt", attempt+1, "err", lastErr)
@@ -317,7 +315,6 @@ func (n *TCPNode) Send(to string, msg Message) error {
 			return nil
 		}
 	}
-	mSendFailures.Inc()
 	obs.FlightRecord("transport", "send-failed",
 		fmt.Sprintf("%s->%s after %d attempts: %v", n.name, to, attempts, lastErr))
 	return lastErr

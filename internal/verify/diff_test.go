@@ -124,7 +124,7 @@ func diffOne(a *Auditor, cfg *game.Config, seed int64, opts DiffOptions) error {
 		a.begin()
 		slack := opts.Slack * math.Max(1, math.Abs(exhaustive))
 		if gres.Potential < exhaustive-eps-slack || gres.Potential > exhaustive+slack {
-			a.violate(mBoundViol, Violation{
+			a.violate(Violation{
 				Check: "diff-gbd-exhaustive", Source: "diff",
 				Detail: fmt.Sprintf("CGBD potential %.9g outside [%.9g − ε, %.9g + slack] of the exhaustive optimum", gres.Potential, exhaustive, exhaustive),
 				Delta:  math.Abs(gres.Potential - exhaustive),
@@ -142,7 +142,7 @@ func diffOne(a *Auditor, cfg *game.Config, seed int64, opts DiffOptions) error {
 	a.begin()
 	dbrPotential := cfg.Potential(dres.Profile)
 	if slack := opts.Slack * math.Max(1, math.Abs(gres.Potential)); dbrPotential > gres.Potential+eps+slack {
-		a.violate(mBoundViol, Violation{
+		a.violate(Violation{
 			Check: "diff-dbr-gbd", Source: "diff",
 			Detail: fmt.Sprintf("DBR potential %.9g exceeds CGBD optimum %.9g + ε", dbrPotential, gres.Potential),
 			Delta:  dbrPotential - gres.Potential,

@@ -24,7 +24,7 @@ func (a *Auditor) CheckLedger(ev *chain.LedgerAuditEvent, source string) bool {
 	a.begin()
 	ok := true
 	if total := ev.AccountWei + ev.EscrowWei; total != ev.GenesisWei {
-		a.violate(mLedgerViol, Violation{
+		a.violate(Violation{
 			Check: "ledger-conservation", Source: source,
 			Detail: fmt.Sprintf("height %d: %d wei in accounts + %d escrowed = %d, genesis minted %d (off by %d)",
 				ev.Height, ev.AccountWei, ev.EscrowWei, total, ev.GenesisWei, total-ev.GenesisWei),
@@ -33,7 +33,7 @@ func (a *Auditor) CheckLedger(ev *chain.LedgerAuditEvent, source string) bool {
 		ok = false
 	}
 	if ev.NonceDelta < 0 {
-		a.violate(mLedgerViol, Violation{
+		a.violate(Violation{
 			Check: "ledger-nonce-regression", Source: source,
 			Detail: fmt.Sprintf("height %d: nonce sum moved by %d within one block", ev.Height, ev.NonceDelta),
 			Delta:  float64(ev.NonceDelta),
@@ -41,7 +41,7 @@ func (a *Auditor) CheckLedger(ev *chain.LedgerAuditEvent, source string) bool {
 		ok = false
 	}
 	if ev.NonceDelta != int64(ev.TxCount) {
-		a.violate(mLedgerViol, Violation{
+		a.violate(Violation{
 			Check: "ledger-nonce-regression", Source: source,
 			Detail: fmt.Sprintf("height %d: %d nonces consumed by %d transactions", ev.Height, ev.NonceDelta, ev.TxCount),
 			Delta:  float64(ev.NonceDelta - int64(ev.TxCount)),

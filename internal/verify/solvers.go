@@ -38,7 +38,7 @@ func (a *Auditor) CheckGBD(cfg *game.Config, res *gbd.Result, eps float64, sourc
 	}
 	for k := 1; k < len(res.LowerBounds); k++ {
 		if res.LowerBounds[k] < res.LowerBounds[k-1]-tol(res.LowerBounds[k-1]) {
-			a.violate(mBoundViol, Violation{
+			a.violate(Violation{
 				Check: "bound-lb-monotone", Source: source,
 				Detail: fmt.Sprintf("LB drops from %.9g to %.9g at iteration %d", res.LowerBounds[k-1], res.LowerBounds[k], k),
 				Delta:  res.LowerBounds[k-1] - res.LowerBounds[k],
@@ -48,7 +48,7 @@ func (a *Auditor) CheckGBD(cfg *game.Config, res *gbd.Result, eps float64, sourc
 	}
 	for k := 1; k < len(res.UpperBounds); k++ {
 		if res.UpperBounds[k] > res.UpperBounds[k-1]+tol(res.UpperBounds[k-1]) {
-			a.violate(mBoundViol, Violation{
+			a.violate(Violation{
 				Check: "bound-ub-monotone", Source: source,
 				Detail: fmt.Sprintf("UB rises from %.9g to %.9g at iteration %d", res.UpperBounds[k-1], res.UpperBounds[k], k),
 				Delta:  res.UpperBounds[k] - res.UpperBounds[k-1],
@@ -59,7 +59,7 @@ func (a *Auditor) CheckGBD(cfg *game.Config, res *gbd.Result, eps float64, sourc
 	for k := 0; k < len(res.LowerBounds) && k < len(res.UpperBounds); k++ {
 		lb, ub := res.LowerBounds[k], res.UpperBounds[k]
 		if lb > ub+tol(ub) {
-			a.violate(mBoundViol, Violation{
+			a.violate(Violation{
 				Check: "bound-inversion", Source: source,
 				Detail: fmt.Sprintf("LB %.9g exceeds UB %.9g at iteration %d", lb, ub, k),
 				Delta:  lb - ub,
@@ -72,7 +72,7 @@ func (a *Auditor) CheckGBD(cfg *game.Config, res *gbd.Result, eps float64, sourc
 		gap = res.UpperBounds[len(res.UpperBounds)-1] - res.LowerBounds[n-1]
 	}
 	if res.Converged && gap > eps+tol(res.Potential) {
-		a.violate(mBoundViol, Violation{
+		a.violate(Violation{
 			Check: "bound-gap", Source: source,
 			Detail: fmt.Sprintf("converged with gap %.6g > ε = %.3g", gap, eps),
 			Delta:  gap - eps,
@@ -83,7 +83,7 @@ func (a *Auditor) CheckGBD(cfg *game.Config, res *gbd.Result, eps float64, sourc
 		ok = false
 	}
 	if n := len(res.LowerBounds); n > 0 && res.Potential != res.LowerBounds[n-1] {
-		a.violate(mBoundViol, Violation{
+		a.violate(Violation{
 			Check: "bound-incumbent", Source: source,
 			Detail: fmt.Sprintf("Result.Potential %.17g differs from final LB %.17g", res.Potential, res.LowerBounds[n-1]),
 			Delta:  math.Abs(res.Potential - res.LowerBounds[n-1]),
@@ -91,7 +91,7 @@ func (a *Auditor) CheckGBD(cfg *game.Config, res *gbd.Result, eps float64, sourc
 		ok = false
 	}
 	if got := cfg.Potential(res.Profile); got != res.Potential {
-		a.violate(mBoundViol, Violation{
+		a.violate(Violation{
 			Check: "potential-consistency", Source: source,
 			Detail: fmt.Sprintf("Potential(Profile) = %.17g but Result.Potential = %.17g", got, res.Potential),
 			Delta:  math.Abs(got - res.Potential),
@@ -131,7 +131,7 @@ func (a *Auditor) CheckDBR(cfg *game.Config, res *dbr.Result, source string) boo
 	ok := a.CheckPotentialMonotone(source+".trace", res.PotentialTrace)
 	if n := len(res.PotentialTrace); n > 0 {
 		if got := cfg.Potential(res.Profile); got != res.PotentialTrace[n-1] {
-			a.violate(mPotentialViol, Violation{
+			a.violate(Violation{
 				Check: "potential-consistency", Source: source,
 				Detail: fmt.Sprintf("Potential(Profile) = %.17g but final trace entry = %.17g", got, res.PotentialTrace[n-1]),
 				Delta:  math.Abs(got - res.PotentialTrace[n-1]),
@@ -143,7 +143,7 @@ func (a *Auditor) CheckDBR(cfg *game.Config, res *dbr.Result, source string) boo
 		last := res.PayoffTrace[n-1]
 		for i, want := range cfg.Payoffs(res.Profile) {
 			if i < len(last) && last[i] != want {
-				a.violate(mPotentialViol, Violation{
+				a.violate(Violation{
 					Check: "payoff-consistency", Source: source,
 					Detail: fmt.Sprintf("org %d final traced payoff %.17g differs from Payoff(Profile) = %.17g", i, last[i], want),
 					Delta:  math.Abs(last[i] - want),

@@ -10,8 +10,7 @@
 //
 //   - Auditor carries the invariant checks. Each check counts into
 //     tradefl_verify_checks_total, records violations (capped) with a
-//     structured log line, and splits violation counters per family so a
-//     dashboard can tell a solver regression from a settlement one.
+//     structured log line; each Violation names its invariant family.
 //   - Enable installs the auditor behind the solver audit hooks
 //     (gbd.SetAuditHook, dbr.SetAuditHook, chain.SetSettlementAudit), so
 //     every Solve and every on-chain payoffCalculate in the process is
@@ -93,7 +92,6 @@ type Auditor struct {
 
 	mu         sync.Mutex
 	violations []Violation
-	worst      float64
 }
 
 // New builds an auditor.
@@ -119,7 +117,6 @@ func (a *Auditor) Violations() []Violation {
 func (a *Auditor) Reset() {
 	a.mu.Lock()
 	a.violations = a.violations[:0]
-	a.worst = 0
 	a.mu.Unlock()
 	a.checks.Store(0)
 	a.count.Store(0)
@@ -141,20 +138,15 @@ func (a *Auditor) begin() {
 	mChecks.Inc()
 }
 
-// violate records one breach under the given family counter.
-func (a *Auditor) violate(family *obs.Counter, v Violation) {
+// violate records one breach; v.Check names its family.
+func (a *Auditor) violate(v Violation) {
 	a.count.Add(1)
 	mViolations.Inc()
-	family.Inc()
 	obs.FlightRecord("verify", "violation", fmt.Sprintf("check=%s source=%s delta=%g detail=%s", v.Check, v.Source, v.Delta, v.Detail))
 	vLog.Warn("invariant violation", "check", v.Check, "source", v.Source, "detail", v.Detail, "delta", v.Delta)
 	a.mu.Lock()
 	if len(a.violations) < maxViolations {
 		a.violations = append(a.violations, v)
-	}
-	if d := math.Abs(v.Delta); d > a.worst {
-		a.worst = d
-		mWorstDelta.Set(d)
 	}
 	a.mu.Unlock()
 }
@@ -171,7 +163,7 @@ func (a *Auditor) CheckPotentialMonotone(source string, trace []float64) bool {
 	worstAt := -1
 	for k, v := range trace {
 		if math.IsNaN(v) {
-			a.violate(mPotentialViol, Violation{
+			a.violate(Violation{
 				Check: "potential-nan", Source: source,
 				Detail: fmt.Sprintf("potential trace entry %d is NaN", k),
 			})
@@ -187,7 +179,7 @@ func (a *Auditor) CheckPotentialMonotone(source string, trace []float64) bool {
 		}
 	}
 	if worstAt >= 0 {
-		a.violate(mPotentialViol, Violation{
+		a.violate(Violation{
 			Check: "potential-monotone", Source: source,
 			Detail: fmt.Sprintf("potential trace drops by %.6g at entry %d (len %d)", worstDrop, worstAt, len(trace)),
 			Delta:  worstDrop,
@@ -214,7 +206,7 @@ func (a *Auditor) CheckTransfers(cfg *game.Config, p game.Profile, source string
 				// negation through (x_j−x_i) = −(x_i−x_j) is exact, so the
 				// antisymmetry must hold to the bit.
 				if rij != -rji {
-					a.violate(mTransferViol, Violation{
+					a.violate(Violation{
 						Check: "transfer-antisymmetry", Source: source,
 						Detail: fmt.Sprintf("r_%d%d = %.17g but r_%d%d = %.17g (ρ symmetric: must negate bit-exactly)", i, j, rij, j, i, rji),
 						Delta:  math.Abs(rij + rji),
@@ -222,7 +214,7 @@ func (a *Auditor) CheckTransfers(cfg *game.Config, p game.Profile, source string
 					ok = false
 				}
 			} else if diff := math.Abs(rij + rji); diff > balanceTol*math.Max(1, math.Abs(rij)) {
-				a.violate(mTransferViol, Violation{
+				a.violate(Violation{
 					Check: "transfer-antisymmetry", Source: source,
 					Detail: fmt.Sprintf("r_%d%d + r_%d%d = %.6g with asymmetric ρ (%.17g vs %.17g)", i, j, j, i, diff, cfg.Rho[i][j], cfg.Rho[j][i]),
 					Delta:  diff,
@@ -236,7 +228,7 @@ func (a *Auditor) CheckTransfers(cfg *game.Config, p game.Profile, source string
 		scale += math.Abs(cfg.Redistribution(i, p))
 	}
 	if sum := cfg.CheckBudgetBalance(p); math.Abs(sum) > balanceTol*math.Max(1, scale) {
-		a.violate(mTransferViol, Violation{
+		a.violate(Violation{
 			Check: "budget-balance", Source: source,
 			Detail: fmt.Sprintf("Σ R_i = %.6g exceeds tolerance %.3g·max(1, %.6g)", sum, balanceTol, scale),
 			Delta:  math.Abs(sum),
@@ -255,7 +247,7 @@ func (a *Auditor) CheckNash(cfg *game.Config, p game.Profile, tol float64, sourc
 	if rep.IsNash {
 		return true
 	}
-	a.violate(mNashViol, Violation{
+	a.violate(Violation{
 		Check: "nash-deviation", Source: source,
 		Detail: fmt.Sprintf("org %d can gain %.6g by deviating (tolerance %.3g)", rep.Deviator, rep.MaxRegret, tol),
 		Delta:  rep.MaxRegret,
@@ -274,7 +266,7 @@ func (a *Auditor) CheckSettlement(params chain.ContractParams, contribs []chain.
 	ok := true
 	n := len(params.Members)
 	if len(contribs) != n || len(payoffs) != n {
-		a.violate(mSettlementViol, Violation{
+		a.violate(Violation{
 			Check: "settlement-shape", Source: source,
 			Detail: fmt.Sprintf("%d members but %d contributions / %d payoffs", n, len(contribs), len(payoffs)),
 		})
@@ -285,7 +277,7 @@ func (a *Auditor) CheckSettlement(params chain.ContractParams, contribs []chain.
 		sum += w
 	}
 	if sum != 0 {
-		a.violate(mSettlementViol, Violation{
+		a.violate(Violation{
 			Check: "settlement-balance", Source: source,
 			Detail: fmt.Sprintf("Σ payoffs = %d wei, want exactly 0", sum),
 			Delta:  float64(sum),
@@ -303,7 +295,7 @@ func (a *Auditor) CheckSettlement(params chain.ContractParams, contribs []chain.
 			tij := params.Gamma * params.Rho[i][j] * (xs[i] - xs[j])
 			tji := params.Gamma * params.Rho[j][i] * (xs[j] - xs[i])
 			if params.Rho[i][j] == params.Rho[j][i] && tij != -tji {
-				a.violate(mSettlementViol, Violation{
+				a.violate(Violation{
 					Check: "settlement-antisymmetry", Source: source,
 					Detail: fmt.Sprintf("t_%d%d = %.17g but t_%d%d = %.17g", i, j, tij, j, i, tji),
 					Delta:  math.Abs(tij + tji),
@@ -325,7 +317,7 @@ func (a *Auditor) CheckSettlement(params chain.ContractParams, contribs []chain.
 	expect[0] -= residual
 	for i, w := range payoffs {
 		if w != expect[i] {
-			a.violate(mSettlementViol, Violation{
+			a.violate(Violation{
 				Check: "settlement-mismatch", Source: source,
 				Detail: fmt.Sprintf("member %d payoff %d wei, independent recomputation says %d wei (residual %d)", i, w, expect[i], residual),
 				Delta:  math.Abs(float64(w - expect[i])),
@@ -346,7 +338,7 @@ func (a *Auditor) CheckEvaluator(cfg *game.Config, ev *game.DeltaEvaluator, p ga
 	ok := true
 	same := func(got, want float64, i int, s game.Strategy, asked string) {
 		if got != want {
-			a.violate(mEvaluatorViol, Violation{
+			a.violate(Violation{
 				Check: "evaluator-mismatch", Source: source,
 				Detail: fmt.Sprintf("org %d at d=%.17g f=%.17g, %s: incremental %.17g, direct %.17g", i, s.D, s.F, asked, got, want),
 				Delta:  math.Abs(got - want),

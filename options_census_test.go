@@ -30,7 +30,6 @@ func TestOptionsCensus(t *testing.T) {
 		"game.GenOptions":          {"N", "Mu", "Gamma", "CPUSteps", "Epochs", "EnergyW", "Seed", "Accuracy", "NoOrgName"},
 		"gbd.Options":              {"Epsilon", "MaxIter", "Master", "Workers"},
 		"optimize.PGOptions":       {"MaxIter", "Tol", "Step0"},
-		"repeated.SimulateOptions": {"Stages", "Delta", "Defector", "DefectionStage", "Analysis"},
 		"serve.Options":            {"Runners", "QueueDepth", "TenantActive", "TenantRate", "Limits", "JobTimeout", "DumpWriter"},
 	}
 	got := map[string][]string{}

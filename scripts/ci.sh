@@ -18,9 +18,6 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
-echo "==> go test -race ./internal/obs (telemetry fast gate)"
-go test -race ./internal/obs/
-
 echo "==> engine-equivalence fast gate (evaluator and solvers vs from-scratch references under -race + 1-iteration bench smoke)"
 # The exactness contract of the one evaluation path: DeltaEvaluator vs
 # Config.Payoff (plus fuzz seed corpus), the DBR engine and Solve vs the
@@ -108,7 +105,7 @@ for _ in $(seq 1 50); do
 done
 [ "$up" -eq 1 ] || { echo "diag smoke: /healthz never became healthy"; exit 1; }
 metrics="$(curl -fsS "http://$DIAG_ADDR/metrics")"
-for name in tradefl_gbd_iterations_total tradefl_dbr_rounds_total tradefl_fl_round_accuracy; do
+for name in tradefl_gbd_iterations_total tradefl_dbr_rounds_total tradefl_fl_rounds_total; do
   echo "$metrics" | grep -q "^$name " || { echo "diag smoke: $name missing from /metrics"; exit 1; }
 done
 echo "$metrics" | grep -q '^tradefl_dbr_rounds_total [1-9]' \
