@@ -1,25 +1,35 @@
-// Command tradefl-org is one organization's settlement client: it connects
-// to a tradefl-chain node over JSON-RPC and walks the Fig. 3 lifecycle for
-// its own account — depositSubmit → contributionSubmit → payoffCalculate →
-// payoffTransfer → profileRecord — polling the contract status between
-// phases so any number of tradefl-org processes can settle concurrently.
+// Command tradefl-org is one organization of a TradeFL deployment. It
+// best-responds in the DBR token ring (Algorithm 2) over TCP with its
+// peers, with no central server, and then walks the Fig. 3 lifecycle for
+// its own account on a tradefl-chain node over JSON-RPC — depositSubmit →
+// contributionSubmit → payoffCalculate → payoffTransfer → profileRecord —
+// reporting the strategy the ring decided and polling the contract status
+// between phases, so every organization settles concurrently.
 //
-// Usage (after starting `tradefl-chain -listen 127.0.0.1:8545 -seed 7`):
+// One process per organization (after `tradefl-chain -listen
+// 127.0.0.1:8545 -seed 7`), listening on its own -peers entry:
 //
-//	tradefl-org -rpc 127.0.0.1:8545 -seed 7 -index 3            # solve + settle
-//	tradefl-org -rpc 127.0.0.1:8545 -seed 7 -index 3 -d 0.4 -f 4e9
+//	tradefl-org -seed 7 -index 3 -peers ":7000,:7001,...,:7009" -rpc 127.0.0.1:8545
 //
-// The account and the deposit come from chain.NewSettlement of the shared
-// seed, the settlement the chain node deploys.
+// The whole deployment in one process, on an in-memory chain node:
+//
+//	tradefl-org -local -seed 7
+//
+// The game, the accounts and the deposits derive from the shared seed, as
+// chain.NewSettlement derives them for the chain node.
 package main
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
+	"os"
 	"strings"
 	"time"
 
@@ -28,6 +38,7 @@ import (
 	"tradefl/internal/dbr"
 	"tradefl/internal/game"
 	"tradefl/internal/obs"
+	"tradefl/internal/transport"
 )
 
 const (
@@ -35,61 +46,172 @@ const (
 	pollInterval = 500 * time.Millisecond
 	// settleTimeout bounds the whole lifecycle.
 	settleTimeout = 2 * time.Minute
+	// ringTimeout bounds the ring, from start to agreement.
+	ringTimeout = 2 * time.Minute
+	// tokenTimeout arms the ring's token-timeout crash recovery.
+	tokenTimeout = 10 * time.Second
+	// ringBuffer is a ring endpoint's inbound frame buffer.
+	ringBuffer = 16
 )
 
 func main() { cli.Main("tradefl-org", run) }
 
 func run(args []string) error { return command().Exec(args) }
 
-// command is tradefl-org's flags and body.
+// command is tradefl-org's flags and body. Conflicting or malformed mode
+// flags are rejected before any network I/O.
 func command() cli.Command {
 	fs := flag.NewFlagSet("tradefl-org", flag.ContinueOnError)
 	rpc := fs.String("rpc", "127.0.0.1:8545", "chain node RPC address")
 	seed := fs.Int64("seed", 7, "shared seed of the game instance and accounts")
 	index := fs.Int("index", -1, "this organization's index")
-	d := fs.Float64("d", -1, "data fraction to report, with -f (default: solve with DBR)")
-	f := fs.Float64("f", -1, "CPU frequency to report, with -d (default: solve with DBR)")
+	peers := fs.String("peers", "", "comma-separated ring addresses of every organization, in index order")
+	listen := fs.String("listen", "", "ring listen address (default: this organization's -peers entry)")
+	local := fs.Bool("local", false, "run every organization and an in-memory chain node in this process")
 	commit := fs.Bool("commit", false, "use commit-reveal contribution reporting (all members must)")
 	return cli.Command{Flags: fs, Verify: true, Run: func(ctx context.Context, _ *obs.DiagServer) error {
-		if (*d < 0) != (*f < 0) {
-			return errors.New("-d and -f report one contribution: give both or neither")
-		}
-		return settle(ctx, *rpc, *seed, *index, game.Strategy{D: *d, F: *f}, *commit)
-	}}
-}
-
-// settle walks the Fig. 3 lifecycle for organization index, reporting
-// strategy, or the DBR equilibrium's strategy when strategy is negative.
-// SIGINT/SIGTERM (ctx) aborts it between polls; every phase is idempotent
-// (isAlready), so a re-run resumes where this one stopped.
-func settle(ctx context.Context, rpc string, seed int64, index int, strategy game.Strategy, commit bool) error {
-	cfg, err := game.DefaultConfig(game.GenOptions{Seed: seed})
-	if err != nil {
-		return err
-	}
-	if index < 0 || index >= cfg.N() {
-		return fmt.Errorf("-index %d out of range [0,%d)", index, cfg.N())
-	}
-
-	// The chain node deployed this settlement from the same seed.
-	gen, err := chain.NewSettlement(cfg, seed)
-	if err != nil {
-		return err
-	}
-	acct, dep := gen.Accounts[index], gen.Deposits[index]
-	fmt.Printf("organization %d: address %s\n", index, acct.Address())
-
-	// Decide the contribution: flags, or the DBR equilibrium (parameters
-	// are common knowledge and the dynamics deterministic, so every
-	// organization computes the same profile).
-	if strategy.D < 0 {
-		res, err := dbr.Solve(cfg, nil, dbr.Options{})
+		cfg, err := game.DefaultConfig(game.GenOptions{Seed: *seed})
 		if err != nil {
 			return err
 		}
-		strategy = res.Profile[index]
-		fmt.Printf("solved equilibrium: d=%.4f f=%.2f GHz\n", strategy.D, strategy.F/1e9)
+		gen, err := chain.NewSettlement(cfg, *seed)
+		if err != nil {
+			return err
+		}
+		if *local {
+			var stray string
+			fs.Visit(func(f *flag.Flag) {
+				if f.Name == "index" || f.Name == "peers" || f.Name == "listen" || f.Name == "rpc" {
+					stray = f.Name
+				}
+			})
+			if stray != "" {
+				return fmt.Errorf("-local runs every organization on its own chain node: -%s does not apply", stray)
+			}
+			_, err := runLocal(ctx, os.Stdout, cfg, gen, *commit)
+			return err
+		}
+		if *peers == "" {
+			return errors.New("give -index and -peers (one organization) or -local (all of them)")
+		}
+		addrs := strings.Split(*peers, ",")
+		if len(addrs) != cfg.N() {
+			return fmt.Errorf("-peers has %d entries, want %d", len(addrs), cfg.N())
+		}
+		if *index < 0 || *index >= cfg.N() {
+			return fmt.Errorf("-index %d out of range [0,%d)", *index, cfg.N())
+		}
+		addr := *listen
+		if addr == "" {
+			addr = strings.TrimSpace(addrs[*index])
+		}
+		names := dbr.PeerNames(cfg.N())
+		tcp, err := transport.NewTCPNode(names[*index], addr, ringBuffer)
+		if err != nil {
+			return err
+		}
+		defer tcp.Close()
+		for i, peer := range addrs {
+			tcp.RegisterPeer(names[i], strings.TrimSpace(peer))
+		}
+		return member(ctx, os.Stdout, cfg, gen, *index, tcp, *rpc, *commit)
+	}}
+}
+
+// runLocal runs the whole deployment in this process: a chain node built as
+// tradefl-chain builds one, serving RPC on loopback, and one goroutine per
+// organization running member over its own loopback TCP node. Each
+// organization writes to its own buffer; w gets the buffers in index order,
+// then the contract status. The chain is returned for inspection.
+func runLocal(ctx context.Context, w io.Writer, cfg *game.Config, gen *chain.Settlement, commit bool) (_ *chain.Blockchain, err error) {
+	bc, err := chain.NewBlockchain(gen.Authority, gen.Params, gen.Alloc)
+	if err != nil {
+		return nil, err
 	}
+	srv, err := chain.NewServer(bc, "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve() }()
+	defer func() {
+		// A pooled connection a client dialled but never used would hold
+		// the server's graceful Close for its whole 5 s deadline.
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+		err = errors.Join(err, srv.Close(), <-served)
+	}()
+	fmt.Fprintln(w, "chain node: RPC on", srv.Addr())
+
+	mesh, err := transport.LoopbackMesh(dbr.PeerNames(cfg.N()), ringBuffer)
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]bytes.Buffer, len(mesh))
+	done := make(chan error, len(mesh))
+	for i, tcp := range mesh {
+		defer tcp.Close()
+		go func() {
+			err := member(ctx, &outs[i], cfg, gen, i, tcp, srv.Addr(), commit)
+			if err != nil {
+				err = fmt.Errorf("organization %d: %w", i, err)
+			}
+			done <- err
+		}()
+	}
+	for range mesh {
+		err = errors.Join(err, <-done)
+	}
+	for i := range outs {
+		outs[i].WriteTo(w)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := bc.VerifyChain(); err != nil {
+		return nil, fmt.Errorf("chain verification: %w", err)
+	}
+	status, err := chain.NewClient(srv.Addr()).Status()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "contract status: %+v\nchain verified\n", status)
+	return bc, nil
+}
+
+// member is one organization: its node of the DBR ring over tcp, whose
+// peers are registered, then the Fig. 3 lifecycle against rpc with the
+// strategy the ring decided. Organization 0 injects the token only once
+// every peer accepts connections: the ring skips a peer it cannot reach and
+// freezes that peer's strategy.
+func member(ctx context.Context, w io.Writer, cfg *game.Config, gen *chain.Settlement, index int, tcp *transport.TCPNode, rpc string, commit bool) error {
+	node, err := dbr.NewNode(cfg, index, tcp, dbr.PeerNames(cfg.N()), dbr.Options{TokenTimeout: tokenTimeout})
+	if err != nil {
+		return err
+	}
+	ringCtx, cancel := context.WithTimeout(ctx, ringTimeout)
+	defer cancel()
+	if index == 0 {
+		if err := tcp.AwaitPeers(ringCtx); err != nil {
+			return err
+		}
+		if err := node.Start(ringCtx); err != nil {
+			return err
+		}
+	}
+	profile, err := node.Run(ringCtx)
+	if err != nil {
+		return fmt.Errorf("ring: %w", err)
+	}
+	return settle(ctx, w, rpc, gen, index, profile[index], commit)
+}
+
+// settle walks the Fig. 3 lifecycle for organization index, reporting
+// strategy. SIGINT/SIGTERM (ctx) aborts it between polls; every phase is
+// idempotent (chain.IsAlready), so a re-run resumes where this one stopped.
+func settle(ctx context.Context, w io.Writer, rpc string, gen *chain.Settlement, index int, strategy game.Strategy, commit bool) error {
+	acct, dep := gen.Accounts[index], gen.Deposits[index]
+	fmt.Fprintf(w, "organization %d: address %s, ring equilibrium d=%.4f f=%.2f GHz\n",
+		index, acct.Address(), strategy.D, strategy.F/1e9)
 
 	client := chain.NewClient(rpc)
 	deadline := time.Now().Add(settleTimeout)
@@ -158,10 +280,10 @@ func settle(ctx context.Context, rpc string, seed int64, index int, strategy gam
 	}
 
 	// Phase 1: deposit the bond.
-	if err := send(chain.FnDepositSubmit, nil, dep); err != nil && !isAlready(err) {
+	if err := send(chain.FnDepositSubmit, nil, dep); err != nil && !chain.IsAlready(err) {
 		return fmt.Errorf("deposit: %w", err)
 	}
-	fmt.Printf("deposited %v tokens\n", chain.FromWei(dep))
+	fmt.Fprintf(w, "deposited %v tokens\n", chain.FromWei(dep))
 
 	// Phase 2: once everyone registered, report the contribution.
 	if err := waitFor("registrations", func(st chain.ContractStatus) bool {
@@ -179,18 +301,15 @@ func settle(ctx context.Context, rpc string, seed int64, index int, strategy gam
 		}
 		salt := hex.EncodeToString(saltBytes)
 		ca := chain.CommitArgs{Hash: chain.CommitmentHash(contrib, salt)}
-		if err := send(chain.FnContributionCommit, ca, 0); err != nil && !isAlready(err) {
+		if err := send(chain.FnContributionCommit, ca, 0); err != nil && !chain.IsAlready(err) {
 			return fmt.Errorf("commit: %w", err)
 		}
-		fmt.Println("contribution committed")
-		reveal := func() error {
-			return send(chain.FnContributionReveal, chain.RevealArgs{Contribution: contrib, Salt: salt}, 0)
-		}
+		fmt.Fprintln(w, "contribution committed")
 		// Reveal is rejected until the last commitment lands; retry on the
 		// poll cadence.
 		for {
-			err := reveal()
-			if err == nil || isAlready(err) {
+			err := send(chain.FnContributionReveal, chain.RevealArgs{Contribution: contrib, Salt: salt}, 0)
+			if err == nil || chain.IsAlready(err) {
 				break
 			}
 			if !strings.Contains(err.Error(), "committed") {
@@ -203,12 +322,12 @@ func settle(ctx context.Context, rpc string, seed int64, index int, strategy gam
 				return werr
 			}
 		}
-		fmt.Println("contribution revealed")
+		fmt.Fprintln(w, "contribution revealed")
 	} else {
-		if err := send(chain.FnContributionSubmit, contrib, 0); err != nil && !isAlready(err) {
+		if err := send(chain.FnContributionSubmit, contrib, 0); err != nil && !chain.IsAlready(err) {
 			return fmt.Errorf("submit: %w", err)
 		}
-		fmt.Println("contribution submitted")
+		fmt.Fprintln(w, "contribution submitted")
 	}
 
 	// Phase 3: calculate (idempotent; any member may win the race),
@@ -218,17 +337,17 @@ func settle(ctx context.Context, rpc string, seed int64, index int, strategy gam
 	}); err != nil {
 		return err
 	}
-	if err := send(chain.FnPayoffCalculate, nil, 0); err != nil && !isAlready(err) {
+	if err := send(chain.FnPayoffCalculate, nil, 0); err != nil && !chain.IsAlready(err) {
 		return fmt.Errorf("calculate: %w", err)
 	}
 	before, err := client.Balance(acct.Address())
 	if err != nil {
 		return err
 	}
-	if err := send(chain.FnPayoffTransfer, nil, 0); err != nil && !isAlready(err) {
+	if err := send(chain.FnPayoffTransfer, nil, 0); err != nil && !chain.IsAlready(err) {
 		return fmt.Errorf("transfer: %w", err)
 	}
-	if err := send(chain.FnProfileRecord, nil, 0); err != nil && !isAlready(err) {
+	if err := send(chain.FnProfileRecord, nil, 0); err != nil && !chain.IsAlready(err) {
 		return fmt.Errorf("record: %w", err)
 	}
 	after, err := client.Balance(acct.Address())
@@ -238,20 +357,7 @@ func settle(ctx context.Context, rpc string, seed int64, index int, strategy gam
 	if err := client.VerifyChain(); err != nil {
 		return fmt.Errorf("chain verification: %w", err)
 	}
-	fmt.Printf("settled: received %v tokens (deposit %v + redistribution %+v)\n",
+	fmt.Fprintf(w, "settled: received %v tokens (deposit %v + redistribution %+v)\n",
 		chain.FromWei(after-before), chain.FromWei(dep), chain.FromWei(after-before-dep))
 	return nil
-}
-
-// isAlready matches the idempotency errors a retried phase produces so a
-// restarted client can resume mid-lifecycle.
-func isAlready(err error) bool {
-	if err == nil {
-		return false
-	}
-	msg := err.Error()
-	return errors.Is(err, chain.ErrAlreadyRegistered) ||
-		errors.Is(err, chain.ErrAlreadySubmitted) ||
-		errors.Is(err, chain.ErrAlreadySettled) ||
-		strings.Contains(msg, "already")
 }

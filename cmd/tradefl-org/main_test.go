@@ -1,17 +1,21 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"io"
+	"net"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	"tradefl/internal/chain"
+	"tradefl/internal/dbr"
 	"tradefl/internal/game"
 )
 
@@ -26,8 +30,8 @@ func TestFlagSet(t *testing.T) {
 	var got []string
 	c.Flags.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
-		"commit", "d", "diag-addr", "f", "index", "log-format", "log-level", "rpc",
-		"seed", "trace-out", "verify",
+		"commit", "diag-addr", "index", "listen", "local", "log-format", "log-level",
+		"peers", "rpc", "seed", "trace-out", "verify",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags = %v\nwant    %v", got, want)
@@ -35,11 +39,13 @@ func TestFlagSet(t *testing.T) {
 }
 
 // TestIncrementalFlagIsGone: the switch of the solvers' old second
-// evaluation path, and every setting that had one value in use (now a
-// constant), are unknown flags.
+// evaluation path, every setting that had one value in use (now a
+// constant), and -d/-f (the ring decides the contribution) are unknown
+// flags.
 func TestIncrementalFlagIsGone(t *testing.T) {
 	for _, name := range []string{
 		"incremental", "poll", "timeout", "rpc-timeout", "rpc-retries",
+		"recovery", "suspect-after", "send-retries", "send-backoff", "d", "f",
 	} {
 		c := command()
 		c.Flags.SetOutput(io.Discard)
@@ -50,24 +56,34 @@ func TestIncrementalFlagIsGone(t *testing.T) {
 	}
 }
 
-// TestContributionNeedsBothFlags: -d without -f (or the reverse) would
-// silently fall back to solving DBR, so it is rejected before any RPC.
-func TestContributionNeedsBothFlags(t *testing.T) {
-	for _, args := range [][]string{{"-d", "0.4"}, {"-f", "4e9"}} {
-		err := run(append(args, "-rpc", "127.0.0.1:1", "-index", "0"))
-		if err == nil || !strings.Contains(err.Error(), "give both or neither") {
-			t.Errorf("run %v: err = %v, want the both-or-neither error", args, err)
+// TestModeFlagsRejected: conflicting or malformed mode flags fail before
+// any network I/O (nothing listens on the addresses given).
+func TestModeFlagsRejected(t *testing.T) {
+	ten := strings.TrimSuffix(strings.Repeat("127.0.0.1:1,", 10), ",")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "give -index and -peers"},
+		{[]string{"-index", "0"}, "give -index and -peers"},
+		{[]string{"-local", "-peers", ten}, "-peers does not apply"},
+		{[]string{"-local", "-index", "0"}, "-index does not apply"},
+		{[]string{"-local", "-rpc", "127.0.0.1:1"}, "-rpc does not apply"},
+		{[]string{"-local", "-listen", "127.0.0.1:1"}, "-listen does not apply"},
+		{[]string{"-index", "0", "-peers", "127.0.0.1:1,127.0.0.1:2"}, "-peers has 2 entries, want 10"},
+		{[]string{"-index", "10", "-peers", ten}, "-index 10 out of range"},
+		{[]string{"-peers", ten}, "-index -1 out of range"},
+	} {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run %q: err = %v, want %q", tc.args, err, tc.want)
 		}
 	}
 }
 
-// TestOrgsSettleAgainstNode runs every organization of a seed's game
-// against the node tradefl-chain builds for that seed (chain.NewSettlement
-// over DefaultConfig), concurrently, each solving its own DBR strategy. Every
-// lifecycle must finish, the contract must settle, and the transfers must
-// sum to 0 wei.
-func TestOrgsSettleAgainstNode(t *testing.T) {
-	const seed = 7
+// solved is seed's game, its settlement and the central DBR profile the
+// ring must reproduce bit for bit.
+func solved(t *testing.T, seed int64) (*game.Config, *chain.Settlement, game.Profile) {
+	t.Helper()
 	cfg, err := game.DefaultConfig(game.GenOptions{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
@@ -76,6 +92,69 @@ func TestOrgsSettleAgainstNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := dbr.Solve(cfg, nil, dbr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg, gen, ref.Profile
+}
+
+// checkSettled requires the contract on bc to be settled with every
+// member's recorded contribution equal to want's strategy bit for bit, and
+// the transfers to sum to 0 wei.
+func checkSettled(t *testing.T, bc *chain.Blockchain, gen *chain.Settlement, want game.Profile) {
+	t.Helper()
+	if err := bc.ContractView(func(c *chain.Contract) error {
+		if !c.Settled {
+			t.Error("contract not settled")
+		}
+		for i, m := range gen.Params.Members {
+			got := c.MemberData[m].Contribution
+			if got.D != want[i].D || got.F != want[i].F {
+				t.Errorf("organization %d recorded %+v, want dbr.Solve's %+v", i, got, want[i])
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var sum chain.Wei
+	for _, m := range gen.Params.Members {
+		sum += bc.Balance(m) - gen.Alloc[m]
+	}
+	if sum != 0 {
+		t.Errorf("transfers sum to %d wei, want 0", sum)
+	}
+}
+
+// TestOrgsSettleAgainstNode runs -local on seed 7, with direct and with
+// commit-reveal reporting: every organization's ring-decided contribution
+// lands on the chain node tradefl-chain builds for that seed.
+func TestOrgsSettleAgainstNode(t *testing.T) {
+	const seed = 7
+	cfg, gen, want := solved(t, seed)
+	for _, commit := range []bool{false, true} {
+		var out bytes.Buffer
+		bc, err := runLocal(context.Background(), &out, cfg, gen, commit)
+		if err != nil {
+			t.Fatalf("commit=%v: %v", commit, err)
+		}
+		checkSettled(t, bc, gen, want)
+		for _, line := range []string{"Settled:true", "chain verified"} {
+			if !strings.Contains(out.String(), line) {
+				t.Errorf("commit=%v: output lacks %q:\n%s", commit, line, out.String())
+			}
+		}
+	}
+}
+
+// TestLatePeerSettles runs one organization per run call, as separate
+// processes would, with the last one binding its ring address 2.5 s after
+// the rest. Organization 0 must wait for it rather than skip it, so the
+// settled profile is still the central equilibrium.
+func TestLatePeerSettles(t *testing.T) {
+	const seed = 7
+	cfg, gen, want := solved(t, seed)
 	bc, err := chain.NewBlockchain(gen.Authority, gen.Params, gen.Alloc)
 	if err != nil {
 		t.Fatal(err)
@@ -87,41 +166,37 @@ func TestOrgsSettleAgainstNode(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve() }()
 	defer func() {
-		// A pooled connection the clients dialled but never used would hold
-		// the server's graceful Close for its whole 5 s deadline.
 		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		if err := errors.Join(srv.Close(), <-served); err != nil {
 			t.Errorf("server: %v", err)
 		}
 	}()
 
-	errs := make([]error, cfg.N())
-	var wg sync.WaitGroup
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = settle(context.Background(), srv.Addr(), seed, i, game.Strategy{D: -1, F: -1}, false)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	// Reserve one free loopback port per organization.
+	addrs := make([]string, cfg.N())
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.Errorf("organization %d: %v", i, err)
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	peers := strings.Join(addrs, ",")
+	late := cfg.N() - 1
+	done := make(chan error, cfg.N())
+	for i := range addrs {
+		go func() {
+			if i == late {
+				time.Sleep(2500 * time.Millisecond)
+			}
+			done <- run([]string{"-index", strconv.Itoa(i), "-peers", peers, "-rpc", srv.Addr(), "-seed", strconv.Itoa(seed)})
+		}()
+	}
+	for range addrs {
+		if err := <-done; err != nil {
+			t.Error(err)
 		}
 	}
-	var settled bool
-	if err := bc.ContractView(func(c *chain.Contract) error {
-		settled = c.Settled
-		return nil
-	}); err != nil || !settled {
-		t.Errorf("contract settled = %v (err %v), want true", settled, err)
-	}
-	var sum chain.Wei
-	for _, m := range gen.Params.Members {
-		sum += bc.Balance(m) - gen.Alloc[m]
-	}
-	if sum != 0 {
-		t.Errorf("transfers sum to %d wei, want 0", sum)
-	}
+	checkSettled(t, bc, gen, want)
 }

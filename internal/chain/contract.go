@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 )
 
 // Contract errors callers can match with errors.Is.
@@ -20,6 +21,17 @@ var (
 	ErrUnknownFunction    = errors.New("contract: unknown function")
 	ErrBadArgs            = errors.New("contract: bad arguments")
 )
+
+// IsAlready reports whether err rejects a lifecycle phase the caller has
+// already completed (ErrAlreadyRegistered, ErrAlreadyCommitted,
+// ErrAlreadySubmitted, ErrAlreadySettled), so a retried or restarted
+// member can move on. Admission never runs the contract: a contract
+// rejection reaches the member only as its sealed receipt's text, where
+// errors.Is cannot find the sentinel. So the check is the word the
+// sentinels' messages share.
+func IsAlready(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "already")
+}
 
 // ContractParams are the immutable trading parameters baked into the
 // contract at deployment: everything payoffCalculate needs to evaluate

@@ -288,65 +288,19 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 // runRing executes the distributed DBR protocol over injector-wrapped TCP
 // nodes and returns the agreed profile.
 func runRing(ctx context.Context, cfg *game.Config, opts Options, inj *faults.Injector) (game.Profile, error) {
-	n := cfg.N()
-	names := make([]string, n)
-	tcp := make([]*transport.TCPNode, n)
-	for i := 0; i < n; i++ {
-		names[i] = fmt.Sprintf("org-%d", i)
-		node, err := transport.NewTCPNode(names[i], "127.0.0.1:0", n+4)
-		if err != nil {
-			return nil, err
-		}
-		tcp[i] = node
-	}
-	defer func() {
-		for _, node := range tcp {
-			_ = node.Close()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			tcp[i].RegisterPeer(names[j], tcp[j].Addr())
-		}
-	}
-	nodes := make([]*dbr.Node, n)
-	for i := 0; i < n; i++ {
-		node, err := dbr.NewNode(cfg, i, inj.Wrap(tcp[i]), names, dbr.Options{
-			TokenTimeout: opts.TokenTimeout,
-			SuspectAfter: opts.SuspectAfter,
-		})
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = node
-	}
-	results := make([]game.Profile, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = nodes[i].Run(ctx)
-		}(i)
-	}
-	if err := nodes[0].StartCtx(ctx); err != nil {
+	tcp, err := transport.LoopbackMesh(dbr.PeerNames(cfg.N()), cfg.N()+4)
+	if err != nil {
 		return nil, err
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", i, err)
-		}
+	trs := make([]transport.Transport, len(tcp))
+	for i, node := range tcp {
+		defer node.Close()
+		trs[i] = inj.Wrap(node)
 	}
-	for i := 1; i < n; i++ {
-		for k := range results[i] {
-			if results[i][k] != results[0][k] {
-				return nil, fmt.Errorf("node %d disagrees with node 0 at org %d", i, k)
-			}
-		}
-	}
-	return results[0], nil
+	return dbr.RunRing(ctx, cfg, trs, dbr.Options{
+		TokenTimeout: opts.TokenTimeout,
+		SuspectAfter: opts.SuspectAfter,
+	})
 }
 
 // runSettlement drives every member's Fig. 3 lifecycle concurrently
@@ -524,7 +478,7 @@ func settleMember(ctx context.Context, client *chain.Client, batcher *chain.Batc
 		}
 	}
 
-	if err := send(chain.FnDepositSubmit, nil, dep); err != nil && !isAlready(err) {
+	if err := send(chain.FnDepositSubmit, nil, dep); err != nil && !chain.IsAlready(err) {
 		return fmt.Errorf("deposit: %w", err)
 	}
 	if err := waitFor("registrations", func(st chain.ContractStatus) bool {
@@ -533,7 +487,7 @@ func settleMember(ctx context.Context, client *chain.Client, batcher *chain.Batc
 		return err
 	}
 	contrib := chain.Contribution{D: strat.D, F: strat.F}
-	if err := send(chain.FnContributionSubmit, contrib, 0); err != nil && !isAlready(err) {
+	if err := send(chain.FnContributionSubmit, contrib, 0); err != nil && !chain.IsAlready(err) {
 		return fmt.Errorf("submit: %w", err)
 	}
 	if err := waitFor("submissions", func(st chain.ContractStatus) bool {
@@ -541,28 +495,16 @@ func settleMember(ctx context.Context, client *chain.Client, batcher *chain.Batc
 	}); err != nil {
 		return err
 	}
-	if err := send(chain.FnPayoffCalculate, nil, 0); err != nil && !isAlready(err) {
+	if err := send(chain.FnPayoffCalculate, nil, 0); err != nil && !chain.IsAlready(err) {
 		return fmt.Errorf("calculate: %w", err)
 	}
-	if err := send(chain.FnPayoffTransfer, nil, 0); err != nil && !isAlready(err) {
+	if err := send(chain.FnPayoffTransfer, nil, 0); err != nil && !chain.IsAlready(err) {
 		return fmt.Errorf("transfer: %w", err)
 	}
-	if err := send(chain.FnProfileRecord, nil, 0); err != nil && !isAlready(err) {
+	if err := send(chain.FnProfileRecord, nil, 0); err != nil && !chain.IsAlready(err) {
 		return fmt.Errorf("record: %w", err)
 	}
 	return nil
-}
-
-// isAlready matches the idempotency rejections of a retried or racing
-// lifecycle phase (same contract semantics cmd/tradefl-org relies on).
-func isAlready(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, chain.ErrAlreadyRegistered) ||
-		errors.Is(err, chain.ErrAlreadySubmitted) ||
-		errors.Is(err, chain.ErrAlreadySettled) ||
-		strings.Contains(err.Error(), "already")
 }
 
 // ParseSpec parses a -chaos specification: comma-separated key=value

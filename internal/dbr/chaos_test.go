@@ -18,59 +18,22 @@ import (
 func runFaultyRing(t *testing.T, cfg *game.Config, opts Options, inj *faults.Injector) game.Profile {
 	t.Helper()
 	hub := transport.NewHub()
-	n := cfg.N()
-	peers := make([]string, n)
-	for i := range peers {
-		peers[i] = fmt.Sprintf("org-%d", i)
-	}
-	nodes := make([]*Node, n)
-	trs := make([]transport.Transport, n)
-	for i := 0; i < n; i++ {
-		ep, err := hub.Endpoint(peers[i], n+2)
+	trs := make([]transport.Transport, cfg.N())
+	for i, name := range PeerNames(cfg.N()) {
+		ep, err := hub.Endpoint(name, cfg.N()+2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		trs[i] = ep
-		node, err := NewNode(cfg, i, inj.Wrap(ep), peers, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
+		defer ep.Close()
+		trs[i] = inj.Wrap(ep)
 	}
-	defer func() {
-		for _, tr := range trs {
-			_ = tr.Close()
-		}
-	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	results := make([]game.Profile, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = nodes[i].Run(ctx)
-		}(i)
-	}
-	if err := nodes[0].Start(); err != nil {
+	profile, err := RunRing(ctx, cfg, trs, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-	}
-	for i := 1; i < n; i++ {
-		for k := range results[i] {
-			if results[i][k] != results[0][k] {
-				t.Fatalf("node %d disagrees with node 0 at org %d", i, k)
-			}
-		}
-	}
-	return results[0]
+	return profile
 }
 
 // TestRingConvergesUnderMessageLoss drops a quarter of all token traffic
@@ -192,7 +155,7 @@ func TestRingSkipsPeerAfterSuspectBudget(t *testing.T) {
 			results[i], errs[i] = nodes[i].Run(ctx)
 		}(i)
 	}
-	if err := nodes[0].Start(); err != nil {
+	if err := nodes[0].Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -104,13 +105,10 @@ func NewNode(cfg *game.Config, index int, tr transport.Transport, peers []string
 	return &Node{cfg: cfg, index: index, tr: tr, peers: peers, opts: opts}, nil
 }
 
-// Start injects the initial token; call it on exactly one node (by
-// convention, node 0) after all nodes are running.
-func (n *Node) Start() error { return n.StartCtx(context.Background()) }
-
-// StartCtx injects the initial token carrying the trace context of ctx, so
-// every ring hop continues the caller's trace across the transport.
-func (n *Node) StartCtx(ctx context.Context) error {
+// Start injects the initial token carrying the trace context of ctx, so
+// every ring hop continues the caller's trace across the transport. Call it
+// on exactly one node (by convention, node 0).
+func (n *Node) Start(ctx context.Context) error {
 	start := n.cfg.MinimalProfile()
 	payload, err := json.Marshal(TokenPayload{Profile: start, Seq: 1})
 	if err != nil {
@@ -320,65 +318,81 @@ func (n *Node) broadcastDone(tok TokenPayload) error {
 	return nil
 }
 
-// SolveDistributed runs the full protocol in-process over an in-memory hub:
-// one goroutine per organization, token ring until convergence. It returns
-// the common equilibrium profile and verifies all nodes agreed.
-func SolveDistributed(ctx context.Context, cfg *game.Config, opts Options) (game.Profile, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("dbr distributed: %w", err)
+// PeerNames returns the endpoint names org-0 … org-(n-1) that a ring of n
+// organizations addresses each other by.
+func PeerNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("org-%d", i)
 	}
-	hub := transport.NewHub()
-	n := cfg.N()
-	peers := make([]string, n)
-	for i := range peers {
-		peers[i] = fmt.Sprintf("org-%d", i)
+	return names
+}
+
+// RunRing runs the protocol with one Node per endpoint, concurrently:
+// trs[i] is organization i's transport, and its Name is the peer name the
+// other nodes address it by. Node 0 injects the token carrying ctx's trace.
+// RunRing returns once every node has returned, with the profile they all
+// agreed on; the caller owns and closes trs.
+func RunRing(ctx context.Context, cfg *game.Config, trs []transport.Transport, opts Options) (game.Profile, error) {
+	if len(trs) == 0 || len(trs) != cfg.N() {
+		return nil, fmt.Errorf("dbr ring: %d endpoints for %d organizations", len(trs), cfg.N())
 	}
-	nodes := make([]*Node, n)
-	trs := make([]transport.Transport, n)
-	for i := 0; i < n; i++ {
-		tr, err := hub.Endpoint(peers[i], n+2)
-		if err != nil {
-			return nil, err
-		}
-		trs[i] = tr
+	peers := make([]string, len(trs))
+	for i, tr := range trs {
+		peers[i] = tr.Name()
+	}
+	nodes := make([]*Node, len(trs))
+	for i, tr := range trs {
 		node, err := NewNode(cfg, i, tr, peers, opts)
 		if err != nil {
 			return nil, err
 		}
 		nodes[i] = node
 	}
-	defer func() {
-		for _, tr := range trs {
-			_ = tr.Close()
-		}
-	}()
-
-	results := make([]game.Profile, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = nodes[i].Run(ctx)
-		}(i)
-	}
-	if err := nodes[0].StartCtx(ctx); err != nil {
+	// The token waits in node 0's inbox until its node runs.
+	if err := nodes[0].Start(ctx); err != nil {
 		return nil, err
+	}
+	results := make([]game.Profile, len(nodes))
+	errs := make([]error, len(nodes))
+	var wg sync.WaitGroup
+	for i, node := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = node.Run(ctx)
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("dbr distributed: node %d: %w", i, err)
+			return nil, fmt.Errorf("node %d: %w", i, err)
 		}
 	}
-	// All nodes must have converged to the same profile.
-	for i := 1; i < n; i++ {
-		for k := range results[i] {
-			if results[i][k] != results[0][k] {
-				return nil, fmt.Errorf("dbr distributed: node %d disagrees at org %d", i, k)
-			}
+	for i := 1; i < len(results); i++ {
+		if !slices.Equal(results[i], results[0]) {
+			return nil, fmt.Errorf("node %d disagrees with node 0", i)
 		}
 	}
 	return results[0], nil
+}
+
+// SolveDistributed runs the full protocol in-process over an in-memory hub,
+// one goroutine per organization, and returns the agreed profile.
+func SolveDistributed(ctx context.Context, cfg *game.Config, opts Options) (game.Profile, error) {
+	hub := transport.NewHub()
+	trs := make([]transport.Transport, cfg.N())
+	for i, name := range PeerNames(cfg.N()) {
+		tr, err := hub.Endpoint(name, cfg.N()+2)
+		if err != nil {
+			return nil, err
+		}
+		defer tr.Close()
+		trs[i] = tr
+	}
+	profile, err := RunRing(ctx, cfg, trs, opts)
+	if err != nil {
+		return nil, fmt.Errorf("dbr distributed: %w", err)
+	}
+	return profile, nil
 }

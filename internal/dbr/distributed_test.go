@@ -2,9 +2,7 @@ package dbr
 
 import (
 	"context"
-	"fmt"
-	"math"
-	"sync"
+	"reflect"
 	"testing"
 	"time"
 
@@ -24,15 +22,10 @@ func TestSolveDistributedMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both are Nash equilibria found by round-robin best response from the
-	// same start; they must agree in potential (and, deterministically
-	// here, in profile).
-	if du := math.Abs(cfg.Potential(dist) - cfg.Potential(local.Profile)); du > 1e-6 {
-		t.Errorf("potential gap between distributed and local: %v", du)
-	}
-	rep := cfg.CheckNash(dist, 60, 1e-2)
-	if !rep.IsNash {
-		t.Errorf("distributed result not Nash: %v", rep)
+	// The ring and the serial solver make the same moves from the same
+	// start, so they agree bit for bit.
+	if !reflect.DeepEqual(dist, local.Profile) {
+		t.Errorf("distributed profile %v\nwant dbr.Solve's  %v", dist, local.Profile)
 	}
 }
 
@@ -91,70 +84,32 @@ func TestNodeValidation(t *testing.T) {
 }
 
 // TestDistributedOverTCP runs the full protocol across real TCP sockets,
-// one node per organization — the deployment mode of cmd/tradefl-node.
+// one node per organization, the deployment mode of cmd/tradefl-org.
 func TestDistributedOverTCP(t *testing.T) {
 	cfg, err := game.DefaultConfig(game.GenOptions{Seed: 9, N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := cfg.N()
-	names := make([]string, n)
-	tcp := make([]*transport.TCPNode, n)
-	for i := 0; i < n; i++ {
-		names[i] = fmt.Sprintf("org-%d", i)
-		node, err := transport.NewTCPNode(names[i], "127.0.0.1:0", 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tcp[i] = node
+	tcp, err := transport.LoopbackMesh(PeerNames(cfg.N()), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs := make([]transport.Transport, len(tcp))
+	for i, node := range tcp {
 		defer node.Close()
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			tcp[i].RegisterPeer(names[j], tcp[j].Addr())
-		}
-	}
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		node, err := NewNode(cfg, i, tcp[i], names, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
+		trs[i] = node
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	results := make([]game.Profile, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = nodes[i].Run(ctx)
-		}(i)
-	}
-	if err := nodes[0].Start(); err != nil {
+	ring, err := RunRing(ctx, cfg, trs, Options{})
+	if err != nil {
 		t.Fatal(err)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-	}
-	for i := 1; i < n; i++ {
-		for k := range results[i] {
-			if results[i][k] != results[0][k] {
-				t.Fatalf("node %d disagrees with node 0 at org %d", i, k)
-			}
-		}
 	}
 	local, err := Solve(cfg, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if du := math.Abs(cfg.Potential(results[0]) - cfg.Potential(local.Profile)); du > 1e-6 {
-		t.Errorf("TCP distributed result differs from local by %v in potential", du)
+	if !reflect.DeepEqual(ring, local.Profile) {
+		t.Errorf("TCP ring profile %v\nwant dbr.Solve's %v", ring, local.Profile)
 	}
 }

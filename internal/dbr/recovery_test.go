@@ -78,7 +78,7 @@ func TestRingSurvivesCrashedNode(t *testing.T) {
 			results[i], errs[i] = nodes[i].Run(ctx)
 		}(i)
 	}
-	if err := nodes[0].Start(); err != nil {
+	if err := nodes[0].Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -155,7 +155,7 @@ func TestRingSurvivesMidProtocolCrash(t *testing.T) {
 			results[i], errs[i] = nodes[i].Run(ctx)
 		}(i)
 	}
-	if err := nodes[0].Start(); err != nil {
+	if err := nodes[0].Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Let the ring make progress, then crash the victim abruptly.
@@ -202,7 +202,7 @@ func TestRecoveryDisabledStalls(t *testing.T) {
 		_, err := nodes[0].Run(ctx)
 		done <- err
 	}()
-	if err := nodes[0].Start(); err != nil {
+	if err := nodes[0].Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err == nil {

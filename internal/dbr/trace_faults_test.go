@@ -98,7 +98,7 @@ func TestTracePropagatesThroughFaultyRing(t *testing.T) {
 			results[i], errs[i] = nodes[i].Run(ctx)
 		}(i)
 	}
-	if err := nodes[0].StartCtx(rootCtx); err != nil {
+	if err := nodes[0].Start(rootCtx); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

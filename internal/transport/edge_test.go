@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -223,4 +225,41 @@ func TestTCPSendRetriesBridgeLateListener(t *testing.T) {
 		t.Fatalf("send across late listener start: %v", err)
 	}
 	recvOne(t, late.Receive(), "persistent")
+}
+
+// TestAwaitPeersBoundedByContext: AwaitPeers returns once a late peer
+// binds, and gives up with ctx's error while a peer never does.
+func TestAwaitPeersBoundedByContext(t *testing.T) {
+	mesh, err := LoopbackMesh([]string{"a", "b"}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mesh[0]
+	defer a.Close()
+	addr := mesh[1].Addr()
+	mesh[1].Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if err := a.AwaitPeers(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("AwaitPeers with b down: err = %v, want the deadline", err)
+	}
+
+	started := make(chan *TCPNode, 1)
+	go func() {
+		time.Sleep(60 * time.Millisecond)
+		node, _ := NewTCPNode("b", addr, 8) // nil if the address was taken meanwhile
+		started <- node
+	}()
+	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = a.AwaitPeers(ctx)
+	b := <-started
+	if b == nil {
+		t.Skip("could not re-bind b's address")
+	}
+	defer b.Close()
+	if err != nil {
+		t.Fatalf("AwaitPeers across b's late start: %v", err)
+	}
 }

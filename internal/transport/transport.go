@@ -9,6 +9,7 @@ package transport
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -189,6 +190,59 @@ func NewTCPNode(name, addr string, buffer int) (*TCPNode, error) {
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
+}
+
+// LoopbackMesh listens one TCPNode per name on an ephemeral loopback port
+// and registers every node's address with every node, itself included: a
+// multi-process deployment inside one process. On error the nodes already
+// listening are closed.
+func LoopbackMesh(names []string, buffer int) ([]*TCPNode, error) {
+	nodes := make([]*TCPNode, len(names))
+	for i, name := range names {
+		node, err := NewTCPNode(name, "127.0.0.1:0", buffer)
+		if err != nil {
+			for _, open := range nodes[:i] {
+				_ = open.Close()
+			}
+			return nil, err
+		}
+		nodes[i] = node
+	}
+	for _, node := range nodes {
+		for _, peer := range nodes {
+			node.RegisterPeer(peer.name, peer.Addr())
+		}
+	}
+	return nodes, nil
+}
+
+// AwaitPeers blocks until every registered peer's address accepts a TCP
+// connection, or until ctx ends. Send gives up on a peer after a few dial
+// attempts, so a protocol that starts before its last peer listens would
+// treat that peer as crashed.
+func (n *TCPNode) AwaitPeers(ctx context.Context) error {
+	n.mu.Lock()
+	addrs := make([]string, 0, len(n.peers))
+	for _, addr := range n.peers {
+		addrs = append(addrs, addr)
+	}
+	n.mu.Unlock()
+	var d net.Dialer
+	for _, addr := range addrs {
+		for {
+			conn, err := d.DialContext(ctx, "tcp", addr)
+			if err == nil {
+				conn.Close()
+				break
+			}
+			select {
+			case <-ctx.Done():
+				return fmt.Errorf("transport: waiting for %s: %w", addr, ctx.Err())
+			case <-time.After(DefaultSendBackoff):
+			}
+		}
+	}
+	return nil
 }
 
 // SetSendRetryPolicy bounds Send's dial/write retries: attempts total

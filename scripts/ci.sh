@@ -120,15 +120,18 @@ kill "$SIM_PID" 2>/dev/null || true
 wait "$SIM_PID" 2>/dev/null || true
 trap - EXIT
 
-echo "==> deployment smoke (examples/distributed)"
-# The paper's deployment story end to end: six organizations agree on the
-# equilibrium over TCP, then settle it on a chain node over JSON-RPC, one
-# batch and one sealed block per stage of chain.NewSettlement.
-dist_out="$(go run ./examples/distributed)"
-echo "$dist_out" | grep -q 'Settled:true' \
-  || { echo "deployment smoke: the contract did not settle"; exit 1; }
-echo "$dist_out" | grep -q 'chain verified' \
-  || { echo "deployment smoke: the chain did not verify"; exit 1; }
+echo "==> deployment smoke (tradefl-org -local)"
+# The paper's deployment story end to end: ten organizations agree on the
+# equilibrium in the DBR ring over loopback TCP, then each settles its own
+# ring-decided strategy on an in-memory chain node over JSON-RPC, with
+# direct and with commit-reveal contribution reporting.
+for mode in "" "-commit"; do
+  dist_out="$(go run ./cmd/tradefl-org -local $mode)"
+  echo "$dist_out" | grep -q 'Settled:true' \
+    || { echo "deployment smoke ($mode): the contract did not settle"; exit 1; }
+  echo "$dist_out" | grep -q 'chain verified' \
+    || { echo "deployment smoke ($mode): the chain did not verify"; exit 1; }
+done
 
 echo "==> chaos smoke (seeded soak under -race)"
 # Fault schedule is a pure function of the seed: a failure here reproduces
