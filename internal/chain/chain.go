@@ -704,9 +704,9 @@ func (bc *Blockchain) ApplySealedBlock(stored *Block) error {
 }
 
 // applyStored replays stored on top of the current state: the local pool
-// must contain the block's transactions as a prefix (in order; with the
-// seal pipeline, txs admitted during the source block's execution may
-// legitimately trail it in the log), and the re-sealed block must hash
+// must contain the block's transactions as a prefix, in order (admission
+// runs while a seal executes, so txs admitted meanwhile follow the block's
+// in the pool and in the log), and the re-sealed block must hash
 // identically to stored. On success the block is appended and the prefix
 // consumed; the remainder stays pooled.
 func (bc *Blockchain) applyStored(stored *Block, fence bool) error {

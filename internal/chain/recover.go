@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -103,7 +104,7 @@ func OpenDurableOpts(dir string, authority *Account, params ContractParams, allo
 	if len(snaps) == 0 && len(segs) == 0 {
 		return initDurable(dir, authority, params, alloc, opts)
 	}
-	return recoverDir(dir, authority, 0, true, opts)
+	return recoverDir(dir, authority, math.MaxUint64, opts)
 }
 
 // initDurable bootstraps a fresh durable chain: genesis, segment 1, and a
@@ -137,21 +138,23 @@ func initDurable(dir string, authority *Account, params ContractParams, alloc Ge
 // record that survived the crash. The recovered chain has the WAL
 // reattached and is ready to serve.
 func Recover(dir string, authority *Account) (*Blockchain, error) {
-	return recoverDir(dir, authority, 0, true, Options{})
+	return recoverDir(dir, authority, math.MaxUint64, Options{})
 }
 
 // RecoverAt is point-in-time recovery: it rebuilds the chain exactly as
-// of sealed block `height` (later records are ignored) and returns it
-// detached from the WAL — a read-only forensic view; sealing on it would
-// fork the durable history.
+// of sealed block `height` — the same replay as Recover, ignoring every
+// record from the next block's on — and returns it detached from the
+// WAL: a read-only forensic view; sealing on it would fork the durable
+// history.
 func RecoverAt(dir string, authority *Account, height uint64) (*Blockchain, error) {
-	return recoverDir(dir, authority, height, false, Options{})
+	return recoverDir(dir, authority, height, Options{})
 }
 
-// recoverDir is the shared recovery core. attach=true recovers to the
-// latest state and reopens the WAL for append; attach=false stops at
-// stopHeight and leaves the directory untouched.
-func recoverDir(dir string, authority *Account, stopHeight uint64, attach bool, opts Options) (*Blockchain, error) {
+// recoverDir is the shared recovery core: it replays up to block
+// stopHeight. Only a full recovery (math.MaxUint64) reattaches the WAL for
+// append; a point-in-time target leaves the directory untouched.
+func recoverDir(dir string, authority *Account, stopHeight uint64, opts Options) (*Blockchain, error) {
+	attach := stopHeight == math.MaxUint64
 	start := time.Now()
 	defer mRecoverSec.ObserveSince(start)
 	snaps, err := listSnapshots(dir)
@@ -168,10 +171,12 @@ func recoverDir(dir string, authority *Account, stopHeight uint64, attach bool, 
 	var lastErr error
 	for i := len(snaps) - 1; i >= 0; i-- {
 		bc, err := recoverFromSnapshot(dir, authority, snaps[i], stopHeight, attach, opts)
-		if err == nil && !attach && bc.Height() < stopHeight {
-			err = fmt.Errorf("chain: no sealed block at height %d (durable history ends at %d)", stopHeight, bc.Height())
-		}
 		if err == nil {
+			// Every snapshot replays the same log suffix, so an older one
+			// cannot reach further: a missing target is not a fallback.
+			if !attach && bc.Height() < stopHeight {
+				return nil, fmt.Errorf("chain: no sealed block at height %d (durable history ends at %d)", stopHeight, bc.Height())
+			}
 			recoverLog.Info("recovered", "dir", dir, "snapshot", snaps[i],
 				"height", bc.Height(), "pending", bc.PendingCount(), "term", bc.Term())
 			return bc, nil
@@ -183,6 +188,51 @@ func recoverDir(dir string, authority *Account, stopHeight uint64, attach bool, 
 		lastErr = err
 	}
 	return nil, fmt.Errorf("chain: recovery exhausted %d snapshots: %w", len(snaps), lastErr)
+}
+
+// replayer applies recovered history to a chain in log order. Snapshot
+// and WAL suffix both arrive as records, so each block goes through one
+// arm and the point-in-time target is checked there alone.
+type replayer struct {
+	bc   *Blockchain
+	stop uint64 // last block to apply
+	done bool   // a block past stop was reached; later records are ignored
+}
+
+func (r *replayer) apply(rec walRec) error {
+	if r.done {
+		return nil
+	}
+	switch rec.Kind {
+	case recTx:
+		if rec.Tx == nil {
+			return errors.New("tx record without tx")
+		}
+		if err := r.bc.SubmitTx(*rec.Tx); err != nil {
+			return fmt.Errorf("replay tx: %v", err)
+		}
+	case recBlock:
+		if rec.Block == nil {
+			return errors.New("block record without block")
+		}
+		if rec.Block.Height > r.stop {
+			r.done = true
+			return nil
+		}
+		// Admission runs while a seal executes, so the pool holds this
+		// block's txs as a prefix (their records precede the block's) and
+		// txs admitted during its execution follow as the remainder.
+		// Unfenced: term records in the log may postdate this block, so the
+		// stored term is installed verbatim rather than checked.
+		if err := r.bc.applyStored(rec.Block, false); err != nil {
+			return fmt.Errorf("block %d: %v", rec.Block.Height, err)
+		}
+	case recTerm:
+		r.bc.setTerm(rec.Term)
+	default:
+		return fmt.Errorf("unknown record kind %q", rec.Kind)
+	}
+	return nil
 }
 
 // recoverFromSnapshot replays one snapshot and its WAL suffix.
@@ -205,48 +255,36 @@ func recoverFromSnapshot(dir string, authority *Account, snapSeq, stopHeight uin
 	if err := sameBlock(bc.blocks[0], doc.Blocks[0]); err != nil {
 		return nil, fmt.Errorf("%w: genesis: %v", ErrReplayMismatch, err)
 	}
-	pitr := !attach
-	for _, stored := range doc.Blocks[1:] {
-		if pitr && stored.Height > stopHeight {
-			return bc, nil // point-in-time target inside the snapshot
+	// The snapshot replays as the log it compacts: each block's txs, then
+	// the block; then the term and the pool, whose tx records lie in the
+	// segments below snapSeq.
+	r := &replayer{bc: bc, stop: stopHeight}
+	for _, b := range doc.Blocks[1:] {
+		for i := 0; err == nil && i < len(b.Txs); i++ {
+			err = r.apply(walRec{Kind: recTx, Tx: &b.Txs[i]})
 		}
-		if err := replayStoredBlock(bc, stored); err != nil {
-			return nil, err
-		}
-	}
-	bc.setTerm(doc.Term)
-	for _, tx := range doc.Pool {
-		if pitr {
-			break
-		}
-		if err := bc.SubmitTx(tx); err != nil {
-			return nil, fmt.Errorf("%w: snapshot pool: %v", ErrReplayMismatch, err)
+		if err == nil {
+			err = r.apply(walRec{Kind: recBlock, Block: b})
 		}
 	}
-	return replayWALSuffix(dir, bc, snapSeq, stopHeight, attach)
+	if err == nil {
+		err = r.apply(walRec{Kind: recTerm, Term: doc.Term})
+	}
+	for i := 0; err == nil && i < len(doc.Pool); i++ {
+		err = r.apply(walRec{Kind: recTx, Tx: &doc.Pool[i]})
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: snapshot: %v", ErrReplayMismatch, err)
+	}
+	return replayWALSuffix(dir, r, snapSeq, attach)
 }
 
-// replayStoredBlock submits a stored block's transactions and re-seals,
-// requiring a byte-identical header.
-func replayStoredBlock(bc *Blockchain, stored *Block) error {
-	for _, tx := range stored.Txs {
-		if err := bc.SubmitTx(tx); err != nil {
-			return fmt.Errorf("%w: block %d: %v", ErrReplayMismatch, stored.Height, err)
-		}
-	}
-	// Unfenced: term records in the log being replayed may postdate this
-	// block, so the stored term is installed verbatim rather than checked.
-	if err := bc.applyStored(stored, false); err != nil {
-		return fmt.Errorf("block %d: %w", stored.Height, err)
-	}
-	return nil
-}
-
-// replayWALSuffix replays segments >= snapSeq onto bc. Only the final
-// segment may end in a torn tail (it is truncated); a tear or a decode
-// failure anywhere else is ErrWALCorrupt. With attach=true the final
-// segment is reopened for append and the WAL wired into bc.
-func replayWALSuffix(dir string, bc *Blockchain, snapSeq, stopHeight uint64, attach bool) (*Blockchain, error) {
+// replayWALSuffix replays segments >= snapSeq through r. Only the final
+// segment may end in a torn tail; a tear or a decode failure anywhere else
+// is ErrWALCorrupt. With attach=true the tail is truncated, the final
+// segment is reopened for append and the WAL wired into the chain;
+// attach=false only reads.
+func replayWALSuffix(dir string, r *replayer, snapSeq uint64, attach bool) (*Blockchain, error) {
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
@@ -260,10 +298,7 @@ func replayWALSuffix(dir string, bc *Blockchain, snapSeq, stopHeight uint64, att
 	if len(suffix) == 0 {
 		// The rotation that precedes a snapshot write creates the segment
 		// before the snapshot exists, so an empty suffix means the files
-		// were tampered with — unless we are recovering a read-only view.
-		if !attach {
-			return bc, nil
-		}
+		// were tampered with.
 		return nil, fmt.Errorf("%w: no wal segment >= %d", ErrWALCorrupt, snapSeq)
 	}
 	for i, seq := range suffix {
@@ -271,43 +306,16 @@ func replayWALSuffix(dir string, bc *Blockchain, snapSeq, stopHeight uint64, att
 			return nil, fmt.Errorf("%w: segment gap: have %d, want %d", ErrWALCorrupt, seq, want)
 		}
 	}
-	pitr := !attach
-	done := false // PITR target reached; ignore the rest of the log
 	replay := func(payload []byte) error {
-		if done {
+		if r.done {
 			return nil
 		}
 		var rec walRec
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return fmt.Errorf("%w: undecodable record: %v", ErrWALCorrupt, err)
 		}
-		switch rec.Kind {
-		case recTx:
-			if rec.Tx == nil {
-				return fmt.Errorf("%w: tx record without tx", ErrWALCorrupt)
-			}
-			if err := bc.SubmitTx(*rec.Tx); err != nil {
-				return fmt.Errorf("%w: replay tx: %v", ErrWALCorrupt, err)
-			}
-		case recBlock:
-			if rec.Block == nil {
-				return fmt.Errorf("%w: block record without block", ErrWALCorrupt)
-			}
-			if pitr && rec.Block.Height > stopHeight {
-				done = true
-				return nil
-			}
-			// The pool holds this block's transactions as a prefix: their tx
-			// records precede the block record in log order, and with the
-			// seal pipeline, txs admitted for the NEXT block while this one
-			// sealed legitimately follow as the pool remainder.
-			if err := bc.applyStored(rec.Block, false); err != nil {
-				return fmt.Errorf("%w: block %d: %v", ErrWALCorrupt, rec.Block.Height, err)
-			}
-		case recTerm:
-			bc.setTerm(rec.Term)
-		default:
-			return fmt.Errorf("%w: unknown record kind %q", ErrWALCorrupt, rec.Kind)
+		if err := r.apply(rec); err != nil {
+			return fmt.Errorf("%w: %v", ErrWALCorrupt, err)
 		}
 		return nil
 	}
@@ -327,10 +335,11 @@ func replayWALSuffix(dir string, bc *Blockchain, snapSeq, stopHeight uint64, att
 				obs.FlightRecord("chain", "wal-torn-tail",
 					fmt.Sprintf("segment %d: %d bytes truncated", seq, removed))
 			}
-			lastSize, err = fileSize(path)
+			st, err := os.Stat(path)
 			if err != nil {
 				return nil, err
 			}
+			lastSize = st.Size()
 			continue
 		}
 		f, err := os.Open(path)
@@ -341,7 +350,7 @@ func replayWALSuffix(dir string, bc *Blockchain, snapSeq, stopHeight uint64, att
 		f.Close()
 		if scanErr != nil {
 			if final && errors.Is(scanErr, durable.ErrTornTail) {
-				break // read-only PITR view: stop at the tear, leave the file alone
+				break // read-only view: stop at the tear, leave the file alone
 			}
 			if errors.Is(scanErr, durable.ErrTornTail) {
 				return nil, fmt.Errorf("%w: torn tail in non-final segment %d", ErrWALCorrupt, seq)
@@ -350,22 +359,14 @@ func replayWALSuffix(dir string, bc *Blockchain, snapSeq, stopHeight uint64, att
 		}
 	}
 	if !attach {
-		return bc, nil
+		return r.bc, nil
 	}
 	w, err := openWALSegment(dir, suffix[len(suffix)-1], lastSize)
 	if err != nil {
 		return nil, err
 	}
-	bc.attachWAL(w)
-	return bc, nil
-}
-
-func fileSize(path string) (int64, error) {
-	st, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
+	r.bc.attachWAL(w)
+	return r.bc, nil
 }
 
 // Checkpoint writes an incremental snapshot: it rotates the WAL under the
@@ -378,9 +379,9 @@ func (bc *Blockchain) Checkpoint() error {
 	defer bc.ckptMu.Unlock()
 	start := time.Now()
 	defer mSnapshotSec.ObserveSince(start)
-	// sealSeq quiesces the seal pipeline (no block between handoff and
-	// install, so the sealing set is empty and the pool is the full pending
-	// set); poolMu blocks admission so no tx record can slip past the
+	// sealSeq waits out a seal in progress, whose txs have left the pool
+	// but are not yet a block, so the snapshot's blocks and pool hold every
+	// logged tx; poolMu blocks admission so no tx record can slip past the
 	// rotation into the new segment while its tx sits in the snapshot pool.
 	bc.sealSeq.Lock()
 	bc.poolMu.Lock()

@@ -77,7 +77,7 @@ func (f *durableFixture) submit(t testing.TB, idx int, fn Function, args any, va
 // recovers a fresh chain from the directory.
 func (f *durableFixture) crash(t *testing.T) {
 	t.Helper()
-	if _, err := f.bc.WAL().Abort(0); err != nil {
+	if _, err := f.bc.WAL().Abort(); err != nil {
 		t.Fatalf("abort: %v", err)
 	}
 	bc, err := Recover(f.dir, f.authority)
@@ -121,6 +121,60 @@ func TestDurableRoundTripAcrossCrash(t *testing.T) {
 	if len(b.Receipts) != 1 || !b.Receipts[0].OK {
 		t.Fatalf("post-recovery seal receipts: %+v", b.Receipts)
 	}
+}
+
+// TestOpenDurableReopensPopulatedDir: reopening a directory that holds a
+// checkpoint, blocks past it and a pending tx must resume the whole durable
+// history, and the reopened chain must keep sealing on top of it.
+func TestOpenDurableReopensPopulatedDir(t *testing.T) {
+	f := newDurableFixture(t, 3)
+	for i := range f.accounts {
+		f.submit(t, i, FnDepositSubmit, nil, MinDeposit(f.params, i, 5e9))
+	}
+	if _, err := f.bc.SealBlock(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.bc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	f.submit(t, 0, FnContributionSubmit, Contribution{D: 0.5, F: 3e9}, 0)
+	if _, err := f.bc.SealBlock(); err != nil {
+		t.Fatal(err)
+	}
+	f.submit(t, 1, FnContributionSubmit, Contribution{D: 0.5, F: 3e9}, 0)
+	wantHeight, wantRoot, wantPending := f.bc.Height(), f.bc.StateRoot(), f.bc.PendingCount()
+	if err := f.bc.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+
+	bc, err := OpenDurable(f.dir, f.authority, f.params, f.alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bc.Height(); got != wantHeight {
+		t.Fatalf("reopened height %d, want %d", got, wantHeight)
+	}
+	if got := bc.StateRoot(); got != wantRoot {
+		t.Fatalf("reopened state root %s, want %s", got, wantRoot)
+	}
+	if got := bc.PendingCount(); got != wantPending {
+		t.Fatalf("reopened pending pool %d, want %d", got, wantPending)
+	}
+	if _, err := bc.SealBlock(); err != nil {
+		t.Fatal(err)
+	}
+	sealedRoot := bc.StateRoot()
+	if err := bc.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Recover(f.dir, f.authority)
+	if err != nil {
+		t.Fatalf("recover after sealing on the reopened chain: %v", err)
+	}
+	if again.Height() != wantHeight+1 || again.StateRoot() != sealedRoot {
+		t.Fatalf("recovered height %d root %s, want %d %s", again.Height(), again.StateRoot(), wantHeight+1, sealedRoot)
+	}
+	again.CloseDurable()
 }
 
 // TestRecoverAtEveryTornOffset chops the WAL segment at every byte offset
@@ -268,6 +322,34 @@ func TestCheckpointGCAndPITR(t *testing.T) {
 	f.crash(t)
 	if f.bc.StateRoot() != live {
 		t.Fatalf("recovery after checkpoints diverged")
+	}
+}
+
+// TestRecoverAtPastPooledSnapshot: every retained snapshot holds a pending
+// pool and the target block lies past them. Point-in-time recovery must
+// replay a snapshot's pool exactly as Recover does — the block's txs are
+// there and nowhere in the WAL suffix — so no snapshot may fall back.
+func TestRecoverAtPastPooledSnapshot(t *testing.T) {
+	f := newDurableFixture(t, 3)
+	for i := range f.accounts {
+		f.submit(t, i, FnDepositSubmit, nil, MinDeposit(f.params, i, 5e9))
+		if err := f.bc.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
+		}
+	}
+	if _, err := f.bc.SealBlock(); err != nil {
+		t.Fatal(err)
+	}
+	fallbacks := mRecoverBack.Value()
+	view, err := RecoverAt(f.dir, f.authority, f.bc.Height())
+	if err != nil {
+		t.Fatalf("RecoverAt(%d): %v", f.bc.Height(), err)
+	}
+	if got, want := view.StateRoot(), f.bc.StateRoot(); got != want {
+		t.Fatalf("RecoverAt(%d) root %s, want %s", f.bc.Height(), got, want)
+	}
+	if got := mRecoverBack.Value() - fallbacks; got != 0 {
+		t.Fatalf("point-in-time recovery fell back %v times, want 0", got)
 	}
 }
 

@@ -364,12 +364,10 @@ func (w *WAL) Close() error {
 }
 
 // Abort simulates kill -9: it marks the log dead, fails every queued and
-// future append, closes the file descriptor without flushing, and chops
-// keepBytes (clamped to the unsynced tail) off the end of the segment —
-// everything past the last fsync is legally lost in a crash, so tests and
-// chaos soaks use the chop to land the tear mid-frame. It returns the
-// offset the segment was truncated to.
-func (w *WAL) Abort(keepBytes int64) (int64, error) {
+// future append, closes the file descriptor without flushing, and cuts
+// the segment back to its last fsync — the bytes no caller was told are
+// durable. It returns the offset the segment was truncated to.
+func (w *WAL) Abort() (int64, error) {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -379,11 +377,6 @@ func (w *WAL) Abort(keepBytes int64) (int64, error) {
 	w.err = ErrWALAborted
 	queue := w.queue
 	w.queue = nil
-	f := w.f
-	w.f = nil
-	seq := w.seq
-	synced := w.syncedOff
-	size := w.size
 	w.mu.Unlock()
 	for _, op := range queue {
 		if op.done != nil {
@@ -391,28 +384,22 @@ func (w *WAL) Abort(keepBytes int64) (int64, error) {
 		}
 	}
 	w.wake()
+	// A group commit already past its error check finishes its fsync and
+	// acknowledges its waiters; only after the syncer is joined is the
+	// synced offset final.
 	<-w.done
-	var cut int64
+	w.mu.Lock()
+	f := w.f
+	w.f = nil
+	cut := w.syncedOff
+	w.mu.Unlock()
 	if f != nil {
-		st, err := f.Stat()
+		// Past the synced offset lie an unsynced write and the zero-fill
+		// allocation, neither of them acknowledged log content.
+		err := f.Truncate(cut)
 		f.Close()
 		if err != nil {
 			return 0, err
-		}
-		keep := keepBytes
-		if keep < 0 {
-			keep = 0
-		}
-		// Clamp against the logical write frontier, not the file size — the
-		// bytes past w.size are zero-fill allocation, not log content.
-		if max := size - synced; keep > max {
-			keep = max
-		}
-		cut = synced + keep
-		if cut < st.Size() {
-			if err := os.Truncate(filepath.Join(w.dir, segmentName(seq)), cut); err != nil {
-				return 0, err
-			}
 		}
 	}
 	return cut, nil

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tradefl/internal/durable"
@@ -137,7 +139,7 @@ func TestWALAbortFailsPendingAndFutureAppends(t *testing.T) {
 	if err := w.Append(walRec{Kind: recTerm, Term: 1}); err != nil {
 		t.Fatal(err)
 	}
-	cut, err := w.Abort(0)
+	cut, err := w.Abort()
 	if err != nil {
 		t.Fatalf("abort: %v", err)
 	}
@@ -154,6 +156,62 @@ func TestWALAbortFailsPendingAndFutureAppends(t *testing.T) {
 	// The synced record survived the abort.
 	if got := scanSegment(t, filepath.Join(dir, segmentName(1))); len(got) != 1 || got[0].Term != 1 {
 		t.Fatalf("post-abort segment: %+v", got)
+	}
+}
+
+// TestWALAbortKeepsAcknowledged races Abort against appenders: a group
+// commit already in flight when Abort starts finishes its fsync and
+// acknowledges its records, so the cut must not take them back. Every
+// record whose Append returned nil must survive in the segment.
+func TestWALAbortKeepsAcknowledged(t *testing.T) {
+	for iter := 0; iter < 20; iter++ {
+		dir := t.TempDir()
+		w, err := createWAL(dir, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			acked atomic.Int64
+			mu    sync.Mutex
+			terms []uint64 // acknowledged records
+			wg    sync.WaitGroup
+		)
+		for g := uint64(0); g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := uint64(1); ; k++ {
+					term := g<<32 | k
+					if err := w.Append(walRec{Kind: recTerm, Term: term}); err != nil {
+						if !errors.Is(err, ErrWALAborted) {
+							t.Errorf("append: %v", err)
+						}
+						return
+					}
+					mu.Lock()
+					terms = append(terms, term)
+					mu.Unlock()
+					acked.Add(1)
+				}
+			}()
+		}
+		for acked.Load() < 40 {
+			runtime.Gosched()
+		}
+		if _, err := w.Abort(); err != nil {
+			t.Fatalf("abort: %v", err)
+		}
+		wg.Wait()
+		kept := map[uint64]bool{}
+		for _, rec := range scanSegment(t, filepath.Join(dir, segmentName(1))) {
+			kept[rec.Term] = true
+		}
+		for _, term := range terms {
+			if !kept[term] {
+				t.Fatalf("iteration %d: acknowledged record %#x cut by Abort (%d of %d acknowledged records kept)",
+					iter, term, len(kept), len(terms))
+			}
+		}
 	}
 }
 

@@ -57,10 +57,9 @@ type Options struct {
 	SettleTimeout time.Duration
 	// CrashCycles > 0 runs the settlement phase on a WAL-backed chain and
 	// kill -9s the validator that many times mid-settlement (aborting the
-	// WAL without flushing, chopping a seeded number of bytes off the torn
-	// tail, recovering, and re-serving on the same address). Every recovery
-	// must reproduce exactly the durable prefix — the operations whose
-	// submitters saw an acknowledgement.
+	// WAL without flushing, recovering, and re-serving on the same
+	// address). Every recovery must reproduce exactly the durable prefix —
+	// the operations whose submitters saw an acknowledgement.
 	CrashCycles int
 	// CrashMin/CrashMax bound the seeded uptime between recoveries
 	// (defaults 150ms..500ms).
@@ -138,7 +137,7 @@ type Report struct {
 	SettleElapsed time.Duration `json:"settleElapsed"`
 
 	// Durable is true when the settlement ran on a WAL-backed chain under
-	// crash cycles; the four fields below are only meaningful then.
+	// crash cycles; the five fields below are only meaningful then.
 	Durable bool `json:"durable,omitempty"`
 	// Crashes counts completed kill/recover cycles; Checkpoints counts
 	// mid-soak incremental snapshots.
@@ -152,6 +151,10 @@ type Report struct {
 	// PITRVerified is the point-in-time recovery spot check: a read-only
 	// view at a mid-soak height must rebuild and re-verify.
 	PITRVerified bool `json:"pitrVerified,omitempty"`
+	// SnapshotFallbacks counts the snapshots the run's recoveries and its
+	// point-in-time view found unusable and passed over for an older one
+	// (tradefl_chain_recover_snapshot_fallbacks_total); any is a defect.
+	SnapshotFallbacks int `json:"snapshotFallbacks,omitempty"`
 }
 
 // Err returns nil when every acceptance check of the soak holds.
@@ -182,6 +185,9 @@ func (r *Report) Err() error {
 		if !r.PITRVerified {
 			bad = append(bad, "point-in-time recovery view failed to rebuild")
 		}
+		if r.SnapshotFallbacks > 0 {
+			bad = append(bad, fmt.Sprintf("recovery fell back to an older snapshot %d times", r.SnapshotFallbacks))
+		}
 	}
 	if len(bad) == 0 {
 		return nil
@@ -198,8 +204,8 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "  chain:  settled in %v: %v, budget residual %d wei, verified: %v\n",
 		r.SettleElapsed.Round(time.Millisecond), r.Settled, r.BudgetResidual, r.ChainVerified)
 	if r.Durable {
-		fmt.Fprintf(&b, "  crash:  %d kill/recover cycles, %d checkpoints, recovery exact: %v, PITR view: %v\n",
-			r.Crashes, r.Checkpoints, r.RecoveredExact, r.PITRVerified)
+		fmt.Fprintf(&b, "  crash:  %d kill/recover cycles, %d checkpoints, recovery exact: %v, PITR view: %v, snapshot fallbacks: %d\n",
+			r.Crashes, r.Checkpoints, r.RecoveredExact, r.PITRVerified, r.SnapshotFallbacks)
 	}
 	c := r.Faults
 	fmt.Fprintf(&b, "  faults: %d dropped, %d duplicated, %d delayed, %d partition/crash rejects, %d rpc failures, %d rpc responses lost, %d rpc delayed (total %d)\n",

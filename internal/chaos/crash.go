@@ -11,16 +11,14 @@ import (
 	"tradefl/internal/faults"
 	"tradefl/internal/game"
 	"tradefl/internal/obs"
-	"tradefl/internal/randx"
 )
 
 // Crash-restart soak: the settlement phase of the chaos harness run on a
 // WAL-backed chain whose validator process is "kill -9"ed on a seeded
 // schedule. Each cycle stops the RPC server, aborts the WAL without
-// flushing (chopping a seeded number of bytes off the unsynced tail to
-// land the tear mid-frame), recovers the chain from snapshot + log, and
-// re-serves on the same address while the member clients keep retrying
-// through the outage.
+// flushing (cutting the segment back to its last fsync), recovers the
+// chain from snapshot + log, and re-serves on the same address while the
+// member clients keep retrying through the outage.
 //
 // The acceptance bar is exactness, not liveness: every recovery must
 // reproduce the durable prefix — the sealed height, state root and
@@ -70,6 +68,13 @@ func (t *durableTracker) snapshot() (height uint64, root string, pending int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.height, t.root, t.pending
+}
+
+// snapshotFallbacks reads how many snapshots this process's recoveries
+// have passed over for an older one.
+func snapshotFallbacks() float64 {
+	s, _ := obs.Find(obs.Default.Snapshot(), "tradefl_chain_recover_snapshot_fallbacks_total")
+	return s.Value
 }
 
 // chainBox holds the current chain + server incarnation; the sealer reads
@@ -138,6 +143,7 @@ func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj
 	tracker := newDurableTracker(bc)
 	rep.Durable = true
 	rep.RecoveredExact = true
+	fallbacks := snapshotFallbacks()
 
 	box := &chainBox{}
 	if err := box.serve(bc, "127.0.0.1:0"); err != nil {
@@ -179,13 +185,11 @@ func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj
 		}
 	}()
 
-	// crashCycle is one simulated kill -9 + recovery. tear draws the
-	// torn-tail chop so repeated cycles land tears at different offsets.
-	tear := randx.New(opts.Plan.Seed ^ 0x746f726e) // "torn"
+	// crashCycle is one simulated kill -9 + recovery.
 	crashCycle := func() error {
 		box.stopServer()
 		old := box.current()
-		if _, err := old.WAL().Abort(int64(tear.Intn(64))); err != nil {
+		if _, err := old.WAL().Abort(); err != nil {
 			return fmt.Errorf("wal abort: %w", err)
 		}
 		// The observer has quiesced (Abort joins the syncer), so this is
@@ -326,5 +330,6 @@ func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj
 				fmt.Sprintf("view at height %d: err=%v", h, err))
 		}
 	}
+	rep.SnapshotFallbacks = int(snapshotFallbacks() - fallbacks)
 	return nil
 }

@@ -4,17 +4,7 @@ import (
 	"context"
 	"testing"
 	"time"
-
-	"tradefl/internal/obs"
 )
-
-// snapshotFallbacks reads how many snapshots the chain's recoveries have
-// passed over for an older one so far. The soaks log it and do not fail on
-// it yet: ROADMAP item 1 owns the cause and the gate.
-func snapshotFallbacks() float64 {
-	s, _ := obs.Find(obs.Default.Snapshot(), "tradefl_chain_recover_snapshot_fallbacks_total")
-	return s.Value
-}
 
 // TestCrashRestartSoak is the durability acceptance run: settlement on a
 // WAL-backed chain that is killed and recovered on a seeded schedule,
@@ -32,9 +22,7 @@ func TestCrashRestartSoak(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
-	fallbacks := snapshotFallbacks()
 	rep, err := Run(ctx, opts)
-	t.Logf("snapshot fallbacks during recovery: %v", snapshotFallbacks()-fallbacks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +52,7 @@ func TestCrashSoakBatched(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
-	fallbacks := snapshotFallbacks()
 	rep, err := Run(ctx, opts)
-	t.Logf("snapshot fallbacks during recovery: %v", snapshotFallbacks()-fallbacks)
 	if err != nil {
 		t.Fatal(err)
 	}

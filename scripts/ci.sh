@@ -314,11 +314,16 @@ go test -race -run "$DURABILITY_TESTS" ./internal/chain/ ./internal/durable/
 # One seeded crash-restart soak: kill -9 the validator on a deterministic
 # schedule mid-settlement, recover from snapshot + log each time, and
 # require every recovery to reproduce the durable prefix exactly (height,
-# state root, mempool), the wei-exact settlement check on the final
-# incarnation, and a point-in-time recovery view. batch=1 drives
+# state root, mempool) without falling back to an older snapshot, the
+# wei-exact settlement check on the final incarnation, and a point-in-time
+# recovery view. batch=1 drives
 # submission through SubmitTxBatch, so the cycles land on batched group
 # commits. Reproduce a failure with `scripts/crashloop.sh "<spec>"`.
 scripts/crashloop.sh "seed=${CHAOS_SEED:-7},crashcycles=3,crashmin=25ms,crashmax=70ms,snapevery=2,rpcfail=0.05,orgs=3,game=5,batch=1"
+# The two soak tests 25 times each (~0.2 s a run): a recovery that loses an
+# acknowledged record or falls back to an older snapshot fails a run, so a
+# regression turns the gate red instead of showing as an occasional flake.
+go test -count=25 -run '^(TestCrashSoakBatched|TestCrashRestartSoak)$' ./internal/chaos/
 # Group-commit throughput: WAL-on SubmitTx must stay near the in-memory
 # baseline. The 10% contract holds on a quiet machine (pin WAL_MAX_PCT=10
 # there); on this gate's shared hardware the per-op block-until-durable

@@ -3,12 +3,14 @@
 # chain whose validator is killed and recovered on a deterministic
 # schedule while member clients retry through every outage. A green run
 # asserts that every recovery reproduced the durable prefix exactly
-# (height, state root, mempool), that the final chain still passes the
-# wei-exact settlement and verification checks, and that a point-in-time
-# recovery view rebuilds from snapshot + log.
+# (height, state root, mempool) without falling back to an older snapshot,
+# that the final chain still passes the wei-exact settlement and
+# verification checks, and that a point-in-time recovery view rebuilds from
+# snapshot + log.
 #
-# The kill schedule, torn-tail offsets and fault plan are all pure
-# functions of the seed, so a failing soak reproduces from its spec.
+# A kill cuts the WAL back to its last fsync. The kill schedule and fault
+# plan are pure functions of the seed, so a failing soak reproduces from
+# its spec.
 #
 # Usage:
 #   scripts/crashloop.sh                 default soak (seed 7, 3 cycles)
