@@ -6,7 +6,7 @@
 // Usage:
 //
 //	tradefl-chain -listen 127.0.0.1:8545 -seed 7
-//	tradefl-chain -wal-dir data/ -snapshot-interval 30s        durable node
+//	tradefl-chain -wal-dir data/                               durable node
 //	tradefl-chain -wal-dir data/ -recover 42                   PITR view at height 42
 //	tradefl-chain -wal-dir p/ -replicate 127.0.0.1:9000        primary, streaming to standby
 //	tradefl-chain -wal-dir s/ -standby 127.0.0.1:9000          standby, promotes after 2s of silence
@@ -16,8 +16,9 @@
 // organization process derives the same settlement from the same seed
 // (tradefl-org -seed). With -wal-dir every accepted
 // transaction and sealed block is fsynced to a write-ahead log before it is
-// acknowledged, and an existing directory is recovered (snapshot + log
-// replay, replay-verified) instead of starting fresh. SIGINT/SIGTERM shuts
+// acknowledged, and an existing directory is recovered (the log replayed
+// and verified from genesis) instead of starting fresh; a directory written
+// under another -seed is refused. SIGINT/SIGTERM shuts
 // down gracefully, in standby as in service: the RPC listener closes, the
 // pending block is sealed, and the WAL is flushed and closed.
 package main
@@ -27,8 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"os"
-	"time"
 
 	"tradefl/internal/chain"
 	"tradefl/internal/cli"
@@ -48,8 +47,7 @@ func command() cli.Command {
 	var (
 		listen   = fs.String("listen", "127.0.0.1:8545", "RPC listen address")
 		seed     = fs.Int64("seed", 7, "seed of the game instance and accounts")
-		walDir   = fs.String("wal-dir", "", "durable mode: write-ahead log + incremental snapshots in this directory (an existing chain is recovered and replay-verified)")
-		snapInt  = fs.Duration("snapshot-interval", 0, "with -wal-dir: checkpoint cadence — rotate the WAL and write an incremental snapshot every interval (0 disables)")
+		walDir   = fs.String("wal-dir", "", "durable mode: write-ahead log in this directory (an existing chain is recovered and replay-verified)")
 		recoverH = fs.Uint64("recover", 0, "with -wal-dir: point-in-time recovery — serve a view of the chain as of this sealed height; writes to the view are NOT durable")
 		repl     = fs.String("replicate", "", "with -wal-dir: stream every durable WAL record to the standby listening at this address")
 		standby  = fs.String("standby", "", "run as a standby validator: tail the primary's WAL stream on this listen address and take over sealing when it has been silent for 2s")
@@ -74,7 +72,7 @@ func command() cli.Command {
 		var bc *chain.Blockchain
 		switch {
 		case *recoverH > 0:
-			// Point-in-time view: rebuilt from snapshot + log up to the
+			// Point-in-time view: rebuilt from the log up to the
 			// requested height, replay-verified, detached from the WAL.
 			bc, err = chain.RecoverAt(*walDir, gen.Authority, *recoverH)
 			if err != nil {
@@ -176,38 +174,15 @@ func command() cli.Command {
 			fmt.Printf("member %d: %s (funded %d wei)\n", i, m, gen.Alloc[m])
 		}
 
-		// Periodic incremental snapshots: rotate the WAL and write a checkpoint
-		// so recovery replays a short suffix instead of the whole history.
-		stopCheckpoints := func() {}
-		if bc.WAL() != nil && *snapInt > 0 {
-			tick := time.NewTicker(*snapInt)
-			ckDone := make(chan struct{})
-			go func() {
-				for {
-					select {
-					case <-ckDone:
-						return
-					case <-tick.C:
-						if cerr := bc.Checkpoint(); cerr != nil {
-							fmt.Fprintln(os.Stderr, "tradefl-chain: checkpoint:", cerr)
-						}
-					}
-				}
-			}()
-			stopCheckpoints = func() { tick.Stop(); close(ckDone) }
-		}
-
 		done := make(chan error, 1)
 		go func() { done <- srv.Serve() }()
 		select {
 		case err := <-done:
-			stopCheckpoints()
 			return err
 		case <-ctx.Done():
 			// Graceful order: stop accepting RPCs first, then seal/flush so the
 			// final durable state includes everything that was acknowledged.
 			fmt.Println("tradefl-chain: shutting down")
-			stopCheckpoints()
 			if err := srv.Close(); err != nil {
 				return err
 			}

@@ -21,7 +21,7 @@ func TestFlagSet(t *testing.T) {
 	c.Flags.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
 		"chaos", "diag-addr", "listen", "log-format", "log-level", "recover",
-		"replicate", "seed", "snapshot-interval", "standby",
+		"replicate", "seed", "standby",
 		"trace-out", "verify", "wal-dir",
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -30,11 +30,12 @@ func TestFlagSet(t *testing.T) {
 }
 
 // TestIncrementalFlagIsGone: the switch of the solvers' old second
-// evaluation path, and every setting that had one value in use (now a
-// constant), are unknown flags.
+// evaluation path, every setting that had one value in use (now a
+// constant), and the checkpoint cadence of the retired snapshot format are
+// unknown flags.
 func TestIncrementalFlagIsGone(t *testing.T) {
 	for _, name := range []string{
-		"incremental", "fund", "keys", "failover-timeout", "store",
+		"incremental", "fund", "keys", "failover-timeout", "store", "snapshot-interval",
 	} {
 		c := command()
 		c.Flags.SetOutput(io.Discard)

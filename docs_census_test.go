@@ -2,6 +2,8 @@ package tradefl_test
 
 import (
 	"os"
+	"path"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -11,18 +13,45 @@ import (
 // program; their command names and paths must match the tree.
 var censusDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
+// referenceDocs are the documents whose series names, Go file paths and
+// command flags must also match the tree.
+var referenceDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
 var (
 	// commandName matches a command as the docs name it (tradefl-org).
 	commandName = regexp.MustCompile(`\btradefl-[a-z]+\b`)
 	// treePath matches a path under cmd/ or examples/, in prose, in a
 	// backticked span or in a code block (./cmd/… as `go run` takes it).
 	treePath = regexp.MustCompile(`(?:^|[\s(` + "`" + `])(?:\./)?((?:cmd|examples)/[A-Za-z0-9_./-]*)`)
+	// codeSpan matches an inline backticked span.
+	codeSpan = regexp.MustCompile("`([^`\n]+)`")
+	// seriesName matches a tradefl_* name, a …_* glob or a name with one
+	// {a,b} alternation (not a {label="…"} selector).
+	seriesName = regexp.MustCompile(`\btradefl_[A-Za-z0-9_]*(?:\{[a-z0-9_,]+\}[a-z0-9_]*)?\*?`)
+	// seriesAlternation is the {a,b} part of a series name.
+	seriesAlternation = regexp.MustCompile(`\{([a-z0-9_,]+)\}`)
+	// goFile matches a slash-separated path to a .go file (not one under
+	// an environment variable such as $GOROOT).
+	goFile = regexp.MustCompile(`(?:^|[\s(` + "`" + `])((?:[A-Za-z0-9_.-]+/)+[A-Za-z0-9_-]+\.go)\b`)
+	// flagDef matches a flag definition on a flag set: fs.String("name", …)
+	// or fs.BoolVar(&v, "name", …).
+	flagDef = regexp.MustCompile(`\bfs\.[A-Z][A-Za-z0-9]*\((?:&?[A-Za-z0-9_.]+, )?"([a-z][a-z0-9-]*)"`)
+	// commandToken is a command as a shell line runs it, path stripped.
+	commandToken = regexp.MustCompile(`^tradefl-[a-z]+$`)
+	// flagUse matches a flag on a command line.
+	flagUse = regexp.MustCompile(`^-([a-z][a-z0-9-]*)`)
+	// flagList opens a paragraph listing one command's flags.
+	flagList = regexp.MustCompile("^Flag reference \\(`(tradefl-[a-z]+)`\\)")
 )
 
 // TestDocsCensus checks that every tradefl-<name> command the docs name is
 // a directory under cmd/, and that every cmd/… or examples/… path they
 // give exists, so deleting a command or an example means editing the
-// docs that send a reader to it.
+// docs that send a reader to it. In README.md, DESIGN.md and
+// EXPERIMENTS.md it also checks that every backticked tradefl_* series is
+// one TestMetricCensus pins (a …_* glob must match one), that every
+// path/file.go exists (from the root or from internal/), and that every
+// -flag given to a command is one that command or internal/cli defines.
 func TestDocsCensus(t *testing.T) {
 	for _, doc := range censusDocs {
 		raw, err := os.ReadFile(doc)
@@ -42,9 +71,174 @@ func TestDocsCensus(t *testing.T) {
 			}
 		}
 	}
+	flags := commandFlags(t)
+	for _, doc := range referenceDocs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(raw)
+		for _, span := range codeSpan.FindAllStringSubmatch(text, -1) {
+			for _, name := range seriesName.FindAllString(span[1], -1) {
+				if !isSeries(name) {
+					t.Errorf("%s names the series %s, which TestMetricCensus does not pin", doc, name)
+				}
+			}
+		}
+		for _, m := range goFile.FindAllStringSubmatch(text, -1) {
+			if file := m[1]; !exists(file) && !exists(filepath.Join("internal", file)) {
+				t.Errorf("%s gives the file %s, which does not exist", doc, file)
+			}
+		}
+		for _, use := range flagUses(text) {
+			if !flags[use.cmd][use.flag] {
+				t.Errorf("%s gives %s the flag -%s, which it does not define", doc, use.cmd, use.flag)
+			}
+		}
+	}
+}
+
+// isSeries reports whether a tradefl_* name from the docs is a pinned
+// series, or a glob matching one. A name with an upper-case letter is a
+// JSON-RPC method and tradefl_phase the pprof label; neither is a series.
+func isSeries(name string) bool {
+	if name == "tradefl_phase" || strings.ToLower(name) != name {
+		return true
+	}
+	if m := seriesAlternation.FindStringSubmatchIndex(name); m != nil {
+		for _, alt := range strings.Split(name[m[2]:m[3]], ",") {
+			if !isSeries(name[:m[0]] + alt + name[m[1]:]) {
+				return false
+			}
+		}
+		return true
+	}
+	if prefix, glob := strings.CutSuffix(name, "*"); glob {
+		for series := range metricReaders {
+			if strings.HasPrefix(series, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+	_, ok := metricReaders[name]
+	return ok
+}
+
+// commandFlags returns, per command, the flags it defines plus the shared
+// ones internal/cli adds and -h.
+func commandFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	shared := definedFlags(t, "internal/cli/*.go")
+	shared["h"] = true
+	dirs, err := filepath.Glob("cmd/tradefl-*")
+	if err != nil || len(dirs) == 0 {
+		t.Fatalf("no commands under cmd/ (%v)", err)
+	}
+	all := map[string]map[string]bool{}
+	for _, dir := range dirs {
+		own := definedFlags(t, filepath.Join(dir, "*.go"))
+		for name := range shared {
+			own[name] = true
+		}
+		all[filepath.Base(dir)] = own
+	}
+	return all
+}
+
+// definedFlags returns the flag names the non-test files matching pattern
+// define.
+func definedFlags(t *testing.T, pattern string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range flagDef.FindAllStringSubmatch(string(raw), -1) {
+			names[m[1]] = true
+		}
+	}
+	return names
+}
+
+type flagUsage struct{ cmd, flag string }
+
+// flagUses returns the flags the docs give a command: on a command line
+// (a code-block line or a backticked span) every -flag after the command
+// up to a comment or the next shell command, and in a "Flag reference
+// (`tradefl-<name>`)" paragraph every backticked -flag.
+func flagUses(text string) []flagUsage {
+	var uses []flagUsage
+	inBlock := false
+	listing := ""
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "```") {
+			inBlock = !inBlock
+			continue
+		}
+		if inBlock {
+			uses = append(uses, commandLineFlags(line)...)
+			continue
+		}
+		if m := flagList.FindStringSubmatch(line); m != nil {
+			listing = m[1]
+		} else if strings.TrimSpace(line) == "" {
+			listing = ""
+		}
+		for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
+			if m := flagUse.FindStringSubmatch(span[1]); m != nil && listing != "" {
+				uses = append(uses, flagUsage{listing, m[1]})
+			}
+			uses = append(uses, commandLineFlags(span[1])...)
+		}
+	}
+	return uses
+}
+
+// commandLineFlags returns the flags a shell line gives tradefl commands:
+// each ;, | or & separated command that runs one (directly, after
+// VAR=value settings, or through go run ./cmd/…) up to a # comment.
+func commandLineFlags(line string) []flagUsage {
+	var uses []flagUsage
+	line, _, _ = strings.Cut(line, " #")
+	for _, segment := range strings.FieldsFunc(line, func(r rune) bool { return r == ';' || r == '|' || r == '&' }) {
+		fields := strings.Fields(segment)
+		for len(fields) > 0 && strings.Contains(fields[0], "=") {
+			fields = fields[1:]
+		}
+		if len(fields) > 1 && fields[0] == "go" && fields[1] == "run" {
+			fields = fields[2:]
+			for len(fields) > 0 && strings.HasPrefix(fields[0], "-") {
+				fields = fields[1:]
+			}
+		}
+		if len(fields) == 0 || !commandToken.MatchString(path.Base(fields[0])) {
+			continue
+		}
+		for _, field := range fields[1:] {
+			if m := flagUse.FindStringSubmatch(field); m != nil {
+				uses = append(uses, flagUsage{path.Base(fields[0]), m[1]})
+			}
+		}
+	}
+	return uses
 }
 
 func isDir(path string) bool {
 	fi, err := os.Stat(path)
 	return err == nil && fi.IsDir()
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

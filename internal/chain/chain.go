@@ -86,8 +86,8 @@ type rcptWindow struct {
 //
 //	sealSeq → poolMu → execMu → mu
 //
-// sealSeq serializes the seal path (SealBlock, ApplySealedBlock, Promote,
-// Checkpoint) without blocking admission or reads: a seal holds it across
+// sealSeq serializes the seal path (SealBlock, ApplySealedBlock, Promote)
+// without blocking admission or reads: a seal holds it across
 // admission-handoff → execute → WAL-enqueue → install, but releases it
 // before the fsync wait, so block H+1 executes while block H commits.
 // poolMu guards the mempool and dedup indexes; execMu guards the ledger
@@ -140,17 +140,11 @@ type Blockchain struct {
 	// ledger audit checks against at every sealed height.
 	genesisWei Wei
 
-	// params and alloc reproduce genesis; snapshots embed them so recovery
-	// is self-contained.
-	params ContractParams
-	alloc  GenesisAlloc
-
 	// wal, when attached, makes every accepted tx and sealed block durable
 	// before it is acknowledged. After a WAL write error the chain refuses
 	// all further durable operations (the error is sticky); callers must
-	// treat that as fatal. ckptMu serializes Checkpoint runs.
-	wal    *WAL
-	ckptMu sync.Mutex
+	// treat that as fatal.
+	wal *WAL
 }
 
 // GenesisAlloc funds accounts at genesis.
@@ -185,8 +179,6 @@ func newBlockchain(authority *Account, params ContractParams, alloc GenesisAlloc
 		sealing:    map[string]struct{}{},
 		nextNonce:  map[Address]uint64{},
 		sealedRcpt: map[string]*Receipt{},
-		params:     params,
-		alloc:      alloc,
 	}
 	root, err := led.root()
 	if err != nil {

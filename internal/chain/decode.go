@@ -2,15 +2,17 @@ package chain
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 
 	"tradefl/internal/jsonx"
 	"tradefl/internal/obs"
 )
 
-// The canonical-form decoders of the two RPC ends: the request envelope
+// The canonical-form decoders of the two RPC ends — the request envelope
 // with its transactions on the server, the response envelope with a block
-// or a batch's results on the client. Each reads its body once with a
+// or a batch's results on the client — and of a logged tx or block record,
+// read by recovery and by a standby. Each reads its body once with a
 // jsonx.Cursor, member by member in the order this package's encoders
 // write them, and reports false on anything else; the caller then decodes
 // the body with encoding/json from its first byte, as it always did. What
@@ -134,4 +136,32 @@ func decodeResult[T any](body []byte, out *T, result func(*decoder, *T) bool) bo
 		*out = fresh
 	}
 	return ok
+}
+
+// decodeWalRec decodes one logged record into rec: a tx or block record in
+// the form encodeWalRec writes in one pass, anything else (a genesis or
+// term record) with encoding/json.
+func decodeWalRec(payload []byte, rec *walRec) error {
+	var (
+		d    = decoder{jsonx.NewCursor(payload)}
+		kind string
+		ok   bool
+	)
+	if d.Lit("{") && d.Member("kind") && d.Str(&kind) {
+		switch kind {
+		case recTx:
+			tx := new(Transaction)
+			ok = d.Member("tx") && d.tx(tx) && d.Lit("}") && d.End()
+			*rec = walRec{Kind: kind, Tx: tx}
+		case recBlock:
+			b := new(Block)
+			ok = d.Member("block") && d.block(b) && d.Lit("}") && d.End()
+			*rec = walRec{Kind: kind, Block: b}
+		}
+	}
+	if ok {
+		return nil
+	}
+	*rec = walRec{}
+	return json.Unmarshal(payload, rec)
 }

@@ -499,13 +499,43 @@ func FuzzChainDecodeMatchesJSON(f *testing.F) {
 			[]byte(`{"jsonrpc":"2.0","id":1,"result":{"height":1,"prevHash":"p","stateRoot":"s","txRoot":"t","txs":[`+variant+`],"receipts":[{"txHash":"h","height":1,"ok":false,"error":"e"}],"sealer":"a2V5","term":2,"seal":"c2ln"}} trailing`),
 			[]byte(` {"jsonrpc":"2.0","id":1,"result":{"height":1,"txs":[`+variant+`],"receipts":null}}`+"\n"))
 	}
+	for _, rec := range []walRec{{Kind: recTx, Tx: &plan.txs[0]}, {Kind: recTerm, Term: 2}} {
+		frame, err := encodeWalRec(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, frame[durable.FrameSize(0):])
+	}
+	for h := uint64(0); h <= bc.Height(); h++ {
+		b, _ := bc.BlockAt(h)
+		frame, err := encodeWalRec(walRec{Kind: recBlock, Block: b})
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, frame[durable.FrameSize(0):])
+	}
+	seeds = append(seeds, []byte(`{"kind":"tx","tx":`+tx+`}`), []byte(`{"kind":"tx","tx":`+tx+`,"kind":"block"}`))
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkRequestDecoding(t, body)
 		checkReplyDecoding(t, body)
+		checkWalRecDecoding(t, body)
 	})
+}
+
+// checkWalRecDecoding holds decodeWalRec to json.Unmarshal on payload.
+func checkWalRecDecoding(t testing.TB, payload []byte) {
+	t.Helper()
+	var got, want walRec
+	gotErr, wantErr := decodeWalRec(payload, &got), json.Unmarshal(payload, &want)
+	if !sameError(gotErr, wantErr) {
+		t.Fatalf("wal record: error %v, encoding/json %v\npayload %s", gotErr, wantErr, payload)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("wal record: decoded\n got %+v\nwant %+v\npayload %s", got, want, payload)
+	}
 }
 
 // TestTracedCallContinuesIntoServe: a request carrying a trace context is

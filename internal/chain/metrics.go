@@ -27,16 +27,13 @@ var (
 )
 
 // Durability telemetry: write-ahead log traffic and group-commit shape,
-// snapshot/checkpoint activity, recovery work, and the fencing-term state
-// of validator failover.
+// recovery work, and the fencing-term state of validator failover.
 var (
 	mWALBytes    = obs.NewCounter("tradefl_chain_wal_bytes_total", "framed bytes fsynced to the write-ahead log")
 	mWALFsyncs   = obs.NewCounter("tradefl_chain_wal_fsyncs_total", "fsync calls issued by the WAL syncer (one per group commit)")
 	mWALFsyncSec = obs.NewHistogram("tradefl_chain_wal_fsync_seconds", "wall time of one WAL fsync", obs.TimeBuckets)
 	mWALBatch    = obs.NewHistogram("tradefl_chain_wal_batch_records", "records per group commit (batching factor of the syncer)", obs.ExpBuckets(1, 2, 10))
-	mSnapshotSec = obs.NewHistogram("tradefl_chain_snapshot_seconds", "wall time of one Checkpoint incl. snapshot write and segment GC", obs.TimeBuckets)
-	mRecoverSec  = obs.NewHistogram("tradefl_chain_recover_seconds", "wall time of a full Recover (snapshot replay + WAL replay)", obs.TimeBuckets)
-	mRecoverBack = obs.NewCounter("tradefl_chain_recover_snapshot_fallbacks_total", "snapshots a recovery found unusable and passed over for an older one (a defect in the snapshot or its WAL suffix, not resilience)")
+	mRecoverSec  = obs.NewHistogram("tradefl_chain_recover_seconds", "wall time of a recovery's log replay", obs.TimeBuckets)
 	mTerm        = obs.NewGauge("tradefl_chain_term", "current fencing term of this validator")
 	mStaleSeals  = obs.NewCounter("tradefl_chain_stale_term_rejects_total", "sealed blocks rejected because their fencing term was stale (fenced-off revived primary)")
 	mReplApplied = obs.NewCounter("tradefl_chain_replicated_records_total", "WAL records applied by a standby from the replication stream")

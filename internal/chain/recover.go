@@ -2,86 +2,44 @@ package chain
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"tradefl/internal/durable"
 	"tradefl/internal/obs"
 )
 
-// Recovery and incremental snapshots.
+// Recovery.
 //
-// A durable chain directory holds two kinds of files:
-//
-//	snap-NNNNNNNN.json   full chain document (params, genesis alloc, all
-//	                     blocks, pending pool, fencing term) written
-//	                     atomically by Checkpoint; NNNNNNNN is the WAL
-//	                     segment the snapshot's replay resumes from
-//	wal-NNNNNNNN.seg     CRC-framed record log (see wal.go)
-//
-// Checkpoint rotates the WAL to a fresh segment while holding the chain
-// lock — every record enqueued before the rotation lands in the old
-// segment and the snapshot captures exactly the state those records
-// produced — then writes snap-<newSeq>.json atomically. Recovery replays
-// the newest decodable snapshot from genesis (verifying every root, seal
-// and signature; the snapshot is never trusted) and then replays the WAL
-// segments >= the snapshot's sequence, truncating a torn tail in the final
-// segment only. The latest two snapshots are retained and WAL segments
-// below the older one are garbage-collected, so a corrupt newest snapshot
-// can always fall back to its predecessor with the log suffix intact.
+// A durable chain directory holds one file, wal.log: the CRC-framed record
+// log of wal.go. Its first record is the genesis record (contract params,
+// genesis allocation and the genesis block); every later record is an
+// accepted tx, a sealed block or a fencing-term bump, in chain order.
+// Recovery replays the whole log through one replayer, which re-executes
+// every tx and re-seals every block, requiring each to hash as stored, so
+// nothing on disk is trusted. A torn tail is truncated. A directory in
+// the older snapshot-and-segments format is converted on open
+// (legacy.go).
 
 var recoverLog = obs.Component("chain.recover")
 
-// ErrNoSnapshot is returned when a recovery directory has no snapshot.
-var ErrNoSnapshot = errors.New("chain: no snapshot in wal dir")
+// ErrNoLog is returned when a recovery directory holds no log.
+var ErrNoLog = errors.New("chain: no log in wal dir")
 
 // ErrReplayMismatch is returned when a stored chain does not reproduce
-// under replay.
+// under replay, or when its genesis is not the one the caller asked for.
 var ErrReplayMismatch = errors.New("chain: replay mismatch")
 
-// snapshotDoc is the on-disk snapshot document.
-type snapshotDoc struct {
-	Params ContractParams `json:"params"`
-	Alloc  GenesisAlloc   `json:"alloc"`
-	Blocks []*Block       `json:"blocks"`
-	Pool   []Transaction  `json:"pool,omitempty"`
-	Term   uint64         `json:"term,omitempty"`
-	// WALSeq is the first WAL segment holding records newer than this
-	// snapshot.
-	WALSeq uint64 `json:"walSeq"`
-}
-
-// snapshotName formats the file name of the snapshot at WAL sequence seq.
-func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%08d.json", seq) }
-
-// listSnapshots returns the snapshot sequence numbers in dir, ascending.
-func listSnapshots(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var seqs []uint64
-	for _, e := range entries {
-		var seq uint64
-		if n, err := fmt.Sscanf(e.Name(), "snap-%d.json", &seq); n == 1 && err == nil {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
-}
-
 // OpenDurable opens (or initializes) a WAL-backed chain in dir. A fresh
-// directory gets a new chain from params/alloc, an initial snapshot, and
-// WAL segment 1; a directory with prior state is recovered — params and
-// alloc then come from the recovered snapshot, and the arguments are only
-// used to detect an accidental genesis mismatch.
+// directory gets a new chain from params/alloc and a log holding its
+// genesis record; a directory with prior state is recovered, and its
+// genesis block must equal the one params, alloc and authority build, or
+// OpenDurable fails with ErrReplayMismatch.
 func OpenDurable(dir string, authority *Account, params ContractParams, alloc GenesisAlloc) (*Blockchain, error) {
 	return OpenDurableOpts(dir, authority, params, alloc, Options{})
 }
@@ -93,39 +51,37 @@ func OpenDurableOpts(dir string, authority *Account, params ContractParams, allo
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("chain: wal dir: %w", err)
 	}
-	snaps, err := listSnapshots(dir)
+	fresh, err := newBlockchain(authority, params, alloc, opts)
 	if err != nil {
 		return nil, err
 	}
-	segs, err := listSegments(dir)
+	bc, err := recoverDir(dir, authority, math.MaxUint64, opts)
+	if errors.Is(err, ErrNoLog) {
+		return initDurable(dir, fresh, params, alloc)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(snaps) == 0 && len(segs) == 0 {
-		return initDurable(dir, authority, params, alloc, opts)
+	if err := sameBlock(bc.blocks[0], fresh.blocks[0]); err != nil {
+		return nil, errors.Join(fmt.Errorf("%w: %s holds another genesis: %v", ErrReplayMismatch, dir, err), bc.CloseDurable())
 	}
-	return recoverDir(dir, authority, math.MaxUint64, opts)
+	return bc, nil
 }
 
-// initDurable bootstraps a fresh durable chain: genesis, segment 1, and a
-// base snapshot so recovery always has a self-contained starting point.
-func initDurable(dir string, authority *Account, params ContractParams, alloc GenesisAlloc, opts Options) (*Blockchain, error) {
-	bc, err := newBlockchain(authority, params, alloc, opts)
+// initDurable bootstraps a fresh durable chain: the log is written whole
+// with its genesis record (temp file, fsync, rename), so a crash leaves
+// either no log or a complete one, and then opened for append.
+func initDurable(dir string, bc *Blockchain, params ContractParams, alloc GenesisAlloc) (*Blockchain, error) {
+	genesis, err := encodeWalRec(walRec{Kind: recGenesis, Genesis: &genesisRec{Params: params, Alloc: alloc, Block: bc.blocks[0]}})
 	if err != nil {
 		return nil, err
 	}
-	w, err := createWAL(dir, 1)
-	if err != nil {
+	path := filepath.Join(dir, logName)
+	if err := durable.WriteFileAtomic(path, genesis, 0o600); err != nil {
 		return nil, err
 	}
-	doc := snapshotDoc{Params: params, Alloc: alloc, Blocks: bc.blocks, Term: 0, WALSeq: 1}
-	raw, err := json.Marshal(doc)
+	w, err := openWAL(path, int64(len(genesis)))
 	if err != nil {
-		w.Close()
-		return nil, err
-	}
-	if err := durable.WriteFileAtomic(filepath.Join(dir, snapshotName(1)), raw, 0o600); err != nil {
-		w.Close()
 		return nil, err
 	}
 	bc.attachWAL(w)
@@ -133,10 +89,10 @@ func initDurable(dir string, authority *Account, params ContractParams, alloc Ge
 	return bc, nil
 }
 
-// Recover rebuilds the chain in dir to its last durable state: newest
-// decodable snapshot, replayed and verified from genesis, plus every WAL
-// record that survived the crash. The recovered chain has the WAL
-// reattached and is ready to serve.
+// Recover rebuilds the chain in dir to its last durable state: the log
+// replayed and verified from genesis, every record that survived the
+// crash included. The recovered chain has the WAL reattached and is ready
+// to serve.
 func Recover(dir string, authority *Account) (*Blockchain, error) {
 	return recoverDir(dir, authority, math.MaxUint64, Options{})
 }
@@ -151,59 +107,129 @@ func RecoverAt(dir string, authority *Account, height uint64) (*Blockchain, erro
 }
 
 // recoverDir is the shared recovery core: it replays up to block
-// stopHeight. Only a full recovery (math.MaxUint64) reattaches the WAL for
-// append; a point-in-time target leaves the directory untouched.
+// stopHeight. Only a full recovery (math.MaxUint64) writes the directory —
+// it converts an old-format one, truncates a torn tail and reattaches the
+// WAL for append; a point-in-time target leaves the directory untouched.
 func recoverDir(dir string, authority *Account, stopHeight uint64, opts Options) (*Blockchain, error) {
 	attach := stopHeight == math.MaxUint64
+	path := filepath.Join(dir, logName)
+	var converted []byte // an old-format directory's log, not yet on disk
+	if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
+		if converted, err = convertLegacy(dir); err != nil {
+			return nil, err
+		}
+	} else if err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	defer mRecoverSec.ObserveSince(start)
-	snaps, err := listSnapshots(dir)
+	if attach {
+		if converted != nil {
+			if err := durable.WriteFileAtomic(path, converted, 0o600); err != nil {
+				return nil, err
+			}
+			converted = nil
+		}
+		// Only after the log is in place: a kill between the rename and
+		// this cleanup leaves a directory that recovers from wal.log.
+		if err := removeLegacy(dir); err != nil {
+			return nil, err
+		}
+	}
+	r := &replayer{authority: authority, opts: opts, stop: stopHeight}
+	var err error
+	switch {
+	case converted != nil:
+		_, err = durable.ScanFrames(bytes.NewReader(converted), r.replay)
+	case attach:
+		// Truncate-and-replay in one pass; the tear (if any) is gone from
+		// disk afterwards, which makes recovery idempotent.
+		var removed int64
+		if removed, err = durable.TruncateTornTail(path, r.replay); removed > 0 {
+			recoverLog.Warn("truncated torn wal tail", "bytes", removed)
+			obs.FlightRecord("chain", "wal-torn-tail", fmt.Sprintf("%d bytes truncated", removed))
+		}
+	default:
+		var f *os.File
+		if f, err = os.Open(path); err != nil {
+			return nil, err
+		}
+		_, err = durable.ScanFrames(f, r.replay)
+		f.Close()
+		if errors.Is(err, durable.ErrTornTail) {
+			err = nil // read-only view: stop at the tear, leave the file alone
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(snaps) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoSnapshot, dir)
+	bc := r.bc
+	if bc == nil {
+		return nil, fmt.Errorf("%w: %s has no genesis record", ErrWALCorrupt, path)
 	}
-	// Newest snapshot first; fall back to its predecessor if it is damaged
-	// (a checkpoint that crashed mid-write, a tampered file). Segments are
-	// GC'd only below the older retained snapshot, so the fallback's log
-	// suffix is always intact.
-	var lastErr error
-	for i := len(snaps) - 1; i >= 0; i-- {
-		bc, err := recoverFromSnapshot(dir, authority, snaps[i], stopHeight, attach, opts)
-		if err == nil {
-			// Every snapshot replays the same log suffix, so an older one
-			// cannot reach further: a missing target is not a fallback.
-			if !attach && bc.Height() < stopHeight {
-				return nil, fmt.Errorf("chain: no sealed block at height %d (durable history ends at %d)", stopHeight, bc.Height())
-			}
-			recoverLog.Info("recovered", "dir", dir, "snapshot", snaps[i],
-				"height", bc.Height(), "pending", bc.PendingCount(), "term", bc.Term())
-			return bc, nil
+	if !attach {
+		if bc.Height() < stopHeight {
+			return nil, fmt.Errorf("chain: no sealed block at height %d (durable history ends at %d)", stopHeight, bc.Height())
 		}
-		mRecoverBack.Inc()
-		recoverLog.Warn("snapshot recovery failed", "snapshot", snaps[i], "err", err)
-		obs.FlightRecord("chain", "recover-fallback",
-			fmt.Sprintf("snapshot %d unusable: %v", snaps[i], err))
-		lastErr = err
+		return bc, nil
 	}
-	return nil, fmt.Errorf("chain: recovery exhausted %d snapshots: %w", len(snaps), lastErr)
+	st, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	w, err := openWAL(path, st.Size())
+	if err != nil {
+		return nil, err
+	}
+	bc.attachWAL(w)
+	recoverLog.Info("recovered", "dir", dir, "height", bc.Height(), "pending", bc.PendingCount(), "term", bc.Term())
+	return bc, nil
 }
 
-// replayer applies recovered history to a chain in log order. Snapshot
-// and WAL suffix both arrive as records, so each block goes through one
-// arm and the point-in-time target is checked there alone.
+// replayer applies the log to a chain in log order; the genesis record
+// builds the chain, and the block arm alone checks the point-in-time
+// target.
 type replayer struct {
-	bc   *Blockchain
-	stop uint64 // last block to apply
-	done bool   // a block past stop was reached; later records are ignored
+	authority *Account
+	opts      Options
+	bc        *Blockchain
+	stop      uint64 // last block to apply
+	done      bool   // a block past stop was reached; later records are ignored
 }
 
-func (r *replayer) apply(rec walRec) error {
+// replay decodes and applies one logged payload.
+func (r *replayer) replay(payload []byte) error {
 	if r.done {
 		return nil
 	}
+	var rec walRec
+	if err := decodeWalRec(payload, &rec); err != nil {
+		return fmt.Errorf("%w: undecodable record: %v", ErrWALCorrupt, err)
+	}
+	if err := r.apply(rec); err != nil {
+		return fmt.Errorf("%w: %w", ErrWALCorrupt, err)
+	}
+	return nil
+}
+
+func (r *replayer) apply(rec walRec) error {
+	if r.bc == nil && rec.Kind != recGenesis {
+		return fmt.Errorf("%q record before the genesis record", rec.Kind)
+	}
 	switch rec.Kind {
+	case recGenesis:
+		g := rec.Genesis
+		if r.bc != nil || g == nil || g.Block == nil {
+			return errors.New("misplaced or empty genesis record")
+		}
+		bc, err := newBlockchain(r.authority, g.Params, g.Alloc, r.opts)
+		if err != nil {
+			return err
+		}
+		if err := sameBlock(bc.blocks[0], g.Block); err != nil {
+			return fmt.Errorf("%w: genesis: %v", ErrReplayMismatch, err)
+		}
+		r.bc = bc
 	case recTx:
 		if rec.Tx == nil {
 			return errors.New("tx record without tx")
@@ -225,7 +251,7 @@ func (r *replayer) apply(rec walRec) error {
 		// Unfenced: term records in the log may postdate this block, so the
 		// stored term is installed verbatim rather than checked.
 		if err := r.bc.applyStored(rec.Block, false); err != nil {
-			return fmt.Errorf("block %d: %v", rec.Block.Height, err)
+			return fmt.Errorf("block %d: %w", rec.Block.Height, err)
 		}
 	case recTerm:
 		r.bc.setTerm(rec.Term)
@@ -233,216 +259,6 @@ func (r *replayer) apply(rec walRec) error {
 		return fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
 	return nil
-}
-
-// recoverFromSnapshot replays one snapshot and its WAL suffix.
-func recoverFromSnapshot(dir string, authority *Account, snapSeq, stopHeight uint64, attach bool, opts Options) (*Blockchain, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, snapshotName(snapSeq)))
-	if err != nil {
-		return nil, err
-	}
-	var doc snapshotDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("chain: decode snapshot: %w", err)
-	}
-	if len(doc.Blocks) == 0 {
-		return nil, fmt.Errorf("%w: snapshot has no blocks", ErrReplayMismatch)
-	}
-	bc, err := newBlockchain(authority, doc.Params, doc.Alloc, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := sameBlock(bc.blocks[0], doc.Blocks[0]); err != nil {
-		return nil, fmt.Errorf("%w: genesis: %v", ErrReplayMismatch, err)
-	}
-	// The snapshot replays as the log it compacts: each block's txs, then
-	// the block; then the term and the pool, whose tx records lie in the
-	// segments below snapSeq.
-	r := &replayer{bc: bc, stop: stopHeight}
-	for _, b := range doc.Blocks[1:] {
-		for i := 0; err == nil && i < len(b.Txs); i++ {
-			err = r.apply(walRec{Kind: recTx, Tx: &b.Txs[i]})
-		}
-		if err == nil {
-			err = r.apply(walRec{Kind: recBlock, Block: b})
-		}
-	}
-	if err == nil {
-		err = r.apply(walRec{Kind: recTerm, Term: doc.Term})
-	}
-	for i := 0; err == nil && i < len(doc.Pool); i++ {
-		err = r.apply(walRec{Kind: recTx, Tx: &doc.Pool[i]})
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: snapshot: %v", ErrReplayMismatch, err)
-	}
-	return replayWALSuffix(dir, r, snapSeq, attach)
-}
-
-// replayWALSuffix replays segments >= snapSeq through r. Only the final
-// segment may end in a torn tail; a tear or a decode failure anywhere else
-// is ErrWALCorrupt. With attach=true the tail is truncated, the final
-// segment is reopened for append and the WAL wired into the chain;
-// attach=false only reads.
-func replayWALSuffix(dir string, r *replayer, snapSeq uint64, attach bool) (*Blockchain, error) {
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	var suffix []uint64
-	for _, seq := range segs {
-		if seq >= snapSeq {
-			suffix = append(suffix, seq)
-		}
-	}
-	if len(suffix) == 0 {
-		// The rotation that precedes a snapshot write creates the segment
-		// before the snapshot exists, so an empty suffix means the files
-		// were tampered with.
-		return nil, fmt.Errorf("%w: no wal segment >= %d", ErrWALCorrupt, snapSeq)
-	}
-	for i, seq := range suffix {
-		if want := suffix[0] + uint64(i); seq != want {
-			return nil, fmt.Errorf("%w: segment gap: have %d, want %d", ErrWALCorrupt, seq, want)
-		}
-	}
-	replay := func(payload []byte) error {
-		if r.done {
-			return nil
-		}
-		var rec walRec
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("%w: undecodable record: %v", ErrWALCorrupt, err)
-		}
-		if err := r.apply(rec); err != nil {
-			return fmt.Errorf("%w: %v", ErrWALCorrupt, err)
-		}
-		return nil
-	}
-	var lastSize int64
-	for i, seq := range suffix {
-		path := filepath.Join(dir, segmentName(seq))
-		final := i == len(suffix)-1
-		if final && attach {
-			// Truncate-and-replay in one pass; the tear (if any) is gone
-			// from disk afterwards, which makes recovery idempotent.
-			removed, err := durable.TruncateTornTail(path, replay)
-			if err != nil {
-				return nil, err
-			}
-			if removed > 0 {
-				recoverLog.Warn("truncated torn wal tail", "segment", seq, "bytes", removed)
-				obs.FlightRecord("chain", "wal-torn-tail",
-					fmt.Sprintf("segment %d: %d bytes truncated", seq, removed))
-			}
-			st, err := os.Stat(path)
-			if err != nil {
-				return nil, err
-			}
-			lastSize = st.Size()
-			continue
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		_, scanErr := durable.ScanFrames(f, replay)
-		f.Close()
-		if scanErr != nil {
-			if final && errors.Is(scanErr, durable.ErrTornTail) {
-				break // read-only view: stop at the tear, leave the file alone
-			}
-			if errors.Is(scanErr, durable.ErrTornTail) {
-				return nil, fmt.Errorf("%w: torn tail in non-final segment %d", ErrWALCorrupt, seq)
-			}
-			return nil, scanErr
-		}
-	}
-	if !attach {
-		return r.bc, nil
-	}
-	w, err := openWALSegment(dir, suffix[len(suffix)-1], lastSize)
-	if err != nil {
-		return nil, err
-	}
-	r.bc.attachWAL(w)
-	return r.bc, nil
-}
-
-// Checkpoint writes an incremental snapshot: it rotates the WAL under the
-// chain lock (so the snapshot state and the segment boundary agree
-// exactly), writes snap-<newSeq>.json atomically, keeps the latest two
-// snapshots, and garbage-collects WAL segments below the older retained
-// one. Concurrent Checkpoint calls serialize.
-func (bc *Blockchain) Checkpoint() error {
-	bc.ckptMu.Lock()
-	defer bc.ckptMu.Unlock()
-	start := time.Now()
-	defer mSnapshotSec.ObserveSince(start)
-	// sealSeq waits out a seal in progress, whose txs have left the pool
-	// but are not yet a block, so the snapshot's blocks and pool hold every
-	// logged tx; poolMu blocks admission so no tx record can slip past the
-	// rotation into the new segment while its tx sits in the snapshot pool.
-	bc.sealSeq.Lock()
-	bc.poolMu.Lock()
-	bc.mu.RLock()
-	unlock := func() {
-		bc.mu.RUnlock()
-		bc.poolMu.Unlock()
-		bc.sealSeq.Unlock()
-	}
-	if bc.wal == nil {
-		unlock()
-		return errors.New("chain: checkpoint without a wal")
-	}
-	if err := bc.wal.Err(); err != nil {
-		unlock()
-		return fmt.Errorf("chain: wal unavailable: %w", err)
-	}
-	ticket, newSeq := bc.wal.rotateAsync()
-	doc := snapshotDoc{
-		Params: bc.params,
-		Alloc:  bc.alloc,
-		Blocks: bc.blocks,
-		Pool:   bc.pool,
-		Term:   bc.term,
-		WALSeq: newSeq,
-	}
-	raw, err := json.Marshal(doc)
-	unlock()
-	if err != nil {
-		return fmt.Errorf("chain: marshal snapshot: %w", err)
-	}
-	if err := ticket.wait(); err != nil {
-		return fmt.Errorf("chain: checkpoint rotation: %w", err)
-	}
-	dir := bc.wal.Dir()
-	if err := durable.WriteFileAtomic(filepath.Join(dir, snapshotName(newSeq)), raw, 0o600); err != nil {
-		return err
-	}
-	obs.FlightRecord("chain", "checkpoint",
-		fmt.Sprintf("snapshot %d (%d blocks, %d pending)", newSeq, len(doc.Blocks), len(doc.Pool)))
-	return gcSnapshots(dir)
-}
-
-// gcSnapshots keeps the two newest snapshots and removes WAL segments no
-// retained snapshot can need (those below the older retained one).
-func gcSnapshots(dir string) error {
-	snaps, err := listSnapshots(dir)
-	if err != nil {
-		return err
-	}
-	for _, seq := range snaps[:max(0, len(snaps)-2)] {
-		if err := os.Remove(filepath.Join(dir, snapshotName(seq))); err != nil {
-			return err
-		}
-	}
-	if len(snaps) < 2 {
-		return nil
-	}
-	older := snaps[len(snaps)-2]
-	_, err = removeSegmentsBelow(dir, older)
-	return err
 }
 
 // sameBlock compares a replayed block with the stored one: header hash and

@@ -123,9 +123,9 @@ func TestDurableRoundTripAcrossCrash(t *testing.T) {
 	}
 }
 
-// TestOpenDurableReopensPopulatedDir: reopening a directory that holds a
-// checkpoint, blocks past it and a pending tx must resume the whole durable
-// history, and the reopened chain must keep sealing on top of it.
+// TestOpenDurableReopensPopulatedDir: reopening a directory that holds
+// blocks, a fencing-term bump and a pending tx must resume the whole
+// durable history, and the reopened chain must keep sealing on top of it.
 func TestOpenDurableReopensPopulatedDir(t *testing.T) {
 	f := newDurableFixture(t, 3)
 	for i := range f.accounts {
@@ -134,7 +134,7 @@ func TestOpenDurableReopensPopulatedDir(t *testing.T) {
 	if _, err := f.bc.SealBlock(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.bc.Checkpoint(); err != nil {
+	if _, err := f.bc.Promote(); err != nil {
 		t.Fatal(err)
 	}
 	f.submit(t, 0, FnContributionSubmit, Contribution{D: 0.5, F: 3e9}, 0)
@@ -160,6 +160,9 @@ func TestOpenDurableReopensPopulatedDir(t *testing.T) {
 	if got := bc.PendingCount(); got != wantPending {
 		t.Fatalf("reopened pending pool %d, want %d", got, wantPending)
 	}
+	if got := bc.Term(); got != 1 {
+		t.Fatalf("reopened term %d, want 1", got)
+	}
 	if _, err := bc.SealBlock(); err != nil {
 		t.Fatal(err)
 	}
@@ -177,9 +180,56 @@ func TestOpenDurableReopensPopulatedDir(t *testing.T) {
 	again.CloseDurable()
 }
 
-// TestRecoverAtEveryTornOffset chops the WAL segment at every byte offset
-// — every possible kill -9 image — and requires recovery to succeed with
-// exactly the wholly-durable records, twice (idempotent).
+// TestOpenDurableRefusesAnotherGenesis: a populated directory opens only
+// with the genesis it was written with. Params, alloc or an authority that
+// build another genesis block are refused with ErrReplayMismatch, as
+// tradefl-chain -seed 8 must be on a directory written with -seed 7.
+func TestOpenDurableRefusesAnotherGenesis(t *testing.T) {
+	f := newDurableFixture(t, 2)
+	f.submit(t, 0, FnDepositSubmit, nil, MinDeposit(f.params, 0, 5e9))
+	if _, err := f.bc.SealBlock(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.bc.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	otherAlloc := GenesisAlloc{}
+	for addr, wei := range f.alloc {
+		otherAlloc[addr] = wei + 1
+	}
+	otherParams := f.params
+	otherParams.Lambda *= 2
+	for _, tc := range []struct {
+		name      string
+		authority *Account
+		params    ContractParams
+		alloc     GenesisAlloc
+	}{
+		{"alloc", f.authority, f.params, otherAlloc},
+		{"params", f.authority, otherParams, f.alloc},
+		{"authority", f.accounts[1], f.params, f.alloc},
+	} {
+		bc, err := OpenDurable(f.dir, tc.authority, tc.params, tc.alloc)
+		if !errors.Is(err, ErrReplayMismatch) || bc != nil {
+			t.Fatalf("OpenDurable with another %s: chain returned %v, err %v; want none and ErrReplayMismatch", tc.name, bc != nil, err)
+		}
+	}
+	bc, err := OpenDurable(f.dir, f.authority, f.params, f.alloc)
+	if err != nil {
+		t.Fatalf("OpenDurable with the directory's own genesis: %v", err)
+	}
+	if bc.Height() != 1 {
+		t.Fatalf("reopened height %d, want 1", bc.Height())
+	}
+	if err := bc.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverAtEveryTornOffset chops the log at every byte offset past its
+// genesis record — every possible kill -9 image, since the genesis record
+// is written whole before the log exists — and requires recovery to
+// succeed with exactly the wholly-durable records, twice (idempotent).
 func TestRecoverAtEveryTornOffset(t *testing.T) {
 	f := newDurableFixture(t, 2)
 	f.submit(t, 0, FnDepositSubmit, nil, MinDeposit(f.params, 0, 5e9))
@@ -192,21 +242,17 @@ func TestRecoverAtEveryTornOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segPath := filepath.Join(f.dir, segmentName(1))
-	full, err := os.ReadFile(segPath)
+	full, err := os.ReadFile(filepath.Join(f.dir, logName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapRaw, err := os.ReadFile(filepath.Join(f.dir, snapshotName(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	genesisEnd := genesisFrameEnd(t, full)
 	// Expected post-recovery shape for each prefix: count the block and tx
 	// records wholly contained in it (a block record absorbs the pending
 	// txs before it).
 	type expect struct{ height, pending int }
 	expected := make([]expect, len(full)+1)
-	for cut := 0; cut <= len(full); cut++ {
+	for cut := genesisEnd; cut <= len(full); cut++ {
 		var e expect
 		_, _ = durable.ScanFrames(bytes.NewReader(full[:cut]), func(p []byte) error {
 			var rec walRec
@@ -226,15 +272,12 @@ func TestRecoverAtEveryTornOffset(t *testing.T) {
 	}
 
 	work := t.TempDir()
-	for cut := 0; cut <= len(full); cut++ {
+	for cut := genesisEnd; cut <= len(full); cut++ {
 		caseDir := filepath.Join(work, fmt.Sprintf("cut-%d", cut))
 		if err := os.MkdirAll(caseDir, 0o700); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(caseDir, snapshotName(1)), snapRaw, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(caseDir, segmentName(1)), full[:cut], 0o600); err != nil {
+		if err := os.WriteFile(filepath.Join(caseDir, logName), full[:cut], 0o600); err != nil {
 			t.Fatal(err)
 		}
 		bc, err := Recover(caseDir, f.authority)
@@ -267,6 +310,18 @@ func TestRecoverAtEveryTornOffset(t *testing.T) {
 	}
 }
 
+// genesisFrameEnd returns the offset just past the log's genesis record.
+func genesisFrameEnd(t testing.TB, log []byte) int {
+	t.Helper()
+	end, err := durable.ScanFrames(bytes.NewReader(log), func([]byte) error { return errStopScan })
+	if !errors.Is(err, errStopScan) {
+		t.Fatalf("log has no intact first record: %v", err)
+	}
+	return int(end)
+}
+
+var errStopScan = errors.New("stop")
+
 func TestCheckpointGCAndPITR(t *testing.T) {
 	f := newDurableFixture(t, 2)
 	var roots []string // state root per height
@@ -277,24 +332,6 @@ func TestCheckpointGCAndPITR(t *testing.T) {
 			t.Fatal(err)
 		}
 		roots = append(roots, f.bc.StateRoot())
-		if err := f.bc.Checkpoint(); err != nil {
-			t.Fatalf("checkpoint %d: %v", i, err)
-		}
-	}
-	// Retention: at most two snapshots; segments below the older one gone.
-	snaps, err := listSnapshots(f.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 2 {
-		t.Fatalf("snapshots after GC: %v, want 2 retained", snaps)
-	}
-	segs, err := listSegments(f.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) == 0 || segs[0] != snaps[0] {
-		t.Fatalf("segments %v should start at older snapshot %d", segs, snaps[0])
 	}
 
 	// Point-in-time recovery to every sealed height reproduces that
@@ -321,94 +358,29 @@ func TestCheckpointGCAndPITR(t *testing.T) {
 	live := f.bc.StateRoot()
 	f.crash(t)
 	if f.bc.StateRoot() != live {
-		t.Fatalf("recovery after checkpoints diverged")
+		t.Fatalf("recovery after point-in-time views diverged")
 	}
 }
 
-// TestRecoverAtPastPooledSnapshot: every retained snapshot holds a pending
-// pool and the target block lies past them. Point-in-time recovery must
-// replay a snapshot's pool exactly as Recover does — the block's txs are
-// there and nowhere in the WAL suffix — so no snapshot may fall back.
+// TestRecoverAtPastPooledSnapshot: the target block's txs sat pending in
+// the pool, one record at a time, before the block sealed them.
+// Point-in-time recovery must replay that pool exactly as Recover does.
+// The old-format fixture (TestLegacyDirConverts) covers the same case with
+// the pool inside a snapshot.
 func TestRecoverAtPastPooledSnapshot(t *testing.T) {
 	f := newDurableFixture(t, 3)
 	for i := range f.accounts {
 		f.submit(t, i, FnDepositSubmit, nil, MinDeposit(f.params, i, 5e9))
-		if err := f.bc.Checkpoint(); err != nil {
-			t.Fatalf("checkpoint %d: %v", i, err)
-		}
 	}
 	if _, err := f.bc.SealBlock(); err != nil {
 		t.Fatal(err)
 	}
-	fallbacks := mRecoverBack.Value()
 	view, err := RecoverAt(f.dir, f.authority, f.bc.Height())
 	if err != nil {
 		t.Fatalf("RecoverAt(%d): %v", f.bc.Height(), err)
 	}
 	if got, want := view.StateRoot(), f.bc.StateRoot(); got != want {
 		t.Fatalf("RecoverAt(%d) root %s, want %s", f.bc.Height(), got, want)
-	}
-	if got := mRecoverBack.Value() - fallbacks; got != 0 {
-		t.Fatalf("point-in-time recovery fell back %v times, want 0", got)
-	}
-}
-
-func TestRecoverFallsBackToOlderSnapshot(t *testing.T) {
-	f := newDurableFixture(t, 2)
-	f.submit(t, 0, FnDepositSubmit, nil, MinDeposit(f.params, 0, 5e9))
-	if _, err := f.bc.SealBlock(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.bc.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	f.submit(t, 1, FnDepositSubmit, nil, MinDeposit(f.params, 1, 5e9))
-	if _, err := f.bc.SealBlock(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.bc.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	want := f.bc.StateRoot()
-	if err := f.bc.CloseDurable(); err != nil {
-		t.Fatal(err)
-	}
-	snaps, err := listSnapshots(f.dir)
-	if err != nil || len(snaps) != 2 {
-		t.Fatalf("want 2 snapshots, got %v (%v)", snaps, err)
-	}
-	// Corrupt the newest snapshot; recovery must fall back to the older
-	// one and replay the remaining WAL suffix to the identical state.
-	newest := filepath.Join(f.dir, snapshotName(snaps[1]))
-	if err := os.WriteFile(newest, []byte("{definitely not json"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	fallbacks := mRecoverBack.Value()
-	bc, err := Recover(f.dir, f.authority)
-	if err != nil {
-		t.Fatalf("recover with corrupt newest snapshot: %v", err)
-	}
-	if got := bc.StateRoot(); got != want {
-		t.Fatalf("fallback recovery root %s, want %s", got, want)
-	}
-	if got := mRecoverBack.Value() - fallbacks; got != 1 {
-		t.Errorf("fallback recovery counted %d snapshot fallbacks, want 1", got)
-	}
-	// A clean recovery of the same directory (the damaged snapshot aside,
-	// which Recover left in place) is not what this counts: remove it.
-	if err := bc.CloseDurable(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(newest); err != nil {
-		t.Fatal(err)
-	}
-	fallbacks = mRecoverBack.Value()
-	if bc, err = Recover(f.dir, f.authority); err != nil {
-		t.Fatalf("clean recover: %v", err)
-	}
-	defer bc.CloseDurable()
-	if got := mRecoverBack.Value() - fallbacks; got != 0 {
-		t.Errorf("clean recovery counted %d snapshot fallbacks, want 0", got)
 	}
 }
 
@@ -462,8 +434,8 @@ func TestDedupSurvivesRestart(t *testing.T) {
 
 // TestRecoverRejectsWrongAuthority: a directory recovers only under the
 // authority that sealed it. Under any other key the replayed genesis seals
-// differently, so every snapshot fails with ErrReplayMismatch and no chain
-// comes back.
+// differently, so the genesis record fails with ErrReplayMismatch and no
+// chain comes back.
 func TestRecoverRejectsWrongAuthority(t *testing.T) {
 	f := newDurableFixture(t, 2)
 	f.submit(t, 0, FnDepositSubmit, nil, 500)

@@ -2,7 +2,6 @@ package chain
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -53,16 +52,13 @@ func NewReplicator(bc *Blockchain, tr transport.Transport, to string) (*Replicat
 		return nil, fmt.Errorf("chain: replication needs a wal")
 	}
 	r := &Replicator{tr: tr, to: to}
-	bc.WAL().SetObserver(r.send)
+	bc.WAL().observer = r.send
 	return r, nil
 }
 
-func (r *Replicator) send(rec walRec) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		standbyLog.Warn("replication marshal failed", "err", err)
-		return
-	}
+// send forwards the payload the log holds for rec, the bytes the follower
+// decodes as a log replay would.
+func (r *Replicator) send(_ walRec, payload []byte) {
 	if err := r.tr.Send(r.to, transport.Message{Type: MsgWALRecord, Payload: payload}); err != nil {
 		standbyLog.Debug("replication send failed", "to", r.to, "err", err)
 		obs.FlightRecord("chain", "repl-drop", fmt.Sprintf("to %s: %v", r.to, err))
@@ -134,7 +130,7 @@ func (s *Standby) Run(ctx context.Context) (bool, error) {
 // apply installs one replicated record into the follower chain.
 func (s *Standby) apply(payload []byte) error {
 	var rec walRec
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	if err := decodeWalRec(payload, &rec); err != nil {
 		return fmt.Errorf("chain: bad replication record: %w", err)
 	}
 	switch rec.Kind {

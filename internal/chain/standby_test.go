@@ -1,11 +1,15 @@
 package chain
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"tradefl/internal/durable"
 	"tradefl/internal/faults"
 	"tradefl/internal/transport"
 )
@@ -174,4 +178,60 @@ func TestStandbyFailoverUnderCrashWindow(t *testing.T) {
 		t.Fatalf("revived primary block: err=%v, want ErrStaleTerm", err)
 	}
 	inj.Close()
+}
+
+// TestReplicatorSendsLoggedPayload: the replication stream carries, record
+// for record, the payload bytes the primary's log holds after its genesis
+// record, not a second encoding of them.
+func TestReplicatorSendsLoggedPayload(t *testing.T) {
+	primary := newDurableFixture(t, 2)
+	hub := transport.NewHub()
+	pEnd, err := hub.Endpoint("primary", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sEnd, err := hub.Endpoint("standby", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewReplicator(primary.bc, pEnd, "standby"); err != nil {
+		t.Fatal(err)
+	}
+	primary.submit(t, 0, FnDepositSubmit, nil, MinDeposit(primary.params, 0, 5e9))
+	primary.submit(t, 1, FnDepositSubmit, nil, MinDeposit(primary.params, 1, 5e9))
+	if _, err := primary.bc.SealBlock(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.bc.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.bc.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(primary.dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var logged [][]byte
+	if _, err := durable.ScanFrames(f, func(p []byte) error {
+		logged = append(logged, append([]byte(nil), p...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	logged = logged[1:] // the genesis record is written before replication starts
+	if len(logged) != 4 {
+		t.Fatalf("log holds %d records after genesis, want 4 (2 txs, a block, a term)", len(logged))
+	}
+	for i, want := range logged {
+		select {
+		case msg := <-sEnd.Receive():
+			if msg.Type != MsgWALRecord || !bytes.Equal(msg.Payload, want) {
+				t.Fatalf("replicated record %d: type %q payload %s, want the logged %s", i, msg.Type, msg.Payload, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("replicated record %d never arrived", i)
+		}
+	}
 }

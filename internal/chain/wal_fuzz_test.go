@@ -10,8 +10,8 @@ import (
 	"tradefl/internal/durable"
 )
 
-// FuzzWALRecover feeds arbitrary bytes as the WAL segment of an otherwise
-// valid durable directory. Whatever the bytes, recovery must
+// FuzzWALRecover feeds arbitrary bytes as the records after the genesis
+// record of an otherwise valid log. Whatever the bytes, recovery must
 //
 //  1. never panic,
 //  2. never apply anything beyond the clean frame prefix (a corrupt or
@@ -30,16 +30,14 @@ func FuzzWALRecover(f *testing.F) {
 	if err := fx.bc.CloseDurable(); err != nil {
 		f.Fatal(err)
 	}
-	seg, err := os.ReadFile(filepath.Join(fx.dir, segmentName(1)))
+	log, err := os.ReadFile(filepath.Join(fx.dir, logName))
 	if err != nil {
 		f.Fatal(err)
 	}
-	snapRaw, err := os.ReadFile(filepath.Join(fx.dir, snapshotName(1)))
-	if err != nil {
-		f.Fatal(err)
-	}
+	genesisEnd := genesisFrameEnd(f, log)
+	genesis, seg := log[:genesisEnd], log[genesisEnd:]
 
-	// Seeds: the real segment, tears, tail garbage, and a flipped byte in
+	// Seeds: the real records, tears, tail garbage, and a flipped byte in
 	// the middle of a record.
 	f.Add(seg)
 	f.Add(seg[:len(seg)/2])
@@ -51,10 +49,7 @@ func FuzzWALRecover(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, segBytes []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, snapshotName(1)), snapRaw, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), segBytes, 0o600); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, logName), append(append([]byte{}, genesis...), segBytes...), 0o600); err != nil {
 			t.Fatal(err)
 		}
 		bc, err := Recover(dir, fx.authority)

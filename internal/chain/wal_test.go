@@ -13,8 +13,23 @@ import (
 	"tradefl/internal/durable"
 )
 
-// scanSegment decodes every record of one segment file.
-func scanSegment(t *testing.T, path string) []walRec {
+// newTestWAL opens an empty log in a fresh directory and returns it with
+// the log's path.
+func newTestWAL(t *testing.T) (*WAL, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), logName)
+	if err := os.WriteFile(path, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	w, err := openWAL(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, path
+}
+
+// scanLog decodes every record of a log file.
+func scanLog(t *testing.T, path string) []walRec {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -37,11 +52,7 @@ func scanSegment(t *testing.T, path string) []walRec {
 }
 
 func TestWALAppendDurableAndOrdered(t *testing.T) {
-	dir := t.TempDir()
-	w, err := createWAL(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, path := newTestWAL(t)
 	for i := uint64(1); i <= 20; i++ {
 		if err := w.Append(walRec{Kind: recTerm, Term: i}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -50,7 +61,7 @@ func TestWALAppendDurableAndOrdered(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	recs := scanSegment(t, filepath.Join(dir, segmentName(1)))
+	recs := scanLog(t, path)
 	if len(recs) != 20 {
 		t.Fatalf("recovered %d records, want 20", len(recs))
 	}
@@ -65,11 +76,7 @@ func TestWALAppendDurableAndOrdered(t *testing.T) {
 // acked record must be on disk exactly once, order within each goroutine
 // preserved.
 func TestWALGroupCommitConcurrent(t *testing.T) {
-	dir := t.TempDir()
-	w, err := createWAL(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, path := newTestWAL(t)
 	const workers, per = 8, 50
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -89,7 +96,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs := scanSegment(t, filepath.Join(dir, segmentName(1)))
+	recs := scanLog(t, path)
 	if len(recs) != workers*per {
 		t.Fatalf("recovered %d records, want %d", len(recs), workers*per)
 	}
@@ -103,39 +110,8 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
-func TestWALRotateSplitsSegments(t *testing.T) {
-	dir := t.TempDir()
-	w, err := createWAL(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(walRec{Kind: recTerm, Term: 1}); err != nil {
-		t.Fatal(err)
-	}
-	next, err := w.Rotate()
-	if err != nil || next != 2 {
-		t.Fatalf("rotate: next=%d err=%v", next, err)
-	}
-	if err := w.Append(walRec{Kind: recTerm, Term: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := scanSegment(t, filepath.Join(dir, segmentName(1))); len(got) != 1 || got[0].Term != 1 {
-		t.Fatalf("segment 1: %+v", got)
-	}
-	if got := scanSegment(t, filepath.Join(dir, segmentName(2))); len(got) != 1 || got[0].Term != 2 {
-		t.Fatalf("segment 2: %+v", got)
-	}
-}
-
 func TestWALAbortFailsPendingAndFutureAppends(t *testing.T) {
-	dir := t.TempDir()
-	w, err := createWAL(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, path := newTestWAL(t)
 	if err := w.Append(walRec{Kind: recTerm, Term: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -143,33 +119,29 @@ func TestWALAbortFailsPendingAndFutureAppends(t *testing.T) {
 	if err != nil {
 		t.Fatalf("abort: %v", err)
 	}
-	st, err := os.Stat(filepath.Join(dir, segmentName(1)))
+	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Size() != cut {
-		t.Fatalf("segment size %d after abort, want %d", st.Size(), cut)
+		t.Fatalf("log size %d after abort, want %d", st.Size(), cut)
 	}
 	if err := w.Append(walRec{Kind: recTerm, Term: 2}); !errors.Is(err, ErrWALAborted) {
 		t.Fatalf("append after abort: %v, want ErrWALAborted", err)
 	}
 	// The synced record survived the abort.
-	if got := scanSegment(t, filepath.Join(dir, segmentName(1))); len(got) != 1 || got[0].Term != 1 {
-		t.Fatalf("post-abort segment: %+v", got)
+	if got := scanLog(t, path); len(got) != 1 || got[0].Term != 1 {
+		t.Fatalf("post-abort log: %+v", got)
 	}
 }
 
 // TestWALAbortKeepsAcknowledged races Abort against appenders: a group
 // commit already in flight when Abort starts finishes its fsync and
 // acknowledges its records, so the cut must not take them back. Every
-// record whose Append returned nil must survive in the segment.
+// record whose Append returned nil must survive in the log.
 func TestWALAbortKeepsAcknowledged(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
-		dir := t.TempDir()
-		w, err := createWAL(dir, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w, path := newTestWAL(t)
 		var (
 			acked atomic.Int64
 			mu    sync.Mutex
@@ -203,7 +175,7 @@ func TestWALAbortKeepsAcknowledged(t *testing.T) {
 		}
 		wg.Wait()
 		kept := map[uint64]bool{}
-		for _, rec := range scanSegment(t, filepath.Join(dir, segmentName(1))) {
+		for _, rec := range scanLog(t, path) {
 			kept[rec.Term] = true
 		}
 		for _, term := range terms {
@@ -212,35 +184,5 @@ func TestWALAbortKeepsAcknowledged(t *testing.T) {
 					iter, term, len(kept), len(terms))
 			}
 		}
-	}
-}
-
-func TestWALRemoveSegmentsBelow(t *testing.T) {
-	dir := t.TempDir()
-	w, err := createWAL(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := w.Append(walRec{Kind: recTerm, Term: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Rotate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	removed, err := removeSegmentsBelow(dir, 3)
-	if err != nil || removed != 2 {
-		t.Fatalf("removed=%d err=%v, want 2 removed", removed, err)
-	}
-	seqs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqs) != 2 || seqs[0] != 3 || seqs[1] != 4 {
-		t.Fatalf("segments after GC: %v, want [3 4]", seqs)
 	}
 }

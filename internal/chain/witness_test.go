@@ -148,10 +148,9 @@ func TestWitnessReplayPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two blocks, a checkpoint, two more: recovery replays a snapshot and
-	// a WAL suffix. The follower sees what a standby sees: each record as
-	// JSON off the wire.
-	for s, txs := range plan.stages() {
+	// Four blocks: recovery and the point-in-time view replay the log. The
+	// follower sees what a standby sees: each record as JSON off the wire.
+	for _, txs := range plan.stages() {
 		if _, err := primary.SubmitTxBatch(txs); err != nil {
 			t.Fatal(err)
 		}
@@ -167,11 +166,6 @@ func TestWitnessReplayPaths(t *testing.T) {
 		wire := jsonRoundTrip(t, *blk)
 		if err := follower.ApplySealedBlock(&wire); err != nil {
 			t.Fatalf("standby apply block %d: %v", blk.Height, err)
-		}
-		if s == 1 {
-			if err := primary.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	view, err := RecoverAt(dir, plan.authority, 3)
@@ -271,13 +265,13 @@ func TestWitnessNeverSerialized(t *testing.T) {
 	if err := json.Unmarshal(raw, decoded["json"]); err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range scanSegment(t, filepath.Join(f.dir, segmentName(1))) {
+	for _, rec := range scanLog(t, filepath.Join(f.dir, logName)) {
 		if rec.Kind == recBlock {
 			decoded["wal"] = rec.Block
 		}
 	}
 	if decoded["wal"] == nil {
-		t.Fatal("no block record in the WAL segment")
+		t.Fatal("no block record in the log")
 	}
 	for name, b := range decoded {
 		if b.admitted != nil {

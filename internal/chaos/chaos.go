@@ -64,9 +64,6 @@ type Options struct {
 	// CrashMin/CrashMax bound the seeded uptime between recoveries
 	// (defaults 150ms..500ms).
 	CrashMin, CrashMax time.Duration
-	// SnapshotEvery checkpoints (incremental snapshot + WAL GC) after every
-	// Nth recovery (default 2; negative disables mid-soak checkpoints).
-	SnapshotEvery int
 	// WALDir is the durable chain's directory (default: a fresh temp dir,
 	// removed after the soak).
 	WALDir string
@@ -102,9 +99,6 @@ func (o Options) withDefaults() Options {
 		if o.CrashMax < o.CrashMin {
 			o.CrashMax = o.CrashMin + 350*time.Millisecond
 		}
-		if o.SnapshotEvery == 0 {
-			o.SnapshotEvery = 2
-		}
 	}
 	return o
 }
@@ -137,12 +131,10 @@ type Report struct {
 	SettleElapsed time.Duration `json:"settleElapsed"`
 
 	// Durable is true when the settlement ran on a WAL-backed chain under
-	// crash cycles; the five fields below are only meaningful then.
+	// crash cycles; the three fields below are only meaningful then.
 	Durable bool `json:"durable,omitempty"`
-	// Crashes counts completed kill/recover cycles; Checkpoints counts
-	// mid-soak incremental snapshots.
-	Crashes     int `json:"crashes,omitempty"`
-	Checkpoints int `json:"checkpoints,omitempty"`
+	// Crashes counts completed kill/recover cycles.
+	Crashes int `json:"crashes,omitempty"`
 	// RecoveredExact is true when every recovery reproduced exactly the
 	// durable prefix: sealed height, state root, and pending-pool size all
 	// equal to what the WAL had acknowledged at the kill, and the recovered
@@ -151,10 +143,6 @@ type Report struct {
 	// PITRVerified is the point-in-time recovery spot check: a read-only
 	// view at a mid-soak height must rebuild and re-verify.
 	PITRVerified bool `json:"pitrVerified,omitempty"`
-	// SnapshotFallbacks counts the snapshots the run's recoveries and its
-	// point-in-time view found unusable and passed over for an older one
-	// (tradefl_chain_recover_snapshot_fallbacks_total); any is a defect.
-	SnapshotFallbacks int `json:"snapshotFallbacks,omitempty"`
 }
 
 // Err returns nil when every acceptance check of the soak holds.
@@ -185,9 +173,6 @@ func (r *Report) Err() error {
 		if !r.PITRVerified {
 			bad = append(bad, "point-in-time recovery view failed to rebuild")
 		}
-		if r.SnapshotFallbacks > 0 {
-			bad = append(bad, fmt.Sprintf("recovery fell back to an older snapshot %d times", r.SnapshotFallbacks))
-		}
 	}
 	if len(bad) == 0 {
 		return nil
@@ -204,8 +189,8 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "  chain:  settled in %v: %v, budget residual %d wei, verified: %v\n",
 		r.SettleElapsed.Round(time.Millisecond), r.Settled, r.BudgetResidual, r.ChainVerified)
 	if r.Durable {
-		fmt.Fprintf(&b, "  crash:  %d kill/recover cycles, %d checkpoints, recovery exact: %v, PITR view: %v, snapshot fallbacks: %d\n",
-			r.Crashes, r.Checkpoints, r.RecoveredExact, r.PITRVerified, r.SnapshotFallbacks)
+		fmt.Fprintf(&b, "  crash:  %d kill/recover cycles, recovery exact: %v, PITR view: %v\n",
+			r.Crashes, r.RecoveredExact, r.PITRVerified)
 	}
 	c := r.Faults
 	fmt.Fprintf(&b, "  faults: %d dropped, %d duplicated, %d delayed, %d partition/crash rejects, %d rpc failures, %d rpc responses lost, %d rpc delayed (total %d)\n",
@@ -531,7 +516,6 @@ func settleMember(ctx context.Context, client *chain.Client, batcher *chain.Batc
 //	crashcycles=N  validator kill -9/recover cycles mid-settlement
 //	crashmin=DUR   minimum uptime between recoveries (default 150ms)
 //	crashmax=DUR   maximum uptime between recoveries (default 500ms)
-//	snapevery=N    checkpoint after every Nth recovery (default 2, -1 off)
 //	waldir=PATH    chain WAL directory (default: fresh temp dir)
 //
 // Submission key:
@@ -614,12 +598,6 @@ func ParseSpec(spec string) (Options, error) {
 				return opts, fmt.Errorf("chaos: crashmax = %q: %v", val, err)
 			}
 			opts.CrashMax = d
-		case "snapevery":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return opts, fmt.Errorf("chaos: snapevery = %q: %v", val, err)
-			}
-			opts.SnapshotEvery = n
 		case "waldir":
 			opts.WALDir = val
 		case "batch":

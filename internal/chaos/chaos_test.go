@@ -82,8 +82,9 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
 	}
-	// The shard-count and seal-pipeline keys went with the knobs they set.
-	for _, removed := range []string{"shards=4", "shards=0", "pipeline=0", "pipeline=1"} {
+	// The shard-count, seal-pipeline and checkpoint-cadence keys went with
+	// the knobs they set.
+	for _, removed := range []string{"shards=4", "shards=0", "pipeline=0", "pipeline=1", "snapevery=2", "snapevery=-1"} {
 		if _, err := ParseSpec(removed); err == nil || !strings.Contains(err.Error(), "unknown key") {
 			t.Errorf("ParseSpec(%q) = %v, want an unknown-key error", removed, err)
 		}

@@ -16,8 +16,8 @@ import (
 // Crash-restart soak: the settlement phase of the chaos harness run on a
 // WAL-backed chain whose validator process is "kill -9"ed on a seeded
 // schedule. Each cycle stops the RPC server, aborts the WAL without
-// flushing (cutting the segment back to its last fsync), recovers the
-// chain from snapshot + log, and re-serves on the same address while the
+// flushing (cutting the log back to its last fsync), recovers the
+// chain from the log, and re-serves on the same address while the
 // member clients keep retrying through the outage.
 //
 // The acceptance bar is exactness, not liveness: every recovery must
@@ -68,13 +68,6 @@ func (t *durableTracker) snapshot() (height uint64, root string, pending int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.height, t.root, t.pending
-}
-
-// snapshotFallbacks reads how many snapshots this process's recoveries
-// have passed over for an older one.
-func snapshotFallbacks() float64 {
-	s, _ := obs.Find(obs.Default.Snapshot(), "tradefl_chain_recover_snapshot_fallbacks_total")
-	return s.Value
 }
 
 // chainBox holds the current chain + server incarnation; the sealer reads
@@ -143,7 +136,6 @@ func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj
 	tracker := newDurableTracker(bc)
 	rep.Durable = true
 	rep.RecoveredExact = true
-	fallbacks := snapshotFallbacks()
 
 	box := &chainBox{}
 	if err := box.serve(bc, "127.0.0.1:0"); err != nil {
@@ -209,12 +201,6 @@ func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj
 		}
 		tracker.install(rec)
 		rep.Crashes++
-		if opts.SnapshotEvery > 0 && rep.Crashes%opts.SnapshotEvery == 0 {
-			if err := rec.Checkpoint(); err != nil {
-				return fmt.Errorf("checkpoint after crash %d: %w", rep.Crashes, err)
-			}
-			rep.Checkpoints++
-		}
 		return box.serve(rec, addr)
 	}
 
@@ -320,7 +306,7 @@ func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj
 	rep.ChainVerified = final.VerifyChain() == nil
 
 	// Point-in-time spot check: a read-only view at a mid-soak height must
-	// rebuild from snapshot + log and re-verify, detached from the WAL.
+	// rebuild from the log and re-verify, detached from the WAL.
 	rep.PITRVerified = true
 	if h := final.Height() / 2; h >= 1 {
 		view, err := chain.RecoverAt(dir, gen.Authority, h)
@@ -330,6 +316,5 @@ func runCrashSettlement(ctx context.Context, cfg *game.Config, opts Options, inj
 				fmt.Sprintf("view at height %d: err=%v", h, err))
 		}
 	}
-	rep.SnapshotFallbacks = int(snapshotFallbacks() - fallbacks)
 	return nil
 }

@@ -6,10 +6,9 @@
 // that is provably garbage and can be truncated away.
 //
 // The framing is deliberately minimal — stdlib only, no compression, no
-// schema — because the callers (internal/chain's write-ahead log and
-// snapshot writer) carry their own JSON payloads and replay-verify
-// everything they read back; the frame layer only has to answer "was this
-// record written completely?".
+// schema — because the caller (internal/chain's write-ahead log) carries
+// its own JSON payloads and replay-verifies everything it reads back; the
+// frame layer only has to answer "was this record written completely?".
 package durable
 
 import (
@@ -70,8 +69,8 @@ func FrameSize(n int) int { return frameHeaderSize + n }
 // valid payload (the slice is only valid during the call). It returns the
 // byte offset of the end of the last valid frame and, when the stream ends
 // in an incomplete or corrupt frame, ErrTornTail — the caller decides
-// whether a torn tail is recoverable (truncate the final log segment) or
-// fatal (a non-final segment must end cleanly).
+// whether a torn tail is recoverable (truncate the log's tail) or fatal (a
+// file that must end cleanly).
 //
 // An fn error aborts the scan and is returned verbatim with the offset of
 // the end of the offending frame.

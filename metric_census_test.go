@@ -13,6 +13,92 @@ import (
 	"testing"
 )
 
+// metricReaders maps every tradefl_* series the program registers to the
+// reader that earns it a place (see TestMetricCensus); TestDocsCensus
+// checks the series the docs name against it.
+var metricReaders = map[string]string{
+	"tradefl_chain_blocks_sealed_total":        "bench",
+	"tradefl_chain_budget_residual_wei":        "test:TestResidualNegativeCreditsFirstMember",
+	"tradefl_chain_client_retries_total":       "test:TestRPCOversizedBodyClientNotRetried",
+	"tradefl_chain_client_submit_dedups_total": "test:TestSubmitTxRetrySafeUnderLostResponse",
+	"tradefl_chain_height":                     "is the chain still sealing, and how far has it got?",
+	"tradefl_chain_recover_seconds":            "how long does a restart spend recovering?",
+	"tradefl_chain_replicated_records_total":   "is the standby applying the primary's WAL stream?",
+	"tradefl_chain_rpc_body_too_large_total":   "are clients sending RPC bodies past the limit?",
+	"tradefl_chain_rpc_errors_total":           "what share of chain RPC requests fail?",
+	"tradefl_chain_rpc_requests_total":         "how much RPC load is the chain serving?",
+	"tradefl_chain_seal_seconds":               "how long does sealing a block take?",
+	"tradefl_chain_sig_verifications_total":    "test:TestWitnessCounterPinsSettlement",
+	"tradefl_chain_stale_term_rejects_total":   "is a fenced-off old primary still trying to seal?",
+	"tradefl_chain_term":                       "which fencing term is this validator in?",
+	"tradefl_chain_tx_submitted_total":         "how fast is the chain admitting transactions?",
+	"tradefl_chain_wal_batch_records":          "bench",
+	"tradefl_chain_wal_bytes_total":            "bench",
+	"tradefl_chain_wal_fsync_seconds":          "bench",
+	"tradefl_chain_wal_fsyncs_total":           "bench",
+	"tradefl_dbr_best_responses_total":         "test:TestSolveCtxCancellation",
+	"tradefl_dbr_candidates_total":             "bench",
+	"tradefl_dbr_certified_candidates_total":   "test:TestCertifiedCounter",
+	"tradefl_dbr_converged_total":              "summary",
+	"tradefl_dbr_moves_total":                  "summary",
+	"tradefl_dbr_rounds_total":                 "bench",
+	"tradefl_dbr_runs_total":                   "bench",
+	"tradefl_dbr_solve_seconds":                "how long does a DBR solve take?",
+	"tradefl_dbr_sweep_seconds":                "how long does one best-response sweep take?",
+	"tradefl_fl_rounds_total":                  "ci",
+	"tradefl_fleet_errors_total":               "how many instance solves fail?",
+	"tradefl_fleet_instances_total":            "summary",
+	"tradefl_fleet_plan_dbr_total":             "bench",
+	"tradefl_fleet_plan_pruned_total":          "bench",
+	"tradefl_fleet_plan_traversal_total":       "bench",
+	"tradefl_fleet_solve_seconds":              "bench",
+	"tradefl_flight_events_total":              "how fast are rare events filling the flight ring?",
+	"tradefl_gbd_converged_total":              "summary",
+	"tradefl_gbd_exit_gap":                     "how close to epsilon do CGBD solves stop?",
+	"tradefl_gbd_feasibility_cuts_total":       "summary",
+	"tradefl_gbd_feasibility_seconds":          "how much CGBD time goes to feasibility checks?",
+	"tradefl_gbd_iterations_per_solve":         "how many iterations does a CGBD solve need?",
+	"tradefl_gbd_iterations_total":             "bench",
+	"tradefl_gbd_master_seconds":               "bench",
+	"tradefl_gbd_optimality_cuts_total":        "summary",
+	"tradefl_gbd_primal_seconds":               "bench",
+	"tradefl_gbd_runs_total":                   "bench",
+	"tradefl_gbd_solve_seconds":                "bench",
+	"tradefl_pool_fanouts_total":               "summary",
+	"tradefl_pool_worker_busy_seconds_total":   "bench",
+	"tradefl_serve_body_too_large_total":       "test:TestGatewayBodyTooLarge",
+	"tradefl_serve_drains_total":               "has this gateway started draining?",
+	"tradefl_serve_errors_total":               "test:TestUnencodableReplyIs500",
+	"tradefl_serve_instances_total":            "bench",
+	"tradefl_serve_job_seconds":                "how long does a job take from admission to completion?",
+	"tradefl_serve_jobs_active":                "how many jobs are queued or running?",
+	"tradefl_serve_jobs_cancelled_total":       "how many jobs were cancelled?",
+	"tradefl_serve_jobs_created_total":         "how many jobs were admitted?",
+	"tradefl_serve_jobs_done_total":            "how many jobs solved every instance?",
+	"tradefl_serve_jobs_failed_total":          "how many jobs hit an instance error?",
+	"tradefl_serve_panics_total":               "test:TestGatewayPanicRecovery",
+	"tradefl_serve_queue_depth":                "how many jobs wait in the queue?",
+	"tradefl_serve_rejected_concurrency_total": "bench",
+	"tradefl_serve_rejected_draining_total":    "bench",
+	"tradefl_serve_rejected_queue_total":       "bench",
+	"tradefl_serve_rejected_rate_total":        "bench",
+	"tradefl_serve_request_seconds":            "test:TestRequestSecondsSkipStreams",
+	"tradefl_serve_requests_total":             "bench",
+	"tradefl_serve_stream_clients":             "test:TestStreamLastEventIDPastTheLog",
+	"tradefl_serve_stream_events_total":        "bench",
+	"tradefl_serve_sync_solves_total":          "how many requests take the synchronous solve path?",
+	"tradefl_serve_tenants":                    "test:TestTenantTableIsSwept",
+	"tradefl_trace_double_close_total":         "test:TestSpanDoubleCloseGuard",
+	"tradefl_trace_roots_total":                "which components fill the trace store?",
+	"tradefl_trace_spans_ended_total":          "test:TestSpanDoubleCloseGuard",
+	"tradefl_trace_spans_started_total":        "test:TestUnrecordedSpanIsFree",
+	"tradefl_transport_frames_malformed_total": "test:TestTCPTornWriteThenReconnect",
+	"tradefl_transport_frames_overflow_total":  "test:TestTCPOversizedFrame",
+	"tradefl_transport_inbox_dropped_total":    "is a TCP node dropping frames because its inbox is full?",
+	"tradefl_verify_checks_total":              "ci",
+	"tradefl_verify_violations_total":          "ci",
+}
+
 // TestMetricCensus pins every tradefl_* series name the program registers
 // to the reader that earns it a place. It reads the name literal of every
 // obs.New{Counter,Gauge,Histogram,LabeledCounter} call in non-test Go, so a
@@ -23,90 +109,6 @@ import (
 //     exist);
 //   - otherwise the operator question the series answers.
 func TestMetricCensus(t *testing.T) {
-	readers := map[string]string{
-		"tradefl_chain_blocks_sealed_total":              "bench",
-		"tradefl_chain_budget_residual_wei":              "test:TestResidualNegativeCreditsFirstMember",
-		"tradefl_chain_client_retries_total":             "test:TestRPCOversizedBodyClientNotRetried",
-		"tradefl_chain_client_submit_dedups_total":       "test:TestSubmitTxRetrySafeUnderLostResponse",
-		"tradefl_chain_height":                           "is the chain still sealing, and how far has it got?",
-		"tradefl_chain_recover_seconds":                  "how long does a restart spend recovering?",
-		"tradefl_chain_recover_snapshot_fallbacks_total": "test:TestRecoverFallsBackToOlderSnapshot",
-		"tradefl_chain_replicated_records_total":         "is the standby applying the primary's WAL stream?",
-		"tradefl_chain_rpc_body_too_large_total":         "are clients sending RPC bodies past the limit?",
-		"tradefl_chain_rpc_errors_total":                 "what share of chain RPC requests fail?",
-		"tradefl_chain_rpc_requests_total":               "how much RPC load is the chain serving?",
-		"tradefl_chain_seal_seconds":                     "how long does sealing a block take?",
-		"tradefl_chain_sig_verifications_total":          "test:TestWitnessCounterPinsSettlement",
-		"tradefl_chain_snapshot_seconds":                 "how long does a checkpoint take?",
-		"tradefl_chain_stale_term_rejects_total":         "is a fenced-off old primary still trying to seal?",
-		"tradefl_chain_term":                             "which fencing term is this validator in?",
-		"tradefl_chain_tx_submitted_total":               "how fast is the chain admitting transactions?",
-		"tradefl_chain_wal_batch_records":                "bench",
-		"tradefl_chain_wal_bytes_total":                  "bench",
-		"tradefl_chain_wal_fsync_seconds":                "bench",
-		"tradefl_chain_wal_fsyncs_total":                 "bench",
-		"tradefl_dbr_best_responses_total":               "test:TestSolveCtxCancellation",
-		"tradefl_dbr_candidates_total":                   "bench",
-		"tradefl_dbr_certified_candidates_total":         "test:TestCertifiedCounter",
-		"tradefl_dbr_converged_total":                    "summary",
-		"tradefl_dbr_moves_total":                        "summary",
-		"tradefl_dbr_rounds_total":                       "bench",
-		"tradefl_dbr_runs_total":                         "bench",
-		"tradefl_dbr_solve_seconds":                      "how long does a DBR solve take?",
-		"tradefl_dbr_sweep_seconds":                      "how long does one best-response sweep take?",
-		"tradefl_fl_rounds_total":                        "ci",
-		"tradefl_fleet_errors_total":                     "how many instance solves fail?",
-		"tradefl_fleet_instances_total":                  "summary",
-		"tradefl_fleet_plan_dbr_total":                   "bench",
-		"tradefl_fleet_plan_pruned_total":                "bench",
-		"tradefl_fleet_plan_traversal_total":             "bench",
-		"tradefl_fleet_solve_seconds":                    "bench",
-		"tradefl_flight_events_total":                    "how fast are rare events filling the flight ring?",
-		"tradefl_gbd_converged_total":                    "summary",
-		"tradefl_gbd_exit_gap":                           "how close to epsilon do CGBD solves stop?",
-		"tradefl_gbd_feasibility_cuts_total":             "summary",
-		"tradefl_gbd_feasibility_seconds":                "how much CGBD time goes to feasibility checks?",
-		"tradefl_gbd_iterations_per_solve":               "how many iterations does a CGBD solve need?",
-		"tradefl_gbd_iterations_total":                   "bench",
-		"tradefl_gbd_master_seconds":                     "bench",
-		"tradefl_gbd_optimality_cuts_total":              "summary",
-		"tradefl_gbd_primal_seconds":                     "bench",
-		"tradefl_gbd_runs_total":                         "bench",
-		"tradefl_gbd_solve_seconds":                      "bench",
-		"tradefl_pool_fanouts_total":                     "summary",
-		"tradefl_pool_worker_busy_seconds_total":         "bench",
-		"tradefl_serve_body_too_large_total":             "test:TestGatewayBodyTooLarge",
-		"tradefl_serve_drains_total":                     "has this gateway started draining?",
-		"tradefl_serve_errors_total":                     "test:TestUnencodableReplyIs500",
-		"tradefl_serve_instances_total":                  "bench",
-		"tradefl_serve_job_seconds":                      "how long does a job take from admission to completion?",
-		"tradefl_serve_jobs_active":                      "how many jobs are queued or running?",
-		"tradefl_serve_jobs_cancelled_total":             "how many jobs were cancelled?",
-		"tradefl_serve_jobs_created_total":               "how many jobs were admitted?",
-		"tradefl_serve_jobs_done_total":                  "how many jobs solved every instance?",
-		"tradefl_serve_jobs_failed_total":                "how many jobs hit an instance error?",
-		"tradefl_serve_panics_total":                     "test:TestGatewayPanicRecovery",
-		"tradefl_serve_queue_depth":                      "how many jobs wait in the queue?",
-		"tradefl_serve_rejected_concurrency_total":       "bench",
-		"tradefl_serve_rejected_draining_total":          "bench",
-		"tradefl_serve_rejected_queue_total":             "bench",
-		"tradefl_serve_rejected_rate_total":              "bench",
-		"tradefl_serve_request_seconds":                  "test:TestRequestSecondsSkipStreams",
-		"tradefl_serve_requests_total":                   "bench",
-		"tradefl_serve_stream_clients":                   "test:TestStreamLastEventIDPastTheLog",
-		"tradefl_serve_stream_events_total":              "bench",
-		"tradefl_serve_sync_solves_total":                "how many requests take the synchronous solve path?",
-		"tradefl_serve_tenants":                          "test:TestTenantTableIsSwept",
-		"tradefl_trace_double_close_total":               "test:TestSpanDoubleCloseGuard",
-		"tradefl_trace_roots_total":                      "which components fill the trace store?",
-		"tradefl_trace_spans_ended_total":                "test:TestSpanDoubleCloseGuard",
-		"tradefl_trace_spans_started_total":              "test:TestUnrecordedSpanIsFree",
-		"tradefl_transport_frames_malformed_total":       "test:TestTCPTornWriteThenReconnect",
-		"tradefl_transport_frames_overflow_total":        "test:TestTCPOversizedFrame",
-		"tradefl_transport_inbox_dropped_total":          "is a TCP node dropping frames because its inbox is full?",
-		"tradefl_verify_checks_total":                    "ci",
-		"tradefl_verify_violations_total":                "ci",
-	}
 	sources := map[string]string{}
 	for reader, pattern := range map[string]string{"bench": "bench/*.go", "ci": "scripts/ci.sh", "summary": "cmd/tradefl-sim/main.go"} {
 		files, err := filepath.Glob(pattern)
@@ -175,7 +177,7 @@ func TestMetricCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, reader := range readers {
+	for name, reader := range metricReaders {
 		if !seen[name] {
 			t.Errorf("%s is pinned but no longer registered", name)
 		}

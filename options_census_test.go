@@ -19,18 +19,18 @@ import (
 // is a constant instead.
 func TestOptionsCensus(t *testing.T) {
 	want := map[string][]string{
-		"chain.BatchOptions":       {"MaxBatch", "Linger"},
-		"chain.ClientOptions":      {"Timeout", "MaxRetries", "BaseBackoff", "MaxBackoff", "JitterSeed", "Transport"},
-		"chain.Options":            {"DedupHorizon"},
-		"chaos.Options":            {"Plan", "Orgs", "GameSeed", "TokenTimeout", "SuspectAfter", "SealInterval", "SettleTimeout", "CrashCycles", "CrashMin", "CrashMax", "SnapshotEvery", "WALDir", "Batch"},
-		"core.Options":             {"Solver", "Settle", "Train", "TrainDataset", "TrainArch", "Rounds", "LocalEpochs", "Seed"},
-		"dbr.Options":              {"MaxRounds", "Tol", "DTol", "TokenTimeout", "SuspectAfter", "Workers"},
-		"experiments.Options":      {"Seed", "Quick"},
-		"fleet.Options":            {"Plan", "Workers"},
-		"game.GenOptions":          {"N", "Mu", "Gamma", "CPUSteps", "Epochs", "EnergyW", "Seed", "Accuracy", "NoOrgName"},
-		"gbd.Options":              {"Epsilon", "MaxIter", "Master", "Workers"},
-		"optimize.PGOptions":       {"MaxIter", "Tol", "Step0"},
-		"serve.Options":            {"Runners", "QueueDepth", "TenantActive", "TenantRate", "Limits", "JobTimeout", "DumpWriter"},
+		"chain.BatchOptions":  {"MaxBatch", "Linger"},
+		"chain.ClientOptions": {"Timeout", "MaxRetries", "BaseBackoff", "MaxBackoff", "JitterSeed", "Transport"},
+		"chain.Options":       {"DedupHorizon"},
+		"chaos.Options":       {"Plan", "Orgs", "GameSeed", "TokenTimeout", "SuspectAfter", "SealInterval", "SettleTimeout", "CrashCycles", "CrashMin", "CrashMax", "WALDir", "Batch"},
+		"core.Options":        {"Solver", "Settle", "Train", "TrainDataset", "TrainArch", "Rounds", "LocalEpochs", "Seed"},
+		"dbr.Options":         {"MaxRounds", "Tol", "DTol", "TokenTimeout", "SuspectAfter", "Workers"},
+		"experiments.Options": {"Seed", "Quick"},
+		"fleet.Options":       {"Plan", "Workers"},
+		"game.GenOptions":     {"N", "Mu", "Gamma", "CPUSteps", "Epochs", "EnergyW", "Seed", "Accuracy", "NoOrgName"},
+		"gbd.Options":         {"Epsilon", "MaxIter", "Master", "Workers"},
+		"optimize.PGOptions":  {"MaxIter", "Tol", "Step0"},
+		"serve.Options":       {"Runners", "QueueDepth", "TenantActive", "TenantRate", "Limits", "JobTimeout", "DumpWriter"},
 	}
 	got := map[string][]string{}
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {

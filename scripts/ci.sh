@@ -303,26 +303,25 @@ go run ./scripts/obsgate -plan "${OBS_AB_PLAN:-auto}" \
 echo "==> durability-gate (WAL/recovery suite, crash-restart soak, group-commit throughput)"
 # The chain's durability contract, in three parts. First the focused
 # WAL/recovery/failover suites under -race: frame torn-tail handling,
-# replay exactness, snapshot + PITR, standby promotion and term fencing —
+# replay exactness, PITR, old-format conversion, standby promotion and
+# term fencing —
 # plus the settlement suite (executor-vs-reference equivalence with its
 # golden pin, transfers, batch submission, dedup-horizon eviction, read-path
 # contention, prefix replay). The pattern selects by name, so a rename can
 # silently empty it: the guard fails the gate if it matches nothing.
-DURABILITY_TESTS='WAL|Recover|Durable|Snapshot|Checkpoint|PITR|Standby|Replicat|Fencing|Term|ZeroPadding|ZeroExtend|Frame|TornTail|Mempool|Batch|Equivalence|Horizon|Contention|Transfer|Prefix'
+DURABILITY_TESTS='WAL|Recover|Durable|Snapshot|Checkpoint|PITR|Legacy|Standby|Replicat|Fencing|Term|ZeroPadding|ZeroExtend|Frame|TornTail|Batch|Equivalence|Horizon|Contention|Transfer|Prefix'
 go test -list "$DURABILITY_TESTS" ./internal/chain/ | grep -c '^Test' >/dev/null || { echo "durability-gate: pattern selects no test in ./internal/chain/" >&2; exit 1; }
 go test -race -run "$DURABILITY_TESTS" ./internal/chain/ ./internal/durable/
 # One seeded crash-restart soak: kill -9 the validator on a deterministic
-# schedule mid-settlement, recover from snapshot + log each time, and
-# require every recovery to reproduce the durable prefix exactly (height,
-# state root, mempool) without falling back to an older snapshot, the
-# wei-exact settlement check on the final incarnation, and a point-in-time
-# recovery view. batch=1 drives
+# schedule mid-settlement, recover from the log each time, and require
+# every recovery to reproduce the durable prefix exactly (height, state
+# root, mempool), the wei-exact settlement check on the final incarnation,
+# and a point-in-time recovery view. batch=1 drives
 # submission through SubmitTxBatch, so the cycles land on batched group
 # commits. Reproduce a failure with `scripts/crashloop.sh "<spec>"`.
-scripts/crashloop.sh "seed=${CHAOS_SEED:-7},crashcycles=3,crashmin=25ms,crashmax=70ms,snapevery=2,rpcfail=0.05,orgs=3,game=5,batch=1"
+scripts/crashloop.sh "seed=${CHAOS_SEED:-7},crashcycles=3,crashmin=25ms,crashmax=70ms,rpcfail=0.05,orgs=3,game=5,batch=1"
 # The two soak tests 25 times each (~0.2 s a run): a recovery that loses an
-# acknowledged record or falls back to an older snapshot fails a run, so a
-# regression turns the gate red instead of showing as an occasional flake.
+# acknowledged record fails a run, so a regression turns the gate red instead of showing as an occasional flake.
 go test -count=25 -run '^(TestCrashSoakBatched|TestCrashRestartSoak)$' ./internal/chaos/
 # Group-commit throughput: WAL-on SubmitTx must stay near the in-memory
 # baseline. The 10% contract holds on a quiet machine (pin WAL_MAX_PCT=10

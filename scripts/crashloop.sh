@@ -3,10 +3,9 @@
 # chain whose validator is killed and recovered on a deterministic
 # schedule while member clients retry through every outage. A green run
 # asserts that every recovery reproduced the durable prefix exactly
-# (height, state root, mempool) without falling back to an older snapshot,
-# that the final chain still passes the wei-exact settlement and
-# verification checks, and that a point-in-time recovery view rebuilds from
-# snapshot + log.
+# (height, state root, mempool), that the final chain still passes the
+# wei-exact settlement and verification checks, and that a point-in-time
+# recovery view rebuilds from the log.
 #
 # A kill cuts the WAL back to its last fsync. The kill schedule and fault
 # plan are pure functions of the seed, so a failing soak reproduces from
@@ -17,16 +16,14 @@
 #   scripts/crashloop.sh "seed=42,crashcycles=5,crashmin=20ms,crashmax=60ms,orgs=3,game=5"
 #   CHAOS_SEEDS="7 42 1337" scripts/crashloop.sh   sweep several seeds
 #
-# Extra spec keys over chaos.sh: crashcycles crashmin crashmax snapevery
-# waldir batch
+# Extra spec keys over chaos.sh: crashcycles crashmin crashmax waldir batch
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # crashmin/crashmax are tuned so kills land inside the settlement window
-# on a fast box; snapevery=2 exercises the incremental checkpoint + GC
-# path mid-soak, and rpcfail keeps ordinary transport faults overlapping
+# on a fast box, and rpcfail keeps ordinary transport faults overlapping
 # the outage windows. batch=1 submits through SubmitTxBatch.
-DEFAULT_SPEC="crashcycles=3,crashmin=25ms,crashmax=70ms,snapevery=2,rpcfail=0.05,orgs=3,game=5,batch=1"
+DEFAULT_SPEC="crashcycles=3,crashmin=25ms,crashmax=70ms,rpcfail=0.05,orgs=3,game=5,batch=1"
 
 BIN="$(mktemp -d)/tradefl-sim"
 go build -race -o "$BIN" ./cmd/tradefl-sim
