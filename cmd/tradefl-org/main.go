@@ -2,9 +2,10 @@
 // best-responds in the DBR token ring (Algorithm 2) over TCP with its
 // peers, with no central server, and then walks the Fig. 3 lifecycle for
 // its own account on a tradefl-chain node over JSON-RPC — depositSubmit →
-// contributionSubmit → payoffCalculate → payoffTransfer → profileRecord —
-// reporting the strategy the ring decided and polling the contract status
-// between phases, so every organization settles concurrently.
+// contributionSubmit → payoffCalculate → payoffTransfer → profileRecord,
+// chain.Settlement.Walk — reporting the strategy the ring decided, so every
+// organization settles concurrently. SIGINT/SIGTERM stops the walk between
+// polls; a re-run resumes it.
 //
 // One process per organization (after `tradefl-chain -listen
 // 127.0.0.1:8545 -seed 7`), listening on its own -peers entry:
@@ -22,8 +23,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -42,8 +41,6 @@ import (
 )
 
 const (
-	// pollInterval paces the contract-status and receipt polls.
-	pollInterval = 500 * time.Millisecond
 	// settleTimeout bounds the whole lifecycle.
 	settleTimeout = 2 * time.Minute
 	// ringTimeout bounds the ring, from start to agreement.
@@ -179,8 +176,8 @@ func runLocal(ctx context.Context, w io.Writer, cfg *game.Config, gen *chain.Set
 }
 
 // member is one organization: its node of the DBR ring over tcp, whose
-// peers are registered, then the Fig. 3 lifecycle against rpc with the
-// strategy the ring decided. Organization 0 injects the token only once
+// peers are registered, then its Fig. 3 walk against rpc with the strategy
+// the ring decided. Organization 0 injects the token only once
 // every peer accepts connections: the ring skips a peer it cannot reach and
 // freezes that peer's strategy.
 func member(ctx context.Context, w io.Writer, cfg *game.Config, gen *chain.Settlement, index int, tcp *transport.TCPNode, rpc string, commit bool) error {
@@ -202,162 +199,10 @@ func member(ctx context.Context, w io.Writer, cfg *game.Config, gen *chain.Settl
 	if err != nil {
 		return fmt.Errorf("ring: %w", err)
 	}
-	return settle(ctx, w, rpc, gen, index, profile[index], commit)
-}
-
-// settle walks the Fig. 3 lifecycle for organization index, reporting
-// strategy. SIGINT/SIGTERM (ctx) aborts it between polls; every phase is
-// idempotent (chain.IsAlready), so a re-run resumes where this one stopped.
-func settle(ctx context.Context, w io.Writer, rpc string, gen *chain.Settlement, index int, strategy game.Strategy, commit bool) error {
-	acct, dep := gen.Accounts[index], gen.Deposits[index]
+	st := profile[index]
 	fmt.Fprintf(w, "organization %d: address %s, ring equilibrium d=%.4f f=%.2f GHz\n",
-		index, acct.Address(), strategy.D, strategy.F/1e9)
-
-	client := chain.NewClient(rpc)
-	deadline := time.Now().Add(settleTimeout)
-	pollWait := func() error {
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("interrupted: %w", ctx.Err())
-		case <-time.After(pollInterval):
-			return nil
-		}
-	}
-	send := func(fn chain.Function, fnArgs any, value chain.Wei) error {
-		nonce, err := client.Nonce(acct.Address())
-		if err != nil {
-			return err
-		}
-		tx, err := chain.NewTransaction(acct, nonce, fn, fnArgs, value)
-		if err != nil {
-			return err
-		}
-		if err := client.SubmitTx(tx); err != nil {
-			return err
-		}
-		if _, err := client.SealBlock(); err != nil {
-			return err
-		}
-		hash, err := tx.Hash()
-		if err != nil {
-			return err
-		}
-		// A concurrent process's seal may have included the tx before our
-		// SealBlock ran, so poll the chain-wide receipt index for the
-		// authoritative outcome.
-		for {
-			rcpt, err := client.Receipt(hash)
-			if err == nil {
-				if !rcpt.OK {
-					return errors.New(rcpt.Error)
-				}
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("receipt for %s: %w", fn, err)
-			}
-			if werr := pollWait(); werr != nil {
-				return werr
-			}
-		}
-	}
-	waitFor := func(phase string, ok func(chain.ContractStatus) bool) error {
-		for {
-			st, err := client.Status()
-			if err != nil {
-				return err
-			}
-			if ok(st) {
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("timed out waiting for %s (status %+v)", phase, st)
-			}
-			if werr := pollWait(); werr != nil {
-				return werr
-			}
-		}
-	}
-
-	// Phase 1: deposit the bond.
-	if err := send(chain.FnDepositSubmit, nil, dep); err != nil && !chain.IsAlready(err) {
-		return fmt.Errorf("deposit: %w", err)
-	}
-	fmt.Fprintf(w, "deposited %v tokens\n", chain.FromWei(dep))
-
-	// Phase 2: once everyone registered, report the contribution.
-	if err := waitFor("registrations", func(st chain.ContractStatus) bool {
-		return st.Registered == st.Members
-	}); err != nil {
-		return err
-	}
-	contrib := chain.Contribution{D: strategy.D, F: strategy.F}
-	if commit {
-		// Commit-reveal: bind to a salted hash first, reveal once every
-		// member has committed (no last-mover advantage).
-		saltBytes := make([]byte, 16)
-		if _, err := rand.Read(saltBytes); err != nil {
-			return err
-		}
-		salt := hex.EncodeToString(saltBytes)
-		ca := chain.CommitArgs{Hash: chain.CommitmentHash(contrib, salt)}
-		if err := send(chain.FnContributionCommit, ca, 0); err != nil && !chain.IsAlready(err) {
-			return fmt.Errorf("commit: %w", err)
-		}
-		fmt.Fprintln(w, "contribution committed")
-		// Reveal is rejected until the last commitment lands; retry on the
-		// poll cadence.
-		for {
-			err := send(chain.FnContributionReveal, chain.RevealArgs{Contribution: contrib, Salt: salt}, 0)
-			if err == nil || chain.IsAlready(err) {
-				break
-			}
-			if !strings.Contains(err.Error(), "committed") {
-				return fmt.Errorf("reveal: %w", err)
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("reveal timed out: %w", err)
-			}
-			if werr := pollWait(); werr != nil {
-				return werr
-			}
-		}
-		fmt.Fprintln(w, "contribution revealed")
-	} else {
-		if err := send(chain.FnContributionSubmit, contrib, 0); err != nil && !chain.IsAlready(err) {
-			return fmt.Errorf("submit: %w", err)
-		}
-		fmt.Fprintln(w, "contribution submitted")
-	}
-
-	// Phase 3: calculate (idempotent; any member may win the race),
-	// transfer, record.
-	if err := waitFor("submissions", func(st chain.ContractStatus) bool {
-		return st.Submitted == st.Members
-	}); err != nil {
-		return err
-	}
-	if err := send(chain.FnPayoffCalculate, nil, 0); err != nil && !chain.IsAlready(err) {
-		return fmt.Errorf("calculate: %w", err)
-	}
-	before, err := client.Balance(acct.Address())
-	if err != nil {
-		return err
-	}
-	if err := send(chain.FnPayoffTransfer, nil, 0); err != nil && !chain.IsAlready(err) {
-		return fmt.Errorf("transfer: %w", err)
-	}
-	if err := send(chain.FnProfileRecord, nil, 0); err != nil && !chain.IsAlready(err) {
-		return fmt.Errorf("record: %w", err)
-	}
-	after, err := client.Balance(acct.Address())
-	if err != nil {
-		return err
-	}
-	if err := client.VerifyChain(); err != nil {
-		return fmt.Errorf("chain verification: %w", err)
-	}
-	fmt.Fprintf(w, "settled: received %v tokens (deposit %v + redistribution %+v)\n",
-		chain.FromWei(after-before), chain.FromWei(dep), chain.FromWei(after-before-dep))
-	return nil
+		index, gen.Accounts[index].Address(), st.D, st.F/1e9)
+	settleCtx, cancelSettle := context.WithTimeout(ctx, settleTimeout)
+	defer cancelSettle()
+	return gen.Walk(settleCtx, chain.NewClient(rpc), index, st, commit, w)
 }

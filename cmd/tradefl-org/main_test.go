@@ -200,3 +200,63 @@ func TestLatePeerSettles(t *testing.T) {
 	}
 	checkSettled(t, bc, gen, want)
 }
+
+// TestCommitRevealRerunSettles stops organization 0's commit-reveal walk
+// right after its commitment lands, as a SIGINT would, and walks it again.
+// The re-run must reveal with the salt it committed with, or its reveal
+// fails and every other organization waits for it until its deadline.
+func TestCommitRevealRerunSettles(t *testing.T) {
+	const seed = 7
+	cfg, gen, want := solved(t, seed)
+	bc, err := chain.NewBlockchain(gen.Authority, gen.Params, gen.Alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := chain.NewServer(bc, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve() }()
+	defer func() {
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+		if err := errors.Join(srv.Close(), <-served); err != nil {
+			t.Errorf("server: %v", err)
+		}
+	}()
+
+	ctx, cancelAll := context.WithTimeout(context.Background(), time.Minute)
+	defer cancelAll()
+	done := make(chan error, cfg.N())
+	for i := 1; i < cfg.N(); i++ {
+		go func() { done <- gen.Walk(ctx, chain.NewClient(srv.Addr()), i, want[i], true, io.Discard) }()
+	}
+	stopped, stop := context.WithCancel(ctx)
+	err = gen.Walk(stopped, chain.NewClient(srv.Addr()), 0, want[0], true, cancelOn{"contribution committed", stop})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("stopped walk: err = %v, want context.Canceled", err)
+	}
+	if err := gen.Walk(ctx, chain.NewClient(srv.Addr()), 0, want[0], true, io.Discard); err != nil {
+		t.Errorf("re-run: %v", err)
+		cancelAll()
+	}
+	for i := 1; i < cfg.N(); i++ {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}
+	checkSettled(t, bc, gen, want)
+}
+
+// cancelOn calls cancel when a write contains text.
+type cancelOn struct {
+	text   string
+	cancel context.CancelFunc
+}
+
+func (c cancelOn) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(c.text)) {
+		c.cancel()
+	}
+	return len(p), nil
+}

@@ -39,7 +39,7 @@ func command() cli.Command {
 		fig      = fs.String("fig", "", "experiment id to run (see -list)")
 		all      = fs.Bool("all", false, "run every experiment")
 		list     = fs.Bool("list", false, "list experiment ids")
-		chaosRun = fs.String("chaos", "", "run a seeded chaos soak instead of an experiment, e.g. \"seed=7,drop=0.15,rpclost=0.05\" (keys: seed drop dup delayp delaymin delaymax partition crash rpcfail rpclost rpcdelayp orgs game token suspect seal settle crashcycles crashmin crashmax waldir batch)")
+		chaosRun = fs.String("chaos", "", "run a seeded chaos soak instead of an experiment, e.g. \"seed=7,drop=0.15,rpclost=0.05\" (keys: seed drop dup delayp delaymin delaymax partition crash rpcfail rpclost rpcdelayp orgs game crashcycles crashmin crashmax waldir batch)")
 		seed     = fs.Int64("seed", 7, "random seed of the reference instance")
 		quick    = fs.Bool("quick", false, "coarse sweeps and short FL runs")
 		out      = fs.String("out", "", "directory for CSV files (default stdout)")

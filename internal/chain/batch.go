@@ -3,8 +3,6 @@ package chain
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"tradefl/internal/parallel"
 )
@@ -110,142 +108,4 @@ func (bc *Blockchain) SubmitTxBatch(txs []Transaction) ([]SubmitResult, error) {
 	}
 	mTxSubmitted.Add(int64(admitted))
 	return results, nil
-}
-
-// TxBatchSubmitter is any batch-capable submission target: a *Blockchain
-// in process, or a *Client across RPC.
-type TxBatchSubmitter interface {
-	SubmitTxBatch(txs []Transaction) ([]SubmitResult, error)
-}
-
-// BatchOptions tunes a BatchSubmitter.
-type BatchOptions struct {
-	// MaxBatch flushes as soon as this many txs are pending (0 = 256).
-	MaxBatch int
-	// Linger is how long the first tx of a batch waits for company before
-	// a partial batch flushes (0 = 2ms).
-	Linger time.Duration
-}
-
-func (o BatchOptions) withDefaults() BatchOptions {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 256
-	}
-	if o.Linger <= 0 {
-		o.Linger = 2 * time.Millisecond
-	}
-	return o
-}
-
-type batchOutcome struct {
-	res SubmitResult
-	err error
-}
-
-type batchEntry struct {
-	tx   Transaction
-	done chan batchOutcome
-}
-
-// BatchSubmitter coalesces concurrent SubmitTx-style calls into
-// SubmitTxBatch calls: callers block for their own result, but share one
-// round-trip and one WAL group commit per flush. It converts the
-// per-client-goroutine settlement pattern into batched submission without
-// restructuring the callers.
-type BatchSubmitter struct {
-	dst  TxBatchSubmitter
-	opts BatchOptions
-
-	mu      sync.Mutex
-	pending []batchEntry
-	timer   *time.Timer
-	closed  bool
-}
-
-// NewBatchSubmitter wraps dst in a micro-batcher.
-func NewBatchSubmitter(dst TxBatchSubmitter, opts BatchOptions) *BatchSubmitter {
-	return &BatchSubmitter{dst: dst, opts: opts.withDefaults()}
-}
-
-// Submit enqueues tx and blocks until its batch is submitted. Semantics
-// match Client.SubmitTx: nil for accepted (including a dedup hit on
-// retry), an error for a rejection.
-func (s *BatchSubmitter) Submit(tx Transaction) error {
-	done := make(chan batchOutcome, 1)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("chain: batch submitter closed")
-	}
-	s.pending = append(s.pending, batchEntry{tx: tx, done: done})
-	if len(s.pending) >= s.opts.MaxBatch {
-		batch := s.takeLocked()
-		s.mu.Unlock()
-		s.flush(batch)
-	} else {
-		if len(s.pending) == 1 {
-			s.timer = time.AfterFunc(s.opts.Linger, s.flushTimer)
-		}
-		s.mu.Unlock()
-	}
-	out := <-done
-	if out.err != nil {
-		return out.err
-	}
-	if !out.res.OK {
-		return errors.New(out.res.Error)
-	}
-	if out.res.Known {
-		mClientDedups.Inc()
-	}
-	return nil
-}
-
-// Close flushes the pending partial batch and rejects future Submits.
-func (s *BatchSubmitter) Close() {
-	s.mu.Lock()
-	s.closed = true
-	batch := s.takeLocked()
-	s.mu.Unlock()
-	s.flush(batch)
-}
-
-// takeLocked claims the pending batch and disarms the linger timer.
-func (s *BatchSubmitter) takeLocked() []batchEntry {
-	batch := s.pending
-	s.pending = nil
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
-	return batch
-}
-
-func (s *BatchSubmitter) flushTimer() {
-	s.mu.Lock()
-	batch := s.takeLocked()
-	s.mu.Unlock()
-	s.flush(batch)
-}
-
-func (s *BatchSubmitter) flush(batch []batchEntry) {
-	if len(batch) == 0 {
-		return
-	}
-	txs := make([]Transaction, len(batch))
-	for i := range batch {
-		txs[i] = batch[i].tx
-	}
-	results, err := s.dst.SubmitTxBatch(txs)
-	for i := range batch {
-		out := batchOutcome{err: err}
-		if err == nil {
-			if i < len(results) {
-				out.res = results[i]
-			} else {
-				out.err = errors.New("chain: batch result missing")
-			}
-		}
-		batch[i].done <- out
-	}
 }

@@ -2,9 +2,7 @@ package chain
 
 import (
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 // TestSubmitTxBatchMixed admits a batch mixing every per-tx outcome: fresh
@@ -157,78 +155,6 @@ func TestSubmitTxBatchRPC(t *testing.T) {
 	if !retry[0].OK || !retry[0].Known {
 		t.Errorf("RPC retry: %+v, want Known dedup hit", retry[0])
 	}
-}
-
-// TestBatchSubmitterCoalesce drives concurrent Submit calls through the
-// micro-batcher: they must coalesce into fewer SubmitTxBatch calls while
-// every caller still gets its own verdict.
-func TestBatchSubmitterCoalesce(t *testing.T) {
-	f := newFixture(t, 6)
-	counting := &countingBatcher{dst: f.bc}
-	bs := NewBatchSubmitter(counting, BatchOptions{MaxBatch: 6, Linger: 50 * time.Millisecond})
-
-	var wg sync.WaitGroup
-	errs := make([]error, 6)
-	for i := range f.accounts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tx, err := NewTransaction(f.accounts[i], 0, FnDepositSubmit, nil, Wei(30+i))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = bs.Submit(*tx)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("submit %d: %v", i, err)
-		}
-	}
-	if got := f.bc.PendingCount(); got != 6 {
-		t.Errorf("pool holds %d txs, want 6", got)
-	}
-	counting.mu.Lock()
-	calls := counting.calls
-	counting.mu.Unlock()
-	if calls >= 6 {
-		t.Errorf("no coalescing: %d batch calls for 6 submits", calls)
-	}
-	// A per-tx rejection surfaces as the caller's own error.
-	bad, err := NewTransaction(f.accounts[0], 9, FnDepositSubmit, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serr := bs.Submit(*bad); serr == nil || !strings.Contains(serr.Error(), "bad nonce") {
-		t.Errorf("rejected tx through batcher: %v, want bad nonce", serr)
-	}
-	// A duplicate is an idempotent success.
-	dup, err := NewTransaction(f.accounts[0], 0, FnDepositSubmit, nil, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serr := bs.Submit(*dup); serr != nil {
-		t.Errorf("duplicate through batcher: %v, want nil (Known)", serr)
-	}
-	bs.Close()
-	if serr := bs.Submit(*dup); serr == nil || !strings.Contains(serr.Error(), "closed") {
-		t.Errorf("submit after Close: %v", serr)
-	}
-}
-
-type countingBatcher struct {
-	dst   TxBatchSubmitter
-	mu    sync.Mutex
-	calls int
-}
-
-func (c *countingBatcher) SubmitTxBatch(txs []Transaction) ([]SubmitResult, error) {
-	c.mu.Lock()
-	c.calls++
-	c.mu.Unlock()
-	return c.dst.SubmitTxBatch(txs)
 }
 
 // TestBatchPerTxEquivalence seals the same workload submitted per-tx and

@@ -635,7 +635,7 @@ func (c *Client) SubmitTxCtx(ctx context.Context, tx *Transaction) error {
 // the node admits them under a single lock hold and one WAL group commit.
 // Per-transaction outcomes come back in order; like SubmitTx, dedup hits
 // are reported as accepted (Known), so blind retry of a whole batch is
-// safe. It implements TxBatchSubmitter.
+// safe.
 func (c *Client) SubmitTxBatch(txs []Transaction) ([]SubmitResult, error) {
 	return c.SubmitTxBatchCtx(context.Background(), txs)
 }
@@ -739,6 +739,36 @@ func (c *Client) Receipt(txHash string) (*Receipt, error) {
 		return nil, err
 	}
 	return &r, nil
+}
+
+// AwaitReceipt polls Receipt until a sealed block holds txHash, and returns
+// the receipt's failure as an error. ctx bounds the wait.
+func (c *Client) AwaitReceipt(ctx context.Context, txHash string) error {
+	for {
+		rcpt, err := c.Receipt(txHash)
+		if err == nil {
+			if !rcpt.OK {
+				return errors.New(rcpt.Error)
+			}
+			return nil
+		}
+		if err := pollWait(ctx); err != nil {
+			return fmt.Errorf("receipt for %.12s: %w", txHash, err)
+		}
+	}
+}
+
+// pollInterval paces AwaitReceipt's and Settlement.Walk's polls.
+const pollInterval = 25 * time.Millisecond
+
+// pollWait waits one pollInterval, or until ctx is done.
+func pollWait(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(pollInterval):
+		return nil
+	}
 }
 
 // TxProof fetches a Merkle inclusion proof for a sealed transaction; the

@@ -67,26 +67,19 @@ func benchChain(b testing.TB, withWAL bool, workers, perWorker int) (*Blockchain
 // BenchmarkChainSubmitTx compares the in-memory admission path against the
 // WAL-backed one under concurrent load, where group commit amortizes each
 // fsync over every tx waiting in the queue. scripts/benchcmp's wal-gate
-// holds the wal/mem ratio to the durability budget. The wal-batch variant
-// routes the same load through a shared BatchSubmitter (SubmitTxBatch).
+// holds the wal/mem ratio to the durability budget.
 func BenchmarkChainSubmitTx(b *testing.B) {
 	const workers = 256
 	for _, tc := range []struct {
 		name    string
 		withWAL bool
-		batch   bool
 	}{
 		{name: "mem"},
 		{name: "wal", withWAL: true},
-		{name: "wal-batch", withWAL: true, batch: true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			perWorker := (b.N + workers - 1) / workers
 			bc, txs := benchChain(b, tc.withWAL, workers, perWorker)
-			var bs *BatchSubmitter
-			if tc.batch {
-				bs = NewBatchSubmitter(bc, BatchOptions{})
-			}
 			b.ResetTimer()
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -94,13 +87,7 @@ func BenchmarkChainSubmitTx(b *testing.B) {
 				go func(w int) {
 					defer wg.Done()
 					for i := range txs[w] {
-						var err error
-						if bs != nil {
-							err = bs.Submit(txs[w][i])
-						} else {
-							err = bc.SubmitTx(txs[w][i])
-						}
-						if err != nil {
+						if err := bc.SubmitTx(txs[w][i]); err != nil {
 							b.Errorf("worker %d tx %d: %v", w, i, err)
 							return
 						}
@@ -109,9 +96,6 @@ func BenchmarkChainSubmitTx(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			if bs != nil {
-				bs.Close()
-			}
 			if tc.withWAL {
 				if err := bc.CloseDurable(); err != nil {
 					b.Fatal(err)

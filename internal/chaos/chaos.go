@@ -18,7 +18,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,17 +46,6 @@ type Options struct {
 	// GameSeed generates the Table II game instance and the chain accounts
 	// (default 7, the repo-wide reference seed).
 	GameSeed int64
-	// TokenTimeout is the ring's loss-detection timeout (default 200ms).
-	TokenTimeout time.Duration
-	// SuspectAfter is the ring's same-peer resend budget (default 8: a
-	// spurious crash suspicion then needs SuspectAfter+1 consecutive
-	// losses on one link, vanishingly unlikely at any sane drop rate).
-	// Negative is rejected.
-	SuspectAfter int
-	// SealInterval is the authority's block cadence (default 25ms).
-	SealInterval time.Duration
-	// SettleTimeout bounds the settlement phase (default 2m).
-	SettleTimeout time.Duration
 	// CrashCycles > 0 runs the settlement phase on a WAL-backed chain and
 	// kill -9s the validator that many times mid-settlement (aborting the
 	// WAL without flushing, recovering, and re-serving on the same
@@ -67,11 +58,25 @@ type Options struct {
 	// WALDir is the durable chain's directory (default: a fresh temp dir,
 	// removed after the soak).
 	WALDir string
-	// Batch routes member submissions through a shared BatchSubmitter, so
-	// the soak exercises SubmitTxBatch (one round-trip, one WAL group
-	// commit per flush) instead of per-tx SubmitTx.
+	// Batch settles the profile's four Fig. 3 stages (Settlement.Stages)
+	// with one SubmitTxBatch each, over one client, instead of each member
+	// walking its own lifecycle (Settlement.Walk): kills then land on
+	// multi-tx batch admissions.
 	Batch bool
 }
+
+const (
+	// tokenTimeout is the ring's loss-detection timeout.
+	tokenTimeout = 200 * time.Millisecond
+	// suspectAfter is the ring's same-peer resend budget: a spurious crash
+	// suspicion needs suspectAfter+1 consecutive losses on one link,
+	// vanishingly unlikely at any sane drop rate.
+	suspectAfter = 8
+	// sealInterval is the authority's block cadence.
+	sealInterval = 25 * time.Millisecond
+	// settleTimeout bounds the settlement phase.
+	settleTimeout = 2 * time.Minute
+)
 
 func (o Options) withDefaults() Options {
 	if o.Orgs <= 0 {
@@ -79,18 +84,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.GameSeed == 0 {
 		o.GameSeed = 7
-	}
-	if o.TokenTimeout <= 0 {
-		o.TokenTimeout = 200 * time.Millisecond
-	}
-	if o.SuspectAfter == 0 {
-		o.SuspectAfter = 8
-	}
-	if o.SealInterval <= 0 {
-		o.SealInterval = 25 * time.Millisecond
-	}
-	if o.SettleTimeout <= 0 {
-		o.SettleTimeout = 2 * time.Minute
 	}
 	if o.CrashCycles > 0 {
 		if o.CrashMin <= 0 {
@@ -233,7 +226,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 
 	// Phase 1: the token ring over faulty loopback TCP.
 	ringStart := time.Now()
-	profile, err := runRing(ctx, cfg, opts, inj)
+	profile, err := runRing(ctx, cfg, inj)
 	if err != nil {
 		return nil, fmt.Errorf("chaos ring: %w", err)
 	}
@@ -264,11 +257,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	// faulty RPC links — on a crash-recovering durable chain when the plan
 	// schedules kill cycles.
 	settleStart := time.Now()
-	if opts.CrashCycles > 0 {
-		if err := runCrashSettlement(ctx, cfg, opts, inj, profile, rep); err != nil {
-			return nil, fmt.Errorf("chaos crash settlement: %w", err)
-		}
-	} else if err := runSettlement(ctx, cfg, opts, inj, profile, rep); err != nil {
+	if err := runSettlement(ctx, cfg, opts, inj, profile, rep); err != nil {
 		return nil, fmt.Errorf("chaos settlement: %w", err)
 	}
 	rep.SettleElapsed = time.Since(settleStart)
@@ -278,7 +267,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 
 // runRing executes the distributed DBR protocol over injector-wrapped TCP
 // nodes and returns the agreed profile.
-func runRing(ctx context.Context, cfg *game.Config, opts Options, inj *faults.Injector) (game.Profile, error) {
+func runRing(ctx context.Context, cfg *game.Config, inj *faults.Injector) (game.Profile, error) {
 	tcp, err := transport.LoopbackMesh(dbr.PeerNames(cfg.N()), cfg.N()+4)
 	if err != nil {
 		return nil, err
@@ -288,212 +277,186 @@ func runRing(ctx context.Context, cfg *game.Config, opts Options, inj *faults.In
 		defer node.Close()
 		trs[i] = inj.Wrap(node)
 	}
-	return dbr.RunRing(ctx, cfg, trs, dbr.Options{
-		TokenTimeout: opts.TokenTimeout,
-		SuspectAfter: opts.SuspectAfter,
-	})
+	return dbr.RunRing(ctx, cfg, trs, dbr.Options{TokenTimeout: tokenTimeout, SuspectAfter: suspectAfter})
 }
 
-// runSettlement drives every member's Fig. 3 lifecycle concurrently
-// through fault-injected RPC clients against a live server, sealing on a
-// fixed cadence, and fills the settlement fields of rep.
+// runSettlement settles profile on a chain served over RPC while the
+// authority seals on a fixed cadence, and fills the settlement fields of
+// rep. With crash cycles the chain is durable and a crasher kills and
+// recovers it on the plan's schedule (crash.go). Each member walks its own
+// lifecycle (Settlement.Walk) through its own fault lane; the batch lane
+// submits the profile's four stages through one.
 func runSettlement(ctx context.Context, cfg *game.Config, opts Options, inj *faults.Injector, profile game.Profile, rep *Report) error {
-	n := cfg.N()
 	gen, err := chain.NewSettlement(cfg, opts.GameSeed)
 	if err != nil {
 		return err
 	}
-	members := gen.Params.Members
-	bc, err := chain.NewBlockchain(gen.Authority, gen.Params, gen.Alloc)
-	if err != nil {
+	box := &chainBox{authority: gen.Authority}
+	var bc *chain.Blockchain
+	if opts.CrashCycles > 0 {
+		if box.dir = opts.WALDir; box.dir == "" {
+			if box.dir, err = os.MkdirTemp("", "tradefl-crashsoak-"); err != nil {
+				return err
+			}
+			defer os.RemoveAll(box.dir)
+		}
+		if bc, err = chain.OpenDurable(box.dir, gen.Authority, gen.Params, gen.Alloc); err != nil {
+			return err
+		}
+		box.tracker = newDurableTracker(bc)
+		rep.Durable, rep.RecoveredExact = true, true
+	} else if bc, err = chain.NewBlockchain(gen.Authority, gen.Params, gen.Alloc); err != nil {
 		return err
 	}
-	srv, err := chain.NewServer(bc, "127.0.0.1:0")
-	if err != nil {
+	if err := box.serve(bc, "127.0.0.1:0"); err != nil {
 		return err
 	}
-	serveDone := make(chan struct{})
-	go func() { defer close(serveDone); _ = srv.Serve() }()
-	defer func() { _ = srv.Close(); <-serveDone }()
+	addr := box.addr
+	defer func() {
+		box.stopServer()
+		if cur := box.current(); cur.WAL() != nil {
+			_ = cur.CloseDurable()
+		}
+	}()
 
-	// With batching on, every member's submissions funnel through one
-	// shared micro-batcher (its own fault lane), so concurrent lifecycle
-	// phases coalesce into SubmitTxBatch calls.
-	var batcher *chain.BatchSubmitter
-	if opts.Batch {
-		batchClient := chain.NewClientOpts(srv.Addr(), chain.ClientOptions{
-			Timeout:     5 * time.Second,
-			MaxRetries:  10,
-			BaseBackoff: 5 * time.Millisecond,
-			MaxBackoff:  100 * time.Millisecond,
-			Transport:   inj.RoundTripper("batch", nil),
-		})
-		batcher = chain.NewBatchSubmitter(batchClient, chain.BatchOptions{})
-		defer batcher.Close()
-	}
-
-	before := make([]chain.Wei, n)
-	for i, m := range members {
-		before[i] = bc.Balance(m)
-	}
-
-	// Authority seals on a fixed cadence until the members are done.
-	sealCtx, stopSealer := context.WithCancel(ctx)
-	defer stopSealer()
-	var sealerWG sync.WaitGroup
-	sealerWG.Add(1)
+	// The authority seals on a fixed cadence on whichever incarnation is
+	// current; a seal against a just-killed chain fails on the dead WAL and
+	// the next tick seals the recovered one. The crasher fires on the
+	// seeded schedule while the members settle.
+	bg, stop := context.WithCancel(ctx)
+	defer stop()
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
-		defer sealerWG.Done()
-		tick := time.NewTicker(opts.SealInterval)
+		defer wg.Done()
+		tick := time.NewTicker(sealInterval)
 		defer tick.Stop()
 		for {
 			select {
-			case <-sealCtx.Done():
+			case <-bg.Done():
 				return
 			case <-tick.C:
-				if _, err := bc.SealBlock(); err != nil {
-					chaosLog.Warn("seal failed", "err", err)
+				if _, err := box.current().SealBlock(); err != nil {
+					chaosLog.Debug("seal failed", "err", err)
 				}
 			}
 		}
 	}()
-
-	settleCtx, cancel := context.WithTimeout(ctx, opts.SettleTimeout)
-	defer cancel()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	crashErr := make(chan error, 1)
+	if box.tracker != nil {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			// JitterSeed is left 0 on purpose: the client derives it from
-			// the injector's plan seed through the fault transport (per
-			// lane, so each member gets its own stream), keeping the whole
-			// soak a pure function of the seed.
-			client := chain.NewClientOpts(srv.Addr(), chain.ClientOptions{
-				Timeout:     5 * time.Second,
-				MaxRetries:  10,
-				BaseBackoff: 5 * time.Millisecond,
-				MaxBackoff:  100 * time.Millisecond,
-				Transport:   inj.RoundTripper(fmt.Sprintf("org-%d", i), nil),
-			})
-			errs[i] = settleMember(settleCtx, client, batcher, gen.Accounts[i], gen.Deposits[i], profile[i])
-		}(i)
+			for _, d := range faults.KillSchedule(opts.Plan.Seed, opts.CrashCycles, opts.CrashMin, opts.CrashMax) {
+				select {
+				case <-bg.Done():
+					return
+				case <-time.After(d):
+				}
+				if err := box.crash(rep); err != nil {
+					crashErr <- err
+					return
+				}
+			}
+		}()
 	}
+
+	settleCtx, cancel := context.WithTimeout(ctx, settleTimeout)
+	defer cancel()
+	// A crash outage rejects every request for its whole window, so the
+	// retry budget must outlast a kill and recovery, not one lost packet.
+	// JitterSeed is left 0 on purpose: the client derives it from the
+	// injector's plan seed and the lane, keeping the soak a pure function
+	// of the seed.
+	client := func(lane string) *chain.Client {
+		return chain.NewClientOpts(addr, chain.ClientOptions{
+			Timeout:     5 * time.Second,
+			MaxRetries:  30,
+			BaseBackoff: 5 * time.Millisecond,
+			MaxBackoff:  100 * time.Millisecond,
+			Transport:   inj.RoundTripper(lane, nil),
+		})
+	}
+	var settled error
+	if opts.Batch {
+		settled = settleStages(settleCtx, client("batch"), gen, profile)
+	} else {
+		errs := make([]error, cfg.N())
+		var members sync.WaitGroup
+		for i := range errs {
+			members.Add(1)
+			go func() {
+				defer members.Done()
+				if err := gen.Walk(settleCtx, client(fmt.Sprintf("org-%d", i)), i, profile[i], false, io.Discard); err != nil {
+					errs[i] = fmt.Errorf("member %d: %w", i, err)
+				}
+			}()
+		}
+		members.Wait()
+		settled = errors.Join(errs...)
+	}
+	stop()
 	wg.Wait()
-	stopSealer()
-	sealerWG.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("member %d: %w", i, err)
+	select {
+	case err := <-crashErr:
+		return err
+	default:
+	}
+	if settled != nil {
+		return settled
+	}
+	// The soak must prove recovery even when settlement finished before the
+	// first scheduled kill (tiny games on a fast box): force one cycle.
+	if box.tracker != nil && rep.Crashes == 0 {
+		if err := box.crash(rep); err != nil {
+			return err
 		}
 	}
+
 	// Flush any stragglers the last tick missed (e.g. the final record).
-	if _, err := bc.SealBlock(); err != nil {
+	final := box.current()
+	if _, err := final.SealBlock(); err != nil {
 		return err
 	}
-
-	var residual chain.Wei
-	for i, m := range members {
-		residual += bc.Balance(m) - before[i]
+	for _, m := range gen.Params.Members {
+		rep.BudgetResidual += final.Balance(m) - gen.Alloc[m]
 	}
-	rep.BudgetResidual = residual
-	err = bc.ContractView(func(c *chain.Contract) error {
+	if err := final.ContractView(func(c *chain.Contract) error {
 		rep.Settled = c.Settled
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return err
 	}
-	rep.ChainVerified = bc.VerifyChain() == nil
+	rep.ChainVerified = final.VerifyChain() == nil
+	if box.tracker != nil {
+		rep.PITRVerified = box.pitr(final.Height() / 2)
+	}
 	return nil
 }
 
-// settleMember walks one organization's deposit (of dep) → contribution
-// → calculate → transfer → record lifecycle through its (faulty) client,
-// tolerating every idempotency rejection a retried or racing phase
-// produces. A non-nil batcher replaces per-tx submission with the shared
-// batched path; receipts are still polled through the member's own client.
-func settleMember(ctx context.Context, client *chain.Client, batcher *chain.BatchSubmitter, acct *chain.Account, dep chain.Wei, strat game.Strategy) error {
-	const poll = 10 * time.Millisecond
-	send := func(fn chain.Function, fnArgs any, value chain.Wei) error {
-		nonce, err := client.Nonce(acct.Address())
-		if err != nil {
-			return err
-		}
-		tx, err := chain.NewTransaction(acct, nonce, fn, fnArgs, value)
-		if err != nil {
-			return err
-		}
-		if batcher != nil {
-			err = batcher.Submit(*tx)
-		} else {
-			err = client.SubmitTxCtx(ctx, tx)
-		}
-		if err != nil {
-			return err
-		}
-		hash, err := tx.Hash()
-		if err != nil {
-			return err
-		}
-		for {
-			rcpt, err := client.Receipt(hash)
-			if err == nil {
-				if !rcpt.OK {
-					return errors.New(rcpt.Error)
-				}
-				return nil
-			}
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("receipt for %s: %w", fn, ctx.Err())
-			case <-time.After(poll):
-			}
-		}
-	}
-	waitFor := func(phase string, ok func(chain.ContractStatus) bool) error {
-		for {
-			st, err := client.Status()
-			if err != nil {
-				return err
-			}
-			if ok(st) {
-				return nil
-			}
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("waiting for %s: %w", phase, ctx.Err())
-			case <-time.After(poll):
-			}
-		}
-	}
-
-	if err := send(chain.FnDepositSubmit, nil, dep); err != nil && !chain.IsAlready(err) {
-		return fmt.Errorf("deposit: %w", err)
-	}
-	if err := waitFor("registrations", func(st chain.ContractStatus) bool {
-		return st.Registered == st.Members
-	}); err != nil {
+// settleStages is the batch lane: profile's four Fig. 3 stages, each one
+// SubmitTxBatch over c whose receipts must all be OK before the next stage
+// goes, as settle_rpc settles. The authority sealer seals them.
+func settleStages(ctx context.Context, c *chain.Client, gen *chain.Settlement, profile game.Profile) error {
+	stages, err := gen.Stages(profile)
+	if err != nil {
 		return err
 	}
-	contrib := chain.Contribution{D: strat.D, F: strat.F}
-	if err := send(chain.FnContributionSubmit, contrib, 0); err != nil && !chain.IsAlready(err) {
-		return fmt.Errorf("submit: %w", err)
-	}
-	if err := waitFor("submissions", func(st chain.ContractStatus) bool {
-		return st.Submitted == st.Members
-	}); err != nil {
-		return err
-	}
-	if err := send(chain.FnPayoffCalculate, nil, 0); err != nil && !chain.IsAlready(err) {
-		return fmt.Errorf("calculate: %w", err)
-	}
-	if err := send(chain.FnPayoffTransfer, nil, 0); err != nil && !chain.IsAlready(err) {
-		return fmt.Errorf("transfer: %w", err)
-	}
-	if err := send(chain.FnProfileRecord, nil, 0); err != nil && !chain.IsAlready(err) {
-		return fmt.Errorf("record: %w", err)
+	for k, stage := range stages {
+		results, err := c.SubmitTxBatchCtx(ctx, stage)
+		if err != nil {
+			return fmt.Errorf("stage %d: %w", k, err)
+		}
+		for j, r := range results {
+			if !r.OK {
+				return fmt.Errorf("stage %d tx %d rejected: %s", k, j, r.Error)
+			}
+		}
+		for j, r := range results {
+			if err := c.AwaitReceipt(ctx, r.TxHash); err != nil {
+				return fmt.Errorf("stage %d tx %d: %w", k, j, err)
+			}
+		}
 	}
 	return nil
 }
@@ -505,10 +468,6 @@ func settleMember(ctx context.Context, client *chain.Client, batcher *chain.Batc
 //
 //	orgs=N        ring/contract size
 //	game=SEED     game-instance and account seed
-//	token=DUR     ring token timeout
-//	suspect=N     same-peer resends before a crash suspicion
-//	seal=DUR      authority seal cadence
-//	settle=DUR    settlement deadline
 //
 // Durable crash-soak keys (crashcycles > 0 switches the settlement phase
 // to a WAL-backed chain with kill/recover cycles):
@@ -518,10 +477,10 @@ func settleMember(ctx context.Context, client *chain.Client, batcher *chain.Batc
 //	crashmax=DUR   maximum uptime between recoveries (default 500ms)
 //	waldir=PATH    chain WAL directory (default: fresh temp dir)
 //
-// Submission key:
+// Settlement lane key:
 //
-//	batch=0/1      route submissions through a shared SubmitTxBatch
-//	               micro-batcher (default 0)
+//	batch=0/1      settle the four Fig. 3 stages with one SubmitTxBatch
+//	               each instead of a walk per member (default 0)
 func ParseSpec(spec string) (Options, error) {
 	var opts Options
 	if strings.TrimSpace(spec) == "" {
@@ -556,30 +515,6 @@ func ParseSpec(spec string) (Options, error) {
 				return opts, fmt.Errorf("chaos: game = %q: %v", val, err)
 			}
 			opts.GameSeed = s
-		case "token":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return opts, fmt.Errorf("chaos: token = %q: %v", val, err)
-			}
-			opts.TokenTimeout = d
-		case "suspect":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return opts, fmt.Errorf("chaos: suspect = %q (need an integer ≥ 0)", val)
-			}
-			opts.SuspectAfter = n
-		case "seal":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return opts, fmt.Errorf("chaos: seal = %q: %v", val, err)
-			}
-			opts.SealInterval = d
-		case "settle":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return opts, fmt.Errorf("chaos: settle = %q: %v", val, err)
-			}
-			opts.SettleTimeout = d
 		case "crashcycles":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {

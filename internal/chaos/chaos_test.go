@@ -59,15 +59,14 @@ func TestFaultFreeSoak(t *testing.T) {
 }
 
 func TestParseSpec(t *testing.T) {
-	opts, err := ParseSpec("seed=9,drop=0.2,orgs=5,game=3,token=150ms,suspect=4,seal=10ms,settle=90s")
+	opts, err := ParseSpec("seed=9,drop=0.2,orgs=5,game=3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opts.Plan.Seed != 9 || opts.Plan.Drop != 0.2 {
 		t.Errorf("fault keys not applied: %+v", opts.Plan)
 	}
-	if opts.Orgs != 5 || opts.GameSeed != 3 || opts.TokenTimeout != 150*time.Millisecond ||
-		opts.SuspectAfter != 4 || opts.SealInterval != 10*time.Millisecond || opts.SettleTimeout != 90*time.Second {
+	if opts.Orgs != 5 || opts.GameSeed != 3 {
 		t.Errorf("harness keys not applied: %+v", opts)
 	}
 	bt, err := ParseSpec("batch=1")
@@ -77,14 +76,16 @@ func TestParseSpec(t *testing.T) {
 	if !bt.Batch {
 		t.Errorf("batch key not applied: %+v", bt)
 	}
-	for _, bad := range []string{"orgs=1", "bogus=1", "drop=2", "token=xyz", "seed", "batch=x", "suspect=-1", "suspect=x"} {
+	for _, bad := range []string{"orgs=1", "bogus=1", "drop=2", "seed", "batch=x"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
 	}
 	// The shard-count, seal-pipeline and checkpoint-cadence keys went with
-	// the knobs they set.
-	for _, removed := range []string{"shards=4", "shards=0", "pipeline=0", "pipeline=1", "snapevery=2", "snapevery=-1"} {
+	// the knobs they set; the ring-timeout, suspicion, seal-cadence and
+	// settle-deadline keys with the options that had one value in use.
+	for _, removed := range []string{"shards=4", "shards=0", "pipeline=0", "pipeline=1", "snapevery=2", "snapevery=-1",
+		"token=150ms", "suspect=4", "seal=10ms", "settle=90s"} {
 		if _, err := ParseSpec(removed); err == nil || !strings.Contains(err.Error(), "unknown key") {
 			t.Errorf("ParseSpec(%q) = %v, want an unknown-key error", removed, err)
 		}

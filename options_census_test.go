@@ -19,10 +19,9 @@ import (
 // is a constant instead.
 func TestOptionsCensus(t *testing.T) {
 	want := map[string][]string{
-		"chain.BatchOptions":  {"MaxBatch", "Linger"},
 		"chain.ClientOptions": {"Timeout", "MaxRetries", "BaseBackoff", "MaxBackoff", "JitterSeed", "Transport"},
 		"chain.Options":       {"DedupHorizon"},
-		"chaos.Options":       {"Plan", "Orgs", "GameSeed", "TokenTimeout", "SuspectAfter", "SealInterval", "SettleTimeout", "CrashCycles", "CrashMin", "CrashMax", "WALDir", "Batch"},
+		"chaos.Options":       {"Plan", "Orgs", "GameSeed", "CrashCycles", "CrashMin", "CrashMax", "WALDir", "Batch"},
 		"core.Options":        {"Solver", "Settle", "Train", "TrainDataset", "TrainArch", "Rounds", "LocalEpochs", "Seed"},
 		"dbr.Options":         {"MaxRounds", "Tol", "DTol", "TokenTimeout", "SuspectAfter", "Workers"},
 		"experiments.Options": {"Seed", "Quick"},

@@ -134,11 +134,14 @@ for mode in "" "-commit"; do
 done
 
 echo "==> chaos smoke (seeded soak under -race)"
-# Fault schedule is a pure function of the seed: a failure here reproduces
-# exactly via `scripts/chaos.sh "<spec>"`. The soak fails the gate if the
-# ring misses the fault-free Nash equilibrium or the settlement contract
-# leaks a single wei.
-scripts/chaos.sh "seed=${CHAOS_SEED:-7},drop=0.15,dup=0.05,delayp=0.1,delaymax=15ms,rpcfail=0.1,rpclost=0.05,orgs=3,game=5"
+# One -race tradefl-sim runs this soak and the durability gate's crash
+# soak. Fault schedule is a pure function of the seed: a failure here
+# reproduces exactly via `go run -race ./cmd/tradefl-sim -chaos "<spec>"`.
+# The soak fails the gate if the ring misses the fault-free Nash
+# equilibrium or the settlement contract leaks a single wei.
+SOAK_BIN="$(mktemp -d)/tradefl-sim"
+go build -race -o "$SOAK_BIN" ./cmd/tradefl-sim
+"$SOAK_BIN" -chaos "seed=${CHAOS_SEED:-7},drop=0.15,dup=0.05,delayp=0.1,delaymax=15ms,rpcfail=0.1,rpclost=0.05,orgs=3,game=5"
 
 echo "==> obs-v2 gate (tracing, flight recorder, trajectories)"
 # Race-check the instrumentation fabric itself first: spans, the flight
@@ -316,10 +319,11 @@ go test -race -run "$DURABILITY_TESTS" ./internal/chain/ ./internal/durable/
 # schedule mid-settlement, recover from the log each time, and require
 # every recovery to reproduce the durable prefix exactly (height, state
 # root, mempool), the wei-exact settlement check on the final incarnation,
-# and a point-in-time recovery view. batch=1 drives
-# submission through SubmitTxBatch, so the cycles land on batched group
-# commits. Reproduce a failure with `scripts/crashloop.sh "<spec>"`.
-scripts/crashloop.sh "seed=${CHAOS_SEED:-7},crashcycles=3,crashmin=25ms,crashmax=70ms,rpcfail=0.05,orgs=3,game=5,batch=1"
+# and a point-in-time recovery view. batch=1 settles the four Fig. 3
+# stages with one SubmitTxBatch each, so the cycles land on batched group
+# commits. Reproduce a failure with
+# `go run -race ./cmd/tradefl-sim -chaos "<spec>"`.
+"$SOAK_BIN" -chaos "seed=${CHAOS_SEED:-7},crashcycles=3,crashmin=25ms,crashmax=70ms,rpcfail=0.05,orgs=3,game=5,batch=1"
 # The two soak tests 25 times each (~0.2 s a run): a recovery that loses an
 # acknowledged record fails a run, so a regression turns the gate red instead of showing as an occasional flake.
 go test -count=25 -run '^(TestCrashSoakBatched|TestCrashRestartSoak)$' ./internal/chaos/
