@@ -15,15 +15,11 @@
 //     A(Ω) = 1/√(Ω·G) + 1/G, used for all paper simulations.
 //   - PowerLaw: P(Ω) = a·Ω^b with 0 < b < 1, a classic learning curve.
 //   - LogSaturation: P(Ω) = a·log(1 + Ω/c), slow saturation.
-//   - Empirical: a concave piecewise-linear interpolant fitted to measured
-//     (Ω, accuracy) points, e.g. from the FL simulator (Fig. 2).
 package accuracy
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Model is a data-accuracy function P(Ω): the accuracy performance of the
@@ -46,9 +42,9 @@ type Model interface {
 // states where its constant comes from, writing u for 2⁻⁵³.
 type Certified interface {
 	// ConcaveFrom returns the smallest Ω from which Value really is
-	// nondecreasing and concave: the guards at Ω ≈ 0 (SqrtLoss.OmegaFloor,
-	// Empirical's flat extrapolation below its first point) put a convex
-	// kink there. +Inf means nowhere (parameters outside the model's range).
+	// nondecreasing and concave: a guard at Ω ≈ 0 (SqrtLoss.OmegaFloor)
+	// puts a convex kink there. +Inf means nowhere (parameters outside the
+	// model's range).
 	ConcaveFrom() float64
 	// RoundingScale returns S(ω) ≥ |P(ω)|, for ω ≥ ConcaveFrom, with
 	// |Value(ω′) − P(ω)| ≤ 8u·S(ω) for every float ω′ within 4u·ω of ω,
@@ -62,7 +58,6 @@ var (
 	_ Certified = (*SqrtLoss)(nil)
 	_ Certified = (*PowerLaw)(nil)
 	_ Certified = (*LogSaturation)(nil)
-	_ Certified = (*Empirical)(nil)
 	_ Certified = (*Scaled)(nil)
 )
 
@@ -224,164 +219,3 @@ func (m *LogSaturation) ConcaveFrom() float64 {
 // RoundingScale is P itself: the quotient, Log1p and the product are 3u,
 // and x/(1+x) ≤ log(1+x) keeps a 4u shift of ω within 4u·P.
 func (m *LogSaturation) RoundingScale(omega float64) float64 { return m.Value(omega) }
-
-// Point is a measured (Ω, P) sample used to fit an Empirical model.
-type Point struct {
-	Omega float64 `json:"omega"`
-	P     float64 `json:"p"`
-}
-
-// Empirical is a concave piecewise-linear interpolant through measured
-// points, e.g. the accuracy curves the FL simulator produces for Fig. 2.
-// The fit enforces Eq. (5) by isotonic+concave regression on the inputs:
-// values are made nondecreasing and the chord slopes nonincreasing.
-type Empirical struct {
-	pts  []Point
-	name string
-	// span is (len(pts)+1)·max|P| over the fitted points (RoundingScale).
-	span float64
-}
-
-var _ Model = (*Empirical)(nil)
-
-// ErrTooFewPoints is returned when an Empirical fit has fewer than 2 points.
-var ErrTooFewPoints = errors.New("empirical accuracy model needs at least two points")
-
-// FitEmpirical builds an Empirical model from measured samples. Input points
-// are sorted by Ω; duplicate Ω values keep the maximum P. The result is
-// adjusted to be nondecreasing and concave (pool-adjacent-violators on the
-// slopes), so it always satisfies Eq. (5) even for noisy measurements.
-func FitEmpirical(name string, samples []Point) (*Empirical, error) {
-	if len(samples) < 2 {
-		return nil, ErrTooFewPoints
-	}
-	pts := make([]Point, len(samples))
-	copy(pts, samples)
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Omega < pts[j].Omega })
-
-	// Deduplicate equal Ω, keeping the max P.
-	dedup := pts[:1]
-	for _, p := range pts[1:] {
-		last := &dedup[len(dedup)-1]
-		if p.Omega == last.Omega {
-			if p.P > last.P {
-				last.P = p.P
-			}
-			continue
-		}
-		dedup = append(dedup, p)
-	}
-	if len(dedup) < 2 {
-		return nil, ErrTooFewPoints
-	}
-
-	// Enforce monotonicity.
-	for i := 1; i < len(dedup); i++ {
-		if dedup[i].P < dedup[i-1].P {
-			dedup[i].P = dedup[i-1].P
-		}
-	}
-	// Enforce concavity: pool adjacent violators on chord slopes.
-	dedup = concavify(dedup)
-	var maxAbs float64
-	for _, p := range dedup {
-		maxAbs = math.Max(maxAbs, math.Abs(p.P))
-	}
-	return &Empirical{pts: dedup, name: name, span: float64(len(dedup)+1) * maxAbs}, nil
-}
-
-// concavify performs a single-pass pool-adjacent-violators style smoothing
-// that lowers later points until chord slopes are nonincreasing.
-func concavify(pts []Point) []Point {
-	for i := 2; i < len(pts); i++ {
-		s1 := slope(pts[i-2], pts[i-1])
-		s2 := slope(pts[i-1], pts[i])
-		if s2 > s1 {
-			// Cap the new slope at the previous one.
-			pts[i].P = pts[i-1].P + s1*(pts[i].Omega-pts[i-1].Omega)
-		}
-	}
-	return pts
-}
-
-func slope(a, b Point) float64 {
-	return (b.P - a.P) / (b.Omega - a.Omega)
-}
-
-// Value implements Model by linear interpolation; it extrapolates flat below
-// the first point and with the final slope above the last point.
-func (m *Empirical) Value(omega float64) float64 {
-	pts := m.pts
-	if omega <= pts[0].Omega {
-		return pts[0].P
-	}
-	last := pts[len(pts)-1]
-	if omega >= last.Omega {
-		prev := pts[len(pts)-2]
-		return last.P + slope(prev, last)*(omega-last.Omega)
-	}
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].Omega >= omega })
-	a, b := pts[i-1], pts[i]
-	return a.P + slope(a, b)*(omega-a.Omega)
-}
-
-// Derivative implements Model with the slope of the active segment.
-func (m *Empirical) Derivative(omega float64) float64 {
-	pts := m.pts
-	if omega <= pts[0].Omega {
-		return slope(pts[0], pts[1])
-	}
-	if omega >= pts[len(pts)-1].Omega {
-		return slope(pts[len(pts)-2], pts[len(pts)-1])
-	}
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].Omega >= omega })
-	return slope(pts[i-1], pts[i])
-}
-
-// Name implements Model.
-func (m *Empirical) Name() string { return m.name }
-
-// ConcaveFrom is the first fitted point: below it Value is flat.
-func (m *Empirical) ConcaveFrom() float64 { return m.pts[0].Omega }
-
-// RoundingScale is (K+1)·max|P_k| + P′(ω)·ω for K fitted points.
-// Interpolating costs 6u·(|P_a| + |P_b|) on a segment and 6u·P′·ω beyond
-// the last point, a 4u shift of ω moves the value by 4u·P′·ω, and the sums
-// concavify rounds leave the exact chords nonincreasing only up to
-// u·max|P| a point — so the interpolant is that close to a concave one.
-func (m *Empirical) RoundingScale(omega float64) float64 {
-	return m.span + m.Derivative(omega)*omega
-}
-
-// Points returns a copy of the fitted points.
-func (m *Empirical) Points() []Point {
-	out := make([]Point, len(m.pts))
-	copy(out, m.pts)
-	return out
-}
-
-// VerifyShape checks Eq. (5) numerically for any Model over [lo, hi] using n
-// probe points: values nondecreasing and finite-difference slopes
-// nonincreasing, both up to tolerance tol. It returns a descriptive error on
-// the first violation; nil if the model satisfies the shape property.
-func VerifyShape(m Model, lo, hi float64, n int, tol float64) error {
-	if n < 3 {
-		return errors.New("verify shape: need at least 3 probe points")
-	}
-	step := (hi - lo) / float64(n-1)
-	prevV := math.Inf(-1)
-	prevS := math.Inf(1)
-	for i := 0; i < n-1; i++ {
-		x := lo + float64(i)*step
-		v := m.Value(x)
-		s := (m.Value(x+step) - v) / step
-		if v < prevV-tol {
-			return fmt.Errorf("model %s not nondecreasing at Ω=%g: %g < %g", m.Name(), x, v, prevV)
-		}
-		if s > prevS+tol {
-			return fmt.Errorf("model %s not concave at Ω=%g: slope %g > %g", m.Name(), x, s, prevS)
-		}
-		prevV, prevS = v, s
-	}
-	return nil
-}

@@ -13,7 +13,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
 
 	"tradefl/internal/randx"
 )
@@ -74,16 +73,4 @@ func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 		return false
 	}
 	return ed25519.Verify(pub, msg, sig)
-}
-
-// ParseAddress validates the textual form of an address.
-func ParseAddress(s string) (Address, error) {
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return ZeroAddress, fmt.Errorf("chain: address %q not hex: %w", s, err)
-	}
-	if len(raw) != 20 {
-		return ZeroAddress, fmt.Errorf("chain: address %q has %d bytes, want 20", s, len(raw))
-	}
-	return Address(s), nil
 }

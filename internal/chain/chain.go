@@ -15,7 +15,6 @@ var (
 	ErrInsufficientBalance = errors.New("chain: insufficient balance")
 	ErrBrokenLink          = errors.New("chain: broken block link")
 	ErrBadSeal             = errors.New("chain: invalid authority seal")
-	ErrBadStateRoot        = errors.New("chain: state root mismatch")
 	// ErrTxAlreadyKnown rejects a resubmission of a transaction that is
 	// already pending or sealed. It makes SubmitTx idempotent: a client
 	// whose first submission's response was lost can retry blindly and

@@ -1,7 +1,9 @@
 package chain
 
 import (
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -529,4 +531,16 @@ func TestConcurrentSubmitAndSeal(t *testing.T) {
 			t.Errorf("nonce %d, want 5", n)
 		}
 	}
+}
+
+// ParseAddress validates the textual form of an address.
+func ParseAddress(s string) (Address, error) {
+	raw, err := hex.DecodeString(s)
+	if err != nil {
+		return ZeroAddress, fmt.Errorf("chain: address %q not hex: %w", s, err)
+	}
+	if len(raw) != 20 {
+		return ZeroAddress, fmt.Errorf("chain: address %q has %d bytes, want 20", s, len(raw))
+	}
+	return Address(s), nil
 }

@@ -22,14 +22,20 @@ import (
 // accepted tx, a sealed block or a fencing-term bump, in chain order.
 // Recovery replays the whole log through one replayer, which re-executes
 // every tx and re-seals every block, requiring each to hash as stored, so
-// nothing on disk is trusted. A torn tail is truncated. A directory in
-// the older snapshot-and-segments format is converted on open
-// (legacy.go).
+// nothing on disk is trusted. A torn tail is truncated. A directory that
+// holds the older snapshot-and-segment files instead of wal.log is
+// refused and left untouched.
 
 var recoverLog = obs.Component("chain.recover")
 
 // ErrNoLog is returned when a recovery directory holds no log.
 var ErrNoLog = errors.New("chain: no log in wal dir")
+
+// errOldFormat is returned for a directory without wal.log that holds the
+// format which predates it: full-chain snapshots (snap-NNNNNNNN.json) over
+// a segmented log (wal-NNNNNNNN.seg). Opening it as fresh would write a
+// new genesis beside the old chain.
+var errOldFormat = errors.New("chain: wal dir holds the snapshot-and-segment format (snap-*.json, wal-*.seg) that predates wal.log, which this version does not read")
 
 // ErrReplayMismatch is returned when a stored chain does not reproduce
 // under replay, or when its genesis is not the one the caller asked for.
@@ -108,39 +114,21 @@ func RecoverAt(dir string, authority *Account, height uint64) (*Blockchain, erro
 
 // recoverDir is the shared recovery core: it replays up to block
 // stopHeight. Only a full recovery (math.MaxUint64) writes the directory —
-// it converts an old-format one, truncates a torn tail and reattaches the
-// WAL for append; a point-in-time target leaves the directory untouched.
+// it truncates a torn tail and reattaches the WAL for append; a
+// point-in-time target leaves the directory untouched.
 func recoverDir(dir string, authority *Account, stopHeight uint64, opts Options) (*Blockchain, error) {
 	attach := stopHeight == math.MaxUint64
 	path := filepath.Join(dir, logName)
-	var converted []byte // an old-format directory's log, not yet on disk
 	if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
-		if converted, err = convertLegacy(dir); err != nil {
-			return nil, err
-		}
+		return nil, noLog(dir)
 	} else if err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	defer mRecoverSec.ObserveSince(start)
-	if attach {
-		if converted != nil {
-			if err := durable.WriteFileAtomic(path, converted, 0o600); err != nil {
-				return nil, err
-			}
-			converted = nil
-		}
-		// Only after the log is in place: a kill between the rename and
-		// this cleanup leaves a directory that recovers from wal.log.
-		if err := removeLegacy(dir); err != nil {
-			return nil, err
-		}
-	}
 	r := &replayer{authority: authority, opts: opts, stop: stopHeight}
 	var err error
 	switch {
-	case converted != nil:
-		_, err = durable.ScanFrames(bytes.NewReader(converted), r.replay)
 	case attach:
 		// Truncate-and-replay in one pass; the tear (if any) is gone from
 		// disk afterwards, which makes recovery idempotent.
@@ -184,6 +172,21 @@ func recoverDir(dir string, authority *Account, stopHeight uint64, opts Options)
 	bc.attachWAL(w)
 	recoverLog.Info("recovered", "dir", dir, "height", bc.Height(), "pending", bc.PendingCount(), "term", bc.Term())
 	return bc, nil
+}
+
+// noLog explains a directory without wal.log: errOldFormat when it holds
+// old-format files, ErrNoLog otherwise. One glob matches both old name
+// shapes, so a fresh directory costs one directory read.
+func noLog(dir string) error {
+	names, _ := filepath.Glob(filepath.Join(dir, "*-????????.*")) // the pattern is valid
+	for _, name := range names {
+		snap, _ := filepath.Match("snap-*.json", filepath.Base(name))
+		seg, _ := filepath.Match("wal-*.seg", filepath.Base(name))
+		if snap || seg {
+			return fmt.Errorf("%w: %s", errOldFormat, dir)
+		}
+	}
+	return fmt.Errorf("%w: %s", ErrNoLog, dir)
 }
 
 // replayer applies the log to a chain in log order; the genesis record

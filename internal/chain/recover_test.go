@@ -226,6 +226,58 @@ func TestOpenDurableRefusesAnotherGenesis(t *testing.T) {
 	}
 }
 
+// TestOldFormatDirIsRefused builds directories in the snapshot-and-segment
+// format that predates wal.log and requires every way of opening them to
+// fail with errOldFormat and leave them byte for byte as they were —
+// OpenDurable in particular must not start a fresh chain beside the old
+// one.
+func TestOldFormatDirIsRefused(t *testing.T) {
+	f := newDurableFixture(t, 2)
+	if err := f.bc.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	for name, files := range map[string]map[string]string{
+		"snapshot": {
+			"snap-00000002.json": `{"params":{},"blocks":[],"walSeq":3}`,
+			"wal-00000003.seg":   "\x00\x00\x00\x05frame",
+		},
+		"segments": {
+			"wal-00000000.seg": "\x00\x00\x00\x05frame",
+			"wal-00000001.seg": "",
+		},
+	} {
+		dir := t.TempDir()
+		for file, body := range files {
+			if err := os.WriteFile(filepath.Join(dir, file), []byte(body), 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+		open := map[string]func() (*Blockchain, error){
+			"OpenDurable": func() (*Blockchain, error) { return OpenDurable(dir, f.authority, f.params, f.alloc) },
+			"Recover":     func() (*Blockchain, error) { return Recover(dir, f.authority) },
+			"RecoverAt":   func() (*Blockchain, error) { return RecoverAt(dir, f.authority, 0) },
+		}
+		for how, fn := range open {
+			bc, err := fn()
+			if !errors.Is(err, errOldFormat) || bc != nil {
+				t.Fatalf("%s: %s returned a chain %v, err %v; want none and errOldFormat", name, how, bc != nil, err)
+			}
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != len(files) {
+			t.Errorf("%s: directory holds %d files after the refusals, want the %d it had", name, len(entries), len(files))
+		}
+		for file, body := range files {
+			if got, err := os.ReadFile(filepath.Join(dir, file)); err != nil || string(got) != body {
+				t.Errorf("%s: %s changed (err %v)", name, file, err)
+			}
+		}
+	}
+}
+
 // TestRecoverAtEveryTornOffset chops the log at every byte offset past its
 // genesis record — every possible kill -9 image, since the genesis record
 // is written whole before the log exists — and requires recovery to
@@ -365,8 +417,6 @@ func TestCheckpointGCAndPITR(t *testing.T) {
 // TestRecoverAtPastPooledSnapshot: the target block's txs sat pending in
 // the pool, one record at a time, before the block sealed them.
 // Point-in-time recovery must replay that pool exactly as Recover does.
-// The old-format fixture (TestLegacyDirConverts) covers the same case with
-// the pool inside a snapshot.
 func TestRecoverAtPastPooledSnapshot(t *testing.T) {
 	f := newDurableFixture(t, 3)
 	for i := range f.accounts {

@@ -210,15 +210,6 @@ func (w *WAL) enqueue(frame []byte, rec walRec) *walTicket {
 	return t
 }
 
-// Append logs rec and blocks until it is durable (one group commit).
-func (w *WAL) Append(rec walRec) error {
-	frame, err := encodeWalRec(rec)
-	if err != nil {
-		return err
-	}
-	return w.enqueue(frame, rec).wait()
-}
-
 // Sync blocks until everything queued before it is durable.
 func (w *WAL) Sync() error {
 	t := &walTicket{ch: make(chan error, 1)}

@@ -186,3 +186,12 @@ func TestWALAbortKeepsAcknowledged(t *testing.T) {
 		}
 	}
 }
+
+// Append logs rec and blocks until it is durable (one group commit).
+func (w *WAL) Append(rec walRec) error {
+	frame, err := encodeWalRec(rec)
+	if err != nil {
+		return err
+	}
+	return w.enqueue(frame, rec).wait()
+}

@@ -59,12 +59,6 @@ func (p Profile) RoundTime(d, s, f float64) float64 {
 	return p.DownloadTime + p.TrainingTime(d, s, f) + p.UploadTime
 }
 
-// MeetsDeadline reports whether the round fits within deadline tau,
-// constraint C^(3) of problem (13).
-func (p Profile) MeetsDeadline(d, s, f, tau float64) bool {
-	return p.RoundTime(d, s, f) <= tau
-}
-
 // DeadlineSlack returns τ − RoundTime; negative values violate C^(3).
 func (p Profile) DeadlineSlack(d, s, f, tau float64) float64 {
 	return tau - p.RoundTime(d, s, f)

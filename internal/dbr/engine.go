@@ -55,8 +55,8 @@ func releaseEngine(e *Engine) { enginePool.Put(e) }
 // reset rebinds the engine to cfg, reusing scratch when possible. The
 // evaluator's static caches are always re-derived from the config's current
 // values: a pooled engine can come back for a config that was mutated in
-// place between solves (campaign.drift does exactly that), so a pointer
-// match proves nothing about the cached values. Reuse is allocation-level
+// place between solves (the ext-campaign drift does exactly that), so a
+// pointer match proves nothing about the cached values. Reuse is allocation-level
 // only — the O(N²) rebuild is the price of correctness and is negligible
 // next to the scan it precedes.
 func (e *Engine) reset(cfg *game.Config) {

@@ -7,7 +7,7 @@ import (
 )
 
 // TestEngineSurvivesInPlaceMutation is the regression test for the pooled
-// engine's stale-cache bug: campaign.drift mutates the epoch config in
+// engine's stale-cache bug: the ext-campaign drift mutates the epoch config in
 // place between solves, so an engine that comes back from the pool for the
 // same config pointer must not trust its cached static state. Before the
 // fix, the pointer-equality fast path skipped the DeltaEvaluator rebuild
@@ -21,7 +21,7 @@ func TestEngineSurvivesInPlaceMutation(t *testing.T) {
 	if _, err := Solve(cfg, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	// Mutate the config in place exactly like campaign.drift.
+	// Mutate the config in place exactly like the ext-campaign drift.
 	for i := range cfg.Orgs {
 		cfg.Orgs[i].Profitability *= 1.4
 		cfg.Orgs[i].DataBits *= 1.1

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"bufio"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -27,6 +31,53 @@ func quick(t *testing.T, id string) *Figure {
 	return fig
 }
 
+// committed reads the full-resolution figure id from results/id.csv, the
+// file the drift gate regenerates byte for byte. Notes and labels are not
+// read back: the shape checks look at the series only.
+func committed(t *testing.T, id string) *Figure {
+	t.Helper()
+	f, err := os.Open(filepath.Join("..", "..", "results", id+".csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fig := &Figure{ID: id}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if name, ok := strings.CutPrefix(line, "series,"); ok {
+			fig.Series = append(fig.Series, Series{Name: name})
+			continue
+		}
+		xs, ys, ok := strings.Cut(line, ",")
+		x, errX := strconv.ParseFloat(xs, 64)
+		y, errY := strconv.ParseFloat(ys, 64)
+		if !ok || errX != nil || errY != nil || len(fig.Series) == 0 {
+			t.Fatalf("%s.csv: malformed line %q", id, line)
+		}
+		last := &fig.Series[len(fig.Series)-1]
+		last.X = append(last.X, x)
+		last.Y = append(last.Y, y)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fig.Series) == 0 {
+		t.Fatalf("%s.csv: no series", id)
+	}
+	return fig
+}
+
+// shape runs check on figure id twice: in quick mode, and on the committed
+// full-resolution CSV.
+func shape(t *testing.T, id string, check func(t *testing.T, fig *Figure)) {
+	t.Run("quick", func(t *testing.T) { check(t, quick(t, id)) })
+	t.Run("committed", func(t *testing.T) { check(t, committed(t, id)) })
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
@@ -51,93 +102,99 @@ func TestRunUnknownID(t *testing.T) {
 }
 
 func TestFig2ShapeProperty(t *testing.T) {
-	fig := quick(t, "fig2")
-	// Each curve: accuracy gain at full data above gain at 10%.
-	for _, s := range fig.Series {
-		if s.Y[len(s.Y)-1] <= s.Y[0] {
-			t.Errorf("fig2 %s: no accuracy gain from more data (%v)", s.Name, s.Y)
+	shape(t, "fig2", func(t *testing.T, fig *Figure) {
+		// Each curve: accuracy gain at full data above gain at 10%.
+		for _, s := range fig.Series {
+			if s.Y[len(s.Y)-1] <= s.Y[0] {
+				t.Errorf("fig2 %s: no accuracy gain from more data (%v)", s.Name, s.Y)
+			}
 		}
-	}
+	})
 }
 
 func TestFig4CGBDLeads(t *testing.T) {
-	fig := quick(t, "fig4")
-	cgbd := fig.SeriesByName("CGBD")
-	dbr := fig.SeriesByName("DBR")
-	fip := fig.SeriesByName("FIP")
-	if cgbd == nil || dbr == nil || fip == nil {
-		t.Fatal("missing scheme series")
-	}
-	last := func(s *Series) float64 { return s.Y[len(s.Y)-1] }
-	if last(cgbd) < last(dbr)-1e-6 {
-		t.Errorf("CGBD final potential %v below DBR %v", last(cgbd), last(dbr))
-	}
-	if last(dbr) < last(fip)-1e-6 {
-		t.Errorf("DBR final potential %v below FIP %v", last(dbr), last(fip))
-	}
+	shape(t, "fig4", func(t *testing.T, fig *Figure) {
+		cgbd := fig.SeriesByName("CGBD")
+		dbr := fig.SeriesByName("DBR")
+		fip := fig.SeriesByName("FIP")
+		if cgbd == nil || dbr == nil || fip == nil {
+			t.Fatal("missing scheme series")
+		}
+		last := func(s *Series) float64 { return s.Y[len(s.Y)-1] }
+		if last(cgbd) < last(dbr)-1e-6 {
+			t.Errorf("CGBD final potential %v below DBR %v", last(cgbd), last(dbr))
+		}
+		if last(dbr) < last(fip)-1e-6 {
+			t.Errorf("DBR final potential %v below FIP %v", last(dbr), last(fip))
+		}
+	})
 }
 
 func TestFig5PayoffsConverge(t *testing.T) {
-	fig := quick(t, "fig5")
-	if len(fig.Series) != 10 {
-		t.Fatalf("got %d org series, want 10", len(fig.Series))
-	}
-	// Last two sweeps identical (converged).
-	for _, s := range fig.Series {
-		n := len(s.Y)
-		if n >= 2 && s.Y[n-1] != s.Y[n-2] {
-			t.Errorf("fig5 %s: payoff still moving at the end", s.Name)
+	shape(t, "fig5", func(t *testing.T, fig *Figure) {
+		if len(fig.Series) != 10 {
+			t.Fatalf("got %d org series, want 10", len(fig.Series))
 		}
-	}
+		// Last two sweeps identical (converged).
+		for _, s := range fig.Series {
+			n := len(s.Y)
+			if n >= 2 && s.Y[n-1] != s.Y[n-2] {
+				t.Errorf("fig5 %s: payoff still moving at the end", s.Name)
+			}
+		}
+	})
 }
 
 func TestFig6Ordering(t *testing.T) {
-	fig := quick(t, "fig6")
-	welfare := map[string]float64{}
-	for _, s := range fig.Series {
-		welfare[s.Name] = s.Y[0]
-	}
-	if welfare["DBR"] <= welfare["WPR"] {
-		t.Errorf("DBR %v not above WPR %v", welfare["DBR"], welfare["WPR"])
-	}
-	if welfare["TOS"] >= welfare["DBR"] {
-		t.Errorf("TOS %v not below DBR %v", welfare["TOS"], welfare["DBR"])
-	}
+	shape(t, "fig6", func(t *testing.T, fig *Figure) {
+		welfare := map[string]float64{}
+		for _, s := range fig.Series {
+			welfare[s.Name] = s.Y[0]
+		}
+		if welfare["DBR"] <= welfare["WPR"] {
+			t.Errorf("DBR %v not above WPR %v", welfare["DBR"], welfare["WPR"])
+		}
+		if welfare["TOS"] >= welfare["DBR"] {
+			t.Errorf("TOS %v not below DBR %v", welfare["TOS"], welfare["DBR"])
+		}
+	})
 }
 
 func TestFig7NonMonotonic(t *testing.T) {
-	fig := quick(t, "fig7")
-	s := fig.Series[0]
-	// Welfare rises from γ=0 to the peak and the last point is below the
-	// peak: the paper's non-monotonicity.
-	best := 0
-	for i := range s.Y {
-		if s.Y[i] > s.Y[best] {
-			best = i
+	shape(t, "fig7", func(t *testing.T, fig *Figure) {
+		s := fig.Series[0]
+		// Welfare rises from γ=0 to the peak and the last point is below
+		// the peak: the paper's non-monotonicity.
+		best := 0
+		for i := range s.Y {
+			if s.Y[i] > s.Y[best] {
+				best = i
+			}
 		}
-	}
-	if best == 0 || best == len(s.Y)-1 {
-		t.Errorf("welfare peak at boundary (index %d of %d): %v", best, len(s.Y), s.Y)
-	}
+		if best == 0 || best == len(s.Y)-1 {
+			t.Errorf("welfare peak at boundary (index %d of %d): %v", best, len(s.Y), s.Y)
+		}
+	})
 }
 
 func TestFig9DamageFallsWithGamma(t *testing.T) {
-	fig := quick(t, "fig9")
-	dbr := fig.SeriesByName("DBR")
-	wpr := fig.SeriesByName("WPR")
-	if dbr == nil || wpr == nil {
-		t.Fatal("missing series")
-	}
-	if dbr.Y[len(dbr.Y)-1] >= dbr.Y[0] {
-		t.Errorf("DBR damage did not fall with γ: %v", dbr.Y)
-	}
-	// WPR ignores γ entirely: flat.
-	for i := 1; i < len(wpr.Y); i++ {
-		if wpr.Y[i] != wpr.Y[0] {
-			t.Errorf("WPR damage varies with γ: %v", wpr.Y)
-			break
+	shape(t, "fig9", func(t *testing.T, fig *Figure) {
+		dbr := fig.SeriesByName("DBR")
+		wpr := fig.SeriesByName("WPR")
+		if dbr == nil || wpr == nil {
+			t.Fatal("missing series")
 		}
-	}
+		if dbr.Y[len(dbr.Y)-1] >= dbr.Y[0] {
+			t.Errorf("DBR damage did not fall with γ: %v", dbr.Y)
+		}
+		// WPR ignores γ entirely: flat.
+		for i := 1; i < len(wpr.Y); i++ {
+			if wpr.Y[i] != wpr.Y[0] {
+				t.Errorf("WPR damage varies with γ: %v", wpr.Y)
+				break
+			}
+		}
+	})
 }
 
 func TestFig10HasPeaksPerMu(t *testing.T) {

@@ -11,7 +11,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"tradefl/internal/fl/tensor"
 	"tradefl/internal/randx"
@@ -266,26 +265,4 @@ func (d *Dataset) Subset(n int) (*Dataset, error) {
 		return nil, err
 	}
 	return &Dataset{X: x, Y: d.Y[:n], Classes: d.Classes}, nil
-}
-
-// ClassBalance returns the per-class sample counts, ascending by class id.
-func (d *Dataset) ClassBalance() []int {
-	counts := make([]int, d.Classes)
-	for _, y := range d.Y {
-		if y >= 0 && y < d.Classes {
-			counts[y]++
-		}
-	}
-	return counts
-}
-
-// Names returns the registered dataset names sorted alphabetically.
-func Names() []string {
-	specs := Specs()
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -144,18 +144,6 @@ func TestSubset(t *testing.T) {
 	}
 }
 
-func TestNamesSorted(t *testing.T) {
-	names := Names()
-	if len(names) != 4 {
-		t.Fatalf("got %d names", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Errorf("names not sorted: %v", names)
-		}
-	}
-}
-
 func TestDifficultyOrdering(t *testing.T) {
 	// Harder datasets must have more within-class noise relative to
 	// separation: cifar10 > svhn > eurosat > fmnist.
@@ -173,4 +161,15 @@ func TestDifficultyOrdering(t *testing.T) {
 			t.Errorf("%s should be harder than %s", order[i], order[i-1])
 		}
 	}
+}
+
+// ClassBalance returns the per-class sample counts, ascending by class id.
+func (d *Dataset) ClassBalance() []int {
+	counts := make([]int, d.Classes)
+	for _, y := range d.Y {
+		if y >= 0 && y < d.Classes {
+			counts[y]++
+		}
+	}
+	return counts
 }

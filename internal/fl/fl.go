@@ -15,7 +15,6 @@ import (
 	"tradefl/internal/fl/model"
 	"tradefl/internal/fl/tensor"
 	"tradefl/internal/obs"
-	"tradefl/internal/randx"
 )
 
 // Config describes one federated training run.
@@ -35,24 +34,6 @@ type Config struct {
 	Test *dataset.Dataset
 	// Seed controls model initialization.
 	Seed int64
-
-	// RoundTimes optionally gives each organization's simulated local round
-	// duration in arbitrary time units. Only consulted when
-	// StragglerDeadline > 0; length must then match Shards.
-	RoundTimes []float64
-	// StragglerDeadline is the synchronous server's per-round cutoff in the
-	// units of RoundTimes: an organization whose (jittered) simulated round
-	// time exceeds it misses the round, its update is excluded and the
-	// FedAvg weights are renormalized over the arrivals. Zero disables the
-	// straggler model — every update always arrives (the pre-existing
-	// behavior).
-	StragglerDeadline float64
-	// StragglerJitter is the ± relative jitter applied to each
-	// organization's round time independently every round (e.g. 0.2 makes
-	// the actual time ~ U[0.8·t, 1.2·t]); the jitter stream is seeded from
-	// Seed, so straggler schedules are reproducible. Zero uses the round
-	// times exactly. Must lie in [0, 1).
-	StragglerJitter float64
 }
 
 // RoundMetrics records the global model's quality after one round.
@@ -60,13 +41,6 @@ type RoundMetrics struct {
 	Round    int     `json:"round"`
 	Loss     float64 `json:"loss"`
 	Accuracy float64 `json:"accuracy"`
-	// Arrived counts the contributing organizations whose update made the
-	// round's straggler deadline (equal to the number of contributors when
-	// the straggler model is off).
-	Arrived int `json:"arrived,omitempty"`
-	// Degraded marks a round in which no update arrived at all: the server
-	// kept the previous global model instead of aborting the run.
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // Result is the outcome of a federated training run.
@@ -80,12 +54,6 @@ type Result struct {
 	FinalLoss float64
 	// TotalSamples is Σ ⌈d_i·|S_i|⌉, the data actually trained on.
 	TotalSamples int
-	// Stragglers is the total number of per-round updates that missed the
-	// straggler deadline across the run.
-	Stragglers int
-	// DegradedRounds counts rounds in which every update missed the
-	// deadline and the previous global model was carried forward.
-	DegradedRounds int
 }
 
 // validate reports the first problem in the config.
@@ -114,22 +82,6 @@ func (c *Config) validate() error {
 		}
 		if c.Fractions[i] < 0 || c.Fractions[i] > 1 {
 			return fmt.Errorf("fl: fraction[%d] = %v outside [0,1]", i, c.Fractions[i])
-		}
-	}
-	if c.StragglerDeadline < 0 {
-		return fmt.Errorf("fl: straggler deadline %v must not be negative", c.StragglerDeadline)
-	}
-	if c.StragglerDeadline > 0 {
-		if len(c.RoundTimes) != len(c.Shards) {
-			return fmt.Errorf("fl: %d round times for %d shards", len(c.RoundTimes), len(c.Shards))
-		}
-		for i, rt := range c.RoundTimes {
-			if rt <= 0 {
-				return fmt.Errorf("fl: round time %d must be positive, got %v", i, rt)
-			}
-		}
-		if c.StragglerJitter < 0 || c.StragglerJitter >= 1 {
-			return fmt.Errorf("fl: straggler jitter %v outside [0,1)", c.StragglerJitter)
 		}
 	}
 	return nil
@@ -181,74 +133,32 @@ func Run(cfg Config) (*Result, error) {
 	ctx, root := obs.Span(context.Background(), "fl.run")
 	defer root.End()
 
-	// Straggler schedule: a jitter stream derived from Seed decides which
-	// updates make each round's deadline, so runs are reproducible.
-	var arrivals *randx.Source
-	if cfg.StragglerDeadline > 0 {
-		arrivals = randx.New(cfg.Seed + 1)
-	}
-
 	res := &Result{TotalSamples: totalSamples}
 	for round := 1; round <= cfg.Rounds; round++ {
 		_, roundSpan := obs.Span(ctx, "fl.round")
 
-		// Decide which contributors make this round's deadline. Jitter
-		// draws are consumed in a fixed order independent of the outcome,
-		// keeping the schedule a pure function of Seed.
-		included := make([]bool, len(subsets))
-		arrived := 0
-		var roundWeight float64
+		// Local training on a copy of the global model per contributing
+		// organization, then FedAvg over the contributions.
+		agg := zerosLike(global.Params())
 		for i, sub := range subsets {
 			if sub == nil {
 				continue
 			}
-			if cfg.StragglerDeadline > 0 {
-				at := cfg.RoundTimes[i]
-				if cfg.StragglerJitter > 0 {
-					at *= 1 + arrivals.Uniform(-cfg.StragglerJitter, cfg.StragglerJitter)
-				}
-				if at > cfg.StragglerDeadline {
-					res.Stragglers++
-					obs.FlightRecord("fl", "straggler", fmt.Sprintf("round=%d org=%d at=%.3g deadline=%.3g", round, i, at, cfg.StragglerDeadline))
-					flLog.Debug("update missed round deadline", "round", round, "org", i, "at", at, "deadline", cfg.StragglerDeadline)
-					continue
-				}
-			}
-			included[i] = true
-			arrived++
-			roundWeight += weights[i]
-		}
-		if arrived == 0 {
-			// Graceful degradation: every update was late. Carry the
-			// previous global model forward rather than aborting the run —
-			// the next round's arrivals resume training where it stood.
-			res.DegradedRounds++
-			obs.FlightRecord("fl", "degraded-round", fmt.Sprintf("round=%d: no update met the deadline", round))
-			flLog.Warn("degraded round: no update met the deadline", "round", round)
-		} else {
-			// Local training on a copy of the global model per arrived
-			// organization; FedAvg weights renormalize over the arrivals.
-			agg := zerosLike(global.Params())
-			for i, sub := range subsets {
-				if !included[i] {
-					continue
-				}
-				local := global.Clone()
-				if _, err := local.TrainEpochs(sub, cfg.LocalEpochs, cfg.Arch.LearningRate, cfg.Arch.BatchSize); err != nil {
-					roundSpan.End()
-					return nil, fmt.Errorf("round %d org %d: %w", round, i, err)
-				}
-				for p, mat := range local.Params() {
-					if err := agg[p].AXPY(weights[i]/roundWeight, mat); err != nil {
-						roundSpan.End()
-						return nil, err
-					}
-				}
-			}
-			if err := global.SetParams(agg); err != nil {
+			local := global.Clone()
+			if _, err := local.TrainEpochs(sub, cfg.LocalEpochs, cfg.Arch.LearningRate, cfg.Arch.BatchSize); err != nil {
 				roundSpan.End()
-				return nil, err
+				return nil, fmt.Errorf("round %d org %d: %w", round, i, err)
 			}
+			for p, mat := range local.Params() {
+				if err := agg[p].AXPY(weights[i]/weightSum, mat); err != nil {
+					roundSpan.End()
+					return nil, err
+				}
+			}
+		}
+		if err := global.SetParams(agg); err != nil {
+			roundSpan.End()
+			return nil, err
 		}
 		loss, err := global.Loss(cfg.Test)
 		if err != nil {
@@ -260,10 +170,7 @@ func Run(cfg Config) (*Result, error) {
 			roundSpan.End()
 			return nil, err
 		}
-		res.History = append(res.History, RoundMetrics{
-			Round: round, Loss: loss, Accuracy: acc,
-			Arrived: arrived, Degraded: arrived == 0,
-		})
+		res.History = append(res.History, RoundMetrics{Round: round, Loss: loss, Accuracy: acc})
 		mRounds.Inc()
 		roundSpan.End()
 	}

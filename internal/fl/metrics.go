@@ -3,11 +3,8 @@ package fl
 import "tradefl/internal/obs"
 
 // Telemetry of the federated-learning loop. Per-round quality lives in
-// Result.History and the /runz trajectories; stragglers and degraded rounds
-// are flight events.
+// Result.History and the /runz trajectories.
 var mRounds = obs.NewCounter("tradefl_fl_rounds_total", "federated rounds completed")
-
-var flLog = obs.Component("fl")
 
 // publishHistory mirrors a run's per-round history into the /runz
 // trajectories.

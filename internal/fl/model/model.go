@@ -20,12 +20,6 @@ type MLP struct {
 	weights []*tensor.Matrix // weights[l]: (in × out)
 	biases  []*tensor.Matrix // biases[l]: (1 × out)
 	dims    []int            // layer widths incl. input and output
-
-	// Momentum ∈ [0, 1) enables heavy-ball SGD; WeightDecay ≥ 0 adds L2
-	// regularization. Both default to plain SGD (zero values).
-	Momentum    float64
-	WeightDecay float64
-	velW, velB  []*tensor.Matrix // momentum buffers, lazily allocated
 }
 
 // Arch describes a network architecture plus its training hyperparameters.
@@ -38,10 +32,6 @@ type Arch struct {
 	LearningRate float64
 	// BatchSize is the mini-batch size.
 	BatchSize int
-	// Momentum is the heavy-ball coefficient (0 = plain SGD).
-	Momentum float64
-	// WeightDecay is the L2 regularization strength.
-	WeightDecay float64
 }
 
 // Registry returns the architecture registry. Capacities are chosen so the
@@ -49,10 +39,9 @@ type Arch struct {
 // ResNet-18 ≳ DenseNet > AlexNet > MobileNet.
 func Registry() []Arch {
 	return []Arch{
-		// Plain SGD by default: the Figs. 13-15 comparisons measure how the
-		// *data volumes* the schemes choose translate into model quality,
-		// and momentum's acceleration washes those differences out. Set
-		// Momentum/WeightDecay explicitly for accelerated training.
+		// Plain SGD: the Figs. 13-15 comparisons measure how the *data
+		// volumes* the schemes choose translate into model quality, and
+		// momentum's acceleration washes those differences out.
 		{Name: "resnet18", Hidden: []int{64, 64}, LearningRate: 0.1, BatchSize: 32},
 		{Name: "densenet", Hidden: []int{48, 48}, LearningRate: 0.1, BatchSize: 32},
 		{Name: "alexnet", Hidden: []int{48}, LearningRate: 0.1, BatchSize: 32},
@@ -70,16 +59,9 @@ func ArchByName(name string) (Arch, error) {
 	return Arch{}, fmt.Errorf("model: unknown architecture %q", name)
 }
 
-// NewForArch builds a network configured by an architecture entry
-// (capacity plus optimizer hyperparameters).
+// NewForArch builds a network with an architecture entry's capacity.
 func NewForArch(inputDim, classes int, arch Arch, seed int64) (*MLP, error) {
-	m, err := NewMLP(inputDim, classes, arch.Hidden, seed)
-	if err != nil {
-		return nil, err
-	}
-	m.Momentum = arch.Momentum
-	m.WeightDecay = arch.WeightDecay
-	return m, nil
+	return NewMLP(inputDim, classes, arch.Hidden, seed)
 }
 
 // NewMLP builds a network for the given input dimension and class count,
@@ -108,23 +90,15 @@ func NewMLP(inputDim, classes int, hidden []int, seed int64) (*MLP, error) {
 	return m, nil
 }
 
-// Clone returns a deep copy (used to broadcast the global model). Momentum
-// buffers are not copied: each local trainer starts with fresh velocity.
+// Clone returns a deep copy (used to broadcast the global model).
 func (m *MLP) Clone() *MLP {
-	out := &MLP{
-		dims:        append([]int(nil), m.dims...),
-		Momentum:    m.Momentum,
-		WeightDecay: m.WeightDecay,
-	}
+	out := &MLP{dims: append([]int(nil), m.dims...)}
 	for l := range m.weights {
 		out.weights = append(out.weights, m.weights[l].Clone())
 		out.biases = append(out.biases, m.biases[l].Clone())
 	}
 	return out
 }
-
-// Layers returns the number of weight layers.
-func (m *MLP) Layers() int { return len(m.weights) }
 
 // Params returns flattened views of all parameters (weights then biases,
 // layer by layer); mutating them mutates the model. Used by FedAvg.
@@ -301,13 +275,11 @@ func (m *MLP) step(x *tensor.Matrix, y []int, lr float64) (float64, error) {
 				return 0, err
 			}
 		}
-		if m.WeightDecay > 0 {
-			if err := gw.AXPY(m.WeightDecay, m.weights[l]); err != nil {
-				release()
-				return 0, err
-			}
+		if err := m.weights[l].AXPY(-lr, gw); err != nil {
+			release()
+			return 0, err
 		}
-		if err := m.applyUpdate(l, gw, gb, lr); err != nil {
+		if err := m.biases[l].AXPY(-lr, gb); err != nil {
 			release()
 			return 0, err
 		}
@@ -317,35 +289,4 @@ func (m *MLP) step(x *tensor.Matrix, y []int, lr float64) (float64, error) {
 		grad = gin
 	}
 	return loss, nil
-}
-
-// applyUpdate performs the layer-l parameter step: plain SGD, or heavy-
-// ball momentum (v ← μ·v + g; w ← w − lr·v) when Momentum > 0.
-func (m *MLP) applyUpdate(l int, gw, gb *tensor.Matrix, lr float64) error {
-	if m.Momentum <= 0 {
-		if err := m.weights[l].AXPY(-lr, gw); err != nil {
-			return err
-		}
-		return m.biases[l].AXPY(-lr, gb)
-	}
-	if m.velW == nil {
-		m.velW = make([]*tensor.Matrix, len(m.weights))
-		m.velB = make([]*tensor.Matrix, len(m.biases))
-	}
-	if m.velW[l] == nil {
-		m.velW[l] = tensor.New(m.weights[l].Rows, m.weights[l].Cols)
-		m.velB[l] = tensor.New(m.biases[l].Rows, m.biases[l].Cols)
-	}
-	m.velW[l].Scale(m.Momentum)
-	if err := m.velW[l].AXPY(1, gw); err != nil {
-		return err
-	}
-	m.velB[l].Scale(m.Momentum)
-	if err := m.velB[l].AXPY(1, gb); err != nil {
-		return err
-	}
-	if err := m.weights[l].AXPY(-lr, m.velW[l]); err != nil {
-		return err
-	}
-	return m.biases[l].AXPY(-lr, m.velB[l])
 }

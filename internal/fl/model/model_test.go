@@ -181,8 +181,8 @@ func TestDeterministicTraining(t *testing.T) {
 
 func TestLayersCount(t *testing.T) {
 	m, _ := NewMLP(4, 3, []int{8, 8}, 1)
-	if m.Layers() != 3 {
-		t.Errorf("Layers = %d, want 3", m.Layers())
+	if got := len(m.weights); got != 3 {
+		t.Errorf("weight layers = %d, want 3", got)
 	}
 	if got := len(m.Params()); got != 6 {
 		t.Errorf("Params count = %d, want 6", got)

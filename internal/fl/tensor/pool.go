@@ -75,7 +75,7 @@ func putFloats(s []float64) {
 
 // Get returns a pooled rows×cols matrix whose contents are UNSPECIFIED —
 // the caller must fully initialize it before reading (every kernel in this
-// package that takes a dst writes all of it). Use GetZeroed when zeros are
+// package that takes a dst writes all of it). Use New when zeros are
 // required. Return the matrix with Put when done; steady-state Get/Put
 // cycles of stable shapes are allocation-free.
 func Get(rows, cols int) *Matrix {
@@ -85,14 +85,7 @@ func Get(rows, cols int) *Matrix {
 	return m
 }
 
-// GetZeroed is Get with the contents cleared, interchangeable with New.
-func GetZeroed(rows, cols int) *Matrix {
-	m := Get(rows, cols)
-	clear(m.Data)
-	return m
-}
-
-// Put returns a matrix obtained from Get/GetZeroed to the pool. m must not
+// Put returns a matrix obtained from Get to the pool. m must not
 // be used afterwards (its data may be handed to another goroutine). Safe on
 // nil and on matrices not obtained from Get — unpooled backing arrays are
 // dropped rather than recycled.

@@ -58,3 +58,10 @@ func TestReuseIsAllocationFree(t *testing.T) {
 		t.Errorf("steady-state pool cycle allocates %v/op, want 0", allocs)
 	}
 }
+
+// GetZeroed is Get with the contents cleared, interchangeable with New.
+func GetZeroed(rows, cols int) *Matrix {
+	m := Get(rows, cols)
+	clear(m.Data)
+	return m
+}

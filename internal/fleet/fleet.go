@@ -124,15 +124,10 @@ func (e *Engine) schedule(cfgs []*game.Config) []int {
 	return order
 }
 
-// SolveOne solves a single instance through the fleet path (planner,
-// metrics) on the calling goroutine.
-func (e *Engine) SolveOne(cfg *game.Config) Result {
-	return e.SolveOneCtx(context.Background(), cfg)
-}
-
-// SolveOneCtx is SolveOne under a caller context: the instance's solver
-// span joins the trace carried by ctx (the campaign loop threads its run
-// trace through here), with no effect on the computed result.
+// SolveOneCtx solves a single instance through the fleet path (planner,
+// metrics) on the calling goroutine. The instance's solver span joins the
+// trace carried by ctx (the campaign loop threads its run trace through
+// here), with no effect on the computed result.
 func (e *Engine) SolveOneCtx(ctx context.Context, cfg *game.Config) Result {
 	mInstances.Inc()
 	return e.solveOne(ctx, cfg)

@@ -48,7 +48,7 @@ func TestBatchMatchesOneAtATime(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("instance %d: %v", i, r.Err)
 		}
-		lone := New(Options{Workers: 1}).SolveOne(cfgs[i])
+		lone := New(Options{Workers: 1}).SolveOneCtx(context.Background(), cfgs[i])
 		if lone.Err != nil {
 			t.Fatalf("instance %d lone: %v", i, lone.Err)
 		}
@@ -101,7 +101,7 @@ func TestLoneSolvesDoNotFanOut(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r := New(Options{Workers: 4, Plan: PlanPruned}).SolveOne(cfg); r.Err != nil {
+	if r := New(Options{Workers: 4, Plan: PlanPruned}).SolveOneCtx(context.Background(), cfg); r.Err != nil {
 		t.Fatal(r.Err)
 	}
 	if d := fanouts() - before; d != 0 {
@@ -154,7 +154,7 @@ func TestAutoSolvesPersonalizedGames(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Personal = game.Personalization{Alpha: 0.3, LocalBoost: 1.5}
-	r := New(Options{}).SolveOne(cfg)
+	r := New(Options{}).SolveOneCtx(context.Background(), cfg)
 	if r.Err != nil {
 		t.Fatalf("plan=auto (resolved to %s): %v", r.Plan, r.Err)
 	}
@@ -166,7 +166,7 @@ func TestAutoSolvesPersonalizedGames(t *testing.T) {
 		t.Fatalf("plan=auto solved with %s, profile %+v; want dbr.Solve's %+v", r.Plan, r.Profile, want.Profile)
 	}
 	for _, plan := range []Plan{PlanPruned, PlanTraversal} {
-		if r := New(Options{Plan: plan}).SolveOne(cfg); r.Err == nil || r.Plan != plan {
+		if r := New(Options{Plan: plan}).SolveOneCtx(context.Background(), cfg); r.Err == nil || r.Plan != plan {
 			t.Errorf("forced %s on a personalized game: plan %s, err %v; want the solver's rejection", plan, r.Plan, r.Err)
 		}
 	}
@@ -180,7 +180,7 @@ func TestAutoEqualsBothMasters(t *testing.T) {
 	for _, n := range []int{2, 3, 4} {
 		for seed := int64(1); seed <= 4; seed++ {
 			cfg := fleetConfig(t, seed, n)
-			auto := New(Options{}).SolveOne(cfg)
+			auto := New(Options{}).SolveOneCtx(context.Background(), cfg)
 			if auto.Err != nil {
 				t.Fatalf("N=%d seed=%d auto: %v", n, seed, auto.Err)
 			}
@@ -188,7 +188,7 @@ func TestAutoEqualsBothMasters(t *testing.T) {
 				t.Fatalf("N=%d seed=%d: auto resolved to %s, want pruned", n, seed, auto.Plan)
 			}
 			for _, plan := range []Plan{PlanPruned, PlanTraversal} {
-				forced := New(Options{Plan: plan}).SolveOne(cfg)
+				forced := New(Options{Plan: plan}).SolveOneCtx(context.Background(), cfg)
 				if forced.Err != nil {
 					t.Fatalf("N=%d seed=%d %s: %v", n, seed, plan, forced.Err)
 				}

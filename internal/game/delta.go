@@ -36,7 +36,9 @@ import "tradefl/internal/accuracy"
 //
 // The fuzz and equivalence tests assert bit-equality against Config.Payoff
 // across random configs, profiles, focus changes and single-coordinate
-// mutations; verify.CheckEvaluator is the runtime auditor.
+// mutations; the differential harness in verify/diff_test.go audits every
+// solved equilibrium the same way, and its mutation test proves the audit
+// fires.
 //
 // A DeltaEvaluator is not safe for concurrent mutation, and a query about an
 // organization other than the focused one moves the focus, which is a

@@ -343,7 +343,7 @@ func TestFeasibleDRespectsDeadline(t *testing.T) {
 			if hi > 1 {
 				t.Errorf("org %d: hi = %v > 1", i, hi)
 			}
-			if !o.Comm.MeetsDeadline(hi, o.DataBits, f, cfg.Deadline+1e-9) {
+			if o.Comm.RoundTime(hi, o.DataBits, f) > cfg.Deadline+1e-9 {
 				t.Errorf("org %d: hi = %v violates deadline at f=%v", i, hi, f)
 			}
 		}
@@ -481,4 +481,20 @@ func TestPotentialUsesStrategyIndependentCommEnergy(t *testing.T) {
 	if math.Abs(du1-du2) > 1e-9 {
 		t.Errorf("potential difference changed with comm power: %v vs %v", du1, du2)
 	}
+}
+
+// PotentialIdentityError measures how exactly the weighted-potential
+// identity of Theorem 1 holds for a unilateral deviation of organization i
+// from p to q (q must differ from p only at index i):
+//
+//	err = | w_i·[U(p) − U(q)] − [C_i(p) − C_i(q)] |,
+//
+// where w_i is the effective weight ((1−α)·z_i; z_i in the base model).
+// A correct implementation keeps this at floating-point noise for every
+// deviation, which the property tests assert.
+func (c *Config) PotentialIdentityError(i int, p, q Profile) float64 {
+	wi := c.EffectiveWeight(i)
+	du := c.Potential(p) - c.Potential(q)
+	dc := c.Payoff(i, p) - c.Payoff(i, q)
+	return math.Abs(wi*du - dc)
 }

@@ -125,7 +125,8 @@ func normalizeCase(seed int64, n, shape int, mu, margin float64) (*Config, float
 		for i := range cfg.Orgs {
 			cfg.Orgs[i].Profitability = src.Uniform(1, 2)
 		}
-		cfg.Orgs[src.Intn(n)].Profitability = src.LogUniform(1, MaxMagnitude)
+		// Log-uniform over [1, MaxMagnitude].
+		cfg.Orgs[src.Intn(n)].Profitability = math.Exp(src.Uniform(0, math.Log(MaxMagnitude)))
 	case shapePassCap:
 		// Organizations b, h, a, v = 0..3, everyone else isolated. h is huge
 		// and caps c_b ≈ p_b/p_h in the first pass, before row v is reached.

@@ -92,19 +92,3 @@ func (c *Config) CheckIndividualRationality(p Profile) (ok bool, worst float64, 
 	}
 	return false, worst, org
 }
-
-// PotentialIdentityError measures how exactly the weighted-potential
-// identity of Theorem 1 holds for a unilateral deviation of organization i
-// from p to q (q must differ from p only at index i):
-//
-//	err = | w_i·[U(p) − U(q)] − [C_i(p) − C_i(q)] |,
-//
-// where w_i is the effective weight ((1−α)·z_i; z_i in the base model).
-// A correct implementation keeps this at floating-point noise for every
-// deviation, which the property tests assert.
-func (c *Config) PotentialIdentityError(i int, p, q Profile) float64 {
-	wi := c.EffectiveWeight(i)
-	du := c.Potential(p) - c.Potential(q)
-	dc := c.Payoff(i, p) - c.Payoff(i, q)
-	return math.Abs(wi*du - dc)
-}

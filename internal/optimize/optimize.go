@@ -1,11 +1,11 @@
 // Package optimize provides the numerical routines TradeFL's solvers build
 // on: golden-section search and derivative bisection for one-dimensional
-// concave maximization, projected gradient ascent for box-constrained
-// concave problems, and an exact water-filling allocator for the separable
-// resource-allocation structure of the CGBD primal problem.
+// concave maximization, and an exact water-filling allocator for the
+// separable resource-allocation structure of the CGBD primal problem.
 //
-// All routines are deterministic and allocation-light; they are exercised on
-// hot paths by both CGBD and best-response dynamics.
+// All routines are deterministic and allocation-light: best-response
+// dynamics maximizes with GoldenSection, and the CGBD primal solves with
+// WaterFillProblem, which bisects with BisectDecreasing.
 package optimize
 
 import (
@@ -103,151 +103,6 @@ func BisectDecreasing(g func(float64) float64, lo, hi, tol float64) (float64, er
 	return (lo + hi) / 2, nil
 }
 
-// Clip limits x to [lo, hi].
-func Clip(x, lo, hi float64) float64 {
-	switch {
-	case x < lo:
-		return lo
-	case x > hi:
-		return hi
-	default:
-		return x
-	}
-}
-
-// Explicit defaults of PGOptions. A zero-valued field selects the matching
-// constant; to request an actual zero, pass the Zero* sentinel instead.
-const (
-	// DefaultPGMaxIter is the default iteration bound.
-	DefaultPGMaxIter = 2000
-	// DefaultPGTol is the default projected-step stopping tolerance.
-	DefaultPGTol = 1e-9
-	// DefaultPGStep0 is the default initial step size.
-	DefaultPGStep0 = 1.0
-)
-
-// Zero-request sentinels for PGOptions float fields. The zero value of a
-// field means "use the default", so an actual zero must be spelled
-// explicitly; the smallest subnormal double is behaviourally identical to
-// zero here (no representable step is shorter than ZeroTol, and a ZeroStep0
-// step moves no coordinate) while remaining distinguishable from unset.
-const (
-	// ZeroTol requests a zero stopping tolerance: the search stops only on
-	// MaxIter, a zero projected step, or step-size collapse.
-	ZeroTol = math.SmallestNonzeroFloat64
-	// ZeroStep0 requests a zero initial step: the first projected move
-	// rounds to no displacement and the search returns the projected start.
-	ZeroStep0 = math.SmallestNonzeroFloat64
-)
-
-// ErrNegativeOption reports a PGOptions field set to a negative value.
-// Negative tolerances and step sizes used to pass through silently (a
-// negative Step0 walks downhill); they are now rejected up front.
-var ErrNegativeOption = errors.New("optimize: negative option value")
-
-// PGOptions configures ProjectedGradient.
-type PGOptions struct {
-	// MaxIter bounds the iteration count (0 = DefaultPGMaxIter; negative is
-	// rejected).
-	MaxIter int
-	// Tol stops when the projected step is shorter than Tol (0 =
-	// DefaultPGTol; pass ZeroTol for an actual zero; negative is rejected).
-	Tol float64
-	// Step0 is the initial step size (0 = DefaultPGStep0; pass ZeroStep0
-	// for an actual zero; negative is rejected).
-	Step0 float64
-}
-
-// validate rejects negative fields with ErrNegativeOption.
-func (o PGOptions) validate() error {
-	switch {
-	case o.MaxIter < 0:
-		return fmt.Errorf("%w: MaxIter %d", ErrNegativeOption, o.MaxIter)
-	case o.Tol < 0:
-		return fmt.Errorf("%w: Tol %v", ErrNegativeOption, o.Tol)
-	case o.Step0 < 0:
-		return fmt.Errorf("%w: Step0 %v", ErrNegativeOption, o.Step0)
-	}
-	return nil
-}
-
-func (o PGOptions) withDefaults() PGOptions {
-	if o.MaxIter == 0 {
-		o.MaxIter = DefaultPGMaxIter
-	}
-	if o.Tol == 0 {
-		o.Tol = DefaultPGTol
-	}
-	if o.Step0 == 0 {
-		o.Step0 = DefaultPGStep0
-	}
-	return o
-}
-
-// ErrDimensionMismatch is returned when box bounds and start point disagree.
-var ErrDimensionMismatch = errors.New("optimize: dimension mismatch")
-
-// ProjectedGradient maximizes a concave objective over the box [lo, hi]^n
-// by projected gradient ascent with backtracking (Armijo) line search.
-// value and grad evaluate the objective and its gradient. It returns the
-// final point and value. This is the generic fallback solver; the CGBD
-// primal uses the exact WaterFill allocator and the tests cross-check the
-// two against each other.
-func ProjectedGradient(value func([]float64) float64, grad func([]float64, []float64),
-	x0, lo, hi []float64, opts PGOptions) ([]float64, float64, error) {
-	n := len(x0)
-	if len(lo) != n || len(hi) != n {
-		return nil, 0, ErrDimensionMismatch
-	}
-	if err := opts.validate(); err != nil {
-		return nil, 0, err
-	}
-	opts = opts.withDefaults()
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = Clip(x0[i], lo[i], hi[i])
-	}
-	g := make([]float64, n)
-	cand := make([]float64, n)
-	fx := value(x)
-	step := opts.Step0
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		grad(x, g)
-		// Backtracking: find a step that improves the objective.
-		improved := false
-		for try := 0; try < 60; try++ {
-			var move float64
-			for i := range cand {
-				cand[i] = Clip(x[i]+step*g[i], lo[i], hi[i])
-				dd := cand[i] - x[i]
-				move += dd * dd
-			}
-			if move == 0 {
-				return x, fx, nil
-			}
-			fc := value(cand)
-			if fc > fx+1e-18 {
-				copy(x, cand)
-				fx = fc
-				improved = true
-				if math.Sqrt(move) < opts.Tol {
-					return x, fx, nil
-				}
-				step *= 1.3 // expand after success
-				break
-			}
-			step /= 2
-			if step < 1e-30 {
-				return x, fx, nil
-			}
-		}
-		if !improved {
-			return x, fx, nil
-		}
-	}
-	return x, fx, nil
-}
-
 // WaterFillProblem is the separable concave allocation
 //
 //	maximize  φ(Σ_i y_i) − Σ_i w_i·y_i   s.t.  y_i ∈ [Lo_i, Hi_i],
@@ -265,7 +120,7 @@ type WaterFillProblem struct {
 	// Lo, Hi are the box bounds (Lo_i ≤ Hi_i required).
 	Lo, Hi []float64
 	// Tol is the bisection tolerance on Ω (0 = 1e-9·max(1, ΣHi); negative
-	// is rejected with ErrNegativeOption).
+	// is rejected).
 	Tol float64
 }
 
@@ -286,10 +141,10 @@ func (p *WaterFillProblem) Solve() ([]float64, float64, error) {
 func (p *WaterFillProblem) SolveInto(y []float64, order []int) ([]float64, float64, error) {
 	n := len(p.W)
 	if len(p.Lo) != n || len(p.Hi) != n {
-		return nil, 0, ErrDimensionMismatch
+		return nil, 0, errors.New("optimize: water-fill dimension mismatch")
 	}
 	if p.Tol < 0 {
-		return nil, 0, fmt.Errorf("%w: Tol %v", ErrNegativeOption, p.Tol)
+		return nil, 0, fmt.Errorf("optimize: negative water-fill Tol %v", p.Tol)
 	}
 	for i := 0; i < n; i++ {
 		if p.Hi[i] < p.Lo[i] {

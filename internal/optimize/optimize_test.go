@@ -54,7 +54,7 @@ func TestGoldenSectionConcaveQuick(t *testing.T) {
 		b := math.Mod(bRaw, 20)
 		obj := func(x float64) float64 { return -a * (x - b) * (x - b) }
 		lo, hi := -5.0, 5.0
-		want := obj(Clip(b, lo, hi))
+		want := obj(math.Max(lo, math.Min(hi, b)))
 		_, got, _ := GoldenSection(obj, lo, hi, 1e-10)
 		return math.Abs(got-want) <= 1e-6*math.Max(1, math.Abs(want))
 	}
@@ -133,45 +133,6 @@ func TestWaterFillSolveIntoReusesScratch(t *testing.T) {
 	}
 }
 
-func TestProjectedGradientDimensionMismatch(t *testing.T) {
-	_, _, err := ProjectedGradient(
-		func(x []float64) float64 { return 0 },
-		func(x, g []float64) {},
-		[]float64{1}, []float64{0, 0}, []float64{1, 1}, PGOptions{})
-	if err == nil {
-		t.Error("want dimension mismatch error")
-	}
-}
-
-func TestProjectedGradientQuadratic(t *testing.T) {
-	// maximize −Σ (x_i − c_i)² over [0,1]³ with c = (0.3, −1, 2):
-	// optimum is (0.3, 0, 1).
-	c := []float64{0.3, -1, 2}
-	value := func(x []float64) float64 {
-		var s float64
-		for i := range x {
-			s -= (x[i] - c[i]) * (x[i] - c[i])
-		}
-		return s
-	}
-	grad := func(x, g []float64) {
-		for i := range x {
-			g[i] = -2 * (x[i] - c[i])
-		}
-	}
-	x, _, err := ProjectedGradient(value, grad,
-		[]float64{0.5, 0.5, 0.5}, []float64{0, 0, 0}, []float64{1, 1, 1}, PGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.3, 0, 1}
-	for i := range want {
-		if math.Abs(x[i]-want[i]) > 1e-5 {
-			t.Errorf("x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-}
-
 func waterFillFixture() *WaterFillProblem {
 	return &WaterFillProblem{
 		Phi:      func(o float64) float64 { return 2 * math.Sqrt(o) },
@@ -179,41 +140,6 @@ func waterFillFixture() *WaterFillProblem {
 		W:        []float64{0.1, 0.5, 0.05},
 		Lo:       []float64{1, 1, 1},
 		Hi:       []float64{100, 100, 100},
-	}
-}
-
-func TestWaterFillMatchesProjectedGradient(t *testing.T) {
-	p := waterFillFixture()
-	y, val, err := p.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	value := func(x []float64) float64 { return p.Value(x) }
-	grad := func(x, g []float64) {
-		var omega float64
-		for _, v := range x {
-			omega += v
-		}
-		dp := p.PhiPrime(omega)
-		for i := range g {
-			g[i] = dp - p.W[i]
-		}
-	}
-	_, pgVal, err := ProjectedGradient(value, grad, []float64{50, 50, 50}, p.Lo, p.Hi, PGOptions{MaxIter: 20000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if val < pgVal-1e-4 {
-		t.Errorf("water-fill value %v below projected-gradient value %v", val, pgVal)
-	}
-	// Spot-check stationarity: φ'(Ω) should sit between the costs of the
-	// saturated-cheap and untouched-expensive variables.
-	var omega float64
-	for _, v := range y {
-		omega += v
-	}
-	if dp := p.PhiPrime(omega); dp > 0.5 || dp < 0.05 {
-		t.Errorf("φ'(Ω) = %v outside the active cost bracket", dp)
 	}
 }
 
@@ -294,10 +220,4 @@ func TestWaterFillOptimalityQuick(t *testing.T) {
 func frac(x float64) float64 {
 	v := math.Abs(x)
 	return v - math.Floor(v)
-}
-
-func TestClipFunc(t *testing.T) {
-	if Clip(5, 0, 1) != 1 || Clip(-5, 0, 1) != 0 || Clip(0.5, 0, 1) != 0.5 {
-		t.Error("Clip misbehaves")
-	}
 }

@@ -7,10 +7,7 @@
 // benchmark series are bit-for-bit reproducible.
 package randx
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Source is a deterministic random source with the scalar distributions the
 // experiments need: math/rand's distributions (rand.Rand) over this
@@ -93,10 +90,4 @@ func (s *Source) CompetitionMatrix(n int, mu float64) [][]float64 {
 		}
 	}
 	return m
-}
-
-// LogUniform returns a draw whose logarithm is uniform over
-// [log(lo), log(hi)]; useful for sweeping scale parameters such as γ.
-func (s *Source) LogUniform(lo, hi float64) float64 {
-	return math.Exp(s.Uniform(math.Log(lo), math.Log(hi)))
 }

@@ -138,16 +138,6 @@ func TestCompetitionMatrixMean(t *testing.T) {
 	}
 }
 
-func TestLogUniform(t *testing.T) {
-	s := New(9)
-	for i := 0; i < 1000; i++ {
-		v := s.LogUniform(1e-9, 1e-6)
-		if v < 1e-9 || v > 1e-6 {
-			t.Fatalf("LogUniform out of range: %v", v)
-		}
-	}
-}
-
 func TestPerm(t *testing.T) {
 	s := New(2)
 	p := s.Perm(10)

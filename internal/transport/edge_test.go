@@ -167,7 +167,7 @@ func TestTCPSendToRestartedPeer(t *testing.T) {
 	}
 
 	// While the peer is down, a send eventually errors out.
-	sender.SetSendRetryPolicy(2, time.Millisecond)
+	sender.sendAttempts, sender.sendBackoff = 2, time.Millisecond
 	if err := sender.Send("peer", Message{Type: "into-the-void"}); err == nil {
 		t.Fatal("send to downed peer succeeded")
 	}
@@ -179,7 +179,7 @@ func TestTCPSendToRestartedPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer second.Close()
-	sender.SetSendRetryPolicy(5, 20*time.Millisecond)
+	sender.sendAttempts, sender.sendBackoff = 5, 20*time.Millisecond
 	if err := sender.Send("peer", Message{Type: "after-restart"}); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestTCPSendRetriesBridgeLateListener(t *testing.T) {
 	addr := probe.Addr().String()
 	_ = probe.Close()
 	sender.RegisterPeer("late", addr)
-	sender.SetSendRetryPolicy(10, 30*time.Millisecond)
+	sender.sendAttempts, sender.sendBackoff = 10, 30*time.Millisecond
 
 	started := make(chan *TCPNode, 1)
 	go func() {

@@ -156,7 +156,9 @@ type TCPNode struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// Send retry policy; see SetSendRetryPolicy.
+	// Send retry policy: sendAttempts total tries (minimum 1) separated by
+	// sendBackoff×attempt. Tests shorten it; every node starts at the
+	// defaults.
 	sendAttempts int
 	sendBackoff  time.Duration
 }
@@ -243,23 +245,6 @@ func (n *TCPNode) AwaitPeers(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// SetSendRetryPolicy bounds Send's dial/write retries: attempts total
-// tries (minimum 1) separated by backoff×attempt. A restarting peer
-// (crash + re-listen on the same address) is reached again without the
-// caller seeing a transient refusal.
-func (n *TCPNode) SetSendRetryPolicy(attempts int, backoff time.Duration) {
-	if attempts < 1 {
-		attempts = 1
-	}
-	if backoff < 0 {
-		backoff = 0
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.sendAttempts = attempts
-	n.sendBackoff = backoff
 }
 
 // Addr returns the node's listen address for peer registration.

@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"math"
+	"testing"
 
 	"tradefl/internal/dbr"
 	"tradefl/internal/game"
@@ -201,8 +202,7 @@ func exhaustiveBest(cfg *game.Config) (best float64, ok bool) {
 				return cfg.Potential(p)
 			}
 			grad := func(d, g []float64) { float64Grad(value, d, lo, hi, g) }
-			if _, v, err := optimize.ProjectedGradient(value, grad, x0, lo, hi,
-				optimize.PGOptions{MaxIter: 4000, Tol: 1e-10}); err == nil && v > best {
+			if _, v := projectedGradient(value, grad, x0, lo, hi, 4000, 1e-10); v > best {
 				best = v
 				ok = true
 			}
@@ -242,4 +242,181 @@ func float64Grad(value func([]float64) float64, d, lo, hi, g []float64) {
 		probe[i] = d[i]
 		g[i] = (fu - fd) / (up - down)
 	}
+}
+
+// projectedGradient maximizes a concave objective over the box [lo, hi]
+// by projected gradient ascent with backtracking (Armijo) line search, for
+// at most maxIter steps or until a step moves less than tol. value and
+// grad evaluate the objective and its gradient. It returns the final point
+// and value. It is the harness's independent reference: the CGBD primal
+// solves the same problems with the exact water-fill allocator.
+func projectedGradient(value func([]float64) float64, grad func([]float64, []float64),
+	x0, lo, hi []float64, maxIter int, tol float64) ([]float64, float64) {
+	n := len(x0)
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = randx.Clip(x0[i], lo[i], hi[i])
+	}
+	g := make([]float64, n)
+	cand := make([]float64, n)
+	fx := value(x)
+	step := 1.0
+	for iter := 0; iter < maxIter; iter++ {
+		grad(x, g)
+		// Backtracking: find a step that improves the objective.
+		improved := false
+		for try := 0; try < 60; try++ {
+			var move float64
+			for i := range cand {
+				cand[i] = randx.Clip(x[i]+step*g[i], lo[i], hi[i])
+				dd := cand[i] - x[i]
+				move += dd * dd
+			}
+			if move == 0 {
+				return x, fx
+			}
+			fc := value(cand)
+			if fc > fx+1e-18 {
+				copy(x, cand)
+				fx = fc
+				improved = true
+				if math.Sqrt(move) < tol {
+					return x, fx
+				}
+				step *= 1.3 // expand after success
+				break
+			}
+			step /= 2
+			if step < 1e-30 {
+				return x, fx
+			}
+		}
+		if !improved {
+			return x, fx
+		}
+	}
+	return x, fx
+}
+
+func TestProjectedGradientQuadratic(t *testing.T) {
+	// maximize −Σ (x_i − c_i)² over [0,1]³ with c = (0.3, −1, 2):
+	// optimum is (0.3, 0, 1).
+	c := []float64{0.3, -1, 2}
+	value := func(x []float64) float64 {
+		var s float64
+		for i := range x {
+			s -= (x[i] - c[i]) * (x[i] - c[i])
+		}
+		return s
+	}
+	grad := func(x, g []float64) {
+		for i := range x {
+			g[i] = -2 * (x[i] - c[i])
+		}
+	}
+	x, _ := projectedGradient(value, grad,
+		[]float64{0.5, 0.5, 0.5}, []float64{0, 0, 0}, []float64{1, 1, 1}, 2000, 1e-9)
+	want := []float64{0.3, 0, 1}
+	for i := range want {
+		if math.Abs(x[i]-want[i]) > 1e-5 {
+			t.Errorf("x[%d] = %v, want %v", i, x[i], want[i])
+		}
+	}
+}
+
+func TestWaterFillMatchesProjectedGradient(t *testing.T) {
+	p := &optimize.WaterFillProblem{
+		Phi:      func(o float64) float64 { return 2 * math.Sqrt(o) },
+		PhiPrime: func(o float64) float64 { return 1 / math.Sqrt(o) },
+		W:        []float64{0.1, 0.5, 0.05},
+		Lo:       []float64{1, 1, 1},
+		Hi:       []float64{100, 100, 100},
+	}
+	y, val, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := func(x []float64) float64 { return p.Value(x) }
+	grad := func(x, g []float64) {
+		var omega float64
+		for _, v := range x {
+			omega += v
+		}
+		dp := p.PhiPrime(omega)
+		for i := range g {
+			g[i] = dp - p.W[i]
+		}
+	}
+	_, pgVal := projectedGradient(value, grad, []float64{50, 50, 50}, p.Lo, p.Hi, 20000, 1e-9)
+	if val < pgVal-1e-4 {
+		t.Errorf("water-fill value %v below projected-gradient value %v", val, pgVal)
+	}
+	// Spot-check stationarity: φ'(Ω) should sit between the costs of the
+	// saturated-cheap and untouched-expensive variables.
+	var omega float64
+	for _, v := range y {
+		omega += v
+	}
+	if dp := p.PhiPrime(omega); dp > 0.5 || dp < 0.05 {
+		t.Errorf("φ'(Ω) = %v outside the active cost bracket", dp)
+	}
+}
+
+// CheckEvaluator audits a DeltaEvaluator the caller claims is bound to p:
+// every organization's bound payoff and `deviations` seeded random
+// single-coordinate substitutions must match Config.Payoff bit-for-bit,
+// alone and at either seat of the paired probe (beside the bound strategy,
+// beside itself). True when clean; CheckIncremental binds its own evaluator.
+func (a *Auditor) CheckEvaluator(cfg *game.Config, ev *game.DeltaEvaluator, p game.Profile, deviations int, seed int64, source string) bool {
+	a.begin()
+	ok := true
+	same := func(got, want float64, i int, s game.Strategy, asked string) {
+		if got != want {
+			a.violate(Violation{
+				Check: "evaluator-mismatch", Source: source,
+				Detail: fmt.Sprintf("org %d at d=%.17g f=%.17g, %s: incremental %.17g, direct %.17g", i, s.D, s.F, asked, got, want),
+				Delta:  math.Abs(got - want),
+			})
+			ok = false
+		}
+	}
+	n := cfg.N()
+	bound := make([]float64, n)
+	for i := range bound {
+		bound[i] = cfg.Payoff(i, p)
+		same(ev.Payoff(i), bound[i], i, p[i], "bound")
+	}
+	src := randx.New(seed)
+	work := p.Clone()
+	for k := 0; k < deviations; k++ {
+		i := src.Intn(n)
+		levels := cfg.Orgs[i].CPULevels
+		f := levels[src.Intn(len(levels))]
+		lo, hi, feasible := cfg.FeasibleD(i, f)
+		if !feasible {
+			continue
+		}
+		s := game.Strategy{D: src.Uniform(lo, hi), F: f}
+		work[i] = s
+		want := cfg.Payoff(i, work)
+		work[i] = p[i]
+		same(ev.PayoffWith(i, s), want, i, s, "alone")
+		for _, q := range [...]struct {
+			a, b         game.Strategy
+			wantA, wantB float64
+		}{{s, p[i], want, bound[i]}, {p[i], s, bound[i], want}, {s, s, want, want}} {
+			first, second := ev.PayoffWithPair(i, q.a, q.b)
+			same(first, q.wantA, i, q.a, "first of a pair")
+			same(second, q.wantB, i, q.b, "second of a pair")
+		}
+	}
+	return ok
+}
+
+// CheckIncremental binds a fresh DeltaEvaluator to p and runs
+// CheckEvaluator against it.
+func (a *Auditor) CheckIncremental(cfg *game.Config, p game.Profile, deviations int, seed int64, source string) bool {
+	ev := game.NewDeltaEvaluator(cfg)
+	ev.Bind(p)
+	return a.CheckEvaluator(cfg, ev, p, deviations, seed, source)
 }

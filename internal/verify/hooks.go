@@ -65,14 +65,6 @@ func Enabled() bool { return global.Load() != nil }
 // Global returns the process-wide auditor, or nil when auditing is off.
 func Global() *Auditor { return global.Load() }
 
-// Count returns the process-wide violation count (0 when auditing is off).
-func Count() int64 {
-	if a := global.Load(); a != nil {
-		return a.Count()
-	}
-	return 0
-}
-
 // Finish folds the process-wide audit into an exit decision: nil when
 // auditing is off or clean, an error carrying the violation summary
 // otherwise. The cmds call it after their run so -verify turns any

@@ -3,10 +3,9 @@
 //
 // The repo's solvers hold tight mathematical contracts — Theorem 1's
 // weighted-potential identity, Definition 5's budget balance, Algorithm 1's
-// bound sandwich, Definition 6's equilibrium property, and the incremental
-// engine's byte-identical equivalence — and each of those is checkable at
-// runtime for a small multiple of the work the solvers already did. This
-// package makes the checks first-class:
+// bound sandwich and Definition 6's equilibrium property — and each of
+// those is checkable at runtime for a small multiple of the work the
+// solvers already did. This package makes the checks first-class:
 //
 //   - Auditor carries the invariant checks. Each check counts into
 //     tradefl_verify_checks_total, records violations (capped) with a
@@ -36,7 +35,6 @@ import (
 	"tradefl/internal/chain"
 	"tradefl/internal/game"
 	"tradefl/internal/obs"
-	"tradefl/internal/randx"
 )
 
 var vLog = obs.Component("verify")
@@ -326,63 +324,4 @@ func (a *Auditor) CheckSettlement(params chain.ContractParams, contribs []chain.
 		}
 	}
 	return ok
-}
-
-// CheckEvaluator audits a DeltaEvaluator the caller claims is bound to p:
-// every organization's bound payoff and `deviations` seeded random
-// single-coordinate substitutions must match Config.Payoff bit-for-bit,
-// alone and at either seat of the paired probe (beside the bound strategy,
-// beside itself). True when clean; CheckIncremental binds its own evaluator.
-func (a *Auditor) CheckEvaluator(cfg *game.Config, ev *game.DeltaEvaluator, p game.Profile, deviations int, seed int64, source string) bool {
-	a.begin()
-	ok := true
-	same := func(got, want float64, i int, s game.Strategy, asked string) {
-		if got != want {
-			a.violate(Violation{
-				Check: "evaluator-mismatch", Source: source,
-				Detail: fmt.Sprintf("org %d at d=%.17g f=%.17g, %s: incremental %.17g, direct %.17g", i, s.D, s.F, asked, got, want),
-				Delta:  math.Abs(got - want),
-			})
-			ok = false
-		}
-	}
-	n := cfg.N()
-	bound := make([]float64, n)
-	for i := range bound {
-		bound[i] = cfg.Payoff(i, p)
-		same(ev.Payoff(i), bound[i], i, p[i], "bound")
-	}
-	src := randx.New(seed)
-	work := p.Clone()
-	for k := 0; k < deviations; k++ {
-		i := src.Intn(n)
-		levels := cfg.Orgs[i].CPULevels
-		f := levels[src.Intn(len(levels))]
-		lo, hi, feasible := cfg.FeasibleD(i, f)
-		if !feasible {
-			continue
-		}
-		s := game.Strategy{D: src.Uniform(lo, hi), F: f}
-		work[i] = s
-		want := cfg.Payoff(i, work)
-		work[i] = p[i]
-		same(ev.PayoffWith(i, s), want, i, s, "alone")
-		for _, q := range [...]struct {
-			a, b         game.Strategy
-			wantA, wantB float64
-		}{{s, p[i], want, bound[i]}, {p[i], s, bound[i], want}, {s, s, want, want}} {
-			first, second := ev.PayoffWithPair(i, q.a, q.b)
-			same(first, q.wantA, i, q.a, "first of a pair")
-			same(second, q.wantB, i, q.b, "second of a pair")
-		}
-	}
-	return ok
-}
-
-// CheckIncremental binds a fresh DeltaEvaluator to p and runs
-// CheckEvaluator against it.
-func (a *Auditor) CheckIncremental(cfg *game.Config, p game.Profile, deviations int, seed int64, source string) bool {
-	ev := game.NewDeltaEvaluator(cfg)
-	ev.Bind(p)
-	return a.CheckEvaluator(cfg, ev, p, deviations, seed, source)
 }

@@ -124,7 +124,7 @@ func TestHooksAuditEverySolve(t *testing.T) {
 		t.Fatal("settlement hook did not run any checks")
 	}
 	assertClean(t, a, "hooks")
-	if got := Count(); got != 0 {
+	if got := Global().Count(); got != 0 {
 		t.Fatalf("global Count() = %d, want 0", got)
 	}
 	if err := Finish(); err != nil {

@@ -28,7 +28,6 @@ func TestOptionsCensus(t *testing.T) {
 		"fleet.Options":       {"Plan", "Workers"},
 		"game.GenOptions":     {"N", "Mu", "Gamma", "CPUSteps", "Epochs", "EnergyW", "Seed", "Accuracy", "NoOrgName"},
 		"gbd.Options":         {"Epsilon", "MaxIter", "Master", "Workers"},
-		"optimize.PGOptions":  {"MaxIter", "Tol", "Step0"},
 		"serve.Options":       {"Runners", "QueueDepth", "TenantActive", "TenantRate", "Limits", "JobTimeout", "DumpWriter"},
 	}
 	got := map[string][]string{}

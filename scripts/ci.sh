@@ -312,7 +312,7 @@ echo "==> durability-gate (WAL/recovery suite, crash-restart soak, group-commit 
 # golden pin, transfers, batch submission, dedup-horizon eviction, read-path
 # contention, prefix replay). The pattern selects by name, so a rename can
 # silently empty it: the guard fails the gate if it matches nothing.
-DURABILITY_TESTS='WAL|Recover|Durable|Snapshot|Checkpoint|PITR|Legacy|Standby|Replicat|Fencing|Term|ZeroPadding|ZeroExtend|Frame|TornTail|Batch|Equivalence|Horizon|Contention|Transfer|Prefix'
+DURABILITY_TESTS='WAL|Recover|Durable|Snapshot|Checkpoint|PITR|OldFormat|Standby|Replicat|Fencing|Term|ZeroPadding|ZeroExtend|Frame|TornTail|Batch|Equivalence|Horizon|Contention|Transfer|Prefix'
 go test -list "$DURABILITY_TESTS" ./internal/chain/ | grep -c '^Test' >/dev/null || { echo "durability-gate: pattern selects no test in ./internal/chain/" >&2; exit 1; }
 go test -race -run "$DURABILITY_TESTS" ./internal/chain/ ./internal/durable/
 # One seeded crash-restart soak: kill -9 the validator on a deterministic
