@@ -27,11 +27,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 
 	"tradefl/internal/chain"
 	"tradefl/internal/cli"
-	"tradefl/internal/faults"
 	"tradefl/internal/game"
 	"tradefl/internal/obs"
 	"tradefl/internal/transport"
@@ -51,7 +49,6 @@ func command() cli.Command {
 		recoverH = fs.Uint64("recover", 0, "with -wal-dir: point-in-time recovery — serve a view of the chain as of this sealed height; writes to the view are NOT durable")
 		repl     = fs.String("replicate", "", "with -wal-dir: stream every durable WAL record to the standby listening at this address")
 		standby  = fs.String("standby", "", "run as a standby validator: tail the primary's WAL stream on this listen address and take over sealing when it has been silent for 2s")
-		chaos    = fs.String("chaos", "", "inject server-side RPC faults, e.g. \"seed=7,rpcfail=0.1,rpcdelayp=0.2\"")
 	)
 	return cli.Command{Flags: fs, Verify: true, Run: func(ctx context.Context, _ *obs.DiagServer) error {
 		cfg, err := game.DefaultConfig(game.GenOptions{Seed: *seed})
@@ -150,21 +147,7 @@ func command() cli.Command {
 			}
 			fmt.Println("tradefl-chain: replicating WAL records to", *repl)
 		}
-		var mw func(http.Handler) http.Handler
-		if *chaos != "" {
-			plan, err := faults.ParsePlan(*chaos)
-			if err != nil {
-				return err
-			}
-			inj, err := faults.NewInjector(plan)
-			if err != nil {
-				return err
-			}
-			defer inj.Close()
-			mw = func(h http.Handler) http.Handler { return inj.Middleware("chain", h) }
-			fmt.Println("tradefl-chain: injecting RPC faults:", plan.String())
-		}
-		srv, err := chain.NewServerWith(bc, *listen, mw)
+		srv, err := chain.NewServer(bc, *listen)
 		if err != nil {
 			return err
 		}

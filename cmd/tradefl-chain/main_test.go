@@ -20,7 +20,7 @@ func TestFlagSet(t *testing.T) {
 	var got []string
 	c.Flags.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
-		"chaos", "diag-addr", "listen", "log-format", "log-level", "recover",
+		"diag-addr", "listen", "log-format", "log-level", "recover",
 		"replicate", "seed", "standby",
 		"trace-out", "verify", "wal-dir",
 	}
@@ -31,11 +31,11 @@ func TestFlagSet(t *testing.T) {
 
 // TestIncrementalFlagIsGone: the switch of the solvers' old second
 // evaluation path, every setting that had one value in use (now a
-// constant), and the checkpoint cadence of the retired snapshot format are
-// unknown flags.
+// constant), the checkpoint cadence of the retired snapshot format and
+// the server-side RPC fault injection are unknown flags.
 func TestIncrementalFlagIsGone(t *testing.T) {
 	for _, name := range []string{
-		"incremental", "fund", "keys", "failover-timeout", "store", "snapshot-interval",
+		"incremental", "fund", "keys", "failover-timeout", "store", "snapshot-interval", "chaos",
 	} {
 		c := command()
 		c.Flags.SetOutput(io.Discard)

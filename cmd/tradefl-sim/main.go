@@ -7,7 +7,6 @@
 //	tradefl-sim -fig fig7 [-seed 7] [-quick]
 //	tradefl-sim -all -out results/
 //	tradefl-sim -fig table2 -diag-addr 127.0.0.1:6060 -diag-hold 30s
-//	tradefl-sim -chaos "seed=7,drop=0.15,dup=0.05,rpcfail=0.1,rpclost=0.05"
 //
 // Fleet batches, FL tensor kernels and chain batch verification use
 // GOMAXPROCS workers; outputs are byte-identical for every worker count.
@@ -22,7 +21,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"tradefl/internal/chaos"
 	"tradefl/internal/cli"
 	"tradefl/internal/experiments"
 	"tradefl/internal/obs"
@@ -39,7 +37,6 @@ func command() cli.Command {
 		fig      = fs.String("fig", "", "experiment id to run (see -list)")
 		all      = fs.Bool("all", false, "run every experiment")
 		list     = fs.Bool("list", false, "list experiment ids")
-		chaosRun = fs.String("chaos", "", "run a seeded chaos soak instead of an experiment, e.g. \"seed=7,drop=0.15,rpclost=0.05\" (keys: seed drop dup delayp delaymin delaymax partition crash rpcfail rpclost rpcdelayp orgs game crashcycles crashmin crashmax waldir batch)")
 		seed     = fs.Int64("seed", 7, "random seed of the reference instance")
 		quick    = fs.Bool("quick", false, "coarse sweeps and short FL runs")
 		out      = fs.String("out", "", "directory for CSV files (default stdout)")
@@ -66,25 +63,6 @@ func command() cli.Command {
 			case <-time.After(*diagHold):
 			case <-ctx.Done():
 			}
-		}
-		if *chaosRun != "" {
-			copts, err := chaos.ParseSpec(*chaosRun)
-			if err != nil {
-				return err
-			}
-			rep, err := chaos.Run(ctx, copts)
-			if err != nil {
-				return err
-			}
-			fmt.Print(rep.String())
-			hold()
-			if gateErr := rep.Err(); gateErr != nil {
-				// A failed chaos gate dumps the flight recorder: the fault
-				// injections and retries leading to the breach are in the ring.
-				obs.DumpFlight(os.Stderr, "chaos gate failed: "+gateErr.Error())
-				return gateErr
-			}
-			return nil
 		}
 		if *fleetN > 0 {
 			start := time.Now()

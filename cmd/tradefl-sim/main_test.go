@@ -66,7 +66,7 @@ func TestFlagSet(t *testing.T) {
 	var got []string
 	c.Flags.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
-		"all", "chaos", "diag-addr", "diag-hold", "fig", "fleet", "list",
+		"all", "diag-addr", "diag-hold", "fig", "fleet", "list",
 		"log-format", "log-level", "out", "plan", "quick", "seed", "summary",
 		"trace-out", "verify",
 	}
@@ -76,11 +76,12 @@ func TestFlagSet(t *testing.T) {
 }
 
 // TestIncrementalFlagIsGone: the switch of the solvers' old second
-// evaluation path, and every setting that had one value in use (now a
-// constant), are unknown flags.
+// evaluation path, every setting that had one value in use (now a
+// constant), and the chaos soak (now the internal/chaos tests) are
+// unknown flags.
 func TestIncrementalFlagIsGone(t *testing.T) {
 	for _, name := range []string{
-		"incremental", "plan-profile", "wal-dir", "plot", "workers",
+		"incremental", "plan-profile", "wal-dir", "plot", "workers", "chaos",
 	} {
 		c := command()
 		c.Flags.SetOutput(io.Discard)

@@ -19,6 +19,15 @@ var interfaceMethods = map[string]bool{
 	"String": true, "Error": true, "Unwrap": true, "MarshalJSON": true, "UnmarshalJSON": true,
 	"Int63": true, "Uint64": true, "Seed": true,
 	"Read": true, "Write": true, "Close": true, "ServeHTTP": true, "RoundTrip": true,
+	"Handle": true, // slog.Handler
+}
+
+// testSupport are the internal/ packages that exist for tests, as
+// net/http/httptest does in the standard library: only _test.go files may
+// import them, so their exports need no production caller, and their own
+// code is no production caller of anything else.
+var testSupport = map[string]string{
+	"internal/faults": "the fault-injection fabric of the chaos soaks, the dbr ring tests and the chain standby tests",
 }
 
 // TestExportCensus checks that every exported name in internal/ — each
@@ -30,21 +39,26 @@ var interfaceMethods = map[string]bool{
 // declaration names it as pkg.Name, or bare inside its own package; a
 // method is used when any selector .Name appears outside its own body.
 // The few names kept for tests or root benchmarks by design are pinned
-// in want, with the reason, both ways.
+// in want, with the reason, both ways; so are the testSupport packages.
 func TestExportCensus(t *testing.T) {
 	want := map[string]string{
+		"chain.DurableBlock":                     "crash-soak hook: the kind of the sealed-block events the chaos durable-prefix tracker counts",
 		"chain.DurableTerm":                      "completes the DurableEvent.Kind values OnDurable hands its observers; the crash soak ignores term records",
+		"chain.DurableTx":                        "crash-soak hook: the kind of the accepted-tx events the chaos durable-prefix tracker counts",
+		"chain.WAL.Abort":                        "crash-soak hook: the chaos harness's kill -9, cutting the log back to its last fsync",
+		"chain.WAL.OnDurable":                    "crash-soak hook: the post-fsync observer the chaos harness tracks the durable prefix with",
 		"dataset.Generator.PartitionNonIID":      "BenchmarkAblation_NonIID in bench_test.go (EXPERIMENTS.md) partitions with it",
 		"game.Config.CheckIndividualRationality": "Definition 3 oracle shared by game tests and dbr/theorem2_test.go",
 		"obs.FlightEvents":                       "test observation hook: reads the flight ring",
 		"obs.FlightReset":                        "test reset hook: empties the flight ring between tests",
 		"obs.ResetTraces":                        "test reset hook: empties the trace store between tests",
+		"obs.SeedIDs":                            "chaos-soak hook: reseeds trace IDs so two soaks of one seed export one trace topology",
 		"obs.SpanStats":                          "test observation hook: the span leak ledger",
 		"obs.TraceTopology":                      "test observation hook: a trace's span tree as text",
 		"tensor.SetWorkers":                      "BenchmarkTensorMatMul rows in BENCH_baseline.json set the kernel fan-out with it",
 		"verify.Disable":                         "test reset hook: turns the invariant checks off after a test enables them",
 	}
-	decls, uses := exportCensus(t)
+	decls, uses, imports := exportCensus(t)
 	var got []string
 	for name := range decls {
 		if !uses[name] {
@@ -67,19 +81,36 @@ func TestExportCensus(t *testing.T) {
 			t.Errorf("%s is pinned but a non-test file now uses it; drop it from want", name)
 		}
 	}
+	for dir, reason := range testSupport {
+		if reason == "" {
+			t.Errorf("%s is pinned as test support without a reason", dir)
+		}
+		tested := false
+		for _, f := range imports[dir] {
+			if !strings.HasSuffix(f, "_test.go") {
+				t.Errorf("%s imports the test-support package %s: only _test.go files may", f, dir)
+			}
+			tested = tested || strings.HasSuffix(f, "_test.go")
+		}
+		if !tested {
+			t.Errorf("%s is pinned as test support but no _test.go file imports it", dir)
+		}
+	}
 }
 
 // exportCensus returns the exported names declared in internal/'s non-test
-// files (pkg.Name, or pkg.Type.Method, mapped to the declaring file) and
-// the set of those that some non-test file uses outside their own
-// declaration.
-func exportCensus(t *testing.T) (decls map[string]string, uses map[string]bool) {
+// files (pkg.Name, or pkg.Type.Method, mapped to the declaring file), the
+// set of those that some non-test file uses outside their own
+// declaration, and every .go file importing each tradefl package
+// directory from another directory.
+func exportCensus(t *testing.T) (decls map[string]string, uses map[string]bool, imports map[string][]string) {
 	t.Helper()
 	type file struct {
 		dir string
 		ast *ast.File
 	}
 	var files []file
+	imports = map[string][]string{}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -90,14 +121,23 @@ func exportCensus(t *testing.T) (decls map[string]string, uses map[string]bool) 
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		files = append(files, file{filepath.ToSlash(filepath.Dir(p)), f})
+		dir := filepath.ToSlash(filepath.Dir(p))
+		for _, im := range f.Imports {
+			ip, _ := strconv.Unquote(im.Path.Value)
+			if to, ok := strings.CutPrefix(ip, "tradefl/"); ok && to != dir {
+				imports[to] = append(imports[to], p)
+			}
+		}
+		if _, ok := testSupport[dir]; !ok && !strings.HasSuffix(p, "_test.go") {
+			files = append(files, file{dir, f})
+		}
 		return nil
 	})
 	if err != nil {
@@ -222,7 +262,7 @@ func exportCensus(t *testing.T) (decls map[string]string, uses map[string]bool) 
 			ast.Inspect(d, visit)
 		}
 	}
-	return decls, uses
+	return decls, uses, imports
 }
 
 // recvType is the name of a method's receiver type, pointer and type

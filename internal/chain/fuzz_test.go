@@ -98,26 +98,3 @@ func FuzzContractArgs(f *testing.F) {
 		}
 	})
 }
-
-// FuzzMerkleProofVerify ensures arbitrary proofs never panic and only
-// correct ones verify.
-func FuzzMerkleProofVerify(f *testing.F) {
-	proof, err := BuildMerkleProof([]string{"a", "b", "c"}, 1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	raw, err := json.Marshal(proof)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(raw)
-	f.Add([]byte(`{"txHash":"x","root":"y"}`))
-	f.Add([]byte(`{}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var p MerkleProof
-		if err := json.Unmarshal(data, &p); err != nil {
-			return
-		}
-		_ = p.Verify() // must not panic
-	})
-}

@@ -3,14 +3,10 @@ package chain
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
-	"fmt"
 )
 
-// Merkle inclusion proofs let a light client verify that a transaction —
-// e.g. a recorded contribution it wants to use in a dispute — is part of a
-// sealed block while holding only block headers, the standard traceability
-// tool of the chains the paper builds on.
+// Every block header commits to its transactions through TxRoot, the
+// Merkle root of their hashes, which VerifyChain recomputes.
 
 // merkleLeaf domain-separates leaves from interior nodes (second-preimage
 // hardening, as in RFC 6962).
@@ -49,102 +45,6 @@ func MerkleRoot(txHashes []string) string {
 		level = next
 	}
 	return level[0]
-}
-
-// ProofStep is one level of a Merkle path.
-type ProofStep struct {
-	// Sibling is the sibling hash at this level.
-	Sibling string `json:"sibling"`
-	// Right is true when the sibling sits to the right of the running
-	// hash.
-	Right bool `json:"right"`
-}
-
-// MerkleProof is an inclusion proof for one transaction of a block.
-type MerkleProof struct {
-	// TxHash is the proven transaction id.
-	TxHash string `json:"txHash"`
-	// Index is the transaction's position in the block.
-	Index int `json:"index"`
-	// Root is the block's transaction root.
-	Root string `json:"root"`
-	// Path lists sibling hashes from leaf to root.
-	Path []ProofStep `json:"path"`
-}
-
-// BuildMerkleProof constructs the inclusion proof of txHashes[index].
-func BuildMerkleProof(txHashes []string, index int) (*MerkleProof, error) {
-	if index < 0 || index >= len(txHashes) {
-		return nil, fmt.Errorf("chain: merkle index %d out of range [0,%d)", index, len(txHashes))
-	}
-	proof := &MerkleProof{TxHash: txHashes[index], Index: index}
-	level := make([]string, len(txHashes))
-	for i, h := range txHashes {
-		level[i] = merkleLeaf(h)
-	}
-	pos := index
-	for len(level) > 1 {
-		sibling := pos ^ 1
-		if sibling >= len(level) {
-			sibling = pos // odd node pairs with itself
-		}
-		proof.Path = append(proof.Path, ProofStep{
-			Sibling: level[sibling],
-			Right:   sibling > pos || sibling == pos,
-		})
-		next := make([]string, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, merkleNode(level[i], level[i+1]))
-			} else {
-				next = append(next, merkleNode(level[i], level[i]))
-			}
-		}
-		level = next
-		pos /= 2
-	}
-	proof.Root = level[0]
-	return proof, nil
-}
-
-// Verify checks the proof against its embedded root.
-func (p *MerkleProof) Verify() error {
-	if p == nil {
-		return errors.New("chain: nil merkle proof")
-	}
-	running := merkleLeaf(p.TxHash)
-	for _, step := range p.Path {
-		if step.Right {
-			running = merkleNode(running, step.Sibling)
-		} else {
-			running = merkleNode(step.Sibling, running)
-		}
-	}
-	if running != p.Root {
-		return fmt.Errorf("chain: merkle proof does not reach root %s", p.Root)
-	}
-	return nil
-}
-
-// TxProof builds an inclusion proof for the txIdx-th transaction of the
-// block at the given height, checked against the block's sealed TxRoot.
-func (bc *Blockchain) TxProof(height uint64, txIdx int) (*MerkleProof, error) {
-	b, err := bc.BlockAt(height)
-	if err != nil {
-		return nil, err
-	}
-	hashes, err := txHashes(b.Txs)
-	if err != nil {
-		return nil, err
-	}
-	proof, err := BuildMerkleProof(hashes, txIdx)
-	if err != nil {
-		return nil, err
-	}
-	if proof.Root != b.TxRoot {
-		return nil, fmt.Errorf("chain: block %d tx root mismatch", height)
-	}
-	return proof, nil
 }
 
 // txHashes computes the id of every transaction in a block.

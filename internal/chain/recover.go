@@ -95,16 +95,8 @@ func initDurable(dir string, bc *Blockchain, params ContractParams, alloc Genesi
 	return bc, nil
 }
 
-// Recover rebuilds the chain in dir to its last durable state: the log
-// replayed and verified from genesis, every record that survived the
-// crash included. The recovered chain has the WAL reattached and is ready
-// to serve.
-func Recover(dir string, authority *Account) (*Blockchain, error) {
-	return recoverDir(dir, authority, math.MaxUint64, Options{})
-}
-
 // RecoverAt is point-in-time recovery: it rebuilds the chain exactly as
-// of sealed block `height` — the same replay as Recover, ignoring every
+// of sealed block `height` — the same replay as OpenDurable's, ignoring every
 // record from the next block's on — and returns it detached from the
 // WAL: a read-only forensic view; sealing on it would fork the durable
 // history.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,6 +13,14 @@ import (
 	"tradefl/internal/durable"
 	"tradefl/internal/randx"
 )
+
+// Recover rebuilds the chain in dir to its last durable state: the log
+// replayed and verified from genesis, every record that survived the
+// crash included, with the WAL reattached. It is OpenDurable without the
+// genesis check, for tests that hold no params or allocation.
+func Recover(dir string, authority *Account) (*Blockchain, error) {
+	return recoverDir(dir, authority, math.MaxUint64, Options{})
+}
 
 // durableFixture is the WAL-backed sibling of fixture: the account set and
 // genesis are derived from a fixed seed so the same authority can recover
@@ -445,7 +454,7 @@ func TestDedupSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	go srv.Serve()
-	cl := NewClientOpts(srv.Addr(), ClientOptions{JitterSeed: 7})
+	cl := NewClient(srv.Addr())
 	dep := MinDeposit(f.params, 0, 5e9)
 	tx, err := NewTransaction(f.accounts[0], 0, FnDepositSubmit, nil, dep)
 	if err != nil {
@@ -463,7 +472,7 @@ func TestDedupSurvivesRestart(t *testing.T) {
 	}
 	defer srv2.Close()
 	go srv2.Serve()
-	cl2 := NewClientOpts(srv2.Addr(), ClientOptions{JitterSeed: 7})
+	cl2 := NewClient(srv2.Addr())
 	// Blind client retry of the same signed tx: must be reported as
 	// success via the (recovered) dedup, not re-admitted.
 	if err := cl2.SubmitTx(tx); err != nil {

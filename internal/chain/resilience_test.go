@@ -71,7 +71,6 @@ func TestClientRetriesTransportFailures(t *testing.T) {
 		MaxRetries:  3,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  4 * time.Millisecond,
-		JitterSeed:  1,
 		Transport:   ft,
 	})
 	var h uint64
@@ -90,7 +89,6 @@ func TestClientGivesUpAfterRetries(t *testing.T) {
 		MaxRetries:  2,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  2 * time.Millisecond,
-		JitterSeed:  1,
 		Transport:   ft,
 	})
 	if err := client.Call(MethodHeight, nil, nil); err == nil {
@@ -108,7 +106,6 @@ func TestClientDoesNotRetryRPCError(t *testing.T) {
 	_, client := rpcFixtureOpts(t, ClientOptions{
 		MaxRetries:  5,
 		BaseBackoff: time.Millisecond,
-		JitterSeed:  1,
 		Transport:   ft,
 	})
 	err := client.Call("tradefl_noSuchMethod", nil, nil)
@@ -135,7 +132,6 @@ func TestCallCtxHonorsDeadline(t *testing.T) {
 	_, client := rpcFixtureOpts(t, ClientOptions{
 		MaxRetries:  50,
 		BaseBackoff: 100 * time.Millisecond,
-		JitterSeed:  1,
 		Transport:   hangTransport{},
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -180,7 +176,6 @@ func TestSubmitTxRetrySafeUnderLostResponse(t *testing.T) {
 		MaxRetries:  3,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  4 * time.Millisecond,
-		JitterSeed:  1,
 		Transport:   lt,
 	})
 	acct := f.accounts[0]

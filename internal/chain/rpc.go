@@ -7,12 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,10 +39,8 @@ const (
 	MethodHeight        = "tradefl_blockHeight"
 	MethodGetBlock      = "tradefl_getBlock"
 	MethodPayoffs       = "tradefl_getPayoffs"
-	MethodRecords       = "tradefl_getRecords"
 	MethodVerify        = "tradefl_verifyChain"
 	MethodStatus        = "tradefl_contractStatus"
-	MethodTxProof       = "tradefl_getTxProof"
 	MethodGetReceipt    = "tradefl_getReceipt"
 	MethodStateRoot     = "tradefl_stateRoot"
 )
@@ -110,24 +107,13 @@ type Server struct {
 // NewServer wraps the chain in an RPC server listening on addr
 // (e.g. "127.0.0.1:0"). Call Serve to start and Close to stop.
 func NewServer(bc *Blockchain, addr string) (*Server, error) {
-	return NewServerWith(bc, addr, nil)
-}
-
-// NewServerWith is NewServer with an optional handler middleware wrapped
-// around the RPC endpoint — the hook chaos runs use to inject server-side
-// failures and delays without touching the dispatch path.
-func NewServerWith(bc *Blockchain, addr string, mw func(http.Handler) http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("chain rpc: listen: %w", err)
 	}
 	s := &Server{bc: bc, ln: ln}
-	var h http.Handler = http.HandlerFunc(s.handle)
-	if mw != nil {
-		h = mw(h)
-	}
 	mux := http.NewServeMux()
-	mux.Handle("/rpc", h)
+	mux.HandleFunc("/rpc", s.handle)
 	// Harden fills the remaining timeouts (full-request read, write, idle)
 	// so a slow-trickled request body cannot hold a connection open
 	// indefinitely; every RPC route is strictly request/response, so no
@@ -348,13 +334,6 @@ func (s *Server) dispatch(req *rpcRequest) (any, error) {
 			return err
 		})
 		return out, err
-	case MethodRecords:
-		var out []ProfileEntry
-		err := s.bc.ContractView(func(c *Contract) error {
-			out = c.SortedRecords()
-			return nil
-		})
-		return out, err
 	case MethodVerify:
 		if err := s.bc.VerifyChain(); err != nil {
 			return nil, err
@@ -385,15 +364,6 @@ func (s *Server) dispatch(req *rpcRequest) (any, error) {
 			return nil, err
 		}
 		return s.bc.ReceiptByHash(txHash)
-	case MethodTxProof:
-		var arg struct {
-			Height uint64 `json:"height"`
-			TxIdx  int    `json:"txIdx"`
-		}
-		if err := json.Unmarshal(params, &arg); err != nil {
-			return nil, err
-		}
-		return s.bc.TxProof(arg.Height, arg.TxIdx)
 	default:
 		return nil, fmt.Errorf("unknown method %q", method)
 	}
@@ -422,13 +392,6 @@ type ClientOptions struct {
 	// retry doubles it up to MaxBackoff (default 2s), with ±50% jitter.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// JitterSeed seeds the backoff jitter stream. 0 asks the Transport for
-	// a deterministic seed (the internal/faults RoundTripper derives one
-	// from its injector's plan seed and lane) and falls back to the wall
-	// clock only when the transport is not seed-aware — so a fully seeded
-	// chaos run never consults the clock. Fix it to make retry timing
-	// reproducible in tests.
-	JitterSeed int64
 	// Transport overrides the HTTP transport (fault injection in chaos
 	// runs); nil uses http.DefaultTransport.
 	Transport http.RoundTripper
@@ -449,23 +412,7 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 2 * time.Second
 	}
-	if o.JitterSeed == 0 {
-		if s, ok := o.Transport.(jitterSeeder); ok {
-			o.JitterSeed = s.JitterSeed()
-		}
-	}
-	if o.JitterSeed == 0 {
-		o.JitterSeed = time.Now().UnixNano()
-	}
 	return o
-}
-
-// jitterSeeder is the optional interface of seed-deterministic transports:
-// a Transport that can derive a stable seed from the run's configuration
-// (internal/faults RoundTripper) reports it here, and the client seeds its
-// retry jitter from it instead of the wall clock.
-type jitterSeeder interface {
-	JitterSeed() int64
 }
 
 // Client is a Web3-style client for the node's RPC interface. It is safe
@@ -476,9 +423,6 @@ type Client struct {
 	http *http.Client
 	opts ClientOptions
 	id   atomic.Int64
-
-	jmu    sync.Mutex
-	jitter *rand.Rand
 }
 
 // NewClient targets the node at addr (host:port) with default options.
@@ -493,12 +437,7 @@ func NewClientOpts(addr string, opts ClientOptions) *Client {
 	if opts.Transport != nil {
 		hc.Transport = opts.Transport
 	}
-	return &Client{
-		url:    "http://" + addr + "/rpc",
-		http:   hc,
-		opts:   opts,
-		jitter: rand.New(rand.NewSource(opts.JitterSeed)),
-	}
+	return &Client{url: "http://" + addr + "/rpc", http: hc, opts: opts}
 }
 
 // Call invokes method with params, decoding the result into out (may be
@@ -559,10 +498,7 @@ func (c *Client) backoff(attempt int) time.Duration {
 	if d > c.opts.MaxBackoff || d <= 0 {
 		d = c.opts.MaxBackoff
 	}
-	c.jmu.Lock()
-	frac := 0.5 + c.jitter.Float64() // ±50% jitter
-	c.jmu.Unlock()
-	return time.Duration(float64(d) * frac)
+	return time.Duration(float64(d) * (0.5 + rand.Float64())) // ±50% jitter
 }
 
 // doOnce performs a single request/response cycle.
@@ -716,13 +652,6 @@ func (c *Client) Payoffs() ([]Wei, error) {
 	return out, err
 }
 
-// Records fetches the profileRecord log.
-func (c *Client) Records() ([]ProfileEntry, error) {
-	var out []ProfileEntry
-	err := c.Call(MethodRecords, nil, &out)
-	return out, err
-}
-
 // VerifyChain asks the node to re-validate its chain.
 func (c *Client) VerifyChain() error {
 	return c.Call(MethodVerify, nil, nil)
@@ -769,15 +698,4 @@ func pollWait(ctx context.Context) error {
 	case <-time.After(pollInterval):
 		return nil
 	}
-}
-
-// TxProof fetches a Merkle inclusion proof for a sealed transaction; the
-// client can Verify it against the block header it holds.
-func (c *Client) TxProof(height uint64, txIdx int) (*MerkleProof, error) {
-	var proof MerkleProof
-	err := c.Call(MethodTxProof, map[string]any{"height": height, "txIdx": txIdx}, &proof)
-	if err != nil {
-		return nil, err
-	}
-	return &proof, nil
 }

@@ -132,12 +132,12 @@ func TestRPCRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	records, err := client.Records()
+	st, err = client.Status()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) != 2 {
-		t.Fatalf("got %d records, want 2", len(records))
+	if st.Records != 2 {
+		t.Fatalf("got %d records, want 2", st.Records)
 	}
 	if err := client.VerifyChain(); err != nil {
 		t.Errorf("VerifyChain over RPC: %v", err)
@@ -207,30 +207,6 @@ func TestAccountDeterminism(t *testing.T) {
 	}
 	if Verify(a1.PublicKey(), []byte("tampered"), a1.Sign(msg)) {
 		t.Error("verify accepted wrong message")
-	}
-}
-
-func TestRPCTxProof(t *testing.T) {
-	f, client := rpcFixture(t)
-	f.sendOK(t, f.accounts[0], FnDepositSubmit, nil, 100)
-	proof, err := client.TxProof(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := proof.Verify(); err != nil {
-		t.Errorf("RPC proof failed verification: %v", err)
-	}
-	// The proof's root must match the sealed block header fetched
-	// independently — the light-client check.
-	var blk Block
-	if err := client.Call(MethodGetBlock, uint64(1), &blk); err != nil {
-		t.Fatal(err)
-	}
-	if proof.Root != blk.TxRoot {
-		t.Errorf("proof root %s != header tx root %s", proof.Root, blk.TxRoot)
-	}
-	if _, err := client.TxProof(1, 5); err == nil {
-		t.Error("out-of-range proof accepted over RPC")
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 // Crash-restart soak: the settlement phase of the chaos harness run on a
 // WAL-backed chain whose validator process is "kill -9"ed on a seeded
 // schedule. Each cycle stops the RPC server, aborts the WAL without
-// flushing (cutting the log back to its last fsync), recovers the
-// chain from the log, and re-serves on the same address while the
-// member clients keep retrying through the outage.
+// flushing (cutting the log back to its last fsync), reopens the chain
+// through chain.OpenDurable — the restart path tradefl-chain -wal-dir
+// runs — and re-serves on the same address while the member clients keep
+// retrying through the outage.
 //
 // The acceptance bar is exactness, not liveness: every recovery must
 // reproduce the durable prefix — the sealed height, state root and
@@ -69,8 +70,10 @@ func (t *durableTracker) snapshot() (height uint64, root string, pending int) {
 // through it and, on a durable chain, crash swaps it.
 type chainBox struct {
 	// addr is the RPC address every incarnation serves on.
-	addr      string
-	authority *chain.Account
+	addr string
+	// gen is the settlement the chain was opened for; a recovery reopens
+	// it with the same authority, params and allocation.
+	gen *chain.Settlement
 	// dir and tracker are set on a durable chain only.
 	dir     string
 	tracker *durableTracker
@@ -125,7 +128,7 @@ func (b *chainBox) crash(rep *Report) error {
 	// The observer has quiesced (Abort joins the syncer), so this is
 	// exactly what the chain acknowledged before it died.
 	wantHeight, wantRoot, wantPending := b.tracker.snapshot()
-	rec, err := chain.Recover(b.dir, b.authority)
+	rec, err := chain.OpenDurable(b.dir, b.gen.Authority, b.gen.Params, b.gen.Alloc)
 	if err != nil {
 		return fmt.Errorf("recover after crash %d: %w", rep.Crashes+1, err)
 	}
@@ -148,7 +151,7 @@ func (b *chainBox) pitr(h uint64) bool {
 	if h < 1 {
 		return true
 	}
-	view, err := chain.RecoverAt(b.dir, b.authority, h)
+	view, err := chain.RecoverAt(b.dir, b.gen.Authority, h)
 	if err == nil && view.Height() == h && view.VerifyChain() == nil {
 		return true
 	}

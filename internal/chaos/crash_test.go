@@ -1,9 +1,10 @@
 package chaos
 
 import (
-	"context"
 	"testing"
 	"time"
+
+	"tradefl/internal/faults"
 )
 
 // TestCrashRestartSoak is the durability acceptance run: settlement on a
@@ -13,23 +14,14 @@ import (
 // exactly, the wei-exact settlement invariants must still hold on the
 // final incarnation, and a point-in-time view must rebuild.
 func TestCrashRestartSoak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos soak")
-	}
-	opts, err := ParseSpec("seed=7,crashcycles=3,crashmin=25ms,crashmax=70ms,rpcfail=0.05,orgs=3,game=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
-	defer cancel()
-	rep, err := Run(ctx, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + rep.String())
-	if err := rep.Err(); err != nil {
-		t.Fatal(err)
-	}
+	rep := soak(t, Options{
+		Plan:        faults.Plan{Seed: 7, RPCFail: 0.05},
+		Orgs:        3,
+		GameSeed:    5,
+		CrashCycles: 3,
+		CrashMin:    25 * time.Millisecond,
+		CrashMax:    70 * time.Millisecond,
+	}, 4*time.Minute)
 	if !rep.Durable {
 		t.Error("crash soak did not run on a durable chain")
 	}
@@ -43,25 +35,36 @@ func TestCrashRestartSoak(t *testing.T) {
 // The acceptance bar is unchanged — exact durable-prefix reproduction and
 // wei-exact settlement.
 func TestCrashSoakBatched(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos soak")
-	}
-	opts, err := ParseSpec("seed=13,crashcycles=3,crashmin=25ms,crashmax=70ms,orgs=3,game=5,batch=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
-	defer cancel()
-	rep, err := Run(ctx, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + rep.String())
-	if err := rep.Err(); err != nil {
-		t.Fatal(err)
-	}
+	rep := soak(t, Options{
+		Plan:        faults.Plan{Seed: 13},
+		Orgs:        3,
+		GameSeed:    5,
+		CrashCycles: 3,
+		CrashMin:    25 * time.Millisecond,
+		CrashMax:    70 * time.Millisecond,
+		Batch:       true,
+	}, 4*time.Minute)
 	if !rep.RecoveredExact {
 		t.Error("a recovery did not reproduce the durable prefix")
+	}
+}
+
+// TestCrashSoakBatchedRPCFaults puts the two previous runs together: the
+// batch lane's four SubmitTxBatch stages through an RPC link that fails 5%
+// of round trips, while the validator is killed and recovered three times,
+// so kills and transport failures both land on multi-tx group commits.
+func TestCrashSoakBatchedRPCFaults(t *testing.T) {
+	rep := soak(t, Options{
+		Plan:        faults.Plan{Seed: 7, RPCFail: 0.05},
+		Orgs:        3,
+		GameSeed:    5,
+		CrashCycles: 3,
+		CrashMin:    25 * time.Millisecond,
+		CrashMax:    70 * time.Millisecond,
+		Batch:       true,
+	}, 4*time.Minute)
+	if rep.Crashes == 0 {
+		t.Error("crash soak performed no kill/recover cycles")
 	}
 }
 
@@ -70,22 +73,14 @@ func TestCrashSoakBatched(t *testing.T) {
 // in time), the soak must still force at least one crash/recover cycle so
 // a green run always certifies recovery.
 func TestCrashSoakForcedCycle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos soak")
-	}
-	opts, err := ParseSpec("seed=11,crashcycles=1,crashmin=2m,crashmax=2m,orgs=3,game=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-	defer cancel()
-	rep, err := Run(ctx, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Err(); err != nil {
-		t.Fatal(err)
-	}
+	rep := soak(t, Options{
+		Plan:        faults.Plan{Seed: 11},
+		Orgs:        3,
+		GameSeed:    5,
+		CrashCycles: 1,
+		CrashMin:    2 * time.Minute,
+		CrashMax:    2 * time.Minute,
+	}, 3*time.Minute)
 	if rep.Crashes == 0 {
 		t.Error("forced post-settlement cycle did not fire")
 	}

@@ -1,20 +1,19 @@
 package chaos
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
 
+	"tradefl/internal/faults"
 	"tradefl/internal/obs"
 	"tradefl/internal/verify"
 )
 
 // TestSeededSoakDeterministicUnderVerify is the acceptance run for the
-// audit subsystem: two chaos soaks from the same spec, with the runtime
+// audit subsystem: two chaos soaks from the same Options, with the runtime
 // invariant auditor enabled, must agree bit-for-bit on every seed-derived
-// outcome and record zero violations. Wall-clock fields (elapsed times)
-// are the only legitimate difference between the runs.
+// outcome and record zero violations.
 func TestSeededSoakDeterministicUnderVerify(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
@@ -22,24 +21,13 @@ func TestSeededSoakDeterministicUnderVerify(t *testing.T) {
 	a := verify.Enable()
 	defer verify.Disable()
 
-	run := func() *Report {
-		opts, err := ParseSpec("seed=11,drop=0.1,dup=0.05,rpcfail=0.05,rpclost=0.05,orgs=3,game=5")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		defer cancel()
-		rep, err := Run(ctx, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	opts := Options{
+		Plan:     faults.Plan{Seed: 11, Drop: 0.1, Dup: 0.05, RPCFail: 0.05, RPCLost: 0.05},
+		Orgs:     3,
+		GameSeed: 5,
 	}
-	r1 := run()
-	r2 := run()
+	r1 := soak(t, opts, 2*time.Minute)
+	r2 := soak(t, opts, 2*time.Minute)
 
 	if a.Checks() == 0 {
 		t.Fatal("auditor ran no checks during the soaks — hooks not wired")
@@ -73,8 +61,8 @@ func TestSeededSoakDeterministicUnderVerify(t *testing.T) {
 
 // TestSeededSoakDeterministicTraceTopology extends the determinism
 // contract to the observability layer: with tracing enabled, two soaks
-// from the same seeded spec must produce bit-identical trace topologies —
-// the same roots under the same hash-derived trace IDs. The spec carries
+// from the same seeded Options must produce bit-identical trace topologies —
+// the same roots under the same hash-derived trace IDs. The plan carries
 // message faults but no RPC faults: RPC retry counts depend on how many
 // status polls interleave with the seeded fault stream, which is timing-
 // dependent, while message drop/dup decisions are a pure function of the
@@ -91,20 +79,9 @@ func TestSeededSoakDeterministicTraceTopology(t *testing.T) {
 	}()
 
 	run := func() []string {
-		opts, err := ParseSpec("seed=11,drop=0.1,dup=0.05,orgs=3,game=5")
-		if err != nil {
-			t.Fatal(err)
-		}
 		obs.ResetTraces()
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		defer cancel()
-		rep, err := Run(ctx, opts) // Run reseeds the ID generator from the plan seed
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.Err(); err != nil {
-			t.Fatal(err)
-		}
+		// Run reseeds the ID generator from the plan seed.
+		soak(t, Options{Plan: faults.Plan{Seed: 11, Drop: 0.1, Dup: 0.05}, Orgs: 3, GameSeed: 5}, 2*time.Minute)
 		return obs.TraceTopology()
 	}
 

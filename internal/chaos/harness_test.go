@@ -10,8 +10,10 @@
 //     member balance deltas sum to zero even when submissions are
 //     retried through failing and response-dropping RPC links.
 //
-// The fault schedule is a pure function of the plan seed, so a failing
-// soak reproduces from its seed alone.
+// The package is test code only: each soak is a Go test whose Options
+// literal is its whole reproduction, and the fault schedule is a pure
+// function of the plan seed, so a failing soak reproduces from its test
+// name alone (go test -run '^TestName$' ./internal/chaos/).
 package chaos
 
 import (
@@ -21,9 +23,9 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
+	"testing"
 	"time"
 
 	"tradefl/internal/chain"
@@ -41,10 +43,9 @@ var chaosLog = obs.Component("chaos")
 type Options struct {
 	// Plan is the fault schedule; Plan.Seed drives every injection.
 	Plan faults.Plan
-	// Orgs is the number of organizations (default 4).
+	// Orgs is the number of organizations.
 	Orgs int
-	// GameSeed generates the Table II game instance and the chain accounts
-	// (default 7, the repo-wide reference seed).
+	// GameSeed generates the Table II game instance and the chain accounts.
 	GameSeed int64
 	// CrashCycles > 0 runs the settlement phase on a WAL-backed chain and
 	// kill -9s the validator that many times mid-settlement (aborting the
@@ -52,12 +53,8 @@ type Options struct {
 	// address). Every recovery must reproduce exactly the durable prefix —
 	// the operations whose submitters saw an acknowledgement.
 	CrashCycles int
-	// CrashMin/CrashMax bound the seeded uptime between recoveries
-	// (defaults 150ms..500ms).
+	// CrashMin/CrashMax bound the seeded uptime between recoveries.
 	CrashMin, CrashMax time.Duration
-	// WALDir is the durable chain's directory (default: a fresh temp dir,
-	// removed after the soak).
-	WALDir string
 	// Batch settles the profile's four Fig. 3 stages (Settlement.Stages)
 	// with one SubmitTxBatch each, over one client, instead of each member
 	// walking its own lifecycle (Settlement.Walk): kills then land on
@@ -78,64 +75,40 @@ const (
 	settleTimeout = 2 * time.Minute
 )
 
-func (o Options) withDefaults() Options {
-	if o.Orgs <= 0 {
-		o.Orgs = 4
-	}
-	if o.GameSeed == 0 {
-		o.GameSeed = 7
-	}
-	if o.CrashCycles > 0 {
-		if o.CrashMin <= 0 {
-			o.CrashMin = 150 * time.Millisecond
-		}
-		if o.CrashMax < o.CrashMin {
-			o.CrashMax = o.CrashMin + 350*time.Millisecond
-		}
-	}
-	return o
-}
-
 // Report is the outcome of a soak. Err() folds the acceptance checks.
 type Report struct {
-	Seed int64  `json:"seed"`
-	Orgs int    `json:"orgs"`
-	Plan string `json:"plan"`
 	// Profile is the equilibrium the chaotic ring agreed on.
-	Profile game.Profile `json:"profile"`
+	Profile game.Profile
 	// ProfileMatches is true when the chaotic profile equals the
 	// fault-free dbr.Solve profile exactly.
-	ProfileMatches bool `json:"profileMatches"`
+	ProfileMatches bool
 	// PotentialGap is |U(chaotic) − U(fault-free)|.
-	PotentialGap float64 `json:"potentialGap"`
+	PotentialGap float64
 	// IsNash is the deviation check on the chaotic profile.
-	IsNash bool `json:"isNash"`
+	IsNash bool
 	// BudgetResidual is Σ_i (balance_after − balance_before) over the
 	// members; budget balance demands exactly 0 wei.
-	BudgetResidual chain.Wei `json:"budgetResidualWei"`
+	BudgetResidual chain.Wei
 	// Settled is the contract's final settled flag.
-	Settled bool `json:"settled"`
+	Settled bool
 	// ChainVerified is the result of the full chain re-validation.
-	ChainVerified bool `json:"chainVerified"`
+	ChainVerified bool
 	// Faults counts what the injector actually did.
-	Faults faults.Counts `json:"faults"`
-	// RingElapsed and SettleElapsed are the two phases' wall times.
-	RingElapsed   time.Duration `json:"ringElapsed"`
-	SettleElapsed time.Duration `json:"settleElapsed"`
+	Faults faults.Counts
 
 	// Durable is true when the settlement ran on a WAL-backed chain under
 	// crash cycles; the three fields below are only meaningful then.
-	Durable bool `json:"durable,omitempty"`
+	Durable bool
 	// Crashes counts completed kill/recover cycles.
-	Crashes int `json:"crashes,omitempty"`
+	Crashes int
 	// RecoveredExact is true when every recovery reproduced exactly the
 	// durable prefix: sealed height, state root, and pending-pool size all
 	// equal to what the WAL had acknowledged at the kill, and the recovered
 	// chain re-verified end to end.
-	RecoveredExact bool `json:"recoveredExact,omitempty"`
+	RecoveredExact bool
 	// PITRVerified is the point-in-time recovery spot check: a read-only
 	// view at a mid-soak height must rebuild and re-verify.
-	PITRVerified bool `json:"pitrVerified,omitempty"`
+	PITRVerified bool
 }
 
 // Err returns nil when every acceptance check of the soak holds.
@@ -173,27 +146,29 @@ func (r *Report) Err() error {
 	return errors.New("chaos: " + strings.Join(bad, "; "))
 }
 
-// String renders the report for terminal consumption.
-func (r *Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "chaos soak: %d orgs, plan %q\n", r.Orgs, r.Plan)
-	fmt.Fprintf(&b, "  ring:   converged in %v, matches fault-free NE: %v (potential gap %.3g), Nash: %v\n",
-		r.RingElapsed.Round(time.Millisecond), r.ProfileMatches, r.PotentialGap, r.IsNash)
-	fmt.Fprintf(&b, "  chain:  settled in %v: %v, budget residual %d wei, verified: %v\n",
-		r.SettleElapsed.Round(time.Millisecond), r.Settled, r.BudgetResidual, r.ChainVerified)
-	if r.Durable {
-		fmt.Fprintf(&b, "  crash:  %d kill/recover cycles, recovery exact: %v, PITR view: %v\n",
-			r.Crashes, r.RecoveredExact, r.PITRVerified)
+// soak runs one soak within timeout and returns its report. An
+// operational error or a breached acceptance check fails t, with the
+// flight recorder's journal in the log: the injections, retries and
+// recoveries that led up to the failure. -short skips every soak.
+func soak(t *testing.T, opts Options, timeout time.Duration) *Report {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("chaos soak")
 	}
-	c := r.Faults
-	fmt.Fprintf(&b, "  faults: %d dropped, %d duplicated, %d delayed, %d partition/crash rejects, %d rpc failures, %d rpc responses lost, %d rpc delayed (total %d)\n",
-		c.Dropped, c.Duplicated, c.Delayed, c.Partitioned+c.CrashRejects, c.RPCFailures, c.RPCLost, c.RPCDelayed, c.Total())
-	if err := r.Err(); err != nil {
-		fmt.Fprintf(&b, "  RESULT: FAIL — %v\n", err)
-	} else {
-		fmt.Fprintf(&b, "  RESULT: ok\n")
+	obs.FlightReset()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	rep, err := Run(ctx, opts)
+	if err == nil {
+		err = rep.Err()
 	}
-	return b.String()
+	if err != nil {
+		if dump, derr := obs.FlightDumpJSON(err.Error()); derr == nil {
+			t.Log("flight recorder:\n" + string(dump))
+		}
+		t.Fatal(err)
+	}
+	return rep
 }
 
 // Run executes the soak: DBR ring over fault-injected TCP, then the full
@@ -201,7 +176,6 @@ func (r *Report) String() string {
 // error covers operational failures (setup, timeouts); acceptance breaches
 // live in Report.Err().
 func Run(ctx context.Context, opts Options) (*Report, error) {
-	opts = opts.withDefaults()
 	cfg, err := game.DefaultConfig(game.GenOptions{Seed: opts.GameSeed, N: opts.Orgs})
 	if err != nil {
 		return nil, err
@@ -218,20 +192,16 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	if opts.Plan.Seed != 0 {
 		obs.SeedIDs(opts.Plan.Seed)
 	}
-	ctx, soak := obs.Span(ctx, "chaos.run")
-	defer soak.End()
-	obs.FlightRecord("chaos", "soak-start", opts.Plan.String())
-
-	rep := &Report{Seed: opts.Plan.Seed, Orgs: opts.Orgs, Plan: opts.Plan.String()}
+	ctx, span := obs.Span(ctx, "chaos.run")
+	defer span.End()
+	obs.FlightRecord("chaos", "soak-start", fmt.Sprintf("%+v", opts))
 
 	// Phase 1: the token ring over faulty loopback TCP.
-	ringStart := time.Now()
 	profile, err := runRing(ctx, cfg, inj)
 	if err != nil {
 		return nil, fmt.Errorf("chaos ring: %w", err)
 	}
-	rep.RingElapsed = time.Since(ringStart)
-	rep.Profile = profile
+	rep := &Report{Profile: profile}
 
 	ref, err := dbr.SolveCtx(ctx, cfg, nil, dbr.Options{})
 	if err != nil {
@@ -256,11 +226,9 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	// Phase 2: settle the equilibrium contributions on-chain through
 	// faulty RPC links — on a crash-recovering durable chain when the plan
 	// schedules kill cycles.
-	settleStart := time.Now()
 	if err := runSettlement(ctx, cfg, opts, inj, profile, rep); err != nil {
 		return nil, fmt.Errorf("chaos settlement: %w", err)
 	}
-	rep.SettleElapsed = time.Since(settleStart)
 	rep.Faults = inj.Counts()
 	return rep, nil
 }
@@ -283,23 +251,21 @@ func runRing(ctx context.Context, cfg *game.Config, inj *faults.Injector) (game.
 // runSettlement settles profile on a chain served over RPC while the
 // authority seals on a fixed cadence, and fills the settlement fields of
 // rep. With crash cycles the chain is durable and a crasher kills and
-// recovers it on the plan's schedule (crash.go). Each member walks its own
-// lifecycle (Settlement.Walk) through its own fault lane; the batch lane
-// submits the profile's four stages through one.
+// recovers it on the plan's schedule (crash_harness_test.go). Each member
+// walks its own lifecycle (Settlement.Walk) through its own fault lane;
+// the batch lane submits the profile's four stages through one.
 func runSettlement(ctx context.Context, cfg *game.Config, opts Options, inj *faults.Injector, profile game.Profile, rep *Report) error {
 	gen, err := chain.NewSettlement(cfg, opts.GameSeed)
 	if err != nil {
 		return err
 	}
-	box := &chainBox{authority: gen.Authority}
+	box := &chainBox{gen: gen}
 	var bc *chain.Blockchain
 	if opts.CrashCycles > 0 {
-		if box.dir = opts.WALDir; box.dir == "" {
-			if box.dir, err = os.MkdirTemp("", "tradefl-crashsoak-"); err != nil {
-				return err
-			}
-			defer os.RemoveAll(box.dir)
+		if box.dir, err = os.MkdirTemp("", "tradefl-crashsoak-"); err != nil {
+			return err
 		}
+		defer os.RemoveAll(box.dir)
 		if bc, err = chain.OpenDurable(box.dir, gen.Authority, gen.Params, gen.Alloc); err != nil {
 			return err
 		}
@@ -365,9 +331,6 @@ func runSettlement(ctx context.Context, cfg *game.Config, opts Options, inj *fau
 	defer cancel()
 	// A crash outage rejects every request for its whole window, so the
 	// retry budget must outlast a kill and recovery, not one lost packet.
-	// JitterSeed is left 0 on purpose: the client derives it from the
-	// injector's plan seed and the lane, keeping the soak a pure function
-	// of the seed.
 	client := func(lane string) *chain.Client {
 		return chain.NewClientOpts(addr, chain.ClientOptions{
 			Timeout:     5 * time.Second,
@@ -459,94 +422,4 @@ func settleStages(ctx context.Context, c *chain.Client, gen *chain.Settlement, p
 		}
 	}
 	return nil
-}
-
-// ParseSpec parses a -chaos specification: comma-separated key=value
-// pairs. Fault keys (seed, drop, dup, delayp, delaymin, delaymax,
-// partition, crash, rpcfail, rpclost, rpcdelayp) go to the fault plan;
-// harness keys tune the soak itself:
-//
-//	orgs=N        ring/contract size
-//	game=SEED     game-instance and account seed
-//
-// Durable crash-soak keys (crashcycles > 0 switches the settlement phase
-// to a WAL-backed chain with kill/recover cycles):
-//
-//	crashcycles=N  validator kill -9/recover cycles mid-settlement
-//	crashmin=DUR   minimum uptime between recoveries (default 150ms)
-//	crashmax=DUR   maximum uptime between recoveries (default 500ms)
-//	waldir=PATH    chain WAL directory (default: fresh temp dir)
-//
-// Settlement lane key:
-//
-//	batch=0/1      settle the four Fig. 3 stages with one SubmitTxBatch
-//	               each instead of a walk per member (default 0)
-func ParseSpec(spec string) (Options, error) {
-	var opts Options
-	if strings.TrimSpace(spec) == "" {
-		return opts, nil
-	}
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return opts, fmt.Errorf("chaos: %q is not key=value", field)
-		}
-		handled, err := faults.ApplyKey(&opts.Plan, key, val)
-		if err != nil {
-			return opts, err
-		}
-		if handled {
-			continue
-		}
-		switch key {
-		case "orgs":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 2 {
-				return opts, fmt.Errorf("chaos: orgs = %q (need an integer ≥ 2)", val)
-			}
-			opts.Orgs = n
-		case "game":
-			s, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return opts, fmt.Errorf("chaos: game = %q: %v", val, err)
-			}
-			opts.GameSeed = s
-		case "crashcycles":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return opts, fmt.Errorf("chaos: crashcycles = %q (need an integer ≥ 0)", val)
-			}
-			opts.CrashCycles = n
-		case "crashmin":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return opts, fmt.Errorf("chaos: crashmin = %q: %v", val, err)
-			}
-			opts.CrashMin = d
-		case "crashmax":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return opts, fmt.Errorf("chaos: crashmax = %q: %v", val, err)
-			}
-			opts.CrashMax = d
-		case "waldir":
-			opts.WALDir = val
-		case "batch":
-			on, err := strconv.ParseBool(val)
-			if err != nil {
-				return opts, fmt.Errorf("chaos: batch = %q: %v", val, err)
-			}
-			opts.Batch = on
-		default:
-			return opts, fmt.Errorf("chaos: unknown key %q", key)
-		}
-	}
-	if err := opts.Plan.Validate(); err != nil {
-		return opts, err
-	}
-	return opts, nil
 }

@@ -49,7 +49,7 @@ func (c Command) Exec(args []string) (err error) {
 	}
 	level := fs.String("log-level", "info", "minimum log level: debug|info|warn|error")
 	format := fs.String("log-format", "text", "log output format: text|json")
-	diagAddr := fs.String("diag-addr", "", "serve /metrics, /healthz, /runz, /tracez, /flightz and /debug/pprof on this address (empty = disabled)")
+	diagAddr := fs.String("diag-addr", "", "serve /metrics, /healthz, /tracez, /flightz and /debug/pprof on this address (empty = disabled)")
 	traceOut := fs.String("trace-out", "", "enable distributed tracing and write completed traces as Chrome-trace JSON to this file at exit")
 	if err := fs.Parse(args); err != nil {
 		return err

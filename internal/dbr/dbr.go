@@ -229,7 +229,6 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 	if res.Converged {
 		mConverged.Inc()
 	}
-	obs.RecordTrajectories(obs.Trajectory{Name: "dbr.potential", Values: res.PotentialTrace})
 	audit(cfg, res, opts)
 	return res, nil
 }

@@ -5,16 +5,20 @@
 // duplication, one-way partitions, scheduled endpoint crashes and RPC
 // failures according to a Plan.
 //
+// It is test support, as net/http/httptest is in the standard library:
+// only _test.go files import it (the root TestExportCensus fails any other
+// importer), and a Plan literal in a test is the whole fault schedule.
+//
 // Determinism: every probabilistic decision is drawn from a per-link
 // ("lane") random stream seeded with Plan.Seed XOR FNV-1a(lane name), and
 // a message's fate consumes a fixed number of draws. The k-th message on a
 // given directed link therefore meets exactly the same fate on every run
 // with the same seed, independent of goroutine scheduling across links —
-// which is what lets the chaos soak (internal/chaos, tradefl-sim -chaos)
-// reproduce a failing schedule from nothing but its seed. Wall-clock
-// effects (how long a delayed message is in flight relative to protocol
-// timeouts) remain machine-dependent; the protocols under test are
-// required to converge to the same result regardless.
+// which is what lets a chaos soak (the internal/chaos tests) reproduce a
+// failing schedule from its test name alone. Wall-clock effects (how long
+// a delayed message is in flight relative to protocol timeouts) remain
+// machine-dependent; the protocols under test are required to converge to
+// the same result regardless.
 package faults
 
 import (
@@ -22,9 +26,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -99,8 +100,8 @@ func (p Plan) Validate() error {
 		name string
 		v    float64
 	}{
-		{"drop", p.Drop}, {"dup", p.Dup}, {"delayp", p.DelayProb},
-		{"rpcfail", p.RPCFail}, {"rpclost", p.RPCLost}, {"rpcdelayp", p.RPCDelayProb},
+		{"Drop", p.Drop}, {"Dup", p.Dup}, {"DelayProb", p.DelayProb},
+		{"RPCFail", p.RPCFail}, {"RPCLost", p.RPCLost}, {"RPCDelayProb", p.RPCDelayProb},
 	} {
 		if f.v < 0 || f.v > 1 {
 			return fmt.Errorf("faults: %s = %v outside [0,1]", f.name, f.v)
@@ -160,9 +161,6 @@ func NewInjector(plan Plan) (*Injector, error) {
 		lanes: make(map[string]*lane),
 	}, nil
 }
-
-// Plan returns the injector's (defaulted) plan.
-func (inj *Injector) Plan() Plan { return inj.plan }
 
 // Counts returns a snapshot of the faults injected so far.
 func (inj *Injector) Counts() Counts {
@@ -273,152 +271,4 @@ func (inj *Injector) partitioned(from, to string) bool {
 		}
 	}
 	return false
-}
-
-// ParsePlan parses a comma-separated key=value fault spec, e.g.
-//
-//	seed=7,drop=0.1,dup=0.02,delayp=0.2,delaymin=2ms,delaymax=40ms,
-//	partition=org-1>org-2,crash=org-3@500ms+1s,rpcfail=0.1,rpclost=0.05
-//
-// partition= and crash= may repeat. Unknown keys are an error.
-func ParsePlan(spec string) (Plan, error) {
-	var p Plan
-	for _, kv := range splitSpec(spec) {
-		if kv == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return p, fmt.Errorf("faults: bad spec entry %q (want key=value)", kv)
-		}
-		handled, err := ApplyKey(&p, strings.TrimSpace(key), strings.TrimSpace(val))
-		if err != nil {
-			return p, err
-		}
-		if !handled {
-			return p, fmt.Errorf("faults: unknown spec key %q", key)
-		}
-	}
-	if err := p.Validate(); err != nil {
-		return p, err
-	}
-	return p, nil
-}
-
-// splitSpec splits on commas.
-func splitSpec(spec string) []string {
-	parts := strings.Split(spec, ",")
-	out := make([]string, 0, len(parts))
-	for _, s := range parts {
-		out = append(out, strings.TrimSpace(s))
-	}
-	return out
-}
-
-// ApplyKey sets one spec key on the plan, reporting false for keys this
-// package does not own (so callers can layer their own keys on the same
-// spec syntax — internal/chaos does).
-func ApplyKey(p *Plan, key, val string) (bool, error) {
-	parseProb := func() (float64, error) {
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return 0, fmt.Errorf("faults: %s: %w", key, err)
-		}
-		return f, nil
-	}
-	parseDur := func() (time.Duration, error) {
-		d, err := time.ParseDuration(val)
-		if err != nil {
-			return 0, fmt.Errorf("faults: %s: %w", key, err)
-		}
-		return d, nil
-	}
-	var err error
-	switch key {
-	case "seed":
-		var n int64
-		n, err = strconv.ParseInt(val, 10, 64)
-		p.Seed = n
-	case "drop":
-		p.Drop, err = parseProb()
-	case "dup":
-		p.Dup, err = parseProb()
-	case "delayp":
-		p.DelayProb, err = parseProb()
-	case "delaymin":
-		p.DelayMin, err = parseDur()
-	case "delaymax":
-		p.DelayMax, err = parseDur()
-	case "rpcfail":
-		p.RPCFail, err = parseProb()
-	case "rpclost":
-		p.RPCLost, err = parseProb()
-	case "rpcdelayp":
-		p.RPCDelayProb, err = parseProb()
-	case "partition":
-		from, to, ok := strings.Cut(val, ">")
-		if !ok || from == "" || to == "" {
-			return true, fmt.Errorf("faults: partition wants from>to, got %q", val)
-		}
-		p.Partitions = append(p.Partitions, Partition{From: from, To: to})
-	case "crash":
-		ep, window, ok := strings.Cut(val, "@")
-		if !ok || ep == "" {
-			return true, fmt.Errorf("faults: crash wants endpoint@after+down, got %q", val)
-		}
-		afterStr, downStr, hasDown := strings.Cut(window, "+")
-		after, derr := time.ParseDuration(afterStr)
-		if derr != nil {
-			return true, fmt.Errorf("faults: crash after: %w", derr)
-		}
-		var down time.Duration
-		if hasDown {
-			if down, derr = time.ParseDuration(downStr); derr != nil {
-				return true, fmt.Errorf("faults: crash down: %w", derr)
-			}
-		}
-		p.Crashes = append(p.Crashes, CrashWindow{Endpoint: ep, After: after, Down: down})
-	default:
-		return false, nil
-	}
-	return true, err
-}
-
-// String renders the plan back into spec syntax (stable order), for logs
-// and reports.
-func (p Plan) String() string {
-	var parts []string
-	add := func(k string, v any) { parts = append(parts, fmt.Sprintf("%s=%v", k, v)) }
-	add("seed", p.Seed)
-	if p.Drop > 0 {
-		add("drop", p.Drop)
-	}
-	if p.Dup > 0 {
-		add("dup", p.Dup)
-	}
-	if p.DelayProb > 0 {
-		add("delayp", p.DelayProb)
-		add("delaymin", p.DelayMin)
-		add("delaymax", p.DelayMax)
-	}
-	if p.RPCFail > 0 {
-		add("rpcfail", p.RPCFail)
-	}
-	if p.RPCLost > 0 {
-		add("rpclost", p.RPCLost)
-	}
-	if p.RPCDelayProb > 0 {
-		add("rpcdelayp", p.RPCDelayProb)
-	}
-	ps := append([]Partition(nil), p.Partitions...)
-	sort.Slice(ps, func(i, j int) bool {
-		return ps[i].From+">"+ps[i].To < ps[j].From+">"+ps[j].To
-	})
-	for _, part := range ps {
-		add("partition", part.From+">"+part.To)
-	}
-	for _, c := range p.Crashes {
-		add("crash", fmt.Sprintf("%s@%v+%v", c.Endpoint, c.After, c.Down))
-	}
-	return strings.Join(parts, ",")
 }

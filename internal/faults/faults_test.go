@@ -235,63 +235,15 @@ func TestRoundTripperFaults(t *testing.T) {
 	}
 }
 
-func TestMiddlewareFaults(t *testing.T) {
-	inj := mustInjector(t, Plan{RPCFail: 1})
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t.Error("handler reached through failing middleware")
-	})
-	srv := httptest.NewServer(inj.Middleware("srv", inner))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("status = %d, want 503", resp.StatusCode)
-	}
-}
-
-func TestParsePlanRoundTrip(t *testing.T) {
-	spec := "seed=7,drop=0.1,dup=0.02,delayp=0.2,delaymin=2ms,delaymax=40ms," +
-		"partition=org-1>org-2,crash=org-3@500ms+1s,rpcfail=0.1,rpclost=0.05"
-	p, err := ParsePlan(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Seed != 7 || p.Drop != 0.1 || p.Dup != 0.02 || p.DelayProb != 0.2 {
-		t.Errorf("probabilities mis-parsed: %+v", p)
-	}
-	if p.DelayMin != 2*time.Millisecond || p.DelayMax != 40*time.Millisecond {
-		t.Errorf("delays mis-parsed: %+v", p)
-	}
-	if len(p.Partitions) != 1 || p.Partitions[0] != (Partition{From: "org-1", To: "org-2"}) {
-		t.Errorf("partition mis-parsed: %+v", p.Partitions)
-	}
-	if len(p.Crashes) != 1 || p.Crashes[0].Endpoint != "org-3" ||
-		p.Crashes[0].After != 500*time.Millisecond || p.Crashes[0].Down != time.Second {
-		t.Errorf("crash mis-parsed: %+v", p.Crashes)
-	}
-	if p.RPCFail != 0.1 || p.RPCLost != 0.05 {
-		t.Errorf("rpc probabilities mis-parsed: %+v", p)
-	}
-}
-
-func TestParsePlanErrors(t *testing.T) {
-	for _, spec := range []string{
-		"bogus=1",
-		"drop=1.5",
-		"drop=x",
-		"partition=only-from",
-		"crash=no-window",
-		"seed",
-	} {
-		if _, err := ParsePlan(spec); err == nil {
-			t.Errorf("spec %q accepted", spec)
+// TestNewInjectorRejectsBadProbability: every probability of a Plan must
+// lie in [0,1]; an empty Plan is the valid fault-free schedule.
+func TestNewInjectorRejectsBadProbability(t *testing.T) {
+	for _, p := range []Plan{{Drop: 1.5}, {Dup: -0.1}, {DelayProb: 2}, {RPCFail: 1.01}, {RPCLost: -1}, {RPCDelayProb: 3}} {
+		if _, err := NewInjector(p); err == nil {
+			t.Errorf("NewInjector(%+v) accepted", p)
 		}
 	}
-	// Empty spec is a valid no-fault plan.
-	if _, err := ParsePlan(""); err != nil {
-		t.Errorf("empty spec rejected: %v", err)
+	if _, err := NewInjector(Plan{}); err != nil {
+		t.Errorf("empty plan rejected: %v", err)
 	}
 }

@@ -177,7 +177,6 @@ func Run(cfg Config) (*Result, error) {
 	last := res.History[len(res.History)-1]
 	res.FinalLoss = last.Loss
 	res.FinalAccuracy = last.Accuracy
-	publishHistory(res.History)
 	return res, nil
 }
 

@@ -311,24 +311,14 @@ func (s *solver) run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// publish records the run's convergence distributions and trajectories for
-// the diagnostics endpoints.
+// publish records the run's convergence distributions on /metrics; the
+// per-iteration series stay in the Result.
 func publish(res *Result, gap float64) {
 	if res.Converged {
 		mConverged.Inc()
 	}
 	mGapHist.Observe(gap)
 	mItersHist.Observe(float64(res.Iterations))
-	gaps := make([]float64, len(res.UpperBounds))
-	for i, ub := range res.UpperBounds {
-		gaps[i] = ub - res.LowerBounds[i]
-	}
-	obs.RecordTrajectories(
-		obs.Trajectory{Name: "gbd.lower_bound", Values: res.LowerBounds},
-		obs.Trajectory{Name: "gbd.upper_bound", Values: res.UpperBounds},
-		obs.Trajectory{Name: "gbd.potential", Values: res.PotentialTrace},
-		obs.Trajectory{Name: "gbd.gap", Values: gaps},
-	)
 }
 
 // linearCostPerOmega returns w_i: the linear coefficient of the potential

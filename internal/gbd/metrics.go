@@ -18,7 +18,7 @@ var (
 
 	// Convergence distributions across solves: the fleet-wide view of the
 	// paper's bound-sandwich guarantee (exit gap, iterations to converge).
-	// Per-solve values live in Result and the /runz trajectories.
+	// Per-solve values live in Result.
 	mGapHist = obs.NewHistogram("tradefl_gbd_exit_gap", "distribution of UB-LB at CGBD exit",
 		obs.ExpBuckets(1e-9, 10, 14))
 	mItersHist = obs.NewHistogram("tradefl_gbd_iterations_per_solve", "distribution of CGBD iterations per solve",

@@ -169,7 +169,7 @@ func TestArenaGrowthKeepsEarlierSlices(t *testing.T) {
 
 // TestSteadyStateAllocs pins the allocation count of a default N=8 solve
 // whose workspace is already grown. Before the arenas a warm solve made 281
-// allocations; what is left is the Result and the /runz trajectory copies
+// allocations; what is left is the Result and its owned memory, 3 in all
 // (an untraced solve records no span).
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {

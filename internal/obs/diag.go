@@ -13,9 +13,9 @@ import (
 )
 
 // DiagServer is the opt-in HTTP diagnostics endpoint of a TradeFL process:
-// /metrics (Prometheus text), /healthz, /runz (the last run's solver
-// trajectories), /tracez (retained span trees as Chrome trace JSON while
-// tracing is on), /flightz (the flight ring) and /debug/pprof.
+// /metrics (Prometheus text), /healthz, /tracez (retained span trees as
+// Chrome trace JSON while tracing is on), /flightz (the flight ring) and
+// /debug/pprof.
 type DiagServer struct {
 	srv   *http.Server
 	ln    net.Listener
@@ -33,7 +33,6 @@ func StartDiag(addr string) (*DiagServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", d.handleMetrics)
 	mux.HandleFunc("/healthz", d.handleHealthz)
-	mux.HandleFunc("/runz", jsonHandler(LastRunJSON))
 	mux.HandleFunc("/tracez", jsonHandler(ChromeTraceJSON))
 	mux.HandleFunc("/flightz", jsonHandler(func() ([]byte, error) { return FlightDumpJSON("on-demand /flightz") }))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -67,21 +67,24 @@ func TestDiagMetricsText(t *testing.T) {
 }
 
 // TestDiagRoutes pins the diagnostics mux: every route answers, an unknown
-// path is a 404, and the retired alternate formats (the JSON exposition of
+// path and the retired /runz (a process-global copy of the last solve's
+// series, which every solver Result carries) are 404s, and the retired alternate formats (the JSON exposition of
 // /metrics, the topology lines of /tracez) get each route's one format.
 func TestDiagRoutes(t *testing.T) {
 	d := startTestDiag(t)
 	base := "http://" + d.Addr()
 	for _, path := range []string{
-		"/metrics", "/healthz", "/runz", "/tracez", "/flightz",
+		"/metrics", "/healthz", "/tracez", "/flightz",
 		"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol",
 	} {
 		if code, _ := get(t, base+path); code != http.StatusOK {
 			t.Errorf("%s status %d, want 200", path, code)
 		}
 	}
-	if code, _ := get(t, base+"/nope"); code != http.StatusNotFound {
-		t.Errorf("/nope status %d, want 404", code)
+	for _, path := range []string{"/nope", "/runz"} {
+		if code, _ := get(t, base+path); code != http.StatusNotFound {
+			t.Errorf("%s status %d, want 404", path, code)
+		}
 	}
 	for _, q := range []struct{ path, key, value string }{
 		{"/metrics", "format", "json"},
@@ -95,32 +98,12 @@ func TestDiagRoutes(t *testing.T) {
 	}
 }
 
-// TestDiagRunz: /runz serves trajectories only; the span trees of the same
-// run are served by /tracez.
-func TestDiagRunz(t *testing.T) {
+// TestDiagTracez: a recorded run's span tree is served by /tracez.
+func TestDiagTracez(t *testing.T) {
 	withTracing(t, 1)
 	_, s := Span(context.Background(), "diag.test.run")
 	s.End()
-	RecordTrajectories(Trajectory{Name: "diag.test.series", Values: []float64{1, 2, 3}})
 	d := startTestDiag(t)
-	code, body := get(t, "http://"+d.Addr()+"/runz")
-	if code != http.StatusOK {
-		t.Fatalf("/runz status %d", code)
-	}
-	var payload map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(body), &payload); err != nil {
-		t.Fatalf("runz JSON: %v", err)
-	}
-	if len(payload) != 1 {
-		t.Errorf("/runz keys = %v, want trajectories only", payload)
-	}
-	var traj map[string][]float64
-	if err := json.Unmarshal(payload["trajectories"], &traj); err != nil {
-		t.Fatalf("runz trajectories: %v", err)
-	}
-	if got := traj["diag.test.series"]; len(got) != 3 {
-		t.Errorf("trajectory = %v, want 3 points", got)
-	}
 	if _, body := get(t, "http://"+d.Addr()+"/tracez"); !strings.Contains(body, `"name": "diag.test.run"`) {
 		t.Errorf("span diag.test.run missing from /tracez:\n%s", body)
 	}

@@ -95,11 +95,3 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	return nil
 }
-
-// safeFloat returns a pointer to v, or nil when v is not finite.
-func safeFloat(v float64) *float64 {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return nil
-	}
-	return &v
-}

@@ -15,9 +15,9 @@ import (
 // span trees live in the trace store, not here. It is always on (the
 // recorded events are rare relative to solver work; one write is an atomic
 // counter bump plus one pointer store), and it is dumped as JSON on panic,
-// on a -verify violation, on a chaos-gate failure, and on demand via
-// /flightz — turning "the soak failed" into a readable last-N-events
-// timeline.
+// on a -verify violation, in the log of a failed chaos soak test, and on
+// demand via /flightz — turning "the soak failed" into a readable
+// last-N-events timeline.
 
 // FlightEvent is one journaled event.
 type FlightEvent struct {
@@ -98,8 +98,7 @@ func FlightDumpJSON(reason string) ([]byte, error) {
 }
 
 // DumpFlight writes the flight-recorder journal to w with a banner line —
-// the automatic post-mortem path for verify violations and chaos-gate
-// failures.
+// the automatic post-mortem path for verify violations and serve panics.
 func DumpFlight(w io.Writer, reason string) {
 	raw, err := FlightDumpJSON(reason)
 	if err != nil {

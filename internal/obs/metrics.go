@@ -3,8 +3,8 @@
 // registry (counters, gauges, fixed-bucket histograms with Prometheus-text
 // exposition), span tracing recording wall-time trees per request, batch
 // and solve while tracing is on, a flight ring of rare events, and an
-// opt-in HTTP diagnostics server serving /metrics, /healthz, /runz,
-// /tracez, /flightz and net/http/pprof.
+// opt-in HTTP diagnostics server serving /metrics, /healthz, /tracez,
+// /flightz and net/http/pprof.
 //
 // Hot-path cost model: every metric update is one or two atomic operations
 // on a pre-resolved pointer — no map lookups, no locks, no allocation —

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,67 +138,4 @@ func (s *ActiveSpan) End() {
 		defaultTraces.add(n)
 		traceRootCounter(spanComponent(n.Name)).Inc()
 	}
-}
-
-// runStore keeps the most recent run's named numeric trajectories (e.g. a
-// solver's bound gap per iteration) for the /runz endpoint.
-type runStore struct {
-	mu   sync.Mutex
-	traj map[string][]float64
-}
-
-var defaultRuns = &runStore{traj: make(map[string][]float64)}
-
-// Trajectory is one named per-iteration series of a run.
-type Trajectory struct {
-	Name   string
-	Values []float64
-}
-
-// RecordTrajectories publishes the series of the most recent run as one
-// set: a reader of /runz never sees one run's series beside another's. The
-// values are copied (into one backing array, each series capacity-clipped).
-func RecordTrajectories(ts ...Trajectory) {
-	n := 0
-	for _, t := range ts {
-		n += len(t.Values)
-	}
-	buf := make([]float64, 0, n)
-	defaultRuns.mu.Lock()
-	for _, t := range ts {
-		buf = append(buf, t.Values...)
-		defaultRuns.traj[t.Name] = slices.Clip(buf[len(buf)-len(t.Values):])
-	}
-	defaultRuns.mu.Unlock()
-}
-
-// runzPayload is the /runz document.
-type runzPayload struct {
-	Trajectories map[string][]jsonNumber `json:"trajectories"`
-}
-
-// jsonNumber is a float64 that marshals NaN/±Inf as null.
-type jsonNumber float64
-
-func (v jsonNumber) MarshalJSON() ([]byte, error) {
-	f := float64(v)
-	if p := safeFloat(f); p == nil {
-		return []byte("null"), nil
-	}
-	return json.Marshal(f)
-}
-
-// LastRunJSON renders the last run's trajectories as JSON.
-func LastRunJSON() ([]byte, error) {
-	defaultRuns.mu.Lock()
-	payload := runzPayload{Trajectories: make(map[string][]jsonNumber, len(defaultRuns.traj))}
-	for k, vs := range defaultRuns.traj {
-		row := make([]jsonNumber, len(vs))
-		for i, f := range vs {
-			row[i] = jsonNumber(f)
-		}
-		payload.Trajectories[k] = row
-	}
-	defaultRuns.mu.Unlock()
-	return json.MarshalIndent(payload, "", "  ")
 }

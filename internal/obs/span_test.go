@@ -2,8 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -133,35 +131,5 @@ func TestUnrecordedSpanIsFree(t *testing.T) {
 	if started, ended, dbl := SpanStats(); started != started0 || ended != ended0 || dbl != dbl0 {
 		t.Errorf("SpanStats moved: started %d→%d ended %d→%d double %d→%d",
 			started0, started, ended0, ended, dbl0, dbl)
-	}
-}
-
-func TestRecordTrajectoryCopiesAndMarshalsNonFinite(t *testing.T) {
-	vals := []float64{math.Inf(-1), 1.5, math.NaN()}
-	RecordTrajectories(Trajectory{Name: "test.traj", Values: vals})
-	vals[1] = 999 // must not affect the stored copy
-
-	raw, err := LastRunJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var payload struct {
-		Trajectories map[string][]*float64 `json:"trajectories"`
-	}
-	if err := json.Unmarshal(raw, &payload); err != nil {
-		t.Fatalf("unmarshal /runz payload: %v\n%s", err, raw)
-	}
-	tr := payload.Trajectories["test.traj"]
-	if len(tr) != 3 {
-		t.Fatalf("trajectory length %d, want 3", len(tr))
-	}
-	if tr[0] != nil || tr[2] != nil {
-		t.Error("non-finite values should marshal as null")
-	}
-	if tr[1] == nil || *tr[1] != 1.5 {
-		t.Errorf("trajectory[1] = %v, want 1.5 (copy must be isolated from caller mutation)", tr[1])
-	}
-	if strings.Contains(string(raw), "NaN") {
-		t.Error("NaN leaked into /runz JSON")
 	}
 }

@@ -297,7 +297,7 @@ func (j *Job) Cancel() bool {
 // progressEvents renders the solver's per-master-iteration convergence
 // series as stream events: bound gap per CGBD iteration (the lb/ub
 // sandwich of Algorithm 1) or potential per DBR sweep — the same series
-// gbd.Result and dbr.Result carry and /runz serves.
+// gbd.Result and dbr.Result carry.
 func progressEvents(idx int, r fleet.Result) []Event {
 	n := 0
 	switch {

@@ -19,9 +19,8 @@ import (
 // is a constant instead.
 func TestOptionsCensus(t *testing.T) {
 	want := map[string][]string{
-		"chain.ClientOptions": {"Timeout", "MaxRetries", "BaseBackoff", "MaxBackoff", "JitterSeed", "Transport"},
+		"chain.ClientOptions": {"Timeout", "MaxRetries", "BaseBackoff", "MaxBackoff", "Transport"},
 		"chain.Options":       {"DedupHorizon"},
-		"chaos.Options":       {"Plan", "Orgs", "GameSeed", "CrashCycles", "CrashMin", "CrashMax", "WALDir", "Batch"},
 		"core.Options":        {"Solver", "Settle", "Train", "TrainDataset", "TrainArch", "Rounds", "LocalEpochs", "Seed"},
 		"dbr.Options":         {"MaxRounds", "Tol", "DTol", "TokenTimeout", "SuspectAfter", "Workers"},
 		"experiments.Options": {"Seed", "Quick"},

@@ -133,17 +133,7 @@ for mode in "" "-commit"; do
     || { echo "deployment smoke ($mode): the chain did not verify"; exit 1; }
 done
 
-echo "==> chaos smoke (seeded soak under -race)"
-# One -race tradefl-sim runs this soak and the durability gate's crash
-# soak. Fault schedule is a pure function of the seed: a failure here
-# reproduces exactly via `go run -race ./cmd/tradefl-sim -chaos "<spec>"`.
-# The soak fails the gate if the ring misses the fault-free Nash
-# equilibrium or the settlement contract leaks a single wei.
-SOAK_BIN="$(mktemp -d)/tradefl-sim"
-go build -race -o "$SOAK_BIN" ./cmd/tradefl-sim
-"$SOAK_BIN" -chaos "seed=${CHAOS_SEED:-7},drop=0.15,dup=0.05,delayp=0.1,delaymax=15ms,rpcfail=0.1,rpclost=0.05,orgs=3,game=5"
-
-echo "==> obs-v2 gate (tracing, flight recorder, trajectories)"
+echo "==> obs-v2 gate (tracing, flight recorder)"
 # Race-check the instrumentation fabric itself first: spans, the flight
 # ring and trace propagation are touched from every worker goroutine.
 go test -race ./internal/obs/ ./internal/transport/
@@ -151,20 +141,16 @@ OBS_DIR="$(mktemp -d)"
 OBS_BIN="$OBS_DIR/tradefl-sim"
 go build -o "$OBS_BIN" ./cmd/tradefl-sim
 
-# A seeded traced soak must export one trace that crosses the solver, the
-# ring and the chain — the cross-process propagation contract. Foreground:
-# -trace-out flushes on exit, which a killed background run would skip.
-"$OBS_BIN" -chaos "seed=${CHAOS_SEED:-7},drop=0.1,dup=0.05,orgs=3,game=5" \
-  -trace-out "$OBS_DIR/chaos-trace.json" >/dev/null
-go run ./scripts/tracecheck -min-components 3 "$OBS_DIR/chaos-trace.json"
-
 # A traced fleet batch must join solver spans to the batch trace.
-# plan=pruned forces the CGBD path.
+# plan=pruned forces the CGBD path. Foreground: -trace-out flushes on exit,
+# which a killed background run would skip. (The one trace that crosses the
+# solver, the ring and the chain is asserted by the chaos test
+# TestSeededSoakDeterministicTraceTopology in the race suite above.)
 "$OBS_BIN" -fleet 64 -plan pruned -summary none \
   -trace-out "$OBS_DIR/fleet-trace.json" >/dev/null
 go run ./scripts/tracecheck -min-components 2 "$OBS_DIR/fleet-trace.json"
 
-# Live endpoints on a held, traced diag server: /tracez, /runz and /flightz.
+# Live endpoints on a held, traced diag server: /tracez and /flightz.
 OBS_ADDR="${OBS_ADDR:-127.0.0.1:6162}"
 "$OBS_BIN" -fleet 32 -plan pruned -summary none \
   -diag-addr "$OBS_ADDR" -diag-hold 60s -trace-out "$OBS_DIR/held.json" >/dev/null &
@@ -181,11 +167,6 @@ done
 [ "$up" -eq 1 ] || { echo "obs smoke: /healthz never became healthy"; exit 1; }
 curl -fsS "http://$OBS_ADDR/tracez" > "$OBS_DIR/tracez.json"
 go run ./scripts/tracecheck -min-components 2 "$OBS_DIR/tracez.json"
-# The CGBD convergence series lives on /runz: the last solve's bound gap
-# must be a non-empty array (indented JSON: an empty one renders "[]").
-curl -fsS "http://$OBS_ADDR/runz" > "$OBS_DIR/runz.json"
-grep -qE '"gbd\.gap": \[$' "$OBS_DIR/runz.json" \
-  || { echo "obs smoke: /runz has no gbd.gap trajectory"; exit 1; }
 curl -fsS "http://$OBS_ADDR/flightz" | grep -q '"reason"' \
   || { echo "obs smoke: /flightz returned no flight dump"; exit 1; }
 kill "$OBS_PID" 2>/dev/null || true
@@ -303,7 +284,7 @@ echo "==> obs tracing overhead gate (in-process A/B)"
 go run ./scripts/obsgate -plan "${OBS_AB_PLAN:-auto}" \
   -reps "${OBS_AB_PAIRS:-61}" -max-pct "${OBS_TRACE_MAX_PCT:-3}"
 
-echo "==> durability-gate (WAL/recovery suite, crash-restart soak, group-commit throughput)"
+echo "==> durability-gate (WAL/recovery suite, crash-restart soaks, group-commit throughput)"
 # The chain's durability contract, in three parts. First the focused
 # WAL/recovery/failover suites under -race: frame torn-tail handling,
 # replay exactness, PITR, old-format conversion, standby promotion and
@@ -315,18 +296,21 @@ echo "==> durability-gate (WAL/recovery suite, crash-restart soak, group-commit 
 DURABILITY_TESTS='WAL|Recover|Durable|Snapshot|Checkpoint|PITR|OldFormat|Standby|Replicat|Fencing|Term|ZeroPadding|ZeroExtend|Frame|TornTail|Batch|Equivalence|Horizon|Contention|Transfer|Prefix'
 go test -list "$DURABILITY_TESTS" ./internal/chain/ | grep -c '^Test' >/dev/null || { echo "durability-gate: pattern selects no test in ./internal/chain/" >&2; exit 1; }
 go test -race -run "$DURABILITY_TESTS" ./internal/chain/ ./internal/durable/
-# One seeded crash-restart soak: kill -9 the validator on a deterministic
-# schedule mid-settlement, recover from the log each time, and require
-# every recovery to reproduce the durable prefix exactly (height, state
-# root, mempool), the wei-exact settlement check on the final incarnation,
-# and a point-in-time recovery view. batch=1 settles the four Fig. 3
-# stages with one SubmitTxBatch each, so the cycles land on batched group
-# commits. Reproduce a failure with
-# `go run -race ./cmd/tradefl-sim -chaos "<spec>"`.
-"$SOAK_BIN" -chaos "seed=${CHAOS_SEED:-7},crashcycles=3,crashmin=25ms,crashmax=70ms,rpcfail=0.05,orgs=3,game=5,batch=1"
-# The two soak tests 25 times each (~0.2 s a run): a recovery that loses an
-# acknowledged record fails a run, so a regression turns the gate red instead of showing as an occasional flake.
-go test -count=25 -run '^(TestCrashSoakBatched|TestCrashRestartSoak)$' ./internal/chaos/
+# The seeded crash-restart soaks, 25 times each (~0.2 s a run): kill -9
+# the validator on a deterministic schedule mid-settlement, reopen it from
+# the log each time, and require every recovery to reproduce the durable
+# prefix exactly (height, state root, mempool), the wei-exact settlement
+# check on the final incarnation, and a point-in-time recovery view. The
+# batched ones settle the four Fig. 3 stages with one SubmitTxBatch each,
+# so the cycles land on batched group commits. A recovery that loses an
+# acknowledged record fails a run, so a regression turns the gate red
+# instead of showing as an occasional flake. A failure reproduces from its
+# test name: go test -race -run '^TestName$' ./internal/chaos/. The
+# guard fails the gate if a rename empties the pattern.
+CRASH_SOAKS='^(TestCrashSoakBatched|TestCrashRestartSoak|TestCrashSoakBatchedRPCFaults)$'
+[ "$(go test -list "$CRASH_SOAKS" ./internal/chaos/ | grep -c '^Test')" -eq 3 ] \
+  || { echo "durability-gate: crash-soak pattern does not select its 3 tests" >&2; exit 1; }
+go test -count=25 -run "$CRASH_SOAKS" ./internal/chaos/
 # Group-commit throughput: WAL-on SubmitTx must stay near the in-memory
 # baseline. The 10% contract holds on a quiet machine (pin WAL_MAX_PCT=10
 # there); on this gate's shared hardware the per-op block-until-durable

@@ -10,7 +10,8 @@
 //
 // Exits non-zero with a diagnostic when the contract is broken; prints a
 // one-line summary when it holds. scripts/ci.sh runs this as part of the
-// obs-v2 gate against a seeded chaos soak's exported trace.
+// obs-v2 gate against a traced fleet batch's -trace-out file and a held
+// server's /tracez.
 package main
 
 import (
