@@ -129,7 +129,8 @@ func checkSettled(t *testing.T, bc *chain.Blockchain, gen *chain.Settlement, wan
 
 // TestOrgsSettleAgainstNode runs -local on seed 7, with direct and with
 // commit-reveal reporting: every organization's ring-decided contribution
-// lands on the chain node tradefl-chain builds for that seed.
+// lands on the chain node tradefl-chain builds for that seed. The command
+// line `tradefl-org -local -commit` takes the same path and succeeds.
 func TestOrgsSettleAgainstNode(t *testing.T) {
 	const seed = 7
 	cfg, gen, want := solved(t, seed)
@@ -145,6 +146,9 @@ func TestOrgsSettleAgainstNode(t *testing.T) {
 				t.Errorf("commit=%v: output lacks %q:\n%s", commit, line, out.String())
 			}
 		}
+	}
+	if err := run([]string{"-local", "-commit", "-log-level", "error"}); err != nil {
+		t.Errorf("run -local -commit: %v", err)
 	}
 }
 

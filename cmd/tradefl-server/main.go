@@ -3,7 +3,7 @@
 // Clients submit coopetition-game jobs as JSON (explicit instances or a
 // seeded generator request), follow solver convergence over SSE, and read
 // back the mechanism outcome (strategies, payoffs, social welfare) — the
-// same quantities a local `tradefl-sim -batch` run produces, byte for
+// same quantities core.RunBatch produces over the same instances, byte for
 // byte.
 //
 // Usage:

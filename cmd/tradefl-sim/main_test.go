@@ -9,6 +9,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tradefl/internal/obs"
+	"tradefl/internal/verify"
 )
 
 func TestRunList(t *testing.T) {
@@ -66,9 +69,8 @@ func TestFlagSet(t *testing.T) {
 	var got []string
 	c.Flags.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
-		"all", "diag-addr", "diag-hold", "fig", "fleet", "list",
-		"log-format", "log-level", "out", "plan", "quick", "seed", "summary",
-		"trace-out", "verify",
+		"all", "diag-addr", "fig", "list", "log-format", "log-level", "out",
+		"quick", "seed", "trace-out", "verify",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags = %v\nwant    %v", got, want)
@@ -77,11 +79,13 @@ func TestFlagSet(t *testing.T) {
 
 // TestIncrementalFlagIsGone: the switch of the solvers' old second
 // evaluation path, every setting that had one value in use (now a
-// constant), and the chaos soak (now the internal/chaos tests) are
-// unknown flags.
+// constant), the chaos soak (now the internal/chaos tests), the fleet
+// batch mode (now a generate job on tradefl-server), the diagnostics hold
+// and the summary switch (now -log-level) are unknown flags.
 func TestIncrementalFlagIsGone(t *testing.T) {
 	for _, name := range []string{
 		"incremental", "plan-profile", "wal-dir", "plot", "workers", "chaos",
+		"fleet", "plan", "diag-hold", "summary",
 	} {
 		c := command()
 		c.Flags.SetOutput(io.Discard)
@@ -92,20 +96,41 @@ func TestIncrementalFlagIsGone(t *testing.T) {
 	}
 }
 
-// TestSummaryJSONIsRejected: the summary is text on stderr or nothing, so
-// stdout stays CSV; a JSON summary on stdout is a usage error.
-func TestSummaryJSONIsRejected(t *testing.T) {
-	err := run([]string{"-list", "-summary", "json"})
-	if err == nil || !strings.Contains(err.Error(), "-summary must be text or none") {
-		t.Fatalf("run -summary json: err = %v, want a usage error", err)
+// TestFigureRunUnderVerify: -verify arms the invariant auditor for a
+// figure run. fig4 solves with both CGBD and DBR, so the solver counters
+// rise, every solve is audited, and a clean run records no violation.
+func TestFigureRunUnderVerify(t *testing.T) {
+	t.Cleanup(verify.Disable)
+	series := []string{
+		"tradefl_gbd_runs_total", "tradefl_dbr_rounds_total",
+		"tradefl_verify_checks_total", "tradefl_verify_violations_total",
+	}
+	before := counters(t, series)
+	if err := run([]string{"-fig", "fig4", "-quick", "-verify", "-log-level", "error", "-out", t.TempDir()}); err != nil {
+		t.Fatalf("run fig4 -verify: %v", err)
+	}
+	after := counters(t, series)
+	for _, name := range series[:3] {
+		if after[name] <= before[name] {
+			t.Errorf("%s stayed at %v through a verified fig4 run", name, after[name])
+		}
+	}
+	if v := after["tradefl_verify_violations_total"]; v != 0 {
+		t.Errorf("tradefl_verify_violations_total = %v on a clean run, want 0", v)
 	}
 }
 
-// TestDiagHoldNeedsDiagAddr: a hold without a diagnostics server would
-// only stall the run, so it is rejected before the run starts.
-func TestDiagHoldNeedsDiagAddr(t *testing.T) {
-	err := run([]string{"-list", "-diag-hold", "1s"})
-	if err == nil || !strings.Contains(err.Error(), "-diag-hold requires -diag-addr") {
-		t.Fatalf("run -diag-hold without -diag-addr: err = %v", err)
+// counters reads each named series from the default registry.
+func counters(t *testing.T, names []string) map[string]float64 {
+	t.Helper()
+	snap := obs.Default.Snapshot()
+	vals := map[string]float64{}
+	for _, name := range names {
+		s, ok := obs.Find(snap, name)
+		if !ok {
+			t.Fatalf("%s is not registered", name)
+		}
+		vals[name] = s.Value
 	}
+	return vals
 }

@@ -15,14 +15,15 @@ var censusDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/s
 
 // referenceDocs are the documents whose series names, Go file paths and
 // command flags must also match the tree.
-var referenceDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+var referenceDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
 var (
 	// commandName matches a command as the docs name it (tradefl-org).
 	commandName = regexp.MustCompile(`\btradefl-[a-z]+\b`)
-	// treePath matches a path under cmd/ or examples/, in prose, in a
-	// backticked span or in a code block (./cmd/… as `go run` takes it).
-	treePath = regexp.MustCompile(`(?:^|[\s(` + "`" + `])(?:\./)?((?:cmd|examples)/[A-Za-z0-9_./-]*)`)
+	// treePath matches a path under cmd/, examples/ or scripts/, in prose,
+	// in a backticked span or in a code block (./cmd/… as `go run` takes
+	// it).
+	treePath = regexp.MustCompile(`(?:^|[\s(` + "`" + `])(?:\./)?((?:cmd|examples|scripts)/[A-Za-z0-9_./-]*)`)
 	// codeSpan matches an inline backticked span.
 	codeSpan = regexp.MustCompile("`([^`\n]+)`")
 	// seriesName matches a tradefl_* name, a …_* glob or a name with one
@@ -45,10 +46,10 @@ var (
 )
 
 // TestDocsCensus checks that every tradefl-<name> command the docs name is
-// a directory under cmd/, and that every cmd/… or examples/… path they
-// give exists, so deleting a command or an example means editing the
-// docs that send a reader to it. In README.md, DESIGN.md and
-// EXPERIMENTS.md it also checks that every backticked tradefl_* series is
+// a directory under cmd/, and that every cmd/…, examples/… or scripts/…
+// path they give exists, so deleting a command, an example or a script
+// means editing the docs that send a reader to it. In the referenceDocs
+// it also checks that every backticked tradefl_* series is
 // one TestMetricCensus pins (a …_* glob must match one), that every
 // path/file.go exists (from the root or from internal/), and that every
 // -flag given to a command is one that command or internal/cli defines.

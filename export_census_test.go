@@ -19,7 +19,7 @@ var interfaceMethods = map[string]bool{
 	"String": true, "Error": true, "Unwrap": true, "MarshalJSON": true, "UnmarshalJSON": true,
 	"Int63": true, "Uint64": true, "Seed": true,
 	"Read": true, "Write": true, "Close": true, "ServeHTTP": true, "RoundTrip": true,
-	"Handle": true, // slog.Handler
+	"Enabled": true, "Handle": true, // slog.Handler
 }
 
 // testSupport are the internal/ packages that exist for tests, as

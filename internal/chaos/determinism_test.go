@@ -25,6 +25,7 @@ func TestSeededSoakDeterministicUnderVerify(t *testing.T) {
 		Plan:     faults.Plan{Seed: 11, Drop: 0.1, Dup: 0.05, RPCFail: 0.05, RPCLost: 0.05},
 		Orgs:     3,
 		GameSeed: 5,
+		Audit:    a,
 	}
 	r1 := soak(t, opts, 2*time.Minute)
 	r2 := soak(t, opts, 2*time.Minute)

@@ -60,6 +60,9 @@ type Options struct {
 	// walking its own lifecycle (Settlement.Walk): kills then land on
 	// multi-tx batch admissions.
 	Batch bool
+	// Audit, when set, also checks the ring's agreed profile: its
+	// transfers and its Nash property.
+	Audit *verify.Auditor
 }
 
 const (
@@ -215,7 +218,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	}
 	rep.PotentialGap = math.Abs(cfg.Potential(profile) - cfg.Potential(ref.Profile))
 	rep.IsNash = cfg.CheckNash(profile, 60, 1e-2).IsNash
-	if a := verify.Global(); a != nil {
+	if a := opts.Audit; a != nil {
 		// The ring's agreed profile traversed faulty links; audit it
 		// independently of the in-process reference solve above (whose own
 		// hooks already fired inside dbr.Solve).

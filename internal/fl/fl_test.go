@@ -47,12 +47,16 @@ func fixture(t *testing.T, name string, shardSizes []int) Config {
 
 func TestRunProducesHistory(t *testing.T) {
 	cfg := fixture(t, "fmnist", []int{200, 200, 200})
+	before := mRounds.Value()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.History) != cfg.Rounds {
 		t.Fatalf("history has %d rounds, want %d", len(res.History), cfg.Rounds)
+	}
+	if got := mRounds.Value() - before; got != int64(cfg.Rounds) {
+		t.Errorf("tradefl_fl_rounds_total rose by %d, want %d", got, cfg.Rounds)
 	}
 	if res.TotalSamples != 600 {
 		t.Errorf("TotalSamples = %d, want 600", res.TotalSamples)

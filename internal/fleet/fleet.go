@@ -2,10 +2,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"math/rand"
-	"reflect"
 	"sort"
 	"time"
 
@@ -14,7 +10,6 @@ import (
 	"tradefl/internal/gbd"
 	"tradefl/internal/obs"
 	"tradefl/internal/parallel"
-	"tradefl/internal/verify"
 )
 
 // Options configures a fleet Engine.
@@ -173,80 +168,4 @@ func gbdOpts(plan Plan) gbd.Options {
 		return gbd.Options{Master: gbd.MasterTraversal}
 	}
 	return gbd.Options{Master: gbd.MasterPruned}
-}
-
-// ErrAuditMismatch reports a batch output that differed from its cold
-// re-solve — a violated determinism contract.
-var ErrAuditMismatch = errors.New("fleet: audit: batch result differs from cold re-solve")
-
-// Audit re-solves a deterministic sample of the batch cold (same plan) and
-// compares profiles bitwise; with the verify subsystem enabled it
-// additionally runs the solver invariant checks on the sampled results.
-// fraction ∈ (0, 1] bounds the sampled share (at least one instance when
-// the batch holds a solved one). It returns the number of audited instances
-// and the first mismatch.
-func (e *Engine) Audit(cfgs []*game.Config, results []Result, fraction float64, seed int64) (int, error) {
-	if len(cfgs) != len(results) {
-		return 0, fmt.Errorf("fleet: audit: %d configs vs %d results", len(cfgs), len(results))
-	}
-	if fraction <= 0 || len(cfgs) == 0 {
-		return 0, nil
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	eligible := func(i int) bool { return results[i].Err == nil && results[i].Profile != nil }
-	last := len(cfgs) - 1 // the last eligible instance: sampled if none before it was
-	for last >= 0 && !eligible(last) {
-		last--
-	}
-	rng := rand.New(rand.NewSource(seed))
-	audited := 0
-	for i := range cfgs {
-		if !eligible(i) {
-			continue
-		}
-		if rng.Float64() >= fraction && !(audited == 0 && i == last) {
-			continue
-		}
-		audited++
-		if err := e.auditOne(cfgs[i], &results[i]); err != nil {
-			return audited, fmt.Errorf("instance %d (plan %s): %w", i, results[i].Plan, err)
-		}
-	}
-	return audited, nil
-}
-
-func (e *Engine) auditOne(cfg *game.Config, r *Result) error {
-	var (
-		cold game.Profile
-		err  error
-	)
-	switch r.Plan {
-	case PlanDBR:
-		var dres *dbr.Result
-		dres, err = dbr.Solve(cfg, nil, dbr.Options{})
-		if err == nil {
-			cold = dres.Profile
-			if a := verify.Global(); a != nil {
-				a.CheckDBR(cfg, dres, "fleet.audit")
-			}
-		}
-	default:
-		var gres *gbd.Result
-		gres, err = gbd.Solve(cfg, gbdOpts(r.Plan))
-		if err == nil {
-			cold = gres.Profile
-			if a := verify.Global(); a != nil {
-				a.CheckGBD(cfg, gres, gbd.DefaultEpsilon, "fleet.audit")
-			}
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("fleet: audit: cold re-solve failed: %w", err)
-	}
-	if !reflect.DeepEqual(r.Profile, cold) {
-		return fmt.Errorf("%w\nbatch: %+v\ncold:  %+v", ErrAuditMismatch, r.Profile, cold)
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -298,58 +297,5 @@ func TestPerInstanceError(t *testing.T) {
 		if res[i].Profile == nil {
 			t.Fatalf("valid instance %d has no profile", i)
 		}
-	}
-}
-
-// TestAudit: a clean batch passes the full audit; a tampered result is
-// caught.
-func TestAudit(t *testing.T) {
-	cfgs := mixedCorpus(t, 1)
-	eng := New(Options{Workers: 2})
-	res := eng.Solve(context.Background(), cfgs)
-	audited, err := eng.Audit(cfgs, res, 1, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if audited != len(cfgs) {
-		t.Fatalf("audited %d of %d at fraction 1", audited, len(cfgs))
-	}
-	// Tamper with one output: the audit must flag it.
-	tampered := append(game.Profile(nil), res[0].Profile...)
-	tampered[0].D *= 1.0000001
-	res[0].Profile = tampered
-	if _, err := eng.Audit(cfgs, res, 1, 42); !errors.Is(err, ErrAuditMismatch) {
-		t.Fatalf("tampered batch passed the audit: %v", err)
-	}
-}
-
-// TestAuditSampling: small fractions audit at least one instance — also
-// when the batch's last instance failed and cannot be the forced sample —
-// and stay deterministic in the seed.
-func TestAuditSampling(t *testing.T) {
-	cfgs := mixedCorpus(t, 1)
-	eng := New(Options{Workers: 1})
-	res := eng.Solve(context.Background(), cfgs)
-	// No draw falls below 1e-9, so the one sample is the forced one.
-	failedLast := append(cfgs[:len(cfgs):len(cfgs)], &game.Config{})
-	if n, err := eng.Audit(failedLast, eng.Solve(context.Background(), failedLast), 1e-9, 7); n != 1 || err != nil {
-		t.Fatalf("failed last instance: audited %d, err %v; want the last solved instance sampled", n, err)
-	}
-	a1, err := eng.Audit(cfgs, res, 0.25, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 < 1 {
-		t.Fatal("fraction 0.25 audited nothing")
-	}
-	a2, err := eng.Audit(cfgs, res, 0.25, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 != a2 {
-		t.Fatalf("same seed audited %d then %d instances", a1, a2)
-	}
-	if n, err := eng.Audit(cfgs, res, 0, 7); n != 0 || err != nil {
-		t.Fatalf("fraction 0 must audit nothing, got %d, %v", n, err)
 	}
 }

@@ -56,7 +56,7 @@ type InstanceResult struct {
 }
 
 // newInstanceResult reads the mechanism quantities off a fleet result,
-// as core.RunBatch does (the byte-identity reference of the serve gate).
+// as core.RunBatch does (the byte-identity reference of the gateway tests).
 func newInstanceResult(idx int, r fleet.Result) InstanceResult {
 	out := InstanceResult{Index: idx, Plan: r.Plan.String()}
 	if r.Err != nil {

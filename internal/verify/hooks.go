@@ -59,12 +59,6 @@ func Disable() {
 	global.Store(nil)
 }
 
-// Enabled reports whether a process-wide auditor is installed.
-func Enabled() bool { return global.Load() != nil }
-
-// Global returns the process-wide auditor, or nil when auditing is off.
-func Global() *Auditor { return global.Load() }
-
 // Finish folds the process-wide audit into an exit decision: nil when
 // auditing is off or clean, an error carrying the violation summary
 // otherwise. The cmds call it after their run so -verify turns any

@@ -124,15 +124,15 @@ func TestHooksAuditEverySolve(t *testing.T) {
 		t.Fatal("settlement hook did not run any checks")
 	}
 	assertClean(t, a, "hooks")
-	if got := Global().Count(); got != 0 {
-		t.Fatalf("global Count() = %d, want 0", got)
+	if global.Load() != a {
+		t.Fatal("Enable did not install the auditor it returned")
 	}
 	if err := Finish(); err != nil {
 		t.Fatalf("Finish on a clean auditor: %v", err)
 	}
 
 	Disable()
-	if Enabled() {
+	if global.Load() != nil {
 		t.Fatal("still enabled after Disable")
 	}
 	before := a.Checks()

@@ -45,7 +45,7 @@ var metricReaders = map[string]string{
 	"tradefl_dbr_runs_total":                   "bench",
 	"tradefl_dbr_solve_seconds":                "how long does a DBR solve take?",
 	"tradefl_dbr_sweep_seconds":                "how long does one best-response sweep take?",
-	"tradefl_fl_rounds_total":                  "ci",
+	"tradefl_fl_rounds_total":                  "test:TestRunProducesHistory",
 	"tradefl_fleet_errors_total":               "how many instance solves fail?",
 	"tradefl_fleet_instances_total":            "summary",
 	"tradefl_fleet_plan_dbr_total":             "bench",
@@ -95,22 +95,22 @@ var metricReaders = map[string]string{
 	"tradefl_transport_frames_malformed_total": "test:TestTCPTornWriteThenReconnect",
 	"tradefl_transport_frames_overflow_total":  "test:TestTCPOversizedFrame",
 	"tradefl_transport_inbox_dropped_total":    "is a TCP node dropping frames because its inbox is full?",
-	"tradefl_verify_checks_total":              "ci",
-	"tradefl_verify_violations_total":          "ci",
+	"tradefl_verify_checks_total":              "test:TestFigureRunUnderVerify",
+	"tradefl_verify_violations_total":          "test:TestFigureRunUnderVerify",
 }
 
 // TestMetricCensus pins every tradefl_* series name the program registers
 // to the reader that earns it a place. It reads the name literal of every
 // obs.New{Counter,Gauge,Histogram,LabeledCounter} call in non-test Go, so a
 // new series shows up here as a table diff that has to name its reader:
-//   - "bench", "ci" or "summary": bench/*.go, scripts/ci.sh or the
-//     tradefl-sim end-of-run summary reads the name (checked);
+//   - "bench" or "summary": bench/*.go or the tradefl-sim end-of-run
+//     summary reads the name (checked);
 //   - "test:<TestName>": that test asserts the series' value (the test must
 //     exist);
 //   - otherwise the operator question the series answers.
 func TestMetricCensus(t *testing.T) {
 	sources := map[string]string{}
-	for reader, pattern := range map[string]string{"bench": "bench/*.go", "ci": "scripts/ci.sh", "summary": "cmd/tradefl-sim/main.go"} {
+	for reader, pattern := range map[string]string{"bench": "bench/*.go", "summary": "cmd/tradefl-sim/main.go"} {
 		files, err := filepath.Glob(pattern)
 		if err != nil || len(files) == 0 {
 			t.Fatalf("%s: no files match %s (%v)", reader, pattern, err)
@@ -191,7 +191,7 @@ func TestMetricCensus(t *testing.T) {
 				t.Errorf("%s: reader %q names no test", name, reader)
 			}
 		} else if !strings.HasSuffix(reader, "?") {
-			t.Errorf("%s: reader %q is not bench, ci, summary, test:<TestName> or a question", name, reader)
+			t.Errorf("%s: reader %q is not bench, summary, test:<TestName> or a question", name, reader)
 		}
 	}
 	for name := range seen {

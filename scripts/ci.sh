@@ -51,7 +51,7 @@ DRIFT_START=$SECONDS
 for fig in fig2 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 \
   table1 table2 ext-personalization ext-campaign; do
   fig_start=$SECONDS
-  "$DRIFT_DIR/tradefl-sim" -fig "$fig" -summary none -log-level error -out "$DRIFT_DIR" >/dev/null
+  "$DRIFT_DIR/tradefl-sim" -fig "$fig" -log-level error -out "$DRIFT_DIR" >/dev/null
   cmp "$DRIFT_DIR/$fig.csv" "results/$fig.csv" \
     || { echo "drift gate: $fig.csv no longer matches results/$fig.csv"; exit 1; }
   echo "drift gate: $fig ok ($((SECONDS - fig_start)) s)"
@@ -75,116 +75,17 @@ echo "==> solver-workspace fast gate (allocation pin, then gbd/fleet/serve under
 go test -count=1 -run 'SteadyStateAllocs|ArenaGrowth' ./internal/gbd/
 go test -race -short ./internal/gbd/ ./internal/fleet/ ./internal/serve/
 
-echo "==> verify gate (invariant auditor under -race + mutation self-tests)"
-# The mutation suite injects one seeded violation per invariant family and
-# requires the matching check to fire: a silent auditor fails the gate, not
-# just a wrong one. The clean half (including the differential harness
-# cross-running CGBD against an independent exhaustive solver) runs under
-# -race because the hooks are installed process-globally.
-go test -race ./internal/verify/
-go test -count=1 -run Mutation ./internal/verify/
-
 echo "==> go test -race ./..."
+# The suite runs the commands end to end in process: a traced gateway job
+# followed over SSE and drained by SIGTERM (TestRunSolvesTracesAndDrains),
+# a figure run under -verify (TestFigureRunUnderVerify) and the deployment
+# on an in-memory chain node (TestOrgsSettleAgainstNode), beside the
+# auditor's mutation self-tests.
 go test -race ./...
 
-echo "==> diag smoke (tradefl-sim -diag-addr)"
-DIAG_ADDR="${DIAG_ADDR:-127.0.0.1:6161}"
-DIAG_BIN="$(mktemp -d)/tradefl-sim"
-go build -o "$DIAG_BIN" ./cmd/tradefl-sim
-"$DIAG_BIN" -fig fig5 -quick -summary none -verify \
-  -diag-addr "$DIAG_ADDR" -diag-hold 60s >/dev/null &
-SIM_PID=$!
-trap 'kill "$SIM_PID" 2>/dev/null || true' EXIT
-up=0
-for _ in $(seq 1 50); do
-  if curl -fsS "http://$DIAG_ADDR/healthz" 2>/dev/null | grep -q '"status":"ok"'; then
-    up=1
-    break
-  fi
-  sleep 0.2
-done
-[ "$up" -eq 1 ] || { echo "diag smoke: /healthz never became healthy"; exit 1; }
-metrics="$(curl -fsS "http://$DIAG_ADDR/metrics")"
-for name in tradefl_gbd_iterations_total tradefl_dbr_rounds_total tradefl_fl_rounds_total; do
-  echo "$metrics" | grep -q "^$name " || { echo "diag smoke: $name missing from /metrics"; exit 1; }
-done
-echo "$metrics" | grep -q '^tradefl_dbr_rounds_total [1-9]' \
-  || { echo "diag smoke: tradefl_dbr_rounds_total still zero after a DBR run"; exit 1; }
-# -verify was armed above: the auditor must have run checks and found
-# nothing (a nonzero violation count would also fail the sim's exit code).
-echo "$metrics" | grep -q '^tradefl_verify_checks_total [1-9]' \
-  || { echo "diag smoke: tradefl_verify_checks_total zero with -verify armed"; exit 1; }
-echo "$metrics" | grep -q '^tradefl_verify_violations_total 0' \
-  || { echo "diag smoke: verify violations recorded on a clean run"; exit 1; }
-kill "$SIM_PID" 2>/dev/null || true
-wait "$SIM_PID" 2>/dev/null || true
-trap - EXIT
-
-echo "==> deployment smoke (tradefl-org -local)"
-# The paper's deployment story end to end: ten organizations agree on the
-# equilibrium in the DBR ring over loopback TCP, then each settles its own
-# ring-decided strategy on an in-memory chain node over JSON-RPC, with
-# direct and with commit-reveal contribution reporting.
-for mode in "" "-commit"; do
-  dist_out="$(go run ./cmd/tradefl-org -local $mode)"
-  echo "$dist_out" | grep -q 'Settled:true' \
-    || { echo "deployment smoke ($mode): the contract did not settle"; exit 1; }
-  echo "$dist_out" | grep -q 'chain verified' \
-    || { echo "deployment smoke ($mode): the chain did not verify"; exit 1; }
-done
-
-echo "==> obs-v2 gate (tracing, flight recorder)"
-# Race-check the instrumentation fabric itself first: spans, the flight
-# ring and trace propagation are touched from every worker goroutine.
-go test -race ./internal/obs/ ./internal/transport/
-OBS_DIR="$(mktemp -d)"
-OBS_BIN="$OBS_DIR/tradefl-sim"
-go build -o "$OBS_BIN" ./cmd/tradefl-sim
-
-# A traced fleet batch must join solver spans to the batch trace.
-# plan=pruned forces the CGBD path. Foreground: -trace-out flushes on exit,
-# which a killed background run would skip. (The one trace that crosses the
-# solver, the ring and the chain is asserted by the chaos test
-# TestSeededSoakDeterministicTraceTopology in the race suite above.)
-"$OBS_BIN" -fleet 64 -plan pruned -summary none \
-  -trace-out "$OBS_DIR/fleet-trace.json" >/dev/null
-go run ./scripts/tracecheck -min-components 2 "$OBS_DIR/fleet-trace.json"
-
-# Live endpoints on a held, traced diag server: /tracez and /flightz.
-OBS_ADDR="${OBS_ADDR:-127.0.0.1:6162}"
-"$OBS_BIN" -fleet 32 -plan pruned -summary none \
-  -diag-addr "$OBS_ADDR" -diag-hold 60s -trace-out "$OBS_DIR/held.json" >/dev/null &
-OBS_PID=$!
-trap 'kill "$OBS_PID" 2>/dev/null || true' EXIT
-up=0
-for _ in $(seq 1 50); do
-  if curl -fsS "http://$OBS_ADDR/healthz" 2>/dev/null | grep -q '"status":"ok"'; then
-    up=1
-    break
-  fi
-  sleep 0.2
-done
-[ "$up" -eq 1 ] || { echo "obs smoke: /healthz never became healthy"; exit 1; }
-curl -fsS "http://$OBS_ADDR/tracez" > "$OBS_DIR/tracez.json"
-go run ./scripts/tracecheck -min-components 2 "$OBS_DIR/tracez.json"
-curl -fsS "http://$OBS_ADDR/flightz" | grep -q '"reason"' \
-  || { echo "obs smoke: /flightz returned no flight dump"; exit 1; }
-kill "$OBS_PID" 2>/dev/null || true
-wait "$OBS_PID" 2>/dev/null || true
-trap - EXIT
-
-echo "==> serve gate (gateway suite under -race + live HTTP smoke)"
-# The gateway's contract is byte-identity with core.RunBatch under
-# concurrent multi-tenant load, so its suite (including the 64-tenant
-# soak) runs under -race first. Then a live smoke: boot tradefl-server,
-# create a job over HTTP, follow the SSE progress stream to completion
-# and require every streamed instance result to match a local
-# core.RunBatch over the same seeded corpus, field for field. The drain
-# check sends SIGTERM and requires a clean exit (graceful drain).
-# Between the two, the spec decoder's differential fuzz: ParseJobSpec must
-# answer arbitrary bytes exactly as its encoding/json-only oracle does.
-go vet ./internal/serve/ ./cmd/tradefl-server/ ./scripts/servegate/
-go test -race -count=1 ./internal/serve/
+echo "==> fuzz smokes (hand-written codecs vs their encoding/json oracles)"
+# The spec decoder's differential fuzz: ParseJobSpec must answer arbitrary
+# bytes exactly as its encoding/json-only oracle does.
 go test -run '^$' -fuzz '^FuzzParseJobSpec$' -fuzztime 20s ./internal/serve/
 # The chain's append encoders and one-pass RPC decoders against the same
 # kind of oracle: every signed, hashed, logged and replied byte, and every
@@ -207,33 +108,6 @@ go test -run '^$' -fuzz '^FuzzCertificateEquivalence$' -fuzztime 5s ./internal/d
 # NormalizeRho's skip rule must leave the ρ bits and the factor of the loop
 # it replaced (the oracle in normalize_test.go), with no more row sums.
 go test -run '^$' -fuzz '^FuzzNormalizeRhoMatchesReference$' -fuzztime 5s ./internal/game/
-SERVE_DIR="$(mktemp -d)"
-SERVE_BIN="$SERVE_DIR/tradefl-server"
-go build -o "$SERVE_BIN" ./cmd/tradefl-server
-SERVE_ADDR="${SERVE_ADDR:-127.0.0.1:6163}"
-"$SERVE_BIN" -listen "$SERVE_ADDR" >/dev/null &
-SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
-up=0
-for _ in $(seq 1 50); do
-  if curl -fsS "http://$SERVE_ADDR/healthz" 2>/dev/null | grep -q '"status": "ok"'; then
-    up=1
-    break
-  fi
-  sleep 0.2
-done
-[ "$up" -eq 1 ] || { echo "serve smoke: /healthz never became healthy"; exit 1; }
-go run ./scripts/servegate -addr "$SERVE_ADDR" -count 3 -n 4 -seed 41
-# Oversized bodies get an explicit 413 at the gateway edge, same as the
-# chain RPC fix this gate rides with.
-code="$(head -c 2097152 /dev/zero | tr '\0' 'x' | \
-  curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary @- "http://$SERVE_ADDR/v1/jobs")"
-[ "$code" = "413" ] || { echo "serve smoke: oversized body got $code, want 413"; exit 1; }
-kill -TERM "$SERVE_PID" 2>/dev/null || true
-drained=1
-wait "$SERVE_PID" || drained=0
-[ "$drained" -eq 1 ] || { echo "serve smoke: SIGTERM drain exited nonzero"; exit 1; }
-trap - EXIT
 
 echo "==> bench regression smoke"
 sleep "${BENCH_SETTLE_SECS:-15}" # let CPU contention from the race suite drain

@@ -38,8 +38,8 @@ import (
 )
 
 // corpusSizes mirrors the mixed organization-count cycle of
-// BenchmarkFleetSolve and `tradefl-sim -fleet`, spanning both sides of the
-// planner's solver crossovers.
+// BenchmarkFleetSolve, spanning both sides of the planner's solver
+// crossovers.
 var corpusSizes = []int{4, 6, 8, 10, 12, 16}
 
 // cpuTime returns the process's cumulative user+system CPU time.
