@@ -227,9 +227,8 @@ func (c *Contract) contributionSubmit(from Address, args json.RawMessage, value 
 	return nil
 }
 
-// payoffCalculate evaluates R_i = Σ_j γ·ρ_ij·(x_i − x_j) for every member
-// from the recorded contributions (Table I: "Calculate the payoff"). Any
-// member may trigger it once all have submitted.
+// payoffCalculate stores every member's R_i (Table I: "Calculate the
+// payoff"). Any member may trigger it once all have submitted.
 func (c *Contract) payoffCalculate(from Address, value Wei) error {
 	if value != 0 {
 		return fmt.Errorf("%w: payoffCalculate is not payable", ErrBadArgs)
@@ -240,57 +239,63 @@ func (c *Contract) payoffCalculate(from Address, value Wei) error {
 	if c.Calculated {
 		return nil // idempotent
 	}
-	n := len(c.Params.Members)
-	xs := make([]float64, n)
-	for i, m := range c.Params.Members {
-		ms, ok := c.MemberData[m]
-		if !ok || !ms.Submitted {
+	for _, m := range c.Params.Members {
+		if ms, ok := c.MemberData[m]; !ok || !ms.Submitted {
 			return fmt.Errorf("%w: waiting for %s", ErrMissingSubmissions, m)
 		}
-		xs[i] = ms.Contribution.D*c.Params.DataBits[i] + c.Params.Lambda*ms.Contribution.F
 	}
+	xs := c.indices()
 	for i, m := range c.Params.Members {
-		var r float64
-		for j := 0; j < n; j++ {
-			r += c.Params.Gamma * c.Params.Rho[i][j] * (xs[i] - xs[j])
-		}
-		// The deployed γ, ρ and s are not capped: r can leave ToWei's range.
-		if !(math.Abs(r)*WeiPerToken < 1<<63) {
-			return fmt.Errorf("%w: payoff of %s, %g tokens, is outside the wei range", ErrBadArgs, m, r)
+		r, err := c.Params.payoff(i, xs)
+		if err != nil {
+			return err
 		}
 		ms := c.MemberData[m]
-		ms.Payoff = ToWei(r)
+		ms.Payoff = r
 		if ms.Deposit+ms.Payoff < 0 {
 			return fmt.Errorf("%w: %s owes %v beyond its bond", ErrInsufficientBond, m, FromWei(-ms.Payoff))
 		}
 		c.MemberData[m] = ms
 	}
-	// Rounding can leave the transfer set a few wei off balance; charge
-	// the residue to the first member so Σ payoffs is exactly zero
-	// (budget balance, Definition 5). The residual gauge reports the
-	// SIGNED value: positive when the transfers under-credit (member 0
-	// pays the difference), negative when they over-credit (member 0 is
-	// credited the difference).
-	var sum Wei
-	for _, m := range c.Params.Members {
-		sum += c.MemberData[m].Payoff
-	}
-	mResidual.Set(float64(sum))
-	if sum != 0 {
-		first := c.Params.Members[0]
-		ms := c.MemberData[first]
-		ms.Payoff -= sum
-		// The per-member bond check above ran on the pre-residual payoff;
-		// a positive residual debits member 0 further and must not push it
-		// beyond its bond (a negative residual only credits it).
-		if ms.Deposit+ms.Payoff < 0 {
-			return fmt.Errorf("%w: %s owes %v beyond its bond after the rounding residual", ErrInsufficientBond, first, FromWei(-ms.Payoff))
-		}
-		c.MemberData[first] = ms
-	}
 	c.Calculated = true
 	c.auditSettlement()
 	return nil
+}
+
+// indices returns every member's contribution index
+// x_i = d_i·s_i + λ·f_i from its recorded contribution. The conversions
+// round each product on its own, so no architecture fuses them into a
+// multiply-add and every node computes the same bits.
+func (c *Contract) indices() []float64 {
+	xs := make([]float64, len(c.Params.Members))
+	for i, m := range c.Params.Members {
+		cm := c.MemberData[m].Contribution
+		xs[i] = float64(cm.D*c.Params.DataBits[i]) + float64(c.Params.Lambda*cm.F)
+	}
+	return xs
+}
+
+// payoff returns member i's R_i = Σ_j t_ij of Eq. (9) at indices xs, in
+// wei. Each pairwise transfer t_ij = wei(γ·ρ_ij·(x_i − x_j)) is rounded
+// once: ρ is symmetric to the bit, IEEE subtraction and negation are exact
+// and ToWei is odd, so t_ji = −t_ij and the payoffs of one xs sum to
+// exactly zero (budget balance, Definition 5). The deployed γ, ρ and s are
+// not capped, so the row's gross Σ_j |t_ij| is checked against the wei
+// range before any float→int conversion; half the int64 range leaves room
+// for the float sum's own rounding.
+func (p *ContractParams) payoff(i int, xs []float64) (Wei, error) {
+	var gross float64
+	for j := range xs {
+		gross += float64(math.Abs(p.Gamma*p.Rho[i][j]*(xs[i]-xs[j])) * WeiPerToken)
+	}
+	if !(gross < 1<<62) {
+		return 0, fmt.Errorf("%w: payoff of %s, %g tokens gross, is outside the wei range", ErrBadArgs, p.Members[i], gross/WeiPerToken)
+	}
+	var r Wei
+	for j := range xs {
+		r += ToWei(p.Gamma * p.Rho[i][j] * (xs[i] - xs[j]))
+	}
+	return r, nil
 }
 
 // payoffTransfer settles the caller: it returns deposit + R_i to the
@@ -344,22 +349,13 @@ func (c *Contract) profileRecord(from Address, value Wei, height uint64) error {
 	if ms.Recorded {
 		return nil // idempotent
 	}
-	idx := c.memberIndex(from)
-	// Recompute R_i for the record even after settlement zeroed Payoff.
-	n := len(c.Params.Members)
-	xs := make([]float64, n)
-	for i, m := range c.Params.Members {
-		cm := c.MemberData[m]
-		xs[i] = cm.Contribution.D*c.Params.DataBits[i] + c.Params.Lambda*cm.Contribution.F
-	}
-	var r float64
-	for j := 0; j < n; j++ {
-		r += c.Params.Gamma * c.Params.Rho[idx][j] * (xs[idx] - xs[j])
-	}
+	// Recompute R_i for the record even after settlement zeroed Payoff;
+	// payoffCalculate already checked its range.
+	r, _ := c.Params.payoff(c.memberIndex(from), c.indices())
 	c.Records = append(c.Records, ProfileEntry{
 		Org:          from,
 		Contribution: ms.Contribution,
-		Payoff:       ToWei(r),
+		Payoff:       r,
 		Block:        height,
 	})
 	ms.Recorded = true
@@ -393,14 +389,18 @@ func (c *Contract) SortedRecords() []ProfileEntry {
 	return out
 }
 
-// MinDeposit returns a bond that always covers member i's worst-case
-// negative redistribution: γ·Σ_j ρ_ij·(x_j^max − x_i^min) with
-// x_i^min = 0 and x_j^max = s_j + λ·fMax.
+// MinDeposit returns the bond that covers member i's worst in-range
+// report: minus its payoff at x_i = 0 against x_j = s_j + λ·fMax, which no
+// report with f ≤ fMax undercuts, since every step of payoff is monotone.
+// depositSubmit takes only a positive bond, so it is at least 1 wei; so is
+// a worst case outside the wei range, which payoffCalculate refuses.
 func MinDeposit(params ContractParams, i int, fMax float64) Wei {
-	var worst float64
-	for j := range params.Members {
-		xjMax := params.DataBits[j] + params.Lambda*fMax
-		worst += params.Gamma * params.Rho[i][j] * xjMax
+	xs := make([]float64, len(params.Members))
+	for j := range xs {
+		if j != i {
+			xs[j] = params.DataBits[j] + float64(params.Lambda*fMax)
+		}
 	}
-	return ToWei(worst) + 1
+	r, _ := params.payoff(i, xs)
+	return max(-r, 1)
 }

@@ -4,8 +4,8 @@ import "sync/atomic"
 
 // SettlementAudit observes every successful payoffCalculate: the contract
 // parameters, the recorded contributions in member order, and the final
-// per-member payoffs in wei (post rounding-residual charge, so they sum to
-// exactly zero). internal/verify installs one to cross-check the on-chain
+// per-member payoffs in wei (rounded pair by pair, so they sum to exactly
+// zero). internal/verify installs one to cross-check the on-chain
 // settlement against an independent float recomputation of Eq. (9) without
 // this package importing the auditor.
 type SettlementAudit func(params ContractParams, contribs []Contribution, payoffs []Wei)

@@ -83,9 +83,8 @@ func (led *ledger) nonceSum() int64 {
 }
 
 // escrowWei sums the wei held by the contract itself: posted deposits plus
-// calculated-but-untransferred payoffs (payoffs sum to zero once the
-// rounding residual is charged, so this is Σ deposits between calculate and
-// transfer).
+// calculated-but-untransferred payoffs (payoffs sum to zero, so this is
+// Σ deposits between calculate and transfer).
 func (led *ledger) escrowWei() Wei {
 	var sum Wei
 	for _, ms := range led.Contract.MemberData {

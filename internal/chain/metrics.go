@@ -2,13 +2,11 @@ package chain
 
 import "tradefl/internal/obs"
 
-// Telemetry of the settlement chain: admission, sealing, RPC traffic, and
-// the budget-balance residual charged to the first member (Sec. III-F).
+// Telemetry of the settlement chain: admission, sealing and RPC traffic.
 var (
 	mTxSubmitted = obs.NewCounter("tradefl_chain_tx_submitted_total", "transactions accepted into the mempool")
 	mBlocks      = obs.NewCounter("tradefl_chain_blocks_sealed_total", "blocks sealed")
 	mHeight      = obs.NewGauge("tradefl_chain_height", "latest block height")
-	mResidual    = obs.NewGauge("tradefl_chain_budget_residual_wei", "rounding residual of the last payoffCalculate before it was charged to member 0 (budget balance, Definition 5)")
 	mSealSec     = obs.NewHistogram("tradefl_chain_seal_seconds", "wall time of SealBlock incl. state-root computation", obs.TimeBuckets)
 	mRPCRequests = obs.NewCounter("tradefl_chain_rpc_requests_total", "JSON-RPC requests served")
 	mRPCErrors   = obs.NewCounter("tradefl_chain_rpc_errors_total", "JSON-RPC requests answered with an error object")

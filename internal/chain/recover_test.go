@@ -8,9 +8,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tradefl/internal/durable"
+	"tradefl/internal/game"
 	"tradefl/internal/randx"
 )
 
@@ -284,6 +286,53 @@ func TestOldFormatDirIsRefused(t *testing.T) {
 				t.Errorf("%s: %s changed (err %v)", name, file, err)
 			}
 		}
+	}
+}
+
+// TestPreRoundingDirIsRefused opens testdata/prerounding/wal.log, a chain
+// directory written while the contract still rounded each member's R_i to
+// wei and charged the residual to member 0. It was made by settling
+// NewSettlement(DefaultConfig(N = 4, seed 5), 5) on OpenDurable: the four
+// Stages of goldenProfile, each one SubmitTxBatch and one SealBlock, then
+// CloseDurable. Its genesis, deposits and contributions still replay, but
+// pairwise rounding pays this game's members differently, so the calculate
+// block (height 3) seals another state root. OpenDurable and RecoverAt
+// must refuse the directory with ErrReplayMismatch and leave it as it was:
+// an old directory is refused, never converted.
+func TestPreRoundingDirIsRefused(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "prerounding", logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, logName)
+	if err := os.WriteFile(path, want, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := game.DefaultConfig(game.GenOptions{N: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSettlement(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RecoverAt(dir, s.Authority, 2); err != nil {
+		t.Fatalf("RecoverAt(2), before the calculate block: %v", err)
+	}
+	for how, open := range map[string]func() (*Blockchain, error){
+		"OpenDurable": func() (*Blockchain, error) { return OpenDurable(dir, s.Authority, s.Params, s.Alloc) },
+		"RecoverAt":   func() (*Blockchain, error) { return RecoverAt(dir, s.Authority, 4) },
+	} {
+		if bc, err := open(); !errors.Is(err, ErrReplayMismatch) || !strings.Contains(err.Error(), "block 3:") || bc != nil {
+			t.Errorf("%s returned a chain %v, err %v; want none and ErrReplayMismatch at block 3", how, bc != nil, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed %s (err %v)", how, logName, err)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("directory holds %d entries after the refusals (err %v), want only %s", len(entries), err, logName)
 	}
 }
 

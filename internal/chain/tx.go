@@ -16,12 +16,14 @@ type Wei int64
 // WeiPerToken is the fixed-point scale of the currency.
 const WeiPerToken = 1_000_000
 
-// ToWei converts a float token amount to wei (round-to-nearest).
+// ToWei converts a float token amount to wei, rounding half away from
+// zero, so ToWei(−t) = −ToWei(t). The conversion keeps the product rounded
+// on its own: no architecture fuses it with the half into a multiply-add.
 func ToWei(tokens float64) Wei {
 	if tokens >= 0 {
-		return Wei(tokens*WeiPerToken + 0.5)
+		return Wei(float64(tokens*WeiPerToken) + 0.5)
 	}
-	return Wei(tokens*WeiPerToken - 0.5)
+	return Wei(float64(tokens*WeiPerToken) - 0.5)
 }
 
 // FromWei converts wei to float tokens.

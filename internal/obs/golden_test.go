@@ -81,7 +81,6 @@ func TestGoldenMetricNames(t *testing.T) {
 	for _, name := range []string{
 		"tradefl_fl_rounds_total",
 		"tradefl_chain_tx_submitted_total",
-		"tradefl_chain_budget_residual_wei",
 		"tradefl_pool_fanouts_total",
 	} {
 		if _, ok := obs.Find(snap, name); !ok {

@@ -146,6 +146,21 @@ func TestMutationSettlementImbalance(t *testing.T) {
 	}
 	assertFired(t, a, "settlement-balance")
 	assertFired(t, a, "settlement-mismatch")
+
+	// The rule the contract gave up rounded each R_i to wei and charged
+	// the residual to member 0. At x = [3e-7, 3e-7, 0] its rows are
+	// [+0.3, +0.3, −0.6] wei → [0, 0, −1], and member 0 was credited the
+	// −1 residual: [1, 0, −1]. Those payoffs balance, but every pairwise
+	// transfer here is under half a wei, so the settlement is [0, 0, 0].
+	contribs = []chain.Contribution{{D: 3e-7}, {D: 3e-7}, {D: 0}}
+	a.Reset()
+	if !a.CheckSettlement(params, contribs, []chain.Wei{0, 0, 0}, "pairwise") {
+		t.Fatalf("pairwise settlement flagged:\n%s", a.Summary())
+	}
+	if a.CheckSettlement(params, contribs, []chain.Wei{1, 0, -1}, "row-rounded") {
+		t.Fatal("row-rounded settlement with its residual charge not detected")
+	}
+	assertFired(t, a, "settlement-mismatch")
 }
 
 func TestMutationEvaluatorDesync(t *testing.T) {

@@ -254,11 +254,11 @@ func (a *Auditor) CheckNash(cfg *game.Config, p game.Profile, tol float64, sourc
 }
 
 // CheckSettlement cross-checks one on-chain payoffCalculate outcome
-// against an independent float recomputation of Eq. (9). The wei payoffs
-// must sum to exactly zero (Definition 5 is wei-exact on chain), the float
-// transfer matrix must be bit-antisymmetric, and every member's payoff
-// must equal the rounded recomputation — member 0 additionally absorbing
-// the signed rounding residual. Returns true when clean.
+// against an independent recomputation of Eq. (9). The wei payoffs must sum
+// to exactly zero (Definition 5 is wei-exact on chain), the float transfer
+// matrix must be bit-antisymmetric, and every member's payoff must equal
+// the sum of its pairwise transfers, each rounded to wei once and credited
+// to one side as it is debited from the other. Returns true when clean.
 func (a *Auditor) CheckSettlement(params chain.ContractParams, contribs []chain.Contribution, payoffs []chain.Wei, source string) bool {
 	a.begin()
 	ok := true
@@ -282,17 +282,19 @@ func (a *Auditor) CheckSettlement(params chain.ContractParams, contribs []chain.
 		})
 		ok = false
 	}
-	// Mirror payoffCalculate's expression order exactly so a clean contract
-	// reproduces to the bit.
+	// Mirror payoffCalculate's expressions exactly so a clean contract
+	// reproduces to the bit; the conversions keep every product rounded on
+	// its own, as the contract's do.
 	xs := make([]float64, n)
 	for i := range xs {
-		xs[i] = contribs[i].D*params.DataBits[i] + params.Lambda*contribs[i].F
+		xs[i] = float64(contribs[i].D*params.DataBits[i]) + float64(params.Lambda*contribs[i].F)
 	}
+	expect := make([]chain.Wei, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			tij := params.Gamma * params.Rho[i][j] * (xs[i] - xs[j])
-			tji := params.Gamma * params.Rho[j][i] * (xs[j] - xs[i])
-			if params.Rho[i][j] == params.Rho[j][i] && tij != -tji {
+			tij := float64(params.Gamma * params.Rho[i][j] * (xs[i] - xs[j]))
+			tji := float64(params.Gamma * params.Rho[j][i] * (xs[j] - xs[i]))
+			if tij != -tji {
 				a.violate(Violation{
 					Check: "settlement-antisymmetry", Source: source,
 					Detail: fmt.Sprintf("t_%d%d = %.17g but t_%d%d = %.17g", i, j, tij, j, i, tji),
@@ -300,24 +302,16 @@ func (a *Auditor) CheckSettlement(params chain.ContractParams, contribs []chain.
 				})
 				ok = false
 			}
+			w := chain.ToWei(tij)
+			expect[i] += w
+			expect[j] -= w
 		}
 	}
-	expect := make([]chain.Wei, n)
-	var residual chain.Wei
-	for i := 0; i < n; i++ {
-		var r float64
-		for j := 0; j < n; j++ {
-			r += params.Gamma * params.Rho[i][j] * (xs[i] - xs[j])
-		}
-		expect[i] = chain.ToWei(r)
-		residual += expect[i]
-	}
-	expect[0] -= residual
 	for i, w := range payoffs {
 		if w != expect[i] {
 			a.violate(Violation{
 				Check: "settlement-mismatch", Source: source,
-				Detail: fmt.Sprintf("member %d payoff %d wei, independent recomputation says %d wei (residual %d)", i, w, expect[i], residual),
+				Detail: fmt.Sprintf("member %d payoff %d wei, independent recomputation says %d wei", i, w, expect[i]),
 				Delta:  math.Abs(float64(w - expect[i])),
 			})
 			ok = false

@@ -18,7 +18,6 @@ import (
 // checks the series the docs name against it.
 var metricReaders = map[string]string{
 	"tradefl_chain_blocks_sealed_total":        "bench",
-	"tradefl_chain_budget_residual_wei":        "test:TestResidualNegativeCreditsFirstMember",
 	"tradefl_chain_client_retries_total":       "test:TestRPCOversizedBodyClientNotRetried",
 	"tradefl_chain_client_submit_dedups_total": "test:TestSubmitTxRetrySafeUnderLostResponse",
 	"tradefl_chain_height":                     "is the chain still sealing, and how far has it got?",

@@ -18,6 +18,21 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+echo "==> fused-multiply-add census (settlement arithmetic cross-compiled for arm64)"
+# Go may fuse x*y + z into one multiply-add on arm64, never on amd64, so a
+# fused payoff expression lets an arm64 standby seal another state root. An
+# explicit float64(...) conversion blocks the fusion. This cross-compiles
+# the chain node and fails on any fused instruction in the contract's
+# package or in the auditor's settlement check (4 s on a warm build
+# cache, 28 s cold).
+FMA_DIR="$(mktemp -d)"
+GOARCH=arm64 go build -o "$FMA_DIR/tradefl-chain" ./cmd/tradefl-chain
+fused="$(go tool objdump "$FMA_DIR/tradefl-chain" | awk '
+  /^TEXT / { sym = $2 }
+  /FMADDD|FMSUBD|FNMADDD|FNMSUBD/ && (sym ~ /^tradefl\/internal\/chain\./ || sym ~ /^tradefl\/internal\/verify\.\(\*Auditor\)\.CheckSettlement\(/) { print sym }')"
+rm -rf "$FMA_DIR"
+[ -z "$fused" ] || { echo "fma census: fused multiply-adds in settlement code:"; echo "$fused" | sort | uniq -c; exit 1; }
+
 echo "==> engine-equivalence fast gate (evaluator and solvers vs from-scratch references under -race + 1-iteration bench smoke)"
 # The exactness contract of the one evaluation path: DeltaEvaluator vs
 # Config.Payoff (plus fuzz seed corpus), the DBR engine and Solve vs the
