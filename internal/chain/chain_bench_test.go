@@ -191,8 +191,7 @@ func BenchmarkChainEncode(b *testing.B) {
 
 // BenchmarkChainSettle is the settlement headline: one op settles a
 // 32-member game in a single sealed block on a WAL-backed chain (129 txs,
-// one SubmitTxBatch). scripts/benchcmp's chain-gate holds it to an absolute
-// settled-tx throughput floor. The first op's block is checked against the
+// one SubmitTxBatch). The first op's block is checked against the
 // reference executor.
 func BenchmarkChainSettle(b *testing.B) {
 	const members = 32

@@ -66,8 +66,8 @@ func benchChain(b testing.TB, withWAL bool, workers, perWorker int) (*Blockchain
 
 // BenchmarkChainSubmitTx compares the in-memory admission path against the
 // WAL-backed one under concurrent load, where group commit amortizes each
-// fsync over every tx waiting in the queue. scripts/benchcmp's wal-gate
-// holds the wal/mem ratio to the durability budget.
+// fsync over every tx waiting in the queue. That group commit batches is
+// counted, not timed, by TestWALGroupCommitOneFsyncPerBacklog.
 func BenchmarkChainSubmitTx(b *testing.B) {
 	const workers = 256
 	for _, tc := range []struct {

@@ -110,6 +110,69 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
+// TestWALGroupCommitOneFsyncPerBacklog counts what group commit is for: an
+// observer holds the syncer inside its first commit while K appends queue
+// up, and once released the syncer must acknowledge all K with one write
+// and one fsync. A syncer that commits one record per batch fails here
+// with K fsyncs, whatever the machine's speed.
+func TestWALGroupCommitOneFsyncPerBacklog(t *testing.T) {
+	const k = 32
+	w, path := newTestWAL(t)
+	held, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	var observed atomic.Int64
+	w.OnDurable(func(DurableEvent) {
+		observed.Add(1)
+		first.Do(func() {
+			close(held)
+			<-release
+		})
+	})
+	if err := w.Append(walRec{Kind: recTerm, Term: 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-held
+
+	var wg sync.WaitGroup
+	for i := uint64(0); i < k; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.Append(walRec{Kind: recTerm, Term: 2 + i}); err != nil {
+				t.Errorf("append %d: %v", i, err)
+			}
+		}()
+	}
+	for {
+		w.mu.Lock()
+		queued := len(w.queue)
+		w.mu.Unlock()
+		if queued == k {
+			break
+		}
+		runtime.Gosched()
+	}
+	fsyncs, batches, records := mWALFsyncs.Value(), mWALBatch.Count(), mWALBatch.Sum()
+	close(release)
+	wg.Wait()
+
+	if got := mWALFsyncs.Value() - fsyncs; got != 1 {
+		t.Errorf("%d queued appends took %d fsyncs, want 1", k, got)
+	}
+	if got, sum := mWALBatch.Count()-batches, mWALBatch.Sum()-records; got != 1 || sum != k {
+		t.Errorf("%d queued appends committed as %d batches of %v records in all, want 1 batch of %d", k, got, sum, k)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := observed.Load(); got != k+1 {
+		t.Errorf("observer saw %d durable records, want %d", got, k+1)
+	}
+	if got := len(scanLog(t, path)); got != k+1 {
+		t.Errorf("log holds %d records, want %d", got, k+1)
+	}
+}
+
 func TestWALAbortFailsPendingAndFutureAppends(t *testing.T) {
 	w, path := newTestWAL(t)
 	if err := w.Append(walRec{Kind: recTerm, Term: 1}); err != nil {

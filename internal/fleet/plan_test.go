@@ -87,7 +87,7 @@ func TestDecidePersonalizedGoesToDBR(t *testing.T) {
 }
 
 // TestPlannerRegret: on the mixed corpus, auto planning is never slower
-// than the best fixed plan by more than the 20% the fleet gate allows
+// than the best fixed plan by more than the 20% scripts/abgate allows
 // (DESIGN.md §12), plus an absolute slack so scheduler noise on loaded CI
 // machines cannot flake it.
 func TestPlannerRegret(t *testing.T) {

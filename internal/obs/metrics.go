@@ -9,7 +9,7 @@
 // Hot-path cost model: every metric update is one or two atomic operations
 // on a pre-resolved pointer — no map lookups, no locks, no allocation —
 // so solver inner loops can record without measurably perturbing the
-// benchmarks guarded by scripts/bench-compare.sh. A span nobody records is
+// benchmarks scripts/bench-compare.sh compares. A span nobody records is
 // a nil pointer: with tracing off, Span allocates nothing and End is a nil
 // check.
 package obs

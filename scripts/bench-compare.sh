@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Compares BENCH_latest.json against the checked-in BENCH_baseline.json and
 # fails (exit 1, loudly) if any shared benchmark slowed down by more than
-# BENCH_MAX_REGRESSION_PCT percent (default 10).
+# BENCH_MAX_REGRESSION_PCT percent (default 5).
 #
 # Run scripts/bench.sh first to refresh BENCH_latest.json. If no baseline
 # exists yet the comparison is skipped (promote one with
@@ -9,7 +9,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH_MAX_REGRESSION_PCT="${BENCH_MAX_REGRESSION_PCT:-10}"
+BENCH_MAX_REGRESSION_PCT="${BENCH_MAX_REGRESSION_PCT:-5}"
 
 if [[ ! -f BENCH_baseline.json ]]; then
     echo "no BENCH_baseline.json — skipping comparison (run scripts/bench.sh --promote to create one)" >&2

@@ -5,8 +5,6 @@
 //
 //	benchcmp parse bench.txt > BENCH_latest.json
 //	benchcmp compare [-max-regression 5] BENCH_baseline.json BENCH_latest.json
-//	benchcmp fleet-gate [-min-speedup 3 -max-regret 20 -min-solves-per-sec 1000] BENCH_latest.json
-//	benchcmp chain-gate [-min-tx-per-sec 1000 -txs-per-op 129] BENCH_latest.json
 //
 // parse keeps the minimum ns/op across repeated runs of the same
 // benchmark (-count > 1), which is the least noise-sensitive statistic on
@@ -15,18 +13,6 @@
 // benchmarks present in only one profile are reported but never fail the
 // comparison, so adding or retiring benchmarks does not require lockstep
 // baseline updates.
-//
-// fleet-gate checks the BenchmarkFleetSolve absolute contract within one
-// profile rather than against a baseline: the planned batch must beat the
-// naive sequential loop by min-speedup, sustain min-solves-per-sec, and
-// plan=auto must stay within max-regret percent of the best fixed plan.
-// Ratios within a single profile cancel most machine-load noise, so this
-// gate is meaningful even on hardware where absolute ns/op are not.
-//
-// chain-gate holds BenchmarkChainSettle to an absolute floor: it must
-// sustain min-tx-per-sec of settled transaction throughput (txs-per-op
-// transactions per benchmark op). There is no ratio here — the chain has one
-// settlement path, so there is nothing honest to divide by.
 package main
 
 import (
@@ -69,30 +55,6 @@ func run(args []string) error {
 			return fmt.Errorf("usage: benchcmp compare [-max-regression pct] <baseline.json> <latest.json>")
 		}
 		return compare(fs.Arg(0), fs.Arg(1), *maxPct)
-	case "fleet-gate":
-		fs := flag.NewFlagSet("fleet-gate", flag.ContinueOnError)
-		minSpeedup := fs.Float64("min-speedup", 3, "minimum planned-batch speedup over the naive sequential loop")
-		maxRegret := fs.Float64("max-regret", 20, "maximum tolerated plan=auto slowdown vs the best fixed plan, percent")
-		minRate := fs.Float64("min-solves-per-sec", 1000, "minimum sustained plan=auto solve throughput")
-		instances := fs.Float64("instances", 1024, "batch size of BenchmarkFleetSolve (for the throughput floor)")
-		if err := fs.Parse(args[1:]); err != nil {
-			return err
-		}
-		if fs.NArg() != 1 {
-			return fmt.Errorf("usage: benchcmp fleet-gate [-min-speedup x -max-regret pct -min-solves-per-sec r] <latest.json>")
-		}
-		return fleetGate(fs.Arg(0), *minSpeedup, *maxRegret, *minRate, *instances)
-	case "chain-gate":
-		fs := flag.NewFlagSet("chain-gate", flag.ContinueOnError)
-		minRate := fs.Float64("min-tx-per-sec", 1000, "minimum sustained settled-tx throughput")
-		txsPerOp := fs.Float64("txs-per-op", 129, "transactions settled per BenchmarkChainSettle op (for the throughput floor)")
-		if err := fs.Parse(args[1:]); err != nil {
-			return err
-		}
-		if fs.NArg() != 1 {
-			return fmt.Errorf("usage: benchcmp chain-gate [-min-tx-per-sec r -txs-per-op n] <latest.json>")
-		}
-		return chainGate(fs.Arg(0), *minRate, *txsPerOp)
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
@@ -203,81 +165,6 @@ func compare(basePath, latestPath string, maxPct float64) error {
 		return fmt.Errorf("%d benchmark(s) regressed more than %.1f%%", failed, maxPct)
 	}
 	fmt.Printf("all %d shared benchmarks within %.1f%% of baseline\n", len(names)-len(missingFrom(base, latest)), maxPct)
-	return nil
-}
-
-// fleetGate enforces the BenchmarkFleetSolve throughput contract on a
-// single parsed profile. All three checks are evaluated before failing so
-// one run reports every violated bound.
-func fleetGate(path string, minSpeedup, maxRegretPct, minRate, instances float64) error {
-	prof, err := load(path)
-	if err != nil {
-		return err
-	}
-	const prefix = "BenchmarkFleetSolve/"
-	naive, okNaive := prof[prefix+"naive-sequential"]
-	auto, okAuto := prof[prefix+"plan=auto"]
-	if !okNaive || !okAuto {
-		return fmt.Errorf("%s: missing %snaive-sequential or %splan=auto (rerun scripts/bench.sh)", path, prefix, prefix)
-	}
-	bestFixed, bestName := 0.0, ""
-	for name, ns := range prof {
-		if len(name) <= len(prefix) || name[:len(prefix)] != prefix {
-			continue
-		}
-		sub := name[len(prefix):]
-		if len(sub) < 6 || sub[:5] != "plan=" || sub == "plan=auto" {
-			continue
-		}
-		if bestName == "" || ns < bestFixed {
-			bestFixed, bestName = ns, name
-		}
-	}
-	if bestName == "" {
-		return fmt.Errorf("%s: no fixed-plan BenchmarkFleetSolve entries (rerun scripts/bench.sh)", path)
-	}
-
-	var fails []string
-	speedup := naive / auto
-	fmt.Printf("fleet-gate: speedup   %.2fx over naive-sequential (floor %.2fx)\n", speedup, minSpeedup)
-	if speedup < minSpeedup {
-		fails = append(fails, fmt.Sprintf("speedup %.2fx < %.2fx", speedup, minSpeedup))
-	}
-	rate := instances / (auto * 1e-9)
-	fmt.Printf("fleet-gate: throughput %.0f solves/sec at plan=auto (floor %.0f)\n", rate, minRate)
-	if rate < minRate {
-		fails = append(fails, fmt.Sprintf("throughput %.0f solves/sec < %.0f", rate, minRate))
-	}
-	regret := (auto - bestFixed) / bestFixed * 100
-	fmt.Printf("fleet-gate: regret    %+.1f%% vs best fixed plan %s (cap %.1f%%)\n", regret, bestName, maxRegretPct)
-	if regret > maxRegretPct {
-		fails = append(fails, fmt.Sprintf("auto regret %+.1f%% > %.1f%% vs %s", regret, maxRegretPct, bestName))
-	}
-	if len(fails) > 0 {
-		return fmt.Errorf("fleet gate failed: %v", fails)
-	}
-	fmt.Println("fleet-gate: OK")
-	return nil
-}
-
-// chainGate enforces the BenchmarkChainSettle settled-tx throughput floor
-// on a single parsed profile.
-func chainGate(path string, minRate, txsPerOp float64) error {
-	prof, err := load(path)
-	if err != nil {
-		return err
-	}
-	const row = "BenchmarkChainSettle"
-	ns, ok := prof[row]
-	if !ok {
-		return fmt.Errorf("%s: missing %s (rerun scripts/bench.sh)", path, row)
-	}
-	rate := txsPerOp / (ns * 1e-9)
-	fmt.Printf("chain-gate: throughput %.0f tx/sec (floor %.0f)\n", rate, minRate)
-	if rate < minRate {
-		return fmt.Errorf("chain gate failed: throughput %.0f tx/sec < %.0f", rate, minRate)
-	}
-	fmt.Println("chain-gate: OK")
 	return nil
 }
 
