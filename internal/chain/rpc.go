@@ -250,7 +250,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Trace != nil {
-		sp := obs.SpanRemote("chain.rpc.serve", *req.Trace)
+		_, sp := obs.SpanRemote(context.Background(), "chain.rpc.serve", req.Trace)
 		defer sp.End()
 	}
 	result, err := s.dispatch(&req)
@@ -454,10 +454,12 @@ func (c *Client) CallCtx(ctx context.Context, method string, params, out any) er
 	// contexts and must not flood the trace store with root spans — the
 	// number of polls is timing-dependent, and seeded-soak trace topologies
 	// are required to be bit-identical across runs.
+	var trace *obs.TraceContext
 	if _, traced := obs.TraceFromContext(ctx); traced {
-		var sp *obs.ActiveSpan
-		ctx, sp = obs.Span(ctx, "chain.rpc.call")
+		_, sp := obs.Span(ctx, "chain.rpc.call")
 		defer sp.End()
+		tc, _ := sp.TraceContext()
+		trace = &tc
 	}
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
@@ -472,7 +474,7 @@ func (c *Client) CallCtx(ctx context.Context, method string, params, out any) er
 				return ctx.Err()
 			}
 		}
-		err := c.doOnce(ctx, method, params, out)
+		err := c.doOnce(ctx, method, trace, params, out)
 		if err == nil {
 			return nil
 		}
@@ -502,8 +504,8 @@ func (c *Client) backoff(attempt int) time.Duration {
 }
 
 // doOnce performs a single request/response cycle.
-func (c *Client) doOnce(ctx context.Context, method string, params, out any) error {
-	reqBody, err := encodeRequest(c.id.Add(1), method, obs.InjectTrace(ctx), params)
+func (c *Client) doOnce(ctx context.Context, method string, trace *obs.TraceContext, params, out any) error {
+	reqBody, err := encodeRequest(c.id.Add(1), method, trace, params)
 	if err != nil {
 		return fmt.Errorf("chain rpc: marshal params: %w", err)
 	}

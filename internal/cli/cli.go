@@ -88,12 +88,9 @@ func (c Command) Exec(args []string) (err error) {
 
 // writeTraces writes the retained traces to path as Chrome trace JSON.
 func writeTraces(path string) error {
-	out, err := os.Create(path)
+	raw, err := obs.ChromeTraceJSON()
 	if err == nil {
-		err = obs.WriteChromeTrace(out)
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
+		err = os.WriteFile(path, raw, 0o666)
 	}
 	if err != nil {
 		return fmt.Errorf("obs: trace out: %w", err)

@@ -176,9 +176,7 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 	}
 
 	mRuns.Inc()
-	solveStart := time.Now()
-	_, root := obs.Span(ctx, "dbr.solve")
-	defer mSolveSec.ObserveSince(solveStart)
+	_, root := obs.SpanTimed(ctx, "dbr.solve", mSolveSec)
 	defer root.End()
 
 	// One pooled engine is bound to the profile once and kept consistent

@@ -114,9 +114,11 @@ func (n *Node) Start(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	return n.tr.Send(n.tr.Name(), transport.Message{
-		Type: MsgToken, Trace: obs.InjectTrace(ctx), Payload: payload,
-	})
+	msg := transport.Message{Type: MsgToken, Payload: payload}
+	if tc, ok := obs.TraceFromContext(ctx); ok {
+		msg.Trace = &tc
+	}
+	return n.tr.Send(n.tr.Name(), msg)
 }
 
 // startHop opens the span covering one token visit: a continuation of the
@@ -124,12 +126,7 @@ func (n *Node) Start(ctx context.Context) error {
 // session span. Called only after Seq dedup — a duplicated or replayed
 // frame never opens (and so never double-closes) a hop span.
 func (n *Node) startHop(ctx context.Context, remote *obs.TraceContext) *obs.ActiveSpan {
-	var hop *obs.ActiveSpan
-	if remote != nil {
-		hop = obs.SpanRemote("ring.hop", *remote)
-	} else {
-		_, hop = obs.Span(ctx, "ring.hop")
-	}
+	_, hop := obs.SpanRemote(ctx, "ring.hop", remote)
 	if tc, ok := hop.TraceContext(); ok {
 		n.outTrace = &tc
 	} else {

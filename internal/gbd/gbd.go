@@ -204,9 +204,7 @@ func SolveCtx(ctx context.Context, cfg *game.Config, opts Options) (*Result, err
 func (s *solver) run(ctx context.Context) (*Result, error) {
 	cfg, opts := s.cfg, s.opts
 	mRuns.Inc()
-	solveStart := time.Now()
-	_, root := obs.Span(ctx, "gbd.solve")
-	defer mSolveSec.ObserveSince(solveStart)
+	_, root := obs.SpanTimed(ctx, "gbd.solve", mSolveSec)
 	defer root.End()
 	n := cfg.N()
 

@@ -127,15 +127,7 @@ const (
 )
 
 func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	case kindHistogram:
-		return "histogram"
-	}
-	return "unknown"
+	return [...]string{kindCounter: "counter", kindGauge: "gauge", kindHistogram: "histogram"}[k]
 }
 
 // LabelPair is one constant metric label (validated at registration,

@@ -95,9 +95,25 @@ func TestSpanAllocs(t *testing.T) {
 	}
 }
 
+// TestRecordedSpanAllocs pins a recorded child span at one allocation:
+// the span itself, its node embedded and its IDs kept as integers (the
+// children slice's amortized growth rounds away over the runs).
+func TestRecordedSpanAllocs(t *testing.T) {
+	withTracing(t, 3)
+	ctx, root := Span(context.Background(), "test.allocs.root")
+	defer root.End()
+	if a := testing.AllocsPerRun(100, func() {
+		_, s := Span(ctx, "test.allocs.child")
+		s.End()
+	}); a != 1 {
+		t.Errorf("recorded child Span+End allocates %.0f objects, want 1", a)
+	}
+}
+
 // TestUnrecordedSpanIsFree pins the tracing-off path: no span is recorded,
 // so Span hands back the caller's context and a nil span, nothing is
-// allocated or counted, and every method is safe on the nil span.
+// allocated or counted, and every method is safe on the nil span. A
+// SpanTimed region still observes its histogram, also without allocating.
 func TestUnrecordedSpanIsFree(t *testing.T) {
 	EnableTracing(false)
 	ctx := context.Background()
@@ -106,8 +122,9 @@ func TestUnrecordedSpanIsFree(t *testing.T) {
 	if sctx != ctx || s != nil {
 		t.Fatalf("Span with tracing off = (%v, %v), want the caller's ctx and nil", sctx, s)
 	}
-	if r := SpanRemote("test.quiet.remote", TraceContext{TraceID: strings.Repeat("a", 32), SpanID: "00000000000000aa"}); r != nil {
-		t.Fatalf("SpanRemote with tracing off = %v, want nil", r)
+	remote := &TraceContext{TraceID: strings.Repeat("a", 32), SpanID: "00000000000000aa"}
+	if rctx, r := SpanRemote(ctx, "test.quiet.remote", remote); rctx != ctx || r != nil {
+		t.Fatalf("SpanRemote with tracing off = (%v, %v), want the caller's ctx and nil", rctx, r)
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		_, s := Span(ctx, "test.quiet")
@@ -116,20 +133,80 @@ func TestUnrecordedSpanIsFree(t *testing.T) {
 		t.Errorf("unrecorded Span+End allocates %.0f objects, want 0", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		SpanRemote("test.quiet.remote", TraceContext{}).End()
+		_, s := SpanRemote(ctx, "test.quiet.remote", remote)
+		s.End()
 	}); a != 0 {
 		t.Errorf("unrecorded SpanRemote+End allocates %.0f objects, want 0", a)
+	}
+	h := NewRegistry().Histogram("test_quiet_seconds", "", TimeBuckets)
+	if a := testing.AllocsPerRun(100, func() {
+		_, r := SpanTimed(ctx, "test.quiet.timed", h)
+		r.End()
+	}); a != 0 {
+		t.Errorf("unrecorded SpanTimed+End allocates %.0f objects, want 0", a)
+	}
+	if h.Count() != 101 {
+		t.Errorf("unrecorded SpanTimed observed %d times in 101 runs", h.Count())
 	}
 	var nilSpan *ActiveSpan
 	nilSpan.End()
 	if _, ok := nilSpan.TraceContext(); ok {
 		t.Error("nil span reports a trace context")
 	}
-	if got := ContextWithSpan(ctx, nilSpan); got != ctx {
-		t.Error("ContextWithSpan(ctx, nil) did not return ctx")
-	}
 	if started, ended, dbl := SpanStats(); started != started0 || ended != ended0 || dbl != dbl0 {
 		t.Errorf("SpanStats moved: started %d→%d ended %d→%d double %d→%d",
 			started0, started, ended0, ended, dbl0, dbl)
 	}
+}
+
+// TestSpanTimedRecorded: a recorded SpanTimed region is one child span
+// whose duration is the one its histogram observed.
+func TestSpanTimedRecorded(t *testing.T) {
+	withTracing(t, 5)
+	h := NewRegistry().Histogram("test_timed_seconds", "", TimeBuckets)
+	ctx, root := Span(context.Background(), "test.timed")
+	tctx, r := SpanTimed(ctx, "test.timed.region", h)
+	if _, ok := TraceFromContext(tctx); !ok {
+		t.Fatal("SpanTimed's context carries no span")
+	}
+	time.Sleep(time.Millisecond)
+	r.End()
+	root.End()
+	n := LastRunSpan("test.timed")
+	if len(n.Children) != 1 {
+		t.Fatalf("root has %d children, want 1", len(n.Children))
+	}
+	if c := n.Children[0]; h.Count() != 1 || time.Duration(c.DurationNanos).Seconds() != h.Sum() {
+		t.Errorf("span lasted %dns, histogram observed %d values summing %gs", c.DurationNanos, h.Count(), h.Sum())
+	}
+}
+
+// BenchmarkSpan prices one Span+End: recorded as a child of a recorded
+// root (a solve under a traced batch), and unrecorded (tracing off).
+func BenchmarkSpan(b *testing.B) {
+	b.Run("recorded-child", func(b *testing.B) {
+		EnableTracing(true)
+		defer EnableTracing(false)
+		defer ResetTraces()
+		ctx, root := Span(context.Background(), "bench.root")
+		defer root.End()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, s := Span(ctx, "bench.child")
+			s.End()
+			if i%1024 == 1023 { // bound the root's children; keep its backing array
+				clear(root.node.Children)
+				root.node.Children = root.node.Children[:0]
+			}
+		}
+	})
+	b.Run("unrecorded", func(b *testing.B) {
+		EnableTracing(false)
+		ctx := context.Background()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, s := Span(ctx, "bench.child")
+			s.End()
+		}
+	})
 }

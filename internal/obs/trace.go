@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,17 +46,12 @@ func EnableTracing(on bool) { tracingEnabled.Store(on) }
 // TracingEnabled reports whether new root spans are recorded.
 func TracingEnabled() bool { return tracingEnabled.Load() }
 
-// idGen is the process-wide trace-ID derivation state.
-type idGen struct {
+// ids is the process-wide trace-ID derivation state.
+var ids = struct {
 	mu   sync.Mutex
 	base uint64            // seed (seeded) or wall-clock base (unseeded)
 	occ  map[string]uint64 // per-root-name occurrence counter
-}
-
-var ids = &idGen{
-	base: uint64(time.Now().UnixNano()),
-	occ:  make(map[string]uint64),
-}
+}{base: uint64(time.Now().UnixNano()), occ: make(map[string]uint64)}
 
 // SeedIDs rebases trace-ID derivation on seed and resets the per-name
 // occurrence counters, making subsequent root IDs a pure function of
@@ -94,8 +88,8 @@ func fnv64(s string) uint64 {
 }
 
 // putHex writes x as 16 lowercase hex digits into b[:16]. Hand-rolled
-// rather than fmt.Sprintf("%016x", x): it runs once per span ID, and
-// Sprintf costs a format-parse plus an interface allocation per call.
+// rather than fmt.Sprintf("%016x", x): Sprintf costs a format-parse plus
+// an interface allocation per call.
 func putHex(b []byte, x uint64) {
 	const digits = "0123456789abcdef"
 	for i := 15; i >= 0; i-- {
@@ -104,25 +98,30 @@ func putHex(b []byte, x uint64) {
 	}
 }
 
-// hex64 renders x as 16 lowercase hex digits.
+// hex64 renders a span ID as 16 lowercase hex digits.
 func hex64(x uint64) string {
 	var b [16]byte
 	putHex(b[:], x)
 	return string(b[:])
 }
 
+// hex128 renders a trace ID as 32 lowercase hex digits.
+func hex128(id [2]uint64) string {
+	var b [32]byte
+	putHex(b[:16], id[0])
+	putHex(b[16:], id[1])
+	return string(b[:])
+}
+
 // newRootIDs derives the trace/span ID bits for a new root span.
-func newRootIDs(name string) (traceID string, spanBits uint64) {
+func newRootIDs(name string) (traceID [2]uint64, spanID uint64) {
 	ids.mu.Lock()
 	base := ids.base
 	n := ids.occ[name] + 1
 	ids.occ[name] = n
 	ids.mu.Unlock()
 	t := mix(base ^ fnv64(name) ^ n*golden)
-	var b [32]byte
-	putHex(b[:16], t)
-	putHex(b[16:], mix(t^0x7261646566746c31)) // "radeftl1"
-	return string(b[:]), mix(t ^ 0x726f6f74)  // "root"
+	return [2]uint64{t, mix(t ^ 0x7261646566746c31)}, mix(t ^ 0x726f6f74) // "radeftl1", "root"
 }
 
 // childBits derives a child span ID from its parent's span ID, its name
@@ -175,71 +174,72 @@ func TraceFromContext(ctx context.Context) (TraceContext, bool) {
 	return s.TraceContext()
 }
 
-// InjectTrace is TraceFromContext for wire envelopes: it returns a
-// pointer suitable for an `omitempty` JSON field, nil when there is
-// nothing to propagate.
-func InjectTrace(ctx context.Context) *TraceContext {
-	tc, ok := TraceFromContext(ctx)
-	if !ok {
-		return nil
-	}
-	return &tc
-}
-
 // TraceContext returns the span's propagation payload (false on a nil,
 // i.e. unrecorded, span).
 func (s *ActiveSpan) TraceContext() (TraceContext, bool) {
 	if s == nil {
 		return TraceContext{}, false
 	}
-	return TraceContext{TraceID: s.node.TraceID, SpanID: s.node.SpanID}, true
+	return TraceContext{TraceID: hex128(s.node.TraceID), SpanID: hex64(s.node.SpanID)}, true
 }
 
-// SpanRemote starts a local root span that continues a trace begun in
-// another process (or another node of the ring): it keeps the remote trace
-// ID and records the remote span as its parent. The span publishes to the
-// trace store on End like any root. A malformed context falls back to a
-// fresh root trace — a corrupt frame must never corrupt local tracing.
-// With tracing off it records nothing and returns nil.
-func SpanRemote(name string, tc TraceContext) *ActiveSpan {
+// parse returns tc's ID bits. It accepts only what TraceContext renders —
+// exactly 32 + 16 lowercase hex digits, which rendering the parsed bits
+// back checks — with neither ID all zero (the W3C invalid value).
+func (tc *TraceContext) parse() (traceID [2]uint64, spanID uint64, ok bool) {
+	if len(tc.TraceID) != 32 {
+		return traceID, 0, false
+	}
+	traceID[0], _ = strconv.ParseUint(tc.TraceID[:16], 16, 64)
+	traceID[1], _ = strconv.ParseUint(tc.TraceID[16:], 16, 64)
+	spanID, _ = strconv.ParseUint(tc.SpanID, 16, 64)
+	ok = traceID != [2]uint64{} && spanID != 0 && hex128(traceID) == tc.TraceID && hex64(spanID) == tc.SpanID
+	return traceID, spanID, ok
+}
+
+// SpanRemote starts a span that continues a trace begun in another
+// process (or another node of the ring): a local root that keeps the
+// remote trace ID and records the remote span as its parent. Like Span,
+// the returned context is the span, so further spans in it nest under the
+// continuation, and the span publishes to the trace store on End. A nil tc
+// makes it Span. A malformed context falls back to a fresh root trace — a
+// corrupt frame must never corrupt local tracing. With tracing off it
+// records nothing and returns ctx and a nil span.
+func SpanRemote(ctx context.Context, name string, tc *TraceContext) (context.Context, *ActiveSpan) {
+	if tc == nil {
+		return Span(ctx, name)
+	}
 	if !tracingEnabled.Load() {
-		return nil
+		return ctx, nil
 	}
-	s := startSpan(context.Background(), name)
+	s := startSpan(ctx, name, time.Since(epoch))
+	traceID, parentID, ok := tc.parse()
+	if !ok {
+		return s, s.adopt(nil)
+	}
 	s.root = true
-	parentBits, err := strconv.ParseUint(tc.SpanID, 16, 64)
-	if err != nil || len(tc.TraceID) != 32 {
-		s.node.TraceID, s.spanBits = newRootIDs(name)
-	} else {
-		s.node.TraceID = tc.TraceID
-		s.node.ParentSpanID = tc.SpanID
-		s.spanBits = childBits(parentBits, name, 0)
-	}
-	s.node.SpanID = hex64(s.spanBits)
-	return s
+	s.node.TraceID, s.node.ParentSpanID, s.node.SpanID = traceID, parentID, childBits(parentID, name, 0)
+	return s, s
 }
 
-// traceStore retains the most recent completed root spans (full trees)
-// for /tracez and -trace-out export.
+// traceStore retains the most recent completed root spans (full trees),
+// oldest first, for /tracez and -trace-out export.
 type traceStore struct {
 	mu    sync.Mutex
-	roots []*SpanNode // ring, oldest first once full
-	next  int
-	full  bool
+	roots []*SpanNode
 }
 
 const traceStoreCap = 256
 
-var defaultTraces = &traceStore{roots: make([]*SpanNode, traceStoreCap)}
+var defaultTraces = &traceStore{}
 
 func (t *traceStore) add(n *SpanNode) {
 	t.mu.Lock()
-	t.roots[t.next] = n
-	t.next++
-	if t.next == len(t.roots) {
-		t.next = 0
-		t.full = true
+	if len(t.roots) == traceStoreCap {
+		copy(t.roots, t.roots[1:])
+		t.roots = t.roots[:traceStoreCap-1]
 	}
+	t.roots = append(t.roots, n)
 	t.mu.Unlock()
 }
 
@@ -247,21 +247,14 @@ func (t *traceStore) add(n *SpanNode) {
 func (t *traceStore) snapshot() []*SpanNode {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []*SpanNode
-	if t.full {
-		out = append(out, t.roots[t.next:]...)
-	}
-	out = append(out, t.roots[:t.next]...)
-	return out
+	return append([]*SpanNode(nil), t.roots...)
 }
 
 // ResetTraces drops all retained traces (test hook; also used between
 // repeated seeded runs so each run exports only its own topology).
 func ResetTraces() {
 	defaultTraces.mu.Lock()
-	defaultTraces.roots = make([]*SpanNode, traceStoreCap)
-	defaultTraces.next = 0
-	defaultTraces.full = false
+	defaultTraces.roots = nil
 	defaultTraces.mu.Unlock()
 }
 
@@ -272,7 +265,7 @@ func TraceTopology() []string {
 	roots := defaultTraces.snapshot()
 	out := make([]string, 0, len(roots))
 	for _, r := range roots {
-		out = append(out, r.Name+" "+r.TraceID)
+		out = append(out, r.Name+" "+hex128(r.TraceID))
 	}
 	sort.Strings(out)
 	return out
@@ -296,9 +289,9 @@ type chromeTrace struct {
 }
 
 func flattenChrome(n *SpanNode, traceID string, tid int, out []chromeEvent) []chromeEvent {
-	args := map[string]string{"trace": traceID, "span": n.SpanID}
-	if n.ParentSpanID != "" {
-		args["parent"] = n.ParentSpanID
+	args := map[string]string{"trace": traceID, "span": hex64(n.SpanID)}
+	if n.ParentSpanID != 0 {
+		args["parent"] = hex64(n.ParentSpanID)
 	}
 	out = append(out, chromeEvent{
 		Name: n.Name,
@@ -326,17 +319,7 @@ func ChromeTraceJSON() ([]byte, error) {
 	roots := defaultTraces.snapshot()
 	doc := chromeTrace{TraceEvents: []chromeEvent{}}
 	for i, r := range roots {
-		doc.TraceEvents = flattenChrome(r, r.TraceID, i+1, doc.TraceEvents)
+		doc.TraceEvents = flattenChrome(r, hex128(r.TraceID), i+1, doc.TraceEvents)
 	}
 	return json.MarshalIndent(doc, "", " ")
-}
-
-// WriteChromeTrace writes ChromeTraceJSON to w.
-func WriteChromeTrace(w io.Writer) error {
-	raw, err := ChromeTraceJSON()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(raw)
-	return err
 }

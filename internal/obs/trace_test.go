@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -73,9 +74,6 @@ func TestTraceIDsOnlyWhenEnabled(t *testing.T) {
 	if _, ok := TraceFromContext(ctx); ok {
 		t.Error("TraceFromContext reported a trace with tracing disabled")
 	}
-	if tc := InjectTrace(ctx); tc != nil {
-		t.Errorf("InjectTrace = %+v with tracing disabled, want nil", tc)
-	}
 	if _, ok := sp.TraceContext(); ok {
 		t.Error("span carries trace IDs with tracing disabled")
 	}
@@ -91,7 +89,10 @@ func TestSpanRemoteContinuesTrace(t *testing.T) {
 	if len(tc.TraceID) != 32 || len(tc.SpanID) != 16 {
 		t.Fatalf("unexpected ID widths: trace %q span %q", tc.TraceID, tc.SpanID)
 	}
-	remote := SpanRemote("ring.hop", tc)
+	rctx, remote := SpanRemote(context.Background(), "ring.hop", &tc)
+	if rctx != remote {
+		t.Error("SpanRemote's context does not carry the continuation")
+	}
 	rtc, ok := remote.TraceContext()
 	if !ok {
 		t.Fatal("remote span has no trace context")
@@ -118,17 +119,79 @@ func TestSpanRemoteContinuesTrace(t *testing.T) {
 	}
 }
 
+// TestSpanRemoteMalformedContextFallsBack feeds SpanRemote contexts that
+// are not exactly 32 + 16 lowercase hex digits, or carry an all-zero ID:
+// each must start a fresh root trace, never continue the sender's.
 func TestSpanRemoteMalformedContextFallsBack(t *testing.T) {
 	withTracing(t, 7)
-	sp := SpanRemote("ring.hop", TraceContext{TraceID: "not-a-trace", SpanID: "zz"})
-	tc, ok := sp.TraceContext()
-	if !ok {
-		t.Fatal("fallback span has no trace context")
+	valid := TraceContext{TraceID: strings.Repeat("ab", 16), SpanID: "00000000000000aa"}
+	for _, tc := range []TraceContext{
+		{TraceID: "not-a-trace", SpanID: "zz"},
+		{TraceID: strings.Repeat("z", 32), SpanID: "A"},
+		{TraceID: valid.TraceID, SpanID: "aa"},
+		{TraceID: valid.TraceID, SpanID: "00000000000000AA"},
+		{TraceID: valid.TraceID, SpanID: "+0000000000000aa"},
+		{TraceID: valid.TraceID, SpanID: "000000000000000aa"},
+		{TraceID: valid.TraceID, SpanID: "0000000000000000"},
+		{TraceID: strings.Repeat("AB", 16), SpanID: valid.SpanID},
+		{TraceID: strings.Repeat("ab", 15) + "a-", SpanID: valid.SpanID},
+		{TraceID: strings.Repeat("0", 32), SpanID: valid.SpanID},
+	} {
+		_, sp := SpanRemote(context.Background(), "ring.hop", &tc)
+		got, ok := sp.TraceContext()
+		sp.End()
+		if !ok {
+			t.Fatalf("%+v: fallback span has no trace context", tc)
+		}
+		if got.TraceID == tc.TraceID {
+			t.Errorf("%+v: malformed context was continued", tc)
+		}
+		if _, _, ok := (&got).parse(); !ok {
+			t.Errorf("%+v: fallback IDs %+v are not well formed", tc, got)
+		}
 	}
-	if len(tc.TraceID) != 32 {
-		t.Errorf("fallback trace ID %q is not 32 hex chars", tc.TraceID)
+	_, sp := SpanRemote(context.Background(), "ring.hop", &valid)
+	if got, _ := sp.TraceContext(); got.TraceID != valid.TraceID {
+		t.Errorf("well-formed context %+v was not continued: %+v", valid, got)
 	}
 	sp.End()
+}
+
+// TestSpanRemoteNilIsSpan: without a remote context SpanRemote is Span —
+// a child of the span ctx carries.
+func TestSpanRemoteNilIsSpan(t *testing.T) {
+	withTracing(t, 7)
+	ctx, root := Span(context.Background(), "test.remote-nil")
+	_, sp := SpanRemote(ctx, "test.remote-nil.child", nil)
+	sp.End()
+	root.End()
+	n := LastRunSpan("test.remote-nil")
+	if len(n.Children) != 1 || n.Children[0].ParentSpanID != n.SpanID {
+		t.Fatalf("SpanRemote(ctx, name, nil) did not start a child: %+v", n.Children)
+	}
+}
+
+// TestTraceStoreKeepsNewest: past its capacity the store drops its oldest
+// roots and keeps the rest in completion order.
+func TestTraceStoreKeepsNewest(t *testing.T) {
+	withTracing(t, 11)
+	for i := 0; i < traceStoreCap+3; i++ {
+		_, sp := Span(context.Background(), "store.run")
+		sp.End()
+	}
+	roots := defaultTraces.snapshot()
+	if len(roots) != traceStoreCap {
+		t.Fatalf("store holds %d roots, want %d", len(roots), traceStoreCap)
+	}
+	SeedIDs(11)
+	for i := 0; i < 3; i++ {
+		newRootIDs("store.run") // the three dropped roots
+	}
+	for i, r := range roots {
+		if want, _ := newRootIDs("store.run"); r.TraceID != want {
+			t.Fatalf("root %d has trace %x, want the %dth root's %x", i, r.TraceID, i+4, want)
+		}
+	}
 }
 
 func TestSpanDoubleCloseGuard(t *testing.T) {

@@ -209,9 +209,8 @@ func (s *Server) runLoop() {
 // runJob executes one job through the shared fleet engine, streaming
 // instance completions and convergence progress as events.
 func (s *Server) runJob(job *Job) {
-	start := time.Now()
 	defer func() {
-		mJobSec.ObserveSince(start)
+		mJobSec.ObserveSince(job.Created)
 		s.release(job.Tenant)
 		s.retain(job)
 	}()
@@ -227,13 +226,7 @@ func (s *Server) runJob(job *Job) {
 	// The job span joins the submitter's trace when the request carried
 	// one (X-Trace-Id/X-Span-Id), so one trace covers client → gateway →
 	// solver; otherwise it roots a fresh trace.
-	var span *obs.ActiveSpan
-	if remote != nil {
-		span = obs.SpanRemote("serve.job", *remote)
-		ctx = obs.ContextWithSpan(ctx, span)
-	} else {
-		ctx, span = obs.Span(ctx, "serve.job")
-	}
+	ctx, span := obs.SpanRemote(ctx, "serve.job", remote)
 	defer span.End()
 	traceID := ""
 	if tc, ok := span.TraceContext(); ok {
@@ -278,7 +271,7 @@ func (s *Server) runJob(job *Job) {
 		job.finish(StateDone, "")
 		mJobsDone.Inc()
 	}
-	log.Debug("job finished", "id", job.ID, "state", job.State(), "seconds", time.Since(start).Seconds())
+	log.Debug("job finished", "id", job.ID, "state", job.State(), "seconds", time.Since(job.Created).Seconds())
 }
 
 // syncSolve runs the bounded synchronous path: small instances solved

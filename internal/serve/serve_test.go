@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tradefl/internal/fleet"
 	"tradefl/internal/game"
 )
 
@@ -353,6 +354,32 @@ func TestGatewayCancelQueuedJob(t *testing.T) {
 	}
 	if st := job.Status(); st.Solved != 0 {
 		t.Errorf("cancelled job solved %d instances, want 0", st.Solved)
+	}
+}
+
+// TestJobSecondsCountQueueWait: tradefl_serve_job_seconds times a job
+// from admission to completion, so a job queued behind a busy runner
+// observes at least its queue wait, not only its run.
+func TestJobSecondsCountQueueWait(t *testing.T) {
+	s := testServer(t, Options{})
+	s.engines = make(map[fleet.Plan]*fleet.Engine)
+	job := testJob(t, s, "a", 1)
+	if aerr := s.admitJob(job); aerr != nil {
+		t.Fatalf("admit: %v", aerr)
+	}
+	count0, sum0 := mJobSec.Count(), mJobSec.Sum()
+	time.Sleep(20 * time.Millisecond) // the only runner is busy elsewhere
+	s.runJob(<-s.queue)
+	st := job.Status()
+	if st.State != StateDone || st.StartedAt == nil {
+		t.Fatalf("job state %s, started %v: want done", st.State, st.StartedAt)
+	}
+	wait := st.StartedAt.Sub(job.Created)
+	if wait < 20*time.Millisecond {
+		t.Fatalf("queue wait %v, want at least the runner's 20ms", wait)
+	}
+	if n, sum := mJobSec.Count()-count0, mJobSec.Sum()-sum0; n != 1 || sum < wait.Seconds() {
+		t.Errorf("tradefl_serve_job_seconds observed %d jobs summing %gs, want 1 job of at least its %v queue wait", n, sum, wait)
 	}
 }
 

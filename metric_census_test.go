@@ -196,6 +196,14 @@ func TestMetricCensus(t *testing.T) {
 	for name := range seen {
 		t.Errorf("%s is registered but not pinned", name)
 	}
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stated := regexp.MustCompile(`each\s+of\s+the\s+(\d+)\s+names`).FindSubmatch(design)
+	if stated == nil || string(stated[1]) != strconv.Itoa(len(metricReaders)) {
+		t.Errorf("DESIGN.md §8 does not state the census as each of the %d names", len(metricReaders))
+	}
 }
 
 // isMetricConstructor reports whether fun names one of obs's metric

@@ -31,6 +31,8 @@ go test -run '^$' -bench '^BenchmarkChainEncode$/^(tx|block32|ledger32)$/^append
 # The math/rand and encoding/json reference rows stay out of the profile.
 go test -run '^$' -bench '^BenchmarkSeedDraw80$/^randx$' -benchtime "$BENCH_TIME" -count "$BENCH_COUNT" ./internal/randx/ | tee -a benchmarks/latest.txt
 go test -run '^$' -bench '^BenchmarkJobDocuments$/^(status|result-event)$/^append$' -benchtime "$BENCH_TIME" -count "$BENCH_COUNT" ./internal/serve/ | tee -a benchmarks/latest.txt
+# One span: recorded as a child of a recorded root, and unrecorded.
+go test -run '^$' -bench '^BenchmarkSpan$' -benchtime "$BENCH_TIME" -count "$BENCH_COUNT" ./internal/obs/ | tee -a benchmarks/latest.txt
 go run ./scripts/benchcmp parse benchmarks/latest.txt > BENCH_latest.json
 echo "wrote benchmarks/latest.txt and BENCH_latest.json" >&2
 
