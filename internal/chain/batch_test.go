@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -106,6 +107,49 @@ func TestSubmitTxBatchDurable(t *testing.T) {
 	}
 	if err := rec.CloseDurable(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeadWALRefusesAdmission aborts a durable chain's WAL. Nothing can be
+// acknowledged any more: SubmitTx fails, and SubmitTxBatch returns a call
+// error and no results, for fresh txs and for a resubmission of a pending
+// one (a dedup hit must not read as durable acceptance). The mempool does
+// not move.
+func TestDeadWALRefusesAdmission(t *testing.T) {
+	f := newDurableFixture(t, 3)
+	mk := func(idx int, value Wei) Transaction {
+		tx, err := NewTransaction(f.accounts[idx], 0, FnDepositSubmit, nil, value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *tx
+	}
+	pending := mk(0, 10)
+	if err := f.bc.SubmitTx(pending); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.bc.WAL().Abort(); err != nil {
+		t.Fatal(err)
+	}
+	before := f.bc.PendingCount()
+	fresh := mk(1, 11)
+	if err := f.bc.SubmitTx(fresh); !errors.Is(err, ErrWALAborted) {
+		t.Errorf("SubmitTx on a dead WAL: %v, want ErrWALAborted", err)
+	}
+	if err := f.bc.SubmitTx(pending); !errors.Is(err, ErrWALAborted) || IsAlreadyKnown(err) {
+		t.Errorf("SubmitTx of a pending tx on a dead WAL: %v, want ErrWALAborted and no dedup hit", err)
+	}
+	for name, batch := range map[string][]Transaction{
+		"fresh":                {fresh, mk(2, 12)},
+		"pending resubmission": {pending},
+	} {
+		results, err := f.bc.SubmitTxBatch(batch)
+		if !errors.Is(err, ErrWALAborted) || results != nil {
+			t.Errorf("%s batch on a dead WAL: results %+v, err %v; want no results and ErrWALAborted", name, results, err)
+		}
+	}
+	if got := f.bc.PendingCount(); got != before {
+		t.Errorf("pending count moved on a dead WAL: %d -> %d", before, got)
 	}
 }
 

@@ -71,13 +71,6 @@ func (b *Block) HeaderHash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// rcptWindow is one sealed block's worth of dedup-index entries, queued for
-// FIFO eviction once the block falls out of the dedup horizon.
-type rcptWindow struct {
-	height uint64
-	hashes []string
-}
-
 // Blockchain is a single-authority (PoA) chain hosting one TradeFL
 // contract. It is safe for concurrent use.
 //
@@ -103,18 +96,16 @@ type Blockchain struct {
 	// sealing holds the ids of the block currently being sealed (still
 	// "known" for dedup, no longer pending for seal), nextNonce is the
 	// persistent pending-nonce frontier per sender (entries pruned back to
-	// the state nonce once a sender has nothing pending), sealedRcpt maps a
-	// sealed tx id to its receipt, rcptFIFO/evictedBelow bound that index
-	// (see pruneDedupLocked).
-	poolMu       sync.RWMutex
-	pool         []Transaction
-	poolHashes   []string
-	poolHash     map[string]struct{}
-	sealing      map[string]struct{}
-	nextNonce    map[Address]uint64
-	sealedRcpt   map[string]*Receipt
-	rcptFIFO     []rcptWindow
-	evictedBelow uint64
+	// the state nonce once a sender has nothing pending), sealedRcpt maps
+	// every sealed tx id to its receipt inside blocks: it lives as long as
+	// the blocks it points into.
+	poolMu     sync.RWMutex
+	pool       []Transaction
+	poolHashes []string
+	poolHash   map[string]struct{}
+	sealing    map[string]struct{}
+	nextNonce  map[Address]uint64
+	sealedRcpt map[string]*Receipt
 
 	// execMu guards led: exclusive while a block executes, shared for
 	// readers.
@@ -133,7 +124,6 @@ type Blockchain struct {
 	sealedHash string
 
 	authority *Account
-	opts      Options
 
 	// genesisWei is the total wei minted at genesis — the conserved sum the
 	// ledger audit checks against at every sealed height.
@@ -150,12 +140,8 @@ type Blockchain struct {
 type GenesisAlloc map[Address]Wei
 
 // NewBlockchain creates a chain with the deployed contract and the genesis
-// allocation, sealed by authority, using default Options.
+// allocation, sealed by authority.
 func NewBlockchain(authority *Account, params ContractParams, alloc GenesisAlloc) (*Blockchain, error) {
-	return newBlockchain(authority, params, alloc, Options{})
-}
-
-func newBlockchain(authority *Account, params ContractParams, alloc GenesisAlloc, opts Options) (*Blockchain, error) {
 	contract, err := NewContract(params)
 	if err != nil {
 		return nil, err
@@ -172,7 +158,6 @@ func newBlockchain(authority *Account, params ContractParams, alloc GenesisAlloc
 	bc := &Blockchain{
 		authority:  authority,
 		led:        led,
-		opts:       opts.withDefaults(),
 		genesisWei: genesisWei,
 		poolHash:   map[string]struct{}{},
 		sealing:    map[string]struct{}{},
@@ -198,119 +183,6 @@ func (bc *Blockchain) seal(b *Block) error {
 	}
 	b.Seal = bc.authority.Sign([]byte(h))
 	bc.sealed, bc.sealedHash = b, h
-	return nil
-}
-
-// SubmitTx validates a transaction and adds it to the mempool. An exact
-// resubmission (same hash) of a pending or sealed transaction is rejected
-// with ErrTxAlreadyKnown, which retrying clients treat as success — the
-// dedup that makes at-least-once submission safe under lost responses.
-//
-// With a WAL attached, SubmitTx returns only after the transaction is
-// fsynced (group commit): acceptance survives kill -9, and because the
-// mempool is rebuilt from the log on recovery, the dedup above survives
-// restarts too — a client retrying across a crash cannot double-apply.
-//
-// Admission runs concurrently with the seal path (it never takes sealSeq),
-// so submissions for block H+1 land while block H executes and fsyncs.
-func (bc *Blockchain) SubmitTx(tx Transaction) error {
-	mSigAdmit.Inc()
-	if err := tx.Verify(); err != nil {
-		return err
-	}
-	hash, err := tx.Hash()
-	if err != nil {
-		return err
-	}
-	// Pre-encode the WAL record outside the chain locks; it is discarded if
-	// validation rejects the tx. bc.wal is fixed before concurrent use.
-	var frames []byte
-	if bc.wal != nil {
-		if frames, err = encodeWalRec(walRec{Kind: recTx, Tx: &tx}); err != nil {
-			return err
-		}
-	}
-	bc.poolMu.Lock()
-	ticket, err := bc.admitTxLocked(tx, hash, frames)
-	bc.poolMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := ticket.wait(); err != nil {
-		return fmt.Errorf("chain: tx not durable: %w", err)
-	}
-	mTxSubmitted.Inc()
-	return nil
-}
-
-// admitTxLocked validates tx against the mempool indexes, appends it to
-// the pool and enqueues its WAL record (chain order == log order because
-// every enqueue happens under poolMu). A nil ticket with nil error means no
-// WAL is attached.
-func (bc *Blockchain) admitTxLocked(tx Transaction, hash string, frames []byte) (*walTicket, error) {
-	// A dead WAL fails everything up front — including dedup hits, which
-	// must not masquerade as durable acceptance.
-	if bc.wal != nil {
-		if err := bc.wal.Err(); err != nil {
-			return nil, fmt.Errorf("chain: wal unavailable: %w", err)
-		}
-	}
-	if _, dup := bc.poolHash[hash]; dup {
-		return nil, fmt.Errorf("%w: %s pending", ErrTxAlreadyKnown, hash)
-	}
-	if _, dup := bc.sealing[hash]; dup {
-		return nil, fmt.Errorf("%w: %s pending", ErrTxAlreadyKnown, hash)
-	}
-	if rcpt := bc.sealedRcpt[hash]; rcpt != nil {
-		return nil, fmt.Errorf("%w: %s sealed at height %d", ErrTxAlreadyKnown, hash, rcpt.Height)
-	}
-	// Nonce must follow the pending sequence (state nonce + queued txs).
-	expected, queued := bc.nextNonce[tx.From]
-	if !queued {
-		expected = bc.Nonce(tx.From)
-	}
-	if tx.Nonce != expected {
-		if tx.Nonce < expected {
-			// A stale nonce on an unknown hash can still be a resubmission
-			// of a tx whose dedup entry fell off the FIFO horizon; the
-			// receipt scan over the evicted blocks keeps idempotency exact.
-			if rcpt := bc.sealedInEvictedLocked(hash); rcpt != nil {
-				return nil, fmt.Errorf("%w: %s sealed at height %d", ErrTxAlreadyKnown, hash, rcpt.Height)
-			}
-		}
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadNonce, tx.Nonce, expected)
-	}
-	bc.pool = append(bc.pool, tx)
-	bc.poolHashes = append(bc.poolHashes, hash)
-	bc.poolHash[hash] = struct{}{}
-	bc.nextNonce[tx.From] = expected + 1
-	if bc.wal == nil {
-		return nil, nil
-	}
-	return bc.wal.enqueue(frames, walRec{Kind: recTx, Tx: &tx}), nil
-}
-
-// sealedInEvictedLocked scans the blocks whose dedup entries were evicted
-// for a receipt of hash. Caller holds poolMu (any mode); this is the slow
-// path behind a nonce-too-low rejection, proportional to the evicted
-// prefix only.
-func (bc *Blockchain) sealedInEvictedLocked(hash string) *Receipt {
-	if bc.evictedBelow == 0 {
-		return nil
-	}
-	bc.mu.RLock()
-	defer bc.mu.RUnlock()
-	for _, b := range bc.blocks {
-		if b.Height >= bc.evictedBelow {
-			break
-		}
-		for i := range b.Receipts {
-			if b.Receipts[i].TxHash == hash {
-				rcpt := b.Receipts[i]
-				return &rcpt
-			}
-		}
-	}
 	return nil
 }
 
@@ -444,9 +316,9 @@ func (bc *Blockchain) sealLocked(take int) (*Block, *walTicket, error) {
 }
 
 // installBlock appends a sealed block and retires its txs from the dedup
-// pipeline: receipts become the sealed index, the sealing set empties, the
-// FIFO horizon prunes, and the nonce frontier drops senders with nothing
-// pending (their frontier equals the state nonce again).
+// pipeline: receipts join the sealed index, the sealing set empties, and
+// the nonce frontier drops senders with nothing pending (their frontier
+// equals the state nonce again).
 func (bc *Blockchain) installBlock(b *Block, hashes []string) {
 	bc.poolMu.Lock()
 	bc.mu.Lock()
@@ -458,36 +330,10 @@ func (bc *Blockchain) installBlock(b *Block, hashes []string) {
 	for _, h := range hashes {
 		delete(bc.sealing, h)
 	}
-	bc.pruneDedupLocked(b.Height, hashes)
 	bc.pruneNonceLocked(b.Txs)
 	bc.poolMu.Unlock()
 	mBlocks.Inc()
 	mHeight.Set(float64(b.Height))
-}
-
-// pruneDedupLocked bounds the sealed-tx dedup index: each sealed block
-// queues one FIFO window, and once more than Options.DedupHorizon blocks
-// are queued the oldest window's hashes leave the O(1) index. Their blocks
-// remain scannable (sealedInEvictedLocked), so an evicted-but-sealed tx is
-// still rejected — just not in O(1).
-func (bc *Blockchain) pruneDedupLocked(height uint64, hashes []string) {
-	if len(hashes) > 0 {
-		bc.rcptFIFO = append(bc.rcptFIFO, rcptWindow{height: height, hashes: hashes})
-	}
-	if bc.opts.DedupHorizon < 0 {
-		return
-	}
-	for len(bc.rcptFIFO) > bc.opts.DedupHorizon {
-		w := bc.rcptFIFO[0]
-		bc.rcptFIFO[0] = rcptWindow{}
-		bc.rcptFIFO = bc.rcptFIFO[1:]
-		for _, h := range w.hashes {
-			delete(bc.sealedRcpt, h)
-		}
-		if w.height+1 > bc.evictedBelow {
-			bc.evictedBelow = w.height + 1
-		}
-	}
 }
 
 // pruneNonceLocked drops nonce-frontier entries for senders whose frontier
@@ -553,29 +399,17 @@ func (bc *Blockchain) BlockAt(height uint64) (*Block, error) {
 	return bc.blocks[height], nil
 }
 
-// ReceiptByHash scans the chain for the receipt of the given transaction;
-// it returns an error while the transaction is still unsealed.
+// ReceiptByHash returns the receipt of the given transaction; it returns
+// an error while the transaction is still unsealed.
 func (bc *Blockchain) ReceiptByHash(txHash string) (*Receipt, error) {
 	bc.poolMu.RLock()
-	rcpt := bc.receiptLocked(txHash)
-	if rcpt == nil {
-		rcpt = bc.sealedInEvictedLocked(txHash)
-	}
+	r := bc.sealedRcpt[txHash]
 	bc.poolMu.RUnlock()
-	if rcpt != nil {
-		return rcpt, nil
+	if r == nil {
+		return nil, fmt.Errorf("chain: no sealed receipt for tx %s", txHash)
 	}
-	return nil, fmt.Errorf("chain: no sealed receipt for tx %s", txHash)
-}
-
-// receiptLocked looks up the sealed receipt of txHash in the receipt
-// index; callers hold poolMu in at least read mode.
-func (bc *Blockchain) receiptLocked(txHash string) *Receipt {
-	if r := bc.sealedRcpt[txHash]; r != nil {
-		rcpt := *r
-		return &rcpt
-	}
-	return nil
+	rcpt := *r // sealed receipts never change; the copy is the caller's
+	return &rcpt, nil
 }
 
 // ContractView runs fn with read access to the contract state. It blocks

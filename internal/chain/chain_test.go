@@ -22,13 +22,8 @@ type fixture struct {
 
 func newFixture(t *testing.T, n int) *fixture {
 	t.Helper()
-	return newFixtureOpts(t, n, Options{})
-}
-
-func newFixtureOpts(t *testing.T, n int, opts Options) *fixture {
-	t.Helper()
 	authority, accounts, params, alloc := fixtureParts(t, n)
-	bc, err := newBlockchain(authority, params, alloc, opts)
+	bc, err := NewBlockchain(authority, params, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}

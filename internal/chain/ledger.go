@@ -5,29 +5,6 @@ import (
 	"encoding/hex"
 )
 
-// DefaultDedupHorizon is how many sealed blocks keep their tx hashes in
-// the O(1) dedup index before FIFO eviction (see pruneDedupLocked). It
-// comfortably exceeds the mempool plus any realistic retry window;
-// evicted-but-sealed txs are still rejected via the receipt scan.
-const DefaultDedupHorizon = 1024
-
-// Options tunes a Blockchain. The zero value selects the defaults. Nothing
-// here reaches the sealed chain: blocks, receipts and state roots are
-// byte-identical for any setting.
-type Options struct {
-	// DedupHorizon is the number of recent sealed blocks whose tx hashes
-	// stay in the O(1) dedup index (0 = DefaultDedupHorizon, negative =
-	// unbounded).
-	DedupHorizon int
-}
-
-func (o Options) withDefaults() Options {
-	if o.DedupHorizon == 0 {
-		o.DedupHorizon = DefaultDedupHorizon
-	}
-	return o
-}
-
 // ledger is the whole mutable state of the chain: account balances, account
 // nonces and the contract. Its JSON form is what the state root hashes.
 // Blockchain.execMu guards it; only block execution writes it.

@@ -317,11 +317,13 @@ func TestCrossShardTransfer(t *testing.T) {
 	}
 }
 
-// TestShardDedupHorizonEviction bounds the dedup index: hashes evicted at
-// the FIFO horizon must still be rejected on resubmission — through the
-// receipt index — and their receipts must stay queryable.
+// TestShardDedupHorizonEviction (named for the bounded dedup index that
+// preceded the one receipt index) resubmits a tx sealed several blocks
+// back: it must be the idempotent dedup rejection, carrying its sealed
+// height, while a fresh tx at the same stale nonce is a plain nonce
+// rejection, and the old receipt must stay queryable.
 func TestShardDedupHorizonEviction(t *testing.T) {
-	f := newFixtureOpts(t, 3, Options{DedupHorizon: 2})
+	f := newFixture(t, 3)
 	acct := f.accounts[0]
 	var txs []*Transaction
 	for i := 0; i < 5; i++ {
@@ -337,21 +339,12 @@ func TestShardDedupHorizonEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.bc.poolMu.RLock()
-	indexed, evictedBelow := len(f.bc.sealedRcpt), f.bc.evictedBelow
-	f.bc.poolMu.RUnlock()
-	if indexed != 2 {
-		t.Errorf("dedup index holds %d hashes, want horizon 2", indexed)
-	}
-	if evictedBelow != 4 {
-		t.Errorf("evictedBelow = %d, want 4 (blocks 1-3 evicted)", evictedBelow)
-	}
 
-	// Resubmitting an evicted-but-sealed tx must still be the idempotent
-	// dedup rejection, not a fresh admission or a bare nonce error.
+	// Resubmitting an old sealed tx must be the idempotent dedup
+	// rejection, not a fresh admission or a bare nonce error.
 	err := f.bc.SubmitTx(*txs[0])
 	if !errors.Is(err, ErrTxAlreadyKnown) {
-		t.Fatalf("evicted sealed tx resubmission: %v, want ErrTxAlreadyKnown", err)
+		t.Fatalf("sealed tx resubmission: %v, want ErrTxAlreadyKnown", err)
 	}
 	if !strings.Contains(err.Error(), "sealed at height 1") {
 		t.Errorf("dedup error %q does not carry the sealed height", err)
@@ -364,17 +357,17 @@ func TestShardDedupHorizonEviction(t *testing.T) {
 	if err := f.bc.SubmitTx(*other); !errors.Is(err, ErrBadNonce) {
 		t.Fatalf("stale-nonce fresh tx: %v, want ErrBadNonce", err)
 	}
-	// Receipts for evicted hashes resolve through the block scan.
+	// The old receipt resolves through the receipt index.
 	hash, err := txs[0].Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rcpt, err := f.bc.ReceiptByHash(hash)
 	if err != nil {
-		t.Fatalf("ReceiptByHash(evicted): %v", err)
+		t.Fatalf("ReceiptByHash(block 1 tx): %v", err)
 	}
 	if rcpt.Height != 1 || !rcpt.OK {
-		t.Errorf("evicted receipt = %+v, want OK at height 1", rcpt)
+		t.Errorf("block 1 receipt = %+v, want OK at height 1", rcpt)
 	}
 }
 

@@ -47,21 +47,14 @@ var ErrReplayMismatch = errors.New("chain: replay mismatch")
 // genesis block must equal the one params, alloc and authority build, or
 // OpenDurable fails with ErrReplayMismatch.
 func OpenDurable(dir string, authority *Account, params ContractParams, alloc GenesisAlloc) (*Blockchain, error) {
-	return OpenDurableOpts(dir, authority, params, alloc, Options{})
-}
-
-// OpenDurableOpts is OpenDurable with explicit Options. They belong to the
-// running process, not to the durable state: any option set can open (and
-// exactly reproduce) a directory written under any other.
-func OpenDurableOpts(dir string, authority *Account, params ContractParams, alloc GenesisAlloc, opts Options) (*Blockchain, error) {
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("chain: wal dir: %w", err)
 	}
-	fresh, err := newBlockchain(authority, params, alloc, opts)
+	fresh, err := NewBlockchain(authority, params, alloc)
 	if err != nil {
 		return nil, err
 	}
-	bc, err := recoverDir(dir, authority, math.MaxUint64, opts)
+	bc, err := recoverDir(dir, authority, math.MaxUint64)
 	if errors.Is(err, ErrNoLog) {
 		return initDurable(dir, fresh, params, alloc)
 	}
@@ -72,6 +65,17 @@ func OpenDurableOpts(dir string, authority *Account, params ContractParams, allo
 		return nil, errors.Join(fmt.Errorf("%w: %s holds another genesis: %v", ErrReplayMismatch, dir, err), bc.CloseDurable())
 	}
 	return bc, nil
+}
+
+// Options has no fields. It and OpenDurableOpts remain only because the
+// benchmark harness under bench/ still passes chain.Options{}; both go
+// when that harness next changes (ROADMAP item 2).
+type Options struct{}
+
+// OpenDurableOpts is OpenDurable under another name, kept for the
+// benchmark harness (see Options).
+func OpenDurableOpts(dir string, authority *Account, params ContractParams, alloc GenesisAlloc, _ Options) (*Blockchain, error) {
+	return OpenDurable(dir, authority, params, alloc)
 }
 
 // initDurable bootstraps a fresh durable chain: the log is written whole
@@ -101,14 +105,14 @@ func initDurable(dir string, bc *Blockchain, params ContractParams, alloc Genesi
 // WAL: a read-only forensic view; sealing on it would fork the durable
 // history.
 func RecoverAt(dir string, authority *Account, height uint64) (*Blockchain, error) {
-	return recoverDir(dir, authority, height, Options{})
+	return recoverDir(dir, authority, height)
 }
 
 // recoverDir is the shared recovery core: it replays up to block
 // stopHeight. Only a full recovery (math.MaxUint64) writes the directory —
 // it truncates a torn tail and reattaches the WAL for append; a
 // point-in-time target leaves the directory untouched.
-func recoverDir(dir string, authority *Account, stopHeight uint64, opts Options) (*Blockchain, error) {
+func recoverDir(dir string, authority *Account, stopHeight uint64) (*Blockchain, error) {
 	attach := stopHeight == math.MaxUint64
 	path := filepath.Join(dir, logName)
 	if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
@@ -118,7 +122,7 @@ func recoverDir(dir string, authority *Account, stopHeight uint64, opts Options)
 	}
 	start := time.Now()
 	defer mRecoverSec.ObserveSince(start)
-	r := &replayer{authority: authority, opts: opts, stop: stopHeight}
+	r := &replayer{authority: authority, stop: stopHeight}
 	var err error
 	switch {
 	case attach:
@@ -186,7 +190,6 @@ func noLog(dir string) error {
 // target.
 type replayer struct {
 	authority *Account
-	opts      Options
 	bc        *Blockchain
 	stop      uint64 // last block to apply
 	done      bool   // a block past stop was reached; later records are ignored
@@ -217,7 +220,7 @@ func (r *replayer) apply(rec walRec) error {
 		if r.bc != nil || g == nil || g.Block == nil {
 			return errors.New("misplaced or empty genesis record")
 		}
-		bc, err := newBlockchain(r.authority, g.Params, g.Alloc, r.opts)
+		bc, err := NewBlockchain(r.authority, g.Params, g.Alloc)
 		if err != nil {
 			return err
 		}

@@ -21,7 +21,7 @@ import (
 // crash included, with the WAL reattached. It is OpenDurable without the
 // genesis check, for tests that hold no params or allocation.
 func Recover(dir string, authority *Account) (*Blockchain, error) {
-	return recoverDir(dir, authority, math.MaxUint64, Options{})
+	return recoverDir(dir, authority, math.MaxUint64)
 }
 
 // durableFixture is the WAL-backed sibling of fixture: the account set and

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"tradefl/internal/obs"
@@ -151,7 +150,7 @@ func (s *Standby) apply(payload []byte) error {
 			return fmt.Errorf("chain: replication block record without block")
 		}
 		if err := s.bc.ApplySealedBlock(rec.Block); err != nil {
-			if IsStaleTerm(err) {
+			if errors.Is(err, ErrStaleTerm) {
 				standbyLog.Warn("fenced off stale-term block",
 					"height", rec.Block.Height, "term", rec.Block.Term, "localTerm", s.bc.Term())
 				return nil
@@ -165,17 +164,4 @@ func (s *Standby) apply(payload []byte) error {
 	}
 	mReplApplied.Inc()
 	return nil
-}
-
-// IsStaleTerm reports whether err is the fencing rejection (directly or
-// through an RPC error message).
-func IsStaleTerm(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrStaleTerm) {
-		return true
-	}
-	var rerr *RPCError
-	return errors.As(err, &rerr) && strings.Contains(rerr.Message, ErrStaleTerm.Error())
 }

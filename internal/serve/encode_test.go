@@ -388,7 +388,6 @@ func TestStreamReplayServesLiveBytes(t *testing.T) {
 // runner may be picking them up.
 func TestCancelQueuedJobRacesRunner(t *testing.T) {
 	s := testServer(t, Options{})
-	s.engines = make(map[fleet.Plan]*fleet.Engine)
 	for round := 0; round < 20; round++ {
 		job := testJob(t, s, "a", 2)
 		if aerr := s.admitJob(job); aerr != nil {

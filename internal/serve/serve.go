@@ -112,12 +112,6 @@ type Server struct {
 	http *http.Server
 	ln   net.Listener
 
-	// engines caches one fleet engine per forced plan (auto, dbr, pruned,
-	// traversal), so jobs that force different solvers don't rebuild
-	// engines per request.
-	engMu   sync.Mutex
-	engines map[fleet.Plan]*fleet.Engine
-
 	queue chan *Job
 
 	mu          sync.Mutex
@@ -150,7 +144,6 @@ func New(addr string, opts Options) (*Server, error) {
 	}
 	s := &Server{
 		opts:    opts,
-		engines: make(map[fleet.Plan]*fleet.Engine),
 		ln:      ln,
 		queue:   make(chan *Job, opts.QueueDepth),
 		jobs:    make(map[string]*Job),
@@ -170,19 +163,6 @@ func New(addr string, opts Options) (*Server, error) {
 
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// engine returns the shared fleet engine for a forced plan, building it on
-// first use.
-func (s *Server) engine(plan fleet.Plan) *fleet.Engine {
-	s.engMu.Lock()
-	defer s.engMu.Unlock()
-	eng := s.engines[plan]
-	if eng == nil {
-		eng = fleet.New(fleet.Options{Plan: plan})
-		s.engines[plan] = eng
-	}
-	return eng
-}
 
 // burst is each tenant's bucket capacity in instances.
 func (s *Server) burst() float64 { return burstSeconds * s.opts.TenantRate }
@@ -243,7 +223,7 @@ func (s *Server) runJob(job *Job) {
 	failed := false
 	for lo := 0; lo < len(cfgs); lo += streamChunk {
 		chunk := cfgs[lo:min(lo+streamChunk, len(cfgs))]
-		results := s.engine(job.plan).Solve(ctx, chunk)
+		results := fleet.New(fleet.Options{Plan: job.plan}).Solve(ctx, chunk)
 		solved, progress := make([]InstanceResult, len(results)), make([][]Event, len(results))
 		for i, r := range results {
 			solved[i], progress[i] = newInstanceResult(lo+i, r), progressEvents(lo+i, r)
@@ -275,12 +255,12 @@ func (s *Server) runJob(job *Job) {
 }
 
 // syncSolve runs the bounded synchronous path: small instances solved
-// inline on the request goroutine, still through the shared engine (and so
+// inline on the request goroutine, still through the fleet engine (and so
 // still byte-identical to a batch run).
 func (s *Server) syncSolve(ctx context.Context, cfgs []*game.Config, plan fleet.Plan) []InstanceResult {
 	mSyncSolves.Inc()
 	mInstances.Add(int64(len(cfgs)))
-	results := s.engine(plan).Solve(ctx, cfgs)
+	results := fleet.New(fleet.Options{Plan: plan}).Solve(ctx, cfgs)
 	out := make([]InstanceResult, len(results))
 	for i, r := range results {
 		out[i] = newInstanceResult(i, r)

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"tradefl/internal/fleet"
 	"tradefl/internal/game"
 )
 
@@ -362,7 +361,6 @@ func TestGatewayCancelQueuedJob(t *testing.T) {
 // observes at least its queue wait, not only its run.
 func TestJobSecondsCountQueueWait(t *testing.T) {
 	s := testServer(t, Options{})
-	s.engines = make(map[fleet.Plan]*fleet.Engine)
 	job := testJob(t, s, "a", 1)
 	if aerr := s.admitJob(job); aerr != nil {
 		t.Fatalf("admit: %v", aerr)

@@ -20,7 +20,7 @@ import (
 func TestOptionsCensus(t *testing.T) {
 	want := map[string][]string{
 		"chain.ClientOptions": {"Timeout", "MaxRetries", "BaseBackoff", "MaxBackoff", "Transport"},
-		"chain.Options":       {"DedupHorizon"},
+		"chain.Options":       nil, // empty; bench/ still passes chain.Options{}
 		"core.Options":        {"Solver", "Settle", "Train", "TrainDataset", "TrainArch", "Rounds", "LocalEpochs", "Seed"},
 		"dbr.Options":         {"MaxRounds", "Tol", "DTol", "TokenTimeout", "SuspectAfter", "Workers"},
 		"experiments.Options": {"Seed", "Quick"},

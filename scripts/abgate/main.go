@@ -188,11 +188,16 @@ func run() error {
 		}
 		sort.Float64s(ratios)
 		pct := (ratios[len(ratios)/2] - 1) * 100 // pairs are odd: the middle ratio
-		fmt.Printf("abgate: %s: %v over %v, %d instances, %d pairs: CPU ratios min %.3f median %.3f max %.3f (%+.1f%%, cap %.0f%%)\n",
-			c.name, c.b, c.a, instances, c.pairs, ratios[0], ratios[len(ratios)/2], ratios[len(ratios)-1], pct, c.maxPct)
+		// The line states the verdict the comparison reached. An over-cap
+		// median is printed unrounded: rounded to one decimal, +3.04 would
+		// read as the cap itself.
+		verdict, shown := "within", fmt.Sprintf("%+.1f%%", pct)
 		if pct > c.maxPct {
-			failed = append(failed, fmt.Sprintf("%s %+.1f%% exceeds %.0f%%", c.name, pct, c.maxPct))
+			verdict, shown = "over", fmt.Sprintf("%+g%%", pct)
+			failed = append(failed, fmt.Sprintf("%s %s exceeds %.0f%%", c.name, shown, c.maxPct))
 		}
+		fmt.Printf("abgate: %s: %v over %v, %d instances, %d pairs: CPU ratios min %.3f median %.3f max %.3f (%s, %s cap %.0f%%)\n",
+			c.name, c.b, c.a, instances, c.pairs, ratios[0], ratios[len(ratios)/2], ratios[len(ratios)-1], shown, verdict, c.maxPct)
 	}
 	if failed != nil {
 		return fmt.Errorf("%v", failed)
