@@ -50,7 +50,7 @@ func command() cli.Command {
 		repl     = fs.String("replicate", "", "with -wal-dir: stream every durable WAL record to the standby listening at this address")
 		standby  = fs.String("standby", "", "run as a standby validator: tail the primary's WAL stream on this listen address and take over sealing when it has been silent for 2s")
 	)
-	return cli.Command{Flags: fs, Verify: true, Run: func(ctx context.Context, _ *obs.DiagServer) error {
+	return cli.Command{Flags: fs, Run: func(ctx context.Context, _ *obs.DiagServer) error {
 		cfg, err := game.DefaultConfig(game.GenOptions{Seed: *seed})
 		if err != nil {
 			return err

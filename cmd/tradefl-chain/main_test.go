@@ -22,7 +22,7 @@ func TestFlagSet(t *testing.T) {
 	want := []string{
 		"diag-addr", "listen", "log-format", "log-level", "recover",
 		"replicate", "seed", "standby",
-		"trace-out", "verify", "wal-dir",
+		"trace-out", "wal-dir",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags = %v\nwant    %v", got, want)

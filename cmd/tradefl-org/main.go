@@ -66,7 +66,7 @@ func command() cli.Command {
 	listen := fs.String("listen", "", "ring listen address (default: this organization's -peers entry)")
 	local := fs.Bool("local", false, "run every organization and an in-memory chain node in this process")
 	commit := fs.Bool("commit", false, "use commit-reveal contribution reporting (all members must)")
-	return cli.Command{Flags: fs, Verify: true, Run: func(ctx context.Context, _ *obs.DiagServer) error {
+	return cli.Command{Flags: fs, Run: func(ctx context.Context, _ *obs.DiagServer) error {
 		cfg, err := game.DefaultConfig(game.GenOptions{Seed: *seed})
 		if err != nil {
 			return err

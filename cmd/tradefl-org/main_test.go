@@ -31,7 +31,7 @@ func TestFlagSet(t *testing.T) {
 	c.Flags.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
 		"commit", "diag-addr", "index", "listen", "local", "log-format", "log-level",
-		"peers", "rpc", "seed", "trace-out", "verify",
+		"peers", "rpc", "seed", "trace-out",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags = %v\nwant    %v", got, want)

@@ -39,7 +39,7 @@ func command() cli.Command {
 		quick = fs.Bool("quick", false, "coarse sweeps and short FL runs")
 		out   = fs.String("out", "", "directory for CSV files (default stdout)")
 	)
-	return cli.Command{Flags: fs, Verify: true, Run: func(ctx context.Context, _ *obs.DiagServer) error {
+	return cli.Command{Flags: fs, Run: func(ctx context.Context, _ *obs.DiagServer) error {
 		if *list {
 			for _, id := range experiments.IDs() {
 				fmt.Println(id)

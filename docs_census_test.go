@@ -1,6 +1,8 @@
 package tradefl_test
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"path"
 	"path/filepath"
@@ -43,6 +45,14 @@ var (
 	flagUse = regexp.MustCompile(`^-([a-z][a-z0-9-]*)`)
 	// flagList opens a paragraph listing one command's flags.
 	flagList = regexp.MustCompile("^Flag reference \\(`(tradefl-[a-z]+)`\\)")
+	// roadmapRef matches a pointer into ROADMAP.md: ROADMAP item N or
+	// ROADMAP item N(x), possibly broken across lines.
+	roadmapRef = regexp.MustCompile(`\bROADMAP\s+item\s+([0-9]+)(?:\(([a-z])\))?`)
+	// roadmapItem opens an Open items entry: - **N. Title…
+	roadmapItem = regexp.MustCompile(`(?m)^- \*\*([0-9]+)\. `)
+	// roadmapStep names a lettered step of an item: **(d)** or a plain
+	// list entry - (a).
+	roadmapStep = regexp.MustCompile(`(?m)\*\*\(([a-z])\)\*\*|^\s*- \(([a-z])\) `)
 )
 
 // TestDocsCensus checks that every tradefl-<name> command the docs name is
@@ -53,6 +63,9 @@ var (
 // one TestMetricCensus pins (a …_* glob must match one), that every
 // path/file.go exists (from the root or from internal/), and that every
 // -flag given to a command is one that command or internal/cli defines.
+// Every ROADMAP item N or ROADMAP item N(x) in the referenceDocs and in
+// non-test Go comments must name an item of ROADMAP.md's Open items, or a
+// lettered step of one.
 func TestDocsCensus(t *testing.T) {
 	for _, doc := range censusDocs {
 		raw, err := os.ReadFile(doc)
@@ -73,6 +86,7 @@ func TestDocsCensus(t *testing.T) {
 		}
 	}
 	flags := commandFlags(t)
+	items := roadmapItems(t)
 	for _, doc := range referenceDocs {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -96,7 +110,67 @@ func TestDocsCensus(t *testing.T) {
 				t.Errorf("%s gives %s the flag -%s, which it does not define", doc, use.cmd, use.flag)
 			}
 		}
+		checkRoadmapRefs(t, items, doc, text)
 	}
+	for _, p := range goFiles(t) {
+		if strings.HasSuffix(p, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cg := range f.Comments {
+			checkRoadmapRefs(t, items, p, cg.Text())
+		}
+	}
+}
+
+// checkRoadmapRefs fails every ROADMAP item reference in text that names
+// no Open items entry of ROADMAP.md, or a step that entry lacks.
+func checkRoadmapRefs(t *testing.T, items map[string]map[string]bool, where, text string) {
+	t.Helper()
+	for _, m := range roadmapRef.FindAllStringSubmatch(text, -1) {
+		steps, ok := items[m[1]]
+		if !ok {
+			t.Errorf("%s cites ROADMAP item %s, which is not an open item", where, m[1])
+		} else if m[2] != "" && !steps[m[2]] {
+			t.Errorf("%s cites ROADMAP item %s(%s), which item %s does not have", where, m[1], m[2], m[1])
+		}
+	}
+}
+
+// roadmapItems returns the Open items of ROADMAP.md by number, each with
+// the set of its lettered steps.
+func roadmapItems(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	raw, err := os.ReadFile("ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, open, ok := strings.Cut(string(raw), "\n## Open items\n")
+	if !ok {
+		t.Fatal("ROADMAP.md has no Open items section")
+	}
+	for _, next := range []string{"\n## ", "\n### Parked"} {
+		if end := strings.Index(open, next); end >= 0 {
+			open = open[:end]
+		}
+	}
+	items := map[string]map[string]bool{}
+	heads := roadmapItem.FindAllStringSubmatchIndex(open, -1)
+	for i, h := range heads {
+		end := len(open)
+		if i+1 < len(heads) {
+			end = heads[i+1][0]
+		}
+		steps := map[string]bool{}
+		for _, m := range roadmapStep.FindAllStringSubmatch(open[h[1]:end], -1) {
+			steps[m[1]+m[2]] = true
+		}
+		items[open[h[2]:h[3]]] = steps
+	}
+	return items
 }
 
 // isSeries reports whether a tradefl_* name from the docs is a pinned

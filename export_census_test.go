@@ -28,6 +28,7 @@ var interfaceMethods = map[string]bool{
 // code is no production caller of anything else.
 var testSupport = map[string]string{
 	"internal/faults": "the fault-injection fabric of the chaos soaks, the dbr ring tests and the chain standby tests",
+	"internal/verify": "the invariant auditor: the paper's guarantees are contracts the tests prove, not a runtime mode",
 }
 
 // TestExportCensus checks that every exported name in internal/ — each
@@ -45,10 +46,15 @@ func TestExportCensus(t *testing.T) {
 		"chain.DurableBlock":                     "crash-soak hook: the kind of the sealed-block events the chaos durable-prefix tracker counts",
 		"chain.DurableTerm":                      "completes the DurableEvent.Kind values OnDurable hands its observers; the crash soak ignores term records",
 		"chain.DurableTx":                        "crash-soak hook: the kind of the accepted-tx events the chaos durable-prefix tracker counts",
+		"chain.SetLedgerAudit":                   "test hook: the verify auditor's post-seal ledger observer",
+		"chain.SetSettlementAudit":               "test hook: the verify auditor's post-payoffCalculate observer",
 		"chain.WAL.Abort":                        "crash-soak hook: the chaos harness's kill -9, cutting the log back to its last fsync",
 		"chain.WAL.OnDurable":                    "crash-soak hook: the post-fsync observer the chaos harness tracks the durable prefix with",
 		"dataset.Generator.PartitionNonIID":      "BenchmarkAblation_NonIID in bench_test.go (EXPERIMENTS.md) partitions with it",
+		"dbr.SetAuditHook":                       "test hook: the verify auditor's post-Solve observer",
+		"game.Config.CheckBudgetBalance":         "Definition 5 oracle shared by game tests, dbr/theorem2_test.go and the verify auditor",
 		"game.Config.CheckIndividualRationality": "Definition 3 oracle shared by game tests and dbr/theorem2_test.go",
+		"gbd.SetAuditHook":                       "test hook: the verify auditor's post-Solve observer",
 		"obs.FlightEvents":                       "test observation hook: reads the flight ring",
 		"obs.FlightReset":                        "test reset hook: empties the flight ring between tests",
 		"obs.ResetTraces":                        "test reset hook: empties the trace store between tests",
@@ -56,7 +62,6 @@ func TestExportCensus(t *testing.T) {
 		"obs.SpanStats":                          "test observation hook: the span leak ledger",
 		"obs.TraceTopology":                      "test observation hook: a trace's span tree as text",
 		"tensor.SetWorkers":                      "BenchmarkTensorMatMul rows in BENCH_baseline.json set the kernel fan-out with it",
-		"verify.Disable":                         "test reset hook: turns the invariant checks off after a test enables them",
 	}
 	decls, uses, imports := exportCensus(t)
 	var got []string
@@ -111,22 +116,10 @@ func exportCensus(t *testing.T) (decls map[string]string, uses map[string]bool, 
 	}
 	var files []file
 	imports = map[string][]string{}
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") {
-			return nil
-		}
+	for _, p := range goFiles(t) {
 		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		dir := filepath.ToSlash(filepath.Dir(p))
 		for _, im := range f.Imports {
@@ -138,10 +131,6 @@ func exportCensus(t *testing.T) (decls map[string]string, uses map[string]bool, 
 		if _, ok := testSupport[dir]; !ok && !strings.HasSuffix(p, "_test.go") {
 			files = append(files, file{dir, f})
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	// key names a top-level declaration as pkg.Name (the package by its
@@ -283,4 +272,30 @@ func recvType(d *ast.FuncDecl) string {
 			return ""
 		}
 	}
+}
+
+// goFiles returns the module's .go files, outside hidden and testdata
+// directories.
+func goFiles(t *testing.T) []string {
+	t.Helper()
+	var paths []string
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(p, ".go") {
+			paths = append(paths, p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
 }

@@ -3,9 +3,8 @@
 // Command.Exec parses a command's own flags together with the shared
 // observability flags (-log-level, -log-format, -diag-addr, -trace-out),
 // turns SIGINT/SIGTERM into a cancelled context before the command's body
-// starts, arms tracing before the body and writes the -trace-out file after
-// it, and folds the -verify audit into the result. Main turns that result
-// into the process exit status.
+// starts, and arms tracing before the body and writes the -trace-out file
+// after it. Main turns the body's result into the process exit status.
 package cli
 
 import (
@@ -19,16 +18,12 @@ import (
 	"syscall"
 
 	"tradefl/internal/obs"
-	"tradefl/internal/verify"
 )
 
 // Command is one command's flags and body.
 type Command struct {
 	// Flags holds the command's own flags; Exec adds the shared ones.
 	Flags *flag.FlagSet
-	// Verify adds -verify, which installs the invariant auditor before the
-	// body runs and fails a run that breached an invariant.
-	Verify bool
 	// Run is the body. ctx is cancelled on SIGINT/SIGTERM; diag is the
 	// -diag-addr server, nil without that flag.
 	Run func(ctx context.Context, diag *obs.DiagServer) error
@@ -43,10 +38,6 @@ func (c Command) Exec(args []string) (err error) {
 	defer stop()
 
 	fs := c.Flags
-	verifyOn := new(bool)
-	if c.Verify {
-		fs.BoolVar(verifyOn, "verify", false, "audit solver and settlement invariants at runtime (tradefl_verify_* metrics; nonzero exit on violation)")
-	}
 	level := fs.String("log-level", "info", "minimum log level: debug|info|warn|error")
 	format := fs.String("log-format", "text", "log output format: text|json")
 	diagAddr := fs.String("diag-addr", "", "serve /metrics, /healthz, /tracez, /flightz and /debug/pprof on this address (empty = disabled)")
@@ -57,9 +48,6 @@ func (c Command) Exec(args []string) (err error) {
 
 	if err := obs.ConfigureLogging(*level, *format, nil); err != nil {
 		return err
-	}
-	if *verifyOn {
-		verify.Enable()
 	}
 	if *traceOut != "" {
 		obs.EnableTracing(true)
@@ -80,10 +68,7 @@ func (c Command) Exec(args []string) (err error) {
 		obs.Component("obs").Info("diagnostics serving", "addr", diag.Addr())
 	}
 
-	if err := c.Run(ctx, diag); err != nil {
-		return err
-	}
-	return verify.Finish()
+	return c.Run(ctx, diag)
 }
 
 // writeTraces writes the retained traces to path as Chrome trace JSON.

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -48,21 +47,6 @@ func TestSignalCancelsContextAndFlushesSinks(t *testing.T) {
 	}
 	if !json.Valid(raw) || !bytes.Contains(raw, []byte("cli.test")) {
 		t.Errorf("trace file lacks the body's span:\n%s", raw)
-	}
-}
-
-// TestVerifyFlagOnlyWhenAsked: -verify exists on a command that asks for
-// it and is an unknown flag elsewhere.
-func TestVerifyFlagOnlyWhenAsked(t *testing.T) {
-	for _, withVerify := range []bool{false, true} {
-		fs := flag.NewFlagSet("cli-test", flag.ContinueOnError)
-		fs.SetOutput(&bytes.Buffer{})
-		err := Command{Flags: fs, Verify: withVerify, Run: func(context.Context, *obs.DiagServer) error {
-			return nil
-		}}.Exec([]string{"-verify=false"})
-		if unknown := err != nil && strings.Contains(err.Error(), "not defined: -verify"); unknown == withVerify {
-			t.Errorf("Verify: %v: err = %v", withVerify, err)
-		}
 	}
 }
 

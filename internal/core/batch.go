@@ -11,8 +11,8 @@ import (
 // the raw solver outcome plus the payoff vector and social welfare the
 // mechanism reports per run (the fleet result's own, evaluated once by
 // the solve). The per-instance Nash audit is deliberately
-// not recomputed here: under -verify the solver audit hooks check every
-// solve.
+// not recomputed here: the auditor-armed tests check every solve through
+// the solver audit hooks.
 type BatchResult struct {
 	// Fleet is the underlying fleet result (plan, profile, potential,
 	// per-instance error).

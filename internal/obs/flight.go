@@ -11,11 +11,11 @@ import (
 
 // Flight recorder: a fixed-size, lock-free ring journaling the last N
 // rare events of this process — fault injections, retry/resend decisions,
-// failovers, verify violations, panics. Completed
+// failovers, panics. Completed
 // span trees live in the trace store, not here. It is always on (the
 // recorded events are rare relative to solver work; one write is an atomic
 // counter bump plus one pointer store), and it is dumped as JSON on panic,
-// on a -verify violation, in the log of a failed chaos soak test, and on
+// in the log of a failed chaos soak test, and on
 // demand via /flightz — turning "the soak failed" into a readable
 // last-N-events timeline.
 
@@ -98,7 +98,7 @@ func FlightDumpJSON(reason string) ([]byte, error) {
 }
 
 // DumpFlight writes the flight-recorder journal to w with a banner line —
-// the automatic post-mortem path for verify violations and serve panics.
+// the automatic post-mortem path for panics.
 func DumpFlight(w io.Writer, reason string) {
 	raw, err := FlightDumpJSON(reason)
 	if err != nil {

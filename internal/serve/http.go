@@ -22,7 +22,9 @@ func (s *Server) handler() http.Handler {
 }
 
 // handleCreateJob admits an async job: parse and validate the spec, run
-// the admission pipeline, answer 202 with the job's initial status.
+// the admission pipeline, answer 202 with the job's initial status. That
+// status is taken before admission hands the job to a runner, which may
+// finish a small job before the reply is written.
 func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.readJSONBody(w, r)
 	if !ok {
@@ -35,12 +37,13 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	}
 	job := newJob(s.newJobID(), tenantOf(r), cfgs, plan)
 	job.remoteTC = remoteTrace(r)
+	initial := job.Status()
 	if aerr := s.admitJob(job); aerr != nil {
 		writeAdmitError(w, aerr)
 		return
 	}
 	log.Debug("job admitted", "id", job.ID, "tenant", job.Tenant, "instances", len(cfgs))
-	writeJobStatus(w, http.StatusAccepted, job)
+	writeJobStatus(w, http.StatusAccepted, initial)
 }
 
 // handleGetJob answers the job's current status; terminal jobs include
@@ -51,12 +54,11 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no job %q", r.PathValue("id")))
 		return
 	}
-	writeJobStatus(w, http.StatusOK, job)
+	writeJobStatus(w, http.StatusOK, job.Status())
 }
 
-// writeJobStatus answers status with the job's status document.
-func writeJobStatus(w http.ResponseWriter, status int, job *Job) {
-	st := job.Status()
+// writeJobStatus answers status with the status document st.
+func writeJobStatus(w http.ResponseWriter, status int, st JobStatus) {
 	body, err := encodeJobStatus(&st)
 	if err != nil {
 		writeEncodeError(w, err)
@@ -76,7 +78,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Sprintf("job %s is already %s", job.ID, job.State()))
 		return
 	}
-	writeJobStatus(w, http.StatusOK, job)
+	writeJobStatus(w, http.StatusOK, job.Status())
 }
 
 // handleStreamJob follows a job as Server-Sent Events: it replays the

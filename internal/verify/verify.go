@@ -1,20 +1,21 @@
-// Package verify is TradeFL's runtime invariant auditor and differential
-// verification harness.
+// Package verify is TradeFL's invariant auditor and differential
+// verification harness. It is test support, as net/http/httptest is in
+// the standard library: only _test.go files import it.
 //
 // The repo's solvers hold tight mathematical contracts — Theorem 1's
 // weighted-potential identity, Definition 5's budget balance, Algorithm 1's
 // bound sandwich and Definition 6's equilibrium property — and each of
-// those is checkable at runtime for a small multiple of the work the
-// solvers already did. This package makes the checks first-class:
+// those is checkable for a small multiple of the work the solvers already
+// did. This package makes the checks first-class:
 //
-//   - Auditor carries the invariant checks. Each check counts into
-//     tradefl_verify_checks_total, records violations (capped) with a
-//     structured log line; each Violation names its invariant family.
-//   - Enable installs the auditor behind the solver audit hooks
-//     (gbd.SetAuditHook, dbr.SetAuditHook, chain.SetSettlementAudit), so
-//     every Solve and every on-chain payoffCalculate in the process is
-//     audited. All four cmds expose this as -verify, exiting nonzero when
-//     any invariant broke.
+//   - Auditor carries the invariant checks. It counts every check and
+//     records violations (capped); each Violation names its invariant
+//     family.
+//   - Enable installs the auditor behind the audit hooks
+//     (gbd.SetAuditHook, dbr.SetAuditHook, chain.SetSettlementAudit,
+//     chain.SetLedgerAudit), so every Solve, every on-chain
+//     payoffCalculate and every sealed block in the test process is
+//     audited.
 //   - Differential (diff_test.go) fuzzes random game instances and cross-runs
 //     CGBD against an independent exhaustive solver, DBR against CGBD, and
 //     the DeltaEvaluator against Config.Payoff.
@@ -34,10 +35,7 @@ import (
 
 	"tradefl/internal/chain"
 	"tradefl/internal/game"
-	"tradefl/internal/obs"
 )
-
-var vLog = obs.Component("verify")
 
 // Violation is one recorded invariant breach.
 type Violation struct {
@@ -110,8 +108,7 @@ func (a *Auditor) Violations() []Violation {
 	return out
 }
 
-// Reset clears the violation records and counters of this auditor (process
-// metrics are monotone and keep their totals).
+// Reset clears the violation records and counters of this auditor.
 func (a *Auditor) Reset() {
 	a.mu.Lock()
 	a.violations = a.violations[:0]
@@ -133,15 +130,11 @@ func (a *Auditor) Summary() string {
 // begin counts one check execution.
 func (a *Auditor) begin() {
 	a.checks.Add(1)
-	mChecks.Inc()
 }
 
 // violate records one breach; v.Check names its family.
 func (a *Auditor) violate(v Violation) {
 	a.count.Add(1)
-	mViolations.Inc()
-	obs.FlightRecord("verify", "violation", fmt.Sprintf("check=%s source=%s delta=%g detail=%s", v.Check, v.Source, v.Delta, v.Detail))
-	vLog.Warn("invariant violation", "check", v.Check, "source", v.Source, "detail", v.Detail, "delta", v.Delta)
 	a.mu.Lock()
 	if len(a.violations) < maxViolations {
 		a.violations = append(a.violations, v)

@@ -94,8 +94,6 @@ var metricReaders = map[string]string{
 	"tradefl_transport_frames_malformed_total": "test:TestTCPTornWriteThenReconnect",
 	"tradefl_transport_frames_overflow_total":  "test:TestTCPOversizedFrame",
 	"tradefl_transport_inbox_dropped_total":    "is a TCP node dropping frames because its inbox is full?",
-	"tradefl_verify_checks_total":              "test:TestFigureRunUnderVerify",
-	"tradefl_verify_violations_total":          "test:TestFigureRunUnderVerify",
 }
 
 // TestMetricCensus pins every tradefl_* series name the program registers

@@ -20,13 +20,15 @@ echo "==> fused-multiply-add census (settlement arithmetic cross-compiled for ar
 # fused payoff expression lets an arm64 standby seal another state root. An
 # explicit float64(...) conversion blocks the fusion. This cross-compiles
 # the chain node and fails on any fused instruction in the contract's
-# package or in the auditor's settlement check (4 s on a warm build
-# cache, 28 s cold).
+# package (4 s on a warm build cache, 28 s cold). The auditor's settlement
+# check is not censused: it is test support that no command links, and a
+# fused oracle on arm64 would fail its own tests, a visible false alarm,
+# where a fused contract forks a node silently.
 FMA_DIR="$(mktemp -d)"
 GOARCH=arm64 go build -o "$FMA_DIR/tradefl-chain" ./cmd/tradefl-chain
 fused="$(go tool objdump "$FMA_DIR/tradefl-chain" | awk '
   /^TEXT / { sym = $2 }
-  /FMADDD|FMSUBD|FNMADDD|FNMSUBD/ && (sym ~ /^tradefl\/internal\/chain\./ || sym ~ /^tradefl\/internal\/verify\.\(\*Auditor\)\.CheckSettlement\(/) { print sym }')"
+  /FMADDD|FMSUBD|FNMADDD|FNMSUBD/ && sym ~ /^tradefl\/internal\/chain\./ { print sym }')"
 rm -rf "$FMA_DIR"
 [ -z "$fused" ] || { echo "fma census: fused multiply-adds in settlement code:"; echo "$fused" | sort | uniq -c; exit 1; }
 
@@ -70,9 +72,9 @@ rm -rf "$DRIFT_DIR"
 echo "==> go test -race ./..."
 # The suite runs the commands end to end in process: a traced gateway job
 # followed over SSE and drained by SIGTERM (TestRunSolvesTracesAndDrains),
-# a figure run under -verify (TestFigureRunUnderVerify) and the deployment
-# on an in-memory chain node (TestOrgsSettleAgainstNode), beside the
-# auditor's mutation self-tests.
+# a figure run with the invariant auditor armed (TestFigureRunUnderVerify)
+# and the deployment on an in-memory chain node (TestOrgsSettleAgainstNode),
+# beside the auditor's mutation self-tests.
 go test -race ./...
 
 echo "==> fuzz smokes (hand-written codecs vs their encoding/json oracles)"
