@@ -29,6 +29,7 @@ import (
 	"tradefl/internal/fleet"
 	"tradefl/internal/game"
 	"tradefl/internal/gbd"
+	"tradefl/internal/obs"
 	"tradefl/internal/randx"
 )
 
@@ -767,8 +768,23 @@ func BenchmarkGBDSolve(b *testing.B) {
 
 // BenchmarkScaling_DBR measures how Algorithm 2 scales with the number of
 // organizations (Theorem 2's computational-efficiency property:
-// O(T·L·N·m)).
+// O(T·L·N·m)), and reports the work behind the time from the dbr series:
+// best responses, candidates and certified candidates per solve.
 func BenchmarkScaling_DBR(b *testing.B) {
+	work := []struct{ series, unit string }{
+		{"tradefl_dbr_best_responses_total", "best-responses/op"},
+		{"tradefl_dbr_candidates_total", "candidates/op"},
+		{"tradefl_dbr_certified_candidates_total", "certified/op"},
+	}
+	counts := func() []float64 {
+		samples := obs.Default.Snapshot()
+		out := make([]float64, len(work))
+		for k, w := range work {
+			s, _ := obs.Find(samples, w.series)
+			out[k] = s.Value
+		}
+		return out
+	}
 	for _, n := range []int{5, 10, 20, 40} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
@@ -777,6 +793,7 @@ func BenchmarkScaling_DBR(b *testing.B) {
 				b.Fatal(err)
 			}
 			var rounds int
+			before := counts()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := dbr.Solve(cfg, nil, dbr.Options{})
@@ -785,7 +802,11 @@ func BenchmarkScaling_DBR(b *testing.B) {
 				}
 				rounds = res.Rounds
 			}
+			b.StopTimer()
 			b.ReportMetric(float64(rounds), "sweeps")
+			for k, after := range counts() {
+				b.ReportMetric((after-before[k])/float64(b.N), work[k].unit)
+			}
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -124,6 +125,48 @@ func TestDocsCensus(t *testing.T) {
 			checkRoadmapRefs(t, items, p, cg.Text())
 		}
 	}
+	checkChangesCap(t)
+}
+
+// changesCap is the most bytes a CHANGES.md entry may hold from PR
+// changesCapFrom on (ROADMAP item 6): A/B tables and measurement logs
+// belong in the PR description, not in the log the next change reads.
+const (
+	changesCap     = 1536
+	changesCapFrom = 52
+)
+
+// changesEntry opens a CHANGES.md entry: a "- PR N" line; the entry runs
+// on over indented continuation lines.
+var changesEntry = regexp.MustCompile(`^- PR ([0-9]+)\b`)
+
+// checkChangesCap fails every CHANGES.md entry for PR changesCapFrom or
+// later that is over changesCap bytes.
+func checkChangesCap(t *testing.T) {
+	t.Helper()
+	raw, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, size := 0, 0
+	flush := func() {
+		if pr >= changesCapFrom && size > changesCap {
+			t.Errorf("CHANGES.md: the entry for PR %d is %d bytes, over the %d-byte cap", pr, size, changesCap)
+		}
+		pr, size = 0, 0
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if pr > 0 && (strings.HasPrefix(line, " ") || strings.HasPrefix(line, "\t")) {
+			size += len(line) + 1
+			continue
+		}
+		flush()
+		if m := changesEntry.FindStringSubmatch(line); m != nil {
+			pr, _ = strconv.Atoi(m[1])
+			size = len(line)
+		}
+	}
+	flush()
 }
 
 // checkRoadmapRefs fails every ROADMAP item reference in text that names

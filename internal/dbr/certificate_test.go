@@ -315,3 +315,80 @@ func FuzzCertificateEquivalence(f *testing.F) {
 		checkCertificate(t, cfg, hostileProfile(r, cfg), dTol, &out)
 	})
 }
+
+// TestCertificateTiersKeepDecisions solves a corpus and pins what its scans
+// decided — best responses, candidates, certified candidates and moves —
+// to the counts recorded when every scan built the exact bound, beside how
+// many scans build it now: under 1% unpersonalized, every scan of a
+// personalized game, which has no per-solve bound. Only that last count
+// may move with the per-solve bound, and any change to it shows here.
+func TestCertificateTiersKeepDecisions(t *testing.T) {
+	for _, c := range []struct {
+		n     int
+		alpha float64
+		want  [5]int64 // scans, candidates, certified, moves, exact bounds built
+	}{
+		{8, 0, [5]int64{864, 2592, 2463, 409, 0}},
+		{8, 0.3, [5]int64{848, 2544, 1372, 406, 848}},
+		{24, 0, [5]int64{2544, 7632, 7580, 1207, 22}},
+		{24, 0.3, [5]int64{2880, 8640, 5587, 1228, 2880}},
+		{40, 0, [5]int64{4200, 12600, 12560, 2005, 26}},
+		{40, 0.3, [5]int64{5240, 15720, 10202, 2052, 5240}},
+	} {
+		count := func() [5]int64 {
+			return [5]int64{mScans.Value(), mCandidates.Value(), mCertified.Value(), mMoves.Value(), exactBounds.Load()}
+		}
+		before := count()
+		for seed := int64(1); seed <= 50; seed++ {
+			cfg, err := game.DefaultConfig(game.GenOptions{Seed: seed, N: c.n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.alpha > 0 {
+				cfg.Personal = game.Personalization{Alpha: c.alpha, LocalBoost: 1.5}
+			}
+			if _, err := Solve(cfg, nil, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := count()
+		for k := range got {
+			got[k] -= before[k]
+		}
+		if got != c.want {
+			t.Errorf("N=%d α=%v: scans, candidates, certified, moves, exact bounds = %v, want %v", c.n, c.alpha, got, c.want)
+		}
+	}
+}
+
+// FuzzCoarseErrBoundDominates holds the per-solve tier to its contract on
+// hostile games: it refuses wherever ErrBound refuses and is otherwise at
+// least ErrBound's value, at every organization and level of a random
+// profile; scripts/ci.sh runs it for a few seconds.
+func FuzzCoarseErrBoundDominates(f *testing.F) {
+	for i := range certModels {
+		f.Add(int64(i), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, model uint8) {
+		r := rand.New(rand.NewSource(seed))
+		cfg, ok := hostileConfig(r, certModels[int(model)%len(certModels)])
+		if !ok {
+			return
+		}
+		ev := game.NewDeltaEvaluator(cfg)
+		ev.Bind(hostileProfile(r, cfg))
+		for i, o := range cfg.Orgs {
+			for _, f := range o.CPULevels {
+				_, hi, feasible := cfg.FeasibleD(i, f)
+				if !feasible {
+					continue
+				}
+				s := game.Strategy{D: hi, F: f}
+				exact, eok := ev.ErrBound(i, s)
+				if coarse, cok := ev.CoarseErrBound(i, s); cok && !(eok && coarse >= exact) {
+					t.Fatalf("%s N=%d org %d f=%g: per-solve bound %g, ErrBound (%g, %v)", cfg.Accuracy.Name(), cfg.N(), i, f, coarse, exact, eok)
+				}
+			}
+		}
+	})
+}

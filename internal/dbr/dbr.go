@@ -196,12 +196,11 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("dbr: %w", err)
 			}
-			cur := eng.Payoff(i)
 			next, val, ok := eng.BestResponse(i, opts.DTol)
 			if !ok {
 				continue
 			}
-			if val > cur+opts.Tol {
+			if val > eng.current(i)+opts.Tol {
 				p[i] = next
 				eng.Update(i, next)
 				changed = true

@@ -1,7 +1,9 @@
 package dbr
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"tradefl/internal/game"
 	"tradefl/internal/optimize"
@@ -26,7 +28,18 @@ type Engine struct {
 	eval    func(d float64) float64
 	evalOrg int
 	evalF   float64
+
+	// The scan's probe of the bound strategy, when it made one (current),
+	// and whether the scan has built the exact certificate bound.
+	curS  game.Strategy
+	cur   float64
+	curOK bool
+	built bool
 }
+
+// exactBounds counts the scans that built the exact certificate bound
+// (engine tests and benchmarks read it; it is not a /metrics series).
+var exactBounds atomic.Int64
 
 // NewEngine builds an engine for cfg. Prefer the package-level pooled
 // entry points (BestResponse, Solve) unless you are managing engine
@@ -103,6 +116,7 @@ func (e *Engine) BestResponse(i int, dTol float64) (game.Strategy, float64, bool
 	// Every probe of this scan asks about organization i against the same
 	// π₋ᵢ; focus once.
 	e.ev.Focus(i)
+	e.curS, e.curOK, e.built = e.ev.Bound()[i], false, false
 	cands := e.cands[:0]
 	var certified int64
 	for _, f := range levels {
@@ -114,6 +128,34 @@ func (e *Engine) BestResponse(i int, dTol float64) (game.Strategy, float64, bool
 	}
 	mCertified.Add(certified)
 	return reduceCandidates(cands)
+}
+
+// current returns organization i's payoff at its bound strategy after a
+// scan of i: the scan's own probe of that strategy — an endpoint pair's
+// first value or a search's result, PayoffWith's bits either way — or,
+// when it made none, one payoff walk.
+func (e *Engine) current(i int) float64 {
+	if e.curOK {
+		return e.cur
+	}
+	return e.Payoff(i)
+}
+
+// saw records a probe of the scan: v is PayoffWith(scanned org, s).
+func (e *Engine) saw(s game.Strategy, v float64) {
+	if math.Float64bits(s.D) == math.Float64bits(e.curS.D) && math.Float64bits(s.F) == math.Float64bits(e.curS.F) {
+		e.cur, e.curOK = v, true
+	}
+}
+
+// exactBound is the certificate's second tier, ErrBound, built at most
+// once per scan.
+func (e *Engine) exactBound(i int, s game.Strategy) (float64, bool) {
+	if !e.built {
+		e.built = true
+		exactBounds.Add(1)
+	}
+	return e.ev.ErrBound(i, s)
 }
 
 // minCertTol is the smallest search tolerance the endpoint certificate
@@ -135,9 +177,11 @@ const minCertTol = 0x1p-32
 // F(hi) − F(hi−h) > 4E with h = tol/4 gives C(hi) − C(hi−h) > 2E, hence
 // C(x) < C(hi) − 2E and F(x) < F(hi) for every x ≤ hi−h: lo and m lose the
 // search's closing comparisons to hi whatever path the bracket took. The
-// same at lo. Everything else — no bound, a thin margin (an interior
-// maximizer, a flat payoff), NaN, an interval the search would not split, a
-// tolerance under minCertTol — is searched.
+// same at lo. E is first the per-solve CoarseErrBound; a positive gap it
+// leaves open asks for ErrBound's exact E, which is never larger, so each
+// pair is decided as by ErrBound alone. Everything else — no bound, a thin
+// margin (an interior maximizer, a flat payoff), NaN, an interval the
+// search would not split, a tolerance under minCertTol — is searched.
 func (e *Engine) solveCandidate(i int, f, dTol float64) (candidate, bool) {
 	lo, hi, feasible := e.cfg.FeasibleD(i, f)
 	if !feasible {
@@ -145,18 +189,31 @@ func (e *Engine) solveCandidate(i int, f, dTol float64) (candidate, bool) {
 	}
 	e.evalOrg, e.evalF = i, f
 	if dTol >= minCertTol && hi-lo > dTol {
-		// lo is D_min, the low end ErrBound answers for.
-		if bound, ok := e.ev.ErrBound(i, game.Strategy{D: hi, F: f}); ok {
-			h, margin := dTol/4, 4*bound
-			top, low := game.Strategy{D: hi, F: f}, game.Strategy{D: lo, F: f}
-			if v, in := e.ev.PayoffWithPair(i, top, game.Strategy{D: hi - h, F: f}); v-in > margin {
-				return candidate{s: top, val: v, feasible: true}, true
+		// lo is D_min, the low end both tiers answer for.
+		top, h := game.Strategy{D: hi, F: f}, dTol/4
+		bound, ok := e.ev.CoarseErrBound(i, top)
+		exact := !ok
+		if exact {
+			bound, ok = e.exactBound(i, top)
+		}
+		ends := [2][2]game.Strategy{{top, {D: hi - h, F: f}}, {{D: lo, F: f}, {D: lo + h, F: f}}}
+		for _, end := range ends {
+			if !ok {
+				break
 			}
-			if v, in := e.ev.PayoffWithPair(i, low, game.Strategy{D: lo + h, F: f}); v-in > margin {
-				return candidate{s: low, val: v, feasible: true}, true
+			v, in := e.ev.PayoffWithPair(i, end[0], end[1])
+			e.saw(end[0], v)
+			gap := v - in
+			if !exact && gap > 0 && !(gap > 4*bound) {
+				exact = true
+				bound, ok = e.exactBound(i, top)
+			}
+			if ok && gap > 4*bound {
+				return candidate{s: end[0], val: v, feasible: true}, true
 			}
 		}
 	}
 	d, val, _ := optimize.GoldenSection(e.eval, lo, hi, dTol)
+	e.saw(game.Strategy{D: d, F: f}, val)
 	return candidate{s: game.Strategy{D: d, F: f}, val: val, feasible: true}, false
 }

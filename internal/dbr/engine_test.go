@@ -120,7 +120,8 @@ func TestBestResponseZeroAlloc(t *testing.T) {
 
 // BenchmarkBestResponseAllocs measures the engine's serial scan at the
 // default instance size (with -benchmem it documents the zero-alloc steady
-// state) beside the from-scratch reference scan it replaced.
+// state; exact-bounds/op counts the scans that built the exact certificate
+// bound) beside the from-scratch reference scan it replaced.
 func BenchmarkBestResponseAllocs(b *testing.B) {
 	cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, NoOrgName: true})
 	if err != nil {
@@ -131,12 +132,14 @@ func BenchmarkBestResponseAllocs(b *testing.B) {
 		b.ReportAllocs()
 		eng := NewEngine(cfg)
 		eng.Bind(p)
+		exact := exactBounds.Load()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, ok := eng.BestResponse(i%cfg.N(), 1e-7); !ok {
 				b.Fatal("no feasible response")
 			}
 		}
+		b.ReportMetric(float64(exactBounds.Load()-exact)/float64(b.N), "exact-bounds/op")
 	})
 	b.Run("reference=from-scratch", func(b *testing.B) {
 		b.ReportAllocs()
@@ -146,6 +149,44 @@ func BenchmarkBestResponseAllocs(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestScanCurrentIsPayoff: the payoff a solve compares a best response
+// with is the bound strategy's, to the bit, whether a probe of the scan or
+// a payoff walk supplied it, and after the first sweep probes supply most.
+func TestScanCurrentIsPayoff(t *testing.T) {
+	for _, cfg := range engineGames(t) {
+		eng := NewEngine(cfg)
+		p := cfg.MinimalProfile()
+		eng.Bind(p)
+		var scans, probed int
+		for sweep := 0; sweep < 4; sweep++ {
+			for i := range cfg.Orgs {
+				next, val, ok := eng.BestResponse(i, 1e-7)
+				if !ok {
+					continue
+				}
+				got, served := eng.current(i), eng.curOK
+				if want := cfg.Payoff(i, p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("N=%d sweep %d org %d: current %x, Config.Payoff %x (from a probe: %v)", cfg.N(), sweep, i, math.Float64bits(got), math.Float64bits(want), served)
+				}
+				if sweep > 0 {
+					scans++
+					if served {
+						probed++
+					}
+				}
+				if val > got+1e-9 {
+					p[i] = next
+					eng.Update(i, next)
+				}
+			}
+		}
+		t.Logf("N=%d α=%v: %d of %d later scans read the current payoff off a probe", cfg.N(), cfg.Personal.Alpha, probed, scans)
+		if 2*probed < scans {
+			t.Errorf("N=%d α=%v: only %d of %d later scans read the current payoff off a probe", cfg.N(), cfg.Personal.Alpha, probed, scans)
+		}
+	}
 }
 
 // TestEngineResetReusesForSameConfig verifies the pool fast path: releasing

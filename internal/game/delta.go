@@ -44,7 +44,7 @@ import "tradefl/internal/accuracy"
 // organization other than the focused one moves the focus, which is a
 // mutation. After Focus(i), concurrent PayoffWith(i, ·) queries are
 // read-only and race-free until the next Bind/Update/Reset; ErrBound is a
-// mutation (it fills a per-focus cache).
+// mutation (it fills a per-focus cache), CoarseErrBound is not.
 type DeltaEvaluator struct {
 	cfg *Config
 	acc accuracy.Model
@@ -73,13 +73,19 @@ type DeltaEvaluator struct {
 	prefix float64   // Σ_{j<focus} terms[j], folded left to right from zero
 	g      []float64 // γ·ρ_ij for i = focus
 
-	// Error-bound caches (errbound.go): the model's certificate methods,
-	// nil when it has none, and the half of ErrBound that depends on the
-	// focus alone, built by the first ErrBound after a Focus.
-	shape    accuracy.Certified
+	// Error-bound caches (errbound.go). shape is the model's certificate
+	// methods, nil when it has none.
+	shape accuracy.Certified
+	// Per organization, built by Reset: Σ_{j≠i} γ·ρ_ij, x_i at d = 1 and
+	// the top CPU level, and CoarseErrBound's focus half (NaN = no
+	// per-solve bound).
+	rowG, xTop, coarseMag []float64
+	outside               int // bound strategies outside the box coarseMag holds over
+	// ErrBound's focus half: the magnitudes that do not depend on the
+	// strategy asked about (NaN = no bound), built by the first ErrBound
+	// after a Focus.
 	bounded  bool
-	boundMag float64 // magnitudes that do not depend on the strategy asked about; NaN = no bound
-	boundG   float64 // Σ_{j≠focus} g[j]
+	boundMag float64
 }
 
 // NewDeltaEvaluator builds an evaluator for cfg. The config must remain
@@ -99,7 +105,8 @@ func (ev *DeltaEvaluator) Reset(cfg *Config) {
 	ev.acc = cfg.Accuracy
 	ev.shape, _ = cfg.Accuracy.(accuracy.Certified)
 	for _, v := range [...]*[]float64{&ev.scale, &ev.q, &ev.bits, &ev.prof, &ev.dmgCoef,
-		&ev.commE, &ev.weight, &ev.gRowSum, &ev.xs, &ev.terms, &ev.g} {
+		&ev.commE, &ev.weight, &ev.gRowSum, &ev.xs, &ev.terms, &ev.g,
+		&ev.rowG, &ev.xTop, &ev.coarseMag} {
 		if cap(*v) < n {
 			*v = make([]float64, n)
 		}
@@ -110,6 +117,7 @@ func (ev *DeltaEvaluator) Reset(cfg *Config) {
 	}
 	ev.p = ev.p[:n]
 	ev.focus = -1
+	ev.outside = n // until Bind
 	ev.gamma = cfg.Gamma
 	ev.lambda = cfg.Lambda
 	ev.energyWeight = cfg.EnergyWeight
@@ -123,18 +131,34 @@ func (ev *DeltaEvaluator) Reset(cfg *Config) {
 		ev.bits[i] = cfg.Orgs[i].DataBits
 		ev.prof[i] = cfg.Orgs[i].Profitability
 		ev.commE[i] = cfg.Orgs[i].Comm.CommEnergy()
+		ev.xTop[i] = ev.contribution(i, Strategy{D: 1, F: cfg.Orgs[i].topLevel()})
+	}
+	prof, xTop, gamma := ev.prof, ev.xTop, ev.gamma
+	for i := 0; i < n; i++ {
 		// The folds of Config.Damage, Config.Weight and Config.RhoRowSum in
-		// one walk over the row, then the product each is used in.
-		sum, z, rowSum := 0.0, cfg.Orgs[i].Profitability, 0.0
-		for j, rho := range cfg.Rho[i] {
-			sum += rho * cfg.Orgs[j].Profitability
-			z -= rho * cfg.Orgs[j].Profitability
+		// one walk over the row, then the product each is used in; beside
+		// them the per-solve bound's Σ_{j≠i} γ·ρ_ij and Σ_j γ·ρ_ij·x_j^max.
+		row := cfg.Rho[i]
+		prof, xTop := prof[:len(row)], xTop[:len(row)]
+		sum, z, rowSum, g1, g2 := 0.0, prof[i], 0.0, 0.0, 0.0
+		for j, rho := range row {
+			p := rho * prof[j]
+			sum += p
+			z -= p
 			rowSum += rho
+			g := gamma * rho
+			if j != i {
+				g1 += g
+			}
+			g2 += g * xTop[j]
 		}
 		ev.dmgCoef[i] = (1 - cfg.Personal.Alpha) * sum
 		ev.weight[i] = (1 - cfg.Personal.Alpha) * z
 		ev.gRowSum[i] = cfg.Gamma * rowSum
+		ev.rowG[i] = g1
+		ev.coarseMag[i] = g2
 	}
+	ev.coarseBound()
 }
 
 // Config returns the bound game configuration.
@@ -145,9 +169,13 @@ func (ev *DeltaEvaluator) Config() *Config { return ev.cfg }
 // drops the focus.
 func (ev *DeltaEvaluator) Bind(p Profile) {
 	copy(ev.p, p)
+	ev.outside = 0
 	for j := range ev.p {
 		ev.xs[j] = ev.contribution(j, ev.p[j])
 		ev.terms[j] = ev.p[j].D * ev.scale[j]
+		if !ev.inBox(j, ev.p[j]) {
+			ev.outside++
+		}
 	}
 	ev.focus = -1
 }
@@ -156,6 +184,12 @@ func (ev *DeltaEvaluator) Bind(p Profile) {
 // aggregate caches consistent, and drops the focus. Use it after a
 // best-response move instead of re-binding the whole profile.
 func (ev *DeltaEvaluator) Update(i int, s Strategy) {
+	if !ev.inBox(i, ev.p[i]) {
+		ev.outside--
+	}
+	if !ev.inBox(i, s) {
+		ev.outside++
+	}
 	ev.p[i] = s
 	ev.xs[i] = ev.contribution(i, s)
 	ev.terms[i] = s.D * ev.scale[i]

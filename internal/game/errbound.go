@@ -29,13 +29,32 @@ func (ev *DeltaEvaluator) ErrBound(i int, s Strategy) (float64, bool) {
 	}
 	if !ev.bounded {
 		ev.bounded = true
-		ev.boundMag, ev.boundG = ev.focusMagnitude(i)
+		ev.boundMag = ev.focusMagnitude(i)
 	}
-	mag := ev.boundMag + ev.energyWeight*ev.energy(i, s) + ev.boundG*ev.contribution(i, s)
-	// Validate caps every operand at MaxMagnitude, so products of the six
-	// factors an addend has stay far inside the float range; an M this far
-	// from 1 would still mean an intermediate may have left it. A refusal
-	// by focusMagnitude arrives here as NaN.
+	return ev.finish(ev.boundMag+ev.energyWeight*ev.energy(i, s)+ev.rowG[i]*ev.contribution(i, s), s)
+}
+
+// CoarseErrBound is ErrBound's per-solve tier: a bound that is never below
+// ErrBound's in floats, read in O(1) from what Reset built, without a
+// focus. It refuses wherever ErrBound would, and also for a personalized
+// game and while a bound strategy lies outside d ∈ [D_min, 1], f ≤ the
+// top CPU level. DESIGN.md §10 gives the dominance argument.
+func (ev *DeltaEvaluator) CoarseErrBound(i int, s Strategy) (float64, bool) {
+	e, gx := ev.energyWeight*ev.energy(i, s), ev.rowG[i]*ev.contribution(i, s)
+	// ErrBound's M is at least e + gx, its focus half being ≥ 0: past this
+	// guard ErrBound's lower magnitude guard passes too.
+	if ev.outside > 0 || !(e+gx > 0x1p-500) {
+		return 0, false
+	}
+	return ev.finish(ev.coarseMag[i]+e+gx, s)
+}
+
+// finish is E = (4N+32)·2⁻⁵³·mag past the guards both tiers share.
+// Validate caps every operand at MaxMagnitude, so products of the six
+// factors an addend has stay far inside the float range; an M this far
+// from 1 would still mean an intermediate may have left it. A refusal by
+// a focus half arrives here as NaN.
+func (ev *DeltaEvaluator) finish(mag float64, s Strategy) (float64, bool) {
 	if !(s.D <= 1 && mag > 0x1p-500 && mag < 0x1p500) {
 		return 0, false
 	}
@@ -49,20 +68,19 @@ func (ev *DeltaEvaluator) roundoff() float64 {
 
 // focusMagnitude returns the part of ErrBound's M that does not depend on
 // the strategy asked about — NaN when ErrBound must refuse whatever the
-// strategy — and Σ_{j≠i} g_j. Every Ω the payoff hands the
-// model for a d ∈ [D_min, 1], and the exact value each stands for, lies in
-// [low, top]; S is largest at an end of that interval and P′ at its low end.
-func (ev *DeltaEvaluator) focusMagnitude(i int) (mag, g1 float64) {
+// strategy. Every Ω the payoff hands the model for a d ∈ [D_min, 1], and
+// the exact value each stands for, lies in [low, top]; S is largest at an
+// end of that interval and P′ at its low end.
+func (ev *DeltaEvaluator) focusMagnitude(i int) float64 {
 	sh := ev.shape
 	own := ev.prof[i] * ev.oneMinusAlpha
 	if sh == nil || !(own >= ev.dmgCoef[i]) {
-		return math.NaN(), 0
+		return math.NaN()
 	}
 	var rest, g2 float64
 	for j, t := range ev.terms {
 		if j != i {
 			rest += t
-			g1 += ev.g[j]
 			g2 += ev.g[j] * ev.xs[j]
 		}
 	}
@@ -71,18 +89,70 @@ func (ev *DeltaEvaluator) focusMagnitude(i int) (mag, g1 float64) {
 	low := rest - ev.roundoff()*top
 	from := sh.ConcaveFrom()
 	if !(low > 0 && low >= from) {
-		return math.NaN(), 0
+		return math.NaN()
 	}
 	spread := max(sh.RoundingScale(low), sh.RoundingScale(top)) + ev.acc.Derivative(low)*top
-	mag = (own+2*ev.dmgCoef[i])*spread + g2
+	mag := (own+2*ev.dmgCoef[i])*spread + g2
 	if ev.personal {
 		locLow := ev.boost * ev.cfg.DMin * scale * (1 - 0x1p-50)
 		locTop := ev.boost * scale
 		if !(locLow > 0 && locLow >= from) {
-			return math.NaN(), 0
+			return math.NaN()
 		}
 		spread = max(sh.RoundingScale(locLow), sh.RoundingScale(locTop)) + ev.acc.Derivative(locLow)*locTop
 		mag += ev.prof[i] * ev.alpha * spread
 	}
-	return mag, g1
+	return mag
+}
+
+// coarseBound finishes the per-solve focus halves. coarseMag[i] enters
+// holding Σ_j γ·ρ_ij·x_j^max and leaves holding focusMagnitude(i)'s
+// expression at its largest over every profile in the box: Ω's bracket
+// [low, top] widened to hold every focus's, S and P′ read there once, and
+// a 2⁻⁴⁰ relative slack for the last ulps of Pow and Sqrt. NaN where no
+// per-solve statement holds: no certificate methods, personalization, a
+// low end under ConcaveFrom, or own < dmg as in focusMagnitude.
+func (ev *DeltaEvaluator) coarseBound() {
+	spread := math.NaN()
+	if sh := ev.shape; sh != nil && !ev.personal {
+		// Every focus's rest folds N−1 addends d_j·scale_j ≥ D_min·scale_j
+		// and its top adds scale_i ≤ Σ scale_j; r/2·Σ exceeds the fold
+		// and reordering error on either side.
+		var lowSum, lowMax, topSum float64
+		for _, s := range ev.scale {
+			t := ev.cfg.DMin * s
+			lowSum += t
+			lowMax = max(lowMax, t)
+			topSum += s
+		}
+		r := ev.roundoff()
+		top := topSum + 0.5*r*topSum
+		rest := lowSum - lowMax - 0.5*r*lowSum
+		low := rest - r*top
+		if low > 0 && low >= sh.ConcaveFrom() {
+			spread = (max(sh.RoundingScale(low), sh.RoundingScale(top)) + ev.acc.Derivative(low)*top) * (1 + 0x1p-40)
+		}
+	}
+	for i, g2 := range ev.coarseMag {
+		own := ev.prof[i] * ev.oneMinusAlpha
+		if !(own >= ev.dmgCoef[i]) {
+			ev.coarseMag[i] = math.NaN()
+			continue
+		}
+		ev.coarseMag[i] = (own+2*ev.dmgCoef[i])*spread + g2
+	}
+}
+
+// inBox reports whether organization j's strategy s lies where the
+// per-solve bound holds: d ∈ [D_min, 1] and f at most its top CPU level.
+func (ev *DeltaEvaluator) inBox(j int, s Strategy) bool {
+	return s.D >= ev.cfg.DMin && s.D <= 1 && s.F <= ev.cfg.Orgs[j].topLevel()
+}
+
+// topLevel is the organization's fastest CPU level, NaN when it has none.
+func (o *Organization) topLevel() float64 {
+	if len(o.CPULevels) == 0 {
+		return math.NaN()
+	}
+	return o.CPULevels[len(o.CPULevels)-1]
 }

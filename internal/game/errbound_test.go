@@ -157,3 +157,76 @@ func TestErrBoundRefuses(t *testing.T) {
 
 // foreignModel hides the certificate methods of the model it wraps.
 type foreignModel struct{ accuracy.Model }
+
+// TestCoarseErrBoundDominates is the per-solve tier's contract: over random
+// instances — N 1–64, 1–64 CPU levels, μ ∈ [0, 1], α ∈ {0, 0.3}, some
+// magnitudes near MaxMagnitude — and over the minimal profile, where the
+// per-solve bracket is tightest, and a random one, CoarseErrBound refuses
+// wherever ErrBound refuses and is otherwise at least ErrBound's value.
+func TestCoarseErrBoundDominates(t *testing.T) {
+	src := randx.New(52)
+	instances := 120
+	if testing.Short() {
+		instances = 30
+	}
+	var valid, answered, refused int
+	tightest := math.Inf(1)
+	for k := 0; k < instances; k++ {
+		gen := GenOptions{Seed: int64(k + 1), N: 1 + src.Intn(64), CPUSteps: 1 + src.Intn(64), Mu: src.Float64()}
+		cfg, err := DefaultConfig(gen)
+		if err != nil {
+			continue
+		}
+		if src.Intn(2) == 0 {
+			cfg.Personal = Personalization{Alpha: 0.3, LocalBoost: 1.5}
+		}
+		if src.Intn(2) == 0 {
+			// Scale every profitability by one factor (z_i > 0 keeps) and
+			// push γ and ϖ_e towards the cap.
+			var top float64
+			for _, o := range cfg.Orgs {
+				top = math.Max(top, o.Profitability)
+			}
+			for i := range cfg.Orgs {
+				cfg.Orgs[i].Profitability *= 0.5 * MaxMagnitude / top
+			}
+			cfg.Gamma = MaxMagnitude * src.Float64()
+			cfg.EnergyWeight = MaxMagnitude * src.Float64()
+		}
+		if cfg.Validate() != nil {
+			continue
+		}
+		valid++
+		ev := NewDeltaEvaluator(cfg)
+		for _, p := range []Profile{cfg.MinimalProfile(), randomProfile(cfg, src)} {
+			ev.Bind(p)
+			for i := range cfg.Orgs {
+				for _, f := range cfg.Orgs[i].CPULevels {
+					_, hi, ok := cfg.FeasibleD(i, f)
+					if !ok {
+						continue
+					}
+					for _, s := range []Strategy{{D: hi, F: f}, {D: 1.5, F: f}} {
+						exact, eok := ev.ErrBound(i, s)
+						coarse, cok := ev.CoarseErrBound(i, s)
+						switch {
+						case cok && !eok:
+							t.Fatalf("N=%d α=%v org %d %+v: per-solve bound %g where ErrBound refuses", cfg.N(), cfg.Personal.Alpha, i, s, coarse)
+						case cok && !(coarse >= exact):
+							t.Fatalf("N=%d α=%v org %d %+v: per-solve bound %g under ErrBound's %g", cfg.N(), cfg.Personal.Alpha, i, s, coarse, exact)
+						case cok:
+							answered++
+							tightest = math.Min(tightest, coarse/exact)
+						default:
+							refused++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d valid instances: %d per-solve bounds answered (tightest %.4g × ErrBound), %d refused", valid, answered, tightest, refused)
+	if answered == 0 {
+		t.Fatal("no per-solve bound answered; the test checks nothing")
+	}
+}

@@ -99,6 +99,9 @@ go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 15s ./internal/r
 # DBR's endpoint certificate must return the golden-section search's bits
 # for every candidate and solve, whatever game and tolerance it is handed.
 go test -run '^$' -fuzz '^FuzzCertificateEquivalence$' -fuzztime 5s ./internal/dbr/
+# Its per-solve bound must refuse wherever the exact one refuses and never
+# fall below it, so that each pair is decided as by the exact bound alone.
+go test -run '^$' -fuzz '^FuzzCoarseErrBoundDominates$' -fuzztime 5s ./internal/dbr/
 # NormalizeRho's skip rule must leave the ρ bits and the factor of the loop
 # it replaced (the oracle in normalize_test.go), with no more row sums.
 go test -run '^$' -fuzz '^FuzzNormalizeRhoMatchesReference$' -fuzztime 5s ./internal/game/
