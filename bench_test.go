@@ -269,21 +269,6 @@ func BenchmarkPayoffs(b *testing.B) {
 }
 
 func BenchmarkBestResponse(b *testing.B) {
-	// The pooled entry point at the default N=10: engine reset, bind, scan.
-	b.Run("pooled", func(b *testing.B) {
-		b.ReportAllocs()
-		cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, NoOrgName: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := cfg.MinimalProfile()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, ok := dbr.BestResponse(cfg, p, i%cfg.N(), 1e-7); !ok {
-				b.Fatal("no feasible response")
-			}
-		}
-	})
 	// N=16 on a bound engine: the steady state of a DBR sweep.
 	b.Run("N=16", func(b *testing.B) {
 		b.ReportAllocs()

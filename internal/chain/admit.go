@@ -40,8 +40,8 @@ type SubmitResult struct {
 // mempool is rebuilt from the log on recovery, the dedup above survives
 // restarts too — a client retrying across a crash cannot double-apply.
 //
-// Admission runs concurrently with the seal path (it never takes sealSeq),
-// so submissions for block H+1 land while block H executes and fsyncs.
+// Admission takes neither sealSeq nor execMu, so submissions for block
+// H+1 land while block H executes and fsyncs.
 func (bc *Blockchain) SubmitTx(tx Transaction) error {
 	adm, err := bc.admit([]Transaction{tx})
 	if err != nil {
@@ -142,17 +142,13 @@ func (bc *Blockchain) admitTxLocked(tx Transaction, hash string, frame []byte) (
 	if _, dup := bc.poolHash[hash]; dup {
 		return nil, fmt.Errorf("%w: %s pending", ErrTxAlreadyKnown, hash)
 	}
-	if _, dup := bc.sealing[hash]; dup {
-		return nil, fmt.Errorf("%w: %s pending", ErrTxAlreadyKnown, hash)
-	}
 	if rcpt := bc.sealedRcpt[hash]; rcpt != nil {
 		return nil, fmt.Errorf("%w: %s sealed at height %d", ErrTxAlreadyKnown, hash, rcpt.Height)
 	}
-	// Nonce must follow the pending sequence (state nonce + queued txs).
-	expected, queued := bc.nextNonce[tx.From]
-	if !queued {
-		expected = bc.Nonce(tx.From)
-	}
+	// Nonce must follow the pending sequence: the frontier is the state
+	// nonce plus the sender's pending txs (0 for a sender never seen), so
+	// admission never reads the ledger.
+	expected := bc.nextNonce[tx.From]
 	if tx.Nonce != expected {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadNonce, tx.Nonce, expected)
 	}

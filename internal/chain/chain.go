@@ -53,8 +53,8 @@ type Block struct {
 	Seal []byte `json:"seal"` // signature over the header hash
 
 	// admitted is the audit witness: the tx hashes admission computed right
-	// after Transaction.Verify succeeded (the pool's poolHashes, handed over
-	// by sealLocked). It is process-local evidence, never serialized — a
+	// after Transaction.Verify succeeded (the pool's poolHashes, taken by
+	// sealLocked). It is process-local evidence, never serialized — a
 	// block that crossed a file or a wire carries none and is audited in
 	// full (DESIGN.md §15).
 	admitted []string
@@ -76,39 +76,37 @@ func (b *Block) HeaderHash() (string, error) {
 //
 // Locking (acquire strictly in this order, any prefix/suffix skipping ok):
 //
-//	sealSeq → poolMu → execMu → mu
+//	sealSeq → execMu → poolMu → mu
 //
 // sealSeq serializes the seal path (SealBlock, ApplySealedBlock, Promote)
-// without blocking admission or reads: a seal holds it across
-// admission-handoff → execute → WAL-enqueue → install, but releases it
-// before the fsync wait, so block H+1 executes while block H commits.
-// poolMu guards the mempool and dedup indexes; execMu guards the ledger
-// (accounts and contract): block execution — the only writer, and always
-// under sealSeq — holds it exclusively, Balance, Nonce, ContractView and
-// admission's nonce lookup hold it shared, and the sealSeq holder itself
-// reads the ledger without it; mu guards the sealed chain and the fencing
-// term.
+// and is held across the WAL fsync wait, so nothing a seal or a promotion
+// changes is installed before its record is durable. execMu guards the
+// ledger (accounts and contract): a seal holds it exclusively from block
+// execution through install, so Balance, Nonce and ContractView (which
+// hold it shared) wait for at most one block's execution and fsync and
+// never read state that is not durable. poolMu guards the mempool and
+// dedup indexes; admission takes only poolMu, so it runs while a block
+// commits. mu guards the sealed chain and the fencing term.
 type Blockchain struct {
 	sealSeq sync.Mutex
 
 	// Mempool + dedup indexes, under poolMu: pool/poolHashes hold pending
-	// txs (and their ids) in admission order, poolHash dedups them O(1),
-	// sealing holds the ids of the block currently being sealed (still
-	// "known" for dedup, no longer pending for seal), nextNonce is the
-	// persistent pending-nonce frontier per sender (entries pruned back to
-	// the state nonce once a sender has nothing pending), sealedRcpt maps
-	// every sealed tx id to its receipt inside blocks: it lives as long as
-	// the blocks it points into.
+	// txs (and their ids) in admission order — a block being sealed stays
+	// at their head until install drops it — and poolHash dedups them O(1).
+	// nextNonce is the pending-nonce frontier per sender: every admitted tx
+	// consumes exactly one nonce when it executes, even a failing one, so
+	// an entry always equals the sender's state nonce plus its pending txs.
+	// sealedRcpt maps every sealed tx id to its receipt inside blocks: it
+	// lives as long as the blocks it points into.
 	poolMu     sync.RWMutex
 	pool       []Transaction
 	poolHashes []string
 	poolHash   map[string]struct{}
-	sealing    map[string]struct{}
 	nextNonce  map[Address]uint64
 	sealedRcpt map[string]*Receipt
 
-	// execMu guards led: exclusive while a block executes, shared for
-	// readers.
+	// execMu guards led: exclusive while a block executes and commits,
+	// shared for readers.
 	execMu sync.RWMutex
 	led    *ledger
 
@@ -160,7 +158,6 @@ func NewBlockchain(authority *Account, params ContractParams, alloc GenesisAlloc
 		led:        led,
 		genesisWei: genesisWei,
 		poolHash:   map[string]struct{}{},
-		sealing:    map[string]struct{}{},
 		nextNonce:  map[Address]uint64{},
 		sealedRcpt: map[string]*Receipt{},
 	}
@@ -186,56 +183,46 @@ func (bc *Blockchain) seal(b *Block) error {
 	return nil
 }
 
-// PendingCount returns the number of accepted-but-unsealed transactions:
-// the mempool plus the block currently in the seal pipeline.
+// PendingCount returns the number of accepted-but-unsealed transactions.
 func (bc *Blockchain) PendingCount() int {
 	bc.poolMu.RLock()
 	defer bc.poolMu.RUnlock()
-	return len(bc.pool) + len(bc.sealing)
+	return len(bc.pool)
 }
 
 // SealBlock applies every pending transaction (in submission order) and
 // appends a sealed block. Failed transactions are included with an error
 // receipt; their state effects are rolled back individually. With a WAL
-// attached the call returns only after the block record is fsynced — but
-// the fsync wait happens outside sealSeq, so the next block's admission and
-// execution overlap this block's group commit.
+// attached the block — its height, receipts and ledger effects — becomes
+// readable only once its record is fsynced, and a failed commit returns
+// the error and installs nothing.
 func (bc *Blockchain) SealBlock() (*Block, error) {
 	bc.sealSeq.Lock()
-	b, ticket, err := bc.sealLocked(-1)
-	bc.sealSeq.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if err := ticket.wait(); err != nil {
-		return nil, fmt.Errorf("chain: block not durable: %w", err)
-	}
-	return b, nil
+	defer bc.sealSeq.Unlock()
+	return bc.sealLocked(-1, bc.Term())
 }
 
-// sealLocked runs the three seal stages on the first `take` pool txs
-// (take < 0 = the whole pool). Caller holds sealSeq; the returned WAL
-// ticket is waited outside all locks.
+// sealLocked seals the first take pool txs (take < 0: the whole pool) at
+// fencing term term. Caller holds sealSeq. There is one order:
 //
-//	stage 1  admission handoff   (poolMu)   txs move pool → sealing
-//	stage 2  execute + state root (execMu)  pool order, exact rollback
-//	stage 3  WAL enqueue + install (poolMu→mu)
+//	execute → state root → sign → WAL enqueue → wait for the fsync → install
 //
-// Durability contract: the block record is enqueued before install, in
-// sealSeq order, so the log order matches the chain order; nothing is
-// acknowledged to the SealBlock caller before the record is fsynced.
-func (bc *Blockchain) sealLocked(take int) (*Block, *walTicket, error) {
+// execMu is held exclusively from execution through install, and the txs
+// stay at the head of the pool (pending for dedup) until install drops
+// them, so nothing of the block is readable before it is durable. A block
+// that does not install — its commit failed — is rolled back out of the
+// ledger; the WAL's error is sticky, so the chain then refuses every later
+// durable operation.
+func (bc *Blockchain) sealLocked(take int, term uint64) (*Block, error) {
 	if bc.wal != nil {
 		if err := bc.wal.Err(); err != nil {
-			return nil, nil, fmt.Errorf("chain: wal unavailable: %w", err)
+			return nil, fmt.Errorf("chain: wal unavailable: %w", err)
 		}
 	}
 	sealStart := time.Now()
-	defer mSealSec.ObserveSince(sealStart)
-
-	// Stage 1: move the batch out of the mempool. Admission of the next
-	// block's txs proceeds as soon as poolMu drops.
-	bc.poolMu.Lock()
+	bc.execMu.Lock()
+	defer bc.execMu.Unlock()
+	bc.poolMu.RLock()
 	n := len(bc.pool)
 	if take >= 0 && take < n {
 		n = take
@@ -243,32 +230,25 @@ func (bc *Blockchain) sealLocked(take int) (*Block, *walTicket, error) {
 	var txs []Transaction
 	var hashes []string
 	if n > 0 {
-		txs = bc.pool[:n:n]
-		hashes = bc.poolHashes[:n:n]
-		bc.pool = bc.pool[n:]
-		bc.poolHashes = bc.poolHashes[n:]
-		for _, h := range hashes {
-			delete(bc.poolHash, h)
-			bc.sealing[h] = struct{}{}
-		}
+		txs, hashes = bc.pool[:n:n], bc.poolHashes[:n:n]
 	}
-	bc.poolMu.Unlock()
+	bc.poolMu.RUnlock()
 
-	// Stage 2: execute against the ledger and derive the root. Only the
-	// execution writes, so only it excludes readers; sealSeq keeps every
-	// other writer out while this goroutine reads the ledger unlocked.
 	armed := ledgerAuditArmed()
 	var preNon int64
 	if armed {
 		preNon = bc.led.nonceSum()
 	}
 	height := bc.nextHeight()
-	bc.execMu.Lock()
 	receipts := bc.led.executeBlock(txs, hashes, height)
-	bc.execMu.Unlock()
+	defer func() {
+		if bc.led.undo != nil { // not installed
+			bc.led.rollback()
+		}
+	}()
 	root, err := bc.led.root()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var ev *LedgerAuditEvent
 	if armed {
@@ -281,10 +261,9 @@ func (bc *Blockchain) sealLocked(take int) (*Block, *walTicket, error) {
 			TxCount:    len(txs),
 		}
 	}
-	// Stage 3: build, seal, log and install.
 	prev, err := bc.lastHeaderHash()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	b := &Block{
 		Height:    height,
@@ -294,58 +273,55 @@ func (bc *Blockchain) sealLocked(take int) (*Block, *walTicket, error) {
 		Txs:       txs,
 		Receipts:  receipts,
 		Sealer:    bc.authority.PublicKey(),
-		Term:      bc.Term(),
+		Term:      term,
 		admitted:  hashes,
 	}
 	if err := bc.seal(b); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var ticket *walTicket
 	if bc.wal != nil {
-		frames, err := encodeWalRec(walRec{Kind: recBlock, Block: b})
+		rec := walRec{Kind: recBlock, Block: b}
+		frames, err := encodeWalRec(rec)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		ticket = bc.wal.enqueue(frames, walRec{Kind: recBlock, Block: b})
+		ticket = bc.wal.enqueue(frames, rec)
 	}
-	bc.installBlock(b, hashes)
+	mSealSec.ObserveSince(sealStart)
+	if err := ticket.wait(); err != nil {
+		return nil, fmt.Errorf("chain: block not durable: %w", err)
+	}
+	bc.installBlock(b)
 	if ev != nil {
 		fireLedgerAudit(ev)
 	}
-	return b, ticket, nil
+	return b, nil
 }
 
-// installBlock appends a sealed block and retires its txs from the dedup
-// pipeline: receipts join the sealed index, the sealing set empties, and
-// the nonce frontier drops senders with nothing pending (their frontier
-// equals the state nonce again).
-func (bc *Blockchain) installBlock(b *Block, hashes []string) {
+// installBlock appends a durable block: its txs leave the head of the pool
+// and their receipts join the sealed index in one poolMu hold, so a
+// resubmission finds them pending or sealed, never neither. The term is
+// raised to the block's, and the block's undo is dropped. Caller holds
+// execMu.
+func (bc *Blockchain) installBlock(b *Block) {
+	bc.led.undo = nil
+	n := len(b.Txs)
 	bc.poolMu.Lock()
-	bc.mu.Lock()
-	bc.blocks = append(bc.blocks, b)
-	bc.mu.Unlock()
+	for _, h := range bc.poolHashes[:n] {
+		delete(bc.poolHash, h)
+	}
+	bc.pool, bc.poolHashes = bc.pool[n:], bc.poolHashes[n:]
 	for i := range b.Receipts {
 		bc.sealedRcpt[b.Receipts[i].TxHash] = &b.Receipts[i]
 	}
-	for _, h := range hashes {
-		delete(bc.sealing, h)
-	}
-	bc.pruneNonceLocked(b.Txs)
+	bc.mu.Lock()
+	bc.blocks = append(bc.blocks, b)
+	bc.term = max(bc.term, b.Term)
+	bc.mu.Unlock()
 	bc.poolMu.Unlock()
 	mBlocks.Inc()
 	mHeight.Set(float64(b.Height))
-}
-
-// pruneNonceLocked drops nonce-frontier entries for senders whose frontier
-// caught up with their state nonce — without it the persistent frontier
-// would grow by one entry per sender forever.
-func (bc *Blockchain) pruneNonceLocked(txs []Transaction) {
-	for i := range txs {
-		from := txs[i].From
-		if want, ok := bc.nextNonce[from]; ok && want == bc.Nonce(from) {
-			delete(bc.nextNonce, from)
-		}
-	}
 }
 
 func (bc *Blockchain) nextHeight() uint64 {
@@ -356,7 +332,7 @@ func (bc *Blockchain) nextHeight() uint64 {
 
 // lastHeaderHash is the tip's header hash. The tip is the block seal()
 // signed last unless that block never got installed (its WAL record failed
-// to encode); then the hash is recomputed.
+// to encode or commit); then the hash is recomputed.
 func (bc *Blockchain) lastHeaderHash() (string, error) {
 	bc.mu.RLock()
 	tip := bc.blocks[len(bc.blocks)-1]
@@ -368,7 +344,8 @@ func (bc *Blockchain) lastHeaderHash() (string, error) {
 }
 
 // Balance returns the on-ledger balance of addr. Like every ledger read it
-// waits only for a block that is mid-execution, never for the seal path.
+// waits for a block that is executing or committing, so it never returns
+// state that is not durable.
 func (bc *Blockchain) Balance(addr Address) Wei {
 	bc.execMu.RLock()
 	defer bc.execMu.RUnlock()
@@ -412,8 +389,8 @@ func (bc *Blockchain) ReceiptByHash(txHash string) (*Receipt, error) {
 	return &rcpt, nil
 }
 
-// ContractView runs fn with read access to the contract state. It blocks
-// only while a block is mid-execution, never for the WAL commit.
+// ContractView runs fn with read access to the contract state. It waits
+// like Balance.
 func (bc *Blockchain) ContractView(fn func(*Contract) error) error {
 	bc.execMu.RLock()
 	defer bc.execMu.RUnlock()
@@ -488,32 +465,26 @@ func (bc *Blockchain) Term() uint64 {
 	return bc.term
 }
 
-// Promote bumps the fencing term, durably (the term record is fsynced
-// before Promote returns when a WAL is attached). A standby calls it when
-// taking over sealing: every block it seals afterwards carries the higher
-// term, and ApplySealedBlock rejects blocks from the deposed primary.
+// Promote bumps the fencing term, durably: with a WAL attached the new
+// term is readable only once its record is fsynced. A standby calls it
+// when taking over sealing: every block it seals afterwards carries the
+// higher term, and ApplySealedBlock rejects blocks from the deposed
+// primary.
 func (bc *Blockchain) Promote() (uint64, error) {
 	bc.sealSeq.Lock()
-	bc.mu.Lock()
-	bc.term++
-	term := bc.term
-	var ticket *walTicket
+	defer bc.sealSeq.Unlock()
+	term := bc.Term() + 1
 	if bc.wal != nil {
-		frames, err := encodeWalRec(walRec{Kind: recTerm, Term: term})
+		rec := walRec{Kind: recTerm, Term: term}
+		frames, err := encodeWalRec(rec)
 		if err != nil {
-			bc.term--
-			bc.mu.Unlock()
-			bc.sealSeq.Unlock()
 			return 0, err
 		}
-		ticket = bc.wal.enqueue(frames, walRec{Kind: recTerm, Term: term})
+		if err := bc.wal.enqueue(frames, rec).wait(); err != nil {
+			return 0, fmt.Errorf("chain: term bump not durable: %w", err)
+		}
 	}
-	bc.mu.Unlock()
-	bc.sealSeq.Unlock()
-	if err := ticket.wait(); err != nil {
-		return 0, fmt.Errorf("chain: term bump not durable: %w", err)
-	}
-	mTerm.Set(float64(term))
+	bc.setTerm(term)
 	return term, nil
 }
 
@@ -529,11 +500,11 @@ func (bc *Blockchain) ApplySealedBlock(stored *Block) error {
 }
 
 // applyStored replays stored on top of the current state: the local pool
-// must contain the block's transactions as a prefix, in order (admission
-// runs while a seal executes, so txs admitted meanwhile follow the block's
-// in the pool and in the log), and the re-sealed block must hash
-// identically to stored. On success the block is appended and the prefix
-// consumed; the remainder stays pooled.
+// must contain the block's transactions as a prefix, in order (txs
+// admitted while the block was sealed follow it in the pool and may
+// precede its record in the log), and the re-sealed block, at the stored
+// term, must hash identically to stored. On success the block is appended
+// and the prefix consumed; the remainder stays pooled.
 func (bc *Blockchain) applyStored(stored *Block, fence bool) error {
 	bc.sealSeq.Lock()
 	defer bc.sealSeq.Unlock()
@@ -546,22 +517,13 @@ func (bc *Blockchain) applyStored(stored *Block, fence bool) error {
 	if want := bc.nextHeight(); stored.Height != want {
 		return fmt.Errorf("chain: sealed block height %d, want %d", stored.Height, want)
 	}
-	bc.poolMu.RLock()
-	poolLen := len(bc.pool)
-	bc.poolMu.RUnlock()
-	if len(stored.Txs) > poolLen {
+	if poolLen := bc.PendingCount(); len(stored.Txs) > poolLen {
 		return fmt.Errorf("chain: sealed block carries %d txs, local pool has %d", len(stored.Txs), poolLen)
 	}
-	savedTerm := bc.Term()
-	bc.setTermExact(stored.Term)
-	replayed, ticket, err := bc.sealLocked(len(stored.Txs))
+	replayed, err := bc.sealLocked(len(stored.Txs), stored.Term)
 	if err != nil {
-		bc.setTermExact(savedTerm)
 		return err
 	}
-	// The local WAL (if any) logs the replayed block; both hash identically
-	// so either copy recovers the same chain.
-	_ = ticket
 	if err := sameBlock(replayed, stored); err != nil {
 		return fmt.Errorf("%w: %v", ErrReplayMismatch, err)
 	}
@@ -573,19 +535,10 @@ func (bc *Blockchain) applyStored(stored *Block, fence bool) error {
 // the log being replayed or in the primary's WAL).
 func (bc *Blockchain) setTerm(term uint64) {
 	bc.mu.Lock()
-	if term > bc.term {
-		bc.term = term
-	}
+	bc.term = max(bc.term, term)
 	term = bc.term
 	bc.mu.Unlock()
 	mTerm.Set(float64(term))
-}
-
-// setTermExact installs a term verbatim (replay only; no raise-only guard).
-func (bc *Blockchain) setTermExact(term uint64) {
-	bc.mu.Lock()
-	bc.term = term
-	bc.mu.Unlock()
 }
 
 // WAL returns the attached write-ahead log, or nil for an in-memory chain.

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"tradefl/internal/durable"
 	"tradefl/internal/obs"
 )
 
@@ -47,7 +46,7 @@ func oracleFrame(rec walRec) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chain: marshal wal record: %w", err)
 	}
-	return durable.AppendFrame(nil, payload), nil
+	return appendFrame(nil, payload), nil
 }
 
 // oracleResponse is the success envelope as encoding/json writes it.
@@ -504,7 +503,7 @@ func FuzzChainDecodeMatchesJSON(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		seeds = append(seeds, frame[durable.FrameSize(0):])
+		seeds = append(seeds, frame[frameHeaderSize:])
 	}
 	for h := uint64(0); h <= bc.Height(); h++ {
 		b, _ := bc.BlockAt(h)
@@ -512,7 +511,7 @@ func FuzzChainDecodeMatchesJSON(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		seeds = append(seeds, frame[durable.FrameSize(0):])
+		seeds = append(seeds, frame[frameHeaderSize:])
 	}
 	seeds = append(seeds, []byte(`{"kind":"tx","tx":`+tx+`}`), []byte(`{"kind":"tx","tx":`+tx+`,"kind":"block"}`))
 	for _, s := range seeds {

@@ -1,10 +1,15 @@
 package chain
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // executeBlock applies txs to the ledger in pool order and returns their
-// receipts. Caller holds execMu exclusively.
+// receipts, recording the block's undo (see rollback). Caller holds execMu
+// exclusively.
 func (led *ledger) executeBlock(txs []Transaction, hashes []string, height uint64) []Receipt {
+	led.recordUndo()
 	receipts := make([]Receipt, len(txs))
 	for i := range txs {
 		receipts[i] = led.applyTx(&txs[i], hashes[i], height)
@@ -22,6 +27,7 @@ func (led *ledger) executeBlock(txs []Transaction, hashes []string, height uint6
 func (led *ledger) applyTx(tx *Transaction, hash string, height uint64) Receipt {
 	rcpt := Receipt{TxHash: hash, Height: height}
 	snap := led.snapAcct(tx.From)
+	led.touch(tx.From, snap)
 	fail := func(err error) Receipt {
 		led.restoreAcct(tx.From, snap)
 		led.Nonces[tx.From] = snap.non + 1
@@ -41,6 +47,7 @@ func (led *ledger) applyTx(tx *Transaction, hash string, height uint64) Receipt 
 		if err != nil {
 			return fail(err)
 		}
+		led.touch(to, led.snapAcct(to))
 		led.Balances[to] += tx.Value
 		rcpt.OK = true
 		return rcpt
@@ -56,4 +63,33 @@ func (led *ledger) applyTx(tx *Transaction, hash string, height uint64) Receipt 
 	}
 	rcpt.OK = true
 	return rcpt
+}
+
+// blockUndo is the pre-block shape of every account a block changed and of
+// the contract (Records is append-only, so its old slice header is an
+// exact snapshot): a block whose WAL commit failed leaves no trace.
+type blockUndo struct {
+	accts    map[Address]acctSnap
+	contract Contract
+}
+
+func (led *ledger) recordUndo() {
+	led.undo = &blockUndo{accts: map[Address]acctSnap{}, contract: *led.Contract}
+	led.undo.contract.MemberData = maps.Clone(led.Contract.MemberData)
+}
+
+// touch records addr's pre-block shape the first time the block changes it.
+func (led *ledger) touch(addr Address, s acctSnap) {
+	if _, ok := led.undo.accts[addr]; !ok {
+		led.undo.accts[addr] = s
+	}
+}
+
+// rollback restores the state before the block executeBlock applied last.
+func (led *ledger) rollback() {
+	for addr, s := range led.undo.accts {
+		led.restoreAcct(addr, s)
+	}
+	*led.Contract = led.undo.contract
+	led.undo = nil
 }

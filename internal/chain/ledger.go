@@ -17,6 +17,8 @@ type ledger struct {
 	spare map[Address]memberState
 	// paramsJSON is Contract.Params encoded; see appendJSON.
 	paramsJSON []byte
+	// undo is the state before the block being sealed, nil between seals.
+	undo *blockUndo
 }
 
 func newLedger(contract *Contract) *ledger {

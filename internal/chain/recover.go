@@ -8,9 +8,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"syscall"
 	"time"
 
-	"tradefl/internal/durable"
 	"tradefl/internal/obs"
 )
 
@@ -87,7 +87,7 @@ func initDurable(dir string, bc *Blockchain, params ContractParams, alloc Genesi
 		return nil, err
 	}
 	path := filepath.Join(dir, logName)
-	if err := durable.WriteFileAtomic(path, genesis, 0o600); err != nil {
+	if err := writeFileAtomic(path, genesis); err != nil {
 		return nil, err
 	}
 	w, err := openWAL(path, int64(len(genesis)))
@@ -97,6 +97,44 @@ func initDurable(dir string, bc *Blockchain, params ContractParams, alloc Genesi
 	bc.attachWAL(w)
 	obs.FlightRecord("chain", "durable-init", "fresh chain in "+dir)
 	return bc, nil
+}
+
+// writeFileAtomic creates the file at path holding data: the bytes land in
+// a temp file in the same directory, are fsynced and renamed over path,
+// and the directory is fsynced so the rename itself is durable. A crash at
+// any point leaves either no file or the complete one.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*") // mode 0600
+	if err != nil {
+		return fmt.Errorf("chain: temp file: %w", err)
+	}
+	defer os.Remove(tmp.Name()) // a no-op after the rename
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	var dir *os.File
+	if err == nil {
+		dir, err = os.Open(filepath.Dir(path))
+	}
+	if err == nil {
+		// Filesystems without directory fsync report EINVAL or ENOTSUP; the
+		// rename is then as durable as the platform allows.
+		if err = dir.Sync(); errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
+			err = nil
+		}
+		dir.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("chain: write %s: %w", path, err)
+	}
+	return nil
 }
 
 // RecoverAt is point-in-time recovery: it rebuilds the chain exactly as
@@ -129,7 +167,7 @@ func recoverDir(dir string, authority *Account, stopHeight uint64) (*Blockchain,
 		// Truncate-and-replay in one pass; the tear (if any) is gone from
 		// disk afterwards, which makes recovery idempotent.
 		var removed int64
-		if removed, err = durable.TruncateTornTail(path, r.replay); removed > 0 {
+		if removed, err = truncateTornTail(path, r.replay); removed > 0 {
 			recoverLog.Warn("truncated torn wal tail", "bytes", removed)
 			obs.FlightRecord("chain", "wal-torn-tail", fmt.Sprintf("%d bytes truncated", removed))
 		}
@@ -138,9 +176,9 @@ func recoverDir(dir string, authority *Account, stopHeight uint64) (*Blockchain,
 		if f, err = os.Open(path); err != nil {
 			return nil, err
 		}
-		_, err = durable.ScanFrames(f, r.replay)
+		_, err = scanFrames(f, r.replay)
 		f.Close()
-		if errors.Is(err, durable.ErrTornTail) {
+		if errors.Is(err, errTornTail) {
 			err = nil // read-only view: stop at the tear, leave the file alone
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"tradefl/internal/durable"
 	"tradefl/internal/game"
 	"tradefl/internal/randx"
 )
@@ -364,7 +363,7 @@ func TestRecoverAtEveryTornOffset(t *testing.T) {
 	expected := make([]expect, len(full)+1)
 	for cut := genesisEnd; cut <= len(full); cut++ {
 		var e expect
-		_, _ = durable.ScanFrames(bytes.NewReader(full[:cut]), func(p []byte) error {
+		_, _ = scanFrames(bytes.NewReader(full[:cut]), func(p []byte) error {
 			var rec walRec
 			if err := json.Unmarshal(p, &rec); err != nil {
 				return err
@@ -423,7 +422,7 @@ func TestRecoverAtEveryTornOffset(t *testing.T) {
 // genesisFrameEnd returns the offset just past the log's genesis record.
 func genesisFrameEnd(t testing.TB, log []byte) int {
 	t.Helper()
-	end, err := durable.ScanFrames(bytes.NewReader(log), func([]byte) error { return errStopScan })
+	end, err := scanFrames(bytes.NewReader(log), func([]byte) error { return errStopScan })
 	if !errors.Is(err, errStopScan) {
 		t.Fatalf("log has no intact first record: %v", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"tradefl/internal/durable"
 	"tradefl/internal/faults"
 	"tradefl/internal/transport"
 )
@@ -214,7 +213,7 @@ func TestReplicatorSendsLoggedPayload(t *testing.T) {
 	}
 	defer f.Close()
 	var logged [][]byte
-	if _, err := durable.ScanFrames(f, func(p []byte) error {
+	if _, err := scanFrames(f, func(p []byte) error {
 		logged = append(logged, append([]byte(nil), p...))
 		return nil
 	}); err != nil {

@@ -1,18 +1,18 @@
 //go:build linux
 
-package durable
+package chain
 
 import (
 	"os"
 	"syscall"
 )
 
-// SyncData flushes f's data — and the metadata required to read it back,
+// syncData flushes f's data — and the metadata required to read it back,
 // such as the file size — to stable storage. On Linux it uses
 // fdatasync(2), which skips the mtime-only journal commit a full fsync
 // forces; for an append-only log synced on every group commit that cuts
 // a measurable slice off each flush.
-func SyncData(f *os.File) error {
+func syncData(f *os.File) error {
 	for {
 		err := syscall.Fdatasync(int(f.Fd()))
 		if err == syscall.EINTR {

@@ -1,19 +1,21 @@
 package chain
 
 import (
+	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"runtime"
 	"sync"
 	"time"
-
-	"tradefl/internal/durable"
 )
 
 // Write-ahead log: every accepted transaction and every sealed block is
-// framed (length + CRC-32C, internal/durable) and fsynced before the
+// framed (length + CRC-32C, see appendFrame) and fsynced before the
 // operation is acknowledged. Durability therefore means exactly "the
 // caller saw success": a kill -9 at any byte offset loses only operations
 // whose callers never got an answer, and the torn tail the kill leaves
@@ -178,7 +180,7 @@ func encodeWalRec(rec walRec) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chain: marshal wal record: %w", err)
 	}
-	return durable.AppendFrame(nil, payload), nil
+	return appendFrame(nil, payload), nil
 }
 
 // walTicket is a pending durability acknowledgement.
@@ -383,7 +385,7 @@ func (w *WAL) commit(batch []walOp) {
 		}
 		if werr == nil {
 			start := time.Now()
-			werr = durable.SyncData(f)
+			werr = syncData(f)
 			mWALFsyncSec.ObserveSince(start)
 			mWALFsyncs.Inc()
 		}
@@ -413,7 +415,7 @@ func (w *WAL) commit(batch []walOp) {
 		for _, op := range batch {
 			if op.rec != nil {
 				// The logged payload is the frame without its header.
-				w.observer(*op.rec, op.frame[durable.FrameSize(0):])
+				w.observer(*op.rec, op.frame[frameHeaderSize:])
 			}
 		}
 	}
@@ -427,9 +429,156 @@ func (w *WAL) extendTo(f *os.File, need int64) error {
 		return nil
 	}
 	newTo := (need + walExtendChunk - 1) / walExtendChunk * walExtendChunk
-	if err := durable.ZeroExtend(f, w.zeroedTo, newTo); err != nil {
+	if err := zeroExtend(f, w.zeroedTo, newTo); err != nil {
 		return err
 	}
 	w.zeroedTo = newTo
+	return nil
+}
+
+// Frame layout: an 8-byte header followed by the payload.
+//
+//	bytes 0..3  little-endian uint32 payload length
+//	bytes 4..7  little-endian uint32 CRC-32 (Castagnoli) of the payload
+//
+// A frame is valid only if the full payload is present and its checksum
+// matches. Anything else — a short header, a short payload, a checksum
+// mismatch — is a torn tail: the writer was killed mid-append and the
+// bytes carry no durable record.
+const frameHeaderSize = 8
+
+// maxFrameSize bounds a single record; a length field above it is treated
+// as corruption rather than an attempt to allocate gigabytes.
+const maxFrameSize = 32 << 20
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// errTornTail marks a frame that was not completely written: the scan
+// stopped there, and everything from that offset on is garbage.
+var errTornTail = errors.New("chain: torn wal frame tail")
+
+// appendFrame encodes payload as one frame into buf (appending) and
+// returns the extended slice.
+//
+// payload must be non-empty: an empty payload frames to eight zero bytes
+// (CRC-32C of nothing is zero), which is indistinguishable from the
+// zero-filled pre-allocation the log writes ahead of its frontier and is
+// read back by scanFrames as a clean end of log, not a record.
+func appendFrame(buf, payload []byte) []byte {
+	if len(payload) == 0 {
+		panic("chain: empty frame payload is reserved as the end-of-log marker")
+	}
+	var hdr [frameHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	buf = append(buf, hdr[:]...)
+	return append(buf, payload...)
+}
+
+// scanFrames reads frames from r, invoking fn with each complete, checksum-
+// valid payload (the slice is only valid during the call). It returns the
+// byte offset of the end of the last valid frame and, when the stream ends
+// in an incomplete or corrupt frame, errTornTail: recovery truncates there,
+// a read-only view stops there.
+//
+// An fn error aborts the scan and is returned verbatim with the offset of
+// the end of the offending frame.
+func scanFrames(r io.Reader, fn func(payload []byte) error) (int64, error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	var clean int64
+	var hdr [frameHeaderSize]byte
+	var payload []byte
+	for {
+		n, err := io.ReadFull(br, hdr[:])
+		if err == io.EOF {
+			return clean, nil // clean end on a frame boundary
+		}
+		if err == io.ErrUnexpectedEOF {
+			return clean, fmt.Errorf("%w: %d header bytes at offset %d", errTornTail, n, clean)
+		}
+		if err != nil {
+			return clean, err
+		}
+		size := binary.LittleEndian.Uint32(hdr[0:4])
+		want := binary.LittleEndian.Uint32(hdr[4:8])
+		if size == 0 && want == 0 {
+			// An all-zero header is pre-extended, never-written space (see
+			// zeroExtend). No real record is empty, so this is a clean end
+			// of log, not a tear.
+			return clean, nil
+		}
+		if size > maxFrameSize {
+			return clean, fmt.Errorf("%w: frame length %d exceeds limit at offset %d", errTornTail, size, clean)
+		}
+		if cap(payload) < int(size) {
+			payload = make([]byte, size)
+		}
+		payload = payload[:size]
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return clean, fmt.Errorf("%w: short payload at offset %d", errTornTail, clean)
+		}
+		if got := crc32.Checksum(payload, crcTable); got != want {
+			return clean, fmt.Errorf("%w: checksum mismatch at offset %d", errTornTail, clean)
+		}
+		end := clean + int64(frameHeaderSize) + int64(size)
+		if fn != nil {
+			if err := fn(payload); err != nil {
+				return end, err
+			}
+		}
+		clean = end
+	}
+}
+
+// truncateTornTail scans the file at path, cuts and fsyncs away what lies
+// past the last valid frame (a torn frame or zero-fill padding) and returns
+// the bytes removed; calling it again is a no-op (idempotent recovery).
+func truncateTornTail(path string, fn func(payload []byte) error) (removed int64, err error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	clean, scanErr := scanFrames(f, fn)
+	if scanErr != nil && !errors.Is(scanErr, errTornTail) {
+		return 0, scanErr
+	}
+	removed = st.Size() - clean
+	if removed == 0 {
+		return 0, nil
+	}
+	if err := f.Truncate(clean); err != nil {
+		return 0, fmt.Errorf("chain: truncate torn tail: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return 0, fmt.Errorf("chain: sync after truncate: %w", err)
+	}
+	return removed, nil
+}
+
+// zeroExtend materializes zeros in [from, to) of f and fsyncs, moving the
+// allocated file size past the write frontier. Rewriting those zeros later
+// changes no metadata, so a following syncData is a pure data flush — no
+// journal commit. The zeros read as a clean end of log (see scanFrames),
+// so a crash anywhere in this scheme stays recoverable.
+func zeroExtend(f *os.File, from, to int64) error {
+	if to <= from {
+		return nil
+	}
+	zeros := make([]byte, 64<<10)
+	for off := from; off < to; {
+		n := min(int64(len(zeros)), to-off)
+		if _, err := f.WriteAt(zeros[:n], off); err != nil {
+			return fmt.Errorf("chain: zero-extend: %w", err)
+		}
+		off += n
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("chain: zero-extend sync: %w", err)
+	}
 	return nil
 }

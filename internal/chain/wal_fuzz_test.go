@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"tradefl/internal/durable"
 )
 
 // FuzzWALRecover feeds arbitrary bytes as the records after the genesis
@@ -60,7 +58,7 @@ func FuzzWALRecover(f *testing.F) {
 		// the clean frame prefix — nothing past the first tear or corrupt
 		// frame may have been applied.
 		var wantHeight, wantPending int
-		_, _ = durable.ScanFrames(bytes.NewReader(segBytes), func(p []byte) error {
+		_, _ = scanFrames(bytes.NewReader(segBytes), func(p []byte) error {
 			var rec walRec
 			if err := json.Unmarshal(p, &rec); err != nil {
 				t.Fatalf("recovery succeeded over an undecodable record: %v", err)

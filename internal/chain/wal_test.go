@@ -1,16 +1,16 @@
 package chain
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"tradefl/internal/durable"
 )
 
 // newTestWAL opens an empty log in a fresh directory and returns it with
@@ -37,7 +37,7 @@ func scanLog(t *testing.T, path string) []walRec {
 	}
 	defer f.Close()
 	var recs []walRec
-	_, err = durable.ScanFrames(f, func(p []byte) error {
+	_, err = scanFrames(f, func(p []byte) error {
 		var rec walRec
 		if err := json.Unmarshal(p, &rec); err != nil {
 			return err
@@ -257,4 +257,227 @@ func (w *WAL) Append(rec walRec) error {
 		return err
 	}
 	return w.enqueue(frame, rec).wait()
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	payloads := [][]byte{
+		[]byte("hello"),
+		{0x00},                            // single zero byte is a real record; only the empty payload is reserved
+		bytes.Repeat([]byte{0xAB}, 70000), // spans the scanner's buffer
+		[]byte(`{"kind":"tx"}`),
+	}
+	var buf []byte
+	for _, p := range payloads {
+		buf = appendFrame(buf, p)
+	}
+	var got [][]byte
+	off, err := scanFrames(bytes.NewReader(buf), func(p []byte) error {
+		got = append(got, append([]byte(nil), p...))
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	if off != int64(len(buf)) {
+		t.Fatalf("clean offset %d, want %d", off, len(buf))
+	}
+	if len(got) != len(payloads) {
+		t.Fatalf("got %d frames, want %d", len(got), len(payloads))
+	}
+	for i := range payloads {
+		if !bytes.Equal(got[i], payloads[i]) {
+			t.Fatalf("frame %d mismatch", i)
+		}
+	}
+}
+
+// TestTornTailEveryPrefix truncates a multi-frame stream at every byte
+// offset and requires the scan to recover exactly the frames that were
+// completely written — never a partial or corrupt one.
+func TestTornTailEveryPrefix(t *testing.T) {
+	var full []byte
+	var ends []int64 // clean offsets after each frame
+	for i := 0; i < 6; i++ {
+		full = appendFrame(full, []byte(fmt.Sprintf("record-%d-%s", i, bytes.Repeat([]byte{byte(i)}, i*7))))
+		ends = append(ends, int64(len(full)))
+	}
+	for cut := 0; cut <= len(full); cut++ {
+		var n int
+		off, err := scanFrames(bytes.NewReader(full[:cut]), func(p []byte) error {
+			n++
+			return nil
+		})
+		// The clean offset must be the largest frame end <= cut, and the
+		// frame count the number of frames wholly inside the prefix.
+		wantOff := int64(0)
+		wantN := 0
+		for i, e := range ends {
+			if e <= int64(cut) {
+				wantOff, wantN = e, i+1
+			}
+		}
+		if off != wantOff || n != wantN {
+			t.Fatalf("cut %d: got off=%d n=%d, want off=%d n=%d", cut, off, n, wantOff, wantN)
+		}
+		if int64(cut) == wantOff && err != nil {
+			t.Fatalf("cut %d on boundary: unexpected error %v", cut, err)
+		}
+		if int64(cut) != wantOff && !errors.Is(err, errTornTail) {
+			t.Fatalf("cut %d mid-frame: err = %v, want errTornTail", cut, err)
+		}
+	}
+}
+
+func TestScanRejectsCorruptPayload(t *testing.T) {
+	var buf []byte
+	buf = appendFrame(buf, []byte("good"))
+	buf = appendFrame(buf, []byte("flipped"))
+	buf[len(buf)-1] ^= 0xFF // corrupt last payload byte
+	var n int
+	off, err := scanFrames(bytes.NewReader(buf), func([]byte) error { n++; return nil })
+	if !errors.Is(err, errTornTail) {
+		t.Fatalf("err = %v, want errTornTail", err)
+	}
+	if n != 1 {
+		t.Fatalf("delivered %d frames, want 1", n)
+	}
+	if off != int64(frameHeaderSize+4) {
+		t.Fatalf("clean offset %d, want %d", off, frameHeaderSize+4)
+	}
+}
+
+func TestScanRejectsOversizedLength(t *testing.T) {
+	buf := appendFrame(nil, []byte("x"))
+	buf[0], buf[1], buf[2], buf[3] = 0xFF, 0xFF, 0xFF, 0x7F // ~2GiB length
+	_, err := scanFrames(bytes.NewReader(buf), nil)
+	if !errors.Is(err, errTornTail) {
+		t.Fatalf("err = %v, want errTornTail", err)
+	}
+}
+
+func TestTruncateTornTail(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "seg")
+	var buf []byte
+	buf = appendFrame(buf, []byte("one"))
+	buf = appendFrame(buf, []byte("two"))
+	clean := len(buf)
+	buf = append(buf, appendFrame(nil, []byte("three"))[:7]...) // torn append
+	if err := os.WriteFile(path, buf, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	removed, err := truncateTornTail(path, nil)
+	if err != nil {
+		t.Fatalf("truncate: %v", err)
+	}
+	if removed != int64(len(buf)-clean) {
+		t.Fatalf("removed %d bytes, want %d", removed, len(buf)-clean)
+	}
+	st, _ := os.Stat(path)
+	if st.Size() != int64(clean) {
+		t.Fatalf("size %d after truncate, want %d", st.Size(), clean)
+	}
+	// Idempotent: a second pass removes nothing.
+	removed, err = truncateTornTail(path, nil)
+	if err != nil || removed != 0 {
+		t.Fatalf("second truncate: removed=%d err=%v", removed, err)
+	}
+}
+
+// TestZeroPaddingReadsAsCleanEOF covers the pre-extension scheme: records
+// followed by zero-filled allocation must scan as a clean log ending at
+// the last record, and truncateTornTail must trim the padding.
+func TestZeroPaddingReadsAsCleanEOF(t *testing.T) {
+	var buf []byte
+	buf = appendFrame(buf, []byte("one"))
+	buf = appendFrame(buf, []byte("two"))
+	clean := int64(len(buf))
+	padded := append(append([]byte(nil), buf...), make([]byte, 4096)...)
+	var n int
+	off, err := scanFrames(bytes.NewReader(padded), func([]byte) error { n++; return nil })
+	if err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	if off != clean || n != 2 {
+		t.Fatalf("clean offset %d (%d frames), want %d (2 frames)", off, n, clean)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "seg")
+	if err := os.WriteFile(path, padded, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	removed, err := truncateTornTail(path, nil)
+	if err != nil {
+		t.Fatalf("truncate: %v", err)
+	}
+	if removed != int64(len(padded))-clean {
+		t.Fatalf("removed %d bytes, want %d", removed, int64(len(padded))-clean)
+	}
+	if st, _ := os.Stat(path); st.Size() != clean {
+		t.Fatalf("size %d after trim, want %d", st.Size(), clean)
+	}
+}
+
+// TestZeroExtend checks the allocation helper leaves readable zeros and
+// that rewriting them in place produces a scannable log.
+func TestZeroExtend(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "seg")
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := zeroExtend(f, 0, 128<<10); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := f.Stat(); st.Size() != 128<<10 {
+		t.Fatalf("size %d after extend, want %d", st.Size(), 128<<10)
+	}
+	frame := appendFrame(nil, []byte("rewrites pre-zeroed space"))
+	if _, err := f.WriteAt(frame, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := syncData(f); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	off, err := scanFrames(bytes.NewReader(raw), func(p []byte) error {
+		got = append([]byte(nil), p...)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	if off != int64(len(frame)) || string(got) != "rewrites pre-zeroed space" {
+		t.Fatalf("scan stopped at %d with %q", off, got)
+	}
+}
+
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "doc.json")
+	if err := writeFileAtomic(path, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileAtomic(path, []byte("v2-longer")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || string(got) != "v2-longer" {
+		t.Fatalf("read back %q err=%v", got, err)
+	}
+	// No temp litter.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory has %d entries, want 1: %v", len(entries), entries)
+	}
 }

@@ -109,20 +109,6 @@ func (r *Result) Final() (payoffs []float64, potential float64) {
 	return r.PayoffTrace[len(r.PayoffTrace)-1], r.PotentialTrace[len(r.PotentialTrace)-1]
 }
 
-// BestResponse computes organization i's best response to π_-i
-// (Definition 9, problem (24)): for every CPU level it maximizes the
-// payoff over the feasible data interval (concave in d_i: golden-section
-// search, or its answer from the endpoint certificate) on a pooled Engine
-// and returns the best (strategy, payoff) pair.
-// ok is false when no CPU level admits a feasible d.
-func BestResponse(cfg *game.Config, p game.Profile, i int, dTol float64) (game.Strategy, float64, bool) {
-	e := acquireEngine(cfg)
-	e.Bind(p)
-	s, val, ok := e.BestResponse(i, dTol)
-	releaseEngine(e)
-	return s, val, ok
-}
-
 // candidate is the outcome of maximizing the payoff at one CPU level.
 type candidate struct {
 	s        game.Strategy

@@ -71,9 +71,11 @@ func TestPayoffTraceShape(t *testing.T) {
 func TestBestResponseImproves(t *testing.T) {
 	cfg := defaultGame(t, 13)
 	p := cfg.MinimalProfile()
+	eng := NewEngine(cfg)
+	eng.Bind(p)
 	for i := range cfg.Orgs {
 		base := cfg.Payoff(i, p)
-		next, val, ok := BestResponse(cfg, p, i, 1e-7)
+		next, val, ok := eng.BestResponse(i, 1e-7)
 		if !ok {
 			t.Fatalf("org %d: no feasible response", i)
 		}
@@ -92,7 +94,9 @@ func TestBestResponseDoesNotMutateProfile(t *testing.T) {
 	cfg := defaultGame(t, 13)
 	p := cfg.MinimalProfile()
 	snapshot := p.Clone()
-	if _, _, ok := BestResponse(cfg, p, 0, 1e-7); !ok {
+	eng := NewEngine(cfg)
+	eng.Bind(p)
+	if _, _, ok := eng.BestResponse(0, 1e-7); !ok {
 		t.Fatal("no feasible response")
 	}
 	for i := range p {

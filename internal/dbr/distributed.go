@@ -59,6 +59,7 @@ type DonePayload struct {
 // pass.
 type Node struct {
 	cfg   *game.Config
+	eng   *Engine // built once: the node's config never changes
 	index int
 	tr    transport.Transport
 	peers []string // peer transport names, indexed like cfg.Orgs
@@ -102,7 +103,7 @@ func NewNode(cfg *game.Config, index int, tr transport.Transport, peers []string
 	if err != nil {
 		return nil, err
 	}
-	return &Node{cfg: cfg, index: index, tr: tr, peers: peers, opts: opts}, nil
+	return &Node{cfg: cfg, eng: NewEngine(cfg), index: index, tr: tr, peers: peers, opts: opts}, nil
 }
 
 // Start injects the initial token carrying the trace context of ctx, so
@@ -210,9 +211,9 @@ func (n *Node) handleToken(tok TokenPayload) (bool, game.Profile, error) {
 	}
 	n.lastProcessedSeq = tok.Seq
 	profile := game.Profile(tok.Profile)
-	cur := n.cfg.Payoff(n.index, profile)
-	next, val, ok := BestResponse(n.cfg, profile, n.index, n.opts.DTol)
-	if ok && val > cur+n.opts.Tol {
+	n.eng.Bind(profile)
+	next, val, ok := n.eng.BestResponse(n.index, n.opts.DTol)
+	if ok && val > n.eng.current(n.index)+n.opts.Tol {
 		profile[n.index] = next
 		tok.Unchanged = 0
 	} else {

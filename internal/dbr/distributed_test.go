@@ -2,6 +2,10 @@ package dbr
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -111,5 +115,45 @@ func TestDistributedOverTCP(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ring, local.Profile) {
 		t.Errorf("TCP ring profile %v\nwant dbr.Solve's %v", ring, local.Profile)
+	}
+}
+
+// TestRingProfileGolden pins the profiles the token ring agrees on for
+// N = 3…8 × seeds 1–8, one SHA-256 per N over the eight profiles' float64
+// bits. A node's turn is Bind → BestResponse → current on the engine it
+// built once; the hashes were recorded when a turn still walked
+// Config.Payoff for its current payoff and scanned on a pooled engine.
+func TestRingProfileGolden(t *testing.T) {
+	want := map[int]string{
+		3: "a69531073808713827b1d4f30e5869105a8d0e5a2619b19d4508129888c7a0a1",
+		4: "0a8ad60c3ad1d18cedf9c1f30d9b7fb388426a86f604a83c2bf087d12d818209",
+		5: "d25722e6276286e3de46a44ed5bf8f02bea01cec5cfdcf88296b3588a92a3adb",
+		6: "2bcf79d7f42088f1737468aa83a8a7904c0f6d5276cfe46b1ef508f04dad55b6",
+		7: "47f7750e202246983c28093801c3341e0adee983db90c9e199b3c7490d5651b4",
+		8: "8dda150e56c5c15305d00c98d155f4279fda0ac8cdd1a2d4554b948a187ec11e",
+	}
+	for n := 3; n <= 8; n++ {
+		h := sha256.New()
+		for seed := int64(1); seed <= 8; seed++ {
+			cfg, err := game.DefaultConfig(game.GenOptions{Seed: seed, N: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			p, err := SolveDistributed(ctx, cfg, Options{})
+			cancel()
+			if err != nil {
+				t.Fatalf("N=%d seed %d: %v", n, seed, err)
+			}
+			for _, s := range p {
+				var b [16]byte
+				binary.LittleEndian.PutUint64(b[:8], math.Float64bits(s.D))
+				binary.LittleEndian.PutUint64(b[8:], math.Float64bits(s.F))
+				h.Write(b[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[n] {
+			t.Errorf("N=%d: ring profiles hash %s, want %s", n, got, want[n])
+		}
 	}
 }

@@ -41,9 +41,8 @@ type Engine struct {
 // (engine tests and benchmarks read it; it is not a /metrics series).
 var exactBounds atomic.Int64
 
-// NewEngine builds an engine for cfg. Prefer the package-level pooled
-// entry points (BestResponse, Solve) unless you are managing engine
-// lifetime yourself.
+// NewEngine builds an engine for cfg. Solve takes a pooled one; a ring
+// Node builds its own once.
 func NewEngine(cfg *game.Config) *Engine {
 	e := &Engine{}
 	e.eval = func(d float64) float64 {

@@ -112,13 +112,14 @@ func TestRingSurvivesCrashedNode(t *testing.T) {
 		t.Errorf("dead org's strategy moved: %+v", ref[dead])
 	}
 	// The survivors are mutually best-responding given the frozen entry.
-	work := ref.Clone()
+	eng := NewEngine(cfg)
+	eng.Bind(ref)
 	for i := range cfg.Orgs {
 		if i == dead {
 			continue
 		}
 		cur := cfg.Payoff(i, ref)
-		next, val, ok := BestResponse(cfg, work, i, 1e-7)
+		next, val, ok := eng.BestResponse(i, 1e-7)
 		if ok && val > cur+1e-4 {
 			t.Errorf("survivor %d still has a profitable deviation to %+v (+%g)", i, next, val-cur)
 		}

@@ -87,6 +87,10 @@ go test -run '^$' -fuzz '^FuzzParseJobSpec$' -fuzztime 20s ./internal/serve/
 # budget: with a dozen arguments the default spends the run minimizing.
 go test -run '^$' -fuzz '^FuzzChainEncodeMatchesJSON$' -fuzztime 10s -fuzzminimizetime 2s ./internal/chain/
 go test -run '^$' -fuzz '^FuzzChainDecodeMatchesJSON$' -fuzztime 10s -fuzzminimizetime 2s ./internal/chain/
+# Recovery of arbitrary bytes after a valid genesis record: never panic,
+# never apply past the clean frame prefix, idempotent. Every input fsyncs,
+# so a default minimization of each new input would stall the run.
+go test -run '^$' -fuzz '^FuzzWALRecover$' -fuzztime 10s -fuzzminimizetime 1s ./internal/chain/
 # Job events and the status document are append-built; their oracle is
 # encoding/json over the struct forms in encode_test.go.
 go test -run '^$' -fuzz '^FuzzJobDocuments$' -fuzztime 15s ./internal/serve/
