@@ -46,6 +46,9 @@ var (
 	flagUse = regexp.MustCompile(`^-([a-z][a-z0-9-]*)`)
 	// flagList opens a paragraph listing one command's flags.
 	flagList = regexp.MustCompile("^Flag reference \\(`(tradefl-[a-z]+)`\\)")
+	// lineRef matches a Go file cited at a line or a range of lines:
+	// file.go:NNN, path/file.go:NNN or file.go:NNN–MMM.
+	lineRef = regexp.MustCompile(`\b((?:[A-Za-z0-9_.-]+/)*[A-Za-z0-9_-]+\.go):([0-9]+)(?:[–-]([0-9]+))?`)
 	// roadmapRef matches a pointer into ROADMAP.md: ROADMAP item N or
 	// ROADMAP item N(x), possibly broken across lines.
 	roadmapRef = regexp.MustCompile(`\bROADMAP\s+item\s+([0-9]+)(?:\(([a-z])\))?`)
@@ -66,7 +69,8 @@ var (
 // -flag given to a command is one that command or internal/cli defines.
 // Every ROADMAP item N or ROADMAP item N(x) in the referenceDocs and in
 // non-test Go comments must name an item of ROADMAP.md's Open items, or a
-// lettered step of one.
+// lettered step of one, and every file.go:NNN they cite must lie within
+// that file.
 func TestDocsCensus(t *testing.T) {
 	for _, doc := range censusDocs {
 		raw, err := os.ReadFile(doc)
@@ -88,6 +92,7 @@ func TestDocsCensus(t *testing.T) {
 	}
 	flags := commandFlags(t)
 	items := roadmapItems(t)
+	files := newGoLines(t)
 	for _, doc := range referenceDocs {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -112,6 +117,7 @@ func TestDocsCensus(t *testing.T) {
 			}
 		}
 		checkRoadmapRefs(t, items, doc, text)
+		files.check(t, doc, text)
 	}
 	for _, p := range goFiles(t) {
 		if strings.HasSuffix(p, "_test.go") {
@@ -123,9 +129,70 @@ func TestDocsCensus(t *testing.T) {
 		}
 		for _, cg := range f.Comments {
 			checkRoadmapRefs(t, items, p, cg.Text())
+			files.check(t, p, cg.Text())
 		}
 	}
 	checkChangesCap(t)
+}
+
+// goLines holds every Go file's line count, by path and by base name.
+type goLines struct {
+	lines  map[string]int
+	byBase map[string][]string
+}
+
+func newGoLines(t *testing.T) goLines {
+	t.Helper()
+	g := goLines{lines: map[string]int{}, byBase: map[string][]string{}}
+	for _, p := range goFiles(t) {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := strings.Count(string(raw), "\n")
+		if len(raw) > 0 && raw[len(raw)-1] != '\n' {
+			n++
+		}
+		p = filepath.ToSlash(p)
+		g.lines[p] = n
+		g.byBase[path.Base(p)] = append(g.byBase[path.Base(p)], p)
+	}
+	return g
+}
+
+// check requires every file.go:NNN in text to lie within its file. A path
+// is looked up from the root or from internal/; a bare file name must name
+// a file in the tree, and when several share it, the line must lie within
+// one of them.
+func (g goLines) check(t *testing.T, where, text string) {
+	t.Helper()
+	for _, m := range lineRef.FindAllStringSubmatch(text, -1) {
+		cited := m[1]
+		candidates := g.byBase[cited]
+		if strings.Contains(cited, "/") {
+			candidates = nil
+			for _, p := range []string{cited, "internal/" + cited} {
+				if _, ok := g.lines[p]; ok {
+					candidates = append(candidates, p)
+				}
+			}
+		}
+		last, _ := strconv.Atoi(m[2])
+		if m[3] != "" {
+			end, _ := strconv.Atoi(m[3])
+			last = max(last, end)
+		}
+		longest := 0
+		for _, p := range candidates {
+			longest = max(longest, g.lines[p])
+		}
+		switch {
+		case len(candidates) == 0:
+			t.Errorf("%s cites %s, but no such Go file exists", where, m[0])
+		case last < 1 || last > longest:
+			t.Errorf("%s cites %s, but %s has %d lines", where, m[0], strings.Join(candidates, ", "), longest)
+		}
+	}
 }
 
 // changesCap is the most bytes a CHANGES.md entry may hold from PR

@@ -51,9 +51,12 @@ func TestExportCensus(t *testing.T) {
 		"chain.WAL.Abort":                        "crash-soak hook: the chaos harness's kill -9, cutting the log back to its last fsync",
 		"chain.WAL.OnDurable":                    "crash-soak hook: the post-fsync observer the chaos harness tracks the durable prefix with",
 		"dataset.Generator.PartitionNonIID":      "BenchmarkAblation_NonIID in bench_test.go (EXPERIMENTS.md) partitions with it",
+		"dbr.NewEngine":                          "BenchmarkBestResponse in bench_test.go and the dbr engine tests bind an engine to a bare config; a solve and a ring node load a game.Instance",
 		"dbr.SetAuditHook":                       "test hook: the verify auditor's post-Solve observer",
+		"game.Checks":                            "test observation hook: counts check walks, so a test can see each served game checked once",
 		"game.Config.CheckBudgetBalance":         "Definition 5 oracle shared by game tests, dbr/theorem2_test.go and the verify auditor",
 		"game.Config.CheckIndividualRationality": "Definition 3 oracle shared by game tests and dbr/theorem2_test.go",
+		"game.Config.OmegaScale":                 "the Ω unit of d_i that game/quality_test.go pins and the dbr certificate and gbd optimality tests build on; solvers read Instance.OmegaScales",
 		"gbd.SetAuditHook":                       "test hook: the verify auditor's post-Solve observer",
 		"obs.FlightEvents":                       "test observation hook: reads the flight ring",
 		"obs.FlightReset":                        "test reset hook: empties the flight ring between tests",

@@ -288,11 +288,11 @@ func (bc *Blockchain) sealLocked(take int, term uint64) (*Block, error) {
 		}
 		ticket = bc.wal.enqueue(frames, rec)
 	}
-	mSealSec.ObserveSince(sealStart)
 	if err := ticket.wait(); err != nil {
 		return nil, fmt.Errorf("chain: block not durable: %w", err)
 	}
 	bc.installBlock(b)
+	mSealSec.ObserveSince(sealStart)
 	if ev != nil {
 		fireLedgerAudit(ev)
 	}

@@ -7,7 +7,7 @@ var (
 	mTxSubmitted = obs.NewCounter("tradefl_chain_tx_submitted_total", "transactions accepted into the mempool")
 	mBlocks      = obs.NewCounter("tradefl_chain_blocks_sealed_total", "blocks sealed")
 	mHeight      = obs.NewGauge("tradefl_chain_height", "latest block height")
-	mSealSec     = obs.NewHistogram("tradefl_chain_seal_seconds", "wall time of SealBlock incl. state-root computation", obs.TimeBuckets)
+	mSealSec     = obs.NewHistogram("tradefl_chain_seal_seconds", "wall time of SealBlock: execution, state root, WAL fsync wait and install", obs.TimeBuckets)
 	mRPCRequests = obs.NewCounter("tradefl_chain_rpc_requests_total", "JSON-RPC requests served")
 	mRPCErrors   = obs.NewCounter("tradefl_chain_rpc_errors_total", "JSON-RPC requests answered with an error object")
 	mRPCTooLarge = obs.NewCounter("tradefl_chain_rpc_body_too_large_total", "JSON-RPC requests rejected with 413 because the body exceeded MaxRequestBody")

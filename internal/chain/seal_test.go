@@ -223,3 +223,53 @@ func checkNonceFrontier(t *testing.T, bc *Blockchain, seed int64, step int) {
 		}
 	}
 }
+
+// TestSealSecondsCoverTheCommit: tradefl_chain_seal_seconds is the wall
+// time of the whole SealBlock, its help says so, so a block whose record
+// waits behind a parked syncer observes the wait, not only the execution
+// up to the enqueue.
+func TestSealSecondsCoverTheCommit(t *testing.T) {
+	f := newDurableFixture(t, 3)
+	w := f.bc.WAL()
+	park, release := make(chan struct{}), make(chan struct{})
+	payer := f.accounts[1].Address()
+	w.OnDurable(func(ev DurableEvent) {
+		if ev.Kind == DurableTx && ev.Tx.From == payer {
+			close(park)
+			<-release
+		}
+	})
+	pay, err := NewTransaction(f.accounts[1], 0, FnTransfer, TransferArgs{To: f.accounts[2].Address()}, 1_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := f.bc.SubmitTxBatch([]Transaction{*pay}); err != nil || !res[0].OK {
+		t.Fatalf("submit: %+v, %v", res, err)
+	}
+	<-park
+	count, sum := mSealSec.Count(), mSealSec.Sum()
+	sealed := make(chan error, 1)
+	go func() { _, err := f.bc.SealBlock(); sealed <- err }()
+	deadline := time.Now().Add(10 * time.Second)
+	for queued := 0; queued == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the block record never reached the WAL queue")
+		}
+		time.Sleep(time.Millisecond)
+		w.mu.Lock()
+		queued = len(w.queue)
+		w.mu.Unlock()
+	}
+	const parked = 150 * time.Millisecond
+	time.Sleep(parked)
+	close(release)
+	if err := <-sealed; err != nil {
+		t.Fatal(err)
+	}
+	if n := mSealSec.Count() - count; n != 1 {
+		t.Fatalf("%d seal observations for one SealBlock", n)
+	}
+	if got := mSealSec.Sum() - sum; got < parked.Seconds() {
+		t.Errorf("seal observed %.3f s; its record waited %.3f s for the fsync", got, parked.Seconds())
+	}
+}

@@ -23,6 +23,7 @@ import (
 
 	"tradefl/internal/game"
 	"tradefl/internal/obs"
+	"tradefl/internal/parallel"
 )
 
 // Options configures the local solver and the distributed protocol nodes.
@@ -142,11 +143,21 @@ func Solve(cfg *game.Config, start game.Profile, opts Options) (*Result, error) 
 // trace carried by ctx (the chaos harness threads its run trace through
 // here), and a cancelled ctx stops the solve before the next organization's
 // scan with an error wrapping ctx.Err(). An uncancelled ctx has no effect
-// on the computed result.
+// on the computed result. It checks cfg, then solves the instance with
+// SolveInstance; the instance borrows cfg for the call (game.TakeInstance
+// without a copy), so cfg must not change until SolveCtx returns.
 func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Options) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	in, err := game.TakeInstance(*cfg)
+	if err != nil {
 		return nil, fmt.Errorf("dbr: %w", err)
 	}
+	return SolveInstance(ctx, in, start, opts)
+}
+
+// SolveInstance is SolveCtx on a checked instance: nothing of the game is
+// checked or derived again.
+func SolveInstance(ctx context.Context, in *game.Instance, start game.Profile, opts Options) (*Result, error) {
+	cfg := in.Config()
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -168,10 +179,11 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 	// One pooled engine is bound to the profile once and kept consistent
 	// with O(1) updates after each move, so every payoff query inside the
 	// sweep costs O(N).
-	eng := acquireEngine(cfg)
+	eng := acquireEngine(in)
 	defer releaseEngine(eng)
 	eng.Bind(p)
 
+	done := ctx.Done()
 	res := &Result{}
 	for t := 0; t < opts.MaxRounds; t++ {
 		res.Rounds = t + 1
@@ -179,7 +191,7 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 		sweepStart := time.Now()
 		changed := false
 		for i := range cfg.Orgs {
-			if err := ctx.Err(); err != nil {
+			if err := parallel.Cancelled(ctx, done); err != nil {
 				return nil, fmt.Errorf("dbr: %w", err)
 			}
 			next, val, ok := eng.BestResponse(i, opts.DTol)
@@ -195,7 +207,7 @@ func SolveCtx(ctx context.Context, cfg *game.Config, start game.Profile, opts Op
 		}
 		if changed || t == 0 {
 			res.PotentialTrace = append(res.PotentialTrace, eng.ev.Potential())
-			res.PayoffTrace = append(res.PayoffTrace, cfg.Payoffs(p))
+			res.PayoffTrace = append(res.PayoffTrace, in.Payoffs(p))
 		} else {
 			// Nobody moved: the profile is the one the previous sweep left,
 			// and both rows are functions of the profile alone.

@@ -90,20 +90,24 @@ type sentToken struct {
 // NewNode creates the node for organization index, communicating over tr.
 // peers[i] must name organization i's endpoint (peers[index] = own name).
 func NewNode(cfg *game.Config, index int, tr transport.Transport, peers []string, opts Options) (*Node, error) {
-	if err := cfg.Validate(); err != nil {
+	in, err := game.NewInstance(cfg)
+	if err != nil {
 		return nil, fmt.Errorf("dbr node: %w", err)
 	}
+	cfg = in.Config()
 	if index < 0 || index >= cfg.N() {
 		return nil, fmt.Errorf("dbr node: index %d out of range", index)
 	}
 	if len(peers) != cfg.N() {
 		return nil, fmt.Errorf("dbr node: %d peers for %d organizations", len(peers), cfg.N())
 	}
-	opts, err := opts.withDefaults()
+	opts, err = opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	return &Node{cfg: cfg, eng: NewEngine(cfg), index: index, tr: tr, peers: peers, opts: opts}, nil
+	eng := newEngine()
+	eng.load(in)
+	return &Node{cfg: cfg, eng: eng, index: index, tr: tr, peers: peers, opts: opts}, nil
 }
 
 // Start injects the initial token carrying the trace context of ctx, so

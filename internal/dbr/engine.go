@@ -41,46 +41,51 @@ type Engine struct {
 // (engine tests and benchmarks read it; it is not a /metrics series).
 var exactBounds atomic.Int64
 
-// NewEngine builds an engine for cfg. Solve takes a pooled one; a ring
-// Node builds its own once.
+// NewEngine builds an engine that reads cfg, a config Validate accepts, in
+// place: its rows are derived by DeltaEvaluator.Reset, and cfg must stay
+// unmodified for the engine's lifetime. A solve and a ring node load a
+// game.Instance instead.
 func NewEngine(cfg *game.Config) *Engine {
-	e := &Engine{}
+	e := newEngine()
+	e.ev.Reset(cfg)
+	e.setConfig(cfg)
+	return e
+}
+
+// newEngine returns an engine bound to no game.
+func newEngine() *Engine {
+	e := &Engine{ev: new(game.DeltaEvaluator)}
 	e.eval = func(d float64) float64 {
 		return e.ev.PayoffWith(e.evalOrg, game.Strategy{D: d, F: e.evalF})
 	}
-	e.reset(cfg)
 	return e
 }
 
 // enginePool recycles engines across solver invocations so the pooled
 // entry points are allocation-free in steady state.
-var enginePool = sync.Pool{New: func() any { return NewEngine(nil) }}
+var enginePool = sync.Pool{New: func() any { return newEngine() }}
 
-func acquireEngine(cfg *game.Config) *Engine {
+func acquireEngine(in *game.Instance) *Engine {
 	e := enginePool.Get().(*Engine)
-	e.reset(cfg)
+	e.load(in)
 	return e
 }
 
 func releaseEngine(e *Engine) { enginePool.Put(e) }
 
-// reset rebinds the engine to cfg, reusing scratch when possible. The
-// evaluator's static caches are always re-derived from the config's current
-// values: a pooled engine can come back for a config that was mutated in
-// place between solves (the ext-campaign drift does exactly that), so a
-// pointer match proves nothing about the cached values. Reuse is allocation-level
-// only — the O(N²) rebuild is the price of correctness and is negligible
-// next to the scan it precedes.
-func (e *Engine) reset(cfg *game.Config) {
-	if cfg == nil {
-		return
-	}
+// load rebinds the engine to the instance in, reusing scratch when
+// possible. The evaluator reads the instance's rows in place: they were
+// derived when the instance was checked, and the instance's config cannot
+// change after that (the ext-campaign drift builds a new instance each
+// epoch), so a load derives nothing.
+func (e *Engine) load(in *game.Instance) {
+	e.ev.Load(in)
+	e.setConfig(in.Config())
+}
+
+// setConfig points the engine at cfg and sizes the candidate scratch.
+func (e *Engine) setConfig(cfg *game.Config) {
 	e.cfg = cfg
-	if e.ev == nil {
-		e.ev = game.NewDeltaEvaluator(cfg)
-	} else {
-		e.ev.Reset(cfg)
-	}
 	maxLevels := 0
 	for i := range cfg.Orgs {
 		if m := len(cfg.Orgs[i].CPULevels); m > maxLevels {

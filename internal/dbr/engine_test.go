@@ -189,17 +189,20 @@ func TestScanCurrentIsPayoff(t *testing.T) {
 	}
 }
 
-// TestEngineResetReusesForSameConfig verifies the pool fast path: releasing
-// and re-acquiring for the same config skips the evaluator rebuild and the
+// TestEngineResetReusesForSameConfig verifies the pool path: releasing and
+// re-acquiring for the same instance reads its rows in place, and the
 // engine still answers correctly after rebinding.
 func TestEngineResetReusesForSameConfig(t *testing.T) {
-	cfg := defaultGame(t, 2)
-	p := cfg.MinimalProfile()
-	e := acquireEngine(cfg)
+	in, err := game.DefaultInstance(game.GenOptions{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := in.Config().MinimalProfile()
+	e := acquireEngine(in)
 	e.Bind(p)
 	want := e.Payoff(0)
 	releaseEngine(e)
-	e2 := acquireEngine(cfg)
+	e2 := acquireEngine(in)
 	e2.Bind(p)
 	if got := e2.Payoff(0); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("pooled engine diverged after reuse: %x vs %x", math.Float64bits(got), math.Float64bits(want))

@@ -58,12 +58,31 @@ func New(opts Options) *Engine {
 	return &Engine{opts: opts, planner: Planner{Forced: opts.Plan}}
 }
 
-// Solve solves every instance of the batch and returns the per-instance
-// results in input order. Each result is byte-identical to solving that
-// instance alone with the same plan; per-instance failures are recorded in
-// Result.Err without aborting the batch. Cancelling ctx stops scheduling
-// new instances (skipped instances carry ctx's error).
+// Solve is SolveInstances over configs, each checked by the worker that
+// solves it into an instance that borrows the config for the call
+// (game.TakeInstance without a copy): no config may change until Solve
+// returns. A config the check refuses fails in its own Result.Err, with
+// the error its plan's solver gives it.
 func (e *Engine) Solve(ctx context.Context, cfgs []*game.Config) []Result {
+	return e.solve(ctx, cfgs, nil)
+}
+
+// SolveInstances solves every instance of the batch and returns the
+// per-instance results in input order. Each result is byte-identical to
+// solving that instance alone with the same plan; per-instance failures
+// are recorded in Result.Err without aborting the batch. Cancelling ctx
+// stops scheduling new instances (skipped instances carry ctx's error).
+func (e *Engine) SolveInstances(ctx context.Context, games []*game.Instance) []Result {
+	cfgs := make([]*game.Config, len(games))
+	for i, in := range games {
+		cfgs[i] = in.Config()
+	}
+	return e.solve(ctx, cfgs, games)
+}
+
+// solve is the batch: games[i] is cfgs[i]'s instance, or games is nil and
+// each config is checked where it is solved.
+func (e *Engine) solve(ctx context.Context, cfgs []*game.Config, games []*game.Instance) []Result {
 	n := len(cfgs)
 	res := make([]Result, n)
 	if n == 0 {
@@ -75,7 +94,11 @@ func (e *Engine) Solve(ctx context.Context, cfgs []*game.Config) []Result {
 	order := e.schedule(cfgs)
 	err := parallel.ForCtxLabeled(ctx, "fleet.batch", workers, n, func(i int) error {
 		idx := order[i]
-		res[idx] = e.solveOne(ctx, cfgs[idx])
+		if games == nil {
+			res[idx] = e.solveConfig(ctx, cfgs[idx])
+		} else {
+			res[idx] = e.solveOne(ctx, cfgs[idx], games[idx])
+		}
 		return nil
 	})
 	if err != nil {
@@ -119,16 +142,25 @@ func (e *Engine) schedule(cfgs []*game.Config) []int {
 	return order
 }
 
-// SolveOneCtx solves a single instance through the fleet path (planner,
-// metrics) on the calling goroutine. The instance's solver span joins the
-// trace carried by ctx (the campaign loop threads its run trace through
-// here), with no effect on the computed result.
+// SolveOneCtx solves a single config through the fleet path (check,
+// planner, metrics) on the calling goroutine, the instance borrowing cfg
+// as in Solve. The instance's solver span joins the trace carried by ctx
+// (the campaign loop threads its run trace through here), with no effect
+// on the computed result.
 func (e *Engine) SolveOneCtx(ctx context.Context, cfg *game.Config) Result {
 	mInstances.Inc()
-	return e.solveOne(ctx, cfg)
+	return e.solveConfig(ctx, cfg)
 }
 
-func (e *Engine) solveOne(ctx context.Context, cfg *game.Config) Result {
+// solveConfig checks cfg into an instance that borrows it and solves that.
+func (e *Engine) solveConfig(ctx context.Context, cfg *game.Config) Result {
+	in, _ := game.TakeInstance(*cfg) // nil when refused: solveOne words the error
+	return e.solveOne(ctx, cfg, in)
+}
+
+// solveOne solves in, cfg's instance; a nil in means the check refused
+// cfg, and the plan's solver, handed the config, gives the error.
+func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, in *game.Instance) Result {
 	start := time.Now()
 	defer func() { mSolveSec.Observe(time.Since(start).Seconds()) }()
 
@@ -136,9 +168,13 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config) Result {
 	planCounter(plan).Inc()
 
 	r := Result{Plan: plan}
-	switch plan {
-	case PlanDBR:
-		dres, err := dbr.SolveCtx(ctx, cfg, nil, dbr.Options{})
+	switch {
+	case in == nil && plan == PlanDBR:
+		_, r.Err = dbr.SolveCtx(ctx, cfg, nil, dbr.Options{})
+	case in == nil:
+		_, r.Err = gbd.SolveCtx(ctx, cfg, gbdOpts(plan))
+	case plan == PlanDBR:
+		dres, err := dbr.SolveInstance(ctx, in, nil, dbr.Options{})
 		if err != nil {
 			r.Err = err
 			break
@@ -146,13 +182,13 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config) Result {
 		r.DBR, r.Profile = dres, dres.Profile
 		r.Payoffs, r.Potential = dres.Final()
 	default:
-		gres, err := gbd.SolveCtx(ctx, cfg, gbdOpts(plan))
+		gres, err := gbd.SolveInstance(ctx, in, gbdOpts(plan))
 		if err != nil {
 			r.Err = err
 			break
 		}
 		r.GBD, r.Profile, r.Potential = gres, gres.Profile, gres.Potential
-		r.Payoffs = cfg.Payoffs(gres.Profile)
+		r.Payoffs = in.Payoffs(gres.Profile)
 	}
 	if r.Err != nil {
 		mErrors.Inc()

@@ -131,18 +131,37 @@ func orgName(i int) string {
 	return fmt.Sprintf("org-%02d", i)
 }
 
-// DefaultConfig draws a game instance from the Table II parameter ranges:
+// DefaultConfig is DefaultInstance's game, for a caller that changes it
+// before use (a changed game is checked again where it is solved).
+func DefaultConfig(opts GenOptions) (*Config, error) {
+	in, err := DefaultInstance(opts)
+	if err != nil {
+		return nil, err
+	}
+	return &in.cfg, nil
+}
+
+// DefaultInstance draws a game instance from the Table II parameter ranges:
 // p_i ~ U[500, 2500], s_i ~ U[15, 25]·10⁹ bits, |S_i| ~ U[1000, 2000]
 // samples, F_i a grid over 3-5 GHz, κ = 10⁻²⁷, and ρ ~ N(μ, (μ/5)²)
 // symmetric, rescaled so every z_i > 0. The accuracy model defaults to the
-// footnote-7 sqrt-loss bound over Ω in samples.
-func DefaultConfig(opts GenOptions) (*Config, error) {
+// footnote-7 sqrt-loss bound over Ω in samples. The drawn config is the
+// instance's own, checked once.
+func DefaultInstance(opts GenOptions) (*Instance, error) {
 	opts = opts.withDefaults()
 	src := sources.Get().(*randx.Source)
 	defer sources.Put(src)
 	src.Seed(opts.Seed)
+	// One array holds every organization's CPU grid, then the instance's
+	// rows: all of an instance's per-organization floats in one
+	// allocation (each grid capacity-clipped).
+	grid := DefaultCPULevels(opts.CPUSteps)
+	m := len(grid)
+	buf := make([]float64, opts.N*m+rowCount*opts.N)
 	orgs := make([]Organization, opts.N)
 	for i := range orgs {
+		levels := buf[i*m : (i+1)*m : (i+1)*m]
+		copy(levels, grid)
 		name := ""
 		if !opts.NoOrgName {
 			name = orgName(i)
@@ -152,7 +171,7 @@ func DefaultConfig(opts GenOptions) (*Config, error) {
 			DataBits:      src.Uniform(15e9, 25e9),
 			Samples:       float64(src.UniformInt(1000, 2000)),
 			Profitability: src.Uniform(500, 2500),
-			CPULevels:     DefaultCPULevels(opts.CPUSteps),
+			CPULevels:     levels,
 			Comm: comm.Profile{
 				DownloadTime:  DefaultTransferTime,
 				UploadTime:    DefaultTransferTime,
@@ -171,7 +190,7 @@ func DefaultConfig(opts GenOptions) (*Config, error) {
 		}
 		model = scaled
 	}
-	cfg := &Config{
+	in := &Instance{cfg: Config{
 		Orgs:           orgs,
 		Rho:            src.CompetitionMatrix(opts.N, opts.Mu),
 		Gamma:          opts.Gamma,
@@ -181,10 +200,11 @@ func DefaultConfig(opts GenOptions) (*Config, error) {
 		Deadline:       DefaultDeadline,
 		Accuracy:       model,
 		OmegaInSamples: true,
-	}
-	cfg.NormalizeRho(DefaultZMargin)
-	if err := cfg.Validate(); err != nil {
+	}}
+	in.rows.carve(buf[opts.N*m:], opts.N)
+	in.cfg.NormalizeRho(DefaultZMargin)
+	if _, err := in.check(); err != nil {
 		return nil, fmt.Errorf("default config: %w", err)
 	}
-	return cfg, nil
+	return in, nil
 }

@@ -49,15 +49,11 @@ type DeltaEvaluator struct {
 	cfg *Config
 	acc accuracy.Model
 
-	// Static per-organization caches (valid for the config's lifetime).
-	scale   []float64 // omegaScale(i)
-	q       []float64 // quality()
-	bits    []float64 // DataBits
-	prof    []float64 // Profitability
-	dmgCoef []float64 // (1−α)·Σ_j ρ_ij·p_j — the damage factor of Eq. (7)
-	commE   []float64 // Comm.CommEnergy()
-	weight  []float64 // EffectiveWeight(i), the w_i Potential divides by
-	gRowSum []float64 // γ·RhoRowSum(i), Potential's factor of x_i
+	// The static per-organization rows (valid for the config's lifetime):
+	// a loaded instance's own, read in place, or own's after Reset derived
+	// them from a bare config.
+	rows
+	own rows
 
 	gamma, lambda, energyWeight float64
 	alpha, oneMinusAlpha, boost float64
@@ -75,12 +71,8 @@ type DeltaEvaluator struct {
 
 	// Error-bound caches (errbound.go). shape is the model's certificate
 	// methods, nil when it has none.
-	shape accuracy.Certified
-	// Per organization, built by Reset: Σ_{j≠i} γ·ρ_ij, x_i at d = 1 and
-	// the top CPU level, and CoarseErrBound's focus half (NaN = no
-	// per-solve bound).
-	rowG, xTop, coarseMag []float64
-	outside               int // bound strategies outside the box coarseMag holds over
+	shape   accuracy.Certified
+	outside int // bound strategies outside the box coarseMag holds over
 	// ErrBound's focus half: the magnitudes that do not depend on the
 	// strategy asked about (NaN = no bound), built by the first ErrBound
 	// after a Focus.
@@ -88,25 +80,37 @@ type DeltaEvaluator struct {
 	boundMag float64
 }
 
-// NewDeltaEvaluator builds an evaluator for cfg. The config must remain
-// unmodified for the evaluator's lifetime; call Reset after changing it.
+// NewDeltaEvaluator builds an evaluator for cfg, a config Validate accepts.
+// The config must remain unmodified for the evaluator's lifetime; call
+// Reset after changing it.
 func NewDeltaEvaluator(cfg *Config) *DeltaEvaluator {
 	ev := &DeltaEvaluator{}
 	ev.Reset(cfg)
 	return ev
 }
 
-// Reset rebinds the evaluator to cfg, re-deriving every static cache. It
-// reuses the existing backing arrays when the organization count allows,
-// so pooled evaluators reset without allocating.
+// Reset rebinds the evaluator to cfg, a config Validate accepts, deriving
+// its rows with NewInstance's walk into arrays the evaluator keeps across
+// Resets when the organization count allows. A solve loads an Instance
+// instead, whose rows are already derived.
 func (ev *DeltaEvaluator) Reset(cfg *Config) {
+	_ = cfg.check(&ev.own) // a refused config leaves rows the contract does not cover
+	ev.bind(cfg, ev.own)
+}
+
+// Load rebinds the evaluator to the instance in, reading its rows in place:
+// nothing is checked or derived again.
+func (ev *DeltaEvaluator) Load(in *Instance) { ev.bind(&in.cfg, in.rows) }
+
+// bind points the evaluator at cfg and its rows r and sizes the profile
+// caches, reusing their arrays when the organization count allows.
+func (ev *DeltaEvaluator) bind(cfg *Config, r rows) {
 	n := cfg.N()
 	ev.cfg = cfg
 	ev.acc = cfg.Accuracy
 	ev.shape, _ = cfg.Accuracy.(accuracy.Certified)
-	for _, v := range [...]*[]float64{&ev.scale, &ev.q, &ev.bits, &ev.prof, &ev.dmgCoef,
-		&ev.commE, &ev.weight, &ev.gRowSum, &ev.xs, &ev.terms, &ev.g,
-		&ev.rowG, &ev.xTop, &ev.coarseMag} {
+	ev.rows = r
+	for _, v := range [...]*[]float64{&ev.xs, &ev.terms, &ev.g} {
 		if cap(*v) < n {
 			*v = make([]float64, n)
 		}
@@ -125,40 +129,6 @@ func (ev *DeltaEvaluator) Reset(cfg *Config) {
 	ev.oneMinusAlpha = 1 - cfg.Personal.Alpha
 	ev.boost = cfg.Personal.boost()
 	ev.personal = cfg.Personal.enabled()
-	for i := 0; i < n; i++ {
-		ev.scale[i] = cfg.omegaScale(i)
-		ev.q[i] = cfg.Orgs[i].quality()
-		ev.bits[i] = cfg.Orgs[i].DataBits
-		ev.prof[i] = cfg.Orgs[i].Profitability
-		ev.commE[i] = cfg.Orgs[i].Comm.CommEnergy()
-		ev.xTop[i] = ev.contribution(i, Strategy{D: 1, F: cfg.Orgs[i].topLevel()})
-	}
-	prof, xTop, gamma := ev.prof, ev.xTop, ev.gamma
-	for i := 0; i < n; i++ {
-		// The folds of Config.Damage, Config.Weight and Config.RhoRowSum in
-		// one walk over the row, then the product each is used in; beside
-		// them the per-solve bound's Σ_{j≠i} γ·ρ_ij and Σ_j γ·ρ_ij·x_j^max.
-		row := cfg.Rho[i]
-		prof, xTop := prof[:len(row)], xTop[:len(row)]
-		sum, z, rowSum, g1, g2 := 0.0, prof[i], 0.0, 0.0, 0.0
-		for j, rho := range row {
-			p := rho * prof[j]
-			sum += p
-			z -= p
-			rowSum += rho
-			g := gamma * rho
-			if j != i {
-				g1 += g
-			}
-			g2 += g * xTop[j]
-		}
-		ev.dmgCoef[i] = (1 - cfg.Personal.Alpha) * sum
-		ev.weight[i] = (1 - cfg.Personal.Alpha) * z
-		ev.gRowSum[i] = cfg.Gamma * rowSum
-		ev.rowG[i] = g1
-		ev.coarseMag[i] = g2
-	}
-	ev.coarseBound()
 }
 
 // Config returns the bound game configuration.

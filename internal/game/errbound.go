@@ -35,10 +35,11 @@ func (ev *DeltaEvaluator) ErrBound(i int, s Strategy) (float64, bool) {
 }
 
 // CoarseErrBound is ErrBound's per-solve tier: a bound that is never below
-// ErrBound's in floats, read in O(1) from what Reset built, without a
-// focus. It refuses wherever ErrBound would, and also for a personalized
-// game and while a bound strategy lies outside d ∈ [D_min, 1], f ≤ the
-// top CPU level. DESIGN.md §10 gives the dominance argument.
+// ErrBound's in floats, read in O(1) off the rows the check walk built,
+// without a focus. It refuses wherever ErrBound would, and also for a
+// personalized game and while a bound strategy lies outside
+// d ∈ [D_min, 1], f ≤ the top CPU level. DESIGN.md §10 gives the
+// dominance argument.
 func (ev *DeltaEvaluator) CoarseErrBound(i int, s Strategy) (float64, bool) {
 	e, gx := ev.energyWeight*ev.energy(i, s), ev.rowG[i]*ev.contribution(i, s)
 	// ErrBound's M is at least e + gx, its focus half being ≥ 0: past this
@@ -62,8 +63,11 @@ func (ev *DeltaEvaluator) finish(mag float64, s Strategy) (float64, bool) {
 }
 
 // roundoff is the factor (4N+32)·2⁻⁵³ of ErrBound.
-func (ev *DeltaEvaluator) roundoff() float64 {
-	return (4*float64(len(ev.xs)) + 32) * 0x1p-53
+func (ev *DeltaEvaluator) roundoff() float64 { return roundoff(len(ev.xs)) }
+
+// roundoff is (4n+32)·2⁻⁵³.
+func roundoff(n int) float64 {
+	return (4*float64(n) + 32) * 0x1p-53
 }
 
 // focusMagnitude returns the part of ErrBound's M that does not depend on
@@ -103,44 +107,6 @@ func (ev *DeltaEvaluator) focusMagnitude(i int) float64 {
 		mag += ev.prof[i] * ev.alpha * spread
 	}
 	return mag
-}
-
-// coarseBound finishes the per-solve focus halves. coarseMag[i] enters
-// holding Σ_j γ·ρ_ij·x_j^max and leaves holding focusMagnitude(i)'s
-// expression at its largest over every profile in the box: Ω's bracket
-// [low, top] widened to hold every focus's, S and P′ read there once, and
-// a 2⁻⁴⁰ relative slack for the last ulps of Pow and Sqrt. NaN where no
-// per-solve statement holds: no certificate methods, personalization, a
-// low end under ConcaveFrom, or own < dmg as in focusMagnitude.
-func (ev *DeltaEvaluator) coarseBound() {
-	spread := math.NaN()
-	if sh := ev.shape; sh != nil && !ev.personal {
-		// Every focus's rest folds N−1 addends d_j·scale_j ≥ D_min·scale_j
-		// and its top adds scale_i ≤ Σ scale_j; r/2·Σ exceeds the fold
-		// and reordering error on either side.
-		var lowSum, lowMax, topSum float64
-		for _, s := range ev.scale {
-			t := ev.cfg.DMin * s
-			lowSum += t
-			lowMax = max(lowMax, t)
-			topSum += s
-		}
-		r := ev.roundoff()
-		top := topSum + 0.5*r*topSum
-		rest := lowSum - lowMax - 0.5*r*lowSum
-		low := rest - r*top
-		if low > 0 && low >= sh.ConcaveFrom() {
-			spread = (max(sh.RoundingScale(low), sh.RoundingScale(top)) + ev.acc.Derivative(low)*top) * (1 + 0x1p-40)
-		}
-	}
-	for i, g2 := range ev.coarseMag {
-		own := ev.prof[i] * ev.oneMinusAlpha
-		if !(own >= ev.dmgCoef[i]) {
-			ev.coarseMag[i] = math.NaN()
-			continue
-		}
-		ev.coarseMag[i] = (own+2*ev.dmgCoef[i])*spread + g2
-	}
 }
 
 // inBox reports whether organization j's strategy s lies where the

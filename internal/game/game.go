@@ -11,7 +11,6 @@
 package game
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -117,111 +116,11 @@ func within(lo, v float64) bool { return v >= lo && v <= MaxMagnitude }
 // levels, valid communication profiles, and every magnitude finite and
 // within MaxMagnitude — including the accuracy model's over the Ω range the
 // game can reach. It does not mutate the config; use NormalizeRho to repair
-// z_i ≤ 0.
+// z_i ≤ 0. It is NewInstance's check without the instance: a solve takes
+// an Instance, so a config headed for a solver is checked there instead.
 func (c *Config) Validate() error {
-	n := c.N()
-	if n == 0 {
-		return errors.New("game config: no organizations")
-	}
-	if c.Accuracy == nil {
-		return errors.New("game config: nil accuracy model")
-	}
-	if !(c.DMin > 0 && c.DMin <= 1) {
-		return fmt.Errorf("game config: DMin %v outside (0,1]", c.DMin)
-	}
-	if !(c.Deadline > 0) {
-		return fmt.Errorf("game config: deadline %v must be positive", c.Deadline)
-	}
-	if !(c.Gamma >= 0 && c.Lambda >= 0 && c.EnergyWeight >= 0) {
-		return errors.New("game config: gamma, lambda and energy weight must be nonnegative")
-	}
-	if !(c.Personal.Alpha >= 0 && c.Personal.Alpha < 1) {
-		return fmt.Errorf("game config: personalization alpha %v outside [0,1)", c.Personal.Alpha)
-	}
-	if !(c.Personal.LocalBoost >= 0) {
-		return fmt.Errorf("game config: personalization local boost %v negative", c.Personal.LocalBoost)
-	}
-	for _, v := range [...]float64{c.Deadline, c.Gamma, c.Lambda, c.EnergyWeight, c.Personal.LocalBoost} {
-		if !within(0, v) {
-			return fmt.Errorf("game config: deadline, gamma, lambda, energy weight or local boost %v exceeds %g", v, MaxMagnitude)
-		}
-	}
-	if len(c.Rho) != n {
-		return fmt.Errorf("game config: rho has %d rows, want %d", len(c.Rho), n)
-	}
-	// Every row's length first: the symmetry check below reads Rho[j][i].
-	for i, row := range c.Rho {
-		if len(row) != n {
-			return fmt.Errorf("game config: rho row %d has %d cols, want %d", i, len(row), n)
-		}
-	}
-	for i, row := range c.Rho {
-		if row[i] != 0 {
-			return fmt.Errorf("game config: rho[%d][%d] = %v, diagonal must be zero", i, i, row[i])
-		}
-		for j, v := range row {
-			if !(v >= 0 && v <= 1) {
-				return fmt.Errorf("game config: rho[%d][%d] = %v outside [0,1]", i, j, v)
-			}
-			if !(math.Abs(v-c.Rho[j][i]) <= TolRhoSymmetry) {
-				return fmt.Errorf("game config: rho not symmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-	var omegaTop, scaleTop float64
-	for i, o := range c.Orgs {
-		if !(o.DataBits > 0 && o.Samples > 0) {
-			return fmt.Errorf("game config: org %d has non-positive data size", i)
-		}
-		if !(o.Profitability > 0) {
-			return fmt.Errorf("game config: org %d has non-positive profitability", i)
-		}
-		if !(o.Quality >= 0 && o.Quality <= 1) {
-			return fmt.Errorf("game config: org %d quality %v outside (0,1] (0 means default 1)", i, o.Quality)
-		}
-		if len(o.CPULevels) == 0 {
-			return fmt.Errorf("game config: org %d has no CPU levels", i)
-		}
-		for k := 1; k < len(o.CPULevels); k++ {
-			if !(o.CPULevels[k] > o.CPULevels[k-1]) {
-				return fmt.Errorf("game config: org %d CPU levels not strictly ascending", i)
-			}
-		}
-		if !(o.CPULevels[0] > 0) {
-			return fmt.Errorf("game config: org %d has non-positive CPU level", i)
-		}
-		if err := o.Comm.Validate(); err != nil {
-			return fmt.Errorf("game config: org %d: %w", i, err)
-		}
-		for _, v := range [...]float64{
-			o.DataBits, o.Samples, o.Profitability, o.CPULevels[len(o.CPULevels)-1],
-			o.Comm.DownloadTime, o.Comm.UploadTime, o.Comm.CyclesPerBit,
-			o.Comm.DownloadPower, o.Comm.UploadPower, o.Comm.Kappa,
-		} {
-			if !within(0, v) {
-				return fmt.Errorf("game config: org %d has a data size, profitability, CPU level or comm constant %v that exceeds %g", i, v, MaxMagnitude)
-			}
-		}
-		z := c.Weight(i)
-		if !(z > 0) {
-			return fmt.Errorf("game config: weight z_%d = %v ≤ 0; call NormalizeRho (Theorem 1 requires z_i > 0)", i, z)
-		}
-		if w := (1 - c.Personal.Alpha) * z; !(w >= 1/MaxMagnitude) { // EffectiveWeight(i), without its second O(N) Weight
-			return fmt.Errorf("game config: potential weight (1−α)·z_%d = %v under %g", i, w, 1/MaxMagnitude)
-		}
-		omegaTop += c.omegaScale(i)
-		scaleTop = math.Max(scaleTop, c.omegaScale(i))
-	}
-	// P is monotone, so its values at the ends of the reachable Ω range
-	// bound it on all of it: Ω ≤ Σ_i scale_i, and β·scale_i for the
-	// personalized component.
-	omegaTop = math.Max(omegaTop, c.Personal.boost()*scaleTop)
-	for _, omega := range [...]float64{0, omegaTop} {
-		if v := c.Accuracy.Value(omega); !within(-MaxMagnitude, v) {
-			return fmt.Errorf("game config: accuracy model %s gives P(%g) = %v, beyond ±%g", c.Accuracy.Name(), omega, v, MaxMagnitude)
-		}
-	}
-	return nil
+	var r rows
+	return c.check(&r)
 }
 
 // Weight returns z_i = p_i − Σ_j ρ_ij·p_j, the weighting factor of the
@@ -445,7 +344,16 @@ func (c *Config) Payoff(i int, p Profile) float64 {
 // and the per-organization exclusions Ω − d_i·scale_i are derived from the
 // cached sum, so the whole vector costs O(N²) only for the ρ terms instead
 // of recomputing the O(N) data sum for every organization.
-func (c *Config) Payoffs(p Profile) []float64 {
+func (c *Config) Payoffs(p Profile) []float64 { return c.payoffs(p, nil) }
+
+// Payoffs is Config.Payoffs reading the damage factors (1−α)·Σ_j ρ_ij·p_j
+// off the instance's rows, which fold the same products in the same order:
+// only the redistribution walks ρ.
+func (in *Instance) Payoffs(p Profile) []float64 { return in.cfg.payoffs(p, in.dmgCoef) }
+
+// payoffs is Payoffs with the damage factors dmgCoef when known (nil:
+// folded here).
+func (c *Config) payoffs(p Profile, dmgCoef []float64) []float64 {
 	n := c.N()
 	out := make([]float64, n)
 	xs := make([]float64, n)
@@ -458,10 +366,20 @@ func (c *Config) Payoffs(p Profile) []float64 {
 	oneMinusAlpha := 1 - c.Personal.Alpha
 	for i := 0; i < n; i++ {
 		gain := perf - c.Accuracy.Value(omega-p[i].D*c.omegaScale(i))
-		var damage, redist float64
-		for j := 0; j < n; j++ {
-			damage += c.Rho[i][j] * c.Orgs[j].Profitability
-			redist += c.Rho[i][j] * (xs[i] - xs[j])
+		row, xi := c.Rho[i][:n], xs[i]
+		var dmg, redist float64
+		if dmgCoef != nil {
+			for j, r := range row {
+				redist += r * (xi - xs[j])
+			}
+			dmg = dmgCoef[i]
+		} else {
+			var damage float64
+			for j, r := range row {
+				damage += r * c.Orgs[j].Profitability
+				redist += r * (xi - xs[j])
+			}
+			dmg = oneMinusAlpha * damage
 		}
 		revenue := c.Orgs[i].Profitability * perf
 		if c.Personal.enabled() {
@@ -470,7 +388,7 @@ func (c *Config) Payoffs(p Profile) []float64 {
 		}
 		out[i] = revenue -
 			c.EnergyWeight*c.Energy(i, p[i]) -
-			oneMinusAlpha*damage*gain +
+			dmg*gain +
 			c.Gamma*redist
 	}
 	return out

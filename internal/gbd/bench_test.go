@@ -14,12 +14,13 @@ import (
 // line is the regression gate).
 func BenchmarkPrimal(b *testing.B) {
 	b.ReportAllocs()
-	cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, NoOrgName: true})
+	in, err := game.DefaultInstance(game.GenOptions{Seed: 7, NoOrgName: true})
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg := in.Config()
 	s := solvers.New().(*solver)
-	s.rebind(cfg, Options{}.withDefaults())
+	s.rebind(in, Options{}.withDefaults())
 	n := cfg.N()
 	f := make([]float64, n)
 	fIdx := make([]int, n)

@@ -114,8 +114,12 @@ func TestNoPrimalRevisitTightCuts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
+		in, err := game.NewInstance(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
 		s := freshSolver()
-		s.rebind(cfg, opts)
+		s.rebind(in, opts)
 		iters, pot := stepSolve(t, s, label)
 		if iters != want.Iterations || math.Float64bits(pot) != math.Float64bits(want.Potential) {
 			t.Fatalf("%s: stepSolve = (%d iterations, %v), solver.run = (%d, %v)",

@@ -32,6 +32,7 @@ import (
 	"tradefl/internal/game"
 	"tradefl/internal/obs"
 	"tradefl/internal/optimize"
+	"tradefl/internal/parallel"
 )
 
 // MasterSolver selects the algorithm used for the master problem (23).
@@ -163,20 +164,6 @@ type solver struct {
 // ErrInfeasible is returned when no CPU grid point admits a feasible d.
 var ErrInfeasible = errors.New("gbd: problem infeasible for every f in the grid")
 
-// validateFor rejects configs Algorithm 1 cannot solve.
-func validateFor(cfg *game.Config) error {
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("gbd: %w", err)
-	}
-	if cfg.Personal.Alpha > 0 {
-		// The personalization extension adds a concave per-organization
-		// term to the potential, breaking the linear water-fill structure
-		// of the primal; solve personalized games with DBR instead.
-		return errors.New("gbd: personalization extension not supported; use DBR")
-	}
-	return nil
-}
-
 // Solve runs Algorithm 1 on the coopetition game and returns the
 // near-optimal joint strategy profile.
 func Solve(cfg *game.Config, opts Options) (*Result, error) {
@@ -187,15 +174,31 @@ func Solve(cfg *game.Config, opts Options) (*Result, error) {
 // trace carried by ctx (a fleet batch threads its batch trace through
 // here), and a cancelled ctx stops the solve before its next master
 // iteration with an error wrapping ctx's. A context that stays live has no
-// effect on the computed result.
+// effect on the computed result. It checks cfg, then solves the instance
+// with SolveInstance; the instance borrows cfg for the call
+// (game.TakeInstance without a copy), so cfg must not change until
+// SolveCtx returns.
 func SolveCtx(ctx context.Context, cfg *game.Config, opts Options) (*Result, error) {
-	if err := validateFor(cfg); err != nil {
-		return nil, err
+	in, err := game.TakeInstance(*cfg)
+	if err != nil {
+		return nil, fmt.Errorf("gbd: %w", err)
+	}
+	return SolveInstance(ctx, in, opts)
+}
+
+// SolveInstance is SolveCtx on a checked instance: nothing of the game is
+// checked or derived again.
+func SolveInstance(ctx context.Context, in *game.Instance, opts Options) (*Result, error) {
+	if in.Config().Personal.Alpha > 0 {
+		// The personalization extension adds a concave per-organization
+		// term to the potential, breaking the linear water-fill structure
+		// of the primal; solve personalized games with DBR instead.
+		return nil, errors.New("gbd: personalization extension not supported; use DBR")
 	}
 	opts = opts.withDefaults()
 	s := solvers.Get().(*solver)
 	defer s.release()
-	s.rebind(cfg, opts)
+	s.rebind(in, opts)
 	return s.run(ctx)
 }
 
@@ -221,8 +224,9 @@ func (s *solver) run(ctx context.Context) (*Result, error) {
 	lb := math.Inf(-1)
 	ub := math.Inf(1)
 	found := false
+	done := ctx.Done()
 	for k := 0; k < opts.MaxIter; k++ {
-		if err := ctx.Err(); err != nil {
+		if err := parallel.Cancelled(ctx, done); err != nil {
 			return nil, fmt.Errorf("gbd: %w", err)
 		}
 		res.Iterations = k + 1

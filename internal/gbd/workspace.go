@@ -106,20 +106,15 @@ var solvers = sync.Pool{New: func() any {
 }}
 
 // rebind points the solver at an instance: it recycles the solve arena,
-// re-derives every numeric field from the config's current values and
-// empties all cross-solve state. Only capacity survives a rebind, so the
-// solve that follows is byte-identical to one on a solver built from
-// nothing.
-func (s *solver) rebind(cfg *game.Config, opts Options) {
+// reads the instance's rows and empties all cross-solve state. Only
+// capacity survives a rebind, so the solve that follows is byte-identical
+// to one on a solver built from nothing.
+func (s *solver) rebind(in *game.Instance, opts Options) {
+	cfg := in.Config()
 	n := cfg.N()
 	s.cfg, s.opts = cfg, opts
 	s.solve.reset()
-	s.rhoBar, s.zs, s.scale = s.solve.floats(n), s.solve.floats(n), s.solve.floats(n)
-	for i := 0; i < n; i++ {
-		s.rhoBar[i] = cfg.RhoRowSum(i)
-		s.zs[i] = cfg.Weight(i)
-		s.scale[i] = cfg.OmegaScale(i)
-	}
+	s.rhoBar, s.zs, s.scale = in.RhoRowSums(), in.Weights(), in.OmegaScales()
 	s.lbs, s.ubs, s.incumbents = s.lbs[:0], s.ubs[:0], s.incumbents[:0]
 	s.prevIdx = nil
 	s.lb = math.Inf(-1)
@@ -134,5 +129,6 @@ func (s *solver) rebind(cfg *game.Config, opts Options) {
 // or cancelled), dropping the instance it was bound to.
 func (s *solver) release() {
 	s.cfg = nil
+	s.rhoBar, s.zs, s.scale = nil, nil, nil
 	solvers.Put(s)
 }

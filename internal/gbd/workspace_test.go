@@ -29,7 +29,11 @@ func shapedConfig(t testing.TB, seed int64, n int, widths []int) *game.Config {
 // solveOn runs one solve on the given solver, as SolveCtx does on a pooled
 // one.
 func solveOn(s *solver, cfg *game.Config, opts Options) (*Result, error) {
-	s.rebind(cfg, opts.withDefaults())
+	in, err := game.NewInstance(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.rebind(in, opts.withDefaults())
 	return s.run(context.Background())
 }
 

@@ -171,3 +171,19 @@ func ForCtxLabeled(ctx context.Context, label string, workers, n int, fn func(i 
 	}
 	return ctx.Err()
 }
+
+// Cancelled is ctx.Err() for a loop that polls between steps, given
+// done = ctx.Done() read once before the loop. A cancellable context's
+// channel is read without blocking, so a live one costs no lock (Err takes
+// the context's mutex); a context without a Done channel is asked Err.
+func Cancelled(ctx context.Context, done <-chan struct{}) error {
+	if done == nil {
+		return ctx.Err()
+	}
+	select {
+	case <-done:
+		return ctx.Err()
+	default:
+		return nil
+	}
+}

@@ -30,12 +30,12 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	cfgs, plan, err := ParseJobSpec(body, s.opts.Limits)
+	cfgs, plan, err := parseJob(body, s.opts.Limits)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	job := newJob(s.newJobID(), tenantOf(r), cfgs, plan)
+	job := newGamesJob(s.newJobID(), tenantOf(r), cfgs, plan)
 	job.remoteTC = remoteTrace(r)
 	initial := job.Status()
 	if aerr := s.admitJob(job); aerr != nil {
@@ -173,7 +173,7 @@ func (s *Server) handleSyncSolve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	cfgs, plan, err := ParseJobSpec(body, s.opts.Limits)
+	cfgs, plan, err := parseJob(body, s.opts.Limits)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -194,7 +194,7 @@ func (s *Server) handleSyncSolve(w http.ResponseWriter, r *http.Request) {
 		writeAdmitError(w, aerr)
 		return
 	}
-	results := s.syncSolve(r.Context(), cfgs, plan)
+	results := s.syncSolveInstances(r.Context(), cfgs, plan)
 	reply, err := encodeSyncReply(results)
 	if err != nil {
 		writeEncodeError(w, err)

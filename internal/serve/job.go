@@ -97,9 +97,9 @@ type Job struct {
 	cancel context.CancelFunc
 
 	mu sync.Mutex
-	// cfgs are the instances to solve, dropped once the job is terminal;
-	// instances keeps their count.
-	cfgs      []*game.Config
+	// cfgs are the checked instances to solve, dropped once the job is
+	// terminal; instances keeps their count.
+	cfgs      []*game.Instance
 	instances int
 	state     JobState
 	err       string
@@ -111,7 +111,7 @@ type Job struct {
 	changed   chan struct{} // closed+replaced on every publish/state change
 }
 
-func newJob(id, tenant string, cfgs []*game.Config, plan fleet.Plan) *Job {
+func newGamesJob(id, tenant string, cfgs []*game.Instance, plan fleet.Plan) *Job {
 	j := &Job{
 		ID:        id,
 		Tenant:    tenant,

@@ -223,7 +223,7 @@ func (s *Server) runJob(job *Job) {
 	failed := false
 	for lo := 0; lo < len(cfgs); lo += streamChunk {
 		chunk := cfgs[lo:min(lo+streamChunk, len(cfgs))]
-		results := fleet.New(fleet.Options{Plan: job.plan}).Solve(ctx, chunk)
+		results := fleet.New(fleet.Options{Plan: job.plan}).SolveInstances(ctx, chunk)
 		solved, progress := make([]InstanceResult, len(results)), make([][]Event, len(results))
 		for i, r := range results {
 			solved[i], progress[i] = newInstanceResult(lo+i, r), progressEvents(lo+i, r)
@@ -254,13 +254,13 @@ func (s *Server) runJob(job *Job) {
 	log.Debug("job finished", "id", job.ID, "state", job.State(), "seconds", time.Since(job.Created).Seconds())
 }
 
-// syncSolve runs the bounded synchronous path: small instances solved
+// syncSolveInstances runs the bounded synchronous path: small instances solved
 // inline on the request goroutine, still through the fleet engine (and so
 // still byte-identical to a batch run).
-func (s *Server) syncSolve(ctx context.Context, cfgs []*game.Config, plan fleet.Plan) []InstanceResult {
+func (s *Server) syncSolveInstances(ctx context.Context, cfgs []*game.Instance, plan fleet.Plan) []InstanceResult {
 	mSyncSolves.Inc()
 	mInstances.Add(int64(len(cfgs)))
-	results := fleet.New(fleet.Options{Plan: plan}).Solve(ctx, cfgs)
+	results := fleet.New(fleet.Options{Plan: plan}).SolveInstances(ctx, cfgs)
 	out := make([]InstanceResult, len(results))
 	for i, r := range results {
 		out[i] = newInstanceResult(i, r)

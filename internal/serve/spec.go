@@ -14,8 +14,8 @@ import (
 // game instances or a seeded generator request, plus an optional solver
 // plan. Exactly one of Games and Generate must be set.
 type JobSpec struct {
-	// Games holds fully specified instances, each validated against
-	// game.Config.Validate before admission.
+	// Games holds fully specified instances, each checked by
+	// game.TakeInstance before admission.
 	Games []GameSpec `json:"games,omitempty"`
 	// Generate draws seeded Table II instances server-side — the cheap way
 	// to submit a large batch without shipping megabytes of config.
@@ -123,12 +123,25 @@ func (a AccuracySpec) model() (accuracy.Model, error) {
 // ParseJobSpec decodes and validates a job submission against the
 // gateway's limits, returning the ready-to-solve configs and the forced
 // plan. Every config passes game.Config.Validate, so a malformed instance
-// is a 400 at the edge rather than a solver error mid-job.
+// is a 400 at the edge rather than a solver error mid-job. They are the
+// configs of the instances the gateway itself keeps (parseJob).
 //
 // A body in canonical form (decode.go) is decoded in one pass; any other
 // body, valid or not, goes through encoding/json, which therefore defines
 // what is accepted, what it decodes to and every parse error.
 func ParseJobSpec(raw []byte, lim Limits) ([]*game.Config, fleet.Plan, error) {
+	return parse(raw, lim, (*game.Instance).Config)
+}
+
+// parseJob is ParseJobSpec keeping the instances: each game is checked
+// once, here, and solved as the instance the check built.
+func parseJob(raw []byte, lim Limits) ([]*game.Instance, fleet.Plan, error) {
+	return parse(raw, lim, func(in *game.Instance) *game.Instance { return in })
+}
+
+// parse decodes a job submission and returns keep of each of its checked
+// games, with the plan.
+func parse[T any](raw []byte, lim Limits, keep func(*game.Instance) T) ([]T, fleet.Plan, error) {
 	var spec JobSpec
 	if !decodeCanonical(raw, &spec) {
 		spec = JobSpec{}
@@ -140,11 +153,11 @@ func ParseJobSpec(raw []byte, lim Limits) ([]*game.Config, fleet.Plan, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	cfgs, err := spec.configs(lim)
+	out, err := checked(&spec, lim, keep)
 	if err != nil {
 		return nil, 0, err
 	}
-	return cfgs, plan, nil
+	return out, plan, nil
 }
 
 func orDefault(s, def string) string {
@@ -155,6 +168,13 @@ func orDefault(s, def string) string {
 }
 
 func (s *JobSpec) configs(lim Limits) ([]*game.Config, error) {
+	return checked(s, lim, (*game.Instance).Config)
+}
+
+// checked checks every game of the spec and returns keep of each instance,
+// in order: the instances themselves for the gateway, their configs for
+// ParseJobSpec (one slice either way).
+func checked[T any](s *JobSpec, lim Limits, keep func(*game.Instance) T) ([]T, error) {
 	switch {
 	case len(s.Games) > 0 && s.Generate != nil:
 		return nil, fmt.Errorf("job spec: games and generate are mutually exclusive")
@@ -162,7 +182,7 @@ func (s *JobSpec) configs(lim Limits) ([]*game.Config, error) {
 		if lim.MaxInstances > 0 && len(s.Games) > lim.MaxInstances {
 			return nil, fmt.Errorf("job spec: %d instances exceed the per-job limit %d", len(s.Games), lim.MaxInstances)
 		}
-		cfgs := make([]*game.Config, len(s.Games))
+		out := make([]T, len(s.Games))
 		for i := range s.Games {
 			g := &s.Games[i]
 			model, err := g.Accuracy.model()
@@ -174,20 +194,24 @@ func (s *JobSpec) configs(lim Limits) ([]*game.Config, error) {
 			if lim.MaxOrgs > 0 && cfg.N() > lim.MaxOrgs {
 				return nil, fmt.Errorf("instance %d: %d organizations exceed the limit %d", i, cfg.N(), lim.MaxOrgs)
 			}
-			if err := cfg.Validate(); err != nil {
+			// The decoded spec is this call's own and is dropped on return,
+			// so the instance takes the config's memory over.
+			in, err := game.TakeInstance(cfg)
+			if err != nil {
 				return nil, fmt.Errorf("instance %d: %w", i, err)
 			}
-			cfgs[i] = &cfg
+			out[i] = keep(in)
 		}
-		return cfgs, nil
+		return out, nil
 	case s.Generate != nil:
-		return s.Generate.configs(lim)
+		return generated(s.Generate, lim, keep)
 	default:
 		return nil, fmt.Errorf("job spec: need games or generate")
 	}
 }
 
-func (g *GenSpec) configs(lim Limits) ([]*game.Config, error) {
+// generated draws the generate spec's instances, returning keep of each.
+func generated[T any](g *GenSpec, lim Limits, keep func(*game.Instance) T) ([]T, error) {
 	if g.Count <= 0 {
 		return nil, fmt.Errorf("generate: count must be positive")
 	}
@@ -215,9 +239,9 @@ func (g *GenSpec) configs(lim Limits) ([]*game.Config, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	cfgs := make([]*game.Config, g.Count)
-	for i := range cfgs {
-		cfg, err := game.DefaultConfig(game.GenOptions{
+	out := make([]T, g.Count)
+	for i := range out {
+		in, err := game.DefaultInstance(game.GenOptions{
 			N:        g.N,
 			Mu:       g.Mu,
 			Gamma:    g.Gamma,
@@ -227,7 +251,7 @@ func (g *GenSpec) configs(lim Limits) ([]*game.Config, error) {
 		if err != nil {
 			return nil, fmt.Errorf("generate instance %d: %w", i, err)
 		}
-		cfgs[i] = cfg
+		out[i] = keep(in)
 	}
-	return cfgs, nil
+	return out, nil
 }

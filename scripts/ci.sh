@@ -109,6 +109,9 @@ go test -run '^$' -fuzz '^FuzzCoarseErrBoundDominates$' -fuzztime 5s ./internal/
 # NormalizeRho's skip rule must leave the ρ bits and the factor of the loop
 # it replaced (the oracle in normalize_test.go), with no more row sums.
 go test -run '^$' -fuzz '^FuzzNormalizeRhoMatchesReference$' -fuzztime 5s ./internal/game/
+# NewInstance's one walk must accept, refuse and word its errors as the old
+# Validate did, and derive the rows the old Reset derived, bit for bit.
+go test -run '^$' -fuzz '^FuzzNewInstance$' -fuzztime 5s -fuzzminimizetime 1s ./internal/game/
 
 echo "==> performance A/B (scripts/abgate)"
 # Fleet batch solves, interleaved ABBA in one process and timed in process
