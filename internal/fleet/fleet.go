@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"time"
 
@@ -61,10 +62,10 @@ func New(opts Options) *Engine {
 // Solve is SolveInstances over configs, each checked by the worker that
 // solves it into an instance that borrows the config for the call
 // (game.TakeInstance without a copy): no config may change until Solve
-// returns. A config the check refuses fails in its own Result.Err, with
-// the error its plan's solver gives it.
+// returns. A config the check refuses fails in its own Result.Err, worded
+// as its plan's solver words it.
 func (e *Engine) Solve(ctx context.Context, cfgs []*game.Config) []Result {
-	return e.solve(ctx, cfgs, nil)
+	return e.solve(ctx, cfgs, func(i int) (*game.Instance, error) { return game.TakeInstance(*cfgs[i]) })
 }
 
 // SolveInstances solves every instance of the batch and returns the
@@ -77,12 +78,12 @@ func (e *Engine) SolveInstances(ctx context.Context, games []*game.Instance) []R
 	for i, in := range games {
 		cfgs[i] = in.Config()
 	}
-	return e.solve(ctx, cfgs, games)
+	return e.solve(ctx, cfgs, func(i int) (*game.Instance, error) { return games[i], nil })
 }
 
-// solve is the batch: games[i] is cfgs[i]'s instance, or games is nil and
-// each config is checked where it is solved.
-func (e *Engine) solve(ctx context.Context, cfgs []*game.Config, games []*game.Instance) []Result {
+// solve is the batch over cfgs; instance(i) is cfgs[i]'s instance, or the
+// check's refusal of it.
+func (e *Engine) solve(ctx context.Context, cfgs []*game.Config, instance func(i int) (*game.Instance, error)) []Result {
 	n := len(cfgs)
 	res := make([]Result, n)
 	if n == 0 {
@@ -94,11 +95,8 @@ func (e *Engine) solve(ctx context.Context, cfgs []*game.Config, games []*game.I
 	order := e.schedule(cfgs)
 	err := parallel.ForCtxLabeled(ctx, "fleet.batch", workers, n, func(i int) error {
 		idx := order[i]
-		if games == nil {
-			res[idx] = e.solveConfig(ctx, cfgs[idx])
-		} else {
-			res[idx] = e.solveOne(ctx, cfgs[idx], games[idx])
-		}
+		in, err := instance(idx)
+		res[idx] = e.solveOne(ctx, cfgs[idx], in, err)
 		return nil
 	})
 	if err != nil {
@@ -149,18 +147,13 @@ func (e *Engine) schedule(cfgs []*game.Config) []int {
 // on the computed result.
 func (e *Engine) SolveOneCtx(ctx context.Context, cfg *game.Config) Result {
 	mInstances.Inc()
-	return e.solveConfig(ctx, cfg)
+	in, err := game.TakeInstance(*cfg)
+	return e.solveOne(ctx, cfg, in, err)
 }
 
-// solveConfig checks cfg into an instance that borrows it and solves that.
-func (e *Engine) solveConfig(ctx context.Context, cfg *game.Config) Result {
-	in, _ := game.TakeInstance(*cfg) // nil when refused: solveOne words the error
-	return e.solveOne(ctx, cfg, in)
-}
-
-// solveOne solves in, cfg's instance; a nil in means the check refused
-// cfg, and the plan's solver, handed the config, gives the error.
-func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, in *game.Instance) Result {
+// solveOne solves in, cfg's instance, or records checkErr, the check's
+// refusal of cfg.
+func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, in *game.Instance, checkErr error) Result {
 	start := time.Now()
 	defer func() { mSolveSec.Observe(time.Since(start).Seconds()) }()
 
@@ -169,10 +162,10 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, in *game.Instan
 
 	r := Result{Plan: plan}
 	switch {
-	case in == nil && plan == PlanDBR:
-		_, r.Err = dbr.SolveCtx(ctx, cfg, nil, dbr.Options{})
-	case in == nil:
-		_, r.Err = gbd.SolveCtx(ctx, cfg, gbdOpts(plan))
+	case checkErr != nil && plan == PlanDBR:
+		r.Err = fmt.Errorf("dbr: %w", checkErr)
+	case checkErr != nil:
+		r.Err = fmt.Errorf("gbd: %w", checkErr)
 	case plan == PlanDBR:
 		dres, err := dbr.SolveInstance(ctx, in, nil, dbr.Options{})
 		if err != nil {

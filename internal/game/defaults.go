@@ -132,13 +132,15 @@ func orgName(i int) string {
 }
 
 // DefaultConfig is DefaultInstance's game, for a caller that changes it
-// before use (a changed game is checked again where it is solved).
+// before use (a changed game is checked again where it is solved). The
+// instance's rows are left behind.
 func DefaultConfig(opts GenOptions) (*Config, error) {
 	in, err := DefaultInstance(opts)
 	if err != nil {
 		return nil, err
 	}
-	return &in.cfg, nil
+	cfg := in.cfg
+	return &cfg, nil
 }
 
 // DefaultInstance draws a game instance from the Table II parameter ranges:
@@ -152,16 +154,8 @@ func DefaultInstance(opts GenOptions) (*Instance, error) {
 	src := sources.Get().(*randx.Source)
 	defer sources.Put(src)
 	src.Seed(opts.Seed)
-	// One array holds every organization's CPU grid, then the instance's
-	// rows: all of an instance's per-organization floats in one
-	// allocation (each grid capacity-clipped).
-	grid := DefaultCPULevels(opts.CPUSteps)
-	m := len(grid)
-	buf := make([]float64, opts.N*m+rowCount*opts.N)
 	orgs := make([]Organization, opts.N)
 	for i := range orgs {
-		levels := buf[i*m : (i+1)*m : (i+1)*m]
-		copy(levels, grid)
 		name := ""
 		if !opts.NoOrgName {
 			name = orgName(i)
@@ -171,7 +165,7 @@ func DefaultInstance(opts GenOptions) (*Instance, error) {
 			DataBits:      src.Uniform(15e9, 25e9),
 			Samples:       float64(src.UniformInt(1000, 2000)),
 			Profitability: src.Uniform(500, 2500),
-			CPULevels:     levels,
+			CPULevels:     DefaultCPULevels(opts.CPUSteps),
 			Comm: comm.Profile{
 				DownloadTime:  DefaultTransferTime,
 				UploadTime:    DefaultTransferTime,
@@ -201,7 +195,6 @@ func DefaultInstance(opts GenOptions) (*Instance, error) {
 		Accuracy:       model,
 		OmegaInSamples: true,
 	}}
-	in.rows.carve(buf[opts.N*m:], opts.N)
 	in.cfg.NormalizeRho(DefaultZMargin)
 	if _, err := in.check(); err != nil {
 		return nil, fmt.Errorf("default config: %w", err)

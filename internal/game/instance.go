@@ -54,18 +54,14 @@ func (r *rows) size(n int) {
 		}
 		return
 	}
-	r.carve(make([]float64, rowCount*n), n)
-}
-
-// carve points every row at its n entries of buf, which holds rowCount·n.
-func (r *rows) carve(buf []float64, n int) {
+	buf := make([]float64, rowCount*n)
 	for _, v := range r.all() {
 		*v = buf[:n:n]
 		buf = buf[n:]
 	}
 }
 
-// all lists the rows in carve order.
+// all lists the rows.
 func (r *rows) all() [rowCount]*[]float64 {
 	return [...]*[]float64{&r.scale, &r.q, &r.bits, &r.prof, &r.commE, &r.xTop,
 		&r.z, &r.rhoBar, &r.dmgCoef, &r.weight, &r.gRowSum, &r.rowG, &r.coarseMag}

@@ -86,15 +86,14 @@ func DecodeSlice[T any](d *Cursor, out *[]T, hint int, elem func(*T) bool) bool 
 	}
 }
 
-// Presize is the length to size the flat array at the cursor for — at or
-// just inside its '[' — read ahead from the commas before the next ']':
-// their count plus one, at most maxPresize, and 0 when no ']' follows.
-func (d *Cursor) Presize() int {
-	end := bytes.IndexByte(d.b[d.i:], ']')
-	if end <= 0 {
-		return 0
+// Floats decodes an array of numbers, sized from the commas before its
+// closing bracket.
+func (d *Cursor) Floats(out *[]float64) bool {
+	hint := 0
+	if end := bytes.IndexByte(d.b[d.i:], ']'); end > 0 {
+		hint = bytes.Count(d.b[d.i:d.i+end], []byte{','}) + 1
 	}
-	return min(bytes.Count(d.b[d.i:d.i+end], []byte{','})+1, maxPresize)
+	return DecodeSlice(d, out, hint, d.Float)
 }
 
 // space skips JSON whitespace.

@@ -28,47 +28,13 @@ var (
 )
 
 // specDecoder is a cursor over one request body.
-type specDecoder struct {
-	jsonx.Cursor
-	// slab holds the body's float arrays — CPU levels and ρ rows — each a
-	// capacity-clipped window, so an explicit game's arrays cost one
-	// allocation instead of one each.
-	slab []float64
-}
-
-// minSlab is the smallest slab opened: an N = 6 game's arrays fit.
-const minSlab = 64
+type specDecoder struct{ jsonx.Cursor }
 
 // decodeCanonical decodes raw into spec when raw is in canonical form. On
 // false spec may be partly filled and must be discarded.
 func decodeCanonical(raw []byte, spec *JobSpec) bool {
-	d := specDecoder{Cursor: jsonx.NewCursor(raw)}
+	d := specDecoder{jsonx.NewCursor(raw)}
 	return d.jobSpec(spec) && d.End()
-}
-
-// floats is Cursor.Floats decoding into the slab.
-func (d *specDecoder) floats(out *[]float64) bool {
-	if !d.Consume('[') {
-		return false
-	}
-	if d.Consume(']') {
-		*out = []float64{}
-		return true
-	}
-	if n := d.Presize(); cap(d.slab)-len(d.slab) < n {
-		d.slab = make([]float64, 0, max(n, 2*cap(d.slab), minSlab))
-	}
-	start := len(d.slab)
-	for {
-		d.slab = append(d.slab, 0)
-		if !d.Float(&d.slab[len(d.slab)-1]) {
-			return false
-		}
-		if !d.Consume(',') {
-			*out = d.slab[start:len(d.slab):len(d.slab)]
-			return d.Consume(']')
-		}
-	}
 }
 
 func (d *specDecoder) jobSpec(s *JobSpec) bool {
@@ -113,7 +79,7 @@ func (d *specDecoder) gameSpec(g *GameSpec) bool {
 			// Organizations have no cheap count; eight covers the sync path.
 			return jsonx.DecodeSlice(&d.Cursor, &g.Orgs, 8, d.organization)
 		case "rho":
-			return jsonx.DecodeSlice(&d.Cursor, &g.Rho, len(g.Orgs), d.floats)
+			return jsonx.DecodeSlice(&d.Cursor, &g.Rho, len(g.Orgs), d.Floats)
 		case "gamma":
 			return d.Float(&g.Gamma)
 		case "lambda":
@@ -147,7 +113,7 @@ func (d *specDecoder) organization(o *game.Organization) bool {
 		case "profitability":
 			return d.Float(&o.Profitability)
 		case "cpuLevels":
-			return d.floats(&o.CPULevels)
+			return d.Floats(&o.CPULevels)
 		case "comm":
 			return d.commProfile(&o.Comm)
 		case "quality":

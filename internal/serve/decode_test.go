@@ -26,9 +26,13 @@ func oracleParseJobSpec(raw []byte, lim Limits) ([]*game.Config, fleet.Plan, err
 	if err != nil {
 		return nil, 0, err
 	}
-	cfgs, err := spec.configs(lim)
+	games, err := spec.instances(lim)
 	if err != nil {
 		return nil, 0, err
+	}
+	cfgs := make([]*game.Config, len(games))
+	for i, in := range games {
+		cfgs[i] = in.Config()
 	}
 	return cfgs, plan, nil
 }

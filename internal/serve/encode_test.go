@@ -152,20 +152,20 @@ func checkStatusDocument(t *testing.T, job *Job, typed []InstanceResult) {
 // encodeFixtures solves one CGBD and one DBR instance and adds the shapes
 // real solves do not produce on demand: a bound series that starts at −Inf
 // and a failed instance whose message needs JSON's HTML escaping.
-func encodeFixtures(t *testing.T) ([]*game.Config, []fleet.Result) {
+func encodeFixtures(t *testing.T) ([]*game.Instance, []fleet.Result) {
 	t.Helper()
-	cfgs := make([]*game.Config, 4)
-	for i := range cfgs {
-		cfg, err := game.DefaultConfig(game.GenOptions{N: 5, Seed: int64(31 + i)})
+	games := make([]*game.Instance, 4)
+	for i := range games {
+		in, err := game.DefaultInstance(game.GenOptions{N: 5, Seed: int64(31 + i)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfgs[i] = cfg
+		games[i] = in
 	}
 	ctx := context.Background()
 	results := []fleet.Result{
-		fleet.New(fleet.Options{Plan: fleet.PlanPruned}).Solve(ctx, cfgs[:1])[0],
-		fleet.New(fleet.Options{Plan: fleet.PlanDBR}).Solve(ctx, cfgs[1:2])[0],
+		fleet.New(fleet.Options{Plan: fleet.PlanPruned}).SolveInstances(ctx, games[:1])[0],
+		fleet.New(fleet.Options{Plan: fleet.PlanDBR}).SolveInstances(ctx, games[1:2])[0],
 	}
 	if results[0].Err != nil || results[0].GBD == nil || results[1].Err != nil || results[1].DBR == nil {
 		t.Fatalf("fixture solves failed: %+v", results)
@@ -180,7 +180,7 @@ func encodeFixtures(t *testing.T) ([]*game.Config, []fleet.Result) {
 		Converged:   true,
 	}
 	failed := fleet.Result{Plan: fleet.PlanDBR, Err: errors.New(`dbr: <cancelled> & "gone"`)}
-	return cfgs, append(results, unbounded, failed)
+	return games, append(results, unbounded, failed)
 }
 
 // TestEventLogMatchesLegacyEncoding drives jobs through their lifecycle
@@ -188,7 +188,7 @@ func encodeFixtures(t *testing.T) ([]*game.Config, []fleet.Result) {
 // (queued, running, after each result, terminal), to be the bytes the
 // encoding/json forms produce.
 func TestEventLogMatchesLegacyEncoding(t *testing.T) {
-	fixtureCfgs, results := encodeFixtures(t)
+	fixtureGames, results := encodeFixtures(t)
 	const hostile = `solver <died> & "quit" \ at 50% — größer ☃ ` + "\xff\u2028"
 	for _, tc := range []struct {
 		name    string
@@ -207,21 +207,21 @@ func TestEventLogMatchesLegacyEncoding(t *testing.T) {
 		{"cancelled-before-any-result", 0, StateCancelled, hostile, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfgs := make([]*game.Config, max(tc.n, len(fixtureCfgs)))
-			for i := range cfgs {
-				cfgs[i] = fixtureCfgs[i%len(fixtureCfgs)]
+			games := make([]*game.Instance, max(tc.n, len(fixtureGames)))
+			for i := range games {
+				games[i] = fixtureGames[i%len(fixtureGames)]
 			}
-			job := newJob("job-0badcafe-7", "acme <&> co", cfgs, fleet.PlanAuto)
+			job := newJob("job-0badcafe-7", "acme <&> co", games, fleet.PlanAuto)
 			type logged struct {
 				typ  string
 				data any
 			}
-			want := []logged{{"state", legacyState(job.ID, StateQueued, len(cfgs), "", "")}}
+			want := []logged{{"state", legacyState(job.ID, StateQueued, len(games), "", "")}}
 			checkStatusDocument(t, job, nil)
 			if !job.setRunning(tc.traceID) {
 				t.Fatal("setRunning refused a queued job")
 			}
-			want = append(want, logged{"state", legacyState(job.ID, StateRunning, len(cfgs), "", tc.traceID)})
+			want = append(want, logged{"state", legacyState(job.ID, StateRunning, len(games), "", tc.traceID)})
 			checkStatusDocument(t, job, nil)
 			var typed []InstanceResult
 			wantQuoted := 0
@@ -243,7 +243,7 @@ func TestEventLogMatchesLegacyEncoding(t *testing.T) {
 			if tc.state != StateCancelled {
 				want = append(want, logged{"result", map[string]any{"id": job.ID, "state": tc.state, "results": typed}})
 			}
-			want = append(want, logged{"state", legacyState(job.ID, tc.state, len(cfgs), tc.errMsg, tc.traceID)})
+			want = append(want, logged{"state", legacyState(job.ID, tc.state, len(games), tc.errMsg, tc.traceID)})
 
 			got, _, terminal := job.since(0)
 			if !terminal || len(got) != len(want) {
@@ -267,10 +267,10 @@ func TestEventLogMatchesLegacyEncoding(t *testing.T) {
 			}
 
 			checkStatusDocument(t, job, typed)
-			if st := job.Status(); st.Instances != len(cfgs) || st.Solved != tc.n {
-				t.Errorf("status counts %d/%d, want %d/%d", st.Solved, st.Instances, tc.n, len(cfgs))
+			if st := job.Status(); st.Instances != len(games) || st.Solved != tc.n {
+				t.Errorf("status counts %d/%d, want %d/%d", st.Solved, st.Instances, tc.n, len(games))
 			}
-			if job.cfgs != nil {
+			if job.games != nil {
 				t.Error("terminal job still holds its instances")
 			}
 		})
@@ -384,7 +384,7 @@ func TestStreamReplayServesLiveBytes(t *testing.T) {
 // goroutine while a runner picks it up must end in one consistent order —
 // cancelled before it ran (nothing solved), cancelled by the runner, or run
 // to the end — with nothing logged after the terminal state event and the
-// job's instances released. Run under -race: finish drops cfgs while the
+// job's instances released. Run under -race: finish drops games while the
 // runner may be picking them up.
 func TestCancelQueuedJobRacesRunner(t *testing.T) {
 	s := testServer(t, Options{})
@@ -411,7 +411,7 @@ func TestCancelQueuedJobRacesRunner(t *testing.T) {
 			t.Fatalf("round %d: log does not end with the terminal state event", round)
 		}
 		job.mu.Lock()
-		held := job.cfgs != nil
+		held := job.games != nil
 		job.mu.Unlock()
 		if held {
 			t.Fatalf("round %d: terminal job (%s) still holds its instances", round, st.State)
@@ -501,11 +501,11 @@ func TestSyncReplyBytes(t *testing.T) {
 		t.Fatalf("status %d, content type %q: %s", resp.StatusCode, resp.Header.Get("Content-Type"), got)
 	}
 
-	cfgs, plan, err := ParseJobSpec([]byte(spec), Limits{})
+	games, plan, err := parseJob([]byte(spec), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := s.syncSolve(context.Background(), cfgs, plan)
+	results := s.syncSolve(context.Background(), games, plan)
 	var want bytes.Buffer
 	if err := json.NewEncoder(&want).Encode(map[string]any{"results": results}); err != nil {
 		t.Fatal(err)
@@ -514,7 +514,7 @@ func TestSyncReplyBytes(t *testing.T) {
 		t.Errorf("sync reply:\n got  %s\n want %s", got, want.Bytes())
 	}
 
-	job := newJob("job-0badcafe-8", "acme", cfgs, plan)
+	job := newJob("job-0badcafe-8", "acme", games, plan)
 	for i, res := range results {
 		job.addResult(nil, res)
 		if payload := job.events[len(job.events)-1].Data; !bytes.Contains(got, payload) {
@@ -612,7 +612,7 @@ func FuzzJobDocuments(f *testing.F) {
 	f.Add("j", "é\u2028", "cancelled", "", uint8(0), uint8(64), 1e-7, 1e21, 1e300, int64(-1))
 	f.Fuzz(func(t *testing.T, id, tenant, errMsg, traceID string, stateSel, n uint8, lb, ub, x float64, createdNs int64) {
 		state := []JobState{StateCancelled, StateFailed, StateDone}[stateSel%3]
-		job := newJob(id, tenant, make([]*game.Config, int(n%80)), fleet.PlanAuto)
+		job := newJob(id, tenant, make([]*game.Instance, int(n%80)), fleet.PlanAuto)
 		// MarshalJSON refuses years outside [0, 9999]; a job's clock readings
 		// are nowhere near either end.
 		zones := []*time.Location{time.UTC, time.Local, time.FixedZone("", -(3*3600 + 30*60))}
@@ -691,7 +691,7 @@ func BenchmarkJobDocuments(b *testing.B) {
 	if r.Err != nil {
 		b.Fatal(r.Err)
 	}
-	job := newJob("job-0badcafe-7", "acme", make([]*game.Config, 64), fleet.PlanAuto)
+	job := newJob("job-0badcafe-7", "acme", make([]*game.Instance, 64), fleet.PlanAuto)
 	job.setRunning("4bf92f3577b34da6")
 	for idx := 0; idx < 64; idx++ {
 		job.addResult(nil, newInstanceResult(idx, r))

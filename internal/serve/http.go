@@ -30,19 +30,19 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	cfgs, plan, err := parseJob(body, s.opts.Limits)
+	games, plan, err := parseJob(body, s.opts.Limits)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	job := newGamesJob(s.newJobID(), tenantOf(r), cfgs, plan)
+	job := newJob(s.newJobID(), tenantOf(r), games, plan)
 	job.remoteTC = remoteTrace(r)
 	initial := job.Status()
 	if aerr := s.admitJob(job); aerr != nil {
 		writeAdmitError(w, aerr)
 		return
 	}
-	log.Debug("job admitted", "id", job.ID, "tenant", job.Tenant, "instances", len(cfgs))
+	log.Debug("job admitted", "id", job.ID, "tenant", job.Tenant, "instances", len(games))
 	writeJobStatus(w, http.StatusAccepted, initial)
 }
 
@@ -173,28 +173,28 @@ func (s *Server) handleSyncSolve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	cfgs, plan, err := parseJob(body, s.opts.Limits)
+	games, plan, err := parseJob(body, s.opts.Limits)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(cfgs) > syncMaxInstances {
+	if len(games) > syncMaxInstances {
 		writeError(w, http.StatusUnprocessableEntity,
-			fmt.Sprintf("sync solve accepts at most %d instances (got %d); submit an async job via POST /v1/jobs", syncMaxInstances, len(cfgs)))
+			fmt.Sprintf("sync solve accepts at most %d instances (got %d); submit an async job via POST /v1/jobs", syncMaxInstances, len(games)))
 		return
 	}
-	for i, cfg := range cfgs {
-		if cfg.N() > syncMaxN {
+	for i, in := range games {
+		if in.N() > syncMaxN {
 			writeError(w, http.StatusUnprocessableEntity,
-				fmt.Sprintf("sync solve accepts at most N=%d organizations (instance %d has %d); submit an async job via POST /v1/jobs", syncMaxN, i, cfg.N()))
+				fmt.Sprintf("sync solve accepts at most N=%d organizations (instance %d has %d); submit an async job via POST /v1/jobs", syncMaxN, i, in.N()))
 			return
 		}
 	}
-	if aerr := s.admitTokens(tenantOf(r), len(cfgs)); aerr != nil {
+	if aerr := s.admitTokens(tenantOf(r), len(games)); aerr != nil {
 		writeAdmitError(w, aerr)
 		return
 	}
-	results := s.syncSolveInstances(r.Context(), cfgs, plan)
+	results := s.syncSolve(r.Context(), games, plan)
 	reply, err := encodeSyncReply(results)
 	if err != nil {
 		writeEncodeError(w, err)

@@ -97,9 +97,9 @@ type Job struct {
 	cancel context.CancelFunc
 
 	mu sync.Mutex
-	// cfgs are the checked instances to solve, dropped once the job is
+	// games are the checked instances to solve, dropped once the job is
 	// terminal; instances keeps their count.
-	cfgs      []*game.Instance
+	games     []*game.Instance
 	instances int
 	state     JobState
 	err       string
@@ -111,13 +111,13 @@ type Job struct {
 	changed   chan struct{} // closed+replaced on every publish/state change
 }
 
-func newGamesJob(id, tenant string, cfgs []*game.Instance, plan fleet.Plan) *Job {
+func newJob(id, tenant string, games []*game.Instance, plan fleet.Plan) *Job {
 	j := &Job{
 		ID:        id,
 		Tenant:    tenant,
 		Created:   time.Now(),
-		cfgs:      cfgs,
-		instances: len(cfgs),
+		games:     games,
+		instances: len(games),
 		plan:      plan,
 		state:     StateQueued,
 		changed:   make(chan struct{}),
@@ -224,7 +224,7 @@ func (j *Job) finishLocked(state JobState, errMsg string) {
 	j.state = state
 	j.err = errMsg
 	j.finished = time.Now()
-	j.cfgs = nil
+	j.games = nil
 	if state == StateDone || state == StateFailed {
 		j.events = append(j.events, Event{Type: "result", Data: encodeResultEvent(j.ID, j.results, state)})
 	}

@@ -57,8 +57,8 @@ func TestChunkPublishKeepsTheLog(t *testing.T) {
 		solved = append(solved, newInstanceResult(idx, r))
 		progress = append(progress, progressEvents(idx, r))
 	}
-	single := newJob("job-0badcafe-1", "acme", make([]*game.Config, len(results)), fleet.PlanAuto)
-	chunked := newJob("job-0badcafe-1", "acme", make([]*game.Config, len(results)), fleet.PlanAuto)
+	single := newJob("job-0badcafe-1", "acme", make([]*game.Instance, len(results)), fleet.PlanAuto)
+	chunked := newJob("job-0badcafe-1", "acme", make([]*game.Instance, len(results)), fleet.PlanAuto)
 	for _, j := range []*Job{single, chunked} {
 		j.setRunning("4bf92f3577b34da6")
 	}

@@ -200,7 +200,7 @@ func (s *Server) runJob(job *Job) {
 	job.mu.Lock()
 	job.cancel = cancel
 	remote := job.remoteTC
-	cfgs := job.cfgs // nil once the job was cancelled while queued
+	games := job.games // nil once the job was cancelled while queued
 	job.mu.Unlock()
 
 	// The job span joins the submitter's trace when the request carried
@@ -218,11 +218,11 @@ func (s *Server) runJob(job *Job) {
 		mJobsCancelled.Inc()
 		return
 	}
-	log.Debug("job running", "id", job.ID, "tenant", job.Tenant, "instances", len(cfgs))
+	log.Debug("job running", "id", job.ID, "tenant", job.Tenant, "instances", len(games))
 
 	failed := false
-	for lo := 0; lo < len(cfgs); lo += streamChunk {
-		chunk := cfgs[lo:min(lo+streamChunk, len(cfgs))]
+	for lo := 0; lo < len(games); lo += streamChunk {
+		chunk := games[lo:min(lo+streamChunk, len(games))]
 		results := fleet.New(fleet.Options{Plan: job.plan}).SolveInstances(ctx, chunk)
 		solved, progress := make([]InstanceResult, len(results)), make([][]Event, len(results))
 		for i, r := range results {
@@ -254,13 +254,13 @@ func (s *Server) runJob(job *Job) {
 	log.Debug("job finished", "id", job.ID, "state", job.State(), "seconds", time.Since(job.Created).Seconds())
 }
 
-// syncSolveInstances runs the bounded synchronous path: small instances solved
+// syncSolve runs the bounded synchronous path: small instances solved
 // inline on the request goroutine, still through the fleet engine (and so
 // still byte-identical to a batch run).
-func (s *Server) syncSolveInstances(ctx context.Context, cfgs []*game.Instance, plan fleet.Plan) []InstanceResult {
+func (s *Server) syncSolve(ctx context.Context, games []*game.Instance, plan fleet.Plan) []InstanceResult {
 	mSyncSolves.Inc()
-	mInstances.Add(int64(len(cfgs)))
-	results := fleet.New(fleet.Options{Plan: plan}).SolveInstances(ctx, cfgs)
+	mInstances.Add(int64(len(games)))
+	results := fleet.New(fleet.Options{Plan: plan}).SolveInstances(ctx, games)
 	out := make([]InstanceResult, len(results))
 	for i, r := range results {
 		out[i] = newInstanceResult(i, r)

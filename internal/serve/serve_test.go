@@ -166,7 +166,7 @@ func TestGenerateMuRange(t *testing.T) {
 		{Count: 1, N: 4, Mu: math.NaN()}, {Count: 1, N: 4, Mu: math.Inf(1)},
 		{Count: 1, N: 4, Gamma: math.NaN()}, {Count: 1, N: 4, Gamma: math.Inf(-1)},
 	} {
-		if _, err := g.configs(Limits{}); err == nil {
+		if _, err := g.instances(Limits{}); err == nil {
 			t.Errorf("generate %+v admitted", g)
 		}
 	}
@@ -261,15 +261,15 @@ func testServer(t *testing.T, opts Options) *Server {
 
 func testJob(t *testing.T, s *Server, tenant string, instances int) *Job {
 	t.Helper()
-	cfgs := make([]*game.Config, instances)
-	for i := range cfgs {
-		cfg, err := game.DefaultConfig(game.GenOptions{N: 4, Seed: int64(i + 1)})
+	games := make([]*game.Instance, instances)
+	for i := range games {
+		in, err := game.DefaultInstance(game.GenOptions{N: 4, Seed: int64(i + 1)})
 		if err != nil {
-			t.Fatalf("DefaultConfig: %v", err)
+			t.Fatalf("DefaultInstance: %v", err)
 		}
-		cfgs[i] = cfg
+		games[i] = in
 	}
-	return newJob(s.newJobID(), tenant, cfgs, 0)
+	return newJob(s.newJobID(), tenant, games, 0)
 }
 
 func TestGatewayQueueOverflow(t *testing.T) {

@@ -81,6 +81,11 @@ type Limits struct {
 // request body instead.)
 const maxGenCPUSteps = 64
 
+// defaultModel is the paper's default model (the zero AccuracySpec's),
+// built once: no model changes once built, so the games that name it
+// share it.
+var defaultModel, _ = accuracy.NewScaled(accuracy.NewSqrtLoss(game.DefaultEpochs, game.DefaultA0), game.DefaultOmegaUnit)
+
 // model builds the accuracy.Model the spec names.
 func (a AccuracySpec) model() (accuracy.Model, error) {
 	unit := a.OmegaUnit
@@ -95,6 +100,9 @@ func (a AccuracySpec) model() (accuracy.Model, error) {
 		}
 		if unit == 0 {
 			unit = game.DefaultOmegaUnit
+		}
+		if epochs == game.DefaultEpochs && a0 == game.DefaultA0 && unit == game.DefaultOmegaUnit {
+			return defaultModel, nil
 		}
 		return accuracy.NewScaled(accuracy.NewSqrtLoss(epochs, a0), unit)
 	case "power-law":
@@ -124,24 +132,27 @@ func (a AccuracySpec) model() (accuracy.Model, error) {
 // gateway's limits, returning the ready-to-solve configs and the forced
 // plan. Every config passes game.Config.Validate, so a malformed instance
 // is a 400 at the edge rather than a solver error mid-job. They are the
-// configs of the instances the gateway itself keeps (parseJob).
+// configs of the instances the gateway itself solves (parseJob).
 //
 // A body in canonical form (decode.go) is decoded in one pass; any other
 // body, valid or not, goes through encoding/json, which therefore defines
 // what is accepted, what it decodes to and every parse error.
 func ParseJobSpec(raw []byte, lim Limits) ([]*game.Config, fleet.Plan, error) {
-	return parse(raw, lim, (*game.Instance).Config)
+	games, plan, err := parseJob(raw, lim)
+	if err != nil {
+		return nil, 0, err
+	}
+	cfgs := make([]*game.Config, len(games))
+	for i, in := range games {
+		cfgs[i] = in.Config()
+	}
+	return cfgs, plan, nil
 }
 
-// parseJob is ParseJobSpec keeping the instances: each game is checked
-// once, here, and solved as the instance the check built.
+// parseJob decodes a job submission into its checked games and its plan:
+// each game is checked once, here, and solved as the instance the check
+// built.
 func parseJob(raw []byte, lim Limits) ([]*game.Instance, fleet.Plan, error) {
-	return parse(raw, lim, func(in *game.Instance) *game.Instance { return in })
-}
-
-// parse decodes a job submission and returns keep of each of its checked
-// games, with the plan.
-func parse[T any](raw []byte, lim Limits, keep func(*game.Instance) T) ([]T, fleet.Plan, error) {
 	var spec JobSpec
 	if !decodeCanonical(raw, &spec) {
 		spec = JobSpec{}
@@ -153,11 +164,11 @@ func parse[T any](raw []byte, lim Limits, keep func(*game.Instance) T) ([]T, fle
 	if err != nil {
 		return nil, 0, err
 	}
-	out, err := checked(&spec, lim, keep)
+	games, err := spec.instances(lim)
 	if err != nil {
 		return nil, 0, err
 	}
-	return out, plan, nil
+	return games, plan, nil
 }
 
 func orDefault(s, def string) string {
@@ -167,14 +178,8 @@ func orDefault(s, def string) string {
 	return s
 }
 
-func (s *JobSpec) configs(lim Limits) ([]*game.Config, error) {
-	return checked(s, lim, (*game.Instance).Config)
-}
-
-// checked checks every game of the spec and returns keep of each instance,
-// in order: the instances themselves for the gateway, their configs for
-// ParseJobSpec (one slice either way).
-func checked[T any](s *JobSpec, lim Limits, keep func(*game.Instance) T) ([]T, error) {
+// instances checks every game of the spec, in order.
+func (s *JobSpec) instances(lim Limits) ([]*game.Instance, error) {
 	switch {
 	case len(s.Games) > 0 && s.Generate != nil:
 		return nil, fmt.Errorf("job spec: games and generate are mutually exclusive")
@@ -182,7 +187,7 @@ func checked[T any](s *JobSpec, lim Limits, keep func(*game.Instance) T) ([]T, e
 		if lim.MaxInstances > 0 && len(s.Games) > lim.MaxInstances {
 			return nil, fmt.Errorf("job spec: %d instances exceed the per-job limit %d", len(s.Games), lim.MaxInstances)
 		}
-		out := make([]T, len(s.Games))
+		out := make([]*game.Instance, len(s.Games))
 		for i := range s.Games {
 			g := &s.Games[i]
 			model, err := g.Accuracy.model()
@@ -200,18 +205,18 @@ func checked[T any](s *JobSpec, lim Limits, keep func(*game.Instance) T) ([]T, e
 			if err != nil {
 				return nil, fmt.Errorf("instance %d: %w", i, err)
 			}
-			out[i] = keep(in)
+			out[i] = in
 		}
 		return out, nil
 	case s.Generate != nil:
-		return generated(s.Generate, lim, keep)
+		return s.Generate.instances(lim)
 	default:
 		return nil, fmt.Errorf("job spec: need games or generate")
 	}
 }
 
-// generated draws the generate spec's instances, returning keep of each.
-func generated[T any](g *GenSpec, lim Limits, keep func(*game.Instance) T) ([]T, error) {
+// instances draws the generate spec's instances.
+func (g *GenSpec) instances(lim Limits) ([]*game.Instance, error) {
 	if g.Count <= 0 {
 		return nil, fmt.Errorf("generate: count must be positive")
 	}
@@ -239,7 +244,7 @@ func generated[T any](g *GenSpec, lim Limits, keep func(*game.Instance) T) ([]T,
 	if seed == 0 {
 		seed = 1
 	}
-	out := make([]T, g.Count)
+	out := make([]*game.Instance, g.Count)
 	for i := range out {
 		in, err := game.DefaultInstance(game.GenOptions{
 			N:        g.N,
@@ -251,7 +256,7 @@ func generated[T any](g *GenSpec, lim Limits, keep func(*game.Instance) T) ([]T,
 		if err != nil {
 			return nil, fmt.Errorf("generate instance %d: %w", i, err)
 		}
-		out[i] = keep(in)
+		out[i] = in
 	}
 	return out, nil
 }
