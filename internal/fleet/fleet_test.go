@@ -282,10 +282,20 @@ func TestContextCancel(t *testing.T) {
 	}
 }
 
-// TestPerInstanceError: one invalid instance fails alone; the rest of the
-// batch still solves.
+// TestPerInstanceError: one invalid instance fails alone, with the error
+// its plan's solver gives it; the rest of the batch still solves.
 func TestPerInstanceError(t *testing.T) {
 	cfgs := []*game.Config{fleetConfig(t, 1, 4), {}, fleetConfig(t, 2, 6)}
+	for _, plan := range []Plan{PlanDBR, PlanPruned} {
+		r := New(Options{Plan: plan}).Solve(context.Background(), cfgs[1:2])[0]
+		_, want := gbd.Solve(cfgs[1], gbdOpts(plan))
+		if plan == PlanDBR {
+			_, want = dbr.Solve(cfgs[1], nil, dbr.Options{})
+		}
+		if r.Err == nil || want == nil || r.Err.Error() != want.Error() {
+			t.Errorf("plan %s: refused config fails with %v, want the solver's %v", plan, r.Err, want)
+		}
+	}
 	res := New(Options{Workers: 1}).Solve(context.Background(), cfgs)
 	if res[1].Err == nil {
 		t.Fatal("empty config solved without error")
