@@ -754,12 +754,12 @@ func BenchmarkGBDSolve(b *testing.B) {
 // BenchmarkScaling_DBR measures how Algorithm 2 scales with the number of
 // organizations (Theorem 2's computational-efficiency property:
 // O(T·L·N·m)), and reports the work behind the time from the dbr series:
-// best responses, candidates and certified candidates per solve.
+// best responses, candidates and payoff evaluations per solve.
 func BenchmarkScaling_DBR(b *testing.B) {
 	work := []struct{ series, unit string }{
 		{"tradefl_dbr_best_responses_total", "best-responses/op"},
 		{"tradefl_dbr_candidates_total", "candidates/op"},
-		{"tradefl_dbr_certified_candidates_total", "certified/op"},
+		{"tradefl_dbr_payoff_evaluations_total", "payoff-evaluations/op"},
 	}
 	counts := func() []float64 {
 		samples := obs.Default.Snapshot()

@@ -56,7 +56,7 @@ func TestExportCensus(t *testing.T) {
 		"game.Checks":                            "test observation hook: counts check walks, so a test can see each served game checked once",
 		"game.Config.CheckBudgetBalance":         "Definition 5 oracle shared by game tests, dbr/theorem2_test.go and the verify auditor",
 		"game.Config.CheckIndividualRationality": "Definition 3 oracle shared by game tests and dbr/theorem2_test.go",
-		"game.Config.OmegaScale":                 "the Ω unit of d_i that game/quality_test.go pins and the dbr certificate and gbd optimality tests build on; solvers read Instance.OmegaScales",
+		"game.Config.OmegaScale":                 "the Ω unit of d_i that game/quality_test.go pins and the dbr closed-form and gbd optimality tests build on; solvers read Instance.OmegaScales",
 		"gbd.SetAuditHook":                       "test hook: the verify auditor's post-Solve observer",
 		"obs.FlightEvents":                       "test observation hook: reads the flight ring",
 		"obs.FlightReset":                        "test reset hook: empties the flight ring between tests",

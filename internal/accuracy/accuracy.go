@@ -36,29 +36,26 @@ type Model interface {
 	Name() string
 }
 
-// Certified is what every model of this package offers beyond Model, and
-// what a caller needs before it may trust the sign of a difference of
-// Values (the DBR endpoint certificate, DESIGN.md §10). Each implementation
-// states where its constant comes from, writing u for 2⁻⁵³.
-type Certified interface {
+// Invertible is what every model of this package offers beyond Model: the
+// first-order condition of a concave payoff in closed form (DBR's best
+// response, DESIGN.md §10).
+type Invertible interface {
 	// ConcaveFrom returns the smallest Ω from which Value really is
 	// nondecreasing and concave: a guard at Ω ≈ 0 (SqrtLoss.OmegaFloor)
 	// puts a convex kink there. +Inf means nowhere (parameters outside the
-	// model's range).
+	// model's range, or a wrapped model without the inverse).
 	ConcaveFrom() float64
-	// RoundingScale returns S(ω) ≥ |P(ω)|, for ω ≥ ConcaveFrom, with
-	// |Value(ω′) − P(ω)| ≤ 8u·S(ω) for every float ω′ within 4u·ω of ω,
-	// where P is an exactly concave nondecreasing function (the model's
-	// formula in real arithmetic). Over an interval S is largest at one of
-	// the ends.
-	RoundingScale(omega float64) float64
+	// InverseDerivative returns the Ω at which Derivative(Ω) = k, for
+	// k > 0. Where no Ω ≥ ConcaveFrom has a derivative that large, the Ω it
+	// returns lies under ConcaveFrom.
+	InverseDerivative(k float64) float64
 }
 
 var (
-	_ Certified = (*SqrtLoss)(nil)
-	_ Certified = (*PowerLaw)(nil)
-	_ Certified = (*LogSaturation)(nil)
-	_ Certified = (*Scaled)(nil)
+	_ Invertible = (*SqrtLoss)(nil)
+	_ Invertible = (*PowerLaw)(nil)
+	_ Invertible = (*LogSaturation)(nil)
+	_ Invertible = (*Scaled)(nil)
 )
 
 // SqrtLoss is the accuracy-loss bound the paper adopts for simulations
@@ -113,11 +110,11 @@ func (m *SqrtLoss) Name() string { return "sqrt-loss" }
 // ConcaveFrom is the floor: Value is constant below it and rises above.
 func (m *SqrtLoss) ConcaveFrom() float64 { return m.OmegaFloor }
 
-// RoundingScale is |A0| + A(ω), not |P|: A0 − A(ω) cancels near P = 0.
-// ω·G, the root, two quotients and the sum put 3.5u on A, the difference
-// u on P, and a 4u shift of ω moves A by 2u·A: under 6.5u·(|A0| + A).
-func (m *SqrtLoss) RoundingScale(omega float64) float64 {
-	return math.Abs(m.A0) + m.Loss(omega)
+// InverseDerivative solves 1/(2·√G·Ω^{3/2}) = k: Ω = (2·√G·k)^{−2/3},
+// one cube root and no Pow.
+func (m *SqrtLoss) InverseDerivative(k float64) float64 {
+	c := math.Cbrt(2 * math.Sqrt(m.G) * k)
+	return 1 / (c * c)
 }
 
 // PowerLaw is P(Ω) = A·Ω^B with 0 < B < 1; a standard learning-curve form.
@@ -165,12 +162,9 @@ func (m *PowerLaw) ConcaveFrom() float64 {
 	return math.Inf(1)
 }
 
-// RoundingScale is max(P(ω), A)·(1 + |ln ω|): math.Pow forms exp(y·ln ω)
-// with |y| ≤ ½, so the u that Log and the product put on the exponent
-// reach P as |ln ω|·u, beside 3u from Exp, the integer power and A, and 4u
-// from a shifted ω: (7 + |ln ω|)·u·P in all. It falls, then rises, in ω.
-func (m *PowerLaw) RoundingScale(omega float64) float64 {
-	return m.Value(math.Max(omega, 1)) * (1 + math.Abs(math.Log(omega)))
+// InverseDerivative solves A·B·Ω^{B−1} = k: Ω = (k/(A·B))^{1/(B−1)}.
+func (m *PowerLaw) InverseDerivative(k float64) float64 {
+	return math.Pow(k/(m.A*m.B), 1/(m.B-1))
 }
 
 // LogSaturation is P(Ω) = A·log(1 + Ω/C): increasing, concave, saturating.
@@ -216,6 +210,5 @@ func (m *LogSaturation) ConcaveFrom() float64 {
 	return math.Inf(1)
 }
 
-// RoundingScale is P itself: the quotient, Log1p and the product are 3u,
-// and x/(1+x) ≤ log(1+x) keeps a 4u shift of ω within 4u·P.
-func (m *LogSaturation) RoundingScale(omega float64) float64 { return m.Value(omega) }
+// InverseDerivative solves A/(C + Ω) = k: Ω = A/k − C.
+func (m *LogSaturation) InverseDerivative(k float64) float64 { return m.A/k - m.C }

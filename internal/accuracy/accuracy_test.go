@@ -86,6 +86,60 @@ func TestDerivativeMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
+// TestInverseDerivativeInvertsDerivative holds every model's inverse to its
+// Derivative over the concave domain: for k = P′(Ω) on a log grid of Ω from
+// just above ConcaveFrom to 10¹², P′(InverseDerivative(k)) = k within a few
+// ulps, the inverse rises as k falls, and a k steeper than P′ anywhere on
+// the domain maps under ConcaveFrom.
+func TestInverseDerivativeInvertsDerivative(t *testing.T) {
+	ls, _ := NewLogSaturation(0.2, 1000)
+	inner := []Model{NewSqrtLoss(5, 1.1), ls}
+	for _, b := range []float64{0.05, 0.5, 0.95} {
+		pl, _ := NewPowerLaw(0.3, b)
+		inner = append(inner, pl)
+	}
+	var models []Invertible
+	for _, m := range inner {
+		sc, _ := NewScaled(m, 1000)
+		models = append(models, m.(Invertible), sc)
+	}
+	for _, m := range models {
+		model := m.(Model)
+		from := m.ConcaveFrom()
+		prev := math.Inf(-1)
+		for e := -30.0; e <= 12; e += 0.25 {
+			omega := math.Pow(10, e)
+			if omega <= from*(1+1e-9) {
+				continue
+			}
+			k := model.Derivative(omega)
+			inv := m.InverseDerivative(k)
+			if got := model.Derivative(inv); !(math.Abs(got-k) <= 1e-13*k) {
+				t.Errorf("%s %+v: P′(InverseDerivative(%g)) = %g at Ω = %g, want P′(%g) = %g", model.Name(), m, k, got, inv, omega, k)
+			}
+			if inv < prev-1e-12*math.Abs(prev) {
+				t.Errorf("%s %+v: InverseDerivative falls from %g to %g as k falls to %g", model.Name(), m, prev, inv, k)
+			}
+			prev = inv
+		}
+		if from > 0 {
+			if inv := m.InverseDerivative(2 * model.Derivative(from*(1+1e-9))); !(inv < from) {
+				t.Errorf("%s %+v: a k twice P′ at ConcaveFrom %g maps to Ω = %g, not under it", model.Name(), m, from, inv)
+			}
+		}
+	}
+	if got := (&Scaled{Inner: foreign{}, Unit: 2}).InverseDerivative(1); !math.IsNaN(got) {
+		t.Errorf("Scaled over a model without the inverse: InverseDerivative = %g, want NaN", got)
+	}
+}
+
+// foreign is a Model without the inverse.
+type foreign struct{}
+
+func (foreign) Value(omega float64) float64      { return omega }
+func (foreign) Derivative(omega float64) float64 { return 1 }
+func (foreign) Name() string                     { return "foreign" }
+
 func TestPowerLawValidation(t *testing.T) {
 	tests := []struct {
 		name string

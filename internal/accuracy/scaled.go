@@ -40,19 +40,20 @@ func (m *Scaled) Derivative(omega float64) float64 {
 func (m *Scaled) Name() string { return m.Inner.Name() + "/scaled" }
 
 // ConcaveFrom rescales the inner model's bound, a hair up so the rounded
-// quotient Value forms cannot land under it; +Inf for a foreign inner model.
+// quotient Value forms cannot land under it; +Inf for an inner model
+// without the inverse.
 func (m *Scaled) ConcaveFrom() float64 {
-	if c, ok := m.Inner.(Certified); ok {
+	if c, ok := m.Inner.(Invertible); ok {
 		return c.ConcaveFrom() * m.Unit * (1 + 0x1p-50)
 	}
 	return math.Inf(1)
 }
 
-// RoundingScale is the inner model's: the quotient's one rounding is
-// inside the 4u shift every RoundingScale allows for.
-func (m *Scaled) RoundingScale(omega float64) float64 {
-	if c, ok := m.Inner.(Certified); ok {
-		return c.RoundingScale(omega / m.Unit)
+// InverseDerivative is the inner model's at k·Unit, rescaled: P′(Ω/U)/U = k.
+// NaN for an inner model without the inverse.
+func (m *Scaled) InverseDerivative(k float64) float64 {
+	if c, ok := m.Inner.(Invertible); ok {
+		return c.InverseDerivative(k*m.Unit) * m.Unit
 	}
-	return math.Inf(1)
+	return math.NaN()
 }

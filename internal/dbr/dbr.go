@@ -33,7 +33,9 @@ type Options struct {
 	// Tol is the minimum payoff improvement that counts as a strategy
 	// change (default 1e-9); guards floating-point livelock.
 	Tol float64
-	// DTol is the golden-section tolerance on d (default 1e-7).
+	// DTol is the golden-section tolerance on d (default 1e-7). It governs
+	// only the games that take the search: personalized ones and models
+	// without an inverse derivative (DESIGN.md §10).
 	DTol float64
 	// TokenTimeout enables crash recovery in the distributed protocol:
 	// a node that forwarded the token and hears nothing for this long
@@ -181,6 +183,7 @@ func SolveInstance(ctx context.Context, in *game.Instance, start game.Profile, o
 	// sweep costs O(N).
 	eng := acquireEngine(in)
 	defer releaseEngine(eng)
+	defer eng.flush()
 	eng.Bind(p)
 
 	done := ctx.Done()

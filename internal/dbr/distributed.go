@@ -145,6 +145,7 @@ func (n *Node) startHop(ctx context.Context, remote *obs.TraceContext) *obs.Acti
 func (n *Node) Run(ctx context.Context) (game.Profile, error) {
 	ctx, session := obs.Span(ctx, "ring.node")
 	defer session.End()
+	defer n.eng.flush()
 	for {
 		var timeout <-chan time.Time
 		var timer *time.Timer

@@ -122,13 +122,15 @@ func TestDistributedOverTCP(t *testing.T) {
 // N = 3…8 × seeds 1–8, one SHA-256 per N over the eight profiles' float64
 // bits. A node's turn is Bind → BestResponse → current on the engine it
 // built once; the hashes were recorded when a turn still walked
-// Config.Payoff for its current payoff and scanned on a pooled engine.
+// Config.Payoff for its current payoff and scanned on a pooled engine, and
+// N = 3…6 re-recorded when best responses moved to the first-order
+// condition (N = 7, 8 kept their bits).
 func TestRingProfileGolden(t *testing.T) {
 	want := map[int]string{
-		3: "a69531073808713827b1d4f30e5869105a8d0e5a2619b19d4508129888c7a0a1",
-		4: "0a8ad60c3ad1d18cedf9c1f30d9b7fb388426a86f604a83c2bf087d12d818209",
-		5: "d25722e6276286e3de46a44ed5bf8f02bea01cec5cfdcf88296b3588a92a3adb",
-		6: "2bcf79d7f42088f1737468aa83a8a7904c0f6d5276cfe46b1ef508f04dad55b6",
+		3: "612c24fcc586d9eb3e3ec6a5944766b1600904211060e8ae2579eeef8f12fa84",
+		4: "e1e3ded7fbafdef04ba33d533a9822795db069a1dea4582d8147c533bdd893d4",
+		5: "db690fd49f6e9e0b751c70a4a4a3687d6b0873d62c1f5cda011389e59c22961e",
+		6: "e1cfb26391ac1fc294f653c8b36bd4c1e9304c91cbf7513fe868cfca68eab6e4",
 		7: "47f7750e202246983c28093801c3341e0adee983db90c9e199b3c7490d5651b4",
 		8: "8dda150e56c5c15305d00c98d155f4279fda0ac8cdd1a2d4554b948a187ec11e",
 	}

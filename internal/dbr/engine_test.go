@@ -32,10 +32,14 @@ func engineGames(t *testing.T) []*game.Config {
 	return cfgs
 }
 
-// TestEngineBestResponseMatchesNaive compares the engine scan against the
-// from-scratch reference (reference_test.go) on identical profiles:
-// strategy, value and the feasibility flag must agree bit-for-bit.
+// TestEngineBestResponseMatchesNaive compares the engine scan with the
+// from-scratch reference (reference_test.go) on identical profiles —
+// strategy, value and the feasibility flag agree bit for bit — and each of
+// its candidates with the golden-section search alone, within
+// checkClosedForm's bounds where the closed form answers and bit for bit
+// where the engine searches.
 func TestEngineBestResponseMatchesNaive(t *testing.T) {
+	var out closedOutcome
 	for _, cfg := range engineGames(t) {
 		p := cfg.MinimalProfile()
 		eng := NewEngine(cfg)
@@ -48,12 +52,17 @@ func TestEngineBestResponseMatchesNaive(t *testing.T) {
 					i, es, math.Float64bits(ev), eok, ns, math.Float64bits(nv), nok)
 			}
 		}
+		checkClosedForm(t, cfg, p, 1e-7, &out)
+	}
+	if out.closed == 0 || out.searched == 0 {
+		t.Errorf("%d closed-form and %d searched candidates; the games must exercise both", out.closed, out.searched)
 	}
 }
 
 // TestSolveIncrementalEquivalence is the end-to-end check of the engine:
 // Solve must return the profile, payoff traces and potential traces of
-// Algorithm 2 run on the from-scratch reference scan, bit for bit.
+// Algorithm 2 run on the from-scratch reference scan, bit for bit: the
+// closed form's d from Config's accessors, every payoff Config.Payoff.
 func TestSolveIncrementalEquivalence(t *testing.T) {
 	for _, cfg := range engineGames(t) {
 		got, err := Solve(cfg, nil, Options{})
@@ -120,8 +129,8 @@ func TestBestResponseZeroAlloc(t *testing.T) {
 
 // BenchmarkBestResponseAllocs measures the engine's serial scan at the
 // default instance size (with -benchmem it documents the zero-alloc steady
-// state; exact-bounds/op counts the scans that built the exact certificate
-// bound) beside the from-scratch reference scan it replaced.
+// state; payoff-evaluations/op counts the scan's payoff walks) beside the
+// from-scratch reference scan it replaced.
 func BenchmarkBestResponseAllocs(b *testing.B) {
 	cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, NoOrgName: true})
 	if err != nil {
@@ -132,14 +141,13 @@ func BenchmarkBestResponseAllocs(b *testing.B) {
 		b.ReportAllocs()
 		eng := NewEngine(cfg)
 		eng.Bind(p)
-		exact := exactBounds.Load()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, ok := eng.BestResponse(i%cfg.N(), 1e-7); !ok {
 				b.Fatal("no feasible response")
 			}
 		}
-		b.ReportMetric(float64(exactBounds.Load()-exact)/float64(b.N), "exact-bounds/op")
+		b.ReportMetric(float64(eng.evals)/float64(b.N), "payoff-evaluations/op")
 	})
 	b.Run("reference=from-scratch", func(b *testing.B) {
 		b.ReportAllocs()

@@ -132,15 +132,17 @@ func orgName(i int) string {
 }
 
 // DefaultConfig is DefaultInstance's game, for a caller that changes it
-// before use (a changed game is checked again where it is solved). The
-// instance's rows are left behind.
+// before use (a changed game is checked again where it is solved): drawn
+// and checked alike, without the instance's rows.
 func DefaultConfig(opts GenOptions) (*Config, error) {
-	in, err := DefaultInstance(opts)
-	if err != nil {
+	cfg := new(Config)
+	if err := draw(cfg, opts); err != nil {
 		return nil, err
 	}
-	cfg := in.cfg
-	return &cfg, nil
+	if err := cfg.check(nil); err != nil {
+		return nil, fmt.Errorf("default config: %w", err)
+	}
+	return cfg, nil
 }
 
 // DefaultInstance draws a game instance from the Table II parameter ranges:
@@ -150,6 +152,18 @@ func DefaultConfig(opts GenOptions) (*Config, error) {
 // footnote-7 sqrt-loss bound over Ω in samples. The drawn config is the
 // instance's own, checked once.
 func DefaultInstance(opts GenOptions) (*Instance, error) {
+	in := new(Instance)
+	if err := draw(&in.cfg, opts); err != nil {
+		return nil, err
+	}
+	if _, err := in.check(); err != nil {
+		return nil, fmt.Errorf("default config: %w", err)
+	}
+	return in, nil
+}
+
+// draw fills cfg with DefaultInstance's game, ρ capped but unchecked.
+func draw(cfg *Config, opts GenOptions) error {
 	opts = opts.withDefaults()
 	src := sources.Get().(*randx.Source)
 	defer sources.Put(src)
@@ -180,11 +194,11 @@ func DefaultInstance(opts GenOptions) (*Instance, error) {
 	if model == nil {
 		scaled, err := accuracy.NewScaled(accuracy.NewSqrtLoss(opts.Epochs, DefaultA0), DefaultOmegaUnit)
 		if err != nil {
-			return nil, fmt.Errorf("default config: %w", err)
+			return fmt.Errorf("default config: %w", err)
 		}
 		model = scaled
 	}
-	in := &Instance{cfg: Config{
+	*cfg = Config{
 		Orgs:           orgs,
 		Rho:            src.CompetitionMatrix(opts.N, opts.Mu),
 		Gamma:          opts.Gamma,
@@ -194,10 +208,7 @@ func DefaultInstance(opts GenOptions) (*Instance, error) {
 		Deadline:       DefaultDeadline,
 		Accuracy:       model,
 		OmegaInSamples: true,
-	}}
-	in.cfg.NormalizeRho(DefaultZMargin)
-	if _, err := in.check(); err != nil {
-		return nil, fmt.Errorf("default config: %w", err)
 	}
-	return in, nil
+	cfg.NormalizeRho(DefaultZMargin)
+	return nil
 }

@@ -6,11 +6,11 @@ import "tradefl/internal/accuracy"
 // is replaced by x, everyone else unchanged?" in O(N) instead of the O(N²)
 // a fresh Config.Payoff costs. It is the core of the incremental evaluation
 // engine: a best-response scan asks exactly this question about the same
-// organization i against the same π₋ᵢ for every CPU level — two probes a
-// level when the endpoint certificate answers (PayoffWithPair), ~39 when
-// the level is searched — so the evaluator focuses on one organization at a
-// time and keeps everything that does not depend on the probed strategy out
-// of the query.
+// organization i against the same π₋ᵢ for every CPU level — one probe a
+// level when the first-order condition answers (Maximizer, two levels per
+// PayoffWithPair walk), ~39 when the level is searched — so the evaluator
+// focuses on one organization at a time and keeps everything that does not
+// depend on the probed strategy out of the query.
 //
 // # Exactness contract
 //
@@ -43,8 +43,8 @@ import "tradefl/internal/accuracy"
 // A DeltaEvaluator is not safe for concurrent mutation, and a query about an
 // organization other than the focused one moves the focus, which is a
 // mutation. After Focus(i), concurrent PayoffWith(i, ·) queries are
-// read-only and race-free until the next Bind/Update/Reset; ErrBound is a
-// mutation (it fills a per-focus cache), CoarseErrBound is not.
+// read-only and race-free until the next Bind/Update/Reset; FirstOrder is a
+// mutation (it folds Ω₋ᵢ), Maximizer is not.
 type DeltaEvaluator struct {
 	cfg *Config
 	acc accuracy.Model
@@ -68,16 +68,11 @@ type DeltaEvaluator struct {
 	focus  int       // focused organization, −1 when none
 	prefix float64   // Σ_{j<focus} terms[j], folded left to right from zero
 	g      []float64 // γ·ρ_ij for i = focus
+	rest   float64   // Ω₋ᵢ of the focus, folded by FirstOrder
 
-	// Error-bound caches (errbound.go). shape is the model's certificate
-	// methods, nil when it has none.
-	shape   accuracy.Certified
-	outside int // bound strategies outside the box coarseMag holds over
-	// ErrBound's focus half: the magnitudes that do not depend on the
-	// strategy asked about (NaN = no bound), built by the first ErrBound
-	// after a Focus.
-	bounded  bool
-	boundMag float64
+	// inv is the model's inverse derivative, nil when the game takes the
+	// search: a personalized game or a model without one.
+	inv accuracy.Invertible
 }
 
 // NewDeltaEvaluator builds an evaluator for cfg, a config Validate accepts.
@@ -108,7 +103,10 @@ func (ev *DeltaEvaluator) bind(cfg *Config, r rows) {
 	n := cfg.N()
 	ev.cfg = cfg
 	ev.acc = cfg.Accuracy
-	ev.shape, _ = cfg.Accuracy.(accuracy.Certified)
+	ev.inv, _ = cfg.Accuracy.(accuracy.Invertible)
+	if cfg.Personal.enabled() {
+		ev.inv = nil
+	}
 	ev.rows = r
 	for _, v := range [...]*[]float64{&ev.xs, &ev.terms, &ev.g} {
 		if cap(*v) < n {
@@ -121,7 +119,6 @@ func (ev *DeltaEvaluator) bind(cfg *Config, r rows) {
 	}
 	ev.p = ev.p[:n]
 	ev.focus = -1
-	ev.outside = n // until Bind
 	ev.gamma = cfg.Gamma
 	ev.lambda = cfg.Lambda
 	ev.energyWeight = cfg.EnergyWeight
@@ -139,13 +136,9 @@ func (ev *DeltaEvaluator) Config() *Config { return ev.cfg }
 // drops the focus.
 func (ev *DeltaEvaluator) Bind(p Profile) {
 	copy(ev.p, p)
-	ev.outside = 0
 	for j := range ev.p {
 		ev.xs[j] = ev.contribution(j, ev.p[j])
 		ev.terms[j] = ev.p[j].D * ev.scale[j]
-		if !ev.inBox(j, ev.p[j]) {
-			ev.outside++
-		}
 	}
 	ev.focus = -1
 }
@@ -154,12 +147,6 @@ func (ev *DeltaEvaluator) Bind(p Profile) {
 // aggregate caches consistent, and drops the focus. Use it after a
 // best-response move instead of re-binding the whole profile.
 func (ev *DeltaEvaluator) Update(i int, s Strategy) {
-	if !ev.inBox(i, ev.p[i]) {
-		ev.outside--
-	}
-	if !ev.inBox(i, s) {
-		ev.outside++
-	}
 	ev.p[i] = s
 	ev.xs[i] = ev.contribution(i, s)
 	ev.terms[i] = s.D * ev.scale[i]
@@ -207,7 +194,51 @@ func (ev *DeltaEvaluator) Focus(i int) {
 		ev.g[j] = ev.gamma * row[j]
 	}
 	ev.focus = i
-	ev.bounded = false
+}
+
+// Interval is Config.FeasibleD(i, f) for organization i's k-th CPU level
+// f, read off the rows.
+func (ev *DeltaEvaluator) Interval(i, k int) (lo, hi float64, ok bool) {
+	hi = ev.hi[i*ev.stride+k]
+	return ev.cfg.DMin, hi, hi >= ev.cfg.DMin
+}
+
+// FirstOrder reports whether organization i's best response at each CPU
+// level has Maximizer's closed form, and readies it by folding Ω₋ᵢ: the
+// game is unpersonalized, its model has an inverse derivative, and
+// Ω₋ᵢ + a_i·D_min lies in the model's concave domain, so the payoff
+// z_i·P(Ω₋ᵢ + a_i·d) + b·d + const is concave in d over every interval.
+// It moves the focus to i like any query.
+func (ev *DeltaEvaluator) FirstOrder(i int) bool {
+	if ev.focus != i {
+		ev.Focus(i)
+	}
+	if ev.inv == nil {
+		return false
+	}
+	rest := ev.prefix
+	for _, t := range ev.terms[i+1:] {
+		rest += t
+	}
+	ev.rest = rest
+	return rest+ev.scale[i]*ev.cfg.DMin >= ev.inv.ConcaveFrom()
+}
+
+// Maximizer returns the d that maximizes the focused organization's payoff
+// over Interval(focus, k), after FirstOrder(focus) reported true: hi when the
+// slope b of the payoff's linear part is ≥ 0 (P is nondecreasing), else
+// the Ω* with P′(Ω*) = −b/(z_i·a_i), as d = (Ω* − Ω₋ᵢ)/a_i clamped to
+// the interval.
+func (ev *DeltaEvaluator) Maximizer(k int) float64 {
+	i := ev.focus
+	at := i*ev.stride + k
+	hi, b := ev.hi[at], ev.slope[at]
+	if b >= 0 {
+		return hi
+	}
+	a := ev.scale[i]
+	omega := ev.inv.InverseDerivative(-b / (ev.z[i] * a))
+	return max(ev.cfg.DMin, min(hi, (omega-ev.rest)/a))
 }
 
 // Payoff returns organization i's payoff at the bound profile,
@@ -253,7 +284,8 @@ func (ev *DeltaEvaluator) PayoffWith(i int, s Strategy) float64 {
 // same folds in PayoffWith's own association order, advanced side by side in
 // one walk over the opponents. A fold is a chain of dependent additions that
 // waits out an add latency per opponent; two independent chains fill that
-// wait. The endpoint certificate asks in pairs (dbr.Engine.solveCandidate).
+// wait. A closed-form best response probes its levels in pairs
+// (dbr.Engine.BestResponse).
 func (ev *DeltaEvaluator) PayoffWithPair(i int, a, b Strategy) (float64, float64) {
 	if ev.focus != i {
 		ev.Focus(i)

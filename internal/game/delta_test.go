@@ -394,8 +394,8 @@ func FuzzDeltaEvaluator(f *testing.F) {
 		sameBits(t, cfg, fmt.Sprintf("seed=%d focus %d: PayoffWith(%d, %+v)", seed, i, k, sk), ev.PayoffWith(k, sk), naiveWith(cfg, p, k, sk))
 		sameBits(t, cfg, fmt.Sprintf("seed=%d refocused PayoffWith(%d, %+v)", seed, i, s), ev.PayoffWith(i, s), naiveWith(cfg, p, i, s))
 
-		// The paired probe: focused, then moving the focus itself, with the
-		// certificate's own shape of pair (an end and its near neighbour).
+		// The paired probe: focused, then moving the focus itself, and a
+		// pair of near neighbours at an interval's end.
 		pairMatches(t, cfg, ev, p, i, s, p[i], fmt.Sprintf("seed=%d focused", seed))
 		pairMatches(t, cfg, ev, p, k, sk, p[k], fmt.Sprintf("seed=%d focus %d", seed, i))
 		pairMatches(t, cfg, ev, p, i, Strategy{D: hi, F: fv}, Strategy{D: hi - 0x1p-26, F: fv}, fmt.Sprintf("seed=%d refocused", seed))

@@ -104,7 +104,7 @@ func (c *Config) N() int { return len(c.Orgs) }
 // potential weight (1−α)·z_i from below. A payoff or potential addend is a
 // product of at most six scalars over at most one weight, so everything the
 // solvers compute from an accepted config is finite (and far enough inside
-// the float range for DeltaEvaluator.ErrBound's rounding model to hold).
+// the float range).
 // Real instances sit many orders below it: s_i ~ 10¹⁰ bits, f ~ 10⁹ Hz.
 const MaxMagnitude = 1e15
 
@@ -118,10 +118,7 @@ func within(lo, v float64) bool { return v >= lo && v <= MaxMagnitude }
 // game can reach. It does not mutate the config; use NormalizeRho to repair
 // z_i ≤ 0. It is NewInstance's check without the instance: a solve takes
 // an Instance, so a config headed for a solver is checked there instead.
-func (c *Config) Validate() error {
-	var r rows
-	return c.check(&r)
-}
+func (c *Config) Validate() error { return c.check(nil) }
 
 // Weight returns z_i = p_i − Σ_j ρ_ij·p_j, the weighting factor of the
 // weighted potential game (Theorem 1).

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-
-	"tradefl/internal/accuracy"
 )
 
 // Instance is a game Validate accepts, together with the per-organization
@@ -30,41 +28,39 @@ type rows struct {
 	bits    []float64 // DataBits
 	prof    []float64 // Profitability
 	commE   []float64 // Comm.CommEnergy()
-	xTop    []float64 // x_i at d = 1 and the top CPU level
 	z       []float64 // Weight(i), Theorem 1's z_i
 	rhoBar  []float64 // RhoRowSum(i)
 	dmgCoef []float64 // (1−α)·Σ_j ρ_ij·p_j — the damage factor of Eq. (7)
 	weight  []float64 // EffectiveWeight(i), the w_i Potential divides by
 	gRowSum []float64 // γ·RhoRowSum(i), Potential's factor of x_i
 	rowG    []float64 // Σ_{j≠i} γ·ρ_ij
-	// coarseMag is CoarseErrBound's focus half (NaN = no per-solve bound);
-	// the walk over ρ leaves Σ_j γ·ρ_ij·x_j^max in it for coarseBound.
-	coarseMag []float64
+
+	// Per (organization, CPU level): organization i's k-th level at
+	// i·stride + k, stride being the longest grid.
+	hi     []float64 // FeasibleD's upper end; under D_min when infeasible
+	slope  []float64 // b_{i,k}, the payoff's slope in d_i free of P (DESIGN.md §10)
+	stride int
+
+	buf []float64 // the backing array of every row
 }
 
-// rowCount is the number of rows.
-const rowCount = 13
+// rowCount is the number of per-organization rows.
+const rowCount = 11
 
-// size points every row at n entries, reusing the backing array when its
-// capacity allows.
-func (r *rows) size(n int) {
-	if cap(r.scale) >= n {
-		for _, v := range r.all() {
-			*v = (*v)[:n]
-		}
-		return
+// size points every row at n organizations of up to m CPU levels,
+// reusing the backing array when its capacity allows.
+func (r *rows) size(n, m int) {
+	total := (rowCount + 2*m) * n
+	if cap(r.buf) < total {
+		r.buf = make([]float64, total)
 	}
-	buf := make([]float64, rowCount*n)
-	for _, v := range r.all() {
+	buf := r.buf[:total]
+	for _, v := range [...]*[]float64{&r.scale, &r.q, &r.bits, &r.prof, &r.commE,
+		&r.z, &r.rhoBar, &r.dmgCoef, &r.weight, &r.gRowSum, &r.rowG} {
 		*v = buf[:n:n]
 		buf = buf[n:]
 	}
-}
-
-// all lists the rows.
-func (r *rows) all() [rowCount]*[]float64 {
-	return [...]*[]float64{&r.scale, &r.q, &r.bits, &r.prof, &r.commE, &r.xTop,
-		&r.z, &r.rhoBar, &r.dmgCoef, &r.weight, &r.gRowSum, &r.rowG, &r.coarseMag}
+	r.hi, r.slope, r.stride = buf[:n*m:n*m], buf[n*m:], m
 }
 
 // NewInstance checks cfg as Validate does and derives its rows in the same
@@ -154,13 +150,13 @@ var checks atomic.Int64
 // process started: each is one walk over ρ.
 func Checks() int64 { return checks.Load() }
 
-// check is Validate's walk, deriving r on the way. The scalar and shape
-// checks come first; then one row-major walk over ρ checks each entry and
-// folds the sums of Weight, RhoRowSum and Damage with the per-solve
-// bound's Σ_{j≠i} γ·ρ_ij and Σ_j γ·ρ_ij·x_j^max; then each organization
-// is checked, its weight read off the walk. The checks run in Validate's
-// order, so the first failure and its text are Validate's. On a failure r
-// is sized but only partly derived.
+// check is Validate's walk, deriving r on the way when r is not nil. The
+// scalar and shape checks come first; then one row-major walk over ρ checks
+// each entry and folds the sums of Weight, RhoRowSum and Damage with
+// Σ_{j≠i} γ·ρ_ij; then each organization is checked, its weight read off
+// the walk; last, r's per-level rows are derived. The checks run in
+// Validate's order, so the first failure and its text are Validate's. On a
+// failure r is sized but only partly derived.
 func (c *Config) check(r *rows) error {
 	checks.Add(1)
 	n := c.N()
@@ -199,28 +195,36 @@ func (c *Config) check(r *rows) error {
 			return fmt.Errorf("game config: rho row %d has %d cols, want %d", i, len(row), n)
 		}
 	}
-	r.size(n)
-	for i := range c.Orgs {
-		o := &c.Orgs[i]
-		r.scale[i] = c.omegaScale(i)
-		r.q[i] = o.quality()
-		r.bits[i] = o.DataBits
-		r.prof[i] = o.Profitability
-		r.commE[i] = o.Comm.CommEnergy()
-		r.xTop[i] = r.q[i]*1*r.bits[i] + c.Lambda*o.topLevel() // ContributionIndex(i, {1, top})
+	if r != nil {
+		m := 0
+		for i := range c.Orgs {
+			m = max(m, len(c.Orgs[i].CPULevels))
+		}
+		r.size(n, m)
+		for i := range c.Orgs {
+			o := &c.Orgs[i]
+			r.scale[i] = c.omegaScale(i)
+			r.q[i] = o.quality()
+			r.bits[i] = o.DataBits
+			r.prof[i] = o.Profitability
+			r.commE[i] = o.Comm.CommEnergy()
+		}
 	}
 	// Symmetry is checked above the diagonal only: |ρ_ij − ρ_ji| is the
 	// same float whichever way it is subtracted, so below it the walk
 	// would repeat a comparison row j already passed at (j, i). Validate
 	// checked each entry's range, then its symmetry; asymmetric keeps that
-	// order by running before a range error is reported.
-	prof, xTop, gamma, oneMinusAlpha := r.prof, r.xTop, c.Gamma, 1-c.Personal.Alpha
+	// order by running before a range error is reported. The first
+	// organization whose weight fails is remembered, with its z, for the
+	// organization checks to report in their order.
+	gamma, oneMinusAlpha := c.Gamma, 1-c.Personal.Alpha
+	bad, badZ := -1, 0.0
 	for i, row := range c.Rho {
 		if row[i] != 0 {
 			return fmt.Errorf("game config: rho[%d][%d] = %v, diagonal must be zero", i, i, row[i])
 		}
-		prof, xTop := prof[:len(row)], xTop[:len(row)]
-		sum, z, rowSum, g1, g2 := 0.0, prof[i], 0.0, 0.0, 0.0
+		orgs := c.Orgs[:len(row)]
+		sum, z, rowSum, g1 := 0.0, orgs[i].Profitability, 0.0, 0.0
 		for j, v := range row {
 			if !(v >= 0 && v <= 1) {
 				if k := c.asymmetric(i, j); k >= 0 {
@@ -228,24 +232,26 @@ func (c *Config) check(r *rows) error {
 				}
 				return fmt.Errorf("game config: rho[%d][%d] = %v outside [0,1]", i, j, v)
 			}
-			p := v * prof[j]
+			p := v * orgs[j].Profitability
 			sum += p
 			z -= p
 			rowSum += v
-			g := gamma * v
-			g1 += g // Σ_{j≠i}: at j = i, g is ±0, and g1 ≥ +0 absorbs it
-			g2 += g * xTop[j]
+			g1 += gamma * v // Σ_{j≠i}: at j = i the addend is ±0, and g1 ≥ +0 absorbs it
 		}
 		if k := c.asymmetric(i, n); k >= 0 {
 			return fmt.Errorf("game config: rho not symmetric at (%d,%d)", i, k)
 		}
-		r.z[i] = z
-		r.rhoBar[i] = rowSum
-		r.dmgCoef[i] = oneMinusAlpha * sum
-		r.weight[i] = oneMinusAlpha * z
-		r.gRowSum[i] = gamma * rowSum
-		r.rowG[i] = g1
-		r.coarseMag[i] = g2
+		if bad < 0 && !(z > 0 && oneMinusAlpha*z >= 1/MaxMagnitude) {
+			bad, badZ = i, z
+		}
+		if r != nil {
+			r.z[i] = z
+			r.rhoBar[i] = rowSum
+			r.dmgCoef[i] = oneMinusAlpha * sum
+			r.weight[i] = oneMinusAlpha * z
+			r.gRowSum[i] = gamma * rowSum
+			r.rowG[i] = g1
+		}
 	}
 	var omegaTop, scaleTop float64
 	for i, o := range c.Orgs {
@@ -281,14 +287,15 @@ func (c *Config) check(r *rows) error {
 				return fmt.Errorf("game config: org %d has a data size, profitability, CPU level or comm constant %v that exceeds %g", i, v, MaxMagnitude)
 			}
 		}
-		if z := r.z[i]; !(z > 0) {
-			return fmt.Errorf("game config: weight z_%d = %v ≤ 0; call NormalizeRho (Theorem 1 requires z_i > 0)", i, z)
+		if i == bad {
+			if !(badZ > 0) {
+				return fmt.Errorf("game config: weight z_%d = %v ≤ 0; call NormalizeRho (Theorem 1 requires z_i > 0)", i, badZ)
+			}
+			return fmt.Errorf("game config: potential weight (1−α)·z_%d = %v under %g", i, oneMinusAlpha*badZ, 1/MaxMagnitude)
 		}
-		if w := r.weight[i]; !(w >= 1/MaxMagnitude) {
-			return fmt.Errorf("game config: potential weight (1−α)·z_%d = %v under %g", i, w, 1/MaxMagnitude)
-		}
-		omegaTop += r.scale[i]
-		scaleTop = math.Max(scaleTop, r.scale[i])
+		scale := c.omegaScale(i)
+		omegaTop += scale
+		scaleTop = math.Max(scaleTop, scale)
 	}
 	// P is monotone, so its values at the ends of the reachable Ω range
 	// bound it on all of it: Ω ≤ Σ_i scale_i, and β·scale_i for the
@@ -299,8 +306,27 @@ func (c *Config) check(r *rows) error {
 			return fmt.Errorf("game config: accuracy model %s gives P(%g) = %v, beyond ±%g", c.Accuracy.Name(), omega, v, MaxMagnitude)
 		}
 	}
-	r.coarseBound(c)
+	if r != nil {
+		r.levels(c)
+	}
 	return nil
+}
+
+// levels derives the per-level rows: FeasibleD's hi, and the slope
+// b_{i,k} = Σ_{j≠i} γ·ρ_ij·q_i·s_i − ϖ_e·κ_i·f_k²·η_i·s_i that the
+// redistribution and the computation energy give the payoff in d_i.
+func (r *rows) levels(c *Config) {
+	for i := range c.Orgs {
+		o := &c.Orgs[i]
+		at := i * r.stride
+		for k, f := range o.CPULevels {
+			_, r.hi[at+k], _ = c.FeasibleD(i, f)
+			r.slope[at+k] = r.rowG[i]*r.q[i]*r.bits[i] - c.EnergyWeight*o.Comm.Kappa*f*f*o.Comm.CyclesPerBit*r.bits[i]
+		}
+		for k := len(o.CPULevels); k < r.stride; k++ {
+			r.hi[at+k], r.slope[at+k] = math.NaN(), math.NaN() // no such level
+		}
+	}
 }
 
 // asymmetric returns the first column k in (i, end) where row i of ρ and
@@ -313,44 +339,4 @@ func (c *Config) asymmetric(i, end int) int {
 		}
 	}
 	return -1
-}
-
-// coarseBound finishes the per-solve focus halves of CoarseErrBound.
-// coarseMag[i] enters holding Σ_j γ·ρ_ij·x_j^max and leaves holding
-// focusMagnitude(i)'s expression at its largest over every profile in the
-// box: Ω's bracket [low, top] widened to hold every focus's, S and P′ read
-// there once, and a 2⁻⁴⁰ relative slack for the last ulps of Pow and Sqrt.
-// NaN where no per-solve statement holds: no certificate methods,
-// personalization, a low end under ConcaveFrom, or own < dmg as in
-// focusMagnitude.
-func (r *rows) coarseBound(c *Config) {
-	spread := math.NaN()
-	if sh, _ := c.Accuracy.(accuracy.Certified); sh != nil && !c.Personal.enabled() {
-		// Every focus's rest folds N−1 addends d_j·scale_j ≥ D_min·scale_j
-		// and its top adds scale_i ≤ Σ scale_j; r/2·Σ exceeds the fold
-		// and reordering error on either side.
-		var lowSum, lowMax, topSum float64
-		for _, s := range r.scale {
-			t := c.DMin * s
-			lowSum += t
-			lowMax = max(lowMax, t)
-			topSum += s
-		}
-		ro := roundoff(len(r.scale))
-		top := topSum + 0.5*ro*topSum
-		rest := lowSum - lowMax - 0.5*ro*lowSum
-		low := rest - ro*top
-		if low > 0 && low >= sh.ConcaveFrom() {
-			spread = (max(sh.RoundingScale(low), sh.RoundingScale(top)) + c.Accuracy.Derivative(low)*top) * (1 + 0x1p-40)
-		}
-	}
-	oneMinusAlpha := 1 - c.Personal.Alpha
-	for i, g2 := range r.coarseMag {
-		own := r.prof[i] * oneMinusAlpha
-		if !(own >= r.dmgCoef[i]) {
-			r.coarseMag[i] = math.NaN()
-			continue
-		}
-		r.coarseMag[i] = (own+2*r.dmgCoef[i])*spread + g2
-	}
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"tradefl/internal/accuracy"
 )
 
 // The two walks NewInstance replaces, kept as its oracle: Validate as it
@@ -121,71 +119,57 @@ func oracleValidate(c *Config) error {
 	return nil
 }
 
-// oracleRows derives a config's rows as DeltaEvaluator.Reset did.
+// oracleRows derives a config's rows as DeltaEvaluator.Reset did, and the
+// per-level rows from FeasibleD and the payoff's linear terms.
 func oracleRows(cfg *Config) rows {
 	n := cfg.N()
 	var r rows
-	for _, v := range [...]*[]float64{&r.scale, &r.q, &r.bits, &r.prof, &r.commE, &r.xTop,
-		&r.z, &r.rhoBar, &r.dmgCoef, &r.weight, &r.gRowSum, &r.rowG, &r.coarseMag} {
+	for _, v := range [...]*[]float64{&r.scale, &r.q, &r.bits, &r.prof, &r.commE,
+		&r.z, &r.rhoBar, &r.dmgCoef, &r.weight, &r.gRowSum, &r.rowG} {
 		*v = make([]float64, n)
 	}
-	contribution := func(i int, s Strategy) float64 { return r.q[i]*s.D*r.bits[i] + cfg.Lambda*s.F }
 	for i := 0; i < n; i++ {
 		r.scale[i] = cfg.omegaScale(i)
 		r.q[i] = cfg.Orgs[i].quality()
 		r.bits[i] = cfg.Orgs[i].DataBits
 		r.prof[i] = cfg.Orgs[i].Profitability
 		r.commE[i] = cfg.Orgs[i].Comm.CommEnergy()
-		r.xTop[i] = contribution(i, Strategy{D: 1, F: cfg.Orgs[i].topLevel()})
 		r.z[i] = cfg.Weight(i)
 		r.rhoBar[i] = cfg.RhoRowSum(i)
+		r.stride = max(r.stride, len(cfg.Orgs[i].CPULevels))
 	}
-	prof, xTop, gamma := r.prof, r.xTop, cfg.Gamma
+	prof, gamma := r.prof, cfg.Gamma
 	for i := 0; i < n; i++ {
 		row := cfg.Rho[i]
-		prof, xTop := prof[:len(row)], xTop[:len(row)]
-		sum, z, rowSum, g1, g2 := 0.0, prof[i], 0.0, 0.0, 0.0
+		prof := prof[:len(row)]
+		sum, z, rowSum, g1 := 0.0, prof[i], 0.0, 0.0
 		for j, rho := range row {
 			p := rho * prof[j]
 			sum += p
 			z -= p
 			rowSum += rho
-			g := gamma * rho
 			if j != i {
-				g1 += g
+				g1 += gamma * rho
 			}
-			g2 += g * xTop[j]
 		}
 		r.dmgCoef[i] = (1 - cfg.Personal.Alpha) * sum
 		r.weight[i] = (1 - cfg.Personal.Alpha) * z
 		r.gRowSum[i] = cfg.Gamma * rowSum
 		r.rowG[i] = g1
-		r.coarseMag[i] = g2
 	}
-	spread := math.NaN()
-	if sh, _ := cfg.Accuracy.(accuracy.Certified); sh != nil && !cfg.Personal.enabled() {
-		var lowSum, lowMax, topSum float64
-		for _, s := range r.scale {
-			t := cfg.DMin * s
-			lowSum += t
-			lowMax = max(lowMax, t)
-			topSum += s
+	r.hi, r.slope = make([]float64, n*r.stride), make([]float64, n*r.stride)
+	for i, o := range cfg.Orgs {
+		for k := 0; k < r.stride; k++ {
+			at := i*r.stride + k
+			if k >= len(o.CPULevels) {
+				r.hi[at], r.slope[at] = math.NaN(), math.NaN()
+				continue
+			}
+			f := o.CPULevels[k]
+			_, r.hi[at], _ = cfg.FeasibleD(i, f)
+			// ∂/∂d of Σ_{j≠i} γ·ρ_ij·(q_i·d·s_i + λ·f) − ϖ_e·κ_i·f·f·η_i·d·s_i.
+			r.slope[at] = r.rowG[i]*r.q[i]*r.bits[i] - cfg.EnergyWeight*o.Comm.Kappa*f*f*o.Comm.CyclesPerBit*r.bits[i]
 		}
-		ro := (4*float64(n) + 32) * 0x1p-53
-		top := topSum + 0.5*ro*topSum
-		rest := lowSum - lowMax - 0.5*ro*lowSum
-		low := rest - ro*top
-		if low > 0 && low >= sh.ConcaveFrom() {
-			spread = (max(sh.RoundingScale(low), sh.RoundingScale(top)) + cfg.Accuracy.Derivative(low)*top) * (1 + 0x1p-40)
-		}
-	}
-	for i, g2 := range r.coarseMag {
-		own := r.prof[i] * (1 - cfg.Personal.Alpha)
-		if !(own >= r.dmgCoef[i]) {
-			r.coarseMag[i] = math.NaN()
-			continue
-		}
-		r.coarseMag[i] = (own+2*r.dmgCoef[i])*spread + g2
 	}
 	return r
 }
@@ -198,10 +182,13 @@ func rowsDiffer(got, want rows) string {
 		g, w []float64
 	}{
 		{"scale", got.scale, want.scale}, {"q", got.q, want.q}, {"bits", got.bits, want.bits},
-		{"prof", got.prof, want.prof}, {"commE", got.commE, want.commE}, {"xTop", got.xTop, want.xTop},
+		{"prof", got.prof, want.prof}, {"commE", got.commE, want.commE},
 		{"z", got.z, want.z}, {"rhoBar", got.rhoBar, want.rhoBar}, {"dmgCoef", got.dmgCoef, want.dmgCoef},
 		{"weight", got.weight, want.weight}, {"gRowSum", got.gRowSum, want.gRowSum},
-		{"rowG", got.rowG, want.rowG}, {"coarseMag", got.coarseMag, want.coarseMag},
+		{"rowG", got.rowG, want.rowG}, {"hi", got.hi, want.hi}, {"slope", got.slope, want.slope},
+	}
+	if got.stride != want.stride {
+		return fmt.Sprintf("stride %d, want %d", got.stride, want.stride)
 	}
 	for _, r := range named {
 		if len(r.g) != len(r.w) {

@@ -100,7 +100,7 @@ func extremeConfig(r *rand.Rand) *game.Config {
 
 // TestValidatedConfigsSolveFinite: whatever Validate accepts, both solvers
 // return a finite potential and finite payoffs — the gateway can encode the
-// result, and the rounding model of the DBR certificate holds.
+// result.
 func TestValidatedConfigsSolveFinite(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	accepted, solved := 0, map[string]int{}

@@ -37,9 +37,9 @@ var metricReaders = map[string]string{
 	"tradefl_chain_wal_fsyncs_total":           "bench",
 	"tradefl_dbr_best_responses_total":         "test:TestSolveCtxCancellation",
 	"tradefl_dbr_candidates_total":             "bench",
-	"tradefl_dbr_certified_candidates_total":   "test:TestCertifiedCounter",
 	"tradefl_dbr_converged_total":              "summary",
 	"tradefl_dbr_moves_total":                  "summary",
+	"tradefl_dbr_payoff_evaluations_total":     "test:TestCountersAddOncePerSolve",
 	"tradefl_dbr_rounds_total":                 "bench",
 	"tradefl_dbr_runs_total":                   "bench",
 	"tradefl_dbr_solve_seconds":                "how long does a DBR solve take?",

@@ -100,12 +100,11 @@ go test -run '^$' -fuzz '^FuzzAppendIndentMatchesJSON$' -fuzztime 5s ./internal/
 # randx's lazily seeded source must stay stream-identical to math/rand:
 # every seeded figure, golden hash and account key rests on it.
 go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 15s ./internal/randx/
-# DBR's endpoint certificate must return the golden-section search's bits
-# for every candidate and solve, whatever game and tolerance it is handed.
-go test -run '^$' -fuzz '^FuzzCertificateEquivalence$' -fuzztime 5s ./internal/dbr/
-# Its per-solve bound must refuse wherever the exact one refuses and never
-# fall below it, so that each pair is decided as by the exact bound alone.
-go test -run '^$' -fuzz '^FuzzCoarseErrBoundDominates$' -fuzztime 5s ./internal/dbr/
+# DBR's closed-form best response must meet the first-order condition and
+# stay within rounding of the golden-section search's payoff (and 1e-6 of
+# its d) at every level of any game it is handed, and a solve must keep the
+# from-scratch reference's bits.
+go test -run '^$' -fuzz '^FuzzClosedFormMatchesSearch$' -fuzztime 5s ./internal/dbr/
 # NormalizeRho's skip rule must leave the ρ bits and the factor of the loop
 # it replaced (the oracle in normalize_test.go), with no more row sums.
 go test -run '^$' -fuzz '^FuzzNormalizeRhoMatchesReference$' -fuzztime 5s ./internal/game/
